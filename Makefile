@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-kernels vet vuln bench bench-all bench-json bench-train bench-dataset bench-ckpt bench-smoke fuzz ci serve-smoke clean
+.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench bench-all bench-json bench-train bench-dataset bench-ckpt bench-pool bench-smoke fuzz ci serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,36 @@ test:
 test-race:
 	$(GO) test -race ./internal/sim ./internal/netsim ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/serve
 
-# vet runs under both build configurations — the default (assembly
-# kernels) and purego — so an accelerator-tagged file can't silently
-# become load-bearing or rot behind its tag.
+# test-floor0 replays the bitwise contract with the ml pool's dispatch
+# floor forced to 0 (build tag poolfloor0), so every Range call fans out
+# again at the small shapes the tests use — the path the production
+# floor (DESIGN.md decision 15) keeps off the default shapes. -cpu sizes
+# the shared pool: 1, 2 and 4 workers, one process each because the pool
+# is sized once. The golden fingerprints in testdata/ are the production
+# ones, so a pass also proves floor-invariance. The last line is the
+# -race pass over concurrent shard workers sharing the forced-out pool.
+test-floor0:
+	@for w in 1 2 4; do \
+		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
+		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestGoldenCombinedPipeline|TestGoldenDeterminism' ./internal/core || exit 1; \
+	done
+	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline' ./internal/core
+
+# bench/ is its own module (it imports internal/* through a replace), so
+# `go build ./... && go test ./...` never compiles it: an internal/*
+# signature change that breaks the repo's benchmark would first be seen
+# by whoever runs it. This compiles, vets and tests it.
+test-bench:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# vet runs under every build configuration — the default (assembly
+# kernels), purego, and the test-only poolfloor0 — so a tagged file can't
+# silently become load-bearing or rot behind its tag.
 vet:
 	$(GO) vet ./...
 	GOFLAGS=-tags=purego $(GO) vet ./...
+	GOFLAGS=-tags=poolfloor0 $(GO) vet ./internal/ml
 
 # test-kernels runs the ML tests under every forced GEMM kernel family
 # (scalar, sse2, avx2 when the CPU has it) plus the purego build, so a
@@ -54,7 +78,7 @@ vuln:
 	fi
 
 # Everything the driver gates on, in one target.
-ci: vet vuln test-race test-kernels bench-smoke
+ci: vet vuln test-race test-kernels test-floor0 test-bench bench-smoke
 
 # Batched vs per-packet inference cost (the ns/step metric must show the
 # batched engine at least 2x cheaper per step for B >= 16).
@@ -92,6 +116,14 @@ bench-dataset:
 bench-ckpt:
 	BENCH_CKPT_JSON=$(CURDIR)/BENCH_ckpt.json $(GO) test -run xxx -bench BenchmarkDurability -benchtime 1x ./internal/durable
 
+# The measurement ml's dispatchFloor is derived from: inline vs forced
+# fan-out per (hidden, lanes) cell for one inference and one BPTT step,
+# with the crossover and the floor it implies (table on stderr, ~1 min).
+# Rerun on a new host class before changing the constant; DESIGN.md
+# decision 15 records the committed table.
+bench-pool:
+	$(GO) test -run xxx -bench BenchmarkPoolBreakEven -benchtime 300ms ./internal/ml
+
 # Full paper reproduction: every table/figure benchmark (slow).
 bench-all:
 	$(GO) test -bench . -benchmem .
@@ -101,10 +133,11 @@ bench-all:
 # bench_output.txt to keep CI logs readable.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x . > bench_output.txt
-	$(GO) test -run xxx -bench BenchmarkGemmKernels -benchtime 1x ./internal/ml >> bench_output.txt
+	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzMulLanes -fuzztime 30s ./internal/ml
+	$(GO) test -run xxx -fuzz FuzzPoolRange -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzGemmKernels -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzGemmBackwardKernels -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzGateKernels -fuzztime 30s ./internal/ml

@@ -49,8 +49,10 @@ type InferenceScheduler struct {
 	BatchedSteps uint64
 	MaxBatch     int
 
-	// flush scratch, reused across rounds
+	// flush scratch, reused across rounds; xs holds sub-slices of feat,
+	// the round's feature rows back to back
 	lanes []int
+	feat  []float64
 	xs    [][]float64
 	want  []bool
 	preds []ml.Prediction
@@ -146,11 +148,17 @@ func (is *InferenceScheduler) flush() {
 	obsInferFlushes.Inc()
 	for dir := range is.queues {
 		q := is.queues[dir]
+		// A round steps each lane at most once: sizing the row buffer for
+		// that up front means appending never moves rows xs already
+		// points into, and no round allocates.
+		if need := len(q) * is.models[dir].Model().Cfg.Features; cap(is.feat) < need {
+			is.feat = make([]float64, 0, need)
+		}
 		for round := 0; ; round++ {
 			// Round k gathers the k-th pending request of every lane, so
 			// per-lane processing order matches arrival order exactly.
 			is.lanes, is.xs, is.want = is.lanes[:0], is.xs[:0], is.want[:0]
-			is.reqs = is.reqs[:0]
+			is.reqs, is.feat = is.reqs[:0], is.feat[:0]
 			for lane := range q {
 				if round >= len(q[lane]) {
 					continue
@@ -164,7 +172,9 @@ func (is *InferenceScheduler) flush() {
 					req.info = info
 				}
 				is.lanes = append(is.lanes, lane)
-				is.xs = append(is.xs, req.d.ex.Features(req.info))
+				row := len(is.feat)
+				is.feat = req.d.ex.FeaturesAppend(is.feat, req.info)
+				is.xs = append(is.xs, is.feat[row:])
 				is.want = append(is.want, !req.feed)
 				is.reqs = append(is.reqs, req)
 			}

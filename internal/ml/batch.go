@@ -6,10 +6,11 @@ import (
 )
 
 // This file implements the batched Mimic inference engine's ML half:
-// a cache-blocked, pool-parallel GEMM (MulLanes), fused batched LSTM
-// steps (the GRU's live in gru.go), and BatchedStatefulModel — a bank of
-// B independent hidden states advanced through one fused step per
-// "round". The simulator half (request collection and flushing) lives in
+// a lane-vectorized GEMM (MulLanes) that fans out over the pool only
+// above the dispatch floor (pool.go), fused batched LSTM steps (the
+// GRU's live in gru.go), and BatchedStatefulModel — a bank of B
+// independent hidden states advanced through one fused step per "round".
+// The simulator half (request collection and flushing) lives in
 // internal/core's InferenceScheduler.
 //
 // The per-packet path computes one matrix–vector product per packet per
@@ -20,14 +21,13 @@ import (
 // while keeping per-element arithmetic order identical so predictions
 // match the per-packet path bit-for-bit.
 
-// GEMM tile sizes: a weight-row block stays resident while it is reused
-// across a block of lanes. Tiles are the unit of pool parallelism.
+// GEMM block sizes: the granularity at which Pool.Range may split a GEMM.
+// Chunk edges fall only on block edges, so a lane chunk always starts on
+// a microkernel tile (16 lanes) and a row chunk on the two- and four-row
+// blocking of the kernels.
 const (
 	gemmRowBlock  = 32
 	gemmLaneBlock = 16
-	// gemmSerialFLOPs is the work floor (multiply-adds) below which
-	// tiling/dispatch overhead exceeds the win and MulLanes runs serial.
-	gemmSerialFLOPs = 1 << 13
 )
 
 // MulLanes is the batched counterpart of MulVec: for every lane a in
@@ -36,11 +36,11 @@ const (
 //	out[a*outStride + r] = Dot(M.row(r), xs[a*M.Cols : (a+1)*M.Cols])
 //
 // xs is n×Cols row-major; out rows are outStride wide and indexed by the
-// absolute row number r (so outStride must be >= r1). The computation is
-// cache-blocked over (rows × lanes) tiles and distributed across pool;
-// each output element is produced by exactly one tile with a fixed
-// k-order accumulation (Dot), so results are bitwise identical to n
-// MulVec calls regardless of worker count.
+// absolute row number r (so outStride must be >= r1). Row blocks are
+// distributed across pool when the product is large enough to repay it
+// (Pool.Range); each output element is produced by exactly one chunk
+// with a fixed k-order accumulation (Dot), so results are bitwise
+// identical to n MulVec calls regardless of worker count.
 func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: MulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
@@ -65,14 +65,13 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 	// identical to the dense one. Hidden-state inputs are dense and fail
 	// the density test, falling through to the dense kernel.
 	if rows >= 4 && n*K >= 64 {
-		nnz := 0
-		for _, v := range xs[:n*K] {
-			if v != 0 {
-				nnz++
-			}
+		sp := sparseScratch.Get().(*sparseLanes)
+		sparse := sp.pack(xs, n, K)
+		if sparse {
+			m.mulLanesSparse(r0, r1, sp, n, out, outStride, pool)
 		}
-		if 2*nnz <= n*K {
-			m.mulLanesSparse(r0, r1, xs, n, out, outStride, pool)
+		sparseScratch.Put(sp)
+		if sparse {
 			return
 		}
 	}
@@ -88,13 +87,15 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 	// and reuse the weight row from registers/L1. This is where the
 	// batched engine's per-step speedup comes from on a single core.
 	tileLanes := gemmKernel().tileLanes
-	kernel := func(rlo, rhi, alo, ahi int) {
-		a0 := alo
-		if tileLanes > 0 && K > 0 && a0+8 <= ahi {
+	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
+	pool.Range(rTiles, rows*n*K/rTiles, func(lo, hi int) {
+		rlo, rhi := r0+lo*gemmRowBlock, min(r0+hi*gemmRowBlock, r1)
+		a0 := 0
+		if tileLanes > 0 && K > 0 && n >= 8 {
 			tp := tileScratch.Get().(*[]float64)
 			tile := growFloats(*tp, tileLanes*K)
 			if tileLanes >= 16 {
-				for ; a0+16 <= ahi; a0 += 16 {
+				for ; a0+16 <= n; a0 += 16 {
 					for j := 0; j < 16; j++ {
 						lx := xs[(a0+j)*K : (a0+j+1)*K]
 						for k, v := range lx {
@@ -104,7 +105,7 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 					gemm16(&m.Data[rlo*K], rhi-rlo, K, &tile[0], 128, &out[a0*outStride+rlo], outStride*8)
 				}
 			}
-			for ; a0+8 <= ahi; a0 += 8 {
+			for ; a0+8 <= n; a0 += 8 {
 				for j := 0; j < 8; j++ {
 					lx := xs[(a0+j)*K : (a0+j+1)*K]
 					for k, v := range lx {
@@ -119,7 +120,7 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 		for r := rlo; r < rhi; r++ {
 			wrow := m.Data[r*K : (r+1)*K]
 			a := a0
-			for ; a+4 <= ahi; a += 4 {
+			for ; a+4 <= n; a += 4 {
 				// Re-slicing to len(wrow) lets the compiler drop the
 				// per-element bounds checks inside the hot loop.
 				x0 := xs[a*K : (a+1)*K][:len(wrow)]
@@ -138,29 +139,10 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 				out[(a+2)*outStride+r] = s2
 				out[(a+3)*outStride+r] = s3
 			}
-			for ; a < ahi; a++ {
+			for ; a < n; a++ {
 				out[a*outStride+r] = Dot(wrow, xs[a*K:(a+1)*K])
 			}
 		}
-	}
-	if pool.Workers() <= 1 || rows*n*K < gemmSerialFLOPs {
-		kernel(r0, r1, 0, n)
-		return
-	}
-	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.For(rTiles*aTiles, func(t int) {
-		rlo := r0 + (t/aTiles)*gemmRowBlock
-		rhi := rlo + gemmRowBlock
-		if rhi > r1 {
-			rhi = r1
-		}
-		alo := (t % aTiles) * gemmLaneBlock
-		ahi := alo + gemmLaneBlock
-		if ahi > n {
-			ahi = n
-		}
-		kernel(rlo, rhi, alo, ahi)
 	})
 }
 
@@ -178,7 +160,7 @@ var tileScratch = sync.Pool{New: func() any { return new([]float64) }}
 // same layout MulLanes writes), so a trainer can feed gate gradients
 // straight back through the weight matrices. Accumulation per output
 // element is in strictly ascending r order and each lane is produced by
-// exactly one tile, so results are bitwise independent of worker count.
+// exactly one chunk, so results are bitwise independent of worker count.
 func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: MulLanesT rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
@@ -201,8 +183,9 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 	// (0*Inf = NaN), and zero gate gradients are common (saturated
 	// sigmoids), so the skip is both a correctness guard and a win.
 	useAxpy := K >= 8 && gemmKernel().axpy
-	kernel := func(alo, ahi int) {
-		for a := alo; a < ahi; a++ {
+	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
+	pool.Range(aTiles, (r1-r0)*n*K/aTiles, func(lo, hi int) {
+		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, n); a < ahi; a++ {
 			o := out[a*K : (a+1)*K]
 			for c := range o {
 				o[c] = 0
@@ -224,19 +207,6 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 				}
 			}
 		}
-	}
-	if pool.Workers() <= 1 || (r1-r0)*n*K < gemmSerialFLOPs {
-		kernel(0, n)
-		return
-	}
-	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.For(aTiles, func(t int) {
-		alo := t * gemmLaneBlock
-		ahi := alo + gemmLaneBlock
-		if ahi > n {
-			ahi = n
-		}
-		kernel(alo, ahi)
 	})
 }
 
@@ -248,7 +218,7 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 // The lane sum runs in strictly ascending a order for every element —
 // the fixed reduction order that makes minibatch gradients bitwise
 // reproducible run to run — and each gradient row is owned by exactly
-// one tile, so results are also independent of worker count.
+// one chunk, so results are also independent of worker count.
 func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: AddGradLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
@@ -270,8 +240,13 @@ func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []f
 	// (0*Inf = NaN) and skipped lanes keep the ascending-a reduction
 	// order intact because a skipped term is an exact no-op.
 	useAxpy := K >= 8 && gemmKernel().axpy
-	kernel := func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
+	rows := r1 - r0
+	if rows == 0 {
+		return
+	}
+	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
+	pool.Range(rTiles, rows*n*K/rTiles, func(lo, hi int) {
+		for r, rhi := r0+lo*gemmRowBlock, min(r0+hi*gemmRowBlock, r1); r < rhi; r++ {
 			g := m.Grad[r*K : (r+1)*K]
 			for a := 0; a < n; a++ {
 				d := dys[a*dyStride+r]
@@ -288,20 +263,6 @@ func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []f
 				}
 			}
 		}
-	}
-	rows := r1 - r0
-	if pool.Workers() <= 1 || rows*n*K < gemmSerialFLOPs {
-		kernel(r0, r1)
-		return
-	}
-	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.For(rTiles, func(t int) {
-		rlo := r0 + t*gemmRowBlock
-		rhi := rlo + gemmRowBlock
-		if rhi > r1 {
-			rhi = r1
-		}
-		kernel(rlo, rhi)
 	})
 }
 
@@ -317,29 +278,60 @@ func addBiasGradLanes(b *Matrix, r0, r1 int, dys []float64, dyStride, n int) {
 	}
 }
 
-// mulLanesSparse is MulLanes for lanes whose inputs are mostly zero: it
-// packs each lane's nonzero (index, value) pairs once, then reuses the
-// packed stream across four weight rows at a time — four independent
-// accumulator chains sharing each loaded value. Accumulation per output
-// element remains in ascending-k order over the nonzero terms, which is
-// bitwise equal to the dense sum (skipped terms are exact zeros).
-func (m *Matrix) mulLanesSparse(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
-	K := m.Cols
-	idx := make([]int32, 0, n*K/2)
-	val := make([]float64, 0, n*K/2)
-	off := make([]int, n+1)
+// sparseLanes is the packed non-zero stream of an n×K input: lane a's
+// (column, value) pairs, in ascending column order, are
+// idx/val[off[a]:off[a+1]].
+type sparseLanes struct {
+	idx []int32
+	val []float64
+	off []int
+}
+
+// sparseScratch recycles the packed streams: the first-layer GEMM runs
+// on every model step.
+var sparseScratch = sync.Pool{New: func() any { return new(sparseLanes) }}
+
+// pack gathers the non-zeros of xs (n×K row-major) in one pass and
+// reports whether at most half of xs is non-zero; it gives up as soon as
+// the stream would exceed that, leaving the dense kernel to run.
+func (s *sparseLanes) pack(xs []float64, n, K int) bool {
+	limit := n * K / 2
+	if cap(s.idx) < limit {
+		s.idx, s.val = make([]int32, limit), make([]float64, limit)
+	}
+	if cap(s.off) < n+1 {
+		s.off = make([]int, n+1)
+	}
+	s.idx, s.val, s.off = s.idx[:limit], s.val[:limit], s.off[:n+1]
+	idx, val := s.idx, s.val
+	nnz := 0
 	for a := 0; a < n; a++ {
-		row := xs[a*K : (a+1)*K]
-		for k, v := range row {
+		for k, v := range xs[a*K : (a+1)*K] {
 			if v != 0 {
-				idx = append(idx, int32(k))
-				val = append(val, v)
+				if nnz == limit {
+					return false
+				}
+				idx[nnz], val[nnz] = int32(k), v
+				nnz++
 			}
 		}
-		off[a+1] = len(idx)
+		s.off[a+1] = nnz
 	}
-	kernel := func(alo, ahi int) {
-		for a := alo; a < ahi; a++ {
+	return true
+}
+
+// mulLanesSparse is MulLanes for lanes whose inputs are mostly zero: it
+// reuses each lane's packed (index, value) stream across four weight
+// rows at a time — four independent accumulator chains sharing each
+// loaded value. Accumulation per output element remains in ascending-k
+// order over the nonzero terms, which is bitwise equal to the dense sum
+// (skipped terms are exact zeros).
+func (m *Matrix) mulLanesSparse(r0, r1 int, sp *sparseLanes, n int, out []float64, outStride int, pool *Pool) {
+	K := m.Cols
+	idx, val, off := sp.idx, sp.val, sp.off
+	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
+	pool.Range(aTiles, (r1-r0)*off[n]/aTiles, func(lo, hi int) {
+		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, n); a < ahi; a++ {
 			ii := idx[off[a]:off[a+1]]
 			vv := val[off[a]:off[a+1]][:len(ii)]
 			r := r0
@@ -371,19 +363,6 @@ func (m *Matrix) mulLanesSparse(r0, r1 int, xs []float64, n int, out []float64, 
 				out[a*outStride+r] = s
 			}
 		}
-	}
-	if pool.Workers() <= 1 || n < 2*gemmLaneBlock {
-		kernel(0, n)
-		return
-	}
-	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.For(aTiles, func(t int) {
-		alo := t * gemmLaneBlock
-		ahi := alo + gemmLaneBlock
-		if ahi > n {
-			ahi = n
-		}
-		kernel(alo, ahi)
 	})
 }
 
@@ -431,9 +410,9 @@ func zeroRange(v []float64) {
 
 // StepBatch advances the listed lanes through one fused LSTM step:
 // two GEMMs over the gathered states followed by an elementwise gate
-// pass parallelized over lanes. Per-element math mirrors LSTM.Step
-// exactly (zx + (zh + b), same gate expressions), so outputs equal the
-// per-packet path bit-for-bit.
+// pass over lanes (split across the pool only above the dispatch floor).
+// Per-element math mirrors LSTM.Step exactly (zx + (zh + b), same gate
+// expressions), so outputs equal the per-packet path bit-for-bit.
 func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*lstmBatchState)
 	n := len(lanes)
@@ -453,29 +432,31 @@ func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64,
 	l.Wh.MulLanes(0, 4*H, s.hg, n, s.zh, 4*H, pool)
 	bias := l.B.Data
 	wide := gemmKernel().wideGates
-	pool.For(n, func(a int) {
-		zx := s.zx[a*4*H : (a+1)*4*H]
-		zh := s.zh[a*4*H : (a+1)*4*H]
-		cPrev := s.cg[a*H : (a+1)*H]
-		hRow := hs[a*H : (a+1)*H]
-		// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds
-		// are hoisted out of the gate loop so the sigmoid/tanh passes
-		// run over contiguous quarters — 4 lanes per instruction when
-		// the wide gate kernels are live, the same scalar calls per
-		// element either way.
-		for j, v := range zh {
-			zx[j] += v + bias[j]
-		}
-		sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
-		tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
-		sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
-		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, exactly as Step associates it.
-			cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
-		}
-		tanhLanes(hRow, cPrev, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = zx[3*H+j] * hRow[j]
+	pool.Range(n, 5*H*gateMulAdds, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			zx := s.zx[a*4*H : (a+1)*4*H]
+			zh := s.zh[a*4*H : (a+1)*4*H]
+			cPrev := s.cg[a*H : (a+1)*H]
+			hRow := hs[a*H : (a+1)*H]
+			// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds
+			// are hoisted out of the gate loop so the sigmoid/tanh passes
+			// run over contiguous quarters — 4 lanes per instruction when
+			// the wide gate kernels are live, the same scalar calls per
+			// element either way.
+			for j, v := range zh {
+				zx[j] += v + bias[j]
+			}
+			sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
+			tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
+			sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
+			for j := 0; j < H; j++ {
+				// cNew = f*cPrev + i*g, exactly as Step associates it.
+				cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
+			}
+			tanhLanes(hRow, cPrev, wide)
+			for j := 0; j < H; j++ {
+				hRow[j] = zx[3*H+j] * hRow[j]
+			}
 		}
 	})
 	for a, lane := range lanes {

@@ -256,42 +256,85 @@ func TestBatchedAddLane(t *testing.T) {
 // TestPoolCloseAfterDispatch closes pools immediately after dispatching
 // work — under -race this is a regression test for the shutdown
 // handshake (Close must not write state that draining workers still
-// read). Close must also be idempotent.
+// read). Close must also be idempotent. Floor 0 forces the fan-out; at
+// the production floor the same call runs on the caller.
 func TestPoolCloseAfterDispatch(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		p := NewPool(4)
-		var out [64]int64
-		p.For(64, func(j int) { out[j] = int64(j) })
-		p.Close()
-		p.Close()
-		for j := range out {
-			if out[j] != int64(j) {
-				t.Fatalf("task %d did not run before Close returned", j)
+	for _, floor := range []int{0, dispatchFloor} {
+		for i := 0; i < 20; i++ {
+			p := newPoolFloor(4, floor)
+			var out [64]int64
+			p.Range(64, 1, func(lo, hi int) {
+				for j := lo; j < hi; j++ {
+					out[j] = int64(j)
+				}
+			})
+			p.Close()
+			p.Close()
+			for j := range out {
+				if out[j] != int64(j) {
+					t.Fatalf("floor %d: item %d did not run before Close returned", floor, j)
+				}
 			}
 		}
 	}
 }
 
-// TestPoolWorkerCountInvariance: the same GEMM through pools of
-// different sizes must produce bitwise-identical output (under -race
-// this also exercises the worker pool for data races).
+// TestPoolWorkerCountInvariance: the same GEMMs through pools of
+// different sizes and floors must produce bitwise-identical output
+// (under -race this also exercises the worker pool for data races). The
+// small shape dispatches only at floor 0; the large one (hidden 128 × 64
+// lanes) must fan out at the production floor as well.
 func TestPoolWorkerCountInvariance(t *testing.T) {
 	s := stats.NewStream(3)
-	m := randMatrix(128, 40, s)
-	xs := randVec(64*40, s)
-	ref := make([]float64, 64*128)
-	m.MulLanes(0, 128, xs, 64, ref, 128, NewPool(1))
-	for _, workers := range []int{2, 3, 8} {
-		p := NewPool(workers)
-		out := make([]float64, 64*128)
-		for iter := 0; iter < 10; iter++ {
-			m.MulLanes(0, 128, xs, 64, out, 128, p)
-			for i := range ref {
-				if out[i] != ref[i] {
-					t.Fatalf("workers=%d iter=%d: output differs at %d", workers, iter, i)
+	for _, shape := range []struct {
+		rows, cols, n  int
+		prodDispatches bool
+	}{{128, 40, 64, false}, {512, 128, 64, true}} {
+		rows, cols, n := shape.rows, shape.cols, shape.n
+		m := randMatrix(rows, cols, s)
+		xs := randVec(n*cols, s)
+		dys := randVec(n*rows, s)
+		ref := make([]float64, n*rows)
+		refT := make([]float64, n*cols)
+		m.MulLanes(0, rows, xs, n, ref, rows, NewPool(1))
+		m.MulLanesT(0, rows, dys, rows, n, refT, NewPool(1))
+		m.AddGradLanes(0, rows, dys, rows, n, xs, NewPool(1))
+		refG := append([]float64(nil), m.Grad...)
+		for _, floor := range []int{0, dispatchFloor} {
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				p := newPoolFloor(workers, floor)
+				out := make([]float64, n*rows)
+				outT := make([]float64, n*cols)
+				before := obsPoolDispatches.Value()
+				for iter := 0; iter < 5; iter++ {
+					m.MulLanes(0, rows, xs, n, out, rows, p)
+					m.MulLanesT(0, rows, dys, rows, n, outT, p)
+					m.ZeroGrad()
+					m.AddGradLanes(0, rows, dys, rows, n, xs, p)
+					for i := range ref {
+						if out[i] != ref[i] {
+							t.Fatalf("%dx%d floor=%d workers=%d iter=%d: MulLanes differs at %d", rows, cols, floor, workers, iter, i)
+						}
+					}
+					for i := range refT {
+						if outT[i] != refT[i] {
+							t.Fatalf("%dx%d floor=%d workers=%d iter=%d: MulLanesT differs at %d", rows, cols, floor, workers, iter, i)
+						}
+					}
+					for i := range refG {
+						if m.Grad[i] != refG[i] {
+							t.Fatalf("%dx%d floor=%d workers=%d iter=%d: AddGradLanes differs at %d", rows, cols, floor, workers, iter, i)
+						}
+					}
+				}
+				p.Close()
+				// The test would pass vacuously if nothing fanned out.
+				dispatched := obsPoolDispatches.Value() > before
+				want := workers > 1 && (floor == 0 || shape.prodDispatches)
+				if dispatched != want {
+					t.Errorf("%dx%d floor=%d workers=%d: dispatched=%v, want %v", rows, cols, floor, workers, dispatched, want)
 				}
 			}
 		}
-		p.Close()
 	}
 }

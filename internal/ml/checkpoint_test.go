@@ -39,29 +39,39 @@ func TestTrainResumeBitwiseIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			samples := synthSamples(40, cfg.Features, cfg.Window, 91)
 			want, cks := trainToCompletion(t, cfg, samples)
-			if len(cks) != cfg.Epochs {
-				t.Fatalf("got %d checkpoints, want %d", len(cks), cfg.Epochs)
-			}
-			for _, ck := range cks {
-				m2, err := NewModel(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m2.TrainContext(context.Background(), samples, TrainOpts{ResumeFrom: ck}); err != nil {
-					t.Fatalf("resume from epoch %d: %v", ck.Epoch, err)
-				}
-				got, err := json.Marshal(m2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("resume from epoch %d diverged from uninterrupted run", ck.Epoch)
-				}
+			// Resume under every pool setting: the cut was taken at the
+			// default one, so this also pins floor- and worker-invariance
+			// of the continuation.
+			for _, pc := range poolConfigs {
+				pc.start(t)
+				resumeAll(t, cfg, samples, cks, want)
 			}
 			if last := cks[len(cks)-1]; !last.Complete() {
 				t.Fatalf("final checkpoint (epoch %d/%d) not Complete", last.Epoch, cfg.Epochs)
 			}
 		})
+	}
+}
+
+// resumeAll resumes a fresh model from every checkpoint in cks and
+// requires the bytes of the uninterrupted run.
+func resumeAll(t *testing.T, cfg ModelConfig, samples []Sample, cks []*TrainCheckpoint, want []byte) {
+	t.Helper()
+	for _, ck := range cks {
+		m2, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m2.TrainContext(context.Background(), samples, TrainOpts{ResumeFrom: ck}); err != nil {
+			t.Fatalf("resume from epoch %d: %v", ck.Epoch, err)
+		}
+		got, err := json.Marshal(m2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("resume from epoch %d diverged from uninterrupted run", ck.Epoch)
+		}
 	}
 }
 

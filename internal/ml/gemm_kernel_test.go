@@ -265,7 +265,8 @@ func FuzzGateKernels(f *testing.F) {
 // TestGoldenKernelParity is the end-to-end cross-kernel check: training
 // the same model under every kernel family must produce byte-identical
 // serialized artifacts, and batched inference on the trained model must
-// produce bit-identical predictions, regardless of which family ran.
+// produce bit-identical predictions, regardless of which family ran and
+// of how the pool split the work (every entry of poolConfigs).
 func TestGoldenKernelParity(t *testing.T) {
 	kernels := GemmKernels()
 	if len(kernels) < 2 {
@@ -275,10 +276,9 @@ func TestGoldenKernelParity(t *testing.T) {
 		blob  []byte
 		preds []Prediction
 	}
-	run := func(kn string) result {
+	run := func(kn string, pc poolConfig) result {
 		setKernel(t, kn)
-		pool := NewPool(2)
-		defer pool.Close()
+		pool := pc.start(t)
 		cfg := DefaultModelConfig(3, 5)
 		cfg.Hidden = 13 // not a multiple of any lane block: ragged tails
 		cfg.Layers = 2
@@ -311,18 +311,20 @@ func TestGoldenKernelParity(t *testing.T) {
 		}
 		return result{blob: blob, preds: preds}
 	}
-	base := run(kernels[0])
-	for _, kn := range kernels[1:] {
-		r := run(kn)
-		if string(r.blob) != string(base.blob) {
-			t.Errorf("trained artifact under %s differs from %s (%d vs %d bytes)",
-				kn, kernels[0], len(r.blob), len(base.blob))
-		}
-		for i := range base.preds {
-			if r.preds[i] != base.preds[i] {
-				t.Errorf("prediction %d under %s differs from %s: %+v vs %+v",
-					i, kn, kernels[0], r.preds[i], base.preds[i])
-				break
+	base := run(kernels[0], poolConfigs[0])
+	for _, kn := range kernels {
+		for _, pc := range poolConfigs {
+			r := run(kn, pc)
+			if string(r.blob) != string(base.blob) {
+				t.Errorf("trained artifact under %s %v differs from %s %v (%d vs %d bytes)",
+					kn, pc, kernels[0], poolConfigs[0], len(r.blob), len(base.blob))
+			}
+			for i := range base.preds {
+				if r.preds[i] != base.preds[i] {
+					t.Errorf("prediction %d under %s %v differs from %s %v: %+v vs %+v",
+						i, kn, pc, kernels[0], poolConfigs[0], r.preds[i], base.preds[i])
+					break
+				}
 			}
 		}
 	}

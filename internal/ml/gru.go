@@ -223,31 +223,33 @@ func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, 
 	g.Wh.MulLanes(0, 2*H, s.hg, n, s.ah, 2*H, pool)
 	bias := g.B.Data
 	wide := gemmKernel().wideGates
-	pool.For(n, func(a int) {
-		ax := s.ax[a*3*H : (a+1)*3*H]
-		ah := s.ah[a*2*H : (a+1)*2*H]
-		hPrev := s.hg[a*H : (a+1)*H]
-		rh := s.rh[a*H : (a+1)*H]
-		z := s.z[a*H : (a+1)*H]
-		// Pre-activations hoisted so the sigmoid passes run over
-		// contiguous ranges (4 lanes per instruction when the wide gate
-		// kernels are live); same ax + ah + bias association as StepState.
-		for j := 0; j < 2*H; j++ {
-			ax[j] = ax[j] + ah[j] + bias[j]
-		}
-		sigmoidLanes(z, ax[:H], wide)
-		sigmoidLanes(rh, ax[H:2*H], wide)
-		for j := 0; j < H; j++ {
-			rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
-		}
-		hRow := hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-			hRow[j] = DotAcc(ax[2*H+j]+bias[2*H+j], row, rh)
-		}
-		tanhLanes(hRow, hRow, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
+	pool.Range(n, H*(H+3*gateMulAdds), func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			ax := s.ax[a*3*H : (a+1)*3*H]
+			ah := s.ah[a*2*H : (a+1)*2*H]
+			hPrev := s.hg[a*H : (a+1)*H]
+			rh := s.rh[a*H : (a+1)*H]
+			z := s.z[a*H : (a+1)*H]
+			// Pre-activations hoisted so the sigmoid passes run over
+			// contiguous ranges (4 lanes per instruction when the wide gate
+			// kernels are live); same ax + ah + bias association as StepState.
+			for j := 0; j < 2*H; j++ {
+				ax[j] = ax[j] + ah[j] + bias[j]
+			}
+			sigmoidLanes(z, ax[:H], wide)
+			sigmoidLanes(rh, ax[H:2*H], wide)
+			for j := 0; j < H; j++ {
+				rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
+			}
+			hRow := hs[a*H : (a+1)*H]
+			for j := 0; j < H; j++ {
+				row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
+				hRow[j] = DotAcc(ax[2*H+j]+bias[2*H+j], row, rh)
+			}
+			tanhLanes(hRow, hRow, wide)
+			for j := 0; j < H; j++ {
+				hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
+			}
 		}
 	})
 	for a, lane := range lanes {

@@ -5,25 +5,35 @@ import (
 	"sync"
 )
 
+// gateMulAdds is the estimated cost of one sigmoid or tanh in
+// multiply-add equivalents (an exp, a divide and the range reduction),
+// used by the per-lane gate passes to state their work to Range.
+const gateMulAdds = 16
+
 // Pool is a persistent goroutine worker pool used by the batched
-// inference kernels. Workers are started once and reused across calls,
-// so the per-call cost is a channel send per task rather than a
-// goroutine spawn. All kernels dispatched through a Pool write disjoint
-// output regions and fix the arithmetic order per output element, so
-// results are bitwise deterministic regardless of scheduling.
+// inference and training kernels. Workers are started once and reused
+// across calls. Parallelism is work-proportional: Range splits a call
+// into at most Workers() contiguous chunks of at least one dispatch floor
+// of work each, so a call too small to repay a wake-up runs wholly on the
+// caller with no channel or WaitGroup traffic, and a large one costs one
+// channel send per chunk rather than per item. All kernels dispatched
+// through a Pool write disjoint output regions and fix the arithmetic
+// order per output element, so results are bitwise deterministic
+// regardless of scheduling, worker count and floor.
 //
-// For must not be called from inside a task function (no nesting): with
-// every worker blocked on an inner For the pool would deadlock.
+// Range must not be called from inside a task function (no nesting):
+// with every worker blocked on an inner Range the pool would deadlock.
 type Pool struct {
 	workers   int
+	floor     int // work per chunk below which Range does not dispatch
 	tasks     chan poolTask
 	closeOnce sync.Once
 }
 
 type poolTask struct {
-	fn  func(int)
-	idx int
-	wg  *sync.WaitGroup
+	fn     func(lo, hi int)
+	lo, hi int
+	wg     *sync.WaitGroup
 }
 
 // NewPool starts a pool with the given worker count (minimum 1). A pool
@@ -32,8 +42,11 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers}
+	p := &Pool{workers: workers, floor: dispatchFloor}
 	if workers > 1 {
+		// Buffered so a dispatching caller rarely blocks on a busy
+		// worker before starting its own chunk; several callers (two
+		// directions training at once) share the queue.
 		p.tasks = make(chan poolTask, 4*workers)
 		for i := 0; i < workers; i++ {
 			go p.worker()
@@ -44,7 +57,7 @@ func NewPool(workers int) *Pool {
 
 func (p *Pool) worker() {
 	for t := range p.tasks {
-		t.fn(t.idx)
+		t.fn(t.lo, t.hi)
 		t.wg.Done()
 	}
 }
@@ -57,28 +70,70 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// For runs fn(i) for every i in [0, n) and waits for all calls to
-// finish. The caller's goroutine executes task 0 (and everything, when
-// the pool has a single worker or n == 1), so a Pool never idles the
-// calling thread. fn calls must write disjoint data.
-func (p *Pool) For(n int, fn func(int)) {
+// chunks returns how many contiguous chunks Range splits n items of
+// costPerItem estimated multiply-adds into: at most Workers(), at most
+// n, and few enough that an even split leaves every chunk at least one
+// floor of work. One chunk means "run on the caller".
+func (p *Pool) chunks(n, costPerItem int) int {
+	if p == nil || p.workers <= 1 || n <= 1 {
+		return 1
+	}
+	c := n
+	if p.floor > 0 {
+		if costPerItem <= 0 {
+			return 1
+		}
+		// Items a chunk needs to reach the floor; n/items chunks of
+		// floor(n/c) >= items each.
+		items := (p.floor + costPerItem - 1) / costPerItem
+		c = n / items
+	}
+	if c > p.workers {
+		c = p.workers
+	}
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
+
+// chunkBounds returns chunk i of c over [0, n): an even split with the
+// remainder spread over the leading chunks.
+func chunkBounds(n, c, i int) (lo, hi int) {
+	q, r := n/c, n%c
+	lo = i*q + min(i, r)
+	hi = lo + q
+	if i < r {
+		hi++
+	}
+	return lo, hi
+}
+
+// Range runs fn over [0, n) and waits for it to finish. costPerItem is
+// the caller's estimate of one item's work in multiply-add equivalents.
+// The range is split into contiguous, disjoint chunks (see chunks); a
+// single chunk is one plain fn(0, n) call on the caller's goroutine.
+// Otherwise the caller executes the first chunk and the pool's workers
+// the rest, one task per chunk. fn calls must write disjoint data.
+func (p *Pool) Range(n, costPerItem int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if p == nil || p.workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+	c := p.chunks(n, costPerItem)
+	if c == 1 {
+		obsPoolInline.Inc()
+		fn(0, n)
 		return
 	}
 	obsPoolDispatches.Inc()
-	obsPoolSubmits.Add(uint64(n - 1))
+	obsPoolSubmits.Add(uint64(c - 1))
 	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		p.tasks <- poolTask{fn: fn, idx: i, wg: &wg}
+	wg.Add(c - 1)
+	for i := 1; i < c; i++ {
+		lo, hi := chunkBounds(n, c, i)
+		p.tasks <- poolTask{fn: fn, lo: lo, hi: hi, wg: &wg}
 	}
-	fn(0)
+	fn(chunkBounds(n, c, 0))
 	wg.Wait()
 }
 

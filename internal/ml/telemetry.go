@@ -6,14 +6,16 @@ import (
 
 // Runtime telemetry for the batched engine (obs package; DESIGN.md
 // decision 10). Everything on the GEMM hot path is a single atomic add
-// per *kernel dispatch* (not per element, row, or task), the batch-size
-// histogram observes once per fused step, and the pool queue depth is a
-// scrape-time callback with zero steady-state cost.
+// per *Pool.Range call* (not per element, row, item or chunk), the
+// batch-size histogram observes once per fused step, and the pool queue
+// depth is a scrape-time callback with zero steady-state cost.
 var (
 	obsPoolSubmits = obs.Default().Counter("mimicnet_ml_pool_submits_total",
-		"Tasks submitted to GEMM worker pools (excludes the caller-executed task 0).")
+		"Chunks handed to pool workers (excludes the chunk the caller executes itself).")
 	obsPoolDispatches = obs.Default().Counter("mimicnet_ml_pool_dispatches_total",
-		"Parallel kernel dispatches through GEMM worker pools (Pool.For calls that fanned out).")
+		"Pool.Range calls that fanned out: at least two chunks of one dispatch floor of work each.")
+	obsPoolInline = obs.Default().Counter("mimicnet_ml_pool_inline_total",
+		"Pool.Range calls executed wholly on the caller (work below two dispatch floors, or one worker).")
 	obsBatchSize = obs.Default().Histogram("mimicnet_ml_batch_size",
 		"Lanes per fused StepLanes inference step.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})

@@ -10,9 +10,10 @@ import (
 )
 
 // This file implements the training half of the batched engine: minibatch
-// BPTT for the trunk cells and heads, expressed as the same cache-blocked
-// pool-parallel GEMMs the inference path uses (MulLanes for forward,
-// MulLanesT / AddGradLanes for backward). One optimizer step is applied
+// BPTT for the trunk cells and heads, expressed as the same lane-vectorized
+// GEMMs the inference path uses (MulLanes for forward, MulLanesT /
+// AddGradLanes for backward; each fans out over the pool only above the
+// dispatch floor, see pool.go). One optimizer step is applied
 // per batch to the mean-loss gradient; Adam and gradient clipping keep
 // their exact per-update semantics.
 //
@@ -22,7 +23,7 @@ import (
 // trajectory), but for a fixed seed and batch size it IS bitwise
 // reproducible run to run and across worker counts: every gradient
 // element is reduced over lanes in a fixed ascending order by exactly
-// one pool task (see AddGradLanes), and sample order is the same
+// one chunk (see AddGradLanes), and sample order is the same
 // seed-derived shuffle the scalar path uses.
 
 // DefaultBatchSize is the minibatch width used when ModelConfig.BatchSize
@@ -326,11 +327,13 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 	dropW := t.m.DropHead.W.Data
 	ecnW := t.m.ECNHead.W.Data
 	dOut := t.dOut[:n*H]
-	t.pool.For(n, func(a int) {
-		row := dOut[a*H : (a+1)*H]
-		dl, dd, de := t.dLat[a], t.dDrop[a], t.dECN[a]
-		for c := 0; c < H; c++ {
-			row[c] = latW[c]*dl + dropW[c]*dd + ecnW[c]*de
+	t.pool.Range(n, 3*H, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			row := dOut[a*H : (a+1)*H]
+			dl, dd, de := t.dLat[a], t.dDrop[a], t.dECN[a]
+			for c := 0; c < H; c++ {
+				row[c] = latW[c]*dl + dropW[c]*dd + ecnW[c]*de
+			}
 		}
 	})
 
@@ -409,33 +412,35 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 	l.Wh.MulLanes(0, 4*H, t.h, n, t.zh, 4*H, t.pool)
 	bias := l.B.Data
 	wide := gemmKernel().wideGates
-	t.pool.For(n, func(a int) {
-		zx := t.zx[a*4*H : (a+1)*4*H]
-		zh := t.zh[a*4*H : (a+1)*4*H]
-		// Same association as Step: z[i] += zh[i] + B[i]; the gate
-		// activations land directly in the per-step caches, 4 lanes per
-		// instruction when the wide gate kernels are live.
-		for j, v := range zh {
-			zx[j] += v + bias[j]
-		}
-		ci := t.ci[base+a*H : base+(a+1)*H]
-		cf := t.cf[base+a*H : base+(a+1)*H]
-		cg := t.cg[base+a*H : base+(a+1)*H]
-		co := t.co[base+a*H : base+(a+1)*H]
-		ctc := t.ctc[base+a*H : base+(a+1)*H]
-		sigmoidLanes(ci, zx[:H], wide)
-		sigmoidLanes(cf, zx[H:2*H], wide)
-		tanhLanes(cg, zx[2*H:3*H], wide)
-		sigmoidLanes(co, zx[3*H:4*H], wide)
-		cRow := t.c[a*H : (a+1)*H]
-		hRow := hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, exactly as Step associates it.
-			cRow[j] = cf[j]*cRow[j] + ci[j]*cg[j]
-		}
-		tanhLanes(ctc, cRow, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = co[j] * ctc[j]
+	t.pool.Range(n, 5*H*gateMulAdds, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			zx := t.zx[a*4*H : (a+1)*4*H]
+			zh := t.zh[a*4*H : (a+1)*4*H]
+			// Same association as Step: z[i] += zh[i] + B[i]; the gate
+			// activations land directly in the per-step caches, 4 lanes per
+			// instruction when the wide gate kernels are live.
+			for j, v := range zh {
+				zx[j] += v + bias[j]
+			}
+			ci := t.ci[base+a*H : base+(a+1)*H]
+			cf := t.cf[base+a*H : base+(a+1)*H]
+			cg := t.cg[base+a*H : base+(a+1)*H]
+			co := t.co[base+a*H : base+(a+1)*H]
+			ctc := t.ctc[base+a*H : base+(a+1)*H]
+			sigmoidLanes(ci, zx[:H], wide)
+			sigmoidLanes(cf, zx[H:2*H], wide)
+			tanhLanes(cg, zx[2*H:3*H], wide)
+			sigmoidLanes(co, zx[3*H:4*H], wide)
+			cRow := t.c[a*H : (a+1)*H]
+			hRow := hs[a*H : (a+1)*H]
+			for j := 0; j < H; j++ {
+				// cNew = f*cPrev + i*g, exactly as Step associates it.
+				cRow[j] = cf[j]*cRow[j] + ci[j]*cg[j]
+			}
+			tanhLanes(ctc, cRow, wide)
+			for j := 0; j < H; j++ {
+				hRow[j] = co[j] * ctc[j]
+			}
 		}
 	})
 	copy(t.h[:n*H], hs[:n*H])
@@ -445,25 +450,27 @@ func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	l := t.l
 	H, In := l.Hidden, l.In
 	base := st * n * H
-	t.pool.For(n, func(a int) {
-		for j := 0; j < H; j++ {
-			k := base + a*H + j
-			dhv := t.dh[a*H+j]
-			if dhIn != nil {
-				dhv += dhIn[a*H+j]
+	t.pool.Range(n, 16*H, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			for j := 0; j < H; j++ {
+				k := base + a*H + j
+				dhv := t.dh[a*H+j]
+				if dhIn != nil {
+					dhv += dhIn[a*H+j]
+				}
+				// Mirrors stepBackward: h = o·tanh(c), c = f·cPrev + i·g.
+				i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
+				do := dhv * tc
+				dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
+				di := dcTotal * g_
+				df := dcTotal * t.ccPrev[k]
+				dg := dcTotal * i_
+				t.dz[a*4*H+j] = di * DSigmoid(i_)
+				t.dz[a*4*H+H+j] = df * DSigmoid(f_)
+				t.dz[a*4*H+2*H+j] = dg * DTanh(g_)
+				t.dz[a*4*H+3*H+j] = do * DSigmoid(o_)
+				t.dc[a*H+j] = dcTotal * f_
 			}
-			// Mirrors stepBackward: h = o·tanh(c), c = f·cPrev + i·g.
-			i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
-			do := dhv * tc
-			dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
-			di := dcTotal * g_
-			df := dcTotal * t.ccPrev[k]
-			dg := dcTotal * i_
-			t.dz[a*4*H+j] = di * DSigmoid(i_)
-			t.dz[a*4*H+H+j] = df * DSigmoid(f_)
-			t.dz[a*4*H+2*H+j] = dg * DTanh(g_)
-			t.dz[a*4*H+3*H+j] = do * DSigmoid(o_)
-			t.dc[a*H+j] = dcTotal * f_
 		}
 	})
 	l.Wx.AddGradLanes(0, 4*H, t.dz, 4*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
@@ -527,39 +534,43 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 	g.Wh.MulLanes(0, 2*H, t.h, n, t.ac, 3*H, t.pool)
 	bias := g.B.Data
 	wide := gemmKernel().wideGates
-	t.pool.For(n, func(a int) {
-		ax := t.ax[a*3*H : (a+1)*3*H]
-		ac := t.ac[a*3*H : (a+1)*3*H]
-		// Same ax + ac + bias association as StepState; z and r land
-		// directly in the per-step caches.
-		for j := 0; j < 2*H; j++ {
-			ax[j] = ax[j] + ac[j] + bias[j]
-		}
-		cz := t.cz[base+a*H : base+(a+1)*H]
-		cr := t.cr[base+a*H : base+(a+1)*H]
-		crh := t.crh[base+a*H : base+(a+1)*H]
-		sigmoidLanes(cz, ax[:H], wide)
-		sigmoidLanes(cr, ax[H:2*H], wide)
-		hRow := t.h[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			crh[j] = cr[j] * hRow[j]
+	t.pool.Range(n, 2*H*gateMulAdds, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			ax := t.ax[a*3*H : (a+1)*3*H]
+			ac := t.ac[a*3*H : (a+1)*3*H]
+			// Same ax + ac + bias association as StepState; z and r land
+			// directly in the per-step caches.
+			for j := 0; j < 2*H; j++ {
+				ax[j] = ax[j] + ac[j] + bias[j]
+			}
+			cz := t.cz[base+a*H : base+(a+1)*H]
+			cr := t.cr[base+a*H : base+(a+1)*H]
+			crh := t.crh[base+a*H : base+(a+1)*H]
+			sigmoidLanes(cz, ax[:H], wide)
+			sigmoidLanes(cr, ax[H:2*H], wide)
+			hRow := t.h[a*H : (a+1)*H]
+			for j := 0; j < H; j++ {
+				crh[j] = cr[j] * hRow[j]
+			}
 		}
 	})
 	// Candidate recurrent pre-activation over r⊙h (must follow r).
 	g.Wh.MulLanes(2*H, 3*H, t.crh[base:base+n*H], n, t.ac, 3*H, t.pool)
-	t.pool.For(n, func(a int) {
-		ax := t.ax[a*3*H : (a+1)*3*H]
-		ac := t.ac[a*3*H : (a+1)*3*H]
-		chh := t.chh[base+a*H : base+(a+1)*H]
-		for j := 0; j < H; j++ {
-			chh[j] = ax[2*H+j] + ac[2*H+j] + bias[2*H+j]
-		}
-		tanhLanes(chh, chh, wide)
-		cz := t.cz[base+a*H : base+(a+1)*H]
-		hRow := t.h[a*H : (a+1)*H]
-		hsRow := hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
+	t.pool.Range(n, H*gateMulAdds, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			ax := t.ax[a*3*H : (a+1)*3*H]
+			ac := t.ac[a*3*H : (a+1)*3*H]
+			chh := t.chh[base+a*H : base+(a+1)*H]
+			for j := 0; j < H; j++ {
+				chh[j] = ax[2*H+j] + ac[2*H+j] + bias[2*H+j]
+			}
+			tanhLanes(chh, chh, wide)
+			cz := t.cz[base+a*H : base+(a+1)*H]
+			hRow := t.h[a*H : (a+1)*H]
+			hsRow := hs[a*H : (a+1)*H]
+			for j := 0; j < H; j++ {
+				hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
+			}
 		}
 	})
 	copy(t.h[:n*H], hs[:n*H])
@@ -569,29 +580,33 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	g := t.g
 	H, In := g.Hidden, g.In
 	base := st * n * H
-	t.pool.For(n, func(a int) {
-		for j := 0; j < H; j++ {
-			k := base + a*H + j
-			dhv := t.dh[a*H+j]
-			if dhIn != nil {
-				dhv += dhIn[a*H+j]
+	t.pool.Range(n, 8*H, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			for j := 0; j < H; j++ {
+				k := base + a*H + j
+				dhv := t.dh[a*H+j]
+				if dhIn != nil {
+					dhv += dhIn[a*H+j]
+				}
+				// h' = (1-z)·h + z·ĥ (mirrors GRU.StepBackward).
+				z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
+				dz := dhv * (hHat - hPrev)
+				t.da[a*3*H+j] = dz * DSigmoid(z)
+				t.da[a*3*H+2*H+j] = dhv * z * DTanh(hHat)
+				t.dhAcc[a*H+j] = dhv * (1 - z)
 			}
-			// h' = (1-z)·h + z·ĥ (mirrors GRU.StepBackward).
-			z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
-			dz := dhv * (hHat - hPrev)
-			t.da[a*3*H+j] = dz * DSigmoid(z)
-			t.da[a*3*H+2*H+j] = dhv * z * DTanh(hHat)
-			t.dhAcc[a*H+j] = dhv * (1 - z)
 		}
 	})
 	// Gradient at r⊙h through the candidate rows of Wh.
 	g.Wh.MulLanesT(2*H, 3*H, t.da, 3*H, n, t.drh, t.pool)
-	t.pool.For(n, func(a int) {
-		for j := 0; j < H; j++ {
-			k := base + a*H + j
-			dr := t.drh[a*H+j] * t.chPrev[k]
-			t.da[a*3*H+H+j] = dr * DSigmoid(t.cr[k])
-			t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
+	t.pool.Range(n, 4*H, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			for j := 0; j < H; j++ {
+				k := base + a*H + j
+				dr := t.drh[a*H+j] * t.chPrev[k]
+				t.da[a*3*H+H+j] = dr * DSigmoid(t.cr[k])
+				t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
+			}
 		}
 	})
 	g.Wx.AddGradLanes(0, 3*H, t.da, 3*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
@@ -600,9 +615,11 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	g.Wh.AddGradLanes(2*H, 3*H, t.da, 3*H, n, t.crh[base:base+n*H], t.pool)
 	addBiasGradLanes(g.B, 0, 3*H, t.da, 3*H, n)
 	g.Wh.MulLanesT(0, 2*H, t.da, 3*H, n, t.scr, t.pool)
-	t.pool.For(n, func(a int) {
-		for j := 0; j < H; j++ {
-			t.dh[a*H+j] = t.dhAcc[a*H+j] + t.scr[a*H+j]
+	t.pool.Range(n, H, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			for j := 0; j < H; j++ {
+				t.dh[a*H+j] = t.dhAcc[a*H+j] + t.scr[a*H+j]
+			}
 		}
 	})
 	if dx != nil {
@@ -652,13 +669,15 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 	t.m.W.MulLanes(0, H, t.flat, n, t.h, H, t.pool)
 	bias := t.m.B.Data
 	wide := gemmKernel().wideGates
-	t.pool.For(n, func(a int) {
-		row := t.h[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			row[j] += bias[j]
+	t.pool.Range(n, H*gateMulAdds, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			row := t.h[a*H : (a+1)*H]
+			for j := 0; j < H; j++ {
+				row[j] += bias[j]
+			}
+			tanhLanes(row, row, wide)
+			copy(hs[a*H:(a+1)*H], row)
 		}
-		tanhLanes(row, row, wide)
-		copy(hs[a*H:(a+1)*H], row)
 	})
 }
 
@@ -667,9 +686,11 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 		return
 	}
 	H := t.m.Hidden
-	t.pool.For(n, func(a int) {
-		for j := 0; j < H; j++ {
-			t.da[a*H+j] = dhIn[a*H+j] * DTanh(t.h[a*H+j])
+	t.pool.Range(n, 2*H, func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			for j := 0; j < H; j++ {
+				t.da[a*H+j] = dhIn[a*H+j] * DTanh(t.h[a*H+j])
+			}
 		}
 	})
 	t.m.W.AddGradLanes(0, H, t.da, H, n, t.flat, t.pool)

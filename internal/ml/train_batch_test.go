@@ -96,39 +96,36 @@ func TestGenericTrainLayerMatchesFused(t *testing.T) {
 
 // TestBatchedTrainerDeterministic asserts the minibatch trainer's
 // determinism contract: for a fixed seed and batch size, training is
-// bitwise reproducible run to run and across pool worker counts.
+// bitwise reproducible run to run and across pool worker counts and
+// dispatch floors (inline at the production floor, forced fan-out at 0).
 func TestBatchedTrainerDeterministic(t *testing.T) {
 	for name, cfg := range cellConfigs() {
 		t.Run(name, func(t *testing.T) {
 			cfg.BatchSize = 8
 			cfg.Epochs = 2
 			samples := synthSamples(50, cfg.Features, cfg.Window, 41)
-			train := func(workers int) (*Model, TrainResult) {
-				pool := NewPool(workers)
-				defer pool.Close()
+			train := func(pc poolConfig) (*Model, TrainResult) {
 				m, _ := NewModel(cfg)
-				res, err := m.TrainContext(context.Background(), samples, TrainOpts{Pool: pool})
+				res, err := m.TrainContext(context.Background(), samples, TrainOpts{Pool: pc.start(t)})
 				if err != nil {
 					t.Fatalf("TrainContext: %v", err)
 				}
 				return m, res
 			}
-			m1, r1 := train(1)
-			m2, r2 := train(1)
-			m4, r4 := train(4)
-			for e := range r1.EpochLoss {
-				if r1.EpochLoss[e] != r2.EpochLoss[e] || r1.EpochLoss[e] != r4.EpochLoss[e] {
-					t.Fatalf("epoch %d loss not reproducible: %v %v %v", e, r1.EpochLoss[e], r2.EpochLoss[e], r4.EpochLoss[e])
-				}
-			}
-			p1, p2, p4 := m1.Params(), m2.Params(), m4.Params()
-			for pi := range p1 {
-				for di := range p1[pi].Data {
-					if p1[pi].Data[di] != p2[pi].Data[di] {
-						t.Fatalf("param %d elem %d differs across identical runs", pi, di)
+			m1, r1 := train(poolConfig{1, dispatchFloor})
+			for _, pc := range append([]poolConfig{{1, dispatchFloor}}, poolConfigs...) {
+				m2, r2 := train(pc)
+				for e := range r1.EpochLoss {
+					if r1.EpochLoss[e] != r2.EpochLoss[e] {
+						t.Fatalf("%v: epoch %d loss not reproducible: %v %v", pc, e, r1.EpochLoss[e], r2.EpochLoss[e])
 					}
-					if p1[pi].Data[di] != p4[pi].Data[di] {
-						t.Fatalf("param %d elem %d differs across worker counts", pi, di)
+				}
+				p1, p2 := m1.Params(), m2.Params()
+				for pi := range p1 {
+					for di := range p1[pi].Data {
+						if p1[pi].Data[di] != p2[pi].Data[di] {
+							t.Fatalf("%v: param %d elem %d differs from the one-worker run", pc, pi, di)
+						}
 					}
 				}
 			}

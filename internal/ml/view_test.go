@@ -61,60 +61,64 @@ func TestViewWindowMatchesLegacy(t *testing.T) {
 // training on the columnar view must produce byte-identical model
 // artifacts and identical predictions to training on the legacy
 // []Sample layout, for every trunk class, on both the sequential
-// (BatchSize 1) and batched BPTT paths. make test-kernels reruns this
-// under every GEMM kernel family (scalar/sse2/avx2 and purego).
+// (BatchSize 1) and batched BPTT paths, under every pool setting of
+// poolConfigs (Train reaches the pool through SharedPool). make
+// test-kernels reruns this under every GEMM kernel family
+// (scalar/sse2/avx2 and purego).
 func TestColumnarTrainingBitwiseParity(t *testing.T) {
-	for name, cfg := range cellConfigs() {
-		for _, bs := range []int{1, 16} {
-			cfg := cfg
-			cfg.BatchSize = bs
-			cfg.Epochs = 2
-			legacy, view := synthStream(120, cfg.Features, cfg.Window, 101)
+	forEachPool(t, func(t *testing.T, _ *Pool) {
+		for name, cfg := range cellConfigs() {
+			for _, bs := range []int{1, 16} {
+				cfg := cfg
+				cfg.BatchSize = bs
+				cfg.Epochs = 2
+				legacy, view := synthStream(120, cfg.Features, cfg.Window, 101)
 
-			a, err := NewModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := NewModel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resA := a.Train(legacy)
-			resB := b.TrainSource(view)
-			if len(resA.EpochLoss) != len(resB.EpochLoss) {
-				t.Fatalf("%s bs=%d: epoch counts differ", name, bs)
-			}
-			for e := range resA.EpochLoss {
-				if resA.EpochLoss[e] != resB.EpochLoss[e] {
-					t.Fatalf("%s bs=%d epoch %d: loss %v != %v",
-						name, bs, e, resA.EpochLoss[e], resB.EpochLoss[e])
+				a, err := NewModel(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				b, err := NewModel(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resA := a.Train(legacy)
+				resB := b.TrainSource(view)
+				if len(resA.EpochLoss) != len(resB.EpochLoss) {
+					t.Fatalf("%s bs=%d: epoch counts differ", name, bs)
+				}
+				for e := range resA.EpochLoss {
+					if resA.EpochLoss[e] != resB.EpochLoss[e] {
+						t.Fatalf("%s bs=%d epoch %d: loss %v != %v",
+							name, bs, e, resA.EpochLoss[e], resB.EpochLoss[e])
+					}
+				}
 
-			ja, err := a.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			jb, err := b.MarshalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ja, jb) {
-				t.Fatalf("%s bs=%d: trained artifacts are not byte-identical", name, bs)
-			}
+				ja, err := a.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				jb, err := b.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ja, jb) {
+					t.Fatalf("%s bs=%d: trained artifacts are not byte-identical", name, bs)
+				}
 
-			if ea, eb := a.Evaluate(legacy), b.EvaluateSource(view); ea != eb {
-				t.Fatalf("%s bs=%d: evaluations differ: %+v vs %+v", name, bs, ea, eb)
-			}
-			var win [][]float64
-			for i := 0; i < view.Len(); i++ {
-				win = view.WindowAppend(win[:0], i)
-				if pa, pb := a.Forward(legacy[i].Window), b.Forward(win); pa != pb {
-					t.Fatalf("%s bs=%d sample %d: predictions differ", name, bs, i)
+				if ea, eb := a.Evaluate(legacy), b.EvaluateSource(view); ea != eb {
+					t.Fatalf("%s bs=%d: evaluations differ: %+v vs %+v", name, bs, ea, eb)
+				}
+				var win [][]float64
+				for i := 0; i < view.Len(); i++ {
+					win = view.WindowAppend(win[:0], i)
+					if pa, pb := a.Forward(legacy[i].Window), b.Forward(win); pa != pb {
+						t.Fatalf("%s bs=%d sample %d: predictions differ", name, bs, i)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestViewSliceAndWithLatency covers the remaining view surface: slice

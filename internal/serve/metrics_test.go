@@ -236,11 +236,19 @@ func TestMetricsEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"mimicnet_sim_events_total",
 		"mimicnet_ml_train_epochs_total",
+		"mimicnet_ml_pool_inline_total", // default shapes sit under the dispatch floor
 		"mimicnet_core_inference_steps_total",
 		"mimicnet_serve_jobs_submitted_total",
 	} {
 		if samples[want] <= 0 {
 			t.Fatalf("%s = %v after two jobs, want > 0", want, samples[want])
+		}
+	}
+	// Inline and fanned-out Range calls are exposed side by side, so a
+	// scrape answers whether the ml pool is paying for itself.
+	for _, fam := range []string{"mimicnet_ml_pool_dispatches_total", "mimicnet_ml_pool_submits_total"} {
+		if _, ok := samples[fam]; !ok {
+			t.Fatalf("%s missing from /metrics", fam)
 		}
 	}
 	if got := samples[`mimicnet_serve_jobs_finished_total{state="done"}`]; got != 2 {
