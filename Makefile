@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench bench-all bench-json bench-train bench-dataset bench-ckpt bench-pool bench-smoke fuzz ci serve-smoke clean
+.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,19 @@ test-floor0:
 test-bench:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# bench-check runs every BENCHMARK.json workload once the way the driver
+# does (short, traced) and fails unless the result line reports
+# "correct":true and "failed":0 — test-bench only proves bench/ compiles,
+# and a change that makes the benchmark's own fingerprint or count checks
+# fail shows up nowhere else locally.
+bench-check:
+	@for w in cold_n8 warm_n32 fullsim_dctcp_n16 serve_mix; do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 3 --trace 1 | tail -n 1); \
+		echo "$$w: $${out%%,\"metrics\"*}}"; \
+		case "$$out" in *'"correct":true,'*'"failed":0,'*) ;; \
+			*) echo "bench-check: $$w did not report correct:true, failed:0"; exit 1;; esac; \
+	done
 
 # vet runs under every build configuration — the default (assembly
 # kernels), purego, and the test-only poolfloor0 — so a tagged file can't
@@ -78,43 +91,7 @@ vuln:
 	fi
 
 # Everything the driver gates on, in one target.
-ci: vet vuln test-race test-kernels test-floor0 test-bench bench-smoke
-
-# Batched vs per-packet inference cost (the ns/step metric must show the
-# batched engine at least 2x cheaper per step for B >= 16).
-bench:
-	$(GO) test -run xxx -bench BenchmarkMimicInference -benchtime 0.5s -count 2 .
-
-# Sequential vs sharded composed estimate at N=8; writes machine-readable
-# ns/simulated-second, events/sec, allocs/event to BENCH_compose.json.
-# Also measures every GEMM kernel family (raw GFLOP/s, inference ns/step,
-# train samples/sec, speedups vs sse2) into BENCH_gemm.json.
-bench-json:
-	BENCH_COMPOSE_JSON=BENCH_compose.json $(GO) test -run xxx -bench BenchmarkComposedRun -benchtime 3x .
-	BENCH_GEMM_JSON=$(CURDIR)/BENCH_gemm.json $(GO) test -run xxx -bench BenchmarkGemmKernels -benchtime 2s ./internal/ml
-
-# Sequential vs minibatch training on one identical dataset; writes
-# machine-readable samples/sec, ns/sample, allocs/sample to
-# BENCH_train.json (the batched trainer must be >= 2x samples/sec at
-# B=16).
-bench-train:
-	BENCH_TRAIN_JSON=BENCH_train.json $(GO) test -run xxx -bench BenchmarkTrain -benchtime 3x .
-
-# Legacy window-of-slices vs columnar dataset build on one identical
-# synthetic boundary trace; writes allocs/sample, bytes/sample,
-# overhead-bytes/sample and the cross-layout ratios to
-# BENCH_dataset.json (the columnar build must cut allocated overhead
-# bytes per sample by >= 5x with train samples/sec unregressed).
-bench-dataset:
-	BENCH_DATASET_JSON=BENCH_dataset.json $(GO) test -run xxx -bench BenchmarkDatasetBuild -benchtime 3x .
-
-# Durability cost sheet: journal append throughput (per-record vs
-# batched fsync), checkpoint container write/restore latency across
-# payload sizes, 10k-record recovery replay, and the training wall-clock
-# overhead of checkpointing at the default interval (acceptance: <= 2%).
-# Machine-readable copy lands in BENCH_ckpt.json.
-bench-ckpt:
-	BENCH_CKPT_JSON=$(CURDIR)/BENCH_ckpt.json $(GO) test -run xxx -bench BenchmarkDurability -benchtime 1x ./internal/durable
+ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke
 
 # The measurement ml's dispatchFloor is derived from: inline vs forced
 # fan-out per (hidden, lanes) cell for one inference and one BPTT step,
@@ -124,13 +101,14 @@ bench-ckpt:
 bench-pool:
 	$(GO) test -run xxx -bench BenchmarkPoolBreakEven -benchtime 300ms ./internal/ml
 
-# Full paper reproduction: every table/figure benchmark (slow).
+# Full paper reproduction: every table/figure/ablation benchmark (slow).
 bench-all:
 	$(GO) test -bench . -benchmem .
 
-# One iteration of every Benchmark* (~3-4 min): a crash-and-wiring
-# canary over the whole suite, not a measurement. Tables land in
-# bench_output.txt to keep CI logs readable.
+# One iteration of every figure/table/ablation benchmark plus the two
+# constant-deciding ml micro-benchmarks (~3-4 min): a crash-and-wiring
+# canary, not a measurement — speed is measured by bench/ (BENCHMARK.json).
+# Tables land in bench_output.txt to keep CI logs readable.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x . > bench_output.txt
 	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
@@ -143,15 +121,18 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzGateKernels -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzW1 -fuzztime 30s ./internal/metrics
 	$(GO) test -run xxx -fuzz FuzzHistogramObserve -fuzztime 30s ./internal/obs
+	$(GO) test -run xxx -fuzz FuzzRoleVector -fuzztime 30s ./internal/core
 
 # End-to-end daemon check: boots mimicnetd on a random port, runs a cold
 # job over HTTP, proves the identical resubmission skips training via a
-# registry cache hit in /stats, measures cold/warm latency and warm
-# throughput (BENCH_serve.json), and SIGTERMs itself mid-job to verify
-# graceful drain (in-flight job finishes, new submissions rejected).
+# registry cache hit in /stats, logs cold/warm latency and warm
+# throughput, kills and recovers a durable daemon mid-train, and SIGTERMs
+# itself mid-job to verify graceful drain (in-flight job finishes, new
+# submissions rejected).
 serve-smoke:
-	$(GO) run ./cmd/mimicnetd -smoke -bench-json BENCH_serve.json
+	$(GO) run ./cmd/mimicnetd -smoke
 
 clean:
 	$(GO) clean -testcache
-	rm -f mimicnet.test ml.test bench_output.txt BENCH_compose.json BENCH_serve.json BENCH_train.json
+	rm -f *.test bench_output.txt sweep_results.txt
+	rm -rf .bench_build

@@ -163,7 +163,7 @@ func main() {
 		fatal(err)
 		t0 := time.Now()
 		var ingEval, egEval ml.EvalResult
-		models, ingEval, egEval, err = core.TrainModelsContext(context.Background(), ingDS, egDS, tcfg, trainProgress)
+		models, ingEval, egEval, err = core.TrainModelsContext(context.Background(), ingDS, egDS, tcfg, trainProgress, nil)
 		fatal(err)
 		fixedCost = time.Since(t0)
 		fmt.Printf("  model training          %v (%d+%d samples; ingress MAE %.4f, egress MAE %.4f)\n",
@@ -209,7 +209,7 @@ func main() {
 			fatal(err)
 			fmt.Printf("  best score (mean W1 %s) %.4g with %v\n", *tuneSizes, res.Best.Score, res.Best.Params)
 			best := tuning.ApplyParams(tcfg, res.Best.Params)
-			models, _, _, err = core.TrainModelsContext(context.Background(), ing, eg, best, trainProgress)
+			models, _, _, err = core.TrainModelsContext(context.Background(), ing, eg, best, trainProgress, nil)
 			fatal(err)
 			fixedCost += time.Since(t0)
 			fmt.Printf("  tuning                  %v\n", time.Since(t0).Round(time.Millisecond))
@@ -224,7 +224,7 @@ func main() {
 
 	if *validate {
 		fmt.Println("phase 4: hybrid per-direction validation (Appendix B) ...")
-		ingW1, egW1, err := core.DirectionError(base, models, sim.Time(*smallRun))
+		ingW1, egW1, err := core.RoleError(base, models, sim.Time(*smallRun))
 		fatal(err)
 		fmt.Printf("  W1(FCT) vs all-real 2-cluster reference: ingress=%.4g egress=%.4g\n", ingW1, egW1)
 	}
@@ -247,7 +247,7 @@ func main() {
 	fmt.Printf("events processed        %d (%d LSTM steps, %d feeder events)\n",
 		res.Events, comp.InferenceSteps(), comp.FeederEvents())
 	fmt.Printf("flows                   %d started, %d completed\n", comp.FlowsStarted(), comp.FlowsCompleted())
-	fmt.Printf("mimic drops             %d ingress, %d egress\n", comp.MimicDropsIngress(), comp.MimicDropsEgress())
+	fmt.Printf("mimic drops             %d ingress, %d egress\n", comp.MimicDrops(core.Ingress), comp.MimicDrops(core.Egress))
 	printDist("fct_seconds", res.FCTs)
 	printDist("throughput_Bps", res.Throughputs)
 	printDist("rtt_seconds", res.RTTs)

@@ -31,10 +31,10 @@
 //
 // The -smoke flag runs the self-test used by `make serve-smoke`: boot on
 // a random port, run a cold job, prove the identical warm job skips
-// training via the registry, measure cold/warm latency and warm
-// throughput (written to -bench-json), kill a durable daemon mid-train
-// and prove the rebuilt daemon resumes the job from its checkpoint, then
-// SIGTERM itself mid-job to verify the drain contract.
+// training via the registry, log cold/warm latency and warm throughput,
+// kill a durable daemon mid-train and prove the rebuilt daemon resumes
+// the job from its checkpoint, then SIGTERM itself mid-job to verify the
+// drain contract.
 package main
 
 import (
@@ -64,12 +64,11 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight jobs on shutdown")
 		smoke        = flag.Bool("smoke", false, "run the serve-smoke self-test and exit")
-		benchJSON    = flag.String("bench-json", "", "write smoke latency/throughput measurements to this file")
 	)
 	flag.Parse()
 
 	if *smoke {
-		if err := runSmoke(*queueDepth, *workers, *drainTimeout, *benchJSON); err != nil {
+		if err := runSmoke(*queueDepth, *workers, *drainTimeout); err != nil {
 			log.Fatalf("smoke: FAIL: %v", err)
 		}
 		fmt.Println("smoke: PASS")

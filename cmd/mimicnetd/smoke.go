@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -23,18 +22,6 @@ func smokeSpec() serve.JobSpec {
 		WorkloadMs: 40, RunMs: 60, SmallRunMs: 50,
 		Window: 4, Hidden: 6, Epochs: 1,
 	}
-}
-
-// smokeBench is the BENCH_serve.json payload: the amortization numbers
-// the service exists to deliver.
-type smokeBench struct {
-	ColdMs         float64 `json:"cold_job_ms"` // submit→done, training included
-	WarmMs         float64 `json:"warm_job_ms"` // submit→done, registry hit
-	WarmSpeedup    float64 `json:"warm_speedup"`
-	WarmJobsPerSec float64 `json:"warm_jobs_per_sec"`
-	WarmBatch      int     `json:"warm_batch_jobs"`
-	RegistryHits   uint64  `json:"registry_hits"`
-	RegistryMisses uint64  `json:"registry_misses"`
 }
 
 // smokeRecovery is smoke phase 4: the kill-and-resume drill against the
@@ -134,7 +121,7 @@ func smokeRecovery(ctx context.Context, queueDepth, workers int, drainTimeout ti
 //  5. SIGTERM mid-job drains: the in-flight job finishes (not
 //     cancelled), new submissions are rejected, the process-level serve
 //     loop returns. (Last: it signals the whole process.)
-func runSmoke(queueDepth, workers int, drainTimeout time.Duration, benchPath string) error {
+func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 	store, err := os.MkdirTemp("", "mimicnet-smoke-registry-")
 	if err != nil {
 		return err
@@ -332,28 +319,5 @@ func runSmoke(queueDepth, workers int, drainTimeout time.Duration, benchPath str
 		return fmt.Errorf("daemon serve loop never returned after drain")
 	}
 	log.Printf("smoke: SIGTERM drain ok — in-flight job %s finished, new submissions rejected", inflight.ID)
-
-	if benchPath != "" {
-		bench := smokeBench{
-			ColdMs:         float64(coldDur) / float64(time.Millisecond),
-			WarmMs:         float64(warmDur) / float64(time.Millisecond),
-			WarmJobsPerSec: jobsPerSec,
-			WarmBatch:      batch,
-			RegistryHits:   stats.Registry.Hits(),
-			RegistryMisses: stats.Registry.Misses,
-		}
-		if warmDur > 0 {
-			bench.WarmSpeedup = coldDur.Seconds() / warmDur.Seconds()
-		}
-		blob, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		log.Printf("smoke: wrote %s (cold %.0fms, warm %.0fms, %.1fx, %.1f jobs/sec)",
-			benchPath, bench.ColdMs, bench.WarmMs, bench.WarmSpeedup, bench.WarmJobsPerSec)
-	}
 	return nil
 }

@@ -40,21 +40,13 @@ type Config struct {
 	// discipline (e.g. to run RED ablations).
 	CustomQueue netsim.QueueFactory
 
-	// SequentialInference disables the batched Mimic inference engine,
-	// running one model step per boundary packet inline instead of
-	// fusing steps across Mimic clusters (core.InferenceScheduler).
-	// Batched is the default; the two modes produce identical results
-	// (see core/scheduler.go for the invariants and tests).
-	SequentialInference bool
-
 	// BatchWindow overrides the batched engine's collection window
 	// (0 = derive from the models' latency lower bound, < 0 = flush at
 	// the same timestamp). Windows above the models' latency lower
 	// bound delay predictions past delivery deadlines; continuations
 	// are then clamped to the flush time, trading exactness for batch
-	// size. Ignored under SequentialInference. Sharded compositions
-	// additionally cap the window at the cross-LP causality bound
-	// (egress latency floor minus lookahead).
+	// size. Sharded compositions additionally cap the window at the
+	// cross-LP causality bound (egress latency floor minus lookahead).
 	BatchWindow sim.Time
 
 	// ShardedRun selects whether composed/hybrid simulations partition

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 
 	"mimicnet/internal/durable"
 	"mimicnet/internal/ml"
-	"mimicnet/internal/obs"
 )
 
 // TrainCheckpointer persists per-direction training checkpoints on disk,
@@ -162,48 +160,4 @@ func (c *TrainCheckpointer) AsyncSaver(dir Direction) (save func(*ml.TrainCheckp
 // belongs to a different dataset or hyper-parameter revision.
 func resumable(ck *ml.TrainCheckpoint, cfg ml.ModelConfig, n int) bool {
 	return ck != nil && ck.Cfg == cfg && ck.Samples == n
-}
-
-// TrainDirectionCkpt is TrainDirectionContext with durable resume: it
-// loads the direction's checkpoint (if any and still applicable),
-// continues training from it, and cuts a fresh checkpoint every
-// ckpt.Every epochs. The produced DirectionModel is bitwise identical to
-// one trained without interruption — ml's resume contract plus the
-// deterministic dataset pipeline guarantee it. A nil ckpt falls back to
-// plain TrainDirectionContext.
-func TrainDirectionCkpt(ctx context.Context, ds *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*DirectionModel, ml.EvalResult, error) {
-	return trainDirection(ctx, ds, cfg, progress, ckpt)
-}
-
-// TrainModelsCkpt is TrainModelsContext with durable per-direction
-// resume through ckpt. Both directions still train concurrently; each
-// reads and writes its own checkpoint file, so a crash that lands
-// between the two directions' saves resumes each from its own newest
-// epoch boundary.
-func TrainModelsCkpt(ctx context.Context, ing, eg *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*MimicModels, ml.EvalResult, ml.EvalResult, error) {
-	defer obs.StartSpan(obsPhaseTrain).End()
-	var (
-		egModel *DirectionModel
-		egEval  ml.EvalResult
-		egErr   error
-		done    = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		egModel, egEval, egErr = trainDirection(ctx, eg, cfg, progress, ckpt)
-	}()
-	ingModel, ingEval, ingErr := trainDirection(ctx, ing, cfg, progress, ckpt)
-	<-done
-	if ingErr != nil {
-		return nil, ml.EvalResult{}, ml.EvalResult{}, ingErr
-	}
-	if egErr != nil {
-		return nil, ml.EvalResult{}, ml.EvalResult{}, egErr
-	}
-	return &MimicModels{
-		Spec:    ing.Spec,
-		Window:  cfg.Dataset.Window,
-		Ingress: ingModel,
-		Egress:  egModel,
-	}, ingEval, egEval, nil
 }

@@ -26,7 +26,7 @@ func TestTrainModelsCkptKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, _, _, err := TrainModelsContext(context.Background(), ing, eg, tcfg, nil)
+	base, _, _, err := TrainModelsContext(context.Background(), ing, eg, tcfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTrainModelsCkptKillResume(t *testing.T) {
 	// "Crash": cancel as soon as any direction reports its first epoch —
 	// each direction has cut at least zero and at most all checkpoints.
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, _, err = TrainModelsCkpt(ctx, ing, eg, tcfg,
+	_, _, _, err = TrainModelsContext(ctx, ing, eg, tcfg,
 		func(dir Direction, p ml.TrainProgress) {
 			if p.Epoch >= 1 {
 				cancel()
@@ -52,7 +52,7 @@ func TestTrainModelsCkptKillResume(t *testing.T) {
 	}
 
 	// Recovery: same checkpointer directory, fresh run to completion.
-	got1, _, _, err := TrainModelsCkpt(context.Background(), ing, eg, tcfg, nil, ckpt)
+	got1, _, _, err := TrainModelsContext(context.Background(), ing, eg, tcfg, nil, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTrainModelsCkptKillResume(t *testing.T) {
 
 	// Final checkpoints are Complete; a re-run restores instantly and
 	// still matches. Then Clear removes the cursor files.
-	got2, _, _, err := TrainModelsCkpt(context.Background(), ing, eg, tcfg, nil, ckpt)
+	got2, _, _, err := TrainModelsContext(context.Background(), ing, eg, tcfg, nil, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTrainCheckpointerStaleMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := &TrainCheckpointer{Dir: t.TempDir(), Key: "stale", Every: 1}
-	if _, _, err := TrainDirectionCkpt(context.Background(), ing, tcfg, nil, ckpt); err != nil {
+	if _, _, err := TrainDirectionContext(context.Background(), ing, tcfg, nil, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,11 +106,11 @@ func TestTrainCheckpointerStaleMismatch(t *testing.T) {
 	// run under the new config.
 	tcfg2 := tcfg
 	tcfg2.Model.Epochs = tcfg.Model.Epochs + 1
-	fromCkpt, _, err := TrainDirectionCkpt(context.Background(), ing, tcfg2, nil, ckpt)
+	fromCkpt, _, err := TrainDirectionContext(context.Background(), ing, tcfg2, nil, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := TrainDirectionContext(context.Background(), ing, tcfg2, nil)
+	plain, _, err := TrainDirectionContext(context.Background(), ing, tcfg2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,21 +227,23 @@ func TestBuildDataset(t *testing.T) {
 	if ds.Len() != len(ing) {
 		t.Errorf("samples %d != records %d", ds.Len(), len(ing))
 	}
+	var win [][]float64
 	for i := 0; i < ds.Len(); i++ {
-		s := ds.Samples.At(i)
-		if len(s.Window) != 5 {
-			t.Fatalf("sample %d window len %d", i, len(s.Window))
+		win = ds.Samples.WindowAppend(win[:0], i)
+		if len(win) != 5 {
+			t.Fatalf("sample %d window len %d", i, len(win))
 		}
-		for _, row := range s.Window {
+		for _, row := range win {
 			if len(row) != spec.Width() {
 				t.Fatalf("sample %d feature width %d", i, len(row))
 			}
 		}
-		if s.Latency < 0 || s.Latency > 1 {
-			t.Fatalf("sample %d latency %v outside [0,1]", i, s.Latency)
+		lat, dropped, _ := ds.Samples.Target(i)
+		if lat < 0 || lat > 1 {
+			t.Fatalf("sample %d latency %v outside [0,1]", i, lat)
 		}
-		if s.Dropped && s.Latency != 1.0 {
-			t.Fatalf("dropped sample %d latency %v, want 1.0", i, s.Latency)
+		if dropped && lat != 1.0 {
+			t.Fatalf("dropped sample %d latency %v, want 1.0", i, lat)
 		}
 	}
 	if ds.Bounds.Hi <= ds.Bounds.Lo {

@@ -12,24 +12,32 @@ import (
 	"mimicnet/internal/topo"
 )
 
+// legacySample is one sample in the seed's window-of-slices layout.
+type legacySample struct {
+	Window  [][]float64
+	Latency float64
+	Dropped bool
+	ECN     bool
+}
+
 // legacyBuildSamples replicates the seed's window-of-slices dataset
-// builder exactly: a ring of materialized padded windows, one Sample
+// builder exactly: a ring of materialized padded windows, one sample
 // per record. It is the golden reference the columnar BuildDataset must
 // match bit-for-bit.
-func legacyBuildSamples(records []*TraceRecord, spec FeatureSpec, cfg DatasetConfig) []ml.Sample {
+func legacyBuildSamples(records []*TraceRecord, spec FeatureSpec, cfg DatasetConfig) []legacySample {
 	bounds := boundsFromRecords(records)
 	disc := ml.Discretizer{Lo: bounds.Lo, Hi: bounds.Hi, D: cfg.LatencyBins}
 	ex := NewExtractor(spec, bounds.Lo, bounds.Hi)
 	width := spec.Width()
 	window := make([][]float64, 0, cfg.Window)
-	var out []ml.Sample
+	var out []legacySample
 	for _, r := range records {
 		feat := ex.Features(r.Info)
 		window = append(window, feat)
 		if len(window) > cfg.Window {
 			window = window[1:]
 		}
-		sample := ml.Sample{Dropped: r.Dropped, ECN: r.CEOut && !r.Info.CEIn}
+		sample := legacySample{Dropped: r.Dropped, ECN: r.CEOut && !r.Info.CEIn}
 		if r.Dropped {
 			sample.Latency = 1.0
 		} else {
@@ -54,9 +62,9 @@ func legacyBuildSamples(records []*TraceRecord, spec FeatureSpec, cfg DatasetCon
 
 // TestBuildDatasetMatchesLegacyLayout is the core-level golden parity
 // check: the columnar dataset must hold bit-identical features and
-// targets to the seed layout on a real traced run, and training on it
-// must produce a byte-identical model artifact and identical held-out
-// evaluation.
+// targets to the seed layout on a real traced run. (That identical
+// inputs train identical models in either layout is ml's
+// TestColumnarTrainingBitwiseParity.)
 func TestBuildDatasetMatchesLegacyLayout(t *testing.T) {
 	tr, inst := runTraced(t)
 	ing, _ := tr.ByDirection()
@@ -87,29 +95,6 @@ func TestBuildDatasetMatchesLegacyLayout(t *testing.T) {
 		}
 	}
 
-	// Training over the two layouts is byte-identical.
-	mcfg := ml.DefaultModelConfig(spec.Width(), dcfg.Window)
-	mcfg.Hidden = 10
-	mcfg.Epochs = 2
-	cut := len(legacy) * 8 / 10
-	a, err := ml.NewModel(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ml.NewModel(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Train(legacy[:cut])
-	b.TrainSource(ds.Samples.Slice(0, cut))
-	ja, _ := a.MarshalJSON()
-	jb, _ := b.MarshalJSON()
-	if !bytes.Equal(ja, jb) {
-		t.Fatal("trained artifacts are not byte-identical across layouts")
-	}
-	if ea, eb := a.Evaluate(legacy[cut:]), b.EvaluateSource(ds.Samples.Slice(cut, ds.Len())); ea != eb {
-		t.Fatalf("evaluations differ: %+v vs %+v", ea, eb)
-	}
 }
 
 func TestSplitEdgeCases(t *testing.T) {
@@ -238,8 +223,8 @@ func TestDatasetFileRoundTrip(t *testing.T) {
 	mcfg.Epochs = 1
 	a, _ := ml.NewModel(mcfg)
 	b, _ := ml.NewModel(mcfg)
-	a.TrainSource(ing.Samples)
-	b.TrainSource(ing2.Samples)
+	a.Train(ing.Samples)
+	b.Train(ing2.Samples)
 	ja, _ := a.MarshalJSON()
 	jb, _ := b.MarshalJSON()
 	if !bytes.Equal(ja, jb) {

@@ -104,22 +104,6 @@ func HybridRoles(dir Direction) []ClusterRole {
 	return []ClusterRole{{Kind: RoleObserved}, {Kind: kind}}
 }
 
-// Runner is the single interface every composition consumer programs
-// against — pipeline estimates, experiments, tuning validation, the
-// estimation service, and the CLI all drive an Engine through it.
-type Runner interface {
-	Run(until sim.Time)
-	RunContext(ctx context.Context, until sim.Time) (cancelled bool)
-	Results() cluster.Results
-	Scheduler() *InferenceScheduler
-	FlowsStarted() int
-	FlowsCompleted() int
-	InferenceSteps() uint64
-	MimicDrops(dir Direction) uint64
-}
-
-var _ Runner = (*Engine)(nil)
-
 // Engine is an N-cluster MimicNet fabric built from a role vector: each
 // cluster is observed (full netsim fidelity), a Mimic (model-driven), or
 // a hybrid (full fidelity with one direction served by a model). Core
@@ -248,6 +232,15 @@ func shardedWindow(window, lookahead sim.Time, models *MimicModels) sim.Time {
 // models ("Aside from the number of clusters, all other parameters are
 // kept constant", §7.1).
 func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
+	return newEngine(cfg, roles, models, false)
+}
+
+// newEngine is NewEngine with the inference mode explicit. inlineInference
+// attaches no scheduler, so every boundary packet runs one model step
+// inline (mimic.go's standalone path) — the per-packet oracle the
+// determinism tests compare the batched engine against, bit for bit.
+// Production always passes false.
+func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, inlineInference bool) (*Engine, error) {
 	if cfg.Protocol == nil {
 		return nil, fmt.Errorf("core: config needs a protocol")
 	}
@@ -360,7 +353,7 @@ func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*E
 		e.Mimics[i] = cc.mimic
 	}
 
-	if !cfg.SequentialInference {
+	if !inlineInference {
 		if sharded {
 			// Per-LP schedulers: each model-driven cluster batches its
 			// own window, capped for cross-LP causality.
@@ -655,8 +648,8 @@ func (e *Engine) Flows() []workload.Flow { return e.flows }
 
 // Scheduler exposes the batched inference scheduler: the single global
 // one when sequential, the first model-driven shard's when sharded
-// (each shard owns an identically-configured instance). Nil under
-// SequentialInference.
+// (each shard owns an identically-configured instance). Nil for a
+// composition with no model-driven cluster.
 func (e *Engine) Scheduler() *InferenceScheduler {
 	if len(e.scheds) == 0 {
 		return nil
@@ -703,14 +696,6 @@ func (e *Engine) MimicDrops(dir Direction) uint64 {
 	return total
 }
 
-// MimicDropsIngress returns packets the ingress models predicted
-// dropped. Legacy accessor; equivalent to MimicDrops(Ingress).
-func (e *Engine) MimicDropsIngress() uint64 { return e.MimicDrops(Ingress) }
-
-// MimicDropsEgress returns packets the egress models predicted dropped.
-// Legacy accessor; equivalent to MimicDrops(Egress).
-func (e *Engine) MimicDropsEgress() uint64 { return e.MimicDrops(Egress) }
-
 // ModelPackets returns the number of packets served by a model (the
 // hybrid harness's "packets through the model under test"; for Mimic
 // roles it counts both directions' boundary packets).
@@ -721,10 +706,6 @@ func (e *Engine) ModelPackets() uint64 {
 	}
 	return total
 }
-
-// ModelDrops returns packets any model predicted dropped, both
-// directions. Legacy hybrid accessor.
-func (e *Engine) ModelDrops() uint64 { return e.MimicDrops(Ingress) + e.MimicDrops(Egress) }
 
 // FeederEvents returns the number of synthetic feeder advances.
 func (e *Engine) FeederEvents() uint64 {

@@ -31,7 +31,6 @@ func TestGoldenCombinedPipeline(t *testing.T) {
 		cfg.Topo = cfg.Topo.WithClusters(n)
 		cfg.ShardedRun = 1 // force sharding even on small hosts
 		cfg.NumWorkers = workers
-		cfg.SequentialInference = false // batched fused inference
 		comp, err := Compose(cfg, art.Models)
 		if err != nil {
 			t.Fatal(err)

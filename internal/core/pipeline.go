@@ -58,22 +58,15 @@ type Artifacts struct {
 // returned artifacts feed Compose (step ❺); hyper-parameter tuning
 // (step ❹) lives in internal/tuning and calls back into this package.
 func RunPipeline(cfg PipelineConfig) (*Artifacts, error) {
-	return RunPipelineContext(context.Background(), cfg)
-}
-
-// RunPipelineContext is RunPipeline with cooperative cancellation of
-// both the small-scale run and model training (the RunContext pattern;
-// a cancelled pipeline returns ctx's error, never partial artifacts).
-func RunPipelineContext(ctx context.Context, cfg PipelineConfig) (*Artifacts, error) {
 	t0 := time.Now()
-	ing, eg, inst, err := GenerateTrainingDataContext(ctx, cfg.Base, cfg.SmallScaleDuration, cfg.Train)
+	ing, eg, inst, err := GenerateTrainingData(cfg.Base, cfg.SmallScaleDuration, cfg.Train)
 	if err != nil {
 		return nil, err
 	}
 	smallTime := time.Since(t0)
 
 	t1 := time.Now()
-	models, ingEval, egEval, err := TrainModelsContext(ctx, ing, eg, cfg.Train, cfg.TrainProgress)
+	models, ingEval, egEval, err := TrainModelsContext(context.Background(), ing, eg, cfg.Train, cfg.TrainProgress, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -30,12 +31,14 @@ func trainedForScheduler(t *testing.T) *Artifacts {
 	return schedArt
 }
 
-func runComposed(t *testing.T, art *Artifacts, clusters int, sequential bool, until sim.Time) (cluster.Results, *Composed) {
+// runComposed runs an n-cluster composition; inline selects the
+// per-packet inference oracle (newEngine's unexported argument) instead
+// of the batched scheduler.
+func runComposed(t *testing.T, art *Artifacts, clusters int, inline bool, until sim.Time) (cluster.Results, *Engine) {
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
-	cfg.SequentialInference = sequential
-	comp, err := Compose(cfg, art.Models)
+	comp, err := newEngine(cfg, ComposedRoles(clusters), art.Models, inline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +114,12 @@ func TestGoldenDeterminism(t *testing.T) {
 	if seqComp.Scheduler() != nil {
 		t.Error("sequential run unexpectedly created a scheduler")
 	}
+	// cmd/mimicnet's drop line, as it prints it from MimicDrops(dir).
+	const wantDrops = "mimic drops             451 ingress, 1045 egress"
+	if got := fmt.Sprintf("mimic drops             %d ingress, %d egress",
+		batComp.MimicDrops(Ingress), batComp.MimicDrops(Egress)); got != wantDrops {
+		t.Errorf("drop line = %q, want %q", got, wantDrops)
+	}
 }
 
 // TestGoldenDeterminismHybrid repeats the witness for the hybrid
@@ -119,10 +128,8 @@ func TestGoldenDeterminismHybrid(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 250 * sim.Millisecond
 	for _, dir := range []Direction{Ingress, Egress} {
-		run := func(sequential bool) cluster.Results {
-			cfg := fastBase()
-			cfg.SequentialInference = sequential
-			h, err := NewHybrid(cfg, art.Models, dir)
+		run := func(inline bool) cluster.Results {
+			h, err := newEngine(fastBase(), HybridRoles(dir), art.Models, inline)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,12 +151,11 @@ func TestSchedulerWindowOverride(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 200 * sim.Millisecond
 
-	run := func(sequential bool, window sim.Time) cluster.Results {
+	run := func(inline bool, window sim.Time) cluster.Results {
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(3)
-		cfg.SequentialInference = sequential
 		cfg.BatchWindow = window
-		comp, err := Compose(cfg, art.Models)
+		comp, err := newEngine(cfg, ComposedRoles(3), art.Models, inline)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,19 +41,18 @@ type TrainProgressFunc func(dir Direction, p ml.TrainProgress)
 // TrainDirection fits one direction's internal model from its dataset and
 // returns the runtime artifact plus held-out evaluation.
 func TrainDirection(ds *Dataset, cfg TrainConfig) (*DirectionModel, ml.EvalResult, error) {
-	return TrainDirectionContext(context.Background(), ds, cfg, nil)
+	return TrainDirectionContext(context.Background(), ds, cfg, nil, nil)
 }
 
-// TrainDirectionContext is TrainDirection with cancellation and per-epoch
-// progress streaming. On cancellation the partially trained model is
-// discarded and ctx's error returned.
-func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, progress TrainProgressFunc) (*DirectionModel, ml.EvalResult, error) {
-	return trainDirection(ctx, ds, cfg, progress, nil)
-}
-
-// trainDirection is the shared implementation behind
-// TrainDirectionContext (ckpt == nil) and TrainDirectionCkpt.
-func trainDirection(ctx context.Context, ds *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*DirectionModel, ml.EvalResult, error) {
+// TrainDirectionContext is TrainDirection with cancellation, per-epoch
+// progress streaming, and — when ckpt is non-nil — durable resume: it
+// loads the direction's checkpoint (if any and still applicable),
+// continues training from it, and cuts a fresh checkpoint every
+// ckpt.Every epochs. The produced DirectionModel is bitwise identical to
+// one trained without interruption — ml's resume contract plus the
+// deterministic dataset pipeline guarantee it. On cancellation the
+// partially trained model is discarded and ctx's error returned.
+func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*DirectionModel, ml.EvalResult, error) {
 	if ds.Len() == 0 {
 		return nil, ml.EvalResult{}, fmt.Errorf("core: %v dataset is empty", ds.Dir)
 	}
@@ -83,14 +82,14 @@ func trainDirection(ctx context.Context, ds *Dataset, cfg TrainConfig, progress 
 		opts.CheckpointEvery = ckpt.every()
 		opts.SaveCheckpoint, waitCkpt = ckpt.AsyncSaver(ds.Dir)
 	}
-	_, trainErr := model.TrainSourceContext(ctx, train, opts)
+	_, trainErr := model.TrainContext(ctx, train, opts)
 	if werr := waitCkpt(); trainErr == nil {
 		trainErr = werr
 	}
 	if trainErr != nil {
 		return nil, ml.EvalResult{}, trainErr
 	}
-	eval := model.EvaluateSource(test)
+	eval := model.Evaluate(test)
 
 	meanGap := stats.Mean(ds.Interarrivals)
 	rate := 0.0
@@ -182,7 +181,7 @@ func GenerateTrainingDataContext(ctx context.Context, base cluster.Config, durat
 // TrainModels fits both directions and assembles the MimicModels
 // artifact (workflow steps ❷–❸).
 func TrainModels(ing, eg *Dataset, cfg TrainConfig) (*MimicModels, ml.EvalResult, ml.EvalResult, error) {
-	return TrainModelsContext(context.Background(), ing, eg, cfg, nil)
+	return TrainModelsContext(context.Background(), ing, eg, cfg, nil, nil)
 }
 
 // TrainModelsContext fits the ingress and egress models concurrently —
@@ -191,7 +190,34 @@ func TrainModels(ing, eg *Dataset, cfg TrainConfig) (*MimicModels, ml.EvalResult
 // multi-core hosts at identical per-direction results. Cancellation via
 // ctx stops both trainings at their next optimizer-step boundary;
 // progress, when non-nil, receives interleaved per-epoch reports tagged
-// by direction.
-func TrainModelsContext(ctx context.Context, ing, eg *Dataset, cfg TrainConfig, progress TrainProgressFunc) (*MimicModels, ml.EvalResult, ml.EvalResult, error) {
-	return TrainModelsCkpt(ctx, ing, eg, cfg, progress, nil)
+// by direction. A non-nil ckpt adds durable per-direction resume: each
+// direction reads and writes its own checkpoint file, so a crash that
+// lands between the two directions' saves resumes each from its own
+// newest epoch boundary.
+func TrainModelsContext(ctx context.Context, ing, eg *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*MimicModels, ml.EvalResult, ml.EvalResult, error) {
+	defer obs.StartSpan(obsPhaseTrain).End()
+	var (
+		egModel *DirectionModel
+		egEval  ml.EvalResult
+		egErr   error
+		done    = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		egModel, egEval, egErr = TrainDirectionContext(ctx, eg, cfg, progress, ckpt)
+	}()
+	ingModel, ingEval, ingErr := TrainDirectionContext(ctx, ing, cfg, progress, ckpt)
+	<-done
+	if ingErr != nil {
+		return nil, ml.EvalResult{}, ml.EvalResult{}, ingErr
+	}
+	if egErr != nil {
+		return nil, ml.EvalResult{}, ml.EvalResult{}, egErr
+	}
+	return &MimicModels{
+		Spec:    ing.Spec,
+		Window:  cfg.Dataset.Window,
+		Ingress: ingModel,
+		Egress:  egModel,
+	}, ingEval, egEval, nil
 }

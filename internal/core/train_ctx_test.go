@@ -80,7 +80,7 @@ func TestTrainModelsContextMatchesSerial(t *testing.T) {
 			if p.Epoch != seen[dir] || p.Epochs != tcfg.Model.Epochs || p.SamplesPerSec <= 0 {
 				t.Errorf("%v progress out of order or empty: %+v (have %d)", dir, p, seen[dir])
 			}
-		})
+		}, nil)
 	if err != nil {
 		t.Fatalf("TrainModelsContext: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestTrainModelsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, _, _, err = TrainModelsContext(ctx, ing, eg, tcfg, nil)
+	_, _, _, err = TrainModelsContext(ctx, ing, eg, tcfg, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

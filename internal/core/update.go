@@ -59,7 +59,7 @@ func updateDirection(old *DirectionModel, ds *Dataset, epochs int, lr float64) (
 		}
 		retargeted[i] = lat
 	}
-	model.FineTuneSource(ds.Samples.WithLatency(retargeted), epochs, lr)
+	model.FineTune(ds.Samples.WithLatency(retargeted), epochs, lr)
 
 	meanGap := stats.Mean(ds.Interarrivals)
 	rate := old.RatePktsPerSec

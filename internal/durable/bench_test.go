@@ -2,9 +2,6 @@ package durable_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -16,8 +13,7 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// BenchmarkDurability measures the cost side of the durability layer —
-// the numbers `make bench-ckpt` records in BENCH_ckpt.json:
+// BenchmarkDurability measures the cost side of the durability layer:
 //
 //   - journal append throughput with per-record fsync vs batched fsync;
 //   - checkpoint container write + restore latency across payload sizes
@@ -31,8 +27,6 @@ import (
 // core-side saver: core imports durable, so the in-package test would
 // be an import cycle.
 func BenchmarkDurability(b *testing.B) {
-	report := map[string]any{}
-
 	b.Run("journal-append", func(b *testing.B) {
 		payload := make([]byte, 256)
 		for _, cfg := range []struct {
@@ -56,7 +50,6 @@ func BenchmarkDurability(b *testing.B) {
 					b.Fatal(err)
 				}
 				perSec := float64(records) / time.Since(t0).Seconds()
-				report["journal_appends_per_sec_"+cfg.name] = perSec
 				b.ReportMetric(perSec, "appends/sec")
 			})
 		}
@@ -89,8 +82,6 @@ func BenchmarkDurability(b *testing.B) {
 					}
 				}
 				restoreMs := time.Since(t1).Seconds() * 1000 / iters
-				report["ckpt_write_ms_"+sz.name] = writeMs
-				report["ckpt_restore_ms_"+sz.name] = restoreMs
 				b.ReportMetric(writeMs, "write-ms")
 				b.ReportMetric(restoreMs, "restore-ms")
 			})
@@ -123,14 +114,12 @@ func BenchmarkDurability(b *testing.B) {
 		if len(info.Records) != records {
 			b.Fatalf("replayed %d records, want %d", len(info.Records), records)
 		}
-		report["replay_10k_records_ms"] = replayMs
-		report["replay_records_per_sec"] = float64(records) / (replayMs / 1000)
 		b.ReportMetric(replayMs, "replay-ms")
 	})
 
 	b.Run("train-overhead", func(b *testing.B) {
 		const (
-			features = 23 // BenchmarkTrain's dataset shape
+			features = 23 // feature width of the default topology
 			window   = 8
 			nSamples = 384
 		)
@@ -197,22 +186,8 @@ func BenchmarkDurability(b *testing.B) {
 		plainMs := median(plains)
 		diffMs := median(diffs)
 		overheadPct := diffMs / plainMs * 100
-		report["train_ms_plain"] = plainMs
-		report["train_ms_ckpt_default_interval"] = plainMs + diffMs
-		report["ckpt_train_overhead_pct"] = overheadPct
 		b.ReportMetric(overheadPct, "overhead-%")
 	})
-
-	if path := os.Getenv("BENCH_CKPT_JSON"); path != "" && len(report) > 0 {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
 }
 
 // median returns the middle value of xs (mean of the middle two for
@@ -226,24 +201,22 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// benchSamples builds the synthetic training task the ml benchmarks use.
-func benchSamples(n, features, window int, seed int64) []ml.Sample {
+// benchSamples builds a synthetic stream-shaped training task: latency
+// is the mean of feature 0 over the sample's window.
+func benchSamples(n, features, window int, seed int64) *ml.SampleView {
 	rng := stats.NewStream(seed)
-	out := make([]ml.Sample, 0, n)
+	out := ml.NewSampleBank(features, window, n)
+	recent := make([]float64, 0, n) // feature 0 of every row so far
 	for i := 0; i < n; i++ {
-		var s ml.Sample
+		row := make([]float64, features)
+		row[0] = rng.Float64()
+		row[1] = rng.NormFloat64()
+		recent = append(recent, row[0])
 		var sum float64
-		for j := 0; j < window; j++ {
-			row := make([]float64, features)
-			row[0] = rng.Float64()
-			row[1] = rng.NormFloat64()
-			s.Window = append(s.Window, row)
-			sum += row[0]
+		for _, v := range recent[max(0, len(recent)-window):] {
+			sum += v
 		}
-		s.Latency = sum / float64(window)
-		s.Dropped = s.Window[window-1][1] > 0
-		s.ECN = s.Window[window-1][0] > 0.7
-		out = append(out, s)
+		out.Append(row, sum/float64(window), row[1] > 0, row[0] > 0.7)
 	}
 	return out
 }

@@ -152,7 +152,7 @@ func (r *Runner) Fig16(windows []int) (*Table, error) {
 		}
 		train, _ := ing.Split(0.8)
 		t0 := time.Now()
-		res := model.TrainSource(train)
+		res := model.Train(train)
 		perSample := time.Since(t0).Seconds() / float64(train.Len()*tcfg.Model.Epochs) * 1e6
 		final := 0.0
 		if len(res.EpochLoss) > 0 {

@@ -16,7 +16,7 @@ func trainToCompletion(t *testing.T, cfg ModelConfig, samples []Sample) ([]byte,
 		t.Fatal(err)
 	}
 	var cks []*TrainCheckpoint
-	_, err = m.TrainContext(context.Background(), samples, TrainOpts{
+	_, err = m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{
 		CheckpointEvery: 1,
 		SaveCheckpoint:  func(ck *TrainCheckpoint) error { cks = append(cks, ck); return nil },
 	})
@@ -62,7 +62,7 @@ func resumeAll(t *testing.T, cfg ModelConfig, samples []Sample, cks []*TrainChec
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m2.TrainContext(context.Background(), samples, TrainOpts{ResumeFrom: ck}); err != nil {
+		if _, err := m2.TrainContext(context.Background(), samplesOf(samples), TrainOpts{ResumeFrom: ck}); err != nil {
 			t.Fatalf("resume from epoch %d: %v", ck.Epoch, err)
 		}
 		got, err := json.Marshal(m2)
@@ -91,7 +91,7 @@ func TestTrainResumeAfterCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var latest *TrainCheckpoint
-	_, err = m.TrainContext(ctx, samples, TrainOpts{
+	_, err = m.TrainContext(ctx, samplesOf(samples), TrainOpts{
 		CheckpointEvery: 1,
 		SaveCheckpoint:  func(ck *TrainCheckpoint) error { latest = ck; return nil },
 		Progress: func(p TrainProgress) {
@@ -122,7 +122,7 @@ func TestTrainResumeAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.TrainContext(context.Background(), samples, TrainOpts{ResumeFrom: &decoded}); err != nil {
+	if _, err := m2.TrainContext(context.Background(), samplesOf(samples), TrainOpts{ResumeFrom: &decoded}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := json.Marshal(m2)
@@ -147,7 +147,7 @@ func TestTrainResumeFromCompleteCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	epochsRun := 0
-	res, err := m2.TrainContext(context.Background(), samples, TrainOpts{
+	res, err := m2.TrainContext(context.Background(), samplesOf(samples), TrainOpts{
 		ResumeFrom: final,
 		Progress:   func(TrainProgress) { epochsRun++ },
 	})
@@ -183,7 +183,7 @@ func TestTrainResumeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TrainContext(context.Background(), samples, TrainOpts{ResumeFrom: ck}); err == nil {
+	if _, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{ResumeFrom: ck}); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
 
@@ -191,11 +191,11 @@ func TestTrainResumeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.TrainContext(context.Background(), samples[:8], TrainOpts{ResumeFrom: ck}); err == nil {
+	if _, err := m2.TrainContext(context.Background(), samplesOf(samples[:8]), TrainOpts{ResumeFrom: ck}); err == nil {
 		t.Fatal("sample-count mismatch accepted")
 	}
 
-	if _, err := m2.FineTuneContext(context.Background(), samples, 1, 0, TrainOpts{ResumeFrom: ck}); err == nil {
+	if _, err := m2.FineTuneContext(context.Background(), samplesOf(samples), 1, 0, TrainOpts{ResumeFrom: ck}); err == nil {
 		t.Fatal("fine-tune accepted a checkpoint")
 	}
 }

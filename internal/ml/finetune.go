@@ -16,26 +16,14 @@ var errFineTuneCheckpoint = errors.New("ml: checkpointing is only supported for 
 // retraining"). A fresh Adam state is used with a (typically lower)
 // learning rate; existing weights are the starting point, so far fewer
 // epochs are needed than training from scratch.
-func (m *Model) FineTune(samples []Sample, epochs int, lr float64) TrainResult {
-	res, _ := m.FineTuneContext(context.Background(), samples, epochs, lr, TrainOpts{})
+func (m *Model) FineTune(src SampleSource, epochs int, lr float64) TrainResult {
+	res, _ := m.FineTuneContext(context.Background(), src, epochs, lr, TrainOpts{})
 	return res
 }
 
 // FineTuneContext is FineTune with cancellation and progress reporting,
 // sharing the batch-size-selected trainer with TrainContext.
-func (m *Model) FineTuneContext(ctx context.Context, samples []Sample, epochs int, lr float64, opts TrainOpts) (TrainResult, error) {
-	return m.FineTuneSourceContext(ctx, samplesOf(samples), epochs, lr, opts)
-}
-
-// FineTuneSource is FineTune over a SampleSource (columnar views
-// fine-tune without materializing []Sample).
-func (m *Model) FineTuneSource(src SampleSource, epochs int, lr float64) TrainResult {
-	res, _ := m.FineTuneSourceContext(context.Background(), src, epochs, lr, TrainOpts{})
-	return res
-}
-
-// FineTuneSourceContext is FineTuneContext over a SampleSource.
-func (m *Model) FineTuneSourceContext(ctx context.Context, src SampleSource, epochs int, lr float64, opts TrainOpts) (TrainResult, error) {
+func (m *Model) FineTuneContext(ctx context.Context, src SampleSource, epochs int, lr float64, opts TrainOpts) (TrainResult, error) {
 	if opts.ResumeFrom != nil || opts.SaveCheckpoint != nil {
 		// Checkpoint cursors are scoped to TrainContext: they embed the
 		// model's own config (epochs, LR, seed), which fine-tuning

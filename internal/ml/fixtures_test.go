@@ -9,6 +9,69 @@ import (
 // contract: every seeded test's data derives from it, so changing a
 // draw changes what those tests train on.
 
+// The window-of-slices reference layout: one materialized window of row
+// slices per sample, the representation the columnar SampleView
+// replaced. It stays here as the oracle TestColumnarTrainingBitwiseParity
+// trains against, and as the carrier for independent-window fixtures
+// (synthSamples) that a single sliding-window matrix cannot express.
+
+// Sample is one training example: a window of packet feature vectors and
+// the targets for the window's final packet.
+type Sample struct {
+	Window  [][]float64
+	Latency float64 // normalized to [0,1] by the caller's Discretizer
+	Dropped bool
+	ECN     bool
+}
+
+// trainStep is trainStepWindow over one reference sample (forward +
+// backward, gradients accumulated, no optimizer step).
+func (m *Model) trainStep(s Sample) float64 {
+	return m.trainStepWindow(s.Window, s.Latency, s.Dropped, s.ECN)
+}
+
+// samplesSource adapts the reference []Sample layout to SampleSource. The
+// window length is computed once at construction: Steps is consulted
+// per batch, and rescanning the slice there would be quadratic.
+type samplesSource struct {
+	s     []Sample
+	steps int
+}
+
+// samplesOf wraps reference samples as a SampleSource.
+func samplesOf(s []Sample) *samplesSource {
+	return &samplesSource{s: s, steps: uniformSteps(s)}
+}
+
+func (c *samplesSource) Len() int   { return len(c.s) }
+func (c *samplesSource) Steps() int { return c.steps }
+
+func (c *samplesSource) Row(i, st int) []float64 { return c.s[i].Window[st] }
+
+func (c *samplesSource) WindowAppend(buf [][]float64, i int) [][]float64 {
+	return append(buf, c.s[i].Window...)
+}
+
+func (c *samplesSource) Target(i int) (latency float64, dropped, ecn bool) {
+	s := &c.s[i]
+	return s.Latency, s.Dropped, s.ECN
+}
+
+// uniformSteps returns the window length shared by all samples, or 0
+// when samples are empty, ragged, or have empty windows.
+func uniformSteps(samples []Sample) int {
+	if len(samples) == 0 {
+		return 0
+	}
+	steps := len(samples[0].Window)
+	for _, s := range samples {
+		if len(s.Window) != steps {
+			return 0
+		}
+	}
+	return steps
+}
+
 // synthRow fills one synthetic feature row: feature 0 uniform in [0,1),
 // feature 1 standard normal, the rest uniform in [-0.5,0.5).
 func synthRow(rng *stats.Stream, features int) []float64 {

@@ -1,37 +1,17 @@
 package ml
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 
 	"mimicnet/internal/stats"
 )
 
-// gemmKernelStats is one row of BENCH_gemm.json: the same model stepped
-// through every available kernel family, plus the raw GEMM rate. All
-// families produce bitwise-identical outputs, so the rows differ only
-// in throughput.
-type gemmKernelStats struct {
-	Kernel        string  `json:"kernel"`
-	WideGates     bool    `json:"wide_gates"`
-	GemmGFLOPs    float64 `json:"gemm_gflops"`
-	InferNsPerStp float64 `json:"inference_ns_per_step"`
-	TrainSamplesS float64 `json:"train_samples_per_second"`
-	// Speedups vs the sse2 family (1.0 for sse2 itself); 0 when sse2 is
-	// unavailable on this build.
-	GemmSpeedup  float64 `json:"gemm_speedup_vs_sse2"`
-	InferSpeedup float64 `json:"inference_speedup_vs_sse2"`
-	TrainSpeedup float64 `json:"train_speedup_vs_sse2"`
-}
-
 // BenchmarkGemmKernels measures every available kernel family on three
 // loads: the raw MulLanes GEMM at the LSTM trunk shape (GFLOP/s via
 // b.SetBytes on the touched floats), one fused inference step at B=16
 // (ns/step), and one minibatch training epoch at B=16 (samples/sec).
-// When $BENCH_GEMM_JSON names a file (see `make bench-json`), the rows
-// land there with speedups relative to the sse2 baseline.
+// All families produce bitwise-identical outputs, so the rows differ
+// only in throughput.
 func BenchmarkGemmKernels(b *testing.B) {
 	const (
 		features = 23 // feature width of the default topology
@@ -39,26 +19,12 @@ func BenchmarkGemmKernels(b *testing.B) {
 		B        = 16
 		nSamples = 256
 	)
-	report := map[string]*gemmKernelStats{}
-	var order []string
-	row := func(kn string) *gemmKernelStats {
-		st, ok := report[kn]
-		if !ok {
-			st = &gemmKernelStats{Kernel: kn}
-			report[kn] = st
-			order = append(order, kn)
-		}
-		return st
-	}
-
 	for _, kn := range GemmKernels() {
 		kn := kn
 		b.Run("gemm/"+kn, func(b *testing.B) {
 			if err := SetGemmKernel(kn); err != nil {
 				b.Fatal(err)
 			}
-			st := row(kn)
-			st.WideGates = GemmWideGates()
 			// The LSTM hidden GEMM shape of the default model: 4H rows
 			// of H columns over B dense lanes.
 			H := DefaultModelConfig(features, window).Hidden
@@ -76,16 +42,13 @@ func BenchmarkGemmKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.MulLanes(0, rows, xs, B, out, rows, pool)
 			}
-			gflops := flops * float64(b.N) / b.Elapsed().Seconds() / 1e9
-			b.ReportMetric(gflops, "GFLOP/s")
-			st.GemmGFLOPs = gflops
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 
 		b.Run("inference/"+kn, func(b *testing.B) {
 			if err := SetGemmKernel(kn); err != nil {
 				b.Fatal(err)
 			}
-			st := row(kn)
 			cfg := DefaultModelConfig(features, window)
 			model, err := NewModel(cfg)
 			if err != nil {
@@ -105,25 +68,18 @@ func BenchmarkGemmKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bat.StepLanes(lanes, xs, nil, preds)
 			}
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*B)
-			b.ReportMetric(ns, "ns/step")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*B), "ns/step")
 			b.ReportMetric(model.FLOPsPerStep()*float64(b.N*B)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			st.InferNsPerStp = ns
 		})
 
 		b.Run("train/"+kn, func(b *testing.B) {
 			if err := SetGemmKernel(kn); err != nil {
 				b.Fatal(err)
 			}
-			st := row(kn)
 			rng := stats.NewStream(7)
-			samples := make([]Sample, nSamples)
-			for i := range samples {
-				w := make([][]float64, window)
-				for t := range w {
-					w[t] = randVec(features, rng)
-				}
-				samples[i] = Sample{Window: w, Latency: rng.Float64(), Dropped: rng.Float64() < 0.1, ECN: rng.Float64() < 0.2}
+			samples := NewSampleBank(features, window, nSamples)
+			for i := 0; i < nSamples; i++ {
+				samples.Append(randVec(features, rng), rng.Float64(), rng.Float64() < 0.1, rng.Float64() < 0.2)
 			}
 			cfg := DefaultModelConfig(features, window)
 			cfg.Epochs = 1
@@ -138,41 +94,7 @@ func BenchmarkGemmKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				model.Train(samples)
 			}
-			sps := float64(nSamples*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(sps, "samples/sec")
-			st.TrainSamplesS = sps
+			b.ReportMetric(float64(nSamples*b.N)/b.Elapsed().Seconds(), "samples/sec")
 		})
-	}
-
-	if path := os.Getenv("BENCH_GEMM_JSON"); path != "" && len(order) > 0 {
-		base := report["sse2"]
-		rows := make([]gemmKernelStats, 0, len(order))
-		for _, kn := range order {
-			st := *report[kn]
-			if base != nil {
-				if base.GemmGFLOPs > 0 {
-					st.GemmSpeedup = st.GemmGFLOPs / base.GemmGFLOPs
-				}
-				if st.InferNsPerStp > 0 {
-					st.InferSpeedup = base.InferNsPerStp / st.InferNsPerStp
-				}
-				if base.TrainSamplesS > 0 {
-					st.TrainSpeedup = st.TrainSamplesS / base.TrainSamplesS
-				}
-			}
-			rows = append(rows, st)
-		}
-		data, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s", path)
-		for _, st := range rows {
-			fmt.Fprintf(os.Stderr, "# gemm kernel %-7s  %6.2f GFLOP/s (%.2fx)  inference %7.0f ns/step (%.2fx)  train %8.0f samples/sec (%.2fx)\n",
-				st.Kernel, st.GemmGFLOPs, st.GemmSpeedup, st.InferNsPerStp, st.InferSpeedup, st.TrainSamplesS, st.TrainSpeedup)
-		}
 	}
 }

@@ -290,7 +290,7 @@ func TestGoldenKernelParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.TrainContext(context.Background(), samples, TrainOpts{Pool: pool}); err != nil {
+		if _, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{Pool: pool}); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := json.Marshal(m)

@@ -299,7 +299,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 		s.Dropped = s.Window[cfg.Window-1][1] > 0
 		samples = append(samples, s)
 	}
-	res := m.Train(samples)
+	res := m.Train(samplesOf(samples))
 	if len(res.EpochLoss) != cfg.Epochs {
 		t.Fatalf("epoch losses = %d", len(res.EpochLoss))
 	}
@@ -307,7 +307,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	if last >= first*0.8 {
 		t.Errorf("training did not reduce loss: %v -> %v", first, last)
 	}
-	ev := m.Evaluate(samples)
+	ev := m.Evaluate(samplesOf(samples))
 	if ev.LatencyMAE > 0.15 {
 		t.Errorf("latency MAE = %v after training", ev.LatencyMAE)
 	}
@@ -340,8 +340,8 @@ func TestWBCEBeatsBCEOnImbalance(t *testing.T) {
 		cfg.DropLossW = 2
 		m, _ := NewModel(cfg)
 		samples := makeSamples()
-		m.Train(samples)
-		return m.Evaluate(samples)
+		m.Train(samplesOf(samples))
+		return m.Evaluate(samplesOf(samples))
 	}
 	bce := train(0)    // plain BCE
 	wbce := train(0.8) // weighted
@@ -444,7 +444,7 @@ func TestFLOPsPerStepScalesWithSize(t *testing.T) {
 
 func TestEvaluateEmpty(t *testing.T) {
 	m, _ := NewModel(DefaultModelConfig(2, 2))
-	if ev := m.Evaluate(nil); ev.Loss != 0 {
+	if ev := m.Evaluate(samplesOf(nil)); ev.Loss != 0 {
 		t.Error("empty evaluate should be zero")
 	}
 }
@@ -486,11 +486,11 @@ func TestFineTuneImprovesOnShiftedData(t *testing.T) {
 		}
 		return out
 	}
-	m.Train(mk(false, 300))
+	m.Train(samplesOf(mk(false, 300)))
 	shifted := mk(true, 300)
-	before := m.Evaluate(shifted).LatencyMAE
-	res := m.FineTune(shifted, 4, 0)
-	after := m.Evaluate(shifted).LatencyMAE
+	before := m.Evaluate(samplesOf(shifted)).LatencyMAE
+	res := m.FineTune(samplesOf(shifted), 4, 0)
+	after := m.Evaluate(samplesOf(shifted)).LatencyMAE
 	if after >= before {
 		t.Errorf("fine-tuning did not adapt: MAE %v -> %v", before, after)
 	}
@@ -498,7 +498,7 @@ func TestFineTuneImprovesOnShiftedData(t *testing.T) {
 		t.Errorf("epoch losses = %d", len(res.EpochLoss))
 	}
 	// Degenerate arguments are clamped, not fatal.
-	m.FineTune(shifted[:10], 0, -1)
+	m.FineTune(samplesOf(shifted[:10]), 0, -1)
 }
 
 // Gradient checks for the alternative trunk classes — the same central-
@@ -583,7 +583,7 @@ func TestAllCellTypesTrainAndSerialize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cellType, err)
 		}
-		res := m.Train(samples)
+		res := m.Train(samplesOf(samples))
 		if res.EpochLoss[len(res.EpochLoss)-1] >= res.EpochLoss[0] {
 			t.Errorf("%s: training did not reduce loss: %v", cellType, res.EpochLoss)
 		}

@@ -95,15 +95,6 @@ func (c ModelConfig) Validate() error {
 	return nil
 }
 
-// Sample is one training example: a window of packet feature vectors and
-// the targets for the window's final packet.
-type Sample struct {
-	Window  [][]float64
-	Latency float64 // normalized to [0,1] by the caller's Discretizer
-	Dropped bool
-	ECN     bool
-}
-
 // Prediction is the model output for one packet.
 type Prediction struct {
 	Latency float64 // normalized [0,1]
@@ -173,14 +164,9 @@ func (m *Model) Forward(window [][]float64) Prediction {
 	return m.heads(tr.Outputs)
 }
 
-// trainStep runs forward+backward for one sample and returns the loss.
-func (m *Model) trainStep(s Sample) float64 {
-	return m.trainStepWindow(s.Window, s.Latency, s.Dropped, s.ECN)
-}
-
-// trainStepWindow is trainStep over an explicit window and targets, so
-// columnar sources can feed the scalar path without materializing a
-// Sample.
+// trainStepWindow runs forward+backward for one sample — a window of
+// row aliases gathered from the source plus the targets of its final
+// packet — and returns the loss.
 func (m *Model) trainStepWindow(window [][]float64, latency float64, dropped, ecn bool) float64 {
 	tr := ForwardWindow(m.Trunk, window, true)
 	h := tr.Outputs
@@ -226,39 +212,25 @@ type TrainResult struct {
 	Samples   int
 }
 
-// Train fits the model to samples with Adam, shuffling each epoch. It is
+// Train fits the model to src with Adam, shuffling each epoch. It is
 // TrainContext without cancellation or progress reporting; the trainer
 // (scalar vs minibatch) is selected by Cfg.BatchSize.
-func (m *Model) Train(samples []Sample) TrainResult {
-	res, _ := m.TrainContext(context.Background(), samples, TrainOpts{})
+func (m *Model) Train(src SampleSource) TrainResult {
+	res, _ := m.TrainContext(context.Background(), src, TrainOpts{})
 	return res
 }
 
-// TrainContext fits the model to samples with Adam, shuffling each
-// epoch. Cancellation is honored between optimizer steps (parameters are
-// never left mid-update; pending gradients are dropped), in which case
-// the partial result and ctx's error are returned. opts.Progress, when
+// TrainContext fits the model to src with Adam, shuffling each epoch.
+// Cancellation is honored between optimizer steps (parameters are never
+// left mid-update; pending gradients are dropped), in which case the
+// partial result and ctx's error are returned. opts.Progress, when
 // non-nil, receives one report per finished epoch.
 //
 // When opts.ResumeFrom carries a checkpoint, weights, optimizer moments,
 // shuffle permutation, and RNG position are restored first and training
 // continues at the checkpoint's epoch cursor; the final model is bitwise
 // identical to an uninterrupted run with the same config and samples.
-func (m *Model) TrainContext(ctx context.Context, samples []Sample, opts TrainOpts) (TrainResult, error) {
-	return m.TrainSourceContext(ctx, samplesOf(samples), opts)
-}
-
-// TrainSource is Train over a SampleSource (columnar views train
-// without materializing []Sample).
-func (m *Model) TrainSource(src SampleSource) TrainResult {
-	res, _ := m.TrainSourceContext(context.Background(), src, TrainOpts{})
-	return res
-}
-
-// TrainSourceContext is TrainContext over a SampleSource. Training over
-// a SampleView is bitwise identical to training over the equivalent
-// []Sample: both feed the same float values through the same loops.
-func (m *Model) TrainSourceContext(ctx context.Context, src SampleSource, opts TrainOpts) (TrainResult, error) {
+func (m *Model) TrainContext(ctx context.Context, src SampleSource, opts TrainOpts) (TrainResult, error) {
 	rng := stats.NewStream(m.Cfg.Seed + 1)
 	if ck := opts.ResumeFrom; ck != nil {
 		if err := m.restoreCheckpoint(ck, src.Len()); err != nil {
@@ -279,15 +251,10 @@ type EvalResult struct {
 	Loss         float64
 }
 
-// Evaluate scores samples without updating parameters.
-func (m *Model) Evaluate(samples []Sample) EvalResult {
-	return m.EvaluateSource(samplesOf(samples))
-}
-
-// EvaluateSource is Evaluate over a SampleSource; windows are gathered
+// Evaluate scores src without updating parameters. Windows are gathered
 // into a reused buffer of row aliases, so scoring a columnar view
 // allocates nothing per sample.
-func (m *Model) EvaluateSource(src SampleSource) EvalResult {
+func (m *Model) Evaluate(src SampleSource) EvalResult {
 	var res EvalResult
 	count := src.Len()
 	if count == 0 {

@@ -73,24 +73,18 @@ type TrainOpts struct {
 // shuffle each epoch with rng, run forward+backward per batch, clip, and
 // apply one optimizer step per batch. BatchSize 1 reproduces the original
 // scalar loop bit for bit (same shuffle stream, one step per sample).
-// The source may be a legacy []Sample adapter or a columnar SampleView;
-// the two are bitwise interchangeable.
 func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src SampleSource, epochs int, opts TrainOpts) (TrainResult, error) {
 	params := m.Params()
 	count := src.Len()
 	res := TrainResult{Samples: count}
 	B := m.Cfg.batchSize()
 	var bt *miniBatchTrainer
-	if B > 1 && src.Steps() > 0 {
+	if B > 1 {
 		pool := opts.Pool
 		if pool == nil {
 			pool = SharedPool()
 		}
 		bt = newMiniBatchTrainer(m, pool)
-	} else {
-		// Ragged or empty windows (never produced by the dataset
-		// builder, but legal inputs): the scalar path handles them.
-		B = 1
 	}
 	// A batch update sees the mean gradient over B samples — lower
 	// variance and B× fewer steps per epoch than the scalar path. Scale
@@ -174,21 +168,6 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 		}
 	}
 	return res, nil
-}
-
-// uniformSteps returns the window length shared by all samples, or 0
-// when samples are empty, ragged, or have empty windows.
-func uniformSteps(samples []Sample) int {
-	if len(samples) == 0 {
-		return 0
-	}
-	steps := len(samples[0].Window)
-	for _, s := range samples {
-		if len(s.Window) != steps {
-			return 0
-		}
-	}
-	return steps
 }
 
 // trainLayer is one trunk layer able to run fused minibatch training

@@ -106,7 +106,7 @@ func TestBatchedTrainerDeterministic(t *testing.T) {
 			samples := synthSamples(50, cfg.Features, cfg.Window, 41)
 			train := func(pc poolConfig) (*Model, TrainResult) {
 				m, _ := NewModel(cfg)
-				res, err := m.TrainContext(context.Background(), samples, TrainOpts{Pool: pc.start(t)})
+				res, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{Pool: pc.start(t)})
 				if err != nil {
 					t.Fatalf("TrainContext: %v", err)
 				}
@@ -147,13 +147,13 @@ func TestBatchedSequentialParity(t *testing.T) {
 
 	cfg.BatchSize = 1
 	seq, _ := NewModel(cfg)
-	seqRes := seq.Train(train)
-	seqEval := seq.Evaluate(held)
+	seqRes := seq.Train(samplesOf(train))
+	seqEval := seq.Evaluate(samplesOf(held))
 
 	cfg.BatchSize = 16
 	bat, _ := NewModel(cfg)
-	batRes := bat.Train(train)
-	batEval := bat.Evaluate(held)
+	batRes := bat.Train(samplesOf(train))
+	batEval := bat.Evaluate(samplesOf(held))
 
 	if last, first := seqRes.EpochLoss[cfg.Epochs-1], seqRes.EpochLoss[0]; last >= first {
 		t.Errorf("sequential loss did not decrease: %v -> %v", first, last)
@@ -184,7 +184,7 @@ func TestTrainContextCancellation(t *testing.T) {
 		before := snapshotParams(m)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := m.TrainContext(ctx, samples, TrainOpts{})
+		res, err := m.TrainContext(ctx, samplesOf(samples), TrainOpts{})
 		if err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -204,7 +204,7 @@ func TestTrainContextCancellation(t *testing.T) {
 		m, _ := NewModel(cfg)
 		ctx, cancel := context.WithCancel(context.Background())
 		var epochs int
-		res, err := m.TrainContext(ctx, samples, TrainOpts{Progress: func(p TrainProgress) {
+		res, err := m.TrainContext(ctx, samplesOf(samples), TrainOpts{Progress: func(p TrainProgress) {
 			epochs++
 			if p.Epoch == 2 {
 				cancel()
@@ -230,7 +230,7 @@ func TestTrainContextCancellation(t *testing.T) {
 				}
 			}
 		}
-		res2, err := m.TrainContext(context.Background(), samples, TrainOpts{})
+		res2, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{})
 		if err != nil || len(res2.EpochLoss) != cfg.Epochs {
 			t.Fatalf("training after cancel: err=%v epochs=%d", err, len(res2.EpochLoss))
 		}
@@ -246,9 +246,9 @@ func TestFineTuneContextUsesBatchedPath(t *testing.T) {
 	cfg.Epochs = 3
 	m, _ := NewModel(cfg)
 	samples := synthSamples(150, 2, 4, 29)
-	m.Train(samples)
+	m.Train(samplesOf(samples))
 	var got []TrainProgress
-	res, err := m.FineTuneContext(context.Background(), samples, 2, 0, TrainOpts{
+	res, err := m.FineTuneContext(context.Background(), samplesOf(samples), 2, 0, TrainOpts{
 		Progress: func(p TrainProgress) { got = append(got, p) },
 	})
 	if err != nil {
@@ -264,28 +264,6 @@ func TestFineTuneContextUsesBatchedPath(t *testing.T) {
 		if p.SamplesPerSec <= 0 {
 			t.Fatalf("progress %d samples/sec = %v", i, p.SamplesPerSec)
 		}
-	}
-}
-
-// TestRaggedWindowsFallBackToScalar: samples with unequal window lengths
-// cannot be fused; fit must silently use the scalar path (batch size 1
-// in progress reports) and still train.
-func TestRaggedWindowsFallBackToScalar(t *testing.T) {
-	cfg := DefaultModelConfig(2, 4)
-	cfg.Hidden = 6
-	cfg.Epochs = 1
-	m, _ := NewModel(cfg)
-	samples := synthSamples(20, 2, 4, 37)
-	samples = append(samples, synthSamples(5, 2, 3, 39)...)
-	var prog []TrainProgress
-	_, err := m.TrainContext(context.Background(), samples, TrainOpts{
-		Progress: func(p TrainProgress) { prog = append(prog, p) },
-	})
-	if err != nil {
-		t.Fatalf("TrainContext: %v", err)
-	}
-	if len(prog) != 1 || prog[0].BatchSize != 1 {
-		t.Fatalf("expected scalar fallback (batch size 1), got %+v", prog)
 	}
 }
 

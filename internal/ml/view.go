@@ -1,29 +1,22 @@
 package ml
 
-// This file implements the columnar dataset layout. The legacy
-// representation ([]Sample, one materialized window of row slices per
-// sample) keeps W slice headers per sample plus fresh zero rows for the
-// front padding of early windows. SampleView stores the underlying
-// packet stream exactly once — one contiguous row-major feature matrix —
-// and expresses each sample's window as an index range over it, with the
-// early-window zero padding resolved by index math against a single
-// shared zero row.
-//
-// Both layouts describe identical float values, and every consumer
-// (scalar trainer, minibatch trainer, Evaluate, FineTune) reads them
-// through the SampleSource interface below, so training over a view is
-// bitwise identical to training over the equivalent []Sample.
+// This file implements the columnar dataset layout. SampleView stores
+// the underlying packet stream exactly once — one contiguous row-major
+// feature matrix — and expresses each sample's window as an index range
+// over it, with the early-window zero padding resolved by index math
+// against a single shared zero row. Every consumer (scalar trainer,
+// minibatch trainer, Evaluate, FineTune) reads it through the
+// SampleSource interface below.
 
-// SampleSource is the trainer-facing read interface over a dataset: a
-// []Sample slice (via samplesOf) or a columnar SampleView. Windows are
-// uniform (Steps rows of Width features); Row returns one window row
-// without copying.
+// SampleSource is the trainer-facing read interface over a dataset.
+// *SampleView is the production implementation; the window-of-slices
+// reference layout the parity tests train against implements it in
+// fixtures_test.go. Windows are uniform (Steps rows of Width features);
+// Row returns one window row without copying.
 type SampleSource interface {
 	// Len is the number of samples.
 	Len() int
-	// Steps is the uniform window length shared by all samples, or 0
-	// when samples are empty, ragged, or have empty windows (the scalar
-	// trainer handles those; the minibatch trainer requires Steps > 0).
+	// Steps is the uniform window length shared by all samples.
 	Steps() int
 	// Row returns window row st of sample i without copying. The slice
 	// must be treated as read-only and is only valid until the next
@@ -140,8 +133,7 @@ func (v *SampleView) Target(i int) (latency float64, dropped, ecn bool) {
 
 // Slice returns the sub-view of samples [lo, hi). The feature matrix
 // and zero row are shared, not copied — a chronological test split
-// keeps every row of history preceding its cut visible through Row,
-// exactly as the legacy layout materialized it into padded windows.
+// keeps every row of history preceding its cut visible through Row.
 func (v *SampleView) Slice(lo, hi int) *SampleView {
 	return &SampleView{
 		Width:   v.Width,
@@ -167,48 +159,8 @@ func (v *SampleView) WithLatency(latency []float64) *SampleView {
 	return &w
 }
 
-// At materializes sample i in the legacy layout (fresh row copies) for
-// tests and compatibility shims.
-func (v *SampleView) At(i int) Sample {
-	win := make([][]float64, v.Window)
-	for st := range win {
-		row := make([]float64, v.Width)
-		copy(row, v.Row(i, st))
-		win[st] = row
-	}
-	lat, dropped, ecn := v.Target(i)
-	return Sample{Window: win, Latency: lat, Dropped: dropped, ECN: ecn}
-}
-
 // Bytes reports the resident size of the view's own storage (matrix +
 // target columns), for the dataset gauges.
 func (v *SampleView) Bytes() int {
 	return 8*len(v.Feats) + 8*len(v.Latency) + len(v.Dropped) + len(v.ECN)
-}
-
-// samplesSource adapts the legacy []Sample layout to SampleSource. The
-// window length is computed once at construction: Steps is consulted
-// per batch, and rescanning the slice there would be quadratic.
-type samplesSource struct {
-	s     []Sample
-	steps int
-}
-
-// samplesOf wraps legacy samples as a SampleSource.
-func samplesOf(s []Sample) *samplesSource {
-	return &samplesSource{s: s, steps: uniformSteps(s)}
-}
-
-func (c *samplesSource) Len() int   { return len(c.s) }
-func (c *samplesSource) Steps() int { return c.steps }
-
-func (c *samplesSource) Row(i, st int) []float64 { return c.s[i].Window[st] }
-
-func (c *samplesSource) WindowAppend(buf [][]float64, i int) [][]float64 {
-	return append(buf, c.s[i].Window...)
-}
-
-func (c *samplesSource) Target(i int) (latency float64, dropped, ecn bool) {
-	s := &c.s[i]
-	return s.Latency, s.Dropped, s.ECN
 }

@@ -44,17 +44,6 @@ func TestViewWindowMatchesLegacy(t *testing.T) {
 	checkParity(view.Slice(0, cut), 0)
 	checkParity(view.Slice(cut, n), cut)
 
-	// At materializes the identical legacy sample.
-	for i := 0; i < n; i++ {
-		s := view.At(i)
-		for st := range s.Window {
-			for f := range s.Window[st] {
-				if s.Window[st][f] != legacy[i].Window[st][f] {
-					t.Fatalf("At(%d) step %d feat %d differs", i, st, f)
-				}
-			}
-		}
-	}
 }
 
 // TestColumnarTrainingBitwiseParity is the layout-refactor contract:
@@ -82,8 +71,8 @@ func TestColumnarTrainingBitwiseParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resA := a.Train(legacy)
-				resB := b.TrainSource(view)
+				resA := a.Train(samplesOf(legacy))
+				resB := b.Train(view)
 				if len(resA.EpochLoss) != len(resB.EpochLoss) {
 					t.Fatalf("%s bs=%d: epoch counts differ", name, bs)
 				}
@@ -106,7 +95,7 @@ func TestColumnarTrainingBitwiseParity(t *testing.T) {
 					t.Fatalf("%s bs=%d: trained artifacts are not byte-identical", name, bs)
 				}
 
-				if ea, eb := a.Evaluate(legacy), b.EvaluateSource(view); ea != eb {
+				if ea, eb := a.Evaluate(samplesOf(legacy)), b.Evaluate(view); ea != eb {
 					t.Fatalf("%s bs=%d: evaluations differ: %+v vs %+v", name, bs, ea, eb)
 				}
 				var win [][]float64

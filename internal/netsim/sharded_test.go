@@ -24,7 +24,7 @@ func TestShardedFabricMatchesSequential(t *testing.T) {
 		id uint64
 		at sim.Time
 	}
-	run := func(sharded bool) (map[int][]delivery, *Fabric, *sim.Parallel) {
+	run := func(sharded bool) ([][]delivery, *Fabric, *sim.Parallel) {
 		var f *Fabric
 		var par *sim.Parallel
 		simFor := func(node int) *sim.Simulator { return f.Sim }
@@ -44,7 +44,9 @@ func TestShardedFabricMatchesSequential(t *testing.T) {
 		} else {
 			f = NewFabric(sim.New(), tp, link)
 		}
-		got := make(map[int][]delivery)
+		// One slot per host: a host is delivered to by its own LP only, so
+		// shards append to disjoint elements (a shared map would race).
+		got := make([][]delivery, tp.Hosts())
 		for h := 0; h < tp.Hosts(); h++ {
 			h := h
 			s := simFor(h)
@@ -148,8 +150,8 @@ func TestShardedFabricLinkFailure(t *testing.T) {
 			f.Inject(&Packet{ID: id, Src: src, Dst: dst, Size: 100, Path: path})
 		})
 	}
-	inject(sim.Millisecond, 1)          // while down: dropped
-	inject(60*sim.Millisecond, 2)       // after recovery: delivered
+	inject(sim.Millisecond, 1)    // while down: dropped
+	inject(60*sim.Millisecond, 2) // after recovery: delivered
 	par.Run(100 * sim.Millisecond)
 	if delivered != 1 {
 		t.Errorf("delivered %d packets, want 1 (one dropped during failure)", delivered)

@@ -573,7 +573,7 @@ func (s *Scheduler) trainForSpec(ctx context.Context, base cluster.Config, tcfg 
 			return nil, err
 		}
 	}
-	models, _, _, err := core.TrainModelsCkpt(ctx, ing, eg, tcfg, progress, ckpt)
+	models, _, _, err := core.TrainModelsContext(ctx, ing, eg, tcfg, progress, ckpt)
 	return models, err
 }
 

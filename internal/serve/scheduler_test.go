@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -231,11 +232,46 @@ func TestJobCancelledMidTrain(t *testing.T) {
 func TestSchedulerRejectsInvalidSpec(t *testing.T) {
 	s, release := stubScheduler(t, 2, 1)
 	defer close(release)
-	if _, err := s.Submit(JobSpec{Clusters: 1}); err == nil {
-		t.Fatal("1-cluster spec admitted")
+	// One row per bound; the error must name the field by its JSON key.
+	for _, tc := range []struct {
+		field string
+		spec  JobSpec
+	}{
+		{"clusters", JobSpec{Clusters: 1}},
+		{"protocol", JobSpec{Clusters: 4, Protocol: "carrier-pigeon"}},
+		{"clusters", JobSpec{Clusters: maxClusters + 1}},
+		{"racks", JobSpec{Racks: maxTopoFanout + 1}},
+		{"hosts", JobSpec{Hosts: maxTopoFanout + 1}},
+		{"aggs", JobSpec{Aggs: maxTopoFanout + 1}},
+		{"cores_per_agg", JobSpec{CoresPerAgg: maxTopoFanout + 1}},
+		{"hidden", JobSpec{Hidden: maxHidden + 1}},
+		{"layers", JobSpec{Layers: maxLayers + 1}},
+		{"window", JobSpec{Window: maxWindow + 1}},
+		{"epochs", JobSpec{Epochs: maxEpochs + 1}},
+		{"batch_size", JobSpec{BatchSize: maxBatchSize + 1}},
+		{"tune", JobSpec{Tune: maxTune + 1}},
+		{"workload_ms", JobSpec{WorkloadMs: maxHorizonMs + 1}},
+		{"run_ms", JobSpec{RunMs: maxHorizonMs + 1}},
+		{"small_run_ms", JobSpec{SmallRunMs: maxHorizonMs + 1}},
+	} {
+		_, err := s.Submit(tc.spec)
+		if err == nil {
+			t.Fatalf("%s: spec %+v admitted", tc.field, tc.spec)
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
 	}
-	if _, err := s.Submit(JobSpec{Clusters: 4, Protocol: "carrier-pigeon"}); err == nil {
-		t.Fatal("unknown protocol admitted")
+	// Every bound is inclusive: a spec sitting on all of them validates.
+	atLimit := JobSpec{
+		Clusters: maxClusters, Racks: maxTopoFanout, Hosts: maxTopoFanout,
+		Aggs: maxTopoFanout, CoresPerAgg: maxTopoFanout,
+		Hidden: maxHidden, Layers: maxLayers, Window: maxWindow,
+		Epochs: maxEpochs, BatchSize: maxBatchSize, Tune: maxTune,
+		WorkloadMs: maxHorizonMs, RunMs: maxHorizonMs, SmallRunMs: maxHorizonMs,
+	}.Normalized()
+	if err := atLimit.Validate(); err != nil {
+		t.Errorf("spec at every limit rejected: %v", err)
 	}
 	if _, err := s.Job("j999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("lookup of unknown job did not fail")

@@ -16,7 +16,9 @@ import (
 // on the stdlib mux. Endpoints:
 //
 //	POST   /v1/jobs      submit a JobSpec → 202 JobStatus
-//	                     (429 + Retry-After on queue overflow,
+//	                     (400 on a malformed or out-of-range spec,
+//	                      413 on a body over 1 MiB,
+//	                      429 + Retry-After on queue overflow,
 //	                      503 while draining)
 //	GET    /v1/jobs      list jobs
 //	GET    /v1/jobs/{id} poll one job (status, progress, result)
@@ -76,10 +78,15 @@ type errorBody struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
 	j, err := s.sched.Submit(spec)

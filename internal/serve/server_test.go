@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -125,6 +126,31 @@ func TestServerAdmissionAndErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("garbage spec: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	// Out-of-range spec → 400 naming the field, before admission.
+	resp, err = c.HTTP.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"hidden":1000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 400 || !strings.Contains(string(msg), "hidden") {
+		t.Fatalf("oversized hidden: HTTP %d %s, want 400 naming hidden", resp.StatusCode, msg)
+	}
+
+	// Body over 1 MiB → 413, rejected while reading.
+	big := `{"protocol":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err = c.HTTP.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 413 {
+		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+	if n := len(sched.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted from rejected requests", n)
 	}
 
 	// Unknown job → 404.

@@ -42,8 +42,8 @@ type JobSpec struct {
 	Seed          int64   `json:"seed,omitempty"`
 
 	// Simulated-time horizons, milliseconds.
-	WorkloadMs float64 `json:"workload_ms,omitempty"` // flow generation horizon
-	RunMs      float64 `json:"run_ms,omitempty"`      // final large-scale run
+	WorkloadMs float64 `json:"workload_ms,omitempty"`  // flow generation horizon
+	RunMs      float64 `json:"run_ms,omitempty"`       // final large-scale run
 	SmallRunMs float64 `json:"small_run_ms,omitempty"` // data-generation run
 
 	// Training hyper-parameters.
@@ -117,11 +117,60 @@ func (s JobSpec) Normalized() JobSpec {
 	return s
 }
 
-// Validate rejects structurally unusable specs before admission, so the
-// queue never holds a job that cannot run.
+// Upper bounds on what one request may ask for. A spec past any of them
+// would be admitted, journaled, and then take the daemon down allocating
+// in topo.New or ml.NewModel; they are limits of the service, not options.
+const (
+	maxSpecBytes  = 1 << 20 // POST /v1/jobs body
+	maxClusters   = 1024
+	maxTopoFanout = 64 // racks, hosts, aggs, cores per agg
+	maxHidden     = 1024
+	maxLayers     = 8
+	maxWindow     = 256
+	maxEpochs     = 1000
+	maxBatchSize  = 4096
+	maxTune       = 1000
+	maxHorizonMs  = 10 * 60 * 1000 // simulated time per horizon
+)
+
+// Validate rejects structurally unusable or oversized specs before
+// admission, so the queue never holds a job that cannot run. Errors name
+// the offending field by its JSON key.
 func (s JobSpec) Validate() error {
 	if s.Clusters < 2 {
 		return fmt.Errorf("serve: clusters must be >= 2, have %d", s.Clusters)
+	}
+	for _, b := range []struct {
+		field  string
+		v, max int
+	}{
+		{"clusters", s.Clusters, maxClusters},
+		{"racks", s.Racks, maxTopoFanout},
+		{"hosts", s.Hosts, maxTopoFanout},
+		{"aggs", s.Aggs, maxTopoFanout},
+		{"cores_per_agg", s.CoresPerAgg, maxTopoFanout},
+		{"hidden", s.Hidden, maxHidden},
+		{"layers", s.Layers, maxLayers},
+		{"window", s.Window, maxWindow},
+		{"epochs", s.Epochs, maxEpochs},
+		{"batch_size", s.BatchSize, maxBatchSize},
+		{"tune", s.Tune, maxTune},
+	} {
+		if b.v > b.max {
+			return fmt.Errorf("serve: %s %d exceeds the limit of %d", b.field, b.v, b.max)
+		}
+	}
+	for _, h := range []struct {
+		field string
+		ms    float64
+	}{
+		{"workload_ms", s.WorkloadMs},
+		{"run_ms", s.RunMs},
+		{"small_run_ms", s.SmallRunMs},
+	} {
+		if h.ms > maxHorizonMs {
+			return fmt.Errorf("serve: %s %.6g exceeds the limit of %d (10 min)", h.field, h.ms, maxHorizonMs)
+		}
 	}
 	if _, err := transport.ByName(s.Protocol); err != nil {
 		return fmt.Errorf("serve: %w", err)
