@@ -9,12 +9,13 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the packages with concurrency: the PDES
-# kernel and its worker pool, the sharded fabric, the batched inference
-# and training engines, the cluster composition layer that drives them,
-# the parallel hyper-parameter search, and the estimation service
-# (scheduler, registry, HTTP surface).
+# kernel and its worker pool, the sharded fabric and its per-LP packet
+# pools, the transports whose packets and timers cross those LPs, the
+# batched inference and training engines, the cluster composition layer
+# that drives them, the parallel hyper-parameter search, and the
+# estimation service (scheduler, registry, HTTP surface).
 test-race:
-	$(GO) test -race ./internal/sim ./internal/netsim ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/serve
+	$(GO) test -race ./internal/sim ./internal/netsim ./internal/transport ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/serve
 
 # test-floor0 replays the bitwise contract with the ml pool's dispatch
 # floor forced to 0 (build tag poolfloor0), so every Range call fans out
@@ -114,6 +115,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
 
 fuzz:
+	$(GO) test -run xxx -fuzz FuzzKernelOrder -fuzztime 30s ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzMulLanes -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzPoolRange -fuzztime 30s ./internal/ml
 	$(GO) test -run xxx -fuzz FuzzGemmKernels -fuzztime 30s ./internal/ml

@@ -49,14 +49,18 @@ type Config struct {
 	// cross-LP causality bound (egress latency floor minus lookahead).
 	BatchWindow sim.Time
 
-	// ShardedRun selects whether composed/hybrid simulations partition
-	// into one logical process per cluster (core switches ride with the
-	// observable cluster) and run the windows in parallel: 0 = auto
-	// (sharded when GOMAXPROCS > 1), 1 = force sharded, -1 = force
-	// sequential. Sharded and sequential runs produce bitwise-identical
-	// Results; only wall-clock time differs. Full-fidelity simulations
-	// (cluster.New) are tightly coupled and always run sequentially —
-	// that contrast is MimicNet's Figure 2 motivation.
+	// ShardedRun > 0 partitions composed/hybrid simulations into one
+	// logical process per cluster (core switches ride with the observable
+	// cluster) and runs the windows in parallel; zero or negative runs
+	// them on one event queue. Sequential is the default because on the
+	// hosts measured so far sharding is the slower path (0.79x at N=32 on
+	// 2 vCPUs, DESIGN.md decisions 7 and 15); it stays an opt-in, and a
+	// correctness oracle, until a host with at least four real cores
+	// shows otherwise. Sharded and sequential runs produce
+	// bitwise-identical Results; only wall-clock time differs. The field
+	// stays an int because callers assign -1 and 1 to it. Full-fidelity
+	// simulations (cluster.New) are tightly coupled and always run
+	// sequentially — that contrast is MimicNet's Figure 2 motivation.
 	ShardedRun int
 
 	// NumWorkers bounds the worker goroutines executing shards (0 =
@@ -64,17 +68,8 @@ type Config struct {
 	NumWorkers int
 }
 
-// Sharded resolves the ShardedRun knob against the host.
-func (c Config) Sharded() bool {
-	switch {
-	case c.ShardedRun > 0:
-		return true
-	case c.ShardedRun < 0:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1
-	}
-}
+// Sharded reports whether the configuration asks for a sharded run.
+func (c Config) Sharded() bool { return c.ShardedRun > 0 }
 
 // ShardWorkers resolves the worker count for a sharded run.
 func (c Config) ShardWorkers() int {
@@ -190,10 +185,11 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	inst.Env = &transport.Env{
 		Sim:      s,
+		Packets:  fabric.Packets(0),
 		MSS:      netsim.MSS,
 		BDPBytes: cfg.BDPBytes(),
 		Inject: func(pkt *netsim.Packet) {
-			pkt.Path = t.Path(pkt.Src, pkt.Dst, pkt.Hash)
+			pkt.Route(t)
 			fabric.Inject(pkt)
 		},
 		OnRTT: func(f *transport.Flow, sec float64) {

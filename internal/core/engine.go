@@ -137,6 +137,11 @@ type Engine struct {
 	// simulated clock and total events processed.
 	Progress func(now sim.Time, events uint64)
 
+	// Typed-event handlers for the two continuations of a model-served
+	// packet, bound once: re-entering the fabric at a core switch, and
+	// delivery to the in-cluster destination host.
+	onMaterialize, onDeliver sim.Handler
+
 	cancelled bool
 	published [2][2]uint64 // [direction][roleClass] drops already pushed to obs
 }
@@ -164,6 +169,13 @@ type clusterCtx struct {
 	role   ClusterRole
 	models *MimicModels // resolved override-or-default; nil for observed
 	mimic  *Mimic
+
+	e   *Engine
+	idx int
+	sh  *shardCtx // the LP the cluster's hosts and switches run on
+
+	// what the Mimic calls back with each direction's predictions
+	onEgress, onIngress resolveFunc
 
 	modelPackets uint64
 	dropsIngress uint64
@@ -344,8 +356,11 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, inl
 		e.Fabric = netsim.NewFabric(e.shards[0].sim, t, link)
 	}
 	e.Sim = e.shards[0].sim
+	e.onMaterialize, e.onDeliver = e.materialize, e.deliver
 
 	for i, cc := range clusters {
+		cc.e, cc.idx, cc.sh = e, i, e.shardFor(i)
+		cc.onEgress, cc.onIngress = cc.resolveEgress, cc.resolveIngress
 		if !cc.role.Kind.usesModels() {
 			continue
 		}
@@ -394,10 +409,11 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, inl
 		}
 	}
 
-	for _, sh := range e.shards {
+	for i, sh := range e.shards {
 		sh := sh
 		sh.env = &transport.Env{
 			Sim:      sh.sim,
+			Packets:  e.Fabric.Packets(t.HostID(i, 0, 0)), // shard i runs cluster i
 			MSS:      netsim.MSS,
 			BDPBytes: cfg.BDPBytes(),
 			Inject:   e.inject,
@@ -465,7 +481,7 @@ func (e *Engine) needsIntercept() bool {
 // first. It always executes on the LP owning pkt.Src's host.
 func (e *Engine) inject(pkt *netsim.Packet) {
 	t := e.Topo
-	pkt.Path = t.Path(pkt.Src, pkt.Dst, pkt.Hash)
+	pkt.Route(t)
 	srcCluster := t.ClusterOf(pkt.Src)
 	cc := e.clusters[srcCluster]
 	switch cc.role.Kind {
@@ -483,50 +499,56 @@ func (e *Engine) inject(pkt *netsim.Packet) {
 		e.Fabric.Inject(pkt)
 		return
 	}
-	sh := e.shardFor(srcCluster)
 	cc.modelPackets++
-	info := BuildPacketInfo(t, srcCluster, pkt, pkt.Src, sh.sim.Now())
-	cc.mimic.ProcessEgressAsync(info, func(out Outcome) {
-		if out.Dropped {
-			cc.dropsEgress++
-			return
-		}
-		if out.ECNMark {
-			pkt.CE = true
-		}
-		// Find the core hop: the packet materializes there after the
-		// predicted in-cluster latency; core and full-fidelity hops are
-		// then simulated exactly.
-		coreHop := -1
+	info := BuildPacketInfo(t, srcCluster, pkt, pkt.Src, cc.sh.sim.Now())
+	cc.mimic.ProcessAsync(Egress, info, pkt, cc.onEgress)
+}
+
+// resolveEgress continues a packet the egress model has ruled on: it
+// materializes at its core switch after the predicted in-cluster latency,
+// and core and full-fidelity hops are then simulated exactly.
+func (cc *clusterCtx) resolveEgress(pkt *netsim.Packet, info PacketInfo, out Outcome) {
+	e := cc.e
+	coreHop := -1
+	if !out.Dropped {
 		for i, node := range pkt.Path {
-			if t.KindOf(node) == topo.KindCore {
+			if e.Topo.KindOf(node) == topo.KindCore {
 				coreHop = i
 				break
 			}
 		}
-		if coreHop < 0 {
-			// Both endpoints behind the model should never reach here
-			// (such flows are filtered); treat as model-internal and drop.
-			cc.dropsEgress++
-			return
-		}
-		// The latency is relative to arrival; under batched inference
-		// the callback runs at flush time, so schedule at the absolute
-		// instant (clamped in case a custom window outran causality).
-		at := info.ArrivalTime + out.Latency
-		if now := sh.sim.Now(); at < now {
-			at = now
-		}
-		materialize := func() { e.Fabric.InjectAt(pkt, coreHop) }
-		if e.par != nil {
-			// The core switch lives on LP 0: cross the boundary as a
-			// remote event. The sharded batch window is capped so this
-			// send is always at least one lookahead ahead.
-			e.par.LPs[srcCluster].SendTo(e.par.LPs[0], at, materialize)
-			return
-		}
-		sh.sim.At(at, materialize)
-	})
+	}
+	if coreHop < 0 {
+		// Predicted dropped, or — never, such flows are filtered — both
+		// endpoints behind the model: treat as model-internal and drop.
+		cc.dropsEgress++
+		cc.sh.env.Packets.Put(pkt)
+		return
+	}
+	if out.ECNMark {
+		pkt.CE = true
+	}
+	// The latency is relative to arrival; under batched inference this
+	// runs at flush time, so schedule at the absolute instant (clamped in
+	// case a custom window outran causality).
+	at := info.ArrivalTime + out.Latency
+	if now := cc.sh.sim.Now(); at < now {
+		at = now
+	}
+	if e.par != nil {
+		// The core switch lives on LP 0: cross the boundary as a remote
+		// event. The sharded batch window is capped so this send is
+		// always at least one lookahead ahead.
+		e.par.LPs[cc.idx].Send(e.par.LPs[0], at, e.onMaterialize, pkt, int64(coreHop))
+		return
+	}
+	cc.sh.sim.Schedule(at, e.onMaterialize, pkt, int64(coreHop))
+}
+
+// materialize is the typed event that puts an egress-modeled packet back
+// into the fabric at the given hop of its path.
+func (e *Engine) materialize(p any, hop int64) {
+	e.Fabric.InjectAt(p.(*netsim.Packet), int(hop))
 }
 
 // interceptIngress swallows packets descending into a model-driven
@@ -557,27 +579,37 @@ func (e *Engine) interceptIngress(node int, pkt *netsim.Packet) bool {
 	if t.ClusterOf(pkt.Dst) != clusterIdx {
 		return false
 	}
-	sh := e.shardFor(clusterIdx)
 	cc.modelPackets++
-	info := BuildPacketInfo(t, clusterIdx, pkt, pkt.Dst, sh.sim.Now())
-	cc.mimic.ProcessIngressAsync(info, func(out Outcome) {
-		if out.Dropped {
-			cc.dropsIngress++
-			return
-		}
-		if out.ECNMark {
-			pkt.CE = true
-		}
-		dst := pkt.Dst
-		at := info.ArrivalTime + out.Latency
-		if now := sh.sim.Now(); at < now {
-			at = now
-		}
-		sh.sim.At(at, func() {
-			e.hosts[dst].Receive(pkt)
-		})
-	})
+	info := BuildPacketInfo(t, clusterIdx, pkt, pkt.Dst, cc.sh.sim.Now())
+	cc.mimic.ProcessAsync(Ingress, info, pkt, cc.onIngress)
 	return true
+}
+
+// resolveIngress continues a packet the ingress model has ruled on: it
+// reaches its destination host after the predicted latency.
+func (cc *clusterCtx) resolveIngress(pkt *netsim.Packet, info PacketInfo, out Outcome) {
+	if out.Dropped {
+		cc.dropsIngress++
+		cc.sh.env.Packets.Put(pkt)
+		return
+	}
+	if out.ECNMark {
+		pkt.CE = true
+	}
+	at := info.ArrivalTime + out.Latency
+	if now := cc.sh.sim.Now(); at < now {
+		at = now
+	}
+	cc.sh.sim.Schedule(at, cc.e.onDeliver, pkt, 0)
+}
+
+// deliver is the typed event that hands an ingress-modeled packet to its
+// destination host, which is where the packet's life ends.
+func (e *Engine) deliver(p any, _ int64) {
+	pkt := p.(*netsim.Packet)
+	dst := pkt.Dst
+	e.hosts[dst].Receive(pkt)
+	e.Fabric.Packets(dst).Put(pkt)
 }
 
 func (e *Engine) startFlow(f workload.Flow) {
@@ -615,32 +647,46 @@ func (e *Engine) startFeeders() {
 		if cc.role.Kind != RoleMimic {
 			continue
 		}
-		cc := cc
-		sh := e.shardFor(idx)
 		for _, dir := range []Direction{Ingress, Egress} {
 			dm := cc.models.Ingress
-			feed := cc.mimic.FeedIngress
 			if dir == Egress {
 				dm = cc.models.Egress
-				feed = cc.mimic.FeedEgress
 			}
-			rng := stats.NewStream(e.Cfg.Workload.Seed).Derive(
-				fmt.Sprintf("feeder-%d-%s", idx, dir))
-			var schedule func()
-			schedule = func() {
-				gap := FeederGapFrac(dm, rng, frac)
-				if gap <= 0 {
-					return
-				}
-				sh.sim.After(gap, func() {
-					cc.feederEvents++
-					feed(sh.sim.Now())
-					schedule()
-				})
+			f := &feeder{
+				cc: cc, dir: dir, dm: dm, frac: frac,
+				rng: stats.NewStream(e.Cfg.Workload.Seed).Derive(
+					fmt.Sprintf("feeder-%d-%s", idx, dir)),
 			}
-			schedule()
+			f.schedule()
 		}
 	}
+}
+
+// feeder is one Mimic direction's synthetic traffic source: a chain of
+// typed events, each advancing the model once and drawing the gap to the
+// next.
+type feeder struct {
+	cc   *clusterCtx
+	dir  Direction
+	dm   *DirectionModel
+	rng  *stats.Stream
+	frac float64
+}
+
+func (f *feeder) schedule() {
+	gap := FeederGapFrac(f.dm, f.rng, f.frac)
+	if gap <= 0 {
+		return
+	}
+	s := f.cc.sh.sim
+	s.Schedule(s.Now()+gap, feederFired, f, 0)
+}
+
+func feederFired(p any, _ int64) {
+	f := p.(*feeder)
+	f.cc.feederEvents++
+	f.cc.mimic.Feed(f.dir, f.cc.sh.sim.Now())
+	f.schedule()
 }
 
 // Flows returns the real (full-fidelity-touching) flow schedule.

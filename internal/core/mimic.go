@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mimicnet/internal/ml"
+	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
 )
@@ -168,33 +169,34 @@ func (m *Mimic) ProcessIngress(info PacketInfo) Outcome { return m.ing.process(i
 // in-cluster host toward the core.
 func (m *Mimic) ProcessEgress(info PacketInfo) Outcome { return m.eg.process(info) }
 
-// ProcessIngressAsync delivers the ingress prediction through fn: inline
-// immediately when standalone, or at the next scheduler flush when
-// batched. Callers must not touch the packet until fn runs.
-func (m *Mimic) ProcessIngressAsync(info PacketInfo, fn func(Outcome)) {
-	if m.sched == nil {
-		fn(m.ing.process(info))
-		return
+// resolveFunc receives the prediction for one boundary packet together
+// with the packet and the description the prediction was made from. The
+// engine binds one per cluster and direction when it is built, so
+// deferring a model step needs no closure.
+type resolveFunc func(pkt *netsim.Packet, info PacketInfo, out Outcome)
+
+func (m *Mimic) dir(dir Direction) *dirRuntime {
+	if dir == Ingress {
+		return m.ing
 	}
-	m.sched.enqueue(m.lane, Ingress, m.ing, info, false, fn)
+	return m.eg
 }
 
-// ProcessEgressAsync is ProcessIngressAsync for the egress direction.
-func (m *Mimic) ProcessEgressAsync(info PacketInfo, fn func(Outcome)) {
+// ProcessAsync delivers the prediction for pkt in one direction through
+// fn: inline immediately when standalone, or at the next scheduler flush
+// when batched. Callers must not touch the packet until fn runs.
+func (m *Mimic) ProcessAsync(dir Direction, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
+	d := m.dir(dir)
 	if m.sched == nil {
-		fn(m.eg.process(info))
+		fn(pkt, info, d.process(info))
 		return
 	}
-	m.sched.enqueue(m.lane, Egress, m.eg, info, false, fn)
+	m.sched.enqueue(m.lane, dir, d, info, pkt, fn)
 }
 
-// FeedIngress/FeedEgress advance the models for Mimic-Mimic traffic.
-func (m *Mimic) FeedIngress(now sim.Time) { m.feedDir(Ingress, m.ing, now) }
-
-// FeedEgress advances the egress model for Mimic-Mimic traffic.
-func (m *Mimic) FeedEgress(now sim.Time) { m.feedDir(Egress, m.eg, now) }
-
-func (m *Mimic) feedDir(dir Direction, d *dirRuntime, now sim.Time) {
+// Feed advances one direction's model for Mimic-Mimic traffic.
+func (m *Mimic) Feed(dir Direction, now sim.Time) {
+	d := m.dir(dir)
 	if m.sched == nil {
 		d.feed(now)
 		return
@@ -202,7 +204,7 @@ func (m *Mimic) feedDir(dir Direction, d *dirRuntime, now sim.Time) {
 	if len(d.dm.InfoBank) == 0 {
 		return // inline feed would be a no-op; skip the queue entirely
 	}
-	m.sched.enqueue(m.lane, dir, d, PacketInfo{}, true, nil)
+	m.sched.enqueue(m.lane, dir, d, PacketInfo{}, nil, nil)
 }
 
 // InferenceSteps reports total model steps executed (for Figure 23's

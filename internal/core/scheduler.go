@@ -2,6 +2,7 @@ package core
 
 import (
 	"mimicnet/internal/ml"
+	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
 )
 
@@ -60,13 +61,13 @@ type InferenceScheduler struct {
 }
 
 // schedReq is one deferred model step: a boundary packet awaiting its
-// prediction (fn != nil) or a feeder advance (feed == true).
+// prediction (fn != nil) or a feeder advance (fn == nil).
 type schedReq struct {
 	d    *dirRuntime
 	info PacketInfo
 	at   sim.Time
-	feed bool
-	fn   func(Outcome)
+	pkt  *netsim.Packet
+	fn   resolveFunc
 }
 
 // NewInferenceScheduler builds a scheduler over the shared direction
@@ -122,17 +123,20 @@ func (is *InferenceScheduler) laneSteps(lane int) uint64 {
 	return is.models[Ingress].LaneSteps[lane] + is.models[Egress].LaneSteps[lane]
 }
 
-// enqueue defers one model step and arms the flush timer if idle.
-func (is *InferenceScheduler) enqueue(lane int, dir Direction, d *dirRuntime, info PacketInfo, feed bool, fn func(Outcome)) {
+// enqueue defers one model step — a boundary packet's when fn is set, a
+// feeder advance otherwise — and arms the flush event if idle.
+func (is *InferenceScheduler) enqueue(lane int, dir Direction, d *dirRuntime, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
 	is.queues[dir][lane] = append(is.queues[dir][lane], schedReq{
-		d: d, info: info, at: is.sim.Now(), feed: feed, fn: fn,
+		d: d, info: info, at: is.sim.Now(), pkt: pkt, fn: fn,
 	})
 	is.pend++
 	if !is.armed {
 		is.armed = true
-		is.sim.At(is.sim.Now()+is.window, is.flush)
+		is.sim.Schedule(is.sim.Now()+is.window, flushScheduler, is, 0)
 	}
 }
+
+func flushScheduler(p any, _ int64) { p.(*InferenceScheduler).flush() }
 
 // Flush services every pending request immediately. Compositions call
 // it after RunUntil so tail-end packets receive the same predictions,
@@ -164,7 +168,7 @@ func (is *InferenceScheduler) flush() {
 					continue
 				}
 				req := &q[lane][round]
-				if req.feed {
+				if req.fn == nil {
 					// Feeder: the bank draw happens now, in lane round
 					// order, preserving the lane's RNG sequence.
 					info := req.d.dm.InfoBank[req.d.rng.Intn(len(req.d.dm.InfoBank))]
@@ -175,7 +179,7 @@ func (is *InferenceScheduler) flush() {
 				row := len(is.feat)
 				is.feat = req.d.ex.FeaturesAppend(is.feat, req.info)
 				is.xs = append(is.xs, is.feat[row:])
-				is.want = append(is.want, !req.feed)
+				is.want = append(is.want, req.fn != nil)
 				is.reqs = append(is.reqs, req)
 			}
 			if len(is.lanes) == 0 {
@@ -192,12 +196,8 @@ func (is *InferenceScheduler) flush() {
 				is.MaxBatch = len(is.lanes)
 			}
 			for i, req := range is.reqs {
-				if req.feed {
-					continue
-				}
-				out := req.d.applyPrediction(req.info, is.preds[i])
 				if req.fn != nil {
-					req.fn(out)
+					req.fn(req.pkt, req.info, req.d.applyPrediction(req.info, is.preds[i]))
 				}
 			}
 		}

@@ -47,16 +47,61 @@ type Taps struct {
 	OnDrop func(from, to int, pkt *Packet, at sim.Time)
 }
 
-// fabricCounters is one shard's event accounting. Each logical process
-// writes only its own cell, so sharded runs count without atomics; the
-// struct is padded to a cache line to keep neighboring shards' writes
-// from false-sharing.
-type fabricCounters struct {
+// fabricShard is one logical process's slice of the fabric: its event
+// accounting and its packet pool. Each LP writes only its own cell, so
+// sharded runs count and recycle without atomics; the struct is padded to
+// a cache line to keep neighboring shards' writes from false-sharing.
+type fabricShard struct {
 	injected    uint64
 	delivered   uint64
 	drops       uint64
 	intercepted uint64
-	_           [4]uint64
+	packets     PacketPool
+	_           [3]uint64
+}
+
+// nodePorts is one node's output ports, indexed by neighbor ID. A node's
+// downward neighbors have smaller IDs than it and its upward neighbors
+// larger ones, and each group is (nearly) contiguous, so two short dense
+// tables cover them; a slot with no link behind it is nil.
+type nodePorts struct {
+	down, up portTable
+}
+
+// portTable maps the neighbor IDs base..base+len(ports)-1 to ports.
+type portTable struct {
+	base  int
+	ports []*Port
+}
+
+// toward returns the table that holds the port from node `from` to `to`.
+func (np *nodePorts) toward(from, to int) *portTable {
+	if to < from {
+		return &np.down
+	}
+	return &np.up
+}
+
+func (pt *portTable) get(id int) *Port {
+	if i := id - pt.base; i >= 0 && i < len(pt.ports) {
+		return pt.ports[i]
+	}
+	return nil
+}
+
+// set stores the port for neighbor id, widening the table to reach it.
+func (pt *portTable) set(id int, p *Port) {
+	switch {
+	case len(pt.ports) == 0:
+		pt.base = id
+	case id < pt.base:
+		pt.ports = append(make([]*Port, pt.base-id), pt.ports...)
+		pt.base = id
+	}
+	for id >= pt.base+len(pt.ports) {
+		pt.ports = append(pt.ports, nil)
+	}
+	pt.ports[id-pt.base] = p
 }
 
 // Fabric wires a FatTree topology into ports and forwards packets along
@@ -73,7 +118,8 @@ type Fabric struct {
 	lps     []*sim.LP // nil when single-process
 	shardOf []int     // node -> owning shard; nil when single-process
 
-	ports map[[2]int]*Port
+	nodes []nodePorts // indexed by transmitting node
+	ports []*Port     // every port, in construction order
 	hosts []func(*Packet)
 
 	// intercept, when set, is consulted on every node arrival; returning
@@ -81,7 +127,7 @@ type Fabric struct {
 	// arriving at the borders of the cluster", paper §7.1).
 	intercept func(node int, pkt *Packet) bool
 
-	counters []fabricCounters // one cell per shard
+	shards []fabricShard // one cell per LP
 }
 
 // NewFabric builds every directed port of the topology on one simulator.
@@ -114,14 +160,14 @@ func build(s *sim.Simulator, lps []*sim.LP, shardOf []int, t *topo.Topology, lin
 		nShards = len(lps)
 	}
 	f := &Fabric{
-		Topo:     t,
-		Sim:      s,
-		Link:     link,
-		lps:      lps,
-		shardOf:  shardOf,
-		ports:    make(map[[2]int]*Port),
-		hosts:    make([]func(*Packet), t.Hosts()),
-		counters: make([]fabricCounters, nShards),
+		Topo:    t,
+		Sim:     s,
+		Link:    link,
+		lps:     lps,
+		shardOf: shardOf,
+		nodes:   make([]nodePorts, t.Nodes()),
+		hosts:   make([]func(*Packet), t.Hosts()),
+		shards:  make([]fabricShard, nShards),
 	}
 	for _, l := range t.Links() {
 		f.addPort(l.A, l.B)
@@ -153,27 +199,38 @@ func (f *Fabric) addPort(from, to int) {
 	} else {
 		q = f.Link.SwitchQueue()
 	}
-	key := [2]int{from, to}
 	srcSim := f.simFor(from)
 	p := NewPort(srcSim, from, to, f.Link.RateBps, f.Link.Delay, q, func(pkt *Packet) {
 		f.arrive(to, pkt)
 	})
 	srcShard := f.shard(from)
+	sh := &f.shards[srcShard]
 	p.SetDropHook(func(pkt *Packet) {
-		f.counters[srcShard].drops++
+		sh.drops++
 		if f.Taps.OnDrop != nil {
 			f.Taps.OnDrop(from, to, pkt, srcSim.Now())
 		}
+		sh.packets.Put(pkt)
 	})
-	if f.lps != nil && srcShard != f.shard(to) {
-		src, dst := f.lps[srcShard], f.lps[f.shard(to)]
-		p.SetRemote(func(at sim.Time, run func()) { src.SendTo(dst, at, run) })
+	if dstShard := f.shard(to); dstShard != srcShard {
+		p.SetRemote(f.lps[srcShard], f.lps[dstShard])
 	}
-	f.ports[key] = p
+	f.nodes[from].toward(from, to).set(to, p)
+	f.ports = append(f.ports, p)
 }
 
 // Port returns the directed port from->to, or nil if no such link exists.
-func (f *Fabric) Port(from, to int) *Port { return f.ports[[2]int{from, to}] }
+func (f *Fabric) Port(from, to int) *Port {
+	if from < 0 || from >= len(f.nodes) {
+		return nil
+	}
+	return f.nodes[from].toward(from, to).get(to)
+}
+
+// Packets returns the packet pool of the logical process that owns node.
+// Transports on that node take their packets from it, and whoever ends a
+// packet's life there (see Packet) returns it.
+func (f *Fabric) Packets(node int) *PacketPool { return &f.shards[f.shard(node)].packets }
 
 // RegisterHost sets the receive callback for a host.
 func (f *Fabric) RegisterHost(host int, recv func(*Packet)) {
@@ -188,7 +245,7 @@ func (f *Fabric) Inject(pkt *Packet) {
 	if len(pkt.Path) == 0 || pkt.Path[0] != pkt.Src {
 		panic(fmt.Sprintf("netsim: packet path must start at source: %v", pkt))
 	}
-	f.counters[f.shard(pkt.Src)].injected++
+	f.shards[f.shard(pkt.Src)].injected++
 	pkt.Hop = 0
 	if len(pkt.Path) == 1 {
 		// Loopback: deliver immediately.
@@ -198,17 +255,21 @@ func (f *Fabric) Inject(pkt *Packet) {
 	f.forward(pkt)
 }
 
+// deliverLocal hands the packet to its destination host and, once the
+// host's callback has returned, ends the packet's life.
 func (f *Fabric) deliverLocal(pkt *Packet) {
-	f.counters[f.shard(pkt.Dst)].delivered++
+	sh := &f.shards[f.shard(pkt.Dst)]
+	sh.delivered++
 	if recv := f.hosts[pkt.Dst]; recv != nil {
 		recv(pkt)
 	}
+	sh.packets.Put(pkt)
 }
 
 func (f *Fabric) forward(pkt *Packet) {
 	from := pkt.Path[pkt.Hop]
 	to := pkt.NextNode()
-	port := f.ports[[2]int{from, to}]
+	port := f.Port(from, to)
 	if port == nil {
 		panic(fmt.Sprintf("netsim: no port %d->%d for %v", from, to, pkt))
 	}
@@ -218,7 +279,8 @@ func (f *Fabric) forward(pkt *Packet) {
 	port.Send(pkt)
 }
 
-// SetIntercept installs the arrival interceptor (nil to clear).
+// SetIntercept installs the arrival interceptor (nil to clear). A packet
+// the interceptor swallows is the interceptor's from then on.
 func (f *Fabric) SetIntercept(fn func(node int, pkt *Packet) bool) {
 	f.intercept = fn
 }
@@ -231,7 +293,7 @@ func (f *Fabric) InjectAt(pkt *Packet, hop int) {
 	if hop < 0 || hop >= len(pkt.Path) {
 		panic(fmt.Sprintf("netsim: InjectAt hop %d out of range for %v", hop, pkt))
 	}
-	f.counters[f.shard(pkt.Path[hop])].injected++
+	f.shards[f.shard(pkt.Path[hop])].injected++
 	pkt.Hop = hop
 	if hop == len(pkt.Path)-1 {
 		f.deliverLocal(pkt)
@@ -246,7 +308,7 @@ func (f *Fabric) arrive(node int, pkt *Packet) {
 		f.Taps.OnArrive(node, pkt, f.simFor(node).Now())
 	}
 	if f.intercept != nil && f.intercept(node, pkt) {
-		f.counters[f.shard(node)].intercepted++
+		f.shards[f.shard(node)].intercepted++
 		return
 	}
 	if pkt.Hop == len(pkt.Path)-1 {
@@ -260,28 +322,28 @@ func (f *Fabric) arrive(node int, pkt *Packet) {
 }
 
 // Injected returns the number of packets entered into the fabric.
-func (f *Fabric) Injected() uint64 { return f.sum(func(c *fabricCounters) uint64 { return c.injected }) }
+func (f *Fabric) Injected() uint64 { return f.sum(func(c *fabricShard) uint64 { return c.injected }) }
 
 // Delivered returns the number of packets handed to destination hosts.
 func (f *Fabric) Delivered() uint64 {
-	return f.sum(func(c *fabricCounters) uint64 { return c.delivered })
+	return f.sum(func(c *fabricShard) uint64 { return c.delivered })
 }
 
 // Drops returns the number of packets rejected by queues or failed links.
-func (f *Fabric) Drops() uint64 { return f.sum(func(c *fabricCounters) uint64 { return c.drops }) }
+func (f *Fabric) Drops() uint64 { return f.sum(func(c *fabricShard) uint64 { return c.drops }) }
 
 // Intercepted returns the number of packets swallowed by the intercept
 // hook.
 func (f *Fabric) Intercepted() uint64 {
-	return f.sum(func(c *fabricCounters) uint64 { return c.intercepted })
+	return f.sum(func(c *fabricShard) uint64 { return c.intercepted })
 }
 
 // sum totals one counter across shards. Callers must not race with a
 // running sharded simulation; between windows and after Run is safe.
-func (f *Fabric) sum(get func(*fabricCounters) uint64) uint64 {
+func (f *Fabric) sum(get func(*fabricShard) uint64) uint64 {
 	var total uint64
-	for i := range f.counters {
-		total += get(&f.counters[i])
+	for i := range f.shards {
+		total += get(&f.shards[i])
 	}
 	return total
 }
@@ -293,7 +355,7 @@ func (f *Fabric) sum(get func(*fabricCounters) uint64) uint64 {
 // Appendix-A relaxation of that assumption.
 func (f *Fabric) SetLinkState(a, b int, up bool) {
 	for _, key := range [][2]int{{a, b}, {b, a}} {
-		if p, ok := f.ports[key]; ok {
+		if p := f.Port(key[0], key[1]); p != nil {
 			p.Down = !up
 		}
 	}
@@ -312,8 +374,8 @@ func (f *Fabric) FailLinkAt(a, b int, at, recoverAt sim.Time) {
 		return
 	}
 	for _, key := range [][2]int{{a, b}, {b, a}} {
-		p, ok := f.ports[key]
-		if !ok {
+		p := f.Port(key[0], key[1])
+		if p == nil {
 			continue
 		}
 		s := f.simFor(key[0])
@@ -328,8 +390,8 @@ func (f *Fabric) FailLinkAt(a, b int, at, recoverAt sim.Time) {
 // Useful for debugging and the DCTCP threshold experiments.
 func (f *Fabric) QueueLens() map[[2]int]int {
 	out := make(map[[2]int]int, len(f.ports))
-	for k, p := range f.ports {
-		out[k] = p.QueueLen()
+	for _, p := range f.ports {
+		out[[2]int{p.From, p.To}] = p.QueueLen()
 	}
 	return out
 }

@@ -495,3 +495,81 @@ func TestLinkFailureDropsAndRecovers(t *testing.T) {
 	// Unknown link: no-op.
 	f.SetLinkState(9999, 9998, false)
 }
+
+// Forwarding is the simulator's inner loop: once the event pool, the
+// queue rings and the packet pool have warmed up, a packet's whole
+// journey — taken from the pool, routed, six ports with queueing at the
+// first, delivered, released — must not allocate.
+func TestHopDoesNotAllocate(t *testing.T) {
+	s, tp, f := newTestFabric()
+	src, dst := tp.HostID(0, 0, 0), tp.HostID(1, 1, 1)
+	delivered := 0
+	f.RegisterHost(dst, func(*Packet) { delivered++ })
+	burst := func() {
+		for i := 0; i < 8; i++ { // back to back, so seven of them queue
+			pkt := f.Packets(src).Get()
+			pkt.Src, pkt.Dst, pkt.Hash, pkt.Size = src, dst, uint64(i), MTU
+			pkt.Route(tp)
+			f.Inject(pkt)
+		}
+		s.Run()
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs > 0 {
+		t.Errorf("a burst of 8 packets over 6 hops allocates %v times, want 0", allocs)
+	}
+	if delivered != 8*102 {
+		t.Errorf("delivered %d packets, want %d", delivered, 8*102)
+	}
+}
+
+// The ring must keep FIFO order across growth and wrap-around.
+func TestRingOrderAcrossGrowth(t *testing.T) {
+	var r ring
+	next, want := uint64(0), uint64(0)
+	for round := 0; round < 50; round++ {
+		for i := 0; i <= round%13; i++ {
+			r.push(&Packet{ID: next})
+			next++
+		}
+		for i := 0; i <= round%7 && r.n > 0; i++ {
+			if got := r.pop().ID; got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	for r.n > 0 {
+		if got := r.pop().ID; got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Errorf("popped %d packets, pushed %d", want, next)
+	}
+}
+
+// With released packets poisoned, holding on to a delivered packet and
+// using it again is a panic, not a quiet alias of some later packet.
+func TestPoisonCatchesUseAfterRelease(t *testing.T) {
+	PoisonReleasedPackets(t)
+	s, tp, f := newTestFabric()
+	src, dst := tp.HostID(0, 0, 0), tp.HostID(0, 0, 1)
+	var kept *Packet
+	f.RegisterHost(dst, func(pkt *Packet) { kept = pkt })
+	pkt := f.Packets(src).Get()
+	pkt.Src, pkt.Dst, pkt.Size = src, dst, 100
+	pkt.Route(tp)
+	f.Inject(pkt)
+	s.Run()
+	if kept == nil {
+		t.Fatal("packet not delivered")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("re-injecting a released packet did not panic")
+		}
+	}()
+	f.Inject(kept)
+}

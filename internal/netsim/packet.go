@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"mimicnet/internal/sim"
+	"mimicnet/internal/topo"
 )
 
 // Header sizes in bytes, loosely TCP/IPv4-shaped. Only the totals matter
@@ -21,6 +22,19 @@ const (
 
 // Packet is the unit of simulation. Packets are created by transports and
 // routed hop-by-hop along a precomputed up-down path.
+//
+// Ownership: a packet belongs to whoever was handed it last — the
+// transport until Inject, then the fabric, then a Mimic shim if the
+// intercept hook swallows it — and the owner at a terminal point gives it
+// back to the PacketPool of the logical process it is running on: the
+// fabric after the destination host's receive callback returns and after
+// a queue or failed-link drop, the composition engine after a
+// Mimic-predicted drop or a modeled delivery. From then on the memory is
+// the next packet's. Receive callbacks, taps (Fabric.Taps, and through
+// them core.Tracer and cluster.PacketLogger) and the intercept hook
+// therefore read what they need while they run and keep values, never
+// the *Packet; a copy of the struct is not a safe substitute either,
+// because Path points into the original.
 type Packet struct {
 	ID     uint64 // globally unique, for trace matching
 	FlowID uint64 // connection identity
@@ -54,6 +68,15 @@ type Packet struct {
 	// indexes the node the packet currently sits at.
 	Path []int
 	Hop  int
+
+	route [topo.MaxPathLen]int // Path's backing store when set by Route
+	next  *Packet              // free-list link while in a PacketPool
+}
+
+// Route sets Path to the topology's route from Src to Dst under Hash. The
+// route is stored inside the packet, so routing allocates nothing.
+func (p *Packet) Route(t *topo.Topology) {
+	p.Path = t.AppendPath(p.route[:0], p.Src, p.Dst, p.Hash)
 }
 
 // String summarizes the packet for debugging.
@@ -74,4 +97,57 @@ func (p *Packet) NextNode() int {
 		return -1
 	}
 	return p.Path[p.Hop+1]
+}
+
+// PacketPool recycles the packets of one logical process: Get hands out a
+// zeroed packet, Put takes one back at the end of its life (see Packet for
+// who calls it). A pool is touched by its own LP only and needs no lock; a
+// packet may be returned to a different pool than it came from, which is
+// what happens to everything that crosses a shard boundary. The pool
+// grows by packetBlock packets when it runs dry and is never sized up
+// front. The zero value is an empty pool.
+type PacketPool struct {
+	free *Packet
+}
+
+// packetBlock is how many packets one refill allocates.
+const packetBlock = 64
+
+// poisonOnRelease makes Put overwrite the packet with values that cannot
+// be routed, queued or delivered, and then abandon it to the garbage
+// collector, so that a holder of a stale pointer panics at its next use
+// (or, if it only reads, reports garbage) instead of quietly sharing
+// memory with an unrelated packet. It is set by tests only, before any
+// simulation runs.
+var poisonOnRelease bool
+
+const poisonHop = -1 << 40
+
+// Get returns a zeroed packet.
+func (pp *PacketPool) Get() *Packet {
+	if pp.free == nil {
+		block := make([]Packet, packetBlock)
+		for i := range block {
+			block[i].next = pp.free
+			pp.free = &block[i]
+		}
+	}
+	p := pp.free
+	pp.free = p.next
+	p.next = nil
+	return p
+}
+
+// Put ends a packet's life. The caller must hold the only live reference.
+func (pp *PacketPool) Put(p *Packet) {
+	if poisonOnRelease {
+		if p.Hop == poisonHop {
+			panic("netsim: packet released twice")
+		}
+		*p = Packet{ID: ^uint64(0), FlowID: ^uint64(0), Src: -1, Dst: -1, Size: -1, Hop: poisonHop}
+		return
+	}
+	*p = Packet{}
+	p.next = pp.free
+	pp.free = p
 }

@@ -8,6 +8,10 @@ import (
 // transmitter of fixed rate, followed by a propagation delay. Ports are
 // the only place simulated time is spent in the network, matching the
 // store-and-forward behavior of the switches MimicNet learns.
+//
+// A packet costs the port two typed kernel events — serialization done,
+// then arrival at the far end — whose handlers are bound once in NewPort,
+// so a hop allocates nothing.
 type Port struct {
 	From, To int // node IDs, for instrumentation
 
@@ -24,12 +28,14 @@ type Port struct {
 	// propagation complete.
 	deliver func(*Packet)
 
-	// remote, when set, schedules the propagation leg on another logical
-	// process instead of this port's own simulator. Sharded fabrics set
-	// it on cluster-boundary ports: the link's propagation delay is
-	// exactly the PDES lookahead, so the cross-LP send never violates
-	// causality.
-	remote func(at sim.Time, fn func())
+	// src and dst, when set, carry the propagation leg from this port's
+	// logical process to another's instead of scheduling it locally.
+	// Sharded fabrics set them on cluster-boundary ports: the link's
+	// propagation delay is exactly the PDES lookahead, so the cross-LP
+	// send never violates causality.
+	src, dst *sim.LP
+
+	onSerialized, onArrival sim.Handler
 
 	// hooks (may be nil)
 	onDrop func(*Packet)
@@ -42,7 +48,9 @@ type Port struct {
 
 // NewPort creates a port. rateBps is the line rate in bits/second.
 func NewPort(s *sim.Simulator, from, to int, rateBps float64, prop sim.Time, q Queue, deliver func(*Packet)) *Port {
-	return &Port{From: from, To: to, sim: s, rate: rateBps, prop: prop, queue: q, deliver: deliver}
+	p := &Port{From: from, To: to, sim: s, rate: rateBps, prop: prop, queue: q, deliver: deliver}
+	p.onSerialized, p.onArrival = p.serialized, p.arrived
+	return p
 }
 
 // QueueLen returns the instantaneous queue length in packets.
@@ -52,17 +60,16 @@ func (p *Port) QueueLen() int { return p.queue.Len() }
 func (p *Port) QueueBytes() int { return p.queue.Bytes() }
 
 // SetDropHook registers a callback invoked when the queue rejects a
-// packet.
+// packet. The packet is the hook's to dispose of.
 func (p *Port) SetDropHook(fn func(*Packet)) { p.onDrop = fn }
 
 // SetSentHook registers a callback invoked when a packet finishes
 // serializing out of this port.
 func (p *Port) SetSentHook(fn func(*Packet)) { p.onSent = fn }
 
-// SetRemote routes the propagation leg through a cross-LP scheduler:
-// arrivals execute on the destination's logical process at the given
-// absolute time.
-func (p *Port) SetRemote(fn func(at sim.Time, run func())) { p.remote = fn }
+// SetRemote makes arrivals execute on logical process dst; src is the
+// process this port's own events run on.
+func (p *Port) SetRemote(src, dst *sim.LP) { p.src, p.dst = src, dst }
 
 // SerializationDelay returns the time to clock a packet of the given wire
 // size onto the link.
@@ -75,46 +82,47 @@ func (p *Port) SerializationDelay(bytes int) sim.Time {
 // dropped or ECN-marked by the queue discipline). Packets offered to a
 // failed link are dropped.
 func (p *Port) Send(pkt *Packet) {
-	if p.Down {
-		p.Dropped++
-		if p.onDrop != nil {
-			p.onDrop(pkt)
-		}
-		return
-	}
-	if !p.busy {
+	switch {
+	case p.Down:
+	case !p.busy:
 		p.transmit(pkt)
 		return
+	case p.queue.Enqueue(pkt):
+		return
 	}
-	if !p.queue.Enqueue(pkt) {
-		p.Dropped++
-		if p.onDrop != nil {
-			p.onDrop(pkt)
-		}
+	p.Dropped++
+	if p.onDrop != nil {
+		p.onDrop(pkt)
 	}
 }
 
 func (p *Port) transmit(pkt *Packet) {
 	p.busy = true
-	p.sim.After(p.SerializationDelay(pkt.Size), func() {
-		if p.onSent != nil {
-			p.onSent(pkt)
-		}
-		// Propagation: the packet arrives remotely prop later; the
-		// transmitter is free immediately.
-		arrive := func() {
-			p.Delivered++
-			p.deliver(pkt)
-		}
-		if p.remote != nil {
-			p.remote(p.sim.Now()+p.prop, arrive)
-		} else {
-			p.sim.After(p.prop, arrive)
-		}
-		if next := p.queue.Dequeue(); next != nil {
-			p.transmit(next)
-		} else {
-			p.busy = false
-		}
-	})
+	p.sim.Schedule(p.sim.Now()+p.SerializationDelay(pkt.Size), p.onSerialized, pkt, 0)
+}
+
+// serialized handles the end of a packet's serialization: the packet
+// arrives at the far end prop later and the transmitter moves on to the
+// next queued packet at once.
+func (p *Port) serialized(x any, _ int64) {
+	pkt := x.(*Packet)
+	if p.onSent != nil {
+		p.onSent(pkt)
+	}
+	at := p.sim.Now() + p.prop
+	if p.dst != nil {
+		p.src.Send(p.dst, at, p.onArrival, pkt, 0)
+	} else {
+		p.sim.Schedule(at, p.onArrival, pkt, 0)
+	}
+	if next := p.queue.Dequeue(); next != nil {
+		p.transmit(next)
+	} else {
+		p.busy = false
+	}
+}
+
+func (p *Port) arrived(x any, _ int64) {
+	p.Delivered++
+	p.deliver(x.(*Packet))
 }

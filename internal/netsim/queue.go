@@ -14,11 +14,41 @@ type Queue interface {
 	Bytes() int
 }
 
+// ring is a FIFO of packets in a circular buffer. It starts empty and
+// doubles when full, so a port that never queues costs nothing and a busy
+// one stops allocating once it has seen its peak depth.
+type ring struct {
+	buf  []*Packet // length is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring) push(pkt *Packet) {
+	if r.n == len(r.buf) {
+		grown := make([]*Packet, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = pkt
+	r.n++
+}
+
+// pop removes the oldest packet; the ring must not be empty.
+func (r *ring) pop() *Packet {
+	pkt := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return pkt
+}
+
 // DropTail is a FIFO queue with a packet-count capacity, the paper's base
 // configuration.
 type DropTail struct {
 	Capacity int // max queued packets
-	pkts     []*Packet
+	pkts     ring
 	bytes    int
 }
 
@@ -29,28 +59,26 @@ func NewDropTail(capacity int) *DropTail {
 
 // Enqueue appends unless full.
 func (q *DropTail) Enqueue(pkt *Packet) bool {
-	if len(q.pkts) >= q.Capacity {
+	if q.pkts.n >= q.Capacity {
 		return false
 	}
-	q.pkts = append(q.pkts, pkt)
+	q.pkts.push(pkt)
 	q.bytes += pkt.Size
 	return true
 }
 
 // Dequeue pops the head.
 func (q *DropTail) Dequeue() *Packet {
-	if len(q.pkts) == 0 {
+	if q.pkts.n == 0 {
 		return nil
 	}
-	pkt := q.pkts[0]
-	q.pkts[0] = nil
-	q.pkts = q.pkts[1:]
+	pkt := q.pkts.pop()
 	q.bytes -= pkt.Size
 	return pkt
 }
 
 // Len returns queued packet count.
-func (q *DropTail) Len() int { return len(q.pkts) }
+func (q *DropTail) Len() int { return q.pkts.n }
 
 // Bytes returns queued byte count.
 func (q *DropTail) Bytes() int { return q.bytes }
@@ -70,7 +98,7 @@ func NewECNQueue(capacity, k int) *ECNQueue {
 
 // Enqueue marks then delegates to DropTail admission.
 func (q *ECNQueue) Enqueue(pkt *Packet) bool {
-	if pkt.ECT && len(q.pkts) >= q.K {
+	if pkt.ECT && q.pkts.n >= q.K {
 		pkt.CE = true
 	}
 	return q.DropTail.Enqueue(pkt)
@@ -82,7 +110,7 @@ func (q *ECNQueue) Enqueue(pkt *Packet) bool {
 // MimicNet as packets can be reordered").
 type PriorityQueue struct {
 	Capacity int
-	bands    [][]*Packet
+	bands    []ring
 	len      int
 	bytes    int
 }
@@ -93,7 +121,7 @@ func NewPriorityQueue(bands, capacity int) *PriorityQueue {
 	if bands < 1 {
 		panic("netsim: need at least one priority band")
 	}
-	return &PriorityQueue{Capacity: capacity, bands: make([][]*Packet, bands)}
+	return &PriorityQueue{Capacity: capacity, bands: make([]ring, bands)}
 }
 
 // Enqueue places the packet in its priority band unless the shared
@@ -109,7 +137,7 @@ func (q *PriorityQueue) Enqueue(pkt *Packet) bool {
 	if b >= len(q.bands) {
 		b = len(q.bands) - 1
 	}
-	q.bands[b] = append(q.bands[b], pkt)
+	q.bands[b].push(pkt)
 	q.len++
 	q.bytes += pkt.Size
 	return true
@@ -118,12 +146,10 @@ func (q *PriorityQueue) Enqueue(pkt *Packet) bool {
 // Dequeue serves the lowest-numbered non-empty band.
 func (q *PriorityQueue) Dequeue() *Packet {
 	for b := range q.bands {
-		if len(q.bands[b]) == 0 {
+		if q.bands[b].n == 0 {
 			continue
 		}
-		pkt := q.bands[b][0]
-		q.bands[b][0] = nil
-		q.bands[b] = q.bands[b][1:]
+		pkt := q.bands[b].pop()
 		q.len--
 		q.bytes -= pkt.Size
 		return pkt

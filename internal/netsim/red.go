@@ -39,7 +39,7 @@ func (q *REDQueue) Avg() float64 { return q.avg }
 
 // Enqueue applies RED admission, then DropTail capacity as a backstop.
 func (q *REDQueue) Enqueue(pkt *Packet) bool {
-	q.avg = (1-q.Weight)*q.avg + q.Weight*float64(len(q.pkts))
+	q.avg = (1-q.Weight)*q.avg + q.Weight*float64(q.pkts.n)
 	switch {
 	case q.avg < q.MinTh:
 		q.count = 0

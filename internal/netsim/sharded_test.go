@@ -11,7 +11,21 @@ import (
 // sharding tentpole in isolation: a fabric partitioned across two LPs at
 // the cluster boundary must deliver every packet at exactly the same
 // simulated time as the single-process fabric, with matching counters.
+//
+// Every packet is taken from the pool of one LP and released into the
+// other's, and every delivery is answered from the receiving LP's pool, so
+// packet memory migrates between the two all run long; `make test-race`
+// runs this with four workers. The second pass poisons released packets,
+// so a use after release would panic instead of reading a reused packet.
 func TestShardedFabricMatchesSequential(t *testing.T) {
+	t.Run("recycled", testShardedFabricMatchesSequential)
+	t.Run("poisoned", func(t *testing.T) {
+		PoisonReleasedPackets(t)
+		testShardedFabricMatchesSequential(t)
+	})
+}
+
+func testShardedFabricMatchesSequential(t *testing.T) {
 	tc := topo.Config{
 		Clusters: 2, RacksPerCluster: 2, HostsPerRack: 2,
 		AggPerCluster: 2, CoresPerAgg: 1,
@@ -52,6 +66,14 @@ func TestShardedFabricMatchesSequential(t *testing.T) {
 			s := simFor(h)
 			f.RegisterHost(h, func(pkt *Packet) {
 				got[h] = append(got[h], delivery{pkt.ID, s.Now()})
+				if pkt.Seq > 0 { // bounces left
+					reply := f.Packets(h).Get()
+					reply.ID, reply.Seq = pkt.ID+1000, pkt.Seq-1
+					reply.Src, reply.Dst, reply.Hash = h, pkt.Src, pkt.Hash+1
+					reply.Size = MTU
+					reply.Route(tp)
+					f.Inject(reply)
+				}
 			})
 		}
 		// Bidirectional cross-cluster fan-out, several packets per pair so
@@ -64,10 +86,11 @@ func TestShardedFabricMatchesSequential(t *testing.T) {
 			for k := 0; k < 5; k++ {
 				for _, pair := range [][2]int{{src, dst}, {dst, src}} {
 					id++
-					pkt := &Packet{
-						ID: id, Src: pair[0], Dst: pair[1], Size: MTU,
-						Hash: id, Path: tp.Path(pair[0], pair[1], id),
-					}
+					pkt := f.Packets(pair[0]).Get()
+					pkt.ID, pkt.Seq = id, 3
+					pkt.Src, pkt.Dst, pkt.Hash = pair[0], pair[1], id
+					pkt.Size = MTU
+					pkt.Route(tp)
 					f.Inject(pkt)
 				}
 			}

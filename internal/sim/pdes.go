@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -50,19 +51,46 @@ type LP struct {
 	scratch []remoteEvent // drained double-buffer, reused every window
 }
 
+// remoteEvent is an event in transit between LPs, with the same
+// (handler, pointer, integer) payload as a local Event.
 type remoteEvent struct {
 	at  Time
 	src int32
 	seq uint64
-	fn  func()
+	h   Handler
+	p   any
+	n   int64
+}
+
+// remoteOrder is the deterministic delivery order of remote events.
+func remoteOrder(a, b remoteEvent) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.src != b.src:
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // SendTo schedules fn on the destination LP at absolute time at. It is
 // safe to call from the sending LP during Parallel.Run, provided at is at
 // least one lookahead window in the future (the caller's link latency
 // guarantees this in a correctly partitioned model).
-func (lp *LP) SendTo(dst *LP, at Time, fn func()) {
-	re := remoteEvent{at: at, src: int32(lp.ID), seq: lp.sendSeq, fn: fn}
+func (lp *LP) SendTo(dst *LP, at Time, fn func()) { lp.send(dst, at, nil, fn, 0) }
+
+// Send is SendTo for a typed event (see Simulator.Schedule): h(p, n) runs
+// on the destination LP. The two share one per-source sequence.
+func (lp *LP) Send(dst *LP, at Time, h Handler, p any, n int64) {
+	if h == nil {
+		panic("sim: Send needs a handler")
+	}
+	lp.send(dst, at, h, p, n)
+}
+
+// send posts one remote event; a nil h marks a func() event carried in p.
+func (lp *LP) send(dst *LP, at Time, h Handler, p any, n int64) {
+	re := remoteEvent{at: at, src: int32(lp.ID), seq: lp.sendSeq, h: h, p: p, n: n}
 	lp.sendSeq++
 	dst.mu.Lock()
 	dst.inbox = append(dst.inbox, re)
@@ -88,16 +116,7 @@ func (lp *LP) drainInbox() {
 	if len(pending) == 0 {
 		return
 	}
-	sort.Slice(pending, func(i, j int) bool {
-		a, b := &pending[i], &pending[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(pending, remoteOrder)
 	now := lp.Sim.Now()
 	for i := range pending {
 		re := &pending[i]
@@ -111,8 +130,8 @@ func (lp *LP) drainInbox() {
 			lp.par.CausalityClamps++
 			at = now
 		}
-		lp.Sim.At(at, re.fn)
-		re.fn = nil // release the closure once scheduled
+		lp.Sim.schedule(at, re.h, re.p, re.n)
+		re.h, re.p = nil, nil // release the payload once scheduled
 	}
 }
 

@@ -6,15 +6,22 @@
 // fire in scheduling order, which—together with seeded randomness—makes
 // whole-simulation runs bit-for-bit reproducible.
 //
-// The hot path is allocation-free in steady state: Event records come from
-// a per-simulator free list and are recycled the moment they fire or are
-// canceled, and the pending queue is a 4-ary min-heap of inline
-// (time, seq) keys, so ordering decisions never chase the Event pointer
-// and no container/heap interface boxing occurs.
+// The hot path is allocation-free in steady state, for the kernel and for
+// its callers: Event records come from a per-simulator free list and are
+// recycled the moment they fire or are canceled, the pending queue is a
+// 4-ary min-heap of inline (time, seq) keys, so ordering decisions never
+// chase the Event pointer and no container/heap interface boxing occurs,
+// and the per-packet work of a simulation is scheduled as typed events
+// (Schedule, LP.Send: a Handler bound once plus a pointer and an integer)
+// and re-armable Timers, neither of which needs a closure. At and After
+// take a func() and remain for the rare control events — flow starts,
+// link failures, samplers — where a captured closure is the clearest way
+// to say what should happen.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is a simulated timestamp in nanoseconds. It is unrelated to wall
@@ -39,14 +46,25 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // String formats the time as seconds with nanosecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.9fs", t.Seconds()) }
 
+// Handler is the callback of a typed event. It receives the pointer and
+// the integer the event was scheduled with. A handler is a package-level
+// function or a method value bound once when its owner is built, and p is
+// a pointer (storing a pointer in an interface does not allocate), so
+// scheduling a typed event allocates nothing.
+type Handler func(p any, n int64)
+
 // Event is a pooled callback record. Callers never hold *Event directly;
-// At and After return an EventRef handle whose generation counter makes
-// Cancel safe even after the record has been recycled and reused.
+// At, After and Schedule return an EventRef handle whose generation
+// counter makes Cancel safe even after the record has been recycled and
+// reused.
 type Event struct {
-	fn   func()
-	at   Time
-	gen  uint32
-	next *Event // free-list link
+	h     Handler // nil for a func() event, whose callback is p
+	p     any
+	n     int64
+	at    Time
+	gen   uint32
+	timer *Timer // set on a Timer's own record, which is never pooled
+	next  *Event // free-list link
 }
 
 // EventRef is a cancelable handle to a scheduled event. The zero value is
@@ -150,7 +168,7 @@ func (s *Simulator) alloc() *Event {
 // record to the free list.
 func (s *Simulator) recycle(e *Event) {
 	e.gen++
-	e.fn = nil
+	e.h, e.p = nil, nil
 	e.next = s.free
 	s.free = e
 }
@@ -158,15 +176,29 @@ func (s *Simulator) recycle(e *Event) {
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it indicates a causality bug in the caller.
 func (s *Simulator) At(t Time, fn func()) EventRef {
+	return s.schedule(t, nil, fn, 0)
+}
+
+// Schedule is At for a typed event: h(p, n) runs at absolute simulated
+// time t. It shares At's sequence counter, so typed and func() events
+// scheduled for the same time fire in scheduling order.
+func (s *Simulator) Schedule(t Time, h Handler, p any, n int64) EventRef {
+	if h == nil {
+		panic("sim: Schedule needs a handler")
+	}
+	return s.schedule(t, h, p, n)
+}
+
+// schedule queues one event; a nil h marks a func() event carried in p.
+func (s *Simulator) schedule(t Time, h Handler, p any, n int64) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	e := s.alloc()
 	e.at = t
-	e.fn = fn
-	s.heap = append(s.heap, heapEntry{at: t, seq: s.seq, e: e, gen: e.gen})
+	e.h, e.p, e.n = h, p, n
+	s.push(heapEntry{at: t, seq: s.seq, e: e, gen: e.gen})
 	s.seq++
-	s.siftUp(len(s.heap) - 1)
 	return EventRef{e: e, gen: e.gen}
 }
 
@@ -202,24 +234,7 @@ func (s *Simulator) Run() {
 // pending event, so repeated RunUntil calls advance monotonically).
 func (s *Simulator) RunUntil(limit Time) {
 	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
-		top := s.heap[0]
-		if top.at > limit {
-			break
-		}
-		s.pop()
-		if top.e.gen != top.gen {
-			continue // canceled; record already recycled
-		}
-		s.now = top.at
-		s.processed++
-		fn := top.e.fn
-		s.recycle(top.e)
-		fn()
-		if s.tick != nil && s.processed%s.tickEvery == 0 && s.tick(s.now, s.processed) {
-			s.stopped = true
-		}
-	}
+	s.run(limit, false)
 	if !s.stopped && s.now < limit && limit < Time(1<<62) {
 		s.now = limit
 	}
@@ -228,26 +243,60 @@ func (s *Simulator) RunUntil(limit Time) {
 // Step executes exactly one non-canceled event if one is pending and
 // reports whether it did.
 func (s *Simulator) Step() bool {
-	for len(s.heap) > 0 {
+	s.stopped = false
+	return s.run(Time(1<<63-1), true)
+}
+
+// run is the event loop: it executes events up to limit, or just the
+// first one when single is set, and reports whether it executed any. A
+// heap entry whose event was canceled, or a timer's entry that is stale,
+// stopped or early (see Timer), executes nothing, leaves the clock alone
+// and is not counted in Processed.
+func (s *Simulator) run(limit Time, single bool) (ran bool) {
+	for len(s.heap) > 0 && !s.stopped {
 		top := s.heap[0]
+		if top.at > limit {
+			break
+		}
 		s.pop()
-		if top.e.gen != top.gen {
+		e := top.e
+		if e.gen != top.gen {
+			continue // canceled; record already recycled
+		}
+		h, p, n := e.h, e.p, e.n
+		if e.timer == nil {
+			s.recycle(e)
+		} else if !e.timer.expire(top) {
 			continue
 		}
 		s.now = top.at
 		s.processed++
-		fn := top.e.fn
-		s.recycle(top.e)
-		fn()
-		return true
+		if h == nil {
+			p.(func())()
+		} else {
+			h(p, n)
+		}
+		if single {
+			return true
+		}
+		ran = true
+		if s.tick != nil && s.processed%s.tickEvery == 0 && s.tick(s.now, s.processed) {
+			s.stopped = true
+		}
 	}
-	return false
+	return ran
 }
 
 // The pending queue is a 4-ary min-heap ordered by (at, seq). 4-ary wins
 // over binary here because sift-down dominates (every pop sifts a leaf
 // from the root) and the shallower tree does fewer cache-missing levels;
 // the four children share one 32-byte-entry cache span.
+//
+// Which of four children is least is a coin toss the branch predictor
+// loses, at every level of every pop, so that choice is computed rather
+// than branched on: (at, seq) is compared as one 128-bit number by a
+// subtract-with-borrow pair (at is never negative), and the borrow
+// selects an index by masking.
 
 func entryLess(a, b *heapEntry) bool {
 	if a.at != b.at {
@@ -256,52 +305,62 @@ func entryLess(a, b *heapEntry) bool {
 	return a.seq < b.seq
 }
 
-func (s *Simulator) siftUp(i int) {
-	h := s.heap
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(&h[i], &h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
+// least returns whichever of the indices i and j holds the entry that
+// orders first, without branching.
+func least(h []heapEntry, i, j int) int {
+	_, borrow := bits.Sub64(h[j].seq, h[i].seq, 0)
+	_, borrow = bits.Sub64(uint64(h[j].at), uint64(h[i].at), borrow)
+	return i ^ (i^j)&-int(borrow) // j when h[j] < h[i]
 }
 
-// pop removes the minimum entry (the caller has already copied h[0]).
+// push adds an entry to the pending queue. Both sifts move a hole rather
+// than swapping: the travelling entry is written once, where it lands.
+func (s *Simulator) push(ent heapEntry) {
+	s.heap = append(s.heap, ent)
+	h := s.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !entryLess(&ent, &h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ent
+}
+
+// pop removes the minimum entry (the caller has already copied h[0]): the
+// last entry is sifted down from the root.
 func (s *Simulator) pop() {
 	h := s.heap
 	n := len(h) - 1
-	h[0] = h[n]
+	ent := h[n]
 	h[n] = heapEntry{} // release the Event reference
-	s.heap = h[:n]
-	if n > 1 {
-		s.siftDown(0)
+	h = h[:n]
+	s.heap = h
+	if n == 0 {
+		return
 	}
-}
-
-func (s *Simulator) siftDown(i int) {
-	h := s.heap
-	n := len(h)
+	i := 0
 	for {
 		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if entryLess(&h[c], &h[min]) {
-				min = c
+		var min int
+		if first+3 < n {
+			min = least(h, least(h, first, first+1), least(h, first+2, first+3))
+		} else if first < n {
+			min = first
+			for c := first + 1; c < n; c++ {
+				min = least(h, min, c)
 			}
+		} else {
+			break
 		}
-		if !entryLess(&h[min], &h[i]) {
-			return
+		if !entryLess(&h[min], &ent) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
+		h[i] = h[min]
 		i = min
 	}
+	h[i] = ent
 }

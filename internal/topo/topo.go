@@ -274,6 +274,10 @@ func FlowHash(src, dst int, flowSeq uint64) uint64 {
 	return h
 }
 
+// MaxPathLen is the node count of the longest route: host, ToR, agg,
+// core, agg, ToR, host.
+const MaxPathLen = 7
+
 // Path returns the strict up-down ECMP route from src host to dst host as
 // a node ID sequence, inclusive of both endpoints. The hash picks among
 // equal-cost choices: the agg switch on the way up and, for inter-cluster
@@ -281,29 +285,36 @@ func FlowHash(src, dst int, flowSeq uint64) uint64 {
 // (FatTree property), which is what lets MimicNet decompose cluster
 // modeling into ingress and egress halves.
 func (t *Topology) Path(src, dst int, hash uint64) []int {
+	return t.AppendPath(nil, src, dst, hash)
+}
+
+// AppendPath appends the route Path returns to buf. With MaxPathLen of
+// spare capacity in buf it allocates nothing, which is how a packet
+// carries its route inline (netsim.Packet.Route).
+func (t *Topology) AppendPath(buf []int, src, dst int, hash uint64) []int {
 	if t.KindOf(src) != KindHost || t.KindOf(dst) != KindHost {
 		panic(fmt.Sprintf("topo: Path endpoints must be hosts, got %s -> %s", t.Name(src), t.Name(dst)))
 	}
 	if src == dst {
-		return []int{src}
+		return append(buf, src)
 	}
 	sc, sr := t.ClusterOf(src), t.RackOf(src)
 	dc, dr := t.ClusterOf(dst), t.RackOf(dst)
 	srcToR := t.ToRID(sc, sr)
 	dstToR := t.ToRID(dc, dr)
 	if srcToR == dstToR {
-		return []int{src, srcToR, dst}
+		return append(buf, src, srcToR, dst)
 	}
 	aggIdx := int(hash % uint64(t.cfg.AggPerCluster))
 	if sc == dc {
-		return []int{src, srcToR, t.AggID(sc, aggIdx), dstToR, dst}
+		return append(buf, src, srcToR, t.AggID(sc, aggIdx), dstToR, dst)
 	}
 	coreSlot := int((hash / uint64(t.cfg.AggPerCluster)) % uint64(t.cfg.CoresPerAgg))
-	return []int{
+	return append(buf,
 		src, srcToR,
 		t.AggID(sc, aggIdx),
 		t.CoreID(aggIdx, coreSlot),
 		t.AggID(dc, aggIdx),
 		dstToR, dst,
-	}
+	)
 }

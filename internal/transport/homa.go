@@ -45,15 +45,19 @@ type HomaSender struct {
 	granted int64 // limit authorized by the receiver
 	prio    int   // current priority for scheduled data
 
-	retxEvent sim.EventRef
+	retxTimer sim.Timer
 	lastAcked int64
 	done      bool
 }
 
 // NewHomaSender builds a Homa-like sender.
 func NewHomaSender(env *Env, flow *Flow) *HomaSender {
-	return &HomaSender{env: env, flow: flow}
+	h := &HomaSender{env: env, flow: flow}
+	h.retxTimer.Init(env.Sim, homaRetxExpired, h, 0)
+	return h
 }
+
+func homaRetxExpired(p any, _ int64) { p.(*HomaSender).onRetxTimeout() }
 
 // Start transmits the unscheduled window.
 func (h *HomaSender) Start() {
@@ -82,19 +86,13 @@ func (h *HomaSender) sendUpTo(limit int64) {
 }
 
 func (h *HomaSender) sendSegment(seq int64, payload int) {
-	h.env.Inject(&netsim.Packet{
-		ID:        h.env.NewPacketID(),
-		FlowID:    h.flow.ID,
-		Src:       h.flow.Src,
-		Dst:       h.flow.Dst,
-		Seq:       seq,
-		Payload:   payload,
-		Size:      payload + netsim.HeaderBytes,
-		Priority:  h.prio,
-		Hash:      h.flow.Hash,
-		SentAt:    h.env.Sim.Now(),
-		FlowBytes: h.flow.Bytes,
-	})
+	pkt := h.env.newPacket(h.flow, true)
+	pkt.Seq = seq
+	pkt.Payload = payload
+	pkt.Size = payload + netsim.HeaderBytes
+	pkt.Priority = h.prio
+	pkt.FlowBytes = h.flow.Bytes
+	h.env.Inject(pkt)
 }
 
 // HandleAck processes acknowledgements and grants from the receiver.
@@ -126,17 +124,15 @@ func (h *HomaSender) HandleAck(pkt *netsim.Packet) {
 }
 
 func (h *HomaSender) armRetx() {
-	h.env.Sim.Cancel(h.retxEvent)
-	h.retxEvent = sim.EventRef{}
 	if h.done {
+		h.retxTimer.Stop()
 		return
 	}
 	h.lastAcked = h.acked
-	h.retxEvent = h.env.Sim.After(homaRetxTimeout, h.onRetxTimeout)
+	h.retxTimer.Reset(homaRetxTimeout)
 }
 
 func (h *HomaSender) onRetxTimeout() {
-	h.retxEvent = sim.EventRef{}
 	if h.done {
 		return
 	}
@@ -154,8 +150,7 @@ func (h *HomaSender) onRetxTimeout() {
 
 func (h *HomaSender) complete() {
 	h.done = true
-	h.env.Sim.Cancel(h.retxEvent)
-	h.retxEvent = sim.EventRef{}
+	h.retxTimer.Stop()
 	if h.env.OnComplete != nil {
 		h.env.OnComplete(h.flow)
 	}

@@ -46,7 +46,7 @@ type TCPSender struct {
 
 	srtt, rttvar sim.Time
 	rto          sim.Time
-	rtoEvent     sim.EventRef
+	rtoTimer     sim.Timer
 	backoff      uint
 
 	done bool
@@ -55,11 +55,15 @@ type TCPSender struct {
 // NewTCPSender builds a sender for flow using the given congestion
 // control. ecn controls whether data packets are ECN-capable.
 func NewTCPSender(env *Env, flow *Flow, cc CongestionControl, ecn bool) *TCPSender {
-	return &TCPSender{
+	t := &TCPSender{
 		env: env, flow: flow, cc: cc, ecn: ecn,
 		rto: initialRTO,
 	}
+	t.rtoTimer.Init(env.Sim, tcpRTOExpired, t, 0)
+	return t
 }
+
+func tcpRTOExpired(p any, _ int64) { p.(*TCPSender).onRTO() }
 
 // Start begins transmission.
 func (t *TCPSender) Start() { t.trySend() }
@@ -93,19 +97,13 @@ func (t *TCPSender) trySend() {
 }
 
 func (t *TCPSender) sendSegment(seq int64, payload int) {
-	t.env.Inject(&netsim.Packet{
-		ID:        t.env.NewPacketID(),
-		FlowID:    t.flow.ID,
-		Src:       t.flow.Src,
-		Dst:       t.flow.Dst,
-		Seq:       seq,
-		Payload:   payload,
-		Size:      payload + netsim.HeaderBytes,
-		ECT:       t.ecn,
-		Hash:      t.flow.Hash,
-		SentAt:    t.env.Sim.Now(),
-		FlowBytes: t.flow.Bytes,
-	})
+	pkt := t.env.newPacket(t.flow, true)
+	pkt.Seq = seq
+	pkt.Payload = payload
+	pkt.Size = payload + netsim.HeaderBytes
+	pkt.ECT = t.ecn
+	pkt.FlowBytes = t.flow.Bytes
+	t.env.Inject(pkt)
 }
 
 // HandleAck processes a cumulative ACK.
@@ -196,20 +194,18 @@ func (t *TCPSender) updateRTO(rtt sim.Time) {
 }
 
 func (t *TCPSender) armRTO() {
-	t.env.Sim.Cancel(t.rtoEvent)
-	t.rtoEvent = sim.EventRef{}
 	if t.sndUna >= t.flow.Bytes || t.sndNxt == t.sndUna {
+		t.rtoTimer.Stop()
 		return
 	}
 	timeout := t.rto << t.backoff
 	if timeout > maxRTO {
 		timeout = maxRTO
 	}
-	t.rtoEvent = t.env.Sim.After(timeout, t.onRTO)
+	t.rtoTimer.Reset(timeout)
 }
 
 func (t *TCPSender) onRTO() {
-	t.rtoEvent = sim.EventRef{}
 	if t.done || t.sndUna >= t.flow.Bytes {
 		return
 	}
@@ -229,8 +225,7 @@ func (t *TCPSender) onRTO() {
 
 func (t *TCPSender) complete() {
 	t.done = true
-	t.env.Sim.Cancel(t.rtoEvent)
-	t.rtoEvent = sim.EventRef{}
+	t.rtoTimer.Stop()
 	if t.env.OnComplete != nil {
 		t.env.OnComplete(t.flow)
 	}

@@ -21,8 +21,11 @@ import (
 // simulation builder.
 type Env struct {
 	Sim *sim.Simulator
+	// Packets is where endpoints take their packets from: the pool of the
+	// logical process they run on (netsim.Fabric.Packets).
+	Packets *netsim.PacketPool
 	// Inject fills in routing state and sends the packet into the
-	// network (or a Mimic model).
+	// network (or a Mimic model), which owns it from then on.
 	Inject func(*netsim.Packet)
 	// MSS is the maximum payload per packet.
 	MSS int
@@ -45,6 +48,22 @@ type Env struct {
 func (e *Env) NewPacketID() uint64 {
 	e.nextPktID++
 	return e.nextPktID
+}
+
+// newPacket takes a packet from the pool and fills in what every packet
+// of flow f carries; forward is the data direction, !forward the ACK and
+// grant direction (whose ECMP hash differs, so the reverse path may too).
+func (e *Env) newPacket(f *Flow, forward bool) *netsim.Packet {
+	pkt := e.Packets.Get()
+	pkt.ID = e.NewPacketID()
+	pkt.FlowID = f.ID
+	if forward {
+		pkt.Src, pkt.Dst, pkt.Hash = f.Src, f.Dst, f.Hash
+	} else {
+		pkt.Src, pkt.Dst, pkt.Hash = f.Dst, f.Src, f.Hash+1
+	}
+	pkt.SentAt = e.Sim.Now()
+	return pkt
 }
 
 // Flow identifies one transfer.
@@ -162,26 +181,20 @@ func (r *Receiver) advance(end int64) {
 
 func (r *Receiver) sendAck(data *netsim.Packet) {
 	var sack int64
-	for _, e := range r.ooo {
-		if e > sack {
-			sack = e
+	if len(r.ooo) > 0 {
+		for _, e := range r.ooo {
+			if e > sack {
+				sack = e
+			}
 		}
 	}
-	ack := &netsim.Packet{
-		ID:       r.env.NewPacketID(),
-		FlowID:   r.flow.ID,
-		Src:      r.flow.Dst, // ACKs travel the reverse direction
-		Dst:      r.flow.Src,
-		IsAck:    true,
-		AckSeq:   r.rcvNxt,
-		SackHint: sack,
-		Payload:  0,
-		Size:     netsim.HeaderBytes,
-		ECNEcho:  data.CE,
-		EchoTS:   data.SentAt,
-		Hash:     r.flow.Hash + 1, // reverse path may differ
-		SentAt:   r.env.Sim.Now(),
-	}
+	ack := r.env.newPacket(r.flow, false)
+	ack.IsAck = true
+	ack.AckSeq = r.rcvNxt
+	ack.SackHint = sack
+	ack.Size = netsim.HeaderBytes
+	ack.ECNEcho = data.CE
+	ack.EchoTS = data.SentAt
 	r.env.Inject(ack)
 }
 
@@ -221,22 +234,15 @@ func (r *Receiver) maybeGrant(data *netsim.Packet) {
 	if r.grantPrios != nil {
 		prio = r.grantPrios(total - r.rcvNxt)
 	}
-	r.env.Inject(&netsim.Packet{
-		ID:        r.env.NewPacketID(),
-		FlowID:    r.flow.ID,
-		Src:       r.flow.Dst,
-		Dst:       r.flow.Src,
-		IsAck:     true,
-		IsGrant:   true,
-		AckSeq:    r.rcvNxt,
-		GrantseqG: target,
-		GrantPrio: prio,
-		Size:      netsim.HeaderBytes,
-		Priority:  0, // grants themselves ride the highest band
-		EchoTS:    data.SentAt,
-		Hash:      r.flow.Hash + 1,
-		SentAt:    r.env.Sim.Now(),
-	})
+	grant := r.env.newPacket(r.flow, false)
+	grant.IsAck = true
+	grant.IsGrant = true
+	grant.AckSeq = r.rcvNxt
+	grant.GrantseqG = target
+	grant.GrantPrio = prio
+	grant.Size = netsim.HeaderBytes // Priority stays 0: grants ride the highest band
+	grant.EchoTS = data.SentAt
+	r.env.Inject(grant)
 }
 
 // Host demultiplexes packets arriving at one simulated host to its flow

@@ -31,6 +31,7 @@ func newLoop(proto Protocol, bytes int64, oneWay sim.Time) *loop {
 	l := &loop{s: sim.New(), oneWay: oneWay}
 	l.env = &Env{
 		Sim:      l.s,
+		Packets:  &netsim.PacketPool{},
 		MSS:      netsim.MSS,
 		BDPBytes: 4 * netsim.MSS,
 	}
@@ -268,7 +269,7 @@ func TestWestwoodFallsBackWithoutEstimate(t *testing.T) {
 }
 
 func TestReceiverInOrder(t *testing.T) {
-	env := &Env{Sim: sim.New(), MSS: 100, Inject: func(*netsim.Packet) {}}
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(*netsim.Packet) {}}
 	flow := &Flow{ID: 1, Src: 0, Dst: 1, Bytes: 300}
 	r := NewReceiver(env, flow)
 	var delivered int64
@@ -283,7 +284,7 @@ func TestReceiverInOrder(t *testing.T) {
 
 func TestReceiverOutOfOrderCoalescing(t *testing.T) {
 	var acks []int64
-	env := &Env{Sim: sim.New(), MSS: 100, Inject: func(p *netsim.Packet) {
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(p *netsim.Packet) {
 		if p.IsAck {
 			acks = append(acks, p.AckSeq)
 		}
@@ -310,7 +311,7 @@ func TestReceiverOutOfOrderCoalescing(t *testing.T) {
 }
 
 func TestReceiverDuplicateDataIgnored(t *testing.T) {
-	env := &Env{Sim: sim.New(), MSS: 100, Inject: func(*netsim.Packet) {}}
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(*netsim.Packet) {}}
 	r := NewReceiver(env, &Flow{Bytes: 200})
 	var delivered int64
 	r.OnDeliver = func(n int64) { delivered += n }
@@ -324,7 +325,7 @@ func TestReceiverDuplicateDataIgnored(t *testing.T) {
 
 func TestReceiverEchoesECN(t *testing.T) {
 	var lastAck *netsim.Packet
-	env := &Env{Sim: sim.New(), MSS: 100, Inject: func(p *netsim.Packet) { lastAck = p }}
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(p *netsim.Packet) { lastAck = p }}
 	r := NewReceiver(env, &Flow{Bytes: 200})
 	r.HandleData(&netsim.Packet{Seq: 0, Payload: 100, CE: true, FlowBytes: 200, SentAt: 5})
 	if lastAck == nil || !lastAck.ECNEcho {
@@ -439,7 +440,7 @@ func TestValidWindow(t *testing.T) {
 }
 
 func TestHostDemux(t *testing.T) {
-	env := &Env{Sim: sim.New(), MSS: 100, Inject: func(*netsim.Packet) {}}
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(*netsim.Packet) {}}
 	h := NewHost(1, env, func(f *Flow) *Receiver { return NewReceiver(env, f) })
 	flow := &Flow{ID: 9, Src: 0, Dst: 1, Bytes: 100}
 	sender := NewTCPSender(env, flow, NewReno(100, 10), false)
@@ -467,7 +468,7 @@ func TestHostDemux(t *testing.T) {
 
 func TestTCPSenderRespectsWindow(t *testing.T) {
 	var inflight int
-	env := &Env{Sim: sim.New(), MSS: 1000}
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 1000}
 	env.Inject = func(pkt *netsim.Packet) { inflight++ }
 	flow := &Flow{ID: 1, Bytes: 1_000_000}
 	s := NewTCPSender(env, flow, NewReno(1000, 10), false)
