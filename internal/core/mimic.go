@@ -47,16 +47,35 @@ type MimicModels struct {
 // Save serializes the models to JSON.
 func (m *MimicModels) Save() ([]byte, error) { return json.Marshal(m) }
 
-// LoadModels restores serialized models.
+// LoadModels restores serialized models. It refuses an artifact with a
+// non-finite weight (ml.Model.CheckFinite): batched inference is bitwise
+// equal to per-packet inference only over finite weights.
 func LoadModels(b []byte) (*MimicModels, error) {
 	var m MimicModels
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, err
 	}
-	if m.Ingress == nil || m.Egress == nil {
-		return nil, fmt.Errorf("core: serialized models incomplete")
+	if err := m.validate(); err != nil {
+		return nil, err
 	}
 	return &m, nil
+}
+
+// validate checks that both directions are present and that every
+// weight they carry is finite.
+func (m *MimicModels) validate() error {
+	if m.Ingress == nil || m.Egress == nil {
+		return fmt.Errorf("core: serialized models incomplete")
+	}
+	for dir, dm := range [2]*DirectionModel{Ingress: m.Ingress, Egress: m.Egress} {
+		if dm.Model == nil {
+			continue
+		}
+		if err := dm.Model.CheckFinite(); err != nil {
+			return fmt.Errorf("core: %v model: %w", Direction(dir), err)
+		}
+	}
+	return nil
 }
 
 // Outcome is the Mimic's prediction for one real packet: the cluster's

@@ -89,6 +89,9 @@ func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, pr
 	if trainErr != nil {
 		return nil, ml.EvalResult{}, trainErr
 	}
+	if err := model.CheckFinite(); err != nil {
+		return nil, ml.EvalResult{}, fmt.Errorf("core: %v training diverged: %w", ds.Dir, err)
+	}
 	eval := model.Evaluate(test)
 
 	meanGap := stats.Mean(ds.Interarrivals)

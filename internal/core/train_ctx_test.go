@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -135,5 +138,48 @@ func TestGenerateTrainingDataContextCancelled(t *testing.T) {
 	_, _, _, err := GenerateTrainingDataContext(ctx, fastBase(), 100*sim.Millisecond, fastTrain())
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestNonFiniteModelsRefused: batched inference equals the per-packet
+// path only over finite weights (ml.TestNonFiniteWeightBreaksZeroSkip has
+// the W[0][5] = +Inf, x[5] = 0 case), so an artifact with a NaN or Inf
+// weight is refused where it would enter inference — on load and at the
+// end of training — instead of silently predicting differently.
+func TestNonFiniteModelsRefused(t *testing.T) {
+	fresh := func() *ml.Model {
+		m, err := ml.NewModel(ml.DefaultModelConfig(20, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	models := &MimicModels{Ingress: &DirectionModel{Model: fresh()}, Egress: &DirectionModel{Model: fresh()}}
+	blob, err := models.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModels(blob); err != nil {
+		t.Fatalf("finite artifact refused: %v", err)
+	}
+	models.Egress.Model.Trunk[0].(*ml.LSTM).Wx.Set(0, 5, math.Inf(1))
+	if err := models.validate(); err == nil || !strings.Contains(err.Error(), "egress") {
+		t.Fatalf("validate with an Inf egress weight = %v, want an egress error", err)
+	}
+	// JSON has no literal for Inf; an out-of-range number fails to decode.
+	overflow := bytes.Replace(blob, []byte(`"data":[`), []byte(`"data":[1e999,`), 1)
+	if _, err := LoadModels(overflow); err == nil {
+		t.Fatal("LoadModels accepted an out-of-range weight")
+	}
+
+	// A learning rate this large overflows the weights within two Adam steps.
+	tcfg := fastTrain()
+	ing, _, _, err := GenerateTrainingData(fastBase(), 60*sim.Millisecond, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcfg.Model.LR = 1e308
+	if _, _, err := TrainDirectionContext(context.Background(), ing, tcfg, nil, nil); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("TrainDirectionContext with a diverging LR = %v, want a diverged error", err)
 	}
 }

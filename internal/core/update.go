@@ -60,6 +60,9 @@ func updateDirection(old *DirectionModel, ds *Dataset, epochs int, lr float64) (
 		retargeted[i] = lat
 	}
 	model.FineTune(ds.Samples.WithLatency(retargeted), epochs, lr)
+	if err := model.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("core: %v update diverged: %w", ds.Dir, err)
+	}
 
 	meanGap := stats.Mean(ds.Interarrivals)
 	rate := old.RatePktsPerSec

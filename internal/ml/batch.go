@@ -5,21 +5,24 @@ import (
 	"sync"
 )
 
-// This file implements the batched Mimic inference engine's ML half:
-// a lane-vectorized GEMM (MulLanes) that fans out over the pool only
-// above the dispatch floor (pool.go), fused batched LSTM steps (the
-// GRU's live in gru.go), and BatchedStatefulModel — a bank of B
-// independent hidden states advanced through one fused step per "round".
-// The simulator half (request collection and flushing) lives in
-// internal/core's InferenceScheduler.
+// This file holds the batched Mimic inference engine's ML half and the
+// lane GEMMs the minibatch trainer shares with it:
 //
-// The per-packet path computes one matrix–vector product per packet per
-// direction per Mimic — the least hardware-friendly shape possible. The
-// batched path turns the same work into matrix–matrix products over all
-// concurrently pending streams, amortizing weight-matrix traffic across
-// lanes and eliminating the per-step allocations of the per-vector path,
-// while keeping per-element arithmetic order identical so predictions
-// match the per-packet path bit-for-bit.
+//   - BatchedStatefulModel, a bank of B independent hidden states
+//     advanced through one fused step per "round", and the fused LSTM
+//     step (the GRU's lives in gru.go). A step runs per lane: the
+//     row-kernel products (rowkernel.go, DESIGN.md decision 18), then the
+//     gates, with lanes split over the pool only above the dispatch floor
+//     (pool.go). The batch state is the Range worker, so a step
+//     allocates nothing.
+//   - MulLanes / MulLanesT / AddGradLanes, the lane-tiled GEMMs of the
+//     minibatch trainer (train_batch.go), whose batches are full tiles
+//     and whose weights change every optimizer step.
+//
+// The simulator half (request collection and flushing) lives in
+// internal/core's InferenceScheduler. Every path keeps the per-element
+// arithmetic order of the per-packet Dot, so predictions match the
+// per-packet path bit-for-bit.
 
 // GEMM block sizes: the granularity at which Pool.Range may split a GEMM.
 // Chunk edges fall only on block edges, so a lane chunk always starts on
@@ -30,8 +33,9 @@ const (
 	gemmLaneBlock = 16
 )
 
-// MulLanes is the batched counterpart of MulVec: for every lane a in
-// [0, n) and every row r in [r0, r1) it computes
+// MulLanes is the trainer's batched counterpart of MulVec (inference
+// uses the row kernel instead): for every lane a in [0, n) and every row
+// r in [r0, r1) it computes
 //
 //	out[a*outStride + r] = Dot(M.row(r), xs[a*M.Cols : (a+1)*M.Cols])
 //
@@ -85,10 +89,12 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 	// independent accumulators: a single Dot is one serial dependency
 	// chain and is latency-bound; multiple chains fill the FPU pipeline
 	// and reuse the weight row from registers/L1. This is where the
-	// batched engine's per-step speedup comes from on a single core.
+	// minibatch trainer's per-step speedup comes from on a single core;
+	// a narrow inference round would pay for every tile lane it does not
+	// fill, which is why inference has the row kernel.
 	tileLanes := gemmKernel().tileLanes
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.Range(rTiles, rows*n*K/rTiles, func(lo, hi int) {
+	pool.Range(rTiles, rows*n*K/rTiles, RangeFunc(func(lo, hi int) {
 		rlo, rhi := r0+lo*gemmRowBlock, min(r0+hi*gemmRowBlock, r1)
 		a0 := 0
 		if tileLanes > 0 && K > 0 && n >= 8 {
@@ -143,7 +149,7 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 				out[a*outStride+r] = Dot(wrow, xs[a*K:(a+1)*K])
 			}
 		}
-	})
+	}))
 }
 
 // tileScratch recycles the k-major lane tiles the gemm8/gemm16 paths
@@ -182,9 +188,9 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 	// is NOT the same as adding d*row when the row holds ±Inf or NaN
 	// (0*Inf = NaN), and zero gate gradients are common (saturated
 	// sigmoids), so the skip is both a correctness guard and a win.
-	useAxpy := K >= 8 && gemmKernel().axpy
+	useAxpy := K >= 8 && gemmKernel().avx2
 	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, (r1-r0)*n*K/aTiles, func(lo, hi int) {
+	pool.Range(aTiles, (r1-r0)*n*K/aTiles, RangeFunc(func(lo, hi int) {
 		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, n); a < ahi; a++ {
 			o := out[a*K : (a+1)*K]
 			for c := range o {
@@ -207,7 +213,7 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 				}
 			}
 		}
-	})
+	}))
 }
 
 // AddGradLanes is the batched counterpart of AddOuterGrad (the weight
@@ -239,13 +245,13 @@ func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []f
 	// Same d == 0 guard as MulLanesT: it must precede the axpy call
 	// (0*Inf = NaN) and skipped lanes keep the ascending-a reduction
 	// order intact because a skipped term is an exact no-op.
-	useAxpy := K >= 8 && gemmKernel().axpy
+	useAxpy := K >= 8 && gemmKernel().avx2
 	rows := r1 - r0
 	if rows == 0 {
 		return
 	}
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.Range(rTiles, rows*n*K/rTiles, func(lo, hi int) {
+	pool.Range(rTiles, rows*n*K/rTiles, RangeFunc(func(lo, hi int) {
 		for r, rhi := r0+lo*gemmRowBlock, min(r0+hi*gemmRowBlock, r1); r < rhi; r++ {
 			g := m.Grad[r*K : (r+1)*K]
 			for a := 0; a < n; a++ {
@@ -263,7 +269,7 @@ func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []f
 				}
 			}
 		}
-	})
+	}))
 }
 
 // addBiasGradLanes accumulates Grad[r] += Σ_a dys[a*dyStride + r] for
@@ -330,7 +336,7 @@ func (m *Matrix) mulLanesSparse(r0, r1 int, sp *sparseLanes, n int, out []float6
 	K := m.Cols
 	idx, val, off := sp.idx, sp.val, sp.off
 	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, (r1-r0)*off[n]/aTiles, func(lo, hi int) {
+	pool.Range(aTiles, (r1-r0)*off[n]/aTiles, RangeFunc(func(lo, hi int) {
 		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, n); a < ahi; a++ {
 			ii := idx[off[a]:off[a+1]]
 			vv := val[off[a]:off[a+1]][:len(ii)]
@@ -363,25 +369,39 @@ func (m *Matrix) mulLanesSparse(r0, r1 int, sp *sparseLanes, n int, out []float6
 				out[a*outStride+r] = s
 			}
 		}
-	})
+	}))
 }
 
 // lstmBatchState is the recurrent state of `lanes` independent LSTM
-// streams, stored densely (lanes × H), plus step scratch grown on demand.
+// streams, stored densely (lanes × H), the layer's weights packed for
+// the row kernel, and the fused step's per-call arguments and scratch.
+// It is its own Pool.Range worker (RunRange), so a step allocates
+// nothing.
 type lstmBatchState struct {
-	h, c   []float64
-	hidden int
-	// scratch for one fused step over up to cap(zx)/(4·hidden) lanes
-	hg, cg, zx, zh []float64
+	h, c       []float64
+	hidden, in int
+	wx, wh     packedRows
+	bias       []float64
+
+	// one step's arguments, set by StepBatch before its Range call
+	lanes     []int
+	xs, hs    []float64
+	asm, wide bool
+	zx, zh    []float64 // n×4H scratch
 }
 
-// NewBatchState returns zeroed state for `lanes` LSTM lanes.
+// NewBatchState returns zeroed state for `lanes` LSTM lanes and
+// snapshots the layer's weights: Wx and Wh packed for the row kernel,
+// B copied.
 func (l *LSTM) NewBatchState(lanes int) BatchState {
 	return &lstmBatchState{
-		h: make([]float64, lanes*l.Hidden),
-		c: make([]float64, lanes*l.Hidden),
-
+		h:      make([]float64, lanes*l.Hidden),
+		c:      make([]float64, lanes*l.Hidden),
 		hidden: l.Hidden,
+		in:     l.In,
+		wx:     packRows(l.Wx),
+		wh:     packRows(l.Wh),
+		bias:   append([]float64(nil), l.B.Data...),
 	}
 }
 
@@ -408,11 +428,11 @@ func zeroRange(v []float64) {
 	}
 }
 
-// StepBatch advances the listed lanes through one fused LSTM step:
-// two GEMMs over the gathered states followed by an elementwise gate
-// pass over lanes (split across the pool only above the dispatch floor).
-// Per-element math mirrors LSTM.Step exactly (zx + (zh + b), same gate
-// expressions), so outputs equal the per-packet path bit-for-bit.
+// StepBatch advances the listed lanes through one fused LSTM step: per
+// lane, the two row-kernel products and the gate pass, with lanes split
+// across the pool only above the dispatch floor. Per-element math
+// mirrors LSTM.Step exactly (zx + (zh + b), same gate expressions), so
+// outputs equal the per-packet path bit-for-bit.
 func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*lstmBatchState)
 	n := len(lanes)
@@ -420,48 +440,47 @@ func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64,
 		return
 	}
 	H := l.Hidden
-	s.hg = growFloats(s.hg, n*H)
-	s.cg = growFloats(s.cg, n*H)
 	s.zx = growFloats(s.zx, n*4*H)
 	s.zh = growFloats(s.zh, n*4*H)
-	for a, lane := range lanes {
-		copy(s.hg[a*H:(a+1)*H], s.h[lane*H:(lane+1)*H])
-		copy(s.cg[a*H:(a+1)*H], s.c[lane*H:(lane+1)*H])
-	}
-	l.Wx.MulLanes(0, 4*H, xs, n, s.zx, 4*H, pool)
-	l.Wh.MulLanes(0, 4*H, s.hg, n, s.zh, 4*H, pool)
-	bias := l.B.Data
-	wide := gemmKernel().wideGates
-	pool.Range(n, 5*H*gateMulAdds, func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			zx := s.zx[a*4*H : (a+1)*4*H]
-			zh := s.zh[a*4*H : (a+1)*4*H]
-			cPrev := s.cg[a*H : (a+1)*H]
-			hRow := hs[a*H : (a+1)*H]
-			// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds
-			// are hoisted out of the gate loop so the sigmoid/tanh passes
-			// run over contiguous quarters — 4 lanes per instruction when
-			// the wide gate kernels are live, the same scalar calls per
-			// element either way.
-			for j, v := range zh {
-				zx[j] += v + bias[j]
-			}
-			sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
-			tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
-			sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
-			for j := 0; j < H; j++ {
-				// cNew = f*cPrev + i*g, exactly as Step associates it.
-				cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
-			}
-			tanhLanes(hRow, cPrev, wide)
-			for j := 0; j < H; j++ {
-				hRow[j] = zx[3*H+j] * hRow[j]
-			}
+	k := gemmKernel()
+	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
+	pool.Range(n, 4*H*(l.In+H)+5*H*gateMulAdds, s)
+}
+
+// RunRange steps lanes[lo:hi]. Each lane reads and writes only its own
+// rows of h, c and the scratch, so chunks are disjoint.
+func (s *lstmBatchState) RunRange(lo, hi int) {
+	H, In := s.hidden, s.in
+	bias, wide := s.bias[:4*H], s.wide
+	for a := lo; a < hi; a++ {
+		lane := s.lanes[a]
+		hPrev := s.h[lane*H : (lane+1)*H]
+		cPrev := s.c[lane*H : (lane+1)*H]
+		zx := s.zx[a*4*H : (a+1)*4*H]
+		zh := s.zh[a*4*H : (a+1)*4*H]
+		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx, s.asm)
+		s.wh.mulLane(0, hPrev, zh, s.asm)
+		// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds
+		// are hoisted out of the gate loop so the sigmoid/tanh passes
+		// run over contiguous quarters — 4 lanes per instruction when
+		// the wide gate kernels are live, the same scalar calls per
+		// element either way.
+		for j, v := range zh {
+			zx[j] += v + bias[j]
 		}
-	})
-	for a, lane := range lanes {
-		copy(s.h[lane*H:(lane+1)*H], hs[a*H:(a+1)*H])
-		copy(s.c[lane*H:(lane+1)*H], s.cg[a*H:(a+1)*H])
+		sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
+		tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
+		sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
+		for j := 0; j < H; j++ {
+			// cNew = f*cPrev + i*g, exactly as Step associates it.
+			cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
+		}
+		hRow := s.hs[a*H : (a+1)*H]
+		tanhLanes(hRow, cPrev, wide)
+		for j := 0; j < H; j++ {
+			hRow[j] = zx[3*H+j] * hRow[j]
+		}
+		copy(hPrev, hRow)
 	}
 }
 

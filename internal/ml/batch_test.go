@@ -263,11 +263,11 @@ func TestPoolCloseAfterDispatch(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			p := newPoolFloor(4, floor)
 			var out [64]int64
-			p.Range(64, 1, func(lo, hi int) {
+			p.Range(64, 1, RangeFunc(func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					out[j] = int64(j)
 				}
-			})
+			}))
 			p.Close()
 			p.Close()
 			for j := range out {
@@ -333,6 +333,41 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 				want := workers > 1 && (floor == 0 || shape.prodDispatches)
 				if dispatched != want {
 					t.Errorf("%dx%d floor=%d workers=%d: dispatched=%v, want %v", rows, cols, floor, workers, dispatched, want)
+				}
+			}
+		}
+	}
+	// The row kernel's lane split: fused LSTM and GRU steps of 31 lanes at
+	// the default artifact shape, which fan out only at floor 0.
+	for _, cell := range []string{"lstm", "gru"} {
+		const n = 31
+		model, lanes, xs := defaultShapeLanes(t, cell, n)
+		rounds := [][][]float64{xs, xs[1:], xs[:n-1], xs}
+		run := func(p *Pool) []Prediction {
+			bat := NewBatchedStatefulModel(model, n, p)
+			var preds []Prediction
+			for _, xs := range rounds {
+				out := make([]Prediction, len(xs))
+				bat.StepLanes(lanes[:len(xs)], xs, nil, out)
+				preds = append(preds, out...)
+			}
+			return preds
+		}
+		ref := run(NewPool(1))
+		for _, floor := range []int{0, dispatchFloor} {
+			for _, workers := range []int{1, 2, 4} {
+				p := newPoolFloor(workers, floor)
+				before := obsPoolDispatches.Value()
+				got := run(p)
+				p.Close()
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s floor=%d workers=%d: prediction %d differs", cell, floor, workers, i)
+					}
+				}
+				dispatched := obsPoolDispatches.Value() > before
+				if want := workers > 1 && floor == 0; dispatched != want {
+					t.Errorf("%s floor=%d workers=%d: dispatched=%v, want %v", cell, floor, workers, dispatched, want)
 				}
 			}
 		}

@@ -60,3 +60,17 @@ func sigmoid4(dst, src *float64) (ok uint8)
 //
 //go:noescape
 func tanh4(dst, src *float64)
+
+// rowsAcc is the AVX2 row kernel (rowkernel.go): for i in [0, rows) it
+// computes
+//
+//	out[i] += Σ_j col[idx[j]*strideB/8 + i] * x[idx[j]]
+//
+// over j in [0, nnz) in ascending order, one VMULPD then one VADDPD per
+// term — the Dot chain for every row, continued from out's values. col
+// points at the first row of a k-major packed matrix whose columns are
+// strideB bytes apart. Rows go 16 at a time in four YMM accumulators,
+// then 4, then 1. Requires AVX2 (dispatch gates on avx2).
+//
+//go:noescape
+func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int)

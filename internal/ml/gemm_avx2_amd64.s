@@ -1,5 +1,6 @@
-// AVX2 lane-batched GEMM microkernel and elementwise axpy. Like the
-// SSE2 gemm8, vectorization is across LANES: each of the 16 lanes keeps
+// AVX2 lane-batched GEMM microkernel (the trainer's), elementwise axpy,
+// and the inference row kernel (rowsAcc, at the end). Like the SSE2
+// gemm8, gemm16's vectorization is across LANES: each of the 16 lanes keeps
 // its own accumulator component that sums w[k]*x[k] in ascending-k
 // order with a separate VMULPD and VADDPD per term — deliberately NOT
 // VFMADD, whose single rounding would diverge from the scalar Dot chain
@@ -279,5 +280,117 @@ tail1:
 	JMP	tail1
 
 done:
+	VZEROUPPER
+	RET
+
+// func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int)
+//
+// The inference row kernel: vectorized across output ROWS of a k-major
+// packed matrix, one accumulator component per row. Each row block loads
+// its accumulators from out, walks the column list in order — broadcast
+// x[k], then VMULPD and VADDPD against column k's slice, never FMA — and
+// stores them back, so every element is the scalar DotAcc chain over the
+// listed columns. Blocks of 16 rows (Y0-Y3) keep both FP ports busy at
+// the widths inference uses; then 4-row blocks (Y0) and single rows (X0).
+TEXT ·rowsAcc(SB), NOSPLIT, $0-56
+	MOVQ	out+0(FP), DI
+	MOVQ	rows+8(FP), R8
+	MOVQ	col+16(FP), SI
+	MOVQ	strideB+24(FP), R10
+	MOVQ	x+32(FP), R11
+	MOVQ	idx+40(FP), R12
+	MOVQ	nnz+48(FP), R9
+
+rows16:
+	CMPQ	R8, $16
+	JL	rows4
+	VMOVUPD	(DI), Y0
+	VMOVUPD	32(DI), Y1
+	VMOVUPD	64(DI), Y2
+	VMOVUPD	96(DI), Y3
+	XORQ	CX, CX
+
+terms16:
+	CMPQ	CX, R9
+	JGE	store16
+	MOVQ	(R12)(CX*8), AX // k
+	MOVQ	AX, DX
+	IMULQ	R10, DX
+	ADDQ	SI, DX          // column k of this block
+	VBROADCASTSD	(R11)(AX*8), Y4
+	VMULPD	(DX), Y4, Y5
+	VADDPD	Y5, Y0, Y0
+	VMULPD	32(DX), Y4, Y6
+	VADDPD	Y6, Y1, Y1
+	VMULPD	64(DX), Y4, Y7
+	VADDPD	Y7, Y2, Y2
+	VMULPD	96(DX), Y4, Y8
+	VADDPD	Y8, Y3, Y3
+	INCQ	CX
+	JMP	terms16
+
+store16:
+	VMOVUPD	Y0, (DI)
+	VMOVUPD	Y1, 32(DI)
+	VMOVUPD	Y2, 64(DI)
+	VMOVUPD	Y3, 96(DI)
+	ADDQ	$128, DI
+	ADDQ	$128, SI
+	SUBQ	$16, R8
+	JMP	rows16
+
+rows4:
+	CMPQ	R8, $4
+	JL	rows1
+	VMOVUPD	(DI), Y0
+	XORQ	CX, CX
+
+terms4:
+	CMPQ	CX, R9
+	JGE	store4
+	MOVQ	(R12)(CX*8), AX
+	MOVQ	AX, DX
+	IMULQ	R10, DX
+	ADDQ	SI, DX
+	VBROADCASTSD	(R11)(AX*8), Y4
+	VMULPD	(DX), Y4, Y5
+	VADDPD	Y5, Y0, Y0
+	INCQ	CX
+	JMP	terms4
+
+store4:
+	VMOVUPD	Y0, (DI)
+	ADDQ	$32, DI
+	ADDQ	$32, SI
+	SUBQ	$4, R8
+	JMP	rows4
+
+rows1:
+	TESTQ	R8, R8
+	JE	rowsdone
+	VMOVSD	(DI), X0
+	XORQ	CX, CX
+
+terms1:
+	CMPQ	CX, R9
+	JGE	store1
+	MOVQ	(R12)(CX*8), AX
+	MOVQ	AX, DX
+	IMULQ	R10, DX
+	ADDQ	SI, DX
+	VMOVSD	(R11)(AX*8), X4
+	VMULSD	(DX), X4, X5
+	VADDSD	X5, X0, X0
+	INCQ	CX
+	JMP	terms1
+
+store1:
+	VMOVSD	X0, (DI)
+	ADDQ	$8, DI
+	ADDQ	$8, SI
+	DECQ	R8
+	JMP	rows1
+
+rowsdone:
 	VZEROUPPER
 	RET

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"testing"
 
 	"mimicnet/internal/stats"
@@ -96,5 +97,28 @@ func BenchmarkGemmKernels(b *testing.B) {
 			}
 			b.ReportMetric(float64(nSamples*b.N)/b.Elapsed().Seconds(), "samples/sec")
 		})
+	}
+}
+
+// BenchmarkStepLanes times one fused inference step of n lanes at the
+// default artifact shape (defaultShapeLanes) for both recurrent trunks,
+// reporting ns per lane-step: the quantity a composed run pays per
+// model step at the round widths its flushes actually have (DESIGN.md
+// decision 18 has the table).
+func BenchmarkStepLanes(b *testing.B) {
+	for _, cell := range []string{"lstm", "gru"} {
+		for _, n := range []int{1, 2, 4, 8, 13, 16, 31} {
+			b.Run(fmt.Sprintf("%s/n=%d", cell, n), func(b *testing.B) {
+				model, lanes, xs := defaultShapeLanes(b, cell, n)
+				bat := NewBatchedStatefulModel(model, n, nil)
+				preds := make([]Prediction, n)
+				bat.StepLanes(lanes, xs, nil, preds) // size the scratch buffers
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bat.StepLanes(lanes, xs, nil, preds)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/lane-step")
+			})
+		}
 	}
 }

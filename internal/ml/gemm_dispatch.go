@@ -16,7 +16,8 @@ import (
 //	         purego build tag or off amd64)
 //	sse2   — 8-lane k-major tiles through gemm8 (baseline amd64)
 //	avx2   — 16-lane tiles through gemm16, the axpy4 backward kernel,
-//	         and (on FMA hardware) the 4-wide sigmoid/tanh gate kernels
+//	         the rowsAcc inference row kernel, and (on FMA hardware)
+//	         the 4-wide sigmoid/tanh gate kernels
 //
 // Every family produces bitwise-identical results: each output element
 // is the same ascending-k multiply-then-add chain as the scalar Dot, and
@@ -33,9 +34,11 @@ type gemmImpl struct {
 	// microkernel call: 16 (gemm16 + gemm8 remainder), 8 (gemm8), or 0
 	// (pure-Go lane loops only).
 	tileLanes int
-	// axpy routes the MulLanesT/AddGradLanes inner loops through the
-	// AVX2 elementwise y[i] += a*x[i] kernel.
-	axpy bool
+	// avx2 routes the MulLanesT/AddGradLanes inner loops through the
+	// AVX2 elementwise y[i] += a*x[i] kernel (axpy4) and the inference
+	// row kernel (rowkernel.go) through rowsAcc; otherwise both run as
+	// Go loops.
+	avx2 bool
 	// wideGates routes Sigmoid/Tanh gate passes through the 4-wide
 	// AVX2+FMA clones of math.Exp's FMA variant and math.Tanh.
 	wideGates bool
@@ -63,7 +66,7 @@ func buildGemmImpls() map[string]*gemmImpl {
 			m["avx2"] = &gemmImpl{
 				name:      "avx2",
 				tileLanes: 16,
-				axpy:      true,
+				avx2:      true,
 				// The gate kernels replicate math.Exp's AVX+FMA variant,
 				// so they are only bitwise-correct when the runtime's
 				// math package takes that same path. Verify empirically

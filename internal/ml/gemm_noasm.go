@@ -3,8 +3,9 @@
 package ml
 
 // haveGemm8 is false without the assembly microkernels; the dispatch
-// table offers only the "scalar" family and MulLanes uses the portable
-// 4-lane Go kernel, which produces identical results.
+// table offers only the "scalar" family, MulLanes uses the portable
+// 4-lane Go kernel and the row kernel its Go loop, which produce
+// identical results.
 const haveGemm8 = false
 
 // The CPUID probe compiles out with the kernels.
@@ -34,4 +35,8 @@ func sigmoid4(dst, src *float64) (ok uint8) {
 
 func tanh4(dst, src *float64) {
 	panic("ml: tanh4 called without assembly support")
+}
+
+func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int) {
+	panic("ml: rowsAcc called without assembly support")
 }

@@ -172,16 +172,33 @@ func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev
 }
 
 // gruBatchState is the recurrent state of `lanes` independent GRU
-// streams (lanes × H dense), plus fused-step scratch.
+// streams (lanes × H dense), the layer's weights packed for the row
+// kernel, and the fused step's arguments and scratch. Like
+// lstmBatchState it is its own Pool.Range worker.
 type gruBatchState struct {
-	h []float64
-	// scratch for one fused step
-	hg, ax, ah, rh, z []float64
+	h          []float64
+	hidden, in int
+	wx, wh     packedRows
+	bias       []float64
+
+	// one step's arguments, set by StepBatch before its Range call
+	lanes         []int
+	xs, hs        []float64
+	asm, wide     bool
+	ax, ah, rh, z []float64 // per-lane scratch (3H, 2H, H, H wide)
 }
 
-// NewBatchState returns zeroed state for `lanes` GRU lanes.
+// NewBatchState returns zeroed state for `lanes` GRU lanes and
+// snapshots the layer's weights (Wx and Wh packed, B copied).
 func (g *GRU) NewBatchState(lanes int) BatchState {
-	return &gruBatchState{h: make([]float64, lanes*g.Hidden)}
+	return &gruBatchState{
+		h:      make([]float64, lanes*g.Hidden),
+		hidden: g.Hidden,
+		in:     g.In,
+		wx:     packRows(g.Wx),
+		wh:     packRows(g.Wh),
+		bias:   append([]float64(nil), g.B.Data...),
+	}
 }
 
 // GrowBatchState appends one zeroed lane.
@@ -198,12 +215,11 @@ func (g *GRU) ResetBatchLane(st BatchState, lane int) {
 	zeroRange(s.h[lane*g.Hidden : (lane+1)*g.Hidden])
 }
 
-// StepBatch advances the listed lanes through one fused GRU step: two
-// GEMMs (input and z/r recurrent pre-activations) plus a per-lane pass
-// for the candidate path, which must follow the reset gate. All
-// per-element accumulation orders mirror StepState (Dot/DotAcc on the
-// same operand order), so outputs are bit-identical to the per-packet
-// path.
+// StepBatch advances the listed lanes through one fused GRU step: per
+// lane, the input and z/r recurrent products, the gates, and then the
+// candidate path, which must follow the reset gate. All per-element
+// accumulation orders mirror StepState (Dot/DotAcc on the same operand
+// order), so outputs are bit-identical to the per-packet path.
 func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*gruBatchState)
 	n := len(lanes)
@@ -211,49 +227,53 @@ func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, 
 		return
 	}
 	H := g.Hidden
-	s.hg = growFloats(s.hg, n*H)
 	s.ax = growFloats(s.ax, n*3*H)
 	s.ah = growFloats(s.ah, n*2*H)
 	s.rh = growFloats(s.rh, n*H)
 	s.z = growFloats(s.z, n*H)
-	for a, lane := range lanes {
-		copy(s.hg[a*H:(a+1)*H], s.h[lane*H:(lane+1)*H])
-	}
-	g.Wx.MulLanes(0, 3*H, xs, n, s.ax, 3*H, pool)
-	g.Wh.MulLanes(0, 2*H, s.hg, n, s.ah, 2*H, pool)
-	bias := g.B.Data
-	wide := gemmKernel().wideGates
-	pool.Range(n, H*(H+3*gateMulAdds), func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			ax := s.ax[a*3*H : (a+1)*3*H]
-			ah := s.ah[a*2*H : (a+1)*2*H]
-			hPrev := s.hg[a*H : (a+1)*H]
-			rh := s.rh[a*H : (a+1)*H]
-			z := s.z[a*H : (a+1)*H]
-			// Pre-activations hoisted so the sigmoid passes run over
-			// contiguous ranges (4 lanes per instruction when the wide gate
-			// kernels are live); same ax + ah + bias association as StepState.
-			for j := 0; j < 2*H; j++ {
-				ax[j] = ax[j] + ah[j] + bias[j]
-			}
-			sigmoidLanes(z, ax[:H], wide)
-			sigmoidLanes(rh, ax[H:2*H], wide)
-			for j := 0; j < H; j++ {
-				rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
-			}
-			hRow := hs[a*H : (a+1)*H]
-			for j := 0; j < H; j++ {
-				row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-				hRow[j] = DotAcc(ax[2*H+j]+bias[2*H+j], row, rh)
-			}
-			tanhLanes(hRow, hRow, wide)
-			for j := 0; j < H; j++ {
-				hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
-			}
+	k := gemmKernel()
+	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
+	pool.Range(n, 3*H*(g.In+H)+3*H*gateMulAdds, s)
+}
+
+// RunRange steps lanes[lo:hi]; chunks touch disjoint rows.
+func (s *gruBatchState) RunRange(lo, hi int) {
+	H, In := s.hidden, s.in
+	bias, wide := s.bias[:3*H], s.wide
+	for a := lo; a < hi; a++ {
+		lane := s.lanes[a]
+		hPrev := s.h[lane*H : (lane+1)*H]
+		ax := s.ax[a*3*H : (a+1)*3*H]
+		ah := s.ah[a*2*H : (a+1)*2*H]
+		rh := s.rh[a*H : (a+1)*H]
+		z := s.z[a*H : (a+1)*H]
+		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax, s.asm)
+		s.wh.mulLane(0, hPrev, ah, s.asm)
+		// Pre-activations hoisted so the sigmoid passes run over
+		// contiguous ranges (4 lanes per instruction when the wide gate
+		// kernels are live); same ax + ah + bias association as StepState.
+		for j := 0; j < 2*H; j++ {
+			ax[j] = ax[j] + ah[j] + bias[j]
 		}
-	})
-	for a, lane := range lanes {
-		copy(s.h[lane*H:(lane+1)*H], hs[a*H:(a+1)*H])
+		sigmoidLanes(z, ax[:H], wide)
+		sigmoidLanes(rh, ax[H:2*H], wide)
+		for j := 0; j < H; j++ {
+			rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
+		}
+		// The candidate chain is DotAcc(ax+bias, row, r⊙h): it starts at
+		// ax+bias, which can be -0, where skipping a ±0 term is not a
+		// no-op (-0 + +0 = +0). So it goes through accLane, which takes
+		// every term, not mulLane's zero-skip.
+		hRow := s.hs[a*H : (a+1)*H]
+		for j := 0; j < H; j++ {
+			hRow[j] = ax[2*H+j] + bias[2*H+j]
+		}
+		s.wh.accLane(2*H, rh, hRow, s.asm)
+		tanhLanes(hRow, hRow, wide)
+		for j := 0; j < H; j++ {
+			hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
+		}
+		copy(hPrev, hRow)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"mimicnet/internal/stats"
 )
@@ -148,6 +149,22 @@ func (m *Model) Params() []*Matrix {
 	ps = append(ps, m.DropHead.Params()...)
 	ps = append(ps, m.ECNHead.Params()...)
 	return ps
+}
+
+// CheckFinite returns an error naming the first NaN or ±Inf weight or
+// bias. Batched inference skips exact-zero inputs, which matches the
+// per-packet Dot only while every weight is finite (Inf·0 is NaN, not a
+// no-op; rowkernel.go), so core refuses such an artifact where it
+// enters inference: on load and at the end of training.
+func (m *Model) CheckFinite() error {
+	for i, p := range m.Params() {
+		for j, v := range p.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("ml: parameter %d (%dx%d) element (%d,%d) is %v", i, p.Rows, p.Cols, j/p.Cols, j%p.Cols, v)
+			}
+		}
+	}
+	return nil
 }
 
 func (m *Model) heads(h []float64) Prediction {

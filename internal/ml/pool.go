@@ -21,8 +21,8 @@ const gateMulAdds = 16
 // order per output element, so results are bitwise deterministic
 // regardless of scheduling, worker count and floor.
 //
-// Range must not be called from inside a task function (no nesting):
-// with every worker blocked on an inner Range the pool would deadlock.
+// Range must not be called from inside a task (no nesting): with every
+// worker blocked on an inner Range the pool would deadlock.
 type Pool struct {
 	workers   int
 	floor     int // work per chunk below which Range does not dispatch
@@ -30,11 +30,29 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
+// RangeTask is the work one Range call splits: RunRange processes items
+// [lo, hi). An inference step passes its batch state, a pointer it
+// already has, so the step allocates nothing; elsewhere a closure
+// adapts through RangeFunc.
+type RangeTask interface {
+	RunRange(lo, hi int)
+}
+
+// RangeFunc adapts a plain function to RangeTask.
+type RangeFunc func(lo, hi int)
+
+// RunRange calls f(lo, hi).
+func (f RangeFunc) RunRange(lo, hi int) { f(lo, hi) }
+
 type poolTask struct {
-	fn     func(lo, hi int)
+	task   RangeTask
 	lo, hi int
 	wg     *sync.WaitGroup
 }
+
+// waitGroups recycles the WaitGroup a dispatching Range waits on, so a
+// fan-out allocates nothing either.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // NewPool starts a pool with the given worker count (minimum 1). A pool
 // with one worker runs everything inline and spawns no goroutines.
@@ -57,7 +75,7 @@ func NewPool(workers int) *Pool {
 
 func (p *Pool) worker() {
 	for t := range p.tasks {
-		t.fn(t.lo, t.hi)
+		t.task.RunRange(t.lo, t.hi)
 		t.wg.Done()
 	}
 }
@@ -109,32 +127,34 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Range runs fn over [0, n) and waits for it to finish. costPerItem is
-// the caller's estimate of one item's work in multiply-add equivalents.
-// The range is split into contiguous, disjoint chunks (see chunks); a
-// single chunk is one plain fn(0, n) call on the caller's goroutine.
-// Otherwise the caller executes the first chunk and the pool's workers
-// the rest, one task per chunk. fn calls must write disjoint data.
-func (p *Pool) Range(n, costPerItem int, fn func(lo, hi int)) {
+// Range runs task over [0, n) and waits for it to finish. costPerItem
+// is the caller's estimate of one item's work in multiply-add
+// equivalents. The range is split into contiguous, disjoint chunks (see
+// chunks); a single chunk is one plain task.RunRange(0, n) call on the
+// caller's goroutine. Otherwise the caller executes the first chunk and
+// the pool's workers the rest, one channel send per chunk. Chunks must
+// write disjoint data.
+func (p *Pool) Range(n, costPerItem int, task RangeTask) {
 	if n <= 0 {
 		return
 	}
 	c := p.chunks(n, costPerItem)
 	if c == 1 {
 		obsPoolInline.Inc()
-		fn(0, n)
+		task.RunRange(0, n)
 		return
 	}
 	obsPoolDispatches.Inc()
 	obsPoolSubmits.Add(uint64(c - 1))
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	wg.Add(c - 1)
 	for i := 1; i < c; i++ {
 		lo, hi := chunkBounds(n, c, i)
-		p.tasks <- poolTask{fn: fn, lo: lo, hi: hi, wg: &wg}
+		p.tasks <- poolTask{task: task, lo: lo, hi: hi, wg: wg}
 	}
-	fn(chunkBounds(n, c, 0))
+	task.RunRange(chunkBounds(n, c, 0))
 	wg.Wait()
+	waitGroups.Put(wg)
 }
 
 // Close stops the pool's workers. Close is idempotent; dispatching

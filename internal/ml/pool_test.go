@@ -16,11 +16,11 @@ func checkRange(t *testing.T, p *Pool, n, cost int) {
 		mu     sync.Mutex
 		chunks []chunk
 	)
-	p.Range(n, cost, func(lo, hi int) {
+	p.Range(n, cost, RangeFunc(func(lo, hi int) {
 		mu.Lock()
 		chunks = append(chunks, chunk{lo, hi})
 		mu.Unlock()
-	})
+	}))
 	if n <= 0 {
 		if len(chunks) != 0 {
 			t.Fatalf("n=%d: fn ran %d times, want 0", n, len(chunks))

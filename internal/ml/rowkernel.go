@@ -1,0 +1,96 @@
+package ml
+
+// The row kernel: the matrix–vector product of batched inference
+// (DESIGN.md decision 18). The trainer's lane-tiled GEMM (MulLanes)
+// vectorizes across lanes, so a round pays for every lane of a tile it
+// does not fill; inference rounds are narrow (13.6 lanes on average in
+// warm_n32, one in eight a single lane), so inference vectorizes across
+// output rows instead and a step costs the same at any round width.
+//
+// Exactness. Each output element is the same ascending-k chain of
+// multiply-then-add as Dot, just advanced for all rows at once: for
+// every k, out[r] += W[r][k]·x[k]. mulLane skips the k whose x[k] is an
+// exact zero (one-hot feature blocks, zero initial state). That is
+// bitwise exact because the accumulator starts at +0 and never becomes
+// -0 (+0 + -0 = +0), so adding a finite w·±0 = ±0 never changes it —
+// which is why an artifact with a non-finite weight is refused before
+// it reaches inference (Model.CheckFinite): Inf·0 is NaN, not a no-op.
+// accLane continues a chain from a caller's starting value, which may be
+// -0, so it takes every term.
+
+// packedRows is a weight matrix stored k-major for the row kernel:
+// t[k*rows + r] = W[r][k], so column k of W is one contiguous run. A
+// batch state packs its cell's weights once, when the bank is built
+// (packing lifetime: a bank's trunk runs on the weights its model had
+// then, so a model trained further needs a new bank).
+type packedRows struct {
+	rows int
+	t    []float64
+	all  []int // 0, 1, …, Cols-1: the column list of a dense product
+}
+
+func packRows(m *Matrix) packedRows {
+	t := make([]float64, m.Rows*m.Cols)
+	for r := 0; r < m.Rows; r++ {
+		for k, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
+			t[k*m.Rows+r] = v
+		}
+	}
+	all := make([]int, m.Cols)
+	for k := range all {
+		all[k] = k
+	}
+	return packedRows{rows: m.Rows, t: t, all: all}
+}
+
+// mulLane sets out[i] = Dot(W.row(r0+i), x) for i in [0, len(out)),
+// bitwise, skipping exact-zero inputs.
+func (p *packedRows) mulLane(r0 int, x, out []float64, asm bool) {
+	zeroRange(out)
+	p.accumulate(r0, x, out, true, asm)
+}
+
+// accLane sets out[i] = DotAcc(out[i], W.row(r0+i), x) for i in
+// [0, len(out)), bitwise. No term is skipped: out[i] may start at -0.
+func (p *packedRows) accLane(r0 int, x, out []float64, asm bool) {
+	p.accumulate(r0, x, out, false, asm)
+}
+
+// accumulate adds x[k]·column k onto out for ascending k. With asm (the
+// avx2 family) the columns go to rowsAcc as a list: every k for accLane,
+// the non-zero ones — gathered without a branch per column — for
+// mulLane. Otherwise a Go loop does the same elementwise updates.
+func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros, asm bool) {
+	R, n := p.rows, len(out)
+	if asm {
+		_ = p.t[(len(x)-1)*R+r0+n-1] // the last element rowsAcc may read
+		if !skipZeros {
+			rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &p.all[0], len(x))
+			return
+		}
+		var idx [64]int
+		for k0 := 0; k0 < len(x); k0 += len(idx) {
+			nnz := 0
+			for k := k0; k < min(k0+len(idx), len(x)); k++ {
+				idx[nnz] = k
+				if x[k] != 0 {
+					nnz++
+				}
+			}
+			if nnz > 0 {
+				rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &idx[0], nnz)
+			}
+		}
+		return
+	}
+	for k, v := range x {
+		if skipZeros && v == 0 {
+			continue
+		}
+		col := p.t[k*R+r0 : k*R+r0+n]
+		o := out[:len(col)]
+		for i, w := range col {
+			o[i] += w * v
+		}
+	}
+}

@@ -1,0 +1,245 @@
+package ml
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"mimicnet/internal/stats"
+)
+
+// rowKernelValue draws one input for the exactness tests: with
+// probability 1-density an exact zero of either sign, otherwise an
+// ordinary value, a subnormal or a large magnitude. Weights stay in
+// [-1, 1] and there are at most 150 terms, so no sum overflows.
+func rowKernelValue(s *stats.Stream, density float64) float64 {
+	sign := 1.0
+	if s.Float64() < 0.5 {
+		sign = -1
+	}
+	if s.Float64() >= density {
+		return math.Copysign(0, sign)
+	}
+	switch u := s.Float64(); {
+	case u < 0.15:
+		return sign * math.SmallestNonzeroFloat64 * float64(1+s.Intn(1<<20))
+	case u < 0.3:
+		return sign * 1e300 * s.Float64()
+	default:
+		return 2*s.Float64() - 1
+	}
+}
+
+// checkRowKernel runs the row kernel over n lanes through pool, both
+// forms (mulLane from +0 with zero-skip, accLane from per-element
+// starts that include -0), under every available kernel family, and
+// requires each element to equal the per-(lane, row) Dot / DotAcc bit
+// for bit.
+func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
+	t.Helper()
+	m := NewMatrix(rows, K)
+	for i := range m.Data {
+		switch u := s.Float64(); {
+		case u < 0.1:
+			m.Data[i] = math.Copysign(0, u-0.05)
+		case u < 0.2:
+			m.Data[i] = math.SmallestNonzeroFloat64 * float64(1+s.Intn(1000))
+		default:
+			m.Data[i] = 2*s.Float64() - 1
+		}
+	}
+	r1 := 1 + s.Intn(rows)
+	r0 := s.Intn(r1)
+	w := r1 - r0
+	xs := make([]float64, n*K)
+	for i := range xs {
+		xs[i] = rowKernelValue(s, density)
+	}
+	starts := make([]float64, n*w)
+	for i := range starts {
+		starts[i] = rowKernelValue(s, 0.5)
+	}
+	p := packRows(m)
+	for _, kn := range GemmKernels() {
+		setKernel(t, kn)
+		asm := gemmKernel().avx2
+		mul := make([]float64, n*w)
+		acc := append([]float64(nil), starts...)
+		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
+			for a := lo; a < hi; a++ {
+				x := xs[a*K : (a+1)*K]
+				p.mulLane(r0, x, mul[a*w:(a+1)*w], asm)
+				p.accLane(r0, x, acc[a*w:(a+1)*w], asm)
+			}
+		}))
+		for a := 0; a < n; a++ {
+			x := xs[a*K : (a+1)*K]
+			for i := 0; i < w; i++ {
+				row := m.Data[(r0+i)*K : (r0+i+1)*K]
+				if got, want := mul[a*w+i], Dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), Dot = %v (%#x)",
+						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if got, want := acc[a*w+i], DotAcc(starts[a*w+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accLane lane %d row %d = %v (%#x), DotAcc = %v (%#x)",
+						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestRowKernelMatchesDot sweeps row counts that are not multiples of
+// the 4-wide vector (and some that are), a single column, more columns
+// than one gather chunk, every lane count from 1 to 40, and input
+// densities from all-zero to dense, at floor 0 so the lane split fans
+// out.
+func TestRowKernelMatchesDot(t *testing.T) {
+	s := stats.NewStream(17)
+	pool := newPoolFloor(3, 0)
+	defer pool.Close()
+	shapes := [][2]int{{1, 1}, {3, 1}, {5, 7}, {7, 24}, {13, 23}, {24, 1}, {33, 9}, {72, 24}, {96, 23}, {97, 24}, {6, 150}}
+	for _, sh := range shapes {
+		for n := 1; n <= 40; n++ {
+			for _, density := range []float64{0, 0.1, 0.5, 1} {
+				checkRowKernel(t, sh[0], sh[1], n, density, pool, s)
+			}
+		}
+	}
+}
+
+func FuzzRowKernel(f *testing.F) {
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(1))
+	f.Add(uint8(96), uint8(23), uint8(13), uint8(80), int64(2))
+	f.Add(uint8(97), uint8(24), uint8(40), uint8(255), int64(3))
+	f.Add(uint8(5), uint8(1), uint8(31), uint8(128), int64(-4))
+	f.Fuzz(func(t *testing.T, rows8, k8, lanes8, density8 uint8, seed int64) {
+		rows := 1 + int(rows8)%128
+		K := 1 + int(k8)%150 // past 64: mulLane gathers columns 64 at a time
+		n := 1 + int(lanes8)%40
+		pool := newPoolFloor(3, 0)
+		defer pool.Close()
+		checkRowKernel(t, rows, K, n, float64(density8)/255, pool, stats.NewStream(seed))
+	})
+}
+
+// TestNonFiniteWeightBreaksZeroSkip is the regression for the
+// precondition the row kernel rests on. With W[0][5] = +Inf and
+// x[5] = 0 the zero-skipping products (the trainer's sparse MulLanes
+// path, 4 lanes × 20 columns, and mulLane) return 0.1 while Dot returns
+// NaN, so an artifact with a non-finite weight must never reach
+// inference: CheckFinite names it, and core refuses it on load and after
+// training.
+func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
+	const lanes, cols = 4, 20
+	m := NewMatrix(4, cols)
+	m.Data[0] = 0.1
+	m.Data[5] = math.Inf(1)
+	xs := make([]float64, lanes*cols)
+	for a := 0; a < lanes; a++ {
+		xs[a*cols] = 1 // one-hot: x[5] is an exact zero
+	}
+	if d := Dot(m.Data[:cols], xs[:cols]); !math.IsNaN(d) {
+		t.Fatalf("Dot = %v, want NaN (Inf·0)", d)
+	}
+	out := make([]float64, lanes*4)
+	m.MulLanes(0, 4, xs, lanes, out, 4, NewPool(1))
+	p := packRows(m)
+	row := make([]float64, 4)
+	p.mulLane(0, xs[:cols], row, gemmKernel().avx2)
+	if out[0] != 0.1 || row[0] != 0.1 {
+		t.Fatalf("zero-skipping products = %v, %v; want 0.1 (the Inf·0 term skipped)", out[0], row[0])
+	}
+
+	model, err := NewModel(DefaultModelConfig(cols, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := model.CheckFinite(); err != nil {
+		t.Fatalf("fresh model: %v", err)
+	}
+	model.Trunk[0].(*LSTM).Wx.Set(0, 5, math.Inf(1))
+	if err := model.CheckFinite(); err == nil {
+		t.Fatal("CheckFinite accepted an Inf weight")
+	}
+	model.Trunk[0].(*LSTM).Wx.Set(0, 5, 0)
+	model.ECNHead.B.Data[0] = math.NaN()
+	if err := model.CheckFinite(); err == nil {
+		t.Fatal("CheckFinite accepted a NaN bias")
+	}
+}
+
+// defaultShapeLanes returns a model of the default artifact shape (23
+// features, hidden 24, one layer) with the given trunk, the lanes
+// 0…n-1, and one mostly-zero input per lane, like the one-hot feature
+// blocks.
+func defaultShapeLanes(tb testing.TB, cell string, n int) (*Model, []int, [][]float64) {
+	tb.Helper()
+	cfg := DefaultModelConfig(23, 12)
+	cfg.CellType = cell
+	model, err := NewModel(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := stats.NewStream(int64(n))
+	lanes := make([]int, n)
+	xs := make([][]float64, n)
+	for i := range lanes {
+		lanes[i] = i
+		xs[i] = sparseVec(cfg.Features, rng)
+	}
+	return model, lanes, xs
+}
+
+// TestStepLanesDoesNotAllocate: a warmed-up fused step allocates
+// nothing, inline (production floor) or fanned out (floor 0), for both
+// recurrent trunks at the default artifact shape.
+func TestStepLanesDoesNotAllocate(t *testing.T) {
+	for _, cell := range []string{"lstm", "gru"} {
+		for _, floor := range []int{dispatchFloor, 0} {
+			pool := newPoolFloor(2, floor)
+			for _, n := range []int{1, 7, 16, 31} {
+				model, lanes, xs := defaultShapeLanes(t, cell, n)
+				bat := NewBatchedStatefulModel(model, n, pool)
+				preds := make([]Prediction, n)
+				step := func() { bat.StepLanes(lanes, xs, nil, preds) }
+				step() // size the scratch buffers
+				if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+					t.Errorf("%s floor=%d n=%d: %v allocs per StepLanes, want 0", cell, floor, n, allocs)
+				}
+			}
+			pool.Close()
+		}
+	}
+}
+
+// TestBankAfterFineTune pins the packing lifetime: a bank snapshots its
+// trunk weights when it is built, so one built after FineTune predicts
+// with the fine-tuned weights — bit for bit what the per-packet path on
+// the same model predicts.
+func TestBankAfterFineTune(t *testing.T) {
+	for _, cell := range []string{"lstm", "gru"} {
+		model := parityModel(t, cell, 1)
+		before := NewBatchedStatefulModel(model, 1, nil)
+		if _, err := model.FineTuneContext(context.Background(), samplesOf(synthSamples(40, model.Cfg.Features, model.Cfg.Window, 3)), 2, 0.05, TrainOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		after := NewBatchedStatefulModel(model, 1, nil)
+		ref := NewStatefulModel(model)
+		rng := stats.NewStream(8)
+		stale := false
+		for step := 0; step < 10; step++ {
+			x := randVec(model.Cfg.Features, rng)
+			want := ref.Predict(x)
+			if got := after.PredictLane(0, x); got != want {
+				t.Fatalf("%s step %d: bank built after FineTune %+v != per-packet %+v", cell, step, got, want)
+			}
+			if before.PredictLane(0, x) != want {
+				stale = true
+			}
+		}
+		if !stale {
+			t.Fatalf("%s: FineTune did not change predictions; the test proves nothing", cell)
+		}
+	}
+}

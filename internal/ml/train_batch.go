@@ -10,12 +10,13 @@ import (
 )
 
 // This file implements the training half of the batched engine: minibatch
-// BPTT for the trunk cells and heads, expressed as the same lane-vectorized
-// GEMMs the inference path uses (MulLanes for forward, MulLanesT /
-// AddGradLanes for backward; each fans out over the pool only above the
-// dispatch floor, see pool.go). One optimizer step is applied
-// per batch to the mean-loss gradient; Adam and gradient clipping keep
-// their exact per-update semantics.
+// BPTT for the trunk cells and heads, expressed as lane-vectorized GEMMs
+// (MulLanes for forward, MulLanesT / AddGradLanes for backward; each fans
+// out over the pool only above the dispatch floor, see pool.go). Its
+// batches are full lane tiles and its weights change every step, so it
+// does not use inference's row kernel (DESIGN.md decision 18). One
+// optimizer step is applied per batch to the mean-loss gradient; Adam
+// and gradient clipping keep their exact per-update semantics.
 //
 // Determinism contract: the minibatch trainer is NOT required to be
 // bitwise equal to the scalar per-sample path (it takes B× fewer
@@ -306,7 +307,7 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 	dropW := t.m.DropHead.W.Data
 	ecnW := t.m.ECNHead.W.Data
 	dOut := t.dOut[:n*H]
-	t.pool.Range(n, 3*H, func(lo, hi int) {
+	t.pool.Range(n, 3*H, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			row := dOut[a*H : (a+1)*H]
 			dl, dd, de := t.dLat[a], t.dDrop[a], t.dECN[a]
@@ -314,7 +315,7 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 				row[c] = latW[c]*dl + dropW[c]*dd + ecnW[c]*de
 			}
 		}
-	})
+	}))
 
 	// Backward: steps descending, layers top to bottom — the batched
 	// mirror of Trace.Backward. dOut enters the top layer at the final
@@ -336,8 +337,8 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 	return sum
 }
 
-// lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the same
-// two MulLanes GEMMs per step as the inference StepBatch, plus
+// lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the
+// inference StepBatch's two products per step as MulLanes GEMMs, plus
 // GEMM-shaped backward passes (MulLanesT for the input and recurrent
 // gradients, AddGradLanes for the weights).
 type lstmTrainLayer struct {
@@ -391,7 +392,7 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 	l.Wh.MulLanes(0, 4*H, t.h, n, t.zh, 4*H, t.pool)
 	bias := l.B.Data
 	wide := gemmKernel().wideGates
-	t.pool.Range(n, 5*H*gateMulAdds, func(lo, hi int) {
+	t.pool.Range(n, 5*H*gateMulAdds, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			zx := t.zx[a*4*H : (a+1)*4*H]
 			zh := t.zh[a*4*H : (a+1)*4*H]
@@ -421,7 +422,7 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 				hRow[j] = co[j] * ctc[j]
 			}
 		}
-	})
+	}))
 	copy(t.h[:n*H], hs[:n*H])
 }
 
@@ -429,7 +430,7 @@ func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	l := t.l
 	H, In := l.Hidden, l.In
 	base := st * n * H
-	t.pool.Range(n, 16*H, func(lo, hi int) {
+	t.pool.Range(n, 16*H, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			for j := 0; j < H; j++ {
 				k := base + a*H + j
@@ -451,7 +452,7 @@ func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 				t.dc[a*H+j] = dcTotal * f_
 			}
 		}
-	})
+	}))
 	l.Wx.AddGradLanes(0, 4*H, t.dz, 4*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
 	l.Wh.AddGradLanes(0, 4*H, t.dz, 4*H, n, t.chPrev[base:base+n*H], t.pool)
 	addBiasGradLanes(l.B, 0, 4*H, t.dz, 4*H, n)
@@ -513,7 +514,7 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 	g.Wh.MulLanes(0, 2*H, t.h, n, t.ac, 3*H, t.pool)
 	bias := g.B.Data
 	wide := gemmKernel().wideGates
-	t.pool.Range(n, 2*H*gateMulAdds, func(lo, hi int) {
+	t.pool.Range(n, 2*H*gateMulAdds, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			ax := t.ax[a*3*H : (a+1)*3*H]
 			ac := t.ac[a*3*H : (a+1)*3*H]
@@ -532,10 +533,10 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 				crh[j] = cr[j] * hRow[j]
 			}
 		}
-	})
+	}))
 	// Candidate recurrent pre-activation over r⊙h (must follow r).
 	g.Wh.MulLanes(2*H, 3*H, t.crh[base:base+n*H], n, t.ac, 3*H, t.pool)
-	t.pool.Range(n, H*gateMulAdds, func(lo, hi int) {
+	t.pool.Range(n, H*gateMulAdds, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			ax := t.ax[a*3*H : (a+1)*3*H]
 			ac := t.ac[a*3*H : (a+1)*3*H]
@@ -551,7 +552,7 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 				hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
 			}
 		}
-	})
+	}))
 	copy(t.h[:n*H], hs[:n*H])
 }
 
@@ -559,7 +560,7 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	g := t.g
 	H, In := g.Hidden, g.In
 	base := st * n * H
-	t.pool.Range(n, 8*H, func(lo, hi int) {
+	t.pool.Range(n, 8*H, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			for j := 0; j < H; j++ {
 				k := base + a*H + j
@@ -575,10 +576,10 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 				t.dhAcc[a*H+j] = dhv * (1 - z)
 			}
 		}
-	})
+	}))
 	// Gradient at r⊙h through the candidate rows of Wh.
 	g.Wh.MulLanesT(2*H, 3*H, t.da, 3*H, n, t.drh, t.pool)
-	t.pool.Range(n, 4*H, func(lo, hi int) {
+	t.pool.Range(n, 4*H, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			for j := 0; j < H; j++ {
 				k := base + a*H + j
@@ -587,20 +588,20 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 				t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
 			}
 		}
-	})
+	}))
 	g.Wx.AddGradLanes(0, 3*H, t.da, 3*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
 	// Wh rows for z and r consume hPrev; candidate rows consume r⊙h.
 	g.Wh.AddGradLanes(0, 2*H, t.da, 3*H, n, t.chPrev[base:base+n*H], t.pool)
 	g.Wh.AddGradLanes(2*H, 3*H, t.da, 3*H, n, t.crh[base:base+n*H], t.pool)
 	addBiasGradLanes(g.B, 0, 3*H, t.da, 3*H, n)
 	g.Wh.MulLanesT(0, 2*H, t.da, 3*H, n, t.scr, t.pool)
-	t.pool.Range(n, H, func(lo, hi int) {
+	t.pool.Range(n, H, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			for j := 0; j < H; j++ {
 				t.dh[a*H+j] = t.dhAcc[a*H+j] + t.scr[a*H+j]
 			}
 		}
-	})
+	}))
 	if dx != nil {
 		g.Wx.MulLanesT(0, 3*H, t.da, 3*H, n, dx, t.pool)
 	}
@@ -648,7 +649,7 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 	t.m.W.MulLanes(0, H, t.flat, n, t.h, H, t.pool)
 	bias := t.m.B.Data
 	wide := gemmKernel().wideGates
-	t.pool.Range(n, H*gateMulAdds, func(lo, hi int) {
+	t.pool.Range(n, H*gateMulAdds, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			row := t.h[a*H : (a+1)*H]
 			for j := 0; j < H; j++ {
@@ -657,7 +658,7 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 			tanhLanes(row, row, wide)
 			copy(hs[a*H:(a+1)*H], row)
 		}
-	})
+	}))
 }
 
 func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
@@ -665,13 +666,13 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 		return
 	}
 	H := t.m.Hidden
-	t.pool.Range(n, 2*H, func(lo, hi int) {
+	t.pool.Range(n, 2*H, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
 			for j := 0; j < H; j++ {
 				t.da[a*H+j] = dhIn[a*H+j] * DTanh(t.h[a*H+j])
 			}
 		}
-	})
+	}))
 	t.m.W.AddGradLanes(0, H, t.da, H, n, t.flat, t.pool)
 	addBiasGradLanes(t.m.B, 0, H, t.da, H, n)
 }
