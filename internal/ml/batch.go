@@ -1,12 +1,9 @@
 package ml
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file holds the batched Mimic inference engine's ML half and the
-// lane GEMMs the minibatch trainer shares with it:
+// lane products the minibatch trainer (train_batch.go) runs on:
 //
 //   - BatchedStatefulModel, a bank of B independent hidden states
 //     advanced through one fused step per "round", and the fused LSTM
@@ -15,9 +12,14 @@ import (
 //     gates, with lanes split over the pool only above the dispatch floor
 //     (pool.go). The batch state is the Range worker, so a step
 //     allocates nothing.
-//   - MulLanes / MulLanesT / AddGradLanes, the lane-tiled GEMMs of the
-//     minibatch trainer (train_batch.go), whose batches are full tiles
-//     and whose weights change every optimizer step.
+//   - MulLanes / MulLanesT / AddGradLanes, the trainer's products over a
+//     minibatch of lanes (DESIGN.md decision 19). The two backward
+//     products and MulLanes' sparse branch run on the row kernel over
+//     views that need no packing beyond W once per minibatch; dense
+//     MulLanes keeps the lane-tiled gemm16/gemm8, which are at their
+//     best on the trainer's full 16-lane tiles. A laneGemm in the
+//     caller's scratch holds a product's arguments and is its Range
+//     worker, so a trainer step allocates nothing either.
 //
 // The simulator half (request collection and flushing) lives in
 // internal/core's InferenceScheduler. Every path keeps the per-element
@@ -33,19 +35,87 @@ const (
 	gemmLaneBlock = 16
 )
 
-// MulLanes is the trainer's batched counterpart of MulVec (inference
-// uses the row kernel instead): for every lane a in [0, n) and every row
-// r in [r0, r1) it computes
+// MulLanes is the trainer's batched counterpart of MulVec: for every
+// lane a in [0, n) and every row r in [r0, r1) it computes
 //
 //	out[a*outStride + r] = Dot(M.row(r), xs[a*M.Cols : (a+1)*M.Cols])
 //
 // xs is n×Cols row-major; out rows are outStride wide and indexed by the
-// absolute row number r (so outStride must be >= r1). Row blocks are
-// distributed across pool when the product is large enough to repay it
-// (Pool.Range); each output element is produced by exactly one chunk
-// with a fixed k-order accumulation (Dot), so results are bitwise
-// identical to n MulVec calls regardless of worker count.
+// absolute row number r (so outStride must be >= r1). The work is split
+// across pool when the product is large enough to repay it (Pool.Range);
+// each output element is produced by exactly one chunk with a fixed
+// k-order accumulation (Dot), so results are bitwise identical to n
+// MulVec calls regardless of worker count.
 func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
+	new(laneGemm).mulLanes(m, nil, r0, r1, xs, n, out, outStride, pool)
+}
+
+// MulLanesT is the batched counterpart of MulVecT (the backprop of
+// y = Mx into x): for every lane a in [0, n) it overwrites
+//
+//	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
+//
+// dys rows are dyStride wide and indexed by absolute row number (the
+// same layout MulLanes writes), so a trainer can feed gate gradients
+// straight back through the weight matrices. Accumulation per output
+// element is in strictly ascending r order over the rows whose d is not
+// an exact zero (MulVecT's skip set), and each lane is produced by
+// exactly one chunk, so results are bitwise independent of worker count.
+func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
+	new(laneGemm).mulLanesT(m, r0, r1, dys, dyStride, n, out, pool)
+}
+
+// AddGradLanes is the batched counterpart of AddOuterGrad (the weight
+// gradient of y = Mx over a minibatch): for r in [r0,r1) it accumulates
+//
+//	Grad[r][c] += Σ_{a in [0,n)} dys[a*dyStride + r] * xs[a*Cols + c]
+//
+// The lane sum runs in strictly ascending a order for every element,
+// skipping the lanes whose d is an exact zero (AddOuterGrad's skip set)
+// — the fixed reduction order that makes minibatch gradients bitwise
+// reproducible run to run — and each gradient row is owned by exactly
+// one chunk, so results are also independent of worker count.
+func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
+	new(laneGemm).addGradLanes(m, r0, r1, dys, dyStride, n, xs, pool)
+}
+
+// laneOp selects the product a laneGemm's RunRange computes.
+type laneOp uint8
+
+const (
+	opMulDense  laneOp = iota // MulLanes over row tiles: lane-tiled GEMM
+	opMulSparse               // MulLanes over lane tiles: row kernel on packed W
+	opMulT                    // MulLanesT over lane tiles
+	opAddGrad                 // AddGradLanes over row tiles
+)
+
+// laneGemm holds one lane product's arguments and is its Pool.Range
+// worker. A trainer layer keeps one in its scratch and reuses it for
+// every product it runs (Range calls never nest), so a product hands
+// the pool a pointer the layer already has and allocates nothing.
+type laneGemm struct {
+	op        laneOp
+	m         *Matrix
+	p         *packedRows // m packed k-major (opMulSparse)
+	r0, r1, n int
+	xs        []float64 // n×Cols lane inputs (MulLanes, AddGradLanes)
+	dys       []float64 // lane gradients, stride apart (MulLanesT, AddGradLanes)
+	out       []float64 // MulLanes: stride apart; MulLanesT: Cols apart
+	stride    int       // MulLanes' out stride, or the dys stride
+	asm       bool      // the avx2 family: rowsAcc
+	tileLanes int       // the family's widest GEMM tile (gemmImpl.tileLanes)
+
+	// The dense branch's lane tiles, kept across products: lanes
+	// [a, a+w) of a w-lane block sit k-major at tile[a*Cols:(a+w)*Cols].
+	// tiled is how many leading lanes the blocks cover.
+	tile  []float64
+	tiled int
+}
+
+// mulLanes runs MulLanes. p is m packed k-major for the sparse branch —
+// a trainer packs its weights once per minibatch — or nil to pack here
+// when the branch is taken.
+func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: MulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
@@ -62,112 +132,35 @@ func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStr
 	if rows == 0 || n == 0 {
 		return
 	}
-	// First-layer inputs are mostly one-hot (rack/server/agg/core blocks),
-	// so over half the multiply-adds are against exact zeros. Skipping a
-	// w·0 term never changes an IEEE sum whose accumulator starts at +0
-	// (s + ±0 == s, and +0 + -0 == +0), so the sparse path is bitwise
-	// identical to the dense one. Hidden-state inputs are dense and fail
-	// the density test, falling through to the dense kernel.
+	k := gemmKernel()
+	*g = laneGemm{m: m, p: p, r0: r0, r1: r1, n: n, xs: xs, out: out, stride: outStride, asm: k.avx2, tileLanes: k.tileLanes, tile: g.tile}
+	// First-layer inputs are mostly one-hot (rack/server/agg/core blocks)
+	// and a fresh hidden state is all zeros, so often over half the
+	// multiply-adds are against exact zeros. When at most half the inputs
+	// are non-zero, each lane goes through the row kernel, which skips
+	// them: bitwise equal to the dense sum for finite weights
+	// (rowkernel.go). Hidden-state inputs are dense and take the lane
+	// GEMM below.
 	if rows >= 4 && n*K >= 64 {
-		sp := sparseScratch.Get().(*sparseLanes)
-		sparse := sp.pack(xs, n, K)
-		if sparse {
-			m.mulLanesSparse(r0, r1, sp, n, out, outStride, pool)
-		}
-		sparseScratch.Put(sp)
-		if sparse {
+		if nnz := countNonZero(xs[:n*K]); nnz <= n*K/2 {
+			if g.p == nil {
+				pk := packRows(m)
+				g.p = &pk
+			}
+			g.op = opMulSparse
+			aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
+			pool.Range(aTiles, rows*nnz/aTiles, g)
 			return
 		}
 	}
-	// The kernel routes full lane blocks through the selected microkernel
-	// family (gemm_dispatch.go): 16-lane k-major tiles through AVX2
-	// gemm16, then 8-lane remainders through SSE2 gemm8. Packed lanes
-	// advance through k with (V)MULPD-then-(V)ADDPD — one independent
-	// accumulator chain per lane, still in strict k order, so every
-	// output element is bitwise equal to a lone Dot. Remainder lanes (or
-	// the scalar family) fall through to a pure-Go loop with 4
-	// independent accumulators: a single Dot is one serial dependency
-	// chain and is latency-bound; multiple chains fill the FPU pipeline
-	// and reuse the weight row from registers/L1. This is where the
-	// minibatch trainer's per-step speedup comes from on a single core;
-	// a narrow inference round would pay for every tile lane it does not
-	// fill, which is why inference has the row kernel.
-	tileLanes := gemmKernel().tileLanes
+	g.op = opMulDense
+	g.packTiles()
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.Range(rTiles, rows*n*K/rTiles, RangeFunc(func(lo, hi int) {
-		rlo, rhi := r0+lo*gemmRowBlock, min(r0+hi*gemmRowBlock, r1)
-		a0 := 0
-		if tileLanes > 0 && K > 0 && n >= 8 {
-			tp := tileScratch.Get().(*[]float64)
-			tile := growFloats(*tp, tileLanes*K)
-			if tileLanes >= 16 {
-				for ; a0+16 <= n; a0 += 16 {
-					for j := 0; j < 16; j++ {
-						lx := xs[(a0+j)*K : (a0+j+1)*K]
-						for k, v := range lx {
-							tile[k*16+j] = v
-						}
-					}
-					gemm16(&m.Data[rlo*K], rhi-rlo, K, &tile[0], 128, &out[a0*outStride+rlo], outStride*8)
-				}
-			}
-			for ; a0+8 <= n; a0 += 8 {
-				for j := 0; j < 8; j++ {
-					lx := xs[(a0+j)*K : (a0+j+1)*K]
-					for k, v := range lx {
-						tile[k*8+j] = v
-					}
-				}
-				gemm8(&m.Data[rlo*K], rhi-rlo, K, &tile[0], 64, &out[a0*outStride+rlo], outStride*8)
-			}
-			*tp = tile
-			tileScratch.Put(tp)
-		}
-		for r := rlo; r < rhi; r++ {
-			wrow := m.Data[r*K : (r+1)*K]
-			a := a0
-			for ; a+4 <= n; a += 4 {
-				// Re-slicing to len(wrow) lets the compiler drop the
-				// per-element bounds checks inside the hot loop.
-				x0 := xs[a*K : (a+1)*K][:len(wrow)]
-				x1 := xs[(a+1)*K : (a+2)*K][:len(wrow)]
-				x2 := xs[(a+2)*K : (a+3)*K][:len(wrow)]
-				x3 := xs[(a+3)*K : (a+4)*K][:len(wrow)]
-				var s0, s1, s2, s3 float64
-				for k, w := range wrow {
-					s0 += w * x0[k]
-					s1 += w * x1[k]
-					s2 += w * x2[k]
-					s3 += w * x3[k]
-				}
-				out[a*outStride+r] = s0
-				out[(a+1)*outStride+r] = s1
-				out[(a+2)*outStride+r] = s2
-				out[(a+3)*outStride+r] = s3
-			}
-			for ; a < n; a++ {
-				out[a*outStride+r] = Dot(wrow, xs[a*K:(a+1)*K])
-			}
-		}
-	}))
+	pool.Range(rTiles, rows*n*K/rTiles, g)
 }
 
-// tileScratch recycles the k-major lane tiles the gemm8/gemm16 paths
-// pack; tiles are small (at most 16 × Cols) but the GEMM runs on every
-// model step.
-var tileScratch = sync.Pool{New: func() any { return new([]float64) }}
-
-// MulLanesT is the batched counterpart of MulVecT (the backprop of
-// y = Mx into x): for every lane a in [0, n) it overwrites
-//
-//	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
-//
-// dys rows are dyStride wide and indexed by absolute row number (the
-// same layout MulLanes writes), so a trainer can feed gate gradients
-// straight back through the weight matrices. Accumulation per output
-// element is in strictly ascending r order and each lane is produced by
-// exactly one chunk, so results are bitwise independent of worker count.
-func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
+// mulLanesT runs MulLanesT.
+func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: MulLanesT rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
@@ -184,48 +177,13 @@ func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []flo
 	if n == 0 {
 		return
 	}
-	// The d == 0 skip must stay ahead of the axpy kernel: skipping a row
-	// is NOT the same as adding d*row when the row holds ±Inf or NaN
-	// (0*Inf = NaN), and zero gate gradients are common (saturated
-	// sigmoids), so the skip is both a correctness guard and a win.
-	useAxpy := K >= 8 && gemmKernel().avx2
+	*g = laneGemm{op: opMulT, m: m, r0: r0, r1: r1, n: n, dys: dys, out: out, stride: dyStride, asm: gemmKernel().avx2, tile: g.tile}
 	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, (r1-r0)*n*K/aTiles, RangeFunc(func(lo, hi int) {
-		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, n); a < ahi; a++ {
-			o := out[a*K : (a+1)*K]
-			for c := range o {
-				o[c] = 0
-			}
-			for r := r0; r < r1; r++ {
-				d := dys[a*dyStride+r]
-				if d == 0 {
-					continue
-				}
-				row := m.Data[r*K : (r+1)*K][:len(o)]
-				if useAxpy {
-					// o[c] += d*row[c] elementwise — the exact scalar
-					// expression per element, just 4 lanes per instruction.
-					axpy4(&o[0], &row[0], K, d)
-					continue
-				}
-				for c, v := range row {
-					o[c] += v * d
-				}
-			}
-		}
-	}))
+	pool.Range(aTiles, (r1-r0)*n*K/aTiles, g)
 }
 
-// AddGradLanes is the batched counterpart of AddOuterGrad (the weight
-// gradient of y = Mx over a minibatch): for r in [r0,r1) it accumulates
-//
-//	Grad[r][c] += Σ_{a in [0,n)} dys[a*dyStride + r] * xs[a*Cols + c]
-//
-// The lane sum runs in strictly ascending a order for every element —
-// the fixed reduction order that makes minibatch gradients bitwise
-// reproducible run to run — and each gradient row is owned by exactly
-// one chunk, so results are also independent of worker count.
-func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
+// addGradLanes runs AddGradLanes.
+func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: AddGradLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
@@ -239,37 +197,141 @@ func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []f
 	if len(xs) < n*K {
 		panic(fmt.Sprintf("ml: AddGradLanes xs len %d < %d lanes × %d cols", len(xs), n, K))
 	}
-	if n == 0 {
-		return
-	}
-	// Same d == 0 guard as MulLanesT: it must precede the axpy call
-	// (0*Inf = NaN) and skipped lanes keep the ascending-a reduction
-	// order intact because a skipped term is an exact no-op.
-	useAxpy := K >= 8 && gemmKernel().avx2
 	rows := r1 - r0
-	if rows == 0 {
+	if n == 0 || rows == 0 {
 		return
 	}
+	*g = laneGemm{op: opAddGrad, m: m, r0: r0, r1: r1, n: n, xs: xs, dys: dys, stride: dyStride, asm: gemmKernel().avx2, tile: g.tile}
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.Range(rTiles, rows*n*K/rTiles, RangeFunc(func(lo, hi int) {
-		for r, rhi := r0+lo*gemmRowBlock, min(r0+hi*gemmRowBlock, r1); r < rhi; r++ {
-			g := m.Grad[r*K : (r+1)*K]
-			for a := 0; a < n; a++ {
-				d := dys[a*dyStride+r]
-				if d == 0 {
-					continue
+	pool.Range(rTiles, rows*n*K/rTiles, g)
+}
+
+// RunRange computes tiles [lo, hi) of the product set up last: row
+// tiles for the dense MulLanes and AddGradLanes, lane tiles otherwise.
+// Chunks write disjoint outputs.
+//
+// The backward products are the row kernel over views of what the
+// trainer already holds, so nothing is packed. In MulLanesT, row r of M
+// is column r of Mᵀ, so M.Data read as a k-major matrix of Cols rows is
+// Mᵀ, and a lane's dy is the input vector. In AddGradLanes, gradient row
+// r is Σ_a d_a·x_a: the lanes' inputs are the columns (xs read k-major,
+// one column per lane) and the gathered d_a are the input vector. The
+// row kernel's zero-skip drops exactly the terms with d = 0, which the
+// per-vector MulVecT and AddOuterGrad skip too; the skip must stay,
+// because adding 0·row is not a no-op when the row holds ±Inf or NaN.
+func (g *laneGemm) RunRange(lo, hi int) {
+	K := g.m.Cols
+	switch g.op {
+	case opMulDense:
+		g.mulDense(lo, hi)
+	case opMulSparse:
+		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
+			g.p.mulLane(g.r0, g.xs[a*K:(a+1)*K], g.out[a*g.stride+g.r0:a*g.stride+g.r1], g.asm)
+		}
+	case opMulT:
+		mt := packedRows{rows: K, t: g.m.Data[g.r0*K : g.r1*K]}
+		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
+			mt.mulLane(0, g.dys[a*g.stride+g.r0:a*g.stride+g.r1], g.out[a*K:(a+1)*K], g.asm)
+		}
+	case opAddGrad:
+		var d [64]float64 // one gathered block of lane gradients
+		for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
+			grad := g.m.Grad[r*K : (r+1)*K]
+			for a0 := 0; a0 < g.n; a0 += len(d) {
+				dd := d[:min(len(d), g.n-a0)]
+				for j := range dd {
+					dd[j] = g.dys[(a0+j)*g.stride+r]
 				}
-				if useAxpy {
-					axpy4(&g[0], &xs[a*K], K, d)
-					continue
-				}
-				x := xs[a*K : (a+1)*K][:len(g)]
-				for c, v := range x {
-					g[c] += d * v
+				lanes := packedRows{rows: K, t: g.xs[a0*K : (a0+len(dd))*K]}
+				lanes.accumulate(0, dd, grad, true, g.asm)
+			}
+		}
+	}
+}
+
+// packTiles lays the full lane blocks of xs out k-major for the
+// family's microkernels — 16-lane blocks for gemm16, then 8-lane ones
+// for gemm8 — once per product; every row chunk reads them.
+func (g *laneGemm) packTiles() {
+	K, n := g.m.Cols, g.n
+	g.tiled = 0
+	if g.tileLanes == 0 || K == 0 || n < 8 {
+		return
+	}
+	g.tile = growFloats(g.tile, n*K)
+	for w := min(g.tileLanes, 16); w >= 8; w /= 2 {
+		for ; g.tiled+w <= n; g.tiled += w {
+			a0 := g.tiled
+			t := g.tile[a0*K : (a0+w)*K]
+			for j := 0; j < w; j++ {
+				for k, v := range g.xs[(a0+j)*K : (a0+j+1)*K] {
+					t[k*w+j] = v
 				}
 			}
 		}
-	}))
+	}
+}
+
+// mulDense is MulLanes' dense branch over row tiles [lo, hi). The tiled
+// lane blocks go through the selected microkernel family
+// (gemm_dispatch.go): AVX2 gemm16 for 16-lane blocks, SSE2 gemm8 for
+// 8-lane ones. Packed lanes advance through k with (V)MULPD-then-(V)ADDPD
+// — one independent accumulator chain per lane, still in strict k
+// order, so every output element is bitwise equal to a lone Dot.
+// Remainder lanes (or the scalar family) fall through to a pure-Go loop
+// with 4 independent accumulators: a single Dot is one serial
+// dependency chain and is latency-bound; multiple chains fill the FPU
+// pipeline and reuse the weight row from registers/L1.
+func (g *laneGemm) mulDense(lo, hi int) {
+	m, xs, n, out, outStride := g.m, g.xs, g.n, g.out, g.stride
+	K := m.Cols
+	rlo, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1)
+	for a0 := 0; a0 < g.tiled; {
+		if g.tileLanes >= 16 && a0+16 <= g.tiled {
+			gemm16(&m.Data[rlo*K], rhi-rlo, K, &g.tile[a0*K], 128, &out[a0*outStride+rlo], outStride*8)
+			a0 += 16
+		} else {
+			gemm8(&m.Data[rlo*K], rhi-rlo, K, &g.tile[a0*K], 64, &out[a0*outStride+rlo], outStride*8)
+			a0 += 8
+		}
+	}
+	for r := rlo; r < rhi; r++ {
+		wrow := m.Data[r*K : (r+1)*K]
+		a := g.tiled
+		for ; a+4 <= n; a += 4 {
+			// Re-slicing to len(wrow) lets the compiler drop the
+			// per-element bounds checks inside the hot loop.
+			x0 := xs[a*K : (a+1)*K][:len(wrow)]
+			x1 := xs[(a+1)*K : (a+2)*K][:len(wrow)]
+			x2 := xs[(a+2)*K : (a+3)*K][:len(wrow)]
+			x3 := xs[(a+3)*K : (a+4)*K][:len(wrow)]
+			var s0, s1, s2, s3 float64
+			for k, w := range wrow {
+				s0 += w * x0[k]
+				s1 += w * x1[k]
+				s2 += w * x2[k]
+				s3 += w * x3[k]
+			}
+			out[a*outStride+r] = s0
+			out[(a+1)*outStride+r] = s1
+			out[(a+2)*outStride+r] = s2
+			out[(a+3)*outStride+r] = s3
+		}
+		for ; a < n; a++ {
+			out[a*outStride+r] = Dot(wrow, xs[a*K:(a+1)*K])
+		}
+	}
+}
+
+// countNonZero returns how many elements of v are not exact zeros.
+func countNonZero(v []float64) int {
+	nnz := 0
+	for _, x := range v {
+		if x != 0 {
+			nnz++
+		}
+	}
+	return nnz
 }
 
 // addBiasGradLanes accumulates Grad[r] += Σ_a dys[a*dyStride + r] for
@@ -282,94 +344,6 @@ func addBiasGradLanes(b *Matrix, r0, r1 int, dys []float64, dyStride, n int) {
 			b.Grad[r] += row[r]
 		}
 	}
-}
-
-// sparseLanes is the packed non-zero stream of an n×K input: lane a's
-// (column, value) pairs, in ascending column order, are
-// idx/val[off[a]:off[a+1]].
-type sparseLanes struct {
-	idx []int32
-	val []float64
-	off []int
-}
-
-// sparseScratch recycles the packed streams: the first-layer GEMM runs
-// on every model step.
-var sparseScratch = sync.Pool{New: func() any { return new(sparseLanes) }}
-
-// pack gathers the non-zeros of xs (n×K row-major) in one pass and
-// reports whether at most half of xs is non-zero; it gives up as soon as
-// the stream would exceed that, leaving the dense kernel to run.
-func (s *sparseLanes) pack(xs []float64, n, K int) bool {
-	limit := n * K / 2
-	if cap(s.idx) < limit {
-		s.idx, s.val = make([]int32, limit), make([]float64, limit)
-	}
-	if cap(s.off) < n+1 {
-		s.off = make([]int, n+1)
-	}
-	s.idx, s.val, s.off = s.idx[:limit], s.val[:limit], s.off[:n+1]
-	idx, val := s.idx, s.val
-	nnz := 0
-	for a := 0; a < n; a++ {
-		for k, v := range xs[a*K : (a+1)*K] {
-			if v != 0 {
-				if nnz == limit {
-					return false
-				}
-				idx[nnz], val[nnz] = int32(k), v
-				nnz++
-			}
-		}
-		s.off[a+1] = nnz
-	}
-	return true
-}
-
-// mulLanesSparse is MulLanes for lanes whose inputs are mostly zero: it
-// reuses each lane's packed (index, value) stream across four weight
-// rows at a time — four independent accumulator chains sharing each
-// loaded value. Accumulation per output element remains in ascending-k
-// order over the nonzero terms, which is bitwise equal to the dense sum
-// (skipped terms are exact zeros).
-func (m *Matrix) mulLanesSparse(r0, r1 int, sp *sparseLanes, n int, out []float64, outStride int, pool *Pool) {
-	K := m.Cols
-	idx, val, off := sp.idx, sp.val, sp.off
-	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, (r1-r0)*off[n]/aTiles, RangeFunc(func(lo, hi int) {
-		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, n); a < ahi; a++ {
-			ii := idx[off[a]:off[a+1]]
-			vv := val[off[a]:off[a+1]][:len(ii)]
-			r := r0
-			for ; r+4 <= r1; r += 4 {
-				w0 := m.Data[r*K : (r+1)*K]
-				w1 := m.Data[(r+1)*K : (r+2)*K]
-				w2 := m.Data[(r+2)*K : (r+3)*K]
-				w3 := m.Data[(r+3)*K : (r+4)*K]
-				var s0, s1, s2, s3 float64
-				for j, id := range ii {
-					v := vv[j]
-					s0 += w0[id] * v
-					s1 += w1[id] * v
-					s2 += w2[id] * v
-					s3 += w3[id] * v
-				}
-				base := a * outStride
-				out[base+r] = s0
-				out[base+r+1] = s1
-				out[base+r+2] = s2
-				out[base+r+3] = s3
-			}
-			for ; r < r1; r++ {
-				wrow := m.Data[r*K : (r+1)*K]
-				var s float64
-				for j, id := range ii {
-					s += wrow[id] * vv[j]
-				}
-				out[a*outStride+r] = s
-			}
-		}
-	}))
 }
 
 // lstmBatchState is the recurrent state of `lanes` independent LSTM

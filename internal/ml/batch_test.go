@@ -282,18 +282,23 @@ func TestPoolCloseAfterDispatch(t *testing.T) {
 // TestPoolWorkerCountInvariance: the same GEMMs through pools of
 // different sizes and floors must produce bitwise-identical output
 // (under -race this also exercises the worker pool for data races). The
-// small shape dispatches only at floor 0; the large one (hidden 128 × 64
-// lanes) must fan out at the production floor as well.
+// small shapes dispatch only at floor 0; the large ones (hidden 128 × 64
+// lanes) must fan out at the production floor as well. The sparse shapes
+// take MulLanes' row-kernel branch and give the backward products exact
+// zeros to skip.
 func TestPoolWorkerCountInvariance(t *testing.T) {
 	s := stats.NewStream(3)
 	for _, shape := range []struct {
 		rows, cols, n  int
 		prodDispatches bool
-	}{{128, 40, 64, false}, {512, 128, 64, true}} {
+		sparse         bool
+	}{{128, 40, 64, false, false}, {512, 128, 64, true, false}, {96, 23, 16, false, true}, {512, 128, 64, true, true}} {
 		rows, cols, n := shape.rows, shape.cols, shape.n
 		m := randMatrix(rows, cols, s)
-		xs := randVec(n*cols, s)
-		dys := randVec(n*rows, s)
+		xs, dys := randVec(n*cols, s), randVec(n*rows, s)
+		if shape.sparse {
+			xs, dys = sparseVec(n*cols, s), sparseVec(n*rows, s)
+		}
 		ref := make([]float64, n*rows)
 		refT := make([]float64, n*cols)
 		m.MulLanes(0, rows, xs, n, ref, rows, NewPool(1))
@@ -368,6 +373,41 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 				dispatched := obsPoolDispatches.Value() > before
 				if want := workers > 1 && floor == 0; dispatched != want {
 					t.Errorf("%s floor=%d workers=%d: dispatched=%v, want %v", cell, floor, workers, dispatched, want)
+				}
+			}
+		}
+	}
+	// The trainer and Evaluate at the default artifact shape: one
+	// minibatch's gradients and the held-out scores of 40 samples, which
+	// fan out only at floor 0.
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
+		run := func(pc poolConfig) ([][]float64, EvalResult) {
+			bt, view, idx := defaultShapeTrainer(t, cell, pc.start(t))
+			bt.trainBatch(view, idx)
+			var grads [][]float64
+			for _, p := range bt.m.Params() {
+				grads = append(grads, p.Grad)
+			}
+			return grads, bt.m.Evaluate(view.Slice(0, 40))
+		}
+		refGrads, refEval := run(poolConfig{1, dispatchFloor})
+		for _, floor := range []int{0, dispatchFloor} {
+			for _, workers := range []int{1, 2, 4} {
+				before := obsPoolDispatches.Value()
+				grads, eval := run(poolConfig{workers, floor})
+				for pi := range refGrads {
+					for i := range refGrads[pi] {
+						if grads[pi][i] != refGrads[pi][i] {
+							t.Fatalf("%s floor=%d workers=%d: param %d grad %d differs", cell, floor, workers, pi, i)
+						}
+					}
+				}
+				if eval != refEval {
+					t.Fatalf("%s floor=%d workers=%d: Evaluate %+v, want %+v", cell, floor, workers, eval, refEval)
+				}
+				dispatched := obsPoolDispatches.Value() > before
+				if want := workers > 1 && floor == 0; dispatched != want {
+					t.Errorf("%s trainer floor=%d workers=%d: dispatched=%v, want %v", cell, floor, workers, dispatched, want)
 				}
 			}
 		}

@@ -48,3 +48,11 @@ func forEachPool(t *testing.T, fn func(t *testing.T, pool *Pool)) {
 		t.Run(c.String(), func(t *testing.T) { fn(t, c.start(t)) })
 	}
 }
+
+// RangeFunc adapts a plain function to RangeTask, for tests that split
+// an ad-hoc loop over a pool. Production callers bind a worker type
+// instead, so their Range calls do not allocate.
+type RangeFunc func(lo, hi int)
+
+// RunRange calls f(lo, hi).
+func (f RangeFunc) RunRange(lo, hi int) { f(lo, hi) }

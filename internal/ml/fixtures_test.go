@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"testing"
+
 	"mimicnet/internal/stats"
 )
 
@@ -164,4 +166,131 @@ func synthStream(n, features, window int, seed int64) ([]Sample, *SampleView) {
 		view.Append(row, s.Latency, s.Dropped, s.ECN)
 	}
 	return legacy, view
+}
+
+// evaluateOracle scores src one sample at a time through Forward (a
+// fresh Trace, fresh states and fresh caches per sample): the reference
+// TestEvaluateMatchesPerSample holds the lane-bank Evaluate to, exactly.
+func (m *Model) evaluateOracle(src SampleSource) EvalResult {
+	var res EvalResult
+	count := src.Len()
+	if count == 0 {
+		return res
+	}
+	var win [][]float64
+	for i := 0; i < count; i++ {
+		win = src.WindowAppend(win[:0], i)
+		p := m.Forward(win)
+		latTarget, dropped, ecn := src.Target(i)
+		l, _ := MAE(p.Latency, latTarget)
+		res.LatencyMAE += l
+		res.DropRatePred += p.PDrop
+		res.ECNRatePred += p.PECN
+		if dropped {
+			res.DropRateTrue++
+		}
+		if ecn {
+			res.ECNRateTrue++
+		}
+		latLoss, _ := m.Cfg.LatLoss.Eval(p.Latency, latTarget, m.Cfg.HuberDelta)
+		res.Loss += latLoss
+	}
+	n := float64(count)
+	res.LatencyMAE /= n
+	res.DropRateTrue /= n
+	res.DropRatePred /= n
+	res.ECNRateTrue /= n
+	res.ECNRatePred /= n
+	res.Loss /= n
+	return res
+}
+
+// sparseStream is a columnar view of n mostly-zero feature rows (like
+// the one-hot feature blocks) with the synthStream targets: latency is
+// feature 0 of the sample's last row folded into [0, 1), drop iff
+// feature 1 > 0, ECN iff feature 0 > 0.3.
+func sparseStream(n, features, window int, seed int64) *SampleView {
+	rng := stats.NewStream(seed)
+	view := NewSampleBank(features, window, n)
+	for i := 0; i < n; i++ {
+		row := sparseVec(features, rng)
+		lat := row[0]
+		if lat < 0 {
+			lat = -lat
+		}
+		view.Append(row, lat, features > 1 && row[1] > 0, row[0] > 0.3)
+	}
+	return view
+}
+
+// defaultShapeTrainer returns a minibatch trainer for a model of the
+// default artifact shape (23 features, hidden 24, window 12, one layer)
+// with the given trunk, over a mostly-zero stream of 4·16 samples, and
+// the first batch of 16 sample indices.
+func defaultShapeTrainer(tb testing.TB, cell string, pool *Pool) (*miniBatchTrainer, *SampleView, []int) {
+	tb.Helper()
+	cfg := DefaultModelConfig(23, 12)
+	cfg.CellType = cell
+	model, err := NewModel(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	B := cfg.BatchSize
+	view := sparseStream(4*B, cfg.Features, cfg.Window, 5)
+	idx := make([]int, B)
+	for i := range idx {
+		idx[i] = 3 * i // every third sample: lanes do not share windows
+	}
+	return newMiniBatchTrainer(model, pool), view, idx
+}
+
+// genericTrainLayer trains one trunk layer through the per-sample cell
+// API — StepState/StepBackward per lane in ascending-lane order, serially
+// because StepBackward accumulates into shared parameter gradients. It is
+// the oracle TestGenericTrainLayerMatchesFused holds the fused trainer
+// layers to, and the starting point for a new Cell class before it grows
+// a fused path.
+type genericTrainLayer struct {
+	c      Cell
+	states []CellState
+	caches [][]CellCache // [step][lane]
+	dh     [][]float64
+	dc     [][]float64
+}
+
+func (t *genericTrainLayer) begin(n, steps int) {
+	t.states = make([]CellState, n)
+	t.dh = make([][]float64, n)
+	t.dc = make([][]float64, n)
+	for a := 0; a < n; a++ {
+		t.states[a] = t.c.FreshState()
+		t.dh[a] = Zeros(t.c.HiddenSize())
+	}
+	t.caches = make([][]CellCache, steps)
+	for i := range t.caches {
+		t.caches[i] = make([]CellCache, n)
+	}
+}
+
+func (t *genericTrainLayer) forward(st, n int, xs, hs []float64) {
+	in, H := t.c.InSize(), t.c.HiddenSize()
+	for a := 0; a < n; a++ {
+		h, cache := t.c.StepState(t.states[a], xs[a*in:(a+1)*in], true)
+		t.caches[st][a] = cache
+		copy(hs[a*H:(a+1)*H], h)
+	}
+}
+
+func (t *genericTrainLayer) backward(st, n int, dhIn, dx []float64) {
+	in, H := t.c.InSize(), t.c.HiddenSize()
+	for a := 0; a < n; a++ {
+		if dhIn != nil {
+			AddTo(t.dh[a], dhIn[a*H:(a+1)*H])
+		}
+		dhPrev, dcPrev, dxv := t.c.StepBackward(t.caches[st][a], t.dh[a], t.dc[a])
+		t.dh[a], t.dc[a] = dhPrev, dcPrev
+		if dx != nil {
+			copy(dx[a*in:(a+1)*in], dxv)
+		}
+	}
 }

@@ -8,7 +8,7 @@ package ml
 // separate multiply and add instructions (MULPD/VMULPD then
 // ADDPD/VADDPD, never FMA), so every output element is bitwise identical
 // to the scalar Dot kernel. gemm8 needs only SSE2 (baseline amd64);
-// gemm16 and axpy4 need AVX2 and must only be called when the probe in
+// gemm16 and rowsAcc need AVX2 and must only be called when the probe in
 // cpu_amd64.go reports cpuHasAVX2 (dispatch enforces this).
 const haveGemm8 = true
 
@@ -34,14 +34,6 @@ func gemm8(w *float64, rows, k int, xt *float64, strideB int, out *float64, outS
 //go:noescape
 func gemm16(w *float64, rows, k int, xt *float64, strideB int, out *float64, outStrideB int)
 
-// axpy4 computes y[i] += a * x[i] for i in [0, n) with AVX2 (4 float64
-// per YMM). Purely elementwise — no reduction — so each element is the
-// exact scalar expression y[i] + a*x[i]: bitwise identical to the Go
-// loop. y and x must not partially overlap.
-//
-//go:noescape
-func axpy4(y, x *float64, n int, a float64)
-
 // sigmoid4 writes σ(src[i]) into dst[i] for 4 lanes, cloning the
 // repo's scalar Sigmoid over math.Exp's AVX+FMA variant instruction for
 // instruction (gates_amd64.s). The returned mask has bit i set when
@@ -61,7 +53,8 @@ func sigmoid4(dst, src *float64) (ok uint8)
 //go:noescape
 func tanh4(dst, src *float64)
 
-// rowsAcc is the AVX2 row kernel (rowkernel.go): for i in [0, rows) it
+// rowsAcc is the AVX2 row kernel (rowkernel.go), the family's one
+// accumulation kernel: for i in [0, rows) it
 // computes
 //
 //	out[i] += Σ_j col[idx[j]*strideB/8 + i] * x[idx[j]]

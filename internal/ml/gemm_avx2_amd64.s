@@ -1,5 +1,6 @@
-// AVX2 lane-batched GEMM microkernel (the trainer's), elementwise axpy,
-// and the inference row kernel (rowsAcc, at the end). Like the SSE2
+// AVX2 lane-batched GEMM microkernel (the trainer's dense forward
+// product) and the row kernel (rowsAcc, at the end: inference and the
+// trainer's other products). Like the SSE2
 // gemm8, gemm16's vectorization is across LANES: each of the 16 lanes keeps
 // its own accumulator component that sums w[k]*x[k] in ascending-k
 // order with a separate VMULPD and VADDPD per term — deliberately NOT
@@ -220,64 +221,6 @@ kloop1:
 	VMOVSD	X3, (BX)
 	ADDQ	R12, BX
 	VMOVHPD	X3, (BX)
-
-done:
-	VZEROUPPER
-	RET
-
-// func axpy4(y, x *float64, n int, a float64)
-//
-// y[i] += a * x[i] elementwise: exactly the scalar expression per
-// element (a*x[i] rounds, then the add rounds — no FMA), so any split
-// into vector lanes is bitwise identical to the Go loop.
-TEXT ·axpy4(SB), NOSPLIT, $0-32
-	MOVQ	y+0(FP), DI
-	MOVQ	x+8(FP), SI
-	MOVQ	n+16(FP), CX
-	VBROADCASTSD	a+24(FP), Y0
-
-loop8:
-	CMPQ	CX, $8
-	JL	tail4
-	VMOVUPD	(SI), Y1
-	VMOVUPD	32(SI), Y2
-	VMULPD	Y1, Y0, Y3
-	VMULPD	Y2, Y0, Y4
-	VMOVUPD	(DI), Y1
-	VMOVUPD	32(DI), Y2
-	VADDPD	Y3, Y1, Y1
-	VADDPD	Y4, Y2, Y2
-	VMOVUPD	Y1, (DI)
-	VMOVUPD	Y2, 32(DI)
-	ADDQ	$64, SI
-	ADDQ	$64, DI
-	SUBQ	$8, CX
-	JMP	loop8
-
-tail4:
-	CMPQ	CX, $4
-	JL	tail1
-	VMOVUPD	(SI), Y1
-	VMULPD	Y1, Y0, Y3
-	VMOVUPD	(DI), Y1
-	VADDPD	Y3, Y1, Y1
-	VMOVUPD	Y1, (DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	SUBQ	$4, CX
-
-tail1:
-	TESTQ	CX, CX
-	JE	done
-	VMOVSD	(SI), X1
-	VMULSD	X1, X0, X3
-	VMOVSD	(DI), X1
-	VADDSD	X3, X1, X1
-	VMOVSD	X1, (DI)
-	ADDQ	$8, SI
-	ADDQ	$8, DI
-	DECQ	CX
-	JMP	tail1
 
 done:
 	VZEROUPPER

@@ -122,3 +122,33 @@ func BenchmarkStepLanes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainBatch times one minibatch forward+backward (trainBatch,
+// gradients zeroed after each) at the default training shape — 23
+// features, hidden 24, batch 16, window 12, mostly-zero inputs
+// (defaultShapeTrainer) — for both recurrent trunks, on a one-worker
+// pool, reporting ns per sample: the trainer's share of a first
+// estimate (DESIGN.md decision 19 has the table).
+func BenchmarkTrainBatch(b *testing.B) {
+	for _, cell := range []string{"lstm", "gru"} {
+		b.Run(cell, func(b *testing.B) {
+			pool := NewPool(1)
+			defer pool.Close()
+			bt, view, idx := defaultShapeTrainer(b, cell, pool)
+			params := bt.m.Params()
+			step := func() {
+				bt.trainBatch(view, idx)
+				for _, p := range params {
+					p.ZeroGrad()
+				}
+			}
+			step() // size the scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(idx)), "ns/sample")
+		})
+	}
+}

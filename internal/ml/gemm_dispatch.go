@@ -15,9 +15,11 @@ import (
 //	scalar — the portable Go loops (also the only family under the
 //	         purego build tag or off amd64)
 //	sse2   — 8-lane k-major tiles through gemm8 (baseline amd64)
-//	avx2   — 16-lane tiles through gemm16, the axpy4 backward kernel,
-//	         the rowsAcc inference row kernel, and (on FMA hardware)
-//	         the 4-wide sigmoid/tanh gate kernels
+//	avx2   — 16-lane tiles through gemm16 for the trainer's dense
+//	         forward product, the rowsAcc row kernel for every other
+//	         product (inference, the trainer's backward products and
+//	         sparse forward branch), and (on FMA hardware) the 4-wide
+//	         sigmoid/tanh gate kernels
 //
 // Every family produces bitwise-identical results: each output element
 // is the same ascending-k multiply-then-add chain as the scalar Dot, and
@@ -34,10 +36,9 @@ type gemmImpl struct {
 	// microkernel call: 16 (gemm16 + gemm8 remainder), 8 (gemm8), or 0
 	// (pure-Go lane loops only).
 	tileLanes int
-	// avx2 routes the MulLanesT/AddGradLanes inner loops through the
-	// AVX2 elementwise y[i] += a*x[i] kernel (axpy4) and the inference
-	// row kernel (rowkernel.go) through rowsAcc; otherwise both run as
-	// Go loops.
+	// avx2 routes the row kernel (rowkernel.go) — inference, MulLanesT,
+	// AddGradLanes and MulLanes' sparse branch — through rowsAcc;
+	// otherwise it runs as a Go loop.
 	avx2 bool
 	// wideGates routes Sigmoid/Tanh gate passes through the 4-wide
 	// AVX2+FMA clones of math.Exp's FMA variant and math.Tanh.

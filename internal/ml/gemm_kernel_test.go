@@ -150,75 +150,29 @@ func FuzzGemmKernels(f *testing.F) {
 	})
 }
 
-// FuzzGemmBackwardKernels covers the backward-shaped kernels — MulLanesT
-// and AddGradLanes, which the avx2 family routes through axpy4 — against
-// the scalar loops, bitwise, including zero gradients (the d == 0 skip).
+// FuzzGemmBackwardKernels covers the trainer products the avx2 family
+// routes through the row kernel — MulLanesT, AddGradLanes and MulLanes'
+// sparse branch — against their scalar references under every family,
+// bitwise (checkLaneProducts): ±0, subnormals, all-zero lanes and rows,
+// up to 70 lanes.
 func FuzzGemmBackwardKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(3), uint8(2), int64(1))
 	f.Add(uint8(28), uint8(13), uint8(16), int64(2))
 	f.Add(uint8(52), uint8(8), uint8(7), int64(3))
 	f.Add(uint8(1), uint8(1), uint8(1), int64(4))
+	f.Add(uint8(96), uint8(23), uint8(66), int64(5))
+	f.Add(uint8(72), uint8(24), uint8(70), int64(6))
 	f.Fuzz(func(t *testing.T, rows8, k8, lanes8 uint8, seed int64) {
-		rows := 1 + int(rows8)%64
-		k := 1 + int(k8)%48
-		n := int(lanes8) % 40
-		s := stats.NewStream(seed)
-		m := randMatrix(rows, k, s)
-		dys := make([]float64, n*rows)
-		for i := range dys {
-			if s.Float64() < 0.25 {
-				continue // exact zeros exercise the skip path
-			}
-			dys[i] = 2*s.Float64() - 1
+		rows := 1 + int(rows8)%128
+		k := 1 + int(k8)%64
+		n := 1 + int(lanes8)%70
+		density := 1.0
+		if seed%2 == 0 {
+			density = 0.3 // mostly zero: MulLanes' sparse branch
 		}
-		xs := randVec(n*k, s)
-		r1 := 1 + s.Intn(rows)
-		r0 := s.Intn(r1)
-
-		wantT := make([]float64, n*k)
-		for a := 0; a < n; a++ {
-			for r := r0; r < r1; r++ {
-				d := dys[a*rows+r]
-				if d == 0 {
-					continue
-				}
-				for c := 0; c < k; c++ {
-					wantT[a*k+c] += m.Data[r*k+c] * d
-				}
-			}
-		}
-		wantG := make([]float64, rows*k)
-		for r := r0; r < r1; r++ {
-			for a := 0; a < n; a++ {
-				d := dys[a*rows+r]
-				if d == 0 {
-					continue
-				}
-				for c := 0; c < k; c++ {
-					wantG[r*k+c] += d * xs[a*k+c]
-				}
-			}
-		}
-
-		pool := NewPool(3)
+		pool := newPoolFloor(3, 0)
 		defer pool.Close()
-		for _, kn := range GemmKernels() {
-			setKernel(t, kn)
-			gotT := make([]float64, n*k)
-			m.MulLanesT(r0, r1, dys, rows, n, gotT, pool)
-			for i := range wantT {
-				if math.Float64bits(gotT[i]) != math.Float64bits(wantT[i]) {
-					t.Fatalf("kernel %s: MulLanesT elem %d: %v != %v", kn, i, gotT[i], wantT[i])
-				}
-			}
-			zeroRange(m.Grad)
-			m.AddGradLanes(r0, r1, dys, rows, n, xs, pool)
-			for i := range wantG {
-				if math.Float64bits(m.Grad[i]) != math.Float64bits(wantG[i]) {
-					t.Fatalf("kernel %s: AddGradLanes elem %d: %v != %v", kn, i, m.Grad[i], wantG[i])
-				}
-			}
-		}
+		checkLaneProducts(t, rows, k, n, density, pool, stats.NewStream(seed))
 	})
 }
 

@@ -3,9 +3,9 @@
 package ml
 
 // haveGemm8 is false without the assembly microkernels; the dispatch
-// table offers only the "scalar" family, MulLanes uses the portable
-// 4-lane Go kernel and the row kernel its Go loop, which produce
-// identical results.
+// table offers only the "scalar" family, MulLanes' dense branch uses the
+// portable 4-lane Go kernel and the row kernel its Go loop, which
+// produce identical results.
 const haveGemm8 = false
 
 // The CPUID probe compiles out with the kernels.
@@ -23,10 +23,6 @@ func gemm8(w *float64, rows, k int, xt *float64, strideB int, out *float64, outS
 
 func gemm16(w *float64, rows, k int, xt *float64, strideB int, out *float64, outStrideB int) {
 	panic("ml: gemm16 called without assembly support")
-}
-
-func axpy4(y, x *float64, n int, a float64) {
-	panic("ml: axpy4 called without assembly support")
 }
 
 func sigmoid4(dst, src *float64) (ok uint8) {

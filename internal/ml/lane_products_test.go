@@ -1,0 +1,153 @@
+package ml
+
+import (
+	"math"
+	"testing"
+
+	"mimicnet/internal/stats"
+)
+
+// laneValue draws one operand for the trainer-product exactness tests:
+// with probability 1-density an exact zero of either sign, otherwise a
+// subnormal or an ordinary value in [-1, 1]. Magnitudes stay small, so
+// no sum overflows and every product is finite (the zero-skip's
+// precondition).
+func laneValue(s *stats.Stream, density float64) float64 {
+	sign := 1.0
+	if s.Float64() < 0.5 {
+		sign = -1
+	}
+	if s.Float64() >= density {
+		return math.Copysign(0, sign)
+	}
+	if s.Float64() < 0.15 {
+		return sign * math.SmallestNonzeroFloat64 * float64(1+s.Intn(1<<20))
+	}
+	return 2*s.Float64() - 1
+}
+
+// laneOperands draws a rows×K matrix, n lanes of inputs at the given
+// density and n lanes of row gradients (stride rows) in which about one
+// lane in eight and one row in eight are all zeros.
+func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, xs, dys []float64) {
+	m = NewMatrix(rows, K)
+	for i := range m.Data {
+		m.Data[i] = laneValue(s, 0.9)
+		m.Grad[i] = laneValue(s, 0.5) // AddGradLanes continues from here, -0 included
+	}
+	xs = make([]float64, n*K)
+	dys = make([]float64, n*rows)
+	zeroRow := make([]bool, rows)
+	for r := range zeroRow {
+		zeroRow[r] = s.Float64() < 0.125
+	}
+	for a := 0; a < n; a++ {
+		zeroLane := s.Float64() < 0.125
+		for k := 0; k < K; k++ {
+			if !zeroLane {
+				xs[a*K+k] = laneValue(s, density)
+			}
+		}
+		for r := 0; r < rows; r++ {
+			if !zeroLane && !zeroRow[r] {
+				dys[a*rows+r] = laneValue(s, 0.75)
+			}
+		}
+	}
+	return m, xs, dys
+}
+
+// checkLaneProducts runs MulLanes, MulLanesT and AddGradLanes on one
+// shape through pool under every kernel family and requires each output
+// element to equal a scalar reference bit for bit: the dense ascending-k
+// sum for MulLanes (its sparse branch skips only exact-zero inputs), and
+// for the backward products the per-vector loops of MulVecT and
+// AddOuterGrad, which skip d = 0. It reports whether MulLanes took its
+// sparse branch.
+func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) (sparse bool) {
+	t.Helper()
+	m, xs, dys := laneOperands(rows, K, n, density, s)
+	r1 := 1 + s.Intn(rows)
+	r0 := s.Intn(r1)
+	outStride := rows + s.Intn(3)
+	grad0 := append([]float64(nil), m.Grad...)
+
+	wantMul := naiveMulLanes(m, r0, r1, xs, n, outStride)
+	wantT := make([]float64, n*K)
+	for a := 0; a < n; a++ {
+		for r := r0; r < r1; r++ {
+			d := dys[a*rows+r]
+			if d == 0 {
+				continue
+			}
+			for c := 0; c < K; c++ {
+				wantT[a*K+c] += m.Data[r*K+c] * d
+			}
+		}
+	}
+	wantG := append([]float64(nil), grad0...)
+	for r := r0; r < r1; r++ {
+		for a := 0; a < n; a++ {
+			d := dys[a*rows+r]
+			if d == 0 {
+				continue
+			}
+			for c := 0; c < K; c++ {
+				wantG[r*K+c] += d * xs[a*K+c]
+			}
+		}
+	}
+
+	same := func(kn, what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s %s (%dx%d rows [%d,%d) n=%d density=%.2f) elem %d: %v (%#x), want %v (%#x)",
+					kn, what, rows, K, r0, r1, n, density, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for _, kn := range GemmKernels() {
+		setKernel(t, kn)
+		gotMul := make([]float64, n*outStride)
+		m.MulLanes(r0, r1, xs, n, gotMul, outStride, pool)
+		for a := 0; a < n; a++ {
+			same(kn, "MulLanes", gotMul[a*outStride+r0:a*outStride+r1], wantMul[a*outStride+r0:a*outStride+r1])
+		}
+		gotT := make([]float64, n*K)
+		for i := range gotT {
+			gotT[i] = math.NaN() // MulLanesT overwrites
+		}
+		m.MulLanesT(r0, r1, dys, rows, n, gotT, pool)
+		same(kn, "MulLanesT", gotT, wantT)
+		copy(m.Grad, grad0)
+		m.AddGradLanes(r0, r1, dys, rows, n, xs, pool)
+		same(kn, "AddGradLanes", m.Grad, wantG)
+	}
+	return r1-r0 >= 4 && n*K >= 64 && countNonZero(xs) <= n*K/2
+}
+
+// TestLaneProductsMatchScalar sweeps every lane count from 1 to 70 (past
+// the row kernel's 64-entry index block) over column counts from 1 to 49
+// — the default shape's 23 and 24 among them — at input densities that
+// take MulLanes' sparse branch and its dense one, with lanes and row
+// tiles split over the pool at floor 0.
+func TestLaneProductsMatchScalar(t *testing.T) {
+	s := stats.NewStream(23)
+	pool := newPoolFloor(3, 0)
+	defer pool.Close()
+	sparseRuns := 0
+	for _, K := range []int{1, 3, 5, 12, 23, 24, 49} {
+		for n := 1; n <= 70; n++ {
+			rows := 4 + s.Intn(97)
+			for _, density := range []float64{0.3, 1} {
+				if checkLaneProducts(t, rows, K, n, density, pool, s) {
+					sparseRuns++
+				}
+			}
+		}
+	}
+	if sparseRuns == 0 {
+		t.Fatal("no case took MulLanes' sparse branch; the test proves nothing about it")
+	}
+}

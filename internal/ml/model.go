@@ -268,32 +268,67 @@ type EvalResult struct {
 	Loss         float64
 }
 
-// Evaluate scores src without updating parameters. Windows are gathered
-// into a reused buffer of row aliases, so scoring a columnar view
-// allocates nothing per sample.
+// evalLanes is how many held-out windows Evaluate scores at once: one
+// full lane tile of the trainer's default batch.
+const evalLanes = 16
+
+// Evaluate scores src without updating parameters. Windows go through
+// one lane bank evalLanes at a time: each group's lanes are reset, fed
+// one StepLanes call per window row, and read at the last row. StepLanes
+// matches the per-packet path bit for bit, so every prediction equals
+// Forward on the sample's window (for finite weights, the row kernel's
+// precondition), and the sums run in ascending sample order. The bank
+// and its buffers are built once per call, so for the fused trunks
+// (LSTM, GRU) scoring allocates nothing per sample.
 func (m *Model) Evaluate(src SampleSource) EvalResult {
 	var res EvalResult
 	count := src.Len()
 	if count == 0 {
 		return res
 	}
-	var win [][]float64
-	for i := 0; i < count; i++ {
-		win = src.WindowAppend(win[:0], i)
-		p := m.Forward(win)
-		latTarget, dropped, ecn := src.Target(i)
-		l, _ := MAE(p.Latency, latTarget)
-		res.LatencyMAE += l
-		res.DropRatePred += p.PDrop
-		res.ECNRatePred += p.PECN
-		if dropped {
-			res.DropRateTrue++
+	bank := NewBatchedStatefulModel(m, evalLanes, nil)
+	width, steps := m.Cfg.Features, src.Steps()
+	var (
+		lanes [evalLanes]int
+		xs    [evalLanes][]float64
+		skip  [evalLanes]bool // heads are read at the last row only
+		preds [evalLanes]Prediction
+	)
+	rows := make([]float64, evalLanes*width)
+	for a := range lanes {
+		lanes[a] = a
+		xs[a] = rows[a*width : (a+1)*width]
+	}
+	for lo := 0; lo < count; lo += evalLanes {
+		n := min(evalLanes, count-lo)
+		for a := 0; a < n; a++ {
+			bank.ResetLane(a)
 		}
-		if ecn {
-			res.ECNRateTrue++
+		for st := 0; st < steps; st++ {
+			for a := 0; a < n; a++ {
+				copy(xs[a], src.Row(lo+a, st))
+			}
+			if st < steps-1 {
+				bank.StepLanes(lanes[:n], xs[:n], skip[:n], nil)
+			} else {
+				bank.StepLanes(lanes[:n], xs[:n], nil, preds[:n])
+			}
 		}
-		latLoss, _ := m.Cfg.LatLoss.Eval(p.Latency, latTarget, m.Cfg.HuberDelta)
-		res.Loss += latLoss
+		for a, p := range preds[:n] {
+			latTarget, dropped, ecn := src.Target(lo + a)
+			l, _ := MAE(p.Latency, latTarget)
+			res.LatencyMAE += l
+			res.DropRatePred += p.PDrop
+			res.ECNRatePred += p.PECN
+			if dropped {
+				res.DropRateTrue++
+			}
+			if ecn {
+				res.ECNRateTrue++
+			}
+			latLoss, _ := m.Cfg.LatLoss.Eval(p.Latency, latTarget, m.Cfg.HuberDelta)
+			res.Loss += latLoss
+		}
 	}
 	n := float64(count)
 	res.LatencyMAE /= n

@@ -27,32 +27,23 @@ type Pool struct {
 	workers   int
 	floor     int // work per chunk below which Range does not dispatch
 	tasks     chan poolTask
+	idle      chan *sync.WaitGroup // WaitGroups of finished fan-outs, for reuse
 	closeOnce sync.Once
 }
 
 // RangeTask is the work one Range call splits: RunRange processes items
-// [lo, hi). An inference step passes its batch state, a pointer it
-// already has, so the step allocates nothing; elsewhere a closure
-// adapts through RangeFunc.
+// [lo, hi). Every caller passes something it already has — an inference
+// batch state, a trainer layer's laneGemm, or a one-pointer worker type
+// bound to a trainer layer — so a Range call allocates nothing.
 type RangeTask interface {
 	RunRange(lo, hi int)
 }
-
-// RangeFunc adapts a plain function to RangeTask.
-type RangeFunc func(lo, hi int)
-
-// RunRange calls f(lo, hi).
-func (f RangeFunc) RunRange(lo, hi int) { f(lo, hi) }
 
 type poolTask struct {
 	task   RangeTask
 	lo, hi int
 	wg     *sync.WaitGroup
 }
-
-// waitGroups recycles the WaitGroup a dispatching Range waits on, so a
-// fan-out allocates nothing either.
-var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // NewPool starts a pool with the given worker count (minimum 1). A pool
 // with one worker runs everything inline and spawns no goroutines.
@@ -66,6 +57,7 @@ func NewPool(workers int) *Pool {
 		// worker before starting its own chunk; several callers (two
 		// directions training at once) share the queue.
 		p.tasks = make(chan poolTask, 4*workers)
+		p.idle = make(chan *sync.WaitGroup, workers)
 		for i := 0; i < workers; i++ {
 			go p.worker()
 		}
@@ -146,7 +138,16 @@ func (p *Pool) Range(n, costPerItem int, task RangeTask) {
 	}
 	obsPoolDispatches.Inc()
 	obsPoolSubmits.Add(uint64(c - 1))
-	wg := waitGroups.Get().(*sync.WaitGroup)
+	// A fan-out waits on a recycled WaitGroup, so it allocates nothing
+	// once the pool has served as many concurrent fan-outs as it will
+	// (a sync.Pool would do, but the race detector drains those at
+	// random).
+	var wg *sync.WaitGroup
+	select {
+	case wg = <-p.idle:
+	default:
+		wg = new(sync.WaitGroup)
+	}
 	wg.Add(c - 1)
 	for i := 1; i < c; i++ {
 		lo, hi := chunkBounds(n, c, i)
@@ -154,7 +155,10 @@ func (p *Pool) Range(n, costPerItem int, task RangeTask) {
 	}
 	task.RunRange(chunkBounds(n, c, 0))
 	wg.Wait()
-	waitGroups.Put(wg)
+	select {
+	case p.idle <- wg:
+	default:
+	}
 }
 
 // Close stops the pool's workers. Close is idempotent; dispatching

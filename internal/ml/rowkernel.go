@@ -1,11 +1,13 @@
 package ml
 
-// The row kernel: the matrix–vector product of batched inference
-// (DESIGN.md decision 18). The trainer's lane-tiled GEMM (MulLanes)
-// vectorizes across lanes, so a round pays for every lane of a tile it
-// does not fill; inference rounds are narrow (13.6 lanes on average in
-// warm_n32, one in eight a single lane), so inference vectorizes across
-// output rows instead and a step costs the same at any round width.
+// The row kernel: the one accumulation kernel of the AVX2 family
+// (DESIGN.md decisions 18 and 19). Inference rounds are narrow (13.6
+// lanes on average in warm_n32, one in eight a single lane), so a lane
+// GEMM would pay for every lane of a tile a round does not fill;
+// inference vectorizes across output rows instead and a step costs the
+// same at any round width. The minibatch trainer's two backward products
+// and the sparse branch of its forward product (batch.go) are the same
+// column-by-column accumulation over views that need no packing.
 //
 // Exactness. Each output element is the same ascending-k chain of
 // multiply-then-add as Dot, just advanced for all rows at once: for
@@ -18,11 +20,12 @@ package ml
 // accLane continues a chain from a caller's starting value, which may be
 // -0, so it takes every term.
 
-// packedRows is a weight matrix stored k-major for the row kernel:
+// packedRows is a matrix stored k-major for the row kernel:
 // t[k*rows + r] = W[r][k], so column k of W is one contiguous run. A
 // batch state packs its cell's weights once, when the bank is built
 // (packing lifetime: a bank's trunk runs on the weights its model had
-// then, so a model trained further needs a new bank).
+// then, so a model trained further needs a new bank); a trainer layer
+// repacks at the start of every minibatch.
 type packedRows struct {
 	rows int
 	t    []float64
@@ -30,17 +33,26 @@ type packedRows struct {
 }
 
 func packRows(m *Matrix) packedRows {
-	t := make([]float64, m.Rows*m.Cols)
+	var p packedRows
+	p.pack(m)
+	return p
+}
+
+// pack (re)fills p from m, reusing p's buffers when they are big enough.
+func (p *packedRows) pack(m *Matrix) {
+	p.rows = m.Rows
+	p.t = growFloats(p.t, m.Rows*m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		for k, v := range m.Data[r*m.Cols : (r+1)*m.Cols] {
-			t[k*m.Rows+r] = v
+			p.t[k*m.Rows+r] = v
 		}
 	}
-	all := make([]int, m.Cols)
-	for k := range all {
-		all[k] = k
+	if len(p.all) != m.Cols {
+		p.all = make([]int, m.Cols)
+		for k := range p.all {
+			p.all[k] = k
+		}
 	}
-	return packedRows{rows: m.Rows, t: t, all: all}
 }
 
 // mulLane sets out[i] = Dot(W.row(r0+i), x) for i in [0, len(out)),
@@ -59,9 +71,13 @@ func (p *packedRows) accLane(r0 int, x, out []float64, asm bool) {
 // accumulate adds x[k]·column k onto out for ascending k. With asm (the
 // avx2 family) the columns go to rowsAcc as a list: every k for accLane,
 // the non-zero ones — gathered without a branch per column — for
-// mulLane. Otherwise a Go loop does the same elementwise updates.
+// mulLane and the trainer's products. Otherwise a Go loop does the same
+// elementwise updates.
 func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros, asm bool) {
 	R, n := p.rows, len(out)
+	if n == 0 || len(x) == 0 {
+		return
+	}
 	if asm {
 		_ = p.t[(len(x)-1)*R+r0+n-1] // the last element rowsAcc may read
 		if !skipZeros {

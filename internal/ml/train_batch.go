@@ -10,13 +10,16 @@ import (
 )
 
 // This file implements the training half of the batched engine: minibatch
-// BPTT for the trunk cells and heads, expressed as lane-vectorized GEMMs
+// BPTT for the trunk cells and heads, expressed as lane products
 // (MulLanes for forward, MulLanesT / AddGradLanes for backward; each fans
-// out over the pool only above the dispatch floor, see pool.go). Its
-// batches are full lane tiles and its weights change every step, so it
-// does not use inference's row kernel (DESIGN.md decision 18). One
-// optimizer step is applied per batch to the mean-loss gradient; Adam
-// and gradient clipping keep their exact per-update semantics.
+// out over the pool only above the dispatch floor, see pool.go). The
+// backward products and the sparse forward branch run on inference's row
+// kernel, the dense forward product on the lane-tiled GEMM (DESIGN.md
+// decision 19). Each layer repacks its weights once per minibatch, the
+// only time they change. Every Range call hands the pool a worker bound
+// to the trainer or a layer, so a warmed-up minibatch allocates nothing.
+// One optimizer step is applied per batch to the mean-loss gradient;
+// Adam and gradient clipping keep their exact per-update semantics.
 //
 // Determinism contract: the minibatch trainer is NOT required to be
 // bitwise equal to the scalar per-sample path (it takes B× fewer
@@ -188,8 +191,8 @@ type trainLayer interface {
 	backward(st, n int, dhIn, dx []float64)
 }
 
-// newTrainLayer picks the fused trainer for a cell, falling back to the
-// scalar per-lane path for cell types without one.
+// newTrainLayer picks the fused trainer for a cell. Every cell class a
+// ModelConfig can name has one.
 func newTrainLayer(c Cell, pool *Pool) trainLayer {
 	switch l := c.(type) {
 	case *LSTM:
@@ -199,7 +202,7 @@ func newTrainLayer(c Cell, pool *Pool) trainLayer {
 	case *WindowMLP:
 		return &mlpTrainLayer{m: l, pool: pool}
 	}
-	return &genericTrainLayer{c: c}
+	panic(fmt.Sprintf("ml: no minibatch trainer for cell %T", c))
 }
 
 // miniBatchTrainer runs fused forward+backward passes for whole
@@ -209,6 +212,7 @@ type miniBatchTrainer struct {
 	m      *Model
 	pool   *Pool
 	layers []trainLayer
+	gemm   laneGemm // the heads' weight-gradient products
 
 	bufA, bufB        []float64   // dense activations, n × max width
 	dxBufs            [][]float64 // per layer ≥ 1, n × InSize
@@ -295,27 +299,14 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 		t.dECN[a] = invB * cfg.ECNLossW * dECN * DSigmoid(pred.PECN)
 	}
 	hFin := out[:n*H]
-	t.m.LatHead.W.AddGradLanes(0, 1, t.dLat, 1, n, hFin, t.pool)
-	t.m.DropHead.W.AddGradLanes(0, 1, t.dDrop, 1, n, hFin, t.pool)
-	t.m.ECNHead.W.AddGradLanes(0, 1, t.dECN, 1, n, hFin, t.pool)
+	t.gemm.addGradLanes(t.m.LatHead.W, 0, 1, t.dLat, 1, n, hFin, t.pool)
+	t.gemm.addGradLanes(t.m.DropHead.W, 0, 1, t.dDrop, 1, n, hFin, t.pool)
+	t.gemm.addGradLanes(t.m.ECNHead.W, 0, 1, t.dECN, 1, n, hFin, t.pool)
 	addBiasGradLanes(t.m.LatHead.B, 0, 1, t.dLat, 1, n)
 	addBiasGradLanes(t.m.DropHead.B, 0, 1, t.dDrop, 1, n)
 	addBiasGradLanes(t.m.ECNHead.B, 0, 1, t.dECN, 1, n)
-
-	// dOut = Σ_heads Wᵀ·dLogit, per lane.
-	latW := t.m.LatHead.W.Data
-	dropW := t.m.DropHead.W.Data
-	ecnW := t.m.ECNHead.W.Data
+	t.pool.Range(n, 3*H, t) // dOut
 	dOut := t.dOut[:n*H]
-	t.pool.Range(n, 3*H, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			row := dOut[a*H : (a+1)*H]
-			dl, dd, de := t.dLat[a], t.dDrop[a], t.dECN[a]
-			for c := 0; c < H; c++ {
-				row[c] = latW[c]*dl + dropW[c]*dd + ecnW[c]*de
-			}
-		}
-	}))
 
 	// Backward: steps descending, layers top to bottom — the batched
 	// mirror of Trace.Backward. dOut enters the top layer at the final
@@ -337,29 +328,53 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 	return sum
 }
 
+// RunRange computes dOut = Σ_heads Wᵀ·dLogit for lanes [lo, hi).
+func (t *miniBatchTrainer) RunRange(lo, hi int) {
+	H := t.m.Cfg.Hidden
+	latW := t.m.LatHead.W.Data[:H]
+	dropW := t.m.DropHead.W.Data[:H]
+	ecnW := t.m.ECNHead.W.Data[:H]
+	for a := lo; a < hi; a++ {
+		row := t.dOut[a*H : (a+1)*H]
+		dl, dd, de := t.dLat[a], t.dDrop[a], t.dECN[a]
+		for c := range row {
+			row[c] = latW[c]*dl + dropW[c]*dd + ecnW[c]*de
+		}
+	}
+}
+
 // lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the
-// inference StepBatch's two products per step as MulLanes GEMMs, plus
-// GEMM-shaped backward passes (MulLanesT for the input and recurrent
+// inference StepBatch's two products per step as MulLanes products, plus
+// the backward products (MulLanesT for the input and recurrent
 // gradients, AddGradLanes for the weights).
 type lstmTrainLayer struct {
 	l    *LSTM
 	pool *Pool
+	gemm laneGemm
 
 	n, steps int
-	h, c     []float64 // running state, n×H
-	dh, dc   []float64 // recurrent gradient carry, n×H
-	zx, zh   []float64 // forward step scratch, n×4H
-	dz       []float64 // gate pre-activation gradients, n×4H
+	wx, wh   packedRows // this minibatch's Wx and Wh, k-major
+	h, c     []float64  // running state, n×H
+	dh, dc   []float64  // recurrent gradient carry, n×H
+	zx, zh   []float64  // forward step scratch, n×4H
+	dz       []float64  // gate pre-activation gradients, n×4H
 
 	// per-step caches, laid out steps × n × width
 	cx                  []float64 // inputs, steps×n×In
 	chPrev, ccPrev      []float64 // steps×n×H
 	ci, cf, cg, co, ctc []float64 // gate activations and tanh(c), steps×n×H
+
+	// one step's arguments for the gate workers
+	base     int // st·n·H, the step's offset into the caches
+	hs, dhIn []float64
+	wide     bool
 }
 
 func (t *lstmTrainLayer) begin(n, steps int) {
 	H, In := t.l.Hidden, t.l.In
 	t.n, t.steps = n, steps
+	t.wx.pack(t.l.Wx)
+	t.wh.pack(t.l.Wh)
 	t.h = growFloats(t.h, n*H)
 	t.c = growFloats(t.c, n*H)
 	t.dh = growFloats(t.dh, n*H)
@@ -385,107 +400,128 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 	l := t.l
 	H, In := l.Hidden, l.In
 	copy(t.cx[st*n*In:(st+1)*n*In], xs[:n*In])
-	base := st * n * H
-	copy(t.chPrev[base:base+n*H], t.h[:n*H])
-	copy(t.ccPrev[base:base+n*H], t.c[:n*H])
-	l.Wx.MulLanes(0, 4*H, xs, n, t.zx, 4*H, t.pool)
-	l.Wh.MulLanes(0, 4*H, t.h, n, t.zh, 4*H, t.pool)
-	bias := l.B.Data
-	wide := gemmKernel().wideGates
-	t.pool.Range(n, 5*H*gateMulAdds, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			zx := t.zx[a*4*H : (a+1)*4*H]
-			zh := t.zh[a*4*H : (a+1)*4*H]
-			// Same association as Step: z[i] += zh[i] + B[i]; the gate
-			// activations land directly in the per-step caches, 4 lanes per
-			// instruction when the wide gate kernels are live.
-			for j, v := range zh {
-				zx[j] += v + bias[j]
-			}
-			ci := t.ci[base+a*H : base+(a+1)*H]
-			cf := t.cf[base+a*H : base+(a+1)*H]
-			cg := t.cg[base+a*H : base+(a+1)*H]
-			co := t.co[base+a*H : base+(a+1)*H]
-			ctc := t.ctc[base+a*H : base+(a+1)*H]
-			sigmoidLanes(ci, zx[:H], wide)
-			sigmoidLanes(cf, zx[H:2*H], wide)
-			tanhLanes(cg, zx[2*H:3*H], wide)
-			sigmoidLanes(co, zx[3*H:4*H], wide)
-			cRow := t.c[a*H : (a+1)*H]
-			hRow := hs[a*H : (a+1)*H]
-			for j := 0; j < H; j++ {
-				// cNew = f*cPrev + i*g, exactly as Step associates it.
-				cRow[j] = cf[j]*cRow[j] + ci[j]*cg[j]
-			}
-			tanhLanes(ctc, cRow, wide)
-			for j := 0; j < H; j++ {
-				hRow[j] = co[j] * ctc[j]
-			}
-		}
-	}))
+	t.base, t.hs, t.wide = st*n*H, hs, gemmKernel().wideGates
+	copy(t.chPrev[t.base:t.base+n*H], t.h[:n*H])
+	copy(t.ccPrev[t.base:t.base+n*H], t.c[:n*H])
+	t.gemm.mulLanes(l.Wx, &t.wx, 0, 4*H, xs, n, t.zx, 4*H, t.pool)
+	t.gemm.mulLanes(l.Wh, &t.wh, 0, 4*H, t.h, n, t.zh, 4*H, t.pool)
+	t.pool.Range(n, 5*H*gateMulAdds, lstmGates{t})
 	copy(t.h[:n*H], hs[:n*H])
+}
+
+// lstmGates is the forward gate pass of one step over lanes [lo, hi).
+type lstmGates struct{ *lstmTrainLayer }
+
+func (t lstmGates) RunRange(lo, hi int) {
+	H, base, wide := t.l.Hidden, t.base, t.wide
+	bias := t.l.B.Data
+	for a := lo; a < hi; a++ {
+		zx := t.zx[a*4*H : (a+1)*4*H]
+		zh := t.zh[a*4*H : (a+1)*4*H]
+		// Same association as Step: z[i] += zh[i] + B[i]; the gate
+		// activations land directly in the per-step caches, 4 lanes per
+		// instruction when the wide gate kernels are live.
+		for j, v := range zh {
+			zx[j] += v + bias[j]
+		}
+		ci := t.ci[base+a*H : base+(a+1)*H]
+		cf := t.cf[base+a*H : base+(a+1)*H]
+		cg := t.cg[base+a*H : base+(a+1)*H]
+		co := t.co[base+a*H : base+(a+1)*H]
+		ctc := t.ctc[base+a*H : base+(a+1)*H]
+		sigmoidLanes(ci, zx[:H], wide)
+		sigmoidLanes(cf, zx[H:2*H], wide)
+		tanhLanes(cg, zx[2*H:3*H], wide)
+		sigmoidLanes(co, zx[3*H:4*H], wide)
+		cRow := t.c[a*H : (a+1)*H]
+		hRow := t.hs[a*H : (a+1)*H]
+		for j := 0; j < H; j++ {
+			// cNew = f*cPrev + i*g, exactly as Step associates it.
+			cRow[j] = cf[j]*cRow[j] + ci[j]*cg[j]
+		}
+		tanhLanes(ctc, cRow, wide)
+		for j := 0; j < H; j++ {
+			hRow[j] = co[j] * ctc[j]
+		}
+	}
 }
 
 func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	l := t.l
 	H, In := l.Hidden, l.In
-	base := st * n * H
-	t.pool.Range(n, 16*H, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			for j := 0; j < H; j++ {
-				k := base + a*H + j
-				dhv := t.dh[a*H+j]
-				if dhIn != nil {
-					dhv += dhIn[a*H+j]
-				}
-				// Mirrors stepBackward: h = o·tanh(c), c = f·cPrev + i·g.
-				i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
-				do := dhv * tc
-				dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
-				di := dcTotal * g_
-				df := dcTotal * t.ccPrev[k]
-				dg := dcTotal * i_
-				t.dz[a*4*H+j] = di * DSigmoid(i_)
-				t.dz[a*4*H+H+j] = df * DSigmoid(f_)
-				t.dz[a*4*H+2*H+j] = dg * DTanh(g_)
-				t.dz[a*4*H+3*H+j] = do * DSigmoid(o_)
-				t.dc[a*H+j] = dcTotal * f_
-			}
-		}
-	}))
-	l.Wx.AddGradLanes(0, 4*H, t.dz, 4*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
-	l.Wh.AddGradLanes(0, 4*H, t.dz, 4*H, n, t.chPrev[base:base+n*H], t.pool)
+	t.base, t.dhIn = st*n*H, dhIn
+	t.pool.Range(n, 16*H, lstmGateGrads{t})
+	t.gemm.addGradLanes(l.Wx, 0, 4*H, t.dz, 4*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
+	t.gemm.addGradLanes(l.Wh, 0, 4*H, t.dz, 4*H, n, t.chPrev[t.base:t.base+n*H], t.pool)
 	addBiasGradLanes(l.B, 0, 4*H, t.dz, 4*H, n)
 	if dx != nil {
-		l.Wx.MulLanesT(0, 4*H, t.dz, 4*H, n, dx, t.pool)
+		t.gemm.mulLanesT(l.Wx, 0, 4*H, t.dz, 4*H, n, dx, t.pool)
 	}
 	// dh was consumed above; overwrite it with the carry for step st-1.
-	l.Wh.MulLanesT(0, 4*H, t.dz, 4*H, n, t.dh, t.pool)
+	t.gemm.mulLanesT(l.Wh, 0, 4*H, t.dz, 4*H, n, t.dh, t.pool)
+}
+
+// lstmGateGrads turns one step's hidden and cell gradients into the gate
+// pre-activation gradients dz and the cell carry, over lanes [lo, hi).
+type lstmGateGrads struct{ *lstmTrainLayer }
+
+func (t lstmGateGrads) RunRange(lo, hi int) {
+	H, base, dhIn := t.l.Hidden, t.base, t.dhIn
+	for a := lo; a < hi; a++ {
+		for j := 0; j < H; j++ {
+			k := base + a*H + j
+			dhv := t.dh[a*H+j]
+			if dhIn != nil {
+				dhv += dhIn[a*H+j]
+			}
+			// Mirrors stepBackward: h = o·tanh(c), c = f·cPrev + i·g.
+			i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
+			do := dhv * tc
+			dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
+			di := dcTotal * g_
+			df := dcTotal * t.ccPrev[k]
+			dg := dcTotal * i_
+			t.dz[a*4*H+j] = di * DSigmoid(i_)
+			t.dz[a*4*H+H+j] = df * DSigmoid(f_)
+			t.dz[a*4*H+2*H+j] = dg * DTanh(g_)
+			t.dz[a*4*H+3*H+j] = do * DSigmoid(o_)
+			t.dc[a*H+j] = dcTotal * f_
+		}
+	}
 }
 
 // gruTrainLayer runs fused minibatch BPTT for one GRU layer. The
 // candidate pre-activation consumes r⊙h, so each step needs a third
-// GEMM after the gate pass (exactly like the inference StepBatch).
+// product after the gate pass (exactly like the inference StepBatch).
 type gruTrainLayer struct {
 	g    *GRU
 	pool *Pool
+	gemm laneGemm
 
 	n, steps int
-	h        []float64 // running state, n×H
-	dh       []float64 // recurrent gradient carry, n×H
-	ax, ac   []float64 // pre-activation scratch, n×3H
-	da       []float64 // pre-activation gradients, n×3H
-	drh      []float64 // gradient at r⊙h, n×H
-	dhAcc    []float64 // dhPrev accumulator, n×H
-	scr      []float64 // MulLanesT scratch, n×H
+	wx, wh   packedRows // this minibatch's Wx and Wh, k-major
+	h        []float64  // running state, n×H
+	dh       []float64  // recurrent gradient carry, n×H
+	ax, ac   []float64  // pre-activation scratch, n×3H
+	da       []float64  // pre-activation gradients, n×3H
+	drh      []float64  // gradient at r⊙h, n×H
+	dhAcc    []float64  // dhPrev accumulator, n×H
+	scr      []float64  // MulLanesT scratch, n×H
 
 	cx                       []float64 // steps×n×In
 	chPrev, cz, cr, chh, crh []float64 // steps×n×H
+
+	// one step's arguments for the gate workers
+	base     int // st·n·H, the step's offset into the caches
+	hs, dhIn []float64
+	wide     bool
 }
 
 func (t *gruTrainLayer) begin(n, steps int) {
 	H, In := t.g.Hidden, t.g.In
 	t.n, t.steps = n, steps
+	t.wx.pack(t.g.Wx)
+	t.wh.pack(t.g.Wh)
 	t.h = growFloats(t.h, n*H)
 	t.dh = growFloats(t.dh, n*H)
 	t.ax = growFloats(t.ax, n*3*H)
@@ -508,123 +544,153 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 	g := t.g
 	H, In := g.Hidden, g.In
 	copy(t.cx[st*n*In:(st+1)*n*In], xs[:n*In])
-	base := st * n * H
-	copy(t.chPrev[base:base+n*H], t.h[:n*H])
-	g.Wx.MulLanes(0, 3*H, xs, n, t.ax, 3*H, t.pool)
-	g.Wh.MulLanes(0, 2*H, t.h, n, t.ac, 3*H, t.pool)
-	bias := g.B.Data
-	wide := gemmKernel().wideGates
-	t.pool.Range(n, 2*H*gateMulAdds, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			ax := t.ax[a*3*H : (a+1)*3*H]
-			ac := t.ac[a*3*H : (a+1)*3*H]
-			// Same ax + ac + bias association as StepState; z and r land
-			// directly in the per-step caches.
-			for j := 0; j < 2*H; j++ {
-				ax[j] = ax[j] + ac[j] + bias[j]
-			}
-			cz := t.cz[base+a*H : base+(a+1)*H]
-			cr := t.cr[base+a*H : base+(a+1)*H]
-			crh := t.crh[base+a*H : base+(a+1)*H]
-			sigmoidLanes(cz, ax[:H], wide)
-			sigmoidLanes(cr, ax[H:2*H], wide)
-			hRow := t.h[a*H : (a+1)*H]
-			for j := 0; j < H; j++ {
-				crh[j] = cr[j] * hRow[j]
-			}
-		}
-	}))
+	t.base, t.hs, t.wide = st*n*H, hs, gemmKernel().wideGates
+	copy(t.chPrev[t.base:t.base+n*H], t.h[:n*H])
+	t.gemm.mulLanes(g.Wx, &t.wx, 0, 3*H, xs, n, t.ax, 3*H, t.pool)
+	t.gemm.mulLanes(g.Wh, &t.wh, 0, 2*H, t.h, n, t.ac, 3*H, t.pool)
+	t.pool.Range(n, 2*H*gateMulAdds, gruGates{t})
 	// Candidate recurrent pre-activation over r⊙h (must follow r).
-	g.Wh.MulLanes(2*H, 3*H, t.crh[base:base+n*H], n, t.ac, 3*H, t.pool)
-	t.pool.Range(n, H*gateMulAdds, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			ax := t.ax[a*3*H : (a+1)*3*H]
-			ac := t.ac[a*3*H : (a+1)*3*H]
-			chh := t.chh[base+a*H : base+(a+1)*H]
-			for j := 0; j < H; j++ {
-				chh[j] = ax[2*H+j] + ac[2*H+j] + bias[2*H+j]
-			}
-			tanhLanes(chh, chh, wide)
-			cz := t.cz[base+a*H : base+(a+1)*H]
-			hRow := t.h[a*H : (a+1)*H]
-			hsRow := hs[a*H : (a+1)*H]
-			for j := 0; j < H; j++ {
-				hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
-			}
-		}
-	}))
+	t.gemm.mulLanes(g.Wh, &t.wh, 2*H, 3*H, t.crh[t.base:t.base+n*H], n, t.ac, 3*H, t.pool)
+	t.pool.Range(n, H*gateMulAdds, gruCandidate{t})
 	copy(t.h[:n*H], hs[:n*H])
+}
+
+// gruGates is the z and r gate pass of one step over lanes [lo, hi).
+type gruGates struct{ *gruTrainLayer }
+
+func (t gruGates) RunRange(lo, hi int) {
+	H, base, wide := t.g.Hidden, t.base, t.wide
+	bias := t.g.B.Data
+	for a := lo; a < hi; a++ {
+		ax := t.ax[a*3*H : (a+1)*3*H]
+		ac := t.ac[a*3*H : (a+1)*3*H]
+		// Same ax + ac + bias association as StepState; z and r land
+		// directly in the per-step caches.
+		for j := 0; j < 2*H; j++ {
+			ax[j] = ax[j] + ac[j] + bias[j]
+		}
+		cz := t.cz[base+a*H : base+(a+1)*H]
+		cr := t.cr[base+a*H : base+(a+1)*H]
+		crh := t.crh[base+a*H : base+(a+1)*H]
+		sigmoidLanes(cz, ax[:H], wide)
+		sigmoidLanes(cr, ax[H:2*H], wide)
+		hRow := t.h[a*H : (a+1)*H]
+		for j := 0; j < H; j++ {
+			crh[j] = cr[j] * hRow[j]
+		}
+	}
+}
+
+// gruCandidate is the candidate and state update of one step over lanes
+// [lo, hi).
+type gruCandidate struct{ *gruTrainLayer }
+
+func (t gruCandidate) RunRange(lo, hi int) {
+	H, base, wide := t.g.Hidden, t.base, t.wide
+	bias := t.g.B.Data
+	for a := lo; a < hi; a++ {
+		ax := t.ax[a*3*H : (a+1)*3*H]
+		ac := t.ac[a*3*H : (a+1)*3*H]
+		chh := t.chh[base+a*H : base+(a+1)*H]
+		for j := 0; j < H; j++ {
+			chh[j] = ax[2*H+j] + ac[2*H+j] + bias[2*H+j]
+		}
+		tanhLanes(chh, chh, wide)
+		cz := t.cz[base+a*H : base+(a+1)*H]
+		hRow := t.h[a*H : (a+1)*H]
+		hsRow := t.hs[a*H : (a+1)*H]
+		for j := 0; j < H; j++ {
+			hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
+		}
+	}
 }
 
 func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	g := t.g
 	H, In := g.Hidden, g.In
-	base := st * n * H
-	t.pool.Range(n, 8*H, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			for j := 0; j < H; j++ {
-				k := base + a*H + j
-				dhv := t.dh[a*H+j]
-				if dhIn != nil {
-					dhv += dhIn[a*H+j]
-				}
-				// h' = (1-z)·h + z·ĥ (mirrors GRU.StepBackward).
-				z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
-				dz := dhv * (hHat - hPrev)
-				t.da[a*3*H+j] = dz * DSigmoid(z)
-				t.da[a*3*H+2*H+j] = dhv * z * DTanh(hHat)
-				t.dhAcc[a*H+j] = dhv * (1 - z)
-			}
-		}
-	}))
+	t.base, t.dhIn = st*n*H, dhIn
+	t.pool.Range(n, 8*H, gruUpdateGrads{t})
 	// Gradient at r⊙h through the candidate rows of Wh.
-	g.Wh.MulLanesT(2*H, 3*H, t.da, 3*H, n, t.drh, t.pool)
-	t.pool.Range(n, 4*H, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			for j := 0; j < H; j++ {
-				k := base + a*H + j
-				dr := t.drh[a*H+j] * t.chPrev[k]
-				t.da[a*3*H+H+j] = dr * DSigmoid(t.cr[k])
-				t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
-			}
-		}
-	}))
-	g.Wx.AddGradLanes(0, 3*H, t.da, 3*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
+	t.gemm.mulLanesT(g.Wh, 2*H, 3*H, t.da, 3*H, n, t.drh, t.pool)
+	t.pool.Range(n, 4*H, gruResetGrads{t})
+	t.gemm.addGradLanes(g.Wx, 0, 3*H, t.da, 3*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
 	// Wh rows for z and r consume hPrev; candidate rows consume r⊙h.
-	g.Wh.AddGradLanes(0, 2*H, t.da, 3*H, n, t.chPrev[base:base+n*H], t.pool)
-	g.Wh.AddGradLanes(2*H, 3*H, t.da, 3*H, n, t.crh[base:base+n*H], t.pool)
+	t.gemm.addGradLanes(g.Wh, 0, 2*H, t.da, 3*H, n, t.chPrev[t.base:t.base+n*H], t.pool)
+	t.gemm.addGradLanes(g.Wh, 2*H, 3*H, t.da, 3*H, n, t.crh[t.base:t.base+n*H], t.pool)
 	addBiasGradLanes(g.B, 0, 3*H, t.da, 3*H, n)
-	g.Wh.MulLanesT(0, 2*H, t.da, 3*H, n, t.scr, t.pool)
-	t.pool.Range(n, H, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			for j := 0; j < H; j++ {
-				t.dh[a*H+j] = t.dhAcc[a*H+j] + t.scr[a*H+j]
-			}
-		}
-	}))
+	t.gemm.mulLanesT(g.Wh, 0, 2*H, t.da, 3*H, n, t.scr, t.pool)
+	for i, v := range t.dhAcc[:n*H] {
+		t.dh[i] = v + t.scr[i] // the carry to step st-1
+	}
 	if dx != nil {
-		g.Wx.MulLanesT(0, 3*H, t.da, 3*H, n, dx, t.pool)
+		t.gemm.mulLanesT(g.Wx, 0, 3*H, t.da, 3*H, n, dx, t.pool)
+	}
+}
+
+// gruUpdateGrads computes the update-gate and candidate pre-activation
+// gradients and the direct part of dhPrev over lanes [lo, hi).
+type gruUpdateGrads struct{ *gruTrainLayer }
+
+func (t gruUpdateGrads) RunRange(lo, hi int) {
+	H, base, dhIn := t.g.Hidden, t.base, t.dhIn
+	for a := lo; a < hi; a++ {
+		for j := 0; j < H; j++ {
+			k := base + a*H + j
+			dhv := t.dh[a*H+j]
+			if dhIn != nil {
+				dhv += dhIn[a*H+j]
+			}
+			// h' = (1-z)·h + z·ĥ (mirrors GRU.StepBackward).
+			z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
+			dz := dhv * (hHat - hPrev)
+			t.da[a*3*H+j] = dz * DSigmoid(z)
+			t.da[a*3*H+2*H+j] = dhv * z * DTanh(hHat)
+			t.dhAcc[a*H+j] = dhv * (1 - z)
+		}
+	}
+}
+
+// gruResetGrads computes the reset-gate pre-activation gradient from the
+// gradient at r⊙h over lanes [lo, hi).
+type gruResetGrads struct{ *gruTrainLayer }
+
+func (t gruResetGrads) RunRange(lo, hi int) {
+	H, base := t.g.Hidden, t.base
+	for a := lo; a < hi; a++ {
+		for j := 0; j < H; j++ {
+			k := base + a*H + j
+			dr := t.drh[a*H+j] * t.chPrev[k]
+			t.da[a*3*H+H+j] = dr * DSigmoid(t.cr[k])
+			t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
+		}
 	}
 }
 
 // mlpTrainLayer trains the windowed-MLP baseline in fused form. The MLP
 // is restricted to a single (top) layer and the heads read only the
 // final step's output, so per-step evaluation is wasted work at train
-// time: the layer buffers the window and runs one GEMM at the final
+// time: the layer buffers the window and runs one product at the final
 // step. Non-final steps contribute no gradient (StepBackward returns a
 // zero dhPrev), so skipping them is exact, not an approximation.
 type mlpTrainLayer struct {
 	m    *WindowMLP
 	pool *Pool
+	gemm laneGemm
 
 	n, steps int
-	flat     []float64 // n × In·Window, zero-padded like flatten()
-	h        []float64 // n×H final-step activations
-	da       []float64 // n×H
+	w        packedRows // this minibatch's W, k-major
+	flat     []float64  // n × In·Window, zero-padded like flatten()
+	h        []float64  // n×H final-step activations
+	da       []float64  // n×H
+
+	// the final step's arguments for the activation worker
+	hs   []float64
+	wide bool
 }
 
 func (t *mlpTrainLayer) begin(n, steps int) {
 	t.n, t.steps = n, steps
+	t.w.pack(t.m.W)
 	FW := t.m.In * t.m.Window
 	t.flat = growFloats(t.flat, n*FW)
 	zeroRange(t.flat[:n*FW])
@@ -646,19 +712,25 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 	if st != t.steps-1 {
 		return
 	}
-	t.m.W.MulLanes(0, H, t.flat, n, t.h, H, t.pool)
+	t.gemm.mulLanes(t.m.W, &t.w, 0, H, t.flat, n, t.h, H, t.pool)
+	t.hs, t.wide = hs, gemmKernel().wideGates
+	t.pool.Range(n, H*gateMulAdds, mlpActivate{t})
+}
+
+// mlpActivate adds the bias and applies tanh over lanes [lo, hi).
+type mlpActivate struct{ *mlpTrainLayer }
+
+func (t mlpActivate) RunRange(lo, hi int) {
+	H := t.m.Hidden
 	bias := t.m.B.Data
-	wide := gemmKernel().wideGates
-	t.pool.Range(n, H*gateMulAdds, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			row := t.h[a*H : (a+1)*H]
-			for j := 0; j < H; j++ {
-				row[j] += bias[j]
-			}
-			tanhLanes(row, row, wide)
-			copy(hs[a*H:(a+1)*H], row)
+	for a := lo; a < hi; a++ {
+		row := t.h[a*H : (a+1)*H]
+		for j := 0; j < H; j++ {
+			row[j] += bias[j]
 		}
-	}))
+		tanhLanes(row, row, t.wide)
+		copy(t.hs[a*H:(a+1)*H], row)
+	}
 }
 
 func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
@@ -666,63 +738,9 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 		return
 	}
 	H := t.m.Hidden
-	t.pool.Range(n, 2*H, RangeFunc(func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			for j := 0; j < H; j++ {
-				t.da[a*H+j] = dhIn[a*H+j] * DTanh(t.h[a*H+j])
-			}
-		}
-	}))
-	t.m.W.AddGradLanes(0, H, t.da, H, n, t.flat, t.pool)
+	for i, dh := range dhIn[:n*H] {
+		t.da[i] = dh * DTanh(t.h[i]) // back through tanh
+	}
+	t.gemm.addGradLanes(t.m.W, 0, H, t.da, H, n, t.flat, t.pool)
 	addBiasGradLanes(t.m.B, 0, H, t.da, H, n)
-}
-
-// genericTrainLayer is the scalar fallback for cells without a fused
-// trainer: StepState/StepBackward per lane in ascending-lane order.
-// It runs serially — StepBackward accumulates into shared parameter
-// gradients — and exists so a new Cell implementation trains correctly
-// (if slowly) before it grows a fused path.
-type genericTrainLayer struct {
-	c      Cell
-	states []CellState
-	caches [][]CellCache // [step][lane]
-	dh     [][]float64
-	dc     [][]float64
-}
-
-func (t *genericTrainLayer) begin(n, steps int) {
-	t.states = make([]CellState, n)
-	t.dh = make([][]float64, n)
-	t.dc = make([][]float64, n)
-	for a := 0; a < n; a++ {
-		t.states[a] = t.c.FreshState()
-		t.dh[a] = Zeros(t.c.HiddenSize())
-	}
-	t.caches = make([][]CellCache, steps)
-	for i := range t.caches {
-		t.caches[i] = make([]CellCache, n)
-	}
-}
-
-func (t *genericTrainLayer) forward(st, n int, xs, hs []float64) {
-	in, H := t.c.InSize(), t.c.HiddenSize()
-	for a := 0; a < n; a++ {
-		h, cache := t.c.StepState(t.states[a], xs[a*in:(a+1)*in], true)
-		t.caches[st][a] = cache
-		copy(hs[a*H:(a+1)*H], h)
-	}
-}
-
-func (t *genericTrainLayer) backward(st, n int, dhIn, dx []float64) {
-	in, H := t.c.InSize(), t.c.HiddenSize()
-	for a := 0; a < n; a++ {
-		if dhIn != nil {
-			AddTo(t.dh[a], dhIn[a*H:(a+1)*H])
-		}
-		dhPrev, dcPrev, dxv := t.c.StepBackward(t.caches[st][a], t.dh[a], t.dc[a])
-		t.dh[a], t.dc[a] = dhPrev, dcPrev
-		if dx != nil {
-			copy(dx[a*in:(a+1)*in], dxv)
-		}
-	}
 }

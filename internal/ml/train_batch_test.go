@@ -62,9 +62,9 @@ func TestBatchedGradMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGenericTrainLayerMatchesFused pins the scalar fallback layer to
-// the fused LSTM trainer: a hypothetical future cell class without a
-// fused path must still train with correct gradients.
+// TestGenericTrainLayerMatchesFused pins the fused LSTM trainer layer to
+// the per-sample cell API (genericTrainLayer): the minibatch gradients
+// must be the sum of the per-sample ones.
 func TestGenericTrainLayerMatchesFused(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
@@ -338,4 +338,69 @@ func snapshotParams(m *Model) [][]float64 {
 		out = append(out, append([]float64(nil), p.Data...))
 	}
 	return out
+}
+
+// TestTrainBatchDoesNotAllocate: once its scratch is sized, a minibatch
+// forward+backward allocates nothing, for every fused trunk at the
+// default artifact shape, inline (production floor) or fanned out
+// (floor 0).
+func TestTrainBatchDoesNotAllocate(t *testing.T) {
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
+		for _, floor := range []int{dispatchFloor, 0} {
+			pool := newPoolFloor(2, floor)
+			bt, view, idx := defaultShapeTrainer(t, cell, pool)
+			params := bt.m.Params()
+			step := func() {
+				bt.trainBatch(view, idx)
+				for _, p := range params {
+					p.ZeroGrad()
+				}
+			}
+			step() // size the scratch buffers
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Errorf("%s floor=%d: %v allocs per trainBatch, want 0", cell, floor, allocs)
+			}
+			pool.Close()
+		}
+	}
+}
+
+// TestEvaluateMatchesPerSample pins the lane-bank Evaluate to the
+// per-sample loop it replaced (evaluateOracle), exactly, for every trunk
+// class at sample counts around the 16-lane group size.
+func TestEvaluateMatchesPerSample(t *testing.T) {
+	for name, cfg := range cellConfigs() {
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A little training moves the weights off their initial values.
+		m.Train(samplesOf(synthSamples(48, cfg.Features, cfg.Window, 3)))
+		for _, count := range []int{1, 15, 16, 17, 157} {
+			_, view := synthStream(count, cfg.Features, cfg.Window, int64(count))
+			if got, want := m.Evaluate(view), m.evaluateOracle(view); got != want {
+				t.Errorf("%s count=%d: Evaluate %+v, per-sample %+v", name, count, got, want)
+			}
+		}
+	}
+}
+
+// TestEvaluateAllocsFlat: the bank and its buffers are built once per
+// call, so scoring ten times the samples costs no more allocations.
+func TestEvaluateAllocsFlat(t *testing.T) {
+	for _, cell := range []string{"lstm", "gru"} {
+		cfg := DefaultModelConfig(23, 12)
+		cfg.CellType = cell
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := sparseStream(400, cfg.Features, cfg.Window, 9)
+		small := view.Slice(0, 40)
+		a40 := testing.AllocsPerRun(5, func() { m.Evaluate(small) })
+		a400 := testing.AllocsPerRun(5, func() { m.Evaluate(view) })
+		if a40 != a400 {
+			t.Errorf("%s: Evaluate allocates %v times at 40 samples and %v at 400", cell, a40, a400)
+		}
+	}
 }
