@@ -12,326 +12,191 @@ import "fmt"
 //     gates, with lanes split over the pool only above the dispatch floor
 //     (pool.go). The batch state is the Range worker, so a step
 //     allocates nothing.
-//   - MulLanes / MulLanesT / AddGradLanes, the trainer's products over a
-//     minibatch of lanes (DESIGN.md decision 19). The two backward
-//     products and MulLanes' sparse branch run on the row kernel over
-//     views that need no packing beyond W once per minibatch; dense
-//     MulLanes keeps the lane-tiled gemm16/gemm8, which are at their
-//     best on the trainer's full 16-lane tiles. A laneGemm in the
-//     caller's scratch holds a product's arguments and is its Range
-//     worker, so a trainer step allocates nothing either.
+//   - laneGemm, the trainer's products over a minibatch of lanes
+//     (DESIGN.md decisions 19 and 20), all on the same row kernel: the
+//     forward product W·x is one mulLane per lane over W packed once per
+//     minibatch, the backward product Mᵀ·dy one mulLane per lane over a
+//     view of M that needs no packing, and the weight gradient one
+//     accumulate per gradient row. A laneGemm in the caller's scratch
+//     holds a product's arguments and is its Range worker, so a trainer
+//     step allocates nothing either.
 //
 // The simulator half (request collection and flushing) lives in
 // internal/core's InferenceScheduler. Every path keeps the per-element
 // arithmetic order of the per-packet Dot, so predictions match the
 // per-packet path bit-for-bit.
 
-// GEMM block sizes: the granularity at which Pool.Range may split a GEMM.
-// Chunk edges fall only on block edges, so a lane chunk always starts on
-// a microkernel tile (16 lanes) and a row chunk on the two- and four-row
-// blocking of the kernels.
+// Lane-product block sizes: the granularity at which Pool.Range may
+// split a product — 16 lanes for the per-lane products, 32 gradient rows
+// for the weight gradient.
 const (
 	gemmRowBlock  = 32
 	gemmLaneBlock = 16
 )
 
-// MulLanes is the trainer's batched counterpart of MulVec: for every
-// lane a in [0, n) and every row r in [r0, r1) it computes
-//
-//	out[a*outStride + r] = Dot(M.row(r), xs[a*M.Cols : (a+1)*M.Cols])
-//
-// xs is n×Cols row-major; out rows are outStride wide and indexed by the
-// absolute row number r (so outStride must be >= r1). The work is split
-// across pool when the product is large enough to repay it (Pool.Range);
-// each output element is produced by exactly one chunk with a fixed
-// k-order accumulation (Dot), so results are bitwise identical to n
-// MulVec calls regardless of worker count.
-func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
-	new(laneGemm).mulLanes(m, nil, r0, r1, xs, n, out, outStride, pool)
+// laneView is one operand of a lane product: lane a is
+// v[a*stride+off : a*stride+off+width].
+type laneView struct {
+	v                  []float64
+	stride, off, width int
 }
 
-// MulLanesT is the batched counterpart of MulVecT (the backprop of
-// y = Mx into x): for every lane a in [0, n) it overwrites
-//
-//	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
-//
-// dys rows are dyStride wide and indexed by absolute row number (the
-// same layout MulLanes writes), so a trainer can feed gate gradients
-// straight back through the weight matrices. Accumulation per output
-// element is in strictly ascending r order over the rows whose d is not
-// an exact zero (MulVecT's skip set), and each lane is produced by
-// exactly one chunk, so results are bitwise independent of worker count.
-func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
-	new(laneGemm).mulLanesT(m, r0, r1, dys, dyStride, n, out, pool)
+func (l laneView) lane(a int) []float64 {
+	i := a*l.stride + l.off
+	return l.v[i : i+l.width]
 }
-
-// AddGradLanes is the batched counterpart of AddOuterGrad (the weight
-// gradient of y = Mx over a minibatch): for r in [r0,r1) it accumulates
-//
-//	Grad[r][c] += Σ_{a in [0,n)} dys[a*dyStride + r] * xs[a*Cols + c]
-//
-// The lane sum runs in strictly ascending a order for every element,
-// skipping the lanes whose d is an exact zero (AddOuterGrad's skip set)
-// — the fixed reduction order that makes minibatch gradients bitwise
-// reproducible run to run — and each gradient row is owned by exactly
-// one chunk, so results are also independent of worker count.
-func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
-	new(laneGemm).addGradLanes(m, r0, r1, dys, dyStride, n, xs, pool)
-}
-
-// laneOp selects the product a laneGemm's RunRange computes.
-type laneOp uint8
-
-const (
-	opMulDense  laneOp = iota // MulLanes over row tiles: lane-tiled GEMM
-	opMulSparse               // MulLanes over lane tiles: row kernel on packed W
-	opMulT                    // MulLanesT over lane tiles
-	opAddGrad                 // AddGradLanes over row tiles
-)
 
 // laneGemm holds one lane product's arguments and is its Pool.Range
 // worker. A trainer layer keeps one in its scratch and reuses it for
 // every product it runs (Range calls never nest), so a product hands
 // the pool a pointer the layer already has and allocates nothing.
 type laneGemm struct {
-	op        laneOp
-	m         *Matrix
-	p         *packedRows // m packed k-major (opMulSparse)
-	r0, r1, n int
-	xs        []float64 // n×Cols lane inputs (MulLanes, AddGradLanes)
-	dys       []float64 // lane gradients, stride apart (MulLanesT, AddGradLanes)
-	out       []float64 // MulLanes: stride apart; MulLanesT: Cols apart
-	stride    int       // MulLanes' out stride, or the dys stride
-	asm       bool      // the avx2 family: rowsAcc
-	tileLanes int       // the family's widest GEMM tile (gemmImpl.tileLanes)
-
-	// The dense branch's lane tiles, kept across products: lanes
-	// [a, a+w) of a w-lane block sit k-major at tile[a*Cols:(a+w)*Cols].
-	// tiled is how many leading lanes the blocks cover.
-	tile  []float64
-	tiled int
+	grad   bool // the weight gradient by row block; otherwise one mulLane per lane, by lane block
+	asm    bool // the avx2 family: rowsAcc
+	n      int
+	r0, r1 int        // mulLane: p's first row; gradient: m's rows
+	p      packedRows // mulLane's matrix, k-major
+	m      *Matrix    // the gradient's matrix
+	x, y   laneView   // mulLane: each lane's input and output; gradient: the xs and dys lanes
 }
 
-// mulLanes runs MulLanes. p is m packed k-major for the sparse branch —
-// a trainer packs its weights once per minibatch — or nil to pack here
-// when the branch is taken.
+// mulLanes is the trainer's batched counterpart of MulVec: for every
+// lane a in [0, n) and every row r in [r0, r1) it computes
+//
+//	out[a*outStride + r] = Dot(m.row(r), xs[a*m.Cols : (a+1)*m.Cols])
+//
+// xs is n×Cols row-major; out rows are outStride wide and indexed by the
+// absolute row number r (so outStride must be >= r1). p is m packed
+// k-major — a trainer packs its weights once per minibatch (begin). Each
+// lane is one mulLane, which skips exact-zero inputs: bitwise equal to
+// the dense Dot for finite weights (rowkernel.go).
 func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic(fmt.Sprintf("ml: MulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
+		panic(fmt.Sprintf("ml: mulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
 	if outStride < r1 {
-		panic(fmt.Sprintf("ml: MulLanes outStride %d < r1 %d", outStride, r1))
+		panic(fmt.Sprintf("ml: mulLanes outStride %d < r1 %d", outStride, r1))
 	}
-	if n < 0 || len(xs) < n*m.Cols {
-		panic(fmt.Sprintf("ml: MulLanes xs len %d < %d lanes × %d cols", len(xs), n, m.Cols))
+	K := m.Cols
+	if n < 0 || len(xs) < n*K {
+		panic(fmt.Sprintf("ml: mulLanes xs len %d < %d lanes × %d cols", len(xs), n, K))
 	}
 	if len(out) < n*outStride {
-		panic(fmt.Sprintf("ml: MulLanes out len %d < %d lanes × stride %d", len(out), n, outStride))
+		panic(fmt.Sprintf("ml: mulLanes out len %d < %d lanes × stride %d", len(out), n, outStride))
 	}
-	rows, K := r1-r0, m.Cols
-	if rows == 0 || n == 0 {
+	if r0 == r1 || n == 0 {
 		return
 	}
-	k := gemmKernel()
-	*g = laneGemm{m: m, p: p, r0: r0, r1: r1, n: n, xs: xs, out: out, stride: outStride, asm: k.avx2, tileLanes: k.tileLanes, tile: g.tile}
-	// First-layer inputs are mostly one-hot (rack/server/agg/core blocks)
-	// and a fresh hidden state is all zeros, so often over half the
-	// multiply-adds are against exact zeros. When at most half the inputs
-	// are non-zero, each lane goes through the row kernel, which skips
-	// them: bitwise equal to the dense sum for finite weights
-	// (rowkernel.go). Hidden-state inputs are dense and take the lane
-	// GEMM below.
-	if rows >= 4 && n*K >= 64 {
-		if nnz := countNonZero(xs[:n*K]); nnz <= n*K/2 {
-			if g.p == nil {
-				pk := packRows(m)
-				g.p = &pk
-			}
-			g.op = opMulSparse
-			aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-			pool.Range(aTiles, rows*nnz/aTiles, g)
-			return
-		}
-	}
-	g.op = opMulDense
-	g.packTiles()
-	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.Range(rTiles, rows*n*K/rTiles, g)
+	*g = laneGemm{asm: gemmKernel().avx2, n: n, r0: r0, p: *p,
+		x: laneView{v: xs, stride: K, width: K},
+		y: laneView{v: out, stride: outStride, off: r0, width: r1 - r0}}
+	g.perLane(K, pool)
 }
 
-// mulLanesT runs MulLanesT.
+// mulLanesT is the batched counterpart of MulVecT (the backprop of
+// y = Mx into x): for every lane a in [0, n) it overwrites
+//
+//	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
+//
+// dys rows are dyStride wide and indexed by absolute row number (the
+// layout mulLanes writes), so a trainer feeds gate gradients straight
+// back through the weight matrices. Row r of M is column r of Mᵀ, so
+// M.Data read as a k-major matrix of Cols rows is Mᵀ: each lane is one
+// mulLane over that view with its dy as the input, nothing packed. The
+// sum per output element runs in ascending r over the rows whose d is
+// not an exact zero — MulVecT's skip set, which must stay, because
+// adding 0·row is not a no-op when the row holds ±Inf or NaN.
 func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic(fmt.Sprintf("ml: MulLanesT rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
+		panic(fmt.Sprintf("ml: mulLanesT rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
 	if dyStride < r1 {
-		panic(fmt.Sprintf("ml: MulLanesT dyStride %d < r1 %d", dyStride, r1))
+		panic(fmt.Sprintf("ml: mulLanesT dyStride %d < r1 %d", dyStride, r1))
 	}
 	if n < 0 || len(dys) < n*dyStride {
-		panic(fmt.Sprintf("ml: MulLanesT dys len %d < %d lanes × stride %d", len(dys), n, dyStride))
+		panic(fmt.Sprintf("ml: mulLanesT dys len %d < %d lanes × stride %d", len(dys), n, dyStride))
 	}
 	K := m.Cols
 	if len(out) < n*K {
-		panic(fmt.Sprintf("ml: MulLanesT out len %d < %d lanes × %d cols", len(out), n, K))
+		panic(fmt.Sprintf("ml: mulLanesT out len %d < %d lanes × %d cols", len(out), n, K))
 	}
 	if n == 0 {
 		return
 	}
-	*g = laneGemm{op: opMulT, m: m, r0: r0, r1: r1, n: n, dys: dys, out: out, stride: dyStride, asm: gemmKernel().avx2, tile: g.tile}
-	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, (r1-r0)*n*K/aTiles, g)
+	*g = laneGemm{asm: gemmKernel().avx2, n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]},
+		x: laneView{v: dys, stride: dyStride, off: r0, width: r1 - r0},
+		y: laneView{v: out, stride: K, width: K}}
+	g.perLane(r1-r0, pool)
 }
 
-// addGradLanes runs AddGradLanes.
+// perLane runs the mulLane set up last over the pool in lane blocks; k is
+// the input width, for the work estimate.
+func (g *laneGemm) perLane(k int, pool *Pool) {
+	aTiles := (g.n + gemmLaneBlock - 1) / gemmLaneBlock
+	pool.Range(aTiles, g.y.width*g.n*k/aTiles, g)
+}
+
+// addGradLanes is the batched counterpart of AddOuterGrad (the weight
+// gradient of y = Mx over a minibatch): for r in [r0,r1) it accumulates
+//
+//	Grad[r][c] += Σ_{a in [0,n)} dys[a*dyStride + r] * xs[a*Cols + c]
+//
+// Gradient row r is Σ_a d_a·x_a: the lanes' inputs are the columns (xs
+// read k-major, one column per lane) and the gathered d_a the input
+// vector, so each row is one accumulate. The lane sum runs in strictly
+// ascending a order for every element, skipping the lanes whose d is an
+// exact zero (AddOuterGrad's skip set) — the fixed reduction order that
+// makes minibatch gradients bitwise reproducible run to run — and each
+// gradient row is owned by exactly one chunk, so results are also
+// independent of worker count.
 func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic(fmt.Sprintf("ml: AddGradLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
+		panic(fmt.Sprintf("ml: addGradLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
 	if dyStride < r1 {
-		panic(fmt.Sprintf("ml: AddGradLanes dyStride %d < r1 %d", dyStride, r1))
+		panic(fmt.Sprintf("ml: addGradLanes dyStride %d < r1 %d", dyStride, r1))
 	}
 	if n < 0 || len(dys) < n*dyStride {
-		panic(fmt.Sprintf("ml: AddGradLanes dys len %d < %d lanes × stride %d", len(dys), n, dyStride))
+		panic(fmt.Sprintf("ml: addGradLanes dys len %d < %d lanes × stride %d", len(dys), n, dyStride))
 	}
 	K := m.Cols
 	if len(xs) < n*K {
-		panic(fmt.Sprintf("ml: AddGradLanes xs len %d < %d lanes × %d cols", len(xs), n, K))
+		panic(fmt.Sprintf("ml: addGradLanes xs len %d < %d lanes × %d cols", len(xs), n, K))
 	}
 	rows := r1 - r0
 	if n == 0 || rows == 0 {
 		return
 	}
-	*g = laneGemm{op: opAddGrad, m: m, r0: r0, r1: r1, n: n, xs: xs, dys: dys, stride: dyStride, asm: gemmKernel().avx2, tile: g.tile}
+	*g = laneGemm{grad: true, asm: gemmKernel().avx2, n: n, r0: r0, r1: r1, m: m,
+		x: laneView{v: xs, stride: K, width: K},
+		y: laneView{v: dys, stride: dyStride}}
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
 	pool.Range(rTiles, rows*n*K/rTiles, g)
 }
 
-// RunRange computes tiles [lo, hi) of the product set up last: row
-// tiles for the dense MulLanes and AddGradLanes, lane tiles otherwise.
-// Chunks write disjoint outputs.
-//
-// The backward products are the row kernel over views of what the
-// trainer already holds, so nothing is packed. In MulLanesT, row r of M
-// is column r of Mᵀ, so M.Data read as a k-major matrix of Cols rows is
-// Mᵀ, and a lane's dy is the input vector. In AddGradLanes, gradient row
-// r is Σ_a d_a·x_a: the lanes' inputs are the columns (xs read k-major,
-// one column per lane) and the gathered d_a are the input vector. The
-// row kernel's zero-skip drops exactly the terms with d = 0, which the
-// per-vector MulVecT and AddOuterGrad skip too; the skip must stay,
-// because adding 0·row is not a no-op when the row holds ±Inf or NaN.
+// RunRange computes blocks [lo, hi) of the product set up last: lane
+// blocks of a mulLane, row blocks of the weight gradient. Chunks write
+// disjoint outputs.
 func (g *laneGemm) RunRange(lo, hi int) {
-	K := g.m.Cols
-	switch g.op {
-	case opMulDense:
-		g.mulDense(lo, hi)
-	case opMulSparse:
+	if !g.grad {
 		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
-			g.p.mulLane(g.r0, g.xs[a*K:(a+1)*K], g.out[a*g.stride+g.r0:a*g.stride+g.r1], g.asm)
+			g.p.mulLane(g.r0, g.x.lane(a), g.y.lane(a), g.asm)
 		}
-	case opMulT:
-		mt := packedRows{rows: K, t: g.m.Data[g.r0*K : g.r1*K]}
-		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
-			mt.mulLane(0, g.dys[a*g.stride+g.r0:a*g.stride+g.r1], g.out[a*K:(a+1)*K], g.asm)
-		}
-	case opAddGrad:
-		var d [64]float64 // one gathered block of lane gradients
-		for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
-			grad := g.m.Grad[r*K : (r+1)*K]
-			for a0 := 0; a0 < g.n; a0 += len(d) {
-				dd := d[:min(len(d), g.n-a0)]
-				for j := range dd {
-					dd[j] = g.dys[(a0+j)*g.stride+r]
-				}
-				lanes := packedRows{rows: K, t: g.xs[a0*K : (a0+len(dd))*K]}
-				lanes.accumulate(0, dd, grad, true, g.asm)
-			}
-		}
-	}
-}
-
-// packTiles lays the full lane blocks of xs out k-major for the
-// family's microkernels — 16-lane blocks for gemm16, then 8-lane ones
-// for gemm8 — once per product; every row chunk reads them.
-func (g *laneGemm) packTiles() {
-	K, n := g.m.Cols, g.n
-	g.tiled = 0
-	if g.tileLanes == 0 || K == 0 || n < 8 {
 		return
 	}
-	g.tile = growFloats(g.tile, n*K)
-	for w := min(g.tileLanes, 16); w >= 8; w /= 2 {
-		for ; g.tiled+w <= n; g.tiled += w {
-			a0 := g.tiled
-			t := g.tile[a0*K : (a0+w)*K]
-			for j := 0; j < w; j++ {
-				for k, v := range g.xs[(a0+j)*K : (a0+j+1)*K] {
-					t[k*w+j] = v
-				}
+	K := g.m.Cols
+	var d [64]float64 // one gathered block of lane gradients
+	for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
+		grad := g.m.Grad[r*K : (r+1)*K]
+		for a0 := 0; a0 < g.n; a0 += len(d) {
+			dd := d[:min(len(d), g.n-a0)]
+			for j := range dd {
+				dd[j] = g.y.v[(a0+j)*g.y.stride+r]
 			}
+			lanes := packedRows{rows: K, t: g.x.v[a0*K : (a0+len(dd))*K]}
+			lanes.accumulate(0, dd, grad, true, g.asm)
 		}
 	}
-}
-
-// mulDense is MulLanes' dense branch over row tiles [lo, hi). The tiled
-// lane blocks go through the selected microkernel family
-// (gemm_dispatch.go): AVX2 gemm16 for 16-lane blocks, SSE2 gemm8 for
-// 8-lane ones. Packed lanes advance through k with (V)MULPD-then-(V)ADDPD
-// — one independent accumulator chain per lane, still in strict k
-// order, so every output element is bitwise equal to a lone Dot.
-// Remainder lanes (or the scalar family) fall through to a pure-Go loop
-// with 4 independent accumulators: a single Dot is one serial
-// dependency chain and is latency-bound; multiple chains fill the FPU
-// pipeline and reuse the weight row from registers/L1.
-func (g *laneGemm) mulDense(lo, hi int) {
-	m, xs, n, out, outStride := g.m, g.xs, g.n, g.out, g.stride
-	K := m.Cols
-	rlo, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1)
-	for a0 := 0; a0 < g.tiled; {
-		if g.tileLanes >= 16 && a0+16 <= g.tiled {
-			gemm16(&m.Data[rlo*K], rhi-rlo, K, &g.tile[a0*K], 128, &out[a0*outStride+rlo], outStride*8)
-			a0 += 16
-		} else {
-			gemm8(&m.Data[rlo*K], rhi-rlo, K, &g.tile[a0*K], 64, &out[a0*outStride+rlo], outStride*8)
-			a0 += 8
-		}
-	}
-	for r := rlo; r < rhi; r++ {
-		wrow := m.Data[r*K : (r+1)*K]
-		a := g.tiled
-		for ; a+4 <= n; a += 4 {
-			// Re-slicing to len(wrow) lets the compiler drop the
-			// per-element bounds checks inside the hot loop.
-			x0 := xs[a*K : (a+1)*K][:len(wrow)]
-			x1 := xs[(a+1)*K : (a+2)*K][:len(wrow)]
-			x2 := xs[(a+2)*K : (a+3)*K][:len(wrow)]
-			x3 := xs[(a+3)*K : (a+4)*K][:len(wrow)]
-			var s0, s1, s2, s3 float64
-			for k, w := range wrow {
-				s0 += w * x0[k]
-				s1 += w * x1[k]
-				s2 += w * x2[k]
-				s3 += w * x3[k]
-			}
-			out[a*outStride+r] = s0
-			out[(a+1)*outStride+r] = s1
-			out[(a+2)*outStride+r] = s2
-			out[(a+3)*outStride+r] = s3
-		}
-		for ; a < n; a++ {
-			out[a*outStride+r] = Dot(wrow, xs[a*K:(a+1)*K])
-		}
-	}
-}
-
-// countNonZero returns how many elements of v are not exact zeros.
-func countNonZero(v []float64) int {
-	nnz := 0
-	for _, x := range v {
-		if x != 0 {
-			nnz++
-		}
-	}
-	return nnz
 }
 
 // addBiasGradLanes accumulates Grad[r] += Σ_a dys[a*dyStride + r] for

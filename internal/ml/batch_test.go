@@ -7,7 +7,8 @@ import (
 )
 
 // naiveMulLanes is the triple-loop reference for MulLanes, written with
-// the same k-order accumulation so agreement must be exact.
+// the same k-order accumulation and no zero-skip, so agreement must be
+// exact.
 func naiveMulLanes(m *Matrix, r0, r1 int, xs []float64, n int, outStride int) []float64 {
 	out := make([]float64, n*outStride)
 	for a := 0; a < n; a++ {
@@ -38,8 +39,8 @@ func randVec(n int, s *stats.Stream) []float64 {
 	return v
 }
 
-// sparseVec is randVec with most entries exactly zero (one-hot-like),
-// exercising MulLanes' sparse path.
+// sparseVec is randVec with most entries exactly zero, like the one-hot
+// feature blocks.
 func sparseVec(n int, s *stats.Stream) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -48,79 +49,6 @@ func sparseVec(n int, s *stats.Stream) []float64 {
 		}
 	}
 	return v
-}
-
-// checkMulLanes compares blocked-parallel MulLanes against the naive
-// reference on one shape, for both a serial and a 4-worker pool. When
-// sparse is set the inputs are mostly exact zeros, steering MulLanes
-// onto its packed sparse path — which must still match the dense naive
-// sum bitwise (skipped terms are exact zeros).
-func checkMulLanes(t *testing.T, rows, cols, n, r0, r1 int, pool *Pool, sparse bool, s *stats.Stream) {
-	t.Helper()
-	m := randMatrix(rows, cols, s)
-	var xs []float64
-	if sparse {
-		xs = sparseVec(n*cols, s)
-	} else {
-		xs = randVec(n*cols, s)
-	}
-	want := naiveMulLanes(m, r0, r1, xs, n, rows)
-	got := make([]float64, n*rows)
-	m.MulLanes(r0, r1, xs, n, got, rows, pool)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulLanes(%dx%d, n=%d, rows [%d,%d)) differs from naive at %d: %v vs %v",
-				rows, cols, n, r0, r1, i, got[i], want[i])
-		}
-	}
-}
-
-func TestMulLanesMatchesNaive(t *testing.T) {
-	s := stats.NewStream(11)
-	pools := []*Pool{NewPool(1), NewPool(4)}
-	defer pools[1].Close()
-	// Degenerate and boundary shapes: B=0, B=1, single row/col, and
-	// sizes that are not multiples of the tile blocks.
-	fixed := [][3]int{
-		{1, 1, 0}, {1, 1, 1}, {5, 3, 1}, {1, 7, 3},
-		{gemmRowBlock, gemmLaneBlock, gemmLaneBlock},
-		{gemmRowBlock + 1, 5, gemmLaneBlock + 1},
-		{2*gemmRowBlock - 1, 9, 2*gemmLaneBlock - 1},
-		{96, 24, 33}, // LSTM-shaped: 4H × H at H=24
-	}
-	for _, p := range pools {
-		for _, sparse := range []bool{false, true} {
-			for _, f := range fixed {
-				rows, cols, n := f[0], f[1], f[2]
-				checkMulLanes(t, rows, cols, n, 0, rows, p, sparse, s)
-			}
-			// Random shapes including partial row ranges (as used by the
-			// GRU's z/r pre-activation GEMM).
-			for i := 0; i < 60; i++ {
-				rows := 1 + s.Intn(80)
-				cols := 1 + s.Intn(50)
-				n := s.Intn(70)
-				r1 := 1 + s.Intn(rows)
-				r0 := s.Intn(r1)
-				checkMulLanes(t, rows, cols, n, r0, r1, p, sparse, s)
-			}
-		}
-	}
-}
-
-func FuzzMulLanes(f *testing.F) {
-	f.Add(uint8(4), uint8(3), uint8(2), int64(1))
-	f.Add(uint8(33), uint8(17), uint8(19), int64(7))
-	f.Add(uint8(1), uint8(1), uint8(0), int64(0))
-	f.Fuzz(func(t *testing.T, rows, cols, n uint8, seed int64) {
-		if rows == 0 || cols == 0 {
-			t.Skip()
-		}
-		s := stats.NewStream(seed)
-		pool := NewPool(3)
-		defer pool.Close()
-		checkMulLanes(t, int(rows), int(cols), int(n), 0, int(rows), pool, seed%2 == 0, s)
-	})
 }
 
 // parityModel builds a small trained-ish model (random init is enough:
@@ -284,8 +212,7 @@ func TestPoolCloseAfterDispatch(t *testing.T) {
 // (under -race this also exercises the worker pool for data races). The
 // small shapes dispatch only at floor 0; the large ones (hidden 128 × 64
 // lanes) must fan out at the production floor as well. The sparse shapes
-// take MulLanes' row-kernel branch and give the backward products exact
-// zeros to skip.
+// give all three products exact zeros to skip.
 func TestPoolWorkerCountInvariance(t *testing.T) {
 	s := stats.NewStream(3)
 	for _, shape := range []struct {

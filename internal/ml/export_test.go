@@ -49,6 +49,27 @@ func forEachPool(t *testing.T, fn func(t *testing.T, pool *Pool)) {
 	}
 }
 
+// MulLanes runs the trainer's forward lane product (laneGemm.mulLanes)
+// once, packing m for it: out[a*outStride + r] = Dot(m.row(r), lane a of
+// xs) for r in [r0, r1).
+func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
+	p := packRows(m)
+	new(laneGemm).mulLanes(m, &p, r0, r1, xs, n, out, outStride, pool)
+}
+
+// MulLanesT runs the trainer's backward lane product (laneGemm.mulLanesT)
+// once: lane a of out = Σ_{r in [r0,r1)} dys[a*dyStride + r]·m.row(r).
+func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
+	new(laneGemm).mulLanesT(m, r0, r1, dys, dyStride, n, out, pool)
+}
+
+// AddGradLanes runs the trainer's weight-gradient product
+// (laneGemm.addGradLanes) once: Grad[r] += Σ_a dys[a*dyStride + r]·(lane
+// a of xs) for r in [r0, r1).
+func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
+	new(laneGemm).addGradLanes(m, r0, r1, dys, dyStride, n, xs, pool)
+}
+
 // RangeFunc adapts a plain function to RangeTask, for tests that split
 // an ad-hoc loop over a pool. Production callers bind a worker type
 // instead, so their Range calls do not allocate.

@@ -1,6 +1,6 @@
 // 4-wide AVX2+FMA gate kernels: sigmoid4 and tanh4.
 //
-// Unlike the GEMM kernels (which must avoid FMA to keep the two-
+// Unlike the row kernel rowsAcc (which must avoid FMA to keep the two-
 // rounding multiply-then-add chain of the scalar Dot), these kernels
 // USE FMA — because the scalar code they must match does. The repo's
 // Sigmoid and math.Tanh both bottom out in math.Exp, and Go's amd64

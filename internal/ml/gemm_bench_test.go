@@ -7,10 +7,9 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// BenchmarkGemmKernels measures every available kernel family on three
-// loads: the raw MulLanes GEMM at the LSTM trunk shape (GFLOP/s via
-// b.SetBytes on the touched floats), one fused inference step at B=16
-// (ns/step), and one minibatch training epoch at B=16 (samples/sec).
+// BenchmarkGemmKernels measures every available kernel family on two
+// loads: one fused inference step at B=16 (ns/step, and GFLOP/s from
+// FLOPsPerStep) and one minibatch training epoch at B=16 (samples/sec).
 // All families produce bitwise-identical outputs, so the rows differ
 // only in throughput.
 func BenchmarkGemmKernels(b *testing.B) {
@@ -21,31 +20,6 @@ func BenchmarkGemmKernels(b *testing.B) {
 		nSamples = 256
 	)
 	for _, kn := range GemmKernels() {
-		kn := kn
-		b.Run("gemm/"+kn, func(b *testing.B) {
-			if err := SetGemmKernel(kn); err != nil {
-				b.Fatal(err)
-			}
-			// The LSTM hidden GEMM shape of the default model: 4H rows
-			// of H columns over B dense lanes.
-			H := DefaultModelConfig(features, window).Hidden
-			rows, cols := 4*H, H
-			s := stats.NewStream(3)
-			m := randMatrix(rows, cols, s)
-			xs := randVec(B*cols, s)
-			out := make([]float64, B*rows)
-			pool := NewPool(1)
-			defer pool.Close()
-			flops := 2 * float64(rows) * float64(cols) * float64(B)
-			// bytes actually streamed per call: weights + inputs + outputs
-			b.SetBytes(int64(8 * (rows*cols + B*cols + B*rows)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MulLanes(0, rows, xs, B, out, rows, pool)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-
 		b.Run("inference/"+kn, func(b *testing.B) {
 			if err := SetGemmKernel(kn); err != nil {
 				b.Fatal(err)

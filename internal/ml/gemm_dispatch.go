@@ -9,35 +9,27 @@ import (
 	"mimicnet/internal/obs"
 )
 
-// Runtime GEMM kernel dispatch (DESIGN.md decision 11). Three kernel
-// families share the hot paths:
+// Runtime GEMM kernel dispatch (DESIGN.md decisions 11 and 20). Two
+// kernel families share the hot paths:
 //
 //	scalar — the portable Go loops (also the only family under the
-//	         purego build tag or off amd64)
-//	sse2   — 8-lane k-major tiles through gemm8 (baseline amd64)
-//	avx2   — 16-lane tiles through gemm16 for the trainer's dense
-//	         forward product, the rowsAcc row kernel for every other
-//	         product (inference, the trainer's backward products and
-//	         sparse forward branch), and (on FMA hardware) the 4-wide
+//	         purego build tag, off amd64, or on a CPU without AVX2)
+//	avx2   — the rowsAcc row kernel for every matrix product (inference
+//	         and all of the trainer's), and (on FMA hardware) the 4-wide
 //	         sigmoid/tanh gate kernels
 //
-// Every family produces bitwise-identical results: each output element
-// is the same ascending-k multiply-then-add chain as the scalar Dot, and
-// the wide gate kernels clone math.Exp/math.Tanh instruction for
-// instruction (gates_amd64.s), verified at init by wideGatesMatchScalar.
-// Selection happens once at process start — CPUID probe plus the
-// MIMICNET_GEMM override — and is published through one atomic pointer;
-// kernels load it once per call, never per element.
+// Both produce bitwise-identical results: each output element is the
+// same ascending-k multiply-then-add chain as the scalar Dot, and the
+// wide gate kernels clone math.Exp/math.Tanh instruction for instruction
+// (gates_amd64.s), verified at init by wideGatesMatchScalar. Selection
+// happens once at process start — CPUID probe plus the MIMICNET_GEMM
+// override — and is published through one atomic pointer; kernels load
+// it once per call, never per element.
 
 // gemmImpl describes one selectable kernel family.
 type gemmImpl struct {
 	name string
-	// tileLanes is the widest k-major tile the family consumes per
-	// microkernel call: 16 (gemm16 + gemm8 remainder), 8 (gemm8), or 0
-	// (pure-Go lane loops only).
-	tileLanes int
-	// avx2 routes the row kernel (rowkernel.go) — inference, MulLanesT,
-	// AddGradLanes and MulLanes' sparse branch — through rowsAcc;
+	// avx2 routes the row kernel (rowkernel.go) through rowsAcc;
 	// otherwise it runs as a Go loop.
 	avx2 bool
 	// wideGates routes Sigmoid/Tanh gate passes through the 4-wide
@@ -53,7 +45,7 @@ func gemmKernel() *gemmImpl { return gemmActive.Load() }
 
 // gemmKernelNames is every name SetGemmKernel understands on any build,
 // widest last.
-var gemmKernelNames = []string{"scalar", "sse2", "avx2"}
+var gemmKernelNames = []string{"scalar", "avx2"}
 
 // gemmImplByName holds the families usable on this CPU and build,
 // assembled once at package init from the cached CPUID probe.
@@ -61,22 +53,18 @@ var gemmImplByName = buildGemmImpls()
 
 func buildGemmImpls() map[string]*gemmImpl {
 	m := map[string]*gemmImpl{"scalar": {name: "scalar"}}
-	if haveGemm8 {
-		m["sse2"] = &gemmImpl{name: "sse2", tileLanes: 8}
-		if cpuHasAVX2 {
-			m["avx2"] = &gemmImpl{
-				name:      "avx2",
-				tileLanes: 16,
-				avx2:      true,
-				// The gate kernels replicate math.Exp's AVX+FMA variant,
-				// so they are only bitwise-correct when the runtime's
-				// math package takes that same path. Verify empirically
-				// rather than re-deriving internal/cpu's decision (which
-				// GODEBUG can override): if any probe value disagrees
-				// with the scalar transcendentals, fall back to scalar
-				// gates and keep determinism.
-				wideGates: cpuHasFMA && wideGatesMatchScalar(),
-			}
+	if cpuHasAVX2 {
+		m["avx2"] = &gemmImpl{
+			name: "avx2",
+			avx2: true,
+			// The gate kernels replicate math.Exp's AVX+FMA variant,
+			// so they are only bitwise-correct when the runtime's
+			// math package takes that same path. Verify empirically
+			// rather than re-deriving internal/cpu's decision (which
+			// GODEBUG can override): if any probe value disagrees
+			// with the scalar transcendentals, fall back to scalar
+			// gates and keep determinism.
+			wideGates: cpuHasFMA && wideGatesMatchScalar(),
 		}
 	}
 	return m
@@ -84,9 +72,6 @@ func buildGemmImpls() map[string]*gemmImpl {
 
 func init() {
 	def := "scalar"
-	if _, ok := gemmImplByName["sse2"]; ok {
-		def = "sse2"
-	}
 	if _, ok := gemmImplByName["avx2"]; ok {
 		def = "avx2"
 	}
@@ -102,9 +87,9 @@ func init() {
 	registerGemmKernelGauges()
 }
 
-// SetGemmKernel selects the GEMM kernel family by name ("scalar",
-// "sse2", or "avx2"). It validates availability on this CPU and build
-// and returns a descriptive error otherwise. All families are bitwise
+// SetGemmKernel selects the GEMM kernel family by name ("scalar" or
+// "avx2"). It validates availability on this CPU and build and returns
+// a descriptive error otherwise. All families are bitwise
 // identical, so switching never changes results — only throughput.
 // Intended for process start (MIMICNET_GEMM) and for tests/benchmarks;
 // safe to call concurrently with running kernels (in-flight calls finish

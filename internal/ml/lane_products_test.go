@@ -60,16 +60,16 @@ func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, 
 // checkLaneProducts runs MulLanes, MulLanesT and AddGradLanes on one
 // shape through pool under every kernel family and requires each output
 // element to equal a scalar reference bit for bit: the dense ascending-k
-// sum for MulLanes (its sparse branch skips only exact-zero inputs), and
-// for the backward products the per-vector loops of MulVecT and
-// AddOuterGrad, which skip d = 0. It reports whether MulLanes took its
-// sparse branch.
-func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) (sparse bool) {
+// sum for MulLanes (mulLane skips only exact-zero inputs), and for the
+// backward products the per-vector loops of MulVecT and AddOuterGrad,
+// which skip d = 0. The row range is a random sub-range and MulLanes'
+// output stride is padded by up to 7.
+func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
 	m, xs, dys := laneOperands(rows, K, n, density, s)
 	r1 := 1 + s.Intn(rows)
 	r0 := s.Intn(r1)
-	outStride := rows + s.Intn(3)
+	outStride := rows + s.Intn(8)
 	grad0 := append([]float64(nil), m.Grad...)
 
 	wantMul := naiveMulLanes(m, r0, r1, xs, n, outStride)
@@ -124,30 +124,66 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 		m.AddGradLanes(r0, r1, dys, rows, n, xs, pool)
 		same(kn, "AddGradLanes", m.Grad, wantG)
 	}
-	return r1-r0 >= 4 && n*K >= 64 && countNonZero(xs) <= n*K/2
 }
 
 // TestLaneProductsMatchScalar sweeps every lane count from 1 to 70 (past
 // the row kernel's 64-entry index block) over column counts from 1 to 49
-// — the default shape's 23 and 24 among them — at input densities that
-// take MulLanes' sparse branch and its dense one, with lanes and row
-// tiles split over the pool at floor 0.
+// — the default shape's 23 and 24 among them — at sparse and dense input
+// densities, with lanes and row blocks split over the pool at floor 0.
+// Then the edge shapes — no lanes, fewer rows than one 4-row vector, a
+// 1×1 matrix, the default LSTM products — and random shapes, dense and
+// sparse, through pools of 1 and 4 workers at the production floor.
 func TestLaneProductsMatchScalar(t *testing.T) {
 	s := stats.NewStream(23)
 	pool := newPoolFloor(3, 0)
 	defer pool.Close()
-	sparseRuns := 0
 	for _, K := range []int{1, 3, 5, 12, 23, 24, 49} {
 		for n := 1; n <= 70; n++ {
 			rows := 4 + s.Intn(97)
 			for _, density := range []float64{0.3, 1} {
-				if checkLaneProducts(t, rows, K, n, density, pool, s) {
-					sparseRuns++
-				}
+				checkLaneProducts(t, rows, K, n, density, pool, s)
 			}
 		}
 	}
-	if sparseRuns == 0 {
-		t.Fatal("no case took MulLanes' sparse branch; the test proves nothing about it")
+	edges := [][3]int{ // rows, K, n
+		{1, 1, 0}, {1, 1, 1}, {1, 1, 17}, {3, 7, 0}, {3, 7, 5}, {2, 24, 16}, {1, 50, 3},
+		{gemmRowBlock + 1, 5, gemmLaneBlock + 1}, {96, 23, 16}, {96, 24, 33},
 	}
+	for _, workers := range []int{1, 4} {
+		p := NewPool(workers)
+		for _, density := range []float64{0.3, 1} {
+			for _, e := range edges {
+				checkLaneProducts(t, e[0], e[1], e[2], density, p, s)
+			}
+			for i := 0; i < 30; i++ {
+				checkLaneProducts(t, 1+s.Intn(80), 1+s.Intn(50), s.Intn(70), density, p, s)
+			}
+		}
+		p.Close()
+	}
+}
+
+// FuzzLaneProducts runs checkLaneProducts on one fuzzed shape at floor 0:
+// up to 128 rows, 64 columns and 70 lanes (0 included), sparse or dense
+// inputs with ±0, subnormals, all-zero lanes and rows.
+func FuzzLaneProducts(f *testing.F) {
+	f.Add(uint8(4), uint8(3), uint8(2), int64(1))
+	f.Add(uint8(28), uint8(13), uint8(16), int64(2))
+	f.Add(uint8(52), uint8(8), uint8(7), int64(3))
+	f.Add(uint8(1), uint8(1), uint8(1), int64(4))
+	f.Add(uint8(96), uint8(23), uint8(66), int64(5))
+	f.Add(uint8(72), uint8(24), uint8(70), int64(6))
+	f.Add(uint8(0), uint8(0), uint8(0), int64(7))
+	f.Fuzz(func(t *testing.T, rows8, k8, lanes8 uint8, seed int64) {
+		rows := 1 + int(rows8)%128
+		k := 1 + int(k8)%64
+		n := int(lanes8) % 71
+		density := 1.0
+		if seed%2 == 0 {
+			density = 0.3
+		}
+		pool := newPoolFloor(3, 0)
+		defer pool.Close()
+		checkLaneProducts(t, rows, k, n, density, pool, stats.NewStream(seed))
+	})
 }

@@ -442,6 +442,42 @@ func TestFLOPsPerStepScalesWithSize(t *testing.T) {
 	}
 }
 
+// TestFLOPsPerStepPerCell pins the count per cell class: 4H gate rows
+// for an LSTM, 3H for a GRU (¾ of the LSTM's trunk at the same shape),
+// one H × In·Window product for the MLP, plus 6H for the three heads.
+func TestFLOPsPerStepPerCell(t *testing.T) {
+	const F, H, W = 23, 24, 12
+	const heads = 6 * H
+	for _, tc := range []struct {
+		cell   string
+		layers int
+		want   float64
+	}{
+		{"lstm", 1, 2*4*H*(F+H) + heads},
+		{"lstm", 2, 2*4*H*(F+H) + 2*4*H*(H+H) + heads},
+		{"gru", 1, 2*3*H*(F+H) + heads},
+		{"gru", 2, 2*3*H*(F+H) + 2*3*H*(H+H) + heads},
+		{"mlp", 1, 2*H*F*W + heads},
+	} {
+		cfg := DefaultModelConfig(F, W)
+		cfg.CellType, cfg.Layers = tc.cell, tc.layers
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.FLOPsPerStep(); got != tc.want {
+			t.Errorf("%s × %d: FLOPsPerStep = %v, want %v", tc.cell, tc.layers, got, tc.want)
+		}
+	}
+	lstm, _ := NewModel(DefaultModelConfig(F, W))
+	gruCfg := DefaultModelConfig(F, W)
+	gruCfg.CellType = "gru"
+	gru, _ := NewModel(gruCfg)
+	if got, want := gru.FLOPsPerStep()-heads, 0.75*(lstm.FLOPsPerStep()-heads); got != want {
+		t.Errorf("gru trunk = %v FLOPs, want ¾ of lstm's = %v", got, want)
+	}
+}
+
 func TestEvaluateEmpty(t *testing.T) {
 	m, _ := NewModel(DefaultModelConfig(2, 2))
 	if ev := m.Evaluate(samplesOf(nil)); ev.Loss != 0 {

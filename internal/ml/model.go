@@ -342,16 +342,22 @@ func (m *Model) Evaluate(src SampleSource) EvalResult {
 
 // FLOPsPerStep estimates floating-point operations for one inference
 // step (one packet through trunk + heads), for the Figure 23 compute
-// accounting.
+// accounting: a multiply and an add per weight of each trunk product
+// (gate rows × (input + hidden) for the recurrent cells, one hidden ×
+// window product for the MLP) and of the three scalar heads.
 func (m *Model) FLOPsPerStep() float64 {
 	var f float64
-	in := m.Cfg.Features
-	for range m.Trunk {
-		f += 2 * float64(4*m.Cfg.Hidden*(in+m.Cfg.Hidden))
-		in = m.Cfg.Hidden
+	for _, c := range m.Trunk {
+		switch l := c.(type) {
+		case *LSTM:
+			f += 2 * float64(4*l.Hidden*(l.In+l.Hidden))
+		case *GRU:
+			f += 2 * float64(3*l.Hidden*(l.In+l.Hidden))
+		case *WindowMLP:
+			f += 2 * float64(l.Hidden*l.In*l.Window)
+		}
 	}
-	f += 3 * 2 * float64(m.Cfg.Hidden) // three scalar heads
-	return f
+	return f + 3*2*float64(m.Cfg.Hidden)
 }
 
 // modelJSON is the serialized form.

@@ -1,13 +1,13 @@
 package ml
 
-// The row kernel: the one accumulation kernel of the AVX2 family
-// (DESIGN.md decisions 18 and 19). Inference rounds are narrow (13.6
-// lanes on average in warm_n32, one in eight a single lane), so a lane
-// GEMM would pay for every lane of a tile a round does not fill;
-// inference vectorizes across output rows instead and a step costs the
-// same at any round width. The minibatch trainer's two backward products
-// and the sparse branch of its forward product (batch.go) are the same
-// column-by-column accumulation over views that need no packing.
+// The row kernel: the one accumulation kernel behind the batched
+// products (DESIGN.md decisions 18-20). Inference rounds are narrow (13.6
+// lanes on average in warm_n32, one in eight a single lane), so it
+// vectorizes across output rows, not lanes, and a step costs the same at
+// any round width. The minibatch trainer's three products (batch.go) are
+// the same column-by-column accumulation: the forward product over its
+// weights packed once per minibatch, the two backward products over
+// views that need no packing.
 //
 // Exactness. Each output element is the same ascending-k chain of
 // multiply-then-add as Dot, just advanced for all rows at once: for
@@ -71,7 +71,7 @@ func (p *packedRows) accLane(r0 int, x, out []float64, asm bool) {
 // accumulate adds x[k]·column k onto out for ascending k. With asm (the
 // avx2 family) the columns go to rowsAcc as a list: every k for accLane,
 // the non-zero ones — gathered without a branch per column — for
-// mulLane and the trainer's products. Otherwise a Go loop does the same
+// mulLane and the weight gradient. Otherwise a Go loop does the same
 // elementwise updates.
 func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros, asm bool) {
 	R, n := p.rows, len(out)

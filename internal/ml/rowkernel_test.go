@@ -125,8 +125,8 @@ func FuzzRowKernel(f *testing.F) {
 
 // TestNonFiniteWeightBreaksZeroSkip is the regression for the
 // precondition the row kernel rests on. With W[0][5] = +Inf and
-// x[5] = 0 the zero-skipping products (the trainer's sparse MulLanes
-// path, 4 lanes × 20 columns, and mulLane) return 0.1 while Dot returns
+// x[5] = 0 the zero-skipping products (the trainer's MulLanes, 4 lanes ×
+// 20 columns, and mulLane) return 0.1 while Dot returns
 // NaN, so an artifact with a non-finite weight must never reach
 // inference: CheckFinite names it, and core refuses it on load and after
 // training.

@@ -69,10 +69,10 @@ func (m *Matrix) MulVec(x, out []float64) []float64 {
 }
 
 // Dot returns Σ a[i]*b[i], accumulated strictly in index order. Every
-// matrix product in this package — per-vector (MulVec), the trainer's
-// lane GEMM (MulLanes) and inference's row kernel — computes each
-// element as this chain, which is what makes batched and per-packet
-// inference agree bit-for-bit.
+// matrix product in this package — per-vector (MulVec) and the row
+// kernel behind the batched inference step and the trainer's lane
+// products — computes each element as this chain, which is what makes
+// batched and per-packet inference agree bit-for-bit.
 func Dot(a, b []float64) float64 {
 	return DotAcc(0, a, b)
 }

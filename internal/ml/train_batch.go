@@ -11,15 +11,14 @@ import (
 
 // This file implements the training half of the batched engine: minibatch
 // BPTT for the trunk cells and heads, expressed as lane products
-// (MulLanes for forward, MulLanesT / AddGradLanes for backward; each fans
-// out over the pool only above the dispatch floor, see pool.go). The
-// backward products and the sparse forward branch run on inference's row
-// kernel, the dense forward product on the lane-tiled GEMM (DESIGN.md
-// decision 19). Each layer repacks its weights once per minibatch, the
-// only time they change. Every Range call hands the pool a worker bound
-// to the trainer or a layer, so a warmed-up minibatch allocates nothing.
-// One optimizer step is applied per batch to the mean-loss gradient;
-// Adam and gradient clipping keep their exact per-update semantics.
+// (mulLanes for forward, mulLanesT / addGradLanes for backward; each fans
+// out over the pool only above the dispatch floor, see pool.go), all on
+// inference's row kernel (DESIGN.md decisions 19 and 20). Each layer
+// repacks its weights once per minibatch, the only time they change.
+// Every Range call hands the pool a worker bound to the trainer or a
+// layer, so a warmed-up minibatch allocates nothing. One optimizer step
+// is applied per batch to the mean-loss gradient; Adam and gradient
+// clipping keep their exact per-update semantics.
 //
 // Determinism contract: the minibatch trainer is NOT required to be
 // bitwise equal to the scalar per-sample path (it takes B× fewer
@@ -27,7 +26,7 @@ import (
 // trajectory), but for a fixed seed and batch size it IS bitwise
 // reproducible run to run and across worker counts: every gradient
 // element is reduced over lanes in a fixed ascending order by exactly
-// one chunk (see AddGradLanes), and sample order is the same
+// one chunk (see addGradLanes), and sample order is the same
 // seed-derived shuffle the scalar path uses.
 
 // DefaultBatchSize is the minibatch width used when ModelConfig.BatchSize
@@ -344,9 +343,9 @@ func (t *miniBatchTrainer) RunRange(lo, hi int) {
 }
 
 // lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the
-// inference StepBatch's two products per step as MulLanes products, plus
-// the backward products (MulLanesT for the input and recurrent
-// gradients, AddGradLanes for the weights).
+// inference StepBatch's two products per step as mulLanes products, plus
+// the backward products (mulLanesT for the input and recurrent
+// gradients, addGradLanes for the weights).
 type lstmTrainLayer struct {
 	l    *LSTM
 	pool *Pool
@@ -506,7 +505,7 @@ type gruTrainLayer struct {
 	da       []float64  // pre-activation gradients, n×3H
 	drh      []float64  // gradient at r⊙h, n×H
 	dhAcc    []float64  // dhPrev accumulator, n×H
-	scr      []float64  // MulLanesT scratch, n×H
+	scr      []float64  // mulLanesT scratch, n×H
 
 	cx                       []float64 // steps×n×In
 	chPrev, cz, cr, chh, crh []float64 // steps×n×H

@@ -53,7 +53,7 @@ func TestViewWindowMatchesLegacy(t *testing.T) {
 // (BatchSize 1) and batched BPTT paths, under every pool setting of
 // poolConfigs (Train reaches the pool through SharedPool). make
 // test-kernels reruns this under every GEMM kernel family
-// (scalar/sse2/avx2 and purego).
+// (scalar/avx2 and purego).
 func TestColumnarTrainingBitwiseParity(t *testing.T) {
 	forEachPool(t, func(t *testing.T, _ *Pool) {
 		for name, cfg := range cellConfigs() {
