@@ -20,17 +20,19 @@ test-race:
 # test-floor0 replays the bitwise contract with the ml pool's dispatch
 # floor forced to 0 (build tag poolfloor0), so every Range call fans out
 # again at the small shapes the tests use — the path the production
-# floor (DESIGN.md decision 15) keeps off the default shapes. -cpu sizes
-# the shared pool: 1, 2 and 4 workers, one process each because the pool
-# is sized once. The golden fingerprints in testdata/ are the production
-# ones, so a pass also proves floor-invariance. The last line is the
-# -race pass over concurrent shard workers sharing the forced-out pool.
+# floor (DESIGN.md decision 15) keeps off the default shapes; in core
+# that is every inference flush splitting its two directions (decision
+# 21). -cpu sizes the shared pool: 1, 2 and 4 workers, one process each
+# because the pool is sized once. The golden fingerprints in testdata/
+# (engine_parity.json, trained_parity.json) are the production ones, so
+# a pass also proves floor-invariance. The last line is the -race pass
+# over split flushes and concurrent shard workers sharing the pool.
 test-floor0:
 	@for w in 1 2 4; do \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
-		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestGoldenCombinedPipeline|TestGoldenDeterminism' ./internal/core || exit 1; \
+		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit' ./internal/core || exit 1; \
 	done
-	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline' ./internal/core
+	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit' ./internal/core
 
 # bench/ is its own module (it imports internal/* through a replace), so
 # `go build ./... && go test ./...` never compiles it: an internal/*
@@ -65,7 +67,8 @@ vet:
 # (scalar, and avx2 when the CPU has it) plus the purego build, so a
 # kernel can't pass CI only because it happened to be the default pick.
 # All families are bitwise identical, so the same tests must pass
-# unchanged under each — including the engine-vs-legacy golden parity
+# unchanged under each — including the trained-artifact hashes
+# (TestTrainedArtifactParity) and the engine-vs-legacy golden parity
 # suite, whose fingerprints are kernel-independent for the same reason.
 test-kernels:
 	MIMICNET_GEMM=scalar $(GO) test -count=1 ./internal/ml
@@ -93,8 +96,9 @@ vuln:
 ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke
 
 # The measurement ml's dispatchFloor is derived from: inline vs forced
-# fan-out per (hidden, lanes) cell for one inference and one BPTT step,
-# with the crossover and the floor it implies (table on stderr, ~1 min).
+# fan-out per (hidden, lanes) cell for one inference step, one BPTT step
+# and one split inference flush, with each kind's crossover and the floor
+# they imply (table on stderr, ~1 min).
 # Rerun on a new host class before changing the constant; DESIGN.md
 # decision 15 records the committed table.
 bench-pool:

@@ -223,7 +223,7 @@ func (m *Mimic) Feed(dir Direction, now sim.Time) {
 	if len(d.dm.InfoBank) == 0 {
 		return // inline feed would be a no-op; skip the queue entirely
 	}
-	m.sched.enqueue(m.lane, dir, d, PacketInfo{}, nil, nil)
+	m.sched.enqueue(m.lane, dir, d, PacketInfo{ArrivalTime: now}, nil, nil)
 }
 
 // InferenceSteps reports total model steps executed (for Figure 23's

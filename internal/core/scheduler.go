@@ -13,7 +13,7 @@ import (
 // fused matrix–matrix product). Requests collected within a short
 // simulation window are serviced together by a single flush event.
 //
-// Correctness rests on two invariants:
+// Correctness rests on three invariants:
 //
 //  1. Per-lane order. A lane's requests are queued FIFO and flushed in
 //     rounds (round k takes the k-th pending request of every lane), so
@@ -28,6 +28,16 @@ import (
 //     delivery time t+latency has not yet passed. Continuations are
 //     scheduled at the absolute arrival-time-plus-latency instant,
 //     matching the inline path exactly.
+//  3. Direction independence (DESIGN.md decision 21). A flush is two
+//     tasks, one per direction, which may run at the same time on the
+//     ml pool. A task writes only its own direction's state: its
+//     dirQueue, its bank, and its lanes' extractors and RNG streams. No
+//     task touches the simulator or a packet; each lists its boundary
+//     packets' Outcomes, and once both have finished the caller runs
+//     the continuations in the serial order — direction, then round,
+//     then lane — so every event is scheduled with the sequence number
+//     it would have had. A counter a task keeps must stay per direction
+//     (or be atomic).
 //
 // The residual divergence risk versus sequential inference is event
 // tie-breaking: continuations are inserted into the event queue at
@@ -39,16 +49,26 @@ import (
 type InferenceScheduler struct {
 	sim    *sim.Simulator
 	window sim.Time
-	models [2]*ml.BatchedStatefulModel // indexed by Direction
-	queues [2][][]schedReq             // [direction][lane] FIFO
-	pend   int
+	pool   *ml.Pool // the flush's fan-out: one item per direction
+	dirs   dirTasks // indexed by Direction
 	armed  bool
 
-	// Flushes counts flush events, BatchedSteps the model steps issued
+	// Flushes counts flush events, Splits those whose two directions
+	// stepped on two goroutines, BatchedSteps the model steps issued
 	// through fused calls, and MaxBatch the largest single fused step.
 	Flushes      uint64
+	Splits       uint64
 	BatchedSteps uint64
 	MaxBatch     int
+}
+
+// dirQueue is one direction's half of the scheduler: its lane bank, one
+// FIFO of requests per lane, and its flush's scratch and tallies.
+type dirQueue struct {
+	bank     *ml.BatchedStatefulModel
+	queues   [][]schedReq // [lane] FIFO
+	pend     int
+	stepCost int // one lane step in multiply-add equivalents (StepCost)
 
 	// flush scratch, reused across rounds; xs holds sub-slices of feat,
 	// the round's feature rows back to back
@@ -58,33 +78,59 @@ type InferenceScheduler struct {
 	want  []bool
 	preds []ml.Prediction
 	reqs  []*schedReq
+
+	// resolved holds the flush's boundary packets and their Outcomes in
+	// round-then-lane order, for the caller to continue; steps and
+	// maxBatch tally the flush.
+	resolved []resolved
+	steps    uint64
+	maxBatch int
+}
+
+// resolved is a boundary packet's request with the Outcome its
+// direction's flush task predicted.
+type resolved struct {
+	req *schedReq
+	out Outcome
+}
+
+// dirTasks is a flush's Pool.Range task: item d steps direction d.
+type dirTasks [2]*dirQueue
+
+func (t *dirTasks) RunRange(lo, hi int) {
+	for _, dq := range t[lo:hi] {
+		dq.step()
+	}
 }
 
 // schedReq is one deferred model step: a boundary packet awaiting its
-// prediction (fn != nil) or a feeder advance (fn == nil).
+// prediction (fn != nil) or a feeder advance (fn == nil), whose info
+// carries only its ArrivalTime until the flush draws its packet.
 type schedReq struct {
 	d    *dirRuntime
 	info PacketInfo
-	at   sim.Time
 	pkt  *netsim.Packet
 	fn   resolveFunc
 }
 
+// bankPool runs every lane bank step on its caller: the flush is the
+// one fan-out point of a composed run, and its tasks must not call
+// Pool.Range on the pool they run on.
+var bankPool = ml.NewPool(1)
+
 // NewInferenceScheduler builds a scheduler over the shared direction
-// models. Lanes are added per Mimic via Mimic.AttachScheduler. The
-// worker pool is the process-wide shared pool.
+// models. Lanes are added per Mimic via Mimic.AttachScheduler. Flushes
+// split across the process-wide shared pool.
 func NewInferenceScheduler(s *sim.Simulator, models *MimicModels, window sim.Time) *InferenceScheduler {
 	if window < 0 {
 		window = 0
 	}
-	return &InferenceScheduler{
-		sim:    s,
-		window: window,
-		models: [2]*ml.BatchedStatefulModel{
-			Ingress: ml.NewBatchedStatefulModel(models.Ingress.Model, 0, ml.SharedPool()),
-			Egress:  ml.NewBatchedStatefulModel(models.Egress.Model, 0, ml.SharedPool()),
-		},
+	is := &InferenceScheduler{sim: s, window: window, pool: ml.SharedPool()}
+	for dir, dm := range [2]*DirectionModel{Ingress: models.Ingress, Egress: models.Egress} {
+		bank := ml.NewBatchedStatefulModel(dm.Model, 0, bankPool)
+		is.dirs[dir] = &dirQueue{bank: bank, stepCost: bank.StepCost()}
 	}
+	return is
 }
 
 // DefaultBatchWindow returns the largest collection window that cannot
@@ -108,28 +154,28 @@ func (is *InferenceScheduler) Window() sim.Time { return is.window }
 // addMimic registers one Mimic: a lane in each direction model plus its
 // request queues. Both directions share the lane index.
 func (is *InferenceScheduler) addMimic() int {
-	lane := is.models[Ingress].AddLane()
-	if l2 := is.models[Egress].AddLane(); l2 != lane {
+	lane := is.dirs[Ingress].bank.AddLane()
+	if l2 := is.dirs[Egress].bank.AddLane(); l2 != lane {
 		panic("core: scheduler lane books diverged")
 	}
-	is.queues[Ingress] = append(is.queues[Ingress], nil)
-	is.queues[Egress] = append(is.queues[Egress], nil)
+	for _, dq := range is.dirs {
+		dq.queues = append(dq.queues, nil)
+	}
 	return lane
 }
 
 // laneSteps reports the total model steps executed for one lane across
 // both directions (Figure 23 compute accounting).
 func (is *InferenceScheduler) laneSteps(lane int) uint64 {
-	return is.models[Ingress].LaneSteps[lane] + is.models[Egress].LaneSteps[lane]
+	return is.dirs[Ingress].bank.LaneSteps[lane] + is.dirs[Egress].bank.LaneSteps[lane]
 }
 
 // enqueue defers one model step — a boundary packet's when fn is set, a
 // feeder advance otherwise — and arms the flush event if idle.
 func (is *InferenceScheduler) enqueue(lane int, dir Direction, d *dirRuntime, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
-	is.queues[dir][lane] = append(is.queues[dir][lane], schedReq{
-		d: d, info: info, at: is.sim.Now(), pkt: pkt, fn: fn,
-	})
-	is.pend++
+	dq := is.dirs[dir]
+	dq.queues[lane] = append(dq.queues[lane], schedReq{d: d, info: info, pkt: pkt, fn: fn})
+	dq.pend++
 	if !is.armed {
 		is.armed = true
 		is.sim.Schedule(is.sim.Now()+is.window, flushScheduler, is, 0)
@@ -145,65 +191,83 @@ func (is *InferenceScheduler) Flush() { is.flush() }
 
 func (is *InferenceScheduler) flush() {
 	is.armed = false
-	if is.pend == 0 {
+	in, eg := is.dirs[Ingress], is.dirs[Egress]
+	if in.pend+eg.pend == 0 {
 		return
 	}
 	is.Flushes++
-	obsInferFlushes.Inc()
-	for dir := range is.queues {
-		q := is.queues[dir]
-		// A round steps each lane at most once: sizing the row buffer for
-		// that up front means appending never moves rows xs already
-		// points into, and no round allocates.
-		if need := len(q) * is.models[dir].Model().Cfg.Features; cap(is.feat) < need {
-			is.feat = make([]float64, 0, need)
+	// A second goroutine can take at most the smaller direction off the
+	// caller, so that is the work the split is priced by.
+	cost := min(in.pend*in.stepCost, eg.pend*eg.stepCost)
+	if is.pool.Range(len(is.dirs), cost, &is.dirs) > 1 {
+		is.Splits++
+		obsInferFlushesSplit.Inc()
+	} else {
+		obsInferFlushesInline.Inc()
+	}
+	for _, dq := range is.dirs {
+		for _, r := range dq.resolved {
+			r.req.fn(r.req.pkt, r.req.info, r.out)
 		}
-		for round := 0; ; round++ {
-			// Round k gathers the k-th pending request of every lane, so
-			// per-lane processing order matches arrival order exactly.
-			is.lanes, is.xs, is.want = is.lanes[:0], is.xs[:0], is.want[:0]
-			is.reqs, is.feat = is.reqs[:0], is.feat[:0]
-			for lane := range q {
-				if round >= len(q[lane]) {
-					continue
-				}
-				req := &q[lane][round]
-				if req.fn == nil {
-					// Feeder: the bank draw happens now, in lane round
-					// order, preserving the lane's RNG sequence.
-					info := req.d.dm.InfoBank[req.d.rng.Intn(len(req.d.dm.InfoBank))]
-					info.ArrivalTime = req.at
-					req.info = info
-				}
-				is.lanes = append(is.lanes, lane)
-				row := len(is.feat)
-				is.feat = req.d.ex.FeaturesAppend(is.feat, req.info)
-				is.xs = append(is.xs, is.feat[row:])
-				is.want = append(is.want, req.fn != nil)
-				is.reqs = append(is.reqs, req)
-			}
-			if len(is.lanes) == 0 {
-				break
-			}
-			if cap(is.preds) < len(is.lanes) {
-				is.preds = make([]ml.Prediction, len(is.lanes))
-			}
-			is.preds = is.preds[:len(is.lanes)]
-			is.models[dir].StepLanes(is.lanes, is.xs, is.want, is.preds)
-			is.BatchedSteps += uint64(len(is.lanes))
-			obsInferSteps.Add(uint64(len(is.lanes)))
-			if len(is.lanes) > is.MaxBatch {
-				is.MaxBatch = len(is.lanes)
-			}
-			for i, req := range is.reqs {
-				if req.fn != nil {
-					req.fn(req.pkt, req.info, req.d.applyPrediction(req.info, is.preds[i]))
-				}
-			}
+		is.BatchedSteps += dq.steps
+		obsInferSteps.Add(dq.steps)
+		is.MaxBatch = max(is.MaxBatch, dq.maxBatch)
+		for lane := range dq.queues {
+			dq.queues[lane] = dq.queues[lane][:0] // keep backing arrays across flushes
 		}
+		dq.pend, dq.resolved, dq.steps, dq.maxBatch = 0, dq.resolved[:0], 0, 0
+	}
+}
+
+// step is one direction's share of a flush: it forms the rounds, draws
+// the feeders' packets, builds the feature rows, steps the bank and
+// turns each boundary packet's prediction into its Outcome.
+func (dq *dirQueue) step() {
+	q := dq.queues
+	// A round steps each lane at most once: sizing the row buffer for
+	// that up front means appending never moves rows xs already points
+	// into, and no round allocates.
+	if need := len(q) * dq.bank.Model().Cfg.Features; cap(dq.feat) < need {
+		dq.feat = make([]float64, 0, need)
+	}
+	for round := 0; ; round++ {
+		// Round k gathers the k-th pending request of every lane, so
+		// per-lane processing order matches arrival order exactly.
+		dq.lanes, dq.xs, dq.want = dq.lanes[:0], dq.xs[:0], dq.want[:0]
+		dq.reqs, dq.feat = dq.reqs[:0], dq.feat[:0]
 		for lane := range q {
-			q[lane] = q[lane][:0] // keep backing arrays across flushes
+			if round >= len(q[lane]) {
+				continue
+			}
+			req := &q[lane][round]
+			if req.fn == nil {
+				// Feeder: the bank draw happens now, in lane round
+				// order, preserving the lane's RNG sequence.
+				info := req.d.dm.InfoBank[req.d.rng.Intn(len(req.d.dm.InfoBank))]
+				info.ArrivalTime = req.info.ArrivalTime
+				req.info = info
+			}
+			dq.lanes = append(dq.lanes, lane)
+			row := len(dq.feat)
+			dq.feat = req.d.ex.FeaturesAppend(dq.feat, req.info)
+			dq.xs = append(dq.xs, dq.feat[row:])
+			dq.want = append(dq.want, req.fn != nil)
+			dq.reqs = append(dq.reqs, req)
+		}
+		if len(dq.lanes) == 0 {
+			return
+		}
+		if cap(dq.preds) < len(dq.lanes) {
+			dq.preds = make([]ml.Prediction, len(dq.lanes))
+		}
+		dq.preds = dq.preds[:len(dq.lanes)]
+		dq.bank.StepLanes(dq.lanes, dq.xs, dq.want, dq.preds)
+		dq.steps += uint64(len(dq.lanes))
+		dq.maxBatch = max(dq.maxBatch, len(dq.lanes))
+		for i, req := range dq.reqs {
+			if req.fn != nil {
+				dq.resolved = append(dq.resolved, resolved{req, req.d.applyPrediction(req.info, dq.preds[i])})
+			}
 		}
 	}
-	is.pend = 0
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mimicnet/internal/cluster"
+	"mimicnet/internal/ml"
 	"mimicnet/internal/sim"
 )
 
@@ -119,6 +120,55 @@ func TestGoldenDeterminism(t *testing.T) {
 	if got := fmt.Sprintf("mimic drops             %d ingress, %d egress",
 		batComp.MimicDrops(Ingress), batComp.MimicDrops(Egress)); got != wantDrops {
 		t.Errorf("drop line = %q, want %q", got, wantDrops)
+	}
+}
+
+// TestFlushSplit runs the split flush at the small shapes the tests
+// use, without the poolfloor0 build: every flush is priced far above the
+// dispatch floor and stepped through a pool of 1, 2 or 4 workers, so
+// with more than one worker a flush's ingress and egress tasks run on
+// two goroutines. Results must equal the per-packet oracle's and, Events
+// included, those of a production run at every worker count.
+func TestFlushSplit(t *testing.T) {
+	art := trainedForScheduler(t)
+	const (
+		clusters = 4
+		until    = 200 * sim.Millisecond
+	)
+	oracle, _ := runComposed(t, art, clusters, true, until)
+	prod, _ := runComposed(t, art, clusters, false, until)
+	if len(oracle.FCTByID) == 0 {
+		t.Fatal("no flows completed; test exercises nothing")
+	}
+	sameResults(t, "production-vs-oracle", oracle, prod)
+	for _, workers := range []int{1, 2, 4} {
+		pool := ml.NewPool(workers)
+		t.Cleanup(pool.Close)
+		cfg := fastBase()
+		cfg.Topo = cfg.Topo.WithClusters(clusters)
+		e, err := newEngine(cfg, ComposedRoles(clusters), art.Models, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.Scheduler()
+		s.pool = pool
+		for _, dq := range s.dirs {
+			dq.stepCost = 1 << 30 // any pending step on both sides is over the floor
+		}
+		e.Run(until)
+		res := e.Results()
+		label := fmt.Sprintf("split-w%d", workers)
+		if workers > 1 && s.Splits == 0 {
+			t.Errorf("%s: none of %d flushes split", label, s.Flushes)
+		}
+		if workers == 1 && s.Splits != 0 {
+			t.Errorf("%s: %d flushes split on a one-worker pool", label, s.Splits)
+		}
+		t.Logf("%s: %d of %d flushes split", label, s.Splits, s.Flushes)
+		sameResults(t, label+"-vs-oracle", oracle, res)
+		if got, want := resultsFingerprint(res), resultsFingerprint(prod); got != want {
+			t.Errorf("%s: fingerprint %s differs from production run %s", label, got[:16], want[:16])
+		}
 	}
 }
 

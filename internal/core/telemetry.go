@@ -20,9 +20,10 @@ var (
 	obsPhaseCompose = obs.Default().Histogram(
 		`mimicnet_core_phase_seconds{phase="compose"}`, "", obs.TimeBuckets())
 
-	obsInferFlushes = obs.Default().Counter("mimicnet_core_inference_flushes_total",
-		"Batched inference scheduler flush events.")
-	obsInferSteps = obs.Default().Counter("mimicnet_core_inference_steps_total",
+	obsInferFlushesInline = obs.Default().Counter(`mimicnet_core_inference_flushes_total{mode="inline"}`,
+		"Batched inference scheduler flush events, by whether the two directions stepped on one goroutine (inline) or two (split).")
+	obsInferFlushesSplit = obs.Default().Counter(`mimicnet_core_inference_flushes_total{mode="split"}`, "")
+	obsInferSteps        = obs.Default().Counter("mimicnet_core_inference_steps_total",
 		"Model steps issued through fused batched-inference calls.")
 
 	obsCkptResumes = obs.Default().Counter("mimicnet_core_train_resumes_total",

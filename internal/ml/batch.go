@@ -283,7 +283,13 @@ func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64,
 	s.zh = growFloats(s.zh, n*4*H)
 	k := gemmKernel()
 	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
-	pool.Range(n, 4*H*(l.In+H)+5*H*gateMulAdds, s)
+	pool.Range(n, l.stepCost(), s)
+}
+
+// stepCost is one lane's fused step in multiply-add equivalents: the two
+// products and five gate passes.
+func (l *LSTM) stepCost() int {
+	return 4*l.Hidden*(l.In+l.Hidden) + 5*l.Hidden*gateMulAdds
 }
 
 // RunRange steps lanes[lo:hi]. Each lane reads and writes only its own
@@ -395,6 +401,20 @@ func (b *BatchedStatefulModel) Steps() uint64 {
 		total += s
 	}
 	return total
+}
+
+// StepCost is one lane step's estimated work in multiply-add equivalents:
+// what each trunk layer's step states to Pool.Range per lane, plus the
+// three heads. A caller pricing k pending steps for Range states k times
+// this.
+func (b *BatchedStatefulModel) StepCost() int {
+	c := 3 * b.model.Cfg.Hidden
+	for _, bl := range b.layers {
+		if l, ok := bl.cell.(interface{ stepCost() int }); ok {
+			c += l.stepCost()
+		}
+	}
+	return c
 }
 
 // AddLane appends a fresh zero-state lane and returns its index.

@@ -23,7 +23,14 @@ type poolConfig struct{ workers, floor int }
 // workers. Artifacts and predictions must be identical across all four.
 var poolConfigs = []poolConfig{{2, dispatchFloor}, {1, 0}, {2, 0}, {4, 0}}
 
-func (c poolConfig) String() string { return fmt.Sprintf("floor=%d/w=%d", c.floor, c.workers) }
+// String names the config; the production floor prints as "prod", so
+// subtest names survive a re-measured dispatchFloor.
+func (c poolConfig) String() string {
+	if c.floor == dispatchFloor && c.floor > 0 {
+		return fmt.Sprintf("floor=prod/w=%d", c.workers)
+	}
+	return fmt.Sprintf("floor=%d/w=%d", c.floor, c.workers)
+}
 
 // start builds the configured pool and also installs it as the
 // process-wide pool until the test ends, so code that reaches the pool

@@ -233,7 +233,13 @@ func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, 
 	s.z = growFloats(s.z, n*H)
 	k := gemmKernel()
 	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
-	pool.Range(n, 3*H*(g.In+H)+3*H*gateMulAdds, s)
+	pool.Range(n, g.stepCost(), s)
+}
+
+// stepCost is one lane's fused step in multiply-add equivalents: the
+// products and three gate passes.
+func (g *GRU) stepCost() int {
+	return 3*g.Hidden*(g.In+g.Hidden) + 3*g.Hidden*gateMulAdds
 }
 
 // RunRange steps lanes[lo:hi]; chunks touch disjoint rows.

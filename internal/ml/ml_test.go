@@ -445,19 +445,24 @@ func TestFLOPsPerStepScalesWithSize(t *testing.T) {
 // TestFLOPsPerStepPerCell pins the count per cell class: 4H gate rows
 // for an LSTM, 3H for a GRU (¾ of the LSTM's trunk at the same shape),
 // one H × In·Window product for the MLP, plus 6H for the three heads.
+// It pins StepCost too, the multiply-add equivalents a lane step states
+// to Pool.Range: each product once, gate passes at gateMulAdds per
+// element, H per head.
 func TestFLOPsPerStepPerCell(t *testing.T) {
 	const F, H, W = 23, 24, 12
 	const heads = 6 * H
+	const g = gateMulAdds
 	for _, tc := range []struct {
 		cell   string
 		layers int
 		want   float64
+		cost   int
 	}{
-		{"lstm", 1, 2*4*H*(F+H) + heads},
-		{"lstm", 2, 2*4*H*(F+H) + 2*4*H*(H+H) + heads},
-		{"gru", 1, 2*3*H*(F+H) + heads},
-		{"gru", 2, 2*3*H*(F+H) + 2*3*H*(H+H) + heads},
-		{"mlp", 1, 2*H*F*W + heads},
+		{"lstm", 1, 2*4*H*(F+H) + heads, 4*H*(F+H) + 5*H*g + 3*H},
+		{"lstm", 2, 2*4*H*(F+H) + 2*4*H*(H+H) + heads, 4*H*(F+H) + 4*H*(H+H) + 2*5*H*g + 3*H},
+		{"gru", 1, 2*3*H*(F+H) + heads, 3*H*(F+H) + 3*H*g + 3*H},
+		{"gru", 2, 2*3*H*(F+H) + 2*3*H*(H+H) + heads, 3*H*(F+H) + 3*H*(H+H) + 2*3*H*g + 3*H},
+		{"mlp", 1, 2*H*F*W + heads, H*F*W + H*g + 3*H},
 	} {
 		cfg := DefaultModelConfig(F, W)
 		cfg.CellType, cfg.Layers = tc.cell, tc.layers
@@ -467,6 +472,9 @@ func TestFLOPsPerStepPerCell(t *testing.T) {
 		}
 		if got := m.FLOPsPerStep(); got != tc.want {
 			t.Errorf("%s × %d: FLOPsPerStep = %v, want %v", tc.cell, tc.layers, got, tc.want)
+		}
+		if got := NewBatchedStatefulModel(m, 0, NewPool(1)).StepCost(); got != tc.cost {
+			t.Errorf("%s × %d: StepCost = %d, want %d", tc.cell, tc.layers, got, tc.cost)
 		}
 	}
 	lstm, _ := NewModel(DefaultModelConfig(F, W))

@@ -78,6 +78,12 @@ func (m *WindowMLP) StepState(st CellState, x []float64, train bool) ([]float64,
 	return h, &mlpCache{flat: flat, h: h}
 }
 
+// stepCost is one step in multiply-add equivalents: the window product
+// and the tanh pass.
+func (m *WindowMLP) stepCost() int {
+	return m.Hidden*m.In*m.Window + m.Hidden*gateMulAdds
+}
+
 // StepBackward backpropagates one evaluation. The MLP has no recurrent
 // path, so dhPrev is zero: gradient reaches earlier steps only through
 // the model heads (which read the final step), which is exactly the

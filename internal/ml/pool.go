@@ -125,16 +125,17 @@ func chunkBounds(n, c, i int) (lo, hi int) {
 // chunks); a single chunk is one plain task.RunRange(0, n) call on the
 // caller's goroutine. Otherwise the caller executes the first chunk and
 // the pool's workers the rest, one channel send per chunk. Chunks must
-// write disjoint data.
-func (p *Pool) Range(n, costPerItem int, task RangeTask) {
+// write disjoint data. Range returns the number of chunks it ran, so a
+// caller can tell a fan-out (> 1) from a run on its own goroutine.
+func (p *Pool) Range(n, costPerItem int, task RangeTask) int {
 	if n <= 0 {
-		return
+		return 0
 	}
 	c := p.chunks(n, costPerItem)
 	if c == 1 {
 		obsPoolInline.Inc()
 		task.RunRange(0, n)
-		return
+		return 1
 	}
 	obsPoolDispatches.Inc()
 	obsPoolSubmits.Add(uint64(c - 1))
@@ -159,6 +160,7 @@ func (p *Pool) Range(n, costPerItem int, task RangeTask) {
 	case p.idle <- wg:
 	default:
 	}
+	return c
 }
 
 // Close stops the pool's workers. Close is idempotent; dispatching

@@ -13,21 +13,24 @@ import (
 )
 
 // BenchmarkPoolBreakEven is the measurement dispatchFloor is derived
-// from (DESIGN.md decision 15). For hidden ∈ {12,24,64,128} × lanes ∈
-// {8,16,32,64,128} it times one fused LSTM inference step and one
-// minibatch-BPTT step on a GOMAXPROCS-worker pool three ways: with every
-// Range call forced onto the caller (floor = MaxInt), with every call
-// forced to fan out (floor = 0), and at the production floor, which
-// records the side of the rule the cell lands on. The three are
-// interleaved step by step inside one timing loop, so a slow spell of
-// the host falls on all of them alike. A cell's work is what one chunk
-// of its largest Range call carries when forced out — the 4H×H×lanes
-// recurrent GEMM over Workers() chunks — because that is the quantity
-// the floor is compared with. The crossover is the least such work from
-// which fan-out wins in every larger cell. Training crosses earlier than
-// inference (its backward GEMMs are larger per step), and one constant
-// serves both: the committed floor must equal the geometric mean of the
-// two crossovers rounded up to a power of two.
+// from (DESIGN.md decisions 15 and 21). For hidden ∈ {12,24,64,128} ×
+// lanes ∈ {8,16,32,64,128} it times three kinds of work on a
+// GOMAXPROCS-worker pool: one fused LSTM inference step, one
+// minibatch-BPTT step, and one flush split — two lane banks, the two
+// directions of an inference flush, each stepping `lanes` pending steps
+// on its own goroutine, one Range item per direction. Each runs three
+// ways: with every Range call forced onto the caller (floor = MaxInt),
+// with every call forced to fan out (floor = 0), and at the production
+// floor, which records the side of the rule the cell lands on. The three
+// are interleaved step by step inside one timing loop, so a slow spell of
+// the host falls on all of them alike. A cell's work is what one chunk of
+// its largest Range call carries when forced out, because that is the
+// quantity the floor is compared with: for inference and training the
+// 4H×H×lanes recurrent GEMM over Workers() chunks, for a flush split one
+// direction's pending steps × StepCost. A kind's crossover is the least
+// such work from which fan-out wins in every larger cell. One constant
+// serves every kind: the committed floor must equal the geometric mean of
+// the crossovers rounded up to a power of two.
 //
 // Run it with -benchtime 300ms or more (make bench-pool) for a usable
 // table; one iteration, as in bench-smoke, only proves the wiring. The
@@ -45,17 +48,16 @@ func BenchmarkPoolBreakEven(b *testing.B) {
 	type cell struct {
 		kind          string
 		hidden, lanes int
-		chunkWork     int        // multiply-adds per chunk of the largest call, forced out
+		chunkWork     int        // multiply-add equivalents per chunk of the largest call, forced out
 		ns            [3]float64 // ns/step, indexed like modes
 		prodDispatch  bool
 	}
 	var cells []*cell
 
-	for _, kind := range []string{"infer", "train"} {
+	kinds := []string{"infer", "train", "flush"}
+	for _, kind := range kinds {
 		for _, H := range []int{12, 24, 64, 128} {
 			for _, n := range []int{8, 16, 32, 64, 128} {
-				c := &cell{kind: kind, hidden: H, lanes: n, chunkWork: 4 * H * H * n / workers}
-				cells = append(cells, c)
 				cfg := DefaultModelConfig(features, window)
 				cfg.Hidden = H
 				cfg.BatchSize = n
@@ -63,6 +65,11 @@ func BenchmarkPoolBreakEven(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				c := &cell{kind: kind, hidden: H, lanes: n, chunkWork: 4 * H * H * n / workers}
+				if kind == "flush" {
+					c.chunkWork = n * NewBatchedStatefulModel(model, 0, NewPool(1)).StepCost()
+				}
+				cells = append(cells, c)
 				b.Run(fmt.Sprintf("%s/h=%d/n=%d", kind, H, n), func(b *testing.B) {
 					var steps [3]func()
 					for i, mode := range modes {
@@ -100,7 +107,7 @@ func BenchmarkPoolBreakEven(b *testing.B) {
 	fmt.Fprintf(os.Stderr, "# %-5s %6s %5s %13s %12s %12s %8s %s\n",
 		"kind", "hidden", "lanes", "chunk-muladds", "inline-ns", "dispatch-ns", "ratio", "production")
 	logSum := 0.0
-	for _, kind := range []string{"infer", "train"} {
+	for _, kind := range kinds {
 		var ks []*cell
 		for _, c := range cells {
 			if c.kind == kind && c.ns[0] > 0 && c.ns[1] > 0 {
@@ -124,11 +131,28 @@ func BenchmarkPoolBreakEven(b *testing.B) {
 		logSum += math.Log2(crossover)
 	}
 	fmt.Fprintf(os.Stderr, "# floor: geometric mean of the crossovers, rounded up to a power of two = %.0f (committed: %d)\n",
-		math.Exp2(math.Ceil(logSum/2)), dispatchFloor)
+		math.Exp2(math.Ceil(logSum/float64(len(kinds)))), dispatchFloor)
+}
+
+// flushSplit is the flush cell's Range task: item d steps direction d's
+// bank over its pending lanes, as one task of a split inference flush
+// does. The banks step on a one-worker pool, like the scheduler's.
+type flushSplit [2]struct {
+	bank  *BatchedStatefulModel
+	lanes []int
+	xs    [][]float64
+	preds []Prediction
+}
+
+func (f *flushSplit) RunRange(lo, hi int) {
+	for d := lo; d < hi; d++ {
+		f[d].bank.StepLanes(f[d].lanes, f[d].xs, nil, f[d].preds)
+	}
 }
 
 // breakEvenStep returns one unit of work over n lanes through pool: a
-// fused inference step of every lane, or one minibatch forward+backward.
+// fused inference step of every lane, one minibatch forward+backward, or
+// a flush split of n pending steps per direction.
 func breakEvenStep(kind string, model *Model, n int, pool *Pool) func() {
 	rng := stats.NewStream(int64(n))
 	if kind == "train" {
@@ -146,13 +170,22 @@ func breakEvenStep(kind string, model *Model, n int, pool *Pool) func() {
 			}
 		}
 	}
-	bat := NewBatchedStatefulModel(model, n, pool)
 	lanes := make([]int, n)
 	xs := make([][]float64, n)
 	for i := range lanes {
 		lanes[i] = i
 		xs[i] = sparseVec(model.Cfg.Features, rng) // mostly zero, like the one-hot first layer
 	}
+	if kind == "flush" {
+		var f flushSplit
+		for d := range f {
+			f[d].bank = NewBatchedStatefulModel(model, n, NewPool(1))
+			f[d].lanes, f[d].xs, f[d].preds = lanes, xs, make([]Prediction, n)
+		}
+		cost := n * f[0].bank.StepCost()
+		return func() { pool.Range(len(f), cost, &f) }
+	}
+	bat := NewBatchedStatefulModel(model, n, pool)
 	preds := make([]Prediction, n)
 	return func() { bat.StepLanes(lanes, xs, nil, preds) }
 }

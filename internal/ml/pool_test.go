@@ -7,8 +7,8 @@ import (
 
 // checkRange runs one Range call and asserts the splitter's contract:
 // chunks are contiguous and disjoint, cover [0, n) exactly once, number
-// at most Workers(), and none carries less than the floor unless it is
-// the only one.
+// at most Workers(), none carries less than the floor unless it is the
+// only one, and Range reports how many there were.
 func checkRange(t *testing.T, p *Pool, n, cost int) {
 	t.Helper()
 	type chunk struct{ lo, hi int }
@@ -16,11 +16,14 @@ func checkRange(t *testing.T, p *Pool, n, cost int) {
 		mu     sync.Mutex
 		chunks []chunk
 	)
-	p.Range(n, cost, RangeFunc(func(lo, hi int) {
+	ran := p.Range(n, cost, RangeFunc(func(lo, hi int) {
 		mu.Lock()
 		chunks = append(chunks, chunk{lo, hi})
 		mu.Unlock()
 	}))
+	if ran != len(chunks) {
+		t.Fatalf("n=%d cost=%d: Range returned %d, ran %d chunks", n, cost, ran, len(chunks))
+	}
 	if n <= 0 {
 		if len(chunks) != 0 {
 			t.Fatalf("n=%d: fn ran %d times, want 0", n, len(chunks))

@@ -251,6 +251,20 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Fatalf("%s missing from /metrics", fam)
 		}
 	}
+	// So are inference flushes by whether their two directions stepped
+	// on one goroutine or two.
+	flushes := 0.0
+	for _, mode := range []string{"inline", "split"} {
+		series := `mimicnet_core_inference_flushes_total{mode="` + mode + `"}`
+		v, ok := samples[series]
+		if !ok {
+			t.Fatalf("%s missing from /metrics", series)
+		}
+		flushes += v
+	}
+	if flushes <= 0 {
+		t.Fatal("no inference flush counted after two jobs")
+	}
 	if got := samples[`mimicnet_serve_jobs_finished_total{state="done"}`]; got != 2 {
 		t.Fatalf("jobs done = %v, want 2", got)
 	}
