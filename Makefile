@@ -30,7 +30,7 @@ test-race:
 test-floor0:
 	@for w in 1 2 4; do \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
-		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit' ./internal/core || exit 1; \
+		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestOracleParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit' ./internal/core || exit 1; \
 	done
 	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit' ./internal/core
 
@@ -72,15 +72,15 @@ vet:
 # suite, whose fingerprints are kernel-independent for the same reason.
 test-kernels:
 	MIMICNET_GEMM=scalar $(GO) test -count=1 ./internal/ml
-	MIMICNET_GEMM=scalar $(GO) test -count=1 -run TestEngineGoldenParity ./internal/core
+	MIMICNET_GEMM=scalar $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core
 	@if grep -q avx2 /proc/cpuinfo 2>/dev/null; then \
 		MIMICNET_GEMM=avx2 $(GO) test -count=1 ./internal/ml; \
-		MIMICNET_GEMM=avx2 $(GO) test -count=1 -run TestEngineGoldenParity ./internal/core; \
+		MIMICNET_GEMM=avx2 $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core; \
 	else \
 		echo "skipping MIMICNET_GEMM=avx2 (CPU lacks AVX2)"; \
 	fi
 	GOFLAGS=-tags=purego $(GO) test -count=1 ./internal/ml
-	GOFLAGS=-tags=purego $(GO) test -count=1 -run TestEngineGoldenParity ./internal/core
+	GOFLAGS=-tags=purego $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core
 
 # Known-vulnerability scan, gated on the tool being installed: the build
 # environment is hermetic (no network, no `go install`), so CI machines
