@@ -24,9 +24,10 @@ test-race:
 # that is every inference flush splitting its two directions (decision
 # 21). -cpu sizes the shared pool: 1, 2 and 4 workers, one process each
 # because the pool is sized once. The golden fingerprints in testdata/
-# (engine_parity.json, trained_parity.json) are the production ones, so
-# a pass also proves floor-invariance. The last line is the -race pass
-# over split flushes and concurrent shard workers sharing the pool.
+# (engine_parity.json, oracle_parity.json, trained_parity.json) are the
+# production ones, so a pass also proves floor-invariance. The last line
+# is the -race pass over split flushes and concurrent shard workers
+# sharing the pool.
 test-floor0:
 	@for w in 1 2 4; do \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
@@ -68,8 +69,9 @@ vet:
 # kernel can't pass CI only because it happened to be the default pick.
 # All families are bitwise identical, so the same tests must pass
 # unchanged under each — including the trained-artifact hashes
-# (TestTrainedArtifactParity) and the engine-vs-legacy golden parity
-# suite, whose fingerprints are kernel-independent for the same reason.
+# (TestTrainedArtifactParity) and the engine-vs-legacy and per-request
+# oracle golden parity suites, whose fingerprints are kernel-independent
+# for the same reason.
 test-kernels:
 	MIMICNET_GEMM=scalar $(GO) test -count=1 ./internal/ml
 	MIMICNET_GEMM=scalar $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core

@@ -399,11 +399,11 @@ func TestMimicModelSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same prediction from both.
-	a := NewMimic(art.Models, 1, 7)
-	b := NewMimic(restored, 1, 7)
+	a := newOracleMimic(art.Models, 1, 7)
+	b := newOracleMimic(restored, 1, 7)
 	info := PacketInfo{LocalRack: 0, LocalServer: 1, SizeBytes: 1500, ArrivalTime: sim.Millisecond}
-	oa := a.ProcessIngress(info)
-	ob := b.ProcessIngress(info)
+	oa := a.process(Ingress, info)
+	ob := b.process(Ingress, info)
 	if oa != ob {
 		t.Errorf("restored model diverges: %+v vs %+v", oa, ob)
 	}
@@ -424,7 +424,7 @@ func TestMimicOutcomesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMimic(art.Models, 1, 3)
+	m := newOracleMimic(art.Models, 1, 3)
 	rng := stats.NewStream(5)
 	lo := art.Models.Ingress.Bounds.Lo
 	hi := art.Models.Ingress.Bounds.Hi
@@ -437,7 +437,7 @@ func TestMimicOutcomesBounded(t *testing.T) {
 			SizeBytes:   40 + rng.Intn(1460),
 			ArrivalTime: sim.Time(i) * 100 * sim.Microsecond,
 		}
-		out := m.ProcessIngress(info)
+		out := m.process(Ingress, info)
 		if out.Dropped {
 			continue
 		}
@@ -458,10 +458,10 @@ func TestMimicDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []Outcome {
-		m := NewMimic(art.Models, 2, 42)
+		m := newOracleMimic(art.Models, 2, 42)
 		var outs []Outcome
 		for i := 0; i < 50; i++ {
-			outs = append(outs, m.ProcessEgress(PacketInfo{
+			outs = append(outs, m.process(Egress, PacketInfo{
 				LocalServer: i % 4, SizeBytes: 1500,
 				ArrivalTime: sim.Time(i) * sim.Millisecond,
 			}))
@@ -481,15 +481,20 @@ func TestFeederGapScaling(t *testing.T) {
 		Interarrival:   stats.LogNormal{Mu: math.Log(0.001), Sigma: 0.1},
 		RatePktsPerSec: 1000,
 	}
+	// The homogeneous n-cluster composition synthesizes the Mimic-Mimic
+	// fraction (n-2)/(n-1) of a Mimic's external traffic.
+	gap := func(dm *DirectionModel, r *stats.Stream, n int) sim.Time {
+		return FeederGapFrac(dm, r, float64(n-2)/float64(n-1))
+	}
 	rng := stats.NewStream(1)
-	if FeederGap(dm, rng, 2) != 0 {
+	if gap(dm, rng, 2) != 0 {
 		t.Error("2-cluster composition needs no feeders")
 	}
 	mean := func(n int) float64 {
 		r := stats.NewStream(1)
 		var sum float64
 		for i := 0; i < 2000; i++ {
-			sum += FeederGap(dm, r, n).Seconds()
+			sum += gap(dm, r, n).Seconds()
 		}
 		return sum / 2000
 	}
@@ -504,7 +509,7 @@ func TestFeederGapScaling(t *testing.T) {
 		t.Errorf("mean gap at n=4 = %v, want ~0.0015", m4)
 	}
 	zero := &DirectionModel{}
-	if FeederGap(zero, rng, 8) != 0 {
+	if gap(zero, rng, 8) != 0 {
 		t.Error("zero-rate model should disable feeders")
 	}
 }
@@ -573,22 +578,23 @@ func TestFeederGapEmpiricalReplay(t *testing.T) {
 		RatePktsPerSec:   100,
 	}
 	rng := stats.NewStream(1)
+	const frac = 2.0 / 3.0 // n=4: (n-2)/(n-1)
 	// Empirical gaps are 1ms; the lognormal fit says 10ms. Replay must
 	// draw from the samples.
-	g := FeederGap(dm, rng, 4).Seconds()
-	want := 0.001 / (2.0 / 3.0)
+	g := FeederGapFrac(dm, rng, frac).Seconds()
+	want := 0.001 / frac
 	if math.Abs(g-want) > 1e-9 {
 		t.Errorf("empirical gap = %v, want %v", g, want)
 	}
 	dm.UseEmpiricalGaps = false
-	g = FeederGap(dm, rng, 4).Seconds()
+	g = FeederGapFrac(dm, rng, frac).Seconds()
 	if math.Abs(g-0.015) > 0.002 {
 		t.Errorf("lognormal gap = %v, want ~0.015", g)
 	}
 	// Empty samples fall back to the parametric fit.
 	dm.UseEmpiricalGaps = true
 	dm.GapSamples = nil
-	if FeederGap(dm, rng, 4) == 0 {
+	if FeederGapFrac(dm, rng, frac) == 0 {
 		t.Error("empty empirical bank should fall back, not disable")
 	}
 }

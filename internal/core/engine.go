@@ -244,15 +244,6 @@ func shardedWindow(window, lookahead sim.Time, models *MimicModels) sim.Time {
 // models ("Aside from the number of clusters, all other parameters are
 // kept constant", §7.1).
 func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
-	return newEngine(cfg, roles, models, false)
-}
-
-// newEngine is NewEngine with the inference mode explicit. inlineInference
-// attaches no scheduler, so every boundary packet runs one model step
-// inline (mimic.go's standalone path) — the per-packet oracle the
-// determinism tests compare the batched engine against, bit for bit.
-// Production always passes false.
-func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, inlineInference bool) (*Engine, error) {
 	if cfg.Protocol == nil {
 		return nil, fmt.Errorf("core: config needs a protocol")
 	}
@@ -358,55 +349,33 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, inl
 	e.Sim = e.shards[0].sim
 	e.onMaterialize, e.onDeliver = e.materialize, e.deliver
 
+	// Inference schedulers: per LP when sharded, each model-driven
+	// cluster batching its own window, capped for cross-LP causality;
+	// otherwise one per distinct artifact (a lane bank shares one weight
+	// set across its lanes), so a homogeneous composition fuses every
+	// cluster into a single scheduler.
+	byModels := map[*MimicModels]*InferenceScheduler{}
 	for i, cc := range clusters {
 		cc.e, cc.idx, cc.sh = e, i, e.shardFor(i)
 		cc.onEgress, cc.onIngress = cc.resolveEgress, cc.resolveIngress
 		if !cc.role.Kind.usesModels() {
 			continue
 		}
-		cc.mimic = NewMimic(cc.models, i, cfg.Workload.Seed)
-		e.Mimics[i] = cc.mimic
-	}
-
-	if !inlineInference {
-		if sharded {
-			// Per-LP schedulers: each model-driven cluster batches its
-			// own window, capped for cross-LP causality.
-			for i, cc := range clusters {
-				if cc.mimic == nil {
-					continue
-				}
-				w := cfg.BatchWindow
-				if w == 0 {
-					w = DefaultBatchWindow(cc.models)
-				}
+		sched, shared := byModels[cc.models]
+		if sharded || !shared {
+			w := cfg.BatchWindow
+			if w == 0 {
+				w = DefaultBatchWindow(cc.models)
+			}
+			if sharded {
 				w = shardedWindow(w, lookahead, cc.models)
-				sched := NewInferenceScheduler(e.shards[i].sim, cc.models, w)
-				e.scheds = append(e.scheds, sched)
-				cc.mimic.AttachScheduler(sched)
 			}
-		} else {
-			// One scheduler per distinct artifact (a batched model bank
-			// shares one weight set across its lanes); a homogeneous
-			// composition fuses every cluster into a single scheduler.
-			byModels := map[*MimicModels]*InferenceScheduler{}
-			for _, cc := range clusters {
-				if cc.mimic == nil {
-					continue
-				}
-				sched := byModels[cc.models]
-				if sched == nil {
-					w := cfg.BatchWindow
-					if w == 0 {
-						w = DefaultBatchWindow(cc.models)
-					}
-					sched = NewInferenceScheduler(e.Sim, cc.models, w)
-					byModels[cc.models] = sched
-					e.scheds = append(e.scheds, sched)
-				}
-				cc.mimic.AttachScheduler(sched)
-			}
+			sched = NewInferenceScheduler(cc.sh.sim, cc.models, w)
+			byModels[cc.models] = sched
+			e.scheds = append(e.scheds, sched)
 		}
+		cc.mimic = newMimic(cc.models, i, cfg.Workload.Seed, sched)
+		e.Mimics[i] = cc.mimic
 	}
 
 	for i, sh := range e.shards {
@@ -528,9 +497,9 @@ func (cc *clusterCtx) resolveEgress(pkt *netsim.Packet, info PacketInfo, out Out
 	if out.ECNMark {
 		pkt.CE = true
 	}
-	// The latency is relative to arrival; under batched inference this
-	// runs at flush time, so schedule at the absolute instant (clamped in
-	// case a custom window outran causality).
+	// The latency is relative to arrival and this runs at flush time, so
+	// schedule at the absolute instant (clamped in case a custom window
+	// outran causality).
 	at := info.ArrivalTime + out.Latency
 	if now := cc.sh.sim.Now(); at < now {
 		at = now
@@ -773,9 +742,9 @@ func (e *Engine) InferenceSteps() uint64 {
 	return total
 }
 
-// Run advances the simulation. Under batched inference, any requests
-// still collecting when the horizon hits are flushed so that model
-// state, RNG streams, and drop accounting match the inline path.
+// Run advances the simulation. Any inference requests still collecting
+// when the horizon hits are flushed, so every boundary packet that
+// arrived gets its prediction, RNG draws and drop accounting.
 func (e *Engine) Run(until sim.Time) {
 	sp := obs.StartSpan(obsPhaseCompose)
 	if e.par != nil {

@@ -48,8 +48,8 @@ type MimicModels struct {
 func (m *MimicModels) Save() ([]byte, error) { return json.Marshal(m) }
 
 // LoadModels restores serialized models. It refuses an artifact with a
-// non-finite weight (ml.Model.CheckFinite): batched inference is bitwise
-// equal to per-packet inference only over finite weights.
+// non-finite weight (ml.Model.CheckFinite): the lane bank's row kernel is
+// exact only over finite weights.
 func LoadModels(b []byte) (*MimicModels, error) {
 	var m MimicModels
 	if err := json.Unmarshal(b, &m); err != nil {
@@ -89,14 +89,10 @@ type Outcome struct {
 
 // Mimic is the runtime shim replacing one non-observable cluster: two
 // stateful internal models (ingress/egress) fed by both real boundary
-// packets and feeder-generated synthetic traffic.
-//
-// A Mimic has two inference modes. Standalone (sched == nil), every
-// boundary packet runs one model step inline via the per-packet
-// StatefulModel. Attached to an InferenceScheduler, steps are deferred
-// and fused with the other Mimics' steps into batched matrix–matrix
-// calls — bit-identical results, delivered through the Async methods'
-// callbacks at flush time.
+// packets and feeder-generated synthetic traffic. Each direction's model
+// is one lane of its InferenceScheduler's lane bank: a step is deferred
+// to the scheduler's next flush, fused there with the other Mimics'
+// steps, and its Outcome delivered through the ProcessAsync callback.
 type Mimic struct {
 	Cluster int
 
@@ -108,18 +104,17 @@ type Mimic struct {
 
 type dirRuntime struct {
 	dm  *DirectionModel
-	sm  *ml.StatefulModel
 	ex  *Extractor
 	rng *stats.Stream
 }
 
-// NewMimic instantiates the runtime for one cluster. Each Mimic gets its
-// own randomness stream so compositions stay deterministic.
-func NewMimic(models *MimicModels, clusterIdx int, seed int64) *Mimic {
+// newMimic instantiates the runtime for one cluster on sched, which
+// gives it one lane per direction. Each Mimic gets its own randomness
+// stream so compositions stay deterministic.
+func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *InferenceScheduler) *Mimic {
 	mk := func(dm *DirectionModel, label string) *dirRuntime {
 		return &dirRuntime{
 			dm:  dm,
-			sm:  ml.NewStatefulModel(dm.Model),
 			ex:  NewExtractor(models.Spec, dm.Bounds.Lo, dm.Bounds.Hi),
 			rng: stats.NewStream(seed).Derive(fmt.Sprintf("mimic-%d-%s", clusterIdx, label)),
 		}
@@ -128,18 +123,15 @@ func NewMimic(models *MimicModels, clusterIdx int, seed int64) *Mimic {
 		Cluster: clusterIdx,
 		ing:     mk(models.Ingress, "ingress"),
 		eg:      mk(models.Egress, "egress"),
+		sched:   sched,
+		lane:    sched.addMimic(),
 	}
-}
-
-func (d *dirRuntime) process(info PacketInfo) Outcome {
-	return d.applyPrediction(info, d.sm.Predict(d.ex.Features(info)))
 }
 
 // applyPrediction turns one raw model prediction into an Outcome: the
 // drop draw, latency recovery and clamping, the ECN draw, and the
-// congestion-estimator feedback. It is the post-inference half of the
-// inline path, shared verbatim by the batched scheduler so both modes
-// consume the direction's RNG stream identically.
+// congestion-estimator feedback. A flush calls it in each lane's request
+// order, so the direction's RNG stream is consumed in arrival order.
 func (d *dirRuntime) applyPrediction(info PacketInfo, pred ml.Prediction) Outcome {
 	out := Outcome{}
 	if d.rng.Float64() < pred.PDrop {
@@ -162,32 +154,6 @@ func (d *dirRuntime) applyPrediction(info PacketInfo, pred ml.Prediction) Outcom
 	return out
 }
 
-// feed advances hidden state with a synthetic packet and discards output
-// (paper §6: feeder packets are never created, sent, or routed).
-func (d *dirRuntime) feed(now sim.Time) {
-	if len(d.dm.InfoBank) == 0 {
-		return
-	}
-	info := d.dm.InfoBank[d.rng.Intn(len(d.dm.InfoBank))]
-	info.ArrivalTime = now
-	d.sm.Advance(d.ex.Features(info))
-}
-
-// AttachScheduler routes this Mimic's model steps through a batched
-// inference scheduler, registering one lane per direction model.
-func (m *Mimic) AttachScheduler(s *InferenceScheduler) {
-	m.sched = s
-	m.lane = s.addMimic()
-}
-
-// ProcessIngress predicts the cluster's effect on a packet entering from
-// a core switch toward an in-cluster host.
-func (m *Mimic) ProcessIngress(info PacketInfo) Outcome { return m.ing.process(info) }
-
-// ProcessEgress predicts the cluster's effect on a packet leaving an
-// in-cluster host toward the core.
-func (m *Mimic) ProcessEgress(info PacketInfo) Outcome { return m.eg.process(info) }
-
 // resolveFunc receives the prediction for one boundary packet together
 // with the packet and the description the prediction was made from. The
 // engine binds one per cluster and direction when it is built, so
@@ -202,57 +168,35 @@ func (m *Mimic) dir(dir Direction) *dirRuntime {
 }
 
 // ProcessAsync delivers the prediction for pkt in one direction through
-// fn: inline immediately when standalone, or at the next scheduler flush
-// when batched. Callers must not touch the packet until fn runs.
+// fn at the scheduler's next flush. Callers must not touch the packet
+// until fn runs.
 func (m *Mimic) ProcessAsync(dir Direction, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
-	d := m.dir(dir)
-	if m.sched == nil {
-		fn(pkt, info, d.process(info))
-		return
-	}
-	m.sched.enqueue(m.lane, dir, d, info, pkt, fn)
+	m.sched.enqueue(m.lane, dir, m.dir(dir), info, pkt, fn)
 }
 
-// Feed advances one direction's model for Mimic-Mimic traffic.
+// Feed advances one direction's model for Mimic-Mimic traffic (paper §6:
+// feeder packets are never created, sent, or routed). The flush draws
+// the synthetic packet from the direction's InfoBank; a direction with an
+// empty bank has nothing to feed.
 func (m *Mimic) Feed(dir Direction, now sim.Time) {
 	d := m.dir(dir)
-	if m.sched == nil {
-		d.feed(now)
-		return
-	}
 	if len(d.dm.InfoBank) == 0 {
-		return // inline feed would be a no-op; skip the queue entirely
+		return
 	}
 	m.sched.enqueue(m.lane, dir, d, PacketInfo{ArrivalTime: now}, nil, nil)
 }
 
 // InferenceSteps reports total model steps executed (for Figure 23's
-// compute accounting), counting both inline and batched steps.
-func (m *Mimic) InferenceSteps() uint64 {
-	total := m.ing.sm.Steps + m.eg.sm.Steps
-	if m.sched != nil {
-		total += m.sched.laneSteps(m.lane)
-	}
-	return total
-}
+// compute accounting).
+func (m *Mimic) InferenceSteps() uint64 { return m.sched.laneSteps(m.lane) }
 
-// FeederGap samples the next feeder interarrival for a homogeneous
-// composition of n clusters (cluster 0 observed, the rest Mimics). The
-// fitted distribution describes the full external stream at small scale;
-// in an n-cluster composition only the Mimic-Mimic fraction (n-2)/(n-1)
-// is synthetic, so gaps stretch by the inverse (paper §4.1's
-// packet-count analysis). Returns 0 if feeders are unnecessary (n <= 2).
-func FeederGap(dm *DirectionModel, rng *stats.Stream, n int) sim.Time {
-	if n <= 2 {
-		return 0
-	}
-	return FeederGapFrac(dm, rng, float64(n-2)/float64(n-1))
-}
-
-// FeederGapFrac is FeederGap for an arbitrary role vector: frac is the
-// fraction of a Mimic's boundary peers that are themselves Mimics (the
-// share of its external traffic that must be synthesized). Returns 0
-// when nothing is synthetic or the model carries no rate.
+// FeederGapFrac samples the next feeder interarrival for one Mimic
+// direction. The fitted distribution describes the full external stream
+// at small scale; frac is the fraction of a Mimic's boundary peers that
+// are themselves Mimics — the share of its external traffic that must be
+// synthesized, (n-2)/(n-1) in the homogeneous n-cluster composition — so
+// gaps stretch by its inverse (paper §4.1's packet-count analysis).
+// Returns 0 when nothing is synthetic or the model carries no rate.
 func FeederGapFrac(dm *DirectionModel, rng *stats.Stream, frac float64) sim.Time {
 	if frac <= 0 || dm.RatePktsPerSec <= 0 {
 		return 0

@@ -7,21 +7,59 @@ import (
 	"testing"
 
 	"mimicnet/internal/cluster"
+	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
 )
 
-// This file pins the per-request inference oracle: the engine the
-// determinism tests compare the batched scheduler against. Its
-// fingerprints in testdata/oracle_parity.json were captured from the
-// inline per-packet path (one model step per boundary packet, run at
-// once through a per-Mimic StatefulModel), and any later form of the
-// oracle must reproduce every entry byte-for-byte, Events included.
+// This file holds the per-request inference oracle — the engine the
+// determinism tests compare the batched scheduler against — and pins it.
+// The oracle is the production scheduler flushed per request: every
+// model step is a one-lane round whose continuation runs synchronously
+// inside ProcessAsync, so each lane's feature extractions, RNG draws and
+// hidden-state updates happen in arrival order with no flush event in
+// the queue. The fingerprints in testdata/oracle_parity.json were
+// captured from the inline per-packet path this oracle replaced (one
+// model step per boundary packet through a per-Mimic scalar model), and
+// the oracle reproduces every entry byte-for-byte, Events included.
 
 const oracleGoldenPath = "testdata/oracle_parity.json"
 
 // newOracleEngine builds the per-request oracle engine for a role vector.
 func newOracleEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
-	return newEngine(cfg, roles, models, true)
+	e, err := NewEngine(cfg, roles, models)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range e.scheds {
+		s.perRequest = true
+	}
+	return e, nil
+}
+
+// newTestEngine builds the per-request oracle when oracle is set, else
+// the production engine.
+func newTestEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, oracle bool) (*Engine, error) {
+	if oracle {
+		return newOracleEngine(cfg, roles, models)
+	}
+	return NewEngine(cfg, roles, models)
+}
+
+// newOracleMimic is a standalone Mimic for cluster clusterIdx on its own
+// per-request scheduler, the driver for tests that feed one Mimic
+// packets by hand.
+func newOracleMimic(models *MimicModels, clusterIdx int, seed int64) *Mimic {
+	s := NewInferenceScheduler(sim.New(), models, 0)
+	s.perRequest = true
+	return newMimic(models, clusterIdx, seed, s)
+}
+
+// process returns the Outcome of one packet in one direction. On a
+// per-request scheduler ProcessAsync delivers it before returning.
+func (m *Mimic) process(dir Direction, info PacketInfo) Outcome {
+	var out Outcome
+	m.ProcessAsync(dir, info, nil, func(_ *netsim.Packet, _ PacketInfo, o Outcome) { out = o })
+	return out
 }
 
 // oracleCase is one oracle run pinned by the golden file: the

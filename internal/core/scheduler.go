@@ -18,16 +18,18 @@ import (
 //  1. Per-lane order. A lane's requests are queued FIFO and flushed in
 //     rounds (round k takes the k-th pending request of every lane), so
 //     each lane sees the exact sequence of feature extractions, RNG
-//     draws, and hidden-state updates it would have seen inline. The
-//     batched cell kernels are bit-exact with the per-vector path
-//     (internal/ml/batch.go), so predictions are identical too.
+//     draws, and hidden-state updates it would see with one flush per
+//     request (the per-request oracle the determinism tests run). A lane
+//     bank step is bit-exact with the per-packet reference step
+//     (internal/ml/batch.go), so predictions do not depend on which
+//     lanes share a round either.
 //  2. Causality. The collection window never exceeds the latency lower
 //     bound Lo of either direction model (DefaultBatchWindow), and
 //     every predicted latency is clamped to at least Lo — so when a
 //     flush at t+window resolves a packet that arrived at t, its
 //     delivery time t+latency has not yet passed. Continuations are
 //     scheduled at the absolute arrival-time-plus-latency instant,
-//     matching the inline path exactly.
+//     matching the per-request oracle exactly.
 //  3. Direction independence (DESIGN.md decision 21). A flush is two
 //     tasks, one per direction, which may run at the same time on the
 //     ml pool. A task writes only its own direction's state: its
@@ -39,7 +41,7 @@ import (
 //     it would have had. A counter a task keeps must stay per direction
 //     (or be atomic).
 //
-// The residual divergence risk versus sequential inference is event
+// The residual divergence risk versus the per-request oracle is event
 // tie-breaking: continuations are inserted into the event queue at
 // flush time rather than arrival time, so an unrelated event scheduled
 // for the *exact same timestamp* could order differently. Latencies
@@ -52,6 +54,12 @@ type InferenceScheduler struct {
 	pool   *ml.Pool // the flush's fan-out: one item per direction
 	dirs   dirTasks // indexed by Direction
 	armed  bool
+
+	// perRequest flushes at every enqueue and arms no flush event: each
+	// request is a one-lane round whose continuation runs before
+	// enqueue returns. It is the oracle the determinism tests compare
+	// the batched schedule against, and only package tests set it.
+	perRequest bool
 
 	// Flushes counts flush events, Splits those whose two directions
 	// stepped on two goroutines, BatchedSteps the model steps issued
@@ -119,7 +127,7 @@ type schedReq struct {
 var bankPool = ml.NewPool(1)
 
 // NewInferenceScheduler builds a scheduler over the shared direction
-// models. Lanes are added per Mimic via Mimic.AttachScheduler. Flushes
+// models. Each Mimic built on it adds one lane per direction. Flushes
 // split across the process-wide shared pool.
 func NewInferenceScheduler(s *sim.Simulator, models *MimicModels, window sim.Time) *InferenceScheduler {
 	if window < 0 {
@@ -176,6 +184,10 @@ func (is *InferenceScheduler) enqueue(lane int, dir Direction, d *dirRuntime, in
 	dq := is.dirs[dir]
 	dq.queues[lane] = append(dq.queues[lane], schedReq{d: d, info: info, pkt: pkt, fn: fn})
 	dq.pend++
+	if is.perRequest {
+		is.flush()
+		return
+	}
 	if !is.armed {
 		is.armed = true
 		is.sim.Schedule(is.sim.Now()+is.window, flushScheduler, is, 0)
@@ -185,8 +197,8 @@ func (is *InferenceScheduler) enqueue(lane int, dir Direction, d *dirRuntime, in
 func flushScheduler(p any, _ int64) { p.(*InferenceScheduler).flush() }
 
 // Flush services every pending request immediately. Compositions call
-// it after RunUntil so tail-end packets receive the same predictions,
-// RNG draws, and drop accounting they would have inline.
+// it after RunUntil so tail-end packets receive their predictions, RNG
+// draws, and drop accounting.
 func (is *InferenceScheduler) Flush() { is.flush() }
 
 func (is *InferenceScheduler) flush() {

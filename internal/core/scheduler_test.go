@@ -32,14 +32,14 @@ func trainedForScheduler(t *testing.T) *Artifacts {
 	return schedArt
 }
 
-// runComposed runs an n-cluster composition; inline selects the
-// per-packet inference oracle (newEngine's unexported argument) instead
-// of the batched scheduler.
-func runComposed(t *testing.T, art *Artifacts, clusters int, inline bool, until sim.Time) (cluster.Results, *Engine) {
+// runComposed runs an n-cluster composition; oracle selects the
+// per-request inference oracle (newOracleEngine) instead of the batched
+// schedule.
+func runComposed(t *testing.T, art *Artifacts, clusters int, oracle bool, until sim.Time) (cluster.Results, *Engine) {
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
-	comp, err := newEngine(cfg, ComposedRoles(clusters), art.Models, inline)
+	comp, err := newTestEngine(cfg, ComposedRoles(clusters), art.Models, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func sameResults(t *testing.T, label string, a, b cluster.Results) {
 // TestGoldenDeterminism is the engine's end-to-end correctness witness:
 // a seeded 3-cluster composition (3 clusters so feeders are active) must
 // produce identical metrics (a) across two batched runs, and (b) between
-// the batched engine and the sequential per-packet path.
+// the batched engine and the per-request oracle.
 func TestGoldenDeterminism(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 300 * sim.Millisecond
@@ -112,8 +112,10 @@ func TestGoldenDeterminism(t *testing.T) {
 	s := batComp.Scheduler()
 	t.Logf("scheduler: window=%v flushes=%d batchedSteps=%d maxBatch=%d",
 		s.Window(), s.Flushes, s.BatchedSteps, s.MaxBatch)
-	if seqComp.Scheduler() != nil {
-		t.Error("sequential run unexpectedly created a scheduler")
+	// The oracle flushes once per request: every flush a one-lane round.
+	if o := seqComp.Scheduler(); o.MaxBatch != 1 || o.Flushes != o.BatchedSteps {
+		t.Errorf("oracle scheduler formed wider rounds: flushes=%d steps=%d maxBatch=%d",
+			o.Flushes, o.BatchedSteps, o.MaxBatch)
 	}
 	// cmd/mimicnet's drop line, as it prints it from MimicDrops(dir).
 	const wantDrops = "mimic drops             451 ingress, 1045 egress"
@@ -146,7 +148,7 @@ func TestFlushSplit(t *testing.T) {
 		t.Cleanup(pool.Close)
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(clusters)
-		e, err := newEngine(cfg, ComposedRoles(clusters), art.Models, false)
+		e, err := NewEngine(cfg, ComposedRoles(clusters), art.Models)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,8 +180,8 @@ func TestGoldenDeterminismHybrid(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 250 * sim.Millisecond
 	for _, dir := range []Direction{Ingress, Egress} {
-		run := func(inline bool) cluster.Results {
-			h, err := newEngine(fastBase(), HybridRoles(dir), art.Models, inline)
+		run := func(oracle bool) cluster.Results {
+			h, err := newTestEngine(fastBase(), HybridRoles(dir), art.Models, oracle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,17 +197,17 @@ func TestGoldenDeterminismHybrid(t *testing.T) {
 
 // TestSchedulerWindowOverride checks custom collection windows: a
 // negative window (flush at the same timestamp) must still match the
-// sequential path, and an over-causal window must still complete and
+// per-request oracle, and an over-causal window must still complete and
 // stay internally deterministic.
 func TestSchedulerWindowOverride(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 200 * sim.Millisecond
 
-	run := func(inline bool, window sim.Time) cluster.Results {
+	run := func(oracle bool, window sim.Time) cluster.Results {
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(3)
 		cfg.BatchWindow = window
-		comp, err := newEngine(cfg, ComposedRoles(3), art.Models, inline)
+		comp, err := newTestEngine(cfg, ComposedRoles(3), art.Models, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}

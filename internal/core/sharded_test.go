@@ -85,9 +85,9 @@ func TestShardedComposedMatchesSequential(t *testing.T) {
 }
 
 // TestShardedComposedSequentialInference repeats the witness with the
-// batched engine disabled: per-packet inline inference must also be
-// shard-invariant (egress continuations then carry the full latency
-// floor as cross-LP margin).
+// per-request oracle: one flush per request must also be shard-invariant
+// (egress continuations then carry the full latency floor as cross-LP
+// margin).
 func TestShardedComposedSequentialInference(t *testing.T) {
 	art := trainedForScheduler(t)
 	const until = 200 * sim.Millisecond
@@ -96,7 +96,7 @@ func TestShardedComposedSequentialInference(t *testing.T) {
 		cfg.Topo = cfg.Topo.WithClusters(3)
 		cfg.ShardedRun = shardedRun
 		cfg.NumWorkers = 4
-		comp, err := newEngine(cfg, ComposedRoles(3), art.Models, true)
+		comp, err := newOracleEngine(cfg, ComposedRoles(3), art.Models)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,10 @@ import "fmt"
 //
 //   - BatchedStatefulModel, a bank of B independent hidden states
 //     advanced through one fused step per "round", and the fused LSTM
-//     step (the GRU's lives in gru.go). A step runs per lane: the
-//     row-kernel products (rowkernel.go, DESIGN.md decision 18), then the
-//     gates, with lanes split over the pool only above the dispatch floor
+//     step (the GRU's and the windowed MLP's live in gru.go and
+//     mlp.go). A step runs per lane: the row-kernel products
+//     (rowkernel.go, DESIGN.md decision 18), then the gates, with lanes
+//     split over the pool only above the dispatch floor
 //     (pool.go). The batch state is the Range worker, so a step
 //     allocates nothing.
 //   - laneGemm, the trainer's products over a minibatch of lanes
@@ -22,9 +23,9 @@ import "fmt"
 //     step allocates nothing either.
 //
 // The simulator half (request collection and flushing) lives in
-// internal/core's InferenceScheduler. Every path keeps the per-element
+// internal/core's InferenceScheduler. Every product keeps the per-element
 // arithmetic order of the per-packet Dot, so predictions match the
-// per-packet path bit-for-bit.
+// per-packet reference path (kept in the tests) bit-for-bit.
 
 // Lane-product block sizes: the granularity at which Pool.Range may
 // split a product — 16 lanes for the per-lane products, 32 gradient rows
@@ -222,17 +223,17 @@ type lstmBatchState struct {
 	wx, wh     packedRows
 	bias       []float64
 
-	// one step's arguments, set by StepBatch before its Range call
+	// one step's arguments, set by stepBatch before its Range call
 	lanes     []int
 	xs, hs    []float64
 	asm, wide bool
 	zx, zh    []float64 // n×4H scratch
 }
 
-// NewBatchState returns zeroed state for `lanes` LSTM lanes and
+// newBatchState returns zeroed state for `lanes` LSTM lanes and
 // snapshots the layer's weights: Wx and Wh packed for the row kernel,
 // B copied.
-func (l *LSTM) NewBatchState(lanes int) BatchState {
+func (l *LSTM) newBatchState(lanes int) batchState {
 	return &lstmBatchState{
 		h:      make([]float64, lanes*l.Hidden),
 		c:      make([]float64, lanes*l.Hidden),
@@ -244,17 +245,15 @@ func (l *LSTM) NewBatchState(lanes int) BatchState {
 	}
 }
 
-// GrowBatchState appends one zeroed lane.
-func (l *LSTM) GrowBatchState(st BatchState) int {
+// growBatchState appends one zeroed lane.
+func (l *LSTM) growBatchState(st batchState) {
 	s := st.(*lstmBatchState)
-	lane := len(s.h) / l.Hidden
 	s.h = append(s.h, make([]float64, l.Hidden)...)
 	s.c = append(s.c, make([]float64, l.Hidden)...)
-	return lane
 }
 
-// ResetBatchLane zeroes one lane's hidden and cell state.
-func (l *LSTM) ResetBatchLane(st BatchState, lane int) {
+// resetBatchLane zeroes one lane's hidden and cell state.
+func (l *LSTM) resetBatchLane(st batchState, lane int) {
 	s := st.(*lstmBatchState)
 	H := l.Hidden
 	zeroRange(s.h[lane*H : (lane+1)*H])
@@ -267,12 +266,12 @@ func zeroRange(v []float64) {
 	}
 }
 
-// StepBatch advances the listed lanes through one fused LSTM step: per
+// stepBatch advances the listed lanes through one fused LSTM step: per
 // lane, the two row-kernel products and the gate pass, with lanes split
-// across the pool only above the dispatch floor. Per-element math
-// mirrors LSTM.Step exactly (zx + (zh + b), same gate expressions), so
-// outputs equal the per-packet path bit-for-bit.
-func (l *LSTM) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
+// across the pool only above the dispatch floor. Per-element math is the
+// per-packet reference step's (zx + (zh + b), same gate expressions), so
+// outputs equal it bit-for-bit.
+func (l *LSTM) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*lstmBatchState)
 	n := len(lanes)
 	if n == 0 {
@@ -305,7 +304,7 @@ func (s *lstmBatchState) RunRange(lo, hi int) {
 		zh := s.zh[a*4*H : (a+1)*4*H]
 		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx, s.asm)
 		s.wh.mulLane(0, hPrev, zh, s.asm)
-		// Same association as Step: z[i] += zh[i] + B[i]. The pre-adds
+		// z[i] += zh[i] + B[i], the reference association. The pre-adds
 		// are hoisted out of the gate loop so the sigmoid/tanh passes
 		// run over contiguous quarters — 4 lanes per instruction when
 		// the wide gate kernels are live, the same scalar calls per
@@ -317,7 +316,7 @@ func (s *lstmBatchState) RunRange(lo, hi int) {
 		tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
 		sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
 		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, exactly as Step associates it.
+			// cNew = f*cPrev + i*g, the reference association.
 			cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
 		}
 		hRow := s.hs[a*H : (a+1)*H]
@@ -337,25 +336,16 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// batchLayer is one trunk layer of a BatchedStatefulModel: a fused
-// batched state when the cell supports it, else per-lane fallback states.
-type batchLayer struct {
-	cell   Cell
-	bc     BatchedCell // nil when the cell has no fused step (e.g. mlp)
-	bs     BatchState
-	states []CellState
-}
-
 // BatchedStatefulModel carries B independent recurrent streams ("lanes")
-// of one trained model through fused steps: the batched counterpart of B
-// StatefulModels sharing weights. One lane corresponds to one Mimic
-// direction's packet stream; a step over k lanes does the work of k
-// StatefulModel.Predict calls in one pass.
+// of one trained model through fused steps: a step over k lanes does the
+// work of k per-packet steps in one pass. It is the one inference path —
+// one lane per Mimic direction in a composed run, a bank of evalLanes
+// for Evaluate, one lane for Forward.
 type BatchedStatefulModel struct {
 	model  *Model
 	pool   *Pool
 	lanes  int
-	layers []*batchLayer
+	states []batchState // one per trunk layer
 
 	// LaneSteps counts inference steps per lane, keeping the Figure 23
 	// compute accounting exact per Mimic.
@@ -373,17 +363,7 @@ func NewBatchedStatefulModel(m *Model, lanes int, pool *Pool) *BatchedStatefulMo
 	}
 	b := &BatchedStatefulModel{model: m, pool: pool, lanes: lanes, LaneSteps: make([]uint64, lanes)}
 	for _, c := range m.Trunk {
-		bl := &batchLayer{cell: c}
-		if bc, ok := c.(BatchedCell); ok {
-			bl.bc = bc
-			bl.bs = bc.NewBatchState(lanes)
-		} else {
-			bl.states = make([]CellState, lanes)
-			for i := range bl.states {
-				bl.states[i] = c.FreshState()
-			}
-		}
-		b.layers = append(b.layers, bl)
+		b.states = append(b.states, c.newBatchState(lanes))
 	}
 	return b
 }
@@ -409,37 +389,26 @@ func (b *BatchedStatefulModel) Steps() uint64 {
 // this.
 func (b *BatchedStatefulModel) StepCost() int {
 	c := 3 * b.model.Cfg.Hidden
-	for _, bl := range b.layers {
-		if l, ok := bl.cell.(interface{ stepCost() int }); ok {
-			c += l.stepCost()
-		}
+	for _, cell := range b.model.Trunk {
+		c += cell.stepCost()
 	}
 	return c
 }
 
 // AddLane appends a fresh zero-state lane and returns its index.
 func (b *BatchedStatefulModel) AddLane() int {
-	for _, bl := range b.layers {
-		if bl.bc != nil {
-			bl.bc.GrowBatchState(bl.bs)
-		} else {
-			bl.states = append(bl.states, bl.cell.FreshState())
-		}
+	for li, c := range b.model.Trunk {
+		c.growBatchState(b.states[li])
 	}
 	b.LaneSteps = append(b.LaneSteps, 0)
 	b.lanes++
 	return b.lanes - 1
 }
 
-// ResetLane zeroes one lane's recurrent state (its step count persists,
-// mirroring StatefulModel.Reset).
+// ResetLane zeroes one lane's recurrent state (its step count persists).
 func (b *BatchedStatefulModel) ResetLane(lane int) {
-	for _, bl := range b.layers {
-		if bl.bc != nil {
-			bl.bc.ResetBatchLane(bl.bs, lane)
-		} else {
-			bl.states[lane] = bl.cell.FreshState()
-		}
+	for li, c := range b.model.Trunk {
+		c.resetBatchLane(b.states[li], lane)
 	}
 }
 
@@ -469,16 +438,9 @@ func (b *BatchedStatefulModel) StepLanes(lanes []int, xs [][]float64, want []boo
 		copy(cur[i*width:(i+1)*width], x)
 	}
 	next := b.bufB
-	for _, bl := range b.layers {
-		h := bl.cell.HiddenSize()
-		if bl.bc != nil {
-			bl.bc.StepBatch(bl.bs, lanes, cur[:n*width], next[:n*h], b.pool)
-		} else {
-			for a, lane := range lanes {
-				hv, _ := bl.cell.StepState(bl.states[lane], cur[a*width:(a+1)*width], false)
-				copy(next[a*h:(a+1)*h], hv)
-			}
-		}
+	for li, c := range b.model.Trunk {
+		h := c.HiddenSize()
+		c.stepBatch(b.states[li], lanes, cur[:n*width], next[:n*h], b.pool)
 		cur, next = next, cur
 		width = h
 	}
@@ -490,32 +452,8 @@ func (b *BatchedStatefulModel) StepLanes(lanes []int, xs [][]float64, want []boo
 	}
 }
 
-// PredictLane advances one lane and returns its prediction (a batch of
-// one; bit-identical to StatefulModel.Predict on the same stream).
-func (b *BatchedStatefulModel) PredictLane(lane int, x []float64) Prediction {
-	var (
-		lanes = [1]int{lane}
-		xs    = [1][]float64{x}
-		out   [1]Prediction
-	)
-	b.StepLanes(lanes[:], xs[:], nil, out[:])
-	return out[0]
-}
-
-// AdvanceLane advances one lane's hidden state, discarding the output
-// (the batched counterpart of StatefulModel.Advance).
-func (b *BatchedStatefulModel) AdvanceLane(lane int, x []float64) {
-	var (
-		lanes = [1]int{lane}
-		xs    = [1][]float64{x}
-		skip  = [1]bool{false}
-	)
-	b.StepLanes(lanes[:], xs[:], skip[:], nil)
-}
-
 // headsRow computes the three heads without allocating. Each head value
-// is Dot(W.row, h) + b — the same accumulation MulVec-based heads()
-// produces — so batched and per-packet predictions are identical.
+// is Sigmoid(Dot(W.row, h) + b), the per-packet reference's accumulation.
 func (m *Model) headsRow(h []float64) Prediction {
 	return Prediction{
 		Latency: Sigmoid(Dot(m.LatHead.W.Data, h) + m.LatHead.B.Data[0]),

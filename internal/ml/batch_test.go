@@ -67,10 +67,10 @@ func parityModel(t *testing.T, cellType string, layers int) *Model {
 	return m
 }
 
-// TestBatchedParity drives B per-packet StatefulModels and one
+// TestBatchedParity drives B per-packet reference StatefulModels and one
 // B-lane BatchedStatefulModel through the same interleaved streams and
-// requires exact float equality of every Prediction, for LSTM and GRU
-// trunks at B ∈ {1, 7, 64}. Feeder-style Advance steps (discarded
+// requires exact float equality of every Prediction, for every trunk
+// class at B ∈ {1, 7, 64}. Feeder-style Advance steps (discarded
 // outputs) are interleaved to cover the want-mask path.
 func TestBatchedParity(t *testing.T) {
 	cases := []struct {
@@ -81,7 +81,7 @@ func TestBatchedParity(t *testing.T) {
 		{"lstm", "lstm", 1},
 		{"lstm-stacked", "lstm", 2},
 		{"gru", "gru", 1},
-		{"mlp-fallback", "mlp", 1},
+		{"mlp", "mlp", 1},
 	}
 	pool := NewPool(4)
 	defer pool.Close()
@@ -269,9 +269,9 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
-	// The row kernel's lane split: fused LSTM and GRU steps of 31 lanes at
-	// the default artifact shape, which fan out only at floor 0.
-	for _, cell := range []string{"lstm", "gru"} {
+	// The row kernel's lane split: fused steps of 31 lanes for every trunk
+	// at the default artifact shape, which fan out only at floor 0.
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		const n = 31
 		model, lanes, xs := defaultShapeLanes(t, cell, n)
 		rounds := [][][]float64{xs, xs[1:], xs[:n-1], xs}

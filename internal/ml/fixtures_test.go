@@ -32,6 +32,14 @@ func (m *Model) trainStep(s Sample) float64 {
 	return m.trainStepWindow(s.Window, s.Latency, s.Dropped, s.ECN)
 }
 
+// windowSource is a SampleSource that also hands out whole windows, the
+// form the per-sample reference path consumes. *SampleView and
+// samplesSource both implement it.
+type windowSource interface {
+	SampleSource
+	WindowAppend(buf [][]float64, i int) [][]float64
+}
+
 // samplesSource adapts the reference []Sample layout to SampleSource. The
 // window length is computed once at construction: Steps is consulted
 // per batch, and rescanning the slice there would be quadratic.
@@ -168,10 +176,11 @@ func synthStream(n, features, window int, seed int64) ([]Sample, *SampleView) {
 	return legacy, view
 }
 
-// evaluateOracle scores src one sample at a time through Forward (a
-// fresh Trace, fresh states and fresh caches per sample): the reference
-// TestEvaluateMatchesPerSample holds the lane-bank Evaluate to, exactly.
-func (m *Model) evaluateOracle(src SampleSource) EvalResult {
+// evaluateOracle scores src one sample at a time through forwardOracle
+// (a fresh Trace, fresh states and fresh caches per sample): the
+// reference TestEvaluateMatchesPerSample holds the lane-bank Evaluate
+// to, exactly.
+func (m *Model) evaluateOracle(src windowSource) EvalResult {
 	var res EvalResult
 	count := src.Len()
 	if count == 0 {
@@ -180,7 +189,7 @@ func (m *Model) evaluateOracle(src SampleSource) EvalResult {
 	var win [][]float64
 	for i := 0; i < count; i++ {
 		win = src.WindowAppend(win[:0], i)
-		p := m.Forward(win)
+		p := m.forwardOracle(win)
 		latTarget, dropped, ecn := src.Target(i)
 		l, _ := MAE(p.Latency, latTarget)
 		res.LatencyMAE += l
@@ -251,7 +260,7 @@ func defaultShapeTrainer(tb testing.TB, cell string, pool *Pool) (*miniBatchTrai
 // layers to, and the starting point for a new Cell class before it grows
 // a fused path.
 type genericTrainLayer struct {
-	c      Cell
+	c      scalarCell
 	states []CellState
 	caches [][]CellCache // [step][lane]
 	dh     [][]float64

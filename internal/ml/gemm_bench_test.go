@@ -75,12 +75,12 @@ func BenchmarkGemmKernels(b *testing.B) {
 }
 
 // BenchmarkStepLanes times one fused inference step of n lanes at the
-// default artifact shape (defaultShapeLanes) for both recurrent trunks,
+// default artifact shape (defaultShapeLanes) for every trunk class,
 // reporting ns per lane-step: the quantity a composed run pays per
 // model step at the round widths its flushes actually have (DESIGN.md
 // decision 18 has the table).
 func BenchmarkStepLanes(b *testing.B) {
-	for _, cell := range []string{"lstm", "gru"} {
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		for _, n := range []int{1, 2, 4, 8, 13, 16, 31} {
 			b.Run(fmt.Sprintf("%s/n=%d", cell, n), func(b *testing.B) {
 				model, lanes, xs := defaultShapeLanes(b, cell, n)

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"math"
-
-	"mimicnet/internal/stats"
-)
+import "mimicnet/internal/stats"
 
 // GRU is a gated recurrent unit layer — an alternative trunk class to the
 // paper's default LSTM. Gate layout within the stacked 3H dimension is
@@ -41,136 +37,6 @@ func (g *GRU) Params() []*Matrix { return []*Matrix{g.Wx, g.Wh, g.B} }
 // CellType names the class.
 func (g *GRU) CellType() string { return "gru" }
 
-// gruState is the recurrent hidden vector.
-type gruState struct{ h []float64 }
-
-// FreshState returns a zeroed state.
-func (g *GRU) FreshState() CellState { return &gruState{h: Zeros(g.Hidden)} }
-
-type gruCache struct {
-	x, hPrev   []float64
-	z, r, hHat []float64
-}
-
-// StepState computes
-//
-//	z = σ(Wz x + Uz h + bz)
-//	r = σ(Wr x + Ur h + br)
-//	ĥ = tanh(Wc x + Uc (r⊙h) + bc)
-//	h' = (1−z)⊙h + z⊙ĥ
-func (g *GRU) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
-	state := st.(*gruState)
-	H := g.Hidden
-	ax := g.Wx.MulVec(x, nil)
-
-	// Gate pre-activations from the previous hidden state: z and r use h
-	// directly; the candidate uses r⊙h, so it is computed after r.
-	ah := Zeros(3 * H)
-	for row := 0; row < 2*H; row++ {
-		ah[row] = Dot(g.Wh.Data[row*H:(row+1)*H], state.h)
-	}
-	z, r := Zeros(H), Zeros(H)
-	for j := 0; j < H; j++ {
-		z[j] = Sigmoid(ax[j] + ah[j] + g.B.Data[j])
-		r[j] = Sigmoid(ax[H+j] + ah[H+j] + g.B.Data[H+j])
-	}
-	rh := Zeros(H)
-	for j := 0; j < H; j++ {
-		rh[j] = r[j] * state.h[j]
-	}
-	hHat := Zeros(H)
-	for j := 0; j < H; j++ {
-		row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-		hHat[j] = math.Tanh(DotAcc(ax[2*H+j]+g.B.Data[2*H+j], row, rh))
-	}
-	hNew := Zeros(H)
-	for j := 0; j < H; j++ {
-		hNew[j] = (1-z[j])*state.h[j] + z[j]*hHat[j]
-	}
-	var cache CellCache
-	if train {
-		cache = &gruCache{
-			x:     append([]float64(nil), x...),
-			hPrev: append([]float64(nil), state.h...),
-			z:     z, r: r, hHat: hHat,
-		}
-	}
-	state.h = hNew
-	return hNew, cache
-}
-
-// StepBackward backpropagates one GRU step. The GRU has no carry channel
-// (dcarry is ignored and returned nil).
-func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
-	c := cache.(*gruCache)
-	H := g.Hidden
-	dhPrev = Zeros(H)
-	da := Zeros(3 * H) // gradients at the three pre-activations
-
-	dHHat := Zeros(H)
-	for j := 0; j < H; j++ {
-		// h' = (1-z) h + z ĥ
-		dz := dh[j] * (c.hHat[j] - c.hPrev[j])
-		dHHat[j] = dh[j] * c.z[j]
-		dhPrev[j] += dh[j] * (1 - c.z[j])
-		da[j] = dz * DSigmoid(c.z[j])
-		da[2*H+j] = dHHat[j] * DTanh(c.hHat[j])
-	}
-	// Candidate path: a_c = Wc x + Uc (r⊙h) + bc.
-	drh := Zeros(H)
-	for j := 0; j < H; j++ {
-		row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-		d := da[2*H+j]
-		if d == 0 {
-			continue
-		}
-		for cIdx, v := range row {
-			drh[cIdx] += v * d
-		}
-	}
-	for j := 0; j < H; j++ {
-		dr := drh[j] * c.hPrev[j]
-		dhPrev[j] += drh[j] * c.r[j]
-		da[H+j] = dr * DSigmoid(c.r[j])
-	}
-	// Parameter gradients. Wh rows for z and r consume hPrev; the
-	// candidate rows consume r⊙hPrev.
-	g.Wx.AddOuterGrad(da, c.x)
-	rh := Zeros(H)
-	for j := 0; j < H; j++ {
-		rh[j] = c.r[j] * c.hPrev[j]
-	}
-	for row := 0; row < 3*H; row++ {
-		d := da[row]
-		if d == 0 {
-			continue
-		}
-		grad := g.Wh.Grad[row*H : (row+1)*H]
-		src := c.hPrev
-		if row >= 2*H {
-			src = rh
-		}
-		for cIdx := range grad {
-			grad[cIdx] += d * src[cIdx]
-		}
-		g.B.Grad[row] += d
-	}
-	// dhPrev contributions through the z/r gate pre-activations.
-	for row := 0; row < 2*H; row++ {
-		d := da[row]
-		if d == 0 {
-			continue
-		}
-		w := g.Wh.Data[row*H : (row+1)*H]
-		for cIdx, v := range w {
-			dhPrev[cIdx] += v * d
-		}
-	}
-	dx = Zeros(g.In)
-	g.Wx.MulVecT(da, dx)
-	return dhPrev, nil, dx
-}
-
 // gruBatchState is the recurrent state of `lanes` independent GRU
 // streams (lanes × H dense), the layer's weights packed for the row
 // kernel, and the fused step's arguments and scratch. Like
@@ -181,16 +47,16 @@ type gruBatchState struct {
 	wx, wh     packedRows
 	bias       []float64
 
-	// one step's arguments, set by StepBatch before its Range call
+	// one step's arguments, set by stepBatch before its Range call
 	lanes         []int
 	xs, hs        []float64
 	asm, wide     bool
 	ax, ah, rh, z []float64 // per-lane scratch (3H, 2H, H, H wide)
 }
 
-// NewBatchState returns zeroed state for `lanes` GRU lanes and
+// newBatchState returns zeroed state for `lanes` GRU lanes and
 // snapshots the layer's weights (Wx and Wh packed, B copied).
-func (g *GRU) NewBatchState(lanes int) BatchState {
+func (g *GRU) newBatchState(lanes int) batchState {
 	return &gruBatchState{
 		h:      make([]float64, lanes*g.Hidden),
 		hidden: g.Hidden,
@@ -201,26 +67,31 @@ func (g *GRU) NewBatchState(lanes int) BatchState {
 	}
 }
 
-// GrowBatchState appends one zeroed lane.
-func (g *GRU) GrowBatchState(st BatchState) int {
+// growBatchState appends one zeroed lane.
+func (g *GRU) growBatchState(st batchState) {
 	s := st.(*gruBatchState)
-	lane := len(s.h) / g.Hidden
 	s.h = append(s.h, make([]float64, g.Hidden)...)
-	return lane
 }
 
-// ResetBatchLane zeroes one lane's hidden state.
-func (g *GRU) ResetBatchLane(st BatchState, lane int) {
+// resetBatchLane zeroes one lane's hidden state.
+func (g *GRU) resetBatchLane(st batchState, lane int) {
 	s := st.(*gruBatchState)
 	zeroRange(s.h[lane*g.Hidden : (lane+1)*g.Hidden])
 }
 
-// StepBatch advances the listed lanes through one fused GRU step: per
+// stepBatch advances the listed lanes through one fused GRU step: per
 // lane, the input and z/r recurrent products, the gates, and then the
-// candidate path, which must follow the reset gate. All per-element
-// accumulation orders mirror StepState (Dot/DotAcc on the same operand
-// order), so outputs are bit-identical to the per-packet path.
-func (g *GRU) StepBatch(st BatchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
+// candidate path, which must follow the reset gate:
+//
+//	z = σ(Wz x + Uz h + bz)
+//	r = σ(Wr x + Ur h + br)
+//	ĥ = tanh(Wc x + Uc (r⊙h) + bc)
+//	h' = (1−z)⊙h + z⊙ĥ
+//
+// All per-element accumulation orders are the per-packet reference
+// step's (Dot/DotAcc on the same operand order), so outputs are
+// bit-identical to it.
+func (g *GRU) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*gruBatchState)
 	n := len(lanes)
 	if n == 0 {
@@ -257,7 +128,7 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		s.wh.mulLane(0, hPrev, ah, s.asm)
 		// Pre-activations hoisted so the sigmoid passes run over
 		// contiguous ranges (4 lanes per instruction when the wide gate
-		// kernels are live); same ax + ah + bias association as StepState.
+		// kernels are live); the reference's ax + ah + bias association.
 		for j := 0; j < 2*H; j++ {
 			ax[j] = ax[j] + ah[j] + bias[j]
 		}
@@ -282,5 +153,3 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		copy(hPrev, hRow)
 	}
 }
-
-var _ Cell = (*GRU)(nil)

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"math"
-
-	"mimicnet/internal/stats"
-)
+import "mimicnet/internal/stats"
 
 // Linear is a fully connected layer y = Wx + b.
 type Linear struct {
@@ -17,26 +13,6 @@ func NewLinear(in, out int, s *stats.Stream) *Linear {
 	l := &Linear{W: NewMatrix(out, in), B: NewMatrix(out, 1)}
 	l.W.InitXavier(s)
 	return l
-}
-
-// Forward computes the layer output.
-func (l *Linear) Forward(x []float64) []float64 {
-	y := l.W.MulVec(x, nil)
-	for i := range y {
-		y[i] += l.B.Data[i]
-	}
-	return y
-}
-
-// Backward accumulates parameter gradients for dy and returns dx.
-func (l *Linear) Backward(x, dy []float64) []float64 {
-	l.W.AddOuterGrad(dy, x)
-	for i, d := range dy {
-		l.B.Grad[i] += d
-	}
-	dx := Zeros(len(x))
-	l.W.MulVecT(dy, dx)
-	return dx
 }
 
 // Params returns the layer's trainable parameters.
@@ -70,198 +46,3 @@ func NewLSTM(in, hidden int, s *stats.Stream) *LSTM {
 
 // Params returns the layer's trainable parameters.
 func (l *LSTM) Params() []*Matrix { return []*Matrix{l.Wx, l.Wh, l.B} }
-
-// LSTMState is the recurrent state (hidden, cell).
-type LSTMState struct {
-	H, C []float64
-}
-
-// NewState returns a zero state.
-func (l *LSTM) NewState() *LSTMState {
-	return &LSTMState{H: Zeros(l.Hidden), C: Zeros(l.Hidden)}
-}
-
-// Clone deep-copies the state (feeders use this to advance hidden state
-// speculatively).
-func (s *LSTMState) Clone() *LSTMState {
-	return &LSTMState{
-		H: append([]float64(nil), s.H...),
-		C: append([]float64(nil), s.C...),
-	}
-}
-
-// lstmCache stores per-step activations for BPTT.
-type lstmCache struct {
-	x            []float64
-	hPrev, cPrev []float64
-	i, f, g, o   []float64
-	c, h         []float64
-	tanhC        []float64
-}
-
-// Step advances the state by one input and returns the new hidden vector.
-// When cache is non-nil, activations needed for Backward are recorded.
-func (l *LSTM) Step(st *LSTMState, x []float64, cache *lstmCache) []float64 {
-	H := l.Hidden
-	z := l.Wx.MulVec(x, nil)
-	zh := l.Wh.MulVec(st.H, nil)
-	for i := range z {
-		z[i] += zh[i] + l.B.Data[i]
-	}
-	i_, f_, g_, o_ := Zeros(H), Zeros(H), Zeros(H), Zeros(H)
-	cNew, hNew, tanhC := Zeros(H), Zeros(H), Zeros(H)
-	for j := 0; j < H; j++ {
-		i_[j] = Sigmoid(z[j])
-		f_[j] = Sigmoid(z[H+j])
-		g_[j] = math.Tanh(z[2*H+j])
-		o_[j] = Sigmoid(z[3*H+j])
-		cNew[j] = f_[j]*st.C[j] + i_[j]*g_[j]
-		tanhC[j] = math.Tanh(cNew[j])
-		hNew[j] = o_[j] * tanhC[j]
-	}
-	if cache != nil {
-		cache.x = append([]float64(nil), x...)
-		cache.hPrev = append([]float64(nil), st.H...)
-		cache.cPrev = append([]float64(nil), st.C...)
-		cache.i, cache.f, cache.g, cache.o = i_, f_, g_, o_
-		cache.c, cache.h, cache.tanhC = cNew, hNew, tanhC
-	}
-	st.C = cNew
-	st.H = hNew
-	return hNew
-}
-
-// stepBackward backpropagates one step: given dh/dc flowing into this
-// step's outputs, it accumulates parameter gradients and returns
-// gradients for the previous hidden/cell state and the input.
-func (l *LSTM) stepBackward(cache *lstmCache, dh, dc []float64) (dhPrev, dcPrev, dx []float64) {
-	H := l.Hidden
-	dz := Zeros(4 * H)
-	dcTotal := Zeros(H)
-	for j := 0; j < H; j++ {
-		// h = o * tanh(c)
-		do := dh[j] * cache.tanhC[j]
-		dcTotal[j] = dc[j] + dh[j]*cache.o[j]*DTanh(cache.tanhC[j])
-		// c = f*cPrev + i*g
-		di := dcTotal[j] * cache.g[j]
-		df := dcTotal[j] * cache.cPrev[j]
-		dg := dcTotal[j] * cache.i[j]
-		dz[j] = di * DSigmoid(cache.i[j])
-		dz[H+j] = df * DSigmoid(cache.f[j])
-		dz[2*H+j] = dg * DTanh(cache.g[j])
-		dz[3*H+j] = do * DSigmoid(cache.o[j])
-	}
-	l.Wx.AddOuterGrad(dz, cache.x)
-	l.Wh.AddOuterGrad(dz, cache.hPrev)
-	for i, d := range dz {
-		l.B.Grad[i] += d
-	}
-	dx = Zeros(l.In)
-	l.Wx.MulVecT(dz, dx)
-	dhPrev = Zeros(H)
-	l.Wh.MulVecT(dz, dhPrev)
-	dcPrev = Zeros(H)
-	for j := 0; j < H; j++ {
-		dcPrev[j] = dcTotal[j] * cache.f[j]
-	}
-	return dhPrev, dcPrev, dx
-}
-
-// Trace is the recorded forward pass of a window through a stack of
-// trunk cells, ready for BPTT.
-type Trace struct {
-	layers  []Cell
-	caches  [][]CellCache // [layer][step]
-	Outputs []float64     // final hidden of the top layer
-}
-
-// ForwardWindow runs a window (steps × features) through stacked layers
-// from a zero state, recording caches when train is true.
-func ForwardWindow(layers []Cell, window [][]float64, train bool) *Trace {
-	tr := &Trace{layers: layers}
-	if train {
-		tr.caches = make([][]CellCache, len(layers))
-		for i := range tr.caches {
-			tr.caches[i] = make([]CellCache, len(window))
-		}
-	}
-	states := make([]CellState, len(layers))
-	for i, l := range layers {
-		states[i] = l.FreshState()
-	}
-	var h []float64
-	for step, x := range window {
-		h = x
-		for li, l := range layers {
-			var cache CellCache
-			h, cache = l.StepState(states[li], h, train)
-			if train {
-				tr.caches[li][step] = cache
-			}
-		}
-	}
-	tr.Outputs = h
-	return tr
-}
-
-// Backward runs BPTT given the gradient at the final top-layer hidden
-// output and accumulates parameter gradients.
-func (tr *Trace) Backward(dOut []float64) {
-	steps := len(tr.caches[0])
-	nl := len(tr.layers)
-	// dh and the carry gradient (cell state for LSTMs, nil for others)
-	// flowing backward per layer.
-	dh := make([][]float64, nl)
-	dc := make([][]float64, nl)
-	for i, l := range tr.layers {
-		dh[i] = Zeros(l.HiddenSize())
-	}
-	copy(dh[nl-1], dOut)
-	for step := steps - 1; step >= 0; step-- {
-		// Top to bottom: each layer's dx feeds the layer below's dh.
-		var dxDown []float64
-		for li := nl - 1; li >= 0; li-- {
-			if dxDown != nil {
-				AddTo(dh[li], dxDown)
-			}
-			dhPrev, dcPrev, dx := tr.layers[li].StepBackward(tr.caches[li][step], dh[li], dc[li])
-			dh[li], dc[li] = dhPrev, dcPrev
-			dxDown = dx
-		}
-	}
-}
-
-// StatefulRunner performs streaming inference: it keeps per-layer cell
-// state across calls, which is how Mimic models see a continuous packet
-// stream (and how feeder packets advance the hidden state without
-// emitting outputs, paper §6).
-type StatefulRunner struct {
-	layers []Cell
-	states []CellState
-}
-
-// NewStatefulRunner initializes zero states for the stack.
-func NewStatefulRunner(layers []Cell) *StatefulRunner {
-	r := &StatefulRunner{layers: layers}
-	r.states = make([]CellState, len(layers))
-	for i, l := range layers {
-		r.states[i] = l.FreshState()
-	}
-	return r
-}
-
-// Step feeds one feature vector and returns the top-layer hidden state.
-func (r *StatefulRunner) Step(x []float64) []float64 {
-	h := x
-	for i, l := range r.layers {
-		h, _ = l.StepState(r.states[i], h, false)
-	}
-	return h
-}
-
-// Reset zeroes the recurrent state.
-func (r *StatefulRunner) Reset() {
-	for i, l := range r.layers {
-		r.states[i] = l.FreshState()
-	}
-}

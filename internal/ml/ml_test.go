@@ -263,17 +263,18 @@ func TestStatefulRunnerMatchesForwardWindow(t *testing.T) {
 	}
 }
 
+// TestAdvanceUpdatesState: a masked bank step (a feeder advance, output
+// discarded) still moves the lane's hidden state.
 func TestAdvanceUpdatesState(t *testing.T) {
 	cfg := DefaultModelConfig(2, 3)
 	m, _ := NewModel(cfg)
-	a := NewStatefulModel(m)
-	b := NewStatefulModel(m)
+	bank := NewBatchedStatefulModel(m, 2, nil)
 	x := []float64{1, -1}
-	a.Advance(x) // advance state silently
-	pa := a.Predict(x)
-	pb := b.Predict(x) // fresh state
-	if pa.Latency == pb.Latency {
-		t.Error("Advance did not change hidden state")
+	bank.StepLanes([]int{0}, [][]float64{x}, []bool{false}, nil) // advance lane 0 silently
+	preds := make([]Prediction, 2)
+	bank.StepLanes([]int{0, 1}, [][]float64{x, x}, nil, preds) // lane 1 is fresh
+	if preds[0].Latency == preds[1].Latency {
+		t.Error("a masked step did not change hidden state")
 	}
 }
 
@@ -490,17 +491,6 @@ func TestEvaluateEmpty(t *testing.T) {
 	m, _ := NewModel(DefaultModelConfig(2, 2))
 	if ev := m.Evaluate(samplesOf(nil)); ev.Loss != 0 {
 		t.Error("empty evaluate should be zero")
-	}
-}
-
-func TestLSTMStateClone(t *testing.T) {
-	l := NewLSTM(2, 3, stats.NewStream(1))
-	st := l.NewState()
-	st.H[0] = 7
-	cl := st.Clone()
-	cl.H[0] = 9
-	if st.H[0] != 7 {
-		t.Error("Clone aliases memory")
 	}
 }
 

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"math"
-
-	"mimicnet/internal/stats"
-)
+import "mimicnet/internal/stats"
 
 // WindowMLP is a non-recurrent baseline trunk: it keeps a sliding buffer
 // of the last Window inputs and maps the (zero-padded) flattened window
@@ -40,69 +36,81 @@ func (m *WindowMLP) Params() []*Matrix { return []*Matrix{m.W, m.B} }
 // CellType names the class.
 func (m *WindowMLP) CellType() string { return "mlp" }
 
-// mlpState is the ring buffer of recent inputs (oldest first).
-type mlpState struct{ history [][]float64 }
-
-// FreshState returns an empty input buffer.
-func (m *WindowMLP) FreshState() CellState { return &mlpState{} }
-
-type mlpCache struct {
-	flat []float64
-	h    []float64
-}
-
-func (m *WindowMLP) flatten(history [][]float64) []float64 {
-	flat := Zeros(m.In * m.Window)
-	pad := m.Window - len(history)
-	for i, row := range history {
-		copy(flat[(pad+i)*m.In:], row)
-	}
-	return flat
-}
-
-// StepState appends x to the window buffer and evaluates the layer.
-func (m *WindowMLP) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
-	state := st.(*mlpState)
-	state.history = append(state.history, append([]float64(nil), x...))
-	if len(state.history) > m.Window {
-		state.history = state.history[1:]
-	}
-	flat := m.flatten(state.history)
-	h := m.W.MulVec(flat, nil)
-	for i := range h {
-		h[i] = math.Tanh(h[i] + m.B.Data[i])
-	}
-	if !train {
-		return h, nil
-	}
-	return h, &mlpCache{flat: flat, h: h}
-}
-
 // stepCost is one step in multiply-add equivalents: the window product
 // and the tanh pass.
 func (m *WindowMLP) stepCost() int {
 	return m.Hidden*m.In*m.Window + m.Hidden*gateMulAdds
 }
 
-// StepBackward backpropagates one evaluation. The MLP has no recurrent
-// path, so dhPrev is zero: gradient reaches earlier steps only through
-// the model heads (which read the final step), which is exactly the
-// baseline's limitation.
-func (m *WindowMLP) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
-	c := cache.(*mlpCache)
-	da := Zeros(m.Hidden)
-	for j := range da {
-		da[j] = dh[j] * DTanh(c.h[j])
-	}
-	m.W.AddOuterGrad(da, c.flat)
-	for j, d := range da {
-		m.B.Grad[j] += d
-	}
-	dflat := Zeros(len(c.flat))
-	m.W.MulVecT(da, dflat)
-	// dx is the gradient w.r.t. the newest window slot.
-	dx = dflat[len(dflat)-m.In:]
-	return Zeros(m.Hidden), nil, dx
+// mlpBatchState holds each lane's window of its last Window inputs —
+// oldest first, zero rows in front until Window inputs have arrived, the
+// flattened layout the layer's product reads — with the weights packed
+// for the row kernel and the fused step's arguments. Like the recurrent
+// states it is its own Pool.Range worker.
+type mlpBatchState struct {
+	win                []float64 // lanes × In·Window
+	in, hidden, window int
+	w                  packedRows
+	bias               []float64
+
+	// one step's arguments, set by stepBatch before its Range call
+	lanes     []int
+	xs, hs    []float64
+	asm, wide bool
 }
 
-var _ Cell = (*WindowMLP)(nil)
+// newBatchState returns empty windows for `lanes` lanes and snapshots the
+// layer's weights (W packed, B copied).
+func (m *WindowMLP) newBatchState(lanes int) batchState {
+	return &mlpBatchState{
+		win:    make([]float64, lanes*m.In*m.Window),
+		in:     m.In,
+		hidden: m.Hidden,
+		window: m.Window,
+		w:      packRows(m.W),
+		bias:   append([]float64(nil), m.B.Data...),
+	}
+}
+
+// growBatchState appends one lane with an empty window.
+func (m *WindowMLP) growBatchState(st batchState) {
+	s := st.(*mlpBatchState)
+	s.win = append(s.win, make([]float64, m.In*m.Window)...)
+}
+
+// resetBatchLane empties one lane's window.
+func (m *WindowMLP) resetBatchLane(st batchState, lane int) {
+	s := st.(*mlpBatchState)
+	fw := m.In * m.Window
+	zeroRange(s.win[lane*fw : (lane+1)*fw])
+}
+
+// stepBatch slides each listed lane's window by one input and evaluates
+// the layer on it: h = tanh(W·window + b), the product on the row kernel.
+func (m *WindowMLP) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
+	s := st.(*mlpBatchState)
+	if len(lanes) == 0 {
+		return
+	}
+	k := gemmKernel()
+	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
+	pool.Range(len(lanes), m.stepCost(), s)
+}
+
+// RunRange steps lanes[lo:hi]; each lane touches only its own window and
+// output row.
+func (s *mlpBatchState) RunRange(lo, hi int) {
+	In, H, fw := s.in, s.hidden, s.in*s.window
+	for a := lo; a < hi; a++ {
+		lane := s.lanes[a]
+		win := s.win[lane*fw : (lane+1)*fw]
+		copy(win, win[In:]) // drop the oldest row
+		copy(win[fw-In:], s.xs[a*In:(a+1)*In])
+		hRow := s.hs[a*H : (a+1)*H]
+		s.w.mulLane(0, win, hRow, s.asm)
+		for j := range hRow {
+			hRow[j] += s.bias[j]
+		}
+		tanhLanes(hRow, hRow, s.wide)
+	}
+}

@@ -34,10 +34,8 @@ type ModelConfig struct {
 	ClipNorm float64 `json:"clip_norm"`
 	Seed     int64   `json:"seed"`
 
-	// BatchSize selects the trainer: 1 runs the original per-sample
-	// scalar BPTT loop (one optimizer step per sample — the parity
-	// reference), values > 1 run the minibatch trainer (one optimizer
-	// step per batch over fused GEMM passes), and 0 means
+	// BatchSize is the minibatch width: one optimizer step per batch of
+	// this many samples, 1 meaning one step per sample; 0 means
 	// DefaultBatchSize. Affects training results, so it participates in
 	// the model cache key.
 	BatchSize int `json:"batch_size,omitempty"`
@@ -55,10 +53,9 @@ func DefaultModelConfig(features, window int) ModelConfig {
 		HuberDelta: 1.0, LatLoss: LossHuber, DropWeight: 0.7,
 		LatWeight: 2.0, DropLossW: 1.0, ECNLossW: 0.5,
 		LR: 3e-3, Epochs: 4, ClipNorm: 5.0, Seed: 1,
-		// Explicit (not 0) so the trainer choice is visible in the
-		// serialized config and in model cache keys: models trained by
-		// the minibatch path must not collide with sequentially trained
-		// ones.
+		// Explicit (not 0) so the batch width is visible in the
+		// serialized config and in model cache keys: models trained at
+		// different widths must not collide.
 		BatchSize: DefaultBatchSize,
 	}
 }
@@ -167,59 +164,17 @@ func (m *Model) CheckFinite() error {
 	return nil
 }
 
-func (m *Model) heads(h []float64) Prediction {
-	return Prediction{
-		Latency: Sigmoid(m.LatHead.Forward(h)[0]),
-		PDrop:   Sigmoid(m.DropHead.Forward(h)[0]),
-		PECN:    Sigmoid(m.ECNHead.Forward(h)[0]),
-	}
-}
-
-// Forward predicts for one window (inference).
+// Forward predicts for one window (inference): a one-lane bank stepped
+// over the window's rows from zero state, read at the last row.
 func (m *Model) Forward(window [][]float64) Prediction {
-	tr := ForwardWindow(m.Trunk, window, false)
-	return m.heads(tr.Outputs)
-}
-
-// trainStepWindow runs forward+backward for one sample — a window of
-// row aliases gathered from the source plus the targets of its final
-// packet — and returns the loss.
-func (m *Model) trainStepWindow(window [][]float64, latency float64, dropped, ecn bool) float64 {
-	tr := ForwardWindow(m.Trunk, window, true)
-	h := tr.Outputs
-	pred := m.heads(h)
-
-	latTarget := latency
-	dropTarget, ecnTarget := 0.0, 0.0
-	if dropped {
-		dropTarget = 1
+	bank := NewBatchedStatefulModel(m, 1, nil)
+	lane, xs := []int{0}, make([][]float64, 1)
+	var out [1]Prediction
+	for _, x := range window {
+		xs[0] = x
+		bank.StepLanes(lane, xs, nil, out[:])
 	}
-	if ecn {
-		ecnTarget = 1
-	}
-
-	latLoss, dLat := m.Cfg.LatLoss.Eval(pred.Latency, latTarget, m.Cfg.HuberDelta)
-	var dropLoss, dDrop float64
-	if m.Cfg.DropWeight > 0 {
-		dropLoss, dDrop = WBCE(pred.PDrop, dropTarget, m.Cfg.DropWeight)
-	} else {
-		dropLoss, dDrop = BCE(pred.PDrop, dropTarget)
-	}
-	ecnLoss, dECN := BCE(pred.PECN, ecnTarget)
-
-	total := m.Cfg.LatWeight*latLoss + m.Cfg.DropLossW*dropLoss + m.Cfg.ECNLossW*ecnLoss
-
-	// Backprop through sigmoid heads into the shared hidden state.
-	dLatLogit := m.Cfg.LatWeight * dLat * DSigmoid(pred.Latency)
-	dDropLogit := m.Cfg.DropLossW * dDrop * DSigmoid(pred.PDrop)
-	dECNLogit := m.Cfg.ECNLossW * dECN * DSigmoid(pred.PECN)
-
-	dh := Zeros(len(h))
-	AddTo(dh, m.LatHead.Backward(h, []float64{dLatLogit}))
-	AddTo(dh, m.DropHead.Backward(h, []float64{dDropLogit}))
-	AddTo(dh, m.ECNHead.Backward(h, []float64{dECNLogit}))
-	tr.Backward(dh)
-	return total
+	return out[0]
 }
 
 // TrainResult reports per-epoch average losses and total wall-clock-free
@@ -230,8 +185,7 @@ type TrainResult struct {
 }
 
 // Train fits the model to src with Adam, shuffling each epoch. It is
-// TrainContext without cancellation or progress reporting; the trainer
-// (scalar vs minibatch) is selected by Cfg.BatchSize.
+// TrainContext without cancellation or progress reporting.
 func (m *Model) Train(src SampleSource) TrainResult {
 	res, _ := m.TrainContext(context.Background(), src, TrainOpts{})
 	return res
@@ -274,12 +228,10 @@ const evalLanes = 16
 
 // Evaluate scores src without updating parameters. Windows go through
 // one lane bank evalLanes at a time: each group's lanes are reset, fed
-// one StepLanes call per window row, and read at the last row. StepLanes
-// matches the per-packet path bit for bit, so every prediction equals
-// Forward on the sample's window (for finite weights, the row kernel's
-// precondition), and the sums run in ascending sample order. The bank
-// and its buffers are built once per call, so for the fused trunks
-// (LSTM, GRU) scoring allocates nothing per sample.
+// one StepLanes call per window row, and read at the last row, so every
+// prediction equals Forward on the sample's window, and the sums run in
+// ascending sample order. The bank and its buffers are built once per
+// call, so scoring allocates nothing per sample.
 func (m *Model) Evaluate(src SampleSource) EvalResult {
 	var res EvalResult
 	count := src.Len()
@@ -444,38 +396,3 @@ func (m *Model) UnmarshalJSON(b []byte) error {
 	m.ECNHead = &Linear{W: mj.ECNHead.W, B: mj.ECNHead.B}
 	return nil
 }
-
-// StatefulModel wraps a trained model for streaming per-packet inference
-// with persistent hidden state, as embedded in Mimic clusters.
-type StatefulModel struct {
-	model  *Model
-	runner *StatefulRunner
-	// Steps counts inference steps for FLOPs accounting.
-	Steps uint64
-}
-
-// NewStatefulModel builds a streaming wrapper around a trained model.
-func NewStatefulModel(m *Model) *StatefulModel {
-	return &StatefulModel{model: m, runner: NewStatefulRunner(m.Trunk)}
-}
-
-// Predict feeds one packet's features and returns the prediction.
-func (s *StatefulModel) Predict(x []float64) Prediction {
-	s.Steps++
-	h := s.runner.Step(x)
-	return s.model.heads(h)
-}
-
-// Advance updates hidden state for a feeder packet and discards the
-// output (paper §6: feeders update internal models' state as if the
-// packets were routed, without creating or sending them).
-func (s *StatefulModel) Advance(x []float64) {
-	s.Steps++
-	s.runner.Step(x)
-}
-
-// Reset clears the recurrent state.
-func (s *StatefulModel) Reset() { s.runner.Reset() }
-
-// Model returns the wrapped model.
-func (s *StatefulModel) Model() *Model { return s.model }

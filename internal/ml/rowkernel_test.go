@@ -192,10 +192,10 @@ func defaultShapeLanes(tb testing.TB, cell string, n int) (*Model, []int, [][]fl
 }
 
 // TestStepLanesDoesNotAllocate: a warmed-up fused step allocates
-// nothing, inline (production floor) or fanned out (floor 0), for both
-// recurrent trunks at the default artifact shape.
+// nothing, inline (production floor) or fanned out (floor 0), for every
+// trunk class at the default artifact shape.
 func TestStepLanesDoesNotAllocate(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru"} {
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		for _, floor := range []int{dispatchFloor, 0} {
 			pool := newPoolFloor(2, floor)
 			for _, n := range []int{1, 7, 16, 31} {
@@ -218,7 +218,7 @@ func TestStepLanesDoesNotAllocate(t *testing.T) {
 // with the fine-tuned weights — bit for bit what the per-packet path on
 // the same model predicts.
 func TestBankAfterFineTune(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru"} {
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		model := parityModel(t, cell, 1)
 		before := NewBatchedStatefulModel(model, 1, nil)
 		if _, err := model.FineTuneContext(context.Background(), samplesOf(synthSamples(40, model.Cfg.Features, model.Cfg.Window, 3)), 2, 0.05, TrainOpts{}); err != nil {

@@ -54,67 +54,23 @@ func (m *Matrix) InitXavier(s *stats.Stream) {
 	}
 }
 
-// MulVec computes out = M * x (out len Rows, x len Cols). out may be nil.
-func (m *Matrix) MulVec(x, out []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("ml: MulVec dim mismatch: %d cols vs %d vec", m.Cols, len(x)))
-	}
-	if out == nil {
-		out = make([]float64, m.Rows)
-	}
-	for r := 0; r < m.Rows; r++ {
-		out[r] = Dot(m.Data[r*m.Cols:(r+1)*m.Cols], x)
-	}
-	return out
-}
-
 // Dot returns Σ a[i]*b[i], accumulated strictly in index order. Every
-// matrix product in this package — per-vector (MulVec) and the row
-// kernel behind the batched inference step and the trainer's lane
-// products — computes each element as this chain, which is what makes
-// batched and per-packet inference agree bit-for-bit.
+// matrix product in this package — the row kernel behind the batched
+// inference step and the trainer's lane products, and the per-packet
+// reference the tests keep — computes each element as this chain, which
+// is what makes batched and per-packet inference agree bit-for-bit.
 func Dot(a, b []float64) float64 {
 	return DotAcc(0, a, b)
 }
 
 // DotAcc returns acc + Σ a[i]*b[i], accumulated in index order starting
-// from acc. It mirrors the hand-written `sum := init; sum += v*b[i]`
-// loops in the recurrent cells, so refactoring them onto this kernel
-// changes no results.
+// from acc: the chain of a product continued from a starting value, as
+// the GRU candidate's is from its input term and bias.
 func DotAcc(acc float64, a, b []float64) float64 {
 	for i, v := range a {
 		acc += v * b[i]
 	}
 	return acc
-}
-
-// AddOuterGrad accumulates the outer product dy ⊗ x into the gradient:
-// Grad[r][c] += dy[r] * x[c]. This is the weight gradient of y = Mx.
-func (m *Matrix) AddOuterGrad(dy, x []float64) {
-	for r := 0; r < m.Rows; r++ {
-		g := m.Grad[r*m.Cols : (r+1)*m.Cols]
-		d := dy[r]
-		if d == 0 {
-			continue
-		}
-		for c := range g {
-			g[c] += d * x[c]
-		}
-	}
-}
-
-// MulVecT computes out += Mᵀ * dy (backprop of y = Mx into x).
-func (m *Matrix) MulVecT(dy, out []float64) {
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		d := dy[r]
-		if d == 0 {
-			continue
-		}
-		for c, v := range row {
-			out[c] += v * d
-		}
-	}
 }
 
 // matrixJSON is the serialization form of a Matrix.
@@ -141,18 +97,6 @@ func (m *Matrix) UnmarshalJSON(b []byte) error {
 	m.Rows, m.Cols, m.Data = mj.Rows, mj.Cols, mj.Data
 	m.Grad = make([]float64, len(mj.Data))
 	return nil
-}
-
-// Vector helpers.
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
-// AddTo accumulates src into dst.
-func AddTo(dst, src []float64) {
-	for i, v := range src {
-		dst[i] += v
-	}
 }
 
 // Sigmoid is the logistic function.

@@ -20,14 +20,17 @@ import (
 // is applied per batch to the mean-loss gradient; Adam and gradient
 // clipping keep their exact per-update semantics.
 //
-// Determinism contract: the minibatch trainer is NOT required to be
-// bitwise equal to the scalar per-sample path (it takes B× fewer
-// optimizer steps on averaged gradients — a different, healthier descent
-// trajectory), but for a fixed seed and batch size it IS bitwise
-// reproducible run to run and across worker counts: every gradient
-// element is reduced over lanes in a fixed ascending order by exactly
-// one chunk (see addGradLanes), and sample order is the same
-// seed-derived shuffle the scalar path uses.
+// It is the only trainer: BatchSize 1 runs it at width 1, one optimizer
+// step per sample. At width 1 it reproduces the per-sample scalar BPTT
+// loop it replaced (kept in the tests) bit for bit for the LSTM and MLP
+// trunks; the GRU differs in the association of two sums (DESIGN.md
+// decision 22).
+//
+// Determinism contract: for a fixed seed and batch size training is
+// bitwise reproducible run to run and across worker counts: every
+// gradient element is reduced over lanes in a fixed ascending order by
+// exactly one chunk (see addGradLanes), and sample order is a
+// seed-derived shuffle.
 
 // DefaultBatchSize is the minibatch width used when ModelConfig.BatchSize
 // is zero.
@@ -74,29 +77,23 @@ type TrainOpts struct {
 
 // fit is the shared training loop behind Train/TrainContext/FineTune:
 // shuffle each epoch with rng, run forward+backward per batch, clip, and
-// apply one optimizer step per batch. BatchSize 1 reproduces the original
-// scalar loop bit for bit (same shuffle stream, one step per sample).
+// apply one optimizer step per batch.
 func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src SampleSource, epochs int, opts TrainOpts) (TrainResult, error) {
 	params := m.Params()
 	count := src.Len()
 	res := TrainResult{Samples: count}
 	B := m.Cfg.batchSize()
-	var bt *miniBatchTrainer
-	if B > 1 {
-		pool := opts.Pool
-		if pool == nil {
-			pool = SharedPool()
-		}
-		bt = newMiniBatchTrainer(m, pool)
+	pool := opts.Pool
+	if pool == nil {
+		pool = SharedPool()
 	}
+	bt := newMiniBatchTrainer(m, pool)
 	// A batch update sees the mean gradient over B samples — lower
-	// variance and B× fewer steps per epoch than the scalar path. Scale
-	// the Adam step size by √B (the usual Adam batch scaling) so
-	// per-epoch convergence tracks the scalar trainer; Adam's update
-	// rule itself is untouched.
-	if B > 1 {
-		lr *= math.Sqrt(float64(B))
-	}
+	// variance and B× fewer steps per epoch than one step per sample.
+	// Scale the Adam step size by √B (the usual Adam batch scaling) so
+	// per-epoch convergence tracks the per-sample rate; Adam's update
+	// rule itself is untouched, and width 1 keeps lr exactly.
+	lr *= math.Sqrt(float64(B))
 	opt := NewAdam(lr)
 	idx := make([]int, count)
 	for i := range idx {
@@ -116,7 +113,6 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 		res.EpochLoss = append(res.EpochLoss, ck.EpochLoss...)
 		startEpoch = ck.Epoch
 	}
-	var winBuf [][]float64 // scalar-path window gather, reused across samples
 	for epoch := startEpoch; epoch < epochs; epoch++ {
 		start := time.Now()
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -131,15 +127,7 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 				}
 				return res, err
 			}
-			if bt != nil {
-				hi := min(lo+B, len(idx))
-				sum += bt.trainBatch(src, idx[lo:hi])
-			} else {
-				i := idx[lo]
-				winBuf = src.WindowAppend(winBuf[:0], i)
-				lat, dropped, ecn := src.Target(i)
-				sum += m.trainStepWindow(winBuf, lat, dropped, ecn)
-			}
+			sum += bt.trainBatch(src, idx[lo:min(lo+B, len(idx))])
 			if m.Cfg.ClipNorm > 0 {
 				ClipGrads(params, m.Cfg.ClipNorm)
 			}
@@ -307,8 +295,7 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 	t.pool.Range(n, 3*H, t) // dOut
 	dOut := t.dOut[:n*H]
 
-	// Backward: steps descending, layers top to bottom — the batched
-	// mirror of Trace.Backward. dOut enters the top layer at the final
+	// Backward: steps descending, layers top to bottom (BPTT). dOut enters the top layer at the final
 	// step only; each layer's dx feeds the layer below's dhIn.
 	for st := steps - 1; st >= 0; st-- {
 		var dhIn []float64
@@ -343,7 +330,7 @@ func (t *miniBatchTrainer) RunRange(lo, hi int) {
 }
 
 // lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the
-// inference StepBatch's two products per step as mulLanes products, plus
+// inference stepBatch's two products per step as mulLanes products, plus
 // the backward products (mulLanesT for the input and recurrent
 // gradients, addGradLanes for the weights).
 type lstmTrainLayer struct {
@@ -417,7 +404,7 @@ func (t lstmGates) RunRange(lo, hi int) {
 	for a := lo; a < hi; a++ {
 		zx := t.zx[a*4*H : (a+1)*4*H]
 		zh := t.zh[a*4*H : (a+1)*4*H]
-		// Same association as Step: z[i] += zh[i] + B[i]; the gate
+		// The reference association z[i] += zh[i] + B[i]; the gate
 		// activations land directly in the per-step caches, 4 lanes per
 		// instruction when the wide gate kernels are live.
 		for j, v := range zh {
@@ -435,7 +422,7 @@ func (t lstmGates) RunRange(lo, hi int) {
 		cRow := t.c[a*H : (a+1)*H]
 		hRow := t.hs[a*H : (a+1)*H]
 		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, exactly as Step associates it.
+			// cNew = f*cPrev + i*g, the reference association.
 			cRow[j] = cf[j]*cRow[j] + ci[j]*cg[j]
 		}
 		tanhLanes(ctc, cRow, wide)
@@ -473,7 +460,7 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 			if dhIn != nil {
 				dhv += dhIn[a*H+j]
 			}
-			// Mirrors stepBackward: h = o·tanh(c), c = f·cPrev + i·g.
+			// h = o·tanh(c), c = f·cPrev + i·g.
 			i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
 			do := dhv * tc
 			dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
@@ -491,7 +478,7 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 
 // gruTrainLayer runs fused minibatch BPTT for one GRU layer. The
 // candidate pre-activation consumes r⊙h, so each step needs a third
-// product after the gate pass (exactly like the inference StepBatch).
+// product after the gate pass (exactly like the inference stepBatch).
 type gruTrainLayer struct {
 	g    *GRU
 	pool *Pool
@@ -563,7 +550,7 @@ func (t gruGates) RunRange(lo, hi int) {
 	for a := lo; a < hi; a++ {
 		ax := t.ax[a*3*H : (a+1)*3*H]
 		ac := t.ac[a*3*H : (a+1)*3*H]
-		// Same ax + ac + bias association as StepState; z and r land
+		// The reference ax + ac + bias association; z and r land
 		// directly in the per-step caches.
 		for j := 0; j < 2*H; j++ {
 			ax[j] = ax[j] + ac[j] + bias[j]
@@ -639,7 +626,7 @@ func (t gruUpdateGrads) RunRange(lo, hi int) {
 			if dhIn != nil {
 				dhv += dhIn[a*H+j]
 			}
-			// h' = (1-z)·h + z·ĥ (mirrors GRU.StepBackward).
+			// h' = (1-z)·h + z·ĥ.
 			z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
 			dz := dhv * (hHat - hPrev)
 			t.da[a*3*H+j] = dz * DSigmoid(z)
@@ -669,8 +656,8 @@ func (t gruResetGrads) RunRange(lo, hi int) {
 // is restricted to a single (top) layer and the heads read only the
 // final step's output, so per-step evaluation is wasted work at train
 // time: the layer buffers the window and runs one product at the final
-// step. Non-final steps contribute no gradient (StepBackward returns a
-// zero dhPrev), so skipping them is exact, not an approximation.
+// step. Non-final steps contribute no gradient (the layer has no
+// recurrent path), so skipping them is exact, not an approximation.
 type mlpTrainLayer struct {
 	m    *WindowMLP
 	pool *Pool
@@ -678,7 +665,7 @@ type mlpTrainLayer struct {
 
 	n, steps int
 	w        packedRows // this minibatch's W, k-major
-	flat     []float64  // n × In·Window, zero-padded like flatten()
+	flat     []float64  // n × In·Window, zero rows in front like the inference window
 	h        []float64  // n×H final-step activations
 	da       []float64  // n×H
 

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -79,7 +80,7 @@ func TestGenericTrainLayerMatchesFused(t *testing.T) {
 	gen, _ := NewModel(cfg)
 	gt := newMiniBatchTrainer(gen, pool)
 	for i := range gt.layers {
-		gt.layers[i] = &genericTrainLayer{c: gen.Trunk[i]}
+		gt.layers[i] = &genericTrainLayer{c: gen.Trunk[i].(scalarCell)}
 	}
 	gt.trainBatch(samplesOf(samples), idx)
 
@@ -90,6 +91,56 @@ func TestGenericTrainLayerMatchesFused(t *testing.T) {
 			if diff := math.Abs(a - b); diff > 1e-9*(1+math.Abs(a)) {
 				t.Fatalf("param %d grad %d: fused %v vs generic %v", pi, gi, a, b)
 			}
+		}
+	}
+}
+
+// fitScalar is the per-sample training loop that BatchSize 1 selected
+// before the minibatch trainer took that width: fit's shuffle stream, and
+// per sample one reference trainStepWindow, clip and Adam step.
+func (m *Model) fitScalar(src windowSource) {
+	params := m.Params()
+	rng := stats.NewStream(m.Cfg.Seed + 1)
+	opt := NewAdam(m.Cfg.LR)
+	idx := make([]int, src.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	var win [][]float64
+	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for _, i := range idx {
+			win = src.WindowAppend(win[:0], i)
+			lat, dropped, ecn := src.Target(i)
+			m.trainStepWindow(win, lat, dropped, ecn)
+			if m.Cfg.ClipNorm > 0 {
+				ClipGrads(params, m.Cfg.ClipNorm)
+			}
+			opt.Step(params)
+		}
+	}
+}
+
+// TestWidthOneTrainerMatchesScalarLoop pins what BatchSize 1 means: the
+// minibatch trainer at width 1 trains byte-identical LSTM and MLP
+// artifacts to the per-sample scalar loop. (A GRU differs in the last
+// bits: the trainer sums the candidate's recurrent product before adding
+// its input term and bias, and the previous step's hidden gradient in
+// another order, than the scalar GRU step does; DESIGN.md decision 22.)
+func TestWidthOneTrainerMatchesScalarLoop(t *testing.T) {
+	for _, name := range []string{"lstm", "mlp"} {
+		cfg := cellConfigs()[name]
+		cfg.BatchSize = 1
+		cfg.Epochs = 2
+		src := samplesOf(synthSamples(40, cfg.Features, cfg.Window, 7))
+		a, _ := NewModel(cfg)
+		a.Train(src)
+		b, _ := NewModel(cfg)
+		b.fitScalar(src)
+		ja, _ := a.MarshalJSON()
+		jb, _ := b.MarshalJSON()
+		if !bytes.Equal(ja, jb) {
+			t.Errorf("%s: width-1 minibatch artifact differs from the scalar loop's", name)
 		}
 	}
 }
@@ -133,11 +184,11 @@ func TestBatchedTrainerDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchedSequentialParity trains the same architecture with the
-// retained sequential trainer (BatchSize 1) and the minibatch trainer
-// and requires both to land at comparable held-out quality. The
-// trajectories differ by construction (B× fewer optimizer steps on
-// averaged gradients), so this is a tolerance check, not bitwise.
+// TestBatchedSequentialParity trains the same architecture one sample
+// per optimizer step (BatchSize 1) and sixteen (BatchSize 16) and
+// requires both to land at comparable held-out quality. The trajectories
+// differ by construction (B× fewer optimizer steps on averaged
+// gradients), so this is a tolerance check, not bitwise.
 func TestBatchedSequentialParity(t *testing.T) {
 	cfg := DefaultModelConfig(2, 4)
 	cfg.Hidden = 12
@@ -382,13 +433,23 @@ func TestEvaluateMatchesPerSample(t *testing.T) {
 				t.Errorf("%s count=%d: Evaluate %+v, per-sample %+v", name, count, got, want)
 			}
 		}
+		// Forward is a one-lane bank: the same bits as the reference.
+		_, view := synthStream(20, cfg.Features, cfg.Window, 5)
+		var win [][]float64
+		for i := 0; i < view.Len(); i++ {
+			win = view.WindowAppend(win[:0], i)
+			if got, want := m.Forward(win), m.forwardOracle(win); got != want {
+				t.Fatalf("%s sample %d: Forward %+v, reference %+v", name, i, got, want)
+			}
+		}
 	}
 }
 
 // TestEvaluateAllocsFlat: the bank and its buffers are built once per
-// call, so scoring ten times the samples costs no more allocations.
+// call, so scoring ten times the samples costs no more allocations, for
+// every trunk class.
 func TestEvaluateAllocsFlat(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru"} {
+	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		cfg := DefaultModelConfig(23, 12)
 		cfg.CellType = cell
 		m, err := NewModel(cfg)

@@ -4,9 +4,8 @@ package ml
 // the underlying packet stream exactly once — one contiguous row-major
 // feature matrix — and expresses each sample's window as an index range
 // over it, with the early-window zero padding resolved by index math
-// against a single shared zero row. Every consumer (scalar trainer,
-// minibatch trainer, Evaluate, FineTune) reads it through the
-// SampleSource interface below.
+// against a single shared zero row. Every consumer (the trainer,
+// Evaluate, FineTune) reads it through the SampleSource interface below.
 
 // SampleSource is the trainer-facing read interface over a dataset.
 // *SampleView is the production implementation; the window-of-slices
@@ -22,9 +21,6 @@ type SampleSource interface {
 	// must be treated as read-only and is only valid until the next
 	// call for sources that synthesize rows.
 	Row(i, st int) []float64
-	// WindowAppend appends sample i's window rows to buf and returns
-	// it — the zero-copy bridge to the [][]float64 ForwardWindow path.
-	WindowAppend(buf [][]float64, i int) [][]float64
 	// Target returns sample i's training targets.
 	Target(i int) (latency float64, dropped, ecn bool)
 }
@@ -118,7 +114,8 @@ func (v *SampleView) Row(i, st int) []float64 {
 }
 
 // WindowAppend appends sample i's window rows (aliases into the matrix,
-// zero row for padding) to buf and returns it.
+// zero row for padding) to buf and returns it: the [][]float64 window
+// Model.Forward takes.
 func (v *SampleView) WindowAppend(buf [][]float64, i int) [][]float64 {
 	for st := 0; st < v.Window; st++ {
 		buf = append(buf, v.Row(i, st))

@@ -53,7 +53,7 @@ type JobSpec struct {
 	Epochs int    `json:"epochs,omitempty"`
 	Cell   string `json:"cell,omitempty"` // lstm|gru|mlp
 	// BatchSize selects the minibatch trainer width (0 = engine default;
-	// 1 = the sequential reference path).
+	// 1 = one optimizer step per sample).
 	BatchSize int `json:"batch_size,omitempty"`
 
 	// Tune, when positive, runs hyper-parameter tuning with this budget
