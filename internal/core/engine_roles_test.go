@@ -226,3 +226,38 @@ func TestRoleErrorMatchesSequential(t *testing.T) {
 			ingW1, egW1, want[Ingress], want[Egress])
 	}
 }
+
+// TestAllObservedEngineMatchesFullFidelity pins the equivalence Figure 2
+// rests on: the sequential Engine over an all-observed role vector is the
+// full-fidelity simulator, with the same Events, Packets and Drops as
+// cluster.New. The FCT counts differ by design: the Engine records every
+// flow, while cluster.New records only flows that touch its observable
+// cluster.
+func TestAllObservedEngineMatchesFullFidelity(t *testing.T) {
+	const until = 200 * sim.Millisecond
+	for _, n := range []int{2, 4} {
+		cfg := fastBase()
+		cfg.Topo = cfg.Topo.WithClusters(n)
+		inst, err := cluster.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Run(until)
+		full := inst.Results()
+		eng, got := runRoles(t, cfg, make([]ClusterRole, n), nil, until)
+		if eng.Sharded() {
+			t.Fatalf("n=%d: default config ran sharded", n)
+		}
+		if full.Events == 0 || full.Packets == 0 {
+			t.Fatalf("n=%d: full-fidelity run did nothing", n)
+		}
+		if got.Events != full.Events || got.Packets != full.Packets || got.Drops != full.Drops {
+			t.Errorf("n=%d: engine events/packets/drops %d/%d/%d, full fidelity %d/%d/%d",
+				n, got.Events, got.Packets, got.Drops, full.Events, full.Packets, full.Drops)
+		}
+		if len(got.FCTs) < len(full.FCTs) {
+			t.Errorf("n=%d: engine recorded %d FCTs, fewer than full fidelity's %d observable ones",
+				n, len(got.FCTs), len(full.FCTs))
+		}
+	}
+}

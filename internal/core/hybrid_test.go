@@ -136,6 +136,39 @@ func TestUpdateModelsFineTunes(t *testing.T) {
 	}
 }
 
+// TestUpdateModelsKeepsEmpiricalGaps: a model whose feeders replay
+// empirical gaps must still replay them after an update, from the bank
+// refitted on the new trace, not fall back to the log-normal fit.
+func TestUpdateModelsKeepsEmpiricalGaps(t *testing.T) {
+	models := cloneModels(t, trainedForScheduler(t).Models)
+	models.Ingress.UseEmpiricalGaps = true
+	models.Egress.UseEmpiricalGaps = true
+	base := fastBase()
+	base.Workload.Seed = 77
+	ing, eg, _, err := GenerateTrainingData(base, 150*sim.Millisecond, fastTrain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	updated, err := UpdateModels(models, ing, eg, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dm *DirectionModel
+		ds *Dataset
+	}{{updated.Ingress, ing}, {updated.Egress, eg}} {
+		if !c.dm.UseEmpiricalGaps {
+			t.Errorf("%v: update dropped UseEmpiricalGaps", c.ds.Dir)
+		}
+		// FeederGapFrac replays GapSamples when the flag is set and the
+		// bank is non-empty (TestFeederGapEmpiricalReplay).
+		if want := gapSubsample(c.ds.Interarrivals, 2048); len(want) == 0 || !reflect.DeepEqual(c.dm.GapSamples, want) {
+			t.Errorf("%v: gap bank has %d samples, want the %d refitted from the new trace",
+				c.ds.Dir, len(c.dm.GapSamples), len(want))
+		}
+	}
+}
+
 func TestUpdateModelsValidation(t *testing.T) {
 	if _, err := UpdateModels(nil, nil, nil, 1, 0); err == nil {
 		t.Error("nil models accepted")

@@ -33,6 +33,19 @@ func rolesFromCode(code uint8) []ClusterRole {
 // TestShardedHybridMatchesSequential documents: their same-nanosecond
 // tie class may order differently between the two modes, so only the
 // worker-count invariance of the sharded schedule is asserted.
+//
+// The tie class is wider than that allowance: a vector with two or more
+// full-fidelity (observed or hybrid-ingress) clusters can diverge too,
+// most likely through the same mechanism (remote events enter at window
+// barriers, the sequential heap interleaves them mid-window) acting on
+// real traffic. Of the 81 codes without a hybrid-egress
+// cluster, 23 fail the seq ≡ sharded assertion (19 of the 65 distinct
+// vectors they decode to; code 0x00, every cluster observed, carries
+// 27 420 packets sequential and 27 421 sharded), and every vector of the
+// composed shape (one observed cluster, the rest Mimics) passes.
+// TestRoleVectorSeqSharded's eight draws miss them; FuzzRoleVector finds
+// them. The sharded schedule stays exact across worker counts for all
+// of them (TestShardedFullFidelityTieClass pins code 0x00).
 func checkRoleVectorSeqSharded(t *testing.T, art *Artifacts, roles []ClusterRole) {
 	t.Helper()
 	const until = 100 * sim.Millisecond
@@ -71,6 +84,36 @@ func checkRoleVectorSeqSharded(t *testing.T, art *Artifacts, roles []ClusterRole
 			firstFP = fp
 		} else if fp != firstFP {
 			t.Errorf("%s workers=%d: sharded fingerprint diverged from workers=1", label, workers)
+		}
+	}
+}
+
+// TestShardedFullFidelityTieClass pins code 0x00, every cluster
+// observed: the role vector Figure 2 shards. It sits in the tie class
+// checkRoleVectorSeqSharded documents, so sequential and sharded may
+// differ, but the sharded schedule itself must be exact across worker
+// counts, Events included, with no causality clamp.
+func TestShardedFullFidelityTieClass(t *testing.T) {
+	const until = 100 * sim.Millisecond
+	roles := rolesFromCode(0x00)
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(len(roles))
+	cfg.ShardedRun = 1
+	var firstFP string
+	for _, workers := range []int{1, 2, 4} {
+		cfg.NumWorkers = workers
+		eng, res := runRoles(t, cfg, roles, nil, until)
+		if !eng.Sharded() {
+			t.Fatalf("workers=%d: forced sharding fell back to sequential", workers)
+		}
+		if n := eng.Parallel().CausalityClamps; n != 0 {
+			t.Errorf("workers=%d: %d causality clamps", workers, n)
+		}
+		fp := resultsFingerprint(res)
+		if firstFP == "" {
+			firstFP = fp
+		} else if fp != firstFP {
+			t.Errorf("workers=%d: fingerprint diverged from workers=1", workers)
 		}
 	}
 }

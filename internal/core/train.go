@@ -93,24 +93,25 @@ func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, pr
 		return nil, ml.EvalResult{}, fmt.Errorf("core: %v training diverged: %w", ds.Dir, err)
 	}
 	eval := model.Evaluate(test)
-
-	meanGap := stats.Mean(ds.Interarrivals)
-	rate := 0.0
-	if meanGap > 0 {
-		rate = 1 / meanGap
-	}
-	dm := &DirectionModel{
-		Model:          model,
-		Bounds:         ds.Bounds,
-		Disc:           ds.Disc,
-		Interarrival:   stats.FitLogNormal(ds.Interarrivals, meanGap),
-		GapSamples:     gapSubsample(ds.Interarrivals, 2048),
-		RatePktsPerSec: rate,
-		InfoBank:       bankSubsample(ds.InfoBank, 4096),
-		DropRate:       ds.DropRate,
-		ECNRate:        ds.ECNRate,
-	}
+	dm := &DirectionModel{Model: model, Bounds: ds.Bounds, Disc: ds.Disc}
+	fitFeeder(dm, ds, 0)
 	return dm, eval, nil
+}
+
+// fitFeeder sets a direction's feeder statistics from its dataset: the
+// interarrival fit and packet rate, the empirical gap bank, the replay
+// bank, and the base drop/ECN rates. fallbackRate stands in for the rate
+// when the dataset has no positive mean gap.
+func fitFeeder(dm *DirectionModel, ds *Dataset, fallbackRate float64) {
+	meanGap := stats.Mean(ds.Interarrivals)
+	dm.RatePktsPerSec = fallbackRate
+	if meanGap > 0 {
+		dm.RatePktsPerSec = 1 / meanGap
+	}
+	dm.Interarrival = stats.FitLogNormal(ds.Interarrivals, meanGap)
+	dm.GapSamples = gapSubsample(ds.Interarrivals, 2048)
+	dm.InfoBank = bankSubsample(ds.InfoBank, 4096)
+	dm.DropRate, dm.ECNRate = ds.DropRate, ds.ECNRate
 }
 
 // gapSubsample bounds the empirical interarrival bank, mirroring

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mimicnet/internal/ml"
-	"mimicnet/internal/stats"
 )
 
 // UpdateModels incrementally retrains existing Mimic models on freshly
@@ -12,8 +11,9 @@ import (
 // need retraining" direction from the paper's future work (§11,
 // Appendix H). The workload, protocol, or queue configuration may have
 // changed; the per-cluster topology structure must not (scalable-feature
-// invariant). Feeder statistics are refitted from the new trace; LSTM
-// weights warm-start from the previous models.
+// invariant). Feeder statistics are refitted from the new trace the way
+// training fits them, and a model that replays empirical gaps keeps doing
+// so; LSTM weights warm-start from the previous models.
 func UpdateModels(models *MimicModels, ing, eg *Dataset, epochs int, lr float64) (*MimicModels, error) {
 	if models == nil || models.Ingress == nil || models.Egress == nil {
 		return nil, fmt.Errorf("core: no models to update")
@@ -64,19 +64,12 @@ func updateDirection(old *DirectionModel, ds *Dataset, epochs int, lr float64) (
 		return nil, fmt.Errorf("core: %v update diverged: %w", ds.Dir, err)
 	}
 
-	meanGap := stats.Mean(ds.Interarrivals)
-	rate := old.RatePktsPerSec
-	if meanGap > 0 {
-		rate = 1 / meanGap
+	dm := &DirectionModel{
+		Model:            model,
+		Bounds:           old.Bounds,
+		Disc:             old.Disc,
+		UseEmpiricalGaps: old.UseEmpiricalGaps,
 	}
-	return &DirectionModel{
-		Model:          model,
-		Bounds:         old.Bounds,
-		Disc:           old.Disc,
-		Interarrival:   stats.FitLogNormal(ds.Interarrivals, meanGap),
-		RatePktsPerSec: rate,
-		InfoBank:       bankSubsample(ds.InfoBank, 4096),
-		DropRate:       ds.DropRate,
-		ECNRate:        ds.ECNRate,
-	}, nil
+	fitFeeder(dm, ds, old.RatePktsPerSec)
+	return dm, nil
 }

@@ -171,11 +171,10 @@ func (r *Runner) AblationQueues(n int) (*Table, error) {
 		{"red_drop", netsim.REDFactory(100, 20, 60, 0.1, false, 1)},
 		{"red_mark", netsim.REDFactory(100, 20, 60, 0.1, true, 1)},
 	} {
-		base, err := r.Opts.BaseConfig("newreno")
+		base, err := r.Opts.configAt("newreno", n)
 		if err != nil {
 			return nil, err
 		}
-		base.Topo = base.Topo.WithClusters(n)
 		base.CustomQueue = q.factory
 		inst, err := cluster.New(base)
 		if err != nil {

@@ -87,6 +87,13 @@ func (o Options) BaseConfig(protocol string) (cluster.Config, error) {
 	return cfg, nil
 }
 
+// configAt is BaseConfig scaled to n clusters.
+func (o Options) configAt(protocol string, n int) (cluster.Config, error) {
+	cfg, err := o.BaseConfig(protocol)
+	cfg.Topo = cfg.Topo.WithClusters(n)
+	return cfg, err
+}
+
 // TrainConfig builds the training configuration matching the options.
 func (o Options) TrainConfig() core.TrainConfig {
 	tc := core.DefaultTrainConfig()
@@ -195,12 +202,11 @@ func (t *Table) Fprint(w io.Writer) {
 
 // runFull executes a full-fidelity simulation at n clusters.
 func (r *Runner) runFull(protocol string, n int) (cluster.Results, time.Duration, error) {
-	base, err := r.Opts.BaseConfig(protocol)
+	cfg, err := r.Opts.configAt(protocol, n)
 	if err != nil {
 		return cluster.Results{}, 0, err
 	}
-	base.Topo = base.Topo.WithClusters(n)
-	inst, err := cluster.New(base)
+	inst, err := cluster.New(cfg)
 	if err != nil {
 		return cluster.Results{}, 0, err
 	}
@@ -215,12 +221,10 @@ func (r *Runner) runMimic(protocol string, n int) (cluster.Results, time.Duratio
 	if err != nil {
 		return cluster.Results{}, 0, nil, err
 	}
-	base, err := r.Opts.BaseConfig(protocol)
+	cfg, err := r.Opts.configAt(protocol, n)
 	if err != nil {
 		return cluster.Results{}, 0, nil, err
 	}
-	cfg := base
-	cfg.Topo = base.Topo.WithClusters(n)
 	t0 := time.Now()
 	comp, err := core.Compose(cfg, art.Models)
 	if err != nil {

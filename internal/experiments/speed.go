@@ -3,132 +3,70 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
 	"mimicnet/internal/sim"
-	"mimicnet/internal/topo"
 )
 
-// Fig2 reproduces Figure 2: discrete-event simulator throughput
-// (simulated seconds per wall second) on leaf-spine topologies of growing
-// size, single-threaded and with 2- and 4-way conservative PDES. The
-// paper's observation — parallelization does not speed up tightly coupled
-// topologies — emerges from the synchronization-barrier overhead.
+// Fig2 reproduces Figure 2: packet-level simulator throughput
+// (simulated seconds per wall second) as the FatTree grows, with every
+// cluster at full fidelity. single is the full-fidelity simulator; the
+// pdes columns run the same network on the sharded engine, one logical
+// process per cluster on sim.Parallel, with 1, 2 and 4 workers. The
+// paper's claim — parallel DES does not rescue a tightly coupled data
+// center simulation — is measured, not assumed.
 func (r *Runner) Fig2(sizes []int) (*Table, error) {
 	t := &Table{
 		ID:     "Figure 2",
-		Title:  "simulator throughput on leaf-spine networks (sim-sec/sec)",
-		Header: []string{"#tors_aggs", "single", "2_lps", "4_lps"},
+		Title:  "full-fidelity simulator throughput (sim-sec/sec)",
+		Header: []string{"#clusters", "single", "pdes_1w", "pdes_2w", "pdes_4w"},
 	}
+	var barriers uint64
 	for _, n := range sizes {
-		cfg, err := r.Opts.BaseConfig("newreno")
+		row, engs, err := r.fig2Row(n)
 		if err != nil {
 			return nil, err
 		}
-		// A leaf-spine is a single cluster with n ToRs and n spines.
-		cfg.Topo = topo.Config{
-			Clusters: 1, RacksPerCluster: n, HostsPerRack: 2,
-			AggPerCluster: n, CoresPerAgg: 1,
-		}
-		single, events, wall, err := leafSpineThroughput(cfg, r.Opts.RunUntil)
-		if err != nil {
-			return nil, err
-		}
-		lp2 := pdesThroughput(2, events, r.Opts.RunUntil, cfg.Link.Delay, wall)
-		lp4 := pdesThroughput(4, events, r.Opts.RunUntil, cfg.Link.Delay, wall)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), f3(single), f3(lp2), f3(lp4),
-		})
+		barriers = engs[0].Parallel().Barriers
+		t.Rows = append(t.Rows, row)
 		r.Opts.logf("Figure 2 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
-		"PDES rows replay the measured event load split across LPs with calibrated per-event work, a conservative barrier every link latency, and cross-LP messaging for ~90% of events (leaf-spine partitions put every hop on an LP boundary)",
+		fmt.Sprintf("pdes_Nw is core.Engine with every cluster observed, one LP per cluster (core switches on LP 0), N workers; lookahead is one link delay, so every run crosses %d barriers", barriers),
+		fmt.Sprintf("host: %d CPUs, GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0)),
 		"paper: 5 min of simulated time can take days even for small leaf-spines; parallel execution is no faster")
 	return t, nil
 }
 
-func leafSpineThroughput(cfg cluster.Config, until sim.Time) (simSecPerSec float64, events uint64, wall time.Duration, err error) {
-	inst, err := cluster.New(cfg)
+// fig2Row measures Figure 2 at n clusters and returns the row with the
+// sharded engines behind its pdes cells, in column order.
+func (r *Runner) fig2Row(n int) ([]string, []*core.Engine, error) {
+	_, fullT, err := r.runFull("newreno", n)
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, nil, err
 	}
-	t0 := time.Now()
-	inst.Run(until)
-	wall = time.Since(t0)
-	sec := wall.Seconds()
-	if sec <= 0 {
-		sec = 1e-9
+	cfg, err := r.Opts.configAt("newreno", n)
+	if err != nil {
+		return nil, nil, err
 	}
-	return until.Seconds() / sec, inst.Sim.Processed(), wall, nil
-}
-
-// spin busy-waits for roughly d, standing in for per-event computation.
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	end := time.Now().Add(d)
-	for time.Now().Before(end) {
-	}
-}
-
-// pdesThroughput replays the measured event load across n logical
-// processes with conservative lookahead-window synchronization. Per-event
-// work is calibrated from the single-threaded measurement; 90% of events
-// additionally exercise a cross-LP message (in a leaf-spine bipartition
-// nearly every hop crosses LPs), whose hand-off cost models the
-// marshalling overhead of process-based PDES runtimes.
-func pdesThroughput(n int, events uint64, until, lookahead sim.Time, singleWall time.Duration) float64 {
-	if events == 0 {
-		return 0
-	}
-	perEvent := singleWall / time.Duration(events)
-	const crossCost = 1 * time.Microsecond // message marshalling + transport
-	p := sim.NewParallel(n, lookahead)
-	windows := uint64(until / lookahead)
-	if windows == 0 {
-		windows = 1
-	}
-	perLPWindow := events / uint64(n) / windows
-	if perLPWindow == 0 {
-		perLPWindow = 1
-	}
-	for li, lp := range p.LPs {
-		lp := lp
-		next := p.LPs[(li+1)%n]
-		var window func()
-		count := uint64(0)
-		window = func() {
-			base := lp.Sim.Now()
-			for i := uint64(0); i < perLPWindow; i++ {
-				i := i
-				lp.Sim.At(base+sim.Time(i), func() {
-					spin(perEvent)
-					count++
-					if count%10 != 0 && n > 1 {
-						// Cross-LP hop: pay the messaging cost and hand a
-						// real message to the neighbor LP.
-						spin(crossCost)
-						lp.SendTo(next, lp.Sim.Now()+lookahead, func() {})
-					}
-				})
-			}
-			if base+lookahead < until {
-				lp.Sim.At(base+lookahead, window)
-			}
+	cfg.ShardedRun = 1
+	horizon := r.Opts.RunUntil.Seconds()
+	row := []string{fmt.Sprint(n), f3(horizon / fullT.Seconds())}
+	var engs []*core.Engine
+	for _, workers := range []int{1, 2, 4} {
+		cfg.NumWorkers = workers
+		eng, err := core.NewEngine(cfg, make([]core.ClusterRole, n), nil)
+		if err != nil {
+			return nil, nil, err
 		}
-		lp.Sim.At(0, window)
+		t0 := time.Now()
+		eng.Run(r.Opts.RunUntil)
+		row = append(row, f3(horizon/time.Since(t0).Seconds()))
+		engs = append(engs, eng)
 	}
-	t0 := time.Now()
-	p.Run(until)
-	wall := time.Since(t0).Seconds()
-	if wall <= 0 {
-		wall = 1e-9
-	}
-	return until.Seconds() / wall
+	return row, engs, nil
 }
 
 // Fig10 reproduces Figure 10: wall-clock speedup of a trained MimicNet
@@ -202,18 +140,27 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 		// different chunks). MimicNet's parallel variant is the real
 		// thing: the production composition sharded into one LP per
 		// cluster.
-		partFull := r.partitioned(n, nPart)
+		base, err := r.Opts.configAt("newreno", n)
+		if err != nil {
+			return nil, err
+		}
+		cfgs, chunk := cluster.PartitionedConfigs(base, nPart, r.Opts.RunUntil)
+		partFull, err := cluster.RunGroup(cfgs, chunk, nPart)
+		if err != nil {
+			return nil, err
+		}
 		partMimic, err := r.shardedMimic(n, nPart)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), durStr(fullT), durStr(mimicT + trainCost),
-			durStr(mimicT), durStr(partFull), durStr(partMimic),
+			durStr(mimicT), durStr(partFull.Wall), durStr(partMimic),
 		})
 		r.Opts.logf("Figure 11 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
+		"partitioned_sim is cluster.RunGroup over cluster.PartitionedConfigs; like single_sim it excludes instance construction",
 		"partitioned_mimic is the production sharded composition (one LP per cluster), not a seed-split approximation",
 		"paper: with training included MimicNet wins beyond 64 clusters; without, it wins everywhere at scale")
 	return t, nil
@@ -228,11 +175,10 @@ func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg, err := r.Opts.BaseConfig("newreno")
+	cfg, err := r.Opts.configAt("newreno", n)
 	if err != nil {
 		return 0, err
 	}
-	cfg.Topo = cfg.Topo.WithClusters(n)
 	cfg.ShardedRun = 1
 	cfg.NumWorkers = nWorkers
 	t0 := time.Now()
@@ -242,31 +188,6 @@ func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
 	}
 	comp.Run(r.Opts.RunUntil)
 	return time.Since(t0), nil
-}
-
-// partitioned runs nPart full-fidelity instances concurrently, each
-// simulating 1/nPart of the horizon, and returns the wall-clock to
-// finish all.
-func (r *Runner) partitioned(n, nPart int) time.Duration {
-	horizon := sim.Time(uint64(r.Opts.RunUntil) / uint64(nPart))
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := 0; i < nPart; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			opts := r.Opts
-			opts.Seed = seed
-			opts.RunUntil = horizon
-			if opts.Duration > horizon {
-				opts.Duration = horizon
-			}
-			rr := NewRunner(opts)
-			_, _, _ = rr.runFull("newreno", n)
-		}(r.Opts.Seed + int64(i) + 1)
-	}
-	wg.Wait()
-	return time.Since(t0)
 }
 
 // Fig12 reproduces Figure 12: simulation throughput in simulated seconds
@@ -298,7 +219,14 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		parFull := r.parallelThroughput(n, nPar)
+		base, err := r.Opts.configAt("newreno", n)
+		if err != nil {
+			return nil, err
+		}
+		parFull, err := cluster.RunGroup(cluster.ParallelConfigs(base, nPar), r.Opts.RunUntil, nPar)
+		if err != nil {
+			return nil, err
+		}
 		shardT, err := r.shardedMimic(n, nPar)
 		if err != nil {
 			return nil, err
@@ -309,35 +237,15 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 			f3(horizon / fullT.Seconds()),
 			f3(horizon / (mimicT + trainCost).Seconds()),
 			f3(horizon / mimicT.Seconds()),
-			f3(parFull), f3(parMimic),
+			f3(float64(nPar) * horizon / parFull.Wall.Seconds()), f3(parMimic),
 		})
 		r.Opts.logf("Figure 12 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
+		"parallel_sim is cluster.RunGroup over cluster.ParallelConfigs; like single_sim it excludes instance construction",
 		"parallel_mimic is the production sharded composition (one LP per cluster) at full horizon",
 		"paper: MimicNet throughput is roughly size-independent; single full simulation degrades ~linearly with size")
 	return t, nil
-}
-
-// parallelThroughput measures aggregate full-simulation throughput from
-// nPar concurrent full-horizon instances (the paper's embarrassingly
-// parallel baseline; the sharded composition covers MimicNet's side).
-func (r *Runner) parallelThroughput(n, nPar int) float64 {
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := 0; i < nPar; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			opts := r.Opts
-			opts.Seed = seed
-			rr := NewRunner(opts)
-			_, _, _ = rr.runFull("newreno", n)
-		}(r.Opts.Seed + int64(i) + 1)
-	}
-	wg.Wait()
-	wall := time.Since(t0).Seconds()
-	return float64(nPar) * r.Opts.RunUntil.Seconds() / wall
 }
 
 // Table2 reproduces Table 2: the wall-clock breakdown of MimicNet's

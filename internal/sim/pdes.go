@@ -23,17 +23,21 @@ import (
 // delivered in (time, source LP, per-source sequence) order at fixed
 // window boundaries, so a sharded run schedules exactly the same events
 // in exactly the same relative order regardless of how many worker
-// threads execute the LPs. This is what lets core.Compose promise
-// bitwise-identical results between its sequential and sharded paths.
+// threads execute the LPs. This is what lets a sharded core.Engine
+// produce bitwise-identical results at every worker count, and match its
+// sequential path for the paper's composition (one observed cluster, the
+// rest Mimics).
 //
-// MimicNet's Figure 2 observation—that parallelizing a tightly coupled
-// data center simulation often makes it *slower*—falls directly out of
-// this structure: small lookahead means many barriers, and each barrier
-// costs synchronization regardless of how little work a window contains.
+// The structure also prices MimicNet's Figure 2 question — does
+// parallelizing a tightly coupled data center simulation help? — in
+// barriers: a small lookahead means many windows, and each window costs
+// one synchronization round however little work it holds. Figure 2
+// (internal/experiments) measures it by running a full-fidelity fabric
+// sharded one LP per cluster on this runner.
 
 // LP is one logical process of a parallel simulation. Its Simulator must
 // only be touched by the LP itself once Parallel.Run starts, except via
-// SendTo.
+// Send.
 type LP struct {
 	ID  int
 	Sim *Simulator
@@ -73,23 +77,15 @@ func remoteOrder(a, b remoteEvent) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// SendTo schedules fn on the destination LP at absolute time at. It is
-// safe to call from the sending LP during Parallel.Run, provided at is at
-// least one lookahead window in the future (the caller's link latency
-// guarantees this in a correctly partitioned model).
-func (lp *LP) SendTo(dst *LP, at Time, fn func()) { lp.send(dst, at, nil, fn, 0) }
-
-// Send is SendTo for a typed event (see Simulator.Schedule): h(p, n) runs
-// on the destination LP. The two share one per-source sequence.
+// Send schedules the typed event h(p, n) (see Simulator.Schedule) on the
+// destination LP at absolute time at. It is safe to call from the
+// sending LP during Parallel.Run, provided at is at least one lookahead
+// window in the future (the caller's link latency guarantees this in a
+// correctly partitioned model).
 func (lp *LP) Send(dst *LP, at Time, h Handler, p any, n int64) {
 	if h == nil {
 		panic("sim: Send needs a handler")
 	}
-	lp.send(dst, at, h, p, n)
-}
-
-// send posts one remote event; a nil h marks a func() event carried in p.
-func (lp *LP) send(dst *LP, at Time, h Handler, p any, n int64) {
 	re := remoteEvent{at: at, src: int32(lp.ID), seq: lp.sendSeq, h: h, p: p, n: n}
 	lp.sendSeq++
 	dst.mu.Lock()
@@ -98,7 +94,7 @@ func (lp *LP) send(dst *LP, at Time, h Handler, p any, n int64) {
 }
 
 // drainInbox moves accumulated remote events into the LP's local queue.
-// It is only called between windows (no concurrent SendTo), so the inbox
+// It is only called between windows (no concurrent Send), so the inbox
 // snapshot—and therefore the resulting schedule—is deterministic.
 //
 // A remote event timestamped before the LP's clock is a causality clamp:
@@ -287,7 +283,7 @@ func (p *Parallel) runParallel(until Time, nw int) Time {
 		if limit > until {
 			limit = until
 		}
-		// Drain phase: single goroutine, no SendTo can run concurrently,
+		// Drain phase: single goroutine, no Send can run concurrently,
 		// so inbox snapshots are deterministic.
 		for _, lp := range p.LPs {
 			lp.drainInbox()

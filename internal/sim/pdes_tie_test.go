@@ -43,12 +43,12 @@ func TestRemoteTieOrdering(t *testing.T) {
 					src := s
 					sendAt := Time(senders - s + 1 + k) // within the first window
 					lp.Sim.At(sendAt, func() {
-						lp.SendTo(target, tieA, func() {
+						lp.Send(target, tieA, callFunc, func() {
 							got = append(got, arrival{tieA, src, 2 * k})
-						})
-						lp.SendTo(target, tieB, func() {
+						}, 0)
+						lp.Send(target, tieB, callFunc, func() {
 							got = append(got, arrival{tieB, src, 2*k + 1})
-						})
+						}, 0)
 					})
 				}
 			}

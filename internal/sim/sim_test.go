@@ -241,6 +241,10 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// callFunc is a typed handler that runs the func() carried in p, so the
+// PDES tests can send closures through LP.Send.
+func callFunc(p any, _ int64) { p.(func())() }
+
 func TestParallelDeliversCrossLPMessages(t *testing.T) {
 	p := NewParallel(2, 100)
 	got := make([]Time, 0)
@@ -249,7 +253,7 @@ func TestParallelDeliversCrossLPMessages(t *testing.T) {
 	lp0, lp1 := p.LPs[0], p.LPs[1]
 	tick = func() {
 		at := lp0.Sim.Now() + 100
-		lp0.SendTo(lp1, at, func() { got = append(got, lp1.Sim.Now()) })
+		lp0.Send(lp1, at, callFunc, func() { got = append(got, lp1.Sim.Now()) }, 0)
 		if at < 1000 {
 			lp0.Sim.At(at, tick)
 		}
@@ -347,7 +351,7 @@ func TestCausalityClampIsCounted(t *testing.T) {
 	// window: by the time LP1 drains at the next boundary its clock is
 	// already at 100, so the event is one sub-window late.
 	lp0.Sim.At(50, func() {
-		lp0.SendTo(lp1, 60, func() { firedAt = lp1.Sim.Now() })
+		lp0.Send(lp1, 60, callFunc, func() { firedAt = lp1.Sim.Now() }, 0)
 	})
 	p.Run(300)
 	if p.CausalityClamps != 1 {
@@ -364,7 +368,7 @@ func TestCausalityViolationBeyondWindowPanics(t *testing.T) {
 	p := NewParallel(2, 100)
 	lp0, lp1 := p.LPs[0], p.LPs[1]
 	lp0.Sim.At(250, func() {
-		lp0.SendTo(lp1, 10, func() {}) // 290 behind by drain time
+		lp0.Send(lp1, 10, callFunc, func() {}, 0) // 290 behind by drain time
 	})
 	defer func() {
 		if recover() == nil {
@@ -389,11 +393,11 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 			tick = func() {
 				dst := p.LPs[(i+1)%len(p.LPs)]
 				tag := i*1000 + int(lp.Sim.Now())
-				lp.SendTo(dst, lp.Sim.Now()+50, func() {
+				lp.Send(dst, lp.Sim.Now()+50, callFunc, func() {
 					mu.Lock()
 					order = append(order, tag)
 					mu.Unlock()
-				})
+				}, 0)
 				if lp.Sim.Now() < 900 {
 					lp.Sim.After(25, tick)
 				}
@@ -442,9 +446,9 @@ func TestParallelRunIsResumable(t *testing.T) {
 		lp0, lp1 := p.LPs[0], p.LPs[1]
 		var tick func()
 		tick = func() {
-			lp0.SendTo(lp1, lp0.Sim.Now()+100, func() {
+			lp0.Send(lp1, lp0.Sim.Now()+100, callFunc, func() {
 				fired = append(fired, lp1.Sim.Now())
-			})
+			}, 0)
 			if lp0.Sim.Now() < 900 {
 				lp0.Sim.After(100, tick)
 			}
