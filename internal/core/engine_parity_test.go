@@ -19,9 +19,13 @@ import (
 // in testdata/engine_parity.json were captured from the pre-refactor
 // Composed/Hybrid runtimes (the exact commit that still contained both);
 // the role-based Engine that replaced them must reproduce every
-// configuration bit-for-bit. The suite reruns under every forced GEMM
-// kernel family via `make test-kernels` — the goldens are
-// kernel-independent because all families are bitwise identical.
+// configuration bit-for-bit. The hybrid entries were re-captured once,
+// when hybrids started measuring only flows that touch the observed
+// cluster (cluster.New's rule): only FCTs and FCTByID moved; Events,
+// Packets, Drops, Throughputs and RTTs stayed equal. The suite reruns
+// under every forced GEMM kernel family via `make test-kernels` — the
+// goldens are kernel-independent because all families are bitwise
+// identical.
 
 const parityGoldenPath = "testdata/engine_parity.json"
 

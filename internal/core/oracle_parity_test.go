@@ -20,7 +20,9 @@ import (
 // the queue. The fingerprints in testdata/oracle_parity.json were
 // captured from the inline per-packet path this oracle replaced (one
 // model step per boundary packet through a per-Mimic scalar model), and
-// the oracle reproduces every entry byte-for-byte, Events included.
+// the oracle reproduces every entry byte-for-byte, Events included (the
+// hybrid entries were re-captured with the measured-population fix that
+// moved only their FCTs, as in engine_parity.json).
 
 const oracleGoldenPath = "testdata/oracle_parity.json"
 
