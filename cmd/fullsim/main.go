@@ -74,7 +74,7 @@ func main() {
 		sim.Time(*run).Seconds()/wall.Seconds())
 	fmt.Printf("events processed    %d\n", res.Events)
 	fmt.Printf("packets injected    %d (%d dropped)\n", res.Packets, res.Drops)
-	fmt.Printf("observable flows    %d started, %d completed\n", inst.FlowsStarted, inst.FlowsCompleted)
+	fmt.Printf("observable flows    %d started, %d completed\n", inst.FlowsStarted(), inst.FlowsCompleted())
 	printDist("fct_seconds", res.FCTs)
 	printDist("throughput_Bps", res.Throughputs)
 	printDist("rtt_seconds", res.RTTs)

@@ -1,13 +1,17 @@
-// Package cluster assembles full-fidelity packet-level simulations: a
-// FatTree fabric, per-host transport stacks, a generated workload, and
-// the instrumentation MimicNet needs—metrics collection at the observable
-// cluster's hosts and packet taps at cluster boundaries (paper §5.1).
+// Package cluster is the one packet-level runtime: a FatTree fabric
+// (sequential, or sharded one logical process per cluster), per-host
+// transport stacks, a generated workload, the run loop, and the
+// instrumentation MimicNet needs—metrics collection at the measured
+// clusters' hosts and packet taps at cluster boundaries (paper §5.1).
+// New builds a full-fidelity simulation with one observable cluster;
+// NewLayered builds the same runtime for a role layer (core.Engine),
+// which says per cluster what is measured and what a model stands in
+// for, and supplies the packet-injection hook its models sit behind.
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"mimicnet/internal/metrics"
@@ -40,43 +44,22 @@ type Config struct {
 	// discipline (e.g. to run RED ablations).
 	CustomQueue netsim.QueueFactory
 
-	// BatchWindow overrides the batched engine's collection window
-	// (0 = derive from the models' latency lower bound, < 0 = flush at
-	// the same timestamp). Windows above the models' latency lower
-	// bound delay predictions past delivery deadlines; continuations
-	// are then clamped to the flush time, trading exactness for batch
-	// size. Sharded compositions additionally cap the window at the
-	// cross-LP causality bound (egress latency floor minus lookahead).
-	BatchWindow sim.Time
-
-	// ShardedRun > 0 partitions composed/hybrid simulations into one
-	// logical process per cluster (core switches ride with the observable
-	// cluster) and runs the windows in parallel; zero or negative runs
-	// them on one event queue. Sequential is the default because on the
-	// hosts measured so far sharding is the slower path (0.79x at N=32 on
-	// 2 vCPUs, DESIGN.md decisions 7 and 15); it stays an opt-in, and a
-	// correctness oracle, until a host with at least four real cores
-	// shows otherwise. Sharded and sequential runs produce
-	// bitwise-identical Results; only wall-clock time differs. The field
-	// stays an int because callers assign -1 and 1 to it. Full-fidelity
-	// simulations (cluster.New) are tightly coupled and always run
-	// sequentially — that contrast is MimicNet's Figure 2 motivation.
+	// ShardedRun > 0 runs a layered simulation (NewLayered with a
+	// positive lookahead: the composed, hybrid and multi-observed engines)
+	// as one logical process per cluster, windows in parallel; zero or
+	// negative runs it on one event queue. Both modes produce
+	// bitwise-identical Results for every composed-shape role vector;
+	// only wall-clock time differs. Sequential stays the default because
+	// the gain depends on the host and the size: on 2 vCPUs the sharded
+	// composed run is a wash at small N and about 1.4-1.65x faster at
+	// 16-32 clusters (DESIGN.md decisions 7 and 23). cluster.New always
+	// passes lookahead 0 and runs sequentially. The field stays an int
+	// because callers assign -1 and 1 to it.
 	ShardedRun int
 
 	// NumWorkers bounds the worker goroutines executing shards (0 =
 	// GOMAXPROCS). Has no effect on results.
 	NumWorkers int
-}
-
-// Sharded reports whether the configuration asks for a sharded run.
-func (c Config) Sharded() bool { return c.ShardedRun > 0 }
-
-// ShardWorkers resolves the worker count for a sharded run.
-func (c Config) ShardWorkers() int {
-	if c.NumWorkers > 0 {
-		return c.NumWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultConfig returns the paper's base configuration at a given cluster
@@ -91,10 +74,10 @@ func DefaultConfig(clusters int) Config {
 	}
 }
 
-// QueueFactory picks the switch queue discipline required by the
+// queueFactory picks the switch queue discipline required by the
 // protocol: ECN marking for DCTCP, strict priority for Homa, DropTail
 // otherwise.
-func (c Config) QueueFactory() netsim.QueueFactory {
+func (c Config) queueFactory() netsim.QueueFactory {
 	if c.CustomQueue != nil {
 		return c.CustomQueue
 	}
@@ -116,9 +99,9 @@ func (c Config) QueueFactory() netsim.QueueFactory {
 	}
 }
 
-// BDPBytes estimates the bandwidth-delay product of the longest (6-hop
+// bdpBytes estimates the bandwidth-delay product of the longest (6-hop
 // inter-cluster) path for transport sizing.
-func (c Config) BDPBytes() int {
+func (c Config) bdpBytes() int {
 	rttSec := 12 * c.Link.Delay.Seconds() // 6 links each way
 	bdp := int(c.Link.RateBps / 8 * rttSec)
 	if bdp < netsim.MSS {
@@ -127,43 +110,105 @@ func (c Config) BDPBytes() int {
 	return bdp
 }
 
-// Simulation is a runnable full-fidelity instance.
+// Simulation is a runnable packet-level instance: the one runtime every
+// simulation runs on. cluster.New builds it at full fidelity with one
+// measured (observable) cluster; a role layer (core.Engine) builds it
+// with NewLayered and adds its models on top.
 type Simulation struct {
-	Cfg       Config
-	Sim       *sim.Simulator
-	Topo      *topo.Topology
-	Fabric    *netsim.Fabric
-	Env       *transport.Env
+	Cfg    Config
+	Sim    *sim.Simulator // the first LP's simulator (the only one when sequential)
+	Topo   *topo.Topology
+	Fabric *netsim.Fabric
+
+	// Collector is the first LP's metrics collector (the only one when
+	// sequential); Results merges every LP's.
 	Collector *metrics.Collector
 
-	hosts []*transport.Host
-	flows []workload.Flow
+	lps      []*lp
+	par      *sim.Parallel // nil when sequential
+	hosts    []*transport.Host
+	flows    []workload.Flow
+	measured []bool // per cluster
 
 	// waiting maps a parent flow ID to the dependent flows gated on its
 	// completion (co-flow support).
 	waiting map[uint64][]workload.Flow
 
-	// FlowsStarted / FlowsCompleted count observable-cluster flows.
-	FlowsStarted, FlowsCompleted int
-
-	// Progress, if set, is invoked periodically from RunContext's run
-	// loop with the simulated clock and events processed so far.
+	// Progress, if set, is invoked periodically from the run loop (per
+	// window barrier when sharded, every cancelCheckEvery events when
+	// sequential) with the simulated clock and events processed so far.
 	Progress func(now sim.Time, events uint64)
 
 	cancelled bool
 }
 
-// New builds a simulation. The workload is generated immediately so the
+// lp is the per-logical-process slice of a simulation: its simulator,
+// transport environment, metrics collector, and flow counters. Every
+// field is written only by the owning LP's goroutine, so sharded runs
+// count and collect without locks; the padding keeps neighboring LPs'
+// hot counters off each other's cache lines.
+type lp struct {
+	sim  *sim.Simulator
+	env  *transport.Env
+	coll *metrics.Collector
+
+	flowsStarted   int
+	flowsCompleted int
+	_              [8]uint64
+}
+
+// Layer is what a role layer on top of the runtime decides, as
+// per-cluster data rather than callbacks.
+type Layer struct {
+	// Measured marks the clusters whose hosts feed the RTT and throughput
+	// collectors; a flow is measured (FCT, flow counters) iff it touches
+	// a measured cluster.
+	Measured []bool
+	// ModelDriven marks the clusters a model stands in for: flows with
+	// both ends in such clusters are not simulated.
+	ModelDriven []bool
+	// Lookahead > 0 is the minimum latency of any cross-cluster channel;
+	// with cfg.ShardedRun > 0 it permits a sharded fabric with one LP
+	// per cluster (core switches ride with LP 0).
+	Lookahead sim.Time
+	// Inject, if set, replaces the fabric as the destination of transport
+	// packets (routing included). It runs on the source host's LP.
+	Inject func(pkt *netsim.Packet)
+}
+
+// New builds a full-fidelity simulation measuring cfg.Observable. It
+// always runs sequentially. The workload is generated immediately so the
 // caller can inspect it before running.
 func New(cfg Config) (*Simulation, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("cluster: config needs a protocol")
-	}
-	if err := cfg.Topo.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Observable < 0 || cfg.Observable >= cfg.Topo.Clusters {
 		return nil, fmt.Errorf("cluster: observable cluster %d out of range", cfg.Observable)
+	}
+	measured := make([]bool, cfg.Topo.Clusters)
+	measured[cfg.Observable] = true
+	return NewLayered(cfg, Layer{Measured: measured})
+}
+
+func (cfg Config) validate() error {
+	if cfg.Protocol == nil {
+		return fmt.Errorf("cluster: config needs a protocol")
+	}
+	return cfg.Topo.Validate()
+}
+
+// NewLayered builds the runtime for a role layer: topology, workload,
+// fabric (sequential, or sharded per layer.Lookahead), per-LP transport
+// environments and collectors, hosts, and the flow schedule.
+func NewLayered(cfg Config, layer Layer) (*Simulation, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	n := cfg.Topo.Clusters
+	if len(layer.Measured) != n || (layer.ModelDriven != nil && len(layer.ModelDriven) != n) {
+		return nil, fmt.Errorf("cluster: layer describes %d/%d clusters, topology has %d",
+			len(layer.Measured), len(layer.ModelDriven), n)
 	}
 	t := topo.New(cfg.Topo)
 	cfg.Workload.HostLinkBps = cfg.Link.RateBps
@@ -171,78 +216,127 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	s := sim.New()
-	link := cfg.Link
-	link.SwitchQueue = cfg.QueueFactory()
-	fabric := netsim.NewFabric(s, t, link)
+	if layer.ModelDriven != nil {
+		simulated := flows[:0]
+		for _, f := range flows {
+			if !layer.ModelDriven[t.ClusterOf(f.Src)] || !layer.ModelDriven[t.ClusterOf(f.Dst)] {
+				simulated = append(simulated, f)
+			}
+		}
+		flows = simulated
+	}
 
 	inst := &Simulation{
-		Cfg: cfg, Sim: s, Topo: t, Fabric: fabric,
-		Collector: metrics.NewCollector(),
-		flows:     flows,
-		waiting:   make(map[uint64][]workload.Flow),
+		Cfg: cfg, Topo: t,
+		flows:    flows,
+		measured: layer.Measured,
+		waiting:  make(map[uint64][]workload.Flow),
 	}
-	inst.Env = &transport.Env{
-		Sim:      s,
-		Packets:  fabric.Packets(0),
-		MSS:      netsim.MSS,
-		BDPBytes: cfg.BDPBytes(),
-		Inject: func(pkt *netsim.Packet) {
+	link := cfg.Link
+	link.SwitchQueue = cfg.queueFactory()
+	if cfg.ShardedRun > 0 && layer.Lookahead > 0 {
+		inst.par = sim.NewParallel(n, layer.Lookahead)
+		inst.par.NumWorkers = cfg.NumWorkers
+		shardOf := make([]int, t.Nodes())
+		for node := range shardOf {
+			if cl := t.ClusterOf(node); cl > 0 {
+				shardOf[node] = cl
+			}
+		}
+		inst.Fabric = netsim.NewShardedFabric(inst.par.LPs, shardOf, t, link)
+		for _, l := range inst.par.LPs {
+			inst.lps = append(inst.lps, &lp{sim: l.Sim})
+		}
+	} else {
+		inst.lps = []*lp{{sim: sim.New()}}
+		inst.Fabric = netsim.NewFabric(inst.lps[0].sim, t, link)
+	}
+	inst.Sim = inst.lps[0].sim
+
+	inject := layer.Inject
+	if inject == nil {
+		inject = func(pkt *netsim.Packet) {
 			pkt.Route(t)
-			fabric.Inject(pkt)
-		},
-		OnRTT: func(f *transport.Flow, sec float64) {
-			if t.ClusterOf(f.Src) == cfg.Observable {
-				inst.Collector.RTTSample(sec)
-			}
-		},
-		OnComplete: func(f *transport.Flow) {
-			if inst.observes(f.Src, f.Dst) {
-				inst.Collector.FlowCompleted(flowKey(f.ID), s.Now())
-				inst.FlowsCompleted++
-			}
-			inst.releaseDependents(f.ID)
-		},
+			inst.Fabric.Inject(pkt)
+		}
 	}
+	for i, l := range inst.lps {
+		l := l
+		l.coll = metrics.NewCollector()
+		l.env = &transport.Env{
+			Sim:      l.sim,
+			Packets:  inst.Fabric.Packets(t.HostID(i, 0, 0)), // LP i runs cluster i
+			MSS:      netsim.MSS,
+			BDPBytes: cfg.bdpBytes(),
+			Inject:   inject,
+			OnRTT: func(f *transport.Flow, sec float64) {
+				if inst.measured[t.ClusterOf(f.Src)] {
+					l.coll.RTTSample(sec)
+				}
+			},
+			OnComplete: func(f *transport.Flow) {
+				if inst.measures(f.Src, f.Dst) {
+					l.coll.FlowCompleted(flowKey(f.ID), l.sim.Now())
+					l.flowsCompleted++
+				}
+				inst.releaseDependents(l, f.ID)
+			},
+		}
+	}
+	inst.Collector = inst.lps[0].coll
 
 	inst.hosts = make([]*transport.Host, t.Hosts())
 	for h := 0; h < t.Hosts(); h++ {
 		h := h
-		host := transport.NewHost(h, inst.Env, func(f *transport.Flow) *transport.Receiver {
-			r := transport.NewReceiver(inst.Env, f)
+		l := inst.lpOf(h)
+		host := transport.NewHost(h, l.env, func(f *transport.Flow) *transport.Receiver {
+			r := transport.NewReceiver(l.env, f)
 			if transport.IsHoma(cfg.Protocol) {
-				bdp := inst.Env.BDPBytes
+				bdp := l.env.BDPBytes
 				r.EnableGranting(func(remaining int64) int {
 					return transport.HomaPriority(remaining, bdp)
 				})
 			}
-			if t.ClusterOf(h) == cfg.Observable {
+			if inst.measured[t.ClusterOf(h)] {
 				r.OnDeliver = func(n int64) {
-					inst.Collector.BytesReceived(h, n, s.Now())
+					l.coll.BytesReceived(h, n, l.sim.Now())
 				}
 			}
 			return r
 		})
 		inst.hosts[h] = host
-		fabric.RegisterHost(h, host.Receive)
+		inst.Fabric.RegisterHost(h, host.Receive)
 	}
+	inst.schedule(flows)
+	return inst, nil
+}
 
-	// Schedule root flows; dependents wait for their parent's completion.
+// lpOf returns the logical process running a host: cluster i's hosts run
+// on LP i when sharded, everything on the one LP otherwise.
+func (inst *Simulation) lpOf(host int) *lp {
+	if inst.par == nil {
+		return inst.lps[0]
+	}
+	return inst.lps[inst.Topo.ClusterOf(host)]
+}
+
+// schedule starts root flows at their Start time on their source host's
+// LP; dependents wait for their parent's completion.
+func (inst *Simulation) schedule(flows []workload.Flow) {
 	for _, f := range flows {
 		f := f
 		if f.After != 0 {
 			inst.waiting[f.After] = append(inst.waiting[f.After], f)
 			continue
 		}
-		s.At(f.Start, func() { inst.startFlow(f) })
+		inst.lpOf(f.Src).sim.At(f.Start, func() { inst.startFlow(f) })
 	}
-	return inst, nil
 }
 
 // releaseDependents starts flows gated on the completed parent, each
-// after its configured stage delay.
-func (inst *Simulation) releaseDependents(parent uint64) {
+// after its configured stage delay. Co-flows come only from AddFlows, so
+// they are released on the sequential runtime's one LP.
+func (inst *Simulation) releaseDependents(l *lp, parent uint64) {
 	deps := inst.waiting[parent]
 	if len(deps) == 0 {
 		return
@@ -250,27 +344,28 @@ func (inst *Simulation) releaseDependents(parent uint64) {
 	delete(inst.waiting, parent)
 	for _, f := range deps {
 		f := f
-		inst.Sim.After(f.Start, func() { inst.startFlow(f) })
+		l.sim.After(f.Start, func() { inst.startFlow(f) })
 	}
 }
 
 func flowKey(id uint64) string { return strconv.FormatUint(id, 10) }
 
-func (inst *Simulation) observes(src, dst int) bool {
-	return inst.Topo.ClusterOf(src) == inst.Cfg.Observable ||
-		inst.Topo.ClusterOf(dst) == inst.Cfg.Observable
+// measures reports whether a flow touches a measured cluster.
+func (inst *Simulation) measures(src, dst int) bool {
+	return inst.measured[inst.Topo.ClusterOf(src)] || inst.measured[inst.Topo.ClusterOf(dst)]
 }
 
 func (inst *Simulation) startFlow(f workload.Flow) {
+	l := inst.lpOf(f.Src)
 	tf := &transport.Flow{
 		ID: f.ID, Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
 		Hash: topo.FlowHash(f.Src, f.Dst, f.ID),
 	}
-	sender := inst.Cfg.Protocol.NewSender(inst.Env, tf)
+	sender := inst.Cfg.Protocol.NewSender(l.env, tf)
 	inst.hosts[f.Src].AddSender(f.ID, sender)
-	if inst.observes(f.Src, f.Dst) {
-		inst.Collector.FlowStarted(flowKey(f.ID), f.Src, f.Dst, f.Bytes, inst.Sim.Now())
-		inst.FlowsStarted++
+	if inst.measures(f.Src, f.Dst) {
+		l.coll.FlowStarted(flowKey(f.ID), f.Src, f.Dst, f.Bytes, l.sim.Now())
+		l.flowsStarted++
 	}
 	sender.Start()
 }
@@ -284,54 +379,82 @@ func (inst *Simulation) AddFlows(flows []workload.Flow) error {
 		if f.Src < 0 || f.Src >= inst.Topo.Hosts() || f.Dst < 0 || f.Dst >= inst.Topo.Hosts() {
 			return fmt.Errorf("cluster: flow %d has out-of-range endpoints", f.ID)
 		}
-		f := f
-		inst.flows = append(inst.flows, f)
-		if f.After != 0 {
-			inst.waiting[f.After] = append(inst.waiting[f.After], f)
-			continue
-		}
-		inst.Sim.At(f.Start, func() { inst.startFlow(f) })
 	}
+	inst.flows = append(inst.flows, flows...)
+	inst.schedule(flows)
 	return nil
 }
 
-// Flows returns the generated schedule.
+// Flows returns the simulated flow schedule.
 func (inst *Simulation) Flows() []workload.Flow { return inst.flows }
 
-// Run advances the simulation to the given simulated time.
-func (inst *Simulation) Run(until sim.Time) {
-	pre := inst.Sim.Processed()
-	inst.Sim.RunUntil(until)
-	sim.CountKernelEvents(inst.Sim.Processed() - pre)
+// Host returns a host's transport stack.
+func (inst *Simulation) Host(h int) *transport.Host { return inst.hosts[h] }
+
+// Parallel exposes the PDES coordinator (nil when sequential), for the
+// role layer's cross-LP sends and for barrier and causality-clamp counts.
+func (inst *Simulation) Parallel() *sim.Parallel { return inst.par }
+
+// FlowsStarted returns the number of measured flows started.
+func (inst *Simulation) FlowsStarted() int {
+	total := 0
+	for _, l := range inst.lps {
+		total += l.flowsStarted
+	}
+	return total
 }
 
-// CancelCheckEvery is how many kernel events elapse between cooperative
-// cancellation checks in RunContext. Small enough that a killed job stops
-// within milliseconds of wall-clock, large enough that the per-event cost
-// is unmeasurable.
-const CancelCheckEvery = 8192
-
-// RunContext advances the simulation to the given simulated time,
-// checking ctx every CancelCheckEvery events and reporting through the
-// Progress hook. On cancellation it stops promptly, leaves the metrics
-// collected so far intact, and returns true; Results then carries
-// Cancelled so partial distributions are never mistaken for a full run.
-func (inst *Simulation) RunContext(ctx context.Context, until sim.Time) (cancelled bool) {
-	if ctx == nil || (ctx.Done() == nil && inst.Progress == nil) {
-		inst.Run(until)
-		return false
+// FlowsCompleted returns the number of measured flows completed.
+func (inst *Simulation) FlowsCompleted() int {
+	total := 0
+	for _, l := range inst.lps {
+		total += l.flowsCompleted
 	}
-	inst.Sim.SetTicker(CancelCheckEvery, func(now sim.Time, events uint64) bool {
-		if inst.Progress != nil {
-			inst.Progress(now, events)
+	return total
+}
+
+// Run advances the simulation to the given simulated time: RunContext
+// without a context.
+func (inst *Simulation) Run(until sim.Time) { inst.RunContext(context.Background(), until) }
+
+// cancelCheckEvery is how many kernel events elapse between cooperative
+// cancellation checks in a sequential run. Small enough that a killed job
+// stops within milliseconds of wall-clock, large enough that the
+// per-event cost is unmeasurable.
+const cancelCheckEvery = 8192
+
+// RunContext advances the simulation to the given simulated time. When
+// ctx can be cancelled or Progress is set, a ticker checks ctx and
+// reports progress — at every window barrier when sharded (windows are a
+// lookahead of simulated time), every cancelCheckEvery events when
+// sequential — without perturbing the run. On cancellation it stops
+// promptly, leaves the metrics collected so far intact, and returns true;
+// Results then carries Cancelled so partial distributions are never
+// mistaken for a full run.
+func (inst *Simulation) RunContext(ctx context.Context, until sim.Time) (cancelled bool) {
+	var tick func(now sim.Time, events uint64) bool
+	if ctx != nil && (ctx.Done() != nil || inst.Progress != nil) {
+		tick = func(now sim.Time, events uint64) bool {
+			if inst.Progress != nil {
+				inst.Progress(now, events)
+			}
+			if ctx.Err() != nil {
+				inst.cancelled = true
+				return true
+			}
+			return false
 		}
-		if ctx.Err() != nil {
-			inst.cancelled = true
-			return true
-		}
-		return false
-	})
-	defer inst.Sim.SetTicker(0, nil)
+	}
+	if inst.par != nil {
+		inst.par.Ticker = tick
+		defer func() { inst.par.Ticker = nil }()
+		inst.par.Run(until) // the PDES coordinator publishes its own event deltas
+		return inst.cancelled
+	}
+	if tick != nil {
+		inst.Sim.SetTicker(cancelCheckEvery, tick)
+		defer inst.Sim.SetTicker(0, nil)
+	}
 	pre := inst.Sim.Processed()
 	inst.Sim.RunUntil(until)
 	sim.CountKernelEvents(inst.Sim.Processed() - pre)
@@ -353,14 +476,26 @@ type Results struct {
 	Cancelled bool
 }
 
-// Results snapshots the collected metrics.
+// Results snapshots the collected metrics. LPs' collectors merge
+// losslessly: every flow's records live entirely on its source host's LP
+// and all distribution outputs are sorted.
 func (inst *Simulation) Results() Results {
+	coll := inst.Collector
+	var events uint64
+	colls := make([]*metrics.Collector, len(inst.lps))
+	for i, l := range inst.lps {
+		colls[i] = l.coll
+		events += l.sim.Processed()
+	}
+	if len(colls) > 1 {
+		coll = metrics.Merged(colls...)
+	}
 	return Results{
-		FCTs:        inst.Collector.FCTs(),
-		Throughputs: inst.Collector.Throughputs(),
-		RTTs:        inst.Collector.RTTs(),
-		FCTByID:     inst.Collector.FCTByID(),
-		Events:      inst.Sim.Processed(),
+		FCTs:        coll.FCTs(),
+		Throughputs: coll.Throughputs(),
+		RTTs:        coll.RTTs(),
+		FCTByID:     coll.FCTByID(),
+		Events:      events,
 		Packets:     inst.Fabric.Injected(),
 		Drops:       inst.Fabric.Drops(),
 		Cancelled:   inst.cancelled,

@@ -48,10 +48,10 @@ func TestFullSimulationBaseline(t *testing.T) {
 	if res.Events == 0 || res.Packets == 0 {
 		t.Error("no work recorded")
 	}
-	if inst.FlowsCompleted == 0 {
+	if inst.FlowsCompleted() == 0 {
 		t.Error("no observable flows completed")
 	}
-	if inst.FlowsCompleted > inst.FlowsStarted {
+	if inst.FlowsCompleted() > inst.FlowsStarted() {
 		t.Error("completed more flows than started")
 	}
 	for _, fct := range res.FCTs {
@@ -170,7 +170,7 @@ func TestDCTCPUsesECNQueues(t *testing.T) {
 
 func TestBDPBytes(t *testing.T) {
 	cfg := DefaultConfig(2)
-	bdp := cfg.BDPBytes()
+	bdp := cfg.bdpBytes()
 	// 100 Mbps * 6 ms RTT = 75000 bytes.
 	if bdp < 70_000 || bdp > 80_000 {
 		t.Errorf("BDP = %d, want ~75000", bdp)

@@ -75,8 +75,8 @@ func TestEngineMultiObserved(t *testing.T) {
 	// A flow schedule touching two full-fidelity clusters must include
 	// real flows sourced in cluster 2 (the second observed cluster).
 	var fromSecond int
-	for _, f := range eng.Flows() {
-		if eng.Topo.ClusterOf(f.Src) == 2 {
+	for _, f := range eng.rt.Flows() {
+		if eng.rt.Topo.ClusterOf(f.Src) == 2 {
 			fromSecond++
 		}
 	}

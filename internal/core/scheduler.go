@@ -24,7 +24,7 @@ import (
 //     (internal/ml/batch.go), so predictions do not depend on which
 //     lanes share a round either.
 //  2. Causality. The collection window never exceeds the latency lower
-//     bound Lo of either direction model (DefaultBatchWindow), and
+//     bound Lo of either direction model (defaultBatchWindow), and
 //     every predicted latency is clamped to at least Lo — so when a
 //     flush at t+window resolves a packet that arrived at t, its
 //     delivery time t+latency has not yet passed. Continuations are
@@ -141,11 +141,11 @@ func NewInferenceScheduler(s *sim.Simulator, models *MimicModels, window sim.Tim
 	return is
 }
 
-// DefaultBatchWindow returns the largest collection window that cannot
+// defaultBatchWindow returns the largest collection window that cannot
 // violate causality: the smaller of the two directions' latency lower
 // bounds (every prediction is clamped to at least that latency, so a
 // flush after the window always precedes the earliest delivery).
-func DefaultBatchWindow(models *MimicModels) sim.Time {
+func defaultBatchWindow(models *MimicModels) sim.Time {
 	lo := models.Ingress.Bounds.Lo
 	if models.Egress.Bounds.Lo < lo {
 		lo = models.Egress.Bounds.Lo

@@ -106,14 +106,14 @@ func TestGoldenDeterminism(t *testing.T) {
 	if batComp.InferenceSteps() == 0 {
 		t.Error("batched run recorded no inference steps")
 	}
-	if batComp.Scheduler().BatchedSteps != batComp2.Scheduler().BatchedSteps {
+	if batComp.scheds[0].BatchedSteps != batComp2.scheds[0].BatchedSteps {
 		t.Error("batched runs disagree on scheduler step count")
 	}
-	s := batComp.Scheduler()
+	s := batComp.scheds[0]
 	t.Logf("scheduler: window=%v flushes=%d batchedSteps=%d maxBatch=%d",
 		s.Window(), s.Flushes, s.BatchedSteps, s.MaxBatch)
 	// The oracle flushes once per request: every flush a one-lane round.
-	if o := seqComp.Scheduler(); o.MaxBatch != 1 || o.Flushes != o.BatchedSteps {
+	if o := seqComp.scheds[0]; o.MaxBatch != 1 || o.Flushes != o.BatchedSteps {
 		t.Errorf("oracle scheduler formed wider rounds: flushes=%d steps=%d maxBatch=%d",
 			o.Flushes, o.BatchedSteps, o.MaxBatch)
 	}
@@ -152,7 +152,7 @@ func TestFlushSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := e.Scheduler()
+		s := e.scheds[0]
 		s.pool = pool
 		for _, dq := range s.dirs {
 			dq.stepCost = 1 << 30 // any pending step on both sides is over the floor
@@ -195,32 +195,6 @@ func TestGoldenDeterminismHybrid(t *testing.T) {
 	}
 }
 
-// TestSchedulerWindowOverride checks custom collection windows: a
-// negative window (flush at the same timestamp) must still match the
-// per-request oracle, and an over-causal window must still complete and
-// stay internally deterministic.
-func TestSchedulerWindowOverride(t *testing.T) {
-	art := trainedForScheduler(t)
-	const until = 200 * sim.Millisecond
-
-	run := func(oracle bool, window sim.Time) cluster.Results {
-		cfg := fastBase()
-		cfg.Topo = cfg.Topo.WithClusters(3)
-		cfg.BatchWindow = window
-		comp, err := newTestEngine(cfg, ComposedRoles(3), art.Models, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comp.Run(until)
-		return comp.Results()
-	}
-
-	sameResults(t, "zero-window", run(true, 0), run(false, -1))
-
-	wide := DefaultBatchWindow(art.Models) * 64
-	sameResults(t, "wide-window-determinism", run(false, wide), run(false, wide))
-}
-
 // TestDefaultBatchWindow pins the causality rule: the window is the
 // smaller latency lower bound across the two direction models.
 func TestDefaultBatchWindow(t *testing.T) {
@@ -234,10 +208,10 @@ func TestDefaultBatchWindow(t *testing.T) {
 	if lo <= 0 {
 		want = 0
 	}
-	if got := DefaultBatchWindow(m); got != want {
-		t.Errorf("DefaultBatchWindow = %v, want %v", got, want)
+	if got := defaultBatchWindow(m); got != want {
+		t.Errorf("defaultBatchWindow = %v, want %v", got, want)
 	}
-	if w := DefaultBatchWindow(m); w > 0 {
+	if w := defaultBatchWindow(m); w > 0 {
 		maxLat := sim.FromSeconds(lo)
 		if w > maxLat {
 			t.Errorf("window %v exceeds causality bound %v", w, maxLat)

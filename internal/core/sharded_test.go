@@ -149,8 +149,8 @@ func TestShardedHybridMatchesSequential(t *testing.T) {
 	if !shrH.Sharded() {
 		t.Fatal("ingress: forced sharding fell back to sequential")
 	}
-	if shrH.par.CausalityClamps != 0 {
-		t.Errorf("ingress: %d causality clamps", shrH.par.CausalityClamps)
+	if shrH.Parallel().CausalityClamps != 0 {
+		t.Errorf("ingress: %d causality clamps", shrH.Parallel().CausalityClamps)
 	}
 	sameResults(t, "sharded-hybrid-ingress", seq, shr)
 	if seqH.ModelPackets() != shrH.ModelPackets() {
@@ -175,8 +175,8 @@ func TestShardedHybridMatchesSequential(t *testing.T) {
 		if h.ModelPackets() != oneH.ModelPackets() {
 			t.Errorf("egress: model packets %d at nw=%d vs %d at nw=1", h.ModelPackets(), nw, oneH.ModelPackets())
 		}
-		if h.par.CausalityClamps != 0 {
-			t.Errorf("egress: %d causality clamps at nw=%d", h.par.CausalityClamps, nw)
+		if h.Parallel().CausalityClamps != 0 {
+			t.Errorf("egress: %d causality clamps at nw=%d", h.Parallel().CausalityClamps, nw)
 		}
 	}
 	four2, _ := run(Egress, 1, 4)
