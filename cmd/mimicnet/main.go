@@ -1,8 +1,9 @@
 // Command mimicnet runs the end-to-end MimicNet workflow (paper Fig. 3):
 //
 //  1. full-fidelity 2-cluster simulation to generate training data,
-//  2. internal-model training (+ feeder fitting),
-//  3. optional hyper-parameter tuning against held-out validation runs,
+//  2. optional hyper-parameter tuning against held-out validation runs,
+//  3. internal-model training (+ feeder fitting), once, with the tuned
+//     hyper-parameters,
 //  4. composition of 1 real + N−1 Mimic clusters,
 //  5. the large-scale approximate simulation.
 //
@@ -29,15 +30,12 @@ import (
 	"os"
 	"time"
 
-	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
 	"mimicnet/internal/ml"
 	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
-	"mimicnet/internal/transport"
 	"mimicnet/internal/tuning"
-	"mimicnet/internal/workload"
 )
 
 func main() {
@@ -72,65 +70,43 @@ func main() {
 	)
 	flag.Parse()
 
+	spec := serve.JobSpec{
+		Clusters:      *clusters,
+		Racks:         *racks,
+		Hosts:         *hosts,
+		Aggs:          *aggs,
+		CoresPerAgg:   *cores,
+		Protocol:      *protocol,
+		Load:          *load,
+		MeanFlowBytes: *meanFlow,
+		ECNK:          *ecnK,
+		Seed:          *seed,
+		WorkloadMs:    float64(*duration) / float64(time.Millisecond),
+		RunMs:         float64(*run) / float64(time.Millisecond),
+		SmallRunMs:    float64(*smallRun) / float64(time.Millisecond),
+		Window:        *window,
+		Hidden:        *hidden,
+		Layers:        *layers,
+		Epochs:        *epochs,
+		BatchSize:     *batch,
+		Cell:          *cellType,
+		Tune:          *tune,
+		TuneMetric:    *tuneSizes,
+		DeadlineMs:    float64(*deadline) / float64(time.Millisecond),
+	}
 	if *server != "" {
 		if *loadPath != "" || *savePath != "" || *tracePath != "" || *validate {
 			fatal(fmt.Errorf("-server cannot be combined with -models/-save/-trace/-validate-directions; the daemon manages artifacts via its registry"))
 		}
-		runRemote(*server, serve.JobSpec{
-			Clusters:      *clusters,
-			Racks:         *racks,
-			Hosts:         *hosts,
-			Aggs:          *aggs,
-			CoresPerAgg:   *cores,
-			Protocol:      *protocol,
-			Load:          *load,
-			MeanFlowBytes: *meanFlow,
-			ECNK:          *ecnK,
-			Seed:          *seed,
-			WorkloadMs:    float64(*duration) / float64(time.Millisecond),
-			RunMs:         float64(*run) / float64(time.Millisecond),
-			SmallRunMs:    float64(*smallRun) / float64(time.Millisecond),
-			Window:        *window,
-			Hidden:        *hidden,
-			Layers:        *layers,
-			Epochs:        *epochs,
-			BatchSize:     *batch,
-			Cell:          *cellType,
-			Tune:          *tune,
-			TuneMetric:    *tuneSizes,
-			DeadlineMs:    float64(*deadline) / float64(time.Millisecond),
-		})
+		runRemote(*server, spec)
 		return
 	}
 
-	p, err := transport.ByName(*protocol)
+	// A local run uses the same configuration the daemon would build.
+	spec = spec.Normalized()
+	fatal(spec.Validate())
+	base, tcfg, err := spec.Configs()
 	fatal(err)
-
-	base := cluster.DefaultConfig(2)
-	base.Topo.RacksPerCluster = *racks
-	base.Topo.HostsPerRack = *hosts
-	base.Topo.AggPerCluster = *aggs
-	base.Topo.CoresPerAgg = *cores
-	base.Protocol = p
-	base.Workload = workload.DefaultConfig(*meanFlow)
-	base.Workload.Load = *load
-	base.Workload.Duration = sim.Time(*duration)
-	base.Workload.Seed = *seed
-	base.ECNThresholdK = *ecnK
-
-	tcfg := core.DefaultTrainConfig()
-	tcfg.Dataset.Window = *window
-	tcfg.Model = ml.DefaultModelConfig(0, *window)
-	tcfg.Model.Hidden = *hidden
-	tcfg.Model.Layers = *layers
-	tcfg.Model.Epochs = *epochs
-	tcfg.Model.CellType = *cellType
-	if *batch != 0 {
-		tcfg.Model.BatchSize = *batch
-	}
-	if *cellType == "mlp" {
-		tcfg.Model.Layers = 1
-	}
 
 	// Live per-epoch reports; the two directions train concurrently, so
 	// lines interleave tagged by direction.
@@ -141,79 +117,52 @@ func main() {
 
 	var models *core.MimicModels
 	var fixedCost time.Duration
-	switch {
-	case *loadPath != "":
+	if *loadPath != "" {
 		blob, err := os.ReadFile(*loadPath)
 		fatal(err)
 		models, err = core.LoadModels(blob)
 		fatal(err)
 		fmt.Printf("loaded trained models from %s\n", *loadPath)
-	case *tracePath != "":
-		fmt.Printf("training from saved trace %s ...\n", *tracePath)
-		f, err := os.Open(*tracePath)
-		fatal(err)
-		records, err := core.ReadTrace(f)
-		f.Close()
-		fatal(err)
-		ingRecs, egRecs := core.SplitTrace(records)
-		spec := core.NewFeatureSpec(base.Topo)
-		ingDS, err := core.BuildDataset(core.Ingress, ingRecs, spec, tcfg.Dataset)
-		fatal(err)
-		egDS, err := core.BuildDataset(core.Egress, egRecs, spec, tcfg.Dataset)
-		fatal(err)
+	} else {
 		t0 := time.Now()
+		var ing, eg *core.Dataset
+		if *tracePath != "" {
+			fmt.Printf("phase 1: datasets from saved trace %s ...\n", *tracePath)
+			f, err := os.Open(*tracePath)
+			fatal(err)
+			records, err := core.ReadTrace(f)
+			f.Close()
+			fatal(err)
+			ingRecs, egRecs := core.SplitTrace(records)
+			fs := core.NewFeatureSpec(base.Topo)
+			ing, err = core.BuildDataset(core.Ingress, ingRecs, fs, tcfg.Dataset)
+			fatal(err)
+			eg, err = core.BuildDataset(core.Egress, egRecs, fs, tcfg.Dataset)
+			fatal(err)
+		} else {
+			fmt.Println("phase 1: small-scale simulation ...")
+			ing, eg, _, err = core.GenerateTrainingData(base, sim.Time(*smallRun), tcfg)
+			fatal(err)
+			fmt.Printf("  small-scale simulation  %v\n", time.Since(t0).Round(time.Millisecond))
+		}
+		if *tune > 0 {
+			fmt.Printf("phase 2: hyper-parameter tuning (budget %d) ...\n", *tune)
+			t1 := time.Now()
+			var res tuning.Result
+			tcfg, res, err = tuning.TuneTraining(base, sim.Time(*smallRun), ing, eg, tcfg, *tune, *tuneSizes)
+			fatal(err)
+			fmt.Printf("  best score (mean W1 %s) %.4g with %v\n", *tuneSizes, res.Best.Score, res.Best.Params)
+			fmt.Printf("  tuning                  %v\n", time.Since(t1).Round(time.Millisecond))
+		}
+		fmt.Println("phase 3: training ...")
+		t2 := time.Now()
 		var ingEval, egEval ml.EvalResult
-		models, ingEval, egEval, err = core.TrainModelsContext(context.Background(), ingDS, egDS, tcfg, trainProgress, nil)
+		models, ingEval, egEval, err = core.TrainModelsContext(context.Background(), ing, eg, tcfg, trainProgress, nil)
 		fatal(err)
 		fixedCost = time.Since(t0)
 		fmt.Printf("  model training          %v (%d+%d samples; ingress MAE %.4f, egress MAE %.4f)\n",
-			fixedCost.Round(time.Millisecond), ingDS.Len(), egDS.Len(),
+			time.Since(t2).Round(time.Millisecond), ing.Len(), eg.Len(),
 			ingEval.LatencyMAE, egEval.LatencyMAE)
-		if *savePath != "" {
-			blob, err := models.Save()
-			fatal(err)
-			fatal(os.WriteFile(*savePath, blob, 0o644))
-			fmt.Printf("saved trained models to %s\n", *savePath)
-		}
-	default:
-		fmt.Println("phase 1-2: small-scale simulation + training ...")
-		art, err := core.RunPipeline(core.PipelineConfig{
-			Base:               base,
-			SmallScaleDuration: sim.Time(*smallRun),
-			Train:              tcfg,
-			TrainProgress:      trainProgress,
-		})
-		fatal(err)
-		models = art.Models
-		fixedCost = art.SmallScaleTime + art.TrainTime
-		fmt.Printf("  small-scale simulation  %v (%d+%d samples)\n",
-			art.SmallScaleTime.Round(time.Millisecond), art.IngressSamples, art.EgressSamples)
-		fmt.Printf("  model training          %v (ingress MAE %.4f, egress MAE %.4f)\n",
-			art.TrainTime.Round(time.Millisecond),
-			art.IngressEval.LatencyMAE, art.EgressEval.LatencyMAE)
-
-		if *tune > 0 {
-			fmt.Printf("phase 3: hyper-parameter tuning (budget %d) ...\n", *tune)
-			t0 := time.Now()
-			valBase := base
-			valBase.Workload.Seed = *seed + 1000 // held-out validation workload
-			validator, err := tuning.NewValidator(valBase, []int{2, 4}, sim.Time(*smallRun), *tuneSizes)
-			fatal(err)
-			ing, eg, _, err := core.GenerateTrainingData(base, sim.Time(*smallRun), tcfg)
-			fatal(err)
-			boCfg := tuning.DefaultBayesOptConfig()
-			boCfg.InitPoints = min(4, *tune)
-			boCfg.Iterations = *tune - boCfg.InitPoints
-			res, err := tuning.BayesOpt(tuning.MimicSpace(),
-				tuning.MimicObjective(ing, eg, tcfg, validator), boCfg)
-			fatal(err)
-			fmt.Printf("  best score (mean W1 %s) %.4g with %v\n", *tuneSizes, res.Best.Score, res.Best.Params)
-			best := tuning.ApplyParams(tcfg, res.Best.Params)
-			models, _, _, err = core.TrainModelsContext(context.Background(), ing, eg, best, trainProgress, nil)
-			fatal(err)
-			fixedCost += time.Since(t0)
-			fmt.Printf("  tuning                  %v\n", time.Since(t0).Round(time.Millisecond))
-		}
 		if *savePath != "" {
 			blob, err := models.Save()
 			fatal(err)

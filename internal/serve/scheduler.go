@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -553,22 +552,10 @@ func (s *Scheduler) trainForSpec(ctx context.Context, base cluster.Config, tcfg 
 		return nil, err
 	}
 	if spec.Tune > 0 {
-		valBase := base
-		valBase.Workload.Seed = spec.Seed + 1000 // held-out validation workload
-		validator, err := tuning.NewValidator(valBase, []int{2, 4}, spec.smallRunTime(), spec.TuneMetric)
+		tcfg, _, err = tuning.TuneTraining(base, spec.smallRunTime(), ing, eg, tcfg, spec.Tune, spec.TuneMetric)
 		if err != nil {
 			return nil, err
 		}
-		boCfg := tuning.DefaultBayesOptConfig()
-		boCfg.InitPoints = min(4, spec.Tune)
-		boCfg.Iterations = spec.Tune - boCfg.InitPoints
-		boCfg.Workers = runtime.GOMAXPROCS(0) // parallel warm-up trials
-		res, err := tuning.BayesOpt(tuning.MimicSpace(),
-			tuning.MimicObjective(ing, eg, tcfg, validator), boCfg)
-		if err != nil {
-			return nil, err
-		}
-		tcfg = tuning.ApplyParams(tcfg, res.Best.Params)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

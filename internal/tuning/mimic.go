@@ -3,6 +3,7 @@ package tuning
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 
 	"mimicnet/internal/cluster"
@@ -193,4 +194,29 @@ func MimicObjective(ing, eg *core.Dataset, base core.TrainConfig, v *Validator) 
 		}
 		return v.Score(models)
 	}
+}
+
+// TuneTraining is the §7.2 search the CLI and the daemon run before their
+// final training: a validator on a held-out workload (base's seed + 1000)
+// at 2 and 4 clusters over the small-scale horizon, then BayesOpt over
+// MimicSpace with min(4, budget) random warm-up trials evaluated across
+// GOMAXPROCS workers (the worker count does not change the result) and
+// the rest of the budget as acquisition steps. It returns tcfg with the
+// best trial's parameters applied, and the search result.
+func TuneTraining(base cluster.Config, smallRun sim.Time, ing, eg *core.Dataset, tcfg core.TrainConfig, budget int, metric string) (core.TrainConfig, Result, error) {
+	valBase := base
+	valBase.Workload.Seed = base.Workload.Seed + 1000
+	validator, err := NewValidator(valBase, []int{2, 4}, smallRun, metric)
+	if err != nil {
+		return tcfg, Result{}, err
+	}
+	boCfg := DefaultBayesOptConfig()
+	boCfg.InitPoints = min(4, budget)
+	boCfg.Iterations = budget - boCfg.InitPoints
+	boCfg.Workers = runtime.GOMAXPROCS(0)
+	res, err := BayesOpt(MimicSpace(), MimicObjective(ing, eg, tcfg, validator), boCfg)
+	if err != nil {
+		return tcfg, Result{}, err
+	}
+	return ApplyParams(tcfg, res.Best.Params), res, nil
 }
