@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"mimicnet/internal/cluster"
 	"mimicnet/internal/sim"
 )
 
@@ -126,6 +128,66 @@ func TestComposedRunContextCancel(t *testing.T) {
 				t.Fatalf("cancelled run processed %d events, full run %d — cancellation did not stop early",
 					res.Events, fullRes.Events)
 			}
+		})
+	}
+}
+
+// TestRunContextMatchesRun pins the run loop the daemon takes: RunContext
+// with a live, never-cancelled context and a Progress hook ticks (per
+// window barrier when sharded, every few thousand events otherwise) yet
+// must reproduce Run's Results exactly, Events included — for a
+// full-fidelity simulation, the sequential engine, and the sharded
+// engine at 1, 2 and 4 workers.
+func TestRunContextMatchesRun(t *testing.T) {
+	art := trainedForScheduler(t)
+	const until = 150 * sim.Millisecond
+	type runner interface {
+		Run(sim.Time)
+		RunContext(context.Context, sim.Time) bool
+		Results() cluster.Results
+	}
+	check := func(name string, build func() (runner, *func(sim.Time, uint64))) {
+		plain, _ := build()
+		plain.Run(until)
+		want := resultsFingerprint(plain.Results())
+
+		ticked, progress := build()
+		ticks := 0
+		*progress = func(sim.Time, uint64) { ticks++ }
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if ticked.RunContext(ctx, until) {
+			t.Fatalf("%s: uncancelled run reported cancellation", name)
+		}
+		if ticks == 0 {
+			t.Fatalf("%s: Progress never ran; the ticked loop was not exercised", name)
+		}
+		if got := resultsFingerprint(ticked.Results()); got != want {
+			t.Errorf("%s: RunContext fingerprint %.16s != Run %.16s", name, got, want)
+		}
+	}
+
+	check("cluster.New", func() (runner, *func(sim.Time, uint64)) {
+		inst, err := cluster.New(fastBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst, &inst.Progress
+	})
+	for _, mode := range []struct{ sharded, workers int }{{-1, 0}, {1, 1}, {1, 2}, {1, 4}} {
+		cfg := fastBase()
+		cfg.Topo = cfg.Topo.WithClusters(4)
+		cfg.ShardedRun, cfg.NumWorkers = mode.sharded, mode.workers
+		name := fmt.Sprintf("engine sharded=%d workers=%d", mode.sharded, mode.workers)
+		check(name, func() (runner, *func(sim.Time, uint64)) {
+			comp, err := Compose(cfg, art.Models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.Sharded() != (mode.sharded > 0) {
+				t.Fatalf("%s: Sharded() = %v", name, comp.Sharded())
+			}
+			return comp, &comp.Progress
 		})
 	}
 }
