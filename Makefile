@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke clean
+.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke mimicnet-smoke clean
 
 build:
 	$(GO) build ./...
@@ -95,7 +95,7 @@ vuln:
 	fi
 
 # Everything the driver gates on, in one target.
-ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke
+ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke serve-smoke mimicnet-smoke
 
 # The measurement ml's dispatchFloor is derived from: inline vs forced
 # fan-out per (hidden, lanes) cell for one inference step, one BPTT step
@@ -137,6 +137,15 @@ fuzz:
 # submissions rejected).
 serve-smoke:
 	$(GO) run ./cmd/mimicnetd -smoke
+
+# Thumbnail run of cmd/mimicnet's local path: datagen, a two-trial
+# tuning search and one training, saved; then a 6-cluster composition
+# from the saved artifact, which skips training.
+mimicnet-smoke:
+	@d=$$(mktemp -d); \
+	$(GO) run ./cmd/mimicnet -clusters 4 -duration 60ms -small-run 80ms -run 100ms -epochs 2 -seed 7 -tune 2 -save $$d/models.json && \
+	$(GO) run ./cmd/mimicnet -clusters 6 -duration 60ms -run 100ms -seed 7 -models $$d/models.json; \
+	s=$$?; rm -rf $$d; exit $$s
 
 clean:
 	$(GO) clean -testcache
