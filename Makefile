@@ -140,11 +140,14 @@ serve-smoke:
 
 # Thumbnail run of cmd/mimicnet's local path: datagen, a two-trial
 # tuning search and one training, saved; then a 6-cluster composition
-# from the saved artifact, which skips training.
+# from the saved artifact, which skips training, after the Appendix-B
+# per-direction validation (core.RoleError). The last leg must fail:
+# -models rejects -tune, since a loaded artifact is already trained.
 mimicnet-smoke:
 	@d=$$(mktemp -d); \
 	$(GO) run ./cmd/mimicnet -clusters 4 -duration 60ms -small-run 80ms -run 100ms -epochs 2 -seed 7 -tune 2 -save $$d/models.json && \
-	$(GO) run ./cmd/mimicnet -clusters 6 -duration 60ms -run 100ms -seed 7 -models $$d/models.json; \
+	$(GO) run ./cmd/mimicnet -clusters 6 -duration 60ms -small-run 80ms -run 100ms -seed 7 -models $$d/models.json -validate-directions && \
+	! $(GO) run ./cmd/mimicnet -clusters 6 -duration 60ms -run 100ms -seed 7 -models $$d/models.json -tune 2 2>/dev/null; \
 	s=$$?; rm -rf $$d; exit $$s
 
 clean:

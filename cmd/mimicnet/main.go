@@ -34,7 +34,6 @@ import (
 	"mimicnet/internal/ml"
 	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
-	"mimicnet/internal/stats"
 	"mimicnet/internal/tuning"
 )
 
@@ -100,6 +99,9 @@ func main() {
 		}
 		runRemote(*server, spec)
 		return
+	}
+	if *loadPath != "" && (*tracePath != "" || *tune > 0 || *savePath != "") {
+		fatal(fmt.Errorf("-models cannot be combined with -trace/-tune/-save; a loaded artifact is already trained"))
 	}
 
 	// A local run uses the same configuration the daemon would build.
@@ -179,27 +181,10 @@ func main() {
 	}
 
 	fmt.Printf("phase 5: composing %d clusters (1 real + %d mimics) ...\n", *clusters, *clusters-1)
-	cfg := base
-	cfg.Topo = base.Topo.WithClusters(*clusters)
-	t0 := time.Now()
-	comp, err := core.Compose(cfg, models)
+	sum, err := spec.Estimate(context.Background(), models, nil)
 	fatal(err)
-	comp.Run(sim.Time(*run))
-	wall := time.Since(t0)
-	res := comp.Results()
-
-	fmt.Printf("large-scale simulation  %v (%.2f sim-sec/sec)\n",
-		wall.Round(time.Millisecond), sim.Time(*run).Seconds()/wall.Seconds())
-	if fixedCost > 0 {
-		fmt.Printf("total incl. training    %v\n", (wall + fixedCost).Round(time.Millisecond))
-	}
-	fmt.Printf("events processed        %d (%d LSTM steps, %d feeder events)\n",
-		res.Events, comp.InferenceSteps(), comp.FeederEvents())
-	fmt.Printf("flows                   %d started, %d completed\n", comp.FlowsStarted(), comp.FlowsCompleted())
-	fmt.Printf("mimic drops             %d ingress, %d egress\n", comp.MimicDrops(core.Ingress), comp.MimicDrops(core.Egress))
-	printDist("fct_seconds", res.FCTs)
-	printDist("throughput_Bps", res.Throughputs)
-	printDist("rtt_seconds", res.RTTs)
+	sum.TrainMs = float64(fixedCost) / float64(time.Millisecond)
+	printSummary(sum)
 }
 
 // runRemote submits the spec to a mimicnetd daemon, streams progress
@@ -248,39 +233,33 @@ func runRemote(base string, spec serve.JobSpec) {
 		fatal(fmt.Errorf("job %s finished without results", final.ID))
 	}
 	if r.CacheHit {
-		fmt.Printf("trained models reused from the daemon registry (train phase %v)\n",
-			time.Duration(r.TrainMs*float64(time.Millisecond)).Round(time.Millisecond))
-	} else {
-		fmt.Printf("trained on the daemon          %v\n",
-			time.Duration(r.TrainMs*float64(time.Millisecond)).Round(time.Millisecond))
+		fmt.Println("trained models reused from the daemon registry")
 	}
+	printSummary(r)
+}
+
+// printSummary prints an estimate, local or remote, in one shape.
+func printSummary(s *serve.Summary) {
 	fmt.Printf("large-scale simulation  %v (%.2f sim-sec/sec)\n",
-		time.Duration(r.ComposeMs*float64(time.Millisecond)).Round(time.Millisecond), r.SimSecPerSec)
-	fmt.Printf("events processed        %d\n", r.Events)
-	fmt.Printf("flows                   %d started, %d completed\n", r.FlowsStarted, r.FlowsCompleted)
-	printRemoteDist("fct_seconds", r.FCTSeconds)
-	printRemoteDist("throughput_Bps", r.ThroughputBps)
-	printRemoteDist("rtt_seconds", r.RTTSeconds)
-}
-
-func printRemoteDist(name string, d serve.Dist) {
-	if d.N == 0 {
-		fmt.Printf("%-22s (no samples)\n", name)
-		return
+		time.Duration(s.ComposeMs*1e6).Round(time.Millisecond), s.SimSecPerSec)
+	if s.TrainMs > 0 {
+		fmt.Printf("total incl. training    %v\n", time.Duration((s.TrainMs+s.ComposeMs)*1e6).Round(time.Millisecond))
 	}
-	fmt.Printf("%-22s n=%d p50=%.4g p90=%.4g p99=%.4g mean=%.4g\n",
-		name, d.N, d.P50, d.P90, d.P99, d.Mean)
-}
-
-func printDist(name string, d []float64) {
-	if len(d) == 0 {
-		fmt.Printf("%-22s (no samples)\n", name)
-		return
+	fmt.Printf("events processed        %d (%d LSTM steps, %d feeder events)\n",
+		s.Events, s.InferenceSteps, s.FeederEvents)
+	fmt.Printf("flows                   %d started, %d completed\n", s.FlowsStarted, s.FlowsCompleted)
+	fmt.Printf("mimic drops             %d ingress, %d egress\n", s.MimicDropsIngress, s.MimicDropsEgress)
+	for _, d := range []struct {
+		name string
+		serve.Dist
+	}{{"fct_seconds", s.FCTSeconds}, {"throughput_Bps", s.ThroughputBps}, {"rtt_seconds", s.RTTSeconds}} {
+		if d.N == 0 {
+			fmt.Printf("%-22s (no samples)\n", d.name)
+			continue
+		}
+		fmt.Printf("%-22s n=%d p50=%.4g p90=%.4g p99=%.4g mean=%.4g\n",
+			d.name, d.N, d.P50, d.P90, d.P99, d.Mean)
 	}
-	fmt.Printf("%-22s n=%d p50=%.4g p90=%.4g p99=%.4g mean=%.4g\n",
-		name, len(d),
-		stats.Quantile(d, 0.5), stats.Quantile(d, 0.9),
-		stats.Quantile(d, 0.99), stats.Mean(d))
 }
 
 func fatal(err error) {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -59,7 +60,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mimic, _, err := art.Estimate(base, largeN, horizon)
+		mimic, err := core.Estimate(context.Background(), largeCfg, art.Models, horizon, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func main() {
 
 		s90 := stats.Quantile(small.FCTs, 0.9)
 		t90 := stats.Quantile(truth.FCTs, 0.9)
-		m90 := stats.Quantile(mimic.FCTs, 0.9)
+		m90 := stats.Quantile(mimic.Results.FCTs, 0.9)
 		fmt.Printf("%-4d %-14.4g %-14.4g %-14.4g\n", k, s90, t90, m90)
 		if s90 < minSmall {
 			minSmall, bestSmall = s90, fmt.Sprint(k)

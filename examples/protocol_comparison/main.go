@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -74,10 +75,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mimic, _, err := art.Estimate(base, largeN, horizon)
+		rep, err := core.Estimate(context.Background(), largeCfg, art.Models, horizon, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
+		mimic := rep.Results
 		results = append(results, result{
 			proto:   name,
 			truth90: stats.Quantile(truth.FCTs, 0.9),

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -47,16 +48,17 @@ func main() {
 	// Phase 5: estimate an 8-cluster data center.
 	const n = 8
 	horizon := 300 * sim.Millisecond
-	estimate, wall, err := art.Estimate(base, n, horizon)
+	cfg := base
+	cfg.Topo = base.Topo.WithClusters(n)
+	rep, err := core.Estimate(context.Background(), cfg, art.Models, horizon, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("mimicnet estimate at %d clusters took %v\n", n, wall.Round(time.Millisecond))
+	estimate := rep.Results
+	fmt.Printf("mimicnet estimate at %d clusters took %v\n", n, rep.Wall.Round(time.Millisecond))
 
 	// Ground truth for comparison (normally you would skip this — it is
 	// the expensive thing MimicNet replaces).
-	cfg := base
-	cfg.Topo = base.Topo.WithClusters(n)
 	truth, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)

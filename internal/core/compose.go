@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"time"
+
 	"mimicnet/internal/cluster"
+	"mimicnet/internal/sim"
 )
 
 // Composed names the Engine built from ComposedRoles: one real
@@ -21,4 +25,41 @@ func Compose(cfg cluster.Config, models *MimicModels) (*Engine, error) {
 		n = 0 // invalid; NewEngine reports the real error
 	}
 	return NewEngine(cfg, ComposedRoles(n), models)
+}
+
+// Report is the outcome of one estimate: the composed run's metric
+// distributions and the counters that explain its cost.
+type Report struct {
+	Results        cluster.Results // Results.Cancelled marks a partial run
+	FlowsStarted   int
+	FlowsCompleted int
+	InferenceSteps uint64
+	FeederEvents   uint64
+	MimicDrops     [2]uint64     // indexed by Direction
+	Wall           time.Duration // build + run: Table 2's "large-scale simulation" row
+}
+
+// Estimate is the workflow's last step (Figure 3 ❺): compose cfg's
+// N clusters (1 real + N−1 Mimics) from models, run them to until, and
+// report. progress, if non-nil, is the Engine's Progress callback; ctx
+// cancels the run cooperatively, leaving a partial Report. The error is
+// the composition's; a cancelled run is not an error.
+func Estimate(ctx context.Context, cfg cluster.Config, models *MimicModels, until sim.Time, progress func(now sim.Time, events uint64)) (*Report, error) {
+	t0 := time.Now()
+	e, err := Compose(cfg, models)
+	if err != nil {
+		return nil, err
+	}
+	e.Progress = progress
+	e.RunContext(ctx, until)
+	wall := time.Since(t0)
+	return &Report{
+		Results:        e.Results(),
+		FlowsStarted:   e.FlowsStarted(),
+		FlowsCompleted: e.FlowsCompleted(),
+		InferenceSteps: e.InferenceSteps(),
+		FeederEvents:   e.FeederEvents(),
+		MimicDrops:     [2]uint64{Ingress: e.MimicDrops(Ingress), Egress: e.MimicDrops(Egress)},
+		Wall:           wall,
+	}, nil
 }

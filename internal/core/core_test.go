@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -305,13 +306,16 @@ func TestTrainAndComposePipeline(t *testing.T) {
 	}
 
 	// Compose at 4 clusters and compare against ground truth.
-	res, elapsed, err := art.Estimate(base, 4, 300*sim.Millisecond)
+	cfg := base
+	cfg.Topo = base.Topo.WithClusters(4)
+	rep, err := Estimate(context.Background(), cfg, art.Models, 300*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed <= 0 {
+	if rep.Wall <= 0 {
 		t.Error("no elapsed time")
 	}
+	res := rep.Results
 	if len(res.FCTs) == 0 || len(res.RTTs) == 0 || len(res.Throughputs) == 0 {
 		t.Fatalf("composed run missing metrics: %d FCTs, %d RTTs, %d tputs",
 			len(res.FCTs), len(res.RTTs), len(res.Throughputs))

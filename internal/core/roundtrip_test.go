@@ -192,6 +192,62 @@ func TestRunContextMatchesRun(t *testing.T) {
 	}
 }
 
+// TestEstimateReportsTheRun pins the one estimate step: Estimate's
+// Report carries exactly what composing and running the Engine by hand
+// yields (Results, Events included, flow and model counters), its
+// progress hook reaches the run loop, and a cancelled context gives a
+// partial Report rather than an error.
+func TestEstimateReportsTheRun(t *testing.T) {
+	art := trainedForScheduler(t)
+	const until = 150 * sim.Millisecond
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(4)
+
+	comp, err := Compose(cfg, art.Models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp.Run(until)
+	want := Report{
+		Results:        comp.Results(),
+		FlowsStarted:   comp.FlowsStarted(),
+		FlowsCompleted: comp.FlowsCompleted(),
+		InferenceSteps: comp.InferenceSteps(),
+		FeederEvents:   comp.FeederEvents(),
+		MimicDrops:     [2]uint64{comp.MimicDrops(Ingress), comp.MimicDrops(Egress)},
+	}
+
+	ticks := 0
+	rep, err := Estimate(context.Background(), cfg, art.Models, until, func(sim.Time, uint64) { ticks++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticks == 0 || rep.Wall <= 0 {
+		t.Errorf("progress ticks %d, wall %v: the run loop was not observed", ticks, rep.Wall)
+	}
+	if got, w := resultsFingerprint(rep.Results), resultsFingerprint(want.Results); got != w {
+		t.Errorf("Estimate fingerprint %.16s != Engine run %.16s", got, w)
+	}
+	got := *rep
+	got.Results, got.Wall, want.Results = cluster.Results{}, 0, cluster.Results{}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Estimate counters %+v, Engine run %+v", got, want)
+	}
+	if want.InferenceSteps == 0 || want.FeederEvents == 0 || want.FlowsCompleted == 0 {
+		t.Errorf("degenerate run: %+v", want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	part, err := Estimate(ctx, cfg, art.Models, until, nil)
+	if err != nil || !part.Results.Cancelled {
+		t.Errorf("cancelled Estimate: err %v, cancelled %v", err, part != nil && part.Results.Cancelled)
+	}
+	if _, err := Estimate(context.Background(), cfg, nil, until, nil); err == nil {
+		t.Error("Estimate without models succeeded")
+	}
+}
+
 // TestModelKey pins the content-address semantics the registry depends
 // on: determinism, and sensitivity to exactly the knobs that change what
 // a training run produces.

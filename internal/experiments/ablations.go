@@ -33,13 +33,11 @@ func (r *Runner) AblationCongestionState(n int) (*Table, error) {
 		}
 		tcfg := r.Opts.TrainConfig()
 		tcfg.SkipCongestionFeature = skip
-		art, err := core.RunPipeline(core.PipelineConfig{
-			Base: base, SmallScaleDuration: r.Opts.SmallScale, Train: tcfg,
-		})
+		art, err := r.pipelineFor(base, tcfg)
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := art.Estimate(base, n, r.Opts.RunUntil)
+		rep, err := r.estimate("newreno", n, art.Models)
 		if err != nil {
 			return nil, err
 		}
@@ -49,8 +47,8 @@ func (r *Runner) AblationCongestionState(n int) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			f3(metrics.W1(res.FCTs, truth.FCTs)),
-			f3(metrics.W1(res.RTTs, truth.RTTs)),
+			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
+			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
 		})
 		r.Opts.logf("Ablation A %s done", name)
 	}
@@ -73,28 +71,20 @@ func (r *Runner) AblationFeeders(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := r.Opts.BaseConfig("newreno")
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:     "Ablation B",
 		Title:  fmt.Sprintf("feeder models on/off (W1 to truth, %d clusters)", n),
 		Header: []string{"variant", "w1_fct", "feeder_events"},
 	}
 	run := func(name string, models *core.MimicModels) error {
-		cfg := base
-		cfg.Topo = base.Topo.WithClusters(n)
-		comp, err := core.Compose(cfg, models)
+		rep, err := r.estimate("newreno", n, models)
 		if err != nil {
 			return err
 		}
-		comp.Run(r.Opts.RunUntil)
-		res := comp.Results()
 		t.Rows = append(t.Rows, []string{
 			name,
-			f3(metrics.W1(res.FCTs, truth.FCTs)),
-			fmt.Sprint(comp.FeederEvents()),
+			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
+			fmt.Sprint(rep.FeederEvents),
 		})
 		return nil
 	}
@@ -210,10 +200,6 @@ func (r *Runner) AblationFeederDistribution(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := r.Opts.BaseConfig("newreno")
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:     "Ablation E",
 		Title:  fmt.Sprintf("feeder interarrival model (W1 to truth, %d clusters)", n),
@@ -230,22 +216,18 @@ func (r *Runner) AblationFeederDistribution(n int) (*Table, error) {
 		}
 		models.Ingress.UseEmpiricalGaps = empirical
 		models.Egress.UseEmpiricalGaps = empirical
-		cfg := base
-		cfg.Topo = base.Topo.WithClusters(n)
-		comp, err := core.Compose(cfg, models)
+		rep, err := r.estimate("newreno", n, models)
 		if err != nil {
 			return nil, err
 		}
-		comp.Run(r.Opts.RunUntil)
-		res := comp.Results()
 		name := "lognormal"
 		if empirical {
 			name = "empirical"
 		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			f3(metrics.W1(res.FCTs, truth.FCTs)),
-			f3(metrics.W1(res.RTTs, truth.RTTs)),
+			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
+			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
 		})
 		r.Opts.logf("Ablation E %s done", name)
 	}
@@ -277,20 +259,18 @@ func (r *Runner) AblationModelClass(n int) (*Table, error) {
 		if cellType == "mlp" {
 			tcfg.Model.Layers = 1
 		}
-		art, err := core.RunPipeline(core.PipelineConfig{
-			Base: base, SmallScaleDuration: r.Opts.SmallScale, Train: tcfg,
-		})
+		art, err := r.pipelineFor(base, tcfg)
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := art.Estimate(base, n, r.Opts.RunUntil)
+		rep, err := r.estimate("newreno", n, art.Models)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			cellType,
-			f3(metrics.W1(res.FCTs, truth.FCTs)),
-			f3(metrics.W1(res.RTTs, truth.RTTs)),
+			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
+			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
 			f3(art.IngressEval.LatencyMAE),
 		})
 		r.Opts.logf("Ablation F %s done", cellType)

@@ -59,11 +59,11 @@ func (r *Runner) accuracyScaling(id, title string, sizes []int, kind string) (*T
 		}
 		truth := pickDist(kind, truthRes.FCTs, truthRes.Throughputs, truthRes.RTTs)
 
-		mimicRes, _, _, err := r.runMimic(protocol, n)
+		mimicRes, err := r.runMimic(protocol, n)
 		if err != nil {
 			return nil, err
 		}
-		mimic := pickDist(kind, mimicRes.FCTs, mimicRes.Throughputs, mimicRes.RTTs)
+		mimic := pickDist(kind, mimicRes.Results.FCTs, mimicRes.Results.Throughputs, mimicRes.Results.RTTs)
 
 		row := []string{
 			fmt.Sprint(n),
@@ -105,7 +105,7 @@ func (r *Runner) Fig7(small, large int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mimic, _, _, err := r.runMimic(protocol, n)
+		rep, err := r.runMimic(protocol, n)
 		if err != nil {
 			return nil, err
 		}
@@ -118,9 +118,9 @@ func (r *Runner) Fig7(small, large int) (*Table, error) {
 			truth, mim    []float64
 			flowD, smallD []float64
 		}{
-			{"fct", truth.FCTs, mimic.FCTs, flow.FCTs, smallRes.FCTs},
-			{"throughput", truth.Throughputs, mimic.Throughputs, flow.Throughputs, smallRes.Throughputs},
-			{"rtt", truth.RTTs, mimic.RTTs, nil, smallRes.RTTs},
+			{"fct", truth.FCTs, rep.Results.FCTs, flow.FCTs, smallRes.FCTs},
+			{"throughput", truth.Throughputs, rep.Results.Throughputs, flow.Throughputs, smallRes.Throughputs},
+			{"rtt", truth.RTTs, rep.Results.RTTs, nil, smallRes.RTTs},
 		} {
 			p99t := stats.Quantile(m.truth, 0.99)
 			add := func(est string, dist []float64) {
@@ -162,7 +162,7 @@ func (r *Runner) Fig20(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mimic, _, _, err := hr.runMimic("newreno", n)
+	rep, err := hr.runMimic("newreno", n)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func (r *Runner) Fig20(n int) (*Table, error) {
 		})
 	}
 	add("groundtruth", truth.FCTs)
-	add("mimicnet", mimic.FCTs)
+	add("mimicnet", rep.Results.FCTs)
 	t.Notes = append(t.Notes, "paper: W1 stays low (0.15-scale) and CDF shape is maintained at 90% load")
 	return t, nil
 }

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -126,12 +127,7 @@ func (r *Runner) Artifacts(protocol string) (*core.Artifacts, error) {
 		return nil, err
 	}
 	r.Opts.logf("training mimic models for %s ...", protocol)
-	pcfg := core.PipelineConfig{
-		Base:               base,
-		SmallScaleDuration: r.Opts.SmallScale,
-		Train:              r.Opts.TrainConfig(),
-	}
-	art, err := core.RunPipeline(pcfg)
+	art, err := r.pipelineFor(base, r.Opts.TrainConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -139,15 +135,11 @@ func (r *Runner) Artifacts(protocol string) (*core.Artifacts, error) {
 	return art, nil
 }
 
-// pipelineFor trains mimic models for an explicit base configuration
-// (used when a knob like DCTCP's K changes per evaluation point).
-func (r *Runner) pipelineFor(base cluster.Config) (*core.Artifacts, error) {
-	pcfg := core.PipelineConfig{
-		Base:               base,
-		SmallScaleDuration: r.Opts.SmallScale,
-		Train:              r.Opts.TrainConfig(),
-	}
-	return core.RunPipeline(pcfg)
+// pipelineFor trains mimic models for an explicit base and training
+// configuration (used when a knob like DCTCP's K or the model class
+// changes per evaluation point).
+func (r *Runner) pipelineFor(base cluster.Config, tcfg core.TrainConfig) (*core.Artifacts, error) {
+	return core.RunPipeline(core.PipelineConfig{Base: base, SmallScaleDuration: r.Opts.SmallScale, Train: tcfg})
 }
 
 // runConfigured runs an explicit full-fidelity configuration.
@@ -215,23 +207,23 @@ func (r *Runner) runFull(protocol string, n int) (cluster.Results, time.Duration
 	return inst.Results(), time.Since(t0), nil
 }
 
-// runMimic executes a MimicNet composition at n clusters.
-func (r *Runner) runMimic(protocol string, n int) (cluster.Results, time.Duration, *core.Engine, error) {
+// runMimic executes a MimicNet estimate at n clusters.
+func (r *Runner) runMimic(protocol string, n int) (*core.Report, error) {
 	art, err := r.Artifacts(protocol)
 	if err != nil {
-		return cluster.Results{}, 0, nil, err
+		return nil, err
 	}
+	return r.estimate(protocol, n, art.Models)
+}
+
+// estimate composes models at n clusters of protocol's configuration
+// and runs the estimate to the options' horizon.
+func (r *Runner) estimate(protocol string, n int, models *core.MimicModels) (*core.Report, error) {
 	cfg, err := r.Opts.configAt(protocol, n)
 	if err != nil {
-		return cluster.Results{}, 0, nil, err
+		return nil, err
 	}
-	t0 := time.Now()
-	comp, err := core.Compose(cfg, art.Models)
-	if err != nil {
-		return cluster.Results{}, 0, nil, err
-	}
-	comp.Run(r.Opts.RunUntil)
-	return comp.Results(), time.Since(t0), comp, nil
+	return core.Estimate(context.TODO(), cfg, models, r.Opts.RunUntil, nil)
 }
 
 // runFlow executes the flow-level baseline at n clusters.

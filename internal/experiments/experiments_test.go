@@ -107,26 +107,26 @@ func TestFig2Small(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Errorf("Fig2 rows = %d", len(tb.Rows))
 	}
-	// Every PDES cell must come from a sharded engine run: one window
-	// per link delay across the horizon, and no remote event late.
+	// Every PDES cell must come from a sharded run: one window per link
+	// delay across the horizon, and no remote event late.
 	cfg, err := r.Opts.BaseConfig("newreno")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBarriers := uint64(r.Opts.RunUntil / cfg.Link.Delay)
 	for _, n := range []int{2, 4} {
-		row, engs, err := r.fig2Row(n)
+		row, sims, err := r.fig2Row(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(engs) != len(row)-2 {
-			t.Fatalf("n=%d: %d engines behind %d pdes cells", n, len(engs), len(row)-2)
+		if len(sims) != len(row)-2 {
+			t.Fatalf("n=%d: %d simulations behind %d pdes cells", n, len(sims), len(row)-2)
 		}
-		for i, eng := range engs {
-			if !eng.Sharded() {
-				t.Fatalf("n=%d %s: engine ran sequential", n, tb.Header[i+2])
+		for i, inst := range sims {
+			par := inst.Parallel()
+			if par == nil {
+				t.Fatalf("n=%d %s: simulation ran sequential", n, tb.Header[i+2])
 			}
-			par := eng.Parallel()
 			if par.CausalityClamps != 0 {
 				t.Errorf("n=%d %s: %d causality clamps", n, tb.Header[i+2], par.CausalityClamps)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -13,7 +14,7 @@ import (
 // Fig2 reproduces Figure 2: packet-level simulator throughput
 // (simulated seconds per wall second) as the FatTree grows, with every
 // cluster at full fidelity. single is the full-fidelity simulator; the
-// pdes columns run the same network on the sharded engine, one logical
+// pdes columns run the same network on the sharded runtime, one logical
 // process per cluster on sim.Parallel, with 1, 2 and 4 workers. The
 // paper's claim — parallel DES does not rescue a tightly coupled data
 // center simulation — is measured, not assumed.
@@ -25,24 +26,24 @@ func (r *Runner) Fig2(sizes []int) (*Table, error) {
 	}
 	var barriers uint64
 	for _, n := range sizes {
-		row, engs, err := r.fig2Row(n)
+		row, sims, err := r.fig2Row(n)
 		if err != nil {
 			return nil, err
 		}
-		barriers = engs[0].Parallel().Barriers
+		barriers = sims[0].Parallel().Barriers
 		t.Rows = append(t.Rows, row)
 		r.Opts.logf("Figure 2 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("pdes_Nw is core.Engine with every cluster observed, one LP per cluster (core switches on LP 0), N workers; lookahead is one link delay, so every run crosses %d barriers", barriers),
+		fmt.Sprintf("pdes_Nw is cluster.NewLayered with every cluster measured, one LP per cluster (core switches on LP 0), N workers; lookahead is one link delay, so every run crosses %d barriers", barriers),
 		fmt.Sprintf("host: %d CPUs, GOMAXPROCS %d", runtime.NumCPU(), runtime.GOMAXPROCS(0)),
 		"paper: 5 min of simulated time can take days even for small leaf-spines; parallel execution is no faster")
 	return t, nil
 }
 
 // fig2Row measures Figure 2 at n clusters and returns the row with the
-// sharded engines behind its pdes cells, in column order.
-func (r *Runner) fig2Row(n int) ([]string, []*core.Engine, error) {
+// sharded simulations behind its pdes cells, in column order.
+func (r *Runner) fig2Row(n int) ([]string, []*cluster.Simulation, error) {
 	_, fullT, err := r.runFull("newreno", n)
 	if err != nil {
 		return nil, nil, err
@@ -54,19 +55,23 @@ func (r *Runner) fig2Row(n int) ([]string, []*core.Engine, error) {
 	cfg.ShardedRun = 1
 	horizon := r.Opts.RunUntil.Seconds()
 	row := []string{fmt.Sprint(n), f3(horizon / fullT.Seconds())}
-	var engs []*core.Engine
+	layer := cluster.Layer{Measured: make([]bool, n), Lookahead: cfg.Link.Delay}
+	for i := range layer.Measured {
+		layer.Measured[i] = true
+	}
+	var sims []*cluster.Simulation
 	for _, workers := range []int{1, 2, 4} {
 		cfg.NumWorkers = workers
-		eng, err := core.NewEngine(cfg, make([]core.ClusterRole, n), nil)
+		inst, err := cluster.NewLayered(cfg, layer)
 		if err != nil {
 			return nil, nil, err
 		}
 		t0 := time.Now()
-		eng.Run(r.Opts.RunUntil)
+		inst.Run(r.Opts.RunUntil)
 		row = append(row, f3(horizon/time.Since(t0).Seconds()))
-		engs = append(engs, eng)
+		sims = append(sims, inst)
 	}
-	return row, engs, nil
+	return row, sims, nil
 }
 
 // Fig10 reproduces Figure 10: wall-clock speedup of a trained MimicNet
@@ -90,14 +95,14 @@ func (r *Runner) Fig10(sizes, racksPerCluster []int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, mimicT, _, err := rr.runMimic("newreno", n)
+			mimic, err := rr.runMimic("newreno", n)
 			if err != nil {
 				return nil, err
 			}
-			speedup := fullT.Seconds() / mimicT.Seconds()
+			speedup := fullT.Seconds() / mimic.Wall.Seconds()
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(n), fmt.Sprint(racks),
-				durStr(fullT), durStr(mimicT), f3(speedup),
+				durStr(fullT), durStr(mimic.Wall), f3(speedup),
 			})
 			r.Opts.logf("Figure 10 racks=%d n=%d speedup=%.1f", racks, n, speedup)
 		}
@@ -131,7 +136,7 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 			return nil, err
 		}
 		trainCost := art.SmallScaleTime + art.TrainTime
-		_, mimicT, _, err := r.runMimic("newreno", n)
+		mimic, err := r.runMimic("newreno", n)
 		if err != nil {
 			return nil, err
 		}
@@ -154,8 +159,8 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), durStr(fullT), durStr(mimicT + trainCost),
-			durStr(mimicT), durStr(partFull.Wall), durStr(partMimic),
+			fmt.Sprint(n), durStr(fullT), durStr(mimic.Wall + trainCost),
+			durStr(mimic.Wall), durStr(partFull.Wall), durStr(partMimic),
 		})
 		r.Opts.logf("Figure 11 n=%d done", n)
 	}
@@ -181,13 +186,11 @@ func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
 	}
 	cfg.ShardedRun = 1
 	cfg.NumWorkers = nWorkers
-	t0 := time.Now()
-	comp, err := core.Compose(cfg, art.Models)
+	rep, err := core.Estimate(context.TODO(), cfg, art.Models, r.Opts.RunUntil, nil)
 	if err != nil {
 		return 0, err
 	}
-	comp.Run(r.Opts.RunUntil)
-	return time.Since(t0), nil
+	return rep.Wall, nil
 }
 
 // Fig12 reproduces Figure 12: simulation throughput in simulated seconds
@@ -215,7 +218,7 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 			return nil, err
 		}
 		trainCost := art.SmallScaleTime + art.TrainTime
-		_, mimicT, _, err := r.runMimic("newreno", n)
+		mimic, err := r.runMimic("newreno", n)
 		if err != nil {
 			return nil, err
 		}
@@ -235,8 +238,8 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
 			f3(horizon / fullT.Seconds()),
-			f3(horizon / (mimicT + trainCost).Seconds()),
-			f3(horizon / mimicT.Seconds()),
+			f3(horizon / (mimic.Wall + trainCost).Seconds()),
+			f3(horizon / mimic.Wall.Seconds()),
 			f3(float64(nPar) * horizon / parFull.Wall.Seconds()), f3(parMimic),
 		})
 		r.Opts.logf("Figure 12 n=%d done", n)
@@ -255,7 +258,7 @@ func (r *Runner) Table2(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, mimicT, _, err := r.runMimic("newreno", n)
+	mimic, err := r.runMimic("newreno", n)
 	if err != nil {
 		return nil, err
 	}
@@ -271,8 +274,8 @@ func (r *Runner) Table2(n int) (*Table, error) {
 		Rows: [][]string{
 			{"mimicnet: small-scale simulation", durStr(art.SmallScaleTime)},
 			{"mimicnet: training", durStr(art.TrainTime)},
-			{"mimicnet: large-scale simulation", durStr(mimicT)},
-			{"mimicnet: total", durStr(art.SmallScaleTime + art.TrainTime + mimicT)},
+			{"mimicnet: large-scale simulation", durStr(mimic.Wall)},
+			{"mimicnet: total", durStr(art.SmallScaleTime + art.TrainTime + mimic.Wall)},
 			{"full simulation", durStr(fullT)},
 		},
 	}
@@ -311,17 +314,17 @@ func (r *Runner) Fig21And22(n int, lengths []sim.Time) (*Table, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		_, mimicT, _, err := rr.runMimic("newreno", n)
+		mimic, err := rr.runMimic("newreno", n)
 		if err != nil {
 			return nil, nil, err
 		}
 		lat.Rows = append(lat.Rows, []string{
-			L.String(), durStr(fullT), durStr(mimicT + trainCost), durStr(mimicT),
+			L.String(), durStr(fullT), durStr(mimic.Wall + trainCost), durStr(mimic.Wall),
 		})
 		sec := L.Seconds()
 		tput.Rows = append(tput.Rows, []string{
 			L.String(), f3(sec / fullT.Seconds()),
-			f3(sec / (mimicT + trainCost).Seconds()), f3(sec / mimicT.Seconds()),
+			f3(sec / (mimic.Wall + trainCost).Seconds()), f3(sec / mimic.Wall.Seconds()),
 		})
 		r.Opts.logf("Figure 21/22 length=%v done", L)
 	}
@@ -353,13 +356,13 @@ func (r *Runner) Fig23(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mimicRes, _, comp, err := r.runMimic("newreno", n)
+		mimic, err := r.runMimic("newreno", n)
 		if err != nil {
 			return nil, err
 		}
 		fullG := float64(full.Events) * flopsPerEvent / 1e9
-		mimicG := (float64(mimicRes.Events)*flopsPerEvent +
-			float64(comp.InferenceSteps())*inferFLOPs) / 1e9
+		mimicG := (float64(mimic.Results.Events)*flopsPerEvent +
+			float64(mimic.InferenceSteps)*inferFLOPs) / 1e9
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), f3(fullG), f3(mimicG + trainFLOPs/1e9), f3(mimicG),
 		})

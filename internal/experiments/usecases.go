@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"mimicnet/internal/core"
 	"mimicnet/internal/metrics"
 	"mimicnet/internal/stats"
 )
@@ -47,11 +49,11 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 
 		// MimicNet: train on the K-specific small-scale run, compose.
 		t0 = time.Now()
-		art, err := rr.pipelineFor(baseSmall)
+		art, err := rr.pipelineFor(baseSmall, rr.Opts.TrainConfig())
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := art.Estimate(baseSmall, large, rr.Opts.RunUntil)
+		res, err := core.Estimate(context.TODO(), largeCfg, art.Models, rr.Opts.RunUntil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +63,7 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 			fmt.Sprint(k),
 			f3(stats.Quantile(small.FCTs, 0.9)),
 			f3(stats.Quantile(truth.FCTs, 0.9)),
-			f3(stats.Quantile(res.FCTs, 0.9)),
+			f3(stats.Quantile(res.Results.FCTs, 0.9)),
 		})
 		r.Opts.logf("Figure 13 K=%d done", k)
 	}
@@ -100,12 +102,12 @@ func (r *Runner) protocolComparison(id, kind string, large int) (*Table, error) 
 		if err != nil {
 			return nil, err
 		}
-		mimic, _, _, err := r.runMimic(proto, large)
+		rep, err := r.runMimic(proto, large)
 		if err != nil {
 			return nil, err
 		}
 		td := pickDist(kind, truth.FCTs, truth.Throughputs, truth.RTTs)
-		md := pickDist(kind, mimic.FCTs, mimic.Throughputs, mimic.RTTs)
+		md := pickDist(kind, rep.Results.FCTs, rep.Results.Throughputs, rep.Results.RTTs)
 		t.Rows = append(t.Rows, []string{
 			proto,
 			f3(stats.Quantile(td, 0.5)), f3(stats.Quantile(md, 0.5)),

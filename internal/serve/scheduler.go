@@ -464,12 +464,6 @@ func (s *Scheduler) account(state State, dur time.Duration) {
 // then compose and run the large-scale estimate with cancellation and
 // progress plumbed into the kernel's run loop.
 func (s *Scheduler) runJob(ctx context.Context, j *Job) {
-	base, tcfg, err := j.spec.Configs()
-	if err != nil {
-		j.finish(StateFailed, nil, err.Error())
-		return
-	}
-
 	j.setPhase("train")
 	s.logRecord(jobRecord{Type: recPhase, ID: j.id, Phase: "train", Time: time.Now()})
 	var ckpt *core.TrainCheckpointer
@@ -478,7 +472,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	}
 	t0 := time.Now()
 	models, hit, err := s.reg.Get(ctx, j.key, func() (*core.MimicModels, error) {
-		return s.trainForSpec(ctx, base, tcfg, j.spec, func(dir core.Direction, p ml.TrainProgress) {
+		return s.trainForSpec(ctx, j.spec, func(dir core.Direction, p ml.TrainProgress) {
 			j.setTrainProgress(TrainProgress{
 				Direction:     dir.String(),
 				Epoch:         p.Epoch,
@@ -508,28 +502,21 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 
 	j.setPhase("compose")
 	s.logRecord(jobRecord{Type: recPhase, ID: j.id, Phase: "compose", Time: time.Now()})
-	cfg := base
-	cfg.Topo = base.Topo.WithClusters(j.spec.Clusters)
-	comp, err := core.Compose(cfg, models)
-	if err != nil {
-		j.finish(StateFailed, nil, err.Error())
-		return
-	}
 	t1 := time.Now()
-	comp.Progress = func(now sim.Time, events uint64) {
+	sum, err := j.spec.Estimate(ctx, models, func(now sim.Time, events uint64) {
 		p := Progress{Phase: "compose", SimTimeS: now.Seconds(), Events: events}
 		if wall := time.Since(t1).Seconds(); wall > 0 {
 			p.EventsPerSec = float64(events) / wall
 		}
 		j.setProgress(p)
+	})
+	if err != nil {
+		j.finish(StateFailed, nil, err.Error())
+		return
 	}
-	cancelled := comp.RunContext(ctx, j.spec.runTime())
-	composeDur := time.Since(t1)
-	s.hPhaseCompose.Observe(composeDur.Seconds())
-
-	sum := summarize(comp.Results(), comp.FlowsStarted(), comp.FlowsCompleted(),
-		trainDur, composeDur, j.spec.runTime(), hit)
-	if cancelled {
+	s.hPhaseCompose.Observe(sum.ComposeMs / 1e3)
+	sum.TrainMs, sum.CacheHit = float64(trainDur)/float64(time.Millisecond), hit
+	if sum.Cancelled {
 		j.finish(StateCancelled, sum, "cancelled mid-run; results are partial")
 		return
 	}
@@ -543,8 +530,12 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 // progress streams through the callback. A non-nil ckpt makes the final
 // training durably resumable (tuning trials are not checkpointed: they
 // are many, short, and disposable).
-func (s *Scheduler) trainForSpec(ctx context.Context, base cluster.Config, tcfg core.TrainConfig, spec JobSpec, progress core.TrainProgressFunc, ckpt *core.TrainCheckpointer) (*core.MimicModels, error) {
+func (s *Scheduler) trainForSpec(ctx context.Context, spec JobSpec, progress core.TrainProgressFunc, ckpt *core.TrainCheckpointer) (*core.MimicModels, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	base, tcfg, err := spec.Configs()
+	if err != nil {
 		return nil, err
 	}
 	ing, eg, err := s.datasetsForSpec(ctx, base, tcfg, spec)
@@ -574,7 +565,7 @@ func (s *Scheduler) datasetsForSpec(ctx context.Context, base cluster.Config, tc
 		ing, eg, _, err = core.GenerateTrainingDataContext(ctx, base, spec.smallRunTime(), tcfg)
 		return ing, eg, err
 	}
-	key, err := core.DatasetKey(base, spec.smallRunTime(), tcfg)
+	key, err := spec.DatasetKey()
 	if err != nil {
 		return nil, nil, err
 	}

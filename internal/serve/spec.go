@@ -10,7 +10,9 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"mimicnet/internal/cluster"
@@ -160,29 +162,33 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("serve: %s %d exceeds the limit of %d", b.field, b.v, b.max)
 		}
 	}
-	for _, h := range []struct {
-		field string
-		ms    float64
+	// Each float must be finite and inside (lo, hi]; NaN is inside no
+	// interval. A non-positive mean flow size would make the workload
+	// silently swap in its own default under a different model key.
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		field     string
+		v, lo, hi float64
 	}{
-		{"workload_ms", s.WorkloadMs},
-		{"run_ms", s.RunMs},
-		{"small_run_ms", s.SmallRunMs},
+		{"load", s.Load, 0, 1.5},
+		{"mean_flow_bytes", s.MeanFlowBytes, 0, inf},
+		{"workload_ms", s.WorkloadMs, 0, maxHorizonMs},
+		{"run_ms", s.RunMs, 0, maxHorizonMs},
+		{"small_run_ms", s.SmallRunMs, 0, maxHorizonMs},
 	} {
-		if h.ms > maxHorizonMs {
-			return fmt.Errorf("serve: %s %.6g exceeds the limit of %d (10 min)", h.field, h.ms, maxHorizonMs)
+		if !(f.v > f.lo && f.v <= f.hi) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: %s %v outside (%g, %g]", f.field, f.v, f.lo, f.hi)
 		}
+	}
+	if !(s.DeadlineMs >= 0) || math.IsInf(s.DeadlineMs, 0) {
+		return fmt.Errorf("serve: deadline_ms %v must be finite and >= 0", s.DeadlineMs)
+	}
+	// A negative K would run at the default threshold under another key.
+	if s.ECNK < 0 {
+		return fmt.Errorf("serve: ecn_k must be >= 0, have %d", s.ECNK)
 	}
 	if _, err := transport.ByName(s.Protocol); err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if s.Load <= 0 || s.Load > 1.5 {
-		return fmt.Errorf("serve: load %.3g out of range (0, 1.5]", s.Load)
-	}
-	if s.RunMs <= 0 || s.SmallRunMs <= 0 || s.WorkloadMs <= 0 {
-		return fmt.Errorf("serve: horizons must be positive")
-	}
-	if s.DeadlineMs < 0 {
-		return fmt.Errorf("serve: negative deadline")
 	}
 	base, tcfg, err := s.Configs()
 	if err != nil {
@@ -265,7 +271,9 @@ func (s JobSpec) DatasetKey() (string, error) {
 	return core.DatasetKey(base, msToSim(s.SmallRunMs), tcfg)
 }
 
-func msToSim(ms float64) sim.Time { return sim.FromSeconds(ms / 1e3) }
+// msToSim converts milliseconds to the nearest nanosecond; sim.FromSeconds
+// on ms/1e3 would truncate, e.g. 1001 ms to 1 000 999 999 ns.
+func msToSim(ms float64) sim.Time { return sim.Time(math.Round(ms * float64(sim.Millisecond))) }
 
 func (s JobSpec) runTime() sim.Time      { return msToSim(s.RunMs) }
 func (s JobSpec) smallRunTime() sim.Time { return msToSim(s.SmallRunMs) }
@@ -292,8 +300,10 @@ func distOf(d []float64) Dist {
 	}
 }
 
-// Summary is a job's deliverable: the estimate's metric distributions
-// plus the cost accounting that makes amortization visible.
+// Summary is an estimate's one result shape, from the daemon and the
+// local CLI alike: the metric distributions, the counts that explain
+// the run (all deterministic), plus the cost accounting that makes
+// amortization visible.
 type Summary struct {
 	FCTSeconds    Dist `json:"fct_seconds"`
 	ThroughputBps Dist `json:"throughput_Bps"`
@@ -305,33 +315,53 @@ type Summary struct {
 	FlowsStarted   int    `json:"flows_started"`
 	FlowsCompleted int    `json:"flows_completed"`
 
+	InferenceSteps    uint64 `json:"inference_steps"`
+	FeederEvents      uint64 `json:"feeder_events"`
+	MimicDropsIngress uint64 `json:"mimic_drops_ingress"`
+	MimicDropsEgress  uint64 `json:"mimic_drops_egress"`
+
 	// Cancelled marks partial results from an interrupted run.
 	Cancelled bool `json:"cancelled,omitempty"`
 	// CacheHit reports whether training was skipped via the registry.
 	CacheHit bool `json:"cache_hit"`
 
 	TrainMs      float64 `json:"train_ms"`   // wall-clock spent obtaining models
-	ComposeMs    float64 `json:"compose_ms"` // wall-clock of the large-scale run
+	ComposeMs    float64 `json:"compose_ms"` // wall-clock of building and running the composition
 	SimSecPerSec float64 `json:"sim_sec_per_sec"`
 }
 
-func summarize(res cluster.Results, started, completed int, trainDur, composeDur time.Duration, simulated sim.Time, cacheHit bool) *Summary {
-	s := &Summary{
-		FCTSeconds:     distOf(res.FCTs),
-		ThroughputBps:  distOf(res.Throughputs),
-		RTTSeconds:     distOf(res.RTTs),
-		Events:         res.Events,
-		Packets:        res.Packets,
-		Drops:          res.Drops,
-		FlowsStarted:   started,
-		FlowsCompleted: completed,
-		Cancelled:      res.Cancelled,
-		CacheHit:       cacheHit,
-		TrainMs:        float64(trainDur) / float64(time.Millisecond),
-		ComposeMs:      float64(composeDur) / float64(time.Millisecond),
+// Estimate composes s.Clusters clusters (1 real + N−1 Mimics) from
+// models, runs them for run_ms through core.Estimate, and summarizes.
+// TrainMs and CacheHit are left to the caller, which obtained models.
+func (s JobSpec) Estimate(ctx context.Context, models *core.MimicModels, progress func(now sim.Time, events uint64)) (*Summary, error) {
+	cfg, _, err := s.Configs()
+	if err != nil {
+		return nil, err
 	}
-	if composeDur > 0 {
-		s.SimSecPerSec = simulated.Seconds() / composeDur.Seconds()
+	cfg.Topo = cfg.Topo.WithClusters(s.Clusters)
+	rep, err := core.Estimate(ctx, cfg, models, s.runTime(), progress)
+	if err != nil {
+		return nil, err
 	}
-	return s
+	res := rep.Results
+	sum := &Summary{
+		FCTSeconds:        distOf(res.FCTs),
+		ThroughputBps:     distOf(res.Throughputs),
+		RTTSeconds:        distOf(res.RTTs),
+		Events:            res.Events,
+		Packets:           res.Packets,
+		Drops:             res.Drops,
+		FlowsStarted:      rep.FlowsStarted,
+		FlowsCompleted:    rep.FlowsCompleted,
+		InferenceSteps:    rep.InferenceSteps,
+		FeederEvents:      rep.FeederEvents,
+		MimicDropsIngress: rep.MimicDrops[core.Ingress],
+		MimicDropsEgress:  rep.MimicDrops[core.Egress],
+		Cancelled:         res.Cancelled,
+		ComposeMs:         float64(rep.Wall) / float64(time.Millisecond),
+	}
+	if rep.Wall > 0 {
+		sum.SimSecPerSec = s.runTime().Seconds() / rep.Wall.Seconds()
+	}
+	return sum, nil
 }

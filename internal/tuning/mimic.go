@@ -1,6 +1,7 @@
 package tuning
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -123,12 +124,11 @@ func (v *Validator) Score(models *core.MimicModels) (float64, error) {
 	for _, n := range v.Sizes {
 		cfg := v.Base
 		cfg.Topo = v.Base.Topo.WithClusters(n)
-		comp, err := core.Compose(cfg, models)
+		rep, err := core.Estimate(context.TODO(), cfg, models, v.Duration, nil)
 		if err != nil {
 			return math.Inf(1), err
 		}
-		comp.Run(v.Duration)
-		score, err := v.scoreOne(comp.Results(), v.truth[n])
+		score, err := v.scoreOne(rep.Results, v.truth[n])
 		if err != nil {
 			return math.Inf(1), err
 		}
