@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke mimicnet-smoke clean
+.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke mimicnet-smoke examples-smoke clean
 
 build:
 	$(GO) build ./...
@@ -95,7 +95,7 @@ vuln:
 	fi
 
 # Everything the driver gates on, in one target.
-ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke serve-smoke mimicnet-smoke
+ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke serve-smoke mimicnet-smoke examples-smoke
 
 # The measurement ml's dispatchFloor is derived from: inline vs forced
 # fan-out per (hidden, lanes) cell for one inference step, one BPTT step
@@ -149,6 +149,12 @@ mimicnet-smoke:
 	$(GO) run ./cmd/mimicnet -clusters 6 -duration 60ms -small-run 80ms -run 100ms -seed 7 -models $$d/models.json -validate-directions && \
 	! $(GO) run ./cmd/mimicnet -clusters 6 -duration 60ms -run 100ms -seed 7 -models $$d/models.json -tune 2 2>/dev/null; \
 	s=$$?; rm -rf $$d; exit $$s
+
+# Runs the quickstart example end to end (~3 s): a serve.JobSpec's
+# Datasets and Train, an 8-cluster estimate and its full-fidelity truth.
+# Tier-1 only compiles the examples.
+examples-smoke:
+	$(GO) run ./examples/quickstart
 
 clean:
 	$(GO) clean -testcache

@@ -28,13 +28,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"mimicnet/internal/core"
 	"mimicnet/internal/ml"
 	"mimicnet/internal/serve"
-	"mimicnet/internal/sim"
-	"mimicnet/internal/tuning"
 )
 
 func main() {
@@ -110,13 +109,6 @@ func main() {
 	base, tcfg, err := spec.Configs()
 	fatal(err)
 
-	// Live per-epoch reports; the two directions train concurrently, so
-	// lines interleave tagged by direction.
-	trainProgress := func(dir core.Direction, p ml.TrainProgress) {
-		fmt.Printf("  train[%-7s] epoch %d/%d loss=%.4f (%.0f samples/sec, batch %d)\n",
-			dir, p.Epoch, p.Epochs, p.Loss, p.SamplesPerSec, p.BatchSize)
-	}
-
 	var models *core.MimicModels
 	var fixedCost time.Duration
 	if *loadPath != "" {
@@ -135,36 +127,52 @@ func main() {
 			records, err := core.ReadTrace(f)
 			f.Close()
 			fatal(err)
-			ingRecs, egRecs := core.SplitTrace(records)
-			fs := core.NewFeatureSpec(base.Topo)
-			ing, err = core.BuildDataset(core.Ingress, ingRecs, fs, tcfg.Dataset)
-			fatal(err)
-			eg, err = core.BuildDataset(core.Egress, egRecs, fs, tcfg.Dataset)
+			ing, eg, err = core.BuildDatasets(base.Topo, records, tcfg)
 			fatal(err)
 		} else {
 			fmt.Println("phase 1: small-scale simulation ...")
-			ing, eg, _, err = core.GenerateTrainingData(base, sim.Time(*smallRun), tcfg)
+			ing, eg, err = spec.Datasets(context.Background())
 			fatal(err)
 			fmt.Printf("  small-scale simulation  %v\n", time.Since(t0).Round(time.Millisecond))
 		}
+		// Per-epoch reports; the two directions train concurrently, so
+		// lines interleave tagged by direction. A tuned run learns its best
+		// trial only when Train returns, and holds the final training's
+		// lines until that result is printed.
+		var mu sync.Mutex
+		var held []string
+		progress := func(dir core.Direction, p ml.TrainProgress) {
+			line := fmt.Sprintf("  train[%-7s] epoch %d/%d loss=%.4f (%.0f samples/sec, batch %d)",
+				dir, p.Epoch, p.Epochs, p.Loss, p.SamplesPerSec, p.BatchSize)
+			mu.Lock()
+			defer mu.Unlock()
+			if *tune > 0 {
+				held = append(held, line)
+			} else {
+				fmt.Println(line)
+			}
+		}
 		if *tune > 0 {
 			fmt.Printf("phase 2: hyper-parameter tuning (budget %d) ...\n", *tune)
-			t1 := time.Now()
-			var res tuning.Result
-			tcfg, res, err = tuning.TuneTraining(base, sim.Time(*smallRun), ing, eg, tcfg, *tune, *tuneSizes)
-			fatal(err)
-			fmt.Printf("  best score (mean W1 %s) %.4g with %v\n", *tuneSizes, res.Best.Score, res.Best.Params)
-			fmt.Printf("  tuning                  %v\n", time.Since(t1).Round(time.Millisecond))
+		} else {
+			fmt.Println("phase 3: training ...")
 		}
-		fmt.Println("phase 3: training ...")
-		t2 := time.Now()
-		var ingEval, egEval ml.EvalResult
-		models, ingEval, egEval, err = core.TrainModelsContext(context.Background(), ing, eg, tcfg, trainProgress, nil)
+		t1 := time.Now()
+		var tr serve.Training
+		models, tr, err = spec.Train(context.Background(), ing, eg, progress, nil)
 		fatal(err)
 		fixedCost = time.Since(t0)
+		if tr.Tuned != nil {
+			fmt.Printf("  best score (mean W1 %s) %.4g with %v\n", spec.TuneMetric, tr.Tuned.Score, tr.Tuned.Params)
+			fmt.Printf("  tuning                  %v\n", tr.TuneWall.Round(time.Millisecond))
+			fmt.Println("phase 3: training ...")
+			for _, line := range held {
+				fmt.Println(line)
+			}
+		}
 		fmt.Printf("  model training          %v (%d+%d samples; ingress MAE %.4f, egress MAE %.4f)\n",
-			time.Since(t2).Round(time.Millisecond), ing.Len(), eg.Len(),
-			ingEval.LatencyMAE, egEval.LatencyMAE)
+			(time.Since(t1) - tr.TuneWall).Round(time.Millisecond), ing.Len(), eg.Len(),
+			tr.IngressEval.LatencyMAE, tr.EgressEval.LatencyMAE)
 		if *savePath != "" {
 			blob, err := models.Save()
 			fatal(err)
@@ -175,7 +183,7 @@ func main() {
 
 	if *validate {
 		fmt.Println("phase 4: hybrid per-direction validation (Appendix B) ...")
-		ingW1, egW1, err := core.RoleError(base, models, sim.Time(*smallRun))
+		ingW1, egW1, err := core.RoleError(base, models, spec.SmallRunTime())
 		fatal(err)
 		fmt.Printf("  W1(FCT) vs all-real 2-cluster reference: ingress=%.4g egress=%.4g\n", ingW1, egW1)
 	}

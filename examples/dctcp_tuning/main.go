@@ -18,10 +18,9 @@ import (
 
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
-	"mimicnet/internal/transport"
-	"mimicnet/internal/workload"
 )
 
 const (
@@ -38,7 +37,14 @@ func main() {
 	var fullWall, mimicWall time.Duration
 
 	for _, k := range ks {
-		base := baseConfig(k)
+		spec := serve.JobSpec{
+			Protocol: "dctcp", ECNK: k, MeanFlowBytes: 20_000, WorkloadMs: 150, SmallRunMs: 200,
+			Window: 6, Hidden: 16, Epochs: 2,
+		}.Normalized()
+		base, _, err := spec.Configs()
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		// Small-scale prescription.
 		small := mustRun(base)
@@ -52,15 +58,16 @@ func main() {
 
 		// MimicNet prescription: per-K training + composition.
 		t0 = time.Now()
-		art, err := core.RunPipeline(core.PipelineConfig{
-			Base:               base,
-			SmallScaleDuration: 200 * sim.Millisecond,
-			Train:              trainConfig(),
-		})
+		ctx := context.Background()
+		ing, eg, err := spec.Datasets(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mimic, err := core.Estimate(context.Background(), largeCfg, art.Models, horizon, nil)
+		models, _, err := spec.Train(ctx, ing, eg, nil, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mimic, err := core.Estimate(ctx, largeCfg, models, horizon, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,24 +94,6 @@ func main() {
 	fmt.Printf("(paper, at 32 clusters: small scale prescribes K=60, truth and MimicNet K=20,\n" +
 		" with MimicNet 12x faster; raise largeN here and the same gap opens as the\n" +
 		" fixed training cost amortizes against the growing full-simulation cost)\n")
-}
-
-func baseConfig(k int) cluster.Config {
-	base := cluster.DefaultConfig(2)
-	base.Protocol = transport.NewDCTCPProtocol()
-	base.ECNThresholdK = k
-	base.Workload = workload.DefaultConfig(20_000)
-	base.Workload.Duration = 150 * sim.Millisecond
-	return base
-}
-
-func trainConfig() core.TrainConfig {
-	tc := core.DefaultTrainConfig()
-	tc.Dataset.Window = 6
-	tc.Model.Window = 6
-	tc.Model.Hidden = 16
-	tc.Model.Epochs = 2
-	return tc
 }
 
 func mustRun(cfg cluster.Config) cluster.Results {

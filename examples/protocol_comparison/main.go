@@ -20,10 +20,9 @@ import (
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
 	"mimicnet/internal/metrics"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
-	"mimicnet/internal/transport"
-	"mimicnet/internal/workload"
 )
 
 const (
@@ -42,14 +41,14 @@ func main() {
 	protocols := []string{"homa", "dctcp", "vegas", "westwood"}
 	var results []result
 	for _, name := range protocols {
-		p, err := transport.ByName(name)
+		spec := serve.JobSpec{
+			Protocol: name, MeanFlowBytes: 20_000, WorkloadMs: 150, SmallRunMs: 200,
+			Window: 6, Hidden: 16, Epochs: 2,
+		}.Normalized()
+		base, _, err := spec.Configs()
 		if err != nil {
 			log.Fatal(err)
 		}
-		base := cluster.DefaultConfig(2)
-		base.Protocol = p
-		base.Workload = workload.DefaultConfig(20_000)
-		base.Workload.Duration = 150 * sim.Millisecond
 
 		// Ground truth at scale.
 		largeCfg := base
@@ -62,20 +61,16 @@ func main() {
 		truth := truthInst.Results()
 
 		// Full MimicNet pipeline for this protocol.
-		tc := core.DefaultTrainConfig()
-		tc.Dataset.Window = 6
-		tc.Model.Window = 6
-		tc.Model.Hidden = 16
-		tc.Model.Epochs = 2
-		art, err := core.RunPipeline(core.PipelineConfig{
-			Base:               base,
-			SmallScaleDuration: 200 * sim.Millisecond,
-			Train:              tc,
-		})
+		ctx := context.Background()
+		ing, eg, err := spec.Datasets(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := core.Estimate(context.Background(), largeCfg, art.Models, horizon, nil)
+		models, _, err := spec.Train(ctx, ing, eg, nil, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rep, err := core.Estimate(ctx, largeCfg, models, horizon, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -18,39 +18,44 @@ import (
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
 	"mimicnet/internal/metrics"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
-	"mimicnet/internal/workload"
 )
 
 func main() {
-	// A scaled-down base configuration: TCP New Reno, DropTail, ECMP,
-	// 100 Mbps / 500 µs links, 70% load, heavy-tailed 20 KB-mean flows.
-	base := cluster.DefaultConfig(2)
-	base.Workload = workload.DefaultConfig(20_000)
-	base.Workload.Duration = 150 * sim.Millisecond
+	// A scaled-down job: TCP New Reno, DropTail, ECMP, 100 Mbps / 500 µs
+	// links, 70% load, heavy-tailed 20 KB-mean flows. The spec is the one
+	// `mimicnet` and `mimicnetd` take; its defaults fill in the rest.
+	spec := serve.JobSpec{MeanFlowBytes: 20_000, WorkloadMs: 150, SmallRunMs: 250}.Normalized()
+	base, _, err := spec.Configs()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 
 	// Phase 1-2: small-scale data generation + training.
 	fmt.Println("training mimic models from a 2-cluster simulation ...")
-	art, err := core.RunPipeline(core.PipelineConfig{
-		Base:               base,
-		SmallScaleDuration: 250 * sim.Millisecond,
-		Train:              core.DefaultTrainConfig(),
-	})
+	t0 := time.Now()
+	ing, eg, err := spec.Datasets(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	t1 := time.Now()
+	models, _, err := spec.Train(ctx, ing, eg, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  data generation %v, training %v (%d+%d samples)\n",
-		art.SmallScaleTime.Round(time.Millisecond),
-		art.TrainTime.Round(time.Millisecond),
-		art.IngressSamples, art.EgressSamples)
+		t1.Sub(t0).Round(time.Millisecond), time.Since(t1).Round(time.Millisecond),
+		ing.Len(), eg.Len())
 
 	// Phase 5: estimate an 8-cluster data center.
 	const n = 8
 	horizon := 300 * sim.Millisecond
 	cfg := base
 	cfg.Topo = base.Topo.WithClusters(n)
-	rep, err := core.Estimate(context.Background(), cfg, art.Models, horizon, nil)
+	rep, err := core.Estimate(ctx, cfg, models, horizon, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	t0 := time.Now()
+	t0 = time.Now()
 	truth.Run(horizon)
 	fmt.Printf("full-fidelity ground truth took %v\n", time.Since(t0).Round(time.Millisecond))
 

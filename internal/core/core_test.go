@@ -34,6 +34,27 @@ func fastTrain() TrainConfig {
 	return cfg
 }
 
+// trainFast is where every trained-model test starts: datagen on
+// fastBase for small simulated time, then one fastTrain training.
+func trainFast(small sim.Time) (*MimicModels, error) {
+	ing, eg, _, err := GenerateTrainingData(fastBase(), small, fastTrain())
+	if err != nil {
+		return nil, err
+	}
+	models, _, _, err := TrainModels(ing, eg, fastTrain())
+	return models, err
+}
+
+// mustTrainFast is trainFast failing the test on error.
+func mustTrainFast(t *testing.T, small sim.Time) *MimicModels {
+	t.Helper()
+	models, err := trainFast(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return models
+}
+
 func TestFeatureSpecWidth(t *testing.T) {
 	spec := NewFeatureSpec(topo.DefaultConfig())
 	// 2 racks + 4 servers + 2 aggs + 4 cores + 7 scalars + 4 congestion.
@@ -221,7 +242,7 @@ func TestBuildDataset(t *testing.T) {
 	tr, inst := runTraced(t)
 	ing, _ := tr.ByDirection()
 	spec := NewFeatureSpec(inst.Cfg.Topo)
-	ds, err := BuildDataset(Ingress, ing, spec, DatasetConfig{Window: 5, LatencyBins: 50})
+	ds, err := buildDataset(Ingress, ing, spec, DatasetConfig{Window: 5, LatencyBins: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +281,11 @@ func TestBuildDataset(t *testing.T) {
 }
 
 func TestBuildDatasetValidation(t *testing.T) {
-	if _, err := BuildDataset(Ingress, nil, FeatureSpec{}, DatasetConfig{Window: 0}); err == nil {
+	if _, err := buildDataset(Ingress, nil, FeatureSpec{}, DatasetConfig{Window: 0}); err == nil {
 		t.Error("zero window accepted")
 	}
 	// Empty records: safe defaults.
-	ds, err := BuildDataset(Ingress, nil, NewFeatureSpec(topo.DefaultConfig()), DatasetConfig{Window: 3})
+	ds, err := buildDataset(Ingress, nil, NewFeatureSpec(topo.DefaultConfig()), DatasetConfig{Window: 3})
 	if err != nil || ds.Len() != 0 {
 		t.Error("empty dataset mishandled")
 	}
@@ -288,27 +309,25 @@ func TestBoundsFromRecords(t *testing.T) {
 
 func TestTrainAndComposePipeline(t *testing.T) {
 	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 250 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
+	ing, eg, _, err := GenerateTrainingData(base, 250*sim.Millisecond, fastTrain())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.IngressSamples == 0 || art.EgressSamples == 0 {
+	if ing.Len() == 0 || eg.Len() == 0 {
 		t.Fatal("no training samples")
 	}
-	if art.SmallScaleTime <= 0 || art.TrainTime <= 0 {
-		t.Error("phase timings not recorded")
+	models, ingEval, _, err := TrainModels(ing, eg, fastTrain())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if art.IngressEval.LatencyMAE > 0.5 {
-		t.Errorf("ingress latency MAE %v implausibly bad", art.IngressEval.LatencyMAE)
+	if ingEval.LatencyMAE > 0.5 {
+		t.Errorf("ingress latency MAE %v implausibly bad", ingEval.LatencyMAE)
 	}
 
 	// Compose at 4 clusters and compare against ground truth.
 	cfg := base
 	cfg.Topo = base.Topo.WithClusters(4)
-	rep, err := Estimate(context.Background(), cfg, art.Models, 300*sim.Millisecond, nil)
+	rep, err := Estimate(context.Background(), cfg, models, 300*sim.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,31 +389,18 @@ func TestComposeValidation(t *testing.T) {
 
 func TestComposeRejectsStructureChange(t *testing.T) {
 	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 60 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := mustTrainFast(t, 60*sim.Millisecond)
 	bad := base
 	bad.Topo.RacksPerCluster++ // per-cluster structure change
 	bad.Topo.Clusters = 4
-	if _, err := Compose(bad, art.Models); err == nil {
+	if _, err := Compose(bad, models); err == nil {
 		t.Error("structure change accepted — scalable features violated")
 	}
 }
 
 func TestMimicModelSerialization(t *testing.T) {
-	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 100 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := art.Models.Save()
+	models := mustTrainFast(t, 100*sim.Millisecond)
+	blob, err := models.Save()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +409,7 @@ func TestMimicModelSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same prediction from both.
-	a := newOracleMimic(art.Models, 1, 7)
+	a := newOracleMimic(models, 1, 7)
 	b := newOracleMimic(restored, 1, 7)
 	info := PacketInfo{LocalRack: 0, LocalServer: 1, SizeBytes: 1500, ArrivalTime: sim.Millisecond}
 	oa := a.process(Ingress, info)
@@ -420,18 +426,11 @@ func TestMimicModelSerialization(t *testing.T) {
 }
 
 func TestMimicOutcomesBounded(t *testing.T) {
-	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 150 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newOracleMimic(art.Models, 1, 3)
+	models := mustTrainFast(t, 150*sim.Millisecond)
+	m := newOracleMimic(models, 1, 3)
 	rng := stats.NewStream(5)
-	lo := art.Models.Ingress.Bounds.Lo
-	hi := art.Models.Ingress.Bounds.Hi
+	lo := models.Ingress.Bounds.Lo
+	hi := models.Ingress.Bounds.Hi
 	for i := 0; i < 200; i++ {
 		info := PacketInfo{
 			LocalRack:   rng.Intn(2),
@@ -453,16 +452,9 @@ func TestMimicOutcomesBounded(t *testing.T) {
 }
 
 func TestMimicDeterminism(t *testing.T) {
-	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 100 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := mustTrainFast(t, 100*sim.Millisecond)
 	run := func() []Outcome {
-		m := newOracleMimic(art.Models, 2, 42)
+		m := newOracleMimic(models, 2, 42)
 		var outs []Outcome
 		for i := 0; i < 50; i++ {
 			outs = append(outs, m.process(Egress, PacketInfo{
@@ -520,16 +512,10 @@ func TestFeederGapScaling(t *testing.T) {
 
 func TestComposedFeedersRun(t *testing.T) {
 	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 150 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := mustTrainFast(t, 150*sim.Millisecond)
 	cfg := base
 	cfg.Topo = base.Topo.WithClusters(4)
-	comp, err := Compose(cfg, art.Models)
+	comp, err := Compose(cfg, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,19 +542,13 @@ func TestTransportNamesCoveredByComposition(t *testing.T) {
 	// only check construction here; the protocol-comparison benches run
 	// the full pipeline.
 	base := fastBase()
-	pcfg := DefaultPipelineConfig(base)
-	pcfg.SmallScaleDuration = 80 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := mustTrainFast(t, 80*sim.Millisecond)
 	for _, name := range transport.Names() {
 		p, _ := transport.ByName(name)
 		cfg := base
 		cfg.Protocol = p
 		cfg.Topo = base.Topo.WithClusters(3)
-		if _, err := Compose(cfg, art.Models); err != nil {
+		if _, err := Compose(cfg, models); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

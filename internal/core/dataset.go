@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mimicnet/internal/ml"
+	"mimicnet/internal/topo"
 )
 
 // LatencyBounds are the observed in-cluster latency range used for
@@ -80,12 +81,29 @@ func (ds *Dataset) Len() int {
 	return ds.Samples.Len()
 }
 
-// BuildDataset converts boundary trace records (entry order) into
+// BuildDatasets builds both directions' datasets from matched boundary
+// records in entry order over the 2-cluster topology tc. A small-scale
+// run's tracer and a saved trace (ReadTrace) both go through it, so
+// every TrainConfig dataset option applies to either source.
+func BuildDatasets(tc topo.Config, records []*TraceRecord, cfg TrainConfig) (ing, eg *Dataset, err error) {
+	spec := NewFeatureSpec(tc)
+	spec.SkipCongestion = cfg.SkipCongestionFeature
+	ingRecs, egRecs := splitTrace(records)
+	if ing, err = buildDataset(Ingress, ingRecs, spec, cfg.Dataset); err != nil {
+		return nil, nil, err
+	}
+	if eg, err = buildDataset(Egress, egRecs, spec, cfg.Dataset); err != nil {
+		return nil, nil, err
+	}
+	return ing, eg, nil
+}
+
+// buildDataset converts boundary trace records (entry order) into
 // windowed training samples for one direction. Feature rows are
 // extracted straight into the view's flat matrix — no per-sample window
 // structure, no materialized padding rows, and (with the exact
 // preallocation below) no growth reallocation in the hot loop.
-func BuildDataset(dir Direction, records []*TraceRecord, spec FeatureSpec, cfg DatasetConfig) (*Dataset, error) {
+func buildDataset(dir Direction, records []*TraceRecord, spec FeatureSpec, cfg DatasetConfig) (*Dataset, error) {
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("core: window must be >= 1")
 	}

@@ -22,7 +22,7 @@ type legacySample struct {
 
 // legacyBuildSamples replicates the seed's window-of-slices dataset
 // builder exactly: a ring of materialized padded windows, one sample
-// per record. It is the golden reference the columnar BuildDataset must
+// per record. It is the golden reference the columnar buildDataset must
 // match bit-for-bit.
 func legacyBuildSamples(records []*TraceRecord, spec FeatureSpec, cfg DatasetConfig) []legacySample {
 	bounds := boundsFromRecords(records)
@@ -70,7 +70,7 @@ func TestBuildDatasetMatchesLegacyLayout(t *testing.T) {
 	ing, _ := tr.ByDirection()
 	spec := NewFeatureSpec(inst.Cfg.Topo)
 	dcfg := DatasetConfig{Window: 6, LatencyBins: 50}
-	ds, err := BuildDataset(Ingress, ing, spec, dcfg)
+	ds, err := buildDataset(Ingress, ing, spec, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSplitEdgeCases(t *testing.T) {
 	spec := NewFeatureSpec(topo.DefaultConfig())
 
 	// Empty dataset: both halves empty, no panic.
-	empty, err := BuildDataset(Ingress, nil, spec, DatasetConfig{Window: 3})
+	empty, err := buildDataset(Ingress, nil, spec, DatasetConfig{Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSplitEdgeCases(t *testing.T) {
 	// One-sample dataset under a real traced run's first record.
 	tracer, inst := runTraced(t)
 	ing, _ := tracer.ByDirection()
-	one, err := BuildDataset(Ingress, ing[:1], NewFeatureSpec(inst.Cfg.Topo), DatasetConfig{Window: 3, LatencyBins: 10})
+	one, err := buildDataset(Ingress, ing[:1], NewFeatureSpec(inst.Cfg.Topo), DatasetConfig{Window: 3, LatencyBins: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSplitEdgeCases(t *testing.T) {
 	}
 
 	// trainFrac at or outside (0,1) falls back to the 0.8 default.
-	full, err := BuildDataset(Ingress, ing, NewFeatureSpec(inst.Cfg.Topo), DatasetConfig{Window: 3, LatencyBins: 10})
+	full, err := buildDataset(Ingress, ing, NewFeatureSpec(inst.Cfg.Topo), DatasetConfig{Window: 3, LatencyBins: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestDatasetFileRoundTrip(t *testing.T) {
 	ingRecs, egRecs := tr.ByDirection()
 	spec := NewFeatureSpec(inst.Cfg.Topo)
 	dcfg := DatasetConfig{Window: 5, LatencyBins: 40}
-	ing, err := BuildDataset(Ingress, ingRecs, spec, dcfg)
+	ing, err := buildDataset(Ingress, ingRecs, spec, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eg, err := BuildDataset(Egress, egRecs, spec, dcfg)
+	eg, err := buildDataset(Egress, egRecs, spec, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ var parityModes = []parityMode{
 	{"sharded-w4", 1, 4},
 }
 
-func runParityCase(t *testing.T, art *Artifacts, pc parityCase, pm parityMode) cluster.Results {
+func runParityCase(t *testing.T, models *MimicModels, pc parityCase, pm parityMode) cluster.Results {
 	t.Helper()
 	cfg := fastBase()
 	cfg.ShardedRun = pm.shardedRun
@@ -113,7 +113,7 @@ func runParityCase(t *testing.T, art *Artifacts, pc parityCase, pm parityMode) c
 	switch pc.kind {
 	case "composed":
 		cfg.Topo = cfg.Topo.WithClusters(pc.n)
-		comp, err := Compose(cfg, art.Models)
+		comp, err := Compose(cfg, models)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func runParityCase(t *testing.T, art *Artifacts, pc parityCase, pm parityMode) c
 		comp.Run(pc.until)
 		return comp.Results()
 	case "hybrid":
-		h, err := NewHybrid(cfg, art.Models, pc.dir)
+		h, err := NewHybrid(cfg, models, pc.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func runParityCase(t *testing.T, art *Artifacts, pc parityCase, pm parityMode) c
 // with MIMICNET_UPDATE_GOLDEN=1 only when a change is *supposed* to
 // alter simulation schedules — and say so in the commit.
 func TestEngineGoldenParity(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	update := os.Getenv("MIMICNET_UPDATE_GOLDEN") != ""
 
 	golden := map[string]string{}
@@ -163,7 +163,7 @@ func TestEngineGoldenParity(t *testing.T) {
 		var shardedFP string
 		for _, pm := range parityModes {
 			key := pc.name + "/" + pm.name
-			res := runParityCase(t, art, pc, pm)
+			res := runParityCase(t, models, pc, pm)
 			if len(res.FCTByID) == 0 {
 				t.Fatalf("%s: no flows completed; case exercises nothing", key)
 			}

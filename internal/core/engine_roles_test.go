@@ -44,7 +44,7 @@ func runRoles(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *Mim
 // end, sequential and sharded, and checks both observed clusters feed
 // the collectors while the mimic clusters stay model-driven.
 func TestEngineMultiObserved(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	roles := []ClusterRole{
 		{Kind: RoleObserved}, {Kind: RoleMimic},
 		{Kind: RoleObserved}, {Kind: RoleMimic},
@@ -55,7 +55,7 @@ func TestEngineMultiObserved(t *testing.T) {
 
 	seqCfg := cfg
 	seqCfg.ShardedRun = -1
-	eng, res := runRoles(t, seqCfg, roles, art.Models, until)
+	eng, res := runRoles(t, seqCfg, roles, models, until)
 
 	if len(res.FCTByID) == 0 {
 		t.Fatal("no flows completed")
@@ -92,7 +92,7 @@ func TestEngineMultiObserved(t *testing.T) {
 		shCfg := cfg
 		shCfg.ShardedRun = 1
 		shCfg.NumWorkers = workers
-		sh, shRes := runRoles(t, shCfg, roles, art.Models, until)
+		sh, shRes := runRoles(t, shCfg, roles, models, until)
 		if !sh.Sharded() {
 			t.Fatal("forced sharding fell back to sequential")
 		}
@@ -113,8 +113,8 @@ func TestEngineMultiObserved(t *testing.T) {
 // match the homogeneous run exactly — batched lane partitioning cannot
 // leak into simulation outcomes.
 func TestEnginePerClusterModelOverride(t *testing.T) {
-	art := trainedForScheduler(t)
-	clone := cloneModels(t, art.Models)
+	models := trainedForScheduler(t)
+	clone := cloneModels(t, models)
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(4)
 	until := 200 * sim.Millisecond
@@ -135,8 +135,8 @@ func TestEnginePerClusterModelOverride(t *testing.T) {
 		mcfg.ShardedRun = mode.shardedRun
 		mcfg.NumWorkers = mode.workers
 
-		base, baseRes := runRoles(t, mcfg, homog, art.Models, until)
-		over, overRes := runRoles(t, mcfg, hetero, art.Models, until)
+		base, baseRes := runRoles(t, mcfg, homog, models, until)
+		over, overRes := runRoles(t, mcfg, hetero, models, until)
 
 		if mode.shardedRun < 0 {
 			// Sequential homogeneous fuses all mimics into one scheduler;
@@ -159,17 +159,17 @@ func TestEnginePerClusterModelOverride(t *testing.T) {
 
 // TestEngineRoleValidation covers the new failure modes of role vectors.
 func TestEngineRoleValidation(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(2)
 
-	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}}, art.Models); err == nil {
+	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}}, models); err == nil {
 		t.Error("role vector shorter than cluster count accepted")
 	}
-	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleMimic}, {Kind: RoleMimic}}, art.Models); err == nil {
+	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleMimic}, {Kind: RoleMimic}}, models); err == nil {
 		t.Error("role vector without an observed cluster accepted")
 	}
-	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}, {Kind: RoleKind(250)}}, art.Models); err == nil {
+	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}, {Kind: RoleKind(250)}}, models); err == nil {
 		t.Error("unknown role kind accepted")
 	}
 	if _, err := NewEngine(cfg, ComposedRoles(2), nil); err == nil {
@@ -194,7 +194,7 @@ func TestEngineRoleValidation(t *testing.T) {
 // returns exactly the values of the legacy back-to-back procedure
 // (reference run, then each hybrid in turn).
 func TestRoleErrorMatchesSequential(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	cfg := fastBase()
 	until := 250 * sim.Millisecond
 
@@ -209,7 +209,7 @@ func TestRoleErrorMatchesSequential(t *testing.T) {
 	truth := inst.Results().FCTs
 	var want [2]float64
 	for _, dir := range []Direction{Ingress, Egress} {
-		hyb, err := NewHybrid(cfg, art.Models, dir)
+		hyb, err := NewHybrid(cfg, models, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestRoleErrorMatchesSequential(t *testing.T) {
 		want[dir] = metrics.W1(hyb.Results().FCTs, truth)
 	}
 
-	ingW1, egW1, err := RoleError(cfg, art.Models, until)
+	ingW1, egW1, err := RoleError(cfg, models, until)
 	if err != nil {
 		t.Fatal(err)
 	}

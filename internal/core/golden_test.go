@@ -18,8 +18,8 @@ import (
 // barriers, per-LP inference flush chains, telemetry on every hot path)
 // only combine here.
 func TestGoldenCombinedPipeline(t *testing.T) {
-	art := trainedForScheduler(t)
-	if got := art.Models.Ingress.Model.Cfg.BatchSize; got != ml.DefaultBatchSize {
+	models := trainedForScheduler(t)
+	if got := models.Ingress.Model.Cfg.BatchSize; got != ml.DefaultBatchSize {
 		t.Fatalf("artifact trained with BatchSize=%d, want %d (minibatch path)",
 			got, ml.DefaultBatchSize)
 	}
@@ -31,7 +31,7 @@ func TestGoldenCombinedPipeline(t *testing.T) {
 		cfg.Topo = cfg.Topo.WithClusters(n)
 		cfg.ShardedRun = 1 // force sharding even on small hosts
 		cfg.NumWorkers = workers
-		comp, err := Compose(cfg, art.Models)
+		comp, err := Compose(cfg, models)
 		if err != nil {
 			t.Fatal(err)
 		}

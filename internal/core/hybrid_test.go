@@ -10,21 +10,13 @@ import (
 	"mimicnet/internal/sim"
 )
 
-func trainedForHybrid(t *testing.T) *Artifacts {
-	t.Helper()
-	pcfg := DefaultPipelineConfig(fastBase())
-	pcfg.SmallScaleDuration = 150 * sim.Millisecond
-	pcfg.Train = fastTrain()
-	art, err := RunPipeline(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return art
+func trainedForHybrid(t *testing.T) *MimicModels {
+	return mustTrainFast(t, 150*sim.Millisecond)
 }
 
 func TestHybridIngressRuns(t *testing.T) {
-	art := trainedForHybrid(t)
-	h, err := NewHybrid(fastBase(), art.Models, Ingress)
+	models := trainedForHybrid(t)
+	h, err := NewHybrid(fastBase(), models, Ingress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +34,8 @@ func TestHybridIngressRuns(t *testing.T) {
 }
 
 func TestHybridEgressRuns(t *testing.T) {
-	art := trainedForHybrid(t)
-	h, err := NewHybrid(fastBase(), art.Models, Egress)
+	models := trainedForHybrid(t)
+	h, err := NewHybrid(fastBase(), models, Egress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +49,10 @@ func TestHybridEgressRuns(t *testing.T) {
 }
 
 func TestHybridValidation(t *testing.T) {
-	art := trainedForHybrid(t)
+	models := trainedForHybrid(t)
 	cfg := fastBase()
 	cfg.Protocol = nil
-	if _, err := NewHybrid(cfg, art.Models, Ingress); err == nil {
+	if _, err := NewHybrid(cfg, models, Ingress); err == nil {
 		t.Error("nil protocol accepted")
 	}
 	if _, err := NewHybrid(fastBase(), nil, Ingress); err == nil {
@@ -72,8 +64,8 @@ func TestHybridValidation(t *testing.T) {
 }
 
 func TestRoleError(t *testing.T) {
-	art := trainedForHybrid(t)
-	ingW1, egW1, err := RoleError(fastBase(), art.Models, 300*sim.Millisecond)
+	models := trainedForHybrid(t)
+	ingW1, egW1, err := RoleError(fastBase(), models, 300*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +83,7 @@ func TestRoleError(t *testing.T) {
 // reference (cluster.New, observable cluster 0) measures — those touching
 // cluster 0 — so the two FCT distributions describe the same flows.
 func TestHybridMeasuresReferencePopulation(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 250 * sim.Millisecond
 	ref, err := cluster.New(fastBase())
 	if err != nil {
@@ -108,7 +100,7 @@ func TestHybridMeasuresReferencePopulation(t *testing.T) {
 		t.Fatalf("reference started %d measured flows, schedule has %d", ref.FlowsStarted(), len(measured))
 	}
 	for _, dir := range []Direction{Ingress, Egress} {
-		h, err := NewHybrid(fastBase(), art.Models, dir)
+		h, err := NewHybrid(fastBase(), models, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +134,8 @@ func outcomeStream(models *MimicModels) []Outcome {
 }
 
 func TestUpdateModelsFineTunes(t *testing.T) {
-	art := trainedForHybrid(t)
-	before := outcomeStream(art.Models)
+	models := trainedForHybrid(t)
+	before := outcomeStream(models)
 
 	// Generate fresh data at a different seed (e.g. a workload shift).
 	base := fastBase()
@@ -153,16 +145,16 @@ func TestUpdateModelsFineTunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	updated, err := UpdateModels(art.Models, ing, eg, 1, 0)
+	updated, err := UpdateModels(models, ing, eg, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if updated == art.Models {
+	if updated == models {
 		t.Error("UpdateModels must not mutate in place")
 	}
 	// The old models are still usable and predict exactly what they did
 	// before the update; the updated ones do not.
-	if after := outcomeStream(art.Models); !reflect.DeepEqual(after, before) {
+	if after := outcomeStream(models); !reflect.DeepEqual(after, before) {
 		t.Error("original models changed by update")
 	}
 	if reflect.DeepEqual(outcomeStream(updated), before) {
@@ -185,7 +177,7 @@ func TestUpdateModelsFineTunes(t *testing.T) {
 // empirical gaps must still replay them after an update, from the bank
 // refitted on the new trace, not fall back to the log-normal fit.
 func TestUpdateModelsKeepsEmpiricalGaps(t *testing.T) {
-	models := cloneModels(t, trainedForScheduler(t).Models)
+	models := cloneModels(t, trainedForScheduler(t))
 	models.Ingress.UseEmpiricalGaps = true
 	models.Egress.UseEmpiricalGaps = true
 	base := fastBase()
@@ -218,13 +210,13 @@ func TestUpdateModelsValidation(t *testing.T) {
 	if _, err := UpdateModels(nil, nil, nil, 1, 0); err == nil {
 		t.Error("nil models accepted")
 	}
-	art := trainedForHybrid(t)
-	empty := &Dataset{Spec: art.Models.Spec}
-	if _, err := UpdateModels(art.Models, empty, empty, 1, 0); err == nil {
+	models := trainedForHybrid(t)
+	empty := &Dataset{Spec: models.Spec}
+	if _, err := UpdateModels(models, empty, empty, 1, 0); err == nil {
 		t.Error("empty dataset accepted")
 	}
 	bad := &Dataset{Spec: FeatureSpec{Racks: 99}}
-	if _, err := UpdateModels(art.Models, bad, bad, 1, 0); err == nil {
+	if _, err := UpdateModels(models, bad, bad, 1, 0); err == nil {
 		t.Error("feature width change accepted")
 	}
 }

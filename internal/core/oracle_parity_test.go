@@ -86,7 +86,7 @@ var oracleCases = []oracleCase{
 	{name: "seqinfer-n3/sharded-w4", n: 3, shardedRun: 1, workers: 4, until: 200 * sim.Millisecond},
 }
 
-func runOracleCase(t *testing.T, art *Artifacts, oc oracleCase) cluster.Results {
+func runOracleCase(t *testing.T, models *MimicModels, oc oracleCase) cluster.Results {
 	t.Helper()
 	cfg := fastBase()
 	cfg.ShardedRun = oc.shardedRun
@@ -96,7 +96,7 @@ func runOracleCase(t *testing.T, art *Artifacts, oc oracleCase) cluster.Results 
 		cfg.Topo = cfg.Topo.WithClusters(oc.n)
 		roles = ComposedRoles(oc.n)
 	}
-	e, err := newOracleEngine(cfg, roles, art.Models)
+	e, err := newOracleEngine(cfg, roles, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func runOracleCase(t *testing.T, art *Artifacts, oc oracleCase) cluster.Results 
 // MIMICNET_UPDATE_GOLDEN=1 only when the oracle is supposed to change
 // what it simulates, and say so in the commit.
 func TestOracleParity(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	update := os.Getenv("MIMICNET_UPDATE_GOLDEN") != ""
 	golden := map[string]string{}
 	if !update {
@@ -126,7 +126,7 @@ func TestOracleParity(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, oc := range oracleCases {
-		res := runOracleCase(t, art, oc)
+		res := runOracleCase(t, models, oc)
 		if len(res.FCTByID) == 0 {
 			t.Fatalf("%s: no flows completed; case exercises nothing", oc.name)
 		}

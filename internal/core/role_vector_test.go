@@ -46,7 +46,7 @@ func rolesFromCode(code uint8) []ClusterRole {
 // TestRoleVectorSeqSharded's eight draws miss them; FuzzRoleVector finds
 // them. The sharded schedule stays exact across worker counts for all
 // of them (TestShardedFullFidelityTieClass pins code 0x00).
-func checkRoleVectorSeqSharded(t *testing.T, art *Artifacts, roles []ClusterRole) {
+func checkRoleVectorSeqSharded(t *testing.T, models *MimicModels, roles []ClusterRole) {
 	t.Helper()
 	const until = 100 * sim.Millisecond
 	label := ""
@@ -60,7 +60,7 @@ func checkRoleVectorSeqSharded(t *testing.T, art *Artifacts, roles []ClusterRole
 
 	seqCfg := cfg
 	seqCfg.ShardedRun = -1
-	_, seq := runRoles(t, seqCfg, roles, art.Models, until)
+	_, seq := runRoles(t, seqCfg, roles, models, until)
 	if len(seq.FCTByID) == 0 {
 		t.Fatalf("%s: no flows completed; vector exercises nothing", label)
 	}
@@ -69,7 +69,7 @@ func checkRoleVectorSeqSharded(t *testing.T, art *Artifacts, roles []ClusterRole
 		shCfg := cfg
 		shCfg.ShardedRun = 1
 		shCfg.NumWorkers = workers
-		eng, shr := runRoles(t, shCfg, roles, art.Models, until)
+		eng, shr := runRoles(t, shCfg, roles, models, until)
 		if !eng.Sharded() {
 			t.Fatalf("%s: forced sharding fell back to sequential", label)
 		}
@@ -122,10 +122,10 @@ func TestShardedFullFidelityTieClass(t *testing.T) {
 // each; FuzzRoleVector explores the rest of the 256 codes with the same
 // body.
 func TestRoleVectorSeqSharded(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	rng := stats.NewStream(16)
 	for i := 0; i < 8; i++ {
-		checkRoleVectorSeqSharded(t, art, rolesFromCode(uint8(rng.Intn(256))))
+		checkRoleVectorSeqSharded(t, models, rolesFromCode(uint8(rng.Intn(256))))
 	}
 }
 

@@ -139,7 +139,7 @@ func TestComposedRunContextCancel(t *testing.T) {
 // full-fidelity simulation, the sequential engine, and the sharded
 // engine at 1, 2 and 4 workers.
 func TestRunContextMatchesRun(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 150 * sim.Millisecond
 	type runner interface {
 		Run(sim.Time)
@@ -180,7 +180,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 		cfg.ShardedRun, cfg.NumWorkers = mode.sharded, mode.workers
 		name := fmt.Sprintf("engine sharded=%d workers=%d", mode.sharded, mode.workers)
 		check(name, func() (runner, *func(sim.Time, uint64)) {
-			comp, err := Compose(cfg, art.Models)
+			comp, err := Compose(cfg, models)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,12 +198,12 @@ func TestRunContextMatchesRun(t *testing.T) {
 // progress hook reaches the run loop, and a cancelled context gives a
 // partial Report rather than an error.
 func TestEstimateReportsTheRun(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 150 * sim.Millisecond
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(4)
 
-	comp, err := Compose(cfg, art.Models)
+	comp, err := Compose(cfg, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEstimateReportsTheRun(t *testing.T) {
 	}
 
 	ticks := 0
-	rep, err := Estimate(context.Background(), cfg, art.Models, until, func(sim.Time, uint64) { ticks++ })
+	rep, err := Estimate(context.Background(), cfg, models, until, func(sim.Time, uint64) { ticks++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEstimateReportsTheRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	part, err := Estimate(ctx, cfg, art.Models, until, nil)
+	part, err := Estimate(ctx, cfg, models, until, nil)
 	if err != nil || !part.Results.Cancelled {
 		t.Errorf("cancelled Estimate: err %v, cancelled %v", err, part != nil && part.Results.Cancelled)
 	}

@@ -11,35 +11,30 @@ import (
 )
 
 var (
-	schedArtOnce sync.Once
-	schedArt     *Artifacts
-	schedArtErr  error
+	schedOnce   sync.Once
+	schedModels *MimicModels
+	schedErr    error
 )
 
-// trainedForScheduler trains one small artifact set shared by the
+// trainedForScheduler trains one small model set shared by the
 // determinism tests (training dominates their runtime).
-func trainedForScheduler(t *testing.T) *Artifacts {
+func trainedForScheduler(t *testing.T) *MimicModels {
 	t.Helper()
-	schedArtOnce.Do(func() {
-		pcfg := DefaultPipelineConfig(fastBase())
-		pcfg.SmallScaleDuration = 200 * sim.Millisecond
-		pcfg.Train = fastTrain()
-		schedArt, schedArtErr = RunPipeline(pcfg)
-	})
-	if schedArtErr != nil {
-		t.Fatal(schedArtErr)
+	schedOnce.Do(func() { schedModels, schedErr = trainFast(200 * sim.Millisecond) })
+	if schedErr != nil {
+		t.Fatal(schedErr)
 	}
-	return schedArt
+	return schedModels
 }
 
 // runComposed runs an n-cluster composition; oracle selects the
 // per-request inference oracle (newOracleEngine) instead of the batched
 // schedule.
-func runComposed(t *testing.T, art *Artifacts, clusters int, oracle bool, until sim.Time) (cluster.Results, *Engine) {
+func runComposed(t *testing.T, models *MimicModels, clusters int, oracle bool, until sim.Time) (cluster.Results, *Engine) {
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
-	comp, err := newTestEngine(cfg, ComposedRoles(clusters), art.Models, oracle)
+	comp, err := newTestEngine(cfg, ComposedRoles(clusters), models, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +82,12 @@ func sameResults(t *testing.T, label string, a, b cluster.Results) {
 // produce identical metrics (a) across two batched runs, and (b) between
 // the batched engine and the per-request oracle.
 func TestGoldenDeterminism(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 300 * sim.Millisecond
 
-	seqRes, seqComp := runComposed(t, art, 3, true, until)
-	batRes, batComp := runComposed(t, art, 3, false, until)
-	batRes2, batComp2 := runComposed(t, art, 3, false, until)
+	seqRes, seqComp := runComposed(t, models, 3, true, until)
+	batRes, batComp := runComposed(t, models, 3, false, until)
+	batRes2, batComp2 := runComposed(t, models, 3, false, until)
 
 	if len(seqRes.FCTByID) == 0 {
 		t.Fatal("no flows completed; test exercises nothing")
@@ -132,13 +127,13 @@ func TestGoldenDeterminism(t *testing.T) {
 // two goroutines. Results must equal the per-packet oracle's and, Events
 // included, those of a production run at every worker count.
 func TestFlushSplit(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const (
 		clusters = 4
 		until    = 200 * sim.Millisecond
 	)
-	oracle, _ := runComposed(t, art, clusters, true, until)
-	prod, _ := runComposed(t, art, clusters, false, until)
+	oracle, _ := runComposed(t, models, clusters, true, until)
+	prod, _ := runComposed(t, models, clusters, false, until)
 	if len(oracle.FCTByID) == 0 {
 		t.Fatal("no flows completed; test exercises nothing")
 	}
@@ -148,7 +143,7 @@ func TestFlushSplit(t *testing.T) {
 		t.Cleanup(pool.Close)
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(clusters)
-		e, err := NewEngine(cfg, ComposedRoles(clusters), art.Models)
+		e, err := NewEngine(cfg, ComposedRoles(clusters), models)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +172,11 @@ func TestFlushSplit(t *testing.T) {
 // TestGoldenDeterminismHybrid repeats the witness for the hybrid
 // (Appendix B) harness in both directions.
 func TestGoldenDeterminismHybrid(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 250 * sim.Millisecond
 	for _, dir := range []Direction{Ingress, Egress} {
 		run := func(oracle bool) cluster.Results {
-			h, err := newTestEngine(fastBase(), HybridRoles(dir), art.Models, oracle)
+			h, err := newTestEngine(fastBase(), HybridRoles(dir), models, oracle)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,8 +193,8 @@ func TestGoldenDeterminismHybrid(t *testing.T) {
 // TestDefaultBatchWindow pins the causality rule: the window is the
 // smaller latency lower bound across the two direction models.
 func TestDefaultBatchWindow(t *testing.T) {
-	art := trainedForScheduler(t)
-	m := art.Models
+	models := trainedForScheduler(t)
+	m := models
 	lo := m.Ingress.Bounds.Lo
 	if m.Egress.Bounds.Lo < lo {
 		lo = m.Egress.Bounds.Lo

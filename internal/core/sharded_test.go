@@ -10,13 +10,13 @@ import (
 
 // runComposedMode runs a composition with explicit sharding knobs.
 // shardedRun follows cluster.Config.ShardedRun (-1 sequential, 1 forced).
-func runComposedMode(t *testing.T, art *Artifacts, clusters, shardedRun, workers int, until sim.Time) (cluster.Results, *Engine) {
+func runComposedMode(t *testing.T, models *MimicModels, clusters, shardedRun, workers int, until sim.Time) (cluster.Results, *Engine) {
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
 	cfg.ShardedRun = shardedRun
 	cfg.NumWorkers = workers
-	comp, err := Compose(cfg, art.Models)
+	comp, err := Compose(cfg, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func runComposedMode(t *testing.T, art *Artifacts, clusters, shardedRun, workers
 // though every metric is identical (it is asserted equal across worker
 // counts below, which shares the per-LP scheduler structure).
 func TestShardedComposedMatchesSequential(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	for _, tc := range []struct {
 		n     int
 		until sim.Time
@@ -45,7 +45,7 @@ func TestShardedComposedMatchesSequential(t *testing.T) {
 		{4, 200 * sim.Millisecond},
 		{8, 120 * sim.Millisecond},
 	} {
-		seq, seqComp := runComposedMode(t, art, tc.n, -1, 0, tc.until)
+		seq, seqComp := runComposedMode(t, models, tc.n, -1, 0, tc.until)
 		if len(seq.FCTByID) == 0 {
 			t.Fatalf("n=%d: no flows completed; test exercises nothing", tc.n)
 		}
@@ -58,7 +58,7 @@ func TestShardedComposedMatchesSequential(t *testing.T) {
 		}
 		var prev cluster.Results
 		for i, nw := range workerCounts {
-			shr, comp := runComposedMode(t, art, tc.n, 1, nw, tc.until)
+			shr, comp := runComposedMode(t, models, tc.n, 1, nw, tc.until)
 			if !comp.Sharded() {
 				t.Fatalf("n=%d: forced sharding fell back to sequential (no lookahead margin?)", tc.n)
 			}
@@ -89,14 +89,14 @@ func TestShardedComposedMatchesSequential(t *testing.T) {
 // (egress continuations then carry the full latency floor as cross-LP
 // margin).
 func TestShardedComposedSequentialInference(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 200 * sim.Millisecond
 	run := func(shardedRun int) cluster.Results {
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(3)
 		cfg.ShardedRun = shardedRun
 		cfg.NumWorkers = 4
-		comp, err := newOracleEngine(cfg, ComposedRoles(3), art.Models)
+		comp, err := newOracleEngine(cfg, ComposedRoles(3), models)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,13 +126,13 @@ func TestShardedComposedSequentialInference(t *testing.T) {
 // what the egress case asserts: bitwise equality between serial (1
 // worker) and parallel execution of the sharded schedule.
 func TestShardedHybridMatchesSequential(t *testing.T) {
-	art := trainedForScheduler(t)
+	models := trainedForScheduler(t)
 	const until = 250 * sim.Millisecond
 	run := func(dir Direction, shardedRun, nw int) (cluster.Results, *Engine) {
 		cfg := fastBase()
 		cfg.ShardedRun = shardedRun
 		cfg.NumWorkers = nw
-		h, err := NewHybrid(cfg, art.Models, dir)
+		h, err := NewHybrid(cfg, models, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -209,14 +209,7 @@ func (tr *Tracer) Records() []*TraceRecord {
 
 // ByDirection splits matched records by direction, preserving entry order.
 func (tr *Tracer) ByDirection() (ingress, egress []*TraceRecord) {
-	for _, r := range tr.Records() {
-		if r.Dir == Ingress {
-			ingress = append(ingress, r)
-		} else {
-			egress = append(egress, r)
-		}
-	}
-	return ingress, egress
+	return splitTrace(tr.Records())
 }
 
 // PendingCount returns packets that entered but neither exited nor

@@ -73,8 +73,8 @@ func ReadTrace(r io.Reader) ([]*TraceRecord, error) {
 	return out, nil
 }
 
-// SplitTrace partitions loaded records by direction, preserving order.
-func SplitTrace(records []*TraceRecord) (ingress, egress []*TraceRecord) {
+// splitTrace partitions records by direction, preserving order.
+func splitTrace(records []*TraceRecord) (ingress, egress []*TraceRecord) {
 	for _, r := range records {
 		if r.Dir == Ingress {
 			ingress = append(ingress, r)

@@ -39,17 +39,17 @@ func TestTraceRoundTrip(t *testing.T) {
 
 	// Datasets built from the file match datasets built in-memory.
 	ingMem, egMem := tr.ByDirection()
-	ingFile, egFile := SplitTrace(back)
+	ingFile, egFile := splitTrace(back)
 	if len(ingFile) != len(ingMem) || len(egFile) != len(egMem) {
 		t.Fatal("direction split differs after round trip")
 	}
 	spec := NewFeatureSpec(inst.Cfg.Topo)
 	dcfg := DatasetConfig{Window: 4, LatencyBins: 50}
-	dsMem, err := BuildDataset(Ingress, ingMem, spec, dcfg)
+	dsMem, err := buildDataset(Ingress, ingMem, spec, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsFile, err := BuildDataset(Ingress, ingFile, spec, dcfg)
+	dsFile, err := buildDataset(Ingress, ingFile, spec, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestTrainFromFileComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing, eg := SplitTrace(back)
+	ing, eg := splitTrace(back)
 	spec := NewFeatureSpec(inst.Cfg.Topo)
 	tcfg := fastTrain()
-	ingDS, err := BuildDataset(Ingress, ing, spec, tcfg.Dataset)
+	ingDS, err := buildDataset(Ingress, ing, spec, tcfg.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	egDS, err := BuildDataset(Egress, eg, spec, tcfg.Dataset)
+	egDS, err := buildDataset(Egress, eg, spec, tcfg.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,13 +170,7 @@ func GenerateTrainingDataContext(ctx context.Context, base cluster.Config, durat
 		return nil, nil, nil, ctx.Err()
 	}
 
-	spec := NewFeatureSpec(small.Topo)
-	spec.SkipCongestion = cfg.SkipCongestionFeature
-	ingRecs, egRecs := tracer.ByDirection()
-	if ing, err = BuildDataset(Ingress, ingRecs, spec, cfg.Dataset); err != nil {
-		return nil, nil, nil, err
-	}
-	if eg, err = BuildDataset(Egress, egRecs, spec, cfg.Dataset); err != nil {
+	if ing, eg, err = BuildDatasets(small.Topo, tracer.Records(), cfg); err != nil {
 		return nil, nil, nil, err
 	}
 	return ing, eg, inst, nil

@@ -33,11 +33,11 @@ func (r *Runner) AblationCongestionState(n int) (*Table, error) {
 		}
 		tcfg := r.Opts.TrainConfig()
 		tcfg.SkipCongestionFeature = skip
-		art, err := r.pipelineFor(base, tcfg)
+		tr, err := r.train(base, tcfg)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := r.estimate("newreno", n, art.Models)
+		rep, err := r.estimate("newreno", n, tr.models)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func (r *Runner) AblationFeeders(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	art, err := r.Artifacts("newreno")
+	tr, err := r.trainedFor("newreno")
 	if err != nil {
 		return nil, err
 	}
@@ -88,11 +88,11 @@ func (r *Runner) AblationFeeders(n int) (*Table, error) {
 		})
 		return nil
 	}
-	if err := run("with_feeders", art.Models); err != nil {
+	if err := run("with_feeders", tr.models); err != nil {
 		return nil, err
 	}
 	// Disable feeders by zeroing the measured external rates.
-	blob, err := art.Models.Save()
+	blob, err := tr.models.Save()
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func (r *Runner) AblationFeederDistribution(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	art, err := r.Artifacts("newreno")
+	tr, err := r.trainedFor("newreno")
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (r *Runner) AblationFeederDistribution(n int) (*Table, error) {
 		Header: []string{"feeder_dist", "w1_fct", "w1_rtt"},
 	}
 	for _, empirical := range []bool{false, true} {
-		blob, err := art.Models.Save()
+		blob, err := tr.models.Save()
 		if err != nil {
 			return nil, err
 		}
@@ -259,11 +259,11 @@ func (r *Runner) AblationModelClass(n int) (*Table, error) {
 		if cellType == "mlp" {
 			tcfg.Model.Layers = 1
 		}
-		art, err := r.pipelineFor(base, tcfg)
+		tr, err := r.train(base, tcfg)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := r.estimate("newreno", n, art.Models)
+		rep, err := r.estimate("newreno", n, tr.models)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +271,7 @@ func (r *Runner) AblationModelClass(n int) (*Table, error) {
 			cellType,
 			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
 			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
-			f3(art.IngressEval.LatencyMAE),
+			f3(tr.ingressEval.LatencyMAE),
 		})
 		r.Opts.logf("Ablation F %s done", cellType)
 	}

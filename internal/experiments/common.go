@@ -105,41 +105,66 @@ func (o Options) TrainConfig() core.TrainConfig {
 	return tc
 }
 
-// Runner caches trained artifacts per protocol so a batch of figures
-// reuses one pipeline run (the paper's fixed cost).
+// Runner caches trained models per protocol so a batch of figures
+// reuses one datagen and training run (the paper's fixed cost).
 type Runner struct {
-	Opts Options
-	arts map[string]*core.Artifacts
+	Opts  Options
+	cache map[string]*trained
+}
+
+// trained is one datagen + training run: the models plus what Table 2,
+// Figures 11, 12 and 21–23 and the model-class ablation report about it.
+type trained struct {
+	models                 *core.MimicModels
+	datagenWall, trainWall time.Duration
+	samples                int // ingress + egress
+	ingressEval            ml.EvalResult
 }
 
 // NewRunner creates a Runner.
 func NewRunner(opts Options) *Runner {
-	return &Runner{Opts: opts, arts: make(map[string]*core.Artifacts)}
+	return &Runner{Opts: opts, cache: make(map[string]*trained)}
 }
 
-// Artifacts returns (training if needed) the Mimic models for a protocol.
-func (r *Runner) Artifacts(protocol string) (*core.Artifacts, error) {
-	if a, ok := r.arts[protocol]; ok {
-		return a, nil
+// trainedFor returns (training if needed) the Mimic models for a protocol.
+func (r *Runner) trainedFor(protocol string) (*trained, error) {
+	if tr, ok := r.cache[protocol]; ok {
+		return tr, nil
 	}
 	base, err := r.Opts.BaseConfig(protocol)
 	if err != nil {
 		return nil, err
 	}
 	r.Opts.logf("training mimic models for %s ...", protocol)
-	art, err := r.pipelineFor(base, r.Opts.TrainConfig())
+	tr, err := r.train(base, r.Opts.TrainConfig())
 	if err != nil {
 		return nil, err
 	}
-	r.arts[protocol] = art
-	return art, nil
+	r.cache[protocol] = tr
+	return tr, nil
 }
 
-// pipelineFor trains mimic models for an explicit base and training
-// configuration (used when a knob like DCTCP's K or the model class
-// changes per evaluation point).
-func (r *Runner) pipelineFor(base cluster.Config, tcfg core.TrainConfig) (*core.Artifacts, error) {
-	return core.RunPipeline(core.PipelineConfig{Base: base, SmallScaleDuration: r.Opts.SmallScale, Train: tcfg})
+// train runs datagen over the options' small-scale horizon and one
+// training, for an explicit base and training configuration (used when
+// a knob like DCTCP's K or the model class changes per evaluation point).
+func (r *Runner) train(base cluster.Config, tcfg core.TrainConfig) (*trained, error) {
+	t0 := time.Now()
+	ing, eg, _, err := core.GenerateTrainingData(base, r.Opts.SmallScale, tcfg)
+	if err != nil {
+		return nil, err
+	}
+	t1 := time.Now()
+	models, ingEval, _, err := core.TrainModels(ing, eg, tcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &trained{
+		models:      models,
+		datagenWall: t1.Sub(t0),
+		trainWall:   time.Since(t1),
+		samples:     ing.Len() + eg.Len(),
+		ingressEval: ingEval,
+	}, nil
 }
 
 // runConfigured runs an explicit full-fidelity configuration.
@@ -209,11 +234,11 @@ func (r *Runner) runFull(protocol string, n int) (cluster.Results, time.Duration
 
 // runMimic executes a MimicNet estimate at n clusters.
 func (r *Runner) runMimic(protocol string, n int) (*core.Report, error) {
-	art, err := r.Artifacts(protocol)
+	tr, err := r.trainedFor(protocol)
 	if err != nil {
 		return nil, err
 	}
-	return r.estimate(protocol, n, art.Models)
+	return r.estimate(protocol, n, tr.models)
 }
 
 // estimate composes models at n clusters of protocol's configuration

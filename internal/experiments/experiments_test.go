@@ -57,11 +57,11 @@ func TestBaseConfigAndTrainConfig(t *testing.T) {
 
 func TestRunnerCachesArtifacts(t *testing.T) {
 	r := NewRunner(tinyOptions())
-	a1, err := r.Artifacts("newreno")
+	a1, err := r.trainedFor("newreno")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := r.Artifacts("newreno")
+	a2, err := r.trainedFor("newreno")
 	if err != nil {
 		t.Fatal(err)
 	}

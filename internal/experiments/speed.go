@@ -87,7 +87,7 @@ func (r *Runner) Fig10(sizes, racksPerCluster []int) (*Table, error) {
 		opts := r.Opts
 		opts.Racks = racks
 		rr := NewRunner(opts)
-		if _, err := rr.Artifacts("newreno"); err != nil {
+		if _, err := rr.trainedFor("newreno"); err != nil {
 			return nil, err
 		}
 		for _, n := range sizes {
@@ -131,11 +131,11 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		art, err := r.Artifacts("newreno")
+		tr, err := r.trainedFor("newreno")
 		if err != nil {
 			return nil, err
 		}
-		trainCost := art.SmallScaleTime + art.TrainTime
+		trainCost := tr.datagenWall + tr.trainWall
 		mimic, err := r.runMimic("newreno", n)
 		if err != nil {
 			return nil, err
@@ -176,7 +176,7 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 // wall-clock time. Results are bitwise-identical to the sequential
 // composition; only the wall-clock differs.
 func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
-	art, err := r.Artifacts("newreno")
+	tr, err := r.trainedFor("newreno")
 	if err != nil {
 		return 0, err
 	}
@@ -186,7 +186,7 @@ func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
 	}
 	cfg.ShardedRun = 1
 	cfg.NumWorkers = nWorkers
-	rep, err := core.Estimate(context.TODO(), cfg, art.Models, r.Opts.RunUntil, nil)
+	rep, err := core.Estimate(context.TODO(), cfg, tr.models, r.Opts.RunUntil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -213,11 +213,11 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		art, err := r.Artifacts("newreno")
+		tr, err := r.trainedFor("newreno")
 		if err != nil {
 			return nil, err
 		}
-		trainCost := art.SmallScaleTime + art.TrainTime
+		trainCost := tr.datagenWall + tr.trainWall
 		mimic, err := r.runMimic("newreno", n)
 		if err != nil {
 			return nil, err
@@ -254,7 +254,7 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 // Table2 reproduces Table 2: the wall-clock breakdown of MimicNet's
 // phases versus direct full simulation at a large size.
 func (r *Runner) Table2(n int) (*Table, error) {
-	art, err := r.Artifacts("newreno")
+	tr, err := r.trainedFor("newreno")
 	if err != nil {
 		return nil, err
 	}
@@ -272,10 +272,10 @@ func (r *Runner) Table2(n int) (*Table, error) {
 		Title:  fmt.Sprintf("running time for %v of simulated time, %d clusters / %d hosts", r.Opts.RunUntil, n, hosts),
 		Header: []string{"factor", "time"},
 		Rows: [][]string{
-			{"mimicnet: small-scale simulation", durStr(art.SmallScaleTime)},
-			{"mimicnet: training", durStr(art.TrainTime)},
+			{"mimicnet: small-scale simulation", durStr(tr.datagenWall)},
+			{"mimicnet: training", durStr(tr.trainWall)},
 			{"mimicnet: large-scale simulation", durStr(mimic.Wall)},
-			{"mimicnet: total", durStr(art.SmallScaleTime + art.TrainTime + mimic.Wall)},
+			{"mimicnet: total", durStr(tr.datagenWall + tr.trainWall + mimic.Wall)},
 			{"full simulation", durStr(fullT)},
 		},
 	}
@@ -297,11 +297,11 @@ func (r *Runner) Fig21And22(n int, lengths []sim.Time) (*Table, *Table, error) {
 		Title:  fmt.Sprintf("simulation throughput vs simulated length (%d clusters)", n),
 		Header: []string{"sim_length", "single_sim", "single_mimic_with_train", "single_mimic"},
 	}
-	art, err := r.Artifacts("newreno")
+	tr, err := r.trainedFor("newreno")
 	if err != nil {
 		return nil, nil, err
 	}
-	trainCost := art.SmallScaleTime + art.TrainTime
+	trainCost := tr.datagenWall + tr.trainWall
 	for _, L := range lengths {
 		opts := r.Opts
 		opts.RunUntil = L
@@ -309,7 +309,7 @@ func (r *Runner) Fig21And22(n int, lengths []sim.Time) (*Table, *Table, error) {
 			opts.Duration = L
 		}
 		rr := NewRunner(opts)
-		rr.arts["newreno"] = art
+		rr.cache["newreno"] = tr
 		_, fullT, err := rr.runFull("newreno", n)
 		if err != nil {
 			return nil, nil, err
@@ -343,14 +343,14 @@ func (r *Runner) Fig23(sizes []int) (*Table, error) {
 		Title:  "compute consumption (GFLOPs, lower is better)",
 		Header: []string{"#clusters", "single_sim", "mimic_with_train", "mimic"},
 	}
-	art, err := r.Artifacts("newreno")
+	tr, err := r.trainedFor("newreno")
 	if err != nil {
 		return nil, err
 	}
-	inferFLOPs := art.Models.Ingress.Model.FLOPsPerStep()
+	inferFLOPs := tr.models.Ingress.Model.FLOPsPerStep()
 	// Training ~ 3x inference per sample per epoch (forward + backward).
 	trainFLOPs := 3 * inferFLOPs * float64(r.Opts.Window) *
-		float64(art.IngressSamples+art.EgressSamples) * float64(r.Opts.Epochs)
+		float64(tr.samples) * float64(r.Opts.Epochs)
 	for _, n := range sizes {
 		full, _, err := r.runFull("newreno", n)
 		if err != nil {

@@ -49,11 +49,11 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 
 		// MimicNet: train on the K-specific small-scale run, compose.
 		t0 = time.Now()
-		art, err := rr.pipelineFor(baseSmall, rr.Opts.TrainConfig())
+		tr, err := rr.train(baseSmall, rr.Opts.TrainConfig())
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Estimate(context.TODO(), largeCfg, art.Models, rr.Opts.RunUntil, nil)
+		res, err := core.Estimate(context.TODO(), largeCfg, tr.models, rr.Opts.RunUntil, nil)
 		if err != nil {
 			return nil, err
 		}

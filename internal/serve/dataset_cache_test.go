@@ -24,13 +24,9 @@ func TestDatasetCacheReuse(t *testing.T) {
 	s.dsDir = dir
 
 	spec := tinySpec().Normalized()
-	base, tcfg, err := spec.Configs()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 
-	ing1, eg1, err := s.datasetsForSpec(ctx, base, tcfg, spec)
+	ing1, eg1, err := s.datasetsForSpec(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +42,7 @@ func TestDatasetCacheReuse(t *testing.T) {
 		t.Fatalf("dataset file not persisted: %v", err)
 	}
 
-	ing2, eg2, err := s.datasetsForSpec(ctx, base, tcfg, spec)
+	ing2, eg2, err := s.datasetsForSpec(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +69,7 @@ func TestDatasetCacheReuse(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ing3, _, err := s.datasetsForSpec(ctx, base, tcfg, spec)
+	ing3, _, err := s.datasetsForSpec(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,11 @@ import (
 	"sync"
 	"time"
 
-	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
 	"mimicnet/internal/durable"
 	"mimicnet/internal/ml"
 	"mimicnet/internal/obs"
 	"mimicnet/internal/sim"
-	"mimicnet/internal/tuning"
 )
 
 // Admission errors. The HTTP layer maps ErrQueueFull to 429 +
@@ -472,7 +470,11 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	}
 	t0 := time.Now()
 	models, hit, err := s.reg.Get(ctx, j.key, func() (*core.MimicModels, error) {
-		return s.trainForSpec(ctx, j.spec, func(dir core.Direction, p ml.TrainProgress) {
+		ing, eg, err := s.datasetsForSpec(ctx, j.spec)
+		if err != nil {
+			return nil, err
+		}
+		models, _, err := j.spec.Train(ctx, ing, eg, func(dir core.Direction, p ml.TrainProgress) {
 			j.setTrainProgress(TrainProgress{
 				Direction:     dir.String(),
 				Epoch:         p.Epoch,
@@ -483,6 +485,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 				BatchSize:     p.BatchSize,
 			})
 		}, ckpt)
+		return models, err
 	})
 	if err == nil {
 		// The artifact is durably in the registry; the training cursors
@@ -523,47 +526,15 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	j.finish(StateDone, sum, "")
 }
 
-// trainForSpec is the registry's materializer: data generation (or a
-// dataset-cache replay), training, and optional hyper-parameter tuning.
-// Data generation and the final training honor ctx mid-phase (the
-// tuning loop still only checks at phase boundaries), and per-epoch
-// progress streams through the callback. A non-nil ckpt makes the final
-// training durably resumable (tuning trials are not checkpointed: they
-// are many, short, and disposable).
-func (s *Scheduler) trainForSpec(ctx context.Context, spec JobSpec, progress core.TrainProgressFunc, ckpt *core.TrainCheckpointer) (*core.MimicModels, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	base, tcfg, err := spec.Configs()
-	if err != nil {
-		return nil, err
-	}
-	ing, eg, err := s.datasetsForSpec(ctx, base, tcfg, spec)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Tune > 0 {
-		tcfg, _, err = tuning.TuneTraining(base, spec.smallRunTime(), ing, eg, tcfg, spec.Tune, spec.TuneMetric)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	models, _, _, err := core.TrainModelsContext(ctx, ing, eg, tcfg, progress, ckpt)
-	return models, err
-}
-
-// datasetsForSpec produces the two per-direction datasets, preferring
-// the persisted columnar cache when a dataset directory is configured.
-// A corrupt cache entry is removed and regenerated — the file is a pure
-// cache, never the source of truth. Cache write failures are likewise
-// non-fatal: the freshly generated datasets train this job either way.
-func (s *Scheduler) datasetsForSpec(ctx context.Context, base cluster.Config, tcfg core.TrainConfig, spec JobSpec) (ing, eg *core.Dataset, err error) {
+// datasetsForSpec produces the two per-direction datasets (spec.Datasets),
+// preferring the persisted columnar cache when a dataset directory is
+// configured. A corrupt cache entry is removed and regenerated — the
+// file is a pure cache, never the source of truth. Cache write failures
+// are likewise non-fatal: the freshly generated datasets train this job
+// either way.
+func (s *Scheduler) datasetsForSpec(ctx context.Context, spec JobSpec) (ing, eg *core.Dataset, err error) {
 	if s.dsDir == "" {
-		ing, eg, _, err = core.GenerateTrainingDataContext(ctx, base, spec.smallRunTime(), tcfg)
-		return ing, eg, err
+		return spec.Datasets(ctx)
 	}
 	key, err := spec.DatasetKey()
 	if err != nil {
@@ -580,7 +551,7 @@ func (s *Scheduler) datasetsForSpec(ctx context.Context, base cluster.Config, tc
 		os.Remove(path)
 	}
 	s.cDatasetMisses.Inc()
-	ing, eg, _, err = core.GenerateTrainingDataContext(ctx, base, spec.smallRunTime(), tcfg)
+	ing, eg, err = spec.Datasets(ctx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -227,6 +227,59 @@ func TestJobCancelledMidTrain(t *testing.T) {
 	}
 }
 
+// TestJobCancelledMidTune: cancelling a tuned job during its search
+// stops the job within moments, not after the rest of the budget (about
+// 4 s uncancelled here), and caches nothing.
+func TestJobCancelledMidTune(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tunes real models")
+	}
+	reg, err := NewRegistry(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(reg, 4, 1)
+	defer s.Close()
+	s.dsDir = t.TempDir()
+	spec := JobSpec{Clusters: 2, Tune: 2}.Normalized()
+	// A cached dataset puts the job straight into the search.
+	if _, _, err := s.datasetsForSpec(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitPhase := time.After(time.Minute)
+	for j.Status().Progress.Phase != "train" {
+		select {
+		case <-waitPhase:
+			t.Fatal("job never entered the train phase")
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	// Let the search get going before cancelling it.
+	time.Sleep(300 * time.Millisecond)
+	cancelled := time.Now()
+	j.Cancel()
+	select {
+	case <-j.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("job still running 2s after cancel")
+	}
+	st := j.Status()
+	if st.State != StateCancelled {
+		t.Fatalf("state %s (%s), want cancelled", st.State, st.Error)
+	}
+	if st.Progress.Train != nil {
+		t.Fatal("cancel landed after the search: the final training reported progress")
+	}
+	if reg.Contains(j.key) {
+		t.Fatal("a cancelled tuned job cached its models")
+	}
+	t.Logf("cancelled %v after the request", time.Since(cancelled))
+}
+
 // TestSchedulerRejectsInvalidSpec: validation happens at admission so the
 // queue never holds an unrunnable job.
 func TestSchedulerRejectsInvalidSpec(t *testing.T) {

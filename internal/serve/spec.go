@@ -21,6 +21,7 @@ import (
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
 	"mimicnet/internal/transport"
+	"mimicnet/internal/tuning"
 	"mimicnet/internal/workload"
 )
 
@@ -275,8 +276,58 @@ func (s JobSpec) DatasetKey() (string, error) {
 // on ms/1e3 would truncate, e.g. 1001 ms to 1 000 999 999 ns.
 func msToSim(ms float64) sim.Time { return sim.Time(math.Round(ms * float64(sim.Millisecond))) }
 
-func (s JobSpec) runTime() sim.Time      { return msToSim(s.RunMs) }
-func (s JobSpec) smallRunTime() sim.Time { return msToSim(s.SmallRunMs) }
+func (s JobSpec) runTime() sim.Time { return msToSim(s.RunMs) }
+
+// SmallRunTime is the simulated horizon of the small-scale runs: datagen,
+// the tuning validator's references, and the Appendix-B role check.
+func (s JobSpec) SmallRunTime() sim.Time { return msToSim(s.SmallRunMs) }
+
+// Datasets runs the small-scale 2-cluster simulation (workflow step ❶)
+// and returns the per-direction training datasets. A cancelled ctx stops
+// the run and returns ctx's error.
+func (s JobSpec) Datasets(ctx context.Context) (ing, eg *core.Dataset, err error) {
+	base, tcfg, err := s.Configs()
+	if err != nil {
+		return nil, nil, err
+	}
+	ing, eg, _, err = core.GenerateTrainingDataContext(ctx, base, s.SmallRunTime(), tcfg)
+	return ing, eg, err
+}
+
+// Training is what JobSpec.Train reports besides the models.
+type Training struct {
+	// IngressEval and EgressEval are the final models' held-out errors.
+	IngressEval, EgressEval ml.EvalResult
+	// Tuned is the best trial of the search, nil unless Tune > 0, and
+	// TuneWall the search's wall-clock time.
+	Tuned    *tuning.Point
+	TuneWall time.Duration
+}
+
+// Train runs workflow steps ❷–❹ on the datasets: the hyper-parameter
+// search when Tune > 0, then one training with the (tuned) config. ctx
+// cancels either phase, progress streams the final training's epochs,
+// and a non-nil ckpt makes that training durably resumable (tuning
+// trials are many, short and disposable, so they are not checkpointed).
+func (s JobSpec) Train(ctx context.Context, ing, eg *core.Dataset, progress core.TrainProgressFunc, ckpt *core.TrainCheckpointer) (*core.MimicModels, Training, error) {
+	var tr Training
+	base, tcfg, err := s.Configs()
+	if err != nil {
+		return nil, tr, err
+	}
+	if s.Tune > 0 {
+		t0 := time.Now()
+		var res tuning.Result
+		tcfg, res, err = tuning.TuneTraining(ctx, base, s.SmallRunTime(), ing, eg, tcfg, s.Tune, s.TuneMetric)
+		if err != nil {
+			return nil, tr, err
+		}
+		tr.Tuned, tr.TuneWall = &res.Best, time.Since(t0)
+	}
+	models, ingEval, egEval, err := core.TrainModelsContext(ctx, ing, eg, tcfg, progress, ckpt)
+	tr.IngressEval, tr.EgressEval = ingEval, egEval
+	return models, tr, err
+}
 
 // Dist summarizes one metric distribution.
 type Dist struct {

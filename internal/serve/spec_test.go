@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -64,54 +66,83 @@ func TestJobSpecValidateRejectsOutsideInput(t *testing.T) {
 	}
 }
 
-// TestJobSummaryMatchesLocalEstimate: a daemon job and the local steps
-// the CLI takes (datagen, one training, JobSpec.Estimate) deliver the
-// same Summary once the wall-clock fields are zeroed.
+// TestJobSummaryMatchesLocalEstimate: a daemon job and the CLI's local
+// sequence (JobSpec.Datasets → JobSpec.Train → JobSpec.Estimate) deliver
+// the same Summary once the wall-clock fields are zeroed, and the same
+// artifact bytes, tuned or not.
 func TestJobSummaryMatchesLocalEstimate(t *testing.T) {
-	spec := tinySpec()
-	spec.Clusters = 4 // past 2, so feeders run
-	spec = spec.Normalized()
+	for _, tune := range []int{0, 2} {
+		t.Run(fmt.Sprintf("tune=%d", tune), func(t *testing.T) {
+			if tune > 0 && testing.Short() {
+				t.Skip("tuning end-to-end is slow")
+			}
+			spec := tinySpec()
+			spec.Clusters = 4 // past 2, so feeders run
+			spec.Tune = tune
+			spec = spec.Normalized()
 
-	reg, err := NewRegistry("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := NewScheduler(reg, 2, 1).Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, StateDone)
-	st := j.Status()
+			reg, err := NewRegistry("", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := NewScheduler(reg, 2, 1).Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, j, StateDone)
+			st := j.Status()
 
-	base, tcfg, err := spec.Configs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing, eg, _, err := core.GenerateTrainingData(base, spec.smallRunTime(), tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, _, _, err := core.TrainModels(ing, eg, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := spec.Estimate(context.Background(), models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+			ctx := context.Background()
+			ing, eg, err := spec.Datasets(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			models, tr, err := spec.Train(ctx, ing, eg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (tr.Tuned != nil) != (tune > 0) {
+				t.Fatalf("Tuned = %+v with tune %d", tr.Tuned, tune)
+			}
+			local, err := spec.Estimate(ctx, models, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	daemon := *st.Result
-	for _, sum := range []*Summary{&daemon, local} {
-		if sum.ComposeMs <= 0 {
-			t.Errorf("compose_ms %v not recorded", sum.ComposeMs)
-		}
-		sum.TrainMs, sum.ComposeMs, sum.SimSecPerSec, sum.CacheHit = 0, 0, 0, false
-	}
-	if daemon != *local {
-		t.Fatalf("daemon summary %+v\n != local %+v", daemon, *local)
-	}
-	if local.InferenceSteps == 0 || local.FeederEvents == 0 ||
-		local.MimicDropsIngress+local.MimicDropsEgress == 0 {
-		t.Errorf("degenerate estimate: %+v", *local)
+			daemon := *st.Result
+			for _, sum := range []*Summary{&daemon, local} {
+				if sum.ComposeMs <= 0 {
+					t.Errorf("compose_ms %v not recorded", sum.ComposeMs)
+				}
+				sum.TrainMs, sum.ComposeMs, sum.SimSecPerSec, sum.CacheHit = 0, 0, 0, false
+			}
+			if daemon != *local {
+				t.Fatalf("daemon summary %+v\n != local %+v", daemon, *local)
+			}
+			// The tuned models happen to drop nothing at this size.
+			if local.InferenceSteps == 0 || local.FeederEvents == 0 ||
+				tune == 0 && local.MimicDropsIngress+local.MimicDropsEgress == 0 {
+				t.Errorf("degenerate estimate: %+v", *local)
+			}
+
+			stored, hit, err := reg.Get(ctx, st.ModelKey, func() (*core.MimicModels, error) {
+				t.Fatal("the job's artifact is not in the registry")
+				return nil, nil
+			})
+			if err != nil || !hit {
+				t.Fatalf("registry lookup: hit %v, err %v", hit, err)
+			}
+			want, err := models.Save()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := stored.Save()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("daemon artifact differs from the local models")
+			}
+		})
 	}
 }

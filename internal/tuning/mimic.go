@@ -36,8 +36,9 @@ type Validator struct {
 }
 
 // NewValidator runs the one-time full-fidelity reference simulations on
-// a held-out workload seed.
-func NewValidator(base cluster.Config, sizes []int, duration sim.Time, metric string) (*Validator, error) {
+// a held-out workload seed. A cancelled ctx stops the reference run in
+// flight and returns ctx's error.
+func NewValidator(ctx context.Context, base cluster.Config, sizes []int, duration sim.Time, metric string) (*Validator, error) {
 	if len(sizes) == 0 {
 		sizes = []int{2, 4, 8}
 	}
@@ -53,7 +54,9 @@ func NewValidator(base cluster.Config, sizes []int, duration sim.Time, metric st
 		if err != nil {
 			return nil, err
 		}
-		inst.Run(duration)
+		if inst.RunContext(ctx, duration) {
+			return nil, ctx.Err()
+		}
 		res := inst.Results()
 		if v.Metric != "fct-mse" {
 			dist, err := v.pick(res)
@@ -117,16 +120,20 @@ func (v *Validator) scoreOne(mimic, truth cluster.Results) (float64, error) {
 // Score composes the candidate models at every validation size and
 // returns the mean W1 against the ground-truth distributions (lower is
 // better). Scoring across sizes is what selects for scale-generalizable
-// models rather than merely well-fitted ones.
-func (v *Validator) Score(models *core.MimicModels) (float64, error) {
+// models rather than merely well-fitted ones. A cancelled ctx returns
+// ctx's error rather than a score of a partial run.
+func (v *Validator) Score(ctx context.Context, models *core.MimicModels) (float64, error) {
 	defer obs.StartSpan(obsPhaseValidate).End()
 	var total float64
 	for _, n := range v.Sizes {
 		cfg := v.Base
 		cfg.Topo = v.Base.Topo.WithClusters(n)
-		rep, err := core.Estimate(context.TODO(), cfg, models, v.Duration, nil)
+		rep, err := core.Estimate(ctx, cfg, models, v.Duration, nil)
 		if err != nil {
 			return math.Inf(1), err
+		}
+		if rep.Results.Cancelled {
+			return math.Inf(1), ctx.Err()
 		}
 		score, err := v.scoreOne(rep.Results, v.truth[n])
 		if err != nil {
@@ -184,29 +191,31 @@ func ApplyParams(cfg core.TrainConfig, params map[string]float64) core.TrainConf
 // once and shared by every trial; trials only read them (training copies
 // whatever it keeps, see bankSubsample), so the returned Objective is
 // safe for the concurrent evaluation RandomSearchParallel and the
-// BayesOpt warm-up perform.
-func MimicObjective(ing, eg *core.Dataset, base core.TrainConfig, v *Validator) Objective {
+// BayesOpt warm-up perform. Once ctx is done every trial fails fast
+// with ctx's error.
+func MimicObjective(ctx context.Context, ing, eg *core.Dataset, base core.TrainConfig, v *Validator) Objective {
 	return func(params map[string]float64) (float64, error) {
 		cfg := ApplyParams(base, params)
-		models, _, _, err := core.TrainModels(ing, eg, cfg)
+		models, _, _, err := core.TrainModelsContext(ctx, ing, eg, cfg, nil, nil)
 		if err != nil {
 			return math.Inf(1), err
 		}
-		return v.Score(models)
+		return v.Score(ctx, models)
 	}
 }
 
-// TuneTraining is the §7.2 search the CLI and the daemon run before their
+// TuneTraining is the §7.2 search serve.JobSpec.Train runs before its
 // final training: a validator on a held-out workload (base's seed + 1000)
 // at 2 and 4 clusters over the small-scale horizon, then BayesOpt over
 // MimicSpace with min(4, budget) random warm-up trials evaluated across
 // GOMAXPROCS workers (the worker count does not change the result) and
 // the rest of the budget as acquisition steps. It returns tcfg with the
-// best trial's parameters applied, and the search result.
-func TuneTraining(base cluster.Config, smallRun sim.Time, ing, eg *core.Dataset, tcfg core.TrainConfig, budget int, metric string) (core.TrainConfig, Result, error) {
+// best trial's parameters applied, and the search result. Once ctx is
+// done the remaining trials fail fast and it returns ctx's error.
+func TuneTraining(ctx context.Context, base cluster.Config, smallRun sim.Time, ing, eg *core.Dataset, tcfg core.TrainConfig, budget int, metric string) (core.TrainConfig, Result, error) {
 	valBase := base
 	valBase.Workload.Seed = base.Workload.Seed + 1000
-	validator, err := NewValidator(valBase, []int{2, 4}, smallRun, metric)
+	validator, err := NewValidator(ctx, valBase, []int{2, 4}, smallRun, metric)
 	if err != nil {
 		return tcfg, Result{}, err
 	}
@@ -214,7 +223,10 @@ func TuneTraining(base cluster.Config, smallRun sim.Time, ing, eg *core.Dataset,
 	boCfg.InitPoints = min(4, budget)
 	boCfg.Iterations = budget - boCfg.InitPoints
 	boCfg.Workers = runtime.GOMAXPROCS(0)
-	res, err := BayesOpt(MimicSpace(), MimicObjective(ing, eg, tcfg, validator), boCfg)
+	res, err := BayesOpt(MimicSpace(), MimicObjective(ctx, ing, eg, tcfg, validator), boCfg)
+	if cerr := ctx.Err(); cerr != nil {
+		return tcfg, Result{}, cerr
+	}
 	if err != nil {
 		return tcfg, Result{}, err
 	}

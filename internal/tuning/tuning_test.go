@@ -1,9 +1,11 @@
 package tuning
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
@@ -292,7 +294,7 @@ func TestValidatorAndObjective(t *testing.T) {
 	// Held-out validation workload uses a different seed (paper §8).
 	valBase := base
 	valBase.Workload.Seed = 99
-	v, err := NewValidator(valBase, []int{2, 3}, 200*sim.Millisecond, "fct")
+	v, err := NewValidator(context.Background(), valBase, []int{2, 3}, 200*sim.Millisecond, "fct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +308,7 @@ func TestValidatorAndObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := MimicObjective(ing, eg, tcfg, v)
+	obj := MimicObjective(context.Background(), ing, eg, tcfg, v)
 	res, err := RandomSearch(MimicSpace(), func(p map[string]float64) (float64, error) {
 		// Pin the expensive dimensions for test speed.
 		p["hidden"] = 8
@@ -338,7 +340,7 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 
 	valBase := base
 	valBase.Workload.Seed = 99
-	v, err := NewValidator(valBase, []int{2}, 150*sim.Millisecond, "fct")
+	v, err := NewValidator(context.Background(), valBase, []int{2}, 150*sim.Millisecond, "fct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +354,7 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := MimicObjective(ing, eg, tcfg, v)
+	obj := MimicObjective(context.Background(), ing, eg, tcfg, v)
 	cheap := func(p map[string]float64) (float64, error) {
 		// Pin the expensive dimensions for test speed.
 		p["hidden"] = 8
@@ -373,11 +375,50 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestTuneTrainingCancelled: a done context stops the search at the
+// next training step or simulation tick and TuneTraining reports ctx's
+// error, not "every evaluation failed" and not the rest of the budget.
+func TestTuneTrainingCancelled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tuning end-to-end is slow")
+	}
+	base := cluster.DefaultConfig(2)
+	base.Workload = workload.DefaultConfig(20_000)
+	base.Workload.Duration = 100 * sim.Millisecond
+	tcfg := core.DefaultTrainConfig()
+	tcfg.Dataset.Window = 4
+	tcfg.Model = ml.DefaultModelConfig(0, 4)
+	ing, eg, _, err := core.GenerateTrainingData(base, 150*sim.Millisecond, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := TuneTraining(pre, base, 150*sim.Millisecond, ing, eg, tcfg, 2, "fct"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err %v, want context.Canceled", err)
+	}
+
+	// A budget of 20 trials takes seconds; the deadline lands inside the
+	// validator's reference runs or the first trials.
+	const deadline = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, _, err = TuneTraining(ctx, base, 150*sim.Millisecond, ing, eg, tcfg, 20, "fct")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("mid-search: err %v, want context.DeadlineExceeded", err)
+	}
+	if late := time.Since(start) - deadline; late > 2*time.Second {
+		t.Fatalf("TuneTraining returned %v after its deadline", late)
+	}
+}
+
 func TestValidatorRejectsUnknownMetric(t *testing.T) {
 	base := cluster.DefaultConfig(2)
 	base.Workload = workload.DefaultConfig(20_000)
 	base.Workload.Duration = 20 * sim.Millisecond
-	if _, err := NewValidator(base, []int{2}, 50*sim.Millisecond, "bogus"); err == nil {
+	if _, err := NewValidator(context.Background(), base, []int{2}, 50*sim.Millisecond, "bogus"); err == nil {
 		t.Error("unknown metric accepted")
 	}
 }
@@ -389,7 +430,7 @@ func TestValidatorMSEMetric(t *testing.T) {
 	base := cluster.DefaultConfig(2)
 	base.Workload = workload.DefaultConfig(20_000)
 	base.Workload.Duration = 100 * sim.Millisecond
-	v, err := NewValidator(base, []int{2}, 250*sim.Millisecond, "fct-mse")
+	v, err := NewValidator(context.Background(), base, []int{2}, 250*sim.Millisecond, "fct-mse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +447,7 @@ func TestValidatorMSEMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score, err := v.Score(models)
+	score, err := v.Score(context.Background(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,14 +464,14 @@ func TestValidatorKSMetric(t *testing.T) {
 	base := cluster.DefaultConfig(2)
 	base.Workload = workload.DefaultConfig(20_000)
 	base.Workload.Duration = 60 * sim.Millisecond
-	v, err := NewValidator(base, []int{2}, 150*sim.Millisecond, "fct-ks")
+	v, err := NewValidator(context.Background(), base, []int{2}, 150*sim.Millisecond, "fct-ks")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Metric != "fct-ks" {
 		t.Error("metric not stored")
 	}
-	if _, err := NewValidator(base, []int{2}, 150*sim.Millisecond, "bogus-ks"); err == nil {
+	if _, err := NewValidator(context.Background(), base, []int{2}, 150*sim.Millisecond, "bogus-ks"); err == nil {
 		t.Error("bogus -ks metric accepted")
 	}
 }
