@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke mimicnet-smoke examples-smoke clean
+.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke mimicnet-smoke examples-smoke tools-smoke clean
 
 build:
 	$(GO) build ./...
@@ -95,7 +95,7 @@ vuln:
 	fi
 
 # Everything the driver gates on, in one target.
-ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke serve-smoke mimicnet-smoke examples-smoke
+ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke serve-smoke mimicnet-smoke examples-smoke tools-smoke
 
 # The measurement ml's dispatchFloor is derived from: inline vs forced
 # fan-out per (hidden, lanes) cell for one inference step, one BPTT step
@@ -155,6 +155,24 @@ mimicnet-smoke:
 # Tier-1 only compiles the examples.
 examples-smoke:
 	$(GO) run ./examples/quickstart
+
+# Thumbnail runs of the scenario tools, which build their configuration
+# from serve.JobSpec as cmd/mimicnet does: a fullsim and a flowsim; a
+# fullsim -load NaN that JobSpec.Validate must refuse with exit status 1
+# (not a crash or an out-of-memory kill) under a 2 GB address-space cap;
+# and a trace at default horizons, which must train the same artifact
+# bytes as mimicnet's live datagen at the same flags.
+tools-smoke:
+	@d=$$(mktemp -d); \
+	$(GO) build -o $$d/ ./cmd/fullsim ./cmd/flowsim ./cmd/trace ./cmd/mimicnet && \
+	$$d/fullsim -duration 40ms -run 60ms && \
+	$$d/flowsim -clusters 4 -duration 40ms -run 60ms && \
+	(ulimit -v 2000000; $$d/fullsim -load NaN; test $$? -eq 1) && \
+	$$d/trace -seed 7 -o $$d/t && \
+	$$d/mimicnet -clusters 2 -run 50ms -epochs 1 -seed 7 -save $$d/a >/dev/null && \
+	$$d/mimicnet -clusters 2 -run 50ms -epochs 1 -seed 7 -trace $$d/t -save $$d/b >/dev/null && \
+	cmp $$d/a $$d/b; \
+	s=$$?; rm -rf $$d; exit $$s
 
 clean:
 	$(GO) clean -testcache

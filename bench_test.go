@@ -6,7 +6,7 @@
 //	go test -bench=. -benchmem | tee bench_output.txt
 //
 // captures the full reproduction. The workload is scaled down relative to
-// the paper (see EXPERIMENTS.md); pass -tags or edit benchOptions to run
+// the paper (see EXPERIMENTS.md); edit the spec runner() passes to run
 // closer to the paper's regime. cmd/sweep runs the same experiments with
 // configurable scale.
 package mimicnet
@@ -20,11 +20,6 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// benchOptions returns the shared scaled-down configuration.
-func benchOptions() experiments.Options {
-	return experiments.Default()
-}
-
 var (
 	sharedOnce   sync.Once
 	sharedRunner *experiments.Runner
@@ -34,7 +29,7 @@ var (
 // across the whole benchmark suite (as in the paper's methodology).
 func runner() *experiments.Runner {
 	sharedOnce.Do(func() {
-		sharedRunner = experiments.NewRunner(benchOptions())
+		sharedRunner = experiments.NewRunner(experiments.Default())
 	})
 	return sharedRunner
 }

@@ -11,10 +11,8 @@ import (
 	"time"
 
 	"mimicnet/internal/flowsim"
-	"mimicnet/internal/sim"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/stats"
-	"mimicnet/internal/topo"
-	"mimicnet/internal/workload"
 )
 
 func main() {
@@ -32,35 +30,44 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := flowsim.Config{
-		Topo: topo.Config{
-			Clusters:        *clusters,
-			RacksPerCluster: *racks,
-			HostsPerRack:    *hosts,
-			AggPerCluster:   *aggs,
-			CoresPerAgg:     *cores,
-		},
-		Workload: workload.DefaultConfig(*meanFlow),
-		LinkBps:  100e6,
-	}
-	cfg.Workload.Load = *load
-	cfg.Workload.Duration = sim.Time(*duration)
-	cfg.Workload.Seed = *seed
+	spec := serve.JobSpec{
+		Clusters:      *clusters,
+		Racks:         *racks,
+		Hosts:         *hosts,
+		Aggs:          *aggs,
+		CoresPerAgg:   *cores,
+		Load:          *load,
+		MeanFlowBytes: *meanFlow,
+		Seed:          *seed,
+		WorkloadMs:    float64(*duration) / float64(time.Millisecond),
+		RunMs:         float64(*run) / float64(time.Millisecond),
+	}.Normalized()
+	fatal(spec.Validate())
+	base, _, err := spec.Configs()
+	fatal(err)
 
 	t0 := time.Now()
-	res, err := flowsim.Run(cfg, sim.Time(*run))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	res, err := flowsim.Run(flowsim.Config{
+		Topo:     base.Topo.WithClusters(spec.Clusters),
+		Workload: base.Workload,
+		LinkBps:  base.Link.RateBps,
+	}, spec.RunTime())
+	fatal(err)
 	wall := time.Since(t0)
 	fmt.Printf("flowsim: %d clusters, %d flows completed, %d rate recomputations\n",
-		*clusters, res.Completed, res.Events)
+		spec.Clusters, res.Completed, res.Events)
 	fmt.Printf("wall clock          %v (%.2f sim-sec/sec)\n",
-		wall.Round(time.Millisecond), sim.Time(*run).Seconds()/wall.Seconds())
+		wall.Round(time.Millisecond), spec.RunTime().Seconds()/wall.Seconds())
 	printDist("fct_seconds", res.FCTs)
 	printDist("throughput_Bps", res.Throughputs)
 	fmt.Println("rtt_seconds         (not available at flow granularity)")
+}
+
+func fatal(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flowsim:", err)
+		os.Exit(1)
+	}
 }
 
 func printDist(name string, d []float64) {

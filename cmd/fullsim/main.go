@@ -14,10 +14,8 @@ import (
 	"time"
 
 	"mimicnet/internal/cluster"
-	"mimicnet/internal/sim"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/stats"
-	"mimicnet/internal/transport"
-	"mimicnet/internal/workload"
 )
 
 func main() {
@@ -39,45 +37,51 @@ func main() {
 	)
 	flag.Parse()
 
-	p, err := transport.ByName(*protocol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cfg := cluster.DefaultConfig(*clusters)
-	cfg.Topo.RacksPerCluster = *racks
-	cfg.Topo.HostsPerRack = *hosts
-	cfg.Topo.AggPerCluster = *aggs
-	cfg.Topo.CoresPerAgg = *cores
-	cfg.Protocol = p
-	cfg.Workload = workload.DefaultConfig(*meanFlow)
-	cfg.Workload.Load = *load
-	cfg.Workload.Duration = sim.Time(*duration)
-	cfg.Workload.Seed = *seed
-	cfg.ECNThresholdK = *ecnK
+	spec := serve.JobSpec{
+		Clusters:      *clusters,
+		Racks:         *racks,
+		Hosts:         *hosts,
+		Aggs:          *aggs,
+		CoresPerAgg:   *cores,
+		Protocol:      *protocol,
+		Load:          *load,
+		MeanFlowBytes: *meanFlow,
+		ECNK:          *ecnK,
+		Seed:          *seed,
+		WorkloadMs:    float64(*duration) / float64(time.Millisecond),
+		RunMs:         float64(*run) / float64(time.Millisecond),
+	}.Normalized()
+	fatal(spec.Validate())
+	cfg, _, err := spec.Configs()
+	fatal(err)
+	cfg.Topo = cfg.Topo.WithClusters(spec.Clusters)
 	cfg.QueueCapacity = *queueCap
 	cfg.Observable = *observable
 
 	inst, err := cluster.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fatal(err)
 	fmt.Printf("fullsim: %d clusters, %d hosts, %d flows scheduled, protocol %s\n",
-		*clusters, inst.Topo.Hosts(), len(inst.Flows()), p.Name())
+		spec.Clusters, inst.Topo.Hosts(), len(inst.Flows()), cfg.Protocol.Name())
 	t0 := time.Now()
-	inst.Run(sim.Time(*run))
+	inst.Run(spec.RunTime())
 	wall := time.Since(t0)
 	res := inst.Results()
 
 	fmt.Printf("wall clock          %v (%.2f sim-sec/sec)\n", wall.Round(time.Millisecond),
-		sim.Time(*run).Seconds()/wall.Seconds())
+		spec.RunTime().Seconds()/wall.Seconds())
 	fmt.Printf("events processed    %d\n", res.Events)
 	fmt.Printf("packets injected    %d (%d dropped)\n", res.Packets, res.Drops)
 	fmt.Printf("observable flows    %d started, %d completed\n", inst.FlowsStarted(), inst.FlowsCompleted())
 	printDist("fct_seconds", res.FCTs)
 	printDist("throughput_Bps", res.Throughputs)
 	printDist("rtt_seconds", res.RTTs)
+}
+
+func fatal(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fullsim:", err)
+		os.Exit(1)
+	}
 }
 
 func printDist(name string, d []float64) {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mimicnet/internal/experiments"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 )
 
@@ -29,35 +30,35 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := experiments.Default()
-	switch *scale {
-	case "small":
-		// defaults
-	case "medium":
-		opts.MeanFlowBytes = 50_000
-		opts.Duration = 300 * sim.Millisecond
-		opts.RunUntil = 600 * sim.Millisecond
-		opts.SmallScale = 500 * sim.Millisecond
-		opts.Window = 12
-		opts.Hidden = 24
-		opts.Epochs = 4
-	case "paper":
-		opts.MeanFlowBytes = 1.6e6
-		opts.Duration = 2 * sim.Second
-		opts.RunUntil = 4 * sim.Second
-		opts.SmallScale = 2 * sim.Second
-		opts.Window = 12
-		opts.Hidden = 32
-		opts.Epochs = 6
-	default:
+	spec, ok := map[string]serve.JobSpec{
+		"small": experiments.Default(),
+		"medium": {
+			MeanFlowBytes: 50_000,
+			WorkloadMs:    300, RunMs: 600, SmallRunMs: 500,
+			Window: 12, Hidden: 24, Epochs: 4,
+		},
+		"paper": {
+			MeanFlowBytes: 1.6e6,
+			WorkloadMs:    2000, RunMs: 4000, SmallRunMs: 2000,
+			Window: 12, Hidden: 32, Epochs: 6,
+		},
+	}[*scale]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(1)
 	}
-	if *verbose {
-		opts.Log = os.Stderr
-	}
 	sizes := parseSizes(*sizesFlag)
-	r := experiments.NewRunner(opts)
+	// The largest composition the sweep asks for is held to the daemon's
+	// limits too.
+	spec.Clusters = max(maxOf(sizes), *largeFlag)
+	r := experiments.NewRunner(spec)
+	if err := r.Spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(1)
+	}
+	if *verbose {
+		r.Log = os.Stderr
+	}
 
 	type job struct {
 		name string
@@ -107,9 +108,8 @@ func main() {
 		{"ablation-model-class", one(func() (*experiments.Table, error) { return r.AblationModelClass(*largeFlag) })},
 	}
 	fig2122 := func() ([]*experiments.Table, error) {
-		lat, tput, err := r.Fig21And22(maxOf(sizes), []sim.Time{
-			opts.RunUntil, 2 * opts.RunUntil, 4 * opts.RunUntil,
-		})
+		run := r.Spec.RunTime()
+		lat, tput, err := r.Fig21And22(maxOf(sizes), []sim.Time{run, 2 * run, 4 * run})
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,8 @@
 //
 // Example:
 //
-//	trace -protocol dctcp -run 2s > dctcp.trace
-//	mimicnet -trace dctcp.trace -clusters 64
+//	trace -protocol dctcp -run 2s -duration 1s > dctcp.trace
+//	mimicnet -trace dctcp.trace -protocol dctcp -small-run 2s -duration 1s -clusters 64
 package main
 
 import (
@@ -18,9 +18,7 @@ import (
 
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
-	"mimicnet/internal/sim"
-	"mimicnet/internal/transport"
-	"mimicnet/internal/workload"
+	"mimicnet/internal/serve"
 )
 
 func main() {
@@ -32,32 +30,38 @@ func main() {
 		protocol = flag.String("protocol", "newreno", "transport protocol")
 		load     = flag.Float64("load", 0.7, "offered load")
 		meanFlow = flag.Float64("mean-flow", 150_000, "mean flow size in bytes")
-		run      = flag.Duration("run", 250*time.Millisecond, "simulated time")
+		duration = flag.Duration("duration", 150*time.Millisecond, "workload horizon (simulated)")
+		run      = flag.Duration("run", 250*time.Millisecond, "simulated time (mimicnet's -small-run)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		ecnK     = flag.Int("ecn-k", 20, "ECN marking threshold (DCTCP)")
 		out      = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
 
-	p, err := transport.ByName(*protocol)
+	// The same 2-cluster configuration mimicnet's own datagen runs: -run
+	// is its -small-run and -duration its workload horizon.
+	spec := serve.JobSpec{
+		Racks:         *racks,
+		Hosts:         *hosts,
+		Aggs:          *aggs,
+		CoresPerAgg:   *cores,
+		Protocol:      *protocol,
+		Load:          *load,
+		MeanFlowBytes: *meanFlow,
+		ECNK:          *ecnK,
+		Seed:          *seed,
+		WorkloadMs:    float64(*duration) / float64(time.Millisecond),
+		SmallRunMs:    float64(*run) / float64(time.Millisecond),
+	}.Normalized()
+	fatal(spec.Validate())
+	cfg, _, err := spec.Configs()
 	fatal(err)
-	cfg := cluster.DefaultConfig(2)
-	cfg.Topo.RacksPerCluster = *racks
-	cfg.Topo.HostsPerRack = *hosts
-	cfg.Topo.AggPerCluster = *aggs
-	cfg.Topo.CoresPerAgg = *cores
-	cfg.Protocol = p
-	cfg.Workload = workload.DefaultConfig(*meanFlow)
-	cfg.Workload.Load = *load
-	cfg.Workload.Duration = sim.Time(*run)
-	cfg.Workload.Seed = *seed
-	cfg.ECNThresholdK = *ecnK
 
 	inst, err := cluster.New(cfg)
 	fatal(err)
 	tracer := core.NewTracer(inst.Topo, 1)
 	tracer.Attach(inst)
-	inst.Run(sim.Time(*run))
+	inst.Run(spec.SmallRunTime())
 
 	w := os.Stdout
 	if *out != "" {

@@ -17,16 +17,24 @@ import (
 	"sort"
 
 	"mimicnet/internal/cluster"
+	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/workload"
 )
 
 func main() {
-	cfg := cluster.DefaultConfig(2)
-	cfg.Workload = workload.DefaultConfig(20_000)
-	cfg.Workload.Duration = 200 * sim.Millisecond
-	cfg.Workload.Load = 0.4 // background load under the shuffle jobs
-
+	spec := serve.JobSpec{
+		MeanFlowBytes: 20_000,
+		Load:          0.4, // background load under the shuffle jobs
+		WorkloadMs:    200,
+	}.Normalized()
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	cfg, _, err := spec.Configs()
+	if err != nil {
+		log.Fatal(err)
+	}
 	inst, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)

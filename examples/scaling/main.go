@@ -17,9 +17,8 @@ import (
 )
 
 func main() {
-	opts := experiments.Default()
-	opts.Log = os.Stderr
-	r := experiments.NewRunner(opts)
+	r := experiments.NewRunner(experiments.Default())
+	r.Log = os.Stderr
 
 	fig1, err := r.Fig1([]int{4, 8, 16})
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"mimicnet/internal/cluster"
 	"mimicnet/internal/core"
 	"mimicnet/internal/metrics"
 	"mimicnet/internal/netsim"
@@ -26,12 +25,12 @@ func (r *Runner) AblationCongestionState(n int) (*Table, error) {
 		Title:  fmt.Sprintf("congestion-state feature on/off (W1 to truth, %d clusters)", n),
 		Header: []string{"variant", "w1_fct", "w1_rtt"},
 	}
+	base, tcfg0, err := r.config("newreno", 2)
+	if err != nil {
+		return nil, err
+	}
 	for _, skip := range []bool{false, true} {
-		base, err := r.Opts.BaseConfig("newreno")
-		if err != nil {
-			return nil, err
-		}
-		tcfg := r.Opts.TrainConfig()
+		tcfg := tcfg0
 		tcfg.SkipCongestionFeature = skip
 		tr, err := r.train(base, tcfg)
 		if err != nil {
@@ -50,7 +49,7 @@ func (r *Runner) AblationCongestionState(n int) (*Table, error) {
 			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
 			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
 		})
-		r.Opts.logf("Ablation A %s done", name)
+		r.logf("Ablation A %s done", name)
 	}
 	t.Notes = append(t.Notes,
 		"the paper adds the 4-regime state so the LSTM can track multiscale congestion patterns (§5.5)")
@@ -118,15 +117,15 @@ func (r *Runner) AblationDiscretization(bins []int) (*Table, error) {
 		Title:  "latency discretization D vs test MAE",
 		Header: []string{"D", "test_mae", "p99_latency_rel_err"},
 	}
-	base, err := r.Opts.BaseConfig("newreno")
+	base, tcfg0, err := r.config("newreno", 2)
 	if err != nil {
 		return nil, err
 	}
 	base.QueueCapacity = 16
 	for _, d := range bins {
-		tcfg := r.Opts.TrainConfig()
+		tcfg := tcfg0
 		tcfg.Dataset.LatencyBins = d
-		ingD, _, _, err := core.GenerateTrainingData(base, r.Opts.SmallScale, tcfg)
+		ingD, _, _, err := core.GenerateTrainingData(base, r.Spec.SmallRunTime(), tcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +136,7 @@ func (r *Runner) AblationDiscretization(bins []int) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(d), f3(eval.LatencyMAE), f3(tailError(dm, ingD, 0.99)),
 		})
-		r.Opts.logf("Ablation C D=%d done", d)
+		r.logf("Ablation C D=%d done", d)
 	}
 	t.Notes = append(t.Notes,
 		"D trades ease of modeling against recovery precision (§5.2); D<=1 disables quantization")
@@ -161,24 +160,22 @@ func (r *Runner) AblationQueues(n int) (*Table, error) {
 		{"red_drop", netsim.REDFactory(100, 20, 60, 0.1, false, 1)},
 		{"red_mark", netsim.REDFactory(100, 20, 60, 0.1, true, 1)},
 	} {
-		base, err := r.Opts.configAt("newreno", n)
+		base, _, err := r.config("newreno", n)
 		if err != nil {
 			return nil, err
 		}
 		base.CustomQueue = q.factory
-		inst, err := cluster.New(base)
+		res, _, err := r.runConfigured(base)
 		if err != nil {
 			return nil, err
 		}
-		inst.Run(r.Opts.RunUntil)
-		res := inst.Results()
 		t.Rows = append(t.Rows, []string{
 			q.name,
 			f3(stats.Quantile(res.FCTs, 0.5)),
 			f3(stats.Quantile(res.FCTs, 0.99)),
 			fmt.Sprint(res.Drops),
 		})
-		r.Opts.logf("Ablation D %s done", q.name)
+		r.logf("Ablation D %s done", q.name)
 	}
 	t.Notes = append(t.Notes,
 		"substrate showcase: the Mimic pipeline is queue-discipline agnostic — it learns whatever the user's switches do")
@@ -229,7 +226,7 @@ func (r *Runner) AblationFeederDistribution(n int) (*Table, error) {
 			f3(metrics.W1(rep.Results.FCTs, truth.FCTs)),
 			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
 		})
-		r.Opts.logf("Ablation E %s done", name)
+		r.logf("Ablation E %s done", name)
 	}
 	t.Notes = append(t.Notes,
 		"paper: simple log-normal/Pareto fits produced reasonable interarrival approximations (§6)")
@@ -249,12 +246,12 @@ func (r *Runner) AblationModelClass(n int) (*Table, error) {
 		Title:  fmt.Sprintf("trunk model class (W1 to truth, %d clusters)", n),
 		Header: []string{"cell", "w1_fct", "w1_rtt", "ingress_test_mae"},
 	}
-	base, err := r.Opts.BaseConfig("newreno")
+	base, tcfg0, err := r.config("newreno", 2)
 	if err != nil {
 		return nil, err
 	}
 	for _, cellType := range []string{"lstm", "gru", "mlp"} {
-		tcfg := r.Opts.TrainConfig()
+		tcfg := tcfg0
 		tcfg.Model.CellType = cellType
 		if cellType == "mlp" {
 			tcfg.Model.Layers = 1
@@ -273,7 +270,7 @@ func (r *Runner) AblationModelClass(n int) (*Table, error) {
 			f3(metrics.W1(rep.Results.RTTs, truth.RTTs)),
 			f3(tr.ingressEval.LatencyMAE),
 		})
-		r.Opts.logf("Ablation F %s done", cellType)
+		r.logf("Ablation F %s done", cellType)
 	}
 	t.Notes = append(t.Notes,
 		"paper default is the LSTM; the MLP baseline quantifies what recurrence buys on long-range congestion patterns")

@@ -79,7 +79,7 @@ func (r *Runner) accuracyScaling(id, title string, sizes []int, kind string) (*T
 		}
 		row = append(row, f3(metrics.W1(small, truth)))
 		t.Rows = append(t.Rows, row)
-		r.Opts.logf("%s n=%d done", id, n)
+		r.logf("%s n=%d done", id, n)
 	}
 	t.Notes = append(t.Notes,
 		"lower is better; paper Fig 1/8/9 show MimicNet flat & lowest while small-scale error grows with size")
@@ -143,7 +143,7 @@ func (r *Runner) Fig7(small, large int) (*Table, error) {
 			add("flowlevel", m.flowD)
 			add("smallscale", m.smallD)
 		}
-		r.Opts.logf("Figure 7 n=%d done", n)
+		r.logf("Figure 7 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
 		"paper: MimicNet p99s within 1.8%/3.3%/2% of truth at 128 clusters; flow-level and small-scale far worse")
@@ -155,9 +155,9 @@ func (r *Runner) Fig7(small, large int) (*Table, error) {
 func (r *Runner) Fig20(n int) (*Table, error) {
 	// A fresh runner so the heavier-load models are trained on
 	// heavier-load data.
-	opts := r.Opts
-	opts.Load = 0.90
-	hr := NewRunner(opts)
+	spec := r.Spec
+	spec.Load = 0.90
+	hr := r.fork(spec)
 	truth, _, err := hr.runFull("newreno", n)
 	if err != nil {
 		return nil, err

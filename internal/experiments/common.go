@@ -21,94 +21,36 @@ import (
 	"mimicnet/internal/core"
 	"mimicnet/internal/flowsim"
 	"mimicnet/internal/ml"
-	"mimicnet/internal/sim"
-	"mimicnet/internal/transport"
-	"mimicnet/internal/workload"
+	"mimicnet/internal/serve"
 )
 
-// Options scale the experiments. The defaults complete each figure in
-// seconds to minutes; raising Duration/MeanFlowBytes approaches the
-// paper's exact regime at proportionally higher wall-clock cost.
-type Options struct {
-	MeanFlowBytes float64  // mean flow size (paper: 1.6 MB)
-	Load          float64  // fraction of bisection bandwidth (paper: 0.7)
-	Duration      sim.Time // workload generation horizon
-	RunUntil      sim.Time // simulated time to run each simulation
-	Seed          int64
-
-	Racks, HostsPerRack, Aggs, CoresPerAgg int
-
-	// Model/training scale.
-	Window     int
-	Hidden     int
-	Epochs     int
-	SmallScale sim.Time // small-scale data-generation duration
-
-	// Log, when non-nil, receives progress lines.
-	Log io.Writer
-}
-
-// Default returns the scaled-down defaults used across the suite.
-func Default() Options {
-	return Options{
+// Default returns the scaled-down scenario used across the suite: 20 kB
+// flows, window 6, hidden 16, 3 epochs, and the spec's 150/300/250 ms
+// horizons. Each figure completes in seconds to minutes; raising the
+// horizons and MeanFlowBytes approaches the paper's exact regime
+// (1.6 MB flows) at proportionally higher wall-clock cost.
+func Default() serve.JobSpec {
+	return serve.JobSpec{
 		MeanFlowBytes: 20_000,
-		Load:          0.70,
-		Duration:      150 * sim.Millisecond,
-		RunUntil:      300 * sim.Millisecond,
-		Seed:          1,
-		Racks:         2, HostsPerRack: 4, Aggs: 2, CoresPerAgg: 2,
-		Window: 6, Hidden: 16, Epochs: 3,
-		SmallScale: 250 * sim.Millisecond,
+		WorkloadMs:    150,
+		RunMs:         300,
+		SmallRunMs:    250,
+		Window:        6,
+		Hidden:        16,
+		Epochs:        3,
 	}
 }
 
-func (o Options) logf(format string, args ...any) {
-	if o.Log != nil {
-		fmt.Fprintf(o.Log, format+"\n", args...)
-	}
-}
-
-// BaseConfig builds the cluster configuration for a protocol at 2
-// clusters (callers scale it with WithClusters).
-func (o Options) BaseConfig(protocol string) (cluster.Config, error) {
-	p, err := transport.ByName(protocol)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	cfg := cluster.DefaultConfig(2)
-	cfg.Topo.RacksPerCluster = o.Racks
-	cfg.Topo.HostsPerRack = o.HostsPerRack
-	cfg.Topo.AggPerCluster = o.Aggs
-	cfg.Topo.CoresPerAgg = o.CoresPerAgg
-	cfg.Protocol = p
-	cfg.Workload = workload.DefaultConfig(o.MeanFlowBytes)
-	cfg.Workload.Duration = o.Duration
-	cfg.Workload.Load = o.Load
-	cfg.Workload.Seed = o.Seed
-	return cfg, nil
-}
-
-// configAt is BaseConfig scaled to n clusters.
-func (o Options) configAt(protocol string, n int) (cluster.Config, error) {
-	cfg, err := o.BaseConfig(protocol)
-	cfg.Topo = cfg.Topo.WithClusters(n)
-	return cfg, err
-}
-
-// TrainConfig builds the training configuration matching the options.
-func (o Options) TrainConfig() core.TrainConfig {
-	tc := core.DefaultTrainConfig()
-	tc.Dataset.Window = o.Window
-	tc.Model = ml.DefaultModelConfig(0, o.Window)
-	tc.Model.Hidden = o.Hidden
-	tc.Model.Epochs = o.Epochs
-	return tc
-}
-
-// Runner caches trained models per protocol so a batch of figures
-// reuses one datagen and training run (the paper's fixed cost).
+// Runner runs the figures on one scenario and caches trained models per
+// protocol, so a batch of figures reuses one datagen and training run
+// (the paper's fixed cost).
 type Runner struct {
-	Opts  Options
+	// Spec is the normalized scenario. Figures vary the protocol, the
+	// cluster count and the knob they study; everything else is held
+	// constant (§7.1).
+	Spec serve.JobSpec
+	// Log, when non-nil, receives progress lines.
+	Log   io.Writer
 	cache map[string]*trained
 }
 
@@ -121,9 +63,32 @@ type trained struct {
 	ingressEval            ml.EvalResult
 }
 
-// NewRunner creates a Runner.
-func NewRunner(opts Options) *Runner {
-	return &Runner{Opts: opts, cache: make(map[string]*trained)}
+// NewRunner creates a Runner over spec, normalized.
+func NewRunner(spec serve.JobSpec) *Runner {
+	return &Runner{Spec: spec.Normalized(), cache: make(map[string]*trained)}
+}
+
+// fork returns a Runner over another scenario, logging where r does.
+func (r *Runner) fork(spec serve.JobSpec) *Runner {
+	rr := NewRunner(spec)
+	rr.Log = r.Log
+	return rr
+}
+
+func (r *Runner) logf(format string, args ...any) {
+	if r.Log != nil {
+		fmt.Fprintf(r.Log, format+"\n", args...)
+	}
+}
+
+// config returns the scenario's configurations for protocol, the cluster
+// configuration scaled to n clusters.
+func (r *Runner) config(protocol string, n int) (cluster.Config, core.TrainConfig, error) {
+	s := r.Spec
+	s.Protocol = protocol
+	base, tcfg, err := s.Configs()
+	base.Topo = base.Topo.WithClusters(n)
+	return base, tcfg, err
 }
 
 // trainedFor returns (training if needed) the Mimic models for a protocol.
@@ -131,12 +96,12 @@ func (r *Runner) trainedFor(protocol string) (*trained, error) {
 	if tr, ok := r.cache[protocol]; ok {
 		return tr, nil
 	}
-	base, err := r.Opts.BaseConfig(protocol)
+	base, tcfg, err := r.config(protocol, 2)
 	if err != nil {
 		return nil, err
 	}
-	r.Opts.logf("training mimic models for %s ...", protocol)
-	tr, err := r.train(base, r.Opts.TrainConfig())
+	r.logf("training mimic models for %s ...", protocol)
+	tr, err := r.train(base, tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -144,12 +109,12 @@ func (r *Runner) trainedFor(protocol string) (*trained, error) {
 	return tr, nil
 }
 
-// train runs datagen over the options' small-scale horizon and one
+// train runs datagen over the scenario's small-scale horizon and one
 // training, for an explicit base and training configuration (used when
 // a knob like DCTCP's K or the model class changes per evaluation point).
 func (r *Runner) train(base cluster.Config, tcfg core.TrainConfig) (*trained, error) {
 	t0 := time.Now()
-	ing, eg, _, err := core.GenerateTrainingData(base, r.Opts.SmallScale, tcfg)
+	ing, eg, _, err := core.GenerateTrainingData(base, r.Spec.SmallRunTime(), tcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -165,16 +130,6 @@ func (r *Runner) train(base cluster.Config, tcfg core.TrainConfig) (*trained, er
 		samples:     ing.Len() + eg.Len(),
 		ingressEval: ingEval,
 	}, nil
-}
-
-// runConfigured runs an explicit full-fidelity configuration.
-func runConfigured(cfg cluster.Config, until sim.Time) (cluster.Results, error) {
-	inst, err := cluster.New(cfg)
-	if err != nil {
-		return cluster.Results{}, err
-	}
-	inst.Run(until)
-	return inst.Results(), nil
 }
 
 // Table is a printable experiment result.
@@ -219,16 +174,22 @@ func (t *Table) Fprint(w io.Writer) {
 
 // runFull executes a full-fidelity simulation at n clusters.
 func (r *Runner) runFull(protocol string, n int) (cluster.Results, time.Duration, error) {
-	cfg, err := r.Opts.configAt(protocol, n)
+	cfg, _, err := r.config(protocol, n)
 	if err != nil {
 		return cluster.Results{}, 0, err
 	}
+	return r.runConfigured(cfg)
+}
+
+// runConfigured runs an explicit full-fidelity configuration to the
+// scenario's horizon; the wall-clock time excludes construction.
+func (r *Runner) runConfigured(cfg cluster.Config) (cluster.Results, time.Duration, error) {
 	inst, err := cluster.New(cfg)
 	if err != nil {
 		return cluster.Results{}, 0, err
 	}
 	t0 := time.Now()
-	inst.Run(r.Opts.RunUntil)
+	inst.Run(r.Spec.RunTime())
 	return inst.Results(), time.Since(t0), nil
 }
 
@@ -242,28 +203,25 @@ func (r *Runner) runMimic(protocol string, n int) (*core.Report, error) {
 }
 
 // estimate composes models at n clusters of protocol's configuration
-// and runs the estimate to the options' horizon.
+// and runs the estimate to the scenario's horizon.
 func (r *Runner) estimate(protocol string, n int, models *core.MimicModels) (*core.Report, error) {
-	cfg, err := r.Opts.configAt(protocol, n)
+	cfg, _, err := r.config(protocol, n)
 	if err != nil {
 		return nil, err
 	}
-	return core.Estimate(context.TODO(), cfg, models, r.Opts.RunUntil, nil)
+	return core.Estimate(context.TODO(), cfg, models, r.Spec.RunTime(), nil)
 }
 
 // runFlow executes the flow-level baseline at n clusters.
 func (r *Runner) runFlow(protocol string, n int) (flowsim.Results, time.Duration, error) {
-	base, err := r.Opts.BaseConfig(protocol)
+	cfg, _, err := r.config(protocol, n)
 	if err != nil {
 		return flowsim.Results{}, 0, err
 	}
-	cfg := flowsim.Config{
-		Topo:     base.Topo.WithClusters(n),
-		Workload: base.Workload,
-		LinkBps:  base.Link.RateBps,
-	}
 	t0 := time.Now()
-	res, err := flowsim.Run(cfg, r.Opts.RunUntil)
+	res, err := flowsim.Run(flowsim.Config{
+		Topo: cfg.Topo, Workload: cfg.Workload, LinkBps: cfg.Link.RateBps,
+	}, r.Spec.RunTime())
 	return res, time.Since(t0), err
 }
 

@@ -5,19 +5,20 @@ import (
 	"strings"
 	"testing"
 
+	"mimicnet/internal/serve"
 	"mimicnet/internal/sim"
 )
 
-// tinyOptions shrinks every knob for fast test execution.
-func tinyOptions() Options {
-	o := Default()
-	o.Duration = 80 * sim.Millisecond
-	o.RunUntil = 160 * sim.Millisecond
-	o.SmallScale = 120 * sim.Millisecond
-	o.Window = 4
-	o.Hidden = 8
-	o.Epochs = 1
-	return o
+// tinySpec shrinks every knob for fast test execution.
+func tinySpec() serve.JobSpec {
+	s := Default()
+	s.WorkloadMs = 80
+	s.RunMs = 160
+	s.SmallRunMs = 120
+	s.Window = 4
+	s.Hidden = 8
+	s.Epochs = 1
+	return s
 }
 
 func TestTablePrinting(t *testing.T) {
@@ -37,26 +38,8 @@ func TestTablePrinting(t *testing.T) {
 	}
 }
 
-func TestBaseConfigAndTrainConfig(t *testing.T) {
-	o := tinyOptions()
-	cfg, err := o.BaseConfig("dctcp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Protocol.Name() != "dctcp" || cfg.Workload.Load != o.Load {
-		t.Error("BaseConfig misconfigured")
-	}
-	if _, err := o.BaseConfig("nope"); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-	tc := o.TrainConfig()
-	if tc.Model.Hidden != o.Hidden || tc.Dataset.Window != o.Window {
-		t.Error("TrainConfig misconfigured")
-	}
-}
-
 func TestRunnerCachesArtifacts(t *testing.T) {
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	a1, err := r.trainedFor("newreno")
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +54,7 @@ func TestRunnerCachesArtifacts(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.Table1()
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +68,7 @@ func TestFig1Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.Fig1([]int{4})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +82,7 @@ func TestFig2Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.Fig2([]int{2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +92,11 @@ func TestFig2Small(t *testing.T) {
 	}
 	// Every PDES cell must come from a sharded run: one window per link
 	// delay across the horizon, and no remote event late.
-	cfg, err := r.Opts.BaseConfig("newreno")
+	cfg, _, err := r.config("newreno", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBarriers := uint64(r.Opts.RunUntil / cfg.Link.Delay)
+	wantBarriers := uint64(r.Spec.RunTime() / cfg.Link.Delay)
 	for _, n := range []int{2, 4} {
 		row, sims, err := r.fig2Row(n)
 		if err != nil {
@@ -141,7 +124,7 @@ func TestFig5And6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb5, err := r.Fig5()
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +145,7 @@ func TestFig10Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.Fig10([]int{4}, []int{2})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +159,7 @@ func TestFig16And17Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.Fig16([]int{1, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +180,7 @@ func TestTable2Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.Table2(4)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +194,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.AblationCongestionState(3)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +239,7 @@ func TestAblationFeederDistribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.AblationFeederDistribution(4)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +258,7 @@ func TestRemainingFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 
 	tb, err := r.Fig7(2, 3)
 	if err != nil {
@@ -331,7 +314,7 @@ func TestAblationModelClass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is slow")
 	}
-	r := NewRunner(tinyOptions())
+	r := NewRunner(tinySpec())
 	tb, err := r.AblationModelClass(3)
 	if err != nil {
 		t.Fatal(err)

@@ -9,21 +9,18 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// dropTrace generates a training trace with a meaningful drop rate by
-// squeezing queues, mirroring the loaded 2-cluster trace of Figure 5.
-func (r *Runner) dropTrace(window int) (*core.Dataset, *core.Dataset, error) {
-	base, err := r.Opts.BaseConfig("newreno")
+// dropTrace generates an ingress training trace with a meaningful drop
+// rate by squeezing queues, mirroring the loaded 2-cluster trace of
+// Figure 5. It returns the training configuration it was built with.
+func (r *Runner) dropTrace(window int) (*core.Dataset, core.TrainConfig, error) {
+	base, tcfg, err := r.config("newreno", 2)
 	if err != nil {
-		return nil, nil, err
+		return nil, tcfg, err
 	}
 	base.QueueCapacity = 16
-	tcfg := r.Opts.TrainConfig()
 	tcfg.Dataset.Window = window
-	ing, eg, _, err := core.GenerateTrainingData(base, r.Opts.SmallScale, tcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ing, eg, nil
+	ing, _, _, err := core.GenerateTrainingData(base, r.Spec.SmallRunTime(), tcfg)
+	return ing, tcfg, err
 }
 
 // Fig5 reproduces Figure 5: drop prediction with BCE vs weighted BCE.
@@ -31,7 +28,7 @@ func (r *Runner) dropTrace(window int) (*core.Dataset, *core.Dataset, error) {
 // by roughly an order of magnitude; WBCE recovers realistic rates that
 // grow with the weight.
 func (r *Runner) Fig5() (*Table, error) {
-	ing, _, err := r.dropTrace(r.Opts.Window)
+	ing, tcfg0, err := r.dropTrace(r.Spec.Window)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +45,7 @@ func (r *Runner) Fig5() (*Table, error) {
 		{"wbce_0.6", 0.6},
 		{"wbce_0.9", 0.9},
 	} {
-		tcfg := r.Opts.TrainConfig()
+		tcfg := tcfg0
 		tcfg.Model.DropWeight = cfg.w
 		tcfg.Model.DropLossW = 2.0
 		_, eval, err := core.TrainDirection(ing, tcfg)
@@ -58,7 +55,7 @@ func (r *Runner) Fig5() (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			cfg.name, f3(eval.DropRateTrue), f3(eval.DropRatePred),
 		})
-		r.Opts.logf("Figure 5 %s done", cfg.name)
+		r.logf("Figure 5 %s done", cfg.name)
 	}
 	t.Notes = append(t.Notes,
 		"paper: ground truth 0.3%; BCE predicts 0.01% (27x low), WBCE 0.6 -> 0.14%, WBCE 0.9 -> 0.49%")
@@ -69,7 +66,7 @@ func (r *Runner) Fig5() (*Table, error) {
 // loss, scored by test-set MAE (the paper's reported number). Huber
 // should score best.
 func (r *Runner) Fig6() (*Table, error) {
-	ing, _, err := r.dropTrace(r.Opts.Window)
+	ing, tcfg0, err := r.dropTrace(r.Spec.Window)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +76,7 @@ func (r *Runner) Fig6() (*Table, error) {
 		Header: []string{"loss", "test_mae", "p99_latency_rel_err"},
 	}
 	for _, loss := range []ml.RegressionLoss{ml.LossMAE, ml.LossMSE, ml.LossHuber} {
-		tcfg := r.Opts.TrainConfig()
+		tcfg := tcfg0
 		tcfg.Model.LatLoss = loss
 		dm, eval, err := core.TrainDirection(ing, tcfg)
 		if err != nil {
@@ -89,7 +86,7 @@ func (r *Runner) Fig6() (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			loss.String(), f3(eval.LatencyMAE), f3(p99err),
 		})
-		r.Opts.logf("Figure 6 %s done", loss)
+		r.logf("Figure 6 %s done", loss)
 	}
 	t.Notes = append(t.Notes,
 		"paper: MAE loss misses tail latencies, MSE overvalues outliers; Huber wins with 2.6% 99-pct error and the best MAE")
@@ -138,12 +135,10 @@ func (r *Runner) Fig16(windows []int) (*Table, error) {
 		Header: []string{"window_pkts", "final_train_loss", "train_us_per_sample"},
 	}
 	for _, w := range windows {
-		ing, _, err := r.dropTrace(w)
+		ing, tcfg, err := r.dropTrace(w)
 		if err != nil {
 			return nil, err
 		}
-		tcfg := r.Opts.TrainConfig()
-		tcfg.Dataset.Window = w
 		tcfg.Model.Window = w
 		tcfg.Model.Features = ing.Spec.Width()
 		model, err := ml.NewModel(tcfg.Model)
@@ -161,7 +156,7 @@ func (r *Runner) Fig16(windows []int) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(w), f3(final), f3(perSample),
 		})
-		r.Opts.logf("Figure 16 window=%d done", w)
+		r.logf("Figure 16 window=%d done", w)
 	}
 	t.Notes = append(t.Notes,
 		"paper: loss improves up to ~BDP (12 pkts) with diminishing returns; training latency grows with window size")
@@ -177,12 +172,10 @@ func (r *Runner) Fig17(windows []int) (*Table, error) {
 		Header: []string{"window_pkts", "validation_loss", "inference_us_per_packet"},
 	}
 	for _, w := range windows {
-		ing, _, err := r.dropTrace(w)
+		ing, tcfg, err := r.dropTrace(w)
 		if err != nil {
 			return nil, err
 		}
-		tcfg := r.Opts.TrainConfig()
-		tcfg.Dataset.Window = w
 		dm, eval, err := core.TrainDirection(ing, tcfg)
 		if err != nil {
 			return nil, err
@@ -205,7 +198,7 @@ func (r *Runner) Fig17(windows []int) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(w), f3(eval.Loss), f3(perPkt),
 		})
-		r.Opts.logf("Figure 17 window=%d done", w)
+		r.logf("Figure 17 window=%d done", w)
 	}
 	t.Notes = append(t.Notes,
 		"paper: validation loss tracks training loss; inference latency rises from ~70us to ~150us as the window grows")

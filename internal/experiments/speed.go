@@ -32,7 +32,7 @@ func (r *Runner) Fig2(sizes []int) (*Table, error) {
 		}
 		barriers = sims[0].Parallel().Barriers
 		t.Rows = append(t.Rows, row)
-		r.Opts.logf("Figure 2 n=%d done", n)
+		r.logf("Figure 2 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("pdes_Nw is cluster.NewLayered with every cluster measured, one LP per cluster (core switches on LP 0), N workers; lookahead is one link delay, so every run crosses %d barriers", barriers),
@@ -48,12 +48,12 @@ func (r *Runner) fig2Row(n int) ([]string, []*cluster.Simulation, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg, err := r.Opts.configAt("newreno", n)
+	cfg, _, err := r.config("newreno", n)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.ShardedRun = 1
-	horizon := r.Opts.RunUntil.Seconds()
+	horizon := r.Spec.RunTime().Seconds()
 	row := []string{fmt.Sprint(n), f3(horizon / fullT.Seconds())}
 	layer := cluster.Layer{Measured: make([]bool, n), Lookahead: cfg.Link.Delay}
 	for i := range layer.Measured {
@@ -67,7 +67,7 @@ func (r *Runner) fig2Row(n int) ([]string, []*cluster.Simulation, error) {
 			return nil, nil, err
 		}
 		t0 := time.Now()
-		inst.Run(r.Opts.RunUntil)
+		inst.Run(r.Spec.RunTime())
 		row = append(row, f3(horizon/time.Since(t0).Seconds()))
 		sims = append(sims, inst)
 	}
@@ -84,9 +84,9 @@ func (r *Runner) Fig10(sizes, racksPerCluster []int) (*Table, error) {
 		Header: []string{"#clusters", "racks/cluster", "full_wall", "mimic_wall", "speedup"},
 	}
 	for _, racks := range racksPerCluster {
-		opts := r.Opts
-		opts.Racks = racks
-		rr := NewRunner(opts)
+		spec := r.Spec
+		spec.Racks = racks
+		rr := r.fork(spec)
 		if _, err := rr.trainedFor("newreno"); err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func (r *Runner) Fig10(sizes, racksPerCluster []int) (*Table, error) {
 				fmt.Sprint(n), fmt.Sprint(racks),
 				durStr(fullT), durStr(mimic.Wall), f3(speedup),
 			})
-			r.Opts.logf("Figure 10 racks=%d n=%d speedup=%.1f", racks, n, speedup)
+			r.logf("Figure 10 racks=%d n=%d speedup=%.1f", racks, n, speedup)
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -145,11 +145,11 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 		// different chunks). MimicNet's parallel variant is the real
 		// thing: the production composition sharded into one LP per
 		// cluster.
-		base, err := r.Opts.configAt("newreno", n)
+		base, _, err := r.config("newreno", n)
 		if err != nil {
 			return nil, err
 		}
-		cfgs, chunk := cluster.PartitionedConfigs(base, nPart, r.Opts.RunUntil)
+		cfgs, chunk := cluster.PartitionedConfigs(base, nPart, r.Spec.RunTime())
 		partFull, err := cluster.RunGroup(cfgs, chunk, nPart)
 		if err != nil {
 			return nil, err
@@ -162,7 +162,7 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 			fmt.Sprint(n), durStr(fullT), durStr(mimic.Wall + trainCost),
 			durStr(mimic.Wall), durStr(partFull.Wall), durStr(partMimic),
 		})
-		r.Opts.logf("Figure 11 n=%d done", n)
+		r.logf("Figure 11 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
 		"partitioned_sim is cluster.RunGroup over cluster.PartitionedConfigs; like single_sim it excludes instance construction",
@@ -180,13 +180,13 @@ func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg, err := r.Opts.configAt("newreno", n)
+	cfg, _, err := r.config("newreno", n)
 	if err != nil {
 		return 0, err
 	}
 	cfg.ShardedRun = 1
 	cfg.NumWorkers = nWorkers
-	rep, err := core.Estimate(context.TODO(), cfg, tr.models, r.Opts.RunUntil, nil)
+	rep, err := core.Estimate(context.TODO(), cfg, tr.models, r.Spec.RunTime(), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +207,7 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		Header: []string{"#clusters", "single_sim", "single_mimic_with_train",
 			"single_mimic", "parallel_sim", "parallel_mimic"},
 	}
-	horizon := r.Opts.RunUntil.Seconds()
+	horizon := r.Spec.RunTime().Seconds()
 	for _, n := range sizes {
 		_, fullT, err := r.runFull("newreno", n)
 		if err != nil {
@@ -222,11 +222,11 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := r.Opts.configAt("newreno", n)
+		base, _, err := r.config("newreno", n)
 		if err != nil {
 			return nil, err
 		}
-		parFull, err := cluster.RunGroup(cluster.ParallelConfigs(base, nPar), r.Opts.RunUntil, nPar)
+		parFull, err := cluster.RunGroup(cluster.ParallelConfigs(base, nPar), r.Spec.RunTime(), nPar)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +242,7 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 			f3(horizon / mimic.Wall.Seconds()),
 			f3(float64(nPar) * horizon / parFull.Wall.Seconds()), f3(parMimic),
 		})
-		r.Opts.logf("Figure 12 n=%d done", n)
+		r.logf("Figure 12 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
 		"parallel_sim is cluster.RunGroup over cluster.ParallelConfigs; like single_sim it excludes instance construction",
@@ -266,10 +266,10 @@ func (r *Runner) Table2(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hosts := r.Opts.Racks * r.Opts.HostsPerRack * n
+	hosts := r.Spec.Racks * r.Spec.Hosts * n
 	t := &Table{
 		ID:     "Table 2",
-		Title:  fmt.Sprintf("running time for %v of simulated time, %d clusters / %d hosts", r.Opts.RunUntil, n, hosts),
+		Title:  fmt.Sprintf("running time for %v of simulated time, %d clusters / %d hosts", r.Spec.RunTime(), n, hosts),
 		Header: []string{"factor", "time"},
 		Rows: [][]string{
 			{"mimicnet: small-scale simulation", durStr(tr.datagenWall)},
@@ -303,12 +303,10 @@ func (r *Runner) Fig21And22(n int, lengths []sim.Time) (*Table, *Table, error) {
 	}
 	trainCost := tr.datagenWall + tr.trainWall
 	for _, L := range lengths {
-		opts := r.Opts
-		opts.RunUntil = L
-		if opts.Duration > L {
-			opts.Duration = L
-		}
-		rr := NewRunner(opts)
+		spec := r.Spec
+		spec.RunMs = float64(L) / float64(sim.Millisecond)
+		spec.WorkloadMs = min(spec.WorkloadMs, spec.RunMs)
+		rr := r.fork(spec)
 		rr.cache["newreno"] = tr
 		_, fullT, err := rr.runFull("newreno", n)
 		if err != nil {
@@ -326,7 +324,7 @@ func (r *Runner) Fig21And22(n int, lengths []sim.Time) (*Table, *Table, error) {
 			L.String(), f3(sec / fullT.Seconds()),
 			f3(sec / (mimic.Wall + trainCost).Seconds()), f3(sec / mimic.Wall.Seconds()),
 		})
-		r.Opts.logf("Figure 21/22 length=%v done", L)
+		r.logf("Figure 21/22 length=%v done", L)
 	}
 	lat.Notes = append(lat.Notes, "paper: relative speeds barely change with length; MimicNet's fixed costs amortize")
 	tput.Notes = append(tput.Notes, "paper: throughput is independent of simulated length for all approaches")
@@ -349,8 +347,8 @@ func (r *Runner) Fig23(sizes []int) (*Table, error) {
 	}
 	inferFLOPs := tr.models.Ingress.Model.FLOPsPerStep()
 	// Training ~ 3x inference per sample per epoch (forward + backward).
-	trainFLOPs := 3 * inferFLOPs * float64(r.Opts.Window) *
-		float64(tr.samples) * float64(r.Opts.Epochs)
+	trainFLOPs := 3 * inferFLOPs * float64(r.Spec.Window) *
+		float64(tr.samples) * float64(r.Spec.Epochs)
 	for _, n := range sizes {
 		full, _, err := r.runFull("newreno", n)
 		if err != nil {
@@ -366,7 +364,7 @@ func (r *Runner) Fig23(sizes []int) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), f3(fullG), f3(mimicG + trainFLOPs/1e9), f3(mimicG),
 		})
-		r.Opts.logf("Figure 23 n=%d done", n)
+		r.logf("Figure 23 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
 		"paper: MimicNet consumes more compute at small scale (GPU training) but less than full simulation at 128 clusters")

@@ -11,7 +11,7 @@ import (
 // one-hot/scalar widths for the configured per-cluster structure, and
 // validates that the widths are invariant to the cluster count.
 func (r *Runner) Table1() (*Table, error) {
-	base, err := r.Opts.BaseConfig("newreno")
+	base, _, err := r.config("newreno", 2)
 	if err != nil {
 		return nil, err
 	}

@@ -22,17 +22,14 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 	}
 	var fullWall, mimicWall time.Duration
 	for _, k := range ks {
-		opts := r.Opts
-		rr := NewRunner(opts)
-		baseSmall, err := rr.Opts.BaseConfig("dctcp")
+		baseSmall, tcfg, err := r.config("dctcp", 2)
 		if err != nil {
 			return nil, err
 		}
 		baseSmall.ECNThresholdK = k
 
 		// Small-scale full simulation.
-		smallCfg := baseSmall
-		small, err := runConfigured(smallCfg, rr.Opts.RunUntil)
+		small, _, err := r.runConfigured(baseSmall)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +38,7 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 		largeCfg := baseSmall
 		largeCfg.Topo = baseSmall.Topo.WithClusters(large)
 		t0 := time.Now()
-		truth, err := runConfigured(largeCfg, rr.Opts.RunUntil)
+		truth, _, err := r.runConfigured(largeCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -49,11 +46,11 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 
 		// MimicNet: train on the K-specific small-scale run, compose.
 		t0 = time.Now()
-		tr, err := rr.train(baseSmall, rr.Opts.TrainConfig())
+		tr, err := r.train(baseSmall, tcfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Estimate(context.TODO(), largeCfg, tr.models, rr.Opts.RunUntil, nil)
+		res, err := core.Estimate(context.TODO(), largeCfg, tr.models, r.Spec.RunTime(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +62,7 @@ func (r *Runner) Fig13(large int, ks []int) (*Table, error) {
 			f3(stats.Quantile(truth.FCTs, 0.9)),
 			f3(stats.Quantile(res.Results.FCTs, 0.9)),
 		})
-		r.Opts.logf("Figure 13 K=%d done", k)
+		r.logf("Figure 13 K=%d done", k)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("wall clock across the sweep: full %v vs mimicnet %v (incl. per-K training)", durStr(fullWall), durStr(mimicWall)),
@@ -115,7 +112,7 @@ func (r *Runner) protocolComparison(id, kind string, large int) (*Table, error) 
 			f3(stats.Quantile(td, 0.99)), f3(stats.Quantile(md, 0.99)),
 			f3(metrics.W1(md, td)),
 		})
-		r.Opts.logf("%s %s done", id, proto)
+		r.logf("%s %s done", id, proto)
 	}
 	t.Notes = append(t.Notes,
 		"paper: MimicNet's 90/99-pct tails are within ~5% of truth per protocol and preserve the protocols' relative order")

@@ -276,7 +276,8 @@ func (s JobSpec) DatasetKey() (string, error) {
 // on ms/1e3 would truncate, e.g. 1001 ms to 1 000 999 999 ns.
 func msToSim(ms float64) sim.Time { return sim.Time(math.Round(ms * float64(sim.Millisecond))) }
 
-func (s JobSpec) runTime() sim.Time { return msToSim(s.RunMs) }
+// RunTime is the simulated horizon of the final large-scale run.
+func (s JobSpec) RunTime() sim.Time { return msToSim(s.RunMs) }
 
 // SmallRunTime is the simulated horizon of the small-scale runs: datagen,
 // the tuning validator's references, and the Appendix-B role check.
@@ -390,7 +391,7 @@ func (s JobSpec) Estimate(ctx context.Context, models *core.MimicModels, progres
 		return nil, err
 	}
 	cfg.Topo = cfg.Topo.WithClusters(s.Clusters)
-	rep, err := core.Estimate(ctx, cfg, models, s.runTime(), progress)
+	rep, err := core.Estimate(ctx, cfg, models, s.RunTime(), progress)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +413,7 @@ func (s JobSpec) Estimate(ctx context.Context, models *core.MimicModels, progres
 		ComposeMs:         float64(rep.Wall) / float64(time.Millisecond),
 	}
 	if rep.Wall > 0 {
-		sum.SimSecPerSec = s.runTime().Seconds() / rep.Wall.Seconds()
+		sum.SimSecPerSec = s.RunTime().Seconds() / rep.Wall.Seconds()
 	}
 	return sum, nil
 }

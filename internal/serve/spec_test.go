@@ -51,6 +51,7 @@ func TestJobSpecValidateRejectsOutsideInput(t *testing.T) {
 		{"deadline_ms", JobSpec{DeadlineMs: nan}},
 		{"deadline_ms", JobSpec{DeadlineMs: inf}},
 		{"ecn_k", JobSpec{ECNK: -1}},
+		{"protocol", JobSpec{Protocol: "nope"}},
 	} {
 		err := tc.spec.Normalized().Validate()
 		if err == nil {

@@ -82,10 +82,12 @@ func DefaultConfig(meanFlowBytes float64) Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Load <= 0 || c.Load > 1.5:
+	case !(c.Load > 0 && c.Load <= 1.5): // NaN is in no range
 		return fmt.Errorf("workload: load %v out of range", c.Load)
 	case c.HostLinkBps <= 0:
 		return fmt.Errorf("workload: non-positive link rate")
+	case math.IsNaN(c.MeanFlowBytes) || math.IsInf(c.MeanFlowBytes, 0):
+		return fmt.Errorf("workload: mean flow size %v is not finite", c.MeanFlowBytes)
 	case c.MeanFlowBytes <= 0 && c.FlowSizes == nil:
 		return fmt.Errorf("workload: need a mean flow size or distribution")
 	case c.PIntraRack < 0 || c.PIntraCluster < 0 || c.PIntraRack+c.PIntraCluster > 1:

@@ -182,8 +182,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Load = 0 },
 		func(c *Config) { c.Load = 2 },
+		func(c *Config) { c.Load = math.NaN() },
+		func(c *Config) { c.Load = math.Inf(1) },
 		func(c *Config) { c.HostLinkBps = 0 },
 		func(c *Config) { c.MeanFlowBytes = 0; c.FlowSizes = nil },
+		func(c *Config) { c.MeanFlowBytes = math.NaN() },
+		func(c *Config) { c.MeanFlowBytes = math.Inf(1) },
 		func(c *Config) { c.PIntraRack = 0.8; c.PIntraCluster = 0.5 },
 		func(c *Config) { c.PIntraRack = -0.1 },
 		func(c *Config) { c.Duration = 0 },
