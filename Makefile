@@ -129,12 +129,13 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzHistogramObserve -fuzztime 30s ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzRoleVector -fuzztime 30s ./internal/core
 
-# End-to-end daemon check: boots mimicnetd on a random port, runs a cold
-# job over HTTP, proves the identical resubmission skips training via a
-# registry cache hit in /stats, logs cold/warm latency and warm
-# throughput, kills and recovers a durable daemon mid-train, and SIGTERMs
-# itself mid-job to verify graceful drain (in-flight job finishes, new
-# submissions rejected).
+# End-to-end daemon check: boots mimicnetd on a random port and a temp
+# -data-dir, runs a cold job over HTTP, proves the identical resubmission
+# skips training via a registry cache hit in /stats, logs cold/warm
+# latency and warm throughput, requires a second daemon on the live
+# data dir to refuse to start, kills and recovers a daemon mid-train,
+# and SIGTERMs itself mid-job to verify graceful drain (in-flight job
+# finishes, new submissions rejected).
 serve-smoke:
 	$(GO) run ./cmd/mimicnetd -smoke
 

@@ -15,13 +15,15 @@
 // SIGTERM/SIGINT drain gracefully: new submissions are rejected, queued
 // and running jobs finish, then the process exits.
 //
-// With -data-dir the daemon is durable: accepted jobs are written to an
-// append-only journal, training progress is checkpointed at epoch
-// boundaries, and the model registry shares the same root. After a
+// The daemon is always durable. Under -data-dir (default
+// <user cache dir>/mimicnet) accepted jobs are written to an append-only
+// journal, training progress is checkpointed at epoch boundaries, and
+// the model registry and dataset cache share the same root. After a
 // crash or kill -9, the next boot replays the journal, re-enqueues
 // unfinished jobs under their original IDs, and resumes their training
 // from the last checkpoint — producing artifacts bitwise identical to
-// an uninterrupted run.
+// an uninterrupted run. One daemon at a time may use a data dir: a
+// second one on the same root refuses to start.
 //
 // Example:
 //
@@ -56,10 +58,8 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:9090", "listen address")
-		store        = flag.String("store", defaultStore(), "on-disk model registry directory (ignored when -data-dir is set)")
-		dataDir      = flag.String("data-dir", "", "durable state root: job journal, training checkpoints, and model registry live under it; jobs survive restarts (empty = in-memory jobs)")
+		dataDir      = flag.String("data-dir", defaultDataDir(), "state root: job journal, training checkpoints, dataset cache and model registry live under it, so jobs and artifacts survive restarts")
 		memCache     = flag.Int("mem-cache", 8, "decoded models held in the in-memory LRU")
-		ckptEvery    = flag.Int("ckpt-every", 0, "epochs between training checkpoints under -data-dir (<=0 = every epoch, cost-throttled)")
 		queueDepth   = flag.Int("queue", 64, "job queue capacity (admission control bound)")
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight jobs on shutdown")
@@ -75,25 +75,21 @@ func main() {
 		return
 	}
 
-	d, err := newDaemon(*addr, *store, *dataDir, *memCache, *queueDepth, *workers, *ckptEvery, *drainTimeout)
+	d, err := newDaemon(*addr, *dataDir, *memCache, *queueDepth, *workers, *drainTimeout)
 	if err != nil {
 		log.Fatal(err)
 	}
-	durability := "in-memory jobs"
-	if *dataDir != "" {
-		durability = "data-dir " + *dataDir
-	}
-	log.Printf("mimicnetd listening on %s (%s, queue %d, workers %d)",
-		d.URL(), durability, *queueDepth, d.sched.Workers())
+	log.Printf("mimicnetd listening on %s (data-dir %s, queue %d, workers %d)",
+		d.URL(), *dataDir, *queueDepth, d.sched.Workers())
 	d.Serve()
 	log.Printf("mimicnetd drained, exiting")
 }
 
-func defaultStore() string {
+func defaultDataDir() string {
 	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "mimicnet", "models")
+		return filepath.Join(dir, "mimicnet")
 	}
-	return filepath.Join(os.TempDir(), "mimicnet-models")
+	return filepath.Join(os.TempDir(), "mimicnet")
 }
 
 // daemon bundles the serve stack with its listener and shutdown path so
@@ -107,37 +103,27 @@ type daemon struct {
 	done         chan struct{} // closed once Serve has fully drained
 }
 
-// newDaemon assembles the serve stack. A non-empty dataDir makes the
-// daemon durable: the model registry moves to <dataDir>/registry, job
-// state is journaled under <dataDir>/journal, and training cursors land
-// in <dataDir>/ckpt — on boot, journaled unfinished jobs are re-enqueued
-// and resume from their checkpoints.
-func newDaemon(addr, store, dataDir string, memCache, queueDepth, workers, ckptEvery int, drainTimeout time.Duration) (*daemon, error) {
-	if dataDir != "" {
-		store = filepath.Join(dataDir, "registry")
-	}
-	reg, err := serve.NewRegistry(store, memCache)
+// newDaemon assembles the serve stack under dataDir: the model registry
+// in <dataDir>/registry, the job journal in <dataDir>/journal, training
+// cursors in <dataDir>/ckpt and the dataset cache in <dataDir>/datasets.
+// On boot, journaled unfinished jobs are re-enqueued and resume from
+// their checkpoints. It fails while another daemon holds dataDir.
+func newDaemon(addr, dataDir string, memCache, queueDepth, workers int, drainTimeout time.Duration) (*daemon, error) {
+	reg, err := serve.NewRegistry(filepath.Join(dataDir, "registry"), memCache)
 	if err != nil {
 		return nil, err
 	}
-	var sched *serve.Scheduler
-	if dataDir != "" {
-		var rep *serve.RecoveryReport
-		sched, rep, err = serve.NewSchedulerWithOptions(reg, serve.SchedulerOptions{
-			QueueDepth:      queueDepth,
-			Workers:         workers,
-			JournalDir:      filepath.Join(dataDir, "journal"),
-			CheckpointDir:   filepath.Join(dataDir, "ckpt"),
-			CheckpointEvery: ckptEvery,
-			DatasetDir:      filepath.Join(dataDir, "datasets"),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mimicnetd: journal recovery: %w", err)
-		}
-		log.Printf("mimicnetd: recovery: %s", rep)
-	} else {
-		sched = serve.NewScheduler(reg, queueDepth, workers)
+	sched, rep, err := serve.NewSchedulerWithOptions(reg, serve.SchedulerOptions{
+		QueueDepth:    queueDepth,
+		Workers:       workers,
+		JournalDir:    filepath.Join(dataDir, "journal"),
+		CheckpointDir: filepath.Join(dataDir, "ckpt"),
+		DatasetDir:    filepath.Join(dataDir, "datasets"),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mimicnetd: %w", err)
 	}
+	log.Printf("mimicnetd: recovery: %s", rep)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		sched.Kill()

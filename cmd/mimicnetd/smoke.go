@@ -24,26 +24,19 @@ func smokeSpec() serve.JobSpec {
 	}
 }
 
-// smokeRecovery is smoke phase 4: the kill-and-resume drill against the
-// durable daemon stack. A -data-dir daemon is killed mid-train (after at
-// least one epoch-boundary checkpoint has landed on disk), then a
-// successor daemon over the same directories must recover the job from
-// the journal, resume its training from the checkpoint, and store the
-// finished artifact.
-func smokeRecovery(ctx context.Context, queueDepth, workers int, drainTimeout time.Duration) error {
-	dataDir, err := os.MkdirTemp("", "mimicnet-smoke-durable-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dataDir)
-
+// smokeRecovery is smoke phase 5, the kill-and-resume drill: a daemon is
+// killed mid-train (after at least one epoch-boundary checkpoint has
+// landed on disk), then a successor on the same data dir must recover
+// the job from the journal, resume its training from the checkpoint,
+// and store the finished artifact.
+func smokeRecovery(ctx context.Context, dataDir string, queueDepth, workers int, drainTimeout time.Duration) error {
 	// Enough epochs that the kill lands mid-train; the thumbnail model
 	// checkpoints at every epoch boundary (the cost throttle always
 	// persists the first cut).
 	spec := smokeSpec()
 	spec.Epochs = 40
 
-	d1, err := newDaemon("127.0.0.1:0", "", dataDir, 8, queueDepth, workers, 0, drainTimeout)
+	d1, err := newDaemon("127.0.0.1:0", dataDir, 8, queueDepth, workers, drainTimeout)
 	if err != nil {
 		return err
 	}
@@ -79,7 +72,7 @@ func smokeRecovery(ctx context.Context, queueDepth, workers int, drainTimeout ti
 
 	// Successor over the same directories: newDaemon's recovery pass
 	// re-enqueues the journaled job under its original ID.
-	d2, err := newDaemon("127.0.0.1:0", "", dataDir, 8, queueDepth, workers, 0, drainTimeout)
+	d2, err := newDaemon("127.0.0.1:0", dataDir, 8, queueDepth, workers, drainTimeout)
 	if err != nil {
 		return err
 	}
@@ -114,21 +107,23 @@ func smokeRecovery(ctx context.Context, queueDepth, workers int, drainTimeout ti
 //  2. the identical job resubmitted is a registry hit visible in /stats,
 //     with a bitwise-identical estimate;
 //  3. a batch of warm jobs measures steady-state throughput;
-//  4. a durable daemon (-data-dir wiring) is killed mid-train after at
-//     least one checkpoint write; a daemon rebuilt on the same
-//     directories re-enqueues the job from the journal, resumes it from
-//     the checkpoint, and lands the artifact in the registry;
-//  5. SIGTERM mid-job drains: the in-flight job finishes (not
+//  4. a second daemon on the live daemon's data dir refuses to start
+//     (its boot compaction would delete the live journal segment);
+//  5. an isolated daemon is killed mid-train after at least one
+//     checkpoint write; a daemon rebuilt on its data dir re-enqueues the
+//     job from the journal, resumes it from the checkpoint, and lands
+//     the artifact in the registry;
+//  6. SIGTERM mid-job drains: the in-flight job finishes (not
 //     cancelled), new submissions are rejected, the process-level serve
 //     loop returns. (Last: it signals the whole process.)
 func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
-	store, err := os.MkdirTemp("", "mimicnet-smoke-registry-")
+	dataDir, err := os.MkdirTemp("", "mimicnet-smoke-")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(store)
+	defer os.RemoveAll(dataDir)
 
-	d, err := newDaemon("127.0.0.1:0", store, "", 8, queueDepth, workers, 0, drainTimeout)
+	d, err := newDaemon("127.0.0.1:0", dataDir, 8, queueDepth, workers, drainTimeout)
 	if err != nil {
 		return err
 	}
@@ -237,17 +232,25 @@ func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 	jobsPerSec := float64(batch) / batchDur.Seconds()
 	log.Printf("smoke: %d warm jobs in %v (%.1f jobs/sec)", batch, batchDur.Round(time.Millisecond), jobsPerSec)
 
-	// 4. Crash recovery: a durable daemon killed mid-train must leave a
+	// 4. One daemon per data dir: a second one on the live root must
+	// refuse to boot before its recovery touches the live journal.
+	if _, err = newDaemon("127.0.0.1:0", dataDir, 8, queueDepth, workers, drainTimeout); err == nil {
+		return fmt.Errorf("a second daemon started on the live data dir %s", dataDir)
+	}
+	log.Printf("smoke: second daemon on the live data dir refused: %v", err)
+
+	// 5. Crash recovery: a durable daemon killed mid-train must leave a
 	// journal entry and a training checkpoint behind, and a successor on
 	// the same -data-dir must finish the job. Runs against an isolated
-	// daemon (no Serve loop — the SIGTERM below must only hit the main
-	// one) with direct scheduler handles, the same wiring newDaemon gives
-	// the production path.
-	if err := smokeRecovery(ctx, queueDepth, workers, drainTimeout); err != nil {
+	// daemon on its own data dir under the smoke root (no Serve loop —
+	// the SIGTERM below must only hit the main one) with direct
+	// scheduler handles, the same wiring newDaemon gives the production
+	// path.
+	if err := smokeRecovery(ctx, filepath.Join(dataDir, "recovery"), queueDepth, workers, drainTimeout); err != nil {
 		return fmt.Errorf("crash recovery: %w", err)
 	}
 
-	// 5. Drain: SIGTERM ourselves mid-job through the real signal path.
+	// 6. Drain: SIGTERM ourselves mid-job through the real signal path.
 	// A long-horizon job: flows keep arriving for the whole run so the
 	// compose phase holds real wall-clock time for the signal to land in.
 	long := smokeSpec()

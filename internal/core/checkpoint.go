@@ -28,18 +28,6 @@ type TrainCheckpointer struct {
 	Dir string
 	// Key scopes the files, typically TrainSpec's ModelKey hex digest.
 	Key string
-	// Every is the epoch interval between saves; <=0 means every epoch.
-	Every int
-}
-
-// DefaultCheckpointEvery is the epoch interval used when Every <= 0.
-const DefaultCheckpointEvery = 1
-
-func (c *TrainCheckpointer) every() int {
-	if c == nil || c.Every <= 0 {
-		return DefaultCheckpointEvery
-	}
-	return c.Every
 }
 
 // Path returns the checkpoint file for one direction.
@@ -50,9 +38,6 @@ func (c *TrainCheckpointer) Path(dir Direction) string {
 // Load reads the direction's checkpoint. Absent or corrupt files return
 // (nil, nil): the caller simply trains from scratch.
 func (c *TrainCheckpointer) Load(dir Direction) (*ml.TrainCheckpoint, error) {
-	if c == nil {
-		return nil, nil
-	}
 	payload, err := durable.ReadCheckpoint(c.Path(dir))
 	switch {
 	case errors.Is(err, os.ErrNotExist), errors.Is(err, durable.ErrCorrupt):
@@ -88,9 +73,6 @@ func (c *TrainCheckpointer) Save(dir Direction, ck *ml.TrainCheckpoint) error {
 // ever re-read by an identical job, which will find it Complete and
 // restore instantly.
 func (c *TrainCheckpointer) Clear() {
-	if c == nil {
-		return
-	}
 	for _, d := range []Direction{Ingress, Egress} {
 		_ = os.Remove(c.Path(d))
 	}

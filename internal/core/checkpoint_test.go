@@ -35,7 +35,7 @@ func TestTrainModelsCkptKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ckpt := &TrainCheckpointer{Dir: t.TempDir(), Key: "testkey", Every: 1}
+	ckpt := &TrainCheckpointer{Dir: t.TempDir(), Key: "testkey"}
 
 	// "Crash": cancel as soon as any direction reports its first epoch —
 	// each direction has cut at least zero and at most all checkpoints.
@@ -96,7 +96,7 @@ func TestTrainCheckpointerStaleMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := &TrainCheckpointer{Dir: t.TempDir(), Key: "stale", Every: 1}
+	ckpt := &TrainCheckpointer{Dir: t.TempDir(), Key: "stale"}
 	if _, _, err := TrainDirectionContext(context.Background(), ing, tcfg, nil, ckpt); err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ func TrainDirection(ds *Dataset, cfg TrainConfig) (*DirectionModel, ml.EvalResul
 // TrainDirectionContext is TrainDirection with cancellation, per-epoch
 // progress streaming, and — when ckpt is non-nil — durable resume: it
 // loads the direction's checkpoint (if any and still applicable),
-// continues training from it, and cuts a fresh checkpoint every
-// ckpt.Every epochs. The produced DirectionModel is bitwise identical to
+// continues training from it, and offers every epoch boundary to ckpt's
+// cost-throttled saver (AsyncSaver). The produced DirectionModel is bitwise identical to
 // one trained without interruption — ml's resume contract plus the
 // deterministic dataset pipeline guarantee it. On cancellation the
 // partially trained model is discarded and ctx's error returned.
@@ -79,7 +79,6 @@ func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, pr
 			opts.ResumeFrom = ck
 			obsCkptResumes.Inc()
 		}
-		opts.CheckpointEvery = ckpt.every()
 		opts.SaveCheckpoint, waitCkpt = ckpt.AsyncSaver(ds.Dir)
 	}
 	_, trainErr := model.TrainContext(ctx, train, opts)

@@ -166,8 +166,7 @@ func BenchmarkDurability(b *testing.B) {
 			runCkpt := func() time.Duration {
 				save, wait := ckpt.AsyncSaver(core.Ingress)
 				d := train(ml.TrainOpts{
-					CheckpointEvery: core.DefaultCheckpointEvery,
-					SaveCheckpoint:  save,
+					SaveCheckpoint: save,
 				}, wait)
 				ckpt.Clear()
 				return d

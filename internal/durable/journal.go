@@ -23,6 +23,7 @@ import (
 //	wal-00000001.log   segment files, monotonically numbered
 //	wal-00000002.log
 //	snapshot.snap      optional compaction point (atomic rename)
+//	LOCK               held (flock) while the journal is open
 //
 // Each record is framed as
 //
@@ -40,8 +41,9 @@ import (
 // can be lost on power cut — callers choose per record via Append vs
 // AppendSync.
 type Journal struct {
-	dir string
-	opt JournalOptions
+	dir  string
+	opt  JournalOptions
+	lock *os.File // nil where the platform has no flock
 
 	mu        sync.Mutex
 	f         *os.File
@@ -87,6 +89,7 @@ const (
 	segPrefix      = "wal-"
 	segSuffix      = ".log"
 	snapshotName   = "snapshot.snap"
+	lockName       = "LOCK"
 	snapshotMagic  = "MNSNAP01"
 )
 
@@ -113,12 +116,25 @@ type RecoveryInfo struct {
 // it. A torn or bit-flipped tail ends replay at the last valid record.
 // New appends go to a fresh segment, so recovered garbage is never
 // appended after.
-func OpenJournal(dir string, opt JournalOptions) (*Journal, *RecoveryInfo, error) {
+//
+// One journal directory has one writer: a second open while the first is
+// live fails, naming the directory, because its compaction would delete
+// the live segment. Close releases the directory.
+func OpenJournal(dir string, opt JournalOptions) (_ *Journal, _ *RecoveryInfo, err error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: journal dir: %w", err)
 	}
-	j := &Journal{dir: dir, opt: opt}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	j := &Journal{dir: dir, opt: opt, lock: lock}
 
 	info := &RecoveryInfo{}
 	snapPath := filepath.Join(dir, snapshotName)
@@ -428,16 +444,6 @@ func readSnapshot(path string) (state []byte, seq uint64, ok bool) {
 	return append([]byte(nil), body...), seq, true
 }
 
-// NextSeq returns the sequence number the next append will get.
-func (j *Journal) NextSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq
-}
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Close flushes, fsyncs, and closes the journal. Further appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -449,6 +455,7 @@ func (j *Journal) Close() error {
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
+	j.lock.Close() // a nil lock (no flock here) closes as a no-op
 	j.closed = true
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +17,11 @@ func openT(t *testing.T, dir string, opt JournalOptions) (*Journal, *RecoveryInf
 	}
 	return j, info
 }
+
+// abandon releases j's directory lock the way the death of its process
+// would, and leaves everything else as a crash leaves it: no flush, no
+// close of the segment file.
+func abandon(j *Journal) { j.lock.Close() }
 
 func payloads(info *RecoveryInfo) []string {
 	out := make([]string, 0, len(info.Records))
@@ -69,9 +75,39 @@ func TestJournalCrashWithoutClose(t *testing.T) {
 	}
 	// No Close: the *os.File is simply abandoned, as in a crash. The
 	// bytes are on disk because every append synced.
+	abandon(j)
 	_, info := openT(t, dir, JournalOptions{})
 	if len(info.Records) != 10 {
 		t.Fatalf("replayed %d records after crash, want 10", len(info.Records))
+	}
+}
+
+// TestJournalSingleWriter: a second open of a live journal directory is
+// refused, naming the directory (its boot compaction would delete the
+// live segment), and Close hands the directory to the next opener.
+func TestJournalSingleWriter(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, JournalOptions{})
+	if j.lock == nil {
+		j.Close()
+		t.Skip("no flock on this platform")
+	}
+	if _, err := j.AppendSync([]byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	if j2, _, err := OpenJournal(dir, JournalOptions{}); err == nil {
+		j2.Close()
+		t.Fatal("second open of a live journal succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("refusal %q does not name the directory", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3, info := openT(t, dir, JournalOptions{})
+	defer j3.Close()
+	if got := payloads(info); len(got) != 1 || got[0] != "live" {
+		t.Fatalf("reopen after Close replayed %q", got)
 	}
 }
 

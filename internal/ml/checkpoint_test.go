@@ -17,8 +17,7 @@ func trainToCompletion(t *testing.T, cfg ModelConfig, samples []Sample) ([]byte,
 	}
 	var cks []*TrainCheckpoint
 	_, err = m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{
-		CheckpointEvery: 1,
-		SaveCheckpoint:  func(ck *TrainCheckpoint) error { cks = append(cks, ck); return nil },
+		SaveCheckpoint: func(ck *TrainCheckpoint) error { cks = append(cks, ck); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +91,7 @@ func TestTrainResumeAfterCancel(t *testing.T) {
 	defer cancel()
 	var latest *TrainCheckpoint
 	_, err = m.TrainContext(ctx, samplesOf(samples), TrainOpts{
-		CheckpointEvery: 1,
-		SaveCheckpoint:  func(ck *TrainCheckpoint) error { latest = ck; return nil },
+		SaveCheckpoint: func(ck *TrainCheckpoint) error { latest = ck; return nil },
 		Progress: func(p TrainProgress) {
 			if p.Epoch == 2 {
 				cancel() // "kill" after two epochs; next batch observes it

@@ -61,12 +61,11 @@ type TrainOpts struct {
 	// Pool supplies the GEMM worker pool; nil means SharedPool().
 	Pool *Pool
 
-	// CheckpointEvery, when positive together with SaveCheckpoint, emits
-	// a resumable cursor every N completed epochs and always after the
-	// final one (so a finished direction restores instantly).
-	CheckpointEvery int
-	// SaveCheckpoint persists one cursor. A save error aborts training:
-	// a caller asking for durability must not silently lose it.
+	// SaveCheckpoint, when non-nil, is offered a resumable cursor after
+	// every completed epoch, the last one included (so a finished
+	// direction restores instantly); it decides which to persist. A save
+	// error aborts training: a caller asking for durability must not
+	// silently lose it.
 	SaveCheckpoint func(*TrainCheckpoint) error
 	// ResumeFrom, when non-nil, restores weights, optimizer moments,
 	// shuffle permutation, and RNG position before the first epoch, then
@@ -149,11 +148,10 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 					Samples: count, SamplesPerSec: sps, BatchSize: B,
 				})
 			}
-			if done := epoch + 1; opts.SaveCheckpoint != nil && opts.CheckpointEvery > 0 &&
-				(done%opts.CheckpointEvery == 0 || done == epochs) {
-				ck := m.captureCheckpoint(done, count, rng, idx, opt, res.EpochLoss)
+			if opts.SaveCheckpoint != nil {
+				ck := m.captureCheckpoint(epoch+1, count, rng, idx, opt, res.EpochLoss)
 				if err := opts.SaveCheckpoint(ck); err != nil {
-					return res, fmt.Errorf("ml: checkpoint save at epoch %d: %w", done, err)
+					return res, fmt.Errorf("ml: checkpoint save at epoch %d: %w", epoch+1, err)
 				}
 			}
 		}

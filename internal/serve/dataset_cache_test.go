@@ -14,14 +14,9 @@ import (
 // replay it bit-for-bit, and a corrupted file must be discarded and
 // regenerated rather than trusted.
 func TestDatasetCacheReuse(t *testing.T) {
-	dir := t.TempDir()
-	reg, err := NewRegistry("", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(reg, 1, 1)
+	s := newTestScheduler(t, newTestRegistry(t, 4), 1, 1, nil)
 	defer s.Close()
-	s.dsDir = dir
+	dir := s.dsDir
 
 	spec := tinySpec().Normalized()
 	ctx := context.Background()

@@ -32,33 +32,33 @@ import (
 // On boot the journal is folded into a snapshot (SnapshotAndCompact), so
 // replay cost stays proportional to the live job table, not history.
 
-// SchedulerOptions configures NewSchedulerWithOptions. The zero value
-// reproduces NewScheduler's defaults with durability disabled.
+// SchedulerOptions configures NewSchedulerWithOptions. The three
+// directories are required: the scheduler has one configuration, the
+// durable one.
 type SchedulerOptions struct {
 	QueueDepth int // <= 0 selects 64
 	Workers    int // <= 0 selects GOMAXPROCS
 
-	// JournalDir, when non-empty, enables the write-ahead job journal:
-	// transitions are fsynced there and replayed on construction.
+	// JournalDir holds the write-ahead job journal: transitions are
+	// fsynced there and replayed on construction. One scheduler at a
+	// time may hold it.
 	JournalDir string
 
-	// CheckpointDir, when non-empty, enables durable training
-	// checkpoints keyed by each job's model content address, cut every
-	// CheckpointEvery epochs (<= 0 selects every epoch).
-	CheckpointDir   string
-	CheckpointEvery int
+	// CheckpointDir holds durable training checkpoints keyed by each
+	// job's model content address. Every epoch boundary is offered to
+	// the cost throttle of core.TrainCheckpointer.AsyncSaver.
+	CheckpointDir string
 
-	// DatasetDir, when non-empty, enables the columnar dataset cache:
-	// small-scale datagen output is persisted there keyed by each job's
-	// DatasetKey, and later jobs that share the key (same datagen knobs,
-	// any model hyper-parameters) replay the file instead of re-running
-	// the small-scale simulation.
+	// DatasetDir holds the columnar dataset cache: small-scale datagen
+	// output is persisted there keyed by each job's DatasetKey, and later
+	// jobs that share the key (same datagen knobs, any model
+	// hyper-parameters) replay the file instead of re-running the
+	// small-scale simulation.
 	DatasetDir string
 
-	// runFn substitutes the job executor BEFORE recovered jobs are
-	// re-enqueued and workers start — the post-construction swap the
-	// stub tests use elsewhere would race against requeued work here.
-	// Test seam; nil selects the real pipeline.
+	// runFn replaces the job executor before recovered jobs are
+	// re-enqueued and workers start. Test seam; nil selects the real
+	// pipeline.
 	runFn func(ctx context.Context, j *Job)
 }
 
@@ -120,11 +120,20 @@ func (r RecoveryReport) String() string {
 }
 
 // NewSchedulerWithOptions builds a scheduler, replaying the job journal
-// first when opt.JournalDir is set: terminal jobs are restored so GET
-// /v1/jobs/{id} survives restarts, and unfinished jobs go back on the
-// queue (grown past QueueDepth if the backlog demands it) before any new
-// submission is accepted.
+// first: terminal jobs are restored so GET /v1/jobs/{id} survives
+// restarts, and unfinished jobs go back on the queue (grown past
+// QueueDepth if the backlog demands it) before any new submission is
+// accepted. It fails while another scheduler holds opt.JournalDir.
 func NewSchedulerWithOptions(reg *Registry, opt SchedulerOptions) (*Scheduler, *RecoveryReport, error) {
+	for _, d := range []struct{ field, dir string }{
+		{"JournalDir", opt.JournalDir},
+		{"CheckpointDir", opt.CheckpointDir},
+		{"DatasetDir", opt.DatasetDir},
+	} {
+		if d.dir == "" {
+			return nil, nil, fmt.Errorf("serve: SchedulerOptions.%s is required", d.field)
+		}
+	}
 	queueDepth := opt.QueueDepth
 	if queueDepth <= 0 {
 		queueDepth = 64
@@ -140,7 +149,6 @@ func NewSchedulerWithOptions(reg *Registry, opt SchedulerOptions) (*Scheduler, *
 		hPhaseTrain:   obs.NewHistogram(obs.TimeBuckets()),
 		hPhaseCompose: obs.NewHistogram(obs.TimeBuckets()),
 		ckptDir:       opt.CheckpointDir,
-		ckptEvery:     opt.CheckpointEvery,
 		dsDir:         opt.DatasetDir,
 	}
 	s.runFn = s.runJob
@@ -148,30 +156,22 @@ func NewSchedulerWithOptions(reg *Registry, opt SchedulerOptions) (*Scheduler, *
 		s.runFn = opt.runFn
 	}
 
-	rep := &RecoveryReport{}
-	var pending []*Job
-	if opt.JournalDir != "" {
-		jnl, info, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: job journal: %w", err)
-		}
-		s.journal = jnl
-		pending = s.replay(info, rep)
-		if len(pending) > queueDepth {
-			queueDepth = len(pending)
-		}
+	jnl, info, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: job journal: %w", err)
 	}
-	s.queue = make(chan *Job, queueDepth)
+	s.journal = jnl
+	rep := &RecoveryReport{}
+	pending := s.replay(info, rep)
+	s.queue = make(chan *Job, max(queueDepth, len(pending)))
 	for _, j := range pending {
 		s.queue <- j
 		s.cRequeued.Inc()
 	}
-	if s.journal != nil {
-		// Fold history into a snapshot so the next boot replays the job
-		// table, not every transition since the beginning of time.
-		if err := s.Compact(); err != nil {
-			s.cJournalErrs.Inc()
-		}
+	// Fold history into a snapshot so the next boot replays the job
+	// table, not every transition since the beginning of time.
+	if err := s.Compact(); err != nil {
+		s.cJournalErrs.Inc()
 	}
 
 	s.wg.Add(workers)
@@ -312,9 +312,6 @@ func idNum(id string) uint64 {
 // counted, not fatal: the daemon keeps serving, recovery just loses the
 // affected transition.
 func (s *Scheduler) logRecord(rec jobRecord) {
-	if s.journal == nil {
-		return
-	}
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	if s.jClosed {
@@ -365,9 +362,6 @@ func (s *Scheduler) snapshotState() journalSnapshot {
 // Compact folds the job table into a journal snapshot and truncates the
 // record segments. Called on boot after recovery; safe any time.
 func (s *Scheduler) Compact() error {
-	if s.journal == nil {
-		return nil
-	}
 	blob, err := json.Marshal(s.snapshotState())
 	if err != nil {
 		return err
@@ -382,18 +376,16 @@ func (s *Scheduler) Compact() error {
 
 // Kill simulates a crash for recovery drills (tests and -smoke): all
 // further journal writes are suppressed — as if the process died before
-// making them — the journal file is released so a successor scheduler
-// can open the same directory, and every job context is cancelled so
-// workers wind down. The in-memory Scheduler stays queryable but is
-// dead for durability purposes; rebuild from the same directories to
-// recover.
+// making them — the journal file and its lock are released, as process
+// death releases them, so a successor scheduler can open the same
+// directory, and every job context is cancelled so workers wind down.
+// The in-memory Scheduler stays queryable but is dead for durability
+// purposes; rebuild from the same directories to recover.
 func (s *Scheduler) Kill() {
 	s.jmu.Lock()
 	if !s.jClosed {
 		s.jClosed = true
-		if s.journal != nil {
-			_ = s.journal.Close()
-		}
+		_ = s.journal.Close()
 	}
 	s.jmu.Unlock()
 
@@ -416,9 +408,6 @@ func (s *Scheduler) Kill() {
 // Close compacts and releases the journal after an orderly drain. The
 // scheduler must not be used for new work afterwards.
 func (s *Scheduler) Close() error {
-	if s.journal == nil {
-		return nil
-	}
 	_ = s.Compact() // best effort: next boot replays a snapshot, not history
 	s.jmu.Lock()
 	defer s.jmu.Unlock()

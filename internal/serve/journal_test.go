@@ -3,10 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
+
+	"mimicnet/internal/durable"
 )
 
 // durableStub is the journal tests' job executor: blocks until the job's
@@ -27,15 +32,10 @@ func durableStub(release chan struct{}) func(ctx context.Context, j *Job) {
 // queryable, unfinished jobs are re-enqueued (growing the queue past its
 // configured depth), IDs continue from where they left off.
 func TestSchedulerJournalRecovery(t *testing.T) {
-	dir := t.TempDir()
-	reg, err := NewRegistry("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, 2)
 	release := make(chan struct{})
-	s1, rep, err := NewSchedulerWithOptions(reg, SchedulerOptions{
-		QueueDepth: 4, Workers: 1, JournalDir: dir, runFn: durableStub(release),
-	})
+	opt := tempOptions(t, 4, 1, durableStub(release))
+	s1, rep, err := NewSchedulerWithOptions(reg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,8 @@ func TestSchedulerJournalRecovery(t *testing.T) {
 	release2 := make(chan struct{}, 2)
 	release2 <- struct{}{}
 	release2 <- struct{}{}
-	s2, rep2, err := NewSchedulerWithOptions(reg, SchedulerOptions{
-		QueueDepth: 1, Workers: 1, JournalDir: dir, runFn: durableStub(release2),
-	})
+	opt.QueueDepth, opt.runFn = 1, durableStub(release2)
+	s2, rep2, err := NewSchedulerWithOptions(reg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +119,8 @@ func TestSchedulerJournalRecovery(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, rep3, err := NewSchedulerWithOptions(reg, SchedulerOptions{
-		QueueDepth: 4, Workers: 1, JournalDir: dir, runFn: durableStub(nil),
-	})
+	opt.QueueDepth, opt.runFn = 4, durableStub(nil)
+	s3, rep3, err := NewSchedulerWithOptions(reg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +153,7 @@ func TestSchedulerCrashRecoveryE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseSched := NewScheduler(baseReg, 4, 1)
+	baseSched := newTestScheduler(t, baseReg, 4, 1, nil)
 	bj, err := baseSched.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +176,7 @@ func TestSchedulerCrashRecoveryE2E(t *testing.T) {
 		QueueDepth: 4, Workers: 1,
 		JournalDir:    filepath.Join(dataDir, "journal"),
 		CheckpointDir: filepath.Join(dataDir, "ckpt"),
+		DatasetDir:    filepath.Join(dataDir, "datasets"),
 	}
 	s1, _, err := NewSchedulerWithOptions(reg1, opts)
 	if err != nil {
@@ -238,4 +237,78 @@ func TestSchedulerCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("checkpoints survived success: %v", files)
 	}
 	s2.Kill()
+}
+
+// TestJournalOneTerminalRecordPerJob: cancellations landing on queued
+// and running jobs alike, then a drain and a crash, leave exactly one
+// accepted and one terminal record in the journal for every admitted
+// job — none lost, none doubled.
+func TestJournalOneTerminalRecordPerJob(t *testing.T) {
+	const jobs, workers = 40, 4
+	rng := rand.New(rand.NewSource(1))
+	opt := tempOptions(t, jobs, workers, func(ctx context.Context, j *Job) {
+		select {
+		case <-ctx.Done():
+			j.finish(StateCancelled, nil, ctx.Err().Error())
+		case <-time.After(time.Duration(idNum(j.ID())%5) * time.Millisecond):
+			j.finish(StateDone, &Summary{}, "")
+		}
+	})
+	s, _, err := NewSchedulerWithOptions(newTestRegistry(t, 2), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancels sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		j, err := s.Submit(JobSpec{Clusters: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			delay := time.Duration(rng.Intn(8000)) * time.Microsecond
+			cancels.Add(1)
+			go func() {
+				defer cancels.Done()
+				time.Sleep(delay)
+				j.Cancel()
+			}()
+		}
+	}
+	cancels.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.Kill() // no compaction: every record stays in the segments
+
+	jnl, info, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	accepted, terminal := map[string]int{}, map[string]int{}
+	for _, r := range info.Records {
+		var rec jobRecord
+		if err := json.Unmarshal(r.Payload, &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Type {
+		case recAccepted:
+			accepted[rec.ID]++
+		case recDone, recFailed, recCancelled:
+			terminal[rec.ID]++
+		}
+	}
+	if len(accepted) != jobs || len(terminal) != jobs {
+		t.Fatalf("journal names %d accepted and %d finished jobs, want %d each", len(accepted), len(terminal), jobs)
+	}
+	for id, n := range accepted {
+		if n != 1 || terminal[id] != 1 {
+			t.Errorf("job %s: %d accepted and %d terminal records, want 1 and 1", id, n, terminal[id])
+		}
+	}
+	if st := s.Stats(); st.Cancelled == 0 || st.Done == 0 {
+		t.Fatalf("the storm did not mix outcomes: %+v", st)
+	}
 }

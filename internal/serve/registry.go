@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,7 +27,7 @@ import (
 //   - a corrupt disk blob is counted, discarded, and falls back to
 //     retraining — cache damage can slow a job down but never fail it.
 type Registry struct {
-	dir    string // "" = memory-only
+	dir    string
 	memCap int
 
 	mu       sync.Mutex
@@ -73,17 +74,18 @@ type RegistryStats struct {
 // Hits is the total of cache lookups that skipped training.
 func (s RegistryStats) Hits() uint64 { return s.MemHits + s.DiskHits + s.Coalesced }
 
-// NewRegistry creates a registry backed by dir (created if missing; pass
-// "" for memory-only) holding at most memCap decoded artifacts in memory
-// (<= 0 selects a default of 8).
+// NewRegistry creates a registry backed by dir (required; created if
+// missing) holding at most memCap decoded artifacts in memory (<= 0
+// selects a default of 8).
 func NewRegistry(dir string, memCap int) (*Registry, error) {
 	if memCap <= 0 {
 		memCap = 8
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: registry dir: %w", err)
-		}
+	if dir == "" {
+		return nil, fmt.Errorf("serve: registry dir is required")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("serve: registry dir: %w", err)
 	}
 	return &Registry{
 		dir:      dir,
@@ -114,8 +116,10 @@ func (r *Registry) Stats() RegistryStats {
 // Get returns the models stored under key, materializing them with train
 // exactly once across concurrent callers. hit reports whether training
 // was skipped for this caller (memory, disk, or coalescing onto another
-// caller's training run). ctx aborts a follower's wait; the leader's
-// training itself is bounded by that leader's own ctx inside train.
+// caller's finished training run). ctx aborts a follower's wait; the
+// leader's training itself is bounded by that leader's own ctx inside
+// train. A leader stopped by its own cancellation or deadline does not
+// fail its followers: one whose ctx is live takes over and trains.
 func (r *Registry) Get(ctx context.Context, key string, train func() (*core.MimicModels, error)) (models *core.MimicModels, hit bool, err error) {
 	r.mu.Lock()
 	if el, ok := r.idx[key]; ok {
@@ -130,10 +134,16 @@ func (r *Registry) Get(ctx context.Context, key string, train func() (*core.Mimi
 		r.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.models, true, f.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
+		if f.err == nil {
+			return f.models, true, nil
+		}
+		if ctx.Err() == nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
+			return r.Get(ctx, key, train)
+		}
+		return nil, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	r.inflight[key] = f
@@ -171,8 +181,8 @@ func (r *Registry) Contains(key string) bool {
 	r.mu.Lock()
 	_, ok := r.idx[key]
 	r.mu.Unlock()
-	if ok || r.dir == "" {
-		return ok
+	if ok {
+		return true
 	}
 	_, statErr := os.Stat(r.path(key))
 	return statErr == nil
@@ -202,9 +212,6 @@ func (r *Registry) path(key string) string {
 // unreadable or undecodable blob counts as corrupt and falls back to
 // retraining.
 func (r *Registry) loadDisk(key string) (*core.MimicModels, bool) {
-	if r.dir == "" {
-		return nil, false
-	}
 	blob, err := os.ReadFile(r.path(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -228,9 +235,6 @@ func (r *Registry) countCorrupt() { r.cCorrupt.Inc() }
 // torn write and a stored artifact survives power loss, not just process
 // death. Store failures degrade to memory-only caching.
 func (r *Registry) storeDisk(key string, m *core.MimicModels) {
-	if r.dir == "" {
-		return
-	}
 	blob, err := m.Save()
 	if err == nil {
 		err = durable.WriteFileAtomic(r.path(key), blob, 0o644)

@@ -215,3 +215,59 @@ func TestRegistryTrainErrorPropagates(t *testing.T) {
 		t.Fatal("failed materialization was cached")
 	}
 }
+
+// TestRegistryFollowerOfFailedLeader: a follower gets a failed leader's
+// error as a miss (hit=false), except when the leader stopped on its own
+// cancellation or deadline — then a follower whose context is live
+// trains the artifact itself instead of failing with the leader.
+func TestRegistryFollowerOfFailedLeader(t *testing.T) {
+	boom := fmt.Errorf("no samples")
+	for _, tc := range []struct {
+		name      string
+		leaderErr error
+		wantErr   error
+		trainings int32
+	}{
+		{"cancelled", context.Canceled, nil, 1},
+		{"deadline", fmt.Errorf("train: %w", context.DeadlineExceeded), nil, 1},
+		{"failed", boom, boom, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newTestRegistry(t, 4)
+			leading, release := make(chan struct{}), make(chan struct{})
+			go r.Get(context.Background(), "k", func() (*core.MimicModels, error) {
+				close(leading)
+				<-release
+				return nil, tc.leaderErr
+			})
+			<-leading
+
+			var trainings atomic.Int32
+			type result struct {
+				m   *core.MimicModels
+				hit bool
+				err error
+			}
+			out := make(chan result, 1)
+			go func() {
+				m, hit, err := r.Get(context.Background(), "k", func() (*core.MimicModels, error) {
+					trainings.Add(1)
+					return fakeModels(5), nil
+				})
+				out <- result{m, hit, err}
+			}()
+			for r.Stats().Coalesced == 0 { // the follower joins the flight
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			res := <-out
+			if res.err != tc.wantErr || res.hit || trainings.Load() != tc.trainings {
+				t.Fatalf("follower: hit=%v err=%v trainings=%d, want hit=false err=%v trainings=%d",
+					res.hit, res.err, trainings.Load(), tc.wantErr, tc.trainings)
+			}
+			if tc.wantErr == nil && (res.m == nil || res.m.Window != 5 || !r.Contains("k")) {
+				t.Fatal("the follower's own training was not returned and cached")
+			}
+		})
+	}
+}

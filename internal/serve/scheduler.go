@@ -198,33 +198,20 @@ type Scheduler struct {
 	hPhaseTrain     *obs.Histogram
 	hPhaseCompose   *obs.Histogram
 
-	// Durability (journal.go). journal is nil when the scheduler runs
-	// memory-only; jmu orders appends against Kill/Close; jClosed
-	// suppresses writes once the journal is gone. ckptDir/ckptEvery
-	// configure per-job training checkpoints.
-	journal   *durable.Journal
-	jmu       sync.Mutex
-	jClosed   bool
-	ckptDir   string
-	ckptEvery int
-	dsDir     string // columnar dataset cache root ("" = disabled)
+	// Durability (journal.go). jmu orders appends against Kill/Close;
+	// jClosed suppresses writes once the journal is gone. ckptDir holds
+	// per-job training checkpoints, dsDir the columnar dataset cache.
+	journal *durable.Journal
+	jmu     sync.Mutex
+	jClosed bool
+	ckptDir string
+	dsDir   string
 
 	wg sync.WaitGroup
 
 	// runFn executes one admitted job and must drive it to a terminal
 	// state. Tests substitute a stub; production uses (*Scheduler).runJob.
 	runFn func(ctx context.Context, j *Job)
-}
-
-// NewScheduler starts a memory-only scheduler over the registry with the
-// given queue depth (<= 0 selects 64) and worker count (<= 0 selects
-// GOMAXPROCS). For a crash-recoverable scheduler use
-// NewSchedulerWithOptions with a JournalDir.
-func NewScheduler(reg *Registry, queueDepth, workers int) *Scheduler {
-	s, _, _ := NewSchedulerWithOptions(reg, SchedulerOptions{
-		QueueDepth: queueDepth, Workers: workers,
-	})
-	return s
 }
 
 // Workers returns the worker-pool size.
@@ -464,10 +451,7 @@ func (s *Scheduler) account(state State, dur time.Duration) {
 func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 	j.setPhase("train")
 	s.logRecord(jobRecord{Type: recPhase, ID: j.id, Phase: "train", Time: time.Now()})
-	var ckpt *core.TrainCheckpointer
-	if s.ckptDir != "" {
-		ckpt = &core.TrainCheckpointer{Dir: s.ckptDir, Key: j.key, Every: s.ckptEvery}
-	}
+	ckpt := &core.TrainCheckpointer{Dir: s.ckptDir, Key: j.key}
 	t0 := time.Now()
 	models, hit, err := s.reg.Get(ctx, j.key, func() (*core.MimicModels, error) {
 		ing, eg, err := s.datasetsForSpec(ctx, j.spec)
@@ -527,15 +511,11 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 }
 
 // datasetsForSpec produces the two per-direction datasets (spec.Datasets),
-// preferring the persisted columnar cache when a dataset directory is
-// configured. A corrupt cache entry is removed and regenerated — the
-// file is a pure cache, never the source of truth. Cache write failures
-// are likewise non-fatal: the freshly generated datasets train this job
-// either way.
+// preferring the persisted columnar cache. A corrupt cache entry is
+// removed and regenerated — the file is a pure cache, never the source
+// of truth. Cache write failures are likewise non-fatal: the freshly
+// generated datasets train this job either way.
 func (s *Scheduler) datasetsForSpec(ctx context.Context, spec JobSpec) (ing, eg *core.Dataset, err error) {
-	if s.dsDir == "" {
-		return spec.Datasets(ctx)
-	}
 	key, err := spec.DatasetKey()
 	if err != nil {
 		return nil, nil, err

@@ -8,25 +8,70 @@ import (
 	"time"
 )
 
+// tempOptions configures a scheduler over fresh journal, checkpoint and
+// dataset directories; a nil runFn selects the real pipeline.
+func tempOptions(t *testing.T, queueDepth, workers int, runFn func(context.Context, *Job)) SchedulerOptions {
+	t.Helper()
+	return SchedulerOptions{
+		QueueDepth: queueDepth, Workers: workers,
+		JournalDir:    t.TempDir(),
+		CheckpointDir: t.TempDir(),
+		DatasetDir:    t.TempDir(),
+		runFn:         runFn,
+	}
+}
+
+// newTestScheduler builds a scheduler over tempOptions. When the test
+// ends it is killed and its workers are awaited, before the directories
+// are removed.
+func newTestScheduler(t *testing.T, reg *Registry, queueDepth, workers int, runFn func(context.Context, *Job)) *Scheduler {
+	t.Helper()
+	s, _, err := NewSchedulerWithOptions(reg, tempOptions(t, queueDepth, workers, runFn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		s.Kill()
+		s.wg.Wait()
+	})
+	return s
+}
+
+// TestSchedulerRequiresDirs: the scheduler has one configuration, the
+// durable one, so each of its directories is required and a missing one
+// is named; the registry needs its directory too.
+func TestSchedulerRequiresDirs(t *testing.T) {
+	if _, err := NewRegistry("", 2); err == nil {
+		t.Fatal("registry built without a directory")
+	}
+	reg := newTestRegistry(t, 2)
+	for field, unset := range map[string]func(*SchedulerOptions){
+		"JournalDir":    func(o *SchedulerOptions) { o.JournalDir = "" },
+		"CheckpointDir": func(o *SchedulerOptions) { o.CheckpointDir = "" },
+		"DatasetDir":    func(o *SchedulerOptions) { o.DatasetDir = "" },
+	} {
+		opt := tempOptions(t, 1, 1, nil)
+		unset(&opt)
+		if _, _, err := NewSchedulerWithOptions(reg, opt); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("without %s: err = %v, want one naming it", field, err)
+		}
+	}
+}
+
 // stubScheduler returns a scheduler whose runFn blocks until the job's
 // context is cancelled or the returned release channel is closed, so
 // admission/drain/cancel behavior is testable without training models.
 func stubScheduler(t *testing.T, queueDepth, workers int) (*Scheduler, chan struct{}) {
 	t.Helper()
-	reg, err := NewRegistry("", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	release := make(chan struct{})
-	s := NewScheduler(reg, queueDepth, workers)
-	s.runFn = func(ctx context.Context, j *Job) {
+	s := newTestScheduler(t, newTestRegistry(t, 2), queueDepth, workers, func(ctx context.Context, j *Job) {
 		select {
 		case <-ctx.Done():
 			j.finish(StateCancelled, nil, ctx.Err().Error())
 		case <-release:
 			j.finish(StateDone, &Summary{}, "")
 		}
-	}
+	})
 	return s, release
 }
 
@@ -153,11 +198,8 @@ func TestJobReportsTrainProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains real models")
 	}
-	reg, err := NewRegistry(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(reg, 4, 1)
+	reg := newTestRegistry(t, 4)
+	s := newTestScheduler(t, reg, 4, 1, nil)
 	spec := JobSpec{
 		Clusters: 2, Racks: 1, Hosts: 2, Aggs: 1, CoresPerAgg: 1,
 		WorkloadMs: 40, RunMs: 60, SmallRunMs: 50,
@@ -198,11 +240,8 @@ func TestJobCancelledMidTrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains real models")
 	}
-	reg, err := NewRegistry(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(reg, 4, 1)
+	reg := newTestRegistry(t, 4)
+	s := newTestScheduler(t, reg, 4, 1, nil)
 	spec := JobSpec{
 		Clusters: 2, Racks: 1, Hosts: 2, Aggs: 1, CoresPerAgg: 1,
 		WorkloadMs: 60, RunMs: 60, SmallRunMs: 60,
@@ -234,13 +273,9 @@ func TestJobCancelledMidTune(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tunes real models")
 	}
-	reg, err := NewRegistry(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheduler(reg, 4, 1)
+	reg := newTestRegistry(t, 4)
+	s := newTestScheduler(t, reg, 4, 1, nil)
 	defer s.Close()
-	s.dsDir = t.TempDir()
 	spec := JobSpec{Clusters: 2, Tune: 2}.Normalized()
 	// A cached dataset puts the job straight into the search.
 	if _, _, err := s.datasetsForSpec(context.Background(), spec); err != nil {

@@ -21,11 +21,8 @@ func tinySpec() JobSpec {
 
 func newTestServer(t *testing.T, queueDepth, workers int) (*httptest.Server, *Scheduler, *Registry) {
 	t.Helper()
-	reg, err := NewRegistry(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := NewScheduler(reg, queueDepth, workers)
+	reg := newTestRegistry(t, 4)
+	sched := newTestScheduler(t, reg, queueDepth, workers, nil)
 	ts := httptest.NewServer(NewServer(sched, reg).Handler())
 	t.Cleanup(ts.Close)
 	return ts, sched, reg

@@ -62,7 +62,7 @@ type JobSpec struct {
 	// Tune, when positive, runs hyper-parameter tuning with this budget
 	// before the final training; the tuned artifact is what gets cached.
 	Tune       int    `json:"tune,omitempty"`
-	TuneMetric string `json:"tune_metric,omitempty"` // fct|throughput|rtt
+	TuneMetric string `json:"tune_metric,omitempty"` // fct|throughput|rtt[-ks], fct-mse
 
 	// DeadlineMs bounds the job's wall-clock execution time (0 = none).
 	// A job over deadline is cancelled cooperatively and reports partial
@@ -190,6 +190,9 @@ func (s JobSpec) Validate() error {
 	}
 	if _, err := transport.ByName(s.Protocol); err != nil {
 		return fmt.Errorf("serve: %w", err)
+	}
+	if err := tuning.CheckMetric(s.TuneMetric); err != nil {
+		return fmt.Errorf("serve: tune_metric: %w", err)
 	}
 	base, tcfg, err := s.Configs()
 	if err != nil {

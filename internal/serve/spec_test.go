@@ -52,6 +52,7 @@ func TestJobSpecValidateRejectsOutsideInput(t *testing.T) {
 		{"deadline_ms", JobSpec{DeadlineMs: inf}},
 		{"ecn_k", JobSpec{ECNK: -1}},
 		{"protocol", JobSpec{Protocol: "nope"}},
+		{"tune_metric", JobSpec{Tune: 2, TuneMetric: "bogus"}},
 	} {
 		err := tc.spec.Normalized().Validate()
 		if err == nil {
@@ -82,11 +83,8 @@ func TestJobSummaryMatchesLocalEstimate(t *testing.T) {
 			spec.Tune = tune
 			spec = spec.Normalized()
 
-			reg, err := NewRegistry("", 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, err := NewScheduler(reg, 2, 1).Submit(spec)
+			reg := newTestRegistry(t, 2)
+			j, err := newTestScheduler(t, reg, 2, 1, nil).Submit(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

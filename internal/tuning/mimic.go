@@ -35,15 +35,28 @@ type Validator struct {
 	truth map[int]cluster.Results
 }
 
+// CheckMetric returns an error unless Validator.Metric accepts name.
+func CheckMetric(name string) error {
+	if name == "fct-mse" {
+		return nil
+	}
+	_, err := (&Validator{Metric: name}).pick(cluster.Results{})
+	return err
+}
+
 // NewValidator runs the one-time full-fidelity reference simulations on
-// a held-out workload seed. A cancelled ctx stops the reference run in
-// flight and returns ctx's error.
+// a held-out workload seed; an unknown metric fails before any of them.
+// A cancelled ctx stops the reference run in flight and returns ctx's
+// error.
 func NewValidator(ctx context.Context, base cluster.Config, sizes []int, duration sim.Time, metric string) (*Validator, error) {
 	if len(sizes) == 0 {
 		sizes = []int{2, 4, 8}
 	}
 	if metric == "" {
 		metric = "fct"
+	}
+	if err := CheckMetric(metric); err != nil {
+		return nil, err
 	}
 	v := &Validator{Base: base, Sizes: sizes, Duration: duration, Metric: metric,
 		truth: make(map[int]cluster.Results)}
@@ -59,11 +72,7 @@ func NewValidator(ctx context.Context, base cluster.Config, sizes []int, duratio
 		}
 		res := inst.Results()
 		if v.Metric != "fct-mse" {
-			dist, err := v.pick(res)
-			if err != nil {
-				return nil, err
-			}
-			if len(dist) == 0 {
+			if dist, _ := v.pick(res); len(dist) == 0 {
 				return nil, fmt.Errorf("tuning: no %s samples in %d-cluster reference", metric, n)
 			}
 		} else if len(res.FCTByID) == 0 {
