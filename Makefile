@@ -21,19 +21,21 @@ test-race:
 # floor forced to 0 (build tag poolfloor0), so every Range call fans out
 # again at the small shapes the tests use — the path the production
 # floor (DESIGN.md decision 15) keeps off the default shapes; in core
-# that is every inference flush splitting its two directions (decision
-# 21). -cpu sizes the shared pool: 1, 2 and 4 workers, one process each
-# because the pool is sized once. The golden fingerprints in testdata/
-# (engine_parity.json, oracle_parity.json, trained_parity.json) are the
-# production ones, so a pass also proves floor-invariance. The last line
-# is the -race pass over split flushes and concurrent shard workers
-# sharing the pool.
+# that is every inference flush splitting across its lane groups
+# (decision 29). -cpu sizes the shared pool, and with it the number of
+# lane groups: 1, 2 and 4 workers, one process each because the pool is
+# sized once. The golden fingerprints in testdata/ (engine_parity.json,
+# oracle_parity.json, trained_parity.json) are the production ones, and
+# TestFeederOracleParity compares against the feeders-as-events oracle,
+# so a pass also proves floor- and group-invariance. The last line is
+# the -race pass over split flushes and concurrent shard workers sharing
+# the pool.
 test-floor0:
 	@for w in 1 2 4; do \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
-		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestOracleParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit' ./internal/core || exit 1; \
+		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestOracleParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit|TestFeederOracleParity' ./internal/core || exit 1; \
 	done
-	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit' ./internal/core
+	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit|TestFeederOracleParity' ./internal/core
 
 # bench/ is its own module (it imports internal/* through a replace), so
 # `go build ./... && go test ./...` never compiles it: an internal/*

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mimicnet/internal/cluster"
+	"mimicnet/internal/ml"
 	"mimicnet/internal/netsim"
 	"mimicnet/internal/obs"
 	"mimicnet/internal/sim"
@@ -118,9 +119,10 @@ func HybridRoles(dir Direction) []ClusterRole {
 // modes produce bitwise-identical Results.
 type Engine struct {
 	// Progress, if set, is invoked periodically from RunContext's run
-	// loop (per window barrier when sharded, every few thousand events
-	// when sequential) with the simulated clock and total events
-	// processed.
+	// loop (per window barrier when sharded, every few thousand kernel
+	// events when sequential) with the simulated clock and total events
+	// processed, counted as Results counts them: kernel events plus the
+	// feeder advances taken so far.
 	Progress func(now sim.Time, events uint64)
 
 	rt       *cluster.Simulation
@@ -154,7 +156,6 @@ type clusterCtx struct {
 	modelPackets uint64
 	dropsIngress uint64
 	dropsEgress  uint64
-	feederEvents uint64
 	_            [8]uint64
 }
 
@@ -197,6 +198,17 @@ func shardedWindow(window, lookahead sim.Time, models *MimicModels) sim.Time {
 // models ("Aside from the number of clusters, all other parameters are
 // kept constant", §7.1).
 func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
+	e, err := newEngine(cfg, roles, models, ml.SharedPool())
+	if err != nil {
+		return nil, err
+	}
+	e.startFeeders()
+	return e, nil
+}
+
+// newEngine is NewEngine with the feeders not started and the inference
+// flushes split over pool.
+func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, pool *ml.Pool) (*Engine, error) {
 	if err := cfg.Topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -286,7 +298,7 @@ func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*E
 			if par != nil {
 				w = shardedWindow(w, layer.Lookahead, cc.models)
 			}
-			sched = NewInferenceScheduler(cc.sim, cc.models, w)
+			sched = NewInferenceScheduler(cc.sim, cc.models, w, pool)
 			byModels[cc.models] = sched
 			e.scheds = append(e.scheds, sched)
 		}
@@ -296,7 +308,6 @@ func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*E
 	if e.needsIntercept() {
 		rt.Fabric.SetIntercept(e.interceptIngress)
 	}
-	e.startFeeders()
 	return e, nil
 }
 
@@ -448,14 +459,35 @@ func (e *Engine) deliver(p any, _ int64) {
 	e.rt.Fabric.Packets(dst).Put(pkt)
 }
 
-// startFeeders schedules the per-Mimic, per-direction synthetic traffic
-// that keeps internal model state realistic without simulating packets.
-// Only Mimic-Mimic traffic is synthetic, so the fitted external rate is
-// scaled by the fraction of boundary peers that are themselves Mimics;
-// with fewer than two Mimic clusters all external traffic is real and no
-// feeders run. Feeder events are local to the Mimic's own shard.
+// startFeeders starts the per-Mimic, per-direction synthetic traffic
+// that keeps internal model state realistic without simulating packets,
+// and arms each scheduler's first feeder flush. A feeder is lane state
+// that its scheduler's flushes advance; it puts no event in the kernel
+// queue.
 func (e *Engine) startFeeders() {
-	n := len(e.clusters)
+	frac := e.feederFrac()
+	if frac <= 0 {
+		return
+	}
+	for idx, cc := range e.clusters {
+		if cc.role.Kind != RoleMimic {
+			continue
+		}
+		for _, dir := range []Direction{Ingress, Egress} {
+			cc.mimic.dir(dir).startFeeder(e.feederStream(idx, dir), frac, cc.sim.Now())
+		}
+	}
+	for _, s := range e.scheds {
+		s.armFeeders()
+	}
+}
+
+// feederFrac is the share of a Mimic's external traffic that feeders
+// synthesize. Only Mimic-Mimic traffic is synthetic, so the fitted
+// external rate is scaled by the fraction of boundary peers that are
+// themselves Mimics; with fewer than two Mimic clusters all external
+// traffic is real and it is 0: no feeders run.
+func (e *Engine) feederFrac() float64 {
 	mimics := 0
 	for _, cc := range e.clusters {
 		if cc.role.Kind == RoleMimic {
@@ -463,53 +495,15 @@ func (e *Engine) startFeeders() {
 		}
 	}
 	if mimics < 2 {
-		return
+		return 0
 	}
-	frac := float64(mimics-1) / float64(n-1)
-	for idx, cc := range e.clusters {
-		if cc.role.Kind != RoleMimic {
-			continue
-		}
-		for _, dir := range []Direction{Ingress, Egress} {
-			dm := cc.models.Ingress
-			if dir == Egress {
-				dm = cc.models.Egress
-			}
-			f := &feeder{
-				cc: cc, dir: dir, dm: dm, frac: frac,
-				rng: stats.NewStream(e.rt.Cfg.Workload.Seed).Derive(
-					fmt.Sprintf("feeder-%d-%s", idx, dir)),
-			}
-			f.schedule()
-		}
-	}
+	return float64(mimics-1) / float64(len(e.clusters)-1)
 }
 
-// feeder is one Mimic direction's synthetic traffic source: a chain of
-// typed events, each advancing the model once and drawing the gap to the
-// next.
-type feeder struct {
-	cc   *clusterCtx
-	dir  Direction
-	dm   *DirectionModel
-	rng  *stats.Stream
-	frac float64
-}
-
-func (f *feeder) schedule() {
-	gap := FeederGapFrac(f.dm, f.rng, f.frac)
-	if gap <= 0 {
-		return
-	}
-	s := f.cc.sim
-	s.Schedule(s.Now()+gap, feederFired, f, 0)
-}
-
-func feederFired(p any, _ int64) {
-	f := p.(*feeder)
-	f.cc.feederEvents++
-	f.cc.mimic.Feed(f.dir, f.cc.sim.Now())
-	f.schedule()
+// feederStream is the gap stream of cluster idx's feeder in one
+// direction.
+func (e *Engine) feederStream(idx int, dir Direction) *stats.Stream {
+	return stats.NewStream(e.rt.Cfg.Workload.Seed).Derive(fmt.Sprintf("feeder-%d-%s", idx, dir))
 }
 
 // Sharded reports whether this engine runs as parallel LPs.
@@ -551,11 +545,13 @@ func (e *Engine) ModelPackets() uint64 {
 	return total
 }
 
-// FeederEvents returns the number of synthetic feeder advances.
+// FeederEvents returns the number of synthetic feeder advances taken.
 func (e *Engine) FeederEvents() uint64 {
 	var total uint64
 	for _, cc := range e.clusters {
-		total += cc.feederEvents
+		if cc.mimic != nil {
+			total += cc.mimic.ing.feed.steps + cc.mimic.eg.feed.steps
+		}
 	}
 	return total
 }
@@ -614,18 +610,30 @@ func (e *Engine) publishDrops() {
 // cancelled.
 func (e *Engine) RunContext(ctx context.Context, until sim.Time) (cancelled bool) {
 	defer obs.StartSpan(obsPhaseCompose).End()
-	e.rt.Progress = e.Progress
+	e.rt.Progress = nil
+	if e.Progress != nil {
+		e.rt.Progress = e.progress
+	}
 	cancelled = e.rt.RunContext(ctx, until)
 	e.flushSchedulers()
 	e.publishDrops()
 	return cancelled
 }
 
+// progress is the runtime's progress hook: Progress with the feeder
+// advances counted. It runs between kernel events, or at a window
+// barrier with every LP parked, so no flush is writing the counts.
+func (e *Engine) progress(now sim.Time, events uint64) {
+	e.Progress(now, events+e.FeederEvents())
+}
+
 // Results snapshots the collected metrics in the same shape as a
 // full-fidelity run, so they can be compared directly: the runtime's,
-// with the models' predicted drops added.
+// with the models' predicted drops added and one event counted per
+// feeder advance.
 func (e *Engine) Results() cluster.Results {
 	res := e.rt.Results()
 	res.Drops += e.MimicDrops(Ingress) + e.MimicDrops(Egress)
+	res.Events += e.FeederEvents()
 	return res
 }

@@ -99,33 +99,53 @@ type Mimic struct {
 	ing, eg *dirRuntime
 
 	sched *InferenceScheduler
-	lane  int
 }
 
+// dirRuntime is one Mimic direction, which is one lane of its
+// scheduler. Between flushes only enqueue touches it (appending to q);
+// during a flush only the flush task of the lane's group does.
 type dirRuntime struct {
 	dm  *DirectionModel
 	ex  *Extractor
 	rng *stats.Stream
+	dir Direction
+
+	feed feeder // the lane's synthetic Mimic-to-Mimic traffic
+
+	// lane is the lane's index across the scheduler, which orders its
+	// continuations; bank and bankLane are its group's bank and its row
+	// in it; q holds its queued requests in arrival order. During a
+	// flush pos is the next request to step and took says whether a
+	// feeder arrival was stepped.
+	lane     int
+	bank     *ml.BatchedStatefulModel
+	bankLane int
+	q        []schedReq
+	pos      int
+	took     bool
 }
 
 // newMimic instantiates the runtime for one cluster on sched, which
 // gives it one lane per direction. Each Mimic gets its own randomness
 // stream so compositions stay deterministic.
 func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *InferenceScheduler) *Mimic {
-	mk := func(dm *DirectionModel, label string) *dirRuntime {
+	mk := func(dm *DirectionModel, dir Direction) *dirRuntime {
 		return &dirRuntime{
-			dm:  dm,
-			ex:  NewExtractor(models.Spec, dm.Bounds.Lo, dm.Bounds.Hi),
-			rng: stats.NewStream(seed).Derive(fmt.Sprintf("mimic-%d-%s", clusterIdx, label)),
+			dm:   dm,
+			ex:   NewExtractor(models.Spec, dm.Bounds.Lo, dm.Bounds.Hi),
+			rng:  stats.NewStream(seed).Derive(fmt.Sprintf("mimic-%d-%s", clusterIdx, dir)),
+			dir:  dir,
+			feed: feeder{next: never},
 		}
 	}
-	return &Mimic{
+	m := &Mimic{
 		Cluster: clusterIdx,
-		ing:     mk(models.Ingress, "ingress"),
-		eg:      mk(models.Egress, "egress"),
+		ing:     mk(models.Ingress, Ingress),
+		eg:      mk(models.Egress, Egress),
 		sched:   sched,
-		lane:    sched.addMimic(),
 	}
+	sched.addMimic([2]*dirRuntime{Ingress: m.ing, Egress: m.eg})
+	return m
 }
 
 // applyPrediction turns one raw model prediction into an Outcome: the
@@ -171,24 +191,59 @@ func (m *Mimic) dir(dir Direction) *dirRuntime {
 // fn at the scheduler's next flush. Callers must not touch the packet
 // until fn runs.
 func (m *Mimic) ProcessAsync(dir Direction, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
-	m.sched.enqueue(m.lane, dir, m.dir(dir), info, pkt, fn)
-}
-
-// Feed advances one direction's model for Mimic-Mimic traffic (paper §6:
-// feeder packets are never created, sent, or routed). The flush draws
-// the synthetic packet from the direction's InfoBank; a direction with an
-// empty bank has nothing to feed.
-func (m *Mimic) Feed(dir Direction, now sim.Time) {
-	d := m.dir(dir)
-	if len(d.dm.InfoBank) == 0 {
-		return
-	}
-	m.sched.enqueue(m.lane, dir, d, PacketInfo{ArrivalTime: now}, nil, nil)
+	m.sched.enqueue(m.dir(dir), info, pkt, fn)
 }
 
 // InferenceSteps reports total model steps executed (for Figure 23's
 // compute accounting).
-func (m *Mimic) InferenceSteps() uint64 { return m.sched.laneSteps(m.lane) }
+func (m *Mimic) InferenceSteps() uint64 {
+	return m.ing.bank.LaneSteps[m.ing.bankLane] + m.eg.bank.LaneSteps[m.eg.bankLane]
+}
+
+// feeder is one Mimic direction's synthetic traffic (paper §6): the
+// arrival times of Mimic-to-Mimic packets that are never created, drawn
+// from the direction's own feeder-%d-%s stream. It is lane state, not a
+// chain of kernel events: the flush of the lane's group admits the
+// arrivals due by its instant and draws the gaps past them (DESIGN.md
+// decision 29).
+type feeder struct {
+	rng   *stats.Stream // nil when the direction runs no feeder
+	frac  float64
+	next  sim.Time // the next unconsumed arrival; never once the chain ends
+	prev  sim.Time // the arrival before next
+	steps uint64   // advances taken
+}
+
+// startFeeder starts d's feeder at now, frac being the share of the
+// Mimic's external traffic that is synthetic (FeederGapFrac). A
+// direction with an empty InfoBank has nothing to replay and runs none.
+func (d *dirRuntime) startFeeder(rng *stats.Stream, frac float64, now sim.Time) {
+	if len(d.dm.InfoBank) == 0 {
+		return
+	}
+	d.feed = feeder{rng: rng, frac: frac, next: now}
+	d.feed.advance(d.dm)
+}
+
+// advance moves past the next arrival, drawing the gap to the one after.
+func (f *feeder) advance(dm *DirectionModel) {
+	f.prev = f.next
+	if gap := FeederGapFrac(dm, f.rng, f.frac); gap > 0 {
+		f.next += gap
+	} else {
+		f.next = never
+	}
+}
+
+// due reports whether the next arrival joins a flush at instant at that
+// was armed at armAt, tookPrev saying whether this flush already took
+// the arrival before it. As a kernel event, arrival k was scheduled
+// while arrival k-1 ran, so one at exactly the flush instant ran before
+// the flush iff its predecessor ran before the flush was armed: it was
+// consumed by an earlier flush, or its time is before armAt.
+func (f *feeder) due(at, armAt sim.Time, tookPrev bool) bool {
+	return f.next < at || f.next == at && (!tookPrev || f.prev < armAt)
+}
 
 // FeederGapFrac samples the next feeder interarrival for one Mimic
 // direction. The fitted distribution describes the full external stream

@@ -26,16 +26,12 @@ import (
 
 const oracleGoldenPath = "testdata/oracle_parity.json"
 
-// newOracleEngine builds the per-request oracle engine for a role vector.
+// newOracleEngine builds the per-request oracle engine for a role
+// vector: every request flushed as it arrives, and feeders as kernel
+// events (newFeederOracle), as when the fingerprints were captured.
 func newOracleEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
-	e, err := NewEngine(cfg, roles, models)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range e.scheds {
-		s.perRequest = true
-	}
-	return e, nil
+	e, _, err := newFeederOracle(cfg, roles, models, true)
+	return e, err
 }
 
 // newTestEngine builds the per-request oracle when oracle is set, else
@@ -51,7 +47,7 @@ func newTestEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels,
 // per-request scheduler, the driver for tests that feed one Mimic
 // packets by hand.
 func newOracleMimic(models *MimicModels, clusterIdx int, seed int64) *Mimic {
-	s := NewInferenceScheduler(sim.New(), models, 0)
+	s := NewInferenceScheduler(sim.New(), models, 0, bankPool)
 	s.perRequest = true
 	return newMimic(models, clusterIdx, seed, s)
 }

@@ -122,10 +122,11 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // TestFlushSplit runs the split flush at the small shapes the tests
 // use, without the poolfloor0 build: every flush is priced far above the
-// dispatch floor and stepped through a pool of 1, 2 or 4 workers, so
-// with more than one worker a flush's ingress and egress tasks run on
-// two goroutines. Results must equal the per-packet oracle's and, Events
-// included, those of a production run at every worker count.
+// dispatch floor and stepped through a pool of 1, 2, 3 or 4 workers, so
+// with more than one worker a flush's lane groups run on as many
+// goroutines. The scheduler keeps min(workers, Mimics) groups. Results
+// must equal the per-packet oracle's and, Events included, those of a
+// production run at every worker count.
 func TestFlushSplit(t *testing.T) {
 	models := trainedForScheduler(t)
 	const (
@@ -138,23 +139,24 @@ func TestFlushSplit(t *testing.T) {
 		t.Fatal("no flows completed; test exercises nothing")
 	}
 	sameResults(t, "production-vs-oracle", oracle, prod)
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 3, 4} {
 		pool := ml.NewPool(workers)
 		t.Cleanup(pool.Close)
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(clusters)
-		e, err := NewEngine(cfg, ComposedRoles(clusters), models)
+		e, err := newEngine(cfg, ComposedRoles(clusters), models, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.startFeeders()
 		s := e.scheds[0]
-		s.pool = pool
-		for _, dq := range s.dirs {
-			dq.stepCost = 1 << 30 // any pending step on both sides is over the floor
+		label := fmt.Sprintf("split-w%d", workers)
+		if got, want := len(s.groups), min(workers, clusters-1); got != want {
+			t.Errorf("%s: %d lane groups, want %d", label, got, want)
 		}
+		s.stepCost = [2]int{1 << 30, 1 << 30} // any pending step is over the floor
 		e.Run(until)
 		res := e.Results()
-		label := fmt.Sprintf("split-w%d", workers)
 		if workers > 1 && s.Splits == 0 {
 			t.Errorf("%s: none of %d flushes split", label, s.Flushes)
 		}

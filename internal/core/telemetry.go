@@ -21,7 +21,7 @@ var (
 		`mimicnet_core_phase_seconds{phase="compose"}`, "", obs.TimeBuckets())
 
 	obsInferFlushesInline = obs.Default().Counter(`mimicnet_core_inference_flushes_total{mode="inline"}`,
-		"Batched inference scheduler flush events, by whether the two directions stepped on one goroutine (inline) or two (split).")
+		"Batched inference scheduler flush events, by whether the lane groups stepped on one goroutine (inline) or several (split).")
 	obsInferFlushesSplit = obs.Default().Counter(`mimicnet_core_inference_flushes_total{mode="split"}`, "")
 	obsInferSteps        = obs.Default().Counter("mimicnet_core_inference_steps_total",
 		"Model steps issued through fused batched-inference calls.")

@@ -16,9 +16,10 @@ import (
 // from (DESIGN.md decisions 15 and 21). For hidden ∈ {12,24,64,128} ×
 // lanes ∈ {8,16,32,64,128} it times three kinds of work on a
 // GOMAXPROCS-worker pool: one fused LSTM inference step, one
-// minibatch-BPTT step, and one flush split — two lane banks, the two
-// directions of an inference flush, each stepping `lanes` pending steps
-// on its own goroutine, one Range item per direction. Each runs three
+// minibatch-BPTT step, and one flush split — GOMAXPROCS lane groups of
+// an inference flush, each an ingress and an egress bank stepping
+// `lanes` pending steps apiece on its own goroutine, one Range item per
+// group (DESIGN.md decision 29). Each runs three
 // ways: with every Range call forced onto the caller (floor = MaxInt),
 // with every call forced to fan out (floor = 0), and at the production
 // floor, which records the side of the rule the cell lands on. The three
@@ -27,7 +28,8 @@ import (
 // its largest Range call carries when forced out, because that is the
 // quantity the floor is compared with: for inference and training the
 // 4H×H×lanes recurrent GEMM over Workers() chunks, for a flush split one
-// direction's pending steps × StepCost. A kind's crossover is the least
+// group's pending steps in both directions × StepCost. A kind's
+// crossover is the least
 // such work from which fan-out wins in every larger cell. One constant
 // serves every kind: the committed floor must equal the geometric mean of
 // the crossovers rounded up to a power of two.
@@ -67,7 +69,7 @@ func BenchmarkPoolBreakEven(b *testing.B) {
 				}
 				c := &cell{kind: kind, hidden: H, lanes: n, chunkWork: 4 * H * H * n / workers}
 				if kind == "flush" {
-					c.chunkWork = n * NewBatchedStatefulModel(model, 0, NewPool(1)).StepCost()
+					c.chunkWork = 2 * n * NewBatchedStatefulModel(model, 0, NewPool(1)).StepCost()
 				}
 				cells = append(cells, c)
 				b.Run(fmt.Sprintf("%s/h=%d/n=%d", kind, H, n), func(b *testing.B) {
@@ -134,10 +136,11 @@ func BenchmarkPoolBreakEven(b *testing.B) {
 		math.Exp2(math.Ceil(logSum/float64(len(kinds)))), dispatchFloor)
 }
 
-// flushSplit is the flush cell's Range task: item d steps direction d's
-// bank over its pending lanes, as one task of a split inference flush
-// does. The banks step on a one-worker pool, like the scheduler's.
-type flushSplit [2]struct {
+// flushSplit is the flush cell's Range task: item g steps group g's two
+// banks, ingress then egress, over their pending lanes, as one task of a
+// split inference flush does. The banks step on a one-worker pool, like
+// the scheduler's.
+type flushSplit [][2]struct {
 	bank  *BatchedStatefulModel
 	lanes []int
 	xs    [][]float64
@@ -145,14 +148,17 @@ type flushSplit [2]struct {
 }
 
 func (f *flushSplit) RunRange(lo, hi int) {
-	for d := lo; d < hi; d++ {
-		f[d].bank.StepLanes(f[d].lanes, f[d].xs, nil, f[d].preds)
+	for _, g := range (*f)[lo:hi] {
+		for d := range g {
+			g[d].bank.StepLanes(g[d].lanes, g[d].xs, nil, g[d].preds)
+		}
 	}
 }
 
 // breakEvenStep returns one unit of work over n lanes through pool: a
 // fused inference step of every lane, one minibatch forward+backward, or
-// a flush split of n pending steps per direction.
+// a flush split of n pending steps per direction in each of
+// pool.Workers() lane groups.
 func breakEvenStep(kind string, model *Model, n int, pool *Pool) func() {
 	rng := stats.NewStream(int64(n))
 	if kind == "train" {
@@ -177,12 +183,14 @@ func breakEvenStep(kind string, model *Model, n int, pool *Pool) func() {
 		xs[i] = sparseVec(model.Cfg.Features, rng) // mostly zero, like the one-hot first layer
 	}
 	if kind == "flush" {
-		var f flushSplit
-		for d := range f {
-			f[d].bank = NewBatchedStatefulModel(model, n, NewPool(1))
-			f[d].lanes, f[d].xs, f[d].preds = lanes, xs, make([]Prediction, n)
+		f := make(flushSplit, pool.Workers())
+		for g := range f {
+			for d := range f[g] {
+				f[g][d].bank = NewBatchedStatefulModel(model, n, NewPool(1))
+				f[g][d].lanes, f[g][d].xs, f[g][d].preds = lanes, xs, make([]Prediction, n)
+			}
 		}
-		cost := n * f[0].bank.StepCost()
+		cost := 2 * n * f[0][0].bank.StepCost()
 		return func() { pool.Range(len(f), cost, &f) }
 	}
 	bat := NewBatchedStatefulModel(model, n, pool)

@@ -1,10 +1,10 @@
 package ml
 
 // The row kernel: the one accumulation kernel behind the batched
-// products (DESIGN.md decisions 18-20). Inference rounds are narrow (13.6
-// lanes on average in warm_n32, one in eight a single lane), so it
-// vectorizes across output rows, not lanes, and a step costs the same at
-// any round width. The minibatch trainer's three products (batch.go) are
+// products (DESIGN.md decisions 18-20). Inference rounds are narrow: at
+// N=32 (warm_n32's size) a round steps 13.3 lanes on average in one lane
+// group and 7.4 in each of two (decision 29), so it vectorizes across
+// output rows, not lanes, and a step costs the same at any round width. The minibatch trainer's three products (batch.go) are
 // the same column-by-column accumulation: the forward product over its
 // weights packed once per minibatch, the two backward products over
 // views that need no packing.

@@ -251,8 +251,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Fatalf("%s missing from /metrics", fam)
 		}
 	}
-	// So are inference flushes by whether their two directions stepped
-	// on one goroutine or two.
+	// So are inference flushes by whether their lane groups stepped on
+	// one goroutine or several.
 	flushes := 0.0
 	for _, mode := range []string{"inline", "split"} {
 		series := `mimicnet_core_inference_flushes_total{mode="` + mode + `"}`
