@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz ci serve-smoke mimicnet-smoke examples-smoke tools-smoke clean
+.PHONY: build test test-race test-kernels test-floor0 test-bench vet vuln bench-check bench-all bench-pool bench-smoke fuzz fuzz-ci ci serve-smoke mimicnet-smoke examples-smoke tools-smoke clean
 
 build:
 	$(GO) build ./...
@@ -10,10 +10,12 @@ test:
 
 # Race-detector pass over the packages with concurrency: the PDES
 # kernel and its worker pool, the sharded fabric and its per-LP packet
-# pools, the transports whose packets and timers cross those LPs, the
-# batched inference and training engines, the cluster composition layer
-# that drives them, the parallel hyper-parameter search, and the
-# estimation service (scheduler, registry, HTTP surface).
+# pools, the transports whose packets and timers cross those LPs, and
+# the runtime that shards them for Figure 2 (cluster); the batched
+# inference and training engines and their worker pool (ml); the
+# composed engine, whose one fan-out is the inference flush's lane
+# groups (core); the parallel hyper-parameter search; and the estimation
+# service (scheduler, registry, HTTP surface).
 test-race:
 	$(GO) test -race ./internal/sim ./internal/netsim ./internal/transport ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/serve
 
@@ -28,14 +30,14 @@ test-race:
 # oracle_parity.json, trained_parity.json) are the production ones, and
 # TestFeederOracleParity compares against the feeders-as-events oracle,
 # so a pass also proves floor- and group-invariance. The last line is
-# the -race pass over split flushes and concurrent shard workers sharing
-# the pool.
+# the -race pass over flushes split across a 4-worker pool, for the
+# composed shape and for arbitrary role vectors.
 test-floor0:
 	@for w in 1 2 4; do \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestOracleParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit|TestFeederOracleParity' ./internal/core || exit 1; \
 	done
-	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit|TestFeederOracleParity' ./internal/core
+	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit|TestFeederOracleParity|TestRoleVectorDeterminism' ./internal/core
 
 # bench/ is its own module (it imports internal/* through a replace), so
 # `go build ./... && go test ./...` never compiles it: an internal/*
@@ -97,7 +99,7 @@ vuln:
 	fi
 
 # Everything the driver gates on, in one target.
-ci: vet vuln test-race test-kernels test-floor0 test-bench bench-check bench-smoke serve-smoke mimicnet-smoke examples-smoke tools-smoke
+ci: vet vuln test-race test-kernels test-floor0 fuzz-ci test-bench bench-check bench-smoke serve-smoke mimicnet-smoke examples-smoke tools-smoke
 
 # The measurement ml's dispatchFloor is derived from: inline vs forced
 # fan-out per (hidden, lanes) cell for one inference step, one BPTT step
@@ -130,6 +132,12 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzW1 -fuzztime 30s ./internal/metrics
 	$(GO) test -run xxx -fuzz FuzzHistogramObserve -fuzztime 30s ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzRoleVector -fuzztime 30s ./internal/core
+
+# The bounded fuzz leg of ci: FuzzRoleVector for 15 s, so a role vector
+# whose composed run is not deterministic across pool sizes and runs
+# fails ci rather than waiting for the next `make fuzz`.
+fuzz-ci:
+	$(GO) test -run xxx -fuzz FuzzRoleVector -fuzztime 15s ./internal/core
 
 # End-to-end daemon check: boots mimicnetd on a random port and a temp
 # -data-dir, runs a cold job over HTTP, proves the identical resubmission

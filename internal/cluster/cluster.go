@@ -44,21 +44,19 @@ type Config struct {
 	// discipline (e.g. to run RED ablations).
 	CustomQueue netsim.QueueFactory
 
-	// ShardedRun > 0 runs a layered simulation (NewLayered with a
-	// positive lookahead: the composed, hybrid and multi-observed engines)
-	// as one logical process per cluster, windows in parallel; zero or
-	// negative runs it on one event queue. Both modes produce
-	// bitwise-identical Results for every composed-shape role vector;
-	// only wall-clock time differs. Sequential stays the default because
-	// the gain depends on the host and the size: on 2 vCPUs the sharded
-	// composed run is a wash at small N and about 1.4-1.65x faster at
-	// 16-32 clusters (DESIGN.md decisions 7 and 23). cluster.New always
-	// passes lookahead 0 and runs sequentially. The field stays an int
-	// because callers assign -1 and 1 to it.
+	// ShardedRun > 0 runs a simulation whose NewLayered caller passes a
+	// positive lookahead as one logical process per cluster, windows in
+	// parallel; zero or negative runs it on one event queue. The one such
+	// caller is Figure 2's pdes columns (experiments.fig2Row).
+	// cluster.New and core.Engine pass no lookahead, so they always run
+	// on one event queue and ignore the field. The sharded schedule is
+	// exact across worker counts, but it may order same-nanosecond ties
+	// differently from the sequential one (DESIGN.md decision 7). The
+	// field stays an int because callers assign -1 and 1 to it.
 	ShardedRun int
 
 	// NumWorkers bounds the worker goroutines executing shards (0 =
-	// GOMAXPROCS). Has no effect on results.
+	// GOMAXPROCS) when ShardedRun shards. Has no effect on results.
 	NumWorkers int
 }
 

@@ -107,6 +107,53 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestShardedFullFidelityTieClass pins the one sharded run left, the
+// one Figure 2's pdes columns time: NewLayered with every cluster
+// measured, lookahead one link delay and ShardedRun = 1. Remote events
+// enter at window barriers while the sequential heap interleaves them
+// mid-window, so same-nanosecond ties may order differently from the
+// sequential run (DESIGN.md decision 7). The sharded schedule itself
+// must be exact across worker counts, Events included, with no
+// causality clamp.
+func TestShardedFullFidelityTieClass(t *testing.T) {
+	const clusters, until = 4, 100 * sim.Millisecond
+	cfg := DefaultConfig(clusters)
+	cfg.Workload = workload.DefaultConfig(20_000)
+	cfg.Workload.Duration = 150 * sim.Millisecond
+	cfg.Workload.Load = 0.7
+	cfg.ShardedRun = 1
+	layer := Layer{Measured: make([]bool, clusters), Lookahead: cfg.Link.Delay}
+	for i := range layer.Measured {
+		layer.Measured[i] = true
+	}
+	var firstFP string
+	for _, workers := range []int{1, 2, 4} {
+		cfg.NumWorkers = workers
+		inst, err := NewLayered(cfg, layer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par := inst.Parallel()
+		if par == nil {
+			t.Fatalf("workers=%d: forced sharding fell back to sequential", workers)
+		}
+		inst.Run(until)
+		res := inst.Results()
+		if len(res.FCTByID) == 0 {
+			t.Fatalf("workers=%d: no flows completed; test exercises nothing", workers)
+		}
+		if n := par.CausalityClamps; n != 0 {
+			t.Errorf("workers=%d: %d causality clamps", workers, n)
+		}
+		fp := resultsFingerprint(res)
+		if firstFP == "" {
+			firstFP = fp
+		} else if fp != firstFP {
+			t.Errorf("workers=%d: fingerprint diverged from workers=1", workers)
+		}
+	}
+}
+
 func TestObservableClusterFiltering(t *testing.T) {
 	cfg := smallConfig("newreno")
 	cfg.Observable = 1

@@ -13,8 +13,8 @@ import (
 // pointer past that moment would read some later packet's fields, and
 // the first sign would be a golden fingerprint drifting for no visible
 // reason. This test reruns the suites that cover every owner — the
-// datagen Tracer's taps, the sequential and sharded engines over all
-// role kinds, the Mimic shims' drops and deliveries — with released
+// datagen Tracer's taps, the engine over all role kinds at 1, 2 and 4
+// workers, the Mimic shims' drops and deliveries — with released
 // packets poisoned instead of recycled, where such a read panics or
 // produces garbage that no golden matches.
 func TestReleasedPacketsStayDead(t *testing.T) {
@@ -39,5 +39,5 @@ func TestReleasedPacketsStayDead(t *testing.T) {
 		t.Error("datagen: datasets differ once released packets are poisoned; the Tracer read a packet after its release")
 	}
 	t.Run("EngineGoldenParity", TestEngineGoldenParity)
-	t.Run("RoleVectorSeqSharded", TestRoleVectorSeqSharded)
+	t.Run("RoleVectorDeterminism", TestRoleVectorDeterminism)
 }

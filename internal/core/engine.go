@@ -110,19 +110,14 @@ func HybridRoles(dir Direction) []ClusterRole {
 // cluster.Simulation (DESIGN.md decision 24): the runtime owns the
 // topology, workload, fabric, hosts, flows, run loop and results; the
 // Engine resolves models, batches inference, and routes boundary packets
-// through them. The runtime runs either sequentially or sharded into one
-// logical process per cluster (cfg.ShardedRun > 0), with core switches
-// riding on LP 0. Model-driven clusters interact with the rest of the
-// network only through inter-cluster links and the egress models'
-// latency floor, which bounds the PDES lookahead; remote events are
-// delivered in deterministic (time, source LP, sequence) order, so both
-// modes produce bitwise-identical Results.
+// through them. It always runs one event queue: cfg.ShardedRun is
+// ignored, and a composed run's parallelism is the inference flush's
+// lane groups (DESIGN.md decisions 29 and 30).
 type Engine struct {
 	// Progress, if set, is invoked periodically from RunContext's run
-	// loop (per window barrier when sharded, every few thousand kernel
-	// events when sequential) with the simulated clock and total events
-	// processed, counted as Results counts them: kernel events plus the
-	// feeder advances taken so far.
+	// loop (every few thousand kernel events) with the simulated clock and
+	// total events processed, counted as Results counts them: kernel
+	// events plus the feeder advances taken so far.
 	Progress func(now sim.Time, events uint64)
 
 	rt       *cluster.Simulation
@@ -139,16 +134,13 @@ type Engine struct {
 
 // clusterCtx is the per-cluster slice: the resolved role and models,
 // the Mimic runtime (nil for observed clusters), and the model-path
-// counters. A cluster's counters are only touched by its owning LP
-// (everything, when sequential), so no synchronization is needed.
+// counters.
 type clusterCtx struct {
 	role   ClusterRole
 	models *MimicModels // resolved override-or-default; nil for observed
 	mimic  *Mimic
 
-	e   *Engine
-	idx int
-	sim *sim.Simulator // the LP the cluster's hosts and switches run on
+	e *Engine
 
 	// what the Mimic calls back with each direction's predictions
 	onEgress, onIngress resolveFunc
@@ -156,39 +148,6 @@ type clusterCtx struct {
 	modelPackets uint64
 	dropsIngress uint64
 	dropsEgress  uint64
-	_            [8]uint64
-}
-
-// engineLookahead returns the PDES lookahead: the minimum latency of any
-// cross-LP channel. Core->Agg links bound one direction (propagation
-// delay); each egress model's latency floor bounds the other (a modeled
-// host's packet re-materializes at a core switch no earlier than Lo
-// after injection). Non-positive means the models give no usable margin
-// and the engine must run sequentially.
-func engineLookahead(link netsim.LinkConfig, clusters []*clusterCtx) sim.Time {
-	la := link.Delay
-	for _, cc := range clusters {
-		if cc.models == nil {
-			continue
-		}
-		if egLo := sim.FromSeconds(cc.models.Egress.Bounds.Lo); egLo < la {
-			la = egLo
-		}
-	}
-	return la
-}
-
-// shardedWindow caps the inference collection window so the egress
-// continuation margin (Lo - window) never drops below the lookahead.
-func shardedWindow(window, lookahead sim.Time, models *MimicModels) sim.Time {
-	cap := sim.FromSeconds(models.Egress.Bounds.Lo) - lookahead
-	if window > cap {
-		window = cap
-	}
-	if window < 0 {
-		window = 0
-	}
-	return window
 }
 
 // NewEngine builds a fabric from a role vector (one entry per cluster).
@@ -266,8 +225,9 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, poo
 	}
 	cfg.Observable = observed
 
+	// The layer passes no lookahead, so the runtime is one event queue
+	// whatever cfg.ShardedRun says.
 	e := &Engine{clusters: clusters}
-	layer.Lookahead = engineLookahead(cfg.Link, clusters)
 	layer.Inject = e.inject
 	rt, err := cluster.NewLayered(cfg, layer)
 	if err != nil {
@@ -275,30 +235,20 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, poo
 	}
 	e.rt = rt
 	e.onMaterialize, e.onDeliver = e.materialize, e.deliver
-	par := rt.Parallel()
 
-	// Inference schedulers: per LP when sharded, each model-driven
-	// cluster batching its own window, capped for cross-LP causality;
-	// otherwise one per distinct artifact (a lane bank shares one weight
-	// set across its lanes), so a homogeneous composition fuses every
-	// cluster into a single scheduler.
+	// One inference scheduler per distinct artifact (a lane bank shares
+	// one weight set across its lanes), so a homogeneous composition
+	// fuses every cluster into a single scheduler.
 	byModels := map[*MimicModels]*InferenceScheduler{}
 	for i, cc := range clusters {
-		cc.e, cc.idx, cc.sim = e, i, rt.Sim
-		if par != nil {
-			cc.sim = par.LPs[i].Sim
-		}
+		cc.e = e
 		cc.onEgress, cc.onIngress = cc.resolveEgress, cc.resolveIngress
 		if !cc.role.Kind.usesModels() {
 			continue
 		}
 		sched, shared := byModels[cc.models]
-		if par != nil || !shared {
-			w := defaultBatchWindow(cc.models)
-			if par != nil {
-				w = shardedWindow(w, layer.Lookahead, cc.models)
-			}
-			sched = NewInferenceScheduler(cc.sim, cc.models, w, pool)
+		if !shared {
+			sched = NewInferenceScheduler(rt.Sim, cc.models, defaultBatchWindow(cc.models), pool)
 			byModels[cc.models] = sched
 			e.scheds = append(e.scheds, sched)
 		}
@@ -325,7 +275,7 @@ func (e *Engine) needsIntercept() bool {
 
 // inject routes transport packets: full-fidelity sources use the real
 // fabric; model-driven sources pass through their cluster's egress model
-// first. It always executes on the LP owning pkt.Src's host.
+// first.
 func (e *Engine) inject(pkt *netsim.Packet) {
 	t := e.rt.Topo
 	pkt.Route(t)
@@ -347,7 +297,7 @@ func (e *Engine) inject(pkt *netsim.Packet) {
 		return
 	}
 	cc.modelPackets++
-	info := BuildPacketInfo(t, srcCluster, pkt, pkt.Src, cc.sim.Now())
+	info := BuildPacketInfo(t, srcCluster, pkt, pkt.Src, e.rt.Sim.Now())
 	cc.mimic.ProcessAsync(Egress, info, pkt, cc.onEgress)
 }
 
@@ -379,17 +329,10 @@ func (cc *clusterCtx) resolveEgress(pkt *netsim.Packet, info PacketInfo, out Out
 	// schedule at the absolute instant (clamped, should a flush ever run
 	// past it).
 	at := info.ArrivalTime + out.Latency
-	if now := cc.sim.Now(); at < now {
+	if now := e.rt.Sim.Now(); at < now {
 		at = now
 	}
-	if par := e.rt.Parallel(); par != nil {
-		// The core switch lives on LP 0: cross the boundary as a remote
-		// event. The sharded batch window is capped so this send is
-		// always at least one lookahead ahead.
-		par.LPs[cc.idx].Send(par.LPs[0], at, e.onMaterialize, pkt, int64(coreHop))
-		return
-	}
-	cc.sim.Schedule(at, e.onMaterialize, pkt, int64(coreHop))
+	e.rt.Sim.Schedule(at, e.onMaterialize, pkt, int64(coreHop))
 }
 
 // materialize is the typed event that puts an egress-modeled packet back
@@ -400,8 +343,7 @@ func (e *Engine) materialize(p any, hop int64) {
 
 // interceptIngress swallows packets descending into a model-driven
 // cluster and replaces the in-cluster journey with the ingress model's
-// prediction. The fabric calls it on the LP owning the Agg switch, i.e.
-// the cluster's own shard; the predicted delivery is local too.
+// prediction.
 func (e *Engine) interceptIngress(node int, pkt *netsim.Packet) bool {
 	t := e.rt.Topo
 	if t.KindOf(node) != topo.KindAgg {
@@ -427,7 +369,7 @@ func (e *Engine) interceptIngress(node int, pkt *netsim.Packet) bool {
 		return false
 	}
 	cc.modelPackets++
-	info := BuildPacketInfo(t, clusterIdx, pkt, pkt.Dst, cc.sim.Now())
+	info := BuildPacketInfo(t, clusterIdx, pkt, pkt.Dst, e.rt.Sim.Now())
 	cc.mimic.ProcessAsync(Ingress, info, pkt, cc.onIngress)
 	return true
 }
@@ -443,11 +385,12 @@ func (cc *clusterCtx) resolveIngress(pkt *netsim.Packet, info PacketInfo, out Ou
 	if out.ECNMark {
 		pkt.CE = true
 	}
+	k := cc.e.rt.Sim
 	at := info.ArrivalTime + out.Latency
-	if now := cc.sim.Now(); at < now {
+	if now := k.Now(); at < now {
 		at = now
 	}
-	cc.sim.Schedule(at, cc.e.onDeliver, pkt, 0)
+	k.Schedule(at, cc.e.onDeliver, pkt, 0)
 }
 
 // deliver is the typed event that hands an ingress-modeled packet to its
@@ -474,7 +417,7 @@ func (e *Engine) startFeeders() {
 			continue
 		}
 		for _, dir := range []Direction{Ingress, Egress} {
-			cc.mimic.dir(dir).startFeeder(e.feederStream(idx, dir), frac, cc.sim.Now())
+			cc.mimic.dir(dir).startFeeder(e.feederStream(idx, dir), frac, e.rt.Sim.Now())
 		}
 	}
 	for _, s := range e.scheds {
@@ -505,13 +448,6 @@ func (e *Engine) feederFrac() float64 {
 func (e *Engine) feederStream(idx int, dir Direction) *stats.Stream {
 	return stats.NewStream(e.rt.Cfg.Workload.Seed).Derive(fmt.Sprintf("feeder-%d-%s", idx, dir))
 }
-
-// Sharded reports whether this engine runs as parallel LPs.
-func (e *Engine) Sharded() bool { return e.rt.Parallel() != nil }
-
-// Parallel exposes the PDES coordinator (nil when sequential), for
-// inspection of barrier and causality-clamp counts.
-func (e *Engine) Parallel() *sim.Parallel { return e.rt.Parallel() }
 
 // FlowsStarted returns the number of measured flows started: real flows
 // touching an observed cluster.
@@ -601,7 +537,7 @@ func (e *Engine) publishDrops() {
 }
 
 // RunContext runs the runtime's loop (cluster.Simulation.RunContext:
-// cooperative cancellation and progress in either mode), then flushes
+// cooperative cancellation and progress), then flushes
 // any inference requests still collecting when the horizon or the
 // cancellation hit — so every boundary packet that arrived gets its
 // prediction, RNG draws and drop accounting — and publishes the drop
@@ -621,8 +557,8 @@ func (e *Engine) RunContext(ctx context.Context, until sim.Time) (cancelled bool
 }
 
 // progress is the runtime's progress hook: Progress with the feeder
-// advances counted. It runs between kernel events, or at a window
-// barrier with every LP parked, so no flush is writing the counts.
+// advances counted. It runs between kernel events, so no flush is
+// writing the counts.
 func (e *Engine) progress(now sim.Time, events uint64) {
 	e.Progress(now, events+e.FeederEvents())
 }

@@ -88,28 +88,9 @@ var parityCases = []parityCase{
 	{name: "hybrid-egress", kind: "hybrid", dir: Egress, until: 250 * sim.Millisecond},
 }
 
-// parityModes are the execution modes each case runs under. Sequential
-// and sharded fingerprints are recorded separately (the hybrid-egress
-// same-ns tie class makes the two *modes* legitimately differ); all
-// sharded worker counts must share one fingerprint.
-type parityMode struct {
-	name       string
-	shardedRun int
-	workers    int
-}
-
-var parityModes = []parityMode{
-	{"seq", -1, 0},
-	{"sharded-w1", 1, 1},
-	{"sharded-w2", 1, 2},
-	{"sharded-w4", 1, 4},
-}
-
-func runParityCase(t *testing.T, models *MimicModels, pc parityCase, pm parityMode) cluster.Results {
+func runParityCase(t *testing.T, models *MimicModels, pc parityCase) cluster.Results {
 	t.Helper()
 	cfg := fastBase()
-	cfg.ShardedRun = pm.shardedRun
-	cfg.NumWorkers = pm.workers
 	switch pc.kind {
 	case "composed":
 		cfg.Topo = cfg.Topo.WithClusters(pc.n)
@@ -117,18 +98,12 @@ func runParityCase(t *testing.T, models *MimicModels, pc parityCase, pm parityMo
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pm.shardedRun > 0 && !comp.Sharded() {
-			t.Fatalf("%s/%s: forced sharding fell back to sequential", pc.name, pm.name)
-		}
 		comp.Run(pc.until)
 		return comp.Results()
 	case "hybrid":
 		h, err := NewHybrid(cfg, models, pc.dir)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if pm.shardedRun > 0 && !h.Sharded() {
-			t.Fatalf("%s/%s: forced sharding fell back to sequential", pc.name, pm.name)
 		}
 		h.Run(pc.until)
 		return h.Results()
@@ -139,8 +114,9 @@ func runParityCase(t *testing.T, models *MimicModels, pc parityCase, pm parityMo
 
 // TestEngineGoldenParity proves the role-based engine reproduces the
 // legacy Composed and Hybrid runtimes bitwise for every configuration
-// the repo ships: composed N∈{2,4,8} and hybrid ingress/egress, each
-// sequential and sharded at 1/2/4 workers. Regenerate the golden file
+// the repo ships: composed N∈{2,4,8} and hybrid ingress/egress. The keys
+// keep the "/seq" suffix of the sequential mode, the one left when the
+// sharded composed engine was deleted. Regenerate the golden file
 // with MIMICNET_UPDATE_GOLDEN=1 only when a change is *supposed* to
 // alter simulation schedules — and say so in the commit.
 func TestEngineGoldenParity(t *testing.T) {
@@ -160,31 +136,19 @@ func TestEngineGoldenParity(t *testing.T) {
 
 	got := map[string]string{}
 	for _, pc := range parityCases {
-		var shardedFP string
-		for _, pm := range parityModes {
-			key := pc.name + "/" + pm.name
-			res := runParityCase(t, models, pc, pm)
-			if len(res.FCTByID) == 0 {
-				t.Fatalf("%s: no flows completed; case exercises nothing", key)
-			}
-			fp := resultsFingerprint(res)
-			got[key] = fp
-			// All sharded worker counts must produce one schedule: the
-			// (time, srcLP, srcSeq) remote-event order is worker-invariant.
-			if pm.shardedRun > 0 {
-				if shardedFP == "" {
-					shardedFP = fp
-				} else if fp != shardedFP {
-					t.Errorf("%s: sharded fingerprint diverged across worker counts", key)
-				}
-			}
-			if !update {
-				want, ok := golden[key]
-				if !ok {
-					t.Errorf("%s: no golden fingerprint recorded", key)
-				} else if fp != want {
-					t.Errorf("%s: fingerprint %s != legacy golden %s", key, fp[:16], want[:16])
-				}
+		key := pc.name + "/seq"
+		res := runParityCase(t, models, pc)
+		if len(res.FCTByID) == 0 {
+			t.Fatalf("%s: no flows completed; case exercises nothing", key)
+		}
+		fp := resultsFingerprint(res)
+		got[key] = fp
+		if !update {
+			want, ok := golden[key]
+			if !ok {
+				t.Errorf("%s: no golden fingerprint recorded", key)
+			} else if fp != want {
+				t.Errorf("%s: fingerprint %s != legacy golden %s", key, fp[:16], want[:16])
 			}
 		}
 	}

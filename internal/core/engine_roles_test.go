@@ -41,8 +41,8 @@ func runRoles(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *Mim
 // TestEngineMultiObserved runs a 4-cluster fabric with TWO ground-truth
 // clusters ([observed, mimic, observed, mimic]) — the cross-validation
 // composition the legacy Composed runtime could not express — end to
-// end, sequential and sharded, and checks both observed clusters feed
-// the collectors while the mimic clusters stay model-driven.
+// end, and checks both observed clusters feed the collectors while the
+// mimic clusters stay model-driven.
 func TestEngineMultiObserved(t *testing.T) {
 	models := trainedForScheduler(t)
 	roles := []ClusterRole{
@@ -53,9 +53,7 @@ func TestEngineMultiObserved(t *testing.T) {
 	cfg.Topo = cfg.Topo.WithClusters(4)
 	until := 200 * sim.Millisecond
 
-	seqCfg := cfg
-	seqCfg.ShardedRun = -1
-	eng, res := runRoles(t, seqCfg, roles, models, until)
+	eng, res := runRoles(t, cfg, roles, models, until)
 
 	if len(res.FCTByID) == 0 {
 		t.Fatal("no flows completed")
@@ -83,27 +81,6 @@ func TestEngineMultiObserved(t *testing.T) {
 	if fromSecond == 0 {
 		t.Error("no real flows sourced in the second observed cluster")
 	}
-
-	// Sharded runs must match sequential metrics exactly (Events differ:
-	// sharding adds per-LP scheduler flushes) and be bitwise identical to
-	// each other across worker counts.
-	var shardedFP string
-	for _, workers := range []int{1, 2, 4} {
-		shCfg := cfg
-		shCfg.ShardedRun = 1
-		shCfg.NumWorkers = workers
-		sh, shRes := runRoles(t, shCfg, roles, models, until)
-		if !sh.Sharded() {
-			t.Fatal("forced sharding fell back to sequential")
-		}
-		sameResults(t, "multi-observed seq vs sharded", res, shRes)
-		fp := resultsFingerprint(shRes)
-		if shardedFP == "" {
-			shardedFP = fp
-		} else if fp != shardedFP {
-			t.Errorf("workers=%d: sharded multi-observed fingerprint diverged", workers)
-		}
-	}
 }
 
 // TestEnginePerClusterModelOverride gives one mimic cluster its own
@@ -123,38 +100,23 @@ func TestEnginePerClusterModelOverride(t *testing.T) {
 	hetero := ComposedRoles(4)
 	hetero[2].Models = clone // cluster 2 runs its own artifact
 
-	for _, mode := range []struct {
-		name       string
-		shardedRun int
-		workers    int
-	}{
-		{"seq", -1, 0},
-		{"sharded-w2", 1, 2},
-	} {
-		mcfg := cfg
-		mcfg.ShardedRun = mode.shardedRun
-		mcfg.NumWorkers = mode.workers
+	base, baseRes := runRoles(t, cfg, homog, models, until)
+	over, overRes := runRoles(t, cfg, hetero, models, until)
 
-		base, baseRes := runRoles(t, mcfg, homog, models, until)
-		over, overRes := runRoles(t, mcfg, hetero, models, until)
-
-		if mode.shardedRun < 0 {
-			// Sequential homogeneous fuses all mimics into one scheduler;
-			// the override must split cluster 2 off into a second one.
-			if got := len(base.scheds); got != 1 {
-				t.Fatalf("%s: homogeneous run built %d schedulers, want 1", mode.name, got)
-			}
-			if got := len(over.scheds); got != 2 {
-				t.Fatalf("%s: override run built %d schedulers, want 2", mode.name, got)
-			}
-		}
-		if overRes.Drops != baseRes.Drops || over.ModelPackets() != base.ModelPackets() {
-			t.Errorf("%s: override run counters diverged", mode.name)
-		}
-		// Events legitimately differ (the extra scheduler adds its own
-		// flush events); every simulation outcome must be identical.
-		sameResults(t, mode.name+" homogeneous vs override", baseRes, overRes)
+	// The homogeneous run fuses all mimics into one scheduler; the
+	// override must split cluster 2 off into a second one.
+	if got := len(base.scheds); got != 1 {
+		t.Fatalf("homogeneous run built %d schedulers, want 1", got)
 	}
+	if got := len(over.scheds); got != 2 {
+		t.Fatalf("override run built %d schedulers, want 2", got)
+	}
+	if overRes.Drops != baseRes.Drops || over.ModelPackets() != base.ModelPackets() {
+		t.Error("override run counters diverged")
+	}
+	// Events legitimately differ (the extra scheduler adds its own
+	// flush events); every simulation outcome must be identical.
+	sameResults(t, "homogeneous vs override", baseRes, overRes)
 }
 
 // TestEngineRoleValidation covers the new failure modes of role vectors.
@@ -244,10 +206,7 @@ func TestAllObservedEngineMatchesFullFidelity(t *testing.T) {
 		}
 		inst.Run(until)
 		full := inst.Results()
-		eng, got := runRoles(t, cfg, make([]ClusterRole, n), nil, until)
-		if eng.Sharded() {
-			t.Fatalf("n=%d: default config ran sharded", n)
-		}
+		_, got := runRoles(t, cfg, make([]ClusterRole, n), nil, until)
 		if full.Events == 0 || full.Packets == 0 {
 			t.Fatalf("n=%d: full-fidelity run did nothing", n)
 		}

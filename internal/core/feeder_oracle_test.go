@@ -20,11 +20,10 @@ import (
 // event per feeder advance and admits into each flush exactly the
 // arrivals whose events ran before the flush event.
 
-// eventFeeder is one Mimic direction's feeder as kernel events. Its
-// counters are its own: sharded, the feeders of different LPs fire on
-// different goroutines. joins and defers count the arrivals that fell on
-// the instant of a flush event: those that ran before it (and joined
-// it) and those that ran after it.
+// eventFeeder is one Mimic direction's feeder as kernel events. joins
+// and defers count the arrivals that fell on the instant of a flush
+// event: those that ran before it (and joined it) and those that ran
+// after it.
 type eventFeeder struct {
 	s             *sim.Simulator
 	is            *InferenceScheduler
@@ -112,7 +111,7 @@ func newFeederOracle(cfg cluster.Config, roles []ClusterRole, models *MimicModel
 		}
 		for _, dir := range []Direction{Ingress, Egress} {
 			f := &eventFeeder{
-				s: cc.sim, is: cc.mimic.sched, d: cc.mimic.dir(dir),
+				s: e.rt.Sim, is: cc.mimic.sched, d: cc.mimic.dir(dir),
 				rng: e.feederStream(idx, dir), frac: frac, last: last[cc.mimic.sched],
 			}
 			o = append(o, f)
@@ -145,9 +144,6 @@ func checkFeederParity(t *testing.T, label string, cfg cluster.Config, models *M
 	orc, o, err := newFeederOracle(cfg, roles, models, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.ShardedRun > 0 && (!prod.Sharded() || !orc.Sharded()) {
-		t.Fatalf("%s: forced sharding fell back to sequential", label)
 	}
 	prod.Run(until)
 	orc.Run(until)
@@ -217,51 +213,39 @@ func tiedGapModels(t *testing.T, models *MimicModels, cfg cluster.Config) *Mimic
 }
 
 // TestFeederOracleParity is the feeder move's witness: over N ∈ {3, 4,
-// 8, 16} × three seeds, sequential and sharded, production equals the
-// feeder oracle on the Results fingerprint, FeederEvents,
+// 8, 16} × three seeds, production equals the feeder oracle on the Results fingerprint, FeederEvents,
 // InferenceSteps and MimicDrops. The forced case puts feeder arrivals
 // exactly on flush instants, where the tie rule (feeder.due) decides
 // which flush takes them.
 func TestFeederOracleParity(t *testing.T) {
 	models := trainedForScheduler(t)
 	const until = 100 * sim.Millisecond
-	modes := []struct {
-		name    string
-		sharded int
-	}{{"seq", -1}, {"sharded", 1}}
 	var ties uint64
 	var joins, defers int
 	for _, n := range []int{3, 4, 8, 16} {
 		for _, seed := range []int64{1, 2, 3} {
-			for _, mode := range modes {
-				cfg := fastBase()
-				cfg.Topo = cfg.Topo.WithClusters(n)
-				cfg.Workload.Seed = seed
-				cfg.ShardedRun, cfg.NumWorkers = mode.sharded, 2
-				o, tie := checkFeederParity(t, fmt.Sprintf("n%d/seed%d/%s", n, seed, mode.name), cfg, models, until)
-				j, d := o.ties()
-				ties += tie
-				joins += j
-				defers += d
-			}
+			cfg := fastBase()
+			cfg.Topo = cfg.Topo.WithClusters(n)
+			cfg.Workload.Seed = seed
+			o, tie := checkFeederParity(t, fmt.Sprintf("n%d/seed%d", n, seed), cfg, models, until)
+			j, d := o.ties()
+			ties += tie
+			joins += j
+			defers += d
 		}
 	}
 	t.Logf("natural ties over the parity runs: %d same-lane, %d feeder arrivals on a flush instant before it, %d after it",
 		ties, joins, defers)
 
-	for _, mode := range modes {
-		cfg := fastBase()
-		cfg.Topo = cfg.Topo.WithClusters(4)
-		cfg.ShardedRun, cfg.NumWorkers = mode.sharded, 2
-		label := "forced-ties/" + mode.name
-		o, tie := checkFeederParity(t, label, cfg, tiedGapModels(t, models, cfg), until)
-		joins, defers := o.ties()
-		if joins == 0 || defers == 0 {
-			t.Errorf("%s: %d arrivals ran before a flush at their instant and %d after: a tie side is untested",
-				label, joins, defers)
-		}
-		t.Logf("%s: %d same-lane ties, %d flush-instant arrivals before the flush, %d after", label, tie, joins, defers)
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(4)
+	o, tie := checkFeederParity(t, "forced-ties", cfg, tiedGapModels(t, models, cfg), until)
+	joins, defers = o.ties()
+	if joins == 0 || defers == 0 {
+		t.Errorf("forced-ties: %d arrivals ran before a flush at their instant and %d after: a tie side is untested",
+			joins, defers)
 	}
+	t.Logf("forced-ties: %d same-lane ties, %d flush-instant arrivals before the flush, %d after", tie, joins, defers)
 }
 
 // TestFeederEmptyBank pins that a direction with an empty InfoBank runs
@@ -299,9 +283,9 @@ func TestFeederEmptyBank(t *testing.T) {
 	if stepped == 0 || idle == 0 {
 		t.Fatalf("oracle fired %d ingress and %d egress feeder events: nothing to compare", stepped, idle)
 	}
-	for _, cc := range prod.clusters {
+	for i, cc := range prod.clusters {
 		if cc.mimic != nil && cc.mimic.eg.feed.steps != 0 {
-			t.Errorf("cluster %d: empty egress bank took %d feeder steps", cc.idx, cc.mimic.eg.feed.steps)
+			t.Errorf("cluster %d: empty egress bank took %d feeder steps", i, cc.mimic.eg.feed.steps)
 		}
 	}
 	if got := prod.FeederEvents(); got != stepped {
@@ -324,45 +308,32 @@ func TestFeederEmptyBank(t *testing.T) {
 func TestProgressCountsFeeders(t *testing.T) {
 	models := trainedForScheduler(t)
 	const until = 150 * sim.Millisecond
-	for _, sharded := range []int{-1, 1} {
-		cfg := fastBase()
-		cfg.Topo = cfg.Topo.WithClusters(4)
-		cfg.ShardedRun, cfg.NumWorkers = sharded, 2
-		e, err := NewEngine(cfg, ComposedRoles(4), models)
-		if err != nil {
-			t.Fatal(err)
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(4)
+	e, err := NewEngine(cfg, ComposedRoles(4), models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last, lastKernel uint64
+	ticks := 0
+	e.Progress = func(_ sim.Time, events uint64) {
+		ticks++
+		k := e.rt.Sim.Processed()
+		if events < last {
+			t.Errorf("progress went back from %d to %d events", last, events)
 		}
-		kernel := func() uint64 {
-			if par := e.Parallel(); par != nil {
-				var n uint64
-				for _, lp := range par.LPs {
-					n += lp.Sim.Processed()
-				}
-				return n
-			}
-			return e.rt.Sim.Processed()
+		if events < k {
+			t.Errorf("progress %d events, below the kernel's %d", events, k)
 		}
-		var last, lastKernel uint64
-		ticks := 0
-		e.Progress = func(_ sim.Time, events uint64) {
-			ticks++
-			k := kernel()
-			if events < last {
-				t.Errorf("sharded=%d: progress went back from %d to %d events", sharded, last, events)
-			}
-			if events < k {
-				t.Errorf("sharded=%d: progress %d events, below the kernel's %d", sharded, events, k)
-			}
-			last, lastKernel = events, k
-		}
-		e.Run(until)
-		res := e.Results()
-		if ticks == 0 || last <= lastKernel {
-			t.Errorf("sharded=%d: %d ticks, last %d events vs %d kernel events: feeder advances not counted",
-				sharded, ticks, last, lastKernel)
-		}
-		if last > res.Events {
-			t.Errorf("sharded=%d: progress reached %d events, Results has %d", sharded, last, res.Events)
-		}
+		last, lastKernel = events, k
+	}
+	e.Run(until)
+	res := e.Results()
+	if ticks == 0 || last <= lastKernel {
+		t.Errorf("%d ticks, last %d events vs %d kernel events: feeder advances not counted",
+			ticks, last, lastKernel)
+	}
+	if last > res.Events {
+		t.Errorf("progress reached %d events, Results has %d", last, res.Events)
 	}
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // TestGoldenCombinedPipeline is the whole-stack determinism witness: the
-// three performance subsystems this repo has grown — minibatch (B=16)
-// BPTT training, per-cluster sharded composition, and batched fused
-// inference — composed in one pipeline must be bitwise worker-count
-// invariant. Each layer is individually covered elsewhere; this test
-// exists because their interleavings (GEMM pool scheduling under shard
-// barriers, per-LP inference flush chains, telemetry on every hot path)
-// only combine here.
+// performance subsystems this repo has grown — minibatch (B=16) BPTT
+// training, batched fused inference, and flushes split into lane groups
+// across the ml pool's workers — composed in one pipeline must be
+// bitwise worker-count invariant, Events included. Each layer is
+// individually covered elsewhere; this test exists because their
+// interleavings (GEMM pool scheduling under split flushes, telemetry on
+// every hot path) only combine here.
 func TestGoldenCombinedPipeline(t *testing.T) {
 	models := trainedForScheduler(t)
 	if got := models.Ingress.Model.Cfg.BatchSize; got != ml.DefaultBatchSize {
@@ -25,21 +25,11 @@ func TestGoldenCombinedPipeline(t *testing.T) {
 	}
 
 	const n, until = 4, 200 * sim.Millisecond
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(n)
 	var golden cluster.Results
 	for i, workers := range []int{1, 2, 4} {
-		cfg := fastBase()
-		cfg.Topo = cfg.Topo.WithClusters(n)
-		cfg.ShardedRun = 1 // force sharding even on small hosts
-		cfg.NumWorkers = workers
-		comp, err := Compose(cfg, models)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !comp.Sharded() {
-			t.Fatalf("workers=%d: composition did not shard", workers)
-		}
-		comp.Run(until)
-		res := comp.Results()
+		res := runOnPool(t, cfg, ComposedRoles(n), models, workers, until)
 		if len(res.FCTByID) == 0 {
 			t.Fatalf("workers=%d: no flows completed; test exercises nothing", workers)
 		}
@@ -48,5 +38,8 @@ func TestGoldenCombinedPipeline(t *testing.T) {
 			continue
 		}
 		sameResults(t, fmt.Sprintf("workers=%d vs 1", workers), golden, res)
+		if got, want := resultsFingerprint(res), resultsFingerprint(golden); got != want {
+			t.Errorf("workers=%d: fingerprint %.16s != workers=1 %.16s", workers, got, want)
+		}
 	}
 }

@@ -63,30 +63,25 @@ func (m *Mimic) process(dir Direction, info PacketInfo) Outcome {
 // oracleCase is one oracle run pinned by the golden file: the
 // configurations of TestGoldenDeterminism (composed N=3), TestFlushSplit
 // (composed N=4), TestGoldenDeterminismHybrid (both directions) and
-// TestShardedComposedSequentialInference (N=3, sequential and sharded).
+// N=3 at 200 ms, the sequential leg of a since-deleted sharded witness.
 type oracleCase struct {
-	name       string
-	n          int       // composed cluster count; 0 for a hybrid
-	dir        Direction // hybrid direction
-	shardedRun int
-	workers    int
-	until      sim.Time
+	name  string
+	n     int       // composed cluster count; 0 for a hybrid
+	dir   Direction // hybrid direction
+	until sim.Time
 }
 
 var oracleCases = []oracleCase{
-	{name: "composed-n3", n: 3, shardedRun: -1, until: 300 * sim.Millisecond},
-	{name: "composed-n4", n: 4, shardedRun: -1, until: 200 * sim.Millisecond},
-	{name: "hybrid-ingress", dir: Ingress, shardedRun: -1, until: 250 * sim.Millisecond},
-	{name: "hybrid-egress", dir: Egress, shardedRun: -1, until: 250 * sim.Millisecond},
-	{name: "seqinfer-n3/seq", n: 3, shardedRun: -1, workers: 4, until: 200 * sim.Millisecond},
-	{name: "seqinfer-n3/sharded-w4", n: 3, shardedRun: 1, workers: 4, until: 200 * sim.Millisecond},
+	{name: "composed-n3", n: 3, until: 300 * sim.Millisecond},
+	{name: "composed-n4", n: 4, until: 200 * sim.Millisecond},
+	{name: "hybrid-ingress", dir: Ingress, until: 250 * sim.Millisecond},
+	{name: "hybrid-egress", dir: Egress, until: 250 * sim.Millisecond},
+	{name: "seqinfer-n3/seq", n: 3, until: 200 * sim.Millisecond},
 }
 
 func runOracleCase(t *testing.T, models *MimicModels, oc oracleCase) cluster.Results {
 	t.Helper()
 	cfg := fastBase()
-	cfg.ShardedRun = oc.shardedRun
-	cfg.NumWorkers = oc.workers
 	roles := HybridRoles(oc.dir)
 	if oc.n > 0 {
 		cfg.Topo = cfg.Topo.WithClusters(oc.n)
@@ -95,9 +90,6 @@ func runOracleCase(t *testing.T, models *MimicModels, oc oracleCase) cluster.Res
 	e, err := newOracleEngine(cfg, roles, models)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if oc.shardedRun > 0 && !e.Sharded() {
-		t.Fatalf("%s: forced sharding fell back to sequential", oc.name)
 	}
 	e.Run(oc.until)
 	return e.Results()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -61,9 +60,11 @@ func TestModelsSaveLoadRecompose(t *testing.T) {
 }
 
 // TestComposedRunContextCancel exercises the cancellation hook threaded
-// through the run loop in both execution modes: the run stops promptly,
-// the metrics collected so far survive, and Results flags the snapshot as
-// partial instead of the work being abandoned silently.
+// through the run loop: the run stops promptly, the metrics collected so
+// far survive, and Results flags the snapshot as partial instead of the
+// work being abandoned silently. The "sharded" case sets ShardedRun = 1,
+// as the benchmark's sharded leg does: the engine ignores it, so its
+// uncancelled run must equal the sequential one, Events included.
 func TestComposedRunContextCancel(t *testing.T) {
 	base := fastBase()
 	tcfg := fastTrain()
@@ -77,6 +78,7 @@ func TestComposedRunContextCancel(t *testing.T) {
 	}
 
 	const horizon = 120 * sim.Millisecond
+	var seqFP string
 	for _, mode := range []struct {
 		name    string
 		sharded int
@@ -97,6 +99,11 @@ func TestComposedRunContextCancel(t *testing.T) {
 			fullRes := full.Results()
 			if fullRes.Cancelled {
 				t.Fatal("uncancelled run's Results flagged Cancelled")
+			}
+			if fp := resultsFingerprint(fullRes); seqFP == "" {
+				seqFP = fp
+			} else if fp != seqFP {
+				t.Fatalf("ShardedRun = %d changed the run: fingerprint %.16s, sequential %.16s", mode.sharded, fp, seqFP)
 			}
 
 			comp, err := Compose(cfg, models)
@@ -133,11 +140,9 @@ func TestComposedRunContextCancel(t *testing.T) {
 }
 
 // TestRunContextMatchesRun pins the run loop the daemon takes: RunContext
-// with a live, never-cancelled context and a Progress hook ticks (per
-// window barrier when sharded, every few thousand events otherwise) yet
-// must reproduce Run's Results exactly, Events included — for a
-// full-fidelity simulation, the sequential engine, and the sharded
-// engine at 1, 2 and 4 workers.
+// with a live, never-cancelled context and a Progress hook ticks every
+// few thousand events, yet must reproduce Run's Results exactly, Events
+// included — for a full-fidelity simulation and the engine.
 func TestRunContextMatchesRun(t *testing.T) {
 	models := trainedForScheduler(t)
 	const until = 150 * sim.Millisecond
@@ -174,22 +179,15 @@ func TestRunContextMatchesRun(t *testing.T) {
 		}
 		return inst, &inst.Progress
 	})
-	for _, mode := range []struct{ sharded, workers int }{{-1, 0}, {1, 1}, {1, 2}, {1, 4}} {
-		cfg := fastBase()
-		cfg.Topo = cfg.Topo.WithClusters(4)
-		cfg.ShardedRun, cfg.NumWorkers = mode.sharded, mode.workers
-		name := fmt.Sprintf("engine sharded=%d workers=%d", mode.sharded, mode.workers)
-		check(name, func() (runner, *func(sim.Time, uint64)) {
-			comp, err := Compose(cfg, models)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if comp.Sharded() != (mode.sharded > 0) {
-				t.Fatalf("%s: Sharded() = %v", name, comp.Sharded())
-			}
-			return comp, &comp.Progress
-		})
-	}
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(4)
+	check("engine", func() (runner, *func(sim.Time, uint64)) {
+		comp, err := Compose(cfg, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return comp, &comp.Progress
+	})
 }
 
 // TestEstimateReportsTheRun pins the one estimate step: Estimate's

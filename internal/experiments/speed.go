@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"mimicnet/internal/cluster"
@@ -140,11 +142,9 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Partitioned full simulation: split the simulated horizon into
-		// nPart chunks run concurrently (different seeds stand in for
-		// different chunks). MimicNet's parallel variant is the real
-		// thing: the production composition sharded into one LP per
-		// cluster.
+		// Partitioned: split the simulated horizon into nPart chunks run
+		// concurrently (different seeds stand in for different chunks),
+		// the same split for full simulation and MimicNet.
 		base, _, err := r.config("newreno", n)
 		if err != nil {
 			return nil, err
@@ -154,7 +154,7 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		partMimic, err := r.shardedMimic(n, nPart)
+		partMimic, err := groupMimic(cfgs, tr.models, chunk, nPart)
 		if err != nil {
 			return nil, err
 		}
@@ -166,31 +166,30 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"partitioned_sim is cluster.RunGroup over cluster.PartitionedConfigs; like single_sim it excludes instance construction",
-		"partitioned_mimic is the production sharded composition (one LP per cluster), not a seed-split approximation",
+		"partitioned_mimic is core.Estimate over the same configs and parallelism; like single_mimic it includes composition",
 		"paper: with training included MimicNet wins beyond 64 clusters; without, it wins everywhere at scale")
 	return t, nil
 }
 
-// shardedMimic runs the production cluster-sharded composition with
-// nWorkers worker goroutines over the full horizon and returns its
-// wall-clock time. Results are bitwise-identical to the sequential
-// composition; only the wall-clock differs.
-func (r *Runner) shardedMimic(n, nWorkers int) (time.Duration, error) {
-	tr, err := r.trainedFor("newreno")
-	if err != nil {
-		return 0, err
+// groupMimic is cluster.RunGroup for MimicNet: one core.Estimate of
+// models per config, at most parallelism at once, each to until. It
+// returns the time until the whole group finished.
+func groupMimic(cfgs []cluster.Config, models *core.MimicModels, until sim.Time, parallelism int) (time.Duration, error) {
+	t0 := time.Now()
+	sem := make(chan struct{}, parallelism)
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func(i int, cfg cluster.Config) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			_, errs[i] = core.Estimate(context.TODO(), cfg, models, until, nil)
+		}(i, cfg)
 	}
-	cfg, _, err := r.config("newreno", n)
-	if err != nil {
-		return 0, err
-	}
-	cfg.ShardedRun = 1
-	cfg.NumWorkers = nWorkers
-	rep, err := core.Estimate(context.TODO(), cfg, tr.models, r.Spec.RunTime(), nil)
-	if err != nil {
-		return 0, err
-	}
-	return rep.Wall, nil
+	wg.Wait()
+	return time.Since(t0), errors.Join(errs...)
 }
 
 // Fig12 reproduces Figure 12: simulation throughput in simulated seconds
@@ -226,27 +225,28 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		parFull, err := cluster.RunGroup(cluster.ParallelConfigs(base, nPar), r.Spec.RunTime(), nPar)
+		cfgs := cluster.ParallelConfigs(base, nPar)
+		parFull, err := cluster.RunGroup(cfgs, r.Spec.RunTime(), nPar)
 		if err != nil {
 			return nil, err
 		}
-		shardT, err := r.shardedMimic(n, nPar)
+		parMimic, err := groupMimic(cfgs, tr.models, r.Spec.RunTime(), nPar)
 		if err != nil {
 			return nil, err
 		}
-		parMimic := horizon / shardT.Seconds()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n),
 			f3(horizon / fullT.Seconds()),
 			f3(horizon / (mimic.Wall + trainCost).Seconds()),
 			f3(horizon / mimic.Wall.Seconds()),
-			f3(float64(nPar) * horizon / parFull.Wall.Seconds()), f3(parMimic),
+			f3(float64(nPar) * horizon / parFull.Wall.Seconds()),
+			f3(float64(nPar) * horizon / parMimic.Seconds()),
 		})
 		r.logf("Figure 12 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
 		"parallel_sim is cluster.RunGroup over cluster.ParallelConfigs; like single_sim it excludes instance construction",
-		"parallel_mimic is the production sharded composition (one LP per cluster) at full horizon",
+		"parallel_mimic is core.Estimate over the same configs and parallelism; like single_mimic it includes composition",
 		"paper: MimicNet throughput is roughly size-independent; single full simulation degrades ~linearly with size")
 	return t, nil
 }
