@@ -14,10 +14,12 @@ test:
 # the runtime that shards them for Figure 2 (cluster); the batched
 # inference and training engines and their worker pool (ml); the
 # composed engine, whose one fan-out is the inference flush's lane
-# groups (core); the parallel hyper-parameter search; and the estimation
-# service (scheduler, registry, HTTP surface).
+# groups (core); BayesOpt's parallel warm-up (tuning); the atomic
+# telemetry cells every worker writes (obs); the mutex-guarded job
+# journal (durable); and the estimation service (scheduler, registry,
+# HTTP surface).
 test-race:
-	$(GO) test -race ./internal/sim ./internal/netsim ./internal/transport ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/serve
+	$(GO) test -race ./internal/sim ./internal/netsim ./internal/transport ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/obs ./internal/durable ./internal/serve
 
 # test-floor0 replays the bitwise contract with the ml pool's dispatch
 # floor forced to 0 (build tag poolfloor0), so every Range call fans out
@@ -35,7 +37,7 @@ test-race:
 test-floor0:
 	@for w in 1 2 4; do \
 		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w ./internal/ml || exit 1; \
-		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestOracleParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit|TestFeederOracleParity' ./internal/core || exit 1; \
+		GOFLAGS=-tags=poolfloor0 $(GO) test -count=1 -cpu $$w -run 'TestEngineGoldenParity|TestOracleParity|TestGoldenCombinedPipeline|TestGoldenDeterminism|TestFlushSplit|TestFlushReplayOrder|TestFeederOracleParity' ./internal/core || exit 1; \
 	done
 	GOFLAGS=-tags=poolfloor0 $(GO) test -race -count=1 -cpu 4 -run 'TestGoldenCombinedPipeline|TestFlushSplit|TestFeederOracleParity|TestRoleVectorDeterminism' ./internal/core
 

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"runtime"
-	"strings"
 	"testing"
 
 	"mimicnet/internal/metrics"
@@ -333,49 +331,6 @@ func TestQueueDepthSampler(t *testing.T) {
 	if sampler.MaxDepth() == 0 {
 		t.Error("queues never built at 90% load")
 	}
-	var buf bytes.Buffer
-	if err := sampler.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(sampler.Samples)+1 {
-		t.Errorf("CSV lines = %d, want %d", len(lines), len(sampler.Samples)+1)
-	}
-	if !strings.HasPrefix(lines[0], "at_seconds,") {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-}
-
-// TestPacketLogger also pins the tap contract (netsim.Packet): the logger
-// formats each packet while the tap runs and keeps nothing, so a run with
-// released packets poisoned must log byte for byte what a run that
-// recycles them logs.
-func TestPacketLogger(t *testing.T) {
-	logOf := func(t *testing.T) string {
-		inst, err := New(smallConfig("newreno"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		logger := inst.LogPackets(&buf)
-		inst.Run(100 * sim.Millisecond)
-		if logger.Count() == 0 {
-			t.Fatal("no packets logged")
-		}
-		if logger.Err() != nil {
-			t.Fatal(logger.Err())
-		}
-		return buf.String()
-	}
-	recycled := logOf(t)
-	first := strings.SplitN(recycled, "\n", 2)[0]
-	if !strings.Contains(first, "flow=") || !strings.Contains(first, "seq=") {
-		t.Errorf("log line format: %q", first)
-	}
-	poisonReleasedPackets(t)
-	if poisoned := logOf(t); poisoned != recycled {
-		t.Error("packet log differs once released packets are poisoned: something read a packet after its release")
-	}
 }
 
 // The packet path is closure-free and pooled (DESIGN.md decision 17):
@@ -426,15 +381,12 @@ func TestRunGroupParallelMode(t *testing.T) {
 		t.Fatalf("results = %d", len(g.Results))
 	}
 	for i, r := range g.Results {
-		if len(r.FCTs) == 0 {
-			t.Errorf("instance %d completed no flows", i)
+		if len(r.FCTs) == 0 || r.Events == 0 {
+			t.Errorf("instance %d completed %d flows in %d events", i, len(r.FCTs), r.Events)
 		}
 	}
-	if len(g.AllFCTs()) != len(g.Results[0].FCTs)+len(g.Results[1].FCTs)+len(g.Results[2].FCTs) {
-		t.Error("AllFCTs lost samples")
-	}
-	if g.TotalEvents() == 0 || g.Wall <= 0 {
-		t.Error("group accounting empty")
+	if g.Wall <= 0 {
+		t.Error("group wall time not recorded")
 	}
 	// Different seeds ⇒ different results (with overwhelming probability).
 	if g.Results[0].Events == g.Results[1].Events && g.Results[1].Events == g.Results[2].Events {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/transport"
 )
@@ -118,4 +119,22 @@ func TestFullFidelityGolden(t *testing.T) {
 		}
 		t.Logf("wrote %s (%d fingerprints)", fullGoldenPath, len(got))
 	}
+}
+
+// TestReleasedPacketsStayDead reruns the full-fidelity goldens with
+// released packets poisoned instead of recycled: a transport, receive
+// callback or metric that read a packet after its release (netsim.Packet
+// states who releases it when) would panic or fingerprint as garbage.
+func TestReleasedPacketsStayDead(t *testing.T) {
+	if os.Getenv("MIMICNET_UPDATE_GOLDEN") != "" {
+		t.Skip("capturing goldens")
+	}
+	poisonReleasedPackets(t)
+	var pool netsim.PacketPool
+	pkt := pool.Get()
+	pool.Put(pkt)
+	if pkt.Src != -1 {
+		t.Fatal("poison switch did not reach netsim: the rest of this test would prove nothing")
+	}
+	t.Run("FullFidelityGolden", TestFullFidelityGolden)
 }

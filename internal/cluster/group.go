@@ -20,24 +20,6 @@ type GroupResult struct {
 	Wall    time.Duration // time until the whole group finished
 }
 
-// AllFCTs concatenates the instances' FCT samples.
-func (g GroupResult) AllFCTs() []float64 {
-	var out []float64
-	for _, r := range g.Results {
-		out = append(out, r.FCTs...)
-	}
-	return out
-}
-
-// TotalEvents sums processed events across instances.
-func (g GroupResult) TotalEvents() uint64 {
-	var total uint64
-	for _, r := range g.Results {
-		total += r.Events
-	}
-	return total
-}
-
 // RunGroup executes one simulation per config concurrently (bounded by
 // parallelism; 0 means NumCPU) and runs each to the given horizon.
 // Configs are validated up front so a late failure cannot waste the

@@ -1,20 +1,12 @@
 package cluster
 
-import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
+import "mimicnet/internal/sim"
 
-	"mimicnet/internal/netsim"
-	"mimicnet/internal/sim"
-	"mimicnet/internal/topo"
-)
-
-// This file provides the "arbitrary instrumentation" surface the paper
-// promises for the observable cluster (§2.1, §7.1: "users can add
-// arbitrary instrumentation, e.g., by dumping pcaps or queue depths"):
-// a periodic queue-depth sampler and a packet trace logger.
+// This file provides queue-depth instrumentation for the observable
+// cluster, one of the examples of "arbitrary instrumentation" the paper
+// promises for it (§2.1, §7.1: "e.g., by dumping pcaps or queue depths"):
+// a periodic queue-depth sampler. Per-packet records come from
+// netsim.Fabric.Taps, which core.Tracer reads for datagen.
 
 // QueueSample is one observation of a port's queue.
 type QueueSample struct {
@@ -32,14 +24,13 @@ type QueueDepthSampler struct {
 	Samples  []QueueSample
 
 	ports [][2]int
-	inst  *Simulation
 }
 
 // SampleQueues samples every port of the observable cluster's switches at
 // the given interval until the simulation ends. Passing specific port
 // pairs restricts the set.
 func (inst *Simulation) SampleQueues(interval sim.Time, ports ...[2]int) *QueueDepthSampler {
-	s := &QueueDepthSampler{Interval: interval, inst: inst, ports: ports}
+	s := &QueueDepthSampler{Interval: interval, ports: ports}
 	if len(s.ports) == 0 {
 		s.ports = inst.observablePorts()
 	}
@@ -92,83 +83,3 @@ func (s *QueueDepthSampler) MaxDepth() int {
 	}
 	return max
 }
-
-// WriteCSV dumps the samples as CSV (at_seconds, from, to, packets, bytes).
-func (s *QueueDepthSampler) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_seconds", "from", "to", "packets", "bytes"}); err != nil {
-		return err
-	}
-	for _, smp := range s.Samples {
-		err := cw.Write([]string{
-			strconv.FormatFloat(smp.At.Seconds(), 'g', -1, 64),
-			s.inst.Topo.Name(smp.From),
-			s.inst.Topo.Name(smp.To),
-			strconv.Itoa(smp.Packets),
-			strconv.Itoa(smp.Bytes),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// PacketLogger streams a pcap-like text record of packets crossing the
-// observable cluster's host interfaces.
-type PacketLogger struct {
-	w     io.Writer
-	count uint64
-	err   error
-}
-
-// LogPackets attaches a packet logger to the simulation. Records are
-// emitted for packets arriving at observable-cluster hosts and packets
-// those hosts send.
-func (inst *Simulation) LogPackets(w io.Writer) *PacketLogger {
-	l := &PacketLogger{w: w}
-	t := inst.Topo
-	obs := inst.Cfg.Observable
-	prevSend := inst.Fabric.Taps.OnSend
-	prevArrive := inst.Fabric.Taps.OnArrive
-	inst.Fabric.Taps.OnSend = func(from, to int, pkt *netsim.Packet, at sim.Time) {
-		if t.KindOf(from) == topo.KindHost && t.ClusterOf(from) == obs {
-			l.log("send", from, pkt, at)
-		}
-		if prevSend != nil {
-			prevSend(from, to, pkt, at)
-		}
-	}
-	inst.Fabric.Taps.OnArrive = func(node int, pkt *netsim.Packet, at sim.Time) {
-		if t.KindOf(node) == topo.KindHost && t.ClusterOf(node) == obs {
-			l.log("recv", node, pkt, at)
-		}
-		if prevArrive != nil {
-			prevArrive(node, pkt, at)
-		}
-	}
-	return l
-}
-
-func (l *PacketLogger) log(kind string, node int, pkt *netsim.Packet, at sim.Time) {
-	if l.err != nil {
-		return
-	}
-	l.count++
-	kindFlag := "data"
-	if pkt.IsAck {
-		kindFlag = "ack"
-	}
-	if pkt.IsGrant {
-		kindFlag = "grant"
-	}
-	_, l.err = fmt.Fprintf(l.w, "%.9f %s node=%d flow=%d %s seq=%d len=%d ce=%t\n",
-		at.Seconds(), kind, node, pkt.FlowID, kindFlag, pkt.Seq, pkt.Payload, pkt.CE)
-}
-
-// Count returns the number of records written.
-func (l *PacketLogger) Count() uint64 { return l.count }
-
-// Err returns the first write error, if any.
-func (l *PacketLogger) Err() error { return l.err }

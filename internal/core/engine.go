@@ -73,7 +73,7 @@ func (k RoleKind) roleClass() int {
 // ClusterRole assigns one cluster its simulation role, optionally with
 // its own trained artifact (nil Models = the engine-wide default).
 // Per-cluster overrides let a composition mix model variants — e.g. a
-// stale or fine-tuned model for one region — which the paper's
+// stale or retrained model for one region — which the paper's
 // homogeneous composition cannot express.
 type ClusterRole struct {
 	Kind   RoleKind
@@ -466,17 +466,6 @@ func (e *Engine) MimicDrops(dir Direction) uint64 {
 		} else {
 			total += cc.dropsEgress
 		}
-	}
-	return total
-}
-
-// ModelPackets returns the number of packets served by a model (the
-// hybrid harness's "packets through the model under test"; for Mimic
-// roles it counts both directions' boundary packets).
-func (e *Engine) ModelPackets() uint64 {
-	var total uint64
-	for _, cc := range e.clusters {
-		total += cc.modelPackets
 	}
 	return total
 }

@@ -18,3 +18,14 @@ func poisonReleasedPackets(t testing.TB) {
 	poisonOnRelease = true
 	t.Cleanup(func() { poisonOnRelease = false })
 }
+
+// ModelPackets returns the number of packets served by a model (the
+// hybrid harness's "packets through the model under test"; for Mimic
+// roles it counts both directions' boundary packets).
+func (e *Engine) ModelPackets() uint64 {
+	var total uint64
+	for _, cc := range e.clusters {
+		total += cc.modelPackets
+	}
+	return total
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -118,105 +117,5 @@ func TestHybridMeasuresReferencePopulation(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-// outcomeStream drives a fresh oracle Mimic over a fixed packet stream
-// in both directions and returns its Outcomes.
-func outcomeStream(models *MimicModels) []Outcome {
-	m := newOracleMimic(models, 1, 7)
-	var outs []Outcome
-	for i := 0; i < 40; i++ {
-		info := PacketInfo{LocalServer: i % 4, SizeBytes: 1500, ECT: true, ArrivalTime: sim.Time(i+1) * sim.Millisecond}
-		outs = append(outs, m.process(Direction(i%2), info))
-	}
-	return outs
-}
-
-func TestUpdateModelsFineTunes(t *testing.T) {
-	models := trainedForHybrid(t)
-	before := outcomeStream(models)
-
-	// Generate fresh data at a different seed (e.g. a workload shift).
-	base := fastBase()
-	base.Workload.Seed = 77
-	tcfg := fastTrain()
-	ing, eg, _, err := GenerateTrainingData(base, 150*sim.Millisecond, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	updated, err := UpdateModels(models, ing, eg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if updated == models {
-		t.Error("UpdateModels must not mutate in place")
-	}
-	// The old models are still usable and predict exactly what they did
-	// before the update; the updated ones do not.
-	if after := outcomeStream(models); !reflect.DeepEqual(after, before) {
-		t.Error("original models changed by update")
-	}
-	if reflect.DeepEqual(outcomeStream(updated), before) {
-		t.Error("updated models predict exactly what the originals did; the comparison proves nothing")
-	}
-	// Updated models compose fine.
-	cfg := base
-	cfg.Topo = base.Topo.WithClusters(4)
-	comp, err := Compose(cfg, updated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp.Run(150 * sim.Millisecond)
-	if comp.FlowsCompleted() == 0 {
-		t.Error("updated models completed no flows")
-	}
-}
-
-// TestUpdateModelsKeepsEmpiricalGaps: a model whose feeders replay
-// empirical gaps must still replay them after an update, from the bank
-// refitted on the new trace, not fall back to the log-normal fit.
-func TestUpdateModelsKeepsEmpiricalGaps(t *testing.T) {
-	models := cloneModels(t, trainedForScheduler(t))
-	models.Ingress.UseEmpiricalGaps = true
-	models.Egress.UseEmpiricalGaps = true
-	base := fastBase()
-	base.Workload.Seed = 77
-	ing, eg, _, err := GenerateTrainingData(base, 150*sim.Millisecond, fastTrain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	updated, err := UpdateModels(models, ing, eg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		dm *DirectionModel
-		ds *Dataset
-	}{{updated.Ingress, ing}, {updated.Egress, eg}} {
-		if !c.dm.UseEmpiricalGaps {
-			t.Errorf("%v: update dropped UseEmpiricalGaps", c.ds.Dir)
-		}
-		// FeederGapFrac replays GapSamples when the flag is set and the
-		// bank is non-empty (TestFeederGapEmpiricalReplay).
-		if want := gapSubsample(c.ds.Interarrivals, 2048); len(want) == 0 || !reflect.DeepEqual(c.dm.GapSamples, want) {
-			t.Errorf("%v: gap bank has %d samples, want the %d refitted from the new trace",
-				c.ds.Dir, len(c.dm.GapSamples), len(want))
-		}
-	}
-}
-
-func TestUpdateModelsValidation(t *testing.T) {
-	if _, err := UpdateModels(nil, nil, nil, 1, 0); err == nil {
-		t.Error("nil models accepted")
-	}
-	models := trainedForHybrid(t)
-	empty := &Dataset{Spec: models.Spec}
-	if _, err := UpdateModels(models, empty, empty, 1, 0); err == nil {
-		t.Error("empty dataset accepted")
-	}
-	bad := &Dataset{Spec: FeatureSpec{Racks: 99}}
-	if _, err := UpdateModels(models, bad, bad, 1, 0); err == nil {
-		t.Error("feature width change accepted")
 	}
 }

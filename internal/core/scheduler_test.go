@@ -7,6 +7,7 @@ import (
 
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/ml"
+	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
 )
 
@@ -168,6 +169,65 @@ func TestFlushSplit(t *testing.T) {
 		if got, want := resultsFingerprint(res), resultsFingerprint(prod); got != want {
 			t.Errorf("%s: fingerprint %s differs from production run %s", label, got[:16], want[:16])
 		}
+	}
+}
+
+// TestFlushReplayOrder forces the tie that replay's merge decides. The
+// groups of a split flush resolve their boundary packets independently,
+// and the caller runs the continuations afterwards. Continuations that
+// schedule kernel events for one nanosecond leave those events in the
+// order they ran, so the replay must be the serial order: direction,
+// then round, then lane across groups. The production composition never
+// puts two groups' continuations on one nanosecond; here every request
+// of one flush schedules its event for the same instant. N = 4 on a
+// two-worker pool gives Mimic lanes 0 and 2 to group 0 and lane 1 to
+// group 1; lane 0 queues two ingress requests, so a group-major replay
+// would run lane 0's second round before lane 1's first.
+func TestFlushReplayOrder(t *testing.T) {
+	models := trainedForScheduler(t)
+	const clusters = 4
+	pool := ml.NewPool(2)
+	t.Cleanup(pool.Close)
+	cfg := fastBase()
+	cfg.Topo = cfg.Topo.WithClusters(clusters)
+	e, err := newEngine(cfg, ComposedRoles(clusters), models, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.scheds[0]
+	if len(s.groups) != 2 {
+		t.Fatalf("%d lane groups, want 2", len(s.groups))
+	}
+	var lanes []*Mimic
+	for _, cc := range e.clusters {
+		if cc.role.Kind == RoleMimic {
+			lanes = append(lanes, cc.mimic)
+		}
+	}
+	k := e.rt.Sim
+	const tie = sim.Millisecond
+	var ran []string
+	request := func(lane int, dir Direction, label string) {
+		info := PacketInfo{SizeBytes: 1500, ArrivalTime: k.Now()}
+		s.enqueue(lanes[lane].dir(dir), info, nil, func(*netsim.Packet, PacketInfo, Outcome) {
+			k.At(tie, func() { ran = append(ran, label) })
+		})
+	}
+	// Enqueue order is neither the serial order nor group-major.
+	request(1, Egress, "egress r0 l1")
+	request(2, Ingress, "ingress r0 l2")
+	request(0, Ingress, "ingress r0 l0")
+	request(1, Ingress, "ingress r0 l1")
+	request(0, Ingress, "ingress r1 l0")
+	s.stepCost = [2]int{1 << 30, 1 << 30} // over the floor: the flush splits
+	s.Flush()
+	if s.Splits != 1 {
+		t.Fatalf("the flush did not split (%d splits): both groups ran on one goroutine", s.Splits)
+	}
+	k.RunUntil(tie)
+	want := []string{"ingress r0 l0", "ingress r0 l1", "ingress r0 l2", "ingress r1 l0", "egress r0 l1"}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Errorf("same-instant continuations ran as\n  %q\nwant the serial order\n  %q", ran, want)
 	}
 }
 

@@ -93,17 +93,16 @@ func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, pr
 	}
 	eval := model.Evaluate(test)
 	dm := &DirectionModel{Model: model, Bounds: ds.Bounds, Disc: ds.Disc}
-	fitFeeder(dm, ds, 0)
+	fitFeeder(dm, ds)
 	return dm, eval, nil
 }
 
 // fitFeeder sets a direction's feeder statistics from its dataset: the
 // interarrival fit and packet rate, the empirical gap bank, the replay
-// bank, and the base drop/ECN rates. fallbackRate stands in for the rate
-// when the dataset has no positive mean gap.
-func fitFeeder(dm *DirectionModel, ds *Dataset, fallbackRate float64) {
+// bank, and the base drop/ECN rates. The rate stays 0 when the dataset
+// has no positive mean gap.
+func fitFeeder(dm *DirectionModel, ds *Dataset) {
 	meanGap := stats.Mean(ds.Interarrivals)
-	dm.RatePktsPerSec = fallbackRate
 	if meanGap > 0 {
 		dm.RatePktsPerSec = 1 / meanGap
 	}

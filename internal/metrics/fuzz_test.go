@@ -78,38 +78,3 @@ func TestW1NaNInput(t *testing.T) {
 		}
 	}
 }
-
-func TestCDFProperties(t *testing.T) {
-	c := NewCDF([]float64{3, 1, 2, 2})
-	// At is monotone and hits 0/1 at the support edges.
-	prev := 0.0
-	for _, x := range []float64{0, 1, 1.5, 2, 2.5, 3, 4} {
-		p := c.At(x)
-		if p < prev {
-			t.Fatalf("CDF.At not monotone at %v: %v < %v", x, p, prev)
-		}
-		prev = p
-	}
-	if c.At(0.5) != 0 || c.At(3) != 1 {
-		t.Fatalf("CDF edges wrong: At(0.5)=%v At(3)=%v", c.At(0.5), c.At(3))
-	}
-	// Quantile stays within the sample range and is monotone in q.
-	prevQ := math.Inf(-1)
-	for q := -0.5; q <= 1.5; q += 0.125 {
-		v := c.Quantile(q)
-		if v < 1 || v > 3 {
-			t.Fatalf("Quantile(%v) = %v outside sample range", q, v)
-		}
-		if v < prevQ {
-			t.Fatalf("Quantile not monotone at %v", q)
-		}
-		prevQ = v
-	}
-}
-
-func TestCDFEmpty(t *testing.T) {
-	c := NewCDF(nil)
-	if !math.IsNaN(c.At(1)) || !math.IsNaN(c.Quantile(0.5)) {
-		t.Fatal("empty CDF must report NaN")
-	}
-}

@@ -1,5 +1,5 @@
-// Package metrics implements MimicNet's evaluation metrics: empirical
-// CDFs, the Wasserstein-1 (earth mover's) distance between them, the
+// Package metrics implements MimicNet's evaluation metrics: the
+// Wasserstein-1 (earth mover's) distance between empirical CDFs, the
 // MSE-over-intersection flow metric, and collectors for the three
 // end-to-end observables the paper reports—flow completion time (FCT),
 // per-server throughput binned into fixed intervals, and packet RTT
@@ -68,53 +68,6 @@ func W1(a, b []float64) float64 {
 	}
 	return total
 }
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds a CDF from samples (copied and sorted).
-func NewCDF(samples []float64) *CDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile of the distribution.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	pos := q * float64(len(c.sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(c.sorted) {
-		return c.sorted[len(c.sorted)-1]
-	}
-	return c.sorted[lo]*(1-frac) + c.sorted[lo+1]*frac
-}
-
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// Values returns the sorted samples (not a copy; do not modify).
-func (c *CDF) Values() []float64 { return c.sorted }
 
 // FlowMSE computes MimicNet's MSE-based 1-to-1 metric over the
 // intersection of flows completed in both runs (paper §7.2):

@@ -98,35 +98,6 @@ func TestW1TriangleProperty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.At(2); got != 0.5 {
-		t.Errorf("At(2) = %v, want 0.5", got)
-	}
-	if got := c.At(0); got != 0 {
-		t.Errorf("At(0) = %v, want 0", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Errorf("At(10) = %v, want 1", got)
-	}
-	if got := c.Quantile(0.5); !almost(got, 2.5, 1e-12) {
-		t.Errorf("Quantile(0.5) = %v, want 2.5", got)
-	}
-	if got := c.Quantile(0); got != 1 {
-		t.Errorf("Quantile(0) = %v", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Errorf("Quantile(1) = %v", got)
-	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	empty := NewCDF(nil)
-	if !math.IsNaN(empty.At(1)) || !math.IsNaN(empty.Quantile(0.5)) {
-		t.Error("empty CDF should return NaN")
-	}
-}
-
 func TestFlowMSE(t *testing.T) {
 	real := map[string]float64{"a": 1, "b": 2, "c": 3}
 	mimic := map[string]float64{"a": 1.5, "b": 2, "d": 9}

@@ -192,8 +192,4 @@ func TestTrainResumeValidation(t *testing.T) {
 	if _, err := m2.TrainContext(context.Background(), samplesOf(samples[:8]), TrainOpts{ResumeFrom: ck}); err == nil {
 		t.Fatal("sample-count mismatch accepted")
 	}
-
-	if _, err := m2.FineTuneContext(context.Background(), samplesOf(samples), 1, 0, TrainOpts{ResumeFrom: ck}); err == nil {
-		t.Fatal("fine-tune accepted a checkpoint")
-	}
 }

@@ -112,10 +112,6 @@ func SetGemmKernel(name string) error {
 // GemmKernelName returns the live kernel family name.
 func GemmKernelName() string { return gemmKernel().name }
 
-// GemmWideGates reports whether the live kernel runs the 4-wide
-// sigmoid/tanh gate kernels (avx2 on FMA hardware).
-func GemmWideGates() bool { return gemmKernel().wideGates }
-
 // GemmKernels returns the kernel names available on this CPU and build,
 // narrowest first.
 func GemmKernels() []string {

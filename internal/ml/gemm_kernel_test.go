@@ -36,7 +36,7 @@ func wideGatesAvailable() bool {
 func TestGemmKernelsAvailable(t *testing.T) {
 	ks := GemmKernels()
 	t.Logf("kernels=%v active=%s wideGates=%v (cpu: avx2=%v fma=%v)",
-		ks, GemmKernelName(), GemmWideGates(), cpuHasAVX2, cpuHasFMA)
+		ks, GemmKernelName(), gemmKernel().wideGates, cpuHasAVX2, cpuHasFMA)
 	want := []string{"scalar"}
 	if cpuHasAVX2 {
 		want = append(want, "avx2")

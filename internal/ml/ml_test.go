@@ -390,25 +390,18 @@ func TestModelConfigValidation(t *testing.T) {
 }
 
 func TestOptimizersReduceQuadratic(t *testing.T) {
-	// Minimize (x-3)^2 with each optimizer.
-	for _, name := range []string{"sgd", "adam"} {
-		p := NewMatrix(1, 1)
-		var opt Optimizer
-		if name == "sgd" {
-			opt = NewSGD(0.1, 0.5)
-		} else {
-			opt = NewAdam(0.1)
-		}
-		for i := 0; i < 200; i++ {
-			p.Grad[0] = 2 * (p.Data[0] - 3)
-			opt.Step([]*Matrix{p})
-		}
-		if math.Abs(p.Data[0]-3) > 0.05 {
-			t.Errorf("%s converged to %v, want 3", name, p.Data[0])
-		}
-		if p.Grad[0] != 0 {
-			t.Errorf("%s did not zero grads", name)
-		}
+	// Minimize (x-3)^2 with Adam, the one optimizer.
+	p := NewMatrix(1, 1)
+	opt := NewAdam(0.1)
+	for i := 0; i < 200; i++ {
+		p.Grad[0] = 2 * (p.Data[0] - 3)
+		opt.Step([]*Matrix{p})
+	}
+	if math.Abs(p.Data[0]-3) > 0.05 {
+		t.Errorf("adam converged to %v, want 3", p.Data[0])
+	}
+	if p.Grad[0] != 0 {
+		t.Error("adam did not zero grads")
 	}
 }
 
@@ -492,47 +485,6 @@ func TestEvaluateEmpty(t *testing.T) {
 	if ev := m.Evaluate(samplesOf(nil)); ev.Loss != 0 {
 		t.Error("empty evaluate should be zero")
 	}
-}
-
-func TestFineTuneImprovesOnShiftedData(t *testing.T) {
-	// Train on task A (latency = mean of feature 0), then fine-tune on a
-	// shifted task (latency = 1 - mean): fine-tuning should adapt much
-	// faster than the model's from-scratch loss level.
-	cfg := DefaultModelConfig(1, 3)
-	cfg.Epochs = 8
-	m, _ := NewModel(cfg)
-	rng := stats.NewStream(31)
-	mk := func(invert bool, n int) []Sample {
-		var out []Sample
-		for i := 0; i < n; i++ {
-			var s Sample
-			var sum float64
-			for j := 0; j < cfg.Window; j++ {
-				v := rng.Float64()
-				s.Window = append(s.Window, []float64{v})
-				sum += v
-			}
-			s.Latency = sum / float64(cfg.Window)
-			if invert {
-				s.Latency = 1 - s.Latency
-			}
-			out = append(out, s)
-		}
-		return out
-	}
-	m.Train(samplesOf(mk(false, 300)))
-	shifted := mk(true, 300)
-	before := m.Evaluate(samplesOf(shifted)).LatencyMAE
-	res := m.FineTune(samplesOf(shifted), 4, 0)
-	after := m.Evaluate(samplesOf(shifted)).LatencyMAE
-	if after >= before {
-		t.Errorf("fine-tuning did not adapt: MAE %v -> %v", before, after)
-	}
-	if len(res.EpochLoss) != 4 {
-		t.Errorf("epoch losses = %d", len(res.EpochLoss))
-	}
-	// Degenerate arguments are clamped, not fatal.
-	m.FineTune(samplesOf(shifted[:10]), 0, -1)
 }
 
 // Gradient checks for the alternative trunk classes — the same central-

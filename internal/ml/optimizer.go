@@ -5,39 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer applies accumulated gradients to parameters.
-type Optimizer interface {
-	Step(params []*Matrix)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Matrix][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Matrix][]float64)}
-}
-
-// Step applies one update and zeroes gradients.
-func (o *SGD) Step(params []*Matrix) {
-	for _, p := range params {
-		v := o.vel[p]
-		if v == nil {
-			v = make([]float64, len(p.Data))
-			o.vel[p] = v
-		}
-		for i := range p.Data {
-			v[i] = o.Momentum*v[i] - o.LR*p.Grad[i]
-			p.Data[i] += v[i]
-			p.Grad[i] = 0
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba), the de facto default
 // for LSTM training.
 type Adam struct {

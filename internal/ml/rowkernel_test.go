@@ -214,14 +214,15 @@ func TestStepLanesDoesNotAllocate(t *testing.T) {
 }
 
 // TestBankAfterFineTune pins the packing lifetime: a bank snapshots its
-// trunk weights when it is built, so one built after FineTune predicts
-// with the fine-tuned weights — bit for bit what the per-packet path on
-// the same model predicts.
+// trunk weights when it is built, so one built after training (which
+// continues from the model's current weights) predicts with the new
+// weights — bit for bit what the per-packet path on the same model
+// predicts.
 func TestBankAfterFineTune(t *testing.T) {
 	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		model := parityModel(t, cell, 1)
 		before := NewBatchedStatefulModel(model, 1, nil)
-		if _, err := model.FineTuneContext(context.Background(), samplesOf(synthSamples(40, model.Cfg.Features, model.Cfg.Window, 3)), 2, 0.05, TrainOpts{}); err != nil {
+		if _, err := model.TrainContext(context.Background(), samplesOf(synthSamples(40, model.Cfg.Features, model.Cfg.Window, 3)), TrainOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		after := NewBatchedStatefulModel(model, 1, nil)
@@ -232,14 +233,14 @@ func TestBankAfterFineTune(t *testing.T) {
 			x := randVec(model.Cfg.Features, rng)
 			want := ref.Predict(x)
 			if got := after.PredictLane(0, x); got != want {
-				t.Fatalf("%s step %d: bank built after FineTune %+v != per-packet %+v", cell, step, got, want)
+				t.Fatalf("%s step %d: bank built after retraining %+v != per-packet %+v", cell, step, got, want)
 			}
 			if before.PredictLane(0, x) != want {
 				stale = true
 			}
 		}
 		if !stale {
-			t.Fatalf("%s: FineTune did not change predictions; the test proves nothing", cell)
+			t.Fatalf("%s: retraining did not change predictions; the test proves nothing", cell)
 		}
 	}
 }

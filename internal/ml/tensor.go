@@ -1,8 +1,8 @@
 // Package ml is a from-scratch neural network library sufficient for
 // MimicNet's internal models: dense matrices, LSTM layers trained with
 // backpropagation through time, linear heads, the paper's loss functions
-// (MAE, MSE, Huber, BCE, weighted BCE), linear discretization, and Adam /
-// SGD optimizers. It replaces PyTorch/ATen in the original system; model
+// (MAE, MSE, Huber, BCE, weighted BCE), linear discretization, and the
+// Adam optimizer. It replaces PyTorch/ATen in the original system; model
 // inference is a plain Go function call embedded in the simulator's event
 // loop (paper §8).
 package ml

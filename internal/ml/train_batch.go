@@ -74,9 +74,9 @@ type TrainOpts struct {
 	ResumeFrom *TrainCheckpoint
 }
 
-// fit is the shared training loop behind Train/TrainContext/FineTune:
-// shuffle each epoch with rng, run forward+backward per batch, clip, and
-// apply one optimizer step per batch.
+// fit is the training loop behind Train/TrainContext: shuffle each epoch
+// with rng, run forward+backward per batch, clip, and apply one optimizer
+// step per batch.
 func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src SampleSource, epochs int, opts TrainOpts) (TrainResult, error) {
 	params := m.Params()
 	count := src.Len()

@@ -288,36 +288,6 @@ func TestTrainContextCancellation(t *testing.T) {
 	})
 }
 
-// TestFineTuneContextUsesBatchedPath sanity-checks that FineTune flows
-// through the shared fit loop (progress reported with the configured
-// batch size) and still improves the model it starts from.
-func TestFineTuneContextUsesBatchedPath(t *testing.T) {
-	cfg := DefaultModelConfig(2, 4)
-	cfg.Hidden = 8
-	cfg.Epochs = 3
-	m, _ := NewModel(cfg)
-	samples := synthSamples(150, 2, 4, 29)
-	m.Train(samplesOf(samples))
-	var got []TrainProgress
-	res, err := m.FineTuneContext(context.Background(), samplesOf(samples), 2, 0, TrainOpts{
-		Progress: func(p TrainProgress) { got = append(got, p) },
-	})
-	if err != nil {
-		t.Fatalf("FineTuneContext: %v", err)
-	}
-	if len(res.EpochLoss) != 2 || len(got) != 2 {
-		t.Fatalf("epochs = %d, progress reports = %d", len(res.EpochLoss), len(got))
-	}
-	for i, p := range got {
-		if p.Epoch != i+1 || p.Epochs != 2 || p.BatchSize != DefaultBatchSize || p.Samples != len(samples) {
-			t.Fatalf("progress %d = %+v", i, p)
-		}
-		if p.SamplesPerSec <= 0 {
-			t.Fatalf("progress %d samples/sec = %v", i, p.SamplesPerSec)
-		}
-	}
-}
-
 // TestMulLanesTMatchesMulVecT pins the batched backward GEMM to its
 // per-vector reference.
 func TestMulLanesTMatchesMulVecT(t *testing.T) {

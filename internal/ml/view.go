@@ -4,8 +4,8 @@ package ml
 // the underlying packet stream exactly once — one contiguous row-major
 // feature matrix — and expresses each sample's window as an index range
 // over it, with the early-window zero padding resolved by index math
-// against a single shared zero row. Every consumer (the trainer,
-// Evaluate, FineTune) reads it through the SampleSource interface below.
+// against a single shared zero row. Every consumer (the trainer and
+// Evaluate) reads it through the SampleSource interface below.
 
 // SampleSource is the trainer-facing read interface over a dataset.
 // *SampleView is the production implementation; the window-of-slices
@@ -145,8 +145,8 @@ func (v *SampleView) Slice(lo, hi int) *SampleView {
 }
 
 // WithLatency returns a shallow view sharing everything but the latency
-// column — the incremental-update path retargets latencies against an
-// older normalization without copying the matrix.
+// column, so a caller can retarget latencies against another
+// normalization without copying the matrix.
 func (v *SampleView) WithLatency(latency []float64) *SampleView {
 	if len(latency) != v.Len() {
 		panic("ml: WithLatency length mismatch")

@@ -52,12 +52,11 @@ type Taps struct {
 // sharded runs count and recycle without atomics; the struct is padded to
 // a cache line to keep neighboring shards' writes from false-sharing.
 type fabricShard struct {
-	injected    uint64
-	delivered   uint64
-	drops       uint64
-	intercepted uint64
-	packets     PacketPool
-	_           [3]uint64
+	injected  uint64
+	delivered uint64
+	drops     uint64
+	packets   PacketPool
+	_         [4]uint64
 }
 
 // nodePorts is one node's output ports, indexed by neighbor ID. A node's
@@ -308,7 +307,6 @@ func (f *Fabric) arrive(node int, pkt *Packet) {
 		f.Taps.OnArrive(node, pkt, f.simFor(node).Now())
 	}
 	if f.intercept != nil && f.intercept(node, pkt) {
-		f.shards[f.shard(node)].intercepted++
 		return
 	}
 	if pkt.Hop == len(pkt.Path)-1 {
@@ -329,14 +327,8 @@ func (f *Fabric) Delivered() uint64 {
 	return f.sum(func(c *fabricShard) uint64 { return c.delivered })
 }
 
-// Drops returns the number of packets rejected by queues or failed links.
+// Drops returns the number of packets rejected by queues.
 func (f *Fabric) Drops() uint64 { return f.sum(func(c *fabricShard) uint64 { return c.drops }) }
-
-// Intercepted returns the number of packets swallowed by the intercept
-// hook.
-func (f *Fabric) Intercepted() uint64 {
-	return f.sum(func(c *fabricShard) uint64 { return c.intercepted })
-}
 
 // sum totals one counter across shards. Callers must not race with a
 // running sharded simulation; between windows and after Run is safe.
@@ -346,52 +338,4 @@ func (f *Fabric) sum(get func(*fabricShard) uint64) uint64 {
 		total += get(&f.shards[i])
 	}
 	return total
-}
-
-// SetLinkState marks the undirected link a<->b up or down. Packets
-// forwarded into a down link are dropped (and counted/tapped as drops).
-// MimicNet itself assumes failure-free FatTrees (paper §4.2); this
-// capability exists so the full-fidelity substrate can explore the
-// Appendix-A relaxation of that assumption.
-func (f *Fabric) SetLinkState(a, b int, up bool) {
-	for _, key := range [][2]int{{a, b}, {b, a}} {
-		if p := f.Port(key[0], key[1]); p != nil {
-			p.Down = !up
-		}
-	}
-}
-
-// FailLinkAt schedules a link failure (and optional recovery) in
-// simulated time. On a sharded fabric each direction's flip is scheduled
-// on the LP owning the transmitting end, since that LP's events are the
-// only readers of the port's Down flag.
-func (f *Fabric) FailLinkAt(a, b int, at, recoverAt sim.Time) {
-	if f.lps == nil {
-		f.Sim.At(at, func() { f.SetLinkState(a, b, false) })
-		if recoverAt > at {
-			f.Sim.At(recoverAt, func() { f.SetLinkState(a, b, true) })
-		}
-		return
-	}
-	for _, key := range [][2]int{{a, b}, {b, a}} {
-		p := f.Port(key[0], key[1])
-		if p == nil {
-			continue
-		}
-		s := f.simFor(key[0])
-		s.At(at, func() { p.Down = true })
-		if recoverAt > at {
-			s.At(recoverAt, func() { p.Down = false })
-		}
-	}
-}
-
-// QueueLens snapshots the queue length of every port, keyed by [from, to].
-// Useful for debugging and the DCTCP threshold experiments.
-func (f *Fabric) QueueLens() map[[2]int]int {
-	out := make(map[[2]int]int, len(f.ports))
-	for _, p := range f.ports {
-		out[[2]int{p.From, p.To}] = p.QueueLen()
-	}
-	return out
 }

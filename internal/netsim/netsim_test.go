@@ -157,18 +157,6 @@ func TestPortDropsWhenQueueFull(t *testing.T) {
 	}
 }
 
-func TestPortSentHook(t *testing.T) {
-	s := sim.New()
-	sent := 0
-	p := NewPort(s, 0, 1, 8e6, sim.Millisecond, NewDropTail(1), func(pkt *Packet) {})
-	p.SetSentHook(func(pkt *Packet) { sent++ })
-	p.Send(&Packet{Size: 100})
-	s.Run()
-	if sent != 1 {
-		t.Errorf("sent hook fired %d times", sent)
-	}
-}
-
 func newTestFabric() (*sim.Simulator, *topo.Topology, *Fabric) {
 	s := sim.New()
 	tp := topo.New(topo.Config{
@@ -272,19 +260,6 @@ func TestFabricPanicsOnBadPath(t *testing.T) {
 		}
 	}()
 	f.Inject(&Packet{Src: tp.HostID(0, 0, 0), Dst: 1, Path: []int{99}})
-}
-
-func TestFabricQueueLens(t *testing.T) {
-	_, _, f := newTestFabric()
-	lens := f.QueueLens()
-	if len(lens) == 0 {
-		t.Fatal("no ports")
-	}
-	for k, v := range lens {
-		if v != 0 {
-			t.Errorf("port %v has nonzero initial queue %d", k, v)
-		}
-	}
 }
 
 func TestFabricRequiresQueueFactory(t *testing.T) {
@@ -444,18 +419,22 @@ func TestInterceptSwallowsAndCounts(t *testing.T) {
 	tp := topo.New(topo.DefaultConfig())
 	fab := NewFabric(s, tp, DefaultLinkConfig())
 	src, dst := tp.HostID(0, 0, 0), tp.HostID(1, 0, 0)
-	delivered := 0
+	delivered, swallowed := 0, 0
 	fab.RegisterHost(dst, func(pkt *Packet) { delivered++ })
 	fab.SetIntercept(func(node int, pkt *Packet) bool {
-		return tp.KindOf(node) == topo.KindAgg && tp.ClusterOf(node) == 1
+		if tp.KindOf(node) == topo.KindAgg && tp.ClusterOf(node) == 1 {
+			swallowed++
+			return true
+		}
+		return false
 	})
 	fab.Inject(&Packet{Src: src, Dst: dst, Size: 100, Path: tp.Path(src, dst, 0)})
 	s.Run()
 	if delivered != 0 {
 		t.Error("intercepted packet was delivered")
 	}
-	if fab.Intercepted() != 1 {
-		t.Errorf("Intercepted = %d", fab.Intercepted())
+	if swallowed != 1 {
+		t.Errorf("intercept swallowed %d packets, want 1", swallowed)
 	}
 	// Clearing the interceptor restores delivery.
 	fab.SetIntercept(nil)
@@ -464,36 +443,6 @@ func TestInterceptSwallowsAndCounts(t *testing.T) {
 	if delivered != 1 {
 		t.Error("packet not delivered after clearing interceptor")
 	}
-}
-
-func TestLinkFailureDropsAndRecovers(t *testing.T) {
-	s, tp, f := newTestFabric()
-	src, dst := tp.HostID(0, 0, 0), tp.HostID(0, 0, 1) // same rack
-	delivered := 0
-	var drops int
-	f.RegisterHost(dst, func(pkt *Packet) { delivered++ })
-	f.Taps.OnDrop = func(from, to int, pkt *Packet, at sim.Time) { drops++ }
-	tor := tp.ToRID(0, 0)
-
-	// Fail the host->ToR link from 1ms, recover at 5ms.
-	f.FailLinkAt(src, tor, sim.Millisecond, 5*sim.Millisecond)
-	send := func(at sim.Time) {
-		s.At(at, func() {
-			f.Inject(&Packet{Src: src, Dst: dst, Size: 100, Path: tp.Path(src, dst, 0)})
-		})
-	}
-	send(0)                   // before failure: delivered
-	send(2 * sim.Millisecond) // during failure: dropped
-	send(6 * sim.Millisecond) // after recovery: delivered
-	s.Run()
-	if delivered != 2 {
-		t.Errorf("delivered = %d, want 2", delivered)
-	}
-	if drops != 1 || f.Drops() != 1 {
-		t.Errorf("drops = %d/%d, want 1", drops, f.Drops())
-	}
-	// Unknown link: no-op.
-	f.SetLinkState(9999, 9998, false)
 }
 
 // Forwarding is the simulator's inner loop: once the event pool, the

@@ -28,13 +28,12 @@ const (
 // intercept hook swallows it — and the owner at a terminal point gives it
 // back to the PacketPool of the logical process it is running on: the
 // fabric after the destination host's receive callback returns and after
-// a queue or failed-link drop, the composition engine after a
-// Mimic-predicted drop or a modeled delivery. From then on the memory is
-// the next packet's. Receive callbacks, taps (Fabric.Taps, and through
-// them core.Tracer and cluster.PacketLogger) and the intercept hook
-// therefore read what they need while they run and keep values, never
-// the *Packet; a copy of the struct is not a safe substitute either,
-// because Path points into the original.
+// a queue drop, the composition engine after a Mimic-predicted drop or a
+// modeled delivery. From then on the memory is the next packet's. Receive
+// callbacks, taps (Fabric.Taps, and through them core.Tracer) and the
+// intercept hook therefore read what they need while they run and keep
+// values, never the *Packet; a copy of the struct is not a safe
+// substitute either, because Path points into the original.
 type Packet struct {
 	ID     uint64 // globally unique, for trace matching
 	FlowID uint64 // connection identity

@@ -15,9 +15,6 @@ import (
 type Port struct {
 	From, To int // node IDs, for instrumentation
 
-	// Down marks the link failed: offered packets are dropped.
-	Down bool
-
 	sim   *sim.Simulator
 	rate  float64  // bits per second
 	prop  sim.Time // propagation delay
@@ -37,9 +34,7 @@ type Port struct {
 
 	onSerialized, onArrival sim.Handler
 
-	// hooks (may be nil)
-	onDrop func(*Packet)
-	onSent func(*Packet) // after serialization completes at this port
+	onDrop func(*Packet) // may be nil
 
 	// counters
 	Delivered uint64
@@ -63,10 +58,6 @@ func (p *Port) QueueBytes() int { return p.queue.Bytes() }
 // packet. The packet is the hook's to dispose of.
 func (p *Port) SetDropHook(fn func(*Packet)) { p.onDrop = fn }
 
-// SetSentHook registers a callback invoked when a packet finishes
-// serializing out of this port.
-func (p *Port) SetSentHook(fn func(*Packet)) { p.onSent = fn }
-
 // SetRemote makes arrivals execute on logical process dst; src is the
 // process this port's own events run on.
 func (p *Port) SetRemote(src, dst *sim.LP) { p.src, p.dst = src, dst }
@@ -79,15 +70,13 @@ func (p *Port) SerializationDelay(bytes int) sim.Time {
 
 // Send offers a packet to the port. If the transmitter is idle it begins
 // serializing immediately; otherwise the packet is queued (and possibly
-// dropped or ECN-marked by the queue discipline). Packets offered to a
-// failed link are dropped.
+// dropped or ECN-marked by the queue discipline).
 func (p *Port) Send(pkt *Packet) {
-	switch {
-	case p.Down:
-	case !p.busy:
+	if !p.busy {
 		p.transmit(pkt)
 		return
-	case p.queue.Enqueue(pkt):
+	}
+	if p.queue.Enqueue(pkt) {
 		return
 	}
 	p.Dropped++
@@ -106,9 +95,6 @@ func (p *Port) transmit(pkt *Packet) {
 // next queued packet at once.
 func (p *Port) serialized(x any, _ int64) {
 	pkt := x.(*Packet)
-	if p.onSent != nil {
-		p.onSent(pkt)
-	}
 	at := p.sim.Now() + p.prop
 	if p.dst != nil {
 		p.src.Send(p.dst, at, p.onArrival, pkt, 0)

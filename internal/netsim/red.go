@@ -34,9 +34,6 @@ func NewREDQueue(capacity int, minTh, maxTh, maxP float64, mark bool, seed int64
 	}
 }
 
-// Avg exposes the EWMA queue estimate (for tests and instrumentation).
-func (q *REDQueue) Avg() float64 { return q.avg }
-
 // Enqueue applies RED admission, then DropTail capacity as a backstop.
 func (q *REDQueue) Enqueue(pkt *Packet) bool {
 	q.avg = (1-q.Weight)*q.avg + q.Weight*float64(q.pkts.n)

@@ -30,8 +30,8 @@ func TestREDDropsUnderSustainedLoad(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("RED never dropped under sustained overload")
 	}
-	if q.Avg() < q.MinTh {
-		t.Errorf("average %v did not climb above MinTh", q.Avg())
+	if q.avg < q.MinTh {
+		t.Errorf("average %v did not climb above MinTh", q.avg)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestREDProbabilisticRegion(t *testing.T) {
 	q := NewREDQueue(100000, 2, 50, 0.3, false, 42)
 	// Prime the average to ~10 by enqueueing without draining until avg
 	// crosses MinTh, then alternate enqueue/dequeue to hold it.
-	for q.Avg() < 10 {
+	for q.avg < 10 {
 		q.Enqueue(&Packet{Size: 100})
 	}
 	admitted, dropped := 0, 0

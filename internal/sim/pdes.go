@@ -23,10 +23,9 @@ import (
 // delivered in (time, source LP, per-source sequence) order at fixed
 // window boundaries, so a sharded run schedules exactly the same events
 // in exactly the same relative order regardless of how many worker
-// threads execute the LPs. This is what lets a sharded core.Engine
-// produce bitwise-identical results at every worker count, and match its
-// sequential path for the paper's composition (one observed cluster, the
-// rest Mimics).
+// threads execute the LPs. Figure 2's sharded full-fidelity rows, the
+// runner's one product caller, rely on it: their results do not depend
+// on the worker count (cluster.TestShardedFullFidelityTieClass).
 //
 // The structure also prices MimicNet's Figure 2 question — does
 // parallelizing a tightly coupled data center simulation help? — in

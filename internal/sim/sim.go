@@ -14,9 +14,9 @@
 // and the per-packet work of a simulation is scheduled as typed events
 // (Schedule, LP.Send: a Handler bound once plus a pointer and an integer)
 // and re-armable Timers, neither of which needs a closure. At and After
-// take a func() and remain for the rare control events — flow starts,
-// link failures, samplers — where a captured closure is the clearest way
-// to say what should happen.
+// take a func() and remain for the rare control events — flow starts and
+// samplers — where a captured closure is the clearest way to say what
+// should happen.
 package sim
 
 import (
@@ -142,10 +142,6 @@ func (s *Simulator) Now() Time { return s.now }
 // Processed returns the number of events executed so far. It is the
 // simulator's measure of work done, used by the scalability experiments.
 func (s *Simulator) Processed() uint64 { return s.processed }
-
-// Pending returns the number of events still queued (including canceled
-// events that have not yet been discarded).
-func (s *Simulator) Pending() int { return len(s.heap) }
 
 // alloc takes an Event record from the free list, refilling it with a
 // block allocation when empty so steady-state scheduling allocates

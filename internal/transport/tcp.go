@@ -71,12 +71,6 @@ func (t *TCPSender) Start() { t.trySend() }
 // Done reports whether every byte has been cumulatively acknowledged.
 func (t *TCPSender) Done() bool { return t.done }
 
-// SndUna exposes the lowest unacknowledged sequence (for tests).
-func (t *TCPSender) SndUna() int64 { return t.sndUna }
-
-// CC exposes the congestion controller (for tests and instrumentation).
-func (t *TCPSender) CC() CongestionControl { return t.cc }
-
 func (t *TCPSender) trySend() {
 	if t.done {
 		return

@@ -129,9 +129,6 @@ func NewReceiver(env *Env, flow *Flow) *Receiver {
 	return &Receiver{env: env, flow: flow, ooo: make(map[int64]int64)}
 }
 
-// RcvNxt returns the next expected in-order byte.
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
 // Complete reports whether all flow bytes arrived.
 func (r *Receiver) Complete() bool { return r.complete }
 
@@ -293,6 +290,3 @@ func (h *Host) Receive(pkt *netsim.Packet) {
 	}
 	r.HandleData(pkt)
 }
-
-// Receivers returns the host's receive endpoints (for inspection).
-func (h *Host) Receivers() map[uint64]*Receiver { return h.receivers }

@@ -224,8 +224,8 @@ func TestVegasAdjustments(t *testing.T) {
 	if v.Window() <= w {
 		t.Errorf("no-queueing epoch should grow window: %v -> %v", w, v.Window())
 	}
-	if v.BaseRTT() != base {
-		t.Errorf("baseRTT = %v, want %v", v.BaseRTT(), base)
+	if v.baseRTT != base {
+		t.Errorf("baseRTT = %v, want %v", v.baseRTT, base)
 	}
 	// Now feed heavily inflated RTTs: diff large ⇒ shrink.
 	w = v.Window()
@@ -245,8 +245,8 @@ func TestWestwoodBandwidthEstimate(t *testing.T) {
 		now += sim.Millisecond
 		w.OnAck(1000, 10*sim.Millisecond, false)
 	}
-	if w.BWE() < 0.5e6 || w.BWE() > 1.5e6 {
-		t.Errorf("BWE = %v, want ~1e6 B/s", w.BWE())
+	if w.bwe < 0.5e6 || w.bwe > 1.5e6 {
+		t.Errorf("BWE = %v, want ~1e6 B/s", w.bwe)
 	}
 	// On loss, ssthresh should be ~BWE*RTTmin = 1e6 * 0.01 = 10000 bytes.
 	w.OnDupAckLoss()
@@ -277,8 +277,8 @@ func TestReceiverInOrder(t *testing.T) {
 	for seq := int64(0); seq < 300; seq += 100 {
 		r.HandleData(&netsim.Packet{Seq: seq, Payload: 100, FlowBytes: 300})
 	}
-	if r.RcvNxt() != 300 || !r.Complete() || delivered != 300 {
-		t.Errorf("rcvNxt=%d complete=%v delivered=%d", r.RcvNxt(), r.Complete(), delivered)
+	if r.rcvNxt != 300 || !r.Complete() || delivered != 300 {
+		t.Errorf("rcvNxt=%d complete=%v delivered=%d", r.rcvNxt, r.Complete(), delivered)
 	}
 }
 
@@ -292,13 +292,13 @@ func TestReceiverOutOfOrderCoalescing(t *testing.T) {
 	flow := &Flow{ID: 1, Bytes: 400}
 	r := NewReceiver(env, flow)
 	r.HandleData(&netsim.Packet{Seq: 200, Payload: 100, FlowBytes: 400})
-	if r.RcvNxt() != 0 {
-		t.Errorf("ooo data advanced rcvNxt to %d", r.RcvNxt())
+	if r.rcvNxt != 0 {
+		t.Errorf("ooo data advanced rcvNxt to %d", r.rcvNxt)
 	}
 	r.HandleData(&netsim.Packet{Seq: 100, Payload: 100, FlowBytes: 400})
 	r.HandleData(&netsim.Packet{Seq: 0, Payload: 100, FlowBytes: 400})
-	if r.RcvNxt() != 300 {
-		t.Errorf("coalescing failed: rcvNxt=%d, want 300", r.RcvNxt())
+	if r.rcvNxt != 300 {
+		t.Errorf("coalescing failed: rcvNxt=%d, want 300", r.rcvNxt)
 	}
 	// Duplicate ACK pattern: first two ACKs are 0 (dup), third jumps to 300.
 	if len(acks) != 3 || acks[0] != 0 || acks[1] != 0 || acks[2] != 300 {
@@ -433,12 +433,6 @@ func TestByNameAndNames(t *testing.T) {
 	}
 }
 
-func TestValidWindow(t *testing.T) {
-	if !ValidWindow(1000) || ValidWindow(-1) || ValidWindow(0) {
-		t.Error("ValidWindow misbehaves")
-	}
-}
-
 func TestHostDemux(t *testing.T) {
 	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(*netsim.Packet) {}}
 	h := NewHost(1, env, func(f *Flow) *Receiver { return NewReceiver(env, f) })
@@ -448,10 +442,10 @@ func TestHostDemux(t *testing.T) {
 
 	// Data creates a receiver on demand.
 	h.Receive(&netsim.Packet{FlowID: 9, Src: 0, Dst: 1, Seq: 0, Payload: 100, FlowBytes: 100})
-	if len(h.Receivers()) != 1 {
-		t.Fatalf("receivers = %d", len(h.Receivers()))
+	if len(h.receivers) != 1 {
+		t.Fatalf("receivers = %d", len(h.receivers))
 	}
-	if !h.Receivers()[9].Complete() {
+	if !h.receivers[9].Complete() {
 		t.Error("receiver incomplete")
 	}
 	// ACK routed to sender.

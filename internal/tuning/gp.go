@@ -1,7 +1,7 @@
 // Package tuning implements MimicNet's hyper-parameter tuning phase
-// (paper §7.2): a search space over model hyper-parameters, random search
-// as a baseline, and Bayesian optimization with a Gaussian-process
-// surrogate and expected-improvement acquisition ("BO quickly converges
+// (paper §7.2): a search space over model hyper-parameters and Bayesian
+// optimization with a Gaussian-process surrogate and expected-improvement
+// acquisition after a random warm-up ("BO quickly converges
 // on the optimal configuration"). Objectives are user-defined end-to-end
 // metrics such as the Wasserstein distance of FCT distributions evaluated
 // at multiple composition sizes.

@@ -199,8 +199,8 @@ func ApplyParams(cfg core.TrainConfig, params map[string]float64) core.TrainConf
 // with the validator. The datasets and validator reference runs are built
 // once and shared by every trial; trials only read them (training copies
 // whatever it keeps, see bankSubsample), so the returned Objective is
-// safe for the concurrent evaluation RandomSearchParallel and the
-// BayesOpt warm-up perform. Once ctx is done every trial fails fast
+// safe for the concurrent evaluation the BayesOpt warm-up performs. Once
+// ctx is done every trial fails fast
 // with ctx's error.
 func MimicObjective(ctx context.Context, ing, eg *core.Dataset, base core.TrainConfig, v *Validator) Objective {
 	return func(params map[string]float64) (float64, error) {

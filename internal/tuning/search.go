@@ -35,14 +35,6 @@ func (s Space) Validate() error {
 	return nil
 }
 
-// toUnit maps a concrete value into [0,1] (GP coordinates).
-func (p Param) toUnit(v float64) float64 {
-	if p.Log {
-		return (math.Log(v) - math.Log(p.Lo)) / (math.Log(p.Hi) - math.Log(p.Lo))
-	}
-	return (v - p.Lo) / (p.Hi - p.Lo)
-}
-
 // fromUnit maps a [0,1] coordinate back to a concrete value.
 func (p Param) fromUnit(u float64) float64 {
 	if u < 0 {
@@ -94,40 +86,6 @@ func (s Space) sampleUnit(rng *stats.Stream) []float64 {
 type Result struct {
 	Best    Point
 	History []Point
-}
-
-// RandomSearch evaluates n uniform samples serially.
-func RandomSearch(space Space, obj Objective, n int, seed int64) (Result, error) {
-	return RandomSearchParallel(space, obj, n, seed, 1)
-}
-
-// RandomSearchParallel evaluates the same n candidates as RandomSearch on
-// up to workers concurrent goroutines. Random-search trials are
-// independent, so all candidate parameters are drawn from the seeded
-// stream up front (the draws never depend on scores) and evaluated in
-// parallel; History keeps draw order and Best is chosen by a strict-<
-// scan over that order. For a deterministic objective the Result is
-// therefore identical to the serial search, only faster.
-func RandomSearchParallel(space Space, obj Objective, n int, seed int64, workers int) (Result, error) {
-	if err := space.Validate(); err != nil {
-		return Result{}, err
-	}
-	rng := stats.NewStream(seed)
-	candidates := make([]map[string]float64, n)
-	for i := range candidates {
-		candidates[i] = space.concretize(space.sampleUnit(rng))
-	}
-	history := evalParallel(candidates, obj, workers)
-	res := Result{Best: Point{Score: math.Inf(1)}, History: history}
-	for _, pt := range history {
-		if pt.Err == nil && pt.Score < res.Best.Score {
-			res.Best = pt
-		}
-	}
-	if math.IsInf(res.Best.Score, 1) {
-		return res, fmt.Errorf("tuning: every evaluation failed")
-	}
-	return res, nil
 }
 
 // evalParallel scores every candidate on a bounded worker pool and

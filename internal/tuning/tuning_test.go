@@ -95,9 +95,6 @@ func TestParamMapping(t *testing.T) {
 	if v := p.fromUnit(0.5); math.Abs(v-100) > 1e-9 {
 		t.Errorf("log fromUnit(0.5) = %v, want 100", v)
 	}
-	if u := p.toUnit(100); math.Abs(u-0.5) > 1e-9 {
-		t.Errorf("toUnit(100) = %v", u)
-	}
 	pi := Param{Name: "n", Lo: 1, Hi: 5, Integer: true}
 	if v := pi.fromUnit(0.49); v != math.Round(1+0.49*4) {
 		t.Errorf("integer rounding = %v", v)
@@ -124,8 +121,10 @@ func quadSpace() Space {
 	}
 }
 
+// Random search is BayesOpt's warm-up on its own: InitPoints uniform
+// draws from Seed, scored on up to Workers goroutines, no GP iterations.
 func TestRandomSearchFindsDecentPoint(t *testing.T) {
-	res, err := RandomSearch(quadSpace(), quadratic, 60, 1)
+	res, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +150,12 @@ func pointsEqual(a, b Point) bool {
 }
 
 func TestRandomSearchParallelMatchesSerial(t *testing.T) {
-	serial, err := RandomSearch(quadSpace(), quadratic, 40, 11)
+	serial, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: 40, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 64} {
-		par, err := RandomSearchParallel(quadSpace(), quadratic, 40, 11, workers)
+		par, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: 40, Seed: 11, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +199,7 @@ func TestBayesOptParallelWarmupMatchesSerial(t *testing.T) {
 
 func TestBayesOptBeatsRandomAtEqualBudget(t *testing.T) {
 	budget := 24
-	rnd, err := RandomSearch(quadSpace(), quadratic, budget, 7)
+	rnd, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: budget, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +230,7 @@ func TestSearchSurvivesObjectiveErrors(t *testing.T) {
 		return p["x"], nil
 	}
 	space := Space{{Name: "x", Lo: 0, Hi: 1}}
-	res, err := RandomSearch(space, flaky, 10, 3)
+	res, err := BayesOpt(space, flaky, BayesOptConfig{InitPoints: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +249,7 @@ func TestSearchSurvivesObjectiveErrors(t *testing.T) {
 func TestAllFailingObjective(t *testing.T) {
 	bad := func(map[string]float64) (float64, error) { return 0, errors.New("no") }
 	space := Space{{Name: "x", Lo: 0, Hi: 1}}
-	if _, err := RandomSearch(space, bad, 3, 1); err == nil {
+	if _, err := BayesOpt(space, bad, BayesOptConfig{InitPoints: 3, Seed: 1}); err == nil {
 		t.Error("all-failing random search should error")
 	}
 	if _, err := BayesOpt(space, bad, BayesOptConfig{InitPoints: 2, Iterations: 2, Candidates: 8}); err == nil {
@@ -309,13 +308,13 @@ func TestValidatorAndObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := MimicObjective(context.Background(), ing, eg, tcfg, v)
-	res, err := RandomSearch(MimicSpace(), func(p map[string]float64) (float64, error) {
+	res, err := BayesOpt(MimicSpace(), func(p map[string]float64) (float64, error) {
 		// Pin the expensive dimensions for test speed.
 		p["hidden"] = 8
 		p["epochs"] = 1
 		p["layers"] = 1
 		return obj(p)
-	}, 2, 5)
+	}, BayesOptConfig{InitPoints: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +325,7 @@ func TestValidatorAndObjective(t *testing.T) {
 }
 
 // TestMimicObjectiveParallelTrialsMatchSerial runs the real tuning
-// objective (train + compose + validate) through the parallel searcher
+// objective (train + compose + validate) through the parallel warm-up
 // and asserts it selects the exact best params the serial search does —
 // trials share the built datasets and validator references, and the whole
 // pipeline is deterministic per candidate.
@@ -362,11 +361,11 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 		p["layers"] = 1
 		return obj(p)
 	}
-	serial, err := RandomSearch(MimicSpace(), cheap, 3, 5)
+	serial, err := BayesOpt(MimicSpace(), cheap, BayesOptConfig{InitPoints: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RandomSearchParallel(MimicSpace(), cheap, 3, 5, 3)
+	par, err := BayesOpt(MimicSpace(), cheap, BayesOptConfig{InitPoints: 3, Seed: 5, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

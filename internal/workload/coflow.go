@@ -96,39 +96,6 @@ func GenerateCoflows(t *topo.Topology, cfg CoflowConfig) ([]Flow, error) {
 	return flows, nil
 }
 
-// MergeSchedules combines background traffic with co-flows, keeping
-// root-flow time order (dependent flows are scheduled at runtime).
-func MergeSchedules(background, coflows []Flow) []Flow {
-	out := make([]Flow, 0, len(background)+len(coflows))
-	out = append(out, background...)
-	out = append(out, coflows...)
-	// Stable ordering: roots by start time, dependents after (they are
-	// started by the completion hook, not the scheduler, so position only
-	// matters for determinism of iteration).
-	sortFlows(out)
-	return out
-}
-
-func sortFlows(flows []Flow) {
-	// insertion-free: use sort.Slice equivalent without importing sort in
-	// two places — small helper for clarity.
-	lessThan := func(a, b Flow) bool {
-		aDep, bDep := a.After != 0, b.After != 0
-		if aDep != bDep {
-			return !aDep // roots first
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	}
-	for i := 1; i < len(flows); i++ {
-		for j := i; j > 0 && lessThan(flows[j], flows[j-1]); j-- {
-			flows[j], flows[j-1] = flows[j-1], flows[j]
-		}
-	}
-}
-
 // CriticalPathStages returns the maximum dependency depth of the flow
 // set (1 for a dependency-free schedule), a sanity metric for tests.
 func CriticalPathStages(flows []Flow) int {

@@ -90,32 +90,6 @@ func TestCoflowIDsDoNotCollideWithBackground(t *testing.T) {
 	}
 }
 
-func TestMergeSchedulesOrdering(t *testing.T) {
-	tp := testTopo(2)
-	bg, _ := Generate(tp, testConfig())
-	cf, _ := GenerateCoflows(tp, coflowConfig())
-	merged := MergeSchedules(bg, cf)
-	if len(merged) != len(bg)+len(cf) {
-		t.Fatalf("merged = %d", len(merged))
-	}
-	// Roots come first, sorted by start.
-	sawDep := false
-	var lastRoot sim.Time
-	for _, f := range merged {
-		if f.After != 0 {
-			sawDep = true
-			continue
-		}
-		if sawDep {
-			t.Fatal("root flow after dependent flow")
-		}
-		if f.Start < lastRoot {
-			t.Fatal("roots not sorted by start")
-		}
-		lastRoot = f.Start
-	}
-}
-
 func TestCriticalPathNoDeps(t *testing.T) {
 	tp := testTopo(2)
 	bg, _ := Generate(tp, testConfig())

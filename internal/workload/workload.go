@@ -188,9 +188,6 @@ func FlowID(src int, seq uint64) uint64 {
 	return uint64(src)<<40 | (seq & (1<<40 - 1))
 }
 
-// FlowSrc recovers the source host from a FlowID.
-func FlowSrc(id uint64) int { return int(id >> 40) }
-
 func pickDst(t *topo.Topology, src int, s *stats.Stream, cfg Config) int {
 	c, r := t.ClusterOf(src), t.RackOf(src)
 	tc := t.Config()
@@ -225,35 +222,4 @@ func pickDst(t *topo.Topology, src int, s *stats.Stream, cfg Config) int {
 		}
 		return t.HostID(cluster, s.Intn(tc.RacksPerCluster), s.Intn(tc.HostsPerRack))
 	}
-}
-
-// Stats summarizes a generated schedule (for tests and reporting).
-type Stats struct {
-	Flows        int
-	TotalBytes   int64
-	MeanBytes    float64
-	InterCluster int
-	IntraCluster int
-	IntraRack    int
-}
-
-// Summarize computes schedule statistics.
-func Summarize(t *topo.Topology, flows []Flow) Stats {
-	var st Stats
-	st.Flows = len(flows)
-	for _, f := range flows {
-		st.TotalBytes += f.Bytes
-		switch {
-		case t.ClusterOf(f.Src) != t.ClusterOf(f.Dst):
-			st.InterCluster++
-		case t.RackOf(f.Src) != t.RackOf(f.Dst):
-			st.IntraCluster++
-		default:
-			st.IntraRack++
-		}
-	}
-	if st.Flows > 0 {
-		st.MeanBytes = float64(st.TotalBytes) / float64(st.Flows)
-	}
-	return st
 }

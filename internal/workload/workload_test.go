@@ -229,8 +229,8 @@ func TestClampBounds(t *testing.T) {
 
 func TestFlowIDRoundTrip(t *testing.T) {
 	id := FlowID(123, 456)
-	if FlowSrc(id) != 123 {
-		t.Errorf("FlowSrc = %d", FlowSrc(id))
+	if src := int(id >> 40); src != 123 {
+		t.Errorf("FlowID(123, 456) carries source %d", src)
 	}
 	if FlowID(1, 1) == FlowID(1, 2) || FlowID(1, 1) == FlowID(2, 1) {
 		t.Error("FlowID collisions")
@@ -242,4 +242,36 @@ func TestSummarizeEmpty(t *testing.T) {
 	if st.Flows != 0 || st.MeanBytes != 0 {
 		t.Error("empty summarize should be zero")
 	}
+}
+
+// Stats summarizes a generated schedule for the size, load and locality
+// checks.
+type Stats struct {
+	Flows        int
+	TotalBytes   int64
+	MeanBytes    float64
+	InterCluster int
+	IntraCluster int
+	IntraRack    int
+}
+
+// Summarize computes schedule statistics.
+func Summarize(t *topo.Topology, flows []Flow) Stats {
+	var st Stats
+	st.Flows = len(flows)
+	for _, f := range flows {
+		st.TotalBytes += f.Bytes
+		switch {
+		case t.ClusterOf(f.Src) != t.ClusterOf(f.Dst):
+			st.InterCluster++
+		case t.RackOf(f.Src) != t.RackOf(f.Dst):
+			st.IntraCluster++
+		default:
+			st.IntraRack++
+		}
+	}
+	if st.Flows > 0 {
+		st.MeanBytes = float64(st.TotalBytes) / float64(st.Flows)
+	}
+	return st
 }
