@@ -16,10 +16,12 @@ test:
 # composed engine, whose one fan-out is the inference flush's lane
 # groups (core); BayesOpt's parallel warm-up (tuning); the atomic
 # telemetry cells every worker writes (obs); the mutex-guarded job
-# journal (durable); and the estimation service (scheduler, registry,
-# HTTP surface).
+# journal (durable); the estimation service (scheduler, registry,
+# HTTP surface); and the bounded group runner behind Figures 11-12
+# (experiments, by -run: the rest of that package is slow figure runs).
 test-race:
 	$(GO) test -race ./internal/sim ./internal/netsim ./internal/transport ./internal/core ./internal/cluster ./internal/ml ./internal/tuning ./internal/obs ./internal/durable ./internal/serve
+	$(GO) test -race -run 'TestRunBounded|TestGroupWalls|TestParallelConfigs|TestPartitionedConfigs' ./internal/experiments
 
 # test-floor0 replays the bitwise contract with the ml pool's dispatch
 # floor forced to 0 (build tag poolfloor0), so every Range call fans out
@@ -174,7 +176,8 @@ examples-smoke:
 # fullsim -load NaN that JobSpec.Validate must refuse with exit status 1
 # (not a crash or an out-of-memory kill) under a 2 GB address-space cap;
 # and a trace at default horizons, which must train the same artifact
-# bytes as mimicnet's live datagen at the same flags.
+# bytes as mimicnet's live datagen at the same flags and print the same
+# training lines, throughput aside, in the same order.
 tools-smoke:
 	@d=$$(mktemp -d); \
 	$(GO) build -o $$d/ ./cmd/fullsim ./cmd/flowsim ./cmd/trace ./cmd/mimicnet && \
@@ -182,9 +185,11 @@ tools-smoke:
 	$$d/flowsim -clusters 4 -duration 40ms -run 60ms && \
 	(ulimit -v 2000000; $$d/fullsim -load NaN; test $$? -eq 1) && \
 	$$d/trace -seed 7 -o $$d/t && \
-	$$d/mimicnet -clusters 2 -run 50ms -epochs 1 -seed 7 -save $$d/a >/dev/null && \
-	$$d/mimicnet -clusters 2 -run 50ms -epochs 1 -seed 7 -trace $$d/t -save $$d/b >/dev/null && \
-	cmp $$d/a $$d/b; \
+	$$d/mimicnet -clusters 2 -run 50ms -epochs 2 -seed 7 -save $$d/a > $$d/a.out && \
+	$$d/mimicnet -clusters 2 -run 50ms -epochs 2 -seed 7 -trace $$d/t -save $$d/b > $$d/b.out && \
+	cmp $$d/a $$d/b && \
+	for r in a b; do grep 'train\[' $$d/$$r.out | sed 's/([0-9.]* samples\/sec, /(/' > $$d/$$r.train; done && \
+	test -s $$d/a.train && diff $$d/a.train $$d/b.train; \
 	s=$$?; rm -rf $$d; exit $$s
 
 clean:

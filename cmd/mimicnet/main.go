@@ -135,21 +135,32 @@ func main() {
 			fatal(err)
 			fmt.Printf("  small-scale simulation  %v\n", time.Since(t0).Round(time.Millisecond))
 		}
-		// Per-epoch reports; the two directions train concurrently, so
-		// lines interleave tagged by direction. A tuned run learns its best
-		// trial only when Train returns, and holds the final training's
-		// lines until that result is printed.
+		// Per-epoch reports. The two directions train concurrently for
+		// the same number of epochs, so each direction's lines queue until
+		// the other has reported the same epoch, and every epoch prints as
+		// an ingress-then-egress pair. A tuned run learns its best trial
+		// only when Train returns, and holds the final training's lines
+		// until that result is printed.
 		var mu sync.Mutex
+		var pending [2][]string // per direction, lines not yet paired
 		var held []string
+		emit := func(line string) {
+			if *tune > 0 {
+				held = append(held, line)
+			} else {
+				fmt.Println(line)
+			}
+		}
 		progress := func(dir core.Direction, p ml.TrainProgress) {
 			line := fmt.Sprintf("  train[%-7s] epoch %d/%d loss=%.4f (%.0f samples/sec, batch %d)",
 				dir, p.Epoch, p.Epochs, p.Loss, p.SamplesPerSec, p.BatchSize)
 			mu.Lock()
 			defer mu.Unlock()
-			if *tune > 0 {
-				held = append(held, line)
-			} else {
-				fmt.Println(line)
+			pending[dir] = append(pending[dir], line)
+			for len(pending[core.Ingress]) > 0 && len(pending[core.Egress]) > 0 {
+				emit(pending[core.Ingress][0])
+				emit(pending[core.Egress][0])
+				pending[core.Ingress], pending[core.Egress] = pending[core.Ingress][1:], pending[core.Egress][1:]
 			}
 		}
 		if *tune > 0 {

@@ -359,85 +359,3 @@ func TestFullFidelityAllocsPerEvent(t *testing.T) {
 		t.Errorf("%.3f allocations per event, want < 0.1", perEvent)
 	}
 }
-
-func TestRunGroupParallelMode(t *testing.T) {
-	base := smallConfig("newreno")
-	cfgs := ParallelConfigs(base, 3)
-	if len(cfgs) != 3 {
-		t.Fatal("wrong group size")
-	}
-	seeds := map[int64]bool{}
-	for _, c := range cfgs {
-		seeds[c.Workload.Seed] = true
-	}
-	if len(seeds) != 3 {
-		t.Error("parallel configs must vary seeds")
-	}
-	g, err := RunGroup(cfgs, 200*sim.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Results) != 3 {
-		t.Fatalf("results = %d", len(g.Results))
-	}
-	for i, r := range g.Results {
-		if len(r.FCTs) == 0 || r.Events == 0 {
-			t.Errorf("instance %d completed %d flows in %d events", i, len(r.FCTs), r.Events)
-		}
-	}
-	if g.Wall <= 0 {
-		t.Error("group wall time not recorded")
-	}
-	// Different seeds ⇒ different results (with overwhelming probability).
-	if g.Results[0].Events == g.Results[1].Events && g.Results[1].Events == g.Results[2].Events {
-		t.Error("seed variation had no effect")
-	}
-}
-
-func TestRunGroupPartitionedMode(t *testing.T) {
-	base := smallConfig("newreno")
-	cfgs, chunk := PartitionedConfigs(base, 4, 200*sim.Millisecond)
-	if chunk != 50*sim.Millisecond {
-		t.Errorf("chunk = %v", chunk)
-	}
-	for _, c := range cfgs {
-		if c.Workload.Duration > chunk {
-			t.Error("workload horizon not clamped to chunk")
-		}
-	}
-	g, err := RunGroup(cfgs, chunk, 0) // parallelism 0 = NumCPU
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Results) != 4 {
-		t.Fatal("wrong result count")
-	}
-}
-
-func TestRunGroupValidation(t *testing.T) {
-	if _, err := RunGroup(nil, sim.Second, 1); err == nil {
-		t.Error("empty group accepted")
-	}
-	bad := smallConfig("newreno")
-	bad.Protocol = nil
-	if _, err := RunGroup([]Config{smallConfig("newreno"), bad}, sim.Second, 1); err == nil {
-		t.Error("invalid member accepted")
-	}
-}
-
-func TestRunGroupDeterministicPerMember(t *testing.T) {
-	base := smallConfig("newreno")
-	run := func() GroupResult {
-		g, err := RunGroup(ParallelConfigs(base, 2), 150*sim.Millisecond, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	a, b := run(), run()
-	for i := range a.Results {
-		if a.Results[i].Events != b.Results[i].Events {
-			t.Fatalf("member %d nondeterministic across group runs", i)
-		}
-	}
-}

@@ -19,8 +19,8 @@ import (
 // the hybrid ingress/egress configurations that attribute per-direction
 // error (Appendix B) — used to live in two near-duplicate runtimes
 // (Composed and Hybrid). The Engine expresses both, and compositions
-// neither could (multiple ground-truth clusters, per-cluster model
-// variants), as one fabric built from a vector of per-cluster roles.
+// neither could (multiple ground-truth clusters), as one fabric built
+// from a vector of per-cluster roles over one trained artifact.
 
 // RoleKind classifies how one cluster of a composition is simulated.
 type RoleKind uint8
@@ -70,22 +70,12 @@ func (k RoleKind) roleClass() int {
 	return roleClassHybrid
 }
 
-// ClusterRole assigns one cluster its simulation role, optionally with
-// its own trained artifact (nil Models = the engine-wide default).
-// Per-cluster overrides let a composition mix model variants — e.g. a
-// stale or retrained model for one region — which the paper's
-// homogeneous composition cannot express.
-type ClusterRole struct {
-	Kind   RoleKind
-	Models *MimicModels
-}
-
 // ComposedRoles is the §7.1 role vector: cluster 0 observed, the other
 // n-1 replaced by Mimics.
-func ComposedRoles(n int) []ClusterRole {
-	roles := make([]ClusterRole, n)
+func ComposedRoles(n int) []RoleKind {
+	roles := make([]RoleKind, n)
 	for i := 1; i < n; i++ {
-		roles[i].Kind = RoleMimic
+		roles[i] = RoleMimic
 	}
 	return roles
 }
@@ -93,12 +83,12 @@ func ComposedRoles(n int) []ClusterRole {
 // HybridRoles is the Appendix-B role vector: a 2-cluster full-fidelity
 // network with one direction of cluster 1's external traffic served by
 // the model under test.
-func HybridRoles(dir Direction) []ClusterRole {
+func HybridRoles(dir Direction) []RoleKind {
 	kind := RoleHybridIngress
 	if dir == Egress {
 		kind = RoleHybridEgress
 	}
-	return []ClusterRole{{Kind: RoleObserved}, {Kind: kind}}
+	return []RoleKind{RoleObserved, kind}
 }
 
 // Engine is an N-cluster MimicNet fabric built from a role vector: each
@@ -109,8 +99,8 @@ func HybridRoles(dir Direction) []ClusterRole {
 // The Engine is the role layer on top of the one packet-level runtime,
 // cluster.Simulation (DESIGN.md decision 24): the runtime owns the
 // topology, workload, fabric, hosts, flows, run loop and results; the
-// Engine resolves models, batches inference, and routes boundary packets
-// through them. It always runs one event queue: cfg.ShardedRun is
+// Engine batches inference over its one artifact and routes boundary
+// packets through it. It always runs one event queue: cfg.ShardedRun is
 // ignored, and a composed run's parallelism is the inference flush's
 // lane groups (DESIGN.md decisions 29 and 30).
 type Engine struct {
@@ -121,8 +111,8 @@ type Engine struct {
 	Progress func(now sim.Time, events uint64)
 
 	rt       *cluster.Simulation
-	clusters []*clusterCtx // one per cluster
-	scheds   []*InferenceScheduler
+	clusters []*clusterCtx       // one per cluster
+	sched    *InferenceScheduler // shared by every model-using role; nil if none
 
 	// Typed-event handlers for the two continuations of a model-served
 	// packet, bound once: re-entering the fabric at a core switch, and
@@ -132,13 +122,11 @@ type Engine struct {
 	published [2][2]uint64 // [direction][roleClass] drops already pushed to obs
 }
 
-// clusterCtx is the per-cluster slice: the resolved role and models,
-// the Mimic runtime (nil for observed clusters), and the model-path
-// counters.
+// clusterCtx is the per-cluster slice: the role, the Mimic runtime (nil
+// for observed clusters), and the model-path counters.
 type clusterCtx struct {
-	role   ClusterRole
-	models *MimicModels // resolved override-or-default; nil for observed
-	mimic  *Mimic
+	role  RoleKind
+	mimic *Mimic
 
 	e *Engine
 
@@ -151,12 +139,12 @@ type clusterCtx struct {
 }
 
 // NewEngine builds a fabric from a role vector (one entry per cluster).
-// models is the default artifact for model-using roles without a
-// per-cluster override. All parameters other than the role vector and
-// cluster count should match the small-scale run that trained the
-// models ("Aside from the number of clusters, all other parameters are
+// models is the one artifact every model-using role runs; it may be nil
+// only when every role is RoleObserved. All parameters other than the
+// role vector and cluster count should match the small-scale run that
+// trained the models ("Aside from the number of clusters, all other parameters are
 // kept constant", §7.1).
-func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
+func NewEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels) (*Engine, error) {
 	e, err := newEngine(cfg, roles, models, ml.SharedPool())
 	if err != nil {
 		return nil, err
@@ -167,7 +155,7 @@ func NewEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*E
 
 // newEngine is NewEngine with the feeders not started and the inference
 // flushes split over pool.
-func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, pool *ml.Pool) (*Engine, error) {
+func newEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, pool *ml.Pool) (*Engine, error) {
 	if err := cfg.Topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -178,50 +166,43 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, poo
 		return nil, fmt.Errorf("core: role vector has %d entries for %d clusters", len(roles), cfg.Topo.Clusters)
 	}
 
-	// Resolve each cluster's role and models; validate every distinct
-	// artifact against the topology's feature spec (per-cluster structure
-	// must not change between training and composition).
+	// Validate the roles, and the artifact once against the topology's
+	// feature spec if any role uses it (per-cluster structure must not
+	// change between training and composition).
 	clusters := make([]*clusterCtx, len(roles))
 	layer := cluster.Layer{
 		Measured:    make([]bool, len(roles)),
 		ModelDriven: make([]bool, len(roles)),
 	}
-	observed := -1
-	checked := map[*MimicModels]bool{}
-	for i, r := range roles {
-		cc := &clusterCtx{role: r}
-		switch r.Kind {
+	observed, modeled := -1, false
+	for i, kind := range roles {
+		switch kind {
 		case RoleObserved:
 			if observed < 0 {
 				observed = i
 			}
 			layer.Measured[i] = true
 		case RoleMimic, RoleHybridIngress, RoleHybridEgress:
-			m := r.Models
-			if m == nil {
-				m = models
+			if models == nil || models.Ingress == nil || models.Egress == nil {
+				return nil, fmt.Errorf("core: cluster %d (%s) missing trained models", i, kind)
 			}
-			if m == nil || m.Ingress == nil || m.Egress == nil {
-				return nil, fmt.Errorf("core: cluster %d (%s) missing trained models", i, r.Kind)
-			}
-			if !checked[m] {
-				got := NewFeatureSpec(cfg.Topo)
-				got.SkipCongestion = m.Spec.SkipCongestion
-				if got.Width() != m.Spec.Width() {
-					return nil, fmt.Errorf("core: feature spec mismatch: models trained for width %d, topology needs %d (per-cluster structure must not change)",
-						m.Spec.Width(), got.Width())
-				}
-				checked[m] = true
-			}
-			cc.models = m
-			layer.ModelDriven[i] = r.Kind == RoleMimic
+			modeled = true
+			layer.ModelDriven[i] = kind == RoleMimic
 		default:
-			return nil, fmt.Errorf("core: cluster %d has unknown role kind %d", i, r.Kind)
+			return nil, fmt.Errorf("core: cluster %d has unknown role kind %d", i, kind)
 		}
-		clusters[i] = cc
+		clusters[i] = &clusterCtx{role: kind}
 	}
 	if observed < 0 {
 		return nil, fmt.Errorf("core: role vector needs at least one observed cluster")
+	}
+	if modeled {
+		got := NewFeatureSpec(cfg.Topo)
+		got.SkipCongestion = models.Spec.SkipCongestion
+		if got.Width() != models.Spec.Width() {
+			return nil, fmt.Errorf("core: feature spec mismatch: models trained for width %d, topology needs %d (per-cluster structure must not change)",
+				models.Spec.Width(), got.Width())
+		}
 	}
 	cfg.Observable = observed
 
@@ -236,23 +217,18 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, poo
 	e.rt = rt
 	e.onMaterialize, e.onDeliver = e.materialize, e.deliver
 
-	// One inference scheduler per distinct artifact (a lane bank shares
-	// one weight set across its lanes), so a homogeneous composition
-	// fuses every cluster into a single scheduler.
-	byModels := map[*MimicModels]*InferenceScheduler{}
+	// One inference scheduler for the artifact: a lane bank shares one
+	// weight set across its lanes, so every model-using cluster batches
+	// into it.
+	if modeled {
+		e.sched = NewInferenceScheduler(rt.Sim, models, defaultBatchWindow(models), pool)
+	}
 	for i, cc := range clusters {
 		cc.e = e
 		cc.onEgress, cc.onIngress = cc.resolveEgress, cc.resolveIngress
-		if !cc.role.Kind.usesModels() {
-			continue
+		if cc.role.usesModels() {
+			cc.mimic = newMimic(models, i, cfg.Workload.Seed, e.sched)
 		}
-		sched, shared := byModels[cc.models]
-		if !shared {
-			sched = NewInferenceScheduler(rt.Sim, cc.models, defaultBatchWindow(cc.models), pool)
-			byModels[cc.models] = sched
-			e.scheds = append(e.scheds, sched)
-		}
-		cc.mimic = newMimic(cc.models, i, cfg.Workload.Seed, sched)
 	}
 
 	if e.needsIntercept() {
@@ -266,7 +242,7 @@ func newEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, poo
 // clusters never intercept).
 func (e *Engine) needsIntercept() bool {
 	for _, cc := range e.clusters {
-		if cc.role.Kind == RoleMimic || cc.role.Kind == RoleHybridIngress {
+		if cc.role == RoleMimic || cc.role == RoleHybridIngress {
 			return true
 		}
 	}
@@ -281,7 +257,7 @@ func (e *Engine) inject(pkt *netsim.Packet) {
 	pkt.Route(t)
 	srcCluster := t.ClusterOf(pkt.Src)
 	cc := e.clusters[srcCluster]
-	switch cc.role.Kind {
+	switch cc.role {
 	case RoleMimic:
 		// Every real packet leaving a Mimic cluster is external (internal
 		// flows were filtered) and rides the egress model.
@@ -351,7 +327,7 @@ func (e *Engine) interceptIngress(node int, pkt *netsim.Packet) bool {
 	}
 	clusterIdx := t.ClusterOf(node)
 	cc := e.clusters[clusterIdx]
-	switch cc.role.Kind {
+	switch cc.role {
 	case RoleMimic:
 		// A Mimic cluster has no real internal packets: anything at its
 		// Agg bound for an in-cluster host came down from the core.
@@ -404,8 +380,8 @@ func (e *Engine) deliver(p any, _ int64) {
 
 // startFeeders starts the per-Mimic, per-direction synthetic traffic
 // that keeps internal model state realistic without simulating packets,
-// and arms each scheduler's first feeder flush. A feeder is lane state
-// that its scheduler's flushes advance; it puts no event in the kernel
+// and arms the scheduler's first feeder flush. A feeder is lane state
+// that the scheduler's flushes advance; it puts no event in the kernel
 // queue.
 func (e *Engine) startFeeders() {
 	frac := e.feederFrac()
@@ -413,16 +389,14 @@ func (e *Engine) startFeeders() {
 		return
 	}
 	for idx, cc := range e.clusters {
-		if cc.role.Kind != RoleMimic {
+		if cc.role != RoleMimic {
 			continue
 		}
 		for _, dir := range []Direction{Ingress, Egress} {
 			cc.mimic.dir(dir).startFeeder(e.feederStream(idx, dir), frac, e.rt.Sim.Now())
 		}
 	}
-	for _, s := range e.scheds {
-		s.armFeeders()
-	}
+	e.sched.armFeeders()
 }
 
 // feederFrac is the share of a Mimic's external traffic that feeders
@@ -433,7 +407,7 @@ func (e *Engine) startFeeders() {
 func (e *Engine) feederFrac() float64 {
 	mimics := 0
 	for _, cc := range e.clusters {
-		if cc.role.Kind == RoleMimic {
+		if cc.role == RoleMimic {
 			mimics++
 		}
 	}
@@ -495,12 +469,6 @@ func (e *Engine) InferenceSteps() uint64 {
 // Run advances the simulation: RunContext without a context.
 func (e *Engine) Run(until sim.Time) { e.RunContext(context.Background(), until) }
 
-func (e *Engine) flushSchedulers() {
-	for _, sched := range e.scheds {
-		sched.Flush()
-	}
-}
-
 // publishDrops pushes the per-role drop counters into the unified obs
 // family mimicnet_core_mimic_drops_total{dir,cluster_role} as deltas, so
 // repeated Run calls never double-count and the hot path stays free of
@@ -508,10 +476,10 @@ func (e *Engine) flushSchedulers() {
 func (e *Engine) publishDrops() {
 	var totals [2][2]uint64
 	for _, cc := range e.clusters {
-		if !cc.role.Kind.usesModels() {
+		if !cc.role.usesModels() {
 			continue
 		}
-		class := cc.role.Kind.roleClass()
+		class := cc.role.roleClass()
 		totals[Ingress][class] += cc.dropsIngress
 		totals[Egress][class] += cc.dropsEgress
 	}
@@ -540,7 +508,9 @@ func (e *Engine) RunContext(ctx context.Context, until sim.Time) (cancelled bool
 		e.rt.Progress = e.progress
 	}
 	cancelled = e.rt.RunContext(ctx, until)
-	e.flushSchedulers()
+	if e.sched != nil {
+		e.sched.Flush()
+	}
 	e.publishDrops()
 	return cancelled
 }

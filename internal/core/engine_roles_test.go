@@ -9,26 +9,10 @@ import (
 )
 
 // Tests for the compositions only the role-based engine can express:
-// multiple observed (ground-truth) clusters in one fabric, per-cluster
-// model overrides, and the concurrent RoleError harness.
+// multiple observed (ground-truth) clusters in one fabric, and the
+// concurrent RoleError harness.
 
-// cloneModels round-trips an artifact through Save/LoadModels: identical
-// content behind a distinct pointer, which is exactly what forces the
-// engine's scheduler grouping down the heterogeneous path.
-func cloneModels(t *testing.T, m *MimicModels) *MimicModels {
-	t.Helper()
-	blob, err := m.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, err := LoadModels(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return clone
-}
-
-func runRoles(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *MimicModels, until sim.Time) (*Engine, cluster.Results) {
+func runRoles(t *testing.T, cfg cluster.Config, roles []RoleKind, models *MimicModels, until sim.Time) (*Engine, cluster.Results) {
 	t.Helper()
 	e, err := NewEngine(cfg, roles, models)
 	if err != nil {
@@ -45,10 +29,7 @@ func runRoles(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *Mim
 // mimic clusters stay model-driven.
 func TestEngineMultiObserved(t *testing.T) {
 	models := trainedForScheduler(t)
-	roles := []ClusterRole{
-		{Kind: RoleObserved}, {Kind: RoleMimic},
-		{Kind: RoleObserved}, {Kind: RoleMimic},
-	}
+	roles := []RoleKind{RoleObserved, RoleMimic, RoleObserved, RoleMimic}
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(4)
 	until := 200 * sim.Millisecond
@@ -83,63 +64,27 @@ func TestEngineMultiObserved(t *testing.T) {
 	}
 }
 
-// TestEnginePerClusterModelOverride gives one mimic cluster its own
-// *MimicModels (a Save/Load clone — identical weights, distinct
-// pointer). The engine must route that cluster through its own
-// scheduler, and because the clone is bit-identical the Results must
-// match the homogeneous run exactly — batched lane partitioning cannot
-// leak into simulation outcomes.
-func TestEnginePerClusterModelOverride(t *testing.T) {
-	models := trainedForScheduler(t)
-	clone := cloneModels(t, models)
-	cfg := fastBase()
-	cfg.Topo = cfg.Topo.WithClusters(4)
-	until := 200 * sim.Millisecond
-
-	homog := ComposedRoles(4)
-	hetero := ComposedRoles(4)
-	hetero[2].Models = clone // cluster 2 runs its own artifact
-
-	base, baseRes := runRoles(t, cfg, homog, models, until)
-	over, overRes := runRoles(t, cfg, hetero, models, until)
-
-	// The homogeneous run fuses all mimics into one scheduler; the
-	// override must split cluster 2 off into a second one.
-	if got := len(base.scheds); got != 1 {
-		t.Fatalf("homogeneous run built %d schedulers, want 1", got)
-	}
-	if got := len(over.scheds); got != 2 {
-		t.Fatalf("override run built %d schedulers, want 2", got)
-	}
-	if overRes.Drops != baseRes.Drops || over.ModelPackets() != base.ModelPackets() {
-		t.Error("override run counters diverged")
-	}
-	// Events legitimately differ (the extra scheduler adds its own
-	// flush events); every simulation outcome must be identical.
-	sameResults(t, "homogeneous vs override", baseRes, overRes)
-}
-
 // TestEngineRoleValidation covers the new failure modes of role vectors.
 func TestEngineRoleValidation(t *testing.T) {
 	models := trainedForScheduler(t)
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(2)
 
-	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}}, models); err == nil {
+	if _, err := NewEngine(cfg, []RoleKind{RoleObserved}, models); err == nil {
 		t.Error("role vector shorter than cluster count accepted")
 	}
-	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleMimic}, {Kind: RoleMimic}}, models); err == nil {
+	if _, err := NewEngine(cfg, []RoleKind{RoleMimic, RoleMimic}, models); err == nil {
 		t.Error("role vector without an observed cluster accepted")
 	}
-	if _, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}, {Kind: RoleKind(250)}}, models); err == nil {
+	if _, err := NewEngine(cfg, []RoleKind{RoleObserved, RoleKind(250)}, models); err == nil {
 		t.Error("unknown role kind accepted")
 	}
 	if _, err := NewEngine(cfg, ComposedRoles(2), nil); err == nil {
-		t.Error("mimic role without default or override models accepted")
+		t.Error("mimic role without models accepted")
 	}
 	// An all-observed vector needs no models at all: a plain full-fidelity
 	// fabric expressed through the engine.
-	e, err := NewEngine(cfg, []ClusterRole{{Kind: RoleObserved}, {Kind: RoleObserved}}, nil)
+	e, err := NewEngine(cfg, []RoleKind{RoleObserved, RoleObserved}, nil)
 	if err != nil {
 		t.Fatalf("all-observed vector rejected: %v", err)
 	}
@@ -206,7 +151,7 @@ func TestAllObservedEngineMatchesFullFidelity(t *testing.T) {
 		}
 		inst.Run(until)
 		full := inst.Results()
-		_, got := runRoles(t, cfg, make([]ClusterRole, n), nil, until)
+		_, got := runRoles(t, cfg, make([]RoleKind, n), nil, until)
 		if full.Events == 0 || full.Packets == 0 {
 			t.Fatalf("n=%d: full-fidelity run did nothing", n)
 		}

@@ -83,21 +83,18 @@ func eventFeederFired(p any, _ int64) {
 // newFeederOracle builds an engine whose feeders are kernel events, in
 // the order NewEngine starts its own; perRequest also flushes every
 // request as it arrives (newOracleEngine).
-func newFeederOracle(cfg cluster.Config, roles []ClusterRole, models *MimicModels, perRequest bool) (*Engine, feederOracle, error) {
+func newFeederOracle(cfg cluster.Config, roles []RoleKind, models *MimicModels, perRequest bool) (*Engine, feederOracle, error) {
 	e, err := newEngine(cfg, roles, models, ml.SharedPool())
 	if err != nil {
 		return nil, nil, err
 	}
 	var o feederOracle
-	last := map[*InferenceScheduler]*sim.Time{}
-	for _, s := range e.scheds {
+	last := sim.Time(-1)
+	if s := e.sched; s != nil {
 		s.perRequest = perRequest
-		at := new(sim.Time)
-		*at = -1
-		last[s] = at
 		k := s.sim
 		s.timer.Init(k, func(p any, n int64) {
-			*at = k.Now()
+			last = k.Now()
 			flushTimer(p, n)
 		}, s, 0)
 	}
@@ -106,28 +103,19 @@ func newFeederOracle(cfg cluster.Config, roles []ClusterRole, models *MimicModel
 		return e, o, nil
 	}
 	for idx, cc := range e.clusters {
-		if cc.role.Kind != RoleMimic {
+		if cc.role != RoleMimic {
 			continue
 		}
 		for _, dir := range []Direction{Ingress, Egress} {
 			f := &eventFeeder{
 				s: e.rt.Sim, is: cc.mimic.sched, d: cc.mimic.dir(dir),
-				rng: e.feederStream(idx, dir), frac: frac, last: last[cc.mimic.sched],
+				rng: e.feederStream(idx, dir), frac: frac, last: &last,
 			}
 			o = append(o, f)
 			f.schedule()
 		}
 	}
 	return e, o, nil
-}
-
-// sameLaneTies totals the scheduler's same-lane tie counts.
-func sameLaneTies(e *Engine) uint64 {
-	var n uint64
-	for _, s := range e.scheds {
-		n += s.SameLaneTies
-	}
-	return n
 }
 
 // checkFeederParity runs the production engine and the feeder oracle on
@@ -166,7 +154,7 @@ func checkFeederParity(t *testing.T, label string, cfg cluster.Config, models *M
 			t.Errorf("%s: %s MimicDrops %d, oracle %d", label, dir, got, want)
 		}
 	}
-	return o, sameLaneTies(prod)
+	return o, prod.sched.SameLaneTies
 }
 
 // exactGap returns the gap sample FeederGapFrac turns into exactly d at
@@ -198,7 +186,7 @@ func tiedGapModels(t *testing.T, models *MimicModels, cfg cluster.Config) *Mimic
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, frac := probe.scheds[0].Window(), probe.feederFrac()
+	w, frac := probe.sched.Window(), probe.feederFrac()
 	if w < 2 || frac <= 0 {
 		t.Fatalf("window %v, feeder fraction %v: no flush tie to force", w, frac)
 	}

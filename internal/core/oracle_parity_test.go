@@ -29,14 +29,14 @@ const oracleGoldenPath = "testdata/oracle_parity.json"
 // newOracleEngine builds the per-request oracle engine for a role
 // vector: every request flushed as it arrives, and feeders as kernel
 // events (newFeederOracle), as when the fingerprints were captured.
-func newOracleEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels) (*Engine, error) {
+func newOracleEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels) (*Engine, error) {
 	e, _, err := newFeederOracle(cfg, roles, models, true)
 	return e, err
 }
 
 // newTestEngine builds the per-request oracle when oracle is set, else
 // the production engine.
-func newTestEngine(cfg cluster.Config, roles []ClusterRole, models *MimicModels, oracle bool) (*Engine, error) {
+func newTestEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, oracle bool) (*Engine, error) {
 	if oracle {
 		return newOracleEngine(cfg, roles, models)
 	}

@@ -14,15 +14,15 @@ import (
 // cluster over {observed, mimic, hybrid-ingress, hybrid-egress}. A
 // vector that decodes with no observed cluster gets cluster 0 observed,
 // so every byte is a valid composition.
-func rolesFromCode(code uint8) []ClusterRole {
-	roles := make([]ClusterRole, 4)
+func rolesFromCode(code uint8) []RoleKind {
+	roles := make([]RoleKind, 4)
 	observed := false
 	for i := range roles {
-		roles[i].Kind = RoleKind(code >> (2 * i) & 3)
-		observed = observed || roles[i].Kind == RoleObserved
+		roles[i] = RoleKind(code >> (2 * i) & 3)
+		observed = observed || roles[i] == RoleObserved
 	}
 	if !observed {
-		roles[0].Kind = RoleObserved
+		roles[0] = RoleObserved
 	}
 	return roles
 }
@@ -31,7 +31,7 @@ func rolesFromCode(code uint8) []ClusterRole {
 // number of workers, with every flush priced over the dispatch floor so
 // that its lane groups split across the pool's workers (decision 29),
 // and runs it.
-func runOnPool(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *MimicModels, workers int, until sim.Time) cluster.Results {
+func runOnPool(t *testing.T, cfg cluster.Config, roles []RoleKind, models *MimicModels, workers int, until sim.Time) cluster.Results {
 	t.Helper()
 	pool := ml.NewPool(workers)
 	defer pool.Close()
@@ -40,8 +40,8 @@ func runOnPool(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *Mi
 		t.Fatal(err)
 	}
 	e.startFeeders()
-	for _, s := range e.scheds {
-		s.stepCost = [2]int{1 << 30, 1 << 30}
+	if e.sched != nil {
+		e.sched.stepCost = [2]int{1 << 30, 1 << 30}
 	}
 	e.Run(until)
 	return e.Results()
@@ -50,12 +50,12 @@ func runOnPool(t *testing.T, cfg cluster.Config, roles []ClusterRole, models *Mi
 // checkRoleVectorDeterminism asserts that one role vector's schedule is
 // exact: run through runOnPool at 1, 2 and 4 workers and once more at
 // 4, every run's fingerprint, Events included, must be the first one's.
-func checkRoleVectorDeterminism(t *testing.T, models *MimicModels, roles []ClusterRole) {
+func checkRoleVectorDeterminism(t *testing.T, models *MimicModels, roles []RoleKind) {
 	t.Helper()
 	const until = 100 * sim.Millisecond
 	label := ""
 	for _, r := range roles {
-		label += fmt.Sprintf("[%s]", r.Kind)
+		label += fmt.Sprintf("[%s]", r)
 	}
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(len(roles))

@@ -102,14 +102,14 @@ func TestGoldenDeterminism(t *testing.T) {
 	if batComp.InferenceSteps() == 0 {
 		t.Error("batched run recorded no inference steps")
 	}
-	if batComp.scheds[0].BatchedSteps != batComp2.scheds[0].BatchedSteps {
+	if batComp.sched.BatchedSteps != batComp2.sched.BatchedSteps {
 		t.Error("batched runs disagree on scheduler step count")
 	}
-	s := batComp.scheds[0]
+	s := batComp.sched
 	t.Logf("scheduler: window=%v flushes=%d batchedSteps=%d maxBatch=%d",
 		s.Window(), s.Flushes, s.BatchedSteps, s.MaxBatch)
 	// The oracle flushes once per request: every flush a one-lane round.
-	if o := seqComp.scheds[0]; o.MaxBatch != 1 || o.Flushes != o.BatchedSteps {
+	if o := seqComp.sched; o.MaxBatch != 1 || o.Flushes != o.BatchedSteps {
 		t.Errorf("oracle scheduler formed wider rounds: flushes=%d steps=%d maxBatch=%d",
 			o.Flushes, o.BatchedSteps, o.MaxBatch)
 	}
@@ -150,7 +150,7 @@ func TestFlushSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.startFeeders()
-		s := e.scheds[0]
+		s := e.sched
 		label := fmt.Sprintf("split-w%d", workers)
 		if got, want := len(s.groups), min(workers, clusters-1); got != want {
 			t.Errorf("%s: %d lane groups, want %d", label, got, want)
@@ -194,13 +194,13 @@ func TestFlushReplayOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.scheds[0]
+	s := e.sched
 	if len(s.groups) != 2 {
 		t.Fatalf("%d lane groups, want 2", len(s.groups))
 	}
 	var lanes []*Mimic
 	for _, cc := range e.clusters {
-		if cc.role.Kind == RoleMimic {
+		if cc.role == RoleMimic {
 			lanes = append(lanes, cc.mimic)
 		}
 	}

@@ -149,44 +149,101 @@ func (r *Runner) Fig11(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfgs, chunk := cluster.PartitionedConfigs(base, nPart, r.Spec.RunTime())
-		partFull, err := cluster.RunGroup(cfgs, chunk, nPart)
-		if err != nil {
-			return nil, err
-		}
-		partMimic, err := groupMimic(cfgs, tr.models, chunk, nPart)
+		cfgs, chunk := partitionedConfigs(base, nPart, r.Spec.RunTime())
+		partFull, partMimic, err := groupWalls(cfgs, tr.models, chunk, nPart)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), durStr(fullT), durStr(mimic.Wall + trainCost),
-			durStr(mimic.Wall), durStr(partFull.Wall), durStr(partMimic),
+			durStr(mimic.Wall), durStr(partFull), durStr(partMimic),
 		})
 		r.logf("Figure 11 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
-		"partitioned_sim is cluster.RunGroup over cluster.PartitionedConfigs; like single_sim it excludes instance construction",
+		"partitioned_sim runs one full-fidelity instance per chunk config; like single_sim it excludes instance construction",
 		"partitioned_mimic is core.Estimate over the same configs and parallelism; like single_mimic it includes composition",
 		"paper: with training included MimicNet wins beyond 64 clusters; without, it wins everywhere at scale")
 	return t, nil
 }
 
-// groupMimic is cluster.RunGroup for MimicNet: one core.Estimate of
-// models per config, at most parallelism at once, each to until. It
-// returns the time until the whole group finished.
-func groupMimic(cfgs []cluster.Config, models *core.MimicModels, until sim.Time, parallelism int) (time.Duration, error) {
+// Groups of simulations: the paper evaluates "partitioned" (the horizon
+// split across instances) and "parallel" (independent full-horizon
+// instances with different seeds) execution modes (§9.3), for full
+// simulation and MimicNet alike.
+
+// partitionedConfigs derives n configs that split the horizon of base
+// into n seed-varied chunks (the partitioned mode: each instance
+// simulates S/n seconds). Returns the per-instance horizon.
+func partitionedConfigs(base cluster.Config, n int, horizon sim.Time) ([]cluster.Config, sim.Time) {
+	chunk := sim.Time(uint64(horizon) / uint64(n))
+	if chunk <= 0 {
+		chunk = horizon
+	}
+	cfgs := parallelConfigs(base, n)
+	for i := range cfgs {
+		cfgs[i].Workload.Duration = min(cfgs[i].Workload.Duration, chunk)
+	}
+	return cfgs, chunk
+}
+
+// parallelConfigs derives n full-horizon configs with distinct seeds
+// (the parallel mode, for aggregate throughput).
+func parallelConfigs(base cluster.Config, n int) []cluster.Config {
+	cfgs := make([]cluster.Config, n)
+	for i := range cfgs {
+		cfgs[i] = base
+		cfgs[i].Workload.Seed = base.Workload.Seed + int64(i) + 1
+	}
+	return cfgs
+}
+
+// groupWalls times one group of cfgs run to until, at most parallelism
+// at once, first at full fidelity and then as MimicNet estimates of
+// models. Every full-fidelity instance is built before its clock starts,
+// so an invalid config fails before any run and full excludes
+// construction, as single_sim does; mimic includes composition, as
+// single_mimic does.
+func groupWalls(cfgs []cluster.Config, models *core.MimicModels, until sim.Time, parallelism int) (full, mimic time.Duration, err error) {
+	jobs := make([]func() error, len(cfgs))
+	for i, cfg := range cfgs {
+		inst, err := cluster.New(cfg)
+		if err != nil {
+			return 0, 0, fmt.Errorf("group member %d: %w", i, err)
+		}
+		jobs[i] = func() error {
+			inst.Run(until)
+			return nil
+		}
+	}
+	if full, err = runBounded(jobs, parallelism); err != nil {
+		return 0, 0, err
+	}
+	for i, cfg := range cfgs {
+		jobs[i] = func() error {
+			_, err := core.Estimate(context.TODO(), cfg, models, until, nil)
+			return err
+		}
+	}
+	mimic, err = runBounded(jobs, parallelism)
+	return full, mimic, err
+}
+
+// runBounded runs jobs with at most parallelism at once. It returns the
+// time until the last one finished and every job's error, joined.
+func runBounded(jobs []func() error, parallelism int) (time.Duration, error) {
 	t0 := time.Now()
 	sem := make(chan struct{}, parallelism)
-	errs := make([]error, len(cfgs))
+	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
+	for i, job := range jobs {
 		wg.Add(1)
-		go func(i int, cfg cluster.Config) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			_, errs[i] = core.Estimate(context.TODO(), cfg, models, until, nil)
-		}(i, cfg)
+			errs[i] = job()
+		}()
 	}
 	wg.Wait()
 	return time.Since(t0), errors.Join(errs...)
@@ -225,12 +282,7 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfgs := cluster.ParallelConfigs(base, nPar)
-		parFull, err := cluster.RunGroup(cfgs, r.Spec.RunTime(), nPar)
-		if err != nil {
-			return nil, err
-		}
-		parMimic, err := groupMimic(cfgs, tr.models, r.Spec.RunTime(), nPar)
+		parFull, parMimic, err := groupWalls(parallelConfigs(base, nPar), tr.models, r.Spec.RunTime(), nPar)
 		if err != nil {
 			return nil, err
 		}
@@ -239,13 +291,13 @@ func (r *Runner) Fig12(sizes []int) (*Table, error) {
 			f3(horizon / fullT.Seconds()),
 			f3(horizon / (mimic.Wall + trainCost).Seconds()),
 			f3(horizon / mimic.Wall.Seconds()),
-			f3(float64(nPar) * horizon / parFull.Wall.Seconds()),
+			f3(float64(nPar) * horizon / parFull.Seconds()),
 			f3(float64(nPar) * horizon / parMimic.Seconds()),
 		})
 		r.logf("Figure 12 n=%d done", n)
 	}
 	t.Notes = append(t.Notes,
-		"parallel_sim is cluster.RunGroup over cluster.ParallelConfigs; like single_sim it excludes instance construction",
+		"parallel_sim runs one full-fidelity instance per seed config; like single_sim it excludes instance construction",
 		"parallel_mimic is core.Estimate over the same configs and parallelism; like single_mimic it includes composition",
 		"paper: MimicNet throughput is roughly size-independent; single full simulation degrades ~linearly with size")
 	return t, nil

@@ -371,9 +371,6 @@ func NewBatchedStatefulModel(m *Model, lanes int, pool *Pool) *BatchedStatefulMo
 // Model returns the wrapped model.
 func (b *BatchedStatefulModel) Model() *Model { return b.model }
 
-// Lanes returns the current lane count.
-func (b *BatchedStatefulModel) Lanes() int { return b.lanes }
-
 // Steps returns total inference steps across all lanes.
 func (b *BatchedStatefulModel) Steps() uint64 {
 	var total uint64

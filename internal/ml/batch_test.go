@@ -169,8 +169,8 @@ func TestBatchedAddLane(t *testing.T) {
 	x0 := randVec(model.Cfg.Features, rng)
 	bat.StepLanes([]int{0}, [][]float64{x0}, nil, make([]Prediction, 1))
 	lane := bat.AddLane()
-	if lane != 1 || bat.Lanes() != 2 {
-		t.Fatalf("AddLane = %d, Lanes = %d", lane, bat.Lanes())
+	if lane != 1 || bat.lanes != 2 {
+		t.Fatalf("AddLane = %d, Lanes = %d", lane, bat.lanes)
 	}
 	x1 := randVec(model.Cfg.Features, rng)
 	preds := make([]Prediction, 2)

@@ -35,10 +35,8 @@ type TrainCheckpoint struct {
 	Samples int         `json:"samples"`
 
 	// Epoch counts fully completed epochs (the loop resumes at this
-	// index). Batch is reserved for finer-grained cursors and is always
-	// zero at an epoch boundary.
+	// index).
 	Epoch int `json:"epoch"`
-	Batch int `json:"batch"`
 
 	RNG       stats.StreamState `json:"rng"`
 	Idx       []int             `json:"idx"`

@@ -45,6 +45,7 @@ func TestTrainResumeBitwiseIdentical(t *testing.T) {
 				pc.start(t)
 				resumeAll(t, cfg, samples, cks, want)
 			}
+			resumeAll(t, cfg, samples, withBatchField(t, cks), want)
 			if last := cks[len(cks)-1]; !last.Complete() {
 				t.Fatalf("final checkpoint (epoch %d/%d) not Complete", last.Epoch, cfg.Epochs)
 			}
@@ -72,6 +73,25 @@ func resumeAll(t *testing.T, cfg ModelConfig, samples []Sample, cks []*TrainChec
 			t.Fatalf("resume from epoch %d diverged from uninterrupted run", ck.Epoch)
 		}
 	}
+}
+
+// withBatchField re-decodes cks from JSON that carries the always-zero
+// "batch" cursor checkpoints used to write, as a checkpoint left on disk
+// by an older build does.
+func withBatchField(t *testing.T, cks []*TrainCheckpoint) []*TrainCheckpoint {
+	t.Helper()
+	old := make([]*TrainCheckpoint, len(cks))
+	for i, ck := range cks {
+		blob, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old[i] = new(TrainCheckpoint)
+		if err := json.Unmarshal(append([]byte(`{"batch":0,`), blob[1:]...), old[i]); err != nil {
+			t.Fatalf("checkpoint with a batch cursor: %v", err)
+		}
+	}
+	return old
 }
 
 // TestTrainResumeAfterCancel models the real crash path: training is

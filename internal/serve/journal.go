@@ -326,11 +326,10 @@ func (s *Scheduler) logRecord(rec jobRecord) {
 	}
 }
 
-// logFinish journals the job's terminal record.
-func (s *Scheduler) logFinish(j *Job) {
-	st := j.Status()
-	rec := jobRecord{ID: st.ID, Error: st.Error, Result: st.Result, Time: time.Now()}
-	switch st.State {
+// logFinish journals a job's terminal record.
+func (s *Scheduler) logFinish(id string, out *outcome) {
+	rec := jobRecord{ID: id, Error: out.errMsg, Result: out.result, Time: time.Now()}
+	switch out.state {
 	case StateDone:
 		rec.Type = recDone
 	case StateFailed:

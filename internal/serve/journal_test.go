@@ -27,6 +27,70 @@ func durableStub(release chan struct{}) func(ctx context.Context, j *Job) {
 	}
 }
 
+// TestTerminalRecordBeforeDone pins the write-ahead order of a job's
+// end. While the journal lock is held, a job whose executor has finished
+// it must still look running: Done open, its state unchanged and /stats
+// not counting it. Once the terminal record is appended the job is done
+// and counted, and a daemon recovered after a crash right then keeps it
+// done instead of running it again.
+func TestTerminalRecordBeforeDone(t *testing.T) {
+	entered, proceed, returned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	opt := tempOptions(t, 1, 1, func(ctx context.Context, j *Job) {
+		close(entered)
+		<-proceed
+		j.finish(StateDone, &Summary{FlowsStarted: 7}, "")
+		close(returned)
+	})
+	reg := newTestRegistry(t, 2)
+	s1, _, err := NewSchedulerWithOptions(reg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s1.Submit(JobSpec{Clusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	s1.jmu.Lock()
+	close(proceed)
+	<-returned
+	select {
+	case <-j.Done():
+		t.Error("Done closed before the terminal record was journaled")
+	default:
+	}
+	if st := j.Status().State; st != StateRunning {
+		t.Errorf("state %s before the terminal record was journaled, want running", st)
+	}
+	if n := s1.Stats().Done; n != 0 {
+		t.Errorf("/stats counted %d done before the terminal record was journaled", n)
+	}
+	s1.jmu.Unlock()
+	select {
+	case <-j.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("job never published its terminal state")
+	}
+	if n := s1.Stats().Done; n != 1 {
+		t.Errorf("/stats counts %d done once Done closed, want 1", n)
+	}
+	s1.Kill()
+	s1.wg.Wait()
+
+	opt.runFn = durableStub(nil)
+	s2, rep, err := NewSchedulerWithOptions(reg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2.Kill(); s2.wg.Wait() })
+	if rep.Requeued != 0 {
+		t.Errorf("recovery re-queued %d jobs; the finished one must stay done", rep.Requeued)
+	}
+	if rj, err := s2.Job(j.ID()); err != nil || rj.Status().State != StateDone {
+		t.Errorf("recovered job %s (%v), want it done", j.ID(), err)
+	}
+}
+
 // TestSchedulerJournalRecovery kills a journaled scheduler with jobs in
 // every state and rebuilds from the same directory: terminal jobs stay
 // queryable, unfinished jobs are re-enqueued (growing the queue past its

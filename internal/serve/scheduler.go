@@ -82,6 +82,16 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+	staged    *outcome // set by finish, published by Scheduler.complete
+}
+
+// outcome is a job's terminal state, staged by finish until the
+// scheduler has journaled and counted it.
+type outcome struct {
+	state    State
+	result   *Summary
+	errMsg   string
+	finished time.Time
 }
 
 // JobStatus is the JSON projection of a Job.
@@ -153,14 +163,12 @@ func (j *Job) setTrainProgress(tp TrainProgress) {
 	j.mu.Unlock()
 }
 
+// finish stages the job's terminal outcome. The job keeps its current
+// state, and Done stays open, until Scheduler.complete publishes it.
 func (j *Job) finish(state State, result *Summary, errMsg string) {
 	j.mu.Lock()
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.finished = time.Now()
+	j.staged = &outcome{state: state, result: result, errMsg: errMsg, finished: time.Now()}
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // Scheduler is the admission-controlled worker pool that executes jobs:
@@ -395,8 +403,7 @@ func (s *Scheduler) worker() {
 func (s *Scheduler) execute(j *Job) {
 	if j.ctx.Err() != nil {
 		j.finish(StateCancelled, nil, "cancelled while queued")
-		s.logFinish(j)
-		s.account(StateCancelled, 0)
+		s.complete(j)
 		return
 	}
 	j.mu.Lock()
@@ -414,14 +421,31 @@ func (s *Scheduler) execute(j *Job) {
 		defer cancel()
 	}
 	s.runFn(ctx, j)
-	s.logFinish(j)
+	s.complete(j)
+}
 
-	st := j.Status()
-	var dur time.Duration
-	if st.Started != nil && st.Finished != nil {
-		dur = st.Finished.Sub(*st.Started)
+// complete publishes the outcome finish staged, write-ahead: the
+// terminal record is journaled and the job counted before its state
+// changes and Done closes. A client that saw the job end therefore finds
+// it counted in /stats, and a daemon recovered after a crash finds its
+// terminal record instead of running it again.
+func (s *Scheduler) complete(j *Job) {
+	j.mu.Lock()
+	out, started := j.staged, j.started
+	j.mu.Unlock()
+	if out == nil {
+		return
 	}
-	s.account(st.State, dur)
+	s.logFinish(j.id, out)
+	var dur time.Duration
+	if !started.IsZero() {
+		dur = out.finished.Sub(started)
+	}
+	s.account(out.state, dur)
+	j.mu.Lock()
+	j.state, j.result, j.errMsg, j.finished = out.state, out.result, out.errMsg, out.finished
+	j.mu.Unlock()
+	close(j.done)
 }
 
 func (s *Scheduler) account(state State, dur time.Duration) {

@@ -37,47 +37,6 @@ func (e *EWMA) Initialized() bool { return e.init }
 // Reset clears the average.
 func (e *EWMA) Reset() { e.value, e.init = 0, false }
 
-// Summary accumulates simple moments plus min/max for a series.
-type Summary struct {
-	N          int
-	Sum, SumSq float64
-	MinV, MaxV float64
-}
-
-// Add folds in a sample.
-func (s *Summary) Add(v float64) {
-	if s.N == 0 || v < s.MinV {
-		s.MinV = v
-	}
-	if s.N == 0 || v > s.MaxV {
-		s.MaxV = v
-	}
-	s.N++
-	s.Sum += v
-	s.SumSq += v * v
-}
-
-// Mean returns the sample mean (zero if empty).
-func (s *Summary) Mean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.N)
-}
-
-// Variance returns the population variance (zero if empty).
-func (s *Summary) Variance() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	m := s.Mean()
-	v := s.SumSq/float64(s.N) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
 // interpolation between order statistics. It sorts a copy; callers on hot
 // paths should sort once and use QuantileSorted.
