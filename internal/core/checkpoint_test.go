@@ -97,7 +97,7 @@ func TestTrainCheckpointerStaleMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := &TrainCheckpointer{Dir: t.TempDir(), Key: "stale"}
-	if _, _, err := TrainDirectionContext(context.Background(), ing, tcfg, nil, ckpt); err != nil {
+	if _, _, err := trainDirectionContext(context.Background(), ing, tcfg, nil, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,11 +106,11 @@ func TestTrainCheckpointerStaleMismatch(t *testing.T) {
 	// run under the new config.
 	tcfg2 := tcfg
 	tcfg2.Model.Epochs = tcfg.Model.Epochs + 1
-	fromCkpt, _, err := TrainDirectionContext(context.Background(), ing, tcfg2, nil, ckpt)
+	fromCkpt, _, err := trainDirectionContext(context.Background(), ing, tcfg2, nil, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := TrainDirectionContext(context.Background(), ing, tcfg2, nil, nil)
+	plain, _, err := trainDirectionContext(context.Background(), ing, tcfg2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// Composed names the Engine built from ComposedRoles: one real
+// Composed names the Engine built from composedRoles: one real
 // (observable) cluster plus N−1 Mimic clusters and a proportional number
 // of Core switches (paper §7.1). The alias is pinned by the repo's
 // benchmark — bench/ declares a *core.Composed and may not change in a
@@ -22,9 +22,9 @@ type Composed = Engine
 func Compose(cfg cluster.Config, models *MimicModels) (*Engine, error) {
 	n := cfg.Topo.Clusters
 	if n < 0 {
-		n = 0 // invalid; NewEngine reports the real error
+		n = 0 // invalid; startEngine reports the real error
 	}
-	return NewEngine(cfg, ComposedRoles(n), models)
+	return startEngine(cfg, composedRoles(n), models)
 }
 
 // Report is the outcome of one estimate: the composed run's metric

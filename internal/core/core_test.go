@@ -121,15 +121,15 @@ func TestExtractorTimeFeaturesAdvance(t *testing.T) {
 	if v1[off] != v2[off] && v2[off] <= v1[off] {
 		t.Errorf("larger gap should give larger time feature: %v vs %v", v1[off], v2[off])
 	}
-	ex.Reset()
-	v3 := ex.Features(base)
+	// A fresh extractor's first packet has no gap, whenever it arrives.
+	v3 := NewExtractor(spec, 0.001, 0.01).Features(base)
 	if v3[off] != v1[off] {
-		t.Error("Reset did not clear last-packet state")
+		t.Error("first-packet gap feature depends on arrival time")
 	}
 }
 
 func TestCongestionEstimatorStates(t *testing.T) {
-	c := NewCongestionEstimator(0.001, 0.01)
+	c := newCongestionEstimator(0.001, 0.01)
 	if c.State() != CongNone {
 		t.Error("fresh estimator should report none")
 	}
@@ -453,9 +453,9 @@ func TestMimicOutcomesBounded(t *testing.T) {
 
 func TestMimicDeterminism(t *testing.T) {
 	models := mustTrainFast(t, 100*sim.Millisecond)
-	run := func() []Outcome {
+	run := func() []outcome {
 		m := newOracleMimic(models, 2, 42)
-		var outs []Outcome
+		var outs []outcome
 		for i := 0; i < 50; i++ {
 			outs = append(outs, m.process(Egress, PacketInfo{
 				LocalServer: i % 4, SizeBytes: 1500,
@@ -480,7 +480,7 @@ func TestFeederGapScaling(t *testing.T) {
 	// The homogeneous n-cluster composition synthesizes the Mimic-Mimic
 	// fraction (n-2)/(n-1) of a Mimic's external traffic.
 	gap := func(dm *DirectionModel, r *stats.Stream, n int) sim.Time {
-		return FeederGapFrac(dm, r, float64(n-2)/float64(n-1))
+		return feederGapFrac(dm, r, float64(n-2)/float64(n-1))
 	}
 	rng := stats.NewStream(1)
 	if gap(dm, rng, 2) != 0 {
@@ -565,20 +565,20 @@ func TestFeederGapEmpiricalReplay(t *testing.T) {
 	const frac = 2.0 / 3.0 // n=4: (n-2)/(n-1)
 	// Empirical gaps are 1ms; the lognormal fit says 10ms. Replay must
 	// draw from the samples.
-	g := FeederGapFrac(dm, rng, frac).Seconds()
+	g := feederGapFrac(dm, rng, frac).Seconds()
 	want := 0.001 / frac
 	if math.Abs(g-want) > 1e-9 {
 		t.Errorf("empirical gap = %v, want %v", g, want)
 	}
 	dm.UseEmpiricalGaps = false
-	g = FeederGapFrac(dm, rng, frac).Seconds()
+	g = feederGapFrac(dm, rng, frac).Seconds()
 	if math.Abs(g-0.015) > 0.002 {
 		t.Errorf("lognormal gap = %v, want ~0.015", g)
 	}
 	// Empty samples fall back to the parametric fit.
 	dm.UseEmpiricalGaps = true
 	dm.GapSamples = nil
-	if FeederGapFrac(dm, rng, frac) == 0 {
+	if feederGapFrac(dm, rng, frac) == 0 {
 		t.Error("empty empirical bank should fall back, not disable")
 	}
 }

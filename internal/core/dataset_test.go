@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mimicnet/internal/durable"
@@ -246,7 +247,7 @@ func TestReadDatasetFileRejectsDamage(t *testing.T) {
 	}
 
 	// A valid container whose payload was truncated before framing.
-	if err := durable.WriteContainer(path, DatasetFileMagic, []byte{1, 2}); err != nil {
+	if err := durable.WriteContainer(path, datasetFileMagic, []byte{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadDatasetFile(path); !errors.Is(err, durable.ErrCorrupt) {
@@ -293,5 +294,41 @@ func TestDatasetKey(t *testing.T) {
 	base.Protocol = nil
 	if _, err := DatasetKey(base, 1000, tcfg); err == nil {
 		t.Error("nil protocol accepted")
+	}
+}
+
+// Every workload knob changes the traffic a dataset is generated from,
+// so each must change the dataset key: a field the key does not hash
+// lets two different datasets share one cache entry. The one exemption
+// is HostLinkBps, which cluster.NewLayered overwrites from Link.RateBps
+// (hashed as rate_bps) before any traffic is generated.
+func TestDatasetKeyCoversWorkload(t *testing.T) {
+	base, tcfg := fastBase(), fastTrain()
+	k0, err := DatasetKey(base, 1000, tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(base.Workload)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "HostLinkBps" {
+			continue
+		}
+		b := base
+		v := reflect.ValueOf(&b.Workload).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float()*1.5 + 0.01)
+		default:
+			t.Errorf("workload.Config.%s: no perturbation for kind %s; add one and hash the field in DatasetKey", f.Name, v.Kind())
+			continue
+		}
+		if k, err := DatasetKey(b, 1000, tcfg); err != nil {
+			t.Fatal(err)
+		} else if k == k0 {
+			t.Errorf("changing workload.Config.%s left the dataset key unchanged", f.Name)
+		}
 	}
 }

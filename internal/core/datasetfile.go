@@ -25,10 +25,10 @@ import (
 // matrix and targets round-trip bit-for-bit — training from a loaded
 // dataset is byte-identical to training from the in-memory one.
 
-// DatasetFileMagic tags the on-disk columnar dataset container. Bump it
+// datasetFileMagic tags the on-disk columnar dataset container. Bump it
 // whenever the payload layout changes: the magic is part of DatasetKey,
 // so old cache entries simply miss rather than misparse.
-const DatasetFileMagic = "MNDSET01"
+const datasetFileMagic = "MNDSET01"
 
 type datasetMeta struct {
 	Dir           Direction      `json:"dir"`
@@ -68,14 +68,14 @@ func WriteDatasetFile(path string, ing, eg *Dataset) error {
 	payload = append(payload, mb...)
 	payload = appendSections(payload, ing)
 	payload = appendSections(payload, eg)
-	return durable.WriteContainer(path, DatasetFileMagic, payload)
+	return durable.WriteContainer(path, datasetFileMagic, payload)
 }
 
 // ReadDatasetFile loads both datasets back. A missing file surfaces the
 // underlying os.ErrNotExist; framing, CRC, or layout damage returns
 // durable.ErrCorrupt so callers can fall back to regenerating.
 func ReadDatasetFile(path string) (ing, eg *Dataset, err error) {
-	payload, err := durable.ReadContainer(path, DatasetFileMagic)
+	payload, err := durable.ReadContainer(path, datasetFileMagic)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -22,73 +22,73 @@ import (
 // neither could (multiple ground-truth clusters), as one fabric built
 // from a vector of per-cluster roles over one trained artifact.
 
-// RoleKind classifies how one cluster of a composition is simulated.
-type RoleKind uint8
+// roleKind classifies how one cluster of a composition is simulated.
+type roleKind uint8
 
 const (
-	// RoleObserved runs the cluster at full netsim fidelity and collects
+	// roleObserved runs the cluster at full netsim fidelity and collects
 	// FCT/throughput/RTT metrics at its hosts (the paper's observable
 	// cluster).
-	RoleObserved RoleKind = iota
-	// RoleMimic replaces the cluster's internals with the trained
+	roleObserved roleKind = iota
+	// roleMimic replaces the cluster's internals with the trained
 	// ingress+egress models: external packets are intercepted at the
 	// boundary, internal traffic is approximated by feeders (§4, §6).
-	RoleMimic
-	// RoleHybridIngress keeps the cluster at full fidelity but serves
+	roleMimic
+	// roleHybridIngress keeps the cluster at full fidelity but serves
 	// its *ingress* direction (external packets descending from the
 	// core) from the ingress model (Appendix B, Figure 15a).
-	RoleHybridIngress
-	// RoleHybridEgress keeps the cluster at full fidelity but serves
+	roleHybridIngress
+	// roleHybridEgress keeps the cluster at full fidelity but serves
 	// its *egress* direction (packets leaving its hosts for other
 	// clusters) from the egress model (Appendix B, Figure 15b).
-	RoleHybridEgress
+	roleHybridEgress
 )
 
-func (k RoleKind) String() string {
+func (k roleKind) String() string {
 	switch k {
-	case RoleObserved:
+	case roleObserved:
 		return "observed"
-	case RoleMimic:
+	case roleMimic:
 		return "mimic"
-	case RoleHybridIngress:
+	case roleHybridIngress:
 		return "hybrid-ingress"
-	case RoleHybridEgress:
+	case roleHybridEgress:
 		return "hybrid-egress"
 	}
 	return fmt.Sprintf("role(%d)", int(k))
 }
 
 // usesModels reports whether the role consumes trained models.
-func (k RoleKind) usesModels() bool { return k != RoleObserved }
+func (k roleKind) usesModels() bool { return k != roleObserved }
 
 // roleClass buckets kinds for the unified drop counter family's
 // cluster_role label: fully model-driven clusters vs hybrid ones.
-func (k RoleKind) roleClass() int {
-	if k == RoleMimic {
+func (k roleKind) roleClass() int {
+	if k == roleMimic {
 		return roleClassMimic
 	}
 	return roleClassHybrid
 }
 
-// ComposedRoles is the §7.1 role vector: cluster 0 observed, the other
+// composedRoles is the §7.1 role vector: cluster 0 observed, the other
 // n-1 replaced by Mimics.
-func ComposedRoles(n int) []RoleKind {
-	roles := make([]RoleKind, n)
+func composedRoles(n int) []roleKind {
+	roles := make([]roleKind, n)
 	for i := 1; i < n; i++ {
-		roles[i] = RoleMimic
+		roles[i] = roleMimic
 	}
 	return roles
 }
 
-// HybridRoles is the Appendix-B role vector: a 2-cluster full-fidelity
+// hybridRoles is the Appendix-B role vector: a 2-cluster full-fidelity
 // network with one direction of cluster 1's external traffic served by
 // the model under test.
-func HybridRoles(dir Direction) []RoleKind {
-	kind := RoleHybridIngress
+func hybridRoles(dir Direction) []roleKind {
+	kind := roleHybridIngress
 	if dir == Egress {
-		kind = RoleHybridEgress
+		kind = roleHybridEgress
 	}
-	return []RoleKind{RoleObserved, kind}
+	return []roleKind{roleObserved, kind}
 }
 
 // Engine is an N-cluster MimicNet fabric built from a role vector: each
@@ -112,7 +112,7 @@ type Engine struct {
 
 	rt       *cluster.Simulation
 	clusters []*clusterCtx       // one per cluster
-	sched    *InferenceScheduler // shared by every model-using role; nil if none
+	sched    *inferenceScheduler // shared by every model-using role; nil if none
 
 	// Typed-event handlers for the two continuations of a model-served
 	// packet, bound once: re-entering the fabric at a core switch, and
@@ -125,8 +125,8 @@ type Engine struct {
 // clusterCtx is the per-cluster slice: the role, the Mimic runtime (nil
 // for observed clusters), and the model-path counters.
 type clusterCtx struct {
-	role  RoleKind
-	mimic *Mimic
+	role  roleKind
+	mimic *mimic
 
 	e *Engine
 
@@ -138,13 +138,14 @@ type clusterCtx struct {
 	dropsEgress  uint64
 }
 
-// NewEngine builds a fabric from a role vector (one entry per cluster).
+// startEngine builds a fabric from a role vector (one entry per cluster)
+// and starts its feeders.
 // models is the one artifact every model-using role runs; it may be nil
-// only when every role is RoleObserved. All parameters other than the
+// only when every role is roleObserved. All parameters other than the
 // role vector and cluster count should match the small-scale run that
 // trained the models ("Aside from the number of clusters, all other parameters are
 // kept constant", §7.1).
-func NewEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels) (*Engine, error) {
+func startEngine(cfg cluster.Config, roles []roleKind, models *MimicModels) (*Engine, error) {
 	e, err := newEngine(cfg, roles, models, ml.SharedPool())
 	if err != nil {
 		return nil, err
@@ -153,9 +154,9 @@ func NewEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels) (*Engi
 	return e, nil
 }
 
-// newEngine is NewEngine with the feeders not started and the inference
+// newEngine is startEngine with the feeders not started and the inference
 // flushes split over pool.
-func newEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, pool *ml.Pool) (*Engine, error) {
+func newEngine(cfg cluster.Config, roles []roleKind, models *MimicModels, pool *ml.Pool) (*Engine, error) {
 	if err := cfg.Topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,17 +178,17 @@ func newEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, pool *
 	observed, modeled := -1, false
 	for i, kind := range roles {
 		switch kind {
-		case RoleObserved:
+		case roleObserved:
 			if observed < 0 {
 				observed = i
 			}
 			layer.Measured[i] = true
-		case RoleMimic, RoleHybridIngress, RoleHybridEgress:
+		case roleMimic, roleHybridIngress, roleHybridEgress:
 			if models == nil || models.Ingress == nil || models.Egress == nil {
 				return nil, fmt.Errorf("core: cluster %d (%s) missing trained models", i, kind)
 			}
 			modeled = true
-			layer.ModelDriven[i] = kind == RoleMimic
+			layer.ModelDriven[i] = kind == roleMimic
 		default:
 			return nil, fmt.Errorf("core: cluster %d has unknown role kind %d", i, kind)
 		}
@@ -221,7 +222,7 @@ func newEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, pool *
 	// weight set across its lanes, so every model-using cluster batches
 	// into it.
 	if modeled {
-		e.sched = NewInferenceScheduler(rt.Sim, models, defaultBatchWindow(models), pool)
+		e.sched = newInferenceScheduler(rt.Sim, models, defaultBatchWindow(models), pool)
 	}
 	for i, cc := range clusters {
 		cc.e = e
@@ -238,11 +239,11 @@ func newEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, pool *
 }
 
 // needsIntercept reports whether any role swallows packets at the Agg
-// boundary (RoleHybridEgress models at injection instead, and observed
+// boundary (roleHybridEgress models at injection instead, and observed
 // clusters never intercept).
 func (e *Engine) needsIntercept() bool {
 	for _, cc := range e.clusters {
-		if cc.role == RoleMimic || cc.role == RoleHybridIngress {
+		if cc.role == roleMimic || cc.role == roleHybridIngress {
 			return true
 		}
 	}
@@ -258,10 +259,10 @@ func (e *Engine) inject(pkt *netsim.Packet) {
 	srcCluster := t.ClusterOf(pkt.Src)
 	cc := e.clusters[srcCluster]
 	switch cc.role {
-	case RoleMimic:
+	case roleMimic:
 		// Every real packet leaving a Mimic cluster is external (internal
 		// flows were filtered) and rides the egress model.
-	case RoleHybridEgress:
+	case roleHybridEgress:
 		// Only the external egress direction is under test; the modeled
 		// cluster's internal traffic rides the real network (Figure 15b).
 		if t.ClusterOf(pkt.Dst) == srcCluster {
@@ -273,14 +274,14 @@ func (e *Engine) inject(pkt *netsim.Packet) {
 		return
 	}
 	cc.modelPackets++
-	info := BuildPacketInfo(t, srcCluster, pkt, pkt.Src, e.rt.Sim.Now())
+	info := buildPacketInfo(t, srcCluster, pkt, pkt.Src, e.rt.Sim.Now())
 	cc.mimic.ProcessAsync(Egress, info, pkt, cc.onEgress)
 }
 
 // resolveEgress continues a packet the egress model has ruled on: it
 // materializes at its core switch after the predicted in-cluster latency,
 // and core and full-fidelity hops are then simulated exactly.
-func (cc *clusterCtx) resolveEgress(pkt *netsim.Packet, info PacketInfo, out Outcome) {
+func (cc *clusterCtx) resolveEgress(pkt *netsim.Packet, info PacketInfo, out outcome) {
 	e := cc.e
 	coreHop := -1
 	if !out.Dropped {
@@ -328,10 +329,10 @@ func (e *Engine) interceptIngress(node int, pkt *netsim.Packet) bool {
 	clusterIdx := t.ClusterOf(node)
 	cc := e.clusters[clusterIdx]
 	switch cc.role {
-	case RoleMimic:
+	case roleMimic:
 		// A Mimic cluster has no real internal packets: anything at its
 		// Agg bound for an in-cluster host came down from the core.
-	case RoleHybridIngress:
+	case roleHybridIngress:
 		// Only external traffic descending from the core is under test;
 		// the modeled cluster's internal traffic rides the real network
 		// (Figure 15a).
@@ -345,14 +346,14 @@ func (e *Engine) interceptIngress(node int, pkt *netsim.Packet) bool {
 		return false
 	}
 	cc.modelPackets++
-	info := BuildPacketInfo(t, clusterIdx, pkt, pkt.Dst, e.rt.Sim.Now())
+	info := buildPacketInfo(t, clusterIdx, pkt, pkt.Dst, e.rt.Sim.Now())
 	cc.mimic.ProcessAsync(Ingress, info, pkt, cc.onIngress)
 	return true
 }
 
 // resolveIngress continues a packet the ingress model has ruled on: it
 // reaches its destination host after the predicted latency.
-func (cc *clusterCtx) resolveIngress(pkt *netsim.Packet, info PacketInfo, out Outcome) {
+func (cc *clusterCtx) resolveIngress(pkt *netsim.Packet, info PacketInfo, out outcome) {
 	if out.Dropped {
 		cc.dropsIngress++
 		cc.e.rt.Fabric.Packets(pkt.Dst).Put(pkt)
@@ -389,7 +390,7 @@ func (e *Engine) startFeeders() {
 		return
 	}
 	for idx, cc := range e.clusters {
-		if cc.role != RoleMimic {
+		if cc.role != roleMimic {
 			continue
 		}
 		for _, dir := range []Direction{Ingress, Egress} {
@@ -407,7 +408,7 @@ func (e *Engine) startFeeders() {
 func (e *Engine) feederFrac() float64 {
 	mimics := 0
 	for _, cc := range e.clusters {
-		if cc.role == RoleMimic {
+		if cc.role == roleMimic {
 			mimics++
 		}
 	}

@@ -101,7 +101,7 @@ func runParityCase(t *testing.T, models *MimicModels, pc parityCase) cluster.Res
 		comp.Run(pc.until)
 		return comp.Results()
 	case "hybrid":
-		h, err := NewHybrid(cfg, models, pc.dir)
+		h, err := newHybrid(cfg, models, pc.dir)
 		if err != nil {
 			t.Fatal(err)
 		}

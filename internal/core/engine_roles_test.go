@@ -12,9 +12,9 @@ import (
 // multiple observed (ground-truth) clusters in one fabric, and the
 // concurrent RoleError harness.
 
-func runRoles(t *testing.T, cfg cluster.Config, roles []RoleKind, models *MimicModels, until sim.Time) (*Engine, cluster.Results) {
+func runRoles(t *testing.T, cfg cluster.Config, roles []roleKind, models *MimicModels, until sim.Time) (*Engine, cluster.Results) {
 	t.Helper()
-	e, err := NewEngine(cfg, roles, models)
+	e, err := startEngine(cfg, roles, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func runRoles(t *testing.T, cfg cluster.Config, roles []RoleKind, models *MimicM
 // mimic clusters stay model-driven.
 func TestEngineMultiObserved(t *testing.T) {
 	models := trainedForScheduler(t)
-	roles := []RoleKind{RoleObserved, RoleMimic, RoleObserved, RoleMimic}
+	roles := []roleKind{roleObserved, roleMimic, roleObserved, roleMimic}
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(4)
 	until := 200 * sim.Millisecond
@@ -70,21 +70,21 @@ func TestEngineRoleValidation(t *testing.T) {
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(2)
 
-	if _, err := NewEngine(cfg, []RoleKind{RoleObserved}, models); err == nil {
+	if _, err := startEngine(cfg, []roleKind{roleObserved}, models); err == nil {
 		t.Error("role vector shorter than cluster count accepted")
 	}
-	if _, err := NewEngine(cfg, []RoleKind{RoleMimic, RoleMimic}, models); err == nil {
+	if _, err := startEngine(cfg, []roleKind{roleMimic, roleMimic}, models); err == nil {
 		t.Error("role vector without an observed cluster accepted")
 	}
-	if _, err := NewEngine(cfg, []RoleKind{RoleObserved, RoleKind(250)}, models); err == nil {
+	if _, err := startEngine(cfg, []roleKind{roleObserved, roleKind(250)}, models); err == nil {
 		t.Error("unknown role kind accepted")
 	}
-	if _, err := NewEngine(cfg, ComposedRoles(2), nil); err == nil {
+	if _, err := startEngine(cfg, composedRoles(2), nil); err == nil {
 		t.Error("mimic role without models accepted")
 	}
 	// An all-observed vector needs no models at all: a plain full-fidelity
 	// fabric expressed through the engine.
-	e, err := NewEngine(cfg, []RoleKind{RoleObserved, RoleObserved}, nil)
+	e, err := startEngine(cfg, []roleKind{roleObserved, roleObserved}, nil)
 	if err != nil {
 		t.Fatalf("all-observed vector rejected: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestRoleErrorMatchesSequential(t *testing.T) {
 	truth := inst.Results().FCTs
 	var want [2]float64
 	for _, dir := range []Direction{Ingress, Egress} {
-		hyb, err := NewHybrid(cfg, models, dir)
+		hyb, err := newHybrid(cfg, models, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestAllObservedEngineMatchesFullFidelity(t *testing.T) {
 		}
 		inst.Run(until)
 		full := inst.Results()
-		_, got := runRoles(t, cfg, make([]RoleKind, n), nil, until)
+		_, got := runRoles(t, cfg, make([]roleKind, n), nil, until)
 		if full.Events == 0 || full.Packets == 0 {
 			t.Fatalf("n=%d: full-fidelity run did nothing", n)
 		}

@@ -55,9 +55,9 @@ type CongestionEstimator struct {
 	lo, hi     float64 // latency thresholds (seconds)
 }
 
-// NewCongestionEstimator builds an estimator with latency thresholds
+// newCongestionEstimator builds an estimator with latency thresholds
 // bounding the "uncongested" and "congested" regimes.
-func NewCongestionEstimator(lo, hi float64) *CongestionEstimator {
+func newCongestionEstimator(lo, hi float64) *CongestionEstimator {
 	return &CongestionEstimator{
 		fast:  stats.NewEWMA(0.3),
 		slow:  stats.NewEWMA(0.05),
@@ -175,7 +175,7 @@ type Extractor struct {
 func NewExtractor(spec FeatureSpec, congLo, congHi float64) *Extractor {
 	return &Extractor{
 		Spec:    spec,
-		Cong:    NewCongestionEstimator(congLo, congHi),
+		Cong:    newCongestionEstimator(congLo, congHi),
 		gapEWMA: stats.NewEWMA(0.2),
 	}
 }
@@ -258,13 +258,6 @@ func (e *Extractor) FeaturesAppend(dst []float64, p PacketInfo) []float64 {
 // training, or with the model's own prediction at inference).
 func (e *Extractor) ObserveOutcome(latencySec float64, dropped bool) {
 	e.Cong.Observe(latencySec, dropped)
-}
-
-// Reset clears stream state (new simulation run).
-func (e *Extractor) Reset() {
-	e.last, e.haveLast = 0, false
-	e.gapEWMA.Reset()
-	e.Cong = NewCongestionEstimator(e.Cong.lo, e.Cong.hi)
 }
 
 func appendOneHot(v []float64, idx, n int) []float64 {

@@ -26,7 +26,7 @@ import (
 // after it.
 type eventFeeder struct {
 	s             *sim.Simulator
-	is            *InferenceScheduler
+	is            *inferenceScheduler
 	d             *dirRuntime
 	rng           *stats.Stream
 	frac          float64
@@ -57,7 +57,7 @@ func (o feederOracle) ties() (joins, defers int) {
 }
 
 func (f *eventFeeder) schedule() {
-	gap := FeederGapFrac(f.d.dm, f.rng, f.frac)
+	gap := feederGapFrac(f.d.dm, f.rng, f.frac)
 	if gap <= 0 {
 		return
 	}
@@ -81,9 +81,9 @@ func eventFeederFired(p any, _ int64) {
 }
 
 // newFeederOracle builds an engine whose feeders are kernel events, in
-// the order NewEngine starts its own; perRequest also flushes every
+// the order startEngine starts its own; perRequest also flushes every
 // request as it arrives (newOracleEngine).
-func newFeederOracle(cfg cluster.Config, roles []RoleKind, models *MimicModels, perRequest bool) (*Engine, feederOracle, error) {
+func newFeederOracle(cfg cluster.Config, roles []roleKind, models *MimicModels, perRequest bool) (*Engine, feederOracle, error) {
 	e, err := newEngine(cfg, roles, models, ml.SharedPool())
 	if err != nil {
 		return nil, nil, err
@@ -103,7 +103,7 @@ func newFeederOracle(cfg cluster.Config, roles []RoleKind, models *MimicModels, 
 		return e, o, nil
 	}
 	for idx, cc := range e.clusters {
-		if cc.role != RoleMimic {
+		if cc.role != roleMimic {
 			continue
 		}
 		for _, dir := range []Direction{Ingress, Egress} {
@@ -124,8 +124,8 @@ func newFeederOracle(cfg cluster.Config, roles []RoleKind, models *MimicModels, 
 // the oracle and the production run's same-lane tie count.
 func checkFeederParity(t *testing.T, label string, cfg cluster.Config, models *MimicModels, until sim.Time) (feederOracle, uint64) {
 	t.Helper()
-	roles := ComposedRoles(cfg.Topo.Clusters)
-	prod, err := NewEngine(cfg, roles, models)
+	roles := composedRoles(cfg.Topo.Clusters)
+	prod, err := startEngine(cfg, roles, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func checkFeederParity(t *testing.T, label string, cfg cluster.Config, models *M
 	return o, prod.sched.SameLaneTies
 }
 
-// exactGap returns the gap sample FeederGapFrac turns into exactly d at
+// exactGap returns the gap sample feederGapFrac turns into exactly d at
 // feeder fraction frac.
 func exactGap(t *testing.T, d sim.Time, frac float64) float64 {
 	t.Helper()
@@ -182,11 +182,11 @@ func exactGap(t *testing.T, d sim.Time, frac float64) float64 {
 // flush) and on ones another lane armed (they run before it).
 func tiedGapModels(t *testing.T, models *MimicModels, cfg cluster.Config) *MimicModels {
 	t.Helper()
-	probe, err := NewEngine(cfg, ComposedRoles(cfg.Topo.Clusters), models)
+	probe, err := startEngine(cfg, composedRoles(cfg.Topo.Clusters), models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, frac := probe.sched.Window(), probe.feederFrac()
+	w, frac := probe.sched.window, probe.feederFrac()
 	if w < 2 || frac <= 0 {
 		t.Fatalf("window %v, feeder fraction %v: no flush tie to force", w, frac)
 	}
@@ -250,11 +250,11 @@ func TestFeederEmptyBank(t *testing.T) {
 	const until = 150 * sim.Millisecond
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(4)
-	prod, err := NewEngine(cfg, ComposedRoles(4), &models)
+	prod, err := startEngine(cfg, composedRoles(4), &models)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orc, o, err := newFeederOracle(cfg, ComposedRoles(4), &models, false)
+	orc, o, err := newFeederOracle(cfg, composedRoles(4), &models, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestProgressCountsFeeders(t *testing.T) {
 	const until = 150 * sim.Millisecond
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(4)
-	e, err := NewEngine(cfg, ComposedRoles(4), models)
+	e, err := startEngine(cfg, composedRoles(4), models)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,9 @@ import (
 // every hot path) only combine here.
 func TestGoldenCombinedPipeline(t *testing.T) {
 	models := trainedForScheduler(t)
-	if got := models.Ingress.Model.Cfg.BatchSize; got != ml.DefaultBatchSize {
-		t.Fatalf("artifact trained with BatchSize=%d, want %d (minibatch path)",
-			got, ml.DefaultBatchSize)
+	want := ml.DefaultModelConfig(1, 1).BatchSize
+	if got := models.Ingress.Model.Cfg.BatchSize; got != want {
+		t.Fatalf("artifact trained with BatchSize=%d, want %d (minibatch path)", got, want)
 	}
 
 	const n, until = 4, 200 * sim.Millisecond
@@ -29,7 +29,7 @@ func TestGoldenCombinedPipeline(t *testing.T) {
 	cfg.Topo = cfg.Topo.WithClusters(n)
 	var golden cluster.Results
 	for i, workers := range []int{1, 2, 4} {
-		res := runOnPool(t, cfg, ComposedRoles(n), models, workers, until)
+		res := runOnPool(t, cfg, composedRoles(n), models, workers, until)
 		if len(res.FCTByID) == 0 {
 			t.Fatalf("workers=%d: no flows completed; test exercises nothing", workers)
 		}

@@ -23,16 +23,16 @@ import (
 // used for delivery and the real network's copy retained for congestion.
 //
 // The runtime is the role-based Engine (engine.go) built from
-// HybridRoles: cluster 0 observed, cluster 1 RoleHybridIngress or
-// RoleHybridEgress.
+// hybridRoles: cluster 0 observed, cluster 1 roleHybridIngress or
+// roleHybridEgress.
 
-// NewHybrid builds the test framework for one direction: a 2-cluster
+// newHybrid builds the test framework for one direction: a 2-cluster
 // simulation in which that direction of the modeled cluster's external
 // traffic is served by the trained internal model. cfg must be the
 // 2-cluster base configuration the models were trained from.
-func NewHybrid(cfg cluster.Config, models *MimicModels, dir Direction) (*Engine, error) {
+func newHybrid(cfg cluster.Config, models *MimicModels, dir Direction) (*Engine, error) {
 	cfg.Topo = cfg.Topo.WithClusters(2)
-	return NewEngine(cfg, HybridRoles(dir), models)
+	return startEngine(cfg, hybridRoles(dir), models)
 }
 
 // RoleError runs the all-real reference and both hybrid directions
@@ -53,7 +53,7 @@ func RoleError(cfg cluster.Config, models *MimicModels, until sim.Time) (ingW1, 
 	}
 	var hybs [2]*Engine
 	for _, dir := range []Direction{Ingress, Egress} {
-		h, herr := NewHybrid(cfg, models, dir)
+		h, herr := newHybrid(cfg, models, dir)
 		if herr != nil {
 			return 0, 0, herr
 		}

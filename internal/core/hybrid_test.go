@@ -15,7 +15,7 @@ func trainedForHybrid(t *testing.T) *MimicModels {
 
 func TestHybridIngressRuns(t *testing.T) {
 	models := trainedForHybrid(t)
-	h, err := NewHybrid(fastBase(), models, Ingress)
+	h, err := newHybrid(fastBase(), models, Ingress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestHybridIngressRuns(t *testing.T) {
 
 func TestHybridEgressRuns(t *testing.T) {
 	models := trainedForHybrid(t)
-	h, err := NewHybrid(fastBase(), models, Egress)
+	h, err := newHybrid(fastBase(), models, Egress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func TestHybridValidation(t *testing.T) {
 	models := trainedForHybrid(t)
 	cfg := fastBase()
 	cfg.Protocol = nil
-	if _, err := NewHybrid(cfg, models, Ingress); err == nil {
+	if _, err := newHybrid(cfg, models, Ingress); err == nil {
 		t.Error("nil protocol accepted")
 	}
-	if _, err := NewHybrid(fastBase(), nil, Ingress); err == nil {
+	if _, err := newHybrid(fastBase(), nil, Ingress); err == nil {
 		t.Error("nil models accepted")
 	}
-	if _, err := NewHybrid(fastBase(), &MimicModels{}, Ingress); err == nil {
+	if _, err := newHybrid(fastBase(), &MimicModels{}, Ingress); err == nil {
 		t.Error("incomplete models accepted")
 	}
 }
@@ -99,7 +99,7 @@ func TestHybridMeasuresReferencePopulation(t *testing.T) {
 		t.Fatalf("reference started %d measured flows, schedule has %d", ref.FlowsStarted(), len(measured))
 	}
 	for _, dir := range []Direction{Ingress, Egress} {
-		h, err := NewHybrid(fastBase(), models, dir)
+		h, err := newHybrid(fastBase(), models, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,27 +78,27 @@ func (m *MimicModels) validate() error {
 	return nil
 }
 
-// Outcome is the Mimic's prediction for one real packet: the cluster's
+// outcome is the Mimic's prediction for one real packet: the cluster's
 // four effects from §4.1 — whether it drops, when it egresses, where it
 // egresses (deterministic from routing), and packet modifications (ECN).
-type Outcome struct {
+type outcome struct {
 	Dropped bool
 	Latency sim.Time
 	ECNMark bool
 }
 
-// Mimic is the runtime shim replacing one non-observable cluster: two
+// mimic is the runtime shim replacing one non-observable cluster: two
 // stateful internal models (ingress/egress) fed by both real boundary
 // packets and feeder-generated synthetic traffic. Each direction's model
-// is one lane of its InferenceScheduler's lane bank: a step is deferred
+// is one lane of its inferenceScheduler's lane bank: a step is deferred
 // to the scheduler's next flush, fused there with the other Mimics'
-// steps, and its Outcome delivered through the ProcessAsync callback.
-type Mimic struct {
+// steps, and its outcome delivered through the ProcessAsync callback.
+type mimic struct {
 	Cluster int
 
 	ing, eg *dirRuntime
 
-	sched *InferenceScheduler
+	sched *inferenceScheduler
 }
 
 // dirRuntime is one Mimic direction, which is one lane of its
@@ -128,7 +128,7 @@ type dirRuntime struct {
 // newMimic instantiates the runtime for one cluster on sched, which
 // gives it one lane per direction. Each Mimic gets its own randomness
 // stream so compositions stay deterministic.
-func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *InferenceScheduler) *Mimic {
+func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *inferenceScheduler) *mimic {
 	mk := func(dm *DirectionModel, dir Direction) *dirRuntime {
 		return &dirRuntime{
 			dm:   dm,
@@ -138,7 +138,7 @@ func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *InferenceS
 			feed: feeder{next: never},
 		}
 	}
-	m := &Mimic{
+	m := &mimic{
 		Cluster: clusterIdx,
 		ing:     mk(models.Ingress, Ingress),
 		eg:      mk(models.Egress, Egress),
@@ -148,12 +148,12 @@ func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *InferenceS
 	return m
 }
 
-// applyPrediction turns one raw model prediction into an Outcome: the
+// applyPrediction turns one raw model prediction into an outcome: the
 // drop draw, latency recovery and clamping, the ECN draw, and the
 // congestion-estimator feedback. A flush calls it in each lane's request
 // order, so the direction's RNG stream is consumed in arrival order.
-func (d *dirRuntime) applyPrediction(info PacketInfo, pred ml.Prediction) Outcome {
-	out := Outcome{}
+func (d *dirRuntime) applyPrediction(info PacketInfo, pred ml.Prediction) outcome {
+	out := outcome{}
 	if d.rng.Float64() < pred.PDrop {
 		out.Dropped = true
 		d.ex.ObserveOutcome(d.dm.Bounds.Hi, true)
@@ -178,9 +178,9 @@ func (d *dirRuntime) applyPrediction(info PacketInfo, pred ml.Prediction) Outcom
 // with the packet and the description the prediction was made from. The
 // engine binds one per cluster and direction when it is built, so
 // deferring a model step needs no closure.
-type resolveFunc func(pkt *netsim.Packet, info PacketInfo, out Outcome)
+type resolveFunc func(pkt *netsim.Packet, info PacketInfo, out outcome)
 
-func (m *Mimic) dir(dir Direction) *dirRuntime {
+func (m *mimic) dir(dir Direction) *dirRuntime {
 	if dir == Ingress {
 		return m.ing
 	}
@@ -190,13 +190,13 @@ func (m *Mimic) dir(dir Direction) *dirRuntime {
 // ProcessAsync delivers the prediction for pkt in one direction through
 // fn at the scheduler's next flush. Callers must not touch the packet
 // until fn runs.
-func (m *Mimic) ProcessAsync(dir Direction, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
+func (m *mimic) ProcessAsync(dir Direction, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
 	m.sched.enqueue(m.dir(dir), info, pkt, fn)
 }
 
 // InferenceSteps reports total model steps executed (for Figure 23's
 // compute accounting).
-func (m *Mimic) InferenceSteps() uint64 {
+func (m *mimic) InferenceSteps() uint64 {
 	return m.ing.bank.LaneSteps[m.ing.bankLane] + m.eg.bank.LaneSteps[m.eg.bankLane]
 }
 
@@ -215,7 +215,7 @@ type feeder struct {
 }
 
 // startFeeder starts d's feeder at now, frac being the share of the
-// Mimic's external traffic that is synthetic (FeederGapFrac). A
+// Mimic's external traffic that is synthetic (feederGapFrac). A
 // direction with an empty InfoBank has nothing to replay and runs none.
 func (d *dirRuntime) startFeeder(rng *stats.Stream, frac float64, now sim.Time) {
 	if len(d.dm.InfoBank) == 0 {
@@ -228,7 +228,7 @@ func (d *dirRuntime) startFeeder(rng *stats.Stream, frac float64, now sim.Time) 
 // advance moves past the next arrival, drawing the gap to the one after.
 func (f *feeder) advance(dm *DirectionModel) {
 	f.prev = f.next
-	if gap := FeederGapFrac(dm, f.rng, f.frac); gap > 0 {
+	if gap := feederGapFrac(dm, f.rng, f.frac); gap > 0 {
 		f.next += gap
 	} else {
 		f.next = never
@@ -245,14 +245,14 @@ func (f *feeder) due(at, armAt sim.Time, tookPrev bool) bool {
 	return f.next < at || f.next == at && (!tookPrev || f.prev < armAt)
 }
 
-// FeederGapFrac samples the next feeder interarrival for one Mimic
+// feederGapFrac samples the next feeder interarrival for one Mimic
 // direction. The fitted distribution describes the full external stream
 // at small scale; frac is the fraction of a Mimic's boundary peers that
 // are themselves Mimics — the share of its external traffic that must be
 // synthesized, (n-2)/(n-1) in the homogeneous n-cluster composition — so
 // gaps stretch by its inverse (paper §4.1's packet-count analysis).
 // Returns 0 when nothing is synthetic or the model carries no rate.
-func FeederGapFrac(dm *DirectionModel, rng *stats.Stream, frac float64) sim.Time {
+func feederGapFrac(dm *DirectionModel, rng *stats.Stream, frac float64) sim.Time {
 	if frac <= 0 || dm.RatePktsPerSec <= 0 {
 		return 0
 	}

@@ -146,7 +146,7 @@ func DatasetKey(base cluster.Config, smallRun sim.Time, tcfg TrainConfig) (strin
 		return "", fmt.Errorf("core: dataset key needs a protocol")
 	}
 	payload := datasetKeyPayload{
-		Format: DatasetFileMagic,
+		Format: datasetFileMagic,
 
 		Racks: base.Topo.RacksPerCluster,
 		Hosts: base.Topo.HostsPerRack,

@@ -29,34 +29,34 @@ const oracleGoldenPath = "testdata/oracle_parity.json"
 // newOracleEngine builds the per-request oracle engine for a role
 // vector: every request flushed as it arrives, and feeders as kernel
 // events (newFeederOracle), as when the fingerprints were captured.
-func newOracleEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels) (*Engine, error) {
+func newOracleEngine(cfg cluster.Config, roles []roleKind, models *MimicModels) (*Engine, error) {
 	e, _, err := newFeederOracle(cfg, roles, models, true)
 	return e, err
 }
 
 // newTestEngine builds the per-request oracle when oracle is set, else
 // the production engine.
-func newTestEngine(cfg cluster.Config, roles []RoleKind, models *MimicModels, oracle bool) (*Engine, error) {
+func newTestEngine(cfg cluster.Config, roles []roleKind, models *MimicModels, oracle bool) (*Engine, error) {
 	if oracle {
 		return newOracleEngine(cfg, roles, models)
 	}
-	return NewEngine(cfg, roles, models)
+	return startEngine(cfg, roles, models)
 }
 
 // newOracleMimic is a standalone Mimic for cluster clusterIdx on its own
 // per-request scheduler, the driver for tests that feed one Mimic
 // packets by hand.
-func newOracleMimic(models *MimicModels, clusterIdx int, seed int64) *Mimic {
-	s := NewInferenceScheduler(sim.New(), models, 0, bankPool)
+func newOracleMimic(models *MimicModels, clusterIdx int, seed int64) *mimic {
+	s := newInferenceScheduler(sim.New(), models, 0, bankPool)
 	s.perRequest = true
 	return newMimic(models, clusterIdx, seed, s)
 }
 
-// process returns the Outcome of one packet in one direction. On a
+// process returns the outcome of one packet in one direction. On a
 // per-request scheduler ProcessAsync delivers it before returning.
-func (m *Mimic) process(dir Direction, info PacketInfo) Outcome {
-	var out Outcome
-	m.ProcessAsync(dir, info, nil, func(_ *netsim.Packet, _ PacketInfo, o Outcome) { out = o })
+func (m *mimic) process(dir Direction, info PacketInfo) outcome {
+	var out outcome
+	m.ProcessAsync(dir, info, nil, func(_ *netsim.Packet, _ PacketInfo, o outcome) { out = o })
 	return out
 }
 
@@ -82,10 +82,10 @@ var oracleCases = []oracleCase{
 func runOracleCase(t *testing.T, models *MimicModels, oc oracleCase) cluster.Results {
 	t.Helper()
 	cfg := fastBase()
-	roles := HybridRoles(oc.dir)
+	roles := hybridRoles(oc.dir)
 	if oc.n > 0 {
 		cfg.Topo = cfg.Topo.WithClusters(oc.n)
-		roles = ComposedRoles(oc.n)
+		roles = composedRoles(oc.n)
 	}
 	e, err := newOracleEngine(cfg, roles, models)
 	if err != nil {

@@ -14,15 +14,15 @@ import (
 // cluster over {observed, mimic, hybrid-ingress, hybrid-egress}. A
 // vector that decodes with no observed cluster gets cluster 0 observed,
 // so every byte is a valid composition.
-func rolesFromCode(code uint8) []RoleKind {
-	roles := make([]RoleKind, 4)
+func rolesFromCode(code uint8) []roleKind {
+	roles := make([]roleKind, 4)
 	observed := false
 	for i := range roles {
-		roles[i] = RoleKind(code >> (2 * i) & 3)
-		observed = observed || roles[i] == RoleObserved
+		roles[i] = roleKind(code >> (2 * i) & 3)
+		observed = observed || roles[i] == roleObserved
 	}
 	if !observed {
-		roles[0] = RoleObserved
+		roles[0] = roleObserved
 	}
 	return roles
 }
@@ -31,7 +31,7 @@ func rolesFromCode(code uint8) []RoleKind {
 // number of workers, with every flush priced over the dispatch floor so
 // that its lane groups split across the pool's workers (decision 29),
 // and runs it.
-func runOnPool(t *testing.T, cfg cluster.Config, roles []RoleKind, models *MimicModels, workers int, until sim.Time) cluster.Results {
+func runOnPool(t *testing.T, cfg cluster.Config, roles []roleKind, models *MimicModels, workers int, until sim.Time) cluster.Results {
 	t.Helper()
 	pool := ml.NewPool(workers)
 	defer pool.Close()
@@ -50,7 +50,7 @@ func runOnPool(t *testing.T, cfg cluster.Config, roles []RoleKind, models *Mimic
 // checkRoleVectorDeterminism asserts that one role vector's schedule is
 // exact: run through runOnPool at 1, 2 and 4 workers and once more at
 // 4, every run's fingerprint, Events included, must be the first one's.
-func checkRoleVectorDeterminism(t *testing.T, models *MimicModels, roles []RoleKind) {
+func checkRoleVectorDeterminism(t *testing.T, models *MimicModels, roles []roleKind) {
 	t.Helper()
 	const until = 100 * sim.Millisecond
 	label := ""

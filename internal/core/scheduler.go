@@ -8,7 +8,7 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// InferenceScheduler batches Mimic model steps across clusters. Instead
+// inferenceScheduler batches Mimic model steps across clusters. Instead
 // of running one LSTM step per boundary packet as it arrives, each
 // Mimic×direction stream becomes a *lane* of a BatchedStatefulModel
 // (all Mimics share the same trained weights, so their steps are one
@@ -60,7 +60,7 @@ import (
 // golden determinism test (scheduler_test.go) checks end-to-end metric
 // equality empirically. A real request and a feeder arrival on one lane
 // in one nanosecond are a named tie class (SameLaneTies).
-type InferenceScheduler struct {
+type inferenceScheduler struct {
 	sim    *sim.Simulator
 	window sim.Time
 	pool   *ml.Pool     // the flush's fan-out: one item per group
@@ -133,11 +133,11 @@ type dirQueue struct {
 	next     sim.Time
 }
 
-// resolved is a boundary packet's request with the Outcome its group's
+// resolved is a boundary packet's request with the outcome its group's
 // flush task predicted, and its replay key: round, then lane.
 type resolved struct {
 	req *schedReq
-	out Outcome
+	out outcome
 	key uint64
 }
 
@@ -170,14 +170,14 @@ type schedReq struct {
 // Pool.Range on the pool they run on.
 var bankPool = ml.NewPool(1)
 
-// NewInferenceScheduler builds a scheduler over the shared direction
+// newInferenceScheduler builds a scheduler over the shared direction
 // models. Each Mimic built on it adds one lane per direction, to one of
 // up to pool.Workers() lane groups; flushes split across pool by group.
-func NewInferenceScheduler(s *sim.Simulator, models *MimicModels, window sim.Time, pool *ml.Pool) *InferenceScheduler {
+func newInferenceScheduler(s *sim.Simulator, models *MimicModels, window sim.Time, pool *ml.Pool) *inferenceScheduler {
 	if window < 0 {
 		window = 0
 	}
-	is := &InferenceScheduler{
+	is := &inferenceScheduler{
 		sim: s, window: window, pool: pool, next: never,
 		models: [2]*ml.Model{Ingress: models.Ingress.Model, Egress: models.Egress.Model},
 	}
@@ -190,7 +190,7 @@ func NewInferenceScheduler(s *sim.Simulator, models *MimicModels, window sim.Tim
 }
 
 // addGroup appends an empty lane group with a bank per direction.
-func (is *InferenceScheduler) addGroup() {
+func (is *inferenceScheduler) addGroup() {
 	g := new(laneGroup)
 	for dir, m := range is.models {
 		g[dir].bank = ml.NewBatchedStatefulModel(m, 0, bankPool)
@@ -215,13 +215,10 @@ func defaultBatchWindow(models *MimicModels) sim.Time {
 	return sim.FromSeconds(lo)
 }
 
-// Window reports the collection window.
-func (is *InferenceScheduler) Window() sim.Time { return is.window }
-
 // addMimic registers one Mimic's two directions as lanes of group
 // i mod pool.Workers(), where i counts the Mimics registered before it,
 // so the scheduler keeps min(workers, Mimics) groups.
-func (is *InferenceScheduler) addMimic(dirs [2]*dirRuntime) {
+func (is *inferenceScheduler) addMimic(dirs [2]*dirRuntime) {
 	lane := is.lanes
 	is.lanes++
 	gi := lane % is.pool.Workers()
@@ -238,7 +235,7 @@ func (is *InferenceScheduler) addMimic(dirs [2]*dirRuntime) {
 
 // armFeeders arms the first flush of the lanes' feeders once they have
 // started.
-func (is *InferenceScheduler) armFeeders() {
+func (is *inferenceScheduler) armFeeders() {
 	for _, g := range is.groups {
 		for dir := range g {
 			for _, d := range g[dir].lanes {
@@ -254,7 +251,7 @@ func (is *InferenceScheduler) armFeeders() {
 // arm makes sure a flush runs at or before instant at. A flush armed for
 // a later instant is moved up; one armed for an earlier or equal instant
 // stays.
-func (is *InferenceScheduler) arm(at sim.Time) {
+func (is *inferenceScheduler) arm(at sim.Time) {
 	if is.timer.Armed() && is.due <= at {
 		return
 	}
@@ -265,7 +262,7 @@ func (is *InferenceScheduler) arm(at sim.Time) {
 // enqueue defers one model step on lane d — a boundary packet's when fn
 // is set, a feeder advance otherwise — and arms a flush one window on
 // unless one is armed sooner.
-func (is *InferenceScheduler) enqueue(d *dirRuntime, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
+func (is *inferenceScheduler) enqueue(d *dirRuntime, info PacketInfo, pkt *netsim.Packet, fn resolveFunc) {
 	d.q = append(d.q, schedReq{info: info, pkt: pkt, fn: fn})
 	is.pend[d.dir]++
 	now := is.sim.Now()
@@ -278,7 +275,7 @@ func (is *InferenceScheduler) enqueue(d *dirRuntime, info PacketInfo, pkt *netsi
 
 // flushTimer is the flush event: it was armed one window before it runs.
 func flushTimer(p any, _ int64) {
-	is := p.(*InferenceScheduler)
+	is := p.(*inferenceScheduler)
 	now := is.sim.Now()
 	is.flush(now, now-is.window)
 }
@@ -287,13 +284,13 @@ func flushTimer(p any, _ int64) {
 // the current time immediately. Compositions call it after RunUntil so
 // tail-end packets receive their predictions, RNG draws, and drop
 // accounting.
-func (is *InferenceScheduler) Flush() { is.flush(is.sim.Now(), never) }
+func (is *inferenceScheduler) Flush() { is.flush(is.sim.Now(), never) }
 
 // flush steps everything due at instant at — every queued request and
 // the feeder arrivals feeder.due admits for a flush armed at armAt —
 // then runs the boundary packets' continuations and arms the flush of
 // the next feeder arrival.
-func (is *InferenceScheduler) flush(at, armAt sim.Time) {
+func (is *inferenceScheduler) flush(at, armAt sim.Time) {
 	if is.pend[Ingress]+is.pend[Egress] == 0 && is.next > at {
 		return
 	}
@@ -338,7 +335,7 @@ func (is *InferenceScheduler) flush(at, armAt sim.Time) {
 
 // replay runs one direction's continuations in the serial order: the
 // groups' resolved lists, each in round-then-lane order, merged by key.
-func (is *InferenceScheduler) replay(dir Direction) {
+func (is *inferenceScheduler) replay(dir Direction) {
 	pos := is.pos
 	for {
 		best, key := -1, uint64(0)
@@ -362,7 +359,7 @@ func (is *InferenceScheduler) replay(dir Direction) {
 // taking each lane's queued requests and due feeder arrivals in arrival
 // order, draws the feeders' packets and gaps, builds the feature rows,
 // steps the bank and turns each boundary packet's prediction into its
-// Outcome.
+// outcome.
 func (dq *dirQueue) step(at, armAt sim.Time) {
 	// A round steps each lane at most once: sizing the row buffer for
 	// that up front means appending never moves rows xs already points

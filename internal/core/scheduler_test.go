@@ -35,7 +35,7 @@ func runComposed(t *testing.T, models *MimicModels, clusters int, oracle bool, u
 	t.Helper()
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
-	comp, err := newTestEngine(cfg, ComposedRoles(clusters), models, oracle)
+	comp, err := newTestEngine(cfg, composedRoles(clusters), models, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	s := batComp.sched
 	t.Logf("scheduler: window=%v flushes=%d batchedSteps=%d maxBatch=%d",
-		s.Window(), s.Flushes, s.BatchedSteps, s.MaxBatch)
+		s.window, s.Flushes, s.BatchedSteps, s.MaxBatch)
 	// The oracle flushes once per request: every flush a one-lane round.
 	if o := seqComp.sched; o.MaxBatch != 1 || o.Flushes != o.BatchedSteps {
 		t.Errorf("oracle scheduler formed wider rounds: flushes=%d steps=%d maxBatch=%d",
@@ -145,7 +145,7 @@ func TestFlushSplit(t *testing.T) {
 		t.Cleanup(pool.Close)
 		cfg := fastBase()
 		cfg.Topo = cfg.Topo.WithClusters(clusters)
-		e, err := newEngine(cfg, ComposedRoles(clusters), models, pool)
+		e, err := newEngine(cfg, composedRoles(clusters), models, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestFlushReplayOrder(t *testing.T) {
 	t.Cleanup(pool.Close)
 	cfg := fastBase()
 	cfg.Topo = cfg.Topo.WithClusters(clusters)
-	e, err := newEngine(cfg, ComposedRoles(clusters), models, pool)
+	e, err := newEngine(cfg, composedRoles(clusters), models, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +198,9 @@ func TestFlushReplayOrder(t *testing.T) {
 	if len(s.groups) != 2 {
 		t.Fatalf("%d lane groups, want 2", len(s.groups))
 	}
-	var lanes []*Mimic
+	var lanes []*mimic
 	for _, cc := range e.clusters {
-		if cc.role == RoleMimic {
+		if cc.role == roleMimic {
 			lanes = append(lanes, cc.mimic)
 		}
 	}
@@ -209,7 +209,7 @@ func TestFlushReplayOrder(t *testing.T) {
 	var ran []string
 	request := func(lane int, dir Direction, label string) {
 		info := PacketInfo{SizeBytes: 1500, ArrivalTime: k.Now()}
-		s.enqueue(lanes[lane].dir(dir), info, nil, func(*netsim.Packet, PacketInfo, Outcome) {
+		s.enqueue(lanes[lane].dir(dir), info, nil, func(*netsim.Packet, PacketInfo, outcome) {
 			k.At(tie, func() { ran = append(ran, label) })
 		})
 	}
@@ -238,7 +238,7 @@ func TestGoldenDeterminismHybrid(t *testing.T) {
 	const until = 250 * sim.Millisecond
 	for _, dir := range []Direction{Ingress, Egress} {
 		run := func(oracle bool) cluster.Results {
-			h, err := newTestEngine(fastBase(), HybridRoles(dir), models, oracle)
+			h, err := newTestEngine(fastBase(), hybridRoles(dir), models, oracle)
 			if err != nil {
 				t.Fatal(err)
 			}

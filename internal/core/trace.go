@@ -69,11 +69,11 @@ func (tr *Tracer) Attach(inst *cluster.Simulation) {
 	}
 }
 
-// BuildPacketInfo extracts the scalable packet description relative to a
+// buildPacketInfo extracts the scalable packet description relative to a
 // modeled cluster. local is the in-cluster endpoint (source for egress,
 // destination for ingress). All resulting fields keep their value, range,
 // and semantics regardless of cluster count (Table 1).
-func BuildPacketInfo(t *topo.Topology, modeled int, pkt *netsim.Packet, local int, at sim.Time) PacketInfo {
+func buildPacketInfo(t *topo.Topology, modeled int, pkt *netsim.Packet, local int, at sim.Time) PacketInfo {
 	agg, core := 0, 0
 	for _, node := range pkt.Path {
 		switch t.KindOf(node) {
@@ -100,7 +100,7 @@ func BuildPacketInfo(t *topo.Topology, modeled int, pkt *netsim.Packet, local in
 }
 
 func (tr *Tracer) info(pkt *netsim.Packet, local int, at sim.Time) PacketInfo {
-	return BuildPacketInfo(tr.Topo, tr.Cluster, pkt, local, at)
+	return buildPacketInfo(tr.Topo, tr.Cluster, pkt, local, at)
 }
 
 func (tr *Tracer) isExternal(pkt *netsim.Packet) (Direction, bool) {

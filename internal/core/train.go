@@ -41,10 +41,10 @@ type TrainProgressFunc func(dir Direction, p ml.TrainProgress)
 // TrainDirection fits one direction's internal model from its dataset and
 // returns the runtime artifact plus held-out evaluation.
 func TrainDirection(ds *Dataset, cfg TrainConfig) (*DirectionModel, ml.EvalResult, error) {
-	return TrainDirectionContext(context.Background(), ds, cfg, nil, nil)
+	return trainDirectionContext(context.Background(), ds, cfg, nil, nil)
 }
 
-// TrainDirectionContext is TrainDirection with cancellation, per-epoch
+// trainDirectionContext is TrainDirection with cancellation, per-epoch
 // progress streaming, and — when ckpt is non-nil — durable resume: it
 // loads the direction's checkpoint (if any and still applicable),
 // continues training from it, and offers every epoch boundary to ckpt's
@@ -52,7 +52,7 @@ func TrainDirection(ds *Dataset, cfg TrainConfig) (*DirectionModel, ml.EvalResul
 // one trained without interruption — ml's resume contract plus the
 // deterministic dataset pipeline guarantee it. On cancellation the
 // partially trained model is discarded and ctx's error returned.
-func TrainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*DirectionModel, ml.EvalResult, error) {
+func trainDirectionContext(ctx context.Context, ds *Dataset, cfg TrainConfig, progress TrainProgressFunc, ckpt *TrainCheckpointer) (*DirectionModel, ml.EvalResult, error) {
 	if ds.Len() == 0 {
 		return nil, ml.EvalResult{}, fmt.Errorf("core: %v dataset is empty", ds.Dir)
 	}
@@ -200,9 +200,9 @@ func TrainModelsContext(ctx context.Context, ing, eg *Dataset, cfg TrainConfig, 
 	)
 	go func() {
 		defer close(done)
-		egModel, egEval, egErr = TrainDirectionContext(ctx, eg, cfg, progress, ckpt)
+		egModel, egEval, egErr = trainDirectionContext(ctx, eg, cfg, progress, ckpt)
 	}()
-	ingModel, ingEval, ingErr := TrainDirectionContext(ctx, ing, cfg, progress, ckpt)
+	ingModel, ingEval, ingErr := trainDirectionContext(ctx, ing, cfg, progress, ckpt)
 	<-done
 	if ingErr != nil {
 		return nil, ml.EvalResult{}, ml.EvalResult{}, ingErr

@@ -162,7 +162,7 @@ func TestNonFiniteModelsRefused(t *testing.T) {
 	if _, err := LoadModels(blob); err != nil {
 		t.Fatalf("finite artifact refused: %v", err)
 	}
-	models.Egress.Model.Trunk[0].(*ml.LSTM).Wx.Set(0, 5, math.Inf(1))
+	models.Egress.Model.Params()[0].Data[5] = math.Inf(1)
 	if err := models.validate(); err == nil || !strings.Contains(err.Error(), "egress") {
 		t.Fatalf("validate with an Inf egress weight = %v, want an egress error", err)
 	}
@@ -179,7 +179,7 @@ func TestNonFiniteModelsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcfg.Model.LR = 1e308
-	if _, _, err := TrainDirectionContext(context.Background(), ing, tcfg, nil, nil); err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("TrainDirectionContext with a diverging LR = %v, want a diverged error", err)
+	if _, _, err := trainDirectionContext(context.Background(), ing, tcfg, nil, nil); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("trainDirectionContext with a diverging LR = %v, want a diverged error", err)
 	}
 }

@@ -215,7 +215,8 @@ func benchSamples(n, features, window int, seed int64) *ml.SampleView {
 		for _, v := range recent[max(0, len(recent)-window):] {
 			sum += v
 		}
-		out.Append(row, sum/float64(window), row[1] > 0, row[0] > 0.7)
+		out.Feats = append(out.Feats, row...)
+		out.PushTarget(sum/float64(window), row[1] > 0, row[0] > 0.7)
 	}
 	return out
 }

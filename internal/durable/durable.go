@@ -55,14 +55,14 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("durable: atomic write: %w", err)
 	}
-	return SyncDir(dir)
+	return syncDir(dir)
 }
 
-// SyncDir fsyncs a directory so renames and removals within it are on
+// syncDir fsyncs a directory so renames and removals within it are on
 // stable storage. Filesystems that reject directory fsync (some network
 // mounts) degrade gracefully: the error is swallowed, matching what the
 // stdlib and most databases do there.
-func SyncDir(dir string) error {
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("durable: sync dir: %w", err)

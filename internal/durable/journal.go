@@ -412,7 +412,7 @@ func (j *Journal) SnapshotAndCompact(state []byte) error {
 	for _, s := range segs {
 		_ = os.Remove(filepath.Join(j.dir, s))
 	}
-	_ = SyncDir(j.dir)
+	_ = syncDir(j.dir)
 	j.segIdx++
 	return j.openSegmentLocked()
 }

@@ -24,15 +24,6 @@ type Config struct {
 	Observable int     // cluster whose flows are measured
 }
 
-// DefaultConfig mirrors cluster.DefaultConfig at the flow level.
-func DefaultConfig(clusters int) Config {
-	return Config{
-		Topo:     topo.DefaultConfig().WithClusters(clusters),
-		Workload: workload.DefaultConfig(150_000),
-		LinkBps:  100e6,
-	}
-}
-
 // Results are the metrics a flow-level simulation can produce. RTT is
 // structurally unavailable (paper §9: "Flow-level simulation is too
 // coarse-grained to provide this metric").

@@ -6,14 +6,25 @@ import (
 
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
+	"mimicnet/internal/topo"
 	"mimicnet/internal/workload"
 )
 
 func testConfig() Config {
-	cfg := DefaultConfig(2)
-	cfg.Workload = workload.DefaultConfig(20_000)
+	cfg := Config{
+		Topo:     topo.DefaultConfig().WithClusters(2),
+		Workload: workload.DefaultConfig(20_000),
+		LinkBps:  100e6,
+	}
 	cfg.Workload.Duration = 100 * sim.Millisecond
 	return cfg
+}
+
+// constantSize makes every flow of cfg the given size: equal clamp
+// bounds, with the mean (which sets the arrival rate) at that size.
+func constantSize(cfg *Config, bytes int64) {
+	cfg.Workload.MeanFlowBytes = float64(bytes)
+	cfg.Workload.MinFlowBytes, cfg.Workload.MaxFlowBytes = bytes, bytes
 }
 
 func TestRunCompletesFlows(t *testing.T) {
@@ -41,7 +52,7 @@ func TestSingleFlowRateIsLineRate(t *testing.T) {
 	// One 125 KB flow on an idle network at 100 Mbps should take ~10 ms
 	// (fluid model: no slow start, no packet overhead).
 	cfg := testConfig()
-	cfg.Workload.FlowSizes = stats.Constant{Value: 125_000}
+	constantSize(&cfg, 125_000)
 	cfg.Workload.Load = 0.01 // ~1 flow/sec/host: 10 ms flows rarely overlap
 	cfg.Workload.Duration = 5 * sim.Second
 	res, err := Run(cfg, 10*sim.Second)
@@ -68,7 +79,7 @@ func TestFairSharing(t *testing.T) {
 	// Two simultaneous equal flows into the same destination host share
 	// the bottleneck: each should finish in ~2x the isolated time.
 	cfg := testConfig()
-	cfg.Workload.FlowSizes = stats.Constant{Value: 125_000}
+	constantSize(&cfg, 125_000)
 	cfg.Workload.Load = 0.01
 	cfg.Workload.Duration = 5 * sim.Second
 	res1, _ := Run(cfg, 10*sim.Second)
@@ -118,7 +129,7 @@ func TestInvalidConfig(t *testing.T) {
 
 func TestHorizonCutsOffFlows(t *testing.T) {
 	cfg := testConfig()
-	cfg.Workload.FlowSizes = stats.Constant{Value: 100e6} // huge flows
+	constantSize(&cfg, 100e6) // huge flows
 	res, err := Run(cfg, 50*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ import "fmt"
 //
 // The simulator half (request collection and flushing) lives in
 // internal/core's InferenceScheduler. Every product keeps the per-element
-// arithmetic order of the per-packet Dot, so predictions match the
+// arithmetic order of the per-packet dot, so predictions match the
 // per-packet reference path (kept in the tests) bit-for-bit.
 
 // Lane-product block sizes: the granularity at which Pool.Range may
@@ -64,13 +64,13 @@ type laneGemm struct {
 // mulLanes is the trainer's batched counterpart of MulVec: for every
 // lane a in [0, n) and every row r in [r0, r1) it computes
 //
-//	out[a*outStride + r] = Dot(m.row(r), xs[a*m.Cols : (a+1)*m.Cols])
+//	out[a*outStride + r] = dot(m.row(r), xs[a*m.Cols : (a+1)*m.Cols])
 //
 // xs is n×Cols row-major; out rows are outStride wide and indexed by the
 // absolute row number r (so outStride must be >= r1). p is m packed
 // k-major — a trainer packs its weights once per minibatch (begin). Each
 // lane is one mulLane, which skips exact-zero inputs: bitwise equal to
-// the dense Dot for finite weights (rowkernel.go).
+// the dense dot for finite weights (rowkernel.go).
 func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: mulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
@@ -233,7 +233,7 @@ type lstmBatchState struct {
 // newBatchState returns zeroed state for `lanes` LSTM lanes and
 // snapshots the layer's weights: Wx and Wh packed for the row kernel,
 // B copied.
-func (l *LSTM) newBatchState(lanes int) batchState {
+func (l *lstm) newBatchState(lanes int) batchState {
 	return &lstmBatchState{
 		h:      make([]float64, lanes*l.Hidden),
 		c:      make([]float64, lanes*l.Hidden),
@@ -246,14 +246,14 @@ func (l *LSTM) newBatchState(lanes int) batchState {
 }
 
 // growBatchState appends one zeroed lane.
-func (l *LSTM) growBatchState(st batchState) {
+func (l *lstm) growBatchState(st batchState) {
 	s := st.(*lstmBatchState)
 	s.h = append(s.h, make([]float64, l.Hidden)...)
 	s.c = append(s.c, make([]float64, l.Hidden)...)
 }
 
 // resetBatchLane zeroes one lane's hidden and cell state.
-func (l *LSTM) resetBatchLane(st batchState, lane int) {
+func (l *lstm) resetBatchLane(st batchState, lane int) {
 	s := st.(*lstmBatchState)
 	H := l.Hidden
 	zeroRange(s.h[lane*H : (lane+1)*H])
@@ -271,7 +271,7 @@ func zeroRange(v []float64) {
 // across the pool only above the dispatch floor. Per-element math is the
 // per-packet reference step's (zx + (zh + b), same gate expressions), so
 // outputs equal it bit-for-bit.
-func (l *LSTM) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
+func (l *lstm) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*lstmBatchState)
 	n := len(lanes)
 	if n == 0 {
@@ -287,7 +287,7 @@ func (l *LSTM) stepBatch(st batchState, lanes []int, xs []float64, hs []float64,
 
 // stepCost is one lane's fused step in multiply-add equivalents: the two
 // products and five gate passes.
-func (l *LSTM) stepCost() int {
+func (l *lstm) stepCost() int {
 	return 4*l.Hidden*(l.In+l.Hidden) + 5*l.Hidden*gateMulAdds
 }
 
@@ -371,15 +371,6 @@ func NewBatchedStatefulModel(m *Model, lanes int, pool *Pool) *BatchedStatefulMo
 // Model returns the wrapped model.
 func (b *BatchedStatefulModel) Model() *Model { return b.model }
 
-// Steps returns total inference steps across all lanes.
-func (b *BatchedStatefulModel) Steps() uint64 {
-	var total uint64
-	for _, s := range b.LaneSteps {
-		total += s
-	}
-	return total
-}
-
 // StepCost is one lane step's estimated work in multiply-add equivalents:
 // what each trunk layer's step states to Pool.Range per lane, plus the
 // three heads. A caller pricing k pending steps for Range states k times
@@ -450,11 +441,11 @@ func (b *BatchedStatefulModel) StepLanes(lanes []int, xs [][]float64, want []boo
 }
 
 // headsRow computes the three heads without allocating. Each head value
-// is Sigmoid(Dot(W.row, h) + b), the per-packet reference's accumulation.
+// is sigmoid(dot(W.row, h) + b), the per-packet reference's accumulation.
 func (m *Model) headsRow(h []float64) Prediction {
 	return Prediction{
-		Latency: Sigmoid(Dot(m.LatHead.W.Data, h) + m.LatHead.B.Data[0]),
-		PDrop:   Sigmoid(Dot(m.DropHead.W.Data, h) + m.DropHead.B.Data[0]),
-		PECN:    Sigmoid(Dot(m.ECNHead.W.Data, h) + m.ECNHead.B.Data[0]),
+		Latency: sigmoid(dot(m.LatHead.W.Data, h) + m.LatHead.B.Data[0]),
+		PDrop:   sigmoid(dot(m.DropHead.W.Data, h) + m.DropHead.B.Data[0]),
+		PECN:    sigmoid(dot(m.ECNHead.W.Data, h) + m.ECNHead.B.Data[0]),
 	}
 }

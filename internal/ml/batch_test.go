@@ -24,7 +24,7 @@ func naiveMulLanes(m *Matrix, r0, r1 int, xs []float64, n int, outStride int) []
 }
 
 func randMatrix(rows, cols int, s *stats.Stream) *Matrix {
-	m := NewMatrix(rows, cols)
+	m := newMatrix(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = 2*s.Float64() - 1
 	}
@@ -125,8 +125,12 @@ func TestBatchedParity(t *testing.T) {
 				for _, s := range seq {
 					seqSteps += s.Steps
 				}
-				if bat.Steps() != seqSteps {
-					t.Fatalf("B=%d: batched steps %d != per-packet %d", B, bat.Steps(), seqSteps)
+				var batSteps uint64
+				for _, s := range bat.LaneSteps {
+					batSteps += s
+				}
+				if batSteps != seqSteps {
+					t.Fatalf("B=%d: batched steps %d != per-packet %d", B, batSteps, seqSteps)
 				}
 			}
 		})

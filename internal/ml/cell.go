@@ -15,7 +15,7 @@ type batchState interface{}
 // through one fused step per round (BatchedStatefulModel); training runs
 // the cell's minibatch trainer layer (train_batch.go). A fused step keeps
 // the per-element accumulation order of the per-packet reference step
-// (Dot/DotAcc), which the parity tests in batch_test.go enforce.
+// (dot/dotAcc), which the parity tests in batch_test.go enforce.
 type Cell interface {
 	// InSize and HiddenSize give the layer's dimensions.
 	InSize() int
@@ -45,16 +45,16 @@ type Cell interface {
 // fused batched step in batch.go).
 
 // InSize returns the input width.
-func (l *LSTM) InSize() int { return l.In }
+func (l *lstm) InSize() int { return l.In }
 
 // HiddenSize returns the hidden width.
-func (l *LSTM) HiddenSize() int { return l.Hidden }
+func (l *lstm) HiddenSize() int { return l.Hidden }
 
 // CellType names the class.
-func (l *LSTM) CellType() string { return "lstm" }
+func (l *lstm) CellType() string { return "lstm" }
 
 var (
-	_ Cell = (*LSTM)(nil)
-	_ Cell = (*GRU)(nil)
-	_ Cell = (*WindowMLP)(nil)
+	_ Cell = (*lstm)(nil)
+	_ Cell = (*gru)(nil)
+	_ Cell = (*windowMLP)(nil)
 )

@@ -55,7 +55,7 @@ func (ck *TrainCheckpoint) Complete() bool {
 // `epochsDone` completed epochs. Everything is deep-copied: the caller
 // may persist the checkpoint asynchronously while training continues.
 func (m *Model) captureCheckpoint(epochsDone, samples int, rng *stats.Stream,
-	idx []int, opt *Adam, epochLoss []float64) *TrainCheckpoint {
+	idx []int, opt *adam, epochLoss []float64) *TrainCheckpoint {
 	params := m.Params()
 	ck := &TrainCheckpoint{
 		Cfg:       m.Cfg,

@@ -5,7 +5,7 @@ package ml
 // Runtime CPU feature probe for GEMM kernel dispatch. The probe runs
 // exactly once, during package variable initialization — the hot path
 // never branches on CPUID results; it loads the kernel descriptor that
-// SetGemmKernel already selected (see gemm_dispatch.go).
+// setGemmKernel already selected (see gemm_dispatch.go).
 
 // cpuid executes CPUID with the given leaf/subleaf (see cpu_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -57,7 +57,7 @@ func forEachPool(t *testing.T, fn func(t *testing.T, pool *Pool)) {
 }
 
 // MulLanes runs the trainer's forward lane product (laneGemm.mulLanes)
-// once, packing m for it: out[a*outStride + r] = Dot(m.row(r), lane a of
+// once, packing m for it: out[a*outStride + r] = dot(m.row(r), lane a of
 // xs) for r in [r0, r1).
 func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
 	p := packRows(m)

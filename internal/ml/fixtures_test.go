@@ -171,7 +171,8 @@ func synthStream(n, features, window int, seed int64) ([]Sample, *SampleView) {
 		}
 		s.ECN = row[0] > 0.7
 		legacy = append(legacy, s)
-		view.Append(row, s.Latency, s.Dropped, s.ECN)
+		view.Feats = append(view.Feats, row...)
+		view.PushTarget(s.Latency, s.Dropped, s.ECN)
 	}
 	return legacy, view
 }
@@ -191,7 +192,7 @@ func (m *Model) evaluateOracle(src windowSource) EvalResult {
 		win = src.WindowAppend(win[:0], i)
 		p := m.forwardOracle(win)
 		latTarget, dropped, ecn := src.Target(i)
-		l, _ := MAE(p.Latency, latTarget)
+		l, _ := mae(p.Latency, latTarget)
 		res.LatencyMAE += l
 		res.DropRatePred += p.PDrop
 		res.ECNRatePred += p.PECN
@@ -227,7 +228,8 @@ func sparseStream(n, features, window int, seed int64) *SampleView {
 		if lat < 0 {
 			lat = -lat
 		}
-		view.Append(row, lat, features > 1 && row[1] > 0, row[0] > 0.3)
+		view.Feats = append(view.Feats, row...)
+		view.PushTarget(lat, features > 1 && row[1] > 0, row[0] > 0.3)
 	}
 	return view
 }

@@ -7,11 +7,11 @@ import "math"
 // used before dispatch existed, so every kernel family computes the
 // same bits.
 
-// sigmoidLanes writes Sigmoid(src[i]) into dst[i]. dst and src may be
+// sigmoidLanes writes sigmoid(src[i]) into dst[i]. dst and src may be
 // the same slice but must not partially overlap. The wide path asks
 // sigmoid4 for 4 lanes at a time; lanes the kernel flags as off exp's
 // fast path still hold their original input in dst and are recomputed
-// with the scalar Sigmoid in place.
+// with the scalar sigmoid in place.
 func sigmoidLanes(dst, src []float64, wide bool) {
 	n := len(src)
 	i := 0
@@ -20,14 +20,14 @@ func sigmoidLanes(dst, src []float64, wide bool) {
 			if ok := sigmoid4(&dst[i], &src[i]); ok != 0x0F {
 				for j := 0; j < 4; j++ {
 					if ok&(1<<j) == 0 {
-						dst[i+j] = Sigmoid(dst[i+j])
+						dst[i+j] = sigmoid(dst[i+j])
 					}
 				}
 			}
 		}
 	}
 	for ; i < n; i++ {
-		dst[i] = Sigmoid(src[i])
+		dst[i] = sigmoid(src[i])
 	}
 }
 
@@ -47,7 +47,7 @@ func tanhLanes(dst, src []float64, wide bool) {
 }
 
 // wideGatesMatchScalar bit-compares the wide gate kernels against the
-// scalar Sigmoid/math.Tanh on probe values spanning every branch of
+// scalar sigmoid/math.Tanh on probe values spanning every branch of
 // both functions: ±0 (sign preservation), denormals, the tanh
 // polynomial/exp-branch boundary at |x| = 0.625, the tanh saturation
 // boundary at 0.5*MAXLOG, exp's overflow cutoff near 709.78, and
@@ -67,7 +67,7 @@ func wideGatesMatchScalar() bool {
 	got := make([]float64, len(probes))
 	sigmoidLanes(got, probes, true)
 	for i, x := range probes {
-		if math.Float64bits(got[i]) != math.Float64bits(Sigmoid(x)) {
+		if math.Float64bits(got[i]) != math.Float64bits(sigmoid(x)) {
 			return false
 		}
 	}

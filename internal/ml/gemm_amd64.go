@@ -9,11 +9,11 @@ package ml
 // (gemm_dispatch.go) enforces this.
 
 // sigmoid4 writes σ(src[i]) into dst[i] for 4 lanes, cloning the
-// repo's scalar Sigmoid over math.Exp's AVX+FMA variant instruction for
+// repo's scalar sigmoid over math.Exp's AVX+FMA variant instruction for
 // instruction (gates_amd64.s). The returned mask has bit i set when
 // lane i stayed on exp's fast path (|x| within the normal-scale range);
 // lanes with unset bits hold the ORIGINAL input value in dst, and the
-// caller must recompute them in place with the scalar Sigmoid. Requires
+// caller must recompute them in place with the scalar sigmoid. Requires
 // AVX2+FMA (dispatch gates on wideGates). dst and src may be the same
 // slice but must not partially overlap.
 //
@@ -33,7 +33,7 @@ func tanh4(dst, src *float64)
 //	out[i] += Σ_j col[idx[j]*strideB/8 + i] * x[idx[j]]
 //
 // over j in [0, nnz) in ascending order, one VMULPD then one VADDPD per
-// term — never FMA — so each row is the Dot chain, continued from out's
+// term — never FMA — so each row is the dot chain, continued from out's
 // values, bit for bit. col points at the first row of a k-major packed
 // matrix whose columns are strideB bytes apart. Rows go 16 at a time in
 // four YMM accumulators, then 4, then 1. Requires AVX2 (dispatch gates

@@ -19,9 +19,9 @@ func BenchmarkGemmKernels(b *testing.B) {
 		B        = 16
 		nSamples = 256
 	)
-	for _, kn := range GemmKernels() {
+	for _, kn := range gemmKernels() {
 		b.Run("inference/"+kn, func(b *testing.B) {
-			if err := SetGemmKernel(kn); err != nil {
+			if err := setGemmKernel(kn); err != nil {
 				b.Fatal(err)
 			}
 			cfg := DefaultModelConfig(features, window)
@@ -48,13 +48,14 @@ func BenchmarkGemmKernels(b *testing.B) {
 		})
 
 		b.Run("train/"+kn, func(b *testing.B) {
-			if err := SetGemmKernel(kn); err != nil {
+			if err := setGemmKernel(kn); err != nil {
 				b.Fatal(err)
 			}
 			rng := stats.NewStream(7)
 			samples := NewSampleBank(features, window, nSamples)
 			for i := 0; i < nSamples; i++ {
-				samples.Append(randVec(features, rng), rng.Float64(), rng.Float64() < 0.1, rng.Float64() < 0.2)
+				samples.Feats = append(samples.Feats, randVec(features, rng)...)
+				samples.PushTarget(rng.Float64(), rng.Float64() < 0.1, rng.Float64() < 0.2)
 			}
 			cfg := DefaultModelConfig(features, window)
 			cfg.Epochs = 1

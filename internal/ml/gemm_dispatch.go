@@ -19,7 +19,7 @@ import (
 //	         sigmoid/tanh gate kernels
 //
 // Both produce bitwise-identical results: each output element is the
-// same ascending-k multiply-then-add chain as the scalar Dot, and the
+// same ascending-k multiply-then-add chain as the scalar dot, and the
 // wide gate kernels clone math.Exp/math.Tanh instruction for instruction
 // (gates_amd64.s), verified at init by wideGatesMatchScalar. Selection
 // happens once at process start — CPUID probe plus the MIMICNET_GEMM
@@ -32,7 +32,7 @@ type gemmImpl struct {
 	// avx2 routes the row kernel (rowkernel.go) through rowsAcc;
 	// otherwise it runs as a Go loop.
 	avx2 bool
-	// wideGates routes Sigmoid/Tanh gate passes through the 4-wide
+	// wideGates routes sigmoid/Tanh gate passes through the 4-wide
 	// AVX2+FMA clones of math.Exp's FMA variant and math.Tanh.
 	wideGates bool
 }
@@ -43,7 +43,7 @@ var gemmActive atomic.Pointer[gemmImpl]
 // only per-call dispatch cost on the hot path).
 func gemmKernel() *gemmImpl { return gemmActive.Load() }
 
-// gemmKernelNames is every name SetGemmKernel understands on any build,
+// gemmKernelNames is every name setGemmKernel understands on any build,
 // widest last.
 var gemmKernelNames = []string{"scalar", "avx2"}
 
@@ -76,30 +76,30 @@ func init() {
 		def = "avx2"
 	}
 	if env := os.Getenv("MIMICNET_GEMM"); env != "" {
-		if err := SetGemmKernel(env); err != nil {
+		if err := setGemmKernel(env); err != nil {
 			// A misspelled or unavailable override must fail loudly at
 			// start, not silently run a different kernel.
 			panic("ml: " + err.Error())
 		}
-	} else if err := SetGemmKernel(def); err != nil {
+	} else if err := setGemmKernel(def); err != nil {
 		panic("ml: " + err.Error())
 	}
 	registerGemmKernelGauges()
 }
 
-// SetGemmKernel selects the GEMM kernel family by name ("scalar" or
+// setGemmKernel selects the GEMM kernel family by name ("scalar" or
 // "avx2"). It validates availability on this CPU and build and returns
 // a descriptive error otherwise. All families are bitwise
 // identical, so switching never changes results — only throughput.
 // Intended for process start (MIMICNET_GEMM) and for tests/benchmarks;
 // safe to call concurrently with running kernels (in-flight calls finish
 // on the kernel they loaded).
-func SetGemmKernel(name string) error {
+func setGemmKernel(name string) error {
 	if impl, ok := gemmImplByName[name]; ok {
 		gemmActive.Store(impl)
 		return nil
 	}
-	avail := strings.Join(GemmKernels(), ", ")
+	avail := strings.Join(gemmKernels(), ", ")
 	for _, k := range gemmKernelNames {
 		if k == name {
 			return fmt.Errorf("MIMICNET_GEMM=%q: kernel not available on this CPU/build (available: %s)", name, avail)
@@ -112,9 +112,9 @@ func SetGemmKernel(name string) error {
 // GemmKernelName returns the live kernel family name.
 func GemmKernelName() string { return gemmKernel().name }
 
-// GemmKernels returns the kernel names available on this CPU and build,
+// gemmKernels returns the kernel names available on this CPU and build,
 // narrowest first.
-func GemmKernels() []string {
+func gemmKernels() []string {
 	out := make([]string, 0, len(gemmImplByName))
 	for _, k := range gemmKernelNames {
 		if _, ok := gemmImplByName[k]; ok {

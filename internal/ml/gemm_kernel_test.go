@@ -16,11 +16,11 @@ import (
 func setKernel(t testing.TB, name string) {
 	t.Helper()
 	prev := GemmKernelName()
-	if err := SetGemmKernel(name); err != nil {
+	if err := setGemmKernel(name); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := SetGemmKernel(prev); err != nil {
+		if err := setGemmKernel(prev); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -34,7 +34,7 @@ func wideGatesAvailable() bool {
 }
 
 func TestGemmKernelsAvailable(t *testing.T) {
-	ks := GemmKernels()
+	ks := gemmKernels()
 	t.Logf("kernels=%v active=%s wideGates=%v (cpu: avx2=%v fma=%v)",
 		ks, GemmKernelName(), gemmKernel().wideGates, cpuHasAVX2, cpuHasFMA)
 	want := []string{"scalar"}
@@ -42,7 +42,7 @@ func TestGemmKernelsAvailable(t *testing.T) {
 		want = append(want, "avx2")
 	}
 	if strings.Join(ks, " ") != strings.Join(want, " ") {
-		t.Fatalf("GemmKernels() = %v, want %v", ks, want)
+		t.Fatalf("gemmKernels() = %v, want %v", ks, want)
 	}
 }
 
@@ -51,9 +51,9 @@ func TestSetGemmKernelErrors(t *testing.T) {
 	// "sse2" is not a family: an MIMICNET_GEMM=sse2 environment fails fast
 	// like any other unknown name instead of running another kernel.
 	for _, name := range []string{"neon", "sse2"} {
-		err := SetGemmKernel(name)
+		err := setGemmKernel(name)
 		if err == nil {
-			t.Fatalf("SetGemmKernel(%q): expected error for unknown kernel name", name)
+			t.Fatalf("setGemmKernel(%q): expected error for unknown kernel name", name)
 		}
 		for _, want := range []string{"unknown GEMM kernel", "supported values: scalar, avx2;"} {
 			if !strings.Contains(err.Error(), want) {
@@ -66,13 +66,13 @@ func TestSetGemmKernelErrors(t *testing.T) {
 		if _, ok := gemmImplByName[name]; ok {
 			continue
 		}
-		err := SetGemmKernel(name)
+		err := setGemmKernel(name)
 		if err == nil || !strings.Contains(err.Error(), "not available") {
-			t.Errorf("SetGemmKernel(%q) = %v, want not-available error", name, err)
+			t.Errorf("setGemmKernel(%q) = %v, want not-available error", name, err)
 		}
 	}
 	if GemmKernelName() != active {
-		t.Fatalf("failed SetGemmKernel changed the active kernel to %s", GemmKernelName())
+		t.Fatalf("failed setGemmKernel changed the active kernel to %s", GemmKernelName())
 	}
 }
 
@@ -103,7 +103,7 @@ func TestGemmKernelGauge(t *testing.T) {
 }
 
 // FuzzGateKernels bit-compares the 4-wide sigmoid/tanh kernels against
-// the scalar Sigmoid/math.Tanh on arbitrary float64 inputs, including
+// the scalar sigmoid/math.Tanh on arbitrary float64 inputs, including
 // the specials the fuzzer will find (±0, denormals, ±Inf, NaN, branch
 // boundaries). Skipped (not failed) on builds/CPUs without wide gates.
 func FuzzGateKernels(f *testing.F) {
@@ -119,7 +119,7 @@ func FuzzGateKernels(f *testing.F) {
 		got := make([]float64, len(src))
 		sigmoidLanes(got, src, true)
 		for i, x := range src {
-			want := Sigmoid(x)
+			want := sigmoid(x)
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("sigmoid(%v) = %x, want %x", x, math.Float64bits(got[i]), math.Float64bits(want))
 			}
@@ -135,7 +135,7 @@ func FuzzGateKernels(f *testing.F) {
 		inPlace := append([]float64(nil), src...)
 		sigmoidLanes(inPlace, inPlace, true)
 		for i, x := range src {
-			if math.Float64bits(inPlace[i]) != math.Float64bits(Sigmoid(x)) {
+			if math.Float64bits(inPlace[i]) != math.Float64bits(sigmoid(x)) {
 				t.Fatalf("in-place sigmoid(%v) diverged", x)
 			}
 		}
@@ -148,7 +148,7 @@ func FuzzGateKernels(f *testing.F) {
 // produce bit-identical predictions, regardless of which family ran and
 // of how the pool split the work (every entry of poolConfigs).
 func TestGoldenKernelParity(t *testing.T) {
-	kernels := GemmKernels()
+	kernels := gemmKernels()
 	if len(kernels) < 2 {
 		t.Skip("only one kernel family available; nothing to cross-check")
 	}
@@ -170,7 +170,7 @@ func TestGoldenKernelParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{Pool: pool}); err != nil {
+		if _, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := json.Marshal(m)

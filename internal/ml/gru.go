@@ -2,23 +2,23 @@ package ml
 
 import "mimicnet/internal/stats"
 
-// GRU is a gated recurrent unit layer — an alternative trunk class to the
+// gru is a gated recurrent unit layer — an alternative trunk class to the
 // paper's default LSTM. Gate layout within the stacked 3H dimension is
 // [update z, reset r, candidate].
-type GRU struct {
+type gru struct {
 	In, Hidden int
 	Wx         *Matrix // (3H, In)
 	Wh         *Matrix // (3H, H)
 	B          *Matrix // (3H, 1)
 }
 
-// NewGRU allocates and initializes a GRU layer.
-func NewGRU(in, hidden int, s *stats.Stream) *GRU {
-	g := &GRU{
+// newGRU allocates and initializes a GRU layer.
+func newGRU(in, hidden int, s *stats.Stream) *gru {
+	g := &gru{
 		In: in, Hidden: hidden,
-		Wx: NewMatrix(3*hidden, in),
-		Wh: NewMatrix(3*hidden, hidden),
-		B:  NewMatrix(3*hidden, 1),
+		Wx: newMatrix(3*hidden, in),
+		Wh: newMatrix(3*hidden, hidden),
+		B:  newMatrix(3*hidden, 1),
 	}
 	g.Wx.InitXavier(s)
 	g.Wh.InitXavier(s)
@@ -26,16 +26,16 @@ func NewGRU(in, hidden int, s *stats.Stream) *GRU {
 }
 
 // InSize returns the input width.
-func (g *GRU) InSize() int { return g.In }
+func (g *gru) InSize() int { return g.In }
 
 // HiddenSize returns the hidden width.
-func (g *GRU) HiddenSize() int { return g.Hidden }
+func (g *gru) HiddenSize() int { return g.Hidden }
 
 // Params returns the trainable parameters.
-func (g *GRU) Params() []*Matrix { return []*Matrix{g.Wx, g.Wh, g.B} }
+func (g *gru) Params() []*Matrix { return []*Matrix{g.Wx, g.Wh, g.B} }
 
 // CellType names the class.
-func (g *GRU) CellType() string { return "gru" }
+func (g *gru) CellType() string { return "gru" }
 
 // gruBatchState is the recurrent state of `lanes` independent GRU
 // streams (lanes × H dense), the layer's weights packed for the row
@@ -56,7 +56,7 @@ type gruBatchState struct {
 
 // newBatchState returns zeroed state for `lanes` GRU lanes and
 // snapshots the layer's weights (Wx and Wh packed, B copied).
-func (g *GRU) newBatchState(lanes int) batchState {
+func (g *gru) newBatchState(lanes int) batchState {
 	return &gruBatchState{
 		h:      make([]float64, lanes*g.Hidden),
 		hidden: g.Hidden,
@@ -68,13 +68,13 @@ func (g *GRU) newBatchState(lanes int) batchState {
 }
 
 // growBatchState appends one zeroed lane.
-func (g *GRU) growBatchState(st batchState) {
+func (g *gru) growBatchState(st batchState) {
 	s := st.(*gruBatchState)
 	s.h = append(s.h, make([]float64, g.Hidden)...)
 }
 
 // resetBatchLane zeroes one lane's hidden state.
-func (g *GRU) resetBatchLane(st batchState, lane int) {
+func (g *gru) resetBatchLane(st batchState, lane int) {
 	s := st.(*gruBatchState)
 	zeroRange(s.h[lane*g.Hidden : (lane+1)*g.Hidden])
 }
@@ -89,9 +89,9 @@ func (g *GRU) resetBatchLane(st batchState, lane int) {
 //	h' = (1−z)⊙h + z⊙ĥ
 //
 // All per-element accumulation orders are the per-packet reference
-// step's (Dot/DotAcc on the same operand order), so outputs are
+// step's (dot/dotAcc on the same operand order), so outputs are
 // bit-identical to it.
-func (g *GRU) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
+func (g *gru) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*gruBatchState)
 	n := len(lanes)
 	if n == 0 {
@@ -109,7 +109,7 @@ func (g *GRU) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, 
 
 // stepCost is one lane's fused step in multiply-add equivalents: the
 // products and three gate passes.
-func (g *GRU) stepCost() int {
+func (g *gru) stepCost() int {
 	return 3*g.Hidden*(g.In+g.Hidden) + 3*g.Hidden*gateMulAdds
 }
 
@@ -137,7 +137,7 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		for j := 0; j < H; j++ {
 			rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
 		}
-		// The candidate chain is DotAcc(ax+bias, row, r⊙h): it starts at
+		// The candidate chain is dotAcc(ax+bias, row, r⊙h): it starts at
 		// ax+bias, which can be -0, where skipping a ±0 term is not a
 		// no-op (-0 + +0 = +0). So it goes through accLane, which takes
 		// every term, not mulLane's zero-skip.

@@ -30,7 +30,7 @@ func laneValue(s *stats.Stream, density float64) float64 {
 // density and n lanes of row gradients (stride rows) in which about one
 // lane in eight and one row in eight are all zeros.
 func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, xs, dys []float64) {
-	m = NewMatrix(rows, K)
+	m = newMatrix(rows, K)
 	for i := range m.Data {
 		m.Data[i] = laneValue(s, 0.9)
 		m.Grad[i] = laneValue(s, 0.5) // AddGradLanes continues from here, -0 included
@@ -107,7 +107,7 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 			}
 		}
 	}
-	for _, kn := range GemmKernels() {
+	for _, kn := range gemmKernels() {
 		setKernel(t, kn)
 		gotMul := make([]float64, n*outStride)
 		m.MulLanes(r0, r1, xs, n, gotMul, outStride, pool)

@@ -8,9 +8,9 @@ type Linear struct {
 	B *Matrix // (out, 1), stored as a matrix so optimizers see one type
 }
 
-// NewLinear allocates and initializes a linear layer.
-func NewLinear(in, out int, s *stats.Stream) *Linear {
-	l := &Linear{W: NewMatrix(out, in), B: NewMatrix(out, 1)}
+// newLinear allocates and initializes a linear layer.
+func newLinear(in, out int, s *stats.Stream) *Linear {
+	l := &Linear{W: newMatrix(out, in), B: newMatrix(out, 1)}
 	l.W.InitXavier(s)
 	return l
 }
@@ -18,23 +18,23 @@ func NewLinear(in, out int, s *stats.Stream) *Linear {
 // Params returns the layer's trainable parameters.
 func (l *Linear) Params() []*Matrix { return []*Matrix{l.W, l.B} }
 
-// LSTM is a single long short-term memory layer. Gate layout within the
+// lstm is a single long short-term memory layer. Gate layout within the
 // stacked 4H dimension is [input, forget, candidate, output].
-type LSTM struct {
+type lstm struct {
 	In, Hidden int
 	Wx         *Matrix // (4H, In)
 	Wh         *Matrix // (4H, H)
 	B          *Matrix // (4H, 1)
 }
 
-// NewLSTM allocates and initializes an LSTM layer. The forget gate bias
+// newLSTM allocates and initializes an LSTM layer. The forget gate bias
 // starts at 1 (the classic trick so memory persists early in training).
-func NewLSTM(in, hidden int, s *stats.Stream) *LSTM {
-	l := &LSTM{
+func newLSTM(in, hidden int, s *stats.Stream) *lstm {
+	l := &lstm{
 		In: in, Hidden: hidden,
-		Wx: NewMatrix(4*hidden, in),
-		Wh: NewMatrix(4*hidden, hidden),
-		B:  NewMatrix(4*hidden, 1),
+		Wx: newMatrix(4*hidden, in),
+		Wh: newMatrix(4*hidden, hidden),
+		B:  newMatrix(4*hidden, 1),
 	}
 	l.Wx.InitXavier(s)
 	l.Wh.InitXavier(s)
@@ -45,4 +45,4 @@ func NewLSTM(in, hidden int, s *stats.Stream) *LSTM {
 }
 
 // Params returns the layer's trainable parameters.
-func (l *LSTM) Params() []*Matrix { return []*Matrix{l.Wx, l.Wh, l.B} }
+func (l *lstm) Params() []*Matrix { return []*Matrix{l.Wx, l.Wh, l.B} }

@@ -19,26 +19,26 @@ func clampProb(p float64) float64 {
 	return p
 }
 
-// BCE returns the binary cross-entropy loss and its derivative with
+// bce returns the binary cross-entropy loss and its derivative with
 // respect to the predicted probability. y is the 0/1 target.
-func BCE(pred, y float64) (loss, dPred float64) {
+func bce(pred, y float64) (loss, dPred float64) {
 	p := clampProb(pred)
 	loss = -y*math.Log(p) - (1-y)*math.Log(1-p)
 	dPred = (p - y) / (p * (1 - p))
 	return loss, dPred
 }
 
-// WBCE is MimicNet's weighted BCE: w scales the positive (drop) class,
+// wbce is MimicNet's weighted BCE: w scales the positive (drop) class,
 // (1-w) the negative. w in 0.6–0.8 is the paper's recommended range.
-func WBCE(pred, y, w float64) (loss, dPred float64) {
+func wbce(pred, y, w float64) (loss, dPred float64) {
 	p := clampProb(pred)
 	loss = -w*y*math.Log(p) - (1-w)*(1-y)*math.Log(1-p)
 	dPred = -w*y/p + (1-w)*(1-y)/(1-p)
 	return loss, dPred
 }
 
-// MAE returns the absolute error and its derivative.
-func MAE(pred, y float64) (loss, dPred float64) {
+// mae returns the absolute error and its derivative.
+func mae(pred, y float64) (loss, dPred float64) {
 	d := pred - y
 	if d >= 0 {
 		return d, 1
@@ -46,15 +46,15 @@ func MAE(pred, y float64) (loss, dPred float64) {
 	return -d, -1
 }
 
-// MSE returns the squared error and its derivative.
-func MSE(pred, y float64) (loss, dPred float64) {
+// mse returns the squared error and its derivative.
+func mse(pred, y float64) (loss, dPred float64) {
 	d := pred - y
 	return d * d, 2 * d
 }
 
-// Huber returns the Huber loss with threshold delta and its derivative:
+// huber returns the Huber loss with threshold delta and its derivative:
 // quadratic within delta, linear outside (paper Eq. in §5.4).
-func Huber(pred, y, delta float64) (loss, dPred float64) {
+func huber(pred, y, delta float64) (loss, dPred float64) {
 	d := pred - y
 	ad := math.Abs(d)
 	if ad <= delta {
@@ -93,11 +93,11 @@ func (l RegressionLoss) String() string {
 func (l RegressionLoss) Eval(pred, y, delta float64) (loss, dPred float64) {
 	switch l {
 	case LossMAE:
-		return MAE(pred, y)
+		return mae(pred, y)
 	case LossMSE:
-		return MSE(pred, y)
+		return mse(pred, y)
 	default:
-		return Huber(pred, y, delta)
+		return huber(pred, y, delta)
 	}
 }
 

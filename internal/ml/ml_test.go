@@ -10,13 +10,8 @@ import (
 )
 
 func TestMatrixBasics(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(0, 0, 1)
-	m.Set(0, 2, 2)
-	m.Set(1, 1, 3)
-	if m.At(0, 2) != 2 || m.At(1, 1) != 3 {
-		t.Error("Set/At broken")
-	}
+	m := newMatrix(2, 3)
+	copy(m.Data, []float64{1, 0, 2, 0, 3, 0})
 	y := m.MulVec([]float64{1, 1, 1}, nil)
 	if y[0] != 3 || y[1] != 3 {
 		t.Errorf("MulVec = %v", y)
@@ -34,11 +29,11 @@ func TestMatrixMulVecDimPanic(t *testing.T) {
 			t.Error("expected dim mismatch panic")
 		}
 	}()
-	NewMatrix(2, 3).MulVec([]float64{1}, nil)
+	newMatrix(2, 3).MulVec([]float64{1}, nil)
 }
 
 func TestMatrixJSONRoundTrip(t *testing.T) {
-	m := NewMatrix(2, 2)
+	m := newMatrix(2, 2)
 	m.InitXavier(stats.NewStream(1))
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -62,13 +57,13 @@ func TestMatrixJSONRoundTrip(t *testing.T) {
 }
 
 func TestSigmoidProperties(t *testing.T) {
-	if Sigmoid(0) != 0.5 {
+	if sigmoid(0) != 0.5 {
 		t.Error("sigmoid(0) != 0.5")
 	}
-	if s := Sigmoid(1000); s <= 0.999 || math.IsNaN(s) {
+	if s := sigmoid(1000); s <= 0.999 || math.IsNaN(s) {
 		t.Errorf("sigmoid overflow: %v", s)
 	}
-	if s := Sigmoid(-1000); s >= 0.001 || math.IsNaN(s) {
+	if s := sigmoid(-1000); s >= 0.001 || math.IsNaN(s) {
 		t.Errorf("sigmoid underflow: %v", s)
 	}
 }
@@ -95,8 +90,8 @@ func TestGradientCheck(t *testing.T) {
 		tr := ForwardWindow(m.Trunk, sample.Window, false)
 		p := m.heads(tr.Outputs)
 		lat, _ := m.Cfg.LatLoss.Eval(p.Latency, sample.Latency, cfg.HuberDelta)
-		drop, _ := WBCE(p.PDrop, 1, cfg.DropWeight)
-		ecn, _ := BCE(p.PECN, 0)
+		drop, _ := wbce(p.PDrop, 1, cfg.DropWeight)
+		ecn, _ := bce(p.PECN, 0)
 		return cfg.LatWeight*lat + cfg.DropLossW*drop + cfg.ECNLossW*ecn
 	}
 
@@ -131,42 +126,42 @@ func TestGradientCheck(t *testing.T) {
 }
 
 func TestLossFunctions(t *testing.T) {
-	if l, d := MAE(2, 1); l != 1 || d != 1 {
+	if l, d := mae(2, 1); l != 1 || d != 1 {
 		t.Errorf("MAE = %v, %v", l, d)
 	}
-	if l, d := MAE(0, 1); l != 1 || d != -1 {
+	if l, d := mae(0, 1); l != 1 || d != -1 {
 		t.Errorf("MAE neg = %v, %v", l, d)
 	}
-	if l, d := MSE(3, 1); l != 4 || d != 4 {
+	if l, d := mse(3, 1); l != 4 || d != 4 {
 		t.Errorf("MSE = %v, %v", l, d)
 	}
 	// Huber: quadratic inside delta, linear outside.
-	if l, d := Huber(1.5, 1, 1); l != 0.125 || d != 0.5 {
+	if l, d := huber(1.5, 1, 1); l != 0.125 || d != 0.5 {
 		t.Errorf("Huber inner = %v, %v", l, d)
 	}
-	if l, d := Huber(3, 1, 1); l != 1.5 || d != 1 {
+	if l, d := huber(3, 1, 1); l != 1.5 || d != 1 {
 		t.Errorf("Huber outer = %v, %v", l, d)
 	}
-	if _, d := Huber(-3, 1, 1); d != -1 {
+	if _, d := huber(-3, 1, 1); d != -1 {
 		t.Errorf("Huber outer neg deriv = %v", d)
 	}
 	// BCE at perfect prediction is ~0; at opposite is large.
-	if l, _ := BCE(0.999999, 1); l > 1e-3 {
+	if l, _ := bce(0.999999, 1); l > 1e-3 {
 		t.Errorf("BCE perfect = %v", l)
 	}
-	if l, _ := BCE(0.000001, 1); l < 5 {
+	if l, _ := bce(0.000001, 1); l < 5 {
 		t.Errorf("BCE wrong = %v", l)
 	}
 	// WBCE with w=0.5 equals BCE/2.
-	lb, _ := BCE(0.3, 1)
-	lw, _ := WBCE(0.3, 1, 0.5)
+	lb, _ := bce(0.3, 1)
+	lw, _ := wbce(0.3, 1, 0.5)
 	if math.Abs(lw-lb/2) > 1e-9 {
 		t.Errorf("WBCE(0.5) = %v, want %v", lw, lb/2)
 	}
 	// Clamping keeps everything finite.
 	for _, p := range []float64{0, 1, -5, 7} {
 		for _, y := range []float64{0, 1} {
-			if l, d := BCE(p, y); math.IsInf(l, 0) || math.IsNaN(d) {
+			if l, d := bce(p, y); math.IsInf(l, 0) || math.IsNaN(d) {
 				t.Errorf("BCE(%v,%v) not finite", p, y)
 			}
 		}
@@ -391,8 +386,8 @@ func TestModelConfigValidation(t *testing.T) {
 
 func TestOptimizersReduceQuadratic(t *testing.T) {
 	// Minimize (x-3)^2 with Adam, the one optimizer.
-	p := NewMatrix(1, 1)
-	opt := NewAdam(0.1)
+	p := newMatrix(1, 1)
+	opt := newAdam(0.1)
 	for i := 0; i < 200; i++ {
 		p.Grad[0] = 2 * (p.Data[0] - 3)
 		opt.Step([]*Matrix{p})
@@ -406,9 +401,9 @@ func TestOptimizersReduceQuadratic(t *testing.T) {
 }
 
 func TestClipGrads(t *testing.T) {
-	p := NewMatrix(1, 2)
+	p := newMatrix(1, 2)
 	p.Grad[0], p.Grad[1] = 3, 4 // norm 5
-	norm := ClipGrads([]*Matrix{p}, 1)
+	norm := clipGrads([]*Matrix{p}, 1)
 	if norm != 5 {
 		t.Errorf("returned norm %v", norm)
 	}
@@ -417,7 +412,7 @@ func TestClipGrads(t *testing.T) {
 	}
 	// Below the cap: untouched.
 	p.Grad[0], p.Grad[1] = 0.1, 0.1
-	ClipGrads([]*Matrix{p}, 1)
+	clipGrads([]*Matrix{p}, 1)
 	if p.Grad[0] != 0.1 {
 		t.Error("grads below cap were modified")
 	}
@@ -512,8 +507,8 @@ func TestGradientCheckGRUAndMLP(t *testing.T) {
 			tr := ForwardWindow(m.Trunk, sample.Window, false)
 			p := m.heads(tr.Outputs)
 			lat, _ := m.Cfg.LatLoss.Eval(p.Latency, sample.Latency, cfg.HuberDelta)
-			drop, _ := WBCE(p.PDrop, 0, cfg.DropWeight)
-			ecn, _ := BCE(p.PECN, 1)
+			drop, _ := wbce(p.PDrop, 0, cfg.DropWeight)
+			ecn, _ := bce(p.PECN, 1)
 			return cfg.LatWeight*lat + cfg.DropLossW*drop + cfg.ECNLossW*ecn
 		}
 		for _, p := range m.Params() {

@@ -2,43 +2,43 @@ package ml
 
 import "mimicnet/internal/stats"
 
-// WindowMLP is a non-recurrent baseline trunk: it keeps a sliding buffer
+// windowMLP is a non-recurrent baseline trunk: it keeps a sliding buffer
 // of the last Window inputs and maps the (zero-padded) flattened window
 // through one tanh layer. It exists to quantify what the recurrent cells
 // buy — the paper chose LSTMs precisely because per-packet behavior has
 // long-range structure a feed-forward net over a short window misses.
-type WindowMLP struct {
+type windowMLP struct {
 	In, Hidden, Window int
 	W                  *Matrix // (Hidden, In*Window)
 	B                  *Matrix // (Hidden, 1)
 }
 
-// NewWindowMLP allocates and initializes the baseline.
-func NewWindowMLP(in, hidden, window int, s *stats.Stream) *WindowMLP {
-	m := &WindowMLP{
+// newWindowMLP allocates and initializes the baseline.
+func newWindowMLP(in, hidden, window int, s *stats.Stream) *windowMLP {
+	m := &windowMLP{
 		In: in, Hidden: hidden, Window: window,
-		W: NewMatrix(hidden, in*window),
-		B: NewMatrix(hidden, 1),
+		W: newMatrix(hidden, in*window),
+		B: newMatrix(hidden, 1),
 	}
 	m.W.InitXavier(s)
 	return m
 }
 
 // InSize returns the input width.
-func (m *WindowMLP) InSize() int { return m.In }
+func (m *windowMLP) InSize() int { return m.In }
 
 // HiddenSize returns the hidden width.
-func (m *WindowMLP) HiddenSize() int { return m.Hidden }
+func (m *windowMLP) HiddenSize() int { return m.Hidden }
 
 // Params returns the trainable parameters.
-func (m *WindowMLP) Params() []*Matrix { return []*Matrix{m.W, m.B} }
+func (m *windowMLP) Params() []*Matrix { return []*Matrix{m.W, m.B} }
 
 // CellType names the class.
-func (m *WindowMLP) CellType() string { return "mlp" }
+func (m *windowMLP) CellType() string { return "mlp" }
 
 // stepCost is one step in multiply-add equivalents: the window product
 // and the tanh pass.
-func (m *WindowMLP) stepCost() int {
+func (m *windowMLP) stepCost() int {
 	return m.Hidden*m.In*m.Window + m.Hidden*gateMulAdds
 }
 
@@ -61,7 +61,7 @@ type mlpBatchState struct {
 
 // newBatchState returns empty windows for `lanes` lanes and snapshots the
 // layer's weights (W packed, B copied).
-func (m *WindowMLP) newBatchState(lanes int) batchState {
+func (m *windowMLP) newBatchState(lanes int) batchState {
 	return &mlpBatchState{
 		win:    make([]float64, lanes*m.In*m.Window),
 		in:     m.In,
@@ -73,13 +73,13 @@ func (m *WindowMLP) newBatchState(lanes int) batchState {
 }
 
 // growBatchState appends one lane with an empty window.
-func (m *WindowMLP) growBatchState(st batchState) {
+func (m *windowMLP) growBatchState(st batchState) {
 	s := st.(*mlpBatchState)
 	s.win = append(s.win, make([]float64, m.In*m.Window)...)
 }
 
 // resetBatchLane empties one lane's window.
-func (m *WindowMLP) resetBatchLane(st batchState, lane int) {
+func (m *windowMLP) resetBatchLane(st batchState, lane int) {
 	s := st.(*mlpBatchState)
 	fw := m.In * m.Window
 	zeroRange(s.win[lane*fw : (lane+1)*fw])
@@ -87,7 +87,7 @@ func (m *WindowMLP) resetBatchLane(st batchState, lane int) {
 
 // stepBatch slides each listed lane's window by one input and evaluates
 // the layer on it: h = tanh(W·window + b), the product on the row kernel.
-func (m *WindowMLP) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
+func (m *windowMLP) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, pool *Pool) {
 	s := st.(*mlpBatchState)
 	if len(lanes) == 0 {
 		return

@@ -36,7 +36,7 @@ type ModelConfig struct {
 
 	// BatchSize is the minibatch width: one optimizer step per batch of
 	// this many samples, 1 meaning one step per sample; 0 means
-	// DefaultBatchSize. Affects training results, so it participates in
+	// defaultBatchSize. Affects training results, so it participates in
 	// the model cache key.
 	BatchSize int `json:"batch_size,omitempty"`
 
@@ -56,7 +56,7 @@ func DefaultModelConfig(features, window int) ModelConfig {
 		// Explicit (not 0) so the batch width is visible in the
 		// serialized config and in model cache keys: models trained at
 		// different widths must not collide.
-		BatchSize: DefaultBatchSize,
+		BatchSize: defaultBatchSize,
 	}
 }
 
@@ -122,17 +122,17 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	for i := 0; i < cfg.Layers; i++ {
 		switch cfg.CellType {
 		case "gru":
-			m.Trunk = append(m.Trunk, NewGRU(in, cfg.Hidden, s))
+			m.Trunk = append(m.Trunk, newGRU(in, cfg.Hidden, s))
 		case "mlp":
-			m.Trunk = append(m.Trunk, NewWindowMLP(in, cfg.Hidden, cfg.Window, s))
+			m.Trunk = append(m.Trunk, newWindowMLP(in, cfg.Hidden, cfg.Window, s))
 		default:
-			m.Trunk = append(m.Trunk, NewLSTM(in, cfg.Hidden, s))
+			m.Trunk = append(m.Trunk, newLSTM(in, cfg.Hidden, s))
 		}
 		in = cfg.Hidden
 	}
-	m.LatHead = NewLinear(cfg.Hidden, 1, s)
-	m.DropHead = NewLinear(cfg.Hidden, 1, s)
-	m.ECNHead = NewLinear(cfg.Hidden, 1, s)
+	m.LatHead = newLinear(cfg.Hidden, 1, s)
+	m.DropHead = newLinear(cfg.Hidden, 1, s)
+	m.ECNHead = newLinear(cfg.Hidden, 1, s)
 	return m, nil
 }
 
@@ -150,7 +150,7 @@ func (m *Model) Params() []*Matrix {
 
 // CheckFinite returns an error naming the first NaN or ±Inf weight or
 // bias. Batched inference skips exact-zero inputs, which matches the
-// per-packet Dot only while every weight is finite (Inf·0 is NaN, not a
+// per-packet dot only while every weight is finite (Inf·0 is NaN, not a
 // no-op; rowkernel.go), so core refuses such an artifact where it
 // enters inference: on load and at the end of training.
 func (m *Model) CheckFinite() error {
@@ -268,7 +268,7 @@ func (m *Model) Evaluate(src SampleSource) EvalResult {
 		}
 		for a, p := range preds[:n] {
 			latTarget, dropped, ecn := src.Target(lo + a)
-			l, _ := MAE(p.Latency, latTarget)
+			l, _ := mae(p.Latency, latTarget)
 			res.LatencyMAE += l
 			res.DropRatePred += p.PDrop
 			res.ECNRatePred += p.PECN
@@ -301,11 +301,11 @@ func (m *Model) FLOPsPerStep() float64 {
 	var f float64
 	for _, c := range m.Trunk {
 		switch l := c.(type) {
-		case *LSTM:
+		case *lstm:
 			f += 2 * float64(4*l.Hidden*(l.In+l.Hidden))
-		case *GRU:
+		case *gru:
 			f += 2 * float64(3*l.Hidden*(l.In+l.Hidden))
-		case *WindowMLP:
+		case *windowMLP:
 			f += 2 * float64(l.Hidden*l.In*l.Window)
 		}
 	}
@@ -338,11 +338,11 @@ type linJSON struct {
 
 func cellToJSON(c Cell) (*cellJSON, error) {
 	switch l := c.(type) {
-	case *LSTM:
+	case *lstm:
 		return &cellJSON{Type: "lstm", In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B}, nil
-	case *GRU:
+	case *gru:
 		return &cellJSON{Type: "gru", In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B}, nil
-	case *WindowMLP:
+	case *windowMLP:
 		return &cellJSON{Type: "mlp", In: l.In, Hidden: l.Hidden, Window: l.Window, W: l.W, B: l.B}, nil
 	}
 	return nil, fmt.Errorf("ml: cannot serialize cell type %q", c.CellType())
@@ -351,11 +351,11 @@ func cellToJSON(c Cell) (*cellJSON, error) {
 func cellFromJSON(cj *cellJSON) (Cell, error) {
 	switch cj.Type {
 	case "lstm":
-		return &LSTM{In: cj.In, Hidden: cj.Hidden, Wx: cj.Wx, Wh: cj.Wh, B: cj.B}, nil
+		return &lstm{In: cj.In, Hidden: cj.Hidden, Wx: cj.Wx, Wh: cj.Wh, B: cj.B}, nil
 	case "gru":
-		return &GRU{In: cj.In, Hidden: cj.Hidden, Wx: cj.Wx, Wh: cj.Wh, B: cj.B}, nil
+		return &gru{In: cj.In, Hidden: cj.Hidden, Wx: cj.Wx, Wh: cj.Wh, B: cj.B}, nil
 	case "mlp":
-		return &WindowMLP{In: cj.In, Hidden: cj.Hidden, Window: cj.Window, W: cj.W, B: cj.B}, nil
+		return &windowMLP{In: cj.In, Hidden: cj.Hidden, Window: cj.Window, W: cj.W, B: cj.B}, nil
 	}
 	return nil, fmt.Errorf("ml: unknown serialized cell type %q", cj.Type)
 }

@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// Adam implements the Adam optimizer (Kingma & Ba), the de facto default
+// adam implements the Adam optimizer (Kingma & Ba), the de facto default
 // for LSTM training.
-type Adam struct {
+type adam struct {
 	LR           float64
 	Beta1, Beta2 float64
 	Eps          float64
@@ -15,9 +15,9 @@ type Adam struct {
 	m, v         map[*Matrix][]float64
 }
 
-// NewAdam returns Adam with standard hyper-parameters.
-func NewAdam(lr float64) *Adam {
-	return &Adam{
+// newAdam returns Adam with standard hyper-parameters.
+func newAdam(lr float64) *adam {
+	return &adam{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		m: make(map[*Matrix][]float64),
 		v: make(map[*Matrix][]float64),
@@ -37,7 +37,7 @@ type AdamState struct {
 // State deep-copies the optimizer's moments for the given parameters
 // (in order). Parameters the optimizer has not touched yet snapshot as
 // zero moments — exactly what lazy allocation would produce.
-func (o *Adam) State(params []*Matrix) AdamState {
+func (o *adam) State(params []*Matrix) AdamState {
 	st := AdamState{T: o.t, M: make([][]float64, len(params)), V: make([][]float64, len(params))}
 	for i, p := range params {
 		st.M[i] = append([]float64(nil), o.m[p]...)
@@ -52,7 +52,7 @@ func (o *Adam) State(params []*Matrix) AdamState {
 
 // SetState restores a snapshot taken by State over the same parameter
 // list. The slices are copied in, so the checkpoint stays immutable.
-func (o *Adam) SetState(params []*Matrix, st AdamState) error {
+func (o *adam) SetState(params []*Matrix, st AdamState) error {
 	if err := st.validate(params); err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func (st AdamState) validate(params []*Matrix) error {
 }
 
 // Step applies one update and zeroes gradients.
-func (o *Adam) Step(params []*Matrix) {
+func (o *adam) Step(params []*Matrix) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))

@@ -36,7 +36,7 @@ func (m *Matrix) MulVec(x, out []float64) []float64 {
 		out = make([]float64, m.Rows)
 	}
 	for r := 0; r < m.Rows; r++ {
-		out[r] = Dot(m.Data[r*m.Cols:(r+1)*m.Cols], x)
+		out[r] = dot(m.Data[r*m.Cols:(r+1)*m.Cols], x)
 	}
 	return out
 }
@@ -101,10 +101,10 @@ func scalarTrunk(cells []Cell) []scalarCell {
 }
 
 // FreshState returns a zeroed LSTM state.
-func (l *LSTM) FreshState() CellState { return l.NewState() }
+func (l *lstm) FreshState() CellState { return l.NewState() }
 
 // StepState adapts Step to the reference API.
-func (l *LSTM) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
+func (l *lstm) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
 	state := st.(*LSTMState)
 	var cache *lstmCache
 	if train {
@@ -119,7 +119,7 @@ func (l *LSTM) StepState(st CellState, x []float64, train bool) ([]float64, Cell
 
 // StepBackward adapts stepBackward to the reference API. The LSTM's
 // carry is its cell state.
-func (l *LSTM) StepBackward(cache CellCache, dh, dcarry []float64) (dhPrev, dcarryPrev, dx []float64) {
+func (l *lstm) StepBackward(cache CellCache, dh, dcarry []float64) (dhPrev, dcarryPrev, dx []float64) {
 	if dcarry == nil {
 		dcarry = Zeros(l.Hidden)
 	}
@@ -152,7 +152,7 @@ type LSTMState struct {
 }
 
 // NewState returns a zero state.
-func (l *LSTM) NewState() *LSTMState {
+func (l *lstm) NewState() *LSTMState {
 	return &LSTMState{H: Zeros(l.Hidden), C: Zeros(l.Hidden)}
 }
 
@@ -167,7 +167,7 @@ type lstmCache struct {
 
 // Step advances the state by one input and returns the new hidden vector.
 // When cache is non-nil, activations needed for Backward are recorded.
-func (l *LSTM) Step(st *LSTMState, x []float64, cache *lstmCache) []float64 {
+func (l *lstm) Step(st *LSTMState, x []float64, cache *lstmCache) []float64 {
 	H := l.Hidden
 	z := l.Wx.MulVec(x, nil)
 	zh := l.Wh.MulVec(st.H, nil)
@@ -177,10 +177,10 @@ func (l *LSTM) Step(st *LSTMState, x []float64, cache *lstmCache) []float64 {
 	i_, f_, g_, o_ := Zeros(H), Zeros(H), Zeros(H), Zeros(H)
 	cNew, hNew, tanhC := Zeros(H), Zeros(H), Zeros(H)
 	for j := 0; j < H; j++ {
-		i_[j] = Sigmoid(z[j])
-		f_[j] = Sigmoid(z[H+j])
+		i_[j] = sigmoid(z[j])
+		f_[j] = sigmoid(z[H+j])
 		g_[j] = math.Tanh(z[2*H+j])
-		o_[j] = Sigmoid(z[3*H+j])
+		o_[j] = sigmoid(z[3*H+j])
 		cNew[j] = f_[j]*st.C[j] + i_[j]*g_[j]
 		tanhC[j] = math.Tanh(cNew[j])
 		hNew[j] = o_[j] * tanhC[j]
@@ -200,22 +200,22 @@ func (l *LSTM) Step(st *LSTMState, x []float64, cache *lstmCache) []float64 {
 // stepBackward backpropagates one step: given dh/dc flowing into this
 // step's outputs, it accumulates parameter gradients and returns
 // gradients for the previous hidden/cell state and the input.
-func (l *LSTM) stepBackward(cache *lstmCache, dh, dc []float64) (dhPrev, dcPrev, dx []float64) {
+func (l *lstm) stepBackward(cache *lstmCache, dh, dc []float64) (dhPrev, dcPrev, dx []float64) {
 	H := l.Hidden
 	dz := Zeros(4 * H)
 	dcTotal := Zeros(H)
 	for j := 0; j < H; j++ {
 		// h = o * tanh(c)
 		do := dh[j] * cache.tanhC[j]
-		dcTotal[j] = dc[j] + dh[j]*cache.o[j]*DTanh(cache.tanhC[j])
+		dcTotal[j] = dc[j] + dh[j]*cache.o[j]*dTanh(cache.tanhC[j])
 		// c = f*cPrev + i*g
 		di := dcTotal[j] * cache.g[j]
 		df := dcTotal[j] * cache.cPrev[j]
 		dg := dcTotal[j] * cache.i[j]
-		dz[j] = di * DSigmoid(cache.i[j])
-		dz[H+j] = df * DSigmoid(cache.f[j])
-		dz[2*H+j] = dg * DTanh(cache.g[j])
-		dz[3*H+j] = do * DSigmoid(cache.o[j])
+		dz[j] = di * dSigmoid(cache.i[j])
+		dz[H+j] = df * dSigmoid(cache.f[j])
+		dz[2*H+j] = dg * dTanh(cache.g[j])
+		dz[3*H+j] = do * dSigmoid(cache.o[j])
 	}
 	l.Wx.AddOuterGrad(dz, cache.x)
 	l.Wh.AddOuterGrad(dz, cache.hPrev)
@@ -338,7 +338,7 @@ func (r *StatefulRunner) Reset() {
 type gruState struct{ h []float64 }
 
 // FreshState returns a zeroed state.
-func (g *GRU) FreshState() CellState { return &gruState{h: Zeros(g.Hidden)} }
+func (g *gru) FreshState() CellState { return &gruState{h: Zeros(g.Hidden)} }
 
 type gruCache struct {
 	x, hPrev   []float64
@@ -351,7 +351,7 @@ type gruCache struct {
 //	r = σ(Wr x + Ur h + br)
 //	ĥ = tanh(Wc x + Uc (r⊙h) + bc)
 //	h' = (1−z)⊙h + z⊙ĥ
-func (g *GRU) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
+func (g *gru) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
 	state := st.(*gruState)
 	H := g.Hidden
 	ax := g.Wx.MulVec(x, nil)
@@ -360,12 +360,12 @@ func (g *GRU) StepState(st CellState, x []float64, train bool) ([]float64, CellC
 	// directly; the candidate uses r⊙h, so it is computed after r.
 	ah := Zeros(3 * H)
 	for row := 0; row < 2*H; row++ {
-		ah[row] = Dot(g.Wh.Data[row*H:(row+1)*H], state.h)
+		ah[row] = dot(g.Wh.Data[row*H:(row+1)*H], state.h)
 	}
 	z, r := Zeros(H), Zeros(H)
 	for j := 0; j < H; j++ {
-		z[j] = Sigmoid(ax[j] + ah[j] + g.B.Data[j])
-		r[j] = Sigmoid(ax[H+j] + ah[H+j] + g.B.Data[H+j])
+		z[j] = sigmoid(ax[j] + ah[j] + g.B.Data[j])
+		r[j] = sigmoid(ax[H+j] + ah[H+j] + g.B.Data[H+j])
 	}
 	rh := Zeros(H)
 	for j := 0; j < H; j++ {
@@ -374,7 +374,7 @@ func (g *GRU) StepState(st CellState, x []float64, train bool) ([]float64, CellC
 	hHat := Zeros(H)
 	for j := 0; j < H; j++ {
 		row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-		hHat[j] = math.Tanh(DotAcc(ax[2*H+j]+g.B.Data[2*H+j], row, rh))
+		hHat[j] = math.Tanh(dotAcc(ax[2*H+j]+g.B.Data[2*H+j], row, rh))
 	}
 	hNew := Zeros(H)
 	for j := 0; j < H; j++ {
@@ -394,7 +394,7 @@ func (g *GRU) StepState(st CellState, x []float64, train bool) ([]float64, CellC
 
 // StepBackward backpropagates one GRU step. The GRU has no carry channel
 // (dcarry is ignored and returned nil).
-func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
+func (g *gru) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
 	c := cache.(*gruCache)
 	H := g.Hidden
 	dhPrev = Zeros(H)
@@ -406,8 +406,8 @@ func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev
 		dz := dh[j] * (c.hHat[j] - c.hPrev[j])
 		dHHat[j] = dh[j] * c.z[j]
 		dhPrev[j] += dh[j] * (1 - c.z[j])
-		da[j] = dz * DSigmoid(c.z[j])
-		da[2*H+j] = dHHat[j] * DTanh(c.hHat[j])
+		da[j] = dz * dSigmoid(c.z[j])
+		da[2*H+j] = dHHat[j] * dTanh(c.hHat[j])
 	}
 	// Candidate path: a_c = Wc x + Uc (r⊙h) + bc.
 	drh := Zeros(H)
@@ -424,7 +424,7 @@ func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev
 	for j := 0; j < H; j++ {
 		dr := drh[j] * c.hPrev[j]
 		dhPrev[j] += drh[j] * c.r[j]
-		da[H+j] = dr * DSigmoid(c.r[j])
+		da[H+j] = dr * dSigmoid(c.r[j])
 	}
 	// Parameter gradients. Wh rows for z and r consume hPrev; the
 	// candidate rows consume r⊙hPrev.
@@ -468,14 +468,14 @@ func (g *GRU) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev
 type mlpState struct{ history [][]float64 }
 
 // FreshState returns an empty input buffer.
-func (m *WindowMLP) FreshState() CellState { return &mlpState{} }
+func (m *windowMLP) FreshState() CellState { return &mlpState{} }
 
 type mlpCache struct {
 	flat []float64
 	h    []float64
 }
 
-func (m *WindowMLP) flatten(history [][]float64) []float64 {
+func (m *windowMLP) flatten(history [][]float64) []float64 {
 	flat := Zeros(m.In * m.Window)
 	pad := m.Window - len(history)
 	for i, row := range history {
@@ -485,7 +485,7 @@ func (m *WindowMLP) flatten(history [][]float64) []float64 {
 }
 
 // StepState appends x to the window buffer and evaluates the layer.
-func (m *WindowMLP) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
+func (m *windowMLP) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
 	state := st.(*mlpState)
 	state.history = append(state.history, append([]float64(nil), x...))
 	if len(state.history) > m.Window {
@@ -506,11 +506,11 @@ func (m *WindowMLP) StepState(st CellState, x []float64, train bool) ([]float64,
 // path, so dhPrev is zero: gradient reaches earlier steps only through
 // the model heads (which read the final step), which is exactly the
 // baseline's limitation.
-func (m *WindowMLP) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
+func (m *windowMLP) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
 	c := cache.(*mlpCache)
 	da := Zeros(m.Hidden)
 	for j := range da {
-		da[j] = dh[j] * DTanh(c.h[j])
+		da[j] = dh[j] * dTanh(c.h[j])
 	}
 	m.W.AddOuterGrad(da, c.flat)
 	for j, d := range da {
@@ -525,9 +525,9 @@ func (m *WindowMLP) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcar
 
 func (m *Model) heads(h []float64) Prediction {
 	return Prediction{
-		Latency: Sigmoid(m.LatHead.Forward(h)[0]),
-		PDrop:   Sigmoid(m.DropHead.Forward(h)[0]),
-		PECN:    Sigmoid(m.ECNHead.Forward(h)[0]),
+		Latency: sigmoid(m.LatHead.Forward(h)[0]),
+		PDrop:   sigmoid(m.DropHead.Forward(h)[0]),
+		PECN:    sigmoid(m.ECNHead.Forward(h)[0]),
 	}
 }
 
@@ -557,18 +557,18 @@ func (m *Model) trainStepWindow(window [][]float64, latency float64, dropped, ec
 	latLoss, dLat := m.Cfg.LatLoss.Eval(pred.Latency, latTarget, m.Cfg.HuberDelta)
 	var dropLoss, dDrop float64
 	if m.Cfg.DropWeight > 0 {
-		dropLoss, dDrop = WBCE(pred.PDrop, dropTarget, m.Cfg.DropWeight)
+		dropLoss, dDrop = wbce(pred.PDrop, dropTarget, m.Cfg.DropWeight)
 	} else {
-		dropLoss, dDrop = BCE(pred.PDrop, dropTarget)
+		dropLoss, dDrop = bce(pred.PDrop, dropTarget)
 	}
-	ecnLoss, dECN := BCE(pred.PECN, ecnTarget)
+	ecnLoss, dECN := bce(pred.PECN, ecnTarget)
 
 	total := m.Cfg.LatWeight*latLoss + m.Cfg.DropLossW*dropLoss + m.Cfg.ECNLossW*ecnLoss
 
 	// Backprop through sigmoid heads into the shared hidden state.
-	dLatLogit := m.Cfg.LatWeight * dLat * DSigmoid(pred.Latency)
-	dDropLogit := m.Cfg.DropLossW * dDrop * DSigmoid(pred.PDrop)
-	dECNLogit := m.Cfg.ECNLossW * dECN * DSigmoid(pred.PECN)
+	dLatLogit := m.Cfg.LatWeight * dLat * dSigmoid(pred.Latency)
+	dDropLogit := m.Cfg.DropLossW * dDrop * dSigmoid(pred.PDrop)
+	dECNLogit := m.Cfg.ECNLossW * dECN * dSigmoid(pred.PECN)
 
 	dh := Zeros(len(h))
 	AddTo(dh, m.LatHead.Backward(h, []float64{dLatLogit}))

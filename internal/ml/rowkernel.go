@@ -10,7 +10,7 @@ package ml
 // views that need no packing.
 //
 // Exactness. Each output element is the same ascending-k chain of
-// multiply-then-add as Dot, just advanced for all rows at once: for
+// multiply-then-add as dot, just advanced for all rows at once: for
 // every k, out[r] += W[r][k]·x[k]. mulLane skips the k whose x[k] is an
 // exact zero (one-hot feature blocks, zero initial state). That is
 // bitwise exact because the accumulator starts at +0 and never becomes
@@ -55,14 +55,14 @@ func (p *packedRows) pack(m *Matrix) {
 	}
 }
 
-// mulLane sets out[i] = Dot(W.row(r0+i), x) for i in [0, len(out)),
+// mulLane sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out)),
 // bitwise, skipping exact-zero inputs.
 func (p *packedRows) mulLane(r0 int, x, out []float64, asm bool) {
 	zeroRange(out)
 	p.accumulate(r0, x, out, true, asm)
 }
 
-// accLane sets out[i] = DotAcc(out[i], W.row(r0+i), x) for i in
+// accLane sets out[i] = dotAcc(out[i], W.row(r0+i), x) for i in
 // [0, len(out)), bitwise. No term is skipped: out[i] may start at -0.
 func (p *packedRows) accLane(r0 int, x, out []float64, asm bool) {
 	p.accumulate(r0, x, out, false, asm)

@@ -33,11 +33,11 @@ func rowKernelValue(s *stats.Stream, density float64) float64 {
 // checkRowKernel runs the row kernel over n lanes through pool, both
 // forms (mulLane from +0 with zero-skip, accLane from per-element
 // starts that include -0), under every available kernel family, and
-// requires each element to equal the per-(lane, row) Dot / DotAcc bit
+// requires each element to equal the per-(lane, row) dot / dotAcc bit
 // for bit.
 func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
-	m := NewMatrix(rows, K)
+	m := newMatrix(rows, K)
 	for i := range m.Data {
 		switch u := s.Float64(); {
 		case u < 0.1:
@@ -60,7 +60,7 @@ func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s
 		starts[i] = rowKernelValue(s, 0.5)
 	}
 	p := packRows(m)
-	for _, kn := range GemmKernels() {
+	for _, kn := range gemmKernels() {
 		setKernel(t, kn)
 		asm := gemmKernel().avx2
 		mul := make([]float64, n*w)
@@ -76,12 +76,12 @@ func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s
 			x := xs[a*K : (a+1)*K]
 			for i := 0; i < w; i++ {
 				row := m.Data[(r0+i)*K : (r0+i+1)*K]
-				if got, want := mul[a*w+i], Dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), Dot = %v (%#x)",
+				if got, want := mul[a*w+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), dot = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if got, want := acc[a*w+i], DotAcc(starts[a*w+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accLane lane %d row %d = %v (%#x), DotAcc = %v (%#x)",
+				if got, want := acc[a*w+i], dotAcc(starts[a*w+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accLane lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
@@ -126,21 +126,21 @@ func FuzzRowKernel(f *testing.F) {
 // TestNonFiniteWeightBreaksZeroSkip is the regression for the
 // precondition the row kernel rests on. With W[0][5] = +Inf and
 // x[5] = 0 the zero-skipping products (the trainer's MulLanes, 4 lanes ×
-// 20 columns, and mulLane) return 0.1 while Dot returns
+// 20 columns, and mulLane) return 0.1 while dot returns
 // NaN, so an artifact with a non-finite weight must never reach
 // inference: CheckFinite names it, and core refuses it on load and after
 // training.
 func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
 	const lanes, cols = 4, 20
-	m := NewMatrix(4, cols)
+	m := newMatrix(4, cols)
 	m.Data[0] = 0.1
 	m.Data[5] = math.Inf(1)
 	xs := make([]float64, lanes*cols)
 	for a := 0; a < lanes; a++ {
 		xs[a*cols] = 1 // one-hot: x[5] is an exact zero
 	}
-	if d := Dot(m.Data[:cols], xs[:cols]); !math.IsNaN(d) {
-		t.Fatalf("Dot = %v, want NaN (Inf·0)", d)
+	if d := dot(m.Data[:cols], xs[:cols]); !math.IsNaN(d) {
+		t.Fatalf("dot = %v, want NaN (Inf·0)", d)
 	}
 	out := make([]float64, lanes*4)
 	m.MulLanes(0, 4, xs, lanes, out, 4, NewPool(1))
@@ -158,11 +158,11 @@ func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
 	if err := model.CheckFinite(); err != nil {
 		t.Fatalf("fresh model: %v", err)
 	}
-	model.Trunk[0].(*LSTM).Wx.Set(0, 5, math.Inf(1))
+	model.Trunk[0].(*lstm).Wx.Data[5] = math.Inf(1)
 	if err := model.CheckFinite(); err == nil {
 		t.Fatal("CheckFinite accepted an Inf weight")
 	}
-	model.Trunk[0].(*LSTM).Wx.Set(0, 5, 0)
+	model.Trunk[0].(*lstm).Wx.Data[5] = 0
 	model.ECNHead.B.Data[0] = math.NaN()
 	if err := model.CheckFinite(); err == nil {
 		t.Fatal("CheckFinite accepted a NaN bias")

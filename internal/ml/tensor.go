@@ -23,20 +23,14 @@ type Matrix struct {
 	Grad       []float64
 }
 
-// NewMatrix allocates a zero matrix with gradient storage.
-func NewMatrix(rows, cols int) *Matrix {
+// newMatrix allocates a zero matrix with gradient storage.
+func newMatrix(rows, cols int) *Matrix {
 	return &Matrix{
 		Rows: rows, Cols: cols,
 		Data: make([]float64, rows*cols),
 		Grad: make([]float64, rows*cols),
 	}
 }
-
-// At returns element (r, c).
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns element (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // ZeroGrad clears the gradient buffer.
 func (m *Matrix) ZeroGrad() {
@@ -54,19 +48,19 @@ func (m *Matrix) InitXavier(s *stats.Stream) {
 	}
 }
 
-// Dot returns Σ a[i]*b[i], accumulated strictly in index order. Every
+// dot returns Σ a[i]*b[i], accumulated strictly in index order. Every
 // matrix product in this package — the row kernel behind the batched
 // inference step and the trainer's lane products, and the per-packet
 // reference the tests keep — computes each element as this chain, which
 // is what makes batched and per-packet inference agree bit-for-bit.
-func Dot(a, b []float64) float64 {
-	return DotAcc(0, a, b)
+func dot(a, b []float64) float64 {
+	return dotAcc(0, a, b)
 }
 
-// DotAcc returns acc + Σ a[i]*b[i], accumulated in index order starting
+// dotAcc returns acc + Σ a[i]*b[i], accumulated in index order starting
 // from acc: the chain of a product continued from a starting value, as
 // the GRU candidate's is from its input term and bias.
-func DotAcc(acc float64, a, b []float64) float64 {
+func dotAcc(acc float64, a, b []float64) float64 {
 	for i, v := range a {
 		acc += v * b[i]
 	}
@@ -99,8 +93,8 @@ func (m *Matrix) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Sigmoid is the logistic function.
-func Sigmoid(x float64) float64 {
+// sigmoid is the logistic function.
+func sigmoid(x float64) float64 {
 	if x >= 0 {
 		z := math.Exp(-x)
 		return 1 / (1 + z)
@@ -109,15 +103,15 @@ func Sigmoid(x float64) float64 {
 	return z / (1 + z)
 }
 
-// DSigmoid returns σ'(x) given y = σ(x).
-func DSigmoid(y float64) float64 { return y * (1 - y) }
+// dSigmoid returns σ'(x) given y = σ(x).
+func dSigmoid(y float64) float64 { return y * (1 - y) }
 
-// DTanh returns tanh'(x) given y = tanh(x).
-func DTanh(y float64) float64 { return 1 - y*y }
+// dTanh returns tanh'(x) given y = tanh(x).
+func dTanh(y float64) float64 { return 1 - y*y }
 
-// ClipGrads scales the combined gradient of params down to maxNorm if it
+// clipGrads scales the combined gradient of params down to maxNorm if it
 // exceeds it, the standard stabilizer for recurrent nets.
-func ClipGrads(params []*Matrix, maxNorm float64) float64 {
+func clipGrads(params []*Matrix, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad {

@@ -32,14 +32,14 @@ import (
 // exactly one chunk (see addGradLanes), and sample order is a
 // seed-derived shuffle.
 
-// DefaultBatchSize is the minibatch width used when ModelConfig.BatchSize
+// defaultBatchSize is the minibatch width used when ModelConfig.BatchSize
 // is zero.
-const DefaultBatchSize = 16
+const defaultBatchSize = 16
 
 // batchSize resolves the effective minibatch width.
 func (c ModelConfig) batchSize() int {
 	if c.BatchSize == 0 {
-		return DefaultBatchSize
+		return defaultBatchSize
 	}
 	return c.BatchSize
 }
@@ -58,8 +58,6 @@ type TrainProgress struct {
 type TrainOpts struct {
 	// Progress, when non-nil, receives one report per finished epoch.
 	Progress func(TrainProgress)
-	// Pool supplies the GEMM worker pool; nil means SharedPool().
-	Pool *Pool
 
 	// SaveCheckpoint, when non-nil, is offered a resumable cursor after
 	// every completed epoch, the last one included (so a finished
@@ -82,18 +80,14 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 	count := src.Len()
 	res := TrainResult{Samples: count}
 	B := m.Cfg.batchSize()
-	pool := opts.Pool
-	if pool == nil {
-		pool = SharedPool()
-	}
-	bt := newMiniBatchTrainer(m, pool)
+	bt := newMiniBatchTrainer(m, SharedPool())
 	// A batch update sees the mean gradient over B samples — lower
 	// variance and B× fewer steps per epoch than one step per sample.
 	// Scale the Adam step size by √B (the usual Adam batch scaling) so
 	// per-epoch convergence tracks the per-sample rate; Adam's update
 	// rule itself is untouched, and width 1 keeps lr exactly.
 	lr *= math.Sqrt(float64(B))
-	opt := NewAdam(lr)
+	opt := newAdam(lr)
 	idx := make([]int, count)
 	for i := range idx {
 		idx[i] = i
@@ -128,7 +122,7 @@ func (m *Model) fit(ctx context.Context, lr float64, rng *stats.Stream, src Samp
 			}
 			sum += bt.trainBatch(src, idx[lo:min(lo+B, len(idx))])
 			if m.Cfg.ClipNorm > 0 {
-				ClipGrads(params, m.Cfg.ClipNorm)
+				clipGrads(params, m.Cfg.ClipNorm)
 			}
 			opt.Step(params)
 		}
@@ -180,11 +174,11 @@ type trainLayer interface {
 // ModelConfig can name has one.
 func newTrainLayer(c Cell, pool *Pool) trainLayer {
 	switch l := c.(type) {
-	case *LSTM:
+	case *lstm:
 		return &lstmTrainLayer{l: l, pool: pool}
-	case *GRU:
+	case *gru:
 		return &gruTrainLayer{g: l, pool: pool}
-	case *WindowMLP:
+	case *windowMLP:
 		return &mlpTrainLayer{m: l, pool: pool}
 	}
 	panic(fmt.Sprintf("ml: no minibatch trainer for cell %T", c))
@@ -271,17 +265,17 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 		latLoss, dLat := cfg.LatLoss.Eval(pred.Latency, latTarget, cfg.HuberDelta)
 		var dropLoss, dDrop float64
 		if cfg.DropWeight > 0 {
-			dropLoss, dDrop = WBCE(pred.PDrop, dropTarget, cfg.DropWeight)
+			dropLoss, dDrop = wbce(pred.PDrop, dropTarget, cfg.DropWeight)
 		} else {
-			dropLoss, dDrop = BCE(pred.PDrop, dropTarget)
+			dropLoss, dDrop = bce(pred.PDrop, dropTarget)
 		}
-		ecnLoss, dECN := BCE(pred.PECN, ecnTarget)
+		ecnLoss, dECN := bce(pred.PECN, ecnTarget)
 		sum += cfg.LatWeight*latLoss + cfg.DropLossW*dropLoss + cfg.ECNLossW*ecnLoss
 		// Mean-loss gradient: scaling the logit gradients by 1/n scales
 		// every downstream parameter gradient linearly.
-		t.dLat[a] = invB * cfg.LatWeight * dLat * DSigmoid(pred.Latency)
-		t.dDrop[a] = invB * cfg.DropLossW * dDrop * DSigmoid(pred.PDrop)
-		t.dECN[a] = invB * cfg.ECNLossW * dECN * DSigmoid(pred.PECN)
+		t.dLat[a] = invB * cfg.LatWeight * dLat * dSigmoid(pred.Latency)
+		t.dDrop[a] = invB * cfg.DropLossW * dDrop * dSigmoid(pred.PDrop)
+		t.dECN[a] = invB * cfg.ECNLossW * dECN * dSigmoid(pred.PECN)
 	}
 	hFin := out[:n*H]
 	t.gemm.addGradLanes(t.m.LatHead.W, 0, 1, t.dLat, 1, n, hFin, t.pool)
@@ -332,7 +326,7 @@ func (t *miniBatchTrainer) RunRange(lo, hi int) {
 // the backward products (mulLanesT for the input and recurrent
 // gradients, addGradLanes for the weights).
 type lstmTrainLayer struct {
-	l    *LSTM
+	l    *lstm
 	pool *Pool
 	gemm laneGemm
 
@@ -461,14 +455,14 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 			// h = o·tanh(c), c = f·cPrev + i·g.
 			i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
 			do := dhv * tc
-			dcTotal := t.dc[a*H+j] + dhv*o_*DTanh(tc)
+			dcTotal := t.dc[a*H+j] + dhv*o_*dTanh(tc)
 			di := dcTotal * g_
 			df := dcTotal * t.ccPrev[k]
 			dg := dcTotal * i_
-			t.dz[a*4*H+j] = di * DSigmoid(i_)
-			t.dz[a*4*H+H+j] = df * DSigmoid(f_)
-			t.dz[a*4*H+2*H+j] = dg * DTanh(g_)
-			t.dz[a*4*H+3*H+j] = do * DSigmoid(o_)
+			t.dz[a*4*H+j] = di * dSigmoid(i_)
+			t.dz[a*4*H+H+j] = df * dSigmoid(f_)
+			t.dz[a*4*H+2*H+j] = dg * dTanh(g_)
+			t.dz[a*4*H+3*H+j] = do * dSigmoid(o_)
 			t.dc[a*H+j] = dcTotal * f_
 		}
 	}
@@ -478,7 +472,7 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 // candidate pre-activation consumes r⊙h, so each step needs a third
 // product after the gate pass (exactly like the inference stepBatch).
 type gruTrainLayer struct {
-	g    *GRU
+	g    *gru
 	pool *Pool
 	gemm laneGemm
 
@@ -627,8 +621,8 @@ func (t gruUpdateGrads) RunRange(lo, hi int) {
 			// h' = (1-z)·h + z·ĥ.
 			z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
 			dz := dhv * (hHat - hPrev)
-			t.da[a*3*H+j] = dz * DSigmoid(z)
-			t.da[a*3*H+2*H+j] = dhv * z * DTanh(hHat)
+			t.da[a*3*H+j] = dz * dSigmoid(z)
+			t.da[a*3*H+2*H+j] = dhv * z * dTanh(hHat)
 			t.dhAcc[a*H+j] = dhv * (1 - z)
 		}
 	}
@@ -644,7 +638,7 @@ func (t gruResetGrads) RunRange(lo, hi int) {
 		for j := 0; j < H; j++ {
 			k := base + a*H + j
 			dr := t.drh[a*H+j] * t.chPrev[k]
-			t.da[a*3*H+H+j] = dr * DSigmoid(t.cr[k])
+			t.da[a*3*H+H+j] = dr * dSigmoid(t.cr[k])
 			t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
 		}
 	}
@@ -657,7 +651,7 @@ func (t gruResetGrads) RunRange(lo, hi int) {
 // step. Non-final steps contribute no gradient (the layer has no
 // recurrent path), so skipping them is exact, not an approximation.
 type mlpTrainLayer struct {
-	m    *WindowMLP
+	m    *windowMLP
 	pool *Pool
 	gemm laneGemm
 
@@ -723,7 +717,7 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 	}
 	H := t.m.Hidden
 	for i, dh := range dhIn[:n*H] {
-		t.da[i] = dh * DTanh(t.h[i]) // back through tanh
+		t.da[i] = dh * dTanh(t.h[i]) // back through tanh
 	}
 	t.gemm.addGradLanes(t.m.W, 0, H, t.da, H, n, t.flat, t.pool)
 	addBiasGradLanes(t.m.B, 0, H, t.da, H, n)

@@ -101,7 +101,7 @@ func TestGenericTrainLayerMatchesFused(t *testing.T) {
 func (m *Model) fitScalar(src windowSource) {
 	params := m.Params()
 	rng := stats.NewStream(m.Cfg.Seed + 1)
-	opt := NewAdam(m.Cfg.LR)
+	opt := newAdam(m.Cfg.LR)
 	idx := make([]int, src.Len())
 	for i := range idx {
 		idx[i] = i
@@ -114,7 +114,7 @@ func (m *Model) fitScalar(src windowSource) {
 			lat, dropped, ecn := src.Target(i)
 			m.trainStepWindow(win, lat, dropped, ecn)
 			if m.Cfg.ClipNorm > 0 {
-				ClipGrads(params, m.Cfg.ClipNorm)
+				clipGrads(params, m.Cfg.ClipNorm)
 			}
 			opt.Step(params)
 		}
@@ -157,7 +157,8 @@ func TestBatchedTrainerDeterministic(t *testing.T) {
 			samples := synthSamples(50, cfg.Features, cfg.Window, 41)
 			train := func(pc poolConfig) (*Model, TrainResult) {
 				m, _ := NewModel(cfg)
-				res, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{Pool: pc.start(t)})
+				pc.start(t) // TrainContext trains on the SharedPool start installs
+				res, err := m.TrainContext(context.Background(), samplesOf(samples), TrainOpts{})
 				if err != nil {
 					t.Fatalf("TrainContext: %v", err)
 				}
@@ -294,7 +295,7 @@ func TestMulLanesTMatchesMulVecT(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	s := stats.NewStream(5)
-	m := NewMatrix(12, 7)
+	m := newMatrix(12, 7)
 	m.InitXavier(s)
 	n, stride := 9, 14
 	dys := make([]float64, n*stride)
@@ -325,7 +326,7 @@ func TestMulLanesTMatchesMulVecT(t *testing.T) {
 // documented reduction order), including worker-count invariance.
 func TestAddGradLanesMatchesAddOuterGrad(t *testing.T) {
 	s := stats.NewStream(6)
-	ref := NewMatrix(10, 6)
+	ref := newMatrix(10, 6)
 	ref.InitXavier(s)
 	n, stride := 11, 10
 	dys := make([]float64, n*stride)
@@ -341,7 +342,7 @@ func TestAddGradLanesMatchesAddOuterGrad(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		pool := NewPool(workers)
-		got := NewMatrix(10, 6)
+		got := newMatrix(10, 6)
 		copy(got.Data, ref.Data)
 		got.AddGradLanes(0, 10, dys, stride, n, xs, pool)
 		for i := range ref.Grad {

@@ -57,7 +57,7 @@ type SampleView struct {
 
 // NewSampleBank returns an empty view preallocated for capacity samples
 // of width features over window-row windows. The caller appends one row
-// per sample (Append, or directly into Feats followed by PushTarget).
+// per sample (a row appended to Feats, then PushTarget).
 func NewSampleBank(width, window, capacity int) *SampleView {
 	return &SampleView{
 		Width:   width,
@@ -68,13 +68,6 @@ func NewSampleBank(width, window, capacity int) *SampleView {
 		ECN:     make([]bool, 0, capacity),
 		zero:    make([]float64, width),
 	}
-}
-
-// Append copies one packet's feature row into the matrix and records
-// its sample targets.
-func (v *SampleView) Append(row []float64, latency float64, dropped, ecn bool) {
-	v.Feats = append(v.Feats, row...)
-	v.PushTarget(latency, dropped, ecn)
 }
 
 // PushTarget records the targets of the next sample; the caller must

@@ -20,7 +20,7 @@ type LinkConfig struct {
 	HostQueue   QueueFactory
 }
 
-// DefaultLinkConfig returns the paper's base parameters with DropTail
+// DefaultLinkConfig returns the paper's base parameters with dropTail
 // queues of 100 packets.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
@@ -52,11 +52,10 @@ type Taps struct {
 // sharded runs count and recycle without atomics; the struct is padded to
 // a cache line to keep neighboring shards' writes from false-sharing.
 type fabricShard struct {
-	injected  uint64
-	delivered uint64
-	drops     uint64
-	packets   PacketPool
-	_         [4]uint64
+	injected uint64
+	drops    uint64
+	packets  PacketPool
+	_        [5]uint64
 }
 
 // nodePorts is one node's output ports, indexed by neighbor ID. A node's
@@ -199,7 +198,7 @@ func (f *Fabric) addPort(from, to int) {
 		q = f.Link.SwitchQueue()
 	}
 	srcSim := f.simFor(from)
-	p := NewPort(srcSim, from, to, f.Link.RateBps, f.Link.Delay, q, func(pkt *Packet) {
+	p := newPort(srcSim, from, to, f.Link.RateBps, f.Link.Delay, q, func(pkt *Packet) {
 		f.arrive(to, pkt)
 	})
 	srcShard := f.shard(from)
@@ -258,7 +257,6 @@ func (f *Fabric) Inject(pkt *Packet) {
 // host's callback has returned, ends the packet's life.
 func (f *Fabric) deliverLocal(pkt *Packet) {
 	sh := &f.shards[f.shard(pkt.Dst)]
-	sh.delivered++
 	if recv := f.hosts[pkt.Dst]; recv != nil {
 		recv(pkt)
 	}
@@ -321,11 +319,6 @@ func (f *Fabric) arrive(node int, pkt *Packet) {
 
 // Injected returns the number of packets entered into the fabric.
 func (f *Fabric) Injected() uint64 { return f.sum(func(c *fabricShard) uint64 { return c.injected }) }
-
-// Delivered returns the number of packets handed to destination hosts.
-func (f *Fabric) Delivered() uint64 {
-	return f.sum(func(c *fabricShard) uint64 { return c.delivered })
-}
 
 // Drops returns the number of packets rejected by queues.
 func (f *Fabric) Drops() uint64 { return f.sum(func(c *fabricShard) uint64 { return c.drops }) }

@@ -1,6 +1,6 @@
 // Package netsim is the packet-level network substrate: links with
 // bandwidth and propagation delay, switches with pluggable output queues
-// (DropTail, ECN threshold marking, strict priority), and a FatTree
+// (dropTail, ECN threshold marking, strict priority), and a FatTree
 // forwarding fabric with per-flow ECMP. It plays the role of OMNeT++/INET
 // in the original MimicNet.
 package netsim
@@ -16,8 +16,8 @@ import (
 // to the simulation.
 const (
 	HeaderBytes = 40   // IP + transport header
-	MTU         = 1500 // maximum packet size on the wire
-	MSS         = MTU - HeaderBytes
+	mtu         = 1500 // maximum packet size on the wire
+	MSS         = mtu - HeaderBytes
 )
 
 // Packet is the unit of simulation. Packets are created by transports and

@@ -10,7 +10,7 @@ import (
 // store-and-forward behavior of the switches MimicNet learns.
 //
 // A packet costs the port two typed kernel events — serialization done,
-// then arrival at the far end — whose handlers are bound once in NewPort,
+// then arrival at the far end — whose handlers are bound once in newPort,
 // so a hop allocates nothing.
 type Port struct {
 	From, To int // node IDs, for instrumentation
@@ -41,8 +41,8 @@ type Port struct {
 	Dropped   uint64
 }
 
-// NewPort creates a port. rateBps is the line rate in bits/second.
-func NewPort(s *sim.Simulator, from, to int, rateBps float64, prop sim.Time, q Queue, deliver func(*Packet)) *Port {
+// newPort creates a port. rateBps is the line rate in bits/second.
+func newPort(s *sim.Simulator, from, to int, rateBps float64, prop sim.Time, q Queue, deliver func(*Packet)) *Port {
 	p := &Port{From: from, To: to, sim: s, rate: rateBps, prop: prop, queue: q, deliver: deliver}
 	p.onSerialized, p.onArrival = p.serialized, p.arrived
 	return p

@@ -44,21 +44,21 @@ func (r *ring) pop() *Packet {
 	return pkt
 }
 
-// DropTail is a FIFO queue with a packet-count capacity, the paper's base
+// dropTail is a FIFO queue with a packet-count capacity, the paper's base
 // configuration.
-type DropTail struct {
+type dropTail struct {
 	Capacity int // max queued packets
 	pkts     ring
 	bytes    int
 }
 
-// NewDropTail returns a FIFO with the given packet capacity.
-func NewDropTail(capacity int) *DropTail {
-	return &DropTail{Capacity: capacity}
+// newDropTail returns a FIFO with the given packet capacity.
+func newDropTail(capacity int) *dropTail {
+	return &dropTail{Capacity: capacity}
 }
 
 // Enqueue appends unless full.
-func (q *DropTail) Enqueue(pkt *Packet) bool {
+func (q *dropTail) Enqueue(pkt *Packet) bool {
 	if q.pkts.n >= q.Capacity {
 		return false
 	}
@@ -68,7 +68,7 @@ func (q *DropTail) Enqueue(pkt *Packet) bool {
 }
 
 // Dequeue pops the head.
-func (q *DropTail) Dequeue() *Packet {
+func (q *dropTail) Dequeue() *Packet {
 	if q.pkts.n == 0 {
 		return nil
 	}
@@ -78,55 +78,55 @@ func (q *DropTail) Dequeue() *Packet {
 }
 
 // Len returns queued packet count.
-func (q *DropTail) Len() int { return q.pkts.n }
+func (q *dropTail) Len() int { return q.pkts.n }
 
 // Bytes returns queued byte count.
-func (q *DropTail) Bytes() int { return q.bytes }
+func (q *dropTail) Bytes() int { return q.bytes }
 
-// ECNQueue is DropTail plus DCTCP-style threshold marking: packets
+// ecnQueue is dropTail plus DCTCP-style threshold marking: packets
 // enqueued while the instantaneous queue length is at least K packets get
 // CE set (if ECN-capable). K is the knob swept in the paper's Figure 13.
-type ECNQueue struct {
-	DropTail
+type ecnQueue struct {
+	dropTail
 	K int // marking threshold in packets
 }
 
-// NewECNQueue returns an ECN threshold queue.
-func NewECNQueue(capacity, k int) *ECNQueue {
-	return &ECNQueue{DropTail: DropTail{Capacity: capacity}, K: k}
+// newECNQueue returns an ECN threshold queue.
+func newECNQueue(capacity, k int) *ecnQueue {
+	return &ecnQueue{dropTail: dropTail{Capacity: capacity}, K: k}
 }
 
-// Enqueue marks then delegates to DropTail admission.
-func (q *ECNQueue) Enqueue(pkt *Packet) bool {
+// Enqueue marks then delegates to dropTail admission.
+func (q *ecnQueue) Enqueue(pkt *Packet) bool {
 	if pkt.ECT && q.pkts.n >= q.K {
 		pkt.CE = true
 	}
-	return q.DropTail.Enqueue(pkt)
+	return q.dropTail.Enqueue(pkt)
 }
 
-// PriorityQueue implements strict-priority scheduling over N bands with a
+// priorityQueue implements strict-priority scheduling over N bands with a
 // shared capacity; band 0 is served first. Homa's receiver-driven
 // transport relies on this (paper §9.4.2: "a challenging extra feature for
 // MimicNet as packets can be reordered").
-type PriorityQueue struct {
+type priorityQueue struct {
 	Capacity int
 	bands    []ring
 	len      int
 	bytes    int
 }
 
-// NewPriorityQueue returns a strict-priority queue with the given number
+// newPriorityQueue returns a strict-priority queue with the given number
 // of bands and total packet capacity.
-func NewPriorityQueue(bands, capacity int) *PriorityQueue {
+func newPriorityQueue(bands, capacity int) *priorityQueue {
 	if bands < 1 {
 		panic("netsim: need at least one priority band")
 	}
-	return &PriorityQueue{Capacity: capacity, bands: make([]ring, bands)}
+	return &priorityQueue{Capacity: capacity, bands: make([]ring, bands)}
 }
 
 // Enqueue places the packet in its priority band unless the shared
 // capacity is exhausted. Out-of-range priorities are clamped.
-func (q *PriorityQueue) Enqueue(pkt *Packet) bool {
+func (q *priorityQueue) Enqueue(pkt *Packet) bool {
 	if q.len >= q.Capacity {
 		return false
 	}
@@ -144,7 +144,7 @@ func (q *PriorityQueue) Enqueue(pkt *Packet) bool {
 }
 
 // Dequeue serves the lowest-numbered non-empty band.
-func (q *PriorityQueue) Dequeue() *Packet {
+func (q *priorityQueue) Dequeue() *Packet {
 	for b := range q.bands {
 		if q.bands[b].n == 0 {
 			continue
@@ -158,25 +158,25 @@ func (q *PriorityQueue) Dequeue() *Packet {
 }
 
 // Len returns queued packet count.
-func (q *PriorityQueue) Len() int { return q.len }
+func (q *priorityQueue) Len() int { return q.len }
 
 // Bytes returns queued byte count.
-func (q *PriorityQueue) Bytes() int { return q.bytes }
+func (q *priorityQueue) Bytes() int { return q.bytes }
 
 // QueueFactory builds a fresh queue for each output port.
 type QueueFactory func() Queue
 
-// DropTailFactory returns a factory for DropTail queues.
+// DropTailFactory returns a factory for dropTail queues.
 func DropTailFactory(capacity int) QueueFactory {
-	return func() Queue { return NewDropTail(capacity) }
+	return func() Queue { return newDropTail(capacity) }
 }
 
 // ECNFactory returns a factory for ECN threshold queues.
 func ECNFactory(capacity, k int) QueueFactory {
-	return func() Queue { return NewECNQueue(capacity, k) }
+	return func() Queue { return newECNQueue(capacity, k) }
 }
 
 // PriorityFactory returns a factory for strict-priority queues.
 func PriorityFactory(bands, capacity int) QueueFactory {
-	return func() Queue { return NewPriorityQueue(bands, capacity) }
+	return func() Queue { return newPriorityQueue(bands, capacity) }
 }

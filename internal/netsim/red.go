@@ -2,15 +2,15 @@ package netsim
 
 import "mimicnet/internal/stats"
 
-// REDQueue implements Random Early Detection (Floyd & Jacobson), the AQM
+// redQueue implements Random Early Detection (Floyd & Jacobson), the AQM
 // the fluid-model literature MimicNet cites analyzes [38]. The average
 // queue length is tracked with an EWMA; packets are probabilistically
 // dropped (or ECN-marked for ECT traffic when MarkInstead is set) between
 // MinTh and MaxTh, and always dropped above MaxTh. It serves as an
-// additional queue discipline for ablations beyond the paper's DropTail
+// additional queue discipline for ablations beyond the paper's dropTail
 // and ECN-threshold base configurations.
-type REDQueue struct {
-	DropTail
+type redQueue struct {
+	dropTail
 	MinTh, MaxTh float64 // thresholds in packets
 	MaxP         float64 // drop probability at MaxTh
 	Weight       float64 // EWMA weight for the average queue size
@@ -21,10 +21,10 @@ type REDQueue struct {
 	rng   *stats.Stream
 }
 
-// NewREDQueue builds a RED queue with the classic gentle parameters.
-func NewREDQueue(capacity int, minTh, maxTh, maxP float64, mark bool, seed int64) *REDQueue {
-	return &REDQueue{
-		DropTail:    DropTail{Capacity: capacity},
+// newREDQueue builds a RED queue with the classic gentle parameters.
+func newREDQueue(capacity int, minTh, maxTh, maxP float64, mark bool, seed int64) *redQueue {
+	return &redQueue{
+		dropTail:    dropTail{Capacity: capacity},
 		MinTh:       minTh,
 		MaxTh:       maxTh,
 		MaxP:        maxP,
@@ -34,8 +34,8 @@ func NewREDQueue(capacity int, minTh, maxTh, maxP float64, mark bool, seed int64
 	}
 }
 
-// Enqueue applies RED admission, then DropTail capacity as a backstop.
-func (q *REDQueue) Enqueue(pkt *Packet) bool {
+// Enqueue applies RED admission, then dropTail capacity as a backstop.
+func (q *redQueue) Enqueue(pkt *Packet) bool {
 	q.avg = (1-q.Weight)*q.avg + q.Weight*float64(q.pkts.n)
 	switch {
 	case q.avg < q.MinTh:
@@ -60,13 +60,13 @@ func (q *REDQueue) Enqueue(pkt *Packet) bool {
 			}
 		}
 	}
-	return q.DropTail.Enqueue(pkt)
+	return q.dropTail.Enqueue(pkt)
 }
 
 // congest signals congestion on pkt: marks it when configured and the
 // packet is ECN-capable, otherwise reports that it must be dropped.
 // It returns false when the packet should be dropped.
-func (q *REDQueue) congest(pkt *Packet) bool {
+func (q *redQueue) congest(pkt *Packet) bool {
 	if q.MarkInstead && pkt.ECT {
 		pkt.CE = true
 		return true
@@ -80,6 +80,6 @@ func REDFactory(capacity int, minTh, maxTh, maxP float64, mark bool, seed int64)
 	n := int64(0)
 	return func() Queue {
 		n++
-		return NewREDQueue(capacity, minTh, maxTh, maxP, mark, seed+n)
+		return newREDQueue(capacity, minTh, maxTh, maxP, mark, seed+n)
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 func TestREDBelowMinThAdmitsAll(t *testing.T) {
-	q := NewREDQueue(100, 10, 30, 0.1, false, 1)
+	q := newREDQueue(100, 10, 30, 0.1, false, 1)
 	for i := 0; i < 5; i++ {
 		pkt := &Packet{Size: 100}
 		if !q.Enqueue(pkt) {
@@ -19,7 +19,7 @@ func TestREDBelowMinThAdmitsAll(t *testing.T) {
 }
 
 func TestREDDropsUnderSustainedLoad(t *testing.T) {
-	q := NewREDQueue(1000, 5, 15, 0.5, false, 1)
+	q := newREDQueue(1000, 5, 15, 0.5, false, 1)
 	drops := 0
 	// Fill without draining: the EWMA average climbs past MaxTh.
 	for i := 0; i < 4000; i++ {
@@ -36,7 +36,7 @@ func TestREDDropsUnderSustainedLoad(t *testing.T) {
 }
 
 func TestREDMarksInsteadOfDroppingECT(t *testing.T) {
-	q := NewREDQueue(4000, 5, 15, 0.5, true, 1)
+	q := newREDQueue(4000, 5, 15, 0.5, true, 1)
 	marked, dropped := 0, 0
 	for i := 0; i < 3000; i++ {
 		pkt := &Packet{Size: 100, ECT: true}
@@ -53,7 +53,7 @@ func TestREDMarksInsteadOfDroppingECT(t *testing.T) {
 		t.Errorf("mark-mode RED dropped %d ECT packets within capacity", dropped)
 	}
 	// Non-ECT packets still get dropped in mark mode.
-	q2 := NewREDQueue(4000, 5, 15, 0.5, true, 1)
+	q2 := newREDQueue(4000, 5, 15, 0.5, true, 1)
 	dropped = 0
 	for i := 0; i < 3000; i++ {
 		if !q2.Enqueue(&Packet{Size: 100}) {
@@ -68,7 +68,7 @@ func TestREDMarksInsteadOfDroppingECT(t *testing.T) {
 func TestREDProbabilisticRegion(t *testing.T) {
 	// Hold the average between thresholds and observe an intermediate
 	// drop rate (neither 0 nor 1).
-	q := NewREDQueue(100000, 2, 50, 0.3, false, 42)
+	q := newREDQueue(100000, 2, 50, 0.3, false, 42)
 	// Prime the average to ~10 by enqueueing without draining until avg
 	// crosses MinTh, then alternate enqueue/dequeue to hold it.
 	for q.avg < 10 {
@@ -94,7 +94,7 @@ func TestREDProbabilisticRegion(t *testing.T) {
 
 func TestREDFactoryDistinctStreams(t *testing.T) {
 	f := REDFactory(100, 5, 15, 0.5, false, 9)
-	a, b := f().(*REDQueue), f().(*REDQueue)
+	a, b := f().(*redQueue), f().(*redQueue)
 	if a == b {
 		t.Fatal("factory returned the same queue")
 	}
@@ -105,7 +105,7 @@ func TestREDFactoryDistinctStreams(t *testing.T) {
 
 func TestREDDeterministic(t *testing.T) {
 	run := func() (drops int) {
-		q := NewREDQueue(1000, 5, 15, 0.5, false, 7)
+		q := newREDQueue(1000, 5, 15, 0.5, false, 7)
 		for i := 0; i < 2000; i++ {
 			if !q.Enqueue(&Packet{Size: 100}) {
 				drops++

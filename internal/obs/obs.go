@@ -107,9 +107,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
@@ -180,4 +177,4 @@ func (s Span) End() time.Duration {
 // sim/ml/core register here at init; mimicnetd serves it at /metrics.
 func Default() *Registry { return defaultRegistry }
 
-var defaultRegistry = NewRegistry()
+var defaultRegistry = newRegistry()

@@ -36,8 +36,8 @@ func TestHistogramBucketMath(t *testing.T) {
 			t.Fatalf("cumulative = %v, want %v", got, want)
 		}
 	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d, want 8", h.Count())
+	if h.count.Load() != 8 {
+		t.Fatalf("count = %d, want 8", h.count.Load())
 	}
 	if s := h.Sum(); s != 117 {
 		t.Fatalf("sum = %v, want 117", s)
@@ -47,8 +47,8 @@ func TestHistogramBucketMath(t *testing.T) {
 func TestHistogramDropsNaN(t *testing.T) {
 	h := NewHistogram([]float64{1})
 	h.Observe(math.NaN())
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("NaN observation must be dropped, got count=%d sum=%v", h.Count(), h.Sum())
+	if h.count.Load() != 0 || h.Sum() != 0 {
+		t.Fatalf("NaN observation must be dropped, got count=%d sum=%v", h.count.Load(), h.Sum())
 	}
 }
 
@@ -107,8 +107,8 @@ func FuzzHistogramObserve(f *testing.F) {
 			}
 			wantPerBucket[i]++
 		}
-		if h.Count() != wantCount {
-			t.Fatalf("count = %d, want %d", h.Count(), wantCount)
+		if h.count.Load() != wantCount {
+			t.Fatalf("count = %d, want %d", h.count.Load(), wantCount)
 		}
 		cum := h.Cumulative()
 		if cum[len(cum)-1] != wantCount {
@@ -132,7 +132,7 @@ func FuzzHistogramObserve(f *testing.F) {
 }
 
 func TestRegistryIdempotentGetters(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c1 := r.Counter("x_total", "h")
 	c2 := r.Counter("x_total", "ignored")
 	if c1 != c2 {
@@ -150,7 +150,7 @@ func TestRegistryIdempotentGetters(t *testing.T) {
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("x_total", "")
 	defer func() {
 		if recover() == nil {
@@ -161,7 +161,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 }
 
 func TestRegisterReplaces(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	var a, b Counter
 	a.Add(1)
 	b.Add(2)
@@ -177,7 +177,7 @@ func TestRegisterReplaces(t *testing.T) {
 }
 
 func TestWriteTextFormat(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("c_total", "a counter").Add(3)
 	r.Gauge("g", "a gauge").Set(-5)
 	r.GaugeFunc("gf", "computed", func() float64 { return 1.5 })
@@ -209,7 +209,7 @@ func TestWriteTextFormat(t *testing.T) {
 // TestSeriesNames: each registered series is exposed under its full name
 // (family plus labels) as one sample line, in registration order.
 func TestSeriesNames(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("b_total", "")
 	r.Counter(`a_total{k="v"}`, "")
 	var buf strings.Builder
@@ -228,7 +228,7 @@ func TestSeriesNames(t *testing.T) {
 }
 
 func TestMalformedNamePanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("malformed name must panic")
@@ -242,7 +242,7 @@ func TestMalformedNamePanics(t *testing.T) {
 // unsynchronized access and on the invariant count == +Inf bucket in
 // every rendered snapshot.
 func TestConcurrentObserveAndScrape(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("spin_total", "")
 	h := r.Histogram("spin_seconds", "", []float64{0.25, 0.5, 1})
 	var wg sync.WaitGroup
@@ -270,8 +270,8 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if h.Count() != h.Cumulative()[3] {
-		t.Fatalf("count %d != +Inf bucket %d after quiesce", h.Count(), h.Cumulative()[3])
+	if h.count.Load() != h.Cumulative()[3] {
+		t.Fatalf("count %d != +Inf bucket %d after quiesce", h.count.Load(), h.Cumulative()[3])
 	}
 }
 
@@ -281,8 +281,8 @@ func TestSpan(t *testing.T) {
 	if d := sp.End(); d < 0 {
 		t.Fatalf("negative span duration %v", d)
 	}
-	if h.Count() != 1 {
-		t.Fatalf("span did not observe, count = %d", h.Count())
+	if h.count.Load() != 1 {
+		t.Fatalf("span did not observe, count = %d", h.count.Load())
 	}
 	var inert Span
 	if d := inert.End(); d != 0 {

@@ -65,8 +65,8 @@ type seriesEntry struct {
 	hist   *Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{byFamily: make(map[string]*family)}
 }
 

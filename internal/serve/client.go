@@ -95,23 +95,6 @@ func (c *Client) Job(id string) (JobStatus, error) {
 	return st, err
 }
 
-// Cancel requests cancellation of a job.
-func (c *Client) Cancel(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.Base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return decodeError(resp)
-	}
-	return nil
-}
-
 // Wait polls the job until it reaches a terminal state, invoking
 // onProgress (if non-nil) after each poll.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, onProgress func(JobStatus)) (JobStatus, error) {

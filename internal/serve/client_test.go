@@ -22,7 +22,7 @@ func stubServer(t *testing.T, h http.HandlerFunc) *Client {
 func TestClientBusyHonorsRetryAfter(t *testing.T) {
 	c := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "17")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: ErrQueueFull.Error()})
+		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errQueueFull.Error()})
 	})
 	_, err := c.Submit(tinySpec())
 	var busy *BusyError
@@ -36,7 +36,7 @@ func TestClientBusyHonorsRetryAfter(t *testing.T) {
 
 func TestClientBusyMissingRetryAfterDefaults(t *testing.T) {
 	c := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: ErrQueueFull.Error()})
+		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errQueueFull.Error()})
 	})
 	_, err := c.Submit(tinySpec())
 	var busy *BusyError

@@ -16,12 +16,12 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// Admission errors. The HTTP layer maps ErrQueueFull to 429 +
-// Retry-After and ErrDraining to 503.
+// Admission errors. The HTTP layer maps errQueueFull to 429 +
+// Retry-After and errDraining to 503.
 var (
-	ErrQueueFull = errors.New("serve: job queue is full")
-	ErrDraining  = errors.New("serve: daemon is draining, not accepting jobs")
-	ErrNotFound  = errors.New("serve: no such job")
+	errQueueFull = errors.New("serve: job queue is full")
+	errDraining  = errors.New("serve: daemon is draining, not accepting jobs")
+	errNotFound  = errors.New("serve: no such job")
 )
 
 // State is a job's lifecycle position.
@@ -229,7 +229,7 @@ func (s *Scheduler) Workers() int { return s.workers }
 func (s *Scheduler) QueueDepth() (int, int) { return len(s.queue), cap(s.queue) }
 
 // Submit validates, keys, and enqueues a job. It fails fast with
-// ErrQueueFull when the bounded queue is at capacity and ErrDraining
+// errQueueFull when the bounded queue is at capacity and errDraining
 // once a drain has begun.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	spec = spec.Normalized()
@@ -256,13 +256,13 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		cancel()
 		s.cRejectDraining.Inc()
-		return nil, ErrDraining
+		return nil, errDraining
 	}
 	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		cancel()
 		s.cRejectFull.Inc()
-		return nil, ErrQueueFull
+		return nil, errQueueFull
 	}
 	s.nextID++
 	j.id = fmt.Sprintf("j%06d", s.nextID)
@@ -285,7 +285,7 @@ func (s *Scheduler) Job(id string) (*Job, error) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return nil, ErrNotFound
+		return nil, errNotFound
 	}
 	return j, nil
 }
@@ -309,7 +309,7 @@ func (s *Scheduler) Draining() bool {
 }
 
 // Drain stops admission immediately (subsequent Submits fail with
-// ErrDraining), lets queued and running jobs finish, and returns when the
+// errDraining), lets queued and running jobs finish, and returns when the
 // pool is idle or ctx expires (workers keep finishing in the background
 // on timeout). Safe to call more than once.
 func (s *Scheduler) Drain(ctx context.Context) error {

@@ -91,7 +91,7 @@ func waitState(t *testing.T, j *Job, want State) {
 }
 
 // TestSchedulerAdmissionControl: the bounded queue rejects overflow with
-// ErrQueueFull instead of blocking or dropping silently.
+// errQueueFull instead of blocking or dropping silently.
 func TestSchedulerAdmissionControl(t *testing.T) {
 	s, release := stubScheduler(t, 1, 1)
 	defer close(release)
@@ -105,8 +105,8 @@ func TestSchedulerAdmissionControl(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Clusters: 4}); err != nil {
 		t.Fatalf("queue-filling submit failed: %v", err)
 	}
-	if _, err := s.Submit(JobSpec{Clusters: 4}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
+	if _, err := s.Submit(JobSpec{Clusters: 4}); !errors.Is(err, errQueueFull) {
+		t.Fatalf("overflow submit: err = %v, want errQueueFull", err)
 	}
 	if ra := s.RetryAfter(); ra < 1 {
 		t.Fatalf("RetryAfter = %d, want >= 1", ra)
@@ -173,8 +173,8 @@ func TestSchedulerDrain(t *testing.T) {
 	for !s.Draining() {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(JobSpec{Clusters: 4}); !errors.Is(err, ErrDraining) {
-		t.Fatalf("submit during drain: err = %v, want ErrDraining", err)
+	if _, err := s.Submit(JobSpec{Clusters: 4}); !errors.Is(err, errDraining) {
+		t.Fatalf("submit during drain: err = %v, want errDraining", err)
 	}
 
 	close(release) // let the in-flight and queued jobs finish
@@ -338,6 +338,7 @@ func TestSchedulerRejectsInvalidSpec(t *testing.T) {
 		{"epochs", JobSpec{Epochs: maxEpochs + 1}},
 		{"batch_size", JobSpec{BatchSize: maxBatchSize + 1}},
 		{"tune", JobSpec{Tune: maxTune + 1}},
+		{"tune", JobSpec{Tune: -1}},
 		{"workload_ms", JobSpec{WorkloadMs: maxHorizonMs + 1}},
 		{"run_ms", JobSpec{RunMs: maxHorizonMs + 1}},
 		{"small_run_ms", JobSpec{SmallRunMs: maxHorizonMs + 1}},
@@ -361,7 +362,7 @@ func TestSchedulerRejectsInvalidSpec(t *testing.T) {
 	if err := atLimit.Validate(); err != nil {
 		t.Errorf("spec at every limit rejected: %v", err)
 	}
-	if _, err := s.Job("j999999"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Job("j999999"); !errors.Is(err, errNotFound) {
 		t.Fatal("lookup of unknown job did not fail")
 	}
 }

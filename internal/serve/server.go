@@ -91,11 +91,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, err := s.sched.Submit(spec)
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.sched.RetryAfter()))
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 		return
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, errDraining):
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	case err != nil:
@@ -136,17 +136,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// HealthBody is the /healthz payload.
-type HealthBody struct {
+// healthBody is the /healthz payload.
+type healthBody struct {
 	Status string `json:"status"` // ok | draining
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.sched.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthBody{Status: "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, healthBody{Status: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthBody{Status: "ok"})
+	writeJSON(w, http.StatusOK, healthBody{Status: "ok"})
 }
 
 // StatsBody is the /stats payload.

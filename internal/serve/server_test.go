@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -174,9 +175,7 @@ func TestServerAdmissionAndErrors(t *testing.T) {
 	}
 
 	// DELETE cancels the running job; poll shows terminal cancelled.
-	if err := c.Cancel(first.ID); err != nil {
-		t.Fatal(err)
-	}
+	cancelHTTP(t, c, first.ID)
 	waitHTTPState(t, c, first.ID, StateCancelled)
 
 	// Drain: health flips to 503 and submissions are rejected.
@@ -208,6 +207,23 @@ func waitHTTPState(t *testing.T, c *Client, id string, want State) {
 			t.Fatalf("job %s never reached %s (now %s)", id, want, st.State)
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// cancelHTTP cancels a job with DELETE /v1/jobs/{id}.
+func cancelHTTP(t *testing.T, c *Client, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, c.Base+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE %s: status %d, want 202", id, resp.StatusCode)
 	}
 }
 
@@ -244,9 +260,7 @@ func TestServerJobCancelledMidRun(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if err := c.Cancel(st.ID); err != nil {
-		t.Fatal(err)
-	}
+	cancelHTTP(t, c, st.ID)
 	final, err := c.Wait(ctx, st.ID, 20*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)

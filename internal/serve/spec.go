@@ -188,6 +188,10 @@ func (s JobSpec) Validate() error {
 	if s.ECNK < 0 {
 		return fmt.Errorf("serve: ecn_k must be >= 0, have %d", s.ECNK)
 	}
+	// A negative budget would silently run the job untuned.
+	if s.Tune < 0 {
+		return fmt.Errorf("serve: tune must be >= 0, have %d", s.Tune)
+	}
 	if _, err := transport.ByName(s.Protocol); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}

@@ -5,19 +5,18 @@ import (
 )
 
 // The kernel's contract is one total order: events fire by (time,
-// scheduling sequence), whatever mix of func() events, typed events,
-// cancels and timers produced them, and a Timer behaves exactly like the
-// Cancel+After re-arm it replaced — same firing position, same sequence
+// scheduling sequence), whatever mix of func() events, typed events
+// and timers produced them, and a Timer behaves exactly like a
+// cancel-and-reschedule re-arm — same firing position, same sequence
 // numbers consumed, same Processed. This file checks that contract
 // against a reference model that knows nothing of heaps, pools or timers:
 // flat lists searched for their (at, seq) minimum, timers re-armed by
 // cancel-and-append.
 
 // scheduler is what a generated program drives: the real kernel or the
-// reference model. Handles are the program's event ids minus one.
+// reference model.
 type scheduler interface {
 	after(d Time, id int, typed bool)
-	cancel(handle int)
 	timerReset(i int, d Time)
 	timerStop(i int)
 }
@@ -73,22 +72,20 @@ func (p *program) onFire(k scheduler, id int, now Time) {
 		return // out of budget or out of script: let the queue drain
 	}
 	for n := 1 + p.byte()%3; n > 0; n-- {
-		switch op := p.byte() % 8; op {
+		switch op := p.byte() % 7; op {
 		case 0, 1, 2:
 			p.schedule(k, p.delay(), op == 1)
 		case 3:
 			p.schedule(k, 0, true)
 		case 4:
-			k.cancel(p.byte() % p.nextID)
-		case 5:
 			k.timerReset(p.byte()%orderTimers, p.delay())
-		case 6:
+		case 5:
 			// Push a deadline out, then pull it in: the timer's live
 			// entry is first too early, then too late.
 			i := p.byte() % orderTimers
 			k.timerReset(i, 100+p.delay())
 			k.timerReset(i, p.delay())
-		case 7:
+		case 6:
 			k.timerStop(p.byte() % orderTimers)
 		}
 	}
@@ -98,7 +95,6 @@ func (p *program) onFire(k scheduler, id int, now Time) {
 type kernelRun struct {
 	program
 	s      *Simulator
-	refs   []EventRef
 	timers [orderTimers]Timer
 	typed  Handler
 }
@@ -114,17 +110,16 @@ func newKernelRun(data []byte) *kernelRun {
 
 func (k *kernelRun) after(d Time, id int, typed bool) {
 	if typed {
-		k.refs = append(k.refs, k.s.Schedule(k.s.Now()+d, k.typed, nil, int64(id)))
+		k.s.Schedule(k.s.Now()+d, k.typed, nil, int64(id))
 	} else {
-		k.refs = append(k.refs, k.s.After(d, func() { k.onFire(k, id, k.s.Now()) }))
+		k.s.After(d, func() { k.onFire(k, id, k.s.Now()) })
 	}
 }
-func (k *kernelRun) cancel(h int)             { k.s.Cancel(k.refs[h]) }
 func (k *kernelRun) timerReset(i int, d Time) { k.timers[i].Reset(d) }
 func (k *kernelRun) timerStop(i int)          { k.timers[i].Stop() }
 
-// modelRun is the reference. Scheduled events live in pend, indexed by
-// handle; timer entries in tpend, where armed[i] indexes timer i's live
+// modelRun is the reference. Scheduled events live in pend; timer
+// entries in tpend, where armed[i] indexes timer i's live
 // one. One sequence counter serves both, as in the kernel.
 type modelRun struct {
 	program
@@ -140,7 +135,7 @@ type modelEvent struct {
 	at   Time
 	seq  uint64
 	id   int
-	dead bool // fired or cancelled
+	dead bool // fired, or a timer entry stopped or re-armed
 }
 
 func newModelRun(data []byte) *modelRun {
@@ -151,7 +146,6 @@ func (m *modelRun) after(d Time, id int, _ bool) {
 	m.pend = append(m.pend, modelEvent{at: m.now + d, seq: m.seq, id: id})
 	m.seq++
 }
-func (m *modelRun) cancel(h int) { m.pend[h].dead = true }
 func (m *modelRun) timerReset(i int, d Time) {
 	m.timerStop(i)
 	m.armed[i] = len(m.tpend)
@@ -197,9 +191,9 @@ func checkKernelOrder(t *testing.T, data []byte) int {
 	k, m := newKernelRun(data), newModelRun(data)
 	k.schedule(k, 0, false)
 	m.schedule(m, 0, false)
-	// The kernel runs in pieces, by Step and by RunUntil at a horizon
-	// that falls between events, to cover every way of driving the loop.
-	k.s.Step()
+	// The kernel runs in pieces, by RunUntil at horizons that fall
+	// between events, to cover every way of driving the loop.
+	k.s.RunUntil(0)
 	k.s.RunUntil(50)
 	k.s.Run()
 	m.run()
@@ -216,7 +210,7 @@ func checkKernelOrder(t *testing.T, data []byte) int {
 		t.Errorf("Processed = %d, reference fired %d", k.s.Processed(), m.count)
 	}
 	if k.s.seq != m.seq {
-		t.Errorf("kernel consumed %d sequence numbers, Cancel+After formulation %d", k.s.seq, m.seq)
+		t.Errorf("kernel consumed %d sequence numbers, cancel-and-reschedule formulation %d", k.s.seq, m.seq)
 	}
 	for i := range k.timers {
 		if got, want := k.timers[i].Armed(), m.armed[i] >= 0; got != want {
@@ -289,7 +283,7 @@ func TestTimerDoesNotAllocate(t *testing.T) {
 }
 
 // A timer pushed back a thousand times holds one heap entry, where
-// Cancel+After would hold a thousand.
+// cancel-and-reschedule would hold a thousand.
 func TestTimerKeepsOneHeapEntry(t *testing.T) {
 	s := New()
 	var tm Timer

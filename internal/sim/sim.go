@@ -7,10 +7,10 @@
 // whole-simulation runs bit-for-bit reproducible.
 //
 // The hot path is allocation-free in steady state, for the kernel and for
-// its callers: Event records come from a per-simulator free list and are
-// recycled the moment they fire or are canceled, the pending queue is a
+// its callers: event records come from a per-simulator free list and are
+// recycled the moment they fire, the pending queue is a
 // 4-ary min-heap of inline (time, seq) keys, so ordering decisions never
-// chase the Event pointer and no container/heap interface boxing occurs,
+// chase the event pointer and no container/heap interface boxing occurs,
 // and the per-packet work of a simulation is scheduled as typed events
 // (Schedule, LP.Send: a Handler bound once plus a pointer and an integer)
 // and re-armable Timers, neither of which needs a closure. At and After
@@ -53,54 +53,30 @@ func (t Time) String() string { return fmt.Sprintf("%.9fs", t.Seconds()) }
 // scheduling a typed event allocates nothing.
 type Handler func(p any, n int64)
 
-// Event is a pooled callback record. Callers never hold *Event directly;
-// At, After and Schedule return an EventRef handle whose generation
-// counter makes Cancel safe even after the record has been recycled and
-// reused.
-type Event struct {
+// event is a pooled callback record. gen counts the heap entries a
+// Timer's own record has orphaned (see Timer.Reset).
+type event struct {
 	h     Handler // nil for a func() event, whose callback is p
 	p     any
 	n     int64
 	at    Time
 	gen   uint32
 	timer *Timer // set on a Timer's own record, which is never pooled
-	next  *Event // free-list link
-}
-
-// EventRef is a cancelable handle to a scheduled event. The zero value is
-// an inert reference: canceling it is a no-op. A ref left around after its
-// event fired (or was canceled) is likewise inert—the generation counter
-// no longer matches, so Cancel cannot touch whatever the recycled record
-// is now scheduled as.
-type EventRef struct {
-	e   *Event
-	gen uint32
-}
-
-// Scheduled reports whether the referenced event is still pending.
-func (r EventRef) Scheduled() bool { return r.e != nil && r.e.gen == r.gen }
-
-// At returns the time the referenced event is scheduled to fire, or -1 if
-// the event already fired or was canceled.
-func (r EventRef) At() Time {
-	if !r.Scheduled() {
-		return -1
-	}
-	return r.e.at
+	next  *event // free-list link
 }
 
 // heapEntry is one pending-queue slot. The ordering key (at, seq) is
-// stored inline so sift operations compare without touching the Event.
+// stored inline so sift operations compare without touching the event.
 // gen snapshots the event's generation at scheduling time; a mismatch at
-// pop time means the entry was canceled (and the record possibly reused).
+// pop time means a Timer orphaned the entry.
 type heapEntry struct {
 	at  Time
 	seq uint64
-	e   *Event
+	e   *event
 	gen uint32
 }
 
-// poolBlock is how many Event records one free-list refill allocates.
+// poolBlock is how many event records one free-list refill allocates.
 const poolBlock = 256
 
 // Simulator owns the event queue and the simulated clock.
@@ -111,7 +87,7 @@ type Simulator struct {
 	seq       uint64
 	processed uint64
 	stopped   bool
-	free      *Event // free list of recycled Event records
+	free      *event // free list of recycled event records
 
 	tickEvery uint64
 	tick      func(now Time, processed uint64) (stop bool)
@@ -143,12 +119,12 @@ func (s *Simulator) Now() Time { return s.now }
 // simulator's measure of work done, used by the scalability experiments.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// alloc takes an Event record from the free list, refilling it with a
+// alloc takes an event record from the free list, refilling it with a
 // block allocation when empty so steady-state scheduling allocates
 // nothing.
-func (s *Simulator) alloc() *Event {
+func (s *Simulator) alloc() *event {
 	if s.free == nil {
-		block := make([]Event, poolBlock)
+		block := make([]event, poolBlock)
 		for i := range block {
 			block[i].next = s.free
 			s.free = &block[i]
@@ -160,10 +136,8 @@ func (s *Simulator) alloc() *Event {
 	return e
 }
 
-// recycle invalidates every outstanding EventRef to e and returns the
-// record to the free list.
-func (s *Simulator) recycle(e *Event) {
-	e.gen++
+// recycle returns a fired record to the free list.
+func (s *Simulator) recycle(e *event) {
 	e.h, e.p = nil, nil
 	e.next = s.free
 	s.free = e
@@ -171,22 +145,22 @@ func (s *Simulator) recycle(e *Event) {
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past panics: it indicates a causality bug in the caller.
-func (s *Simulator) At(t Time, fn func()) EventRef {
-	return s.schedule(t, nil, fn, 0)
+func (s *Simulator) At(t Time, fn func()) {
+	s.schedule(t, nil, fn, 0)
 }
 
 // Schedule is At for a typed event: h(p, n) runs at absolute simulated
 // time t. It shares At's sequence counter, so typed and func() events
 // scheduled for the same time fire in scheduling order.
-func (s *Simulator) Schedule(t Time, h Handler, p any, n int64) EventRef {
+func (s *Simulator) Schedule(t Time, h Handler, p any, n int64) {
 	if h == nil {
 		panic("sim: Schedule needs a handler")
 	}
-	return s.schedule(t, h, p, n)
+	s.schedule(t, h, p, n)
 }
 
 // schedule queues one event; a nil h marks a func() event carried in p.
-func (s *Simulator) schedule(t Time, h Handler, p any, n int64) EventRef {
+func (s *Simulator) schedule(t Time, h Handler, p any, n int64) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -195,32 +169,17 @@ func (s *Simulator) schedule(t Time, h Handler, p any, n int64) EventRef {
 	e.h, e.p, e.n = h, p, n
 	s.push(heapEntry{at: t, seq: s.seq, e: e, gen: e.gen})
 	s.seq++
-	return EventRef{e: e, gen: e.gen}
 }
 
 // After schedules fn to run d after the current simulated time.
-func (s *Simulator) After(d Time, fn func()) EventRef {
+func (s *Simulator) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
 }
 
-// Cancel prevents a pending event from firing. Canceling a zero ref, or a
-// ref whose event already fired or was already canceled, is a no-op. The
-// record is recycled immediately; its stale heap entry is discarded by
-// generation mismatch when it surfaces.
-func (s *Simulator) Cancel(r EventRef) {
-	if r.e == nil || r.e.gen != r.gen {
-		return
-	}
-	s.recycle(r.e)
-}
-
-// Stop makes Run return after the currently executing event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty or the ticker stops it.
 func (s *Simulator) Run() {
 	s.RunUntil(Time(1<<63 - 1))
 }
@@ -230,25 +189,16 @@ func (s *Simulator) Run() {
 // pending event, so repeated RunUntil calls advance monotonically).
 func (s *Simulator) RunUntil(limit Time) {
 	s.stopped = false
-	s.run(limit, false)
+	s.run(limit)
 	if !s.stopped && s.now < limit && limit < Time(1<<62) {
 		s.now = limit
 	}
 }
 
-// Step executes exactly one non-canceled event if one is pending and
-// reports whether it did.
-func (s *Simulator) Step() bool {
-	s.stopped = false
-	return s.run(Time(1<<63-1), true)
-}
-
-// run is the event loop: it executes events up to limit, or just the
-// first one when single is set, and reports whether it executed any. A
-// heap entry whose event was canceled, or a timer's entry that is stale,
-// stopped or early (see Timer), executes nothing, leaves the clock alone
-// and is not counted in Processed.
-func (s *Simulator) run(limit Time, single bool) (ran bool) {
+// run is the event loop: it executes events up to limit. A timer's heap
+// entry that is orphaned, stopped or early (see Timer) executes nothing,
+// leaves the clock alone and is not counted in Processed.
+func (s *Simulator) run(limit Time) {
 	for len(s.heap) > 0 && !s.stopped {
 		top := s.heap[0]
 		if top.at > limit {
@@ -257,7 +207,7 @@ func (s *Simulator) run(limit Time, single bool) (ran bool) {
 		s.pop()
 		e := top.e
 		if e.gen != top.gen {
-			continue // canceled; record already recycled
+			continue // orphaned by Timer.Reset
 		}
 		h, p, n := e.h, e.p, e.n
 		if e.timer == nil {
@@ -272,15 +222,10 @@ func (s *Simulator) run(limit Time, single bool) (ran bool) {
 		} else {
 			h(p, n)
 		}
-		if single {
-			return true
-		}
-		ran = true
 		if s.tick != nil && s.processed%s.tickEvery == 0 && s.tick(s.now, s.processed) {
 			s.stopped = true
 		}
 	}
-	return ran
 }
 
 // The pending queue is a 4-ary min-heap ordered by (at, seq). 4-ary wins
@@ -332,7 +277,7 @@ func (s *Simulator) pop() {
 	h := s.heap
 	n := len(h) - 1
 	ent := h[n]
-	h[n] = heapEntry{} // release the Event reference
+	h[n] = heapEntry{} // release the event reference
 	h = h[:n]
 	s.heap = h
 	if n == 0 {

@@ -64,16 +64,19 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
+// A stopped Timer is the kernel's one way to cancel: its entry never
+// fires and is not counted.
 func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.At(10, func() { fired = true })
-	s.Cancel(e)
-	s.Cancel(e) // double-cancel is a no-op
-	s.Cancel(EventRef{})
+	var tm Timer
+	tm.Init(s, func(any, int64) { fired = true }, nil, 0)
+	tm.Reset(10)
+	tm.Stop()
+	tm.Stop() // stopping a disarmed timer is a no-op
 	s.Run()
 	if fired {
-		t.Error("canceled event fired")
+		t.Error("stopped timer fired")
 	}
 	if s.Processed() != 0 {
 		t.Errorf("Processed() = %d, want 0", s.Processed())
@@ -123,35 +126,22 @@ func TestNegativeAfterPanics(t *testing.T) {
 	s.After(-1, func() {})
 }
 
+// A ticker that returns true stops the run after the current event,
+// leaving the rest queued.
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
-	s.At(1, func() { count++; s.Stop() })
+	s.At(1, func() { count++ })
 	s.At(2, func() { count++ })
+	s.SetTicker(1, func(Time, uint64) bool { return count == 1 })
 	s.Run()
 	if count != 1 {
-		t.Errorf("count = %d, want 1 (Stop should halt the loop)", count)
+		t.Errorf("count = %d, want 1 (the ticker should halt the loop)", count)
 	}
 	// Run again resumes.
 	s.Run()
 	if count != 2 {
 		t.Errorf("count = %d, want 2 after resuming", count)
-	}
-}
-
-func TestStep(t *testing.T) {
-	s := New()
-	count := 0
-	s.At(1, func() { count++ })
-	s.At(2, func() { count++ })
-	if !s.Step() || count != 1 {
-		t.Fatalf("first Step: count = %d", count)
-	}
-	if !s.Step() || count != 2 {
-		t.Fatalf("second Step: count = %d", count)
-	}
-	if s.Step() {
-		t.Error("Step on empty queue returned true")
 	}
 }
 
@@ -190,17 +180,22 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: interleaving At/Cancel never loses or duplicates events.
+// Property: interleaving At with Timer Reset/Stop never loses or
+// duplicates events.
 func TestCancelProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		fired := 0
 		want := 0
-		for i := 0; i < int(n); i++ {
-			e := s.At(Time(rng.Intn(1000)), func() { fired++ })
+		timers := make([]Timer, int(n))
+		for i := range timers {
+			s.At(Time(rng.Intn(1000)), func() { fired++ })
+			want++
+			timers[i].Init(s, func(any, int64) { fired++ }, nil, 0)
+			timers[i].Reset(Time(rng.Intn(1000)))
 			if rng.Intn(2) == 0 {
-				s.Cancel(e)
+				timers[i].Stop()
 			} else {
 				want++
 			}
@@ -293,38 +288,6 @@ func TestParallelZeroLookaheadPanics(t *testing.T) {
 	NewParallel(1, 0).Run(10)
 }
 
-// A canceled ref must stay inert after its pooled record is reused: the
-// generation counter must prevent a stale ref from canceling the record's
-// next incarnation.
-func TestCancelStaleRefDoesNotTouchReusedEvent(t *testing.T) {
-	s := New()
-	stale := s.At(10, func() {})
-	s.Cancel(stale)
-	fired := false
-	// The pool hands the recycled record straight back.
-	s.At(20, func() { fired = true })
-	s.Cancel(stale) // must be a no-op against the new incarnation
-	s.Run()
-	if !fired {
-		t.Error("stale ref canceled a reused event record")
-	}
-}
-
-func TestEventRefScheduledAndAt(t *testing.T) {
-	s := New()
-	e := s.At(10, func() {})
-	if !e.Scheduled() || e.At() != 10 {
-		t.Errorf("pending ref: Scheduled=%v At=%v", e.Scheduled(), e.At())
-	}
-	s.Run()
-	if e.Scheduled() || e.At() != -1 {
-		t.Errorf("fired ref: Scheduled=%v At=%v", e.Scheduled(), e.At())
-	}
-	if (EventRef{}).Scheduled() {
-		t.Error("zero ref reports Scheduled")
-	}
-}
-
 // Scheduling events steadily must not allocate once the pool has warmed
 // up: records are recycled as they fire.
 func TestEventPoolSteadyStateDoesNotAllocate(t *testing.T) {
@@ -332,10 +295,11 @@ func TestEventPoolSteadyStateDoesNotAllocate(t *testing.T) {
 	var next func()
 	next = func() { s.After(1, next) }
 	s.At(0, next)
-	for i := 0; i < 2*poolBlock; i++ { // warm the pool
-		s.Step()
+	step := func() { s.RunUntil(s.Now() + 1) } // exactly one event
+	for i := 0; i < 2*poolBlock; i++ {
+		step() // warm the pool
 	}
-	allocs := testing.AllocsPerRun(1000, func() { s.Step() })
+	allocs := testing.AllocsPerRun(1000, step)
 	if allocs > 0 {
 		t.Errorf("steady-state event loop allocates %v/op, want 0", allocs)
 	}
@@ -478,6 +442,6 @@ func BenchmarkEventLoop(b *testing.B) {
 	s.At(0, next)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Step()
+		s.RunUntil(s.Now() + 1)
 	}
 }

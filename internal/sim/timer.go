@@ -4,27 +4,26 @@ import "fmt"
 
 // Timer is a re-armable typed event for deadlines that move far more
 // often than they expire: a TCP retransmission timeout is pushed back by
-// every ACK and fires for perhaps one flow in a hundred. Re-arming with
-// Cancel+After leaves one dead heap entry behind per ACK, each of which
-// sits in the queue for a whole timeout; a Timer keeps at most one live
-// entry however often it is Reset.
+// every ACK and fires for perhaps one flow in a hundred. Re-arming by
+// cancelling one event and scheduling another would leave one dead heap
+// entry behind per ACK, each of which sits in the queue for a whole
+// timeout; a Timer keeps at most one live entry however often it is Reset.
 //
 // Invariant: while the timer is armed, its live heap entry is keyed at or
 // before the armed deadline (at, seq). Reset to a later deadline therefore
 // only records the new key; when the entry surfaces early the kernel
 // re-queues it under the recorded key without executing anything or
 // counting an event. Reset to an earlier deadline queues a fresh entry
-// and orphans the old one by generation, exactly as Cancel does. Either
-// way the handler runs at the position in (time, seq) order that
-// Cancel+After at the same call sites would have given it, and Reset
-// consumes one sequence number just as After does, so replacing one
-// formulation with the other changes no schedule.
+// and orphans the old one by generation. Either way the handler runs at
+// the position in (time, seq) order that cancel-and-reschedule at the
+// same call sites would have given it, and Reset consumes one sequence
+// number just as After does.
 //
 // The zero Timer must be set up with Init before use and must not be
 // copied afterwards. It may live inside the structure it times.
 type Timer struct {
 	s  *Simulator
-	ev Event // the record every heap entry of this timer points at
+	ev event // the record every heap entry of this timer points at
 
 	at    Time   // armed deadline
 	seq   uint64 // and its tie-break among events at the same time

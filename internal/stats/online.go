@@ -34,23 +34,20 @@ func (e *EWMA) Value() float64 { return e.value }
 // Initialized reports whether at least one sample was folded in.
 func (e *EWMA) Initialized() bool { return e.init }
 
-// Reset clears the average.
-func (e *EWMA) Reset() { e.value, e.init = 0, false }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of values using linear
 // interpolation between order statistics. It sorts a copy; callers on hot
-// paths should sort once and use QuantileSorted.
+// paths should sort once and use quantileSorted.
 func Quantile(values []float64, q float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
 	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
+	return quantileSorted(sorted, q)
 }
 
-// QuantileSorted is Quantile for an already ascending-sorted slice.
-func QuantileSorted(sorted []float64, q float64) float64 {
+// quantileSorted is Quantile for an already ascending-sorted slice.
+func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return math.NaN()

@@ -92,37 +92,20 @@ func (s *Stream) Float64() float64 { return s.rng.Float64() }
 // Intn returns a uniform int in [0, n).
 func (s *Stream) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63 returns a non-negative uniform int64.
-func (s *Stream) Int63() int64 { return s.rng.Int63() }
-
 // NormFloat64 returns a standard normal variate.
 func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }
 
 // ExpFloat64 returns an exponential variate with mean 1.
 func (s *Stream) ExpFloat64() float64 { return s.rng.ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
-// Distribution is a samplable one-dimensional distribution.
-type Distribution interface {
-	// Sample draws one value using the supplied stream.
-	Sample(s *Stream) float64
-	// Mean returns the distribution's analytic (or empirical) mean.
-	Mean() float64
-}
 
 // Exponential is an exponential distribution with the given mean.
 type Exponential struct{ MeanVal float64 }
 
 // Sample draws an exponential variate.
 func (d Exponential) Sample(s *Stream) float64 { return s.ExpFloat64() * d.MeanVal }
-
-// Mean returns the configured mean.
-func (d Exponential) Mean() float64 { return d.MeanVal }
 
 // LogNormal is a log-normal distribution parameterized by the mu/sigma of
 // the underlying normal. The paper observed that simple log-normal
@@ -168,61 +151,3 @@ func FitLogNormal(samples []float64, fallbackMean float64) LogNormal {
 	}
 	return LogNormal{Mu: mu, Sigma: math.Sqrt(variance)}
 }
-
-// Pareto is a bounded-at-minimum Pareto distribution: the classic
-// heavy-tailed model for flow sizes and self-similar traffic.
-type Pareto struct {
-	Xm    float64 // scale (minimum value), > 0
-	Alpha float64 // shape, > 0
-}
-
-// Sample draws a Pareto variate via inverse transform.
-func (d Pareto) Sample(s *Stream) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return d.Xm / math.Pow(u, 1/d.Alpha)
-}
-
-// Mean returns alpha*xm/(alpha-1) for alpha > 1, +Inf otherwise.
-func (d Pareto) Mean() float64 {
-	if d.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return d.Alpha * d.Xm / (d.Alpha - 1)
-}
-
-// Empirical samples uniformly from observed values; used to replay fitted
-// characteristic distributions when a parametric fit is not wanted.
-type Empirical struct{ Values []float64 }
-
-// Sample draws one of the stored values uniformly at random.
-func (d Empirical) Sample(s *Stream) float64 {
-	if len(d.Values) == 0 {
-		return 0
-	}
-	return d.Values[s.Intn(len(d.Values))]
-}
-
-// Mean returns the average of the stored values.
-func (d Empirical) Mean() float64 {
-	if len(d.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range d.Values {
-		sum += v
-	}
-	return sum / float64(len(d.Values))
-}
-
-// Constant always returns the same value (useful for tests and for
-// degenerate feeder configurations).
-type Constant struct{ Value float64 }
-
-// Sample returns the constant.
-func (d Constant) Sample(*Stream) float64 { return d.Value }
-
-// Mean returns the constant.
-func (d Constant) Mean() float64 { return d.Value }

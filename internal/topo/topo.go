@@ -18,7 +18,7 @@ type Kind uint8
 // Node kinds, in ID-range order.
 const (
 	KindHost Kind = iota
-	KindToR
+	kindToR
 	KindAgg
 	KindCore
 )
@@ -28,7 +28,7 @@ func (k Kind) String() string {
 	switch k {
 	case KindHost:
 		return "host"
-	case KindToR:
+	case kindToR:
 		return "tor"
 	case KindAgg:
 		return "agg"
@@ -118,9 +118,6 @@ func (t *Topology) Hosts() int { return t.hosts }
 // Nodes returns the total node count (hosts + switches).
 func (t *Topology) Nodes() int { return t.coreBase + t.cores }
 
-// Cores returns the number of core switches.
-func (t *Topology) Cores() int { return t.cores }
-
 // HostsPerCluster returns hosts in one cluster.
 func (t *Topology) HostsPerCluster() int {
 	return t.cfg.RacksPerCluster * t.cfg.HostsPerRack
@@ -154,7 +151,7 @@ func (t *Topology) KindOf(id int) Kind {
 	case id < t.torBase:
 		return KindHost
 	case id < t.aggBase:
-		return KindToR
+		return kindToR
 	case id < t.coreBase:
 		return KindAgg
 	default:
@@ -168,7 +165,7 @@ func (t *Topology) ClusterOf(id int) int {
 	switch t.KindOf(id) {
 	case KindHost:
 		return id / t.HostsPerCluster()
-	case KindToR:
+	case kindToR:
 		return (id - t.torBase) / t.cfg.RacksPerCluster
 	case KindAgg:
 		return (id - t.aggBase) / t.cfg.AggPerCluster
@@ -182,7 +179,7 @@ func (t *Topology) RackOf(id int) int {
 	switch t.KindOf(id) {
 	case KindHost:
 		return (id % t.HostsPerCluster()) / t.cfg.HostsPerRack
-	case KindToR:
+	case kindToR:
 		return (id - t.torBase) % t.cfg.RacksPerCluster
 	}
 	return -1
@@ -222,7 +219,7 @@ func (t *Topology) Name(id int) string {
 	switch t.KindOf(id) {
 	case KindHost:
 		return fmt.Sprintf("host(c%d,r%d,s%d)", t.ClusterOf(id), t.RackOf(id), t.SlotOf(id))
-	case KindToR:
+	case kindToR:
 		return fmt.Sprintf("tor(c%d,r%d)", t.ClusterOf(id), t.RackOf(id))
 	case KindAgg:
 		return fmt.Sprintf("agg(c%d,a%d)", t.ClusterOf(id), t.AggIndexOf(id))

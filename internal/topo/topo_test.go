@@ -20,7 +20,7 @@ func TestCounts(t *testing.T) {
 	if got, want := tp.Hosts(), 3*2*4; got != want {
 		t.Errorf("Hosts = %d, want %d", got, want)
 	}
-	if got, want := tp.Cores(), 2*2; got != want {
+	if got, want := tp.cores, 2*2; got != want {
 		t.Errorf("Cores = %d, want %d", got, want)
 	}
 	if got, want := tp.Nodes(), 24+6+6+4; got != want {
@@ -80,7 +80,7 @@ func TestIDsRoundTrip(t *testing.T) {
 				}
 			}
 			tor := tp.ToRID(c, r)
-			if tp.KindOf(tor) != KindToR || tp.ClusterOf(tor) != c || tp.RackOf(tor) != r {
+			if tp.KindOf(tor) != kindToR || tp.ClusterOf(tor) != c || tp.RackOf(tor) != r {
 				t.Errorf("ToR (%d,%d) round-trip failed", c, r)
 			}
 		}
@@ -138,7 +138,7 @@ func TestNames(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	if KindHost.String() != "host" || KindCore.String() != "core" ||
-		KindToR.String() != "tor" || KindAgg.String() != "agg" {
+		kindToR.String() != "tor" || KindAgg.String() != "agg" {
 		t.Error("Kind.String wrong")
 	}
 	if Kind(99).String() != "unknown" {
@@ -260,8 +260,8 @@ func TestECMPSpreadsLoad(t *testing.T) {
 	if len(aggSeen) != tp.Config().AggPerCluster {
 		t.Errorf("ECMP used %d agg switches, want %d", len(aggSeen), tp.Config().AggPerCluster)
 	}
-	if len(coreSeen) != tp.Cores() {
-		t.Errorf("ECMP used %d cores, want %d", len(coreSeen), tp.Cores())
+	if len(coreSeen) != tp.cores {
+		t.Errorf("ECMP used %d cores, want %d", len(coreSeen), tp.cores)
 	}
 }
 

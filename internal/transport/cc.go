@@ -6,18 +6,18 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// Reno implements TCP New Reno congestion control: slow start,
+// reno implements TCP New Reno congestion control: slow start,
 // additive-increase congestion avoidance, and multiplicative decrease on
 // loss. It is the paper's base configuration.
-type Reno struct {
+type reno struct {
 	mss      float64
 	cwnd     float64
 	ssthresh float64
 }
 
-// NewReno returns a Reno controller with a window of initWnd segments.
-func NewReno(mss, initWnd int) *Reno {
-	return &Reno{
+// newReno returns a Reno controller with a window of initWnd segments.
+func newReno(mss, initWnd int) *reno {
+	return &reno{
 		mss:      float64(mss),
 		cwnd:     float64(mss * initWnd),
 		ssthresh: math.Inf(1),
@@ -25,11 +25,11 @@ func NewReno(mss, initWnd int) *Reno {
 }
 
 // Window returns the congestion window in bytes.
-func (r *Reno) Window() float64 { return r.cwnd }
+func (r *reno) Window() float64 { return r.cwnd }
 
 // OnAck grows the window: exponentially in slow start, ~1 MSS/RTT in
 // congestion avoidance.
-func (r *Reno) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
+func (r *reno) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 	if r.cwnd < r.ssthresh {
 		r.cwnd += float64(acked)
 		if r.cwnd > r.ssthresh {
@@ -41,23 +41,23 @@ func (r *Reno) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 }
 
 // OnDupAckLoss halves the window (fast recovery entry).
-func (r *Reno) OnDupAckLoss() {
+func (r *reno) OnDupAckLoss() {
 	r.ssthresh = math.Max(r.cwnd/2, 2*r.mss)
 	r.cwnd = r.ssthresh
 }
 
 // OnTimeout collapses to one segment.
-func (r *Reno) OnTimeout() {
+func (r *reno) OnTimeout() {
 	r.ssthresh = math.Max(r.cwnd/2, 2*r.mss)
 	r.cwnd = r.mss
 }
 
-// DCTCP implements Data Center TCP (Alizadeh et al., SIGCOMM 2010): the
+// dctcp implements Data Center TCP (Alizadeh et al., SIGCOMM 2010): the
 // receiver echoes ECN marks, and the sender maintains an EWMA estimate α
 // of the marked fraction, cutting cwnd by a factor α/2 once per window.
 // Loss handling falls back to Reno behavior.
-type DCTCP struct {
-	Reno
+type dctcp struct {
+	reno
 	G     float64 // EWMA gain, paper default 1/16
 	alpha float64
 
@@ -67,17 +67,14 @@ type DCTCP struct {
 	totalAcked  int64
 }
 
-// NewDCTCP returns a DCTCP controller.
-func NewDCTCP(mss, initWnd int) *DCTCP {
-	return &DCTCP{Reno: *NewReno(mss, initWnd), G: 1.0 / 16}
+// newDCTCP returns a DCTCP controller.
+func newDCTCP(mss, initWnd int) *dctcp {
+	return &dctcp{reno: *newReno(mss, initWnd), G: 1.0 / 16}
 }
-
-// Alpha exposes the current marked-fraction estimate.
-func (d *DCTCP) Alpha() float64 { return d.alpha }
 
 // OnAck tracks per-window ECN echo fractions and applies the α-scaled
 // reduction at window boundaries, then delegates growth to Reno.
-func (d *DCTCP) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
+func (d *dctcp) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 	d.totalAcked += acked
 	d.ackedBytes += acked
 	if ecnEcho {
@@ -97,34 +94,33 @@ func (d *DCTCP) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 		d.windowEnd = d.totalAcked + int64(d.cwnd)
 	}
 	if !ecnEcho {
-		d.Reno.OnAck(acked, rtt, false)
+		d.reno.OnAck(acked, rtt, false)
 	}
 }
 
-// Vegas implements TCP Vegas (Brakmo & Peterson): a delay-based protocol
+// vegas implements TCP Vegas (Brakmo & Peterson): a delay-based protocol
 // that compares actual to expected throughput each RTT and nudges cwnd to
 // keep between alpha and beta packets queued in the network. It stands in
 // for the recent delay-sensitive protocols (TIMELY, Swift) the paper
 // cites (§9.4.2).
-type Vegas struct {
-	Reno
+type vegas struct {
+	reno
 	AlphaPkts, BetaPkts float64 // queueing targets in packets
 
-	baseRTT   sim.Time
-	rttSum    sim.Time
-	rttCnt    int64
-	ackedInRT int64
-	nextAdj   int64 // totalAcked threshold ending the current RTT epoch
-	total     int64
+	baseRTT sim.Time
+	rttSum  sim.Time
+	rttCnt  int64
+	nextAdj int64 // totalAcked threshold ending the current RTT epoch
+	total   int64
 }
 
-// NewVegas returns a Vegas controller with the classic alpha=2, beta=4.
-func NewVegas(mss, initWnd int) *Vegas {
-	return &Vegas{Reno: *NewReno(mss, initWnd), AlphaPkts: 2, BetaPkts: 4}
+// newVegas returns a Vegas controller with the classic alpha=2, beta=4.
+func newVegas(mss, initWnd int) *vegas {
+	return &vegas{reno: *newReno(mss, initWnd), AlphaPkts: 2, BetaPkts: 4}
 }
 
 // OnAck performs the per-RTT Vegas adjustment.
-func (v *Vegas) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
+func (v *vegas) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 	v.total += acked
 	if rtt > 0 {
 		if v.baseRTT == 0 || rtt < v.baseRTT {
@@ -164,26 +160,26 @@ func (v *Vegas) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 	v.nextAdj = v.total + int64(v.cwnd)
 }
 
-// Westwood implements TCP Westwood(+): it estimates the eligible
+// westwood implements TCP Westwood(+): it estimates the eligible
 // bandwidth from the ACK stream and, on loss, sets ssthresh to the
 // estimated bandwidth-delay product instead of blindly halving—a
 // sender-side optimization to maximize throughput (paper §9.4.2).
-type Westwood struct {
-	Reno
+type westwood struct {
+	reno
 	bwe     float64 // bandwidth estimate, bytes/sec
 	rttMin  sim.Time
 	lastAck sim.Time
 	now     func() sim.Time
 }
 
-// NewWestwood returns a Westwood controller. now supplies the simulated
+// newWestwood returns a Westwood controller. now supplies the simulated
 // clock for ACK interarrival measurement.
-func NewWestwood(mss, initWnd int, now func() sim.Time) *Westwood {
-	return &Westwood{Reno: *NewReno(mss, initWnd), now: now}
+func newWestwood(mss, initWnd int, now func() sim.Time) *westwood {
+	return &westwood{reno: *newReno(mss, initWnd), now: now}
 }
 
 // OnAck updates the bandwidth estimate then grows the window like Reno.
-func (w *Westwood) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
+func (w *westwood) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 	t := w.now()
 	if rtt > 0 && (w.rttMin == 0 || rtt < w.rttMin) {
 		w.rttMin = rtt
@@ -198,10 +194,10 @@ func (w *Westwood) OnAck(acked int64, rtt sim.Time, ecnEcho bool) {
 		}
 	}
 	w.lastAck = t
-	w.Reno.OnAck(acked, rtt, ecnEcho)
+	w.reno.OnAck(acked, rtt, ecnEcho)
 }
 
-func (w *Westwood) bdp() float64 {
+func (w *westwood) bdp() float64 {
 	if w.bwe == 0 || w.rttMin == 0 {
 		return 0
 	}
@@ -209,22 +205,22 @@ func (w *Westwood) bdp() float64 {
 }
 
 // OnDupAckLoss performs faster recovery: ssthresh = BWE * RTTmin.
-func (w *Westwood) OnDupAckLoss() {
+func (w *westwood) OnDupAckLoss() {
 	if bdp := w.bdp(); bdp >= 2*w.mss {
 		w.ssthresh = bdp
 		w.cwnd = w.ssthresh
 		return
 	}
-	w.Reno.OnDupAckLoss()
+	w.reno.OnDupAckLoss()
 }
 
 // OnTimeout sets ssthresh from the bandwidth estimate and restarts from
 // one segment.
-func (w *Westwood) OnTimeout() {
+func (w *westwood) OnTimeout() {
 	if bdp := w.bdp(); bdp >= 2*w.mss {
 		w.ssthresh = bdp
 		w.cwnd = w.mss
 		return
 	}
-	w.Reno.OnTimeout()
+	w.reno.OnTimeout()
 }

@@ -5,10 +5,10 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// HomaBands is the number of switch priority bands the Homa-like
+// homaBands is the number of switch priority bands the Homa-like
 // transport uses: band 0 carries grants and the shortest messages, higher
 // bands carry progressively longer messages (SRPT approximation).
-const HomaBands = 8
+const homaBands = 8
 
 // homaRetxTimeout is the progress timeout after which the sender
 // retransmits from the acknowledged prefix.
@@ -25,18 +25,18 @@ func HomaPriority(remaining int64, bdp int) int {
 		unit = 1
 	}
 	prio := 1
-	for size := unit; remaining > size && prio < HomaBands-1; size *= 4 {
+	for size := unit; remaining > size && prio < homaBands-1; size *= 4 {
 		prio++
 	}
 	return prio
 }
 
-// HomaSender is a receiver-driven message sender: it blasts one BDP of
+// homaSender is a receiver-driven message sender: it blasts one BDP of
 // unscheduled data immediately and sends the rest only as the receiver
 // grants it. Data packets carry priorities so switches can run SRPT-like
 // scheduling; this deliberately reorders packets across messages, the
 // property that stresses MimicNet's models (paper §9.4.2).
-type HomaSender struct {
+type homaSender struct {
 	env  *Env
 	flow *Flow
 
@@ -50,17 +50,17 @@ type HomaSender struct {
 	done      bool
 }
 
-// NewHomaSender builds a Homa-like sender.
-func NewHomaSender(env *Env, flow *Flow) *HomaSender {
-	h := &HomaSender{env: env, flow: flow}
+// newHomaSender builds a Homa-like sender.
+func newHomaSender(env *Env, flow *Flow) *homaSender {
+	h := &homaSender{env: env, flow: flow}
 	h.retxTimer.Init(env.Sim, homaRetxExpired, h, 0)
 	return h
 }
 
-func homaRetxExpired(p any, _ int64) { p.(*HomaSender).onRetxTimeout() }
+func homaRetxExpired(p any, _ int64) { p.(*homaSender).onRetxTimeout() }
 
 // Start transmits the unscheduled window.
-func (h *HomaSender) Start() {
+func (h *homaSender) Start() {
 	unsched := int64(h.env.BDPBytes)
 	if unsched > h.flow.Bytes {
 		unsched = h.flow.Bytes
@@ -71,10 +71,7 @@ func (h *HomaSender) Start() {
 	h.armRetx()
 }
 
-// Done reports whether the full message was acknowledged.
-func (h *HomaSender) Done() bool { return h.done }
-
-func (h *HomaSender) sendUpTo(limit int64) {
+func (h *homaSender) sendUpTo(limit int64) {
 	for h.sent < limit {
 		payload := h.env.MSS
 		if remaining := limit - h.sent; remaining < int64(payload) {
@@ -85,7 +82,7 @@ func (h *HomaSender) sendUpTo(limit int64) {
 	}
 }
 
-func (h *HomaSender) sendSegment(seq int64, payload int) {
+func (h *homaSender) sendSegment(seq int64, payload int) {
 	pkt := h.env.newPacket(h.flow, true)
 	pkt.Seq = seq
 	pkt.Payload = payload
@@ -96,7 +93,7 @@ func (h *HomaSender) sendSegment(seq int64, payload int) {
 }
 
 // HandleAck processes acknowledgements and grants from the receiver.
-func (h *HomaSender) HandleAck(pkt *netsim.Packet) {
+func (h *homaSender) HandleAck(pkt *netsim.Packet) {
 	if h.done {
 		return
 	}
@@ -123,7 +120,7 @@ func (h *HomaSender) HandleAck(pkt *netsim.Packet) {
 	h.armRetx()
 }
 
-func (h *HomaSender) armRetx() {
+func (h *homaSender) armRetx() {
 	if h.done {
 		h.retxTimer.Stop()
 		return
@@ -132,7 +129,7 @@ func (h *HomaSender) armRetx() {
 	h.retxTimer.Reset(homaRetxTimeout)
 }
 
-func (h *HomaSender) onRetxTimeout() {
+func (h *homaSender) onRetxTimeout() {
 	if h.done {
 		return
 	}
@@ -148,7 +145,7 @@ func (h *HomaSender) onRetxTimeout() {
 	h.armRetx()
 }
 
-func (h *HomaSender) complete() {
+func (h *homaSender) complete() {
 	h.done = true
 	h.retxTimer.Stop()
 	if h.env.OnComplete != nil {

@@ -25,7 +25,7 @@ func NewRenoProtocol() Protocol {
 	return &protocol{
 		name: "newreno", bands: 1,
 		sender: func(env *Env, flow *Flow) Sender {
-			return NewTCPSender(env, flow, NewReno(env.MSS, initWnd), false)
+			return newTCPSender(env, flow, newReno(env.MSS, initWnd), false)
 		},
 	}
 }
@@ -36,38 +36,38 @@ func NewDCTCPProtocol() Protocol {
 	return &protocol{
 		name: "dctcp", ecn: true, bands: 1,
 		sender: func(env *Env, flow *Flow) Sender {
-			return NewTCPSender(env, flow, NewDCTCP(env.MSS, initWnd), true)
+			return newTCPSender(env, flow, newDCTCP(env.MSS, initWnd), true)
 		},
 	}
 }
 
-// NewVegasProtocol returns delay-based TCP Vegas.
-func NewVegasProtocol() Protocol {
+// newVegasProtocol returns delay-based TCP Vegas.
+func newVegasProtocol() Protocol {
 	return &protocol{
 		name: "vegas", bands: 1,
 		sender: func(env *Env, flow *Flow) Sender {
-			return NewTCPSender(env, flow, NewVegas(env.MSS, initWnd), false)
+			return newTCPSender(env, flow, newVegas(env.MSS, initWnd), false)
 		},
 	}
 }
 
-// NewWestwoodProtocol returns TCP Westwood.
-func NewWestwoodProtocol() Protocol {
+// newWestwoodProtocol returns TCP Westwood.
+func newWestwoodProtocol() Protocol {
 	return &protocol{
 		name: "westwood", bands: 1,
 		sender: func(env *Env, flow *Flow) Sender {
-			return NewTCPSender(env, flow, NewWestwood(env.MSS, initWnd, env.Sim.Now), false)
+			return newTCPSender(env, flow, newWestwood(env.MSS, initWnd, env.Sim.Now), false)
 		},
 	}
 }
 
-// NewHomaProtocol returns the receiver-driven priority-queue transport.
-// Pair it with strict-priority switch queues of HomaBands bands.
-func NewHomaProtocol() Protocol {
+// newHomaProtocol returns the receiver-driven priority-queue transport.
+// Pair it with strict-priority switch queues of homaBands bands.
+func newHomaProtocol() Protocol {
 	return &protocol{
-		name: "homa", bands: HomaBands,
+		name: "homa", bands: homaBands,
 		sender: func(env *Env, flow *Flow) Sender {
-			return NewHomaSender(env, flow)
+			return newHomaSender(env, flow)
 		},
 	}
 }
@@ -80,11 +80,11 @@ func ByName(name string) (Protocol, error) {
 	case "dctcp":
 		return NewDCTCPProtocol(), nil
 	case "vegas":
-		return NewVegasProtocol(), nil
+		return newVegasProtocol(), nil
 	case "westwood":
-		return NewWestwoodProtocol(), nil
+		return newWestwoodProtocol(), nil
 	case "homa":
-		return NewHomaProtocol(), nil
+		return newHomaProtocol(), nil
 	}
 	return nil, fmt.Errorf("transport: unknown protocol %q", name)
 }

@@ -14,9 +14,9 @@ const (
 	maxRTO     = 2 * sim.Second
 )
 
-// CongestionControl is the pluggable policy inside the generic TCP
+// congestionControl is the pluggable policy inside the generic TCP
 // sender. Implementations maintain the congestion window in bytes.
-type CongestionControl interface {
+type congestionControl interface {
 	// OnAck is invoked for every ACK advancing snd.una. acked is the
 	// newly acknowledged byte count; rtt is the sample for this ACK
 	// (zero if invalid per Karn's rule); ecnEcho is the ACK's ECN echo.
@@ -29,14 +29,14 @@ type CongestionControl interface {
 	Window() float64
 }
 
-// TCPSender implements the protocol-independent parts of a TCP-like
+// tcpSender implements the protocol-independent parts of a TCP-like
 // reliable sender: sequencing, cumulative ACK processing, NewReno fast
 // retransmit/recovery, and RTO management. Congestion response is
-// delegated to a CongestionControl.
-type TCPSender struct {
+// delegated to a congestionControl.
+type tcpSender struct {
 	env  *Env
 	flow *Flow
-	cc   CongestionControl
+	cc   congestionControl
 	ecn  bool
 
 	sndUna, sndNxt int64
@@ -52,10 +52,10 @@ type TCPSender struct {
 	done bool
 }
 
-// NewTCPSender builds a sender for flow using the given congestion
+// newTCPSender builds a sender for flow using the given congestion
 // control. ecn controls whether data packets are ECN-capable.
-func NewTCPSender(env *Env, flow *Flow, cc CongestionControl, ecn bool) *TCPSender {
-	t := &TCPSender{
+func newTCPSender(env *Env, flow *Flow, cc congestionControl, ecn bool) *tcpSender {
+	t := &tcpSender{
 		env: env, flow: flow, cc: cc, ecn: ecn,
 		rto: initialRTO,
 	}
@@ -63,15 +63,12 @@ func NewTCPSender(env *Env, flow *Flow, cc CongestionControl, ecn bool) *TCPSend
 	return t
 }
 
-func tcpRTOExpired(p any, _ int64) { p.(*TCPSender).onRTO() }
+func tcpRTOExpired(p any, _ int64) { p.(*tcpSender).onRTO() }
 
 // Start begins transmission.
-func (t *TCPSender) Start() { t.trySend() }
+func (t *tcpSender) Start() { t.trySend() }
 
-// Done reports whether every byte has been cumulatively acknowledged.
-func (t *TCPSender) Done() bool { return t.done }
-
-func (t *TCPSender) trySend() {
+func (t *tcpSender) trySend() {
 	if t.done {
 		return
 	}
@@ -90,7 +87,7 @@ func (t *TCPSender) trySend() {
 	t.armRTO()
 }
 
-func (t *TCPSender) sendSegment(seq int64, payload int) {
+func (t *tcpSender) sendSegment(seq int64, payload int) {
 	pkt := t.env.newPacket(t.flow, true)
 	pkt.Seq = seq
 	pkt.Payload = payload
@@ -101,7 +98,7 @@ func (t *TCPSender) sendSegment(seq int64, payload int) {
 }
 
 // HandleAck processes a cumulative ACK.
-func (t *TCPSender) HandleAck(pkt *netsim.Packet) {
+func (t *tcpSender) HandleAck(pkt *netsim.Packet) {
 	if t.done {
 		return
 	}
@@ -143,7 +140,7 @@ func (t *TCPSender) HandleAck(pkt *netsim.Packet) {
 	}
 }
 
-func (t *TCPSender) segLenAt(seq int64) int {
+func (t *tcpSender) segLenAt(seq int64) int {
 	payload := int64(t.env.MSS)
 	if remaining := t.flow.Bytes - seq; remaining < payload {
 		payload = remaining
@@ -151,7 +148,7 @@ func (t *TCPSender) segLenAt(seq int64) int {
 	return int(payload)
 }
 
-func (t *TCPSender) rttSample(pkt *netsim.Packet) sim.Time {
+func (t *tcpSender) rttSample(pkt *netsim.Packet) sim.Time {
 	if pkt.EchoTS == 0 {
 		return 0
 	}
@@ -166,7 +163,7 @@ func (t *TCPSender) rttSample(pkt *netsim.Packet) sim.Time {
 	return rtt
 }
 
-func (t *TCPSender) updateRTO(rtt sim.Time) {
+func (t *tcpSender) updateRTO(rtt sim.Time) {
 	if t.srtt == 0 {
 		t.srtt = rtt
 		t.rttvar = rtt / 2
@@ -187,7 +184,7 @@ func (t *TCPSender) updateRTO(rtt sim.Time) {
 	}
 }
 
-func (t *TCPSender) armRTO() {
+func (t *tcpSender) armRTO() {
 	if t.sndUna >= t.flow.Bytes || t.sndNxt == t.sndUna {
 		t.rtoTimer.Stop()
 		return
@@ -199,7 +196,7 @@ func (t *TCPSender) armRTO() {
 	t.rtoTimer.Reset(timeout)
 }
 
-func (t *TCPSender) onRTO() {
+func (t *tcpSender) onRTO() {
 	if t.done || t.sndUna >= t.flow.Bytes {
 		return
 	}
@@ -217,7 +214,7 @@ func (t *TCPSender) onRTO() {
 	t.armRTO()
 }
 
-func (t *TCPSender) complete() {
+func (t *tcpSender) complete() {
 	t.done = true
 	t.rtoTimer.Stop()
 	if t.env.OnComplete != nil {

@@ -87,8 +87,6 @@ type Sender interface {
 	// HandleAck processes an arriving ACK or grant addressed to the
 	// sender.
 	HandleAck(pkt *netsim.Packet)
-	// Done reports whether all bytes have been acknowledged.
-	Done() bool
 }
 
 // Protocol constructs senders; the receive side is protocol-independent
@@ -110,9 +108,8 @@ type Receiver struct {
 	env  *Env
 	flow *Flow
 
-	rcvNxt   int64
-	ooo      map[int64]int64 // out-of-order segments: start -> end
-	complete bool
+	rcvNxt int64
+	ooo    map[int64]int64 // out-of-order segments: start -> end
 
 	// granting state (Homa)
 	granting   bool
@@ -129,9 +126,6 @@ func NewReceiver(env *Env, flow *Flow) *Receiver {
 	return &Receiver{env: env, flow: flow, ooo: make(map[int64]int64)}
 }
 
-// Complete reports whether all flow bytes arrived.
-func (r *Receiver) Complete() bool { return r.complete }
-
 // HandleData processes an arriving data packet and emits an ACK (and
 // grants, when granting is enabled).
 func (r *Receiver) HandleData(pkt *netsim.Packet) {
@@ -142,9 +136,6 @@ func (r *Receiver) HandleData(pkt *netsim.Packet) {
 		} else if cur, ok := r.ooo[start]; !ok || end > cur {
 			r.ooo[start] = end
 		}
-	}
-	if r.rcvNxt >= pkt.FlowBytes && pkt.FlowBytes > 0 {
-		r.complete = true
 	}
 	r.sendAck(pkt)
 	if r.granting {

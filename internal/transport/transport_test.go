@@ -22,7 +22,7 @@ type loop struct {
 	mark     func(pkt *netsim.Packet) bool
 	sent     int
 	dropped  int
-	done     bool
+	done     int // OnComplete calls
 	rttSeen  []float64
 	deliverd int64
 }
@@ -35,7 +35,7 @@ func newLoop(proto Protocol, bytes int64, oneWay sim.Time) *loop {
 		MSS:      netsim.MSS,
 		BDPBytes: 4 * netsim.MSS,
 	}
-	l.env.OnComplete = func(f *Flow) { l.done = true }
+	l.env.OnComplete = func(f *Flow) { l.done++ }
 	l.env.OnRTT = func(f *Flow, sec float64) { l.rttSeen = append(l.rttSeen, sec) }
 	l.env.Inject = func(pkt *netsim.Packet) {
 		l.sent++
@@ -80,11 +80,8 @@ func TestTCPTransfersCleanChannel(t *testing.T) {
 		}
 		l := newLoop(proto, 100_000, sim.Millisecond)
 		l.run(t, 10*sim.Second)
-		if !l.done {
-			t.Errorf("%s: transfer did not complete", name)
-		}
-		if !l.sender.Done() {
-			t.Errorf("%s: sender.Done() false after completion", name)
+		if l.done != 1 {
+			t.Errorf("%s: OnComplete fired %d times, want once", name, l.done)
 		}
 		if l.deliverd != 100_000 {
 			t.Errorf("%s: delivered %d bytes, want 100000", name, l.deliverd)
@@ -109,7 +106,7 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 			return !pkt.IsAck && rng.Float64() < 0.05
 		}
 		l.run(t, 60*sim.Second)
-		if !l.done {
+		if l.done != 1 {
 			t.Errorf("%s: transfer did not complete under 5%% loss", name)
 		}
 		if l.dropped == 0 {
@@ -131,13 +128,13 @@ func TestTCPRecoversFromBurstLoss(t *testing.T) {
 		return n <= 10
 	}
 	l.run(t, 30*sim.Second)
-	if !l.done {
+	if l.done != 1 {
 		t.Fatal("transfer did not recover from burst loss")
 	}
 }
 
 func TestRenoSlowStartAndAIMD(t *testing.T) {
-	r := NewReno(1000, 10)
+	r := newReno(1000, 10)
 	w0 := r.Window()
 	r.OnAck(1000, sim.Millisecond, false)
 	if r.Window() != w0+1000 {
@@ -161,7 +158,7 @@ func TestRenoSlowStartAndAIMD(t *testing.T) {
 }
 
 func TestRenoFloors(t *testing.T) {
-	r := NewReno(1000, 1)
+	r := newReno(1000, 1)
 	for i := 0; i < 10; i++ {
 		r.OnDupAckLoss()
 	}
@@ -171,13 +168,13 @@ func TestRenoFloors(t *testing.T) {
 }
 
 func TestDCTCPAlphaTracksMarks(t *testing.T) {
-	d := NewDCTCP(1000, 10)
+	d := newDCTCP(1000, 10)
 	// Fully marked windows should push alpha toward 1 and shrink cwnd.
 	for i := 0; i < 200; i++ {
 		d.OnAck(10_000, sim.Millisecond, true)
 	}
-	if d.Alpha() < 0.9 {
-		t.Errorf("alpha = %v after persistent marking, want > 0.9", d.Alpha())
+	if d.alpha < 0.9 {
+		t.Errorf("alpha = %v after persistent marking, want > 0.9", d.alpha)
 	}
 	if d.Window() > 5000 {
 		t.Errorf("window = %v under persistent marking, want small", d.Window())
@@ -186,15 +183,15 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		d.OnAck(10_000, sim.Millisecond, false)
 	}
-	if d.Alpha() > 0.1 {
-		t.Errorf("alpha = %v after mark-free period, want < 0.1", d.Alpha())
+	if d.alpha > 0.1 {
+		t.Errorf("alpha = %v after mark-free period, want < 0.1", d.alpha)
 	}
 }
 
 func TestDCTCPMildMarkingGentlerThanReno(t *testing.T) {
 	// DCTCP's whole point: a lightly marked window cuts cwnd by α/2, far
 	// less than Reno's halving.
-	d := NewDCTCP(1000, 100)
+	d := newDCTCP(1000, 100)
 	start := d.Window()
 	// One window with 10% marks.
 	for i := 0; i < 9; i++ {
@@ -210,7 +207,7 @@ func TestDCTCPMildMarkingGentlerThanReno(t *testing.T) {
 }
 
 func TestVegasAdjustments(t *testing.T) {
-	v := NewVegas(1000, 10)
+	v := newVegas(1000, 10)
 	v.ssthresh = 0 // force congestion avoidance
 	// Feed a full epoch with RTT == baseRTT: diff = 0 < alpha ⇒ +1 MSS.
 	base := 10 * sim.Millisecond
@@ -239,7 +236,7 @@ func TestVegasAdjustments(t *testing.T) {
 
 func TestWestwoodBandwidthEstimate(t *testing.T) {
 	var now sim.Time
-	w := NewWestwood(1000, 10, func() sim.Time { return now })
+	w := newWestwood(1000, 10, func() sim.Time { return now })
 	// 1000 bytes every ms = 1 MB/s.
 	for i := 0; i < 100; i++ {
 		now += sim.Millisecond
@@ -261,7 +258,7 @@ func TestWestwoodBandwidthEstimate(t *testing.T) {
 
 func TestWestwoodFallsBackWithoutEstimate(t *testing.T) {
 	var now sim.Time
-	w := NewWestwood(1000, 10, func() sim.Time { return now })
+	w := newWestwood(1000, 10, func() sim.Time { return now })
 	w.OnDupAckLoss() // no BWE yet: Reno behavior
 	if w.Window() != 5000 {
 		t.Errorf("fallback halving: %v, want 5000", w.Window())
@@ -277,8 +274,8 @@ func TestReceiverInOrder(t *testing.T) {
 	for seq := int64(0); seq < 300; seq += 100 {
 		r.HandleData(&netsim.Packet{Seq: seq, Payload: 100, FlowBytes: 300})
 	}
-	if r.rcvNxt != 300 || !r.Complete() || delivered != 300 {
-		t.Errorf("rcvNxt=%d complete=%v delivered=%d", r.rcvNxt, r.Complete(), delivered)
+	if r.rcvNxt != 300 || delivered != 300 {
+		t.Errorf("rcvNxt=%d delivered=%d", r.rcvNxt, delivered)
 	}
 }
 
@@ -305,8 +302,8 @@ func TestReceiverOutOfOrderCoalescing(t *testing.T) {
 		t.Errorf("acks = %v, want [0 0 300]", acks)
 	}
 	r.HandleData(&netsim.Packet{Seq: 300, Payload: 100, FlowBytes: 400})
-	if !r.Complete() {
-		t.Error("not complete after all segments")
+	if r.rcvNxt != 400 {
+		t.Errorf("rcvNxt=%d after all segments, want 400", r.rcvNxt)
 	}
 }
 
@@ -344,8 +341,8 @@ func TestHomaTransfers(t *testing.T) {
 	proto, _ := ByName("homa")
 	l := newLoop(proto, 500_000, sim.Millisecond)
 	l.run(t, 30*sim.Second)
-	if !l.done || !l.sender.Done() {
-		t.Fatal("homa transfer did not complete")
+	if l.done != 1 {
+		t.Fatalf("homa OnComplete fired %d times, want once", l.done)
 	}
 	if l.deliverd != 500_000 {
 		t.Errorf("delivered %d", l.deliverd)
@@ -364,7 +361,7 @@ func TestHomaSmallMessageIsUnscheduled(t *testing.T) {
 		origInject(pkt)
 	}
 	l.run(t, sim.Second)
-	if !l.done {
+	if l.done != 1 {
 		t.Fatal("small homa message incomplete")
 	}
 	if grants != 0 {
@@ -380,7 +377,7 @@ func TestHomaRecoverFromLoss(t *testing.T) {
 		return !pkt.IsAck && rng.Float64() < 0.05
 	}
 	l.run(t, 60*sim.Second)
-	if !l.done {
+	if l.done != 1 {
 		t.Fatal("homa did not recover from loss")
 	}
 }
@@ -393,7 +390,7 @@ func TestHomaPriorityMonotone(t *testing.T) {
 		if p < last {
 			t.Errorf("priority not monotone: size %d -> %d < %d", size, p, last)
 		}
-		if p < 1 || p >= HomaBands {
+		if p < 1 || p >= homaBands {
 			t.Errorf("priority %d out of range for size %d", p, size)
 		}
 		last = p
@@ -428,16 +425,18 @@ func TestByNameAndNames(t *testing.T) {
 		t.Error("dctcp should use ECN")
 	}
 	homa, _ := ByName("homa")
-	if !IsHoma(homa) || homa.QueueBands() != HomaBands {
+	if !IsHoma(homa) || homa.QueueBands() != homaBands {
 		t.Error("homa protocol misconfigured")
 	}
 }
 
 func TestHostDemux(t *testing.T) {
-	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(*netsim.Packet) {}}
+	completed := 0
+	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 100, Inject: func(*netsim.Packet) {},
+		OnComplete: func(*Flow) { completed++ }}
 	h := NewHost(1, env, func(f *Flow) *Receiver { return NewReceiver(env, f) })
 	flow := &Flow{ID: 9, Src: 0, Dst: 1, Bytes: 100}
-	sender := NewTCPSender(env, flow, NewReno(100, 10), false)
+	sender := newTCPSender(env, flow, newReno(100, 10), false)
 	h.AddSender(9, sender)
 
 	// Data creates a receiver on demand.
@@ -445,12 +444,12 @@ func TestHostDemux(t *testing.T) {
 	if len(h.receivers) != 1 {
 		t.Fatalf("receivers = %d", len(h.receivers))
 	}
-	if !h.receivers[9].Complete() {
-		t.Error("receiver incomplete")
+	if h.receivers[9].rcvNxt != 100 {
+		t.Errorf("receiver holds %d bytes, want 100", h.receivers[9].rcvNxt)
 	}
 	// ACK routed to sender.
 	h.Receive(&netsim.Packet{FlowID: 9, IsAck: true, AckSeq: 100})
-	if !sender.Done() {
+	if completed != 1 {
 		t.Error("sender did not see ACK")
 	}
 	// Unknown-flow ACK ignored.
@@ -465,7 +464,7 @@ func TestTCPSenderRespectsWindow(t *testing.T) {
 	env := &Env{Sim: sim.New(), Packets: &netsim.PacketPool{}, MSS: 1000}
 	env.Inject = func(pkt *netsim.Packet) { inflight++ }
 	flow := &Flow{ID: 1, Bytes: 1_000_000}
-	s := NewTCPSender(env, flow, NewReno(1000, 10), false)
+	s := newTCPSender(env, flow, newReno(1000, 10), false)
 	s.Start()
 	if inflight != 10 {
 		t.Errorf("initial burst = %d segments, want initWnd=10", inflight)

@@ -14,12 +14,13 @@ import (
 	"mimicnet/internal/sim"
 )
 
-// Validator implements the paper's validation protocol: run full-fidelity
-// and approximated simulations on a held-out workload at 2, 4, and 8
-// clusters and compare the user's target metric. The full-fidelity
+// validator implements the paper's validation protocol: run full-fidelity
+// and approximated simulations on a held-out workload at each cluster
+// count in Sizes (TuneTraining uses 2 and 4) and compare the user's
+// target metric. The full-fidelity
 // results are gathered once; each candidate model is then scored against
 // them cheaply (paper §7.2).
-type Validator struct {
+type validator struct {
 	Base     cluster.Config
 	Sizes    []int
 	Duration sim.Time
@@ -28,8 +29,7 @@ type Validator struct {
 	// compare distributions with W1; a "-ks" suffix (e.g. "fct-ks")
 	// switches to the Kolmogorov–Smirnov statistic; "fct-mse" uses the
 	// paper's MSE-over-intersection 1-to-1 flow metric (with the 80%
-	// overlap requirement, §7.2). Users can define their own metrics by
-	// wrapping Score.
+	// overlap requirement, §7.2).
 	Metric string
 
 	truth map[int]cluster.Results
@@ -40,25 +40,19 @@ func CheckMetric(name string) error {
 	if name == "fct-mse" {
 		return nil
 	}
-	_, err := (&Validator{Metric: name}).pick(cluster.Results{})
+	_, err := (&validator{Metric: name}).pick(cluster.Results{})
 	return err
 }
 
-// NewValidator runs the one-time full-fidelity reference simulations on
+// newValidator runs the one-time full-fidelity reference simulations on
 // a held-out workload seed; an unknown metric fails before any of them.
 // A cancelled ctx stops the reference run in flight and returns ctx's
 // error.
-func NewValidator(ctx context.Context, base cluster.Config, sizes []int, duration sim.Time, metric string) (*Validator, error) {
-	if len(sizes) == 0 {
-		sizes = []int{2, 4, 8}
-	}
-	if metric == "" {
-		metric = "fct"
-	}
+func newValidator(ctx context.Context, base cluster.Config, sizes []int, duration sim.Time, metric string) (*validator, error) {
 	if err := CheckMetric(metric); err != nil {
 		return nil, err
 	}
-	v := &Validator{Base: base, Sizes: sizes, Duration: duration, Metric: metric,
+	v := &validator{Base: base, Sizes: sizes, Duration: duration, Metric: metric,
 		truth: make(map[int]cluster.Results)}
 	for _, n := range sizes {
 		cfg := base
@@ -83,7 +77,7 @@ func NewValidator(ctx context.Context, base cluster.Config, sizes []int, duratio
 	return v, nil
 }
 
-func (v *Validator) pick(r cluster.Results) ([]float64, error) {
+func (v *validator) pick(r cluster.Results) ([]float64, error) {
 	switch strings.TrimSuffix(v.Metric, "-ks") {
 	case "fct":
 		return r.FCTs, nil
@@ -96,7 +90,7 @@ func (v *Validator) pick(r cluster.Results) ([]float64, error) {
 }
 
 // statistic returns the distribution-distance function the metric names.
-func (v *Validator) statistic() func(a, b []float64) float64 {
+func (v *validator) statistic() func(a, b []float64) float64 {
 	if strings.HasSuffix(v.Metric, "-ks") {
 		return metrics.KS
 	}
@@ -104,7 +98,7 @@ func (v *Validator) statistic() func(a, b []float64) float64 {
 }
 
 // scoreOne compares one composition's results against the reference.
-func (v *Validator) scoreOne(mimic, truth cluster.Results) (float64, error) {
+func (v *validator) scoreOne(mimic, truth cluster.Results) (float64, error) {
 	if v.Metric == "fct-mse" {
 		mse, overlap := metrics.FlowMSE(truth.FCTByID, mimic.FCTByID)
 		if overlap < metrics.MinOverlap {
@@ -131,7 +125,7 @@ func (v *Validator) scoreOne(mimic, truth cluster.Results) (float64, error) {
 // better). Scoring across sizes is what selects for scale-generalizable
 // models rather than merely well-fitted ones. A cancelled ctx returns
 // ctx's error rather than a score of a partial run.
-func (v *Validator) Score(ctx context.Context, models *core.MimicModels) (float64, error) {
+func (v *validator) Score(ctx context.Context, models *core.MimicModels) (float64, error) {
 	defer obs.StartSpan(obsPhaseValidate).End()
 	var total float64
 	for _, n := range v.Sizes {
@@ -157,11 +151,11 @@ func (v *Validator) Score(ctx context.Context, models *core.MimicModels) (float6
 	return total / float64(len(v.Sizes)), nil
 }
 
-// MimicSpace is the default hyper-parameter space the paper lists in
+// mimicSpace is the default hyper-parameter space the paper lists in
 // §7.2: WBCE weight, Huber delta, LSTM layers, hidden size, epochs, and
 // learning rate.
-func MimicSpace() Space {
-	return Space{
+func mimicSpace() space {
+	return space{
 		{Name: "drop_weight", Lo: 0.5, Hi: 0.95},
 		{Name: "huber_delta", Lo: 0.1, Hi: 10, Log: true},
 		{Name: "layers", Lo: 1, Hi: 2, Integer: true},
@@ -171,8 +165,8 @@ func MimicSpace() Space {
 	}
 }
 
-// ApplyParams overlays a parameter assignment onto a training config.
-func ApplyParams(cfg core.TrainConfig, params map[string]float64) core.TrainConfig {
+// applyParams overlays a parameter assignment onto a training config.
+func applyParams(cfg core.TrainConfig, params map[string]float64) core.TrainConfig {
 	if v, ok := params["drop_weight"]; ok {
 		cfg.Model.DropWeight = v
 	}
@@ -194,17 +188,17 @@ func ApplyParams(cfg core.TrainConfig, params map[string]float64) core.TrainConf
 	return cfg
 }
 
-// MimicObjective builds an Objective that retrains models on the given
+// mimicObjective builds an Objective that retrains models on the given
 // datasets with candidate hyper-parameters and scores them end-to-end
 // with the validator. The datasets and validator reference runs are built
 // once and shared by every trial; trials only read them (training copies
 // whatever it keeps, see bankSubsample), so the returned Objective is
-// safe for the concurrent evaluation the BayesOpt warm-up performs. Once
+// safe for the concurrent evaluation the bayesOpt warm-up performs. Once
 // ctx is done every trial fails fast
 // with ctx's error.
-func MimicObjective(ctx context.Context, ing, eg *core.Dataset, base core.TrainConfig, v *Validator) Objective {
+func mimicObjective(ctx context.Context, ing, eg *core.Dataset, base core.TrainConfig, v *validator) objective {
 	return func(params map[string]float64) (float64, error) {
-		cfg := ApplyParams(base, params)
+		cfg := applyParams(base, params)
 		models, _, _, err := core.TrainModelsContext(ctx, ing, eg, cfg, nil, nil)
 		if err != nil {
 			return math.Inf(1), err
@@ -215,8 +209,8 @@ func MimicObjective(ctx context.Context, ing, eg *core.Dataset, base core.TrainC
 
 // TuneTraining is the §7.2 search serve.JobSpec.Train runs before its
 // final training: a validator on a held-out workload (base's seed + 1000)
-// at 2 and 4 clusters over the small-scale horizon, then BayesOpt over
-// MimicSpace with min(4, budget) random warm-up trials evaluated across
+// at 2 and 4 clusters over the small-scale horizon, then bayesOpt over
+// mimicSpace with min(4, budget) random warm-up trials evaluated across
 // GOMAXPROCS workers (the worker count does not change the result) and
 // the rest of the budget as acquisition steps. It returns tcfg with the
 // best trial's parameters applied, and the search result. Once ctx is
@@ -224,20 +218,20 @@ func MimicObjective(ctx context.Context, ing, eg *core.Dataset, base core.TrainC
 func TuneTraining(ctx context.Context, base cluster.Config, smallRun sim.Time, ing, eg *core.Dataset, tcfg core.TrainConfig, budget int, metric string) (core.TrainConfig, Result, error) {
 	valBase := base
 	valBase.Workload.Seed = base.Workload.Seed + 1000
-	validator, err := NewValidator(ctx, valBase, []int{2, 4}, smallRun, metric)
+	validator, err := newValidator(ctx, valBase, []int{2, 4}, smallRun, metric)
 	if err != nil {
 		return tcfg, Result{}, err
 	}
-	boCfg := DefaultBayesOptConfig()
+	boCfg := defaultBayesOptConfig()
 	boCfg.InitPoints = min(4, budget)
 	boCfg.Iterations = budget - boCfg.InitPoints
 	boCfg.Workers = runtime.GOMAXPROCS(0)
-	res, err := BayesOpt(MimicSpace(), MimicObjective(ctx, ing, eg, tcfg, validator), boCfg)
+	res, err := bayesOpt(mimicSpace(), mimicObjective(ctx, ing, eg, tcfg, validator), boCfg)
 	if cerr := ctx.Err(); cerr != nil {
 		return tcfg, Result{}, cerr
 	}
 	if err != nil {
 		return tcfg, Result{}, err
 	}
-	return ApplyParams(tcfg, res.Best.Params), res, nil
+	return applyParams(tcfg, res.Best.Params), res, nil
 }

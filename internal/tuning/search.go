@@ -8,19 +8,19 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// Param is one tunable dimension.
-type Param struct {
+// param is one tunable dimension.
+type param struct {
 	Name    string
 	Lo, Hi  float64
 	Integer bool // round to integers
 	Log     bool // sample on a log scale
 }
 
-// Space is the search space.
-type Space []Param
+// space is the search space.
+type space []param
 
 // Validate reports structural errors.
-func (s Space) Validate() error {
+func (s space) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("tuning: empty search space")
 	}
@@ -36,7 +36,7 @@ func (s Space) Validate() error {
 }
 
 // fromUnit maps a [0,1] coordinate back to a concrete value.
-func (p Param) fromUnit(u float64) float64 {
+func (p param) fromUnit(u float64) float64 {
 	if u < 0 {
 		u = 0
 	}
@@ -62,11 +62,11 @@ type Point struct {
 	Err    error
 }
 
-// Objective evaluates a configuration and returns its score (lower is
+// objective evaluates a configuration and returns its score (lower is
 // better) — e.g. the mean W1(FCT) across validation sizes.
-type Objective func(params map[string]float64) (float64, error)
+type objective func(params map[string]float64) (float64, error)
 
-func (s Space) concretize(unit []float64) map[string]float64 {
+func (s space) concretize(unit []float64) map[string]float64 {
 	out := make(map[string]float64, len(s))
 	for i, p := range s {
 		out[p.Name] = p.fromUnit(unit[i])
@@ -74,7 +74,7 @@ func (s Space) concretize(unit []float64) map[string]float64 {
 	return out
 }
 
-func (s Space) sampleUnit(rng *stats.Stream) []float64 {
+func (s space) sampleUnit(rng *stats.Stream) []float64 {
 	u := make([]float64, len(s))
 	for i := range u {
 		u[i] = rng.Float64()
@@ -90,7 +90,7 @@ type Result struct {
 
 // evalParallel scores every candidate on a bounded worker pool and
 // returns the points in candidate order. workers < 2 runs inline.
-func evalParallel(candidates []map[string]float64, obj Objective, workers int) []Point {
+func evalParallel(candidates []map[string]float64, obj objective, workers int) []Point {
 	out := make([]Point, len(candidates))
 	if workers > len(candidates) {
 		workers = len(candidates)
@@ -122,8 +122,8 @@ func evalParallel(candidates []map[string]float64, obj Objective, workers int) [
 	return out
 }
 
-// BayesOptConfig controls the GP-EI loop.
-type BayesOptConfig struct {
+// bayesOptConfig controls the GP-EI loop.
+type bayesOptConfig struct {
 	InitPoints  int     // random warm-up evaluations
 	Iterations  int     // BO evaluations after warm-up
 	Candidates  int     // EI candidates sampled per iteration
@@ -139,18 +139,18 @@ type BayesOptConfig struct {
 	Workers int
 }
 
-// DefaultBayesOptConfig returns sensible defaults for small budgets.
-func DefaultBayesOptConfig() BayesOptConfig {
-	return BayesOptConfig{
+// defaultBayesOptConfig returns sensible defaults for small budgets.
+func defaultBayesOptConfig() bayesOptConfig {
+	return bayesOptConfig{
 		InitPoints: 4, Iterations: 12, Candidates: 256,
 		LengthScale: 0.3, Noise: 1e-4, Seed: 1,
 	}
 }
 
-// BayesOpt minimizes the objective with a GP surrogate and EI
+// bayesOpt minimizes the objective with a GP surrogate and EI
 // acquisition, picking at each step the candidate with the highest
 // expected improvement (paper §7.2).
-func BayesOpt(space Space, obj Objective, cfg BayesOptConfig) (Result, error) {
+func bayesOpt(space space, obj objective, cfg bayesOptConfig) (Result, error) {
 	if err := space.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -73,19 +73,19 @@ func TestExpectedImprovement(t *testing.T) {
 }
 
 func TestSpaceValidation(t *testing.T) {
-	if err := (Space{}).Validate(); err == nil {
+	if err := (space{}).Validate(); err == nil {
 		t.Error("empty space accepted")
 	}
-	if err := (Space{{Name: "a", Lo: 1, Hi: 1}}).Validate(); err == nil {
+	if err := (space{{Name: "a", Lo: 1, Hi: 1}}).Validate(); err == nil {
 		t.Error("empty range accepted")
 	}
-	if err := (Space{{Name: "a", Lo: 0, Hi: 1, Log: true}}).Validate(); err == nil {
+	if err := (space{{Name: "a", Lo: 0, Hi: 1, Log: true}}).Validate(); err == nil {
 		t.Error("log with zero bound accepted")
 	}
 }
 
 func TestParamMapping(t *testing.T) {
-	p := Param{Name: "x", Lo: 10, Hi: 1000, Log: true}
+	p := param{Name: "x", Lo: 10, Hi: 1000, Log: true}
 	if v := p.fromUnit(0); math.Abs(v-10) > 1e-9 {
 		t.Errorf("fromUnit(0) = %v", v)
 	}
@@ -95,7 +95,7 @@ func TestParamMapping(t *testing.T) {
 	if v := p.fromUnit(0.5); math.Abs(v-100) > 1e-9 {
 		t.Errorf("log fromUnit(0.5) = %v, want 100", v)
 	}
-	pi := Param{Name: "n", Lo: 1, Hi: 5, Integer: true}
+	pi := param{Name: "n", Lo: 1, Hi: 5, Integer: true}
 	if v := pi.fromUnit(0.49); v != math.Round(1+0.49*4) {
 		t.Errorf("integer rounding = %v", v)
 	}
@@ -114,17 +114,17 @@ func quadratic(opt map[string]float64) (float64, error) {
 	return (x-0.3)*(x-0.3) + (y-0.7)*(y-0.7), nil
 }
 
-func quadSpace() Space {
-	return Space{
+func quadSpace() space {
+	return space{
 		{Name: "x", Lo: 0, Hi: 1},
 		{Name: "y", Lo: 0, Hi: 1},
 	}
 }
 
-// Random search is BayesOpt's warm-up on its own: InitPoints uniform
+// Random search is bayesOpt's warm-up on its own: InitPoints uniform
 // draws from Seed, scored on up to Workers goroutines, no GP iterations.
 func TestRandomSearchFindsDecentPoint(t *testing.T) {
-	res, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: 60, Seed: 1})
+	res, err := bayesOpt(quadSpace(), quadratic, bayesOptConfig{InitPoints: 60, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +150,12 @@ func pointsEqual(a, b Point) bool {
 }
 
 func TestRandomSearchParallelMatchesSerial(t *testing.T) {
-	serial, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: 40, Seed: 11})
+	serial, err := bayesOpt(quadSpace(), quadratic, bayesOptConfig{InitPoints: 40, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 64} {
-		par, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: 40, Seed: 11, Workers: workers})
+		par, err := bayesOpt(quadSpace(), quadratic, bayesOptConfig{InitPoints: 40, Seed: 11, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,16 +174,16 @@ func TestRandomSearchParallelMatchesSerial(t *testing.T) {
 }
 
 func TestBayesOptParallelWarmupMatchesSerial(t *testing.T) {
-	cfg := DefaultBayesOptConfig()
+	cfg := defaultBayesOptConfig()
 	cfg.InitPoints = 8
 	cfg.Iterations = 6
 	cfg.Seed = 9
-	serial, err := BayesOpt(quadSpace(), quadratic, cfg)
+	serial, err := bayesOpt(quadSpace(), quadratic, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := BayesOpt(quadSpace(), quadratic, cfg)
+	par, err := bayesOpt(quadSpace(), quadratic, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +199,15 @@ func TestBayesOptParallelWarmupMatchesSerial(t *testing.T) {
 
 func TestBayesOptBeatsRandomAtEqualBudget(t *testing.T) {
 	budget := 24
-	rnd, err := BayesOpt(quadSpace(), quadratic, BayesOptConfig{InitPoints: budget, Seed: 7})
+	rnd, err := bayesOpt(quadSpace(), quadratic, bayesOptConfig{InitPoints: budget, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultBayesOptConfig()
+	cfg := defaultBayesOptConfig()
 	cfg.InitPoints = 6
 	cfg.Iterations = budget - cfg.InitPoints
 	cfg.Seed = 7
-	bo, err := BayesOpt(quadSpace(), quadratic, cfg)
+	bo, err := bayesOpt(quadSpace(), quadratic, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +229,15 @@ func TestSearchSurvivesObjectiveErrors(t *testing.T) {
 		}
 		return p["x"], nil
 	}
-	space := Space{{Name: "x", Lo: 0, Hi: 1}}
-	res, err := BayesOpt(space, flaky, BayesOptConfig{InitPoints: 10, Seed: 3})
+	space := space{{Name: "x", Lo: 0, Hi: 1}}
+	res, err := bayesOpt(space, flaky, bayesOptConfig{InitPoints: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsInf(res.Best.Score, 1) {
 		t.Error("no successful evaluation kept")
 	}
-	bo, err := BayesOpt(space, flaky, BayesOptConfig{InitPoints: 4, Iterations: 6, Candidates: 16, Seed: 3})
+	bo, err := bayesOpt(space, flaky, bayesOptConfig{InitPoints: 4, Iterations: 6, Candidates: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,35 +248,35 @@ func TestSearchSurvivesObjectiveErrors(t *testing.T) {
 
 func TestAllFailingObjective(t *testing.T) {
 	bad := func(map[string]float64) (float64, error) { return 0, errors.New("no") }
-	space := Space{{Name: "x", Lo: 0, Hi: 1}}
-	if _, err := BayesOpt(space, bad, BayesOptConfig{InitPoints: 3, Seed: 1}); err == nil {
+	space := space{{Name: "x", Lo: 0, Hi: 1}}
+	if _, err := bayesOpt(space, bad, bayesOptConfig{InitPoints: 3, Seed: 1}); err == nil {
 		t.Error("all-failing random search should error")
 	}
-	if _, err := BayesOpt(space, bad, BayesOptConfig{InitPoints: 2, Iterations: 2, Candidates: 8}); err == nil {
+	if _, err := bayesOpt(space, bad, bayesOptConfig{InitPoints: 2, Iterations: 2, Candidates: 8}); err == nil {
 		t.Error("all-failing BO should error")
 	}
 }
 
 func TestApplyParams(t *testing.T) {
 	base := core.DefaultTrainConfig()
-	got := ApplyParams(base, map[string]float64{
+	got := applyParams(base, map[string]float64{
 		"drop_weight": 0.9, "huber_delta": 2.5, "layers": 2,
 		"hidden": 32, "epochs": 6, "lr": 0.001,
 	})
 	if got.Model.DropWeight != 0.9 || got.Model.HuberDelta != 2.5 ||
 		got.Model.Layers != 2 || got.Model.Hidden != 32 ||
 		got.Model.Epochs != 6 || got.Model.LR != 0.001 {
-		t.Errorf("ApplyParams = %+v", got.Model)
+		t.Errorf("applyParams = %+v", got.Model)
 	}
 	// Untouched params keep base values.
-	got2 := ApplyParams(base, nil)
+	got2 := applyParams(base, nil)
 	if got2.Model.Hidden != base.Model.Hidden {
 		t.Error("nil params changed config")
 	}
 }
 
 func TestMimicSpaceValid(t *testing.T) {
-	if err := MimicSpace().Validate(); err != nil {
+	if err := mimicSpace().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -293,7 +293,7 @@ func TestValidatorAndObjective(t *testing.T) {
 	// Held-out validation workload uses a different seed (paper §8).
 	valBase := base
 	valBase.Workload.Seed = 99
-	v, err := NewValidator(context.Background(), valBase, []int{2, 3}, 200*sim.Millisecond, "fct")
+	v, err := newValidator(context.Background(), valBase, []int{2, 3}, 200*sim.Millisecond, "fct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +307,14 @@ func TestValidatorAndObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := MimicObjective(context.Background(), ing, eg, tcfg, v)
-	res, err := BayesOpt(MimicSpace(), func(p map[string]float64) (float64, error) {
+	obj := mimicObjective(context.Background(), ing, eg, tcfg, v)
+	res, err := bayesOpt(mimicSpace(), func(p map[string]float64) (float64, error) {
 		// Pin the expensive dimensions for test speed.
 		p["hidden"] = 8
 		p["epochs"] = 1
 		p["layers"] = 1
 		return obj(p)
-	}, BayesOptConfig{InitPoints: 2, Seed: 5})
+	}, bayesOptConfig{InitPoints: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 
 	valBase := base
 	valBase.Workload.Seed = 99
-	v, err := NewValidator(context.Background(), valBase, []int{2}, 150*sim.Millisecond, "fct")
+	v, err := newValidator(context.Background(), valBase, []int{2}, 150*sim.Millisecond, "fct")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := MimicObjective(context.Background(), ing, eg, tcfg, v)
+	obj := mimicObjective(context.Background(), ing, eg, tcfg, v)
 	cheap := func(p map[string]float64) (float64, error) {
 		// Pin the expensive dimensions for test speed.
 		p["hidden"] = 8
@@ -361,11 +361,11 @@ func TestMimicObjectiveParallelTrialsMatchSerial(t *testing.T) {
 		p["layers"] = 1
 		return obj(p)
 	}
-	serial, err := BayesOpt(MimicSpace(), cheap, BayesOptConfig{InitPoints: 3, Seed: 5})
+	serial, err := bayesOpt(mimicSpace(), cheap, bayesOptConfig{InitPoints: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BayesOpt(MimicSpace(), cheap, BayesOptConfig{InitPoints: 3, Seed: 5, Workers: 3})
+	par, err := bayesOpt(mimicSpace(), cheap, bayesOptConfig{InitPoints: 3, Seed: 5, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestValidatorRejectsUnknownMetric(t *testing.T) {
 	base := cluster.DefaultConfig(2)
 	base.Workload = workload.DefaultConfig(20_000)
 	base.Workload.Duration = 20 * sim.Millisecond
-	if _, err := NewValidator(context.Background(), base, []int{2}, 50*sim.Millisecond, "bogus"); err == nil {
+	if _, err := newValidator(context.Background(), base, []int{2}, 50*sim.Millisecond, "bogus"); err == nil {
 		t.Error("unknown metric accepted")
 	}
 }
@@ -429,7 +429,7 @@ func TestValidatorMSEMetric(t *testing.T) {
 	base := cluster.DefaultConfig(2)
 	base.Workload = workload.DefaultConfig(20_000)
 	base.Workload.Duration = 100 * sim.Millisecond
-	v, err := NewValidator(context.Background(), base, []int{2}, 250*sim.Millisecond, "fct-mse")
+	v, err := newValidator(context.Background(), base, []int{2}, 250*sim.Millisecond, "fct-mse")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,14 +463,14 @@ func TestValidatorKSMetric(t *testing.T) {
 	base := cluster.DefaultConfig(2)
 	base.Workload = workload.DefaultConfig(20_000)
 	base.Workload.Duration = 60 * sim.Millisecond
-	v, err := NewValidator(context.Background(), base, []int{2}, 150*sim.Millisecond, "fct-ks")
+	v, err := newValidator(context.Background(), base, []int{2}, 150*sim.Millisecond, "fct-ks")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Metric != "fct-ks" {
 		t.Error("metric not stored")
 	}
-	if _, err := NewValidator(context.Background(), base, []int{2}, 150*sim.Millisecond, "bogus-ks"); err == nil {
+	if _, err := newValidator(context.Background(), base, []int{2}, 150*sim.Millisecond, "bogus-ks"); err == nil {
 		t.Error("bogus -ks metric accepted")
 	}
 }

@@ -60,7 +60,7 @@ func GenerateCoflows(t *topo.Topology, cfg CoflowConfig) ([]Flow, error) {
 	const seqBase = 1 << 30
 	seq := make(map[int]uint64)
 	nextID := func(src int) uint64 {
-		id := FlowID(src, seqBase+seq[src])
+		id := flowID(src, seqBase+seq[src])
 		seq[src]++
 		return id
 	}

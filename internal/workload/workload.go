@@ -43,10 +43,9 @@ type Config struct {
 	// arrival rate.
 	HostLinkBps float64
 
-	// MeanFlowBytes is the mean flow size. FlowSizes overrides the
-	// default heavy-tailed distribution when non-nil.
+	// MeanFlowBytes is the mean of the heavy-tailed flow size
+	// distribution.
 	MeanFlowBytes float64
-	FlowSizes     stats.Distribution
 
 	// Locality: probability a flow's destination is in the same rack or
 	// in the same cluster (different rack). The remainder crosses
@@ -58,7 +57,8 @@ type Config struct {
 	// Duration is the generation horizon.
 	Duration sim.Time
 
-	// MinFlowBytes/MaxFlowBytes clamp sampled sizes (0 = default clamp).
+	// MinFlowBytes/MaxFlowBytes clamp sampled sizes (0 = default clamp);
+	// equal bounds give every flow that one size.
 	MinFlowBytes, MaxFlowBytes int64
 }
 
@@ -88,8 +88,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: non-positive link rate")
 	case math.IsNaN(c.MeanFlowBytes) || math.IsInf(c.MeanFlowBytes, 0):
 		return fmt.Errorf("workload: mean flow size %v is not finite", c.MeanFlowBytes)
-	case c.MeanFlowBytes <= 0 && c.FlowSizes == nil:
-		return fmt.Errorf("workload: need a mean flow size or distribution")
+	case c.MeanFlowBytes <= 0:
+		return fmt.Errorf("workload: non-positive mean flow size")
 	case c.PIntraRack < 0 || c.PIntraCluster < 0 || c.PIntraRack+c.PIntraCluster > 1:
 		return fmt.Errorf("workload: invalid locality split (%v, %v)", c.PIntraRack, c.PIntraCluster)
 	case c.Duration <= 0:
@@ -100,10 +100,7 @@ func (c Config) Validate() error {
 
 // sizeDist returns the flow size distribution: a heavy-tailed log-normal
 // (sigma 1.8) matching the configured mean, clamped to sane bounds.
-func (c Config) sizeDist() stats.Distribution {
-	if c.FlowSizes != nil {
-		return c.FlowSizes
-	}
+func (c Config) sizeDist() stats.LogNormal {
 	const sigma = 1.8
 	mu := math.Log(c.MeanFlowBytes) - sigma*sigma/2
 	return stats.LogNormal{Mu: mu, Sigma: sigma}
@@ -140,13 +137,9 @@ func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
 	var flows []Flow
 	root := stats.NewStream(cfg.Seed)
 	sizes := cfg.sizeDist()
-	meanSize := sizes.Mean()
-	if math.IsInf(meanSize, 1) || meanSize <= 0 {
-		meanSize = cfg.MeanFlowBytes
-	}
 	// Per-host arrival rate: load * link byte rate / mean flow size.
 	bytesPerSec := cfg.Load * cfg.HostLinkBps / 8
-	meanInterarrival := meanSize / bytesPerSec // seconds
+	meanInterarrival := sizes.Mean() / bytesPerSec // seconds
 
 	for src := 0; src < t.Hosts(); src++ {
 		// Each host derives its own stream from (seed, host index) so the
@@ -165,7 +158,7 @@ func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
 				continue
 			}
 			flows = append(flows, Flow{
-				ID:    FlowID(src, seq),
+				ID:    flowID(src, seq),
 				Src:   src,
 				Dst:   dst,
 				Bytes: cfg.clamp(sizes.Sample(hs)),
@@ -183,8 +176,8 @@ func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
 	return flows, nil
 }
 
-// FlowID packs a stable flow identity from source host and sequence.
-func FlowID(src int, seq uint64) uint64 {
+// flowID packs a stable flow identity from source host and sequence.
+func flowID(src int, seq uint64) uint64 {
 	return uint64(src)<<40 | (seq & (1<<40 - 1))
 }
 

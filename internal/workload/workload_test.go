@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mimicnet/internal/sim"
-	"mimicnet/internal/stats"
 	"mimicnet/internal/topo"
 )
 
@@ -185,7 +184,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Load = math.NaN() },
 		func(c *Config) { c.Load = math.Inf(1) },
 		func(c *Config) { c.HostLinkBps = 0 },
-		func(c *Config) { c.MeanFlowBytes = 0; c.FlowSizes = nil },
+		func(c *Config) { c.MeanFlowBytes = 0 },
 		func(c *Config) { c.MeanFlowBytes = math.NaN() },
 		func(c *Config) { c.MeanFlowBytes = math.Inf(1) },
 		func(c *Config) { c.PIntraRack = 0.8; c.PIntraCluster = 0.5 },
@@ -204,10 +203,14 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// Equal clamp bounds make every flow one size.
 func TestCustomSizeDistribution(t *testing.T) {
 	cfg := testConfig()
-	cfg.FlowSizes = stats.Constant{Value: 5000}
+	cfg.MinFlowBytes, cfg.MaxFlowBytes = 5000, 5000
 	flows, _ := Generate(testTopo(2), cfg)
+	if len(flows) == 0 {
+		t.Fatal("no flows")
+	}
 	for _, f := range flows {
 		if f.Bytes != 5000 {
 			t.Fatalf("flow bytes = %d, want constant 5000", f.Bytes)
@@ -228,12 +231,12 @@ func TestClampBounds(t *testing.T) {
 }
 
 func TestFlowIDRoundTrip(t *testing.T) {
-	id := FlowID(123, 456)
+	id := flowID(123, 456)
 	if src := int(id >> 40); src != 123 {
-		t.Errorf("FlowID(123, 456) carries source %d", src)
+		t.Errorf("flowID(123, 456) carries source %d", src)
 	}
-	if FlowID(1, 1) == FlowID(1, 2) || FlowID(1, 1) == FlowID(2, 1) {
-		t.Error("FlowID collisions")
+	if flowID(1, 1) == flowID(1, 2) || flowID(1, 1) == flowID(2, 1) {
+		t.Error("flowID collisions")
 	}
 }
 
