@@ -66,11 +66,15 @@ bench-check:
 
 # vet runs under every build configuration — the default (assembly
 # kernels), purego, and the test-only poolfloor0 — so a tagged file can't
-# silently become load-bearing or rot behind its tag.
+# silently become load-bearing or rot behind its tag. The cross-builds
+# keep Windows and macOS compiling: a unix-only call (syscall.Kill, flock)
+# needs a build-tagged pair of files or a portable form.
 vet:
 	$(GO) vet ./...
 	GOFLAGS=-tags=purego $(GO) vet ./...
 	GOFLAGS=-tags=poolfloor0 $(GO) vet ./internal/ml
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 # test-kernels runs the ML tests under every forced GEMM kernel family
 # (scalar, and avx2 when the CPU has it) plus the purego build, so a

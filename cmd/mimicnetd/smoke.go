@@ -278,7 +278,11 @@ func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		return err
+	}
+	if err := self.Signal(syscall.SIGTERM); err != nil {
 		return err
 	}
 	// Signal delivery is asynchronous; poll until admission closes.

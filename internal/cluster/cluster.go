@@ -132,6 +132,10 @@ type Simulation struct {
 	// completion (co-flow support).
 	waiting map[uint64][]workload.Flow
 
+	// onFlowStart is startFlow as a typed event on a *workload.Flow,
+	// bound once.
+	onFlowStart sim.Handler
+
 	// Progress, if set, is invoked periodically from the run loop (per
 	// window barrier when sharded, every cancelCheckEvery events when
 	// sequential) with the simulated clock and events processed so far.
@@ -146,9 +150,10 @@ type Simulation struct {
 // count and collect without locks; the padding keeps neighboring LPs'
 // hot counters off each other's cache lines.
 type lp struct {
-	sim  *sim.Simulator
-	env  *transport.Env
-	coll *metrics.Collector
+	sim    *sim.Simulator
+	starts *sim.Lane // root flow starts, scheduled in Start order
+	env    *transport.Env
+	coll   *metrics.Collector
 
 	flowsStarted   int
 	flowsCompleted int
@@ -250,6 +255,10 @@ func NewLayered(cfg Config, layer Layer) (*Simulation, error) {
 		inst.Fabric = netsim.NewFabric(inst.lps[0].sim, t, link)
 	}
 	inst.Sim = inst.lps[0].sim
+	for _, l := range inst.lps {
+		l.starts = l.sim.NewLane()
+	}
+	inst.onFlowStart = func(p any, _ int64) { inst.startFlow(p.(*workload.Flow)) }
 
 	inject := layer.Inject
 	if inject == nil {
@@ -319,15 +328,16 @@ func (inst *Simulation) lpOf(host int) *lp {
 }
 
 // schedule starts root flows at their Start time on their source host's
-// LP; dependents wait for their parent's completion.
+// LP, through its flow-start lane (workload.Generate sorts flows by
+// Start); dependents wait for their parent's completion.
 func (inst *Simulation) schedule(flows []workload.Flow) {
-	for _, f := range flows {
-		f := f
+	for i := range flows {
+		f := &flows[i]
 		if f.After != 0 {
-			inst.waiting[f.After] = append(inst.waiting[f.After], f)
+			inst.waiting[f.After] = append(inst.waiting[f.After], *f)
 			continue
 		}
-		inst.lpOf(f.Src).sim.At(f.Start, func() { inst.startFlow(f) })
+		inst.lpOf(f.Src).starts.Schedule(f.Start, inst.onFlowStart, f, 0)
 	}
 }
 
@@ -340,9 +350,8 @@ func (inst *Simulation) releaseDependents(l *lp, parent uint64) {
 		return
 	}
 	delete(inst.waiting, parent)
-	for _, f := range deps {
-		f := f
-		l.sim.After(f.Start, func() { inst.startFlow(f) })
+	for i := range deps {
+		l.sim.Schedule(l.sim.Now()+deps[i].Start, inst.onFlowStart, &deps[i], 0)
 	}
 }
 
@@ -353,7 +362,7 @@ func (inst *Simulation) measures(src, dst int) bool {
 	return inst.measured[inst.Topo.ClusterOf(src)] || inst.measured[inst.Topo.ClusterOf(dst)]
 }
 
-func (inst *Simulation) startFlow(f workload.Flow) {
+func (inst *Simulation) startFlow(f *workload.Flow) {
 	l := inst.lpOf(f.Src)
 	tf := &transport.Flow{
 		ID: f.ID, Src: f.Src, Dst: f.Dst, Bytes: f.Bytes,
@@ -379,7 +388,7 @@ func (inst *Simulation) AddFlows(flows []workload.Flow) error {
 		}
 	}
 	inst.flows = append(inst.flows, flows...)
-	inst.schedule(flows)
+	inst.schedule(inst.flows[len(inst.flows)-len(flows):])
 	return nil
 }
 

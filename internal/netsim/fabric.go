@@ -113,8 +113,9 @@ type Fabric struct {
 	Link LinkConfig
 	Taps Taps
 
-	lps     []*sim.LP // nil when single-process
-	shardOf []int     // node -> owning shard; nil when single-process
+	lps     []*sim.LP    // nil when single-process
+	shardOf []int        // node -> owning shard; nil when single-process
+	lanes   []*portLanes // per shard: its simulator's port event lanes
 
 	nodes []nodePorts // indexed by transmitting node
 	ports []*Port     // every port, in construction order
@@ -167,6 +168,13 @@ func build(s *sim.Simulator, lps []*sim.LP, shardOf []int, t *topo.Topology, lin
 		hosts:   make([]func(*Packet), t.Hosts()),
 		shards:  make([]fabricShard, nShards),
 	}
+	if lps == nil {
+		f.lanes = []*portLanes{newPortLanes(s)}
+	} else {
+		for _, lp := range lps {
+			f.lanes = append(f.lanes, newPortLanes(lp.Sim))
+		}
+	}
 	for _, l := range t.Links() {
 		f.addPort(l.A, l.B)
 		f.addPort(l.B, l.A)
@@ -198,10 +206,10 @@ func (f *Fabric) addPort(from, to int) {
 		q = f.Link.SwitchQueue()
 	}
 	srcSim := f.simFor(from)
-	p := newPort(srcSim, from, to, f.Link.RateBps, f.Link.Delay, q, func(pkt *Packet) {
+	srcShard := f.shard(from)
+	p := newPort(srcSim, f.lanes[srcShard], from, to, f.Link.RateBps, f.Link.Delay, q, func(pkt *Packet) {
 		f.arrive(to, pkt)
 	})
-	srcShard := f.shard(from)
 	sh := &f.shards[srcShard]
 	p.SetDropHook(func(pkt *Packet) {
 		sh.drops++

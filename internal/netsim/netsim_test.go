@@ -104,7 +104,7 @@ func TestPortSerializationAndPropagation(t *testing.T) {
 	s := sim.New()
 	var deliveredAt sim.Time
 	// 1000 bytes at 8 Mbps = 1 ms serialization; + 0.5 ms propagation.
-	p := newPort(s, 0, 1, 8e6, 500*sim.Microsecond, newDropTail(10), func(pkt *Packet) {
+	p := newPort(s, newPortLanes(s), 0, 1, 8e6, 500*sim.Microsecond, newDropTail(10), func(pkt *Packet) {
 		deliveredAt = s.Now()
 	})
 	p.Send(&Packet{Size: 1000})
@@ -121,7 +121,7 @@ func TestPortSerializationAndPropagation(t *testing.T) {
 func TestPortBackToBackSerialization(t *testing.T) {
 	s := sim.New()
 	var times []sim.Time
-	p := newPort(s, 0, 1, 8e6, 0, newDropTail(10), func(pkt *Packet) {
+	p := newPort(s, newPortLanes(s), 0, 1, 8e6, 0, newDropTail(10), func(pkt *Packet) {
 		times = append(times, s.Now())
 	})
 	// Two packets: second must wait for first's serialization.
@@ -136,10 +136,44 @@ func TestPortBackToBackSerialization(t *testing.T) {
 	}
 }
 
+// Full-size and header-only packets finish serializing on their lanes,
+// any other size on the heap; two ports sharing the lanes interleave
+// them in (time, seq) order.
+func TestPortLanesKeepTimeOrder(t *testing.T) {
+	s := sim.New()
+	ls := newPortLanes(s)
+	type arrival struct {
+		id int64
+		at sim.Time
+	}
+	var got []arrival
+	recv := func(pkt *Packet) { got = append(got, arrival{int64(pkt.ID), s.Now()}) }
+	a := newPort(s, ls, 0, 1, 8e6, 100*sim.Microsecond, newDropTail(10), recv)
+	b := newPort(s, ls, 2, 1, 8e6, 100*sim.Microsecond, newDropTail(10), recv)
+	a.Send(&Packet{ID: 1, Size: mtu})         // 1.5 ms
+	a.Send(&Packet{ID: 2, Size: HeaderBytes}) // +40 µs
+	a.Send(&Packet{ID: 3, Size: 1000})        // +1 ms, on the heap
+	b.Send(&Packet{ID: 4, Size: HeaderBytes}) // 40 µs
+	b.Send(&Packet{ID: 5, Size: mtu})         // +1.5 ms
+	s.Run()
+	us := sim.Microsecond
+	// 2 and 5 arrive in the same nanosecond: 5 began serializing first,
+	// so its leg was scheduled first.
+	want := []arrival{{4, 140 * us}, {1, 1600 * us}, {5, 1640 * us}, {2, 1640 * us}, {3, 2640 * us}}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", got, want)
+		}
+	}
+}
+
 func TestPortDropsWhenQueueFull(t *testing.T) {
 	s := sim.New()
 	var drops int
-	p := newPort(s, 0, 1, 8e6, 0, newDropTail(1), func(pkt *Packet) {})
+	p := newPort(s, newPortLanes(s), 0, 1, 8e6, 0, newDropTail(1), func(pkt *Packet) {})
 	p.SetDropHook(func(pkt *Packet) { drops++ })
 	// First transmits, second queues, third drops.
 	p.Send(&Packet{Size: 1000})

@@ -11,11 +11,13 @@ import (
 //
 // A packet costs the port two typed kernel events — serialization done,
 // then arrival at the far end — whose handlers are bound once in newPort,
-// so a hop allocates nothing.
+// so a hop allocates nothing. Most of them go on the simulator's
+// portLanes rather than its heap.
 type Port struct {
 	From, To int // node IDs, for instrumentation
 
 	sim   *sim.Simulator
+	lanes *portLanes
 	rate  float64  // bits per second
 	prop  sim.Time // propagation delay
 	queue Queue
@@ -41,9 +43,24 @@ type Port struct {
 	Dropped   uint64
 }
 
-// newPort creates a port. rateBps is the line rate in bits/second.
-func newPort(s *sim.Simulator, from, to int, rateBps float64, prop sim.Time, q Queue, deliver func(*Packet)) *Port {
-	p := &Port{From: from, To: to, sim: s, rate: rateBps, prop: prop, queue: q, deliver: deliver}
+// portLanes are one simulator's FIFO lanes (sim.Lane) for port events
+// whose times never decrease, because every port of a fabric has the same
+// rate and propagation delay: a propagation leg ends at now + the delay,
+// and a full-size segment or a header-only packet (an ACK or a grant)
+// finishes serializing at now + a time fixed by its size. Any other size
+// takes the heap.
+type portLanes struct {
+	arrival, full, header *sim.Lane
+}
+
+func newPortLanes(s *sim.Simulator) *portLanes {
+	return &portLanes{arrival: s.NewLane(), full: s.NewLane(), header: s.NewLane()}
+}
+
+// newPort creates a port on simulator s, whose lanes are ls. rateBps is
+// the line rate in bits/second.
+func newPort(s *sim.Simulator, ls *portLanes, from, to int, rateBps float64, prop sim.Time, q Queue, deliver func(*Packet)) *Port {
+	p := &Port{From: from, To: to, sim: s, lanes: ls, rate: rateBps, prop: prop, queue: q, deliver: deliver}
 	p.onSerialized, p.onArrival = p.serialized, p.arrived
 	return p
 }
@@ -87,7 +104,15 @@ func (p *Port) Send(pkt *Packet) {
 
 func (p *Port) transmit(pkt *Packet) {
 	p.busy = true
-	p.sim.Schedule(p.sim.Now()+p.SerializationDelay(pkt.Size), p.onSerialized, pkt, 0)
+	at := p.sim.Now() + p.SerializationDelay(pkt.Size)
+	switch pkt.Size {
+	case mtu:
+		p.lanes.full.Schedule(at, p.onSerialized, pkt, 0)
+	case HeaderBytes:
+		p.lanes.header.Schedule(at, p.onSerialized, pkt, 0)
+	default:
+		p.sim.Schedule(at, p.onSerialized, pkt, 0)
+	}
 }
 
 // serialized handles the end of a packet's serialization: the packet
@@ -99,7 +124,7 @@ func (p *Port) serialized(x any, _ int64) {
 	if p.dst != nil {
 		p.src.Send(p.dst, at, p.onArrival, pkt, 0)
 	} else {
-		p.sim.Schedule(at, p.onArrival, pkt, 0)
+		p.lanes.arrival.Schedule(at, p.onArrival, pkt, 0)
 	}
 	if next := p.queue.Dequeue(); next != nil {
 		p.transmit(next)

@@ -205,6 +205,13 @@ func (s JobSpec) Validate() error {
 	if err := base.Topo.Validate(); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
+	// Load and horizon are bounded above; what the workload can still
+	// refuse is a mean flow size too large to schedule at that load.
+	wl := base.Workload
+	wl.HostLinkBps = base.Link.RateBps
+	if err := wl.Validate(); err != nil {
+		return fmt.Errorf("serve: mean_flow_bytes %v at load %v: %w", s.MeanFlowBytes, s.Load, err)
+	}
 	// Features is derived from the dataset at train time; validate the
 	// remaining hyper-parameters with a placeholder width.
 	mcfg := tcfg.Model

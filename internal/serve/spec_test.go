@@ -45,6 +45,7 @@ func TestJobSpecValidateRejectsOutsideInput(t *testing.T) {
 		{"mean_flow_bytes", JobSpec{MeanFlowBytes: nan}},
 		{"mean_flow_bytes", JobSpec{MeanFlowBytes: -5}},
 		{"mean_flow_bytes", JobSpec{MeanFlowBytes: inf}},
+		{"mean_flow_bytes", JobSpec{MeanFlowBytes: 1e30}},
 		{"workload_ms", JobSpec{WorkloadMs: nan}},
 		{"run_ms", JobSpec{RunMs: nan}},
 		{"small_run_ms", JobSpec{SmallRunMs: nan}},

@@ -5,23 +5,27 @@ import (
 )
 
 // The kernel's contract is one total order: events fire by (time,
-// scheduling sequence), whatever mix of func() events, typed events
-// and timers produced them, and a Timer behaves exactly like a
-// cancel-and-reschedule re-arm — same firing position, same sequence
+// scheduling sequence), whatever mix of func() events, typed events,
+// lane events and timers produced them, and a Timer behaves exactly like
+// a cancel-and-reschedule re-arm — same firing position, same sequence
 // numbers consumed, same Processed. This file checks that contract
-// against a reference model that knows nothing of heaps, pools or timers:
-// flat lists searched for their (at, seq) minimum, timers re-armed by
-// cancel-and-append.
+// against a reference model that knows nothing of heaps, lanes, pools or
+// timers: flat lists searched for their (at, seq) minimum, timers
+// re-armed by cancel-and-append.
 
 // scheduler is what a generated program drives: the real kernel or the
 // reference model.
 type scheduler interface {
 	after(d Time, id int, typed bool)
+	onLane(lane int, t Time, id int)
 	timerReset(i int, d Time)
 	timerStop(i int)
 }
 
-const orderTimers = 3
+const (
+	orderTimers = 3
+	orderLanes  = 2
+)
 
 // program turns a byte string into simulated activity: every firing
 // reads the next few bytes and acts on them, so kernel and model stay in
@@ -32,6 +36,7 @@ type program struct {
 	pos    int
 	nextID int
 	fired  []firing
+	tail   [orderLanes]Time // latest time scheduled on each lane
 }
 
 type firing struct {
@@ -66,13 +71,27 @@ func (p *program) schedule(k scheduler, d Time, typed bool) {
 	k.after(d, p.nextID, typed)
 }
 
+// scheduleOnLane queues an event on lane i at now+d, or, when inOrder, d
+// after the lane's latest time if that is later. An out-of-order time
+// takes the kernel's heap fallback; either way ties with heap events and
+// timers at the same nanosecond are common, since most delays are tiny.
+func (p *program) scheduleOnLane(k scheduler, now Time, i int, d Time, inOrder bool) {
+	t := now + d
+	if inOrder && p.tail[i]+d > t {
+		t = p.tail[i] + d
+	}
+	p.tail[i] = max(p.tail[i], t)
+	p.nextID++
+	k.onLane(i, t, p.nextID)
+}
+
 func (p *program) onFire(k scheduler, id int, now Time) {
 	p.fired = append(p.fired, firing{id, now})
 	if len(p.fired) >= maxOrderEvents || p.pos >= len(p.data) {
 		return // out of budget or out of script: let the queue drain
 	}
 	for n := 1 + p.byte()%3; n > 0; n-- {
-		switch op := p.byte() % 7; op {
+		switch op := p.byte() % 9; op {
 		case 0, 1, 2:
 			p.schedule(k, p.delay(), op == 1)
 		case 3:
@@ -87,6 +106,8 @@ func (p *program) onFire(k scheduler, id int, now Time) {
 			k.timerReset(i, p.delay())
 		case 6:
 			k.timerStop(p.byte() % orderTimers)
+		case 7, 8:
+			p.scheduleOnLane(k, now, p.byte()%orderLanes, p.delay(), op == 7)
 		}
 	}
 }
@@ -96,6 +117,7 @@ type kernelRun struct {
 	program
 	s      *Simulator
 	timers [orderTimers]Timer
+	lanes  [orderLanes]*Lane
 	typed  Handler
 }
 
@@ -104,6 +126,9 @@ func newKernelRun(data []byte) *kernelRun {
 	k.typed = func(_ any, id int64) { k.onFire(k, int(id), k.s.Now()) }
 	for i := range k.timers {
 		k.timers[i].Init(k.s, k.typed, nil, int64(-1-i))
+	}
+	for i := range k.lanes {
+		k.lanes[i] = k.s.NewLane()
 	}
 	return k
 }
@@ -115,8 +140,9 @@ func (k *kernelRun) after(d Time, id int, typed bool) {
 		k.s.After(d, func() { k.onFire(k, id, k.s.Now()) })
 	}
 }
-func (k *kernelRun) timerReset(i int, d Time) { k.timers[i].Reset(d) }
-func (k *kernelRun) timerStop(i int)          { k.timers[i].Stop() }
+func (k *kernelRun) onLane(i int, t Time, id int) { k.lanes[i].Schedule(t, k.typed, nil, int64(id)) }
+func (k *kernelRun) timerReset(i int, d Time)     { k.timers[i].Reset(d) }
+func (k *kernelRun) timerStop(i int)              { k.timers[i].Stop() }
 
 // modelRun is the reference. Scheduled events live in pend; timer
 // entries in tpend, where armed[i] indexes timer i's live
@@ -144,6 +170,10 @@ func newModelRun(data []byte) *modelRun {
 
 func (m *modelRun) after(d Time, id int, _ bool) {
 	m.pend = append(m.pend, modelEvent{at: m.now + d, seq: m.seq, id: id})
+	m.seq++
+}
+func (m *modelRun) onLane(_ int, t Time, id int) {
+	m.pend = append(m.pend, modelEvent{at: t, seq: m.seq, id: id})
 	m.seq++
 }
 func (m *modelRun) timerReset(i int, d Time) {
@@ -297,5 +327,42 @@ func TestTimerKeepsOneHeapEntry(t *testing.T) {
 	s.Run()
 	if s.Processed() != 1 || s.Now() != 1099 {
 		t.Errorf("Processed = %d at %v, want 1 at 1099ns", s.Processed(), s.Now())
+	}
+}
+
+// A lane's ring wraps and then doubles with entries live on both sides of
+// the wrap; its events keep their order, skip the heap, and a steady
+// schedule-and-fire cycle allocates nothing once the ring has grown.
+func TestLaneRingWrapsAndGrows(t *testing.T) {
+	s := New()
+	l := s.NewLane()
+	var got []int64
+	h := func(_ any, n int64) { got = append(got, n) }
+	for i := int64(0); i < 50; i++ {
+		l.Schedule(Time(i), h, nil, i)
+	}
+	s.RunUntil(39) // head is now 40 entries into the ring
+	for i := int64(50); i < 250; i++ {
+		l.Schedule(Time(i), h, nil, i) // wraps at 64, then grows twice
+	}
+	if len(s.heap) != 0 {
+		t.Fatalf("%d in-order lane events went to the heap", len(s.heap))
+	}
+	s.Run()
+	if len(got) != 250 || s.Processed() != 250 {
+		t.Fatalf("fired %d events (Processed %d), want 250", len(got), s.Processed())
+	}
+	for i, n := range got {
+		if n != int64(i) {
+			t.Fatalf("firing %d was event %d", i, n)
+		}
+	}
+	nop := func(any, int64) {}
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.Schedule(s.Now()+1, nop, nil, 0)
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("lane schedule-and-fire allocates %v/op, want 0", allocs)
 	}
 }

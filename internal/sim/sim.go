@@ -8,15 +8,20 @@
 //
 // The hot path is allocation-free in steady state, for the kernel and for
 // its callers: event records come from a per-simulator free list and are
-// recycled the moment they fire, the pending queue is a
-// 4-ary min-heap of inline (time, seq) keys, so ordering decisions never
-// chase the event pointer and no container/heap interface boxing occurs,
-// and the per-packet work of a simulation is scheduled as typed events
-// (Schedule, LP.Send: a Handler bound once plus a pointer and an integer)
-// and re-armable Timers, neither of which needs a closure. At and After
-// take a func() and remain for the rare control events — flow starts and
-// samplers — where a captured closure is the clearest way to say what
-// should happen.
+// recycled the moment they fire, and the per-packet work of a simulation
+// is scheduled as typed events (Schedule, Lane.Schedule, LP.Send: a
+// Handler bound once plus a pointer and an integer) and re-armable
+// Timers, none of which needs a closure. At and After take a func() and
+// remain for the rare control events, such as samplers, where a captured
+// closure is the clearest way to say what should happen.
+//
+// Pending events wait in one of two kinds of queue, merged under one
+// (time, seq) order. The general one is a 4-ary min-heap of inline
+// (time, seq) keys, so ordering decisions never chase the event pointer
+// and no container/heap interface boxing occurs. Beside it a simulator
+// may hold Lanes: FIFO rings for callers whose event times never
+// decrease (a fabric's propagation legs and fixed-size serializations, a
+// workload's flow starts), which skip the heap altogether.
 package sim
 
 import (
@@ -65,7 +70,7 @@ type event struct {
 	next  *event // free-list link
 }
 
-// heapEntry is one pending-queue slot. The ordering key (at, seq) is
+// heapEntry is one heap slot. The ordering key (at, seq) is
 // stored inline so sift operations compare without touching the event.
 // gen snapshots the event's generation at scheduling time; a mismatch at
 // pop time means a Timer orphaned the entry.
@@ -87,7 +92,8 @@ type Simulator struct {
 	seq       uint64
 	processed uint64
 	stopped   bool
-	free      *event // free list of recycled event records
+	free      *event  // free list of recycled event records
+	lanes     []*Lane // FIFO queues merged with the heap (see Lane)
 
 	tickEvery uint64
 	tick      func(now Time, processed uint64) (stop bool)
@@ -195,27 +201,47 @@ func (s *Simulator) RunUntil(limit Time) {
 	}
 }
 
-// run is the event loop: it executes events up to limit. A timer's heap
-// entry that is orphaned, stopped or early (see Timer) executes nothing,
-// leaves the clock alone and is not counted in Processed.
+// run is the event loop: it executes events up to limit, taking each
+// time the least (at, seq) of the heap top and every lane head. A timer's
+// heap entry that is orphaned, stopped or early (see Timer) executes
+// nothing, leaves the clock alone and is not counted in Processed.
 func (s *Simulator) run(limit Time) {
-	for len(s.heap) > 0 && !s.stopped {
-		top := s.heap[0]
-		if top.at > limit {
+	for !s.stopped {
+		var lane *Lane
+		at, seq := Time(1<<63-1), ^uint64(0)
+		if len(s.heap) > 0 {
+			at, seq = s.heap[0].at, s.heap[0].seq
+		}
+		for _, l := range s.lanes {
+			if l.n > 0 {
+				if e := &l.ring[l.head]; keyLess(e.at, e.seq, at, seq) {
+					lane, at, seq = l, e.at, e.seq
+				}
+			}
+		}
+		if lane == nil && len(s.heap) == 0 || at > limit {
 			break
 		}
-		s.pop()
-		e := top.e
-		if e.gen != top.gen {
-			continue // orphaned by Timer.Reset
+		var h Handler
+		var p any
+		var n int64
+		if lane != nil {
+			h, p, n = lane.pop()
+		} else {
+			top := s.heap[0]
+			s.pop()
+			e := top.e
+			if e.gen != top.gen {
+				continue // orphaned by Timer.Reset
+			}
+			h, p, n = e.h, e.p, e.n
+			if e.timer == nil {
+				s.recycle(e)
+			} else if !e.timer.expire(top) {
+				continue
+			}
 		}
-		h, p, n := e.h, e.p, e.n
-		if e.timer == nil {
-			s.recycle(e)
-		} else if !e.timer.expire(top) {
-			continue
-		}
-		s.now = top.at
+		s.now = at
 		s.processed++
 		if h == nil {
 			p.(func())()
@@ -228,7 +254,7 @@ func (s *Simulator) run(limit Time) {
 	}
 }
 
-// The pending queue is a 4-ary min-heap ordered by (at, seq). 4-ary wins
+// The heap is a 4-ary min-heap ordered by (at, seq). 4-ary wins
 // over binary here because sift-down dominates (every pop sifts a leaf
 // from the root) and the shallower tree does fewer cache-missing levels;
 // the four children share one 32-byte-entry cache span.
@@ -239,11 +265,14 @@ func (s *Simulator) run(limit Time) {
 // subtract-with-borrow pair (at is never negative), and the borrow
 // selects an index by masking.
 
-func entryLess(a, b *heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func entryLess(a, b *heapEntry) bool { return keyLess(a.at, a.seq, b.at, b.seq) }
+
+// keyLess reports whether the key (at1, seq1) orders before (at2, seq2).
+func keyLess(at1 Time, seq1 uint64, at2 Time, seq2 uint64) bool {
+	if at1 != at2 {
+		return at1 < at2
 	}
-	return a.seq < b.seq
+	return seq1 < seq2
 }
 
 // least returns whichever of the indices i and j holds the entry that
@@ -254,7 +283,7 @@ func least(h []heapEntry, i, j int) int {
 	return i ^ (i^j)&-int(borrow) // j when h[j] < h[i]
 }
 
-// push adds an entry to the pending queue. Both sifts move a hole rather
+// push adds an entry to the heap. Both sifts move a hole rather
 // than swapping: the travelling entry is written once, where it lands.
 func (s *Simulator) push(ent heapEntry) {
 	s.heap = append(s.heap, ent)

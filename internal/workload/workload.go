@@ -90,12 +90,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: mean flow size %v is not finite", c.MeanFlowBytes)
 	case c.MeanFlowBytes <= 0:
 		return fmt.Errorf("workload: non-positive mean flow size")
+	case 40*c.MeanFlowBytes >= math.MaxInt64 || c.meanInterarrival()*float64(sim.Second) >= math.MaxInt64:
+		// Generate clamps sizes at 40× the mean and adds interarrival
+		// gaps as int64 nanoseconds; past either range the schedule
+		// would wrap instead of reaching Duration.
+		return fmt.Errorf("workload: mean flow size %v B is too large to schedule in int64 bytes and nanoseconds", c.MeanFlowBytes)
 	case c.PIntraRack < 0 || c.PIntraCluster < 0 || c.PIntraRack+c.PIntraCluster > 1:
 		return fmt.Errorf("workload: invalid locality split (%v, %v)", c.PIntraRack, c.PIntraCluster)
 	case c.Duration <= 0:
 		return fmt.Errorf("workload: non-positive duration")
 	}
 	return nil
+}
+
+// meanInterarrival is one host's mean time between flow starts, in
+// seconds: the mean flow size over the byte rate Load asks of its link.
+func (c Config) meanInterarrival() float64 {
+	return c.sizeDist().Mean() / (c.Load * c.HostLinkBps / 8)
 }
 
 // sizeDist returns the flow size distribution: a heavy-tailed log-normal
@@ -137,9 +148,7 @@ func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
 	var flows []Flow
 	root := stats.NewStream(cfg.Seed)
 	sizes := cfg.sizeDist()
-	// Per-host arrival rate: load * link byte rate / mean flow size.
-	bytesPerSec := cfg.Load * cfg.HostLinkBps / 8
-	meanInterarrival := sizes.Mean() / bytesPerSec // seconds
+	gaps := stats.Exponential{MeanVal: cfg.meanInterarrival()} // seconds
 
 	for src := 0; src < t.Hosts(); src++ {
 		// Each host derives its own stream from (seed, host index) so the
@@ -148,11 +157,13 @@ func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
 		at := sim.Time(0)
 		seq := uint64(0)
 		for {
-			gap := stats.Exponential{MeanVal: meanInterarrival}.Sample(hs)
-			at += sim.FromSeconds(gap)
-			if at >= cfg.Duration {
+			// A gap is compared before it is added, so one from the far
+			// tail ends the host's schedule instead of wrapping at.
+			gap := gaps.Sample(hs) * float64(sim.Second)
+			if gap >= math.MaxInt64 || sim.Time(gap) >= cfg.Duration-at {
 				break
 			}
+			at += sim.Time(gap)
 			dst := pickDst(t, src, hs, cfg)
 			if dst == src {
 				continue

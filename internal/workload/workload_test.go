@@ -203,6 +203,30 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// A mean flow size whose interarrival gaps overflow int64 nanoseconds is
+// refused by Validate; one just inside the bound still generates, and a
+// far-tail gap ends its host's schedule instead of wrapping the clock.
+func TestValidateRejectsUnschedulableMean(t *testing.T) {
+	huge := DefaultConfig(1e30)
+	if err := huge.Validate(); err == nil {
+		t.Fatal("DefaultConfig(1e30) passed validation")
+	}
+	if _, err := Generate(testTopo(2), huge); err == nil {
+		t.Fatal("Generate accepted DefaultConfig(1e30)")
+	}
+	// The mean gap is 0.99 of int64 nanoseconds: 10 of these 16 hosts
+	// draw a first gap past it.
+	edge := DefaultConfig(8e16)
+	edge.Duration = sim.Millisecond
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("mean 8e16 B rejected: %v", err)
+	}
+	flows, err := Generate(testTopo(2), edge)
+	if err != nil || len(flows) != 0 {
+		t.Fatalf("mean 8e16 B over 1 ms: %d flows, err %v; want none", len(flows), err)
+	}
+}
+
 // Equal clamp bounds make every flow one size.
 func TestCustomSizeDistribution(t *testing.T) {
 	cfg := testConfig()
