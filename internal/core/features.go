@@ -180,11 +180,15 @@ func NewExtractor(spec FeatureSpec, congLo, congHi float64) *Extractor {
 	}
 }
 
+// timeFeatureSpan is log1p(1000), timeFeature's divisor: computed once,
+// not per feature row (Go does not fold the call), with the same bits.
+var timeFeatureSpan = math.Log1p(1000)
+
 // timeFeature squashes a gap (seconds) into [0,1] on a log scale and
 // optionally snaps it to the spec's discretization grid (paper §5.2:
 // discretizing time features trades recovery precision for learnability).
 func (e *Extractor) timeFeature(gapSec float64) float64 {
-	scaled := math.Log1p(gapSec/e.Spec.TimeScale) / math.Log1p(1000)
+	scaled := math.Log1p(gapSec/e.Spec.TimeScale) / timeFeatureSpan
 	if scaled > 1 {
 		scaled = 1
 	}

@@ -9,8 +9,10 @@ import "fmt"
 //     advanced through one fused step per "round", and the fused LSTM
 //     step (the GRU's and the windowed MLP's live in gru.go and
 //     mlp.go). A step runs per lane: the row-kernel products
-//     (rowkernel.go, DESIGN.md decision 18), then the gates, with lanes
-//     split over the pool only above the dispatch floor
+//     (rowkernel.go, DESIGN.md decision 18) — the input's zero-skipping,
+//     the dense recurrent state's taking every term (decision 35) —
+//     then the gates, one wide-kernel call per gate pass (gates.go),
+//     with lanes split over the pool only above the dispatch floor
 //     (pool.go). The batch state is the Range worker, so a step
 //     allocates nothing.
 //   - laneGemm, the trainer's products over a minibatch of lanes
@@ -303,27 +305,21 @@ func (s *lstmBatchState) RunRange(lo, hi int) {
 		zx := s.zx[a*4*H : (a+1)*4*H]
 		zh := s.zh[a*4*H : (a+1)*4*H]
 		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx, s.asm)
-		s.wh.mulLane(0, hPrev, zh, s.asm)
+		s.wh.mulDense(0, hPrev, zh, s.asm)
 		// z[i] += zh[i] + B[i], the reference association. The pre-adds
 		// are hoisted out of the gate loop so the sigmoid/tanh passes
-		// run over contiguous quarters — 4 lanes per instruction when
-		// the wide gate kernels are live, the same scalar calls per
-		// element either way.
-		for j, v := range zh {
-			zx[j] += v + bias[j]
-		}
+		// run over contiguous quarters — one kernel call per pass, 4
+		// lanes per instruction, when the wide gate kernels are live,
+		// the same scalar calls per element otherwise.
+		addSumLanes(zx, zh, bias, wide)
 		sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
 		tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
 		sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
-		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, the reference association.
-			cPrev[j] = zx[H+j]*cPrev[j] + zx[j]*zx[2*H+j]
-		}
+		// cNew = f*cPrev + i*g, the reference association.
+		cellLanes(cPrev, zx[H:2*H], zx[:H], zx[2*H:3*H], wide)
 		hRow := s.hs[a*H : (a+1)*H]
 		tanhLanes(hRow, cPrev, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = zx[3*H+j] * hRow[j]
-		}
+		prodLanes(hRow, zx[3*H:4*H], hRow, wide)
 		copy(hPrev, hRow)
 	}
 }

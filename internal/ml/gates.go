@@ -2,27 +2,31 @@ package ml
 
 import "math"
 
-// Slice wrappers around the 4-wide gate kernels. When wide is false (or
+// Slice wrappers around the wide gate kernels. When wide is false (or
 // for ragged tails) they are exactly the scalar loops the call sites
 // used before dispatch existed, so every kernel family computes the
-// same bits.
+// same bits. With wide, one kernel call covers every whole 4-lane group
+// of the slice (DESIGN.md decision 35): a Go call per group cost about
+// as much as the group's arithmetic and kept one group's exp chain from
+// overlapping the next.
 
 // sigmoidLanes writes sigmoid(src[i]) into dst[i]. dst and src may be
-// the same slice but must not partially overlap. The wide path asks
-// sigmoid4 for 4 lanes at a time; lanes the kernel flags as off exp's
-// fast path still hold their original input in dst and are recomputed
-// with the scalar sigmoid in place.
+// the same slice but must not partially overlap. The wide kernel stops
+// at the first group with a lane off exp's fast path and leaves it
+// unwritten; that group is computed with the scalar sigmoid, and the
+// kernel resumes after it.
 func sigmoidLanes(dst, src []float64, wide bool) {
 	n := len(src)
+	dst = dst[:n]
 	i := 0
 	if wide {
-		for ; i+4 <= n; i += 4 {
-			if ok := sigmoid4(&dst[i], &src[i]); ok != 0x0F {
-				for j := 0; j < 4; j++ {
-					if ok&(1<<j) == 0 {
-						dst[i+j] = sigmoid(dst[i+j])
-					}
+		for i+4 <= n {
+			i += sigmoidWide(&dst[i], &src[i], n-i)
+			if i+4 <= n {
+				for j := i; j < i+4; j++ {
+					dst[j] = sigmoid(src[j])
 				}
+				i += 4
 			}
 		}
 	}
@@ -32,17 +36,68 @@ func sigmoidLanes(dst, src []float64, wide bool) {
 }
 
 // tanhLanes writes math.Tanh(src[i]) into dst[i]. Same aliasing rules
-// as sigmoidLanes; tanh4 is total, so the wide path has no fallback.
+// as sigmoidLanes; tanhWide is total, so the wide path has no fallback.
 func tanhLanes(dst, src []float64, wide bool) {
 	n := len(src)
+	dst = dst[:n]
 	i := 0
-	if wide {
-		for ; i+4 <= n; i += 4 {
-			tanh4(&dst[i], &src[i])
-		}
+	if wide && n >= 4 {
+		tanhWide(&dst[0], &src[0], n)
+		i = n &^ 3
 	}
 	for ; i < n; i++ {
 		dst[i] = math.Tanh(src[i])
+	}
+}
+
+// The LSTM's elementwise passes around its gates, for the lane banks
+// and the trainer alike. Each writes the scalar expression's bits; with
+// wide, the whole 4-lane groups run in one assembly loop (addSumWide,
+// cellWide, prodWide: plain AVX, no FMA) and Go does the tail. Every
+// input is at least len(dst) long, and dst may alias an input only
+// element for element.
+
+// addSumLanes sets dst[i] += a[i] + b[i], that association: the
+// pre-activation z += zh + B.
+func addSumLanes(dst, a, b []float64, wide bool) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	if wide && n >= 4 {
+		addSumWide(&dst[0], &a[0], &b[0], n)
+		i = n &^ 3
+	}
+	for ; i < n; i++ {
+		dst[i] += a[i] + b[i]
+	}
+}
+
+// cellLanes sets c[i] = f[i]*c[i] + in[i]*g[i]: the cell update
+// cNew = f·cPrev + i·g.
+func cellLanes(c, f, in, g []float64, wide bool) {
+	n := len(c)
+	f, in, g = f[:n], in[:n], g[:n]
+	i := 0
+	if wide && n >= 4 {
+		cellWide(&c[0], &f[0], &in[0], &g[0], n)
+		i = n &^ 3
+	}
+	for ; i < n; i++ {
+		c[i] = f[i]*c[i] + in[i]*g[i]
+	}
+}
+
+// prodLanes sets dst[i] = a[i] * b[i]: the output h = o·tanh(c).
+func prodLanes(dst, a, b []float64, wide bool) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	if wide && n >= 4 {
+		prodWide(&dst[0], &a[0], &b[0], n)
+		i = n &^ 3
+	}
+	for ; i < n; i++ {
+		dst[i] = a[i] * b[i]
 	}
 }
 

@@ -121,3 +121,87 @@ store1:
 rowsdone:
 	VZEROUPPER
 	RET
+
+// The lane banks' and the trainer's elementwise LSTM passes, 4 lanes per
+// instruction over the whole 4-lane groups of n (the caller finishes
+// the tail in Go). Each lane is the Go expression's operations in its
+// order, one rounding each — VMULPD then VADDPD, never fused — so every
+// element is bitwise the scalar loop's.
+
+// func addSumWide(dst, a, b *float64, n int)
+//
+// dst[i] = dst[i] + (a[i] + b[i]): the pre-activation z += zh + B.
+TEXT ·addSumWide(SB), NOSPLIT, $0-32
+	MOVQ	dst+0(FP), DI
+	MOVQ	a+8(FP), SI
+	MOVQ	b+16(FP), DX
+	MOVQ	n+24(FP), CX
+	SUBQ	$4, CX // the last index a group may start at
+	XORQ	AX, AX
+
+addsumloop:
+	CMPQ	AX, CX
+	JGT	addsumdone
+	VMOVUPD	(SI)(AX*8), Y0
+	VADDPD	(DX)(AX*8), Y0, Y0 // a + b
+	VMOVUPD	(DI)(AX*8), Y1
+	VADDPD	Y0, Y1, Y1         // dst + (a + b)
+	VMOVUPD	Y1, (DI)(AX*8)
+	ADDQ	$4, AX
+	JMP	addsumloop
+
+addsumdone:
+	VZEROUPPER
+	RET
+
+// func cellWide(c, f, in, cand *float64, n int)
+//
+// c[i] = f[i]*c[i] + in[i]*cand[i]: the LSTM cell update, cand the g gate.
+TEXT ·cellWide(SB), NOSPLIT, $0-40
+	MOVQ	c+0(FP), DI
+	MOVQ	f+8(FP), SI
+	MOVQ	in+16(FP), DX
+	MOVQ	cand+24(FP), R8
+	MOVQ	n+32(FP), CX
+	SUBQ	$4, CX
+	XORQ	AX, AX
+
+cellloop:
+	CMPQ	AX, CX
+	JGT	celldone
+	VMOVUPD	(SI)(AX*8), Y0
+	VMULPD	(DI)(AX*8), Y0, Y0 // f*c
+	VMOVUPD	(DX)(AX*8), Y1
+	VMULPD	(R8)(AX*8), Y1, Y1 // in*cand
+	VADDPD	Y1, Y0, Y0         // f*c + in*cand
+	VMOVUPD	Y0, (DI)(AX*8)
+	ADDQ	$4, AX
+	JMP	cellloop
+
+celldone:
+	VZEROUPPER
+	RET
+
+// func prodWide(dst, a, b *float64, n int)
+//
+// dst[i] = a[i] * b[i]: the LSTM output h = o·tanh(c).
+TEXT ·prodWide(SB), NOSPLIT, $0-32
+	MOVQ	dst+0(FP), DI
+	MOVQ	a+8(FP), SI
+	MOVQ	b+16(FP), DX
+	MOVQ	n+24(FP), CX
+	SUBQ	$4, CX
+	XORQ	AX, AX
+
+prodloop:
+	CMPQ	AX, CX
+	JGT	proddone
+	VMOVUPD	(SI)(AX*8), Y0
+	VMULPD	(DX)(AX*8), Y0, Y0 // a*b
+	VMOVUPD	Y0, (DI)(AX*8)
+	ADDQ	$4, AX
+	JMP	prodloop
+
+proddone:
+	VZEROUPPER
+	RET

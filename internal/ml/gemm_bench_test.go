@@ -98,6 +98,38 @@ func BenchmarkStepLanes(b *testing.B) {
 	}
 }
 
+// BenchmarkGateKernels times one gate pass alone, sigmoidLanes and
+// tanhLanes in place under the live kernel family, at the LSTM's quarter
+// widths for hidden 24: 24 (one gate, and the cell's tanh) and 48 (the
+// adjacent i and f quarters, one sigmoid pass). It reports ns per
+// element, the gate layer under BenchmarkStepLanes. Inputs are uniform
+// in [-4, 4), so tanh groups mix its polynomial and exp branches.
+func BenchmarkGateKernels(b *testing.B) {
+	gates := []struct {
+		name string
+		f    func(dst, src []float64, wide bool)
+	}{{"sigmoid", sigmoidLanes}, {"tanh", tanhLanes}}
+	for _, g := range gates {
+		for _, n := range []int{24, 48} {
+			b.Run(fmt.Sprintf("%s/n=%d", g.name, n), func(b *testing.B) {
+				rng := stats.NewStream(int64(n))
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = 8*rng.Float64() - 4
+				}
+				buf := make([]float64, n)
+				wide := gemmKernel().wideGates
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(buf, src)
+					g.f(buf, buf, wide)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+			})
+		}
+	}
+}
+
 // BenchmarkTrainBatch times one minibatch forward+backward (trainBatch,
 // gradients zeroed after each) at the default training shape — 23
 // features, hidden 24, batch 16, window 12, mostly-zero inputs

@@ -15,8 +15,8 @@ import (
 //	scalar — the portable Go loops (also the only family under the
 //	         purego build tag, off amd64, or on a CPU without AVX2)
 //	avx2   — the rowsAcc row kernel for every matrix product (inference
-//	         and all of the trainer's), and (on FMA hardware) the 4-wide
-//	         sigmoid/tanh gate kernels
+//	         and all of the trainer's), and (on FMA hardware) the wide
+//	         sigmoid/tanh gate kernels, one assembly loop per slice
 //
 // Both produce bitwise-identical results: each output element is the
 // same ascending-k multiply-then-add chain as the scalar dot, and the
@@ -32,8 +32,9 @@ type gemmImpl struct {
 	// avx2 routes the row kernel (rowkernel.go) through rowsAcc;
 	// otherwise it runs as a Go loop.
 	avx2 bool
-	// wideGates routes sigmoid/Tanh gate passes through the 4-wide
-	// AVX2+FMA clones of math.Exp's FMA variant and math.Tanh.
+	// wideGates routes sigmoid/Tanh gate passes through the AVX2+FMA
+	// slice kernels, 4-lane clones of math.Exp's FMA variant and
+	// math.Tanh.
 	wideGates bool
 }
 

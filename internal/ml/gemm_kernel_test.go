@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func setKernel(t testing.TB, name string) {
 }
 
 // wideGatesAvailable reports whether any family on this CPU/build runs
-// the 4-wide gate kernels.
+// the wide gate kernels.
 func wideGatesAvailable() bool {
 	impl, ok := gemmImplByName["avx2"]
 	return ok && impl.wideGates
@@ -43,6 +44,13 @@ func TestGemmKernelsAvailable(t *testing.T) {
 	}
 	if strings.Join(ks, " ") != strings.Join(want, " ") {
 		t.Fatalf("gemmKernels() = %v, want %v", ks, want)
+	}
+	// wideGatesMatchScalar turns the wide gates off when they disagree
+	// with the scalar functions, which keeps results right but would let
+	// a broken kernel pass every test that skips without them. On FMA
+	// hardware with no GODEBUG cpu override, the gates must be on.
+	if cpuHasFMA && !strings.Contains(os.Getenv("GODEBUG"), "cpu.") && !wideGatesAvailable() {
+		t.Fatal("CPU has AVX2 and FMA but the wide gates failed wideGatesMatchScalar")
 	}
 }
 
@@ -102,44 +110,153 @@ func TestGemmKernelGauge(t *testing.T) {
 	}
 }
 
-// FuzzGateKernels bit-compares the 4-wide sigmoid/tanh kernels against
-// the scalar sigmoid/math.Tanh on arbitrary float64 inputs, including
-// the specials the fuzzer will find (±0, denormals, ±Inf, NaN, branch
-// boundaries). Skipped (not failed) on builds/CPUs without wide gates.
+// offFastPath are inputs that leave exp's normal-scale fast path in the
+// sigmoid kernel (|x| past the overflow cutoff, a subnormal exp(-|x|),
+// non-finite), so the wide kernel stops at their group and the scalar
+// fallback computes it.
+var offFastPath = []float64{710, -745, 709.5, -1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// checkGateSlices bit-compares sigmoidLanes and tanhLanes on the wide
+// path against the scalar sigmoid/math.Tanh over src, into a separate
+// dst (prefilled with NaN, so a group the kernel left unwritten shows)
+// and in place.
+func checkGateSlices(t *testing.T, src []float64) {
+	t.Helper()
+	gates := []struct {
+		name   string
+		lanes  func(dst, src []float64, wide bool)
+		scalar func(float64) float64
+	}{{"sigmoid", sigmoidLanes, sigmoid}, {"tanh", tanhLanes, math.Tanh}}
+	for _, g := range gates {
+		apart := make([]float64, len(src))
+		for i := range apart {
+			apart[i] = math.NaN()
+		}
+		g.lanes(apart, src, true)
+		inPlace := append([]float64(nil), src...)
+		g.lanes(inPlace, inPlace, true)
+		for i, x := range src {
+			want := math.Float64bits(g.scalar(x))
+			if got := math.Float64bits(apart[i]); got != want {
+				t.Fatalf("%s lane %d of %d: %s(%v) = %x, want %x", g.name, i, len(src), g.name, x, got, want)
+			}
+			if got := math.Float64bits(inPlace[i]); got != want {
+				t.Fatalf("%s lane %d of %d in place: %s(%v) = %x, want %x", g.name, i, len(src), g.name, x, got, want)
+			}
+		}
+	}
+}
+
+// checkLSTMPasses compares the LSTM's elementwise passes (addSumLanes,
+// cellLanes, prodLanes) on the wide path with their scalar loops over
+// operands rotated from vals, each pass both into its own buffer and in
+// place. Two NaNs need not carry the same payload: which operand's
+// payload survives depends on the operand order the compiler picks.
+func checkLSTMPasses(t *testing.T, vals []float64) {
+	t.Helper()
+	n := len(vals)
+	rot := func(k int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = vals[(i+k)%n]
+		}
+		return v
+	}
+	a, b, c, d := rot(0), rot(1), rot(2), rot(3)
+	passes := []struct {
+		name string
+		run  func(dst []float64, wide bool)
+	}{
+		{"addSum", func(dst []float64, wide bool) { addSumLanes(dst, b, c, wide) }},
+		{"addSum in place", func(dst []float64, wide bool) { addSumLanes(dst, dst, c, wide) }},
+		{"cell", func(dst []float64, wide bool) { cellLanes(dst, b, c, d, wide) }},
+		{"cell in place", func(dst []float64, wide bool) { cellLanes(dst, dst, c, dst, wide) }},
+		{"prod", func(dst []float64, wide bool) { prodLanes(dst, b, c, wide) }},
+		{"prod in place", func(dst []float64, wide bool) { prodLanes(dst, b, dst, wide) }},
+	}
+	for _, p := range passes {
+		got, want := append([]float64(nil), a...), append([]float64(nil), a...)
+		p.run(got, true)
+		p.run(want, false)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+				t.Fatalf("%s lane %d of %d: wide %v (%#x), scalar %v (%#x)", p.name, i, n,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// FuzzGateKernels bit-compares the wide sigmoid/tanh slice kernels
+// against the scalar sigmoid/math.Tanh on arbitrary float64 inputs,
+// including the specials the fuzzer will find (±0, denormals, ±Inf, NaN,
+// branch boundaries). The slice is 1–13 lanes cycled from the four
+// inputs, so whole groups and a ragged tail both occur, and is checked
+// as drawn and with an off-fast-path value in its first, a middle and
+// its last group: the sigmoid kernel's early exit and resume run at
+// every position. The LSTM's elementwise passes run on the same lanes
+// (checkLSTMPasses). Skipped (not failed) on builds/CPUs without wide
+// gates.
 func FuzzGateKernels(f *testing.F) {
-	f.Add(0.0, math.Copysign(0, -1), 0.625, -0.625)
-	f.Add(44.014, -44.015, 709.8, -709.8)
-	f.Add(math.Inf(1), math.Inf(-1), 1e-320, -1e-320)
-	f.Add(0.3, -19.0625, 100.0, 5e-324)
-	f.Fuzz(func(t *testing.T, a, b, c, d float64) {
+	f.Add(0.0, math.Copysign(0, -1), 0.625, -0.625, uint8(4), uint8(0))
+	f.Add(44.014, -44.015, 709.8, -709.8, uint8(12), uint8(1))
+	f.Add(math.Inf(1), math.Inf(-1), 1e-320, -1e-320, uint8(8), uint8(2))
+	f.Add(0.3, -19.0625, 100.0, 5e-324, uint8(6), uint8(3))
+	f.Fuzz(func(t *testing.T, a, b, c, d float64, n8, at8 uint8) {
 		if !wideGatesAvailable() {
 			t.Skip("wide gate kernels unavailable")
 		}
-		src := []float64{a, b, c, d, a} // ragged tail covers the scalar epilogue
-		got := make([]float64, len(src))
-		sigmoidLanes(got, src, true)
-		for i, x := range src {
-			want := sigmoid(x)
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("sigmoid(%v) = %x, want %x", x, math.Float64bits(got[i]), math.Float64bits(want))
-			}
+		vals := [4]float64{a, b, c, d}
+		src := make([]float64, 1+int(n8)%13)
+		for i := range src {
+			src[i] = vals[(i+i/4)%4] // rotate per group so lanes differ
 		}
-		tanhLanes(got, src, true)
-		for i, x := range src {
-			want := math.Tanh(x)
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("tanh(%v) = %x, want %x", x, math.Float64bits(got[i]), math.Float64bits(want))
-			}
+		checkGateSlices(t, src)
+		checkLSTMPasses(t, src)
+		groups := len(src) / 4
+		if groups == 0 {
+			return
 		}
-		// In-place operation must give the same bits.
-		inPlace := append([]float64(nil), src...)
-		sigmoidLanes(inPlace, inPlace, true)
-		for i, x := range src {
-			if math.Float64bits(inPlace[i]) != math.Float64bits(sigmoid(x)) {
-				t.Fatalf("in-place sigmoid(%v) diverged", x)
-			}
+		off := offFastPath[int(at8)%len(offFastPath)]
+		for _, g := range []int{0, groups / 2, groups - 1} {
+			placed := append([]float64(nil), src...)
+			placed[4*g+int(at8/8)%4] = off
+			checkGateSlices(t, placed)
 		}
 	})
+}
+
+// TestGateKernelsSlices runs the fuzz body's checks over a fixed grid in
+// tier-1: every length 1–13, ordinary and boundary inputs, and each
+// off-fast-path value in every group and lane; the LSTM's elementwise
+// passes on the same lengths, with ±0, subnormals and ±Inf among the
+// operands.
+func TestGateKernelsSlices(t *testing.T) {
+	if !wideGatesAvailable() {
+		t.Skip("wide gate kernels unavailable")
+	}
+	s := stats.NewStream(3)
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, math.Inf(1), math.Inf(-1), 1e300}
+	for n := 1; n <= 13; n++ {
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = 12*s.Float64() - 6
+		}
+		checkGateSlices(t, src)
+		checkLSTMPasses(t, src)
+		mixed := append([]float64(nil), src...)
+		for i := 0; i < n; i += 2 {
+			mixed[i] = specials[(i/2+n)%len(specials)]
+		}
+		checkLSTMPasses(t, mixed)
+		for i := 0; i < n&^3; i++ {
+			for _, off := range offFastPath {
+				placed := append([]float64(nil), src...)
+				placed[i] = off
+				checkGateSlices(t, placed)
+			}
+		}
+	}
 }
 
 // TestGoldenKernelParity is the end-to-end cross-kernel check: training

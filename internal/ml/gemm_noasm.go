@@ -13,14 +13,26 @@ const (
 // The stubs below are unreachable: dispatch never constructs a family
 // that calls them.
 
-func sigmoid4(dst, src *float64) (ok uint8) {
-	panic("ml: sigmoid4 called without assembly support")
+func sigmoidWide(dst, src *float64, n int) (done int) {
+	panic("ml: sigmoidWide called without assembly support")
 }
 
-func tanh4(dst, src *float64) {
-	panic("ml: tanh4 called without assembly support")
+func tanhWide(dst, src *float64, n int) {
+	panic("ml: tanhWide called without assembly support")
 }
 
 func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int) {
 	panic("ml: rowsAcc called without assembly support")
+}
+
+func addSumWide(dst, a, b *float64, n int) {
+	panic("ml: addSumWide called without assembly support")
+}
+
+func cellWide(c, f, in, cand *float64, n int) {
+	panic("ml: cellWide called without assembly support")
+}
+
+func prodWide(dst, a, b *float64, n int) {
+	panic("ml: prodWide called without assembly support")
 }

@@ -125,7 +125,7 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		rh := s.rh[a*H : (a+1)*H]
 		z := s.z[a*H : (a+1)*H]
 		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax, s.asm)
-		s.wh.mulLane(0, hPrev, ah, s.asm)
+		s.wh.mulDense(0, hPrev, ah, s.asm)
 		// Pre-activations hoisted so the sigmoid passes run over
 		// contiguous ranges (4 lanes per instruction when the wide gate
 		// kernels are live); the reference's ax + ah + bias association.

@@ -4,10 +4,11 @@ package ml
 // products (DESIGN.md decisions 18-20). Inference rounds are narrow: at
 // N=32 (warm_n32's size) a round steps 13.3 lanes on average in one lane
 // group and 7.4 in each of two (decision 29), so it vectorizes across
-// output rows, not lanes, and a step costs the same at any round width. The minibatch trainer's three products (batch.go) are
-// the same column-by-column accumulation: the forward product over its
-// weights packed once per minibatch, the two backward products over
-// views that need no packing.
+// output rows, not lanes, and a step costs the same at any round width.
+// The minibatch trainer's three products (batch.go) are the same
+// column-by-column accumulation: the forward product over its weights
+// packed once per minibatch, the two backward products over views that
+// need no packing.
 //
 // Exactness. Each output element is the same ascending-k chain of
 // multiply-then-add as dot, just advanced for all rows at once: for
@@ -17,8 +18,16 @@ package ml
 // -0 (+0 + -0 = +0), so adding a finite w·±0 = ±0 never changes it —
 // which is why an artifact with a non-finite weight is refused before
 // it reaches inference (Model.CheckFinite): Inf·0 is NaN, not a no-op.
-// accLane continues a chain from a caller's starting value, which may be
-// -0, so it takes every term.
+// mulDense (DESIGN.md decision 35) takes every term, as dot does, for
+// the lane banks' recurrent products W·hPrev: hPrev is dense (exactly
+// zero only on a fresh lane), so building mulLane's skip list per column
+// is waste — a 96×24 product cost 400–420 ns through mulLane against
+// 264 ns for rowsAcc alone. By the argument above the two are bitwise
+// equal on finite weights, and on any other weights mulDense is still
+// dot's chain. The trainer's Mᵀ·dy keeps mulLane's skip set: it is
+// MulVecT's, and the trainer's weights are not checked. accLane
+// continues a chain from a caller's starting value, which may be -0, so
+// it takes every term.
 
 // packedRows is a matrix stored k-major for the row kernel:
 // t[k*rows + r] = W[r][k], so column k of W is one contiguous run. A
@@ -60,6 +69,14 @@ func (p *packedRows) pack(m *Matrix) {
 func (p *packedRows) mulLane(r0 int, x, out []float64, asm bool) {
 	zeroRange(out)
 	p.accumulate(r0, x, out, true, asm)
+}
+
+// mulDense sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out))
+// taking every term, as dot does: the product of a bank's dense
+// recurrent state, where mulLane's zero-skip list is pure overhead.
+func (p *packedRows) mulDense(r0 int, x, out []float64, asm bool) {
+	zeroRange(out)
+	p.accumulate(r0, x, out, false, asm)
 }
 
 // accLane sets out[i] = dotAcc(out[i], W.row(r0+i), x) for i in

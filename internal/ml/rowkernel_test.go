@@ -30,11 +30,11 @@ func rowKernelValue(s *stats.Stream, density float64) float64 {
 	}
 }
 
-// checkRowKernel runs the row kernel over n lanes through pool, both
-// forms (mulLane from +0 with zero-skip, accLane from per-element
-// starts that include -0), under every available kernel family, and
-// requires each element to equal the per-(lane, row) dot / dotAcc bit
-// for bit.
+// checkRowKernel runs the row kernel over n lanes through pool, all
+// three forms (mulLane from +0 with zero-skip, mulDense from +0 taking
+// every term, accLane from per-element starts that include -0), under
+// every available kernel family, and requires each element to equal the
+// per-(lane, row) dot / dotAcc bit for bit.
 func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
 	m := newMatrix(rows, K)
@@ -64,11 +64,13 @@ func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s
 		setKernel(t, kn)
 		asm := gemmKernel().avx2
 		mul := make([]float64, n*w)
+		dense := make([]float64, n*w)
 		acc := append([]float64(nil), starts...)
 		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
 			for a := lo; a < hi; a++ {
 				x := xs[a*K : (a+1)*K]
 				p.mulLane(r0, x, mul[a*w:(a+1)*w], asm)
+				p.mulDense(r0, x, dense[a*w:(a+1)*w], asm)
 				p.accLane(r0, x, acc[a*w:(a+1)*w], asm)
 			}
 		}))
@@ -78,6 +80,10 @@ func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s
 				row := m.Data[(r0+i)*K : (r0+i+1)*K]
 				if got, want := mul[a*w+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), dot = %v (%#x)",
+						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if got, want := dense[a*w+i], mul[a*w+i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulDense lane %d row %d = %v (%#x), mulLane = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				if got, want := acc[a*w+i], dotAcc(starts[a*w+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
@@ -121,6 +127,51 @@ func FuzzRowKernel(f *testing.F) {
 		defer pool.Close()
 		checkRowKernel(t, rows, K, n, float64(density8)/255, pool, stats.NewStream(seed))
 	})
+}
+
+// TestDenseRecurrentProductMatchesMulLane: the banks' recurrent
+// product W·hPrev (mulDense, every term) equals the zero-skipping
+// mulLane bit for bit at the LSTM (96×24) and GRU (2H = 48 of 72 rows)
+// bank shapes, on h vectors holding +0, -0, subnormals and ordinary
+// values, under every kernel family.
+func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
+	neg0 := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	s := stats.NewStream(11)
+	const H = 24
+	hs := [][]float64{make([]float64, H), make([]float64, H), make([]float64, H), make([]float64, H)}
+	for i := 0; i < H; i++ {
+		hs[1][i] = neg0
+		hs[2][i] = []float64{0, neg0, sub, -sub * 3, 1e-310}[i%5]
+		hs[3][i] = []float64{2*s.Float64() - 1, 0, neg0, -sub}[i%4]
+	}
+	for _, sh := range []struct{ rows, w int }{{4 * H, 4 * H}, {3 * H, 2 * H}} {
+		rows, w := sh.rows, sh.w
+		m := newMatrix(rows, H)
+		for i := range m.Data {
+			m.Data[i] = 2*s.Float64() - 1
+			if i%7 == 0 {
+				m.Data[i] = math.Copysign(0, m.Data[i])
+			}
+		}
+		p := packRows(m)
+		for _, kn := range gemmKernels() {
+			setKernel(t, kn)
+			asm := gemmKernel().avx2
+			for hi, h := range hs {
+				want := make([]float64, w)
+				got := make([]float64, w)
+				p.mulLane(0, h, want, asm)
+				p.mulDense(0, h, got, asm)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %d rows, h #%d: row %d mulDense = %#x, mulLane = %#x",
+							kn, rows, hi, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestNonFiniteWeightBreaksZeroSkip is the regression for the

@@ -399,9 +399,7 @@ func (t lstmGates) RunRange(lo, hi int) {
 		// The reference association z[i] += zh[i] + B[i]; the gate
 		// activations land directly in the per-step caches, 4 lanes per
 		// instruction when the wide gate kernels are live.
-		for j, v := range zh {
-			zx[j] += v + bias[j]
-		}
+		addSumLanes(zx, zh, bias, wide)
 		ci := t.ci[base+a*H : base+(a+1)*H]
 		cf := t.cf[base+a*H : base+(a+1)*H]
 		cg := t.cg[base+a*H : base+(a+1)*H]
@@ -413,14 +411,10 @@ func (t lstmGates) RunRange(lo, hi int) {
 		sigmoidLanes(co, zx[3*H:4*H], wide)
 		cRow := t.c[a*H : (a+1)*H]
 		hRow := t.hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			// cNew = f*cPrev + i*g, the reference association.
-			cRow[j] = cf[j]*cRow[j] + ci[j]*cg[j]
-		}
+		// cNew = f*cPrev + i*g, the reference association.
+		cellLanes(cRow, cf, ci, cg, wide)
 		tanhLanes(ctc, cRow, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = co[j] * ctc[j]
-		}
+		prodLanes(hRow, co, ctc, wide)
 	}
 }
 
