@@ -124,13 +124,13 @@ bench-all:
 
 # One iteration of every figure/table/ablation benchmark plus the ml
 # micro-benchmarks (kernel families, pool break-even, per-lane inference
-# step cost, per-element gate cost, per-sample training step cost;
-# ~3-4 min): a crash-and-wiring canary, not a measurement — speed is
+# step cost, per-element gate cost, per-term row-kernel cost, per-sample
+# training step cost; ~3-4 min): a crash-and-wiring canary, not a measurement — speed is
 # measured by bench/ (BENCHMARK.json).
 # Tables land in bench_output.txt to keep CI logs readable.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x . > bench_output.txt
-	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven|BenchmarkStepLanes|BenchmarkGateKernels|BenchmarkTrainBatch' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
+	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven|BenchmarkStepLanes|BenchmarkGateKernels|BenchmarkRowKernel|BenchmarkTrainBatch' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelOrder -fuzztime 30s ./internal/sim
@@ -144,8 +144,10 @@ fuzz:
 
 # The bounded fuzz legs of ci: FuzzRoleVector, so a role vector whose
 # composed run is not deterministic across pool sizes and runs fails ci
-# rather than waiting for the next `make fuzz`, and FuzzGateKernels, the
-# wide sigmoid/tanh kernels against the scalar functions. Each leg runs
+# rather than waiting for the next `make fuzz`; FuzzGateKernels, the
+# wide sigmoid/tanh kernels against the scalar functions; and
+# FuzzRowKernel, the row kernel's 16-row passes and masked tail against
+# dot, with sentinels past every lane's rows. Each leg runs
 # its instrumented test binary on a fresh corpus directory: on the shared
 # cache, whose corpus earlier runs keep growing, a warm machine could
 # spend the whole budget replaying old entries and fuzz nothing. Budgets
@@ -155,8 +157,10 @@ fuzz-ci:
 	@d=$$(mktemp -d); \
 	$(GO) test -c -fuzz FuzzRoleVector -o $$d/core.test ./internal/core && \
 	$(GO) test -c -fuzz FuzzGateKernels -o $$d/ml.test ./internal/ml && \
+	$(GO) test -c -fuzz FuzzRowKernel -o $$d/mlrow.test ./internal/ml && \
 	(cd internal/core && $$d/core.test -test.run xxx -test.fuzz FuzzRoleVector -test.fuzztime 60x -test.fuzzcachedir $$d/corpus) && \
-	(cd internal/ml && $$d/ml.test -test.run xxx -test.fuzz FuzzGateKernels -test.fuzztime 100000x -test.fuzzcachedir $$d/corpus); \
+	(cd internal/ml && $$d/ml.test -test.run xxx -test.fuzz FuzzGateKernels -test.fuzztime 100000x -test.fuzzcachedir $$d/corpus) && \
+	(cd internal/ml && $$d/mlrow.test -test.run xxx -test.fuzz FuzzRowKernel -test.fuzztime 50000x -test.fuzzcachedir $$d/corpus); \
 	s=$$?; rm -rf $$d; exit $$s
 
 # End-to-end daemon check: boots mimicnetd on a random port and a temp

@@ -20,9 +20,10 @@ import "fmt"
 //     forward product W·x is one mulLane per lane over W packed once per
 //     minibatch, the backward product Mᵀ·dy one mulLane per lane over a
 //     view of M that needs no packing, and the weight gradient one
-//     accumulate per gradient row. A laneGemm in the caller's scratch
-//     holds a product's arguments and is its Range worker, so a trainer
-//     step allocates nothing either.
+//     row-kernel walk per gradient row over the lanes' inputs — for the
+//     LSTM once per minibatch, over every step's lanes (train_batch.go).
+//     A laneGemm in the caller's scratch holds a product's arguments and
+//     is its Range worker, so a trainer step allocates nothing either.
 //
 // The simulator half (request collection and flushing) lives in
 // internal/core's InferenceScheduler. Every product keeps the per-element
@@ -146,7 +147,8 @@ func (g *laneGemm) perLane(k int, pool *Pool) {
 //
 // Gradient row r is Σ_a d_a·x_a: the lanes' inputs are the columns (xs
 // read k-major, one column per lane) and the gathered d_a the input
-// vector, so each row is one accumulate. The lane sum runs in strictly
+// vector, so each row is one row-kernel walk over the lanes whose d_a is
+// not zero, listed as they are gathered. The lane sum runs in strictly
 // ascending a order for every element, skipping the lanes whose d is an
 // exact zero (AddOuterGrad's skip set) — the fixed reduction order that
 // makes minibatch gradients bitwise reproducible run to run — and each
@@ -188,16 +190,27 @@ func (g *laneGemm) RunRange(lo, hi int) {
 		return
 	}
 	K := g.m.Cols
-	var d [64]float64 // one gathered block of lane gradients
+	var d [64]float64 // one block of lane gradients, gathered
+	var idx [64]int   // the block's lanes whose d is not an exact zero
+	lanes := packedRows{rows: K}
 	for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
 		grad := g.m.Grad[r*K : (r+1)*K]
 		for a0 := 0; a0 < g.n; a0 += len(d) {
-			dd := d[:min(len(d), g.n-a0)]
-			for j := range dd {
-				dd[j] = g.y.v[(a0+j)*g.y.stride+r]
+			nd := min(len(d), g.n-a0)
+			dy := g.y.v[a0*g.y.stride+r:]
+			nnz := 0
+			for j := 0; j < nd; j++ {
+				v := dy[j*g.y.stride]
+				d[j] = v
+				idx[nnz] = j
+				if v != 0 {
+					nnz++
+				}
 			}
-			lanes := packedRows{rows: K, t: g.x.v[a0*K : (a0+len(dd))*K]}
-			lanes.accumulate(0, dd, grad, true, g.asm)
+			if nnz > 0 {
+				lanes.t = g.x.v[a0*K : (a0+nd)*K]
+				lanes.accCols(0, d[:nd], idx[:nnz], grad, g.asm)
+			}
 		}
 	}
 }

@@ -41,8 +41,11 @@ func tanhWide(dst, src *float64, n int)
 // term — never FMA — so each row is the dot chain, continued from out's
 // values, bit for bit. col points at the first row of a k-major packed
 // matrix whose columns are strideB bytes apart. Rows go 16 at a time in
-// four YMM accumulators, then 4, then 1. Requires AVX2 (dispatch gates
-// on avx2).
+// four YMM accumulators while more than 31 remain or exactly 16 do, so
+// inference's 96-row products are six such passes; the last 1-31 rows
+// then take one pass of up to eight accumulators, the last group of 1-3
+// rows loaded and stored under a lane mask, so no memory past the row
+// range is touched. Requires AVX2 (dispatch gates on avx2).
 //
 //go:noescape
 func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int)

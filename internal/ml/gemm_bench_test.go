@@ -159,3 +159,33 @@ func BenchmarkTrainBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRowKernel times the row kernel alone under the live kernel
+// family: one accLane (every listed column, onto a running output) of a
+// rows × nnz k-major matrix, reporting ns per term, one column walked
+// for all rows. Rows 23 and 24 are the trainer's narrow products (a
+// weight-gradient row is In = 23 or H = 24 wide; Whᵀ·dz has 24 rows);
+// 48, 72 and 96 are the GRU and LSTM gate products. nnz 16 is one
+// step's lanes of a minibatch, 192 the whole minibatch's 12 × 16.
+func BenchmarkRowKernel(b *testing.B) {
+	for _, rows := range []int{12, 23, 24, 48, 72, 96} {
+		for _, nnz := range []int{16, 192} {
+			b.Run(fmt.Sprintf("rows=%d/nnz=%d", rows, nnz), func(b *testing.B) {
+				rng := stats.NewStream(int64(rows*1000 + nnz))
+				m := newMatrix(rows, nnz)
+				for i := range m.Data {
+					m.Data[i] = 2*rng.Float64() - 1
+				}
+				x := randVec(nnz, rng)
+				out := make([]float64, rows)
+				p := packRows(m)
+				asm := gemmKernel().avx2
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.accLane(0, x, out, asm)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nnz), "ns/term")
+			})
+		}
+	}
+}

@@ -8,7 +8,11 @@ package ml
 // The minibatch trainer's three products (batch.go) are the same
 // column-by-column accumulation: the forward product over its weights
 // packed once per minibatch, the two backward products over views that
-// need no packing.
+// need no packing. Those backward products write 23 or 24 outputs (a
+// weight-gradient row is In or H wide; Whᵀ·dz has H rows), which
+// rowsAcc's tail takes in one walk of the term list with every row in
+// its own accumulator, so no narrow block is left bound by a single add
+// chain.
 //
 // Exactness. Each output element is the same ascending-k chain of
 // multiply-then-add as dot, just advanced for all rows at once: for
@@ -85,41 +89,46 @@ func (p *packedRows) accLane(r0 int, x, out []float64, asm bool) {
 	p.accumulate(r0, x, out, false, asm)
 }
 
-// accumulate adds x[k]·column k onto out for ascending k. With asm (the
-// avx2 family) the columns go to rowsAcc as a list: every k for accLane,
-// the non-zero ones — gathered without a branch per column — for
-// mulLane and the weight gradient. Otherwise a Go loop does the same
-// elementwise updates.
+// accumulate adds x[k]·column k onto out for ascending k: every k for
+// accLane and mulDense, the non-zero ones — gathered without a branch
+// per column — for mulLane.
 func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros, asm bool) {
-	R, n := p.rows, len(out)
-	if n == 0 || len(x) == 0 {
+	if len(out) == 0 || len(x) == 0 {
 		return
 	}
+	if !skipZeros {
+		p.accCols(r0, x, p.all[:len(x)], out, asm)
+		return
+	}
+	var idx [64]int
+	for k0 := 0; k0 < len(x); k0 += len(idx) {
+		nnz := 0
+		for k := k0; k < min(k0+len(idx), len(x)); k++ {
+			idx[nnz] = k
+			if x[k] != 0 {
+				nnz++
+			}
+		}
+		if nnz > 0 {
+			p.accCols(r0, x, idx[:nnz], out, asm)
+		}
+	}
+}
+
+// accCols adds x[k]·column k onto out for each k of the non-empty,
+// ascending list cols, in order. With asm (the avx2 family) the list
+// goes to rowsAcc; otherwise a Go loop does the same elementwise
+// updates.
+func (p *packedRows) accCols(r0 int, x []float64, cols []int, out []float64, asm bool) {
+	R, n, last := p.rows, len(out), cols[len(cols)-1]
+	_ = x[last]
+	_ = p.t[last*R+r0+n-1] // the last element rowsAcc may read
 	if asm {
-		_ = p.t[(len(x)-1)*R+r0+n-1] // the last element rowsAcc may read
-		if !skipZeros {
-			rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &p.all[0], len(x))
-			return
-		}
-		var idx [64]int
-		for k0 := 0; k0 < len(x); k0 += len(idx) {
-			nnz := 0
-			for k := k0; k < min(k0+len(idx), len(x)); k++ {
-				idx[nnz] = k
-				if x[k] != 0 {
-					nnz++
-				}
-			}
-			if nnz > 0 {
-				rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &idx[0], nnz)
-			}
-		}
+		rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &cols[0], len(cols))
 		return
 	}
-	for k, v := range x {
-		if skipZeros && v == 0 {
-			continue
-		}
+	for _, k := range cols {
+		v := x[k]
 		col := p.t[k*R+r0 : k*R+r0+n]
 		o := out[:len(col)]
 		for i, w := range col {

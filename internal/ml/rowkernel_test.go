@@ -11,7 +11,7 @@ import (
 // rowKernelValue draws one input for the exactness tests: with
 // probability 1-density an exact zero of either sign, otherwise an
 // ordinary value, a subnormal or a large magnitude. Weights stay in
-// [-1, 1] and there are at most 150 terms, so no sum overflows.
+// [-1, 1] and there are at most 256 terms, so no sum overflows.
 func rowKernelValue(s *stats.Stream, density float64) float64 {
 	sign := 1.0
 	if s.Float64() < 0.5 {
@@ -30,13 +30,25 @@ func rowKernelValue(s *stats.Stream, density float64) float64 {
 	}
 }
 
+// rowKernelGuard is how many slots past each lane's w outputs
+// checkRowKernel fills with a sentinel: one more than the widest store
+// a masked group could spill.
+const rowKernelGuard = 4
+
 // checkRowKernel runs the row kernel over n lanes through pool, all
 // three forms (mulLane from +0 with zero-skip, mulDense from +0 taking
 // every term, accLane from per-element starts that include -0), under
 // every available kernel family, and requires each element to equal the
-// per-(lane, row) dot / dotAcc bit for bit.
-func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
+// per-(lane, row) dot / dotAcc bit for bit. The product covers w rows
+// at a drawn offset of a matrix with up to four more. Each lane's
+// output is followed by rowKernelGuard NaN sentinels that must survive,
+// and a chunk runs its lanes in descending order, so a store past a
+// lane's rows is not hidden by the next lane's write.
+func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
+	rows := w + s.Intn(5)
+	r0 := s.Intn(rows - w + 1)
+	r1 := r0 + w
 	m := newMatrix(rows, K)
 	for i := range m.Data {
 		switch u := s.Float64(); {
@@ -48,62 +60,85 @@ func checkRowKernel(t testing.TB, rows, K, n int, density float64, pool *Pool, s
 			m.Data[i] = 2*s.Float64() - 1
 		}
 	}
-	r1 := 1 + s.Intn(rows)
-	r0 := s.Intn(r1)
-	w := r1 - r0
 	xs := make([]float64, n*K)
 	for i := range xs {
 		xs[i] = rowKernelValue(s, density)
 	}
-	starts := make([]float64, n*w)
+	ws := w + rowKernelGuard
+	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
+	starts := make([]float64, n*ws)
 	for i := range starts {
-		starts[i] = rowKernelValue(s, 0.5)
+		starts[i] = sentinel
+		if i%ws < w {
+			starts[i] = rowKernelValue(s, 0.5)
+		}
 	}
 	p := packRows(m)
 	for _, kn := range gemmKernels() {
 		setKernel(t, kn)
 		asm := gemmKernel().avx2
-		mul := make([]float64, n*w)
-		dense := make([]float64, n*w)
+		mul := append([]float64(nil), starts...)
+		dense := append([]float64(nil), starts...)
 		acc := append([]float64(nil), starts...)
 		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
-			for a := lo; a < hi; a++ {
+			for a := hi - 1; a >= lo; a-- {
 				x := xs[a*K : (a+1)*K]
-				p.mulLane(r0, x, mul[a*w:(a+1)*w], asm)
-				p.mulDense(r0, x, dense[a*w:(a+1)*w], asm)
-				p.accLane(r0, x, acc[a*w:(a+1)*w], asm)
+				p.mulLane(r0, x, mul[a*ws:a*ws+w], asm)
+				p.mulDense(r0, x, dense[a*ws:a*ws+w], asm)
+				p.accLane(r0, x, acc[a*ws:a*ws+w], asm)
 			}
 		}))
 		for a := 0; a < n; a++ {
 			x := xs[a*K : (a+1)*K]
 			for i := 0; i < w; i++ {
 				row := m.Data[(r0+i)*K : (r0+i+1)*K]
-				if got, want := mul[a*w+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := mul[a*ws+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), dot = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if got, want := dense[a*w+i], mul[a*w+i]; math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := dense[a*ws+i], mul[a*ws+i]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulDense lane %d row %d = %v (%#x), mulLane = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if got, want := acc[a*w+i], dotAcc(starts[a*w+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := acc[a*ws+i], dotAcc(starts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accLane lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			for i := w; i < ws; i++ {
+				for _, out := range []struct {
+					form string
+					v    []float64
+				}{{"mulLane", mul}, {"mulDense", dense}, {"accLane", acc}} {
+					if got := math.Float64bits(out.v[a*ws+i]); got != math.Float64bits(sentinel) {
+						t.Fatalf("%s %dx%d rows [%d,%d) n=%d: %s lane %d wrote %#x %d slots past its last row",
+							kn, rows, K, r0, r1, n, out.form, a, got, i-w+1)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestRowKernelMatchesDot sweeps row counts that are not multiples of
-// the 4-wide vector (and some that are), a single column, more columns
-// than one gather chunk, every lane count from 1 to 40, and input
-// densities from all-zero to dense, at floor 0 so the lane split fans
-// out.
+// TestRowKernelMatchesDot sweeps every product width from 1 to 40 rows
+// at K ∈ {1, 23, 24} — each 16-row pass count, tail length and masked
+// group — then shapes with a single column, more columns than one
+// gather chunk and inference's 96 rows, at every lane count from 1 to
+// 40, with input densities from all-zero to dense, at floor 0 so the
+// lane split fans out.
 func TestRowKernelMatchesDot(t *testing.T) {
 	s := stats.NewStream(17)
 	pool := newPoolFloor(3, 0)
 	defer pool.Close()
+	for w := 1; w <= 40; w++ {
+		for _, K := range []int{1, 23, 24} {
+			for _, n := range []int{1, 5} {
+				for _, density := range []float64{0, 0.5, 1} {
+					checkRowKernel(t, w, K, n, density, pool, s)
+				}
+			}
+		}
+	}
 	shapes := [][2]int{{1, 1}, {3, 1}, {5, 7}, {7, 24}, {13, 23}, {24, 1}, {33, 9}, {72, 24}, {96, 23}, {97, 24}, {6, 150}}
 	for _, sh := range shapes {
 		for n := 1; n <= 40; n++ {
@@ -114,18 +149,22 @@ func TestRowKernelMatchesDot(t *testing.T) {
 	}
 }
 
+// FuzzRowKernel: a product of 1-128 rows over 1-256 columns (past 64,
+// mulLane gathers columns 64 at a time) for 1-40 lanes.
 func FuzzRowKernel(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(96), uint8(23), uint8(13), uint8(80), int64(2))
 	f.Add(uint8(97), uint8(24), uint8(40), uint8(255), int64(3))
 	f.Add(uint8(5), uint8(1), uint8(31), uint8(128), int64(-4))
+	f.Add(uint8(22), uint8(15), uint8(16), uint8(200), int64(5))  // 23 rows × 16 columns
+	f.Add(uint8(23), uint8(191), uint8(16), uint8(255), int64(6)) // 24 rows × 192 columns
 	f.Fuzz(func(t *testing.T, rows8, k8, lanes8, density8 uint8, seed int64) {
-		rows := 1 + int(rows8)%128
-		K := 1 + int(k8)%150 // past 64: mulLane gathers columns 64 at a time
+		w := 1 + int(rows8)%128
+		K := 1 + int(k8)
 		n := 1 + int(lanes8)%40
 		pool := newPoolFloor(3, 0)
 		defer pool.Close()
-		checkRowKernel(t, rows, K, n, float64(density8)/255, pool, stats.NewStream(seed))
+		checkRowKernel(t, w, K, n, float64(density8)/255, pool, stats.NewStream(seed))
 	})
 }
 

@@ -13,8 +13,10 @@ import (
 // BPTT for the trunk cells and heads, expressed as lane products
 // (mulLanes for forward, mulLanesT / addGradLanes for backward; each fans
 // out over the pool only above the dispatch floor, see pool.go), all on
-// inference's row kernel (DESIGN.md decisions 19 and 20). Each layer
-// repacks its weights once per minibatch, the only time they change.
+// inference's row kernel (DESIGN.md decisions 19, 20 and 36). Each layer
+// repacks its weights once per minibatch, the only time they change, and
+// the LSTM takes its weight gradients once per minibatch too, over every
+// step's lanes.
 // Every Range call hands the pool a worker bound to the trainer or a
 // layer, so a warmed-up minibatch allocates nothing. One optimizer step
 // is applied per batch to the mean-loss gradient; Adam and gradient
@@ -164,9 +166,12 @@ type trainLayer interface {
 	forward(st, n int, xs, hs []float64)
 	// backward consumes dhIn — the gradient arriving at this step's
 	// hidden output from the heads or the layer above (nil means zero) —
-	// accumulates parameter gradients with the fixed ascending-lane
-	// reduction, carries the recurrent gradient to step st-1 internally,
-	// and writes the input gradient into dx (n×In) unless dx is nil.
+	// carries the recurrent gradient to step st-1 internally, and writes
+	// the input gradient into dx (n×In) unless dx is nil. Steps run
+	// descending. Parameter gradients are reduced in the fixed order
+	// steps descending, then lanes ascending: the GRU and MLP accumulate
+	// each step's as it passes, the LSTM all of them in one product per
+	// weight once step 0 has passed.
 	backward(st, n int, dhIn, dx []float64)
 }
 
@@ -322,9 +327,10 @@ func (t *miniBatchTrainer) RunRange(lo, hi int) {
 }
 
 // lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the
-// inference stepBatch's two products per step as mulLanes products, plus
-// the backward products (mulLanesT for the input and recurrent
-// gradients, addGradLanes for the weights).
+// inference stepBatch's two products per step as mulLanes products, the
+// backward products through the weights per step (mulLanesT for the
+// input and recurrent gradients), and the weight and bias gradients once
+// per minibatch (addGradLanes over every step's lanes).
 type lstmTrainLayer struct {
 	l    *lstm
 	pool *Pool
@@ -335,15 +341,18 @@ type lstmTrainLayer struct {
 	h, c     []float64  // running state, n×H
 	dh, dc   []float64  // recurrent gradient carry, n×H
 	zx, zh   []float64  // forward step scratch, n×4H
-	dz       []float64  // gate pre-activation gradients, n×4H
 
-	// per-step caches, laid out steps × n × width
-	cx                  []float64 // inputs, steps×n×In
-	chPrev, ccPrev      []float64 // steps×n×H
-	ci, cf, cg, co, ctc []float64 // gate activations and tanh(c), steps×n×H
+	// Per-step caches in reversed step order — step st is slot
+	// steps-1-st — so that the slots' lanes in order run steps
+	// descending, then lanes ascending: the order the weight gradient
+	// reduces in. Laid out slots × n × width.
+	cx             []float64 // inputs, steps×n×In
+	chPrev, ccPrev []float64 // steps×n×H
+	gates          []float64 // i, f, g, o activations, steps×n×4H; backward overwrites a slot with its dz
+	ctc            []float64 // tanh(c), steps×n×H
 
 	// one step's arguments for the gate workers
-	base     int // st·n·H, the step's offset into the caches
+	slot     int
 	hs, dhIn []float64
 	wide     bool
 }
@@ -359,14 +368,10 @@ func (t *lstmTrainLayer) begin(n, steps int) {
 	t.dc = growFloats(t.dc, n*H)
 	t.zx = growFloats(t.zx, n*4*H)
 	t.zh = growFloats(t.zh, n*4*H)
-	t.dz = growFloats(t.dz, n*4*H)
 	t.cx = growFloats(t.cx, steps*n*In)
 	t.chPrev = growFloats(t.chPrev, steps*n*H)
 	t.ccPrev = growFloats(t.ccPrev, steps*n*H)
-	t.ci = growFloats(t.ci, steps*n*H)
-	t.cf = growFloats(t.cf, steps*n*H)
-	t.cg = growFloats(t.cg, steps*n*H)
-	t.co = growFloats(t.co, steps*n*H)
+	t.gates = growFloats(t.gates, steps*n*4*H)
 	t.ctc = growFloats(t.ctc, steps*n*H)
 	zeroRange(t.h[:n*H])
 	zeroRange(t.c[:n*H])
@@ -377,10 +382,10 @@ func (t *lstmTrainLayer) begin(n, steps int) {
 func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 	l := t.l
 	H, In := l.Hidden, l.In
-	copy(t.cx[st*n*In:(st+1)*n*In], xs[:n*In])
-	t.base, t.hs, t.wide = st*n*H, hs, gemmKernel().wideGates
-	copy(t.chPrev[t.base:t.base+n*H], t.h[:n*H])
-	copy(t.ccPrev[t.base:t.base+n*H], t.c[:n*H])
+	t.slot, t.hs, t.wide = t.steps-1-st, hs, gemmKernel().wideGates
+	copy(t.cx[t.slot*n*In:(t.slot+1)*n*In], xs[:n*In])
+	copy(t.chPrev[t.slot*n*H:(t.slot+1)*n*H], t.h[:n*H])
+	copy(t.ccPrev[t.slot*n*H:(t.slot+1)*n*H], t.c[:n*H])
 	t.gemm.mulLanes(l.Wx, &t.wx, 0, 4*H, xs, n, t.zx, 4*H, t.pool)
 	t.gemm.mulLanes(l.Wh, &t.wh, 0, 4*H, t.h, n, t.zh, 4*H, t.pool)
 	t.pool.Range(n, 5*H*gateMulAdds, lstmGates{t})
@@ -391,72 +396,100 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 type lstmGates struct{ *lstmTrainLayer }
 
 func (t lstmGates) RunRange(lo, hi int) {
-	H, base, wide := t.l.Hidden, t.base, t.wide
+	H, wide := t.l.Hidden, t.wide
+	base := t.slot * t.n
 	bias := t.l.B.Data
 	for a := lo; a < hi; a++ {
 		zx := t.zx[a*4*H : (a+1)*4*H]
 		zh := t.zh[a*4*H : (a+1)*4*H]
 		// The reference association z[i] += zh[i] + B[i]; the gate
-		// activations land directly in the per-step caches, 4 lanes per
-		// instruction when the wide gate kernels are live.
+		// activations land directly in the step's slot of the gate
+		// cache, 4 lanes per instruction when the wide gate kernels are
+		// live.
 		addSumLanes(zx, zh, bias, wide)
-		ci := t.ci[base+a*H : base+(a+1)*H]
-		cf := t.cf[base+a*H : base+(a+1)*H]
-		cg := t.cg[base+a*H : base+(a+1)*H]
-		co := t.co[base+a*H : base+(a+1)*H]
-		ctc := t.ctc[base+a*H : base+(a+1)*H]
-		sigmoidLanes(ci, zx[:H], wide)
-		sigmoidLanes(cf, zx[H:2*H], wide)
-		tanhLanes(cg, zx[2*H:3*H], wide)
-		sigmoidLanes(co, zx[3*H:4*H], wide)
+		g := t.gates[(base+a)*4*H : (base+a+1)*4*H]
+		ctc := t.ctc[(base+a)*H : (base+a+1)*H]
+		sigmoidLanes(g[:2*H], zx[:2*H], wide) // i and f (adjacent quarters)
+		tanhLanes(g[2*H:3*H], zx[2*H:3*H], wide)
+		sigmoidLanes(g[3*H:], zx[3*H:4*H], wide)
 		cRow := t.c[a*H : (a+1)*H]
 		hRow := t.hs[a*H : (a+1)*H]
 		// cNew = f*cPrev + i*g, the reference association.
-		cellLanes(cRow, cf, ci, cg, wide)
+		cellLanes(cRow, g[H:2*H], g[:H], g[2*H:3*H], wide)
 		tanhLanes(ctc, cRow, wide)
-		prodLanes(hRow, co, ctc, wide)
+		prodLanes(hRow, g[3*H:], ctc, wide)
 	}
 }
 
+// backward runs step st's gate gradients and its products through the
+// weights, then, after step 0, the minibatch's weight gradients.
 func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
+	t.backwardStep(st, n, dhIn, dx)
+	if st == 0 {
+		t.addWeightGrads()
+	}
+}
+
+// backwardStep turns step st's gate activations into its dz, in place,
+// and carries the gradient through the weights: into dx unless it is
+// nil, and into dh for step st-1.
+func (t *lstmTrainLayer) backwardStep(st, n int, dhIn, dx []float64) {
 	l := t.l
-	H, In := l.Hidden, l.In
-	t.base, t.dhIn = st*n*H, dhIn
+	H := l.Hidden
+	t.slot, t.dhIn = t.steps-1-st, dhIn
 	t.pool.Range(n, 16*H, lstmGateGrads{t})
-	t.gemm.addGradLanes(l.Wx, 0, 4*H, t.dz, 4*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
-	t.gemm.addGradLanes(l.Wh, 0, 4*H, t.dz, 4*H, n, t.chPrev[t.base:t.base+n*H], t.pool)
-	addBiasGradLanes(l.B, 0, 4*H, t.dz, 4*H, n)
+	dz := t.gates[t.slot*n*4*H : (t.slot+1)*n*4*H]
 	if dx != nil {
-		t.gemm.mulLanesT(l.Wx, 0, 4*H, t.dz, 4*H, n, dx, t.pool)
+		t.gemm.mulLanesT(l.Wx, 0, 4*H, dz, 4*H, n, dx, t.pool)
 	}
 	// dh was consumed above; overwrite it with the carry for step st-1.
-	t.gemm.mulLanesT(l.Wh, 0, 4*H, t.dz, 4*H, n, t.dh, t.pool)
+	t.gemm.mulLanesT(l.Wh, 0, 4*H, dz, 4*H, n, t.dh, t.pool)
+}
+
+// addWeightGrads accumulates the weight and bias gradients of the whole
+// minibatch, one product each over its steps×n lanes: every slot holds
+// its step's dz once backward has passed step 0. The slots' reversed
+// step order makes each element's chain the per-step one — steps
+// descending, lanes ascending, exact-zero d skipped — in one walk.
+func (t *lstmTrainLayer) addWeightGrads() {
+	l := t.l
+	H, In := l.Hidden, l.In
+	lanes := t.steps * t.n
+	dz := t.gates[:lanes*4*H]
+	t.gemm.addGradLanes(l.Wx, 0, 4*H, dz, 4*H, lanes, t.cx[:lanes*In], t.pool)
+	t.gemm.addGradLanes(l.Wh, 0, 4*H, dz, 4*H, lanes, t.chPrev[:lanes*H], t.pool)
+	addBiasGradLanes(l.B, 0, 4*H, dz, 4*H, lanes)
 }
 
 // lstmGateGrads turns one step's hidden and cell gradients into the gate
 // pre-activation gradients dz and the cell carry, over lanes [lo, hi).
+// Each lane's dz overwrites its gate activations in the step's slot:
+// element j of each quarter is read before it is written, and nothing
+// reads the activations again.
 type lstmGateGrads struct{ *lstmTrainLayer }
 
 func (t lstmGateGrads) RunRange(lo, hi int) {
-	H, base, dhIn := t.l.Hidden, t.base, t.dhIn
+	H, dhIn := t.l.Hidden, t.dhIn
+	base := t.slot * t.n
 	for a := lo; a < hi; a++ {
+		z := t.gates[(base+a)*4*H : (base+a+1)*4*H]
 		for j := 0; j < H; j++ {
-			k := base + a*H + j
+			k := (base+a)*H + j
 			dhv := t.dh[a*H+j]
 			if dhIn != nil {
 				dhv += dhIn[a*H+j]
 			}
 			// h = o·tanh(c), c = f·cPrev + i·g.
-			i_, f_, g_, o_, tc := t.ci[k], t.cf[k], t.cg[k], t.co[k], t.ctc[k]
+			i_, f_, g_, o_, tc := z[j], z[H+j], z[2*H+j], z[3*H+j], t.ctc[k]
 			do := dhv * tc
 			dcTotal := t.dc[a*H+j] + dhv*o_*dTanh(tc)
 			di := dcTotal * g_
 			df := dcTotal * t.ccPrev[k]
 			dg := dcTotal * i_
-			t.dz[a*4*H+j] = di * dSigmoid(i_)
-			t.dz[a*4*H+H+j] = df * dSigmoid(f_)
-			t.dz[a*4*H+2*H+j] = dg * dTanh(g_)
-			t.dz[a*4*H+3*H+j] = do * dSigmoid(o_)
+			z[j] = di * dSigmoid(i_)
+			z[H+j] = df * dSigmoid(f_)
+			z[2*H+j] = dg * dTanh(g_)
+			z[3*H+j] = do * dSigmoid(o_)
 			t.dc[a*H+j] = dcTotal * f_
 		}
 	}

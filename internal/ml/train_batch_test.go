@@ -354,6 +354,95 @@ func TestAddGradLanesMatchesAddOuterGrad(t *testing.T) {
 	}
 }
 
+// lstmStepOrderLayer is the LSTM trainer layer with its weight and
+// bias gradients taken in the per-step order the minibatch trainer used
+// before it deferred them to one product per minibatch: after each
+// step's backward, one AddOuterGrad per lane in ascending lane order for
+// Wx and Wh, and the lanes' dz added onto the bias gradient. It is the
+// oracle TestLSTMGradOrderMatchesPerStep holds that product to.
+type lstmStepOrderLayer struct{ *lstmTrainLayer }
+
+func (t lstmStepOrderLayer) backward(st, n int, dhIn, dx []float64) {
+	t.backwardStep(st, n, dhIn, dx)
+	l := t.l
+	H, In := l.Hidden, l.In
+	for a := 0; a < n; a++ {
+		lane := t.slot*n + a
+		dz := t.gates[lane*4*H : (lane+1)*4*H]
+		l.Wx.AddOuterGrad(dz, t.cx[lane*In:(lane+1)*In])
+		l.Wh.AddOuterGrad(dz, t.chPrev[lane*H:(lane+1)*H])
+		for r, d := range dz {
+			l.B.Grad[r] += d
+		}
+	}
+}
+
+// TestLSTMGradOrderMatchesPerStep: the LSTM trainer's weight and bias
+// gradients, one product per minibatch over every step's lanes, equal
+// the per-step order (lstmStepOrderLayer) bit for bit, for a two-layer
+// LSTM at 1, 2 and 12 steps and 1, 7 and 16 lanes. Each shape runs an
+// ordinary batch, one from Grad buffers that start at -0, and one with
+// zero head weights, so every dz is an exact zero of either sign,
+// also from -0: there, taking a zero term instead of skipping it
+// (-0 + +0 = +0) changes the result.
+func TestLSTMGradOrderMatchesPerStep(t *testing.T) {
+	pool := newPoolFloor(2, 0)
+	defer pool.Close()
+	for _, steps := range []int{1, 2, 12} {
+		for _, n := range []int{1, 7, 16} {
+			for _, tc := range []struct {
+				name              string
+				negZero, zeroHead bool
+			}{{"plain", false, false}, {"-0 grads", true, false}, {"zero dz", false, true}, {"zero dz, -0 grads", true, true}} {
+				cfg := DefaultModelConfig(5, steps)
+				cfg.Hidden = 6
+				cfg.Layers = 2
+				cfg.Seed = int64(steps*100 + n)
+				samples := samplesOf(synthSamples(n, cfg.Features, steps, int64(n)))
+				idx := make([]int, n)
+				for i := range idx {
+					idx[i] = i
+				}
+				train := func(oracle bool) *Model {
+					m, err := NewModel(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.zeroHead {
+						for _, head := range []*Matrix{m.LatHead.W, m.DropHead.W, m.ECNHead.W} {
+							zeroRange(head.Data)
+						}
+					}
+					if tc.negZero {
+						for _, p := range m.Params() {
+							for i := range p.Grad {
+								p.Grad[i] = math.Copysign(0, -1)
+							}
+						}
+					}
+					bt := newMiniBatchTrainer(m, pool)
+					if oracle {
+						for i, l := range bt.layers {
+							bt.layers[i] = lstmStepOrderLayer{l.(*lstmTrainLayer)}
+						}
+					}
+					bt.trainBatch(samples, idx)
+					return m
+				}
+				got, want := train(false).Params(), train(true).Params()
+				for pi := range want {
+					for gi, w := range want[pi].Grad {
+						if g := got[pi].Grad[gi]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("steps=%d n=%d %s: param %d grad %d = %v (%#x), per-step order %v (%#x)",
+								steps, n, tc.name, pi, gi, g, math.Float64bits(g), w, math.Float64bits(w))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func snapshotParams(m *Model) [][]float64 {
 	var out [][]float64
 	for _, p := range m.Params() {
