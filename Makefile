@@ -76,25 +76,26 @@ vet:
 	GOOS=windows $(GO) build ./...
 	GOOS=darwin $(GO) build ./...
 
-# test-kernels runs the ML tests under every forced GEMM kernel family
-# (scalar, and avx2 when the CPU has it) plus the purego build, so a
-# kernel can't pass CI only because it happened to be the default pick.
-# All families are bitwise identical, so the same tests must pass
-# unchanged under each — including the trained-artifact hashes
-# (TestTrainedArtifactParity) and the engine-vs-legacy and per-request
-# oracle golden parity suites, whose fingerprints are kernel-independent
-# for the same reason.
+# test-kernels runs the ML tests under the kernel settings the default
+# test run does not reach, so a kernel can't pass CI only because it
+# happened to be the CPU probe's pick: the purego build (the Go loops),
+# and on AVX2 hosts GODEBUG=cpu.fma=off, under which math.Exp skips FMA,
+# wideGatesMatchScalar turns the wide gates off and rowsAcc runs beside
+# the Go gates. All settings are bitwise identical, so the same tests
+# must pass unchanged under each — including the engine-vs-legacy and
+# per-request oracle golden parity suites, whose fingerprints are
+# kernel-independent for the same reason. The trained-artifact hashes
+# (TestTrainedArtifactParity) depend on math.Exp's path, so the file
+# keeps one set per path.
 test-kernels:
-	MIMICNET_GEMM=scalar $(GO) test -count=1 ./internal/ml
-	MIMICNET_GEMM=scalar $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core
-	@if grep -q avx2 /proc/cpuinfo 2>/dev/null; then \
-		MIMICNET_GEMM=avx2 $(GO) test -count=1 ./internal/ml; \
-		MIMICNET_GEMM=avx2 $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core; \
-	else \
-		echo "skipping MIMICNET_GEMM=avx2 (CPU lacks AVX2)"; \
-	fi
 	GOFLAGS=-tags=purego $(GO) test -count=1 ./internal/ml
 	GOFLAGS=-tags=purego $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core
+	if grep -q avx2 /proc/cpuinfo 2>/dev/null; then \
+		GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/ml && \
+		GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'TestEngineGoldenParity|TestOracleParity' ./internal/core; \
+	else \
+		echo "skipping GODEBUG=cpu.fma=off (CPU lacks AVX2)"; \
+	fi
 
 # Known-vulnerability scan, gated on the tool being installed: the build
 # environment is hermetic (no network, no `go install`), so CI machines

@@ -101,6 +101,54 @@ func TestFairSharing(t *testing.T) {
 	}
 }
 
+// TestMaxMinHandSolved checks maxMin's rates against hand-solved
+// max-min allocations at link capacity C = 12.5e6 B/s (100 Mb/s):
+//
+//   - three links, L1 carrying flows a, b, c; L2 carrying c, d; L3
+//     carrying d, e. L1 saturates first at C/3 each for a, b, c, which
+//     leaves L2 and L3 C/3 apiece; L3 then splits its C/3 between d
+//     and e, so d = e = C/3 + C/6 = C/2.
+//   - one link shared by 37 flows: each gets C/37. C − 37·(C/37) leaves
+//     1.86e-9 B/s of rounding residue, above maxMin's 1e-9 freeze
+//     threshold, so the link freezes one round late, after a second
+//     filling round of about 5e-11 B/s per flow.
+//
+// Rates must match to within 1e-12 relative.
+func TestMaxMinHandSolved(t *testing.T) {
+	const C = 12.5e6
+	L1, L2, L3 := [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}
+	flows := map[uint64]*activeFlow{
+		'a': {links: [][2]int{L1}},
+		'b': {links: [][2]int{L1}},
+		'c': {links: [][2]int{L1, L2}},
+		'd': {links: [][2]int{L2, L3}},
+		'e': {links: [][2]int{L3}},
+	}
+	want := map[uint64]float64{'a': C / 3, 'b': C / 3, 'c': C / 3, 'd': C / 2, 'e': C / 2}
+	maxMin(flows, C)
+	for id, f := range flows {
+		if math.Abs(f.rate-want[id]) > 1e-12*want[id] {
+			t.Errorf("three links: flow %c rate %v, want %v", rune(id), f.rate, want[id])
+		}
+	}
+
+	const n = 37
+	capacity := float64(C) // maxMin's float64 arithmetic, not exact constants
+	if r := capacity - float64(capacity/n*n); r <= 1e-9 {
+		t.Fatalf("C − %d·(C/%d) = %v: the instance no longer leaves residue above the freeze threshold", n, n, r)
+	}
+	shared := map[uint64]*activeFlow{}
+	for id := uint64(0); id < n; id++ {
+		shared[id] = &activeFlow{links: [][2]int{{0, 1}}}
+	}
+	maxMin(shared, C)
+	for id, f := range shared {
+		if math.Abs(f.rate-C/n) > 1e-12*C/n {
+			t.Errorf("one link, %d flows: flow %d rate %v, want %v", n, id, f.rate, C/n)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	a, _ := Run(testConfig(), sim.Second)
 	b, _ := Run(testConfig(), sim.Second)

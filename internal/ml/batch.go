@@ -56,7 +56,6 @@ func (l laneView) lane(a int) []float64 {
 // the pool a pointer the layer already has and allocates nothing.
 type laneGemm struct {
 	grad   bool // the weight gradient by row block; otherwise one mulLane per lane, by lane block
-	asm    bool // the avx2 family: rowsAcc
 	n      int
 	r0, r1 int        // mulLane: p's first row; gradient: m's rows
 	p      packedRows // mulLane's matrix, k-major
@@ -91,7 +90,7 @@ func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, 
 	if r0 == r1 || n == 0 {
 		return
 	}
-	*g = laneGemm{asm: gemmKernel().avx2, n: n, r0: r0, p: *p,
+	*g = laneGemm{n: n, r0: r0, p: *p,
 		x: laneView{v: xs, stride: K, width: K},
 		y: laneView{v: out, stride: outStride, off: r0, width: r1 - r0}}
 	g.perLane(K, pool)
@@ -127,7 +126,7 @@ func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n i
 	if n == 0 {
 		return
 	}
-	*g = laneGemm{asm: gemmKernel().avx2, n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]},
+	*g = laneGemm{n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]},
 		x: laneView{v: dys, stride: dyStride, off: r0, width: r1 - r0},
 		y: laneView{v: out, stride: K, width: K}}
 	g.perLane(r1-r0, pool)
@@ -172,7 +171,7 @@ func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, 
 	if n == 0 || rows == 0 {
 		return
 	}
-	*g = laneGemm{grad: true, asm: gemmKernel().avx2, n: n, r0: r0, r1: r1, m: m,
+	*g = laneGemm{grad: true, n: n, r0: r0, r1: r1, m: m,
 		x: laneView{v: xs, stride: K, width: K},
 		y: laneView{v: dys, stride: dyStride}}
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
@@ -185,7 +184,7 @@ func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, 
 func (g *laneGemm) RunRange(lo, hi int) {
 	if !g.grad {
 		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
-			g.p.mulLane(g.r0, g.x.lane(a), g.y.lane(a), g.asm)
+			g.p.mulLane(g.r0, g.x.lane(a), g.y.lane(a))
 		}
 		return
 	}
@@ -209,7 +208,7 @@ func (g *laneGemm) RunRange(lo, hi int) {
 			}
 			if nnz > 0 {
 				lanes.t = g.x.v[a0*K : (a0+nd)*K]
-				lanes.accCols(0, d[:nd], idx[:nnz], grad, g.asm)
+				lanes.accCols(0, d[:nd], idx[:nnz], grad)
 			}
 		}
 	}
@@ -239,10 +238,9 @@ type lstmBatchState struct {
 	bias       []float64
 
 	// one step's arguments, set by stepBatch before its Range call
-	lanes     []int
-	xs, hs    []float64
-	asm, wide bool
-	zx, zh    []float64 // n×4H scratch
+	lanes  []int
+	xs, hs []float64
+	zx, zh []float64 // n×4H scratch
 }
 
 // newBatchState returns zeroed state for `lanes` LSTM lanes and
@@ -295,8 +293,7 @@ func (l *lstm) stepBatch(st batchState, lanes []int, xs []float64, hs []float64,
 	H := l.Hidden
 	s.zx = growFloats(s.zx, n*4*H)
 	s.zh = growFloats(s.zh, n*4*H)
-	k := gemmKernel()
-	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
+	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(n, l.stepCost(), s)
 }
 
@@ -310,15 +307,15 @@ func (l *lstm) stepCost() int {
 // rows of h, c and the scratch, so chunks are disjoint.
 func (s *lstmBatchState) RunRange(lo, hi int) {
 	H, In := s.hidden, s.in
-	bias, wide := s.bias[:4*H], s.wide
+	bias, wide := s.bias[:4*H], useWideGates
 	for a := lo; a < hi; a++ {
 		lane := s.lanes[a]
 		hPrev := s.h[lane*H : (lane+1)*H]
 		cPrev := s.c[lane*H : (lane+1)*H]
 		zx := s.zx[a*4*H : (a+1)*4*H]
 		zh := s.zh[a*4*H : (a+1)*4*H]
-		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx, s.asm)
-		s.wh.mulDense(0, hPrev, zh, s.asm)
+		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx)
+		s.wh.mulDense(0, hPrev, zh)
 		// z[i] += zh[i] + B[i], the reference association. The pre-adds
 		// are hoisted out of the gate loop so the sigmoid/tanh passes
 		// run over contiguous quarters — one kernel call per pass, 4

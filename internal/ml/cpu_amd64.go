@@ -2,10 +2,10 @@
 
 package ml
 
-// Runtime CPU feature probe for GEMM kernel dispatch. The probe runs
-// exactly once, during package variable initialization — the hot path
-// never branches on CPUID results; it loads the kernel descriptor that
-// setGemmKernel already selected (see gemm_dispatch.go).
+// Runtime CPU feature probe for kernel selection. The probe runs
+// exactly once, during package variable initialization, and sets the
+// two kernel flags in gemm_dispatch.go; the hot path reads those flags,
+// never CPUID results.
 
 // cpuid executes CPUID with the given leaf/subleaf (see cpu_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -2,10 +2,10 @@ package ml
 
 import "math"
 
-// Slice wrappers around the wide gate kernels. When wide is false (or
-// for ragged tails) they are exactly the scalar loops the call sites
-// used before dispatch existed, so every kernel family computes the
-// same bits. With wide, one kernel call covers every whole 4-lane group
+// Slice wrappers around the wide gate kernels. Callers pass
+// useWideGates as wide (wideGatesMatchScalar passes true, before the
+// flag is set). When wide is false (or for ragged tails) they are the
+// scalar loops, which compute the same bits. With wide, one kernel call covers every whole 4-lane group
 // of the slice (DESIGN.md decision 35): a Go call per group cost about
 // as much as the group's arithmetic and kept one group's exp chain from
 // overlapping the next.
@@ -107,7 +107,7 @@ func prodLanes(dst, a, b []float64, wide bool) {
 // polynomial/exp-branch boundary at |x| = 0.625, the tanh saturation
 // boundary at 0.5*MAXLOG, exp's overflow cutoff near 709.78, and
 // non-finite inputs. The wide kernels clone math.Exp's AVX+FMA variant,
-// so this returns false — and dispatch keeps scalar gates — whenever
+// so this returns false — and useWideGates stays off — whenever
 // the runtime's math package takes a different path (no FMA, GODEBUG
 // cpu.fma=off, or a future Go changing the algorithm). Only called when
 // the CPU probe reports AVX2 and FMA.

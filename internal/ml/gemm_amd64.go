@@ -7,7 +7,7 @@ package ml
 // gate activations, which run a whole slice 4 lanes at a time in one
 // assembly loop (one call per gate pass, not per group). Each is called
 // only when the probe in cpu_amd64.go reports AVX2 (and FMA for the
-// gates); dispatch (gemm_dispatch.go) enforces this.
+// gates), through the two flags in gemm_dispatch.go.
 
 // sigmoidWide writes σ(src[i]) into dst[i] for i in [0, done), 4 lanes
 // at a time in one loop, cloning the repo's scalar sigmoid over
@@ -17,7 +17,7 @@ package ml
 // normal-scale range, NaN), which it leaves unwritten: done is that
 // group's start, or n rounded down to a multiple of 4. The caller
 // computes that group in scalar and resumes after it. Requires
-// AVX2+FMA (dispatch gates on wideGates). dst and src may be the same
+// AVX2+FMA (callers pass useWideGates). dst and src may be the same
 // slice but must not partially overlap.
 //
 //go:noescape
@@ -32,8 +32,8 @@ func sigmoidWide(dst, src *float64, n int) (done int)
 //go:noescape
 func tanhWide(dst, src *float64, n int)
 
-// rowsAcc is the AVX2 row kernel (rowkernel.go), the family's one
-// accumulation kernel: for i in [0, rows) it computes
+// rowsAcc is the AVX2 row kernel (rowkernel.go), the one accumulation
+// kernel: for i in [0, rows) it computes
 //
 //	out[i] += Σ_j col[idx[j]*strideB/8 + i] * x[idx[j]]
 //
@@ -45,7 +45,7 @@ func tanhWide(dst, src *float64, n int)
 // inference's 96-row products are six such passes; the last 1-31 rows
 // then take one pass of up to eight accumulators, the last group of 1-3
 // rows loaded and stored under a lane mask, so no memory past the row
-// range is touched. Requires AVX2 (dispatch gates on avx2).
+// range is touched. Requires AVX2 (accCols calls it under useRowsAcc).
 //
 //go:noescape
 func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int)
@@ -55,8 +55,8 @@ func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx 
 // the tail): dst[i] += a[i] + b[i]; c[i] = f[i]*c[i] + in[i]*cand[i];
 // dst[i] = a[i]*b[i]. Each element is the Go expression's operations
 // in order, unfused, so the results are the scalar loop's bits. They
-// need only AVX; their callers run them under the gates' wideGates
-// flag, beside the gate kernels. dst may alias an input elementwise.
+// need only AVX; their callers run them under the gates' flag,
+// useWideGates, beside the gate kernels. dst may alias an input elementwise.
 //
 //go:noescape
 func addSumWide(dst, a, b *float64, n int)

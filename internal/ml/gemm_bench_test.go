@@ -7,11 +7,11 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// BenchmarkGemmKernels measures every available kernel family on two
-// loads: one fused inference step at B=16 (ns/step, and GFLOP/s from
-// FLOPsPerStep) and one minibatch training epoch at B=16 (samples/sec).
-// All families produce bitwise-identical outputs, so the rows differ
-// only in throughput.
+// BenchmarkGemmKernels measures every kernel setting the CPU can run
+// (kernelConfigs) on two loads: one fused inference step at B=16
+// (ns/step, and GFLOP/s from FLOPsPerStep) and one minibatch training
+// epoch at B=16 (samples/sec). All settings produce bitwise-identical
+// outputs, so the rows differ only in throughput.
 func BenchmarkGemmKernels(b *testing.B) {
 	const (
 		features = 23 // feature width of the default topology
@@ -19,11 +19,9 @@ func BenchmarkGemmKernels(b *testing.B) {
 		B        = 16
 		nSamples = 256
 	)
-	for _, kn := range gemmKernels() {
-		b.Run("inference/"+kn, func(b *testing.B) {
-			if err := setGemmKernel(kn); err != nil {
-				b.Fatal(err)
-			}
+	for _, kn := range kernelConfigs() {
+		b.Run("inference/"+kn.String(), func(b *testing.B) {
+			setKernels(b, kn)
 			cfg := DefaultModelConfig(features, window)
 			model, err := NewModel(cfg)
 			if err != nil {
@@ -47,10 +45,8 @@ func BenchmarkGemmKernels(b *testing.B) {
 			b.ReportMetric(model.FLOPsPerStep()*float64(b.N*B)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 
-		b.Run("train/"+kn, func(b *testing.B) {
-			if err := setGemmKernel(kn); err != nil {
-				b.Fatal(err)
-			}
+		b.Run("train/"+kn.String(), func(b *testing.B) {
+			setKernels(b, kn)
 			rng := stats.NewStream(7)
 			samples := NewSampleBank(features, window, nSamples)
 			for i := 0; i < nSamples; i++ {
@@ -99,7 +95,7 @@ func BenchmarkStepLanes(b *testing.B) {
 }
 
 // BenchmarkGateKernels times one gate pass alone, sigmoidLanes and
-// tanhLanes in place under the live kernel family, at the LSTM's quarter
+// tanhLanes in place under the live kernel flags, at the LSTM's quarter
 // widths for hidden 24: 24 (one gate, and the cell's tanh) and 48 (the
 // adjacent i and f quarters, one sigmoid pass). It reports ns per
 // element, the gate layer under BenchmarkStepLanes. Inputs are uniform
@@ -118,7 +114,7 @@ func BenchmarkGateKernels(b *testing.B) {
 					src[i] = 8*rng.Float64() - 4
 				}
 				buf := make([]float64, n)
-				wide := gemmKernel().wideGates
+				wide := useWideGates
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					copy(buf, src)
@@ -161,7 +157,7 @@ func BenchmarkTrainBatch(b *testing.B) {
 }
 
 // BenchmarkRowKernel times the row kernel alone under the live kernel
-// family: one accLane (every listed column, onto a running output) of a
+// flags: one accLane (every listed column, onto a running output) of a
 // rows × nnz k-major matrix, reporting ns per term, one column walked
 // for all rows. Rows 23 and 24 are the trainer's narrow products (a
 // weight-gradient row is In = 23 or H = 24 wide; Whᵀ·dz has 24 rows);
@@ -179,10 +175,9 @@ func BenchmarkRowKernel(b *testing.B) {
 				x := randVec(nnz, rng)
 				out := make([]float64, rows)
 				p := packRows(m)
-				asm := gemmKernel().avx2
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.accLane(0, x, out, asm)
+					p.accLane(0, x, out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nnz), "ns/term")
 			})

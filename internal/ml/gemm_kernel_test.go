@@ -12,80 +12,73 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// setKernel forces one GEMM kernel family for the duration of the test
-// and restores the previous selection afterwards.
-func setKernel(t testing.TB, name string) {
-	t.Helper()
-	prev := GemmKernelName()
-	if err := setGemmKernel(name); err != nil {
-		t.Fatal(err)
+// kernelConfig is one setting of the two kernel flags.
+type kernelConfig struct{ rowsAcc, wideGates bool }
+
+func (k kernelConfig) String() string {
+	switch {
+	case k.wideGates:
+		return "rowsAcc+wide"
+	case k.rowsAcc:
+		return "rowsAcc"
 	}
-	t.Cleanup(func() {
-		if err := setGemmKernel(prev); err != nil {
-			t.Fatal(err)
-		}
-	})
+	return "go"
 }
 
-// wideGatesAvailable reports whether any family on this CPU/build runs
-// the wide gate kernels.
-func wideGatesAvailable() bool {
-	impl, ok := gemmImplByName["avx2"]
-	return ok && impl.wideGates
+// wideGatesProbed is the probe's choice, kept apart from useWideGates,
+// which setKernels changes.
+var wideGatesProbed = useWideGates
+
+// kernelConfigs lists every setting this CPU and build can run: the Go
+// loops; rowsAcc with the Go gates; rowsAcc with the wide gates.
+func kernelConfigs() []kernelConfig {
+	ks := []kernelConfig{{}}
+	if cpuHasAVX2 {
+		ks = append(ks, kernelConfig{rowsAcc: true})
+	}
+	if wideGatesProbed {
+		ks = append(ks, kernelConfig{rowsAcc: true, wideGates: true})
+	}
+	return ks
+}
+
+// setKernels sets both kernel flags for the rest of the test and
+// restores them afterwards.
+func setKernels(t testing.TB, k kernelConfig) {
+	t.Helper()
+	rows, gates := useRowsAcc, useWideGates
+	useRowsAcc, useWideGates = k.rowsAcc, k.wideGates
+	t.Cleanup(func() { useRowsAcc, useWideGates = rows, gates })
 }
 
 func TestGemmKernelsAvailable(t *testing.T) {
-	ks := gemmKernels()
-	t.Logf("kernels=%v active=%s wideGates=%v (cpu: avx2=%v fma=%v)",
-		ks, GemmKernelName(), gemmKernel().wideGates, cpuHasAVX2, cpuHasFMA)
-	want := []string{"scalar"}
+	t.Logf("active=%s wideGates=%v (cpu: avx2=%v fma=%v)", GemmKernelName(), useWideGates, cpuHasAVX2, cpuHasFMA)
+	want := "scalar"
 	if cpuHasAVX2 {
-		want = append(want, "avx2")
+		want = "avx2"
 	}
-	if strings.Join(ks, " ") != strings.Join(want, " ") {
-		t.Fatalf("gemmKernels() = %v, want %v", ks, want)
+	if got := GemmKernelName(); got != want {
+		t.Fatalf("GemmKernelName() = %s, want %s", got, want)
 	}
 	// wideGatesMatchScalar turns the wide gates off when they disagree
 	// with the scalar functions, which keeps results right but would let
 	// a broken kernel pass every test that skips without them. On FMA
-	// hardware with no GODEBUG cpu override, the gates must be on.
-	if cpuHasFMA && !strings.Contains(os.Getenv("GODEBUG"), "cpu.") && !wideGatesAvailable() {
+	// hardware with no GODEBUG cpu override, the gates must be on; with
+	// an override that sends math.Exp down its path without FMA
+	// (cpu.fma=off), they must be off.
+	override := strings.Contains(os.Getenv("GODEBUG"), "cpu.")
+	switch {
+	case useWideGates && !cpuHasFMA:
+		t.Fatal("wide gates on without FMA")
+	case cpuHasFMA && !override && !useWideGates:
 		t.Fatal("CPU has AVX2 and FMA but the wide gates failed wideGatesMatchScalar")
+	case useWideGates && expVariant(t) != "fma":
+		t.Fatal("wide gates on, but math.Exp takes its nofma path")
 	}
 }
 
-func TestSetGemmKernelErrors(t *testing.T) {
-	active := GemmKernelName()
-	// "sse2" is not a family: an MIMICNET_GEMM=sse2 environment fails fast
-	// like any other unknown name instead of running another kernel.
-	for _, name := range []string{"neon", "sse2"} {
-		err := setGemmKernel(name)
-		if err == nil {
-			t.Fatalf("setGemmKernel(%q): expected error for unknown kernel name", name)
-		}
-		for _, want := range []string{"unknown GEMM kernel", "supported values: scalar, avx2;"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("unknown-kernel error %q should mention %q", err, want)
-			}
-		}
-	}
-	// Known names that this CPU/build cannot run get a distinct message.
-	for _, name := range gemmKernelNames {
-		if _, ok := gemmImplByName[name]; ok {
-			continue
-		}
-		err := setGemmKernel(name)
-		if err == nil || !strings.Contains(err.Error(), "not available") {
-			t.Errorf("setGemmKernel(%q) = %v, want not-available error", name, err)
-		}
-	}
-	if GemmKernelName() != active {
-		t.Fatalf("failed setGemmKernel changed the active kernel to %s", GemmKernelName())
-	}
-}
-
-// TestGemmKernelGauge: the info gauge has one series per family, scalar
-// and avx2, 1 on the live one.
+// TestGemmKernelGauge: the info gauge has one series, 1 on the live
+// family.
 func TestGemmKernelGauge(t *testing.T) {
 	var sb strings.Builder
 	if err := obs.Default().WriteText(&sb); err != nil {
@@ -96,17 +89,8 @@ func TestGemmKernelGauge(t *testing.T) {
 	if !strings.Contains(text, live) {
 		t.Fatalf("metrics output missing %q", live)
 	}
-	for _, k := range gemmKernelNames {
-		if k == GemmKernelName() {
-			continue
-		}
-		idle := `mimicnet_ml_gemm_kernel{kernel="` + k + `"} 0`
-		if !strings.Contains(text, idle) {
-			t.Errorf("metrics output missing %q", idle)
-		}
-	}
-	if n := strings.Count(text, "mimicnet_ml_gemm_kernel{"); n != 2 {
-		t.Errorf("metrics output has %d gemm kernel series, want 2", n)
+	if n := strings.Count(text, "mimicnet_ml_gemm_kernel{"); n != 1 {
+		t.Errorf("metrics output has %d gemm kernel series, want 1", n)
 	}
 }
 
@@ -203,7 +187,7 @@ func FuzzGateKernels(f *testing.F) {
 	f.Add(math.Inf(1), math.Inf(-1), 1e-320, -1e-320, uint8(8), uint8(2))
 	f.Add(0.3, -19.0625, 100.0, 5e-324, uint8(6), uint8(3))
 	f.Fuzz(func(t *testing.T, a, b, c, d float64, n8, at8 uint8) {
-		if !wideGatesAvailable() {
+		if !wideGatesProbed {
 			t.Skip("wide gate kernels unavailable")
 		}
 		vals := [4]float64{a, b, c, d}
@@ -232,7 +216,7 @@ func FuzzGateKernels(f *testing.F) {
 // passes on the same lengths, with ±0, subnormals and ±Inf among the
 // operands.
 func TestGateKernelsSlices(t *testing.T) {
-	if !wideGatesAvailable() {
+	if !wideGatesProbed {
 		t.Skip("wide gate kernels unavailable")
 	}
 	s := stats.NewStream(3)
@@ -260,21 +244,21 @@ func TestGateKernelsSlices(t *testing.T) {
 }
 
 // TestGoldenKernelParity is the end-to-end cross-kernel check: training
-// the same model under every kernel family must produce byte-identical
+// the same model under every kernel setting must produce byte-identical
 // serialized artifacts, and batched inference on the trained model must
-// produce bit-identical predictions, regardless of which family ran and
+// produce bit-identical predictions, regardless of which kernels ran and
 // of how the pool split the work (every entry of poolConfigs).
 func TestGoldenKernelParity(t *testing.T) {
-	kernels := gemmKernels()
+	kernels := kernelConfigs()
 	if len(kernels) < 2 {
-		t.Skip("only one kernel family available; nothing to cross-check")
+		t.Skip("only the Go loops available; nothing to cross-check")
 	}
 	type result struct {
 		blob  []byte
 		preds []Prediction
 	}
-	run := func(kn string, pc poolConfig) result {
-		setKernel(t, kn)
+	run := func(kn kernelConfig, pc poolConfig) result {
+		setKernels(t, kn)
 		pool := pc.start(t)
 		cfg := DefaultModelConfig(3, 5)
 		cfg.Hidden = 13 // not a multiple of any lane block: ragged tails

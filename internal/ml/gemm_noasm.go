@@ -2,16 +2,16 @@
 
 package ml
 
-// Without the assembly kernels the probe compiles out, the dispatch table
-// offers only the "scalar" family, and the row kernel and the gates run
-// their Go loops, which produce identical results.
+// Without the assembly kernels the probe compiles out, both kernel flags
+// (gemm_dispatch.go) are off, and the row kernel and the gates run their
+// Go loops, which produce identical results.
 const (
 	cpuHasAVX2 = false
 	cpuHasFMA  = false
 )
 
-// The stubs below are unreachable: dispatch never constructs a family
-// that calls them.
+// The stubs below are unreachable: with both flags off nothing calls
+// them.
 
 func sigmoidWide(dst, src *float64, n int) (done int) {
 	panic("ml: sigmoidWide called without assembly support")

@@ -50,7 +50,6 @@ type gruBatchState struct {
 	// one step's arguments, set by stepBatch before its Range call
 	lanes         []int
 	xs, hs        []float64
-	asm, wide     bool
 	ax, ah, rh, z []float64 // per-lane scratch (3H, 2H, H, H wide)
 }
 
@@ -102,8 +101,7 @@ func (g *gru) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, 
 	s.ah = growFloats(s.ah, n*2*H)
 	s.rh = growFloats(s.rh, n*H)
 	s.z = growFloats(s.z, n*H)
-	k := gemmKernel()
-	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
+	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(n, g.stepCost(), s)
 }
 
@@ -116,7 +114,7 @@ func (g *gru) stepCost() int {
 // RunRange steps lanes[lo:hi]; chunks touch disjoint rows.
 func (s *gruBatchState) RunRange(lo, hi int) {
 	H, In := s.hidden, s.in
-	bias, wide := s.bias[:3*H], s.wide
+	bias, wide := s.bias[:3*H], useWideGates
 	for a := lo; a < hi; a++ {
 		lane := s.lanes[a]
 		hPrev := s.h[lane*H : (lane+1)*H]
@@ -124,8 +122,8 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		ah := s.ah[a*2*H : (a+1)*2*H]
 		rh := s.rh[a*H : (a+1)*H]
 		z := s.z[a*H : (a+1)*H]
-		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax, s.asm)
-		s.wh.mulDense(0, hPrev, ah, s.asm)
+		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax)
+		s.wh.mulDense(0, hPrev, ah)
 		// Pre-activations hoisted so the sigmoid passes run over
 		// contiguous ranges (4 lanes per instruction when the wide gate
 		// kernels are live); the reference's ax + ah + bias association.
@@ -145,7 +143,7 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		for j := 0; j < H; j++ {
 			hRow[j] = ax[2*H+j] + bias[2*H+j]
 		}
-		s.wh.accLane(2*H, rh, hRow, s.asm)
+		s.wh.accLane(2*H, rh, hRow)
 		tanhLanes(hRow, hRow, wide)
 		for j := 0; j < H; j++ {
 			hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]

@@ -58,7 +58,7 @@ func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, 
 }
 
 // checkLaneProducts runs MulLanes, MulLanesT and AddGradLanes on one
-// shape through pool under every kernel family and requires each output
+// shape through pool under every kernel setting and requires each output
 // element to equal a scalar reference bit for bit: the dense ascending-k
 // sum for MulLanes (mulLane skips only exact-zero inputs), and for the
 // backward products the per-vector loops of MulVecT and AddOuterGrad,
@@ -98,7 +98,7 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 		}
 	}
 
-	same := func(kn, what string, got, want []float64) {
+	same := func(kn kernelConfig, what string, got, want []float64) {
 		t.Helper()
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -107,8 +107,8 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 			}
 		}
 	}
-	for _, kn := range gemmKernels() {
-		setKernel(t, kn)
+	for _, kn := range kernelConfigs() {
+		setKernels(t, kn)
 		gotMul := make([]float64, n*outStride)
 		m.MulLanes(r0, r1, xs, n, gotMul, outStride, pool)
 		for a := 0; a < n; a++ {

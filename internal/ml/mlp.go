@@ -54,9 +54,8 @@ type mlpBatchState struct {
 	bias               []float64
 
 	// one step's arguments, set by stepBatch before its Range call
-	lanes     []int
-	xs, hs    []float64
-	asm, wide bool
+	lanes  []int
+	xs, hs []float64
 }
 
 // newBatchState returns empty windows for `lanes` lanes and snapshots the
@@ -92,25 +91,24 @@ func (m *windowMLP) stepBatch(st batchState, lanes []int, xs []float64, hs []flo
 	if len(lanes) == 0 {
 		return
 	}
-	k := gemmKernel()
-	s.lanes, s.xs, s.hs, s.asm, s.wide = lanes, xs, hs, k.avx2, k.wideGates
+	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(len(lanes), m.stepCost(), s)
 }
 
 // RunRange steps lanes[lo:hi]; each lane touches only its own window and
 // output row.
 func (s *mlpBatchState) RunRange(lo, hi int) {
-	In, H, fw := s.in, s.hidden, s.in*s.window
+	In, H, fw, wide := s.in, s.hidden, s.in*s.window, useWideGates
 	for a := lo; a < hi; a++ {
 		lane := s.lanes[a]
 		win := s.win[lane*fw : (lane+1)*fw]
 		copy(win, win[In:]) // drop the oldest row
 		copy(win[fw-In:], s.xs[a*In:(a+1)*In])
 		hRow := s.hs[a*H : (a+1)*H]
-		s.w.mulLane(0, win, hRow, s.asm)
+		s.w.mulLane(0, win, hRow)
 		for j := range hRow {
 			hRow[j] += s.bias[j]
 		}
-		tanhLanes(hRow, hRow, s.wide)
+		tanhLanes(hRow, hRow, wide)
 	}
 }

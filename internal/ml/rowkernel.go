@@ -70,34 +70,34 @@ func (p *packedRows) pack(m *Matrix) {
 
 // mulLane sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out)),
 // bitwise, skipping exact-zero inputs.
-func (p *packedRows) mulLane(r0 int, x, out []float64, asm bool) {
+func (p *packedRows) mulLane(r0 int, x, out []float64) {
 	zeroRange(out)
-	p.accumulate(r0, x, out, true, asm)
+	p.accumulate(r0, x, out, true)
 }
 
 // mulDense sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out))
 // taking every term, as dot does: the product of a bank's dense
 // recurrent state, where mulLane's zero-skip list is pure overhead.
-func (p *packedRows) mulDense(r0 int, x, out []float64, asm bool) {
+func (p *packedRows) mulDense(r0 int, x, out []float64) {
 	zeroRange(out)
-	p.accumulate(r0, x, out, false, asm)
+	p.accumulate(r0, x, out, false)
 }
 
 // accLane sets out[i] = dotAcc(out[i], W.row(r0+i), x) for i in
 // [0, len(out)), bitwise. No term is skipped: out[i] may start at -0.
-func (p *packedRows) accLane(r0 int, x, out []float64, asm bool) {
-	p.accumulate(r0, x, out, false, asm)
+func (p *packedRows) accLane(r0 int, x, out []float64) {
+	p.accumulate(r0, x, out, false)
 }
 
 // accumulate adds x[k]·column k onto out for ascending k: every k for
 // accLane and mulDense, the non-zero ones — gathered without a branch
 // per column — for mulLane.
-func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros, asm bool) {
+func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros bool) {
 	if len(out) == 0 || len(x) == 0 {
 		return
 	}
 	if !skipZeros {
-		p.accCols(r0, x, p.all[:len(x)], out, asm)
+		p.accCols(r0, x, p.all[:len(x)], out)
 		return
 	}
 	var idx [64]int
@@ -110,20 +110,19 @@ func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros, asm bool) {
 			}
 		}
 		if nnz > 0 {
-			p.accCols(r0, x, idx[:nnz], out, asm)
+			p.accCols(r0, x, idx[:nnz], out)
 		}
 	}
 }
 
 // accCols adds x[k]·column k onto out for each k of the non-empty,
-// ascending list cols, in order. With asm (the avx2 family) the list
-// goes to rowsAcc; otherwise a Go loop does the same elementwise
-// updates.
-func (p *packedRows) accCols(r0 int, x []float64, cols []int, out []float64, asm bool) {
+// ascending list cols, in order. With useRowsAcc the list goes to
+// rowsAcc; otherwise a Go loop does the same elementwise updates.
+func (p *packedRows) accCols(r0 int, x []float64, cols []int, out []float64) {
 	R, n, last := p.rows, len(out), cols[len(cols)-1]
 	_ = x[last]
 	_ = p.t[last*R+r0+n-1] // the last element rowsAcc may read
-	if asm {
+	if useRowsAcc {
 		rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &cols[0], len(cols))
 		return
 	}

@@ -38,9 +38,10 @@ const rowKernelGuard = 4
 // checkRowKernel runs the row kernel over n lanes through pool, all
 // three forms (mulLane from +0 with zero-skip, mulDense from +0 taking
 // every term, accLane from per-element starts that include -0), under
-// every available kernel family, and requires each element to equal the
-// per-(lane, row) dot / dotAcc bit for bit. The product covers w rows
-// at a drawn offset of a matrix with up to four more. Each lane's
+// every kernel setting the CPU can run (kernelConfigs), and requires
+// each element to equal the per-(lane, row) dot / dotAcc bit for bit.
+// The product covers w rows at a drawn offset of a matrix with up to
+// four more. Each lane's
 // output is followed by rowKernelGuard NaN sentinels that must survive,
 // and a chunk runs its lanes in descending order, so a store past a
 // lane's rows is not hidden by the next lane's write.
@@ -74,18 +75,17 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 		}
 	}
 	p := packRows(m)
-	for _, kn := range gemmKernels() {
-		setKernel(t, kn)
-		asm := gemmKernel().avx2
+	for _, kn := range kernelConfigs() {
+		setKernels(t, kn)
 		mul := append([]float64(nil), starts...)
 		dense := append([]float64(nil), starts...)
 		acc := append([]float64(nil), starts...)
 		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
 			for a := hi - 1; a >= lo; a-- {
 				x := xs[a*K : (a+1)*K]
-				p.mulLane(r0, x, mul[a*ws:a*ws+w], asm)
-				p.mulDense(r0, x, dense[a*ws:a*ws+w], asm)
-				p.accLane(r0, x, acc[a*ws:a*ws+w], asm)
+				p.mulLane(r0, x, mul[a*ws:a*ws+w])
+				p.mulDense(r0, x, dense[a*ws:a*ws+w])
+				p.accLane(r0, x, acc[a*ws:a*ws+w])
 			}
 		}))
 		for a := 0; a < n; a++ {
@@ -172,7 +172,7 @@ func FuzzRowKernel(f *testing.F) {
 // product W·hPrev (mulDense, every term) equals the zero-skipping
 // mulLane bit for bit at the LSTM (96×24) and GRU (2H = 48 of 72 rows)
 // bank shapes, on h vectors holding +0, -0, subnormals and ordinary
-// values, under every kernel family.
+// values, under every kernel setting the CPU can run.
 func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
 	neg0 := math.Copysign(0, -1)
 	sub := math.SmallestNonzeroFloat64
@@ -194,14 +194,13 @@ func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
 			}
 		}
 		p := packRows(m)
-		for _, kn := range gemmKernels() {
-			setKernel(t, kn)
-			asm := gemmKernel().avx2
+		for _, kn := range kernelConfigs() {
+			setKernels(t, kn)
 			for hi, h := range hs {
 				want := make([]float64, w)
 				got := make([]float64, w)
-				p.mulLane(0, h, want, asm)
-				p.mulDense(0, h, got, asm)
+				p.mulLane(0, h, want)
+				p.mulDense(0, h, got)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%s %d rows, h #%d: row %d mulDense = %#x, mulLane = %#x",
@@ -236,7 +235,7 @@ func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
 	m.MulLanes(0, 4, xs, lanes, out, 4, NewPool(1))
 	p := packRows(m)
 	row := make([]float64, 4)
-	p.mulLane(0, xs[:cols], row, gemmKernel().avx2)
+	p.mulLane(0, xs[:cols], row)
 	if out[0] != 0.1 || row[0] != 0.1 {
 		t.Fatalf("zero-skipping products = %v, %v; want 0.1 (the Inf·0 term skipped)", out[0], row[0])
 	}

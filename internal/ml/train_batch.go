@@ -354,7 +354,6 @@ type lstmTrainLayer struct {
 	// one step's arguments for the gate workers
 	slot     int
 	hs, dhIn []float64
-	wide     bool
 }
 
 func (t *lstmTrainLayer) begin(n, steps int) {
@@ -382,7 +381,7 @@ func (t *lstmTrainLayer) begin(n, steps int) {
 func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 	l := t.l
 	H, In := l.Hidden, l.In
-	t.slot, t.hs, t.wide = t.steps-1-st, hs, gemmKernel().wideGates
+	t.slot, t.hs = t.steps-1-st, hs
 	copy(t.cx[t.slot*n*In:(t.slot+1)*n*In], xs[:n*In])
 	copy(t.chPrev[t.slot*n*H:(t.slot+1)*n*H], t.h[:n*H])
 	copy(t.ccPrev[t.slot*n*H:(t.slot+1)*n*H], t.c[:n*H])
@@ -396,7 +395,7 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 type lstmGates struct{ *lstmTrainLayer }
 
 func (t lstmGates) RunRange(lo, hi int) {
-	H, wide := t.l.Hidden, t.wide
+	H, wide := t.l.Hidden, useWideGates
 	base := t.slot * t.n
 	bias := t.l.B.Data
 	for a := lo; a < hi; a++ {
@@ -519,7 +518,6 @@ type gruTrainLayer struct {
 	// one step's arguments for the gate workers
 	base     int // st·n·H, the step's offset into the caches
 	hs, dhIn []float64
-	wide     bool
 }
 
 func (t *gruTrainLayer) begin(n, steps int) {
@@ -549,7 +547,7 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 	g := t.g
 	H, In := g.Hidden, g.In
 	copy(t.cx[st*n*In:(st+1)*n*In], xs[:n*In])
-	t.base, t.hs, t.wide = st*n*H, hs, gemmKernel().wideGates
+	t.base, t.hs = st*n*H, hs
 	copy(t.chPrev[t.base:t.base+n*H], t.h[:n*H])
 	t.gemm.mulLanes(g.Wx, &t.wx, 0, 3*H, xs, n, t.ax, 3*H, t.pool)
 	t.gemm.mulLanes(g.Wh, &t.wh, 0, 2*H, t.h, n, t.ac, 3*H, t.pool)
@@ -564,7 +562,7 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 type gruGates struct{ *gruTrainLayer }
 
 func (t gruGates) RunRange(lo, hi int) {
-	H, base, wide := t.g.Hidden, t.base, t.wide
+	H, base, wide := t.g.Hidden, t.base, useWideGates
 	bias := t.g.B.Data
 	for a := lo; a < hi; a++ {
 		ax := t.ax[a*3*H : (a+1)*3*H]
@@ -591,7 +589,7 @@ func (t gruGates) RunRange(lo, hi int) {
 type gruCandidate struct{ *gruTrainLayer }
 
 func (t gruCandidate) RunRange(lo, hi int) {
-	H, base, wide := t.g.Hidden, t.base, t.wide
+	H, base, wide := t.g.Hidden, t.base, useWideGates
 	bias := t.g.B.Data
 	for a := lo; a < hi; a++ {
 		ax := t.ax[a*3*H : (a+1)*3*H]
@@ -689,8 +687,7 @@ type mlpTrainLayer struct {
 	da       []float64  // n×H
 
 	// the final step's arguments for the activation worker
-	hs   []float64
-	wide bool
+	hs []float64
 }
 
 func (t *mlpTrainLayer) begin(n, steps int) {
@@ -718,7 +715,7 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 		return
 	}
 	t.gemm.mulLanes(t.m.W, &t.w, 0, H, t.flat, n, t.h, H, t.pool)
-	t.hs, t.wide = hs, gemmKernel().wideGates
+	t.hs = hs
 	t.pool.Range(n, H*gateMulAdds, mlpActivate{t})
 }
 
@@ -726,14 +723,14 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 type mlpActivate struct{ *mlpTrainLayer }
 
 func (t mlpActivate) RunRange(lo, hi int) {
-	H := t.m.Hidden
+	H, wide := t.m.Hidden, useWideGates
 	bias := t.m.B.Data
 	for a := lo; a < hi; a++ {
 		row := t.h[a*H : (a+1)*H]
 		for j := 0; j < H; j++ {
 			row[j] += bias[j]
 		}
-		tanhLanes(row, row, t.wide)
+		tanhLanes(row, row, wide)
 		copy(t.hs[a*H:(a+1)*H], row)
 	}
 }

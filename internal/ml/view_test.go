@@ -52,8 +52,8 @@ func TestViewWindowMatchesLegacy(t *testing.T) {
 // []Sample layout, for every trunk class, on both the sequential
 // (BatchSize 1) and batched BPTT paths, under every pool setting of
 // poolConfigs (Train reaches the pool through SharedPool). make
-// test-kernels reruns this under every GEMM kernel family
-// (scalar/avx2 and purego).
+// test-kernels reruns this under the purego build and, on AVX2 hosts,
+// with GODEBUG=cpu.fma=off (rowsAcc beside the Go gates).
 func TestColumnarTrainingBitwiseParity(t *testing.T) {
 	forEachPool(t, func(t *testing.T, _ *Pool) {
 		for name, cfg := range cellConfigs() {

@@ -152,9 +152,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // StatsBody is the /stats payload.
 type StatsBody struct {
 	UptimeSec float64 `json:"uptime_sec"`
-	// GemmKernel is the GEMM kernel family selected at process start
-	// (CPUID probe or MIMICNET_GEMM); all families are bitwise identical,
-	// so this affects throughput only.
+	// GemmKernel is the GEMM kernel family the CPUID probe selected at
+	// process start; all families are bitwise identical, so this
+	// affects throughput only.
 	GemmKernel string         `json:"gemm_kernel"`
 	Scheduler  SchedulerStats `json:"scheduler"`
 	Registry   RegistryStats  `json:"registry"`

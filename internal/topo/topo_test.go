@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -245,23 +246,55 @@ func TestPathValidityProperty(t *testing.T) {
 	}
 }
 
-// Property: ECMP spreads inter-cluster flows across all agg and core
-// choices.
+// ECMP spreads one host pair's flows binomially: over n FlowHash draws
+// (flow IDs 0..n-1) each agg switch must carry Binomial(n, 1/A) of them
+// and each core switch Binomial(n, 1/(A·C)), for A aggs per cluster and
+// C cores per agg. The tolerance is fixed in advance at ecmpZ standard
+// deviations, two-sided: a uniform hash falls outside it with
+// probability about 6e-5 per switch, so a failure means a skewed hash
+// or a biased modulo split, not bad luck.
 func TestECMPSpreadsLoad(t *testing.T) {
-	tp := testTopo()
-	src, dst := tp.HostID(0, 0, 0), tp.HostID(1, 0, 0)
-	aggSeen := make(map[int]bool)
-	coreSeen := make(map[int]bool)
-	for seq := uint64(0); seq < 200; seq++ {
-		p := tp.Path(src, dst, FlowHash(src, dst, seq))
-		aggSeen[p[2]] = true
-		coreSeen[p[3]] = true
+	const (
+		n     = 4096
+		ecmpZ = 4.0
+	)
+	shapes := []Config{
+		testTopo().Config(), // 2 aggs × 2 cores
+		{Clusters: 2, RacksPerCluster: 2, HostsPerRack: 4, AggPerCluster: 4, CoresPerAgg: 3},
 	}
-	if len(aggSeen) != tp.Config().AggPerCluster {
-		t.Errorf("ECMP used %d agg switches, want %d", len(aggSeen), tp.Config().AggPerCluster)
-	}
-	if len(coreSeen) != tp.cores {
-		t.Errorf("ECMP used %d cores, want %d", len(coreSeen), tp.cores)
+	for _, cfg := range shapes {
+		tp := New(cfg)
+		src, dst := tp.HostID(0, 0, 0), tp.HostID(1, 1, 3)
+		aggs, cores := map[int]int{}, map[int]int{}
+		for seq := uint64(0); seq < n; seq++ {
+			p := tp.Path(src, dst, FlowHash(src, dst, seq))
+			aggs[p[2]]++
+			cores[p[3]]++
+		}
+		check := func(kind string, counts map[int]int, ids []int) {
+			t.Helper()
+			if len(counts) != len(ids) {
+				t.Errorf("%d aggs × %d cores: flows crossed %d %s switches, want %d",
+					cfg.AggPerCluster, cfg.CoresPerAgg, len(counts), kind, len(ids))
+			}
+			p := 1 / float64(len(ids))
+			mean, sd := n*p, math.Sqrt(n*p*(1-p))
+			for _, id := range ids {
+				if got := float64(counts[id]); math.Abs(got-mean) > ecmpZ*sd {
+					t.Errorf("%d aggs × %d cores: %s %s carries %v of %d flows, want %.0f ± %.1f (%.0fσ)",
+						cfg.AggPerCluster, cfg.CoresPerAgg, kind, tp.Name(id), got, n, mean, ecmpZ*sd, ecmpZ)
+				}
+			}
+		}
+		var aggIDs, coreIDs []int
+		for a := 0; a < cfg.AggPerCluster; a++ {
+			aggIDs = append(aggIDs, tp.AggID(0, a))
+			for j := 0; j < cfg.CoresPerAgg; j++ {
+				coreIDs = append(coreIDs, tp.CoreID(a, j))
+			}
+		}
+		check("agg", aggs, aggIDs)
+		check("core", cores, coreIDs)
 	}
 }
 
