@@ -113,6 +113,7 @@ type Engine struct {
 	rt       *cluster.Simulation
 	clusters []*clusterCtx       // one per cluster
 	sched    *inferenceScheduler // shared by every model-using role; nil if none
+	streams  stats.Parent        // the workload seed's: every Mimic's and feeder's stream derives from it
 
 	// Typed-event handlers for the two continuations of a model-served
 	// packet, bound once: re-entering the fabric at a core switch, and
@@ -209,7 +210,7 @@ func newEngine(cfg cluster.Config, roles []roleKind, models *MimicModels, pool *
 
 	// The layer passes no lookahead, so the runtime is one event queue
 	// whatever cfg.ShardedRun says.
-	e := &Engine{clusters: clusters}
+	e := &Engine{clusters: clusters, streams: stats.NewParent(cfg.Workload.Seed)}
 	layer.Inject = e.inject
 	rt, err := cluster.NewLayered(cfg, layer)
 	if err != nil {
@@ -228,7 +229,7 @@ func newEngine(cfg cluster.Config, roles []roleKind, models *MimicModels, pool *
 		cc.e = e
 		cc.onEgress, cc.onIngress = cc.resolveEgress, cc.resolveIngress
 		if cc.role.usesModels() {
-			cc.mimic = newMimic(models, i, cfg.Workload.Seed, e.sched)
+			cc.mimic = newMimic(models, i, e.streams, e.sched)
 		}
 	}
 
@@ -421,7 +422,7 @@ func (e *Engine) feederFrac() float64 {
 // feederStream is the gap stream of cluster idx's feeder in one
 // direction.
 func (e *Engine) feederStream(idx int, dir Direction) *stats.Stream {
-	return stats.NewStream(e.rt.Cfg.Workload.Seed).Derive(fmt.Sprintf("feeder-%d-%s", idx, dir))
+	return e.streams.Derive(fmt.Sprintf("feeder-%d-%s", idx, dir))
 }
 
 // FlowsStarted returns the number of measured flows started: real flows

@@ -127,13 +127,14 @@ type dirRuntime struct {
 
 // newMimic instantiates the runtime for one cluster on sched, which
 // gives it one lane per direction. Each Mimic gets its own randomness
-// stream so compositions stay deterministic.
-func newMimic(models *MimicModels, clusterIdx int, seed int64, sched *inferenceScheduler) *mimic {
+// stream, derived from the run's seed (streams), so compositions stay
+// deterministic.
+func newMimic(models *MimicModels, clusterIdx int, streams stats.Parent, sched *inferenceScheduler) *mimic {
 	mk := func(dm *DirectionModel, dir Direction) *dirRuntime {
 		return &dirRuntime{
 			dm:   dm,
 			ex:   NewExtractor(models.Spec, dm.Bounds.Lo, dm.Bounds.Hi),
-			rng:  stats.NewStream(seed).Derive(fmt.Sprintf("mimic-%d-%s", clusterIdx, dir)),
+			rng:  streams.Derive(fmt.Sprintf("mimic-%d-%s", clusterIdx, dir)),
 			dir:  dir,
 			feed: feeder{next: never},
 		}

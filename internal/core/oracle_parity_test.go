@@ -9,6 +9,7 @@ import (
 	"mimicnet/internal/cluster"
 	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
+	"mimicnet/internal/stats"
 )
 
 // This file holds the per-request inference oracle — the engine the
@@ -49,7 +50,7 @@ func newTestEngine(cfg cluster.Config, roles []roleKind, models *MimicModels, or
 func newOracleMimic(models *MimicModels, clusterIdx int, seed int64) *mimic {
 	s := newInferenceScheduler(sim.New(), models, 0, bankPool)
 	s.perRequest = true
-	return newMimic(models, clusterIdx, seed, s)
+	return newMimic(models, clusterIdx, stats.NewParent(seed), s)
 }
 
 // process returns the outcome of one packet in one direction. On a

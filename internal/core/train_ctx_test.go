@@ -174,12 +174,18 @@ func TestNonFiniteModelsRefused(t *testing.T) {
 
 	// A learning rate this large overflows the weights within two Adam steps.
 	tcfg := fastTrain()
-	ing, _, _, err := GenerateTrainingData(fastBase(), 60*sim.Millisecond, tcfg)
+	ing, eg, _, err := GenerateTrainingData(fastBase(), 60*sim.Millisecond, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tcfg.Model.LR = 1e308
 	if _, _, err := trainDirectionContext(context.Background(), ing, tcfg, nil, nil); err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("trainDirectionContext with a diverging LR = %v, want a diverged error", err)
+	}
+	// The public path refuses it too: a weight that overflowed stays
+	// non-finite through every later step (ml.TestNonFiniteWeightStaysNonFinite),
+	// so TrainModels never returns it.
+	if models, _, _, err := TrainModels(ing, eg, tcfg); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("TrainModels with a diverging LR = %v (models %v), want a diverged error", err, models != nil)
 	}
 }

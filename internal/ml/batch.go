@@ -16,12 +16,14 @@ import "fmt"
 //     (pool.go). The batch state is the Range worker, so a step
 //     allocates nothing.
 //   - laneGemm, the trainer's products over a minibatch of lanes
-//     (DESIGN.md decisions 19 and 20), all on the same row kernel: the
-//     forward product W·x is one mulLane per lane over W packed once per
-//     minibatch, the backward product Mᵀ·dy one mulLane per lane over a
-//     view of M that needs no packing, and the weight gradient one
-//     row-kernel walk per gradient row over the lanes' inputs — for the
-//     LSTM once per minibatch, over every step's lanes (train_batch.go).
+//     (DESIGN.md decisions 19, 20 and 38), all on the same row kernel:
+//     the forward product W·x is one row-kernel walk per lane over W
+//     packed once per minibatch, the backward product Mᵀ·dy one per lane
+//     over a view of M that needs no packing, and the weight gradient
+//     one per gradient row over the lanes' inputs, reading its column of
+//     dz in place — for the LSTM once per minibatch, over every step's
+//     lanes (train_batch.go). A sparse input lists its non-zero columns
+//     first; a dense one passes its zeros by as the walk reaches them.
 //     A laneGemm in the caller's scratch holds a product's arguments and
 //     is its Range worker, so a trainer step allocates nothing either.
 //
@@ -50,17 +52,33 @@ func (l laneView) lane(a int) []float64 {
 	return l.v[i : i+l.width]
 }
 
+// laneMode is how a lane product walks its terms.
+type laneMode uint8
+
+const (
+	// laneSparse: one mulLane per lane, its non-zero columns listed
+	// first — the inputs x, mostly exact zeros.
+	laneSparse laneMode = iota
+	// laneDense: one accStrided per lane, exact zeros passed by in the
+	// walk — the recurrent state h and the gate gradients dz.
+	laneDense
+	// laneGrad: the weight gradient, one accStrided per gradient row
+	// over the lanes, reading dz in place.
+	laneGrad
+)
+
 // laneGemm holds one lane product's arguments and is its Pool.Range
 // worker. A trainer layer keeps one in its scratch and reuses it for
 // every product it runs (Range calls never nest), so a product hands
 // the pool a pointer the layer already has and allocates nothing.
 type laneGemm struct {
-	grad   bool // the weight gradient by row block; otherwise one mulLane per lane, by lane block
+	mode   laneMode
 	n      int
-	r0, r1 int        // mulLane: p's first row; gradient: m's rows
-	p      packedRows // mulLane's matrix, k-major
+	r0, r1 int        // per lane: p's first row; gradient: m's rows
+	p      packedRows // per lane: the matrix, k-major; gradient: the lanes' inputs, one column each
 	m      *Matrix    // the gradient's matrix
-	x, y   laneView   // mulLane: each lane's input and output; gradient: the xs and dys lanes
+	x, y   laneView   // per lane: each lane's input and output; gradient: y is the dys lanes
+	idx    []int      // laneSparse: each lane's column list, n × x.width, kept across products
 }
 
 // mulLanes is the trainer's batched counterpart of MulVec: for every
@@ -70,10 +88,11 @@ type laneGemm struct {
 //
 // xs is n×Cols row-major; out rows are outStride wide and indexed by the
 // absolute row number r (so outStride must be >= r1). p is m packed
-// k-major — a trainer packs its weights once per minibatch (begin). Each
-// lane is one mulLane, which skips exact-zero inputs: bitwise equal to
-// the dense dot for finite weights (rowkernel.go).
-func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
+// k-major — a trainer packs its weights once per minibatch (begin).
+// Each lane skips its exact-zero inputs, bitwise equal to the dense dot
+// for finite weights (rowkernel.go): a sparse product lists them first
+// (mulLane), a dense one passes them by as it walks (accStrided).
+func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, n int, out []float64, outStride int, dense bool, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: mulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
 	}
@@ -90,9 +109,16 @@ func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, 
 	if r0 == r1 || n == 0 {
 		return
 	}
-	*g = laneGemm{n: n, r0: r0, p: *p,
+	mode := laneSparse
+	if dense {
+		mode = laneDense
+	}
+	*g = laneGemm{mode: mode, n: n, r0: r0, p: *p, idx: g.idx,
 		x: laneView{v: xs, stride: K, width: K},
 		y: laneView{v: out, stride: outStride, off: r0, width: r1 - r0}}
+	if !dense {
+		g.idx = growInts(g.idx, n*K)
+	}
 	g.perLane(K, pool)
 }
 
@@ -105,10 +131,10 @@ func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, 
 // layout mulLanes writes), so a trainer feeds gate gradients straight
 // back through the weight matrices. Row r of M is column r of Mᵀ, so
 // M.Data read as a k-major matrix of Cols rows is Mᵀ: each lane is one
-// mulLane over that view with its dy as the input, nothing packed. The
-// sum per output element runs in ascending r over the rows whose d is
-// not an exact zero — MulVecT's skip set, which must stay, because
-// adding 0·row is not a no-op when the row holds ±Inf or NaN.
+// dense walk over that view with its dy as the input, nothing packed.
+// The sum per output element runs in ascending r over the rows whose d
+// is not an exact zero — MulVecT's skip set, found by testing each d as
+// the walk reaches it: dz is dense, so no list is built.
 func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("ml: mulLanesT rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
@@ -126,14 +152,14 @@ func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n i
 	if n == 0 {
 		return
 	}
-	*g = laneGemm{n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]},
+	*g = laneGemm{mode: laneDense, n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]}, idx: g.idx,
 		x: laneView{v: dys, stride: dyStride, off: r0, width: r1 - r0},
 		y: laneView{v: out, stride: K, width: K}}
 	g.perLane(r1-r0, pool)
 }
 
-// perLane runs the mulLane set up last over the pool in lane blocks; k is
-// the input width, for the work estimate.
+// perLane runs the per-lane product set up last over the pool in lane
+// blocks; k is the input width, for the work estimate.
 func (g *laneGemm) perLane(k int, pool *Pool) {
 	aTiles := (g.n + gemmLaneBlock - 1) / gemmLaneBlock
 	pool.Range(aTiles, g.y.width*g.n*k/aTiles, g)
@@ -145,13 +171,13 @@ func (g *laneGemm) perLane(k int, pool *Pool) {
 //	Grad[r][c] += Σ_{a in [0,n)} dys[a*dyStride + r] * xs[a*Cols + c]
 //
 // Gradient row r is Σ_a d_a·x_a: the lanes' inputs are the columns (xs
-// read k-major, one column per lane) and the gathered d_a the input
-// vector, so each row is one row-kernel walk over the lanes whose d_a is
-// not zero, listed as they are gathered. The lane sum runs in strictly
-// ascending a order for every element, skipping the lanes whose d is an
-// exact zero (AddOuterGrad's skip set) — the fixed reduction order that
-// makes minibatch gradients bitwise reproducible run to run — and each
-// gradient row is owned by exactly one chunk, so results are also
+// read k-major, one column per lane) and column r of dys, read in place
+// with stride dyStride, the input vector, so each row is one row-kernel
+// walk over the lanes (accStrided). The lane sum runs in strictly
+// ascending a order for every element, passing by the lanes whose d is
+// an exact zero (AddOuterGrad's skip set) — the fixed reduction order
+// that makes minibatch gradients bitwise reproducible run to run — and
+// each gradient row is owned by exactly one chunk, so results are also
 // independent of worker count.
 func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
@@ -171,57 +197,55 @@ func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, 
 	if n == 0 || rows == 0 {
 		return
 	}
-	*g = laneGemm{grad: true, n: n, r0: r0, r1: r1, m: m,
-		x: laneView{v: xs, stride: K, width: K},
+	*g = laneGemm{mode: laneGrad, n: n, r0: r0, r1: r1, m: m, idx: g.idx,
+		p: packedRows{rows: K, t: xs[:n*K]},
 		y: laneView{v: dys, stride: dyStride}}
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
 	pool.Range(rTiles, rows*n*K/rTiles, g)
 }
 
 // RunRange computes blocks [lo, hi) of the product set up last: lane
-// blocks of a mulLane, row blocks of the weight gradient. Chunks write
-// disjoint outputs.
+// blocks of a per-lane product, row blocks of the weight gradient.
+// Chunks write disjoint outputs.
 func (g *laneGemm) RunRange(lo, hi int) {
-	if !g.grad {
-		for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
-			g.p.mulLane(g.r0, g.x.lane(a), g.y.lane(a))
+	if g.mode == laneGrad {
+		K := g.m.Cols
+		for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
+			g.p.accStrided(0, g.y.v[r:], g.y.stride, g.n, g.m.Grad[r*K:(r+1)*K])
 		}
 		return
 	}
-	K := g.m.Cols
-	var d [64]float64 // one block of lane gradients, gathered
-	var idx [64]int   // the block's lanes whose d is not an exact zero
-	lanes := packedRows{rows: K}
-	for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
-		grad := g.m.Grad[r*K : (r+1)*K]
-		for a0 := 0; a0 < g.n; a0 += len(d) {
-			nd := min(len(d), g.n-a0)
-			dy := g.y.v[a0*g.y.stride+r:]
-			nnz := 0
-			for j := 0; j < nd; j++ {
-				v := dy[j*g.y.stride]
-				d[j] = v
-				idx[nnz] = j
-				if v != 0 {
-					nnz++
-				}
-			}
-			if nnz > 0 {
-				lanes.t = g.x.v[a0*K : (a0+nd)*K]
-				lanes.accCols(0, d[:nd], idx[:nnz], grad)
-			}
+	K := g.x.width
+	for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
+		x, out := g.x.lane(a), g.y.lane(a)
+		if g.mode == laneSparse {
+			g.p.mulLane(g.r0, x, out, g.idx[a*K:(a+1)*K])
+			continue
 		}
+		zeroRange(out)
+		g.p.accStrided(g.r0, x, 1, K, out)
 	}
 }
 
 // addBiasGradLanes accumulates Grad[r] += Σ_a dys[a*dyStride + r] for
-// r in [r0,r1), in ascending-lane order per element (lanes outer for
-// locality; the per-element order is still ascending a).
+// r in [r0,r1), in ascending-lane order per element. With useWideGates
+// the whole 4-row groups keep their sums in registers across the lanes
+// (biasGradWide); the rest go lanes outer, for locality.
 func addBiasGradLanes(b *Matrix, r0, r1 int, dys []float64, dyStride, n int) {
-	for a := 0; a < n; a++ {
-		row := dys[a*dyStride:]
-		for r := r0; r < r1; r++ {
-			b.Grad[r] += row[r]
+	if n == 0 || r0 == r1 {
+		return
+	}
+	grad := b.Grad[r0:r1]
+	_ = dys[(n-1)*dyStride+r1-1]
+	done := 0
+	if useWideGates && len(grad) >= 4 {
+		biasGradWide(&grad[0], &dys[r0], dyStride*8, n, len(grad))
+		done = len(grad) &^ 3
+	}
+	for a := 0; a < n && done < len(grad); a++ {
+		row := dys[a*dyStride+r0 : a*dyStride+r1]
+		for r := done; r < len(grad); r++ {
+			grad[r] += row[r]
 		}
 	}
 }
@@ -241,6 +265,7 @@ type lstmBatchState struct {
 	lanes  []int
 	xs, hs []float64
 	zx, zh []float64 // n×4H scratch
+	idx    []int     // n×In scratch: each lane's input column list
 }
 
 // newBatchState returns zeroed state for `lanes` LSTM lanes and
@@ -293,6 +318,7 @@ func (l *lstm) stepBatch(st batchState, lanes []int, xs []float64, hs []float64,
 	H := l.Hidden
 	s.zx = growFloats(s.zx, n*4*H)
 	s.zh = growFloats(s.zh, n*4*H)
+	s.idx = growInts(s.idx, n*l.In)
 	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(n, l.stepCost(), s)
 }
@@ -314,7 +340,7 @@ func (s *lstmBatchState) RunRange(lo, hi int) {
 		cPrev := s.c[lane*H : (lane+1)*H]
 		zx := s.zx[a*4*H : (a+1)*4*H]
 		zh := s.zh[a*4*H : (a+1)*4*H]
-		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx)
+		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx, s.idx[a*In:(a+1)*In])
 		s.wh.mulDense(0, hPrev, zh)
 		// z[i] += zh[i] + B[i], the reference association. The pre-adds
 		// are hoisted out of the gate loop so the sigmoid/tanh passes
@@ -338,6 +364,14 @@ func (s *lstmBatchState) RunRange(lo, hi int) {
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// growInts is growFloats for a column-list scratch.
+func growInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
 	}
 	return buf[:n]
 }

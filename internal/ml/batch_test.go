@@ -232,7 +232,7 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 		}
 		ref := make([]float64, n*rows)
 		refT := make([]float64, n*cols)
-		m.MulLanes(0, rows, xs, n, ref, rows, NewPool(1))
+		m.MulLanes(0, rows, xs, n, ref, rows, !shape.sparse, NewPool(1))
 		m.MulLanesT(0, rows, dys, rows, n, refT, NewPool(1))
 		m.AddGradLanes(0, rows, dys, rows, n, xs, NewPool(1))
 		refG := append([]float64(nil), m.Grad...)
@@ -243,7 +243,7 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 				outT := make([]float64, n*cols)
 				before := obsPoolDispatches.Value()
 				for iter := 0; iter < 5; iter++ {
-					m.MulLanes(0, rows, xs, n, out, rows, p)
+					m.MulLanes(0, rows, xs, n, out, rows, !shape.sparse, p)
 					m.MulLanesT(0, rows, dys, rows, n, outT, p)
 					m.ZeroGrad()
 					m.AddGradLanes(0, rows, dys, rows, n, xs, p)

@@ -58,10 +58,10 @@ func forEachPool(t *testing.T, fn func(t *testing.T, pool *Pool)) {
 
 // MulLanes runs the trainer's forward lane product (laneGemm.mulLanes)
 // once, packing m for it: out[a*outStride + r] = dot(m.row(r), lane a of
-// xs) for r in [r0, r1).
-func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, pool *Pool) {
+// xs) for r in [r0, r1), walking the inputs as dense or sparse ones.
+func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, dense bool, pool *Pool) {
 	p := packRows(m)
-	new(laneGemm).mulLanes(m, &p, r0, r1, xs, n, out, outStride, pool)
+	new(laneGemm).mulLanes(m, &p, r0, r1, xs, n, out, outStride, dense, pool)
 }
 
 // MulLanesT runs the trainer's backward lane product (laneGemm.mulLanesT)

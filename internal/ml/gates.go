@@ -101,6 +101,49 @@ func prodLanes(dst, a, b []float64, wide bool) {
 	}
 }
 
+// lstmGateGradLanes is one lane's LSTM gate-gradient pass (the
+// trainer's lstmGateGrads): z holds the lane's i, f, g, o activations
+// in four quarters of H = len(dh) and receives their pre-activation
+// gradients in place; dh, plus dhIn unless it is nil, is the gradient
+// at h = o·tanh(c); dc is the cell carry, updated in place; ctc =
+// tanh(c) and cPrev are the step's cached cell states. Element j of
+// each quarter is read before it is written. With wide, the whole
+// 4-lane groups run in one assembly loop (lstmGateGradsWide).
+func lstmGateGradLanes(z, dh, dhIn, dc, ctc, cPrev []float64, wide bool) {
+	H := len(dh)
+	z, dc, ctc, cPrev = z[:4*H], dc[:H], ctc[:H], cPrev[:H]
+	if dhIn != nil {
+		dhIn = dhIn[:H]
+	}
+	j := 0
+	if wide && H >= 4 {
+		var in *float64 // nil: no dhIn
+		if dhIn != nil {
+			in = &dhIn[0]
+		}
+		lstmGateGradsWide(&z[0], &dh[0], in, &dc[0], &ctc[0], &cPrev[0], H)
+		j = H &^ 3
+	}
+	for ; j < H; j++ {
+		dhv := dh[j]
+		if dhIn != nil {
+			dhv += dhIn[j]
+		}
+		// h = o·tanh(c), c = f·cPrev + i·g.
+		i_, f_, g_, o_, tc := z[j], z[H+j], z[2*H+j], z[3*H+j], ctc[j]
+		do := dhv * tc
+		dcTotal := dc[j] + dhv*o_*dTanh(tc)
+		di := dcTotal * g_
+		df := dcTotal * cPrev[j]
+		dg := dcTotal * i_
+		z[j] = di * dSigmoid(i_)
+		z[H+j] = df * dSigmoid(f_)
+		z[2*H+j] = dg * dTanh(g_)
+		z[3*H+j] = do * dSigmoid(o_)
+		dc[j] = dcTotal * f_
+	}
+}
+
 // wideGatesMatchScalar bit-compares the wide gate kernels against the
 // scalar sigmoid/math.Tanh on probe values spanning every branch of
 // both functions: ±0 (sign preservation), denormals, the tanh

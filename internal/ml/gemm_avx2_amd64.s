@@ -1,6 +1,9 @@
-// The AVX2 row kernel, rowsAcc: the one accumulation kernel of the avx2
-// family, behind inference and every product of the minibatch trainer
-// (rowkernel.go, DESIGN.md decisions 18-20 and 36). Deliberately no
+// The AVX2 row kernel, rowsAcc and rowsAccStrided: the accumulation
+// kernel of the avx2 family, behind inference and every product of the
+// minibatch trainer (rowkernel.go, DESIGN.md decisions 18-20, 36 and
+// 38). The two share one body (rowsacc_amd64.h) and differ only in how
+// a walk finds its terms: a column list, or every column of a strided
+// input with its exact zeros passed by. Deliberately no
 // VFMADD: its single rounding would diverge from the scalar Dot chain,
 // which rounds twice per term. Y15 is left untouched (the Go internal
 // ABI reserves X15 as a zero register), R14/R15 are reserved by the Go
@@ -21,15 +24,6 @@ DATA tailmask<>+32(SB)/8, $0
 DATA tailmask<>+40(SB)/8, $0
 GLOBL tailmask<>(SB), RODATA|NOPTR, $48
 
-// TERM points DX at column idx[CX] of the block and broadcasts its input
-// x[idx[CX]] into Y8.
-#define TERM \
-	MOVQ	(R12)(CX*8), AX; \
-	MOVQ	AX, DX; \
-	IMULQ	R10, DX; \
-	ADDQ	SI, DX; \
-	VBROADCASTSD	(R11)(AX*8), Y8
-
 // ACC adds column rows [off/8, off/8+4) times the input onto acc.
 #define ACC(off, acc, tmp) \
 	VMULPD	off(DX), Y8, tmp; \
@@ -44,17 +38,9 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $48
 
 // func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx *int, nnz int)
 //
-// Vectorized across output ROWS of a k-major packed matrix, one
-// accumulator component per row. Each row block loads its accumulators
-// from out, walks the column list in order — broadcast x[k], then VMULPD
-// and VADDPD against column k's slice — and stores them back, so every
-// element is the scalar DotAcc chain over the listed columns. Blocks of
-// 16 rows (Y0-Y3) run while more than 31 rows remain or exactly 16 do,
-// so a multiple of 16 rows is all 16-row passes; the last 1-31 rows are
-// one tail pass of up to eight accumulators: f = rows/4 whole groups in
-// Y0..Y(f-1) and, when rows%4 = m > 0, a group of m rows in Y7 whose
-// loads and stores are masked to those m lanes, so nothing past the
-// row range is read or written.
+// The walk is the column list: CX counts up from -nnz to 0 over it (R12
+// points past its end), and each term is column idx[CX] with input
+// x[idx[CX]] — every listed term, zero or not.
 TEXT ·rowsAcc(SB), NOSPLIT, $0-56
 	MOVQ	out+0(FP), DI
 	MOVQ	rows+8(FP), R8
@@ -63,303 +49,69 @@ TEXT ·rowsAcc(SB), NOSPLIT, $0-56
 	MOVQ	x+32(FP), R11
 	MOVQ	idx+40(FP), R12
 	MOVQ	nnz+48(FP), R9
-
-rows16:
-	CMPQ	R8, $16
-	JE	block16
-	CMPQ	R8, $31
-	JLE	tail
-
-block16:
-	VMOVUPD	(DI), Y0
-	VMOVUPD	32(DI), Y1
-	VMOVUPD	64(DI), Y2
-	VMOVUPD	96(DI), Y3
-	XORQ	CX, CX
-
-terms16:
-	CMPQ	CX, R9
-	JGE	store16
-	TERM
-	ACC(0, Y0, Y4)
-	ACC(32, Y1, Y5)
-	ACC(64, Y2, Y6)
-	ACC(96, Y3, Y7)
-	INCQ	CX
-	JMP	terms16
-
-store16:
-	VMOVUPD	Y0, (DI)
-	VMOVUPD	Y1, 32(DI)
-	VMOVUPD	Y2, 64(DI)
-	VMOVUPD	Y3, 96(DI)
-	ADDQ	$128, DI
-	ADDQ	$128, SI
-	SUBQ	$16, R8
-	JMP	rows16
-
-	// The tail: 0 <= R8 <= 31 rows, R8 != 16. BX = f whole groups,
-	// R8 = m rows of the masked group, R13 = that group's out address.
-tail:
-	TESTQ	R8, R8
-	JE	rowsdone
 	TESTQ	R9, R9
 	JE	rowsdone // no terms: out stays as it is
-	MOVQ	R8, BX
-	SHRQ	$2, BX
-	ANDQ	$3, R8
-	JE	loadfull
-	MOVQ	$3, AX
-	SUBQ	R8, AX
-	LEAQ	tailmask<>(SB), DX
-	VMOVDQU	(DX)(AX*8), Y13
-	MOVQ	BX, R13
-	SHLQ	$5, R13
-	ADDQ	DI, R13
-	VMASKMOVPD	(R13), Y13, Y7
+	LEAQ	(R12)(R9*8), R12
 
-loadfull:
-	MOVQ	R9, CX
+#define WALK_START \
+	MOVQ	R9, CX; \
 	NEGQ	CX
-	LEAQ	(R12)(R9*8), R12 // CX counts up from -nnz to 0 over the list
-	CMPQ	BX, $1
-	JL	tail0m
-	VMOVUPD	(DI), Y0
-	CMPQ	BX, $2
-	JL	tail1
-	VMOVUPD	32(DI), Y1
-	CMPQ	BX, $3
-	JL	tail2
-	VMOVUPD	64(DI), Y2
-	CMPQ	BX, $4
-	JL	tail3
-	VMOVUPD	96(DI), Y3
-	CMPQ	BX, $5
-	JL	tail4
-	VMOVUPD	128(DI), Y4
-	CMPQ	BX, $6
-	JL	tail5
-	VMOVUPD	160(DI), Y5
-	CMPQ	BX, $7
-	JL	tail6
-	VMOVUPD	192(DI), Y6
-	JMP	tail7
 
-	// One loop per f, with and without the masked group: the term loop
-	// itself branches only to repeat.
-tail0m:
-	TERM
-	MASKACC(0)
+#define TERM(skip) \
+	MOVQ	(R12)(CX*8), AX; \
+	MOVQ	AX, DX; \
+	IMULQ	R10, DX; \
+	ADDQ	SI, DX; \
+	VBROADCASTSD	(R11)(AX*8), Y8
+
+#define NEXT \
 	INCQ	CX
-	JNZ	tail0m
-	JMP	tailstore
 
-tail1:
-	TESTQ	R8, R8
-	JNE	tail1m
+#include "rowsacc_amd64.h"
 
-tail1u:
-	TERM
-	ACC(0, Y0, Y10)
+#undef WALK_START
+#undef TERM
+#undef NEXT
+
+// func rowsAccStrided(out *float64, rows int, col *float64, strideB int, x *float64, xStrideB int, n int)
+//
+// The walk is every column j in [0, n) in order, its input x[j*xStrideB/8]:
+// DX and AX step through the columns and the inputs, CX counts up from
+// -n to 0, and a term whose input is an exact zero (±0: no bit set but
+// the sign) is passed by with one integer test, never multiplied.
+TEXT ·rowsAccStrided(SB), NOSPLIT, $0-56
+	MOVQ	out+0(FP), DI
+	MOVQ	rows+8(FP), R8
+	MOVQ	col+16(FP), SI
+	MOVQ	strideB+24(FP), R10
+	MOVQ	x+32(FP), R11
+	MOVQ	xStrideB+40(FP), R12
+	MOVQ	n+48(FP), R9
+	TESTQ	R9, R9
+	JE	rowsdone
+
+#define WALK_START \
+	MOVQ	R9, CX; \
+	NEGQ	CX; \
+	MOVQ	SI, DX; \
+	MOVQ	R11, AX
+
+#define TERM(skip) \
+	MOVQ	(AX), R13; \
+	SHLQ	$1, R13; \
+	JZ	skip; \
+	VBROADCASTSD	(AX), Y8
+
+#define NEXT \
+	ADDQ	R10, DX; \
+	ADDQ	R12, AX; \
 	INCQ	CX
-	JNZ	tail1u
-	JMP	tailstore
 
-tail1m:
-	TERM
-	MASKACC(32)
-	ACC(0, Y0, Y10)
-	INCQ	CX
-	JNZ	tail1m
-	JMP	tailstore
+#include "rowsacc_amd64.h"
 
-tail2:
-	TESTQ	R8, R8
-	JNE	tail2m
-
-tail2u:
-	TERM
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	INCQ	CX
-	JNZ	tail2u
-	JMP	tailstore
-
-tail2m:
-	TERM
-	MASKACC(64)
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	INCQ	CX
-	JNZ	tail2m
-	JMP	tailstore
-
-tail3:
-	TESTQ	R8, R8
-	JNE	tail3m
-
-tail3u:
-	TERM
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	INCQ	CX
-	JNZ	tail3u
-	JMP	tailstore
-
-tail3m:
-	TERM
-	MASKACC(96)
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	INCQ	CX
-	JNZ	tail3m
-	JMP	tailstore
-
-tail4:
-	TESTQ	R8, R8
-	JNE	tail4m
-
-tail4u:
-	TERM
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	INCQ	CX
-	JNZ	tail4u
-	JMP	tailstore
-
-tail4m:
-	TERM
-	MASKACC(128)
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	INCQ	CX
-	JNZ	tail4m
-	JMP	tailstore
-
-tail5:
-	TESTQ	R8, R8
-	JNE	tail5m
-
-tail5u:
-	TERM
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	ACC(128, Y4, Y10)
-	INCQ	CX
-	JNZ	tail5u
-	JMP	tailstore
-
-tail5m:
-	TERM
-	MASKACC(160)
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	ACC(128, Y4, Y10)
-	INCQ	CX
-	JNZ	tail5m
-	JMP	tailstore
-
-tail6:
-	TESTQ	R8, R8
-	JNE	tail6m
-
-tail6u:
-	TERM
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	ACC(128, Y4, Y10)
-	ACC(160, Y5, Y11)
-	INCQ	CX
-	JNZ	tail6u
-	JMP	tailstore
-
-tail6m:
-	TERM
-	MASKACC(192)
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	ACC(128, Y4, Y10)
-	ACC(160, Y5, Y11)
-	INCQ	CX
-	JNZ	tail6m
-	JMP	tailstore
-
-tail7:
-	TESTQ	R8, R8
-	JNE	tail7m
-
-tail7u:
-	TERM
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	ACC(128, Y4, Y10)
-	ACC(160, Y5, Y11)
-	ACC(192, Y6, Y12)
-	INCQ	CX
-	JNZ	tail7u
-	JMP	tailstore
-
-tail7m:
-	TERM
-	MASKACC(224)
-	ACC(0, Y0, Y10)
-	ACC(32, Y1, Y11)
-	ACC(64, Y2, Y12)
-	ACC(96, Y3, Y14)
-	ACC(128, Y4, Y10)
-	ACC(160, Y5, Y11)
-	ACC(192, Y6, Y12)
-	INCQ	CX
-	JNZ	tail7m
-	JMP	tailstore
-
-tailstore:
-	TESTQ	R8, R8
-	JE	storefull
-	VMASKMOVPD	Y7, Y13, (R13)
-
-storefull:
-	CMPQ	BX, $1
-	JL	rowsdone
-	VMOVUPD	Y0, (DI)
-	CMPQ	BX, $2
-	JL	rowsdone
-	VMOVUPD	Y1, 32(DI)
-	CMPQ	BX, $3
-	JL	rowsdone
-	VMOVUPD	Y2, 64(DI)
-	CMPQ	BX, $4
-	JL	rowsdone
-	VMOVUPD	Y3, 96(DI)
-	CMPQ	BX, $5
-	JL	rowsdone
-	VMOVUPD	Y4, 128(DI)
-	CMPQ	BX, $6
-	JL	rowsdone
-	VMOVUPD	Y5, 160(DI)
-	CMPQ	BX, $7
-	JL	rowsdone
-	VMOVUPD	Y6, 192(DI)
-
-rowsdone:
-	VZEROUPPER
-	RET
+#undef WALK_START
+#undef TERM
+#undef NEXT
 
 // The lane banks' and the trainer's elementwise LSTM passes, 4 lanes per
 // instruction over the whole 4-lane groups of n (the caller finishes

@@ -156,6 +156,40 @@ func BenchmarkTrainBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep times one optimizer step (adam.Step, gradients
+// zeroed) over every parameter of the default-shape LSTM artifact (23
+// features, hidden 24) under the live kernel flags, reporting ns per
+// parameter. Each iteration first copies in the same drawn gradient, as
+// a minibatch writes its own, so the moments stay ordinary numbers
+// rather than decaying into subnormals.
+func BenchmarkAdamStep(b *testing.B) {
+	model, err := NewModel(DefaultModelConfig(23, 12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := model.Params()
+	rng := stats.NewStream(13)
+	grads := make([][]float64, len(params))
+	count := 0
+	for i, p := range params {
+		grads[i] = randVec(len(p.Grad), rng)
+		count += len(p.Grad)
+	}
+	opt := newAdam(1e-3)
+	step := func() {
+		for i, p := range params {
+			copy(p.Grad, grads[i])
+		}
+		opt.Step(params)
+	}
+	step() // allocate the moments
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/param")
+}
+
 // BenchmarkRowKernel times the row kernel alone under the live kernel
 // flags: one accLane (every listed column, onto a running output) of a
 // rows × nnz k-major matrix, reporting ns per term, one column walked

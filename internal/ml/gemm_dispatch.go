@@ -9,12 +9,14 @@ import (
 // Kernel selection (DESIGN.md decisions 11 and 20). The CPU probe makes
 // the choice once, at package init, into two flags:
 //
-//	useRowsAcc   — the rowsAcc row kernel for every matrix product
-//	               (inference and all of the trainer's); otherwise the
-//	               Go loop in accCols. On with AVX2.
-//	useWideGates — the wide sigmoid/tanh kernels and the LSTM's
-//	               elementwise passes, one assembly loop per slice;
-//	               otherwise the Go loops in gates.go. On with AVX2+FMA
+//	useRowsAcc   — the row kernel (rowsAcc, rowsAccStrided) for every
+//	               matrix product (inference and all of the trainer's);
+//	               otherwise the Go loops in accCols and accStrided. On
+//	               with AVX2.
+//	useWideGates — the wide sigmoid/tanh kernels, the LSTM's
+//	               elementwise passes and the trainer's gate-gradient,
+//	               bias-gradient and Adam passes, one assembly loop per
+//	               slice; otherwise their Go loops. On with AVX2+FMA
 //	               when wideGatesMatchScalar agrees.
 //
 // Every combination produces bitwise-identical results: each output

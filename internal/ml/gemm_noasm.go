@@ -25,6 +25,10 @@ func rowsAcc(out *float64, rows int, col *float64, strideB int, x *float64, idx 
 	panic("ml: rowsAcc called without assembly support")
 }
 
+func rowsAccStrided(out *float64, rows int, col *float64, strideB int, x *float64, xStrideB int, n int) {
+	panic("ml: rowsAccStrided called without assembly support")
+}
+
 func addSumWide(dst, a, b *float64, n int) {
 	panic("ml: addSumWide called without assembly support")
 }
@@ -35,4 +39,16 @@ func cellWide(c, f, in, cand *float64, n int) {
 
 func prodWide(dst, a, b *float64, n int) {
 	panic("ml: prodWide called without assembly support")
+}
+
+func lstmGateGradsWide(z, dh, dhIn, dc, ctc, cPrev *float64, h int) {
+	panic("ml: lstmGateGradsWide called without assembly support")
+}
+
+func biasGradWide(grad, dys *float64, strideB, lanes, n int) {
+	panic("ml: biasGradWide called without assembly support")
+}
+
+func adamWide(data, grad, m, v *float64, n int, k *adamCoef) {
+	panic("ml: adamWide called without assembly support")
 }

@@ -51,6 +51,7 @@ type gruBatchState struct {
 	lanes         []int
 	xs, hs        []float64
 	ax, ah, rh, z []float64 // per-lane scratch (3H, 2H, H, H wide)
+	idx           []int     // per-lane input column list (In wide)
 }
 
 // newBatchState returns zeroed state for `lanes` GRU lanes and
@@ -101,6 +102,7 @@ func (g *gru) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, 
 	s.ah = growFloats(s.ah, n*2*H)
 	s.rh = growFloats(s.rh, n*H)
 	s.z = growFloats(s.z, n*H)
+	s.idx = growInts(s.idx, n*g.In)
 	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(n, g.stepCost(), s)
 }
@@ -122,7 +124,7 @@ func (s *gruBatchState) RunRange(lo, hi int) {
 		ah := s.ah[a*2*H : (a+1)*2*H]
 		rh := s.rh[a*H : (a+1)*H]
 		z := s.z[a*H : (a+1)*H]
-		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax)
+		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax, s.idx[a*In:(a+1)*In])
 		s.wh.mulDense(0, hPrev, ah)
 		// Pre-activations hoisted so the sigmoid passes run over
 		// contiguous ranges (4 lanes per instruction when the wide gate

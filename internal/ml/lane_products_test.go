@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -57,10 +58,11 @@ func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, 
 	return m, xs, dys
 }
 
-// checkLaneProducts runs MulLanes, MulLanesT and AddGradLanes on one
-// shape through pool under every kernel setting and requires each output
-// element to equal a scalar reference bit for bit: the dense ascending-k
-// sum for MulLanes (mulLane skips only exact-zero inputs), and for the
+// checkLaneProducts runs MulLanes (as a sparse and as a dense product),
+// MulLanesT and AddGradLanes on one shape through pool under every
+// kernel setting and requires each output element to equal a scalar
+// reference bit for bit: the dense ascending-k sum for MulLanes (both
+// walks skip only exact-zero inputs), and for the
 // backward products the per-vector loops of MulVecT and AddOuterGrad,
 // which skip d = 0. The row range is a random sub-range and MulLanes'
 // output stride is padded by up to 7.
@@ -109,10 +111,12 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 	}
 	for _, kn := range kernelConfigs() {
 		setKernels(t, kn)
-		gotMul := make([]float64, n*outStride)
-		m.MulLanes(r0, r1, xs, n, gotMul, outStride, pool)
-		for a := 0; a < n; a++ {
-			same(kn, "MulLanes", gotMul[a*outStride+r0:a*outStride+r1], wantMul[a*outStride+r0:a*outStride+r1])
+		for _, dense := range []bool{false, true} {
+			gotMul := make([]float64, n*outStride)
+			m.MulLanes(r0, r1, xs, n, gotMul, outStride, dense, pool)
+			for a := 0; a < n; a++ {
+				same(kn, fmt.Sprintf("MulLanes dense=%v", dense), gotMul[a*outStride+r0:a*outStride+r1], wantMul[a*outStride+r0:a*outStride+r1])
+			}
 		}
 		gotT := make([]float64, n*K)
 		for i := range gotT {

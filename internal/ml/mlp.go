@@ -56,6 +56,7 @@ type mlpBatchState struct {
 	// one step's arguments, set by stepBatch before its Range call
 	lanes  []int
 	xs, hs []float64
+	idx    []int // lanes × In·Window scratch: each lane's window column list
 }
 
 // newBatchState returns empty windows for `lanes` lanes and snapshots the
@@ -92,6 +93,7 @@ func (m *windowMLP) stepBatch(st batchState, lanes []int, xs []float64, hs []flo
 		return
 	}
 	s.lanes, s.xs, s.hs = lanes, xs, hs
+	s.idx = growInts(s.idx, len(lanes)*m.In*m.Window)
 	pool.Range(len(lanes), m.stepCost(), s)
 }
 
@@ -105,7 +107,7 @@ func (s *mlpBatchState) RunRange(lo, hi int) {
 		copy(win, win[In:]) // drop the oldest row
 		copy(win[fw-In:], s.xs[a*In:(a+1)*In])
 		hRow := s.hs[a*H : (a+1)*H]
-		s.w.mulLane(0, win, hRow)
+		s.w.mulLane(0, win, hRow, s.idx[a*fw:(a+1)*fw])
 		for j := range hRow {
 			hRow[j] += s.bias[j]
 		}

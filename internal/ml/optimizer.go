@@ -84,8 +84,8 @@ func (st AdamState) validate(params []*Matrix) error {
 // Step applies one update and zeroes gradients.
 func (o *adam) Step(params []*Matrix) {
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	k := o.coef()
+	wide := useWideGates
 	for _, p := range params {
 		m := o.m[p]
 		v := o.v[p]
@@ -95,14 +95,47 @@ func (o *adam) Step(params []*Matrix) {
 			o.m[p] = m
 			o.v[p] = v
 		}
-		for i := range p.Data {
-			g := p.Grad[i]
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			p.Data[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
-			p.Grad[i] = 0
-		}
+		adamLanes(p.Data, p.Grad, m, v, &k, wide)
+	}
+}
+
+// adamCoef is one Adam step's coefficients, in the order adamWide reads
+// them: the moment decays and their complements, the bias corrections,
+// the step size and ε.
+type adamCoef struct {
+	b1, c1, b2, c2, bc1, bc2, lr, eps float64
+}
+
+// coef returns step o.t's coefficients.
+func (o *adam) coef() adamCoef {
+	return adamCoef{
+		b1: o.Beta1, c1: 1 - o.Beta1,
+		b2: o.Beta2, c2: 1 - o.Beta2,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		bc2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr:  o.LR, eps: o.Eps,
+	}
+}
+
+// adamLanes applies one Adam update to every element of data from its
+// gradient and moments, then zeroes the gradient. With wide, the whole
+// 4-lane groups run in one assembly loop (adamWide), each element the
+// loop's operations in order, unfused.
+func adamLanes(data, grad, m, v []float64, k *adamCoef, wide bool) {
+	n := len(data)
+	grad, m, v = grad[:n], m[:n], v[:n]
+	i := 0
+	if wide && n >= 4 {
+		adamWide(&data[0], &grad[0], &m[0], &v[0], n, k)
+		i = n &^ 3
+	}
+	for ; i < n; i++ {
+		g := grad[i]
+		m[i] = k.b1*m[i] + k.c1*g
+		v[i] = k.b2*v[i] + k.c2*g*g
+		mh := m[i] / k.bc1
+		vh := v[i] / k.bc2
+		data[i] -= k.lr * mh / (math.Sqrt(vh) + k.eps)
+		grad[i] = 0
 	}
 }

@@ -5,33 +5,42 @@ package ml
 // N=32 (warm_n32's size) a round steps 13.3 lanes on average in one lane
 // group and 7.4 in each of two (decision 29), so it vectorizes across
 // output rows, not lanes, and a step costs the same at any round width.
-// The minibatch trainer's three products (batch.go) are the same
+// The minibatch trainer's products (batch.go) are the same
 // column-by-column accumulation: the forward product over its weights
 // packed once per minibatch, the two backward products over views that
 // need no packing. Those backward products write 23 or 24 outputs (a
-// weight-gradient row is In or H wide; Whᵀ·dz has H rows), which
-// rowsAcc's tail takes in one walk of the term list with every row in
-// its own accumulator, so no narrow block is left bound by a single add
+// weight-gradient row is In or H wide; Whᵀ·dz has H rows), which the
+// kernel's tail takes in one walk of the terms with every row in its
+// own accumulator, so no narrow block is left bound by a single add
 // chain.
 //
 // Exactness. Each output element is the same ascending-k chain of
 // multiply-then-add as dot, just advanced for all rows at once: for
-// every k, out[r] += W[r][k]·x[k]. mulLane skips the k whose x[k] is an
-// exact zero (one-hot feature blocks, zero initial state). That is
-// bitwise exact because the accumulator starts at +0 and never becomes
-// -0 (+0 + -0 = +0), so adding a finite w·±0 = ±0 never changes it —
-// which is why an artifact with a non-finite weight is refused before
-// it reaches inference (Model.CheckFinite): Inf·0 is NaN, not a no-op.
-// mulDense (DESIGN.md decision 35) takes every term, as dot does, for
-// the lane banks' recurrent products W·hPrev: hPrev is dense (exactly
-// zero only on a fresh lane), so building mulLane's skip list per column
-// is waste — a 96×24 product cost 400–420 ns through mulLane against
-// 264 ns for rowsAcc alone. By the argument above the two are bitwise
-// equal on finite weights, and on any other weights mulDense is still
-// dot's chain. The trainer's Mᵀ·dy keeps mulLane's skip set: it is
-// MulVecT's, and the trainer's weights are not checked. accLane
-// continues a chain from a caller's starting value, which may be -0, so
-// it takes every term.
+// every k, out[r] += W[r][k]·x[k]. Two walks skip the k whose x[k] is
+// an exact zero, and one takes every term. Skipping is bitwise exact
+// from a +0 start because the accumulator never becomes -0 (+0 + -0 =
+// +0), so adding a finite w·±0 = ±0 never changes it — which is why an
+// artifact with a non-finite weight is refused before it reaches
+// inference (Model.CheckFinite): Inf·0 is NaN, not a no-op.
+//
+//   - mulLane lists the non-zero columns into its caller's scratch, then
+//     walks the list: the sparse inputs x (one-hot feature blocks), where
+//     a branch per column would mispredict.
+//   - accStrided walks every column of an input read with a stride and
+//     passes each exact zero by with one test: the trainer's dense
+//     inputs — the recurrent state h, the gate gradients dz a lane at a
+//     time (Mᵀ·dy) and one gate row across the lanes (the weight
+//     gradient) — where zeros are rare and a list would cost more than
+//     it saves (DESIGN.md decision 38). Its skip set is MulVecT's and
+//     AddOuterGrad's, so the trainer's products are theirs for every
+//     weight, finite or not.
+//   - mulDense (decision 35) takes every term, as dot does, for the lane
+//     banks' recurrent products W·hPrev. By the argument above it
+//     equals mulLane bit for bit on finite weights, and on any other
+//     weights it is still dot's chain.
+//
+// accLane continues a chain from a caller's starting value, which may
+// be -0, so it takes every term.
 
 // packedRows is a matrix stored k-major for the row kernel:
 // t[k*rows + r] = W[r][k], so column k of W is one contiguous run. A
@@ -69,10 +78,24 @@ func (p *packedRows) pack(m *Matrix) {
 }
 
 // mulLane sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out)),
-// bitwise, skipping exact-zero inputs.
-func (p *packedRows) mulLane(r0 int, x, out []float64) {
+// bitwise, skipping exact-zero inputs. idx is scratch for the column
+// list, at least len(x) long.
+func (p *packedRows) mulLane(r0 int, x, out []float64, idx []int) {
 	zeroRange(out)
-	p.accumulate(r0, x, out, true)
+	if len(out) == 0 {
+		return
+	}
+	idx = idx[:len(x)]
+	nnz := 0
+	for k, v := range x {
+		idx[nnz] = k
+		if v != 0 {
+			nnz++
+		}
+	}
+	if nnz > 0 {
+		p.accCols(r0, x, idx[:nnz], out)
+	}
 }
 
 // mulDense sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out))
@@ -80,38 +103,14 @@ func (p *packedRows) mulLane(r0 int, x, out []float64) {
 // recurrent state, where mulLane's zero-skip list is pure overhead.
 func (p *packedRows) mulDense(r0 int, x, out []float64) {
 	zeroRange(out)
-	p.accumulate(r0, x, out, false)
+	p.accLane(r0, x, out)
 }
 
 // accLane sets out[i] = dotAcc(out[i], W.row(r0+i), x) for i in
 // [0, len(out)), bitwise. No term is skipped: out[i] may start at -0.
 func (p *packedRows) accLane(r0 int, x, out []float64) {
-	p.accumulate(r0, x, out, false)
-}
-
-// accumulate adds x[k]·column k onto out for ascending k: every k for
-// accLane and mulDense, the non-zero ones — gathered without a branch
-// per column — for mulLane.
-func (p *packedRows) accumulate(r0 int, x, out []float64, skipZeros bool) {
-	if len(out) == 0 || len(x) == 0 {
-		return
-	}
-	if !skipZeros {
+	if len(out) > 0 && len(x) > 0 {
 		p.accCols(r0, x, p.all[:len(x)], out)
-		return
-	}
-	var idx [64]int
-	for k0 := 0; k0 < len(x); k0 += len(idx) {
-		nnz := 0
-		for k := k0; k < min(k0+len(idx), len(x)); k++ {
-			idx[nnz] = k
-			if x[k] != 0 {
-				nnz++
-			}
-		}
-		if nnz > 0 {
-			p.accCols(r0, x, idx[:nnz], out)
-		}
 	}
 }
 
@@ -129,6 +128,34 @@ func (p *packedRows) accCols(r0 int, x []float64, cols []int, out []float64) {
 	for _, k := range cols {
 		v := x[k]
 		col := p.t[k*R+r0 : k*R+r0+n]
+		o := out[:len(col)]
+		for i, w := range col {
+			o[i] += w * v
+		}
+	}
+}
+
+// accStrided adds v·column k onto out[i], out[i] = W[r0+i][k], for
+// k = 0, 1, …, n-1 in turn, with v = x[k*xStride], passing by each k
+// whose v is an exact zero. With useRowsAcc rowsAccStrided walks the
+// columns; otherwise a Go loop does the same elementwise updates.
+func (p *packedRows) accStrided(r0 int, x []float64, xStride, n int, out []float64) {
+	R, rows := p.rows, len(out)
+	if rows == 0 || n == 0 {
+		return
+	}
+	_ = x[(n-1)*xStride]
+	_ = p.t[(n-1)*R+r0+rows-1] // the last element rowsAccStrided may read
+	if useRowsAcc {
+		rowsAccStrided(&out[0], rows, &p.t[r0], R*8, &x[0], xStride*8, n)
+		return
+	}
+	for k := 0; k < n; k++ {
+		v := x[k*xStride]
+		if v == 0 {
+			continue
+		}
+		col := p.t[k*R+r0 : k*R+r0+rows]
 		o := out[:len(col)]
 		for i, w := range col {
 			o[i] += w * v

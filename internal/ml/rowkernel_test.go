@@ -36,12 +36,14 @@ func rowKernelValue(s *stats.Stream, density float64) float64 {
 const rowKernelGuard = 4
 
 // checkRowKernel runs the row kernel over n lanes through pool, all
-// three forms (mulLane from +0 with zero-skip, mulDense from +0 taking
-// every term, accLane from per-element starts that include -0), under
+// four forms (mulLane from +0 with zero-skip, mulDense from +0 taking
+// every term, accLane from per-element starts that include -0, and
+// accStrided from the same starts over the input read with a drawn
+// stride of 1-3, NaN between its elements, passing its zeros by), under
 // every kernel setting the CPU can run (kernelConfigs), and requires
-// each element to equal the per-(lane, row) dot / dotAcc bit for bit.
-// The product covers w rows at a drawn offset of a matrix with up to
-// four more. Each lane's
+// each element to equal the per-(lane, row) dot / dotAcc / dotAccSkip
+// bit for bit. The product covers w rows at a drawn offset of a matrix
+// with up to four more. Each lane's
 // output is followed by rowKernelGuard NaN sentinels that must survive,
 // and a chunk runs its lanes in descending order, so a store past a
 // lane's rows is not hidden by the next lane's write.
@@ -74,18 +76,29 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 			starts[i] = rowKernelValue(s, 0.5)
 		}
 	}
+	xStride := 1 + s.Intn(3)
+	strided := make([]float64, n*K*xStride)
+	for i := range strided {
+		strided[i] = math.NaN()
+		if i%xStride == 0 {
+			strided[i] = xs[i/xStride]
+		}
+	}
+	idx := make([]int, n*K)
 	p := packRows(m)
 	for _, kn := range kernelConfigs() {
 		setKernels(t, kn)
 		mul := append([]float64(nil), starts...)
 		dense := append([]float64(nil), starts...)
 		acc := append([]float64(nil), starts...)
+		skip := append([]float64(nil), starts...)
 		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
 			for a := hi - 1; a >= lo; a-- {
 				x := xs[a*K : (a+1)*K]
-				p.mulLane(r0, x, mul[a*ws:a*ws+w])
+				p.mulLane(r0, x, mul[a*ws:a*ws+w], idx[a*K:(a+1)*K])
 				p.mulDense(r0, x, dense[a*ws:a*ws+w])
 				p.accLane(r0, x, acc[a*ws:a*ws+w])
+				p.accStrided(r0, strided[a*K*xStride:], xStride, K, skip[a*ws:a*ws+w])
 			}
 		}))
 		for a := 0; a < n; a++ {
@@ -104,12 +117,16 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accLane lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
+				if got, want := skip[a*ws+i], dotAccSkip(starts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f stride %d: accStrided lane %d row %d = %v (%#x), dotAccSkip = %v (%#x)",
+						kn, rows, K, r0, r1, n, density, xStride, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
 			}
 			for i := w; i < ws; i++ {
 				for _, out := range []struct {
 					form string
 					v    []float64
-				}{{"mulLane", mul}, {"mulDense", dense}, {"accLane", acc}} {
+				}{{"mulLane", mul}, {"mulDense", dense}, {"accLane", acc}, {"accStrided", skip}} {
 					if got := math.Float64bits(out.v[a*ws+i]); got != math.Float64bits(sentinel) {
 						t.Fatalf("%s %dx%d rows [%d,%d) n=%d: %s lane %d wrote %#x %d slots past its last row",
 							kn, rows, K, r0, r1, n, out.form, a, got, i-w+1)
@@ -118,6 +135,17 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 			}
 		}
 	}
+}
+
+// dotAccSkip is dotAcc over the terms whose b[k] is not an exact zero:
+// accStrided's chain (MulVecT's and AddOuterGrad's skip set).
+func dotAccSkip(acc float64, a, b []float64) float64 {
+	for k, v := range b {
+		if v != 0 {
+			acc += a[k] * v
+		}
+	}
+	return acc
 }
 
 // TestRowKernelMatchesDot sweeps every product width from 1 to 40 rows
@@ -149,8 +177,8 @@ func TestRowKernelMatchesDot(t *testing.T) {
 	}
 }
 
-// FuzzRowKernel: a product of 1-128 rows over 1-256 columns (past 64,
-// mulLane gathers columns 64 at a time) for 1-40 lanes.
+// FuzzRowKernel: a product of 1-128 rows over 1-256 columns for 1-40
+// lanes.
 func FuzzRowKernel(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(96), uint8(23), uint8(13), uint8(80), int64(2))
@@ -199,7 +227,7 @@ func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
 			for hi, h := range hs {
 				want := make([]float64, w)
 				got := make([]float64, w)
-				p.mulLane(0, h, want)
+				p.mulLane(0, h, want, make([]int, H))
 				p.mulDense(0, h, got)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -232,10 +260,10 @@ func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
 		t.Fatalf("dot = %v, want NaN (Inf·0)", d)
 	}
 	out := make([]float64, lanes*4)
-	m.MulLanes(0, 4, xs, lanes, out, 4, NewPool(1))
+	m.MulLanes(0, 4, xs, lanes, out, 4, false, NewPool(1))
 	p := packRows(m)
 	row := make([]float64, 4)
-	p.mulLane(0, xs[:cols], row)
+	p.mulLane(0, xs[:cols], row, make([]int, cols))
 	if out[0] != 0.1 || row[0] != 0.1 {
 		t.Fatalf("zero-skipping products = %v, %v; want 0.1 (the Inf·0 term skipped)", out[0], row[0])
 	}

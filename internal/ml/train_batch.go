@@ -385,8 +385,8 @@ func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
 	copy(t.cx[t.slot*n*In:(t.slot+1)*n*In], xs[:n*In])
 	copy(t.chPrev[t.slot*n*H:(t.slot+1)*n*H], t.h[:n*H])
 	copy(t.ccPrev[t.slot*n*H:(t.slot+1)*n*H], t.c[:n*H])
-	t.gemm.mulLanes(l.Wx, &t.wx, 0, 4*H, xs, n, t.zx, 4*H, t.pool)
-	t.gemm.mulLanes(l.Wh, &t.wh, 0, 4*H, t.h, n, t.zh, 4*H, t.pool)
+	t.gemm.mulLanes(l.Wx, &t.wx, 0, 4*H, xs, n, t.zx, 4*H, false, t.pool)
+	t.gemm.mulLanes(l.Wh, &t.wh, 0, 4*H, t.h, n, t.zh, 4*H, true, t.pool)
 	t.pool.Range(n, 5*H*gateMulAdds, lstmGates{t})
 	copy(t.h[:n*H], hs[:n*H])
 }
@@ -431,7 +431,8 @@ func (t *lstmTrainLayer) backward(st, n int, dhIn, dx []float64) {
 
 // backwardStep turns step st's gate activations into its dz, in place,
 // and carries the gradient through the weights: into dx unless it is
-// nil, and into dh for step st-1.
+// nil, and into dh for step st-1. Step 0 has no step before it (begin
+// zeroes dh for the next minibatch), so it carries nothing.
 func (t *lstmTrainLayer) backwardStep(st, n int, dhIn, dx []float64) {
 	l := t.l
 	H := l.Hidden
@@ -441,8 +442,10 @@ func (t *lstmTrainLayer) backwardStep(st, n int, dhIn, dx []float64) {
 	if dx != nil {
 		t.gemm.mulLanesT(l.Wx, 0, 4*H, dz, 4*H, n, dx, t.pool)
 	}
-	// dh was consumed above; overwrite it with the carry for step st-1.
-	t.gemm.mulLanesT(l.Wh, 0, 4*H, dz, 4*H, n, t.dh, t.pool)
+	if st > 0 {
+		// dh was consumed above; overwrite it with the carry for step st-1.
+		t.gemm.mulLanesT(l.Wh, 0, 4*H, dz, 4*H, n, t.dh, t.pool)
+	}
 }
 
 // addWeightGrads accumulates the weight and bias gradients of the whole
@@ -468,29 +471,16 @@ func (t *lstmTrainLayer) addWeightGrads() {
 type lstmGateGrads struct{ *lstmTrainLayer }
 
 func (t lstmGateGrads) RunRange(lo, hi int) {
-	H, dhIn := t.l.Hidden, t.dhIn
+	H, wide := t.l.Hidden, useWideGates
 	base := t.slot * t.n
 	for a := lo; a < hi; a++ {
-		z := t.gates[(base+a)*4*H : (base+a+1)*4*H]
-		for j := 0; j < H; j++ {
-			k := (base+a)*H + j
-			dhv := t.dh[a*H+j]
-			if dhIn != nil {
-				dhv += dhIn[a*H+j]
-			}
-			// h = o·tanh(c), c = f·cPrev + i·g.
-			i_, f_, g_, o_, tc := z[j], z[H+j], z[2*H+j], z[3*H+j], t.ctc[k]
-			do := dhv * tc
-			dcTotal := t.dc[a*H+j] + dhv*o_*dTanh(tc)
-			di := dcTotal * g_
-			df := dcTotal * t.ccPrev[k]
-			dg := dcTotal * i_
-			z[j] = di * dSigmoid(i_)
-			z[H+j] = df * dSigmoid(f_)
-			z[2*H+j] = dg * dTanh(g_)
-			z[3*H+j] = do * dSigmoid(o_)
-			t.dc[a*H+j] = dcTotal * f_
+		var dhIn []float64
+		if t.dhIn != nil {
+			dhIn = t.dhIn[a*H : (a+1)*H]
 		}
+		k := (base + a) * H
+		lstmGateGradLanes(t.gates[4*k:4*(k+H)], t.dh[a*H:(a+1)*H], dhIn,
+			t.dc[a*H:(a+1)*H], t.ctc[k:k+H], t.ccPrev[k:k+H], wide)
 	}
 }
 
@@ -549,11 +539,11 @@ func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
 	copy(t.cx[st*n*In:(st+1)*n*In], xs[:n*In])
 	t.base, t.hs = st*n*H, hs
 	copy(t.chPrev[t.base:t.base+n*H], t.h[:n*H])
-	t.gemm.mulLanes(g.Wx, &t.wx, 0, 3*H, xs, n, t.ax, 3*H, t.pool)
-	t.gemm.mulLanes(g.Wh, &t.wh, 0, 2*H, t.h, n, t.ac, 3*H, t.pool)
+	t.gemm.mulLanes(g.Wx, &t.wx, 0, 3*H, xs, n, t.ax, 3*H, false, t.pool)
+	t.gemm.mulLanes(g.Wh, &t.wh, 0, 2*H, t.h, n, t.ac, 3*H, true, t.pool)
 	t.pool.Range(n, 2*H*gateMulAdds, gruGates{t})
 	// Candidate recurrent pre-activation over r⊙h (must follow r).
-	t.gemm.mulLanes(g.Wh, &t.wh, 2*H, 3*H, t.crh[t.base:t.base+n*H], n, t.ac, 3*H, t.pool)
+	t.gemm.mulLanes(g.Wh, &t.wh, 2*H, 3*H, t.crh[t.base:t.base+n*H], n, t.ac, 3*H, true, t.pool)
 	t.pool.Range(n, H*gateMulAdds, gruCandidate{t})
 	copy(t.h[:n*H], hs[:n*H])
 }
@@ -621,9 +611,11 @@ func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
 	t.gemm.addGradLanes(g.Wh, 0, 2*H, t.da, 3*H, n, t.chPrev[t.base:t.base+n*H], t.pool)
 	t.gemm.addGradLanes(g.Wh, 2*H, 3*H, t.da, 3*H, n, t.crh[t.base:t.base+n*H], t.pool)
 	addBiasGradLanes(g.B, 0, 3*H, t.da, 3*H, n)
-	t.gemm.mulLanesT(g.Wh, 0, 2*H, t.da, 3*H, n, t.scr, t.pool)
-	for i, v := range t.dhAcc[:n*H] {
-		t.dh[i] = v + t.scr[i] // the carry to step st-1
+	if st > 0 { // step 0 has no step before it to carry to
+		t.gemm.mulLanesT(g.Wh, 0, 2*H, t.da, 3*H, n, t.scr, t.pool)
+		for i, v := range t.dhAcc[:n*H] {
+			t.dh[i] = v + t.scr[i] // the carry to step st-1
+		}
 	}
 	if dx != nil {
 		t.gemm.mulLanesT(g.Wx, 0, 3*H, t.da, 3*H, n, dx, t.pool)
@@ -714,7 +706,7 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 	if st != t.steps-1 {
 		return
 	}
-	t.gemm.mulLanes(t.m.W, &t.w, 0, H, t.flat, n, t.h, H, t.pool)
+	t.gemm.mulLanes(t.m.W, &t.w, 0, H, t.flat, n, t.h, H, false, t.pool)
 	t.hs = hs
 	t.pool.Range(n, H*gateMulAdds, mlpActivate{t})
 }

@@ -77,13 +77,29 @@ func RestoreStream(st StreamState) *Stream {
 
 // Derive returns a child stream whose seed combines the parent seed space
 // with the given label, so component streams are stable as code evolves.
+// It consumes one draw of s.
 func (s *Stream) Derive(label string) *Stream {
+	return Parent(s.rng.Int63()).Derive(label)
+}
+
+// Parent is the draw a fresh stream's Derive takes: NewParent(seed)
+// holds the first value of NewStream(seed), and Parent.Derive(label) is
+// NewStream(seed).Derive(label), bit for bit. A component that derives
+// many children of one seed draws that value once, instead of seeding a
+// whole source per child only to read its first value.
+type Parent int64
+
+// NewParent returns the first draw of NewStream(seed).
+func NewParent(seed int64) Parent { return Parent(NewStream(seed).rng.Int63()) }
+
+// Derive returns the child stream labelled label.
+func (p Parent) Derive(label string) *Stream {
 	h := int64(1469598103934665603) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= int64(label[i])
 		h *= 1099511628211
 	}
-	return NewStream(h ^ s.rng.Int63())
+	return NewStream(h ^ int64(p))
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -30,6 +30,32 @@ func TestDeriveIsStableAndIndependent(t *testing.T) {
 	}
 }
 
+// TestParentDeriveMatchesStreamDerive pins Parent.Derive to the
+// stream it replaces: for every seed and label in the table, the child
+// of NewParent(seed) starts where NewStream(seed).Derive(label) does —
+// the same seed and the same first draws — however many children one
+// Parent derives, in whatever order.
+func TestParentDeriveMatchesStreamDerive(t *testing.T) {
+	labels := []string{"", "mimic-0-ingress", "mimic-31-egress", "feeder-7-ingress",
+		"feeder-63-egress", "host-12", "coflow", "µ-label"}
+	for _, seed := range []int64{0, 1, 7, -3, 1 << 40, math.MaxInt64, math.MinInt64} {
+		p := NewParent(seed)
+		for i := range labels {
+			label := labels[len(labels)-1-i] // derive out of table order
+			want := NewStream(seed).Derive(label)
+			got := p.Derive(label)
+			if got.State() != want.State() {
+				t.Fatalf("seed %d label %q: Parent child state %+v, Stream.Derive %+v", seed, label, got.State(), want.State())
+			}
+			for d := 0; d < 4; d++ {
+				if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("seed %d label %q draw %d: %v, want %v", seed, label, d, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestExponentialMean(t *testing.T) {
 	d := Exponential{MeanVal: 3.5}
 	s := NewStream(1)
