@@ -126,12 +126,13 @@ bench-all:
 # One iteration of every figure/table/ablation benchmark plus the ml
 # micro-benchmarks (kernel families, pool break-even, per-lane inference
 # step cost, per-element gate cost, per-term row-kernel cost, per-sample
-# training step cost, per-parameter optimizer step cost; ~3-4 min): a crash-and-wiring canary, not a measurement — speed is
+# training step cost, per-parameter optimizer step cost, per-product
+# input-walk cost; ~3-4 min): a crash-and-wiring canary, not a measurement — speed is
 # measured by bench/ (BENCHMARK.json).
 # Tables land in bench_output.txt to keep CI logs readable.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x . > bench_output.txt
-	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven|BenchmarkStepLanes|BenchmarkGateKernels|BenchmarkRowKernel|BenchmarkTrainBatch|BenchmarkAdamStep' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
+	$(GO) test -run xxx -bench 'BenchmarkGemmKernels|BenchmarkPoolBreakEven|BenchmarkStepLanes|BenchmarkGateKernels|BenchmarkRowKernel|BenchmarkTrainBatch|BenchmarkAdamStep|BenchmarkInputWalk' -benchtime 1x ./internal/ml >> bench_output.txt 2>&1
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzKernelOrder -fuzztime 30s ./internal/sim

@@ -4,7 +4,8 @@ import "math"
 
 // Slice wrappers around the wide gate kernels. Callers pass
 // useWideGates as wide (wideGatesMatchScalar passes true, before the
-// flag is set). When wide is false (or for ragged tails) they are the
+// flag is set); the trainer's lstmGateGradLanes, which that probe never
+// runs, reads the flag itself. When wide is false (or for ragged tails) they are the
 // scalar loops, which compute the same bits. With wide, one kernel call covers every whole 4-lane group
 // of the slice (DESIGN.md decision 35): a Go call per group cost about
 // as much as the group's arithmetic and kept one group's exp chain from
@@ -107,16 +108,16 @@ func prodLanes(dst, a, b []float64, wide bool) {
 // gradients in place; dh, plus dhIn unless it is nil, is the gradient
 // at h = o·tanh(c); dc is the cell carry, updated in place; ctc =
 // tanh(c) and cPrev are the step's cached cell states. Element j of
-// each quarter is read before it is written. With wide, the whole
-// 4-lane groups run in one assembly loop (lstmGateGradsWide).
-func lstmGateGradLanes(z, dh, dhIn, dc, ctc, cPrev []float64, wide bool) {
+// each quarter is read before it is written. Under useWideGates the
+// whole 4-lane groups run in one assembly loop (lstmGateGradsWide).
+func lstmGateGradLanes(z, dh, dhIn, dc, ctc, cPrev []float64) {
 	H := len(dh)
 	z, dc, ctc, cPrev = z[:4*H], dc[:H], ctc[:H], cPrev[:H]
 	if dhIn != nil {
 		dhIn = dhIn[:H]
 	}
 	j := 0
-	if wide && H >= 4 {
+	if useWideGates && H >= 4 {
 		var in *float64 // nil: no dhIn
 		if dhIn != nil {
 			in = &dhIn[0]

@@ -190,6 +190,48 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/param")
 }
 
+// BenchmarkInputWalk times the two zero-skipping walks of one lane's
+// input product W·x over 4096 distinct mostly-zero inputs (sparseVec)
+// taken in turn, so that no branch predictor learns their zero pattern,
+// as it learns BenchmarkStepLanes' one fixed input per lane: "list" is
+// mulLane (the non-zero columns listed first, then the row kernel over
+// the list), "strided" is accStrided at stride 1 (every column walked,
+// each zero passed by with a branch). The shapes are the default
+// artifact's input products: the LSTM's Wx (96 × 23), the GRU's
+// (72 × 23) and the MLP's window (24 × 276). DESIGN.md decision 38 has
+// the table behind keeping both walks.
+func BenchmarkInputWalk(b *testing.B) {
+	const inputs = 4096
+	for _, sh := range []struct{ rows, cols int }{{96, 23}, {72, 23}, {24, 23 * 12}} {
+		rng := stats.NewStream(int64(sh.rows*1000 + sh.cols))
+		m := newMatrix(sh.rows, sh.cols)
+		for i := range m.Data {
+			m.Data[i] = 2*rng.Float64() - 1
+		}
+		p := packRows(m)
+		xs := make([]float64, 0, inputs*sh.cols)
+		for i := 0; i < inputs; i++ {
+			xs = append(xs, sparseVec(sh.cols, rng)...)
+		}
+		out := make([]float64, sh.rows)
+		idx := make([]int, sh.cols)
+		for _, walk := range []string{"list", "strided"} {
+			b.Run(fmt.Sprintf("rows=%d/cols=%d/%s", sh.rows, sh.cols, walk), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					j := i % inputs
+					x := xs[j*sh.cols : (j+1)*sh.cols]
+					if walk == "list" {
+						p.mulLane(0, x, out, idx)
+					} else {
+						zeroRange(out)
+						p.accStrided(0, x, 1, sh.cols, out)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkRowKernel times the row kernel alone under the live kernel
 // flags: one accLane (every listed column, onto a running output) of a
 // rows × nnz k-major matrix, reporting ns per term, one column walked

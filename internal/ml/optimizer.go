@@ -85,7 +85,6 @@ func (st AdamState) validate(params []*Matrix) error {
 func (o *adam) Step(params []*Matrix) {
 	o.t++
 	k := o.coef()
-	wide := useWideGates
 	for _, p := range params {
 		m := o.m[p]
 		v := o.v[p]
@@ -95,7 +94,7 @@ func (o *adam) Step(params []*Matrix) {
 			o.m[p] = m
 			o.v[p] = v
 		}
-		adamLanes(p.Data, p.Grad, m, v, &k, wide)
+		adamLanes(p.Data, p.Grad, m, v, &k)
 	}
 }
 
@@ -118,14 +117,14 @@ func (o *adam) coef() adamCoef {
 }
 
 // adamLanes applies one Adam update to every element of data from its
-// gradient and moments, then zeroes the gradient. With wide, the whole
-// 4-lane groups run in one assembly loop (adamWide), each element the
-// loop's operations in order, unfused.
-func adamLanes(data, grad, m, v []float64, k *adamCoef, wide bool) {
+// gradient and moments, then zeroes the gradient. Under useWideGates
+// the whole 4-lane groups run in one assembly loop (adamWide), each
+// element the loop's operations in order, unfused.
+func adamLanes(data, grad, m, v []float64, k *adamCoef) {
 	n := len(data)
 	grad, m, v = grad[:n], m[:n], v[:n]
 	i := 0
-	if wide && n >= 4 {
+	if useWideGates && n >= 4 {
 		adamWide(&data[0], &grad[0], &m[0], &v[0], n, k)
 		i = n &^ 3
 	}

@@ -471,7 +471,7 @@ func (t *lstmTrainLayer) addWeightGrads() {
 type lstmGateGrads struct{ *lstmTrainLayer }
 
 func (t lstmGateGrads) RunRange(lo, hi int) {
-	H, wide := t.l.Hidden, useWideGates
+	H := t.l.Hidden
 	base := t.slot * t.n
 	for a := lo; a < hi; a++ {
 		var dhIn []float64
@@ -480,7 +480,7 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 		}
 		k := (base + a) * H
 		lstmGateGradLanes(t.gates[4*k:4*(k+H)], t.dh[a*H:(a+1)*H], dhIn,
-			t.dc[a*H:(a+1)*H], t.ctc[k:k+H], t.ccPrev[k:k+H], wide)
+			t.dc[a*H:(a+1)*H], t.ctc[k:k+H], t.ccPrev[k:k+H])
 	}
 }
 

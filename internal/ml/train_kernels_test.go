@@ -62,9 +62,9 @@ func checkTrainSlices(t testing.TB, what string, n int, got, want []float64) {
 // clone copies v.
 func clone(v []float64) []float64 { return append([]float64(nil), v...) }
 
-// checkTrainPasses compares the trainer's elementwise passes, as the
-// live kernel flags run them, with their Go loops at width n, under
-// every kernel setting (kernelConfigs): lstmGateGradLanes with and
+// checkTrainPasses compares the trainer's elementwise passes, as each
+// kernel setting (kernelConfigs) runs them, with their Go loops (the
+// setting with every kernel off) at width n: lstmGateGradLanes with and
 // without dhIn, addBiasGradLanes over 1-5 lanes into a row range that
 // starts past row 0 of its matrix, and adamLanes over five steps, with
 // data, moments and gradient compared after each. Operands come from
@@ -105,20 +105,42 @@ func checkTrainPasses(t testing.TB, n int, draw func() float64, s *stats.Stream)
 	}
 	opt := newAdam(1e-3 * (1 + s.Float64()))
 
+	// gateGrads runs lstmGateGradLanes under the live flags, without and
+	// with dhIn, and returns each run's z and dc.
+	gateGrads := func() (zs, dcs [2][]float64) {
+		for i, in := range [][]float64{nil, dhIn[:H]} {
+			zs[i], dcs[i] = clone(z), clone(dc)
+			lstmGateGradLanes(zs[i][:4*H], dh[:H], in, dcs[i][:H], ctc[:H], cPrev[:H])
+		}
+		return zs, dcs
+	}
+	// adamSteps runs the five adamLanes steps under the live flags and
+	// returns data, m, v and the gradient after each.
+	adamSteps := func() (out [][4][]float64) {
+		d, m, v := clone(data), clone(m), clone(v)
+		for step, g := range grads {
+			opt.t = step + 1
+			k := opt.coef()
+			g = clone(g)
+			adamLanes(d[:n], g[:n], m[:n], v[:n], &k)
+			out = append(out, [4][]float64{clone(d), clone(m), clone(v), g})
+		}
+		return out
+	}
+	setKernels(t, kernelConfig{})
+	wantZ, wantDC := gateGrads()
+	wantAdam := adamSteps()
+
 	for _, kn := range kernelConfigs() {
 		setKernels(t, kn)
-		wide := useWideGates
-		for _, in := range [][]float64{nil, dhIn[:H]} {
-			gz, gdc := clone(z), clone(dc)
-			wz, wdc := clone(z), clone(dc)
-			lstmGateGradLanes(gz[:4*H], dh[:H], in, gdc[:H], ctc[:H], cPrev[:H], wide)
-			lstmGateGradLanes(wz[:4*H], dh[:H], in, wdc[:H], ctc[:H], cPrev[:H], false)
+		gotZ, gotDC := gateGrads()
+		for i := range gotZ {
 			what := kn.String() + " lstmGateGradLanes"
-			if in != nil {
+			if i == 1 {
 				what += " with dhIn"
 			}
-			checkTrainSlices(t, what+" z", 4*H, gz, wz)
-			checkTrainSlices(t, what+" dc", H, gdc, wdc)
+			checkTrainSlices(t, what+" z", 4*H, gotZ[i], wantZ[i])
+			checkTrainSlices(t, what+" dc", H, gotDC[i], wantDC[i])
 		}
 
 		got := newMatrix(len(bias.Grad), 1)
@@ -131,19 +153,11 @@ func checkTrainPasses(t testing.TB, n int, draw func() float64, s *stats.Stream)
 		}
 		checkTrainSlices(t, kn.String()+" addBiasGradLanes", n, got.Grad[r0:], wantBias[r0:])
 
-		gd, gm, gv := clone(data), clone(m), clone(v)
-		wd, wm, wv := clone(data), clone(m), clone(v)
-		for step, g := range grads {
-			opt.t = step + 1
-			k := opt.coef()
-			gg, wg := clone(g), clone(g)
-			adamLanes(gd[:n], gg[:n], gm[:n], gv[:n], &k, wide)
-			adamLanes(wd[:n], wg[:n], wm[:n], wv[:n], &k, false)
+		for step, gotStep := range adamSteps() {
 			what := fmt.Sprintf("%s adamLanes step %d", kn, step+1)
-			checkTrainSlices(t, what+" data", n, gd, wd)
-			checkTrainSlices(t, what+" m", n, gm, wm)
-			checkTrainSlices(t, what+" v", n, gv, wv)
-			checkTrainSlices(t, what+" grad", n, gg, wg)
+			for j, name := range []string{"data", "m", "v", "grad"} {
+				checkTrainSlices(t, what+" "+name, n, gotStep[j], wantAdam[step][j])
+			}
 		}
 	}
 }
