@@ -150,9 +150,9 @@ fuzz:
 # rather than waiting for the next `make fuzz`; FuzzGateKernels, the
 # wide sigmoid/tanh kernels against the scalar functions; FuzzRowKernel,
 # the row kernel's 16-row passes and masked tail against dot, with
-# sentinels past every lane's rows; FuzzLaneProducts, the trainer's
-# three lane products (sparse and dense forward, Mᵀ·dy, the weight
-# gradient) against their scalar loops; and FuzzTrainPasses, the
+# sentinels past every lane's rows; FuzzLaneProducts, the cell steps'
+# two forward walks per lane (listed and strided) and the trainer's
+# Mᵀ·dy and weight gradient against their scalar loops; and FuzzTrainPasses, the
 # trainer's wide gate-gradient, bias-gradient and Adam passes against
 # their Go loops, with sentinels past every output. Each leg runs
 # its instrumented test binary on a fresh corpus directory: on the shared

@@ -65,10 +65,6 @@ type JournalOptions struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// exceeds this size (default 4 MiB).
 	SegmentBytes int64
-	// MaxRecordBytes bounds a single record (default 16 MiB); larger
-	// appends fail and larger lengths in a frame are treated as
-	// corruption during replay.
-	MaxRecordBytes int
 }
 
 func (o JournalOptions) withDefaults() JournalOptions {
@@ -78,13 +74,13 @@ func (o JournalOptions) withDefaults() JournalOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
-	}
 	return o
 }
 
 const (
+	// maxRecordBytes bounds a single record: larger appends fail, and a
+	// larger length in a frame is treated as corruption during replay.
+	maxRecordBytes = 16 << 20
 	frameHeaderLen = 4 + 4 + 8 // length, crc, seq
 	segPrefix      = "wal-"
 	segSuffix      = ".log"
@@ -151,7 +147,7 @@ func OpenJournal(dir string, opt JournalOptions) (_ *Journal, _ *RecoveryInfo, e
 	lastSeq := info.SnapshotSeq
 	first := true
 	for _, seg := range segs {
-		recs, torn := readSegment(filepath.Join(dir, seg), opt.MaxRecordBytes)
+		recs, torn := readSegment(filepath.Join(dir, seg))
 		if torn {
 			info.Torn++
 		}
@@ -225,7 +221,7 @@ func listSegments(dir string) (names []string, maxIdx uint64, err error) {
 // readSegment returns the longest valid record prefix of one segment
 // file and whether a tail was clipped. It never fails: unreadable means
 // empty.
-func readSegment(path string, maxRecord int) (recs []Replayed, torn bool) {
+func readSegment(path string) (recs []Replayed, torn bool) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false
@@ -240,7 +236,7 @@ func readSegment(path string, maxRecord int) (recs []Replayed, torn bool) {
 		}
 		n := int(binary.LittleEndian.Uint32(blob[off:]))
 		crc := binary.LittleEndian.Uint32(blob[off+4:])
-		if n > maxRecord || len(blob)-off-frameHeaderLen < n {
+		if n > maxRecordBytes || len(blob)-off-frameHeaderLen < n {
 			return recs, true
 		}
 		body := blob[off+8 : off+frameHeaderLen+n] // seq ‖ payload
@@ -283,9 +279,9 @@ func (j *Journal) AppendSync(payload []byte) (uint64, error) {
 }
 
 func (j *Journal) append(payload []byte, forceSync bool) (uint64, error) {
-	if len(payload) > j.opt.MaxRecordBytes {
+	if len(payload) > maxRecordBytes {
 		return 0, fmt.Errorf("durable: record of %d bytes exceeds limit %d",
-			len(payload), j.opt.MaxRecordBytes)
+			len(payload), maxRecordBytes)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -8,24 +8,24 @@ import "fmt"
 //   - BatchedStatefulModel, a bank of B independent hidden states
 //     advanced through one fused step per "round", and the fused LSTM
 //     step (the GRU's and the windowed MLP's live in gru.go and
-//     mlp.go). A step runs per lane: the row-kernel products
-//     (rowkernel.go, DESIGN.md decision 18) — the input's zero-skipping,
-//     the dense recurrent state's taking every term (decision 35) —
+//     mlp.go). A step runs per lane, one stepLane call per lane: the
+//     row-kernel products (rowkernel.go, DESIGN.md decision 18) — the
+//     input's listed walk, the dense recurrent state's strided one —
 //     then the gates, one wide-kernel call per gate pass (gates.go),
-//     with lanes split over the pool only above the dispatch floor
-//     (pool.go). The batch state is the Range worker, so a step
-//     allocates nothing.
-//   - laneGemm, the trainer's products over a minibatch of lanes
-//     (DESIGN.md decisions 19, 20 and 38), all on the same row kernel:
-//     the forward product W·x is one row-kernel walk per lane over W
-//     packed once per minibatch, the backward product Mᵀ·dy one per lane
-//     over a view of M that needs no packing, and the weight gradient
-//     one per gradient row over the lanes' inputs, reading its column of
-//     dz in place — for the LSTM once per minibatch, over every step's
-//     lanes (train_batch.go). A sparse input lists its non-zero columns
-//     first; a dense one passes its zeros by as the walk reaches them.
-//     A laneGemm in the caller's scratch holds a product's arguments and
-//     is its Range worker, so a trainer step allocates nothing either.
+//     and the state update, with lanes split over the pool only above
+//     the dispatch floor (pool.go). The batch state is the Range worker,
+//     so a step allocates nothing. The trainer runs the same stepLane
+//     on a batch state of its own, so a model is trained on the forward
+//     pass it is served with (decision 39).
+//   - laneGemm, the trainer's backward products over a minibatch of
+//     lanes (DESIGN.md decisions 19, 20 and 38), on the same row kernel:
+//     the product Mᵀ·dy one walk per lane over a view of M that needs no
+//     packing, and the weight gradient one walk per gradient row over
+//     the lanes' inputs, reading its column of dz in place — for the
+//     LSTM once per minibatch, over every step's lanes (train_batch.go).
+//     Both inputs are dense, so both walk with accStrided. A laneGemm in
+//     the caller's scratch holds a product's arguments and is its Range
+//     worker, so a trainer step allocates nothing either.
 //
 // The simulator half (request collection and flushing) lives in
 // internal/core's InferenceScheduler. Every product keeps the per-element
@@ -52,74 +52,17 @@ func (l laneView) lane(a int) []float64 {
 	return l.v[i : i+l.width]
 }
 
-// laneMode is how a lane product walks its terms.
-type laneMode uint8
-
-const (
-	// laneSparse: one mulLane per lane, its non-zero columns listed
-	// first — the inputs x, mostly exact zeros.
-	laneSparse laneMode = iota
-	// laneDense: one accStrided per lane, exact zeros passed by in the
-	// walk — the recurrent state h and the gate gradients dz.
-	laneDense
-	// laneGrad: the weight gradient, one accStrided per gradient row
-	// over the lanes, reading dz in place.
-	laneGrad
-)
-
 // laneGemm holds one lane product's arguments and is its Pool.Range
 // worker. A trainer layer keeps one in its scratch and reuses it for
 // every product it runs (Range calls never nest), so a product hands
 // the pool a pointer the layer already has and allocates nothing.
 type laneGemm struct {
-	mode   laneMode
+	grad   bool // the weight gradient; otherwise Mᵀ·dy, one walk per lane
 	n      int
-	r0, r1 int        // per lane: p's first row; gradient: m's rows
-	p      packedRows // per lane: the matrix, k-major; gradient: the lanes' inputs, one column each
+	r0, r1 int        // gradient: m's rows
+	p      packedRows // per lane: Mᵀ, k-major; gradient: the lanes' inputs, one column each
 	m      *Matrix    // the gradient's matrix
 	x, y   laneView   // per lane: each lane's input and output; gradient: y is the dys lanes
-	idx    []int      // laneSparse: each lane's column list, n × x.width, kept across products
-}
-
-// mulLanes is the trainer's batched counterpart of MulVec: for every
-// lane a in [0, n) and every row r in [r0, r1) it computes
-//
-//	out[a*outStride + r] = dot(m.row(r), xs[a*m.Cols : (a+1)*m.Cols])
-//
-// xs is n×Cols row-major; out rows are outStride wide and indexed by the
-// absolute row number r (so outStride must be >= r1). p is m packed
-// k-major — a trainer packs its weights once per minibatch (begin).
-// Each lane skips its exact-zero inputs, bitwise equal to the dense dot
-// for finite weights (rowkernel.go): a sparse product lists them first
-// (mulLane), a dense one passes them by as it walks (accStrided).
-func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, n int, out []float64, outStride int, dense bool, pool *Pool) {
-	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic(fmt.Sprintf("ml: mulLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
-	}
-	if outStride < r1 {
-		panic(fmt.Sprintf("ml: mulLanes outStride %d < r1 %d", outStride, r1))
-	}
-	K := m.Cols
-	if n < 0 || len(xs) < n*K {
-		panic(fmt.Sprintf("ml: mulLanes xs len %d < %d lanes × %d cols", len(xs), n, K))
-	}
-	if len(out) < n*outStride {
-		panic(fmt.Sprintf("ml: mulLanes out len %d < %d lanes × stride %d", len(out), n, outStride))
-	}
-	if r0 == r1 || n == 0 {
-		return
-	}
-	mode := laneSparse
-	if dense {
-		mode = laneDense
-	}
-	*g = laneGemm{mode: mode, n: n, r0: r0, p: *p, idx: g.idx,
-		x: laneView{v: xs, stride: K, width: K},
-		y: laneView{v: out, stride: outStride, off: r0, width: r1 - r0}}
-	if !dense {
-		g.idx = growInts(g.idx, n*K)
-	}
-	g.perLane(K, pool)
 }
 
 // mulLanesT is the batched counterpart of MulVecT (the backprop of
@@ -128,7 +71,7 @@ func (g *laneGemm) mulLanes(m *Matrix, p *packedRows, r0, r1 int, xs []float64, 
 //	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
 //
 // dys rows are dyStride wide and indexed by absolute row number (the
-// layout mulLanes writes), so a trainer feeds gate gradients straight
+// layout of the gate caches), so a trainer feeds gate gradients straight
 // back through the weight matrices. Row r of M is column r of Mᵀ, so
 // M.Data read as a k-major matrix of Cols rows is Mᵀ: each lane is one
 // dense walk over that view with its dy as the input, nothing packed.
@@ -152,17 +95,11 @@ func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n i
 	if n == 0 {
 		return
 	}
-	*g = laneGemm{mode: laneDense, n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]}, idx: g.idx,
+	*g = laneGemm{n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]},
 		x: laneView{v: dys, stride: dyStride, off: r0, width: r1 - r0},
 		y: laneView{v: out, stride: K, width: K}}
-	g.perLane(r1-r0, pool)
-}
-
-// perLane runs the per-lane product set up last over the pool in lane
-// blocks; k is the input width, for the work estimate.
-func (g *laneGemm) perLane(k int, pool *Pool) {
-	aTiles := (g.n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, g.y.width*g.n*k/aTiles, g)
+	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
+	pool.Range(aTiles, K*n*(r1-r0)/aTiles, g)
 }
 
 // addGradLanes is the batched counterpart of AddOuterGrad (the weight
@@ -197,7 +134,7 @@ func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, 
 	if n == 0 || rows == 0 {
 		return
 	}
-	*g = laneGemm{mode: laneGrad, n: n, r0: r0, r1: r1, m: m, idx: g.idx,
+	*g = laneGemm{grad: true, n: n, r0: r0, r1: r1, m: m,
 		p: packedRows{rows: K, t: xs[:n*K]},
 		y: laneView{v: dys, stride: dyStride}}
 	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
@@ -208,7 +145,7 @@ func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, 
 // blocks of a per-lane product, row blocks of the weight gradient.
 // Chunks write disjoint outputs.
 func (g *laneGemm) RunRange(lo, hi int) {
-	if g.mode == laneGrad {
+	if g.grad {
 		K := g.m.Cols
 		for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
 			g.p.accStrided(0, g.y.v[r:], g.y.stride, g.n, g.m.Grad[r*K:(r+1)*K])
@@ -217,13 +154,9 @@ func (g *laneGemm) RunRange(lo, hi int) {
 	}
 	K := g.x.width
 	for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
-		x, out := g.x.lane(a), g.y.lane(a)
-		if g.mode == laneSparse {
-			g.p.mulLane(g.r0, x, out, g.idx[a*K:(a+1)*K])
-			continue
-		}
+		out := g.y.lane(a)
 		zeroRange(out)
-		g.p.accStrided(g.r0, x, 1, K, out)
+		g.p.accStrided(0, g.x.lane(a), 1, K, out)
 	}
 }
 
@@ -254,7 +187,7 @@ func addBiasGradLanes(b *Matrix, r0, r1 int, dys []float64, dyStride, n int) {
 // streams, stored densely (lanes × H), the layer's weights packed for
 // the row kernel, and the fused step's per-call arguments and scratch.
 // It is its own Pool.Range worker (RunRange), so a step allocates
-// nothing.
+// nothing. A trainer layer keeps one for its minibatch's lanes.
 type lstmBatchState struct {
 	h, c       []float64
 	hidden, in int
@@ -269,18 +202,30 @@ type lstmBatchState struct {
 }
 
 // newBatchState returns zeroed state for `lanes` LSTM lanes and
-// snapshots the layer's weights: Wx and Wh packed for the row kernel,
-// B copied.
+// snapshots the layer's weights.
 func (l *lstm) newBatchState(lanes int) batchState {
-	return &lstmBatchState{
-		h:      make([]float64, lanes*l.Hidden),
-		c:      make([]float64, lanes*l.Hidden),
-		hidden: l.Hidden,
-		in:     l.In,
-		wx:     packRows(l.Wx),
-		wh:     packRows(l.Wh),
-		bias:   append([]float64(nil), l.B.Data...),
+	s := &lstmBatchState{
+		h: make([]float64, lanes*l.Hidden),
+		c: make([]float64, lanes*l.Hidden),
 	}
+	s.load(l)
+	return s
+}
+
+// load snapshots l's weights into s, reusing its buffers: Wx and Wh
+// packed for the row kernel, B copied.
+func (s *lstmBatchState) load(l *lstm) {
+	s.hidden, s.in = l.Hidden, l.In
+	s.wx.pack(l.Wx)
+	s.wh.pack(l.Wh)
+	s.bias = append(s.bias[:0], l.B.Data...)
+}
+
+// size grows the per-step scratch for n lanes.
+func (s *lstmBatchState) size(n int) {
+	s.zx = growFloats(s.zx, n*4*s.hidden)
+	s.zh = growFloats(s.zh, n*4*s.hidden)
+	s.idx = growInts(s.idx, n*s.in)
 }
 
 // growBatchState appends one zeroed lane.
@@ -315,10 +260,7 @@ func (l *lstm) stepBatch(st batchState, lanes []int, xs []float64, hs []float64,
 	if n == 0 {
 		return
 	}
-	H := l.Hidden
-	s.zx = growFloats(s.zx, n*4*H)
-	s.zh = growFloats(s.zh, n*4*H)
-	s.idx = growInts(s.idx, n*l.In)
+	s.size(n)
 	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(n, l.stepCost(), s)
 }
@@ -330,34 +272,46 @@ func (l *lstm) stepCost() int {
 }
 
 // RunRange steps lanes[lo:hi]. Each lane reads and writes only its own
-// rows of h, c and the scratch, so chunks are disjoint.
+// rows of h, c and the scratch, so chunks are disjoint. The gates land
+// in the lane's zx scratch and tanh(c) in its output row.
 func (s *lstmBatchState) RunRange(lo, hi int) {
 	H, In := s.hidden, s.in
-	bias, wide := s.bias[:4*H], useWideGates
 	for a := lo; a < hi; a++ {
-		lane := s.lanes[a]
-		hPrev := s.h[lane*H : (lane+1)*H]
-		cPrev := s.c[lane*H : (lane+1)*H]
-		zx := s.zx[a*4*H : (a+1)*4*H]
-		zh := s.zh[a*4*H : (a+1)*4*H]
-		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], zx, s.idx[a*In:(a+1)*In])
-		s.wh.mulDense(0, hPrev, zh)
-		// z[i] += zh[i] + B[i], the reference association. The pre-adds
-		// are hoisted out of the gate loop so the sigmoid/tanh passes
-		// run over contiguous quarters — one kernel call per pass, 4
-		// lanes per instruction, when the wide gate kernels are live,
-		// the same scalar calls per element otherwise.
-		addSumLanes(zx, zh, bias, wide)
-		sigmoidLanes(zx[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
-		tanhLanes(zx[2*H:3*H], zx[2*H:3*H], wide)    // g
-		sigmoidLanes(zx[3*H:4*H], zx[3*H:4*H], wide) // o
-		// cNew = f*cPrev + i*g, the reference association.
-		cellLanes(cPrev, zx[H:2*H], zx[:H], zx[2*H:3*H], wide)
 		hRow := s.hs[a*H : (a+1)*H]
-		tanhLanes(hRow, cPrev, wide)
-		prodLanes(hRow, zx[3*H:4*H], hRow, wide)
-		copy(hPrev, hRow)
+		s.stepLane(a, s.lanes[a], s.xs[a*In:(a+1)*In], s.zx[a*4*H:(a+1)*4*H], hRow, hRow)
 	}
+}
+
+// stepLane advances lane `lane` by the input x, on scratch row a: the
+// products zx = Wx·x (listed walk) and zh = Wh·hPrev (strided walk),
+// the gate pass and the state update. The i, f, g, o activations land
+// in act (4H), tanh(cNew) in tc and hNew in hOut and in the lane's h. A
+// caller that keeps no activations passes its own buffers: act may be
+// the row's zx and tc may be hOut, since every pass allows aliasing
+// element for element.
+func (s *lstmBatchState) stepLane(a, lane int, x, act, tc, hOut []float64) {
+	H, wide := s.hidden, useWideGates
+	hPrev := s.h[lane*H : (lane+1)*H]
+	c := s.c[lane*H : (lane+1)*H]
+	zx := s.zx[a*4*H : (a+1)*4*H]
+	zh := s.zh[a*4*H : (a+1)*4*H]
+	s.wx.mulLane(0, x, zx, s.idx[a*s.in:(a+1)*s.in])
+	zeroRange(zh)
+	s.wh.accStrided(0, hPrev, 1, H, zh)
+	// z[i] += zh[i] + B[i], the reference association. The pre-adds are
+	// hoisted out of the gate loop so the sigmoid/tanh passes run over
+	// contiguous quarters — one kernel call per pass, 4 lanes per
+	// instruction, when the wide gate kernels are live, the same scalar
+	// calls per element otherwise.
+	addSumLanes(zx, zh, s.bias[:4*H], wide)
+	sigmoidLanes(act[:2*H], zx[:2*H], wide)       // i and f (adjacent quarters)
+	tanhLanes(act[2*H:3*H], zx[2*H:3*H], wide)    // g
+	sigmoidLanes(act[3*H:4*H], zx[3*H:4*H], wide) // o
+	// cNew = f*cPrev + i*g, the reference association.
+	cellLanes(c, act[H:2*H], act[:H], act[2*H:3*H], wide)
+	tanhLanes(tc, c, wide)
+	prodLanes(hOut, act[3*H:4*H], tc, wide)
+	copy(hPrev, hOut)
 }
 
 // growFloats returns buf with length at least n (contents unspecified).

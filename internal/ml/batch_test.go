@@ -6,10 +6,10 @@ import (
 	"mimicnet/internal/stats"
 )
 
-// naiveMulLanes is the triple-loop reference for MulLanes, written with
+// naiveWalkLanes is the triple-loop reference for WalkLanes, written with
 // the same k-order accumulation and no zero-skip, so agreement must be
 // exact.
-func naiveMulLanes(m *Matrix, r0, r1 int, xs []float64, n int, outStride int) []float64 {
+func naiveWalkLanes(m *Matrix, r0, r1 int, xs []float64, n int, outStride int) []float64 {
 	out := make([]float64, n*outStride)
 	for a := 0; a < n; a++ {
 		for r := r0; r < r1; r++ {
@@ -232,7 +232,7 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 		}
 		ref := make([]float64, n*rows)
 		refT := make([]float64, n*cols)
-		m.MulLanes(0, rows, xs, n, ref, rows, !shape.sparse, NewPool(1))
+		m.WalkLanes(0, rows, xs, n, ref, rows, !shape.sparse, NewPool(1))
 		m.MulLanesT(0, rows, dys, rows, n, refT, NewPool(1))
 		m.AddGradLanes(0, rows, dys, rows, n, xs, NewPool(1))
 		refG := append([]float64(nil), m.Grad...)
@@ -243,13 +243,13 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 				outT := make([]float64, n*cols)
 				before := obsPoolDispatches.Value()
 				for iter := 0; iter < 5; iter++ {
-					m.MulLanes(0, rows, xs, n, out, rows, !shape.sparse, p)
+					m.WalkLanes(0, rows, xs, n, out, rows, !shape.sparse, p)
 					m.MulLanesT(0, rows, dys, rows, n, outT, p)
 					m.ZeroGrad()
 					m.AddGradLanes(0, rows, dys, rows, n, xs, p)
 					for i := range ref {
 						if out[i] != ref[i] {
-							t.Fatalf("%dx%d floor=%d workers=%d iter=%d: MulLanes differs at %d", rows, cols, floor, workers, iter, i)
+							t.Fatalf("%dx%d floor=%d workers=%d iter=%d: WalkLanes differs at %d", rows, cols, floor, workers, iter, i)
 						}
 					}
 					for i := range refT {

@@ -13,7 +13,8 @@ type batchState interface{}
 
 // Cell is one trainable trunk layer. Inference advances a bank of lanes
 // through one fused step per round (BatchedStatefulModel); training runs
-// the cell's minibatch trainer layer (train_batch.go). A fused step keeps
+// the cell's minibatch trainer layer (train_batch.go), whose forward is
+// the same per-lane step on a batch state of its own. A fused step keeps
 // the per-element accumulation order of the per-packet reference step
 // (dot/dotAcc), which the parity tests in batch_test.go enforce.
 type Cell interface {

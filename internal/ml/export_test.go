@@ -56,12 +56,32 @@ func forEachPool(t *testing.T, fn func(t *testing.T, pool *Pool)) {
 	}
 }
 
-// MulLanes runs the trainer's forward lane product (laneGemm.mulLanes)
-// once, packing m for it: out[a*outStride + r] = dot(m.row(r), lane a of
-// xs) for r in [r0, r1), walking the inputs as dense or sparse ones.
-func (m *Matrix) MulLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, dense bool, pool *Pool) {
+// packRows returns m packed k-major for the row kernel.
+func packRows(m *Matrix) packedRows {
+	var p packedRows
+	p.pack(m)
+	return p
+}
+
+// WalkLanes runs the forward products a cell step takes, one row-kernel
+// walk per lane through pool: out[a*outStride + r] = dot(m.row(r), lane a
+// of xs) for r in [r0, r1), by mulLane's column list (the inputs x) or,
+// with dense, by accStrided from +0 (the recurrent state h).
+func (m *Matrix) WalkLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, dense bool, pool *Pool) {
 	p := packRows(m)
-	new(laneGemm).mulLanes(m, &p, r0, r1, xs, n, out, outStride, dense, pool)
+	K := m.Cols
+	idx := make([]int, n*K)
+	pool.Range(n, (r1-r0)*K, RangeFunc(func(lo, hi int) {
+		for a := lo; a < hi; a++ {
+			x, o := xs[a*K:(a+1)*K], out[a*outStride+r0:a*outStride+r1]
+			if dense {
+				zeroRange(o)
+				p.accStrided(r0, x, 1, K, o)
+			} else {
+				p.mulLane(r0, x, o, idx[a*K:(a+1)*K])
+			}
+		}
+	}))
 }
 
 // MulLanesT runs the trainer's backward lane product (laneGemm.mulLanesT)

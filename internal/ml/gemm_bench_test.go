@@ -75,18 +75,31 @@ func BenchmarkGemmKernels(b *testing.B) {
 // default artifact shape (defaultShapeLanes) for every trunk class,
 // reporting ns per lane-step: the quantity a composed run pays per
 // model step at the round widths its flushes actually have (DESIGN.md
-// decision 18 has the table).
+// decision 18 has the table). The lanes step through a ring of
+// stepLanesInputs distinct mostly-zero inputs (sparseVec), as
+// BenchmarkInputWalk's products do, so that no branch predictor learns
+// one fixed zero pattern per lane and the zero-skipping walks are priced
+// as real packets price them (decision 39).
 func BenchmarkStepLanes(b *testing.B) {
+	const stepLanesInputs = 4096
 	for _, cell := range []string{"lstm", "gru", "mlp"} {
 		for _, n := range []int{1, 2, 4, 8, 13, 16, 31} {
 			b.Run(fmt.Sprintf("%s/n=%d", cell, n), func(b *testing.B) {
-				model, lanes, xs := defaultShapeLanes(b, cell, n)
+				model, lanes, _ := defaultShapeLanes(b, cell, n)
+				rng := stats.NewStream(int64(1000 + n))
+				rounds := make([][][]float64, stepLanesInputs/n)
+				for r := range rounds {
+					rounds[r] = make([][]float64, n)
+					for a := range rounds[r] {
+						rounds[r][a] = sparseVec(model.Cfg.Features, rng)
+					}
+				}
 				bat := NewBatchedStatefulModel(model, n, nil)
 				preds := make([]Prediction, n)
-				bat.StepLanes(lanes, xs, nil, preds) // size the scratch buffers
+				bat.StepLanes(lanes, rounds[0], nil, preds) // size the scratch buffers
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bat.StepLanes(lanes, xs, nil, preds)
+					bat.StepLanes(lanes, rounds[i%len(rounds)], nil, preds)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/lane-step")
 			})
@@ -192,10 +205,9 @@ func BenchmarkAdamStep(b *testing.B) {
 
 // BenchmarkInputWalk times the two zero-skipping walks of one lane's
 // input product W·x over 4096 distinct mostly-zero inputs (sparseVec)
-// taken in turn, so that no branch predictor learns their zero pattern,
-// as it learns BenchmarkStepLanes' one fixed input per lane: "list" is
-// mulLane (the non-zero columns listed first, then the row kernel over
-// the list), "strided" is accStrided at stride 1 (every column walked,
+// taken in turn, so that no branch predictor learns their zero pattern:
+// "list" is mulLane (the non-zero columns listed first, then the row
+// kernel over the list), "strided" is accStrided at stride 1 (every column walked,
 // each zero passed by with a branch). The shapes are the default
 // artifact's input products: the LSTM's Wx (96 × 23), the GRU's
 // (72 × 23) and the MLP's window (24 × 276). DESIGN.md decision 38 has
@@ -233,9 +245,9 @@ func BenchmarkInputWalk(b *testing.B) {
 }
 
 // BenchmarkRowKernel times the row kernel alone under the live kernel
-// flags: one accLane (every listed column, onto a running output) of a
-// rows × nnz k-major matrix, reporting ns per term, one column walked
-// for all rows. Rows 23 and 24 are the trainer's narrow products (a
+// flags: one accStrided at stride 1 over a dense input (every column,
+// onto a running output) of a rows × nnz k-major matrix, reporting ns
+// per term, one column walked for all rows. Rows 23 and 24 are the trainer's narrow products (a
 // weight-gradient row is In = 23 or H = 24 wide; Whᵀ·dz has 24 rows);
 // 48, 72 and 96 are the GRU and LSTM gate products. nnz 16 is one
 // step's lanes of a minibatch, 192 the whole minibatch's 12 × 16.
@@ -253,7 +265,7 @@ func BenchmarkRowKernel(b *testing.B) {
 				p := packRows(m)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.accLane(0, x, out)
+					p.accStrided(0, x, 1, nnz, out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nnz), "ns/term")
 			})

@@ -40,7 +40,8 @@ func (g *gru) CellType() string { return "gru" }
 // gruBatchState is the recurrent state of `lanes` independent GRU
 // streams (lanes × H dense), the layer's weights packed for the row
 // kernel, and the fused step's arguments and scratch. Like
-// lstmBatchState it is its own Pool.Range worker.
+// lstmBatchState it is its own Pool.Range worker, and a trainer layer
+// keeps one for its minibatch's lanes.
 type gruBatchState struct {
 	h          []float64
 	hidden, in int
@@ -55,16 +56,30 @@ type gruBatchState struct {
 }
 
 // newBatchState returns zeroed state for `lanes` GRU lanes and
-// snapshots the layer's weights (Wx and Wh packed, B copied).
+// snapshots the layer's weights.
 func (g *gru) newBatchState(lanes int) batchState {
-	return &gruBatchState{
-		h:      make([]float64, lanes*g.Hidden),
-		hidden: g.Hidden,
-		in:     g.In,
-		wx:     packRows(g.Wx),
-		wh:     packRows(g.Wh),
-		bias:   append([]float64(nil), g.B.Data...),
-	}
+	s := &gruBatchState{h: make([]float64, lanes*g.Hidden)}
+	s.load(g)
+	return s
+}
+
+// load snapshots g's weights into s, reusing its buffers: Wx and Wh
+// packed for the row kernel, B copied.
+func (s *gruBatchState) load(g *gru) {
+	s.hidden, s.in = g.Hidden, g.In
+	s.wx.pack(g.Wx)
+	s.wh.pack(g.Wh)
+	s.bias = append(s.bias[:0], g.B.Data...)
+}
+
+// size grows the per-step scratch for n lanes.
+func (s *gruBatchState) size(n int) {
+	H := s.hidden
+	s.ax = growFloats(s.ax, n*3*H)
+	s.ah = growFloats(s.ah, n*2*H)
+	s.rh = growFloats(s.rh, n*H)
+	s.z = growFloats(s.z, n*H)
+	s.idx = growInts(s.idx, n*s.in)
 }
 
 // growBatchState appends one zeroed lane.
@@ -97,12 +112,7 @@ func (g *gru) stepBatch(st batchState, lanes []int, xs []float64, hs []float64, 
 	if n == 0 {
 		return
 	}
-	H := g.Hidden
-	s.ax = growFloats(s.ax, n*3*H)
-	s.ah = growFloats(s.ah, n*2*H)
-	s.rh = growFloats(s.rh, n*H)
-	s.z = growFloats(s.z, n*H)
-	s.idx = growInts(s.idx, n*g.In)
+	s.size(n)
 	s.lanes, s.xs, s.hs = lanes, xs, hs
 	pool.Range(n, g.stepCost(), s)
 }
@@ -113,43 +123,52 @@ func (g *gru) stepCost() int {
 	return 3*g.Hidden*(g.In+g.Hidden) + 3*g.Hidden*gateMulAdds
 }
 
-// RunRange steps lanes[lo:hi]; chunks touch disjoint rows.
+// RunRange steps lanes[lo:hi]; chunks touch disjoint rows. r is computed
+// in place into the r⊙h scratch and the candidate into the output row.
 func (s *gruBatchState) RunRange(lo, hi int) {
 	H, In := s.hidden, s.in
-	bias, wide := s.bias[:3*H], useWideGates
 	for a := lo; a < hi; a++ {
-		lane := s.lanes[a]
-		hPrev := s.h[lane*H : (lane+1)*H]
-		ax := s.ax[a*3*H : (a+1)*3*H]
-		ah := s.ah[a*2*H : (a+1)*2*H]
-		rh := s.rh[a*H : (a+1)*H]
-		z := s.z[a*H : (a+1)*H]
-		s.wx.mulLane(0, s.xs[a*In:(a+1)*In], ax, s.idx[a*In:(a+1)*In])
-		s.wh.mulDense(0, hPrev, ah)
-		// Pre-activations hoisted so the sigmoid passes run over
-		// contiguous ranges (4 lanes per instruction when the wide gate
-		// kernels are live); the reference's ax + ah + bias association.
-		for j := 0; j < 2*H; j++ {
-			ax[j] = ax[j] + ah[j] + bias[j]
-		}
-		sigmoidLanes(z, ax[:H], wide)
-		sigmoidLanes(rh, ax[H:2*H], wide)
-		for j := 0; j < H; j++ {
-			rh[j] = rh[j] * hPrev[j] // r ⊙ hPrev
-		}
-		// The candidate chain is dotAcc(ax+bias, row, r⊙h): it starts at
-		// ax+bias, which can be -0, where skipping a ±0 term is not a
-		// no-op (-0 + +0 = +0). So it goes through accLane, which takes
-		// every term, not mulLane's zero-skip.
-		hRow := s.hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			hRow[j] = ax[2*H+j] + bias[2*H+j]
-		}
-		s.wh.accLane(2*H, rh, hRow)
-		tanhLanes(hRow, hRow, wide)
-		for j := 0; j < H; j++ {
-			hRow[j] = (1-z[j])*hPrev[j] + z[j]*hRow[j]
-		}
-		copy(hPrev, hRow)
+		rh, hRow := s.rh[a*H:(a+1)*H], s.hs[a*H:(a+1)*H]
+		s.stepLane(a, s.lanes[a], s.xs[a*In:(a+1)*In], s.z[a*H:(a+1)*H], rh, rh, hRow, hRow)
 	}
+}
+
+// stepLane advances lane `lane` by the input x, on scratch row a: the
+// products Wx·x (listed walk) and the z/r rows of Wh·hPrev (strided),
+// the z and r gates, the candidate ĥ = tanh(dotAcc(ax+b, Uc row, r⊙h)) —
+// the reference association, its product strided from ax+b, which is a
+// sum from +0 and so never -0 (rowkernel.go) — and the state update.
+// The activations land in z, r, rh (r⊙h) and cand (ĥ), hNew in hOut and
+// in the lane's h. A caller that keeps no activations may pass r as rh
+// and hOut as cand: each is written element for element from the other.
+func (s *gruBatchState) stepLane(a, lane int, x, z, r, rh, cand, hOut []float64) {
+	H, wide := s.hidden, useWideGates
+	bias := s.bias[:3*H]
+	hPrev := s.h[lane*H : (lane+1)*H]
+	ax := s.ax[a*3*H : (a+1)*3*H]
+	ah := s.ah[a*2*H : (a+1)*2*H]
+	s.wx.mulLane(0, x, ax, s.idx[a*s.in:(a+1)*s.in])
+	zeroRange(ah)
+	s.wh.accStrided(0, hPrev, 1, H, ah)
+	// Pre-activations hoisted so the sigmoid passes run over contiguous
+	// ranges (4 lanes per instruction when the wide gate kernels are
+	// live); the reference's ax + ah + bias association.
+	for j := 0; j < 2*H; j++ {
+		ax[j] = ax[j] + ah[j] + bias[j]
+	}
+	z, r, rh, cand, hOut = z[:H], r[:H], rh[:H], cand[:H], hOut[:H]
+	sigmoidLanes(z, ax[:H], wide)
+	sigmoidLanes(r, ax[H:2*H], wide)
+	for j := range rh {
+		rh[j] = r[j] * hPrev[j]
+	}
+	for j := range cand {
+		cand[j] = ax[2*H+j] + bias[2*H+j]
+	}
+	s.wh.accStrided(2*H, rh, 1, H, cand)
+	tanhLanes(cand, cand, wide)
+	for j := range hOut {
+		hOut[j] = (1-z[j])*hPrev[j] + z[j]*cand[j]
+	}
+	copy(hPrev, hOut)
 }

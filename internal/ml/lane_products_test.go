@@ -58,14 +58,14 @@ func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, 
 	return m, xs, dys
 }
 
-// checkLaneProducts runs MulLanes (as a sparse and as a dense product),
-// MulLanesT and AddGradLanes on one shape through pool under every
-// kernel setting and requires each output element to equal a scalar
-// reference bit for bit: the dense ascending-k sum for MulLanes (both
-// walks skip only exact-zero inputs), and for the
-// backward products the per-vector loops of MulVecT and AddOuterGrad,
-// which skip d = 0. The row range is a random sub-range and MulLanes'
-// output stride is padded by up to 7.
+// checkLaneProducts runs the cell steps' forward walks per lane
+// (WalkLanes, listed and strided), MulLanesT and AddGradLanes on one
+// shape through pool under every kernel setting and requires each
+// output element to equal a scalar reference bit for bit: the dense
+// ascending-k sum for the forward walks (both skip only exact-zero
+// inputs), and for the backward products the per-vector loops of
+// MulVecT and AddOuterGrad, which skip d = 0. The row range is a random
+// sub-range and the forward output stride is padded by up to 7.
 func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
 	m, xs, dys := laneOperands(rows, K, n, density, s)
@@ -74,7 +74,7 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 	outStride := rows + s.Intn(8)
 	grad0 := append([]float64(nil), m.Grad...)
 
-	wantMul := naiveMulLanes(m, r0, r1, xs, n, outStride)
+	wantMul := naiveWalkLanes(m, r0, r1, xs, n, outStride)
 	wantT := make([]float64, n*K)
 	for a := 0; a < n; a++ {
 		for r := r0; r < r1; r++ {
@@ -113,9 +113,9 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 		setKernels(t, kn)
 		for _, dense := range []bool{false, true} {
 			gotMul := make([]float64, n*outStride)
-			m.MulLanes(r0, r1, xs, n, gotMul, outStride, dense, pool)
+			m.WalkLanes(r0, r1, xs, n, gotMul, outStride, dense, pool)
 			for a := 0; a < n; a++ {
-				same(kn, fmt.Sprintf("MulLanes dense=%v", dense), gotMul[a*outStride+r0:a*outStride+r1], wantMul[a*outStride+r0:a*outStride+r1])
+				same(kn, fmt.Sprintf("WalkLanes dense=%v", dense), gotMul[a*outStride+r0:a*outStride+r1], wantMul[a*outStride+r0:a*outStride+r1])
 			}
 		}
 		gotT := make([]float64, n*K)

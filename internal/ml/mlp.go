@@ -46,7 +46,8 @@ func (m *windowMLP) stepCost() int {
 // oldest first, zero rows in front until Window inputs have arrived, the
 // flattened layout the layer's product reads — with the weights packed
 // for the row kernel and the fused step's arguments. Like the recurrent
-// states it is its own Pool.Range worker.
+// states it is its own Pool.Range worker, and the trainer keeps one for
+// its minibatch's windows.
 type mlpBatchState struct {
 	win                []float64 // lanes × In·Window
 	in, hidden, window int
@@ -60,16 +61,24 @@ type mlpBatchState struct {
 }
 
 // newBatchState returns empty windows for `lanes` lanes and snapshots the
-// layer's weights (W packed, B copied).
+// layer's weights.
 func (m *windowMLP) newBatchState(lanes int) batchState {
-	return &mlpBatchState{
-		win:    make([]float64, lanes*m.In*m.Window),
-		in:     m.In,
-		hidden: m.Hidden,
-		window: m.Window,
-		w:      packRows(m.W),
-		bias:   append([]float64(nil), m.B.Data...),
-	}
+	s := &mlpBatchState{win: make([]float64, lanes*m.In*m.Window)}
+	s.load(m)
+	return s
+}
+
+// load snapshots m's weights into s, reusing its buffers: W packed for
+// the row kernel, B copied.
+func (s *mlpBatchState) load(m *windowMLP) {
+	s.in, s.hidden, s.window = m.In, m.Hidden, m.Window
+	s.w.pack(m.W)
+	s.bias = append(s.bias[:0], m.B.Data...)
+}
+
+// size grows the per-step scratch for n lanes.
+func (s *mlpBatchState) size(n int) {
+	s.idx = growInts(s.idx, n*s.in*s.window)
 }
 
 // growBatchState appends one lane with an empty window.
@@ -92,25 +101,31 @@ func (m *windowMLP) stepBatch(st batchState, lanes []int, xs []float64, hs []flo
 	if len(lanes) == 0 {
 		return
 	}
+	s.size(len(lanes))
 	s.lanes, s.xs, s.hs = lanes, xs, hs
-	s.idx = growInts(s.idx, len(lanes)*m.In*m.Window)
 	pool.Range(len(lanes), m.stepCost(), s)
 }
 
 // RunRange steps lanes[lo:hi]; each lane touches only its own window and
 // output row.
 func (s *mlpBatchState) RunRange(lo, hi int) {
-	In, H, fw, wide := s.in, s.hidden, s.in*s.window, useWideGates
+	In, H, fw := s.in, s.hidden, s.in*s.window
 	for a := lo; a < hi; a++ {
 		lane := s.lanes[a]
 		win := s.win[lane*fw : (lane+1)*fw]
 		copy(win, win[In:]) // drop the oldest row
 		copy(win[fw-In:], s.xs[a*In:(a+1)*In])
-		hRow := s.hs[a*H : (a+1)*H]
-		s.w.mulLane(0, win, hRow, s.idx[a*fw:(a+1)*fw])
-		for j := range hRow {
-			hRow[j] += s.bias[j]
-		}
-		tanhLanes(hRow, hRow, wide)
+		s.evalLane(a, win, s.hs[a*H:(a+1)*H])
 	}
+}
+
+// evalLane sets out = tanh(W·win + b) on scratch row a: the window
+// product (listed walk), the bias and the tanh pass.
+func (s *mlpBatchState) evalLane(a int, win, out []float64) {
+	fw := s.in * s.window
+	s.w.mulLane(0, win, out, s.idx[a*fw:(a+1)*fw])
+	for j := range out {
+		out[j] += s.bias[j]
+	}
+	tanhLanes(out, out, useWideGates)
 }

@@ -35,15 +35,16 @@ func rowKernelValue(s *stats.Stream, density float64) float64 {
 // a masked group could spill.
 const rowKernelGuard = 4
 
-// checkRowKernel runs the row kernel over n lanes through pool, all
-// four forms (mulLane from +0 with zero-skip, mulDense from +0 taking
-// every term, accLane from per-element starts that include -0, and
-// accStrided from the same starts over the input read with a drawn
-// stride of 1-3, NaN between its elements, passing its zeros by), under
-// every kernel setting the CPU can run (kernelConfigs), and requires
-// each element to equal the per-(lane, row) dot / dotAcc / dotAccSkip
-// bit for bit. The product covers w rows at a drawn offset of a matrix
-// with up to four more. Each lane's
+// checkRowKernel runs the row kernel's two walks over n lanes through
+// pool in four forms — mulLane (the listed walk) from +0; accStrided at
+// stride 1 from +0, the cell steps' W·hPrev; accStrided at stride 1 from
+// per-element starts that are never -0, the GRU candidate's chain from
+// ax+b; and accStrided from per-element starts that include -0 over the
+// input read with a drawn stride of 1-3, NaN between its elements —
+// under every kernel setting the CPU can run (kernelConfigs), and
+// requires each element to equal the per-(lane, row) dot, dot, dotAcc
+// (every term taken) and dotAccSkip bit for bit. The product covers w
+// rows at a drawn offset of a matrix with up to four more. Each lane's
 // output is followed by rowKernelGuard NaN sentinels that must survive,
 // and a chunk runs its lanes in descending order, so a store past a
 // lane's rows is not hidden by the next lane's write.
@@ -70,10 +71,15 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 	ws := w + rowKernelGuard
 	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
 	starts := make([]float64, n*ws)
+	posStarts := make([]float64, n*ws) // starts with -0 made +0
 	for i := range starts {
 		starts[i] = sentinel
 		if i%ws < w {
 			starts[i] = rowKernelValue(s, 0.5)
+		}
+		posStarts[i] = starts[i]
+		if starts[i] == 0 {
+			posStarts[i] = 0
 		}
 	}
 	xStride := 1 + s.Intn(3)
@@ -90,14 +96,15 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 		setKernels(t, kn)
 		mul := append([]float64(nil), starts...)
 		dense := append([]float64(nil), starts...)
-		acc := append([]float64(nil), starts...)
+		acc := append([]float64(nil), posStarts...)
 		skip := append([]float64(nil), starts...)
 		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
 			for a := hi - 1; a >= lo; a-- {
 				x := xs[a*K : (a+1)*K]
 				p.mulLane(r0, x, mul[a*ws:a*ws+w], idx[a*K:(a+1)*K])
-				p.mulDense(r0, x, dense[a*ws:a*ws+w])
-				p.accLane(r0, x, acc[a*ws:a*ws+w])
+				zeroRange(dense[a*ws : a*ws+w])
+				p.accStrided(r0, x, 1, K, dense[a*ws:a*ws+w])
+				p.accStrided(r0, x, 1, K, acc[a*ws:a*ws+w])
 				p.accStrided(r0, strided[a*K*xStride:], xStride, K, skip[a*ws:a*ws+w])
 			}
 		}))
@@ -109,12 +116,12 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), dot = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if got, want := dense[a*ws+i], mul[a*ws+i]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulDense lane %d row %d = %v (%#x), mulLane = %v (%#x)",
+				if got, want := dense[a*ws+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accStrided from +0 lane %d row %d = %v (%#x), dot = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if got, want := acc[a*ws+i], dotAcc(starts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accLane lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
+				if got, want := acc[a*ws+i], dotAcc(posStarts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accStrided from a start not -0, lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
 						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				if got, want := skip[a*ws+i], dotAccSkip(starts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
@@ -126,7 +133,7 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 				for _, out := range []struct {
 					form string
 					v    []float64
-				}{{"mulLane", mul}, {"mulDense", dense}, {"accLane", acc}, {"accStrided", skip}} {
+				}{{"mulLane", mul}, {"accStrided from +0", dense}, {"accStrided from a start not -0", acc}, {"accStrided", skip}} {
 					if got := math.Float64bits(out.v[a*ws+i]); got != math.Float64bits(sentinel) {
 						t.Fatalf("%s %dx%d rows [%d,%d) n=%d: %s lane %d wrote %#x %d slots past its last row",
 							kn, rows, K, r0, r1, n, out.form, a, got, i-w+1)
@@ -196,9 +203,9 @@ func FuzzRowKernel(f *testing.F) {
 	})
 }
 
-// TestDenseRecurrentProductMatchesMulLane: the banks' recurrent
-// product W·hPrev (mulDense, every term) equals the zero-skipping
-// mulLane bit for bit at the LSTM (96×24) and GRU (2H = 48 of 72 rows)
+// TestDenseRecurrentProductMatchesMulLane: the cell steps' recurrent
+// product W·hPrev (accStrided from +0) equals the listed walk mulLane
+// and dot bit for bit at the LSTM (96×24) and GRU (2H = 48 of 72 rows)
 // bank shapes, on h vectors holding +0, -0, subnormals and ordinary
 // values, under every kernel setting the CPU can run.
 func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
@@ -228,11 +235,15 @@ func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
 				want := make([]float64, w)
 				got := make([]float64, w)
 				p.mulLane(0, h, want, make([]int, H))
-				p.mulDense(0, h, got)
+				p.accStrided(0, h, 1, H, got)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s %d rows, h #%d: row %d mulDense = %#x, mulLane = %#x",
+						t.Fatalf("%s %d rows, h #%d: row %d accStrided = %#x, mulLane = %#x",
 							kn, rows, hi, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+					if d := dot(m.Data[i*H:(i+1)*H], h); math.Float64bits(got[i]) != math.Float64bits(d) {
+						t.Fatalf("%s %d rows, h #%d: row %d accStrided = %#x, dot = %#x",
+							kn, rows, hi, i, math.Float64bits(got[i]), math.Float64bits(d))
 					}
 				}
 			}
@@ -242,9 +253,9 @@ func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
 
 // TestNonFiniteWeightBreaksZeroSkip is the regression for the
 // precondition the row kernel rests on. With W[0][5] = +Inf and
-// x[5] = 0 the zero-skipping products (the trainer's MulLanes, 4 lanes ×
-// 20 columns, and mulLane) return 0.1 while dot returns
-// NaN, so an artifact with a non-finite weight must never reach
+// x[5] = 0 both zero-skipping walks (WalkLanes listed and strided, 4
+// lanes × 20 columns, and mulLane) return 0.1 while dot returns NaN, so
+// an artifact with a non-finite weight must never reach
 // inference: CheckFinite names it, and core refuses it on load and after
 // training.
 func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
@@ -259,13 +270,15 @@ func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
 	if d := dot(m.Data[:cols], xs[:cols]); !math.IsNaN(d) {
 		t.Fatalf("dot = %v, want NaN (Inf·0)", d)
 	}
-	out := make([]float64, lanes*4)
-	m.MulLanes(0, 4, xs, lanes, out, 4, false, NewPool(1))
 	p := packRows(m)
 	row := make([]float64, 4)
 	p.mulLane(0, xs[:cols], row, make([]int, cols))
-	if out[0] != 0.1 || row[0] != 0.1 {
-		t.Fatalf("zero-skipping products = %v, %v; want 0.1 (the Inf·0 term skipped)", out[0], row[0])
+	for _, dense := range []bool{false, true} {
+		out := make([]float64, lanes*4)
+		m.WalkLanes(0, 4, xs, lanes, out, 4, dense, NewPool(1))
+		if out[0] != 0.1 || row[0] != 0.1 {
+			t.Fatalf("zero-skipping products (dense %v) = %v, %v; want 0.1 (the Inf·0 term skipped)", dense, out[0], row[0])
+		}
 	}
 
 	model, err := NewModel(DefaultModelConfig(cols, 4))

@@ -10,13 +10,17 @@ import (
 )
 
 // This file implements the training half of the batched engine: minibatch
-// BPTT for the trunk cells and heads, expressed as lane products
-// (mulLanes for forward, mulLanesT / addGradLanes for backward; each fans
-// out over the pool only above the dispatch floor, see pool.go), all on
-// inference's row kernel (DESIGN.md decisions 19, 20 and 36). Each layer
-// repacks its weights once per minibatch, the only time they change, and
-// the LSTM takes its weight gradients once per minibatch too, over every
-// step's lanes.
+// BPTT for the trunk cells and heads. The forward pass is the lane
+// banks' own: each layer keeps a batch state of its cell (the running
+// state, the packed weights and the step scratch) and runs the cell's
+// stepLane on it, so a model is trained on the forward pass it is served
+// with (DESIGN.md decision 39). The backward pass is lane products
+// (mulLanesT and addGradLanes; each fans out over the pool only above
+// the dispatch floor, see pool.go), all on inference's row kernel
+// (decisions 19, 20 and 36). Each layer reloads its weights and bias
+// into its batch state once per minibatch, the only time they change,
+// and the LSTM takes its weight gradients once per minibatch too, over
+// every step's lanes.
 // Every Range call hands the pool a worker bound to the trainer or a
 // layer, so a warmed-up minibatch allocates nothing. One optimizer step
 // is applied per batch to the mean-loss gradient; Adam and gradient
@@ -25,8 +29,8 @@ import (
 // It is the only trainer: BatchSize 1 runs it at width 1, one optimizer
 // step per sample. At width 1 it reproduces the per-sample scalar BPTT
 // loop it replaced (kept in the tests) bit for bit for the LSTM and MLP
-// trunks; the GRU differs in the association of two sums (DESIGN.md
-// decision 22).
+// trunks; the GRU differs in the association of one sum, the previous
+// step's hidden gradient (DESIGN.md decision 22).
 //
 // Determinism contract: for a fixed seed and batch size training is
 // bitwise reproducible run to run and across worker counts: every
@@ -327,7 +331,7 @@ func (t *miniBatchTrainer) RunRange(lo, hi int) {
 }
 
 // lstmTrainLayer runs fused minibatch BPTT for one LSTM layer: the
-// inference stepBatch's two products per step as mulLanes products, the
+// lane banks' step per lane forward (lstmBatchState.stepLane), the
 // backward products through the weights per step (mulLanesT for the
 // input and recurrent gradients), and the weight and bias gradients once
 // per minibatch (addGradLanes over every step's lanes).
@@ -335,12 +339,10 @@ type lstmTrainLayer struct {
 	l    *lstm
 	pool *Pool
 	gemm laneGemm
+	s    lstmBatchState // running h and c (n×H), this minibatch's weights, forward scratch
 
 	n, steps int
-	wx, wh   packedRows // this minibatch's Wx and Wh, k-major
-	h, c     []float64  // running state, n×H
-	dh, dc   []float64  // recurrent gradient carry, n×H
-	zx, zh   []float64  // forward step scratch, n×4H
+	dh, dc   []float64 // recurrent gradient carry, n×H
 
 	// Per-step caches in reversed step order — step st is slot
 	// steps-1-st — so that the slots' lanes in order run steps
@@ -351,7 +353,7 @@ type lstmTrainLayer struct {
 	gates          []float64 // i, f, g, o activations, steps×n×4H; backward overwrites a slot with its dz
 	ctc            []float64 // tanh(c), steps×n×H
 
-	// one step's arguments for the gate workers
+	// one step's arguments for the forward and gate workers
 	slot     int
 	hs, dhIn []float64
 }
@@ -359,64 +361,44 @@ type lstmTrainLayer struct {
 func (t *lstmTrainLayer) begin(n, steps int) {
 	H, In := t.l.Hidden, t.l.In
 	t.n, t.steps = n, steps
-	t.wx.pack(t.l.Wx)
-	t.wh.pack(t.l.Wh)
-	t.h = growFloats(t.h, n*H)
-	t.c = growFloats(t.c, n*H)
+	t.s.load(t.l)
+	t.s.size(n)
+	t.s.h = growFloats(t.s.h, n*H)
+	t.s.c = growFloats(t.s.c, n*H)
 	t.dh = growFloats(t.dh, n*H)
 	t.dc = growFloats(t.dc, n*H)
-	t.zx = growFloats(t.zx, n*4*H)
-	t.zh = growFloats(t.zh, n*4*H)
 	t.cx = growFloats(t.cx, steps*n*In)
 	t.chPrev = growFloats(t.chPrev, steps*n*H)
 	t.ccPrev = growFloats(t.ccPrev, steps*n*H)
 	t.gates = growFloats(t.gates, steps*n*4*H)
 	t.ctc = growFloats(t.ctc, steps*n*H)
-	zeroRange(t.h[:n*H])
-	zeroRange(t.c[:n*H])
+	zeroRange(t.s.h)
+	zeroRange(t.s.c)
 	zeroRange(t.dh[:n*H])
 	zeroRange(t.dc[:n*H])
 }
 
+// forward caches step st's inputs and previous state in its slot, then
+// runs the bank's step per lane.
 func (t *lstmTrainLayer) forward(st, n int, xs, hs []float64) {
-	l := t.l
-	H, In := l.Hidden, l.In
+	H, In := t.l.Hidden, t.l.In
 	t.slot, t.hs = t.steps-1-st, hs
 	copy(t.cx[t.slot*n*In:(t.slot+1)*n*In], xs[:n*In])
-	copy(t.chPrev[t.slot*n*H:(t.slot+1)*n*H], t.h[:n*H])
-	copy(t.ccPrev[t.slot*n*H:(t.slot+1)*n*H], t.c[:n*H])
-	t.gemm.mulLanes(l.Wx, &t.wx, 0, 4*H, xs, n, t.zx, 4*H, false, t.pool)
-	t.gemm.mulLanes(l.Wh, &t.wh, 0, 4*H, t.h, n, t.zh, 4*H, true, t.pool)
-	t.pool.Range(n, 5*H*gateMulAdds, lstmGates{t})
-	copy(t.h[:n*H], hs[:n*H])
+	copy(t.chPrev[t.slot*n*H:(t.slot+1)*n*H], t.s.h[:n*H])
+	copy(t.ccPrev[t.slot*n*H:(t.slot+1)*n*H], t.s.c[:n*H])
+	t.pool.Range(n, t.l.stepCost(), lstmForward{t})
 }
 
-// lstmGates is the forward gate pass of one step over lanes [lo, hi).
-type lstmGates struct{ *lstmTrainLayer }
+// lstmForward is the forward step over lanes [lo, hi): the bank's step
+// on each lane's cached input, writing the gate activations and tanh(c)
+// into the step's slot.
+type lstmForward struct{ *lstmTrainLayer }
 
-func (t lstmGates) RunRange(lo, hi int) {
-	H, wide := t.l.Hidden, useWideGates
-	base := t.slot * t.n
-	bias := t.l.B.Data
+func (t lstmForward) RunRange(lo, hi int) {
+	H, In := t.l.Hidden, t.l.In
 	for a := lo; a < hi; a++ {
-		zx := t.zx[a*4*H : (a+1)*4*H]
-		zh := t.zh[a*4*H : (a+1)*4*H]
-		// The reference association z[i] += zh[i] + B[i]; the gate
-		// activations land directly in the step's slot of the gate
-		// cache, 4 lanes per instruction when the wide gate kernels are
-		// live.
-		addSumLanes(zx, zh, bias, wide)
-		g := t.gates[(base+a)*4*H : (base+a+1)*4*H]
-		ctc := t.ctc[(base+a)*H : (base+a+1)*H]
-		sigmoidLanes(g[:2*H], zx[:2*H], wide) // i and f (adjacent quarters)
-		tanhLanes(g[2*H:3*H], zx[2*H:3*H], wide)
-		sigmoidLanes(g[3*H:], zx[3*H:4*H], wide)
-		cRow := t.c[a*H : (a+1)*H]
-		hRow := t.hs[a*H : (a+1)*H]
-		// cNew = f*cPrev + i*g, the reference association.
-		cellLanes(cRow, g[H:2*H], g[:H], g[2*H:3*H], wide)
-		tanhLanes(ctc, cRow, wide)
-		prodLanes(hRow, g[3*H:], ctc, wide)
+		k := t.slot*t.n + a
+		t.s.stepLane(a, a, t.cx[k*In:(k+1)*In], t.gates[k*4*H:(k+1)*4*H], t.ctc[k*H:(k+1)*H], t.hs[a*H:(a+1)*H])
 	}
 }
 
@@ -484,41 +466,38 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 	}
 }
 
-// gruTrainLayer runs fused minibatch BPTT for one GRU layer. The
-// candidate pre-activation consumes r⊙h, so each step needs a third
-// product after the gate pass (exactly like the inference stepBatch).
+// gruTrainLayer runs fused minibatch BPTT for one GRU layer: the lane
+// banks' step per lane forward (gruBatchState.stepLane), whose candidate
+// product over r⊙h follows the reset gate, and per step the backward
+// products and the weight and bias gradients.
 type gruTrainLayer struct {
 	g    *gru
 	pool *Pool
 	gemm laneGemm
+	s    gruBatchState // running h (n×H), this minibatch's weights, forward scratch
 
 	n, steps int
-	wx, wh   packedRows // this minibatch's Wx and Wh, k-major
-	h        []float64  // running state, n×H
-	dh       []float64  // recurrent gradient carry, n×H
-	ax, ac   []float64  // pre-activation scratch, n×3H
-	da       []float64  // pre-activation gradients, n×3H
-	drh      []float64  // gradient at r⊙h, n×H
-	dhAcc    []float64  // dhPrev accumulator, n×H
-	scr      []float64  // mulLanesT scratch, n×H
+	dh       []float64 // recurrent gradient carry, n×H
+	da       []float64 // pre-activation gradients, n×3H
+	drh      []float64 // gradient at r⊙h, n×H
+	dhAcc    []float64 // dhPrev accumulator, n×H
+	scr      []float64 // mulLanesT scratch, n×H
 
 	cx                       []float64 // steps×n×In
 	chPrev, cz, cr, chh, crh []float64 // steps×n×H
 
-	// one step's arguments for the gate workers
-	base     int // st·n·H, the step's offset into the caches
-	hs, dhIn []float64
+	// one step's arguments for the forward and gate workers
+	base         int       // st·n·H, the step's offset into the caches
+	xs, hs, dhIn []float64 // xs: the step's cached inputs, n×In
 }
 
 func (t *gruTrainLayer) begin(n, steps int) {
 	H, In := t.g.Hidden, t.g.In
 	t.n, t.steps = n, steps
-	t.wx.pack(t.g.Wx)
-	t.wh.pack(t.g.Wh)
-	t.h = growFloats(t.h, n*H)
+	t.s.load(t.g)
+	t.s.size(n)
+	t.s.h = growFloats(t.s.h, n*H)
 	t.dh = growFloats(t.dh, n*H)
-	t.ax = growFloats(t.ax, n*3*H)
-	t.ac = growFloats(t.ac, n*3*H)
 	t.da = growFloats(t.da, n*3*H)
 	t.drh = growFloats(t.drh, n*H)
 	t.dhAcc = growFloats(t.dhAcc, n*H)
@@ -529,72 +508,31 @@ func (t *gruTrainLayer) begin(n, steps int) {
 	t.cr = growFloats(t.cr, steps*n*H)
 	t.chh = growFloats(t.chh, steps*n*H)
 	t.crh = growFloats(t.crh, steps*n*H)
-	zeroRange(t.h[:n*H])
+	zeroRange(t.s.h)
 	zeroRange(t.dh[:n*H])
 }
 
+// forward caches step st's inputs and previous state, then runs the
+// bank's step per lane.
 func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
-	g := t.g
-	H, In := g.Hidden, g.In
-	copy(t.cx[st*n*In:(st+1)*n*In], xs[:n*In])
+	H, In := t.g.Hidden, t.g.In
 	t.base, t.hs = st*n*H, hs
-	copy(t.chPrev[t.base:t.base+n*H], t.h[:n*H])
-	t.gemm.mulLanes(g.Wx, &t.wx, 0, 3*H, xs, n, t.ax, 3*H, false, t.pool)
-	t.gemm.mulLanes(g.Wh, &t.wh, 0, 2*H, t.h, n, t.ac, 3*H, true, t.pool)
-	t.pool.Range(n, 2*H*gateMulAdds, gruGates{t})
-	// Candidate recurrent pre-activation over r⊙h (must follow r).
-	t.gemm.mulLanes(g.Wh, &t.wh, 2*H, 3*H, t.crh[t.base:t.base+n*H], n, t.ac, 3*H, true, t.pool)
-	t.pool.Range(n, H*gateMulAdds, gruCandidate{t})
-	copy(t.h[:n*H], hs[:n*H])
+	t.xs = t.cx[st*n*In : (st+1)*n*In]
+	copy(t.xs, xs[:n*In])
+	copy(t.chPrev[t.base:t.base+n*H], t.s.h[:n*H])
+	t.pool.Range(n, t.g.stepCost(), gruForward{t})
 }
 
-// gruGates is the z and r gate pass of one step over lanes [lo, hi).
-type gruGates struct{ *gruTrainLayer }
+// gruForward is the forward step over lanes [lo, hi): the bank's step on
+// each lane's cached input, writing z, r, r⊙h and the candidate into the
+// step's caches.
+type gruForward struct{ *gruTrainLayer }
 
-func (t gruGates) RunRange(lo, hi int) {
-	H, base, wide := t.g.Hidden, t.base, useWideGates
-	bias := t.g.B.Data
+func (t gruForward) RunRange(lo, hi int) {
+	H, In := t.g.Hidden, t.g.In
 	for a := lo; a < hi; a++ {
-		ax := t.ax[a*3*H : (a+1)*3*H]
-		ac := t.ac[a*3*H : (a+1)*3*H]
-		// The reference ax + ac + bias association; z and r land
-		// directly in the per-step caches.
-		for j := 0; j < 2*H; j++ {
-			ax[j] = ax[j] + ac[j] + bias[j]
-		}
-		cz := t.cz[base+a*H : base+(a+1)*H]
-		cr := t.cr[base+a*H : base+(a+1)*H]
-		crh := t.crh[base+a*H : base+(a+1)*H]
-		sigmoidLanes(cz, ax[:H], wide)
-		sigmoidLanes(cr, ax[H:2*H], wide)
-		hRow := t.h[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			crh[j] = cr[j] * hRow[j]
-		}
-	}
-}
-
-// gruCandidate is the candidate and state update of one step over lanes
-// [lo, hi).
-type gruCandidate struct{ *gruTrainLayer }
-
-func (t gruCandidate) RunRange(lo, hi int) {
-	H, base, wide := t.g.Hidden, t.base, useWideGates
-	bias := t.g.B.Data
-	for a := lo; a < hi; a++ {
-		ax := t.ax[a*3*H : (a+1)*3*H]
-		ac := t.ac[a*3*H : (a+1)*3*H]
-		chh := t.chh[base+a*H : base+(a+1)*H]
-		for j := 0; j < H; j++ {
-			chh[j] = ax[2*H+j] + ac[2*H+j] + bias[2*H+j]
-		}
-		tanhLanes(chh, chh, wide)
-		cz := t.cz[base+a*H : base+(a+1)*H]
-		hRow := t.h[a*H : (a+1)*H]
-		hsRow := t.hs[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			hsRow[j] = (1-cz[j])*hRow[j] + cz[j]*chh[j]
-		}
+		k := t.base + a*H
+		t.s.stepLane(a, a, t.xs[a*In:(a+1)*In], t.cz[k:k+H], t.cr[k:k+H], t.crh[k:k+H], t.chh[k:k+H], t.hs[a*H:(a+1)*H])
 	}
 }
 
@@ -664,36 +602,37 @@ func (t gruResetGrads) RunRange(lo, hi int) {
 // mlpTrainLayer trains the windowed-MLP baseline in fused form. The MLP
 // is restricted to a single (top) layer and the heads read only the
 // final step's output, so per-step evaluation is wasted work at train
-// time: the layer buffers the window and runs one product at the final
-// step. Non-final steps contribute no gradient (the layer has no
-// recurrent path), so skipping them is exact, not an approximation.
+// time: the layer buffers the window and runs the bank's evaluation
+// (mlpBatchState.evalLane) once, at the final step. Non-final steps
+// contribute no gradient (the layer has no recurrent path), so skipping
+// them is exact, not an approximation.
 type mlpTrainLayer struct {
 	m    *windowMLP
 	pool *Pool
 	gemm laneGemm
+	s    mlpBatchState // the lanes' windows (n × In·Window, zero rows in front), this minibatch's weights
 
 	n, steps int
-	w        packedRows // this minibatch's W, k-major
-	flat     []float64  // n × In·Window, zero rows in front like the inference window
-	h        []float64  // n×H final-step activations
-	da       []float64  // n×H
+	h        []float64 // n×H final-step activations
+	da       []float64 // n×H
 
-	// the final step's arguments for the activation worker
+	// the final step's arguments for the forward worker
 	hs []float64
 }
 
 func (t *mlpTrainLayer) begin(n, steps int) {
 	t.n, t.steps = n, steps
-	t.w.pack(t.m.W)
+	t.s.load(t.m)
+	t.s.size(n)
 	FW := t.m.In * t.m.Window
-	t.flat = growFloats(t.flat, n*FW)
-	zeroRange(t.flat[:n*FW])
+	t.s.win = growFloats(t.s.win, n*FW)
+	zeroRange(t.s.win)
 	t.h = growFloats(t.h, n*t.m.Hidden)
 	t.da = growFloats(t.da, n*t.m.Hidden)
 }
 
 func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
-	In, W, H := t.m.In, t.m.Window, t.m.Hidden
+	In, W := t.m.In, t.m.Window
 	// Step st of a steps-long stream lands in ring slot st+W-steps of
 	// the final (front-padded) window; earlier steps fall off the ring.
 	slot := st + W - t.steps
@@ -701,28 +640,23 @@ func (t *mlpTrainLayer) forward(st, n int, xs, hs []float64) {
 		return
 	}
 	for a := 0; a < n; a++ {
-		copy(t.flat[a*In*W+slot*In:a*In*W+(slot+1)*In], xs[a*In:(a+1)*In])
+		copy(t.s.win[a*In*W+slot*In:a*In*W+(slot+1)*In], xs[a*In:(a+1)*In])
 	}
 	if st != t.steps-1 {
 		return
 	}
-	t.gemm.mulLanes(t.m.W, &t.w, 0, H, t.flat, n, t.h, H, false, t.pool)
 	t.hs = hs
-	t.pool.Range(n, H*gateMulAdds, mlpActivate{t})
+	t.pool.Range(n, t.m.stepCost(), mlpForward{t})
 }
 
-// mlpActivate adds the bias and applies tanh over lanes [lo, hi).
-type mlpActivate struct{ *mlpTrainLayer }
+// mlpForward evaluates the final window of lanes [lo, hi).
+type mlpForward struct{ *mlpTrainLayer }
 
-func (t mlpActivate) RunRange(lo, hi int) {
-	H, wide := t.m.Hidden, useWideGates
-	bias := t.m.B.Data
+func (t mlpForward) RunRange(lo, hi int) {
+	H, fw := t.m.Hidden, t.m.In*t.m.Window
 	for a := lo; a < hi; a++ {
 		row := t.h[a*H : (a+1)*H]
-		for j := 0; j < H; j++ {
-			row[j] += bias[j]
-		}
-		tanhLanes(row, row, wide)
+		t.s.evalLane(a, t.s.win[a*fw:(a+1)*fw], row)
 		copy(t.hs[a*H:(a+1)*H], row)
 	}
 }
@@ -735,6 +669,6 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 	for i, dh := range dhIn[:n*H] {
 		t.da[i] = dh * dTanh(t.h[i]) // back through tanh
 	}
-	t.gemm.addGradLanes(t.m.W, 0, H, t.da, H, n, t.flat, t.pool)
+	t.gemm.addGradLanes(t.m.W, 0, H, t.da, H, n, t.s.win, t.pool)
 	addBiasGradLanes(t.m.B, 0, H, t.da, H, n)
 }

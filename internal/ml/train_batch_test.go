@@ -3,6 +3,7 @@ package ml
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,6 +96,98 @@ func TestGenericTrainLayerMatchesFused(t *testing.T) {
 	}
 }
 
+// TestTrainerForwardMatchesBank: a model is trained on the forward pass
+// it is served with. For every trunk class, one and two layers where the
+// cell stacks, the minibatch trainer's top-layer output at each step
+// (the final one for the MLP, the only step its trainer evaluates)
+// equals a lane bank's StepLanes over the same windows bit for bit, and
+// so do the heads read from it — on inputs and biases holding ±0 and
+// subnormals, under every kernel setting and every pool configuration.
+func TestTrainerForwardMatchesBank(t *testing.T) {
+	for _, tc := range []struct {
+		cell   string
+		layers int
+	}{{"lstm", 1}, {"lstm", 2}, {"gru", 1}, {"gru", 2}, {"mlp", 1}} {
+		t.Run(fmt.Sprintf("%s/layers=%d", tc.cell, tc.layers), func(t *testing.T) {
+			model := parityModel(t, tc.cell, tc.layers)
+			s := stats.NewStream(int64(7 * tc.layers))
+			for _, c := range model.Trunk {
+				for _, p := range c.Params() {
+					if p.Cols == 1 { // the bias
+						for i := range p.Data {
+							p.Data[i] = laneValue(s, 0.8)
+						}
+					}
+				}
+			}
+			const steps = 6
+			F, H := model.Cfg.Features, model.Cfg.Hidden
+			for _, kn := range kernelConfigs() {
+				t.Run(kn.String(), func(t *testing.T) {
+					setKernels(t, kn)
+					forEachPool(t, func(t *testing.T, pool *Pool) {
+						for _, n := range []int{1, 7, 16} {
+							xs := make([][][]float64, steps)
+							for st := range xs {
+								xs[st] = make([][]float64, n)
+								for a := range xs[st] {
+									xs[st][a] = make([]float64, F)
+									for k := range xs[st][a] {
+										xs[st][a][k] = laneValue(s, 0.4)
+									}
+								}
+							}
+							lanes := make([]int, n)
+							for a := range lanes {
+								lanes[a] = a
+							}
+							bank := NewBatchedStatefulModel(model, n, pool)
+							bt := newMiniBatchTrainer(model, pool)
+							for _, tl := range bt.layers {
+								tl.begin(n, steps)
+							}
+							bufA, bufB := make([]float64, n*max(F, H)), make([]float64, n*max(F, H))
+							preds := make([]Prediction, n)
+							for st := 0; st < steps; st++ {
+								cur, next := bufA, bufB
+								for a, x := range xs[st] {
+									copy(cur[a*F:(a+1)*F], x)
+								}
+								for _, tl := range bt.layers {
+									tl.forward(st, n, cur, next)
+									cur, next = next, cur
+								}
+								bank.StepLanes(lanes, xs[st], nil, preds)
+								if tc.cell == "mlp" && st != steps-1 {
+									continue
+								}
+								want := bank.bufA
+								if len(model.Trunk)%2 == 1 { // StepLanes swaps its buffers once per layer
+									want = bank.bufB
+								}
+								for i, w := range want[:n*H] {
+									if g := cur[i]; math.Float64bits(g) != math.Float64bits(w) {
+										t.Fatalf("n=%d step %d lane %d unit %d: trainer %v (%#x), bank %v (%#x)",
+											n, st, i/H, i%H, g, math.Float64bits(g), w, math.Float64bits(w))
+									}
+								}
+								for a := range preds {
+									got := model.headsRow(cur[a*H : (a+1)*H])
+									for _, v := range [][2]float64{{got.Latency, preds[a].Latency}, {got.PDrop, preds[a].PDrop}, {got.PECN, preds[a].PECN}} {
+										if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+											t.Fatalf("n=%d step %d lane %d: trainer heads %+v, bank %+v", n, st, a, got, preds[a])
+										}
+									}
+								}
+							}
+						}
+					})
+				})
+			}
+		})
+	}
+}
+
 // fitScalar is the per-sample training loop that BatchSize 1 selected
 // before the minibatch trainer took that width: fit's shuffle stream, and
 // per sample one reference trainStepWindow, clip and Adam step.
@@ -124,9 +217,9 @@ func (m *Model) fitScalar(src windowSource) {
 // TestWidthOneTrainerMatchesScalarLoop pins what BatchSize 1 means: the
 // minibatch trainer at width 1 trains byte-identical LSTM and MLP
 // artifacts to the per-sample scalar loop. (A GRU differs in the last
-// bits: the trainer sums the candidate's recurrent product before adding
-// its input term and bias, and the previous step's hidden gradient in
-// another order, than the scalar GRU step does; DESIGN.md decision 22.)
+// bits: its forward is the scalar GRU step's, but the trainer sums the
+// previous step's hidden gradient in another order than the scalar
+// StepBackward does; DESIGN.md decision 22.)
 func TestWidthOneTrainerMatchesScalarLoop(t *testing.T) {
 	for _, name := range []string{"lstm", "mlp"} {
 		cfg := cellConfigs()[name]
