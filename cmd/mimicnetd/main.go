@@ -5,7 +5,8 @@
 // most once, and exposes a small JSON API:
 //
 //	POST   /v1/jobs      submit a job        (429 + Retry-After when full)
-//	GET    /v1/jobs/{id} poll status/progress/result
+//	GET    /v1/jobs/{id} status/progress/result; ?wait_ms=N holds the
+//	                     answer until the job ends (capped)
 //	DELETE /v1/jobs/{id} cancel
 //	GET    /healthz      liveness (503 while draining)
 //	GET    /stats        scheduler + registry counters
@@ -101,6 +102,7 @@ type daemon struct {
 	ln           net.Listener
 	drainTimeout time.Duration
 	done         chan struct{} // closed once Serve has fully drained
+	shutdownErr  error         // http.Server.Shutdown's result, set before done closes
 }
 
 // newDaemon assembles the serve stack under dataDir: the model registry
@@ -170,7 +172,12 @@ func (d *daemon) Serve() {
 	if err := d.sched.Close(); err != nil {
 		log.Printf("mimicnetd: journal close: %v", err)
 	}
+	// A held GET /v1/jobs/{id}?wait_ms= answers once its job ends, and
+	// every job has ended by now unless the drain timed out; even then
+	// it answers within the server's cap, which is under this grace.
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
-	_ = d.httpSrv.Shutdown(shutCtx)
+	if d.shutdownErr = d.httpSrv.Shutdown(shutCtx); d.shutdownErr != nil {
+		log.Printf("mimicnetd: http shutdown: %v", d.shutdownErr)
+	}
 }

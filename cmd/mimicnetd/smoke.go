@@ -114,8 +114,10 @@ func smokeRecovery(ctx context.Context, dataDir string, queueDepth, workers int,
 //     job from the journal, resumes it from the checkpoint, and lands
 //     the artifact in the registry;
 //  6. SIGTERM mid-job drains: the in-flight job finishes (not
-//     cancelled), new submissions are rejected, the process-level serve
-//     loop returns. (Last: it signals the whole process.)
+//     cancelled), a client waiting on it in Client.Wait gets its
+//     terminal status, new submissions are rejected, and the
+//     process-level serve loop returns with http.Server.Shutdown done
+//     within its context. (Last: it signals the whole process.)
 func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 	dataDir, err := os.MkdirTemp("", "mimicnet-smoke-")
 	if err != nil {
@@ -278,6 +280,17 @@ func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
+	// A client waiting on the job across the drain, in held GETs of up
+	// to a second each.
+	type waited struct {
+		st  serve.JobStatus
+		err error
+	}
+	waiter := make(chan waited, 1)
+	go func() {
+		st, err := c.Wait(ctx, inflight.ID, time.Second, nil)
+		waiter <- waited{st, err}
+	}()
 	self, err := os.FindProcess(os.Getpid())
 	if err != nil {
 		return err
@@ -302,22 +315,16 @@ func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 		return fmt.Errorf("submissions were never rejected after SIGTERM")
 	}
 	// The in-flight job must finish normally, not be cancelled by the
-	// drain. The listener closes once the drain completes, so the final
-	// check goes through the in-process job handle rather than HTTP.
-	handle, err := d.sched.Job(inflight.ID)
-	if err != nil {
-		return fmt.Errorf("drain-test job lookup: %w", err)
+	// drain, and its waiting client must get that terminal status over
+	// HTTP before the listener closes.
+	w := <-waiter
+	if w.err != nil {
+		return fmt.Errorf("client waiting across the drain: %w", w.err)
 	}
-	select {
-	case <-handle.Done():
-	case <-ctx.Done():
-		return fmt.Errorf("drain-test job never finished")
+	if w.st.State != serve.StateDone {
+		return fmt.Errorf("in-flight job did not survive the drain: state=%s err=%q", w.st.State, w.st.Error)
 	}
-	final := handle.Status()
-	if final.State != serve.StateDone {
-		return fmt.Errorf("in-flight job did not survive the drain: state=%s err=%q", final.State, final.Error)
-	}
-	if final.Result.Cancelled {
+	if w.st.Result.Cancelled {
 		return fmt.Errorf("in-flight job reported partial results after drain")
 	}
 	select {
@@ -325,6 +332,9 @@ func runSmoke(queueDepth, workers int, drainTimeout time.Duration) error {
 	case <-ctx.Done():
 		return fmt.Errorf("daemon serve loop never returned after drain")
 	}
-	log.Printf("smoke: SIGTERM drain ok — in-flight job %s finished, new submissions rejected", inflight.ID)
+	if d.shutdownErr != nil {
+		return fmt.Errorf("http shutdown did not finish within its context: %w", d.shutdownErr)
+	}
+	log.Printf("smoke: SIGTERM drain ok — in-flight job %s finished and reached its waiting client, new submissions rejected, http shutdown clean", inflight.ID)
 	return nil
 }

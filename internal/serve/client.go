@@ -43,8 +43,12 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("serve: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 }
 
-func (c *Client) getJSON(path string, out any) error {
-	resp, err := c.HTTP.Get(c.Base + path)
+func (c *Client) getJSON(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
 	}
@@ -91,23 +95,34 @@ func (c *Client) Submit(spec JobSpec) (JobStatus, error) {
 // Job fetches one job's status.
 func (c *Client) Job(id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.getJSON("/v1/jobs/"+id, &st)
+	err := c.getJSON(context.Background(), "/v1/jobs/"+id, &st)
 	return st, err
 }
 
-// Wait polls the job until it reaches a terminal state, invoking
-// onProgress (if non-nil) after each poll.
+// Wait follows the job until it reaches a terminal state, invoking
+// onProgress (if non-nil) after each status it reads. poll is the
+// progress cadence: each GET asks the daemon to hold the answer for up
+// to poll (wait_ms), so the terminal status arrives as soon as the
+// daemon has it rather than up to one poll later. Against a daemon that
+// answers at once, the ticker still paces the GETs at poll; after a held
+// GET the tick has already fired and the next one goes out at once.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, onProgress func(JobStatus)) (JobStatus, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
+	path := "/v1/jobs/" + id + "?wait_ms=" + strconv.FormatInt(poll.Milliseconds(), 10)
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
+	var st JobStatus
 	for {
-		st, err := c.Job(id)
-		if err != nil {
+		var cur JobStatus
+		if err := c.getJSON(ctx, path, &cur); err != nil {
+			if ctx.Err() != nil {
+				err = ctx.Err()
+			}
 			return st, err
 		}
+		st = cur
 		if onProgress != nil {
 			onProgress(st)
 		}
@@ -126,7 +141,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration, onProg
 // Stats fetches the daemon's counters.
 func (c *Client) Stats() (StatsBody, error) {
 	var st StatsBody
-	err := c.getJSON("/stats", &st)
+	err := c.getJSON(context.Background(), "/stats", &st)
 	return st, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -98,5 +99,40 @@ func TestClientErrorBodyPlainText(t *testing.T) {
 	_, err := c.Submit(tinySpec())
 	if err == nil || !strings.Contains(err.Error(), "kaboom") || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("non-JSON error body not surfaced: %v", err)
+	}
+}
+
+// TestClientWaitOldDaemon runs Wait against a daemon that ignores
+// wait_ms and answers every GET at once: the client must still pace its
+// GETs, and its onProgress calls, at poll, send poll as wait_ms, and
+// return the terminal status — a new client works with an old daemon.
+func TestClientWaitOldDaemon(t *testing.T) {
+	const poll, running = 40 * time.Millisecond, 3
+	var gets atomic.Int32
+	c := stubServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if got := r.URL.Query().Get("wait_ms"); got != "40" {
+			t.Errorf("GET %s: wait_ms %q, want the poll interval, 40", r.URL, got)
+		}
+		st := JobStatus{ID: "j000001", State: StateRunning}
+		if gets.Add(1) > running {
+			st.State, st.Result = StateDone, &Summary{FlowsStarted: 3}
+		}
+		writeJSON(w, http.StatusOK, st)
+	})
+	var seen []time.Time
+	st, err := c.Wait(context.Background(), "j000001", poll, func(JobStatus) { seen = append(seen, time.Now()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Result == nil || st.Result.FlowsStarted != 3 {
+		t.Fatalf("Wait returned %+v, want the terminal status", st)
+	}
+	if len(seen) != running+1 {
+		t.Fatalf("%d onProgress calls, want %d", len(seen), running+1)
+	}
+	for i := 1; i < len(seen); i++ {
+		if gap := seen[i].Sub(seen[i-1]); gap < poll/2 {
+			t.Errorf("onProgress calls %d and %d %v apart, want about poll (%v)", i-1, i, gap, poll)
+		}
 	}
 }

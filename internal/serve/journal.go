@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -12,9 +13,10 @@ import (
 )
 
 // The job journal makes the scheduler crash-recoverable: every lifecycle
-// transition is appended (fsynced) to a write-ahead journal BEFORE the
-// effect is acknowledged, so a daemon killed at any instant can rebuild
-// its job table on the next boot. Recovery re-enqueues jobs that never
+// transition is appended to a write-ahead journal, and the two that
+// recovery acts on (accepted, terminal) are fsynced BEFORE the effect is
+// acknowledged, so a daemon killed at any instant can rebuild its job
+// table on the next boot. Recovery re-enqueues jobs that never
 // reached a terminal state; re-execution is idempotent because the model
 // registry content-addresses artifacts (a job whose training finished
 // before the crash hits the registry) and the training checkpointer
@@ -40,8 +42,8 @@ type SchedulerOptions struct {
 	Workers    int // <= 0 selects GOMAXPROCS
 
 	// JournalDir holds the write-ahead job journal: transitions are
-	// fsynced there and replayed on construction. One scheduler at a
-	// time may hold it.
+	// appended there (accepted and terminal ones fsynced) and replayed on
+	// construction. One scheduler at a time may hold it.
 	JournalDir string
 
 	// CheckpointDir holds durable training checkpoints keyed by each
@@ -156,7 +158,9 @@ func NewSchedulerWithOptions(reg *Registry, opt SchedulerOptions) (*Scheduler, *
 		s.runFn = opt.runFn
 	}
 
-	jnl, info, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{})
+	// Append never fsyncs on its own: logRecord chooses, per record,
+	// between Append and AppendSync.
+	jnl, info, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{SyncEvery: math.MaxInt})
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: job journal: %w", err)
 	}
@@ -307,10 +311,19 @@ func idNum(id string) uint64 {
 	return n
 }
 
-// logRecord appends one fsynced record; silently dropped after Kill or
-// Close (the crash being simulated, or shutdown). Append failures are
-// counted, not fatal: the daemon keeps serving, recovery just loses the
-// affected transition.
+// logRecord appends one record; silently dropped after Kill or Close
+// (the crash being simulated, or shutdown). Append failures are counted,
+// not fatal: the daemon keeps serving, recovery just loses the affected
+// transition.
+//
+// Only the records recovery acts on are fsynced. accepted is synced
+// before Submit returns (and so before the 202), so an admitted job is
+// never forgotten; a terminal record is synced before Done closes, so a
+// job a client saw end is never run again. started and phase records
+// only set Started and Phase for display — replay re-enqueues every job
+// without a terminal record, whatever they say — so they are appended
+// without an fsync and reach the disk, in order, with the next synced
+// record.
 func (s *Scheduler) logRecord(rec jobRecord) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
@@ -319,7 +332,11 @@ func (s *Scheduler) logRecord(rec jobRecord) {
 	}
 	blob, err := json.Marshal(rec)
 	if err == nil {
-		_, err = s.journal.AppendSync(blob)
+		if rec.Type == recStarted || rec.Type == recPhase {
+			_, err = s.journal.Append(blob)
+		} else {
+			_, err = s.journal.AppendSync(blob)
+		}
 	}
 	if err != nil {
 		s.cJournalErrs.Inc()

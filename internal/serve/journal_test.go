@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"mimicnet/internal/durable"
+	"mimicnet/internal/obs"
 )
 
 // durableStub is the journal tests' job executor: blocks until the job's
@@ -88,6 +91,44 @@ func TestTerminalRecordBeforeDone(t *testing.T) {
 	}
 	if rj, err := s2.Job(j.ID()); err != nil || rj.Status().State != StateDone {
 		t.Errorf("recovered job %s (%v), want it done", j.ID(), err)
+	}
+}
+
+// TestJournalSyncsRecoveryRecordsOnly: a job appends five records —
+// accepted, started, phase train, phase compose and its terminal one —
+// and fsyncs two of them: accepted before Submit returns, and the
+// terminal record before Done closes. The durable package's process-wide
+// append counter and fsync histogram count them; no other journal is
+// written while this test runs.
+func TestJournalSyncsRecoveryRecordsOnly(t *testing.T) {
+	appends := obs.Default().Counter("mimicnet_durable_journal_appends_total", "")
+	fsyncHist := obs.Default().Histogram("mimicnet_durable_journal_fsync_seconds", "", nil)
+	fsyncs := func() uint64 { c := fsyncHist.Cumulative(); return c[len(c)-1] }
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	var s *Scheduler
+	s = newTestScheduler(t, newTestRegistry(t, 2), 1, 1, func(ctx context.Context, j *Job) {
+		s.enterPhase(j, "train")
+		s.enterPhase(j, "compose")
+		close(entered)
+		<-proceed
+		j.finish(StateDone, &Summary{}, "")
+	})
+	a0, f0 := appends.Value(), fsyncs()
+	j, err := s.Submit(JobSpec{Clusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := fsyncs() - f0; f != 1 {
+		t.Errorf("%d fsyncs once Submit returned, want 1 (accepted)", f)
+	}
+	<-entered
+	if a, f := appends.Value()-a0, fsyncs()-f0; a != 4 || f != 1 {
+		t.Errorf("in compose: %d appends and %d fsyncs, want 4 and 1 (started and phase records unsynced)", a, f)
+	}
+	close(proceed)
+	<-j.Done()
+	if a, f := appends.Value()-a0, fsyncs()-f0; a != 5 || f != 2 {
+		t.Errorf("once done: %d appends and %d fsyncs, want 5 and 2", a, f)
 	}
 }
 
@@ -303,55 +344,31 @@ func TestSchedulerCrashRecoveryE2E(t *testing.T) {
 	s2.Kill()
 }
 
-// TestJournalOneTerminalRecordPerJob: cancellations landing on queued
-// and running jobs alike, then a drain and a crash, leave exactly one
-// accepted and one terminal record in the journal for every admitted
-// job — none lost, none doubled.
-func TestJournalOneTerminalRecordPerJob(t *testing.T) {
-	const jobs, workers = 40, 4
-	rng := rand.New(rand.NewSource(1))
-	opt := tempOptions(t, jobs, workers, func(ctx context.Context, j *Job) {
-		select {
-		case <-ctx.Done():
-			j.finish(StateCancelled, nil, ctx.Err().Error())
-		case <-time.After(time.Duration(idNum(j.ID())%5) * time.Millisecond):
-			j.finish(StateDone, &Summary{}, "")
-		}
-	})
-	s, _, err := NewSchedulerWithOptions(newTestRegistry(t, 2), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cancels sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		j, err := s.Submit(JobSpec{Clusters: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rng.Intn(2) == 0 {
-			delay := time.Duration(rng.Intn(8000)) * time.Microsecond
-			cancels.Add(1)
-			go func() {
-				defer cancels.Done()
-				time.Sleep(delay)
-				j.Cancel()
-			}()
-		}
-	}
-	cancels.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	s.Kill() // no compaction: every record stays in the segments
-
-	jnl, info, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{})
+// journalCounts folds a killed scheduler's journal, snapshot and
+// records, into per-job counts of accepted and terminal entries. A job
+// in the snapshot counts once as accepted, and once as terminal if its
+// snapshotted state is.
+func journalCounts(t *testing.T, dir string) (accepted, terminal map[string]int) {
+	t.Helper()
+	jnl, info, err := durable.OpenJournal(dir, durable.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
-	accepted, terminal := map[string]int{}, map[string]int{}
+	accepted, terminal = map[string]int{}, map[string]int{}
+	if len(info.Snapshot) > 0 {
+		var snap journalSnapshot
+		if err := json.Unmarshal(info.Snapshot, &snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, sj := range snap.Jobs {
+			accepted[sj.ID]++
+			switch sj.State {
+			case StateDone, StateFailed, StateCancelled:
+				terminal[sj.ID]++
+			}
+		}
+	}
 	for _, r := range info.Records {
 		var rec jobRecord
 		if err := json.Unmarshal(r.Payload, &rec); err != nil {
@@ -364,15 +381,229 @@ func TestJournalOneTerminalRecordPerJob(t *testing.T) {
 			terminal[rec.ID]++
 		}
 	}
-	if len(accepted) != jobs || len(terminal) != jobs {
-		t.Fatalf("journal names %d accepted and %d finished jobs, want %d each", len(accepted), len(terminal), jobs)
+	return accepted, terminal
+}
+
+// checkOneEach fails unless the journal names exactly the jobs in ids,
+// each with one accepted and one terminal entry.
+func checkOneEach(t *testing.T, dir string, ids []string) {
+	t.Helper()
+	accepted, terminal := journalCounts(t, dir)
+	if len(accepted) != len(ids) || len(terminal) != len(ids) {
+		t.Fatalf("journal names %d accepted and %d finished jobs, want %d each", len(accepted), len(terminal), len(ids))
 	}
-	for id, n := range accepted {
-		if n != 1 || terminal[id] != 1 {
-			t.Errorf("job %s: %d accepted and %d terminal records, want 1 and 1", id, n, terminal[id])
+	for _, id := range ids {
+		if accepted[id] != 1 || terminal[id] != 1 {
+			t.Errorf("job %s: %d accepted and %d terminal entries, want 1 and 1", id, accepted[id], terminal[id])
 		}
 	}
-	if st := s.Stats(); st.Cancelled == 0 || st.Done == 0 {
-		t.Fatalf("the storm did not mix outcomes: %+v", st)
-	}
+}
+
+// TestJournalOneTerminalRecordPerJob: every admitted job ends with
+// exactly one accepted and one terminal entry in the journal — none
+// lost, none doubled — under a cancel storm, across a crash mid-phase,
+// and through a burst over queue capacity.
+func TestJournalOneTerminalRecordPerJob(t *testing.T) {
+	// Cancellations land on queued and running jobs alike, then a drain
+	// and a crash.
+	t.Run("cancel_storm", func(t *testing.T) {
+		const jobs, workers = 40, 4
+		rng := rand.New(rand.NewSource(1))
+		opt := tempOptions(t, jobs, workers, func(ctx context.Context, j *Job) {
+			select {
+			case <-ctx.Done():
+				j.finish(StateCancelled, nil, ctx.Err().Error())
+			case <-time.After(time.Duration(idNum(j.ID())%5) * time.Millisecond):
+				j.finish(StateDone, &Summary{}, "")
+			}
+		})
+		s, _, err := NewSchedulerWithOptions(newTestRegistry(t, 2), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cancels sync.WaitGroup
+		var ids []string
+		for i := 0; i < jobs; i++ {
+			j, err := s.Submit(JobSpec{Clusters: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, j.ID())
+			if rng.Intn(2) == 0 {
+				delay := time.Duration(rng.Intn(8000)) * time.Microsecond
+				cancels.Add(1)
+				go func() {
+					defer cancels.Done()
+					time.Sleep(delay)
+					j.Cancel()
+				}()
+			}
+		}
+		cancels.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s.Kill() // no compaction: every record stays in the segments
+		checkOneEach(t, opt.JournalDir, ids)
+		if st := s.Stats(); st.Cancelled == 0 || st.Done == 0 {
+			t.Fatalf("the storm did not mix outcomes: %+v", st)
+		}
+	})
+
+	// A crash with one job in train and another in compose: their
+	// started and phase records are not synced, and replay re-enqueues
+	// both whatever those say. Each runs once more and ends once.
+	t.Run("kill_mid_phase", func(t *testing.T) {
+		reg := newTestRegistry(t, 2)
+		reached := make(chan struct{}, 2)
+		var s1 *Scheduler
+		opt := tempOptions(t, 4, 2, func(ctx context.Context, j *Job) {
+			s1.enterPhase(j, "train")
+			if j.spec.Seed == 2 {
+				s1.enterPhase(j, "compose")
+			}
+			reached <- struct{}{}
+			<-ctx.Done()
+			j.finish(StateCancelled, nil, ctx.Err().Error())
+		})
+		var err error
+		s1, _, err = NewSchedulerWithOptions(reg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		training, err := s1.Submit(JobSpec{Clusters: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		composing, err := s1.Submit(JobSpec{Clusters: 4, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-reached
+		<-reached
+		if p := training.Status().Progress.Phase; p != "train" {
+			t.Fatalf("first job in phase %q, want train", p)
+		}
+		if p := composing.Status().Progress.Phase; p != "compose" {
+			t.Fatalf("second job in phase %q, want compose", p)
+		}
+		s1.Kill()
+		<-training.Done()
+		<-composing.Done()
+		s1.wg.Wait()
+
+		var mu sync.Mutex
+		runs := map[string]int{}
+		opt.runFn = func(ctx context.Context, j *Job) {
+			mu.Lock()
+			runs[j.ID()]++
+			mu.Unlock()
+			j.finish(StateDone, &Summary{}, "")
+		}
+		s2, rep, err := NewSchedulerWithOptions(reg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Requeued != 2 || rep.Completed != 0 {
+			t.Fatalf("recovery report = %+v, want both jobs re-queued", rep)
+		}
+		ids := []string{training.ID(), composing.ID()}
+		for _, id := range ids {
+			j, err := s2.Job(id)
+			if err != nil {
+				t.Fatalf("job %s lost in recovery: %v", id, err)
+			}
+			waitState(t, j, StateDone)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s2.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s2.Kill()
+		for _, id := range ids {
+			if runs[id] != 1 {
+				t.Errorf("job %s ran %d times after recovery, want 1", id, runs[id])
+			}
+		}
+		checkOneEach(t, opt.JournalDir, ids)
+	})
+
+	// A burst of concurrent submissions over HTTP, three times the queue
+	// capacity, while the only worker is held: every 429 a client gets
+	// is counted by the scheduler, and every 202 is a job that runs
+	// exactly once and is journaled once.
+	t.Run("burst_over_capacity", func(t *testing.T) {
+		const capacity, burst = 4, 12
+		gate := make(chan struct{})
+		var mu sync.Mutex
+		runs := map[string]int{}
+		reg := newTestRegistry(t, 2)
+		opt := tempOptions(t, capacity, 1, func(ctx context.Context, j *Job) {
+			mu.Lock()
+			runs[j.ID()]++
+			mu.Unlock()
+			<-gate
+			j.finish(StateDone, &Summary{}, "")
+		})
+		s, _, err := NewSchedulerWithOptions(reg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewServer(s, reg).Handler())
+		defer ts.Close()
+		c := NewClient(ts.URL)
+
+		var wg sync.WaitGroup
+		var admitted []string
+		busy := 0
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				st, err := c.Submit(JobSpec{Clusters: 4, Seed: seed})
+				mu.Lock()
+				defer mu.Unlock()
+				var be *BusyError
+				switch {
+				case err == nil:
+					admitted = append(admitted, st.ID)
+				case errors.As(err, &be):
+					busy++
+				default:
+					t.Errorf("submit: %v", err)
+				}
+			}(int64(i + 1))
+		}
+		wg.Wait()
+		if busy == 0 || len(admitted)+busy != burst || len(admitted) > capacity+1 {
+			t.Fatalf("%d admitted and %d rejected of %d over a queue of %d and one held worker", len(admitted), busy, burst, capacity)
+		}
+		if n := s.cRejectFull.Value(); n != uint64(busy) {
+			t.Errorf("scheduler counted %d queue-full rejections, clients got %d 429s", n, busy)
+		}
+		close(gate)
+		for _, id := range admitted {
+			if _, err := c.Wait(context.Background(), id, 10*time.Millisecond, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		s.Kill()
+		if len(runs) != len(admitted) {
+			t.Errorf("%d jobs ran, %d were admitted", len(runs), len(admitted))
+		}
+		for _, id := range admitted {
+			if runs[id] != 1 {
+				t.Errorf("admitted job %s ran %d times, want 1", id, runs[id])
+			}
+		}
+		checkOneEach(t, opt.JournalDir, admitted)
+	})
 }

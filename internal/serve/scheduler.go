@@ -144,10 +144,13 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-func (j *Job) setPhase(phase string) {
+// enterPhase moves a running job into a pipeline phase and journals
+// the transition.
+func (s *Scheduler) enterPhase(j *Job, phase string) {
 	j.mu.Lock()
 	j.progress.Phase = phase
 	j.mu.Unlock()
+	s.logRecord(jobRecord{Type: recPhase, ID: j.id, Phase: phase, Time: time.Now()})
 }
 
 func (j *Job) setProgress(p Progress) {
@@ -473,8 +476,7 @@ func (s *Scheduler) account(state State, dur time.Duration) {
 // then compose and run the large-scale estimate with cancellation and
 // progress plumbed into the kernel's run loop.
 func (s *Scheduler) runJob(ctx context.Context, j *Job) {
-	j.setPhase("train")
-	s.logRecord(jobRecord{Type: recPhase, ID: j.id, Phase: "train", Time: time.Now()})
+	s.enterPhase(j, "train")
 	ckpt := &core.TrainCheckpointer{Dir: s.ckptDir, Key: j.key}
 	t0 := time.Now()
 	models, hit, err := s.reg.Get(ctx, j.key, func() (*core.MimicModels, error) {
@@ -511,8 +513,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *Job) {
 		return
 	}
 
-	j.setPhase("compose")
-	s.logRecord(jobRecord{Type: recPhase, ID: j.id, Phase: "compose", Time: time.Now()})
+	s.enterPhase(j, "compose")
 	t1 := time.Now()
 	sum, err := j.spec.Estimate(ctx, models, func(now sim.Time, events uint64) {
 		p := Progress{Phase: "compose", SimTimeS: now.Seconds(), Events: events}

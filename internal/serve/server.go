@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -21,7 +22,11 @@ import (
 //	                      429 + Retry-After on queue overflow,
 //	                      503 while draining)
 //	GET    /v1/jobs      list jobs
-//	GET    /v1/jobs/{id} poll one job (status, progress, result)
+//	GET    /v1/jobs/{id}[?wait_ms=N]
+//	                     one job (status, progress, result); with
+//	                     wait_ms the request is held until the job ends
+//	                     or N ms pass, capped at maxWait
+//	                     (400 on a malformed wait_ms, 404 on an unknown id)
 //	DELETE /v1/jobs/{id} cancel (queued or running)
 //	GET    /healthz      liveness + drain state
 //	GET    /stats        scheduler + registry counters
@@ -123,10 +128,54 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (*Job, bool
 	return j, true
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.jobFromPath(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
+// maxWait caps how long GET /v1/jobs/{id}?wait_ms=N holds a request. It
+// stays well under the 30 s timeout of NewClient's HTTP client, so a held
+// request is always answered before its client gives up on it, and under
+// mimicnetd's 5 s shutdown grace, so http.Server.Shutdown never waits on
+// a held request for a job still running past the drain for longer than
+// it allows.
+const maxWait = 2 * time.Second
+
+// waitParam reads the wait_ms query parameter: absent is no wait, a
+// value over maxWait is clamped, and anything but a non-negative integer
+// is an error.
+func waitParam(r *http.Request) (time.Duration, error) {
+	q := r.URL.Query().Get("wait_ms")
+	if q == "" {
+		return 0, nil
 	}
+	ms, err := strconv.ParseInt(q, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, fmt.Errorf("serve: wait_ms %q is not a non-negative integer", q)
+	}
+	return time.Duration(min(ms, maxWait.Milliseconds())) * time.Millisecond, nil
+}
+
+// handleGet answers with the job's status. A wait_ms holds the answer
+// until the job's Done closes, the wait runs out or the client goes
+// away: Scheduler.complete closes Done only once the terminal record is
+// journaled and counted, so a held request sees the final status as soon
+// as the daemon has it.
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	wait, err := waitParam(r)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
+	j, ok := s.jobFromPath(w, r)
+	if !ok {
+		return
+	}
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-j.Done():
+		case <-t.C:
+		case <-r.Context().Done():
+		}
+		t.Stop()
+	}
+	writeJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

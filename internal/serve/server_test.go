@@ -2,10 +2,14 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -273,5 +277,157 @@ func TestServerJobCancelledMidRun(t *testing.T) {
 	}
 	if final.Result.Events == 0 {
 		t.Fatal("partial results lost all processed events")
+	}
+}
+
+// heldGet issues GET /v1/jobs/{id}?wait_ms=wait and returns the status
+// code, the decoded status on 200, and how long the answer took.
+func heldGet(t *testing.T, c *Client, id, wait string) (int, JobStatus, time.Duration) {
+	t.Helper()
+	t0 := time.Now()
+	resp, err := c.HTTP.Get(c.Base + "/v1/jobs/" + id + "?wait_ms=" + wait)
+	if err != nil {
+		t.Error(err)
+		return 0, JobStatus{}, time.Since(t0)
+	}
+	defer resp.Body.Close()
+	var st JobStatus
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Error(err)
+		}
+	}
+	return resp.StatusCode, st, time.Since(t0)
+}
+
+// TestHeldGet covers GET /v1/jobs/{id}?wait_ms=N: a held request returns
+// as soon as its job ends, long before its wait runs out; a terminal
+// job, an unknown id and a malformed wait are answered at once; and a
+// wait over maxWait is clamped to it. "At once" means well under
+// maxWait, the shortest a wrongly held request would take.
+func TestHeldGet(t *testing.T) {
+	ts, sched, _ := newTestServer(t, 4, 2)
+	release := make(chan struct{})
+	sched.runFn = func(ctx context.Context, j *Job) {
+		ends := release
+		if j.spec.Seed == 2 {
+			ends = nil // the stuck job: it runs until the scheduler is killed
+		}
+		select {
+		case <-ctx.Done():
+			j.finish(StateCancelled, nil, ctx.Err().Error())
+		case <-ends:
+			j.finish(StateDone, &Summary{}, "")
+		}
+	}
+	c := NewClient(ts.URL)
+	// The stuck job never ends while the test runs: its held GET must
+	// come back at maxWait, not at the 60 s it asked for.
+	stuck, err := c.Submit(JobSpec{Clusters: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishing, err := c.Submit(JobSpec{Clusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHTTPState(t, c, stuck.ID, StateRunning)
+	waitHTTPState(t, c, finishing.ID, StateRunning)
+	type answer struct {
+		code int
+		st   JobStatus
+		at   time.Time
+		took time.Duration
+	}
+	get := func(id, wait string, out chan<- answer) {
+		code, st, took := heldGet(t, c, id, wait)
+		out <- answer{code, st, time.Now(), took}
+	}
+	clamped := make(chan answer, 1)
+	go get(stuck.ID, "60000", clamped)
+
+	held := make(chan answer, 1)
+	go get(finishing.ID, "5000", held)
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case a := <-held:
+		t.Fatalf("held GET answered before its job ended: %+v", a)
+	default:
+	}
+	released := time.Now()
+	close(release)
+	a := <-held
+	if a.code != http.StatusOK || a.st.State != StateDone {
+		t.Fatalf("held GET: HTTP %d state %s, want 200 done", a.code, a.st.State)
+	}
+	if lag := a.at.Sub(released); lag > maxWait/4 {
+		t.Errorf("held GET answered %v after the job ended, want a few ms", lag)
+	}
+
+	for _, tc := range []struct {
+		id, wait string
+		code     int
+	}{
+		{finishing.ID, "5000", http.StatusOK}, // terminal
+		{"j424242", "5000", http.StatusNotFound},
+		{finishing.ID, "soon", http.StatusBadRequest},
+		{finishing.ID, "-1", http.StatusBadRequest},
+		{finishing.ID, "1.5", http.StatusBadRequest},
+		{stuck.ID, "x", http.StatusBadRequest},
+	} {
+		code, st, took := heldGet(t, c, tc.id, tc.wait)
+		if code != tc.code || took > maxWait/4 {
+			t.Errorf("GET %s?wait_ms=%s: HTTP %d after %v, want %d at once", tc.id, tc.wait, code, took, tc.code)
+		}
+		if code == http.StatusOK && st.State != StateDone {
+			t.Errorf("GET %s?wait_ms=%s: state %s, want done", tc.id, tc.wait, st.State)
+		}
+	}
+
+	a = <-clamped
+	if a.code != http.StatusOK || a.st.State != StateRunning {
+		t.Errorf("clamped GET: HTTP %d state %s, want 200 running", a.code, a.st.State)
+	}
+	if a.took < maxWait-50*time.Millisecond || a.took > maxWait+time.Second {
+		t.Errorf("GET with wait_ms=60000 held %v, want it clamped to %v", a.took, maxWait)
+	}
+}
+
+// TestHeldGetReleasedByClient: a client that gives up on a held GET
+// frees its handler at once, not when the wait runs out. The test counts
+// the handlers in flight, and the goroutine count, taken before any
+// connection is made, must come back to its baseline too, both well
+// before maxWait.
+func TestHeldGetReleasedByClient(t *testing.T) {
+	sched, release := stubScheduler(t, 1, 1)
+	defer close(release)
+	var active atomic.Int32
+	h := NewServer(sched, newTestRegistry(t, 2)).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		active.Add(1)
+		defer active.Add(-1)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	j, err := sched.Submit(JobSpec{Clusters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateRunning)
+	base := runtime.NumGoroutine()
+
+	c := NewClient(ts.URL)
+	t0 := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := c.Wait(ctx, j.ID(), 5*time.Second, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait on a running job with a 100 ms context: %v, want the deadline", err)
+	}
+	for active.Load() > 0 || runtime.NumGoroutine() > base {
+		if time.Since(t0) > maxWait/2 {
+			t.Fatalf("%v after the client gave up: %d handlers in flight, %d goroutines against a baseline of %d",
+				time.Since(t0), active.Load(), runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
