@@ -56,7 +56,7 @@ func main() {
 		layers    = flag.Int("layers", 1, "stacked LSTM layers")
 		epochs    = flag.Int("epochs", 4, "training epochs")
 		batch     = flag.Int("batch", 0, "training minibatch size (0 = engine default, 1 = one optimizer step per sample)")
-		cellType  = flag.String("cell", "lstm", "trunk model class: lstm|gru|mlp")
+		cellType  = flag.String("cell", "lstm", "trunk model class: lstm|mlp")
 		tune      = flag.Int("tune", 0, "hyper-parameter tuning budget (0 = off)")
 		tuneSizes = flag.String("tune-metric", "fct", "tuning metric: fct|throughput|rtt")
 		savePath  = flag.String("save", "", "write trained models to this JSON file")

@@ -266,7 +266,7 @@ func TestDatasetKey(t *testing.T) {
 	// Model hyper-parameters and TrainFrac must NOT change the key.
 	t2 := tcfg
 	t2.Model.Hidden *= 2
-	t2.Model.CellType = "gru"
+	t2.Model.CellType = "mlp"
 	t2.TrainFrac = 0.6
 	k2, err := DatasetKey(base, 1000, t2)
 	if err != nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mimicnet/internal/cluster"
@@ -13,7 +15,9 @@ import (
 // Save → LoadModels → re-compose must produce bitwise-identical Results
 // for every trunk cell type, not just matching ml-layer weights. This is
 // the invariant the serve registry's on-disk store leans on — a cache hit
-// replays a run exactly as if the models had just been trained.
+// replays a run exactly as if the models had just been trained. An
+// artifact of the GRU, a trunk class earlier builds had, is refused on
+// load with an error naming it, so the registry drops and retrains it.
 func TestModelsSaveLoadRecompose(t *testing.T) {
 	base := fastBase()
 	tcfg := fastTrain()
@@ -22,8 +26,8 @@ func TestModelsSaveLoadRecompose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
-		cell := cell
+	blobs := map[string][]byte{}
+	for _, cell := range []string{"lstm", "mlp"} {
 		t.Run(cell, func(t *testing.T) {
 			cfg := tcfg
 			cfg.Model.CellType = cell
@@ -35,6 +39,7 @@ func TestModelsSaveLoadRecompose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			blobs[cell] = blob
 			loaded, err := LoadModels(blob)
 			if err != nil {
 				t.Fatal(err)
@@ -57,6 +62,15 @@ func TestModelsSaveLoadRecompose(t *testing.T) {
 			}
 		})
 	}
+	t.Run("gru", func(t *testing.T) {
+		gru := bytes.ReplaceAll(blobs["lstm"], []byte(`"type":"lstm"`), []byte(`"type":"gru"`))
+		if bytes.Equal(gru, blobs["lstm"]) {
+			t.Fatal("no saved LSTM cell to rewrite")
+		}
+		if _, err := LoadModels(gru); err == nil || !strings.Contains(err.Error(), `"gru"`) {
+			t.Fatalf("LoadModels(GRU artifact) = %v, want an error naming the cell type", err)
+		}
+	})
 }
 
 // TestComposedRunContextCancel exercises the cancellation hook threaded
@@ -279,7 +293,7 @@ func TestModelKey(t *testing.T) {
 	}
 
 	celled := tcfg
-	celled.Model.CellType = "gru"
+	celled.Model.CellType = "mlp"
 	k4, err := ModelKey(base, 100*sim.Millisecond, celled, "")
 	if err != nil {
 		t.Fatal(err)

@@ -234,8 +234,8 @@ func (r *Runner) AblationFeederDistribution(n int) (*Table, error) {
 }
 
 // AblationModelClass compares trunk model classes end-to-end: the paper's
-// default LSTM vs a GRU vs a non-recurrent windowed MLP baseline ("in
-// principle MimicNet can support any ML model", §5.5).
+// default LSTM vs a non-recurrent windowed MLP baseline ("in principle
+// MimicNet can support any ML model", §5.5).
 func (r *Runner) AblationModelClass(n int) (*Table, error) {
 	truth, _, err := r.runFull("newreno", n)
 	if err != nil {
@@ -250,7 +250,7 @@ func (r *Runner) AblationModelClass(n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, cellType := range []string{"lstm", "gru", "mlp"} {
+	for _, cellType := range []string{"lstm", "mlp"} {
 		tcfg := tcfg0
 		tcfg.Model.CellType = cellType
 		if cellType == "mlp" {

@@ -319,7 +319,7 @@ func TestAblationModelClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 3 {
+	if len(tb.Rows) != 2 {
 		t.Fatalf("Ablation F rows = %d", len(tb.Rows))
 	}
 }

@@ -7,16 +7,16 @@ import "fmt"
 //
 //   - BatchedStatefulModel, a bank of B independent hidden states
 //     advanced through one fused step per "round", and the fused LSTM
-//     step (the GRU's and the windowed MLP's live in gru.go and
-//     mlp.go). A step runs per lane, one stepLane call per lane: the
-//     row-kernel products (rowkernel.go, DESIGN.md decision 18) — the
-//     input's listed walk, the dense recurrent state's strided one —
-//     then the gates, one wide-kernel call per gate pass (gates.go),
-//     and the state update, with lanes split over the pool only above
-//     the dispatch floor (pool.go). The batch state is the Range worker,
-//     so a step allocates nothing. The trainer runs the same stepLane
-//     on a batch state of its own, so a model is trained on the forward
-//     pass it is served with (decision 39).
+//     step (the windowed MLP's lives in mlp.go). A step runs per lane,
+//     one stepLane call per lane: the row-kernel products
+//     (rowkernel.go, DESIGN.md decision 18) — the input's listed walk,
+//     the dense recurrent state's strided one — then the gates, one
+//     wide-kernel call per gate pass (gates.go), and the state update,
+//     with lanes split over the pool only above the dispatch floor
+//     (pool.go). The batch state is the Range worker, so a step
+//     allocates nothing. The trainer runs the same stepLane on a batch
+//     state of its own, so a model is trained on the forward pass it is
+//     served with (decision 39).
 //   - laneGemm, the trainer's backward products over a minibatch of
 //     lanes (DESIGN.md decisions 19, 20 and 38), on the same row kernel:
 //     the product Mᵀ·dy one walk per lane over a view of M that needs no
@@ -40,144 +40,114 @@ const (
 	gemmLaneBlock = 16
 )
 
-// laneView is one operand of a lane product: lane a is
-// v[a*stride+off : a*stride+off+width].
-type laneView struct {
-	v                  []float64
-	stride, off, width int
-}
-
-func (l laneView) lane(a int) []float64 {
-	i := a*l.stride + l.off
-	return l.v[i : i+l.width]
-}
-
 // laneGemm holds one lane product's arguments and is its Pool.Range
 // worker. A trainer layer keeps one in its scratch and reuses it for
 // every product it runs (Range calls never nest), so a product hands
 // the pool a pointer the layer already has and allocates nothing.
 type laneGemm struct {
-	grad   bool // the weight gradient; otherwise Mᵀ·dy, one walk per lane
-	n      int
-	r0, r1 int        // gradient: m's rows
-	p      packedRows // per lane: Mᵀ, k-major; gradient: the lanes' inputs, one column each
-	m      *Matrix    // the gradient's matrix
-	x, y   laneView   // per lane: each lane's input and output; gradient: y is the dys lanes
+	grad bool // the weight gradient; otherwise Mᵀ·dy, one walk per lane
+	n    int
+	m    *Matrix
+	p    packedRows // per lane: Mᵀ, k-major; gradient: the lanes' inputs, one column each
+	dys  []float64  // the lanes' row gradients, m.Rows apart
+	out  []float64  // per lane: the lanes' outputs, m.Cols apart
 }
 
 // mulLanesT is the batched counterpart of MulVecT (the backprop of
 // y = Mx into x): for every lane a in [0, n) it overwrites
 //
-//	out[a*Cols + c] = Σ_{r in [r0,r1)} dys[a*dyStride + r] * M[r][c]
+//	out[a*Cols + c] = Σ_r dys[a*Rows + r] * M[r][c]
 //
-// dys rows are dyStride wide and indexed by absolute row number (the
-// layout of the gate caches), so a trainer feeds gate gradients straight
-// back through the weight matrices. Row r of M is column r of Mᵀ, so
-// M.Data read as a k-major matrix of Cols rows is Mᵀ: each lane is one
-// dense walk over that view with its dy as the input, nothing packed.
-// The sum per output element runs in ascending r over the rows whose d
-// is not an exact zero — MulVecT's skip set, found by testing each d as
-// the walk reaches it: dz is dense, so no list is built.
-func (g *laneGemm) mulLanesT(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
-	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic(fmt.Sprintf("ml: mulLanesT rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
+// so a trainer feeds gate gradients straight back through the weight
+// matrices. Row r of M is column r of Mᵀ, so M.Data read as a k-major
+// matrix of Cols rows is Mᵀ: each lane is one dense walk over that view
+// with its dy as the input, nothing packed. The sum per output element
+// runs in ascending r over the rows whose d is not an exact zero —
+// MulVecT's skip set, found by testing each d as the walk reaches it:
+// dz is dense, so no list is built.
+func (g *laneGemm) mulLanesT(m *Matrix, dys []float64, n int, out []float64, pool *Pool) {
+	R, K := m.Rows, m.Cols
+	if n < 0 || len(dys) < n*R {
+		panic(fmt.Sprintf("ml: mulLanesT dys len %d < %d lanes × %d rows", len(dys), n, R))
 	}
-	if dyStride < r1 {
-		panic(fmt.Sprintf("ml: mulLanesT dyStride %d < r1 %d", dyStride, r1))
-	}
-	if n < 0 || len(dys) < n*dyStride {
-		panic(fmt.Sprintf("ml: mulLanesT dys len %d < %d lanes × stride %d", len(dys), n, dyStride))
-	}
-	K := m.Cols
 	if len(out) < n*K {
 		panic(fmt.Sprintf("ml: mulLanesT out len %d < %d lanes × %d cols", len(out), n, K))
 	}
 	if n == 0 {
 		return
 	}
-	*g = laneGemm{n: n, p: packedRows{rows: K, t: m.Data[r0*K : r1*K]},
-		x: laneView{v: dys, stride: dyStride, off: r0, width: r1 - r0},
-		y: laneView{v: out, stride: K, width: K}}
+	*g = laneGemm{n: n, m: m, p: packedRows{rows: K, t: m.Data}, dys: dys, out: out}
 	aTiles := (n + gemmLaneBlock - 1) / gemmLaneBlock
-	pool.Range(aTiles, K*n*(r1-r0)/aTiles, g)
+	pool.Range(aTiles, K*n*R/aTiles, g)
 }
 
 // addGradLanes is the batched counterpart of AddOuterGrad (the weight
-// gradient of y = Mx over a minibatch): for r in [r0,r1) it accumulates
+// gradient of y = Mx over a minibatch): for every row r it accumulates
 //
-//	Grad[r][c] += Σ_{a in [0,n)} dys[a*dyStride + r] * xs[a*Cols + c]
+//	Grad[r][c] += Σ_{a in [0,n)} dys[a*Rows + r] * xs[a*Cols + c]
 //
 // Gradient row r is Σ_a d_a·x_a: the lanes' inputs are the columns (xs
 // read k-major, one column per lane) and column r of dys, read in place
-// with stride dyStride, the input vector, so each row is one row-kernel
+// with stride Rows, the input vector, so each row is one row-kernel
 // walk over the lanes (accStrided). The lane sum runs in strictly
 // ascending a order for every element, passing by the lanes whose d is
 // an exact zero (AddOuterGrad's skip set) — the fixed reduction order
 // that makes minibatch gradients bitwise reproducible run to run — and
 // each gradient row is owned by exactly one chunk, so results are also
 // independent of worker count.
-func (g *laneGemm) addGradLanes(m *Matrix, r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
-	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic(fmt.Sprintf("ml: addGradLanes rows [%d,%d) outside matrix with %d rows", r0, r1, m.Rows))
+func (g *laneGemm) addGradLanes(m *Matrix, dys []float64, n int, xs []float64, pool *Pool) {
+	R, K := m.Rows, m.Cols
+	if n < 0 || len(dys) < n*R {
+		panic(fmt.Sprintf("ml: addGradLanes dys len %d < %d lanes × %d rows", len(dys), n, R))
 	}
-	if dyStride < r1 {
-		panic(fmt.Sprintf("ml: addGradLanes dyStride %d < r1 %d", dyStride, r1))
-	}
-	if n < 0 || len(dys) < n*dyStride {
-		panic(fmt.Sprintf("ml: addGradLanes dys len %d < %d lanes × stride %d", len(dys), n, dyStride))
-	}
-	K := m.Cols
 	if len(xs) < n*K {
 		panic(fmt.Sprintf("ml: addGradLanes xs len %d < %d lanes × %d cols", len(xs), n, K))
 	}
-	rows := r1 - r0
-	if n == 0 || rows == 0 {
+	if n == 0 || R == 0 {
 		return
 	}
-	*g = laneGemm{grad: true, n: n, r0: r0, r1: r1, m: m,
-		p: packedRows{rows: K, t: xs[:n*K]},
-		y: laneView{v: dys, stride: dyStride}}
-	rTiles := (rows + gemmRowBlock - 1) / gemmRowBlock
-	pool.Range(rTiles, rows*n*K/rTiles, g)
+	*g = laneGemm{grad: true, n: n, m: m, p: packedRows{rows: K, t: xs[:n*K]}, dys: dys}
+	rTiles := (R + gemmRowBlock - 1) / gemmRowBlock
+	pool.Range(rTiles, R*n*K/rTiles, g)
 }
 
 // RunRange computes blocks [lo, hi) of the product set up last: lane
 // blocks of a per-lane product, row blocks of the weight gradient.
 // Chunks write disjoint outputs.
 func (g *laneGemm) RunRange(lo, hi int) {
+	R, K := g.m.Rows, g.m.Cols
 	if g.grad {
-		K := g.m.Cols
-		for r, rhi := g.r0+lo*gemmRowBlock, min(g.r0+hi*gemmRowBlock, g.r1); r < rhi; r++ {
-			g.p.accStrided(0, g.y.v[r:], g.y.stride, g.n, g.m.Grad[r*K:(r+1)*K])
+		for r, rhi := lo*gemmRowBlock, min(hi*gemmRowBlock, R); r < rhi; r++ {
+			g.p.accStrided(g.dys[r:], R, g.n, g.m.Grad[r*K:(r+1)*K])
 		}
 		return
 	}
-	K := g.x.width
 	for a, ahi := lo*gemmLaneBlock, min(hi*gemmLaneBlock, g.n); a < ahi; a++ {
-		out := g.y.lane(a)
+		out := g.out[a*K : (a+1)*K]
 		zeroRange(out)
-		g.p.accStrided(0, g.x.lane(a), 1, K, out)
+		g.p.accStrided(g.dys[a*R:(a+1)*R], 1, R, out)
 	}
 }
 
-// addBiasGradLanes accumulates Grad[r] += Σ_a dys[a*dyStride + r] for
-// r in [r0,r1), in ascending-lane order per element. With useWideGates
+// addBiasGradLanes accumulates Grad[r] += Σ_a dys[a*Rows + r] for every
+// row r of b, in ascending-lane order per element. With useWideGates
 // the whole 4-row groups keep their sums in registers across the lanes
 // (biasGradWide); the rest go lanes outer, for locality.
-func addBiasGradLanes(b *Matrix, r0, r1 int, dys []float64, dyStride, n int) {
-	if n == 0 || r0 == r1 {
+func addBiasGradLanes(b *Matrix, dys []float64, n int) {
+	R := b.Rows
+	if n == 0 || R == 0 {
 		return
 	}
-	grad := b.Grad[r0:r1]
-	_ = dys[(n-1)*dyStride+r1-1]
+	grad := b.Grad[:R]
+	_ = dys[n*R-1]
 	done := 0
-	if useWideGates && len(grad) >= 4 {
-		biasGradWide(&grad[0], &dys[r0], dyStride*8, n, len(grad))
-		done = len(grad) &^ 3
+	if useWideGates && R >= 4 {
+		biasGradWide(&grad[0], &dys[0], R*8, n, R)
+		done = R &^ 3
 	}
-	for a := 0; a < n && done < len(grad); a++ {
-		row := dys[a*dyStride+r0 : a*dyStride+r1]
-		for r := done; r < len(grad); r++ {
+	for a := 0; a < n && done < R; a++ {
+		row := dys[a*R : (a+1)*R]
+		for r := done; r < R; r++ {
 			grad[r] += row[r]
 		}
 	}
@@ -295,9 +265,9 @@ func (s *lstmBatchState) stepLane(a, lane int, x, act, tc, hOut []float64) {
 	c := s.c[lane*H : (lane+1)*H]
 	zx := s.zx[a*4*H : (a+1)*4*H]
 	zh := s.zh[a*4*H : (a+1)*4*H]
-	s.wx.mulLane(0, x, zx, s.idx[a*s.in:(a+1)*s.in])
+	s.wx.mulLane(x, zx, s.idx[a*s.in:(a+1)*s.in])
 	zeroRange(zh)
-	s.wh.accStrided(0, hPrev, 1, H, zh)
+	s.wh.accStrided(hPrev, 1, H, zh)
 	// z[i] += zh[i] + B[i], the reference association. The pre-adds are
 	// hoisted out of the gate loop so the sigmoid/tanh passes run over
 	// contiguous quarters — one kernel call per pass, 4 lanes per

@@ -9,15 +9,15 @@ import (
 // naiveWalkLanes is the triple-loop reference for WalkLanes, written with
 // the same k-order accumulation and no zero-skip, so agreement must be
 // exact.
-func naiveWalkLanes(m *Matrix, r0, r1 int, xs []float64, n int, outStride int) []float64 {
-	out := make([]float64, n*outStride)
+func naiveWalkLanes(m *Matrix, xs []float64, n int) []float64 {
+	out := make([]float64, n*m.Rows)
 	for a := 0; a < n; a++ {
-		for r := r0; r < r1; r++ {
+		for r := 0; r < m.Rows; r++ {
 			var sum float64
 			for k := 0; k < m.Cols; k++ {
 				sum += m.Data[r*m.Cols+k] * xs[a*m.Cols+k]
 			}
-			out[a*outStride+r] = sum
+			out[a*m.Rows+r] = sum
 		}
 	}
 	return out
@@ -80,7 +80,6 @@ func TestBatchedParity(t *testing.T) {
 	}{
 		{"lstm", "lstm", 1},
 		{"lstm-stacked", "lstm", 2},
-		{"gru", "gru", 1},
 		{"mlp", "mlp", 1},
 	}
 	pool := NewPool(4)
@@ -165,23 +164,25 @@ func TestBatchedResetLane(t *testing.T) {
 }
 
 // TestBatchedAddLane grows the bank mid-stream and checks the new lane
-// behaves like a fresh stream.
+// behaves like a fresh stream, for every trunk class.
 func TestBatchedAddLane(t *testing.T) {
-	model := parityModel(t, "gru", 1)
-	bat := NewBatchedStatefulModel(model, 1, nil)
-	rng := stats.NewStream(9)
-	x0 := randVec(model.Cfg.Features, rng)
-	bat.StepLanes([]int{0}, [][]float64{x0}, nil, make([]Prediction, 1))
-	lane := bat.AddLane()
-	if lane != 1 || bat.lanes != 2 {
-		t.Fatalf("AddLane = %d, Lanes = %d", lane, bat.lanes)
-	}
-	x1 := randVec(model.Cfg.Features, rng)
-	preds := make([]Prediction, 2)
-	bat.StepLanes([]int{0, 1}, [][]float64{x1, x1}, nil, preds)
-	fresh := NewStatefulModel(model)
-	if preds[1] != fresh.Predict(x1) {
-		t.Error("grown lane does not match a fresh stream")
+	for _, cell := range []string{"lstm", "mlp"} {
+		model := parityModel(t, cell, 1)
+		bat := NewBatchedStatefulModel(model, 1, nil)
+		rng := stats.NewStream(9)
+		x0 := randVec(model.Cfg.Features, rng)
+		bat.StepLanes([]int{0}, [][]float64{x0}, nil, make([]Prediction, 1))
+		lane := bat.AddLane()
+		if lane != 1 || bat.lanes != 2 {
+			t.Fatalf("%s: AddLane = %d, Lanes = %d", cell, lane, bat.lanes)
+		}
+		x1 := randVec(model.Cfg.Features, rng)
+		preds := make([]Prediction, 2)
+		bat.StepLanes([]int{0, 1}, [][]float64{x1, x1}, nil, preds)
+		fresh := NewStatefulModel(model)
+		if preds[1] != fresh.Predict(x1) {
+			t.Errorf("%s: grown lane does not match a fresh stream", cell)
+		}
 	}
 }
 
@@ -232,9 +233,9 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 		}
 		ref := make([]float64, n*rows)
 		refT := make([]float64, n*cols)
-		m.WalkLanes(0, rows, xs, n, ref, rows, !shape.sparse, NewPool(1))
-		m.MulLanesT(0, rows, dys, rows, n, refT, NewPool(1))
-		m.AddGradLanes(0, rows, dys, rows, n, xs, NewPool(1))
+		m.WalkLanes(xs, n, ref, !shape.sparse, NewPool(1))
+		m.MulLanesT(dys, n, refT, NewPool(1))
+		m.AddGradLanes(dys, n, xs, NewPool(1))
 		refG := append([]float64(nil), m.Grad...)
 		for _, floor := range []int{0, dispatchFloor} {
 			for _, workers := range []int{1, 2, 3, 4, 8} {
@@ -243,10 +244,10 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 				outT := make([]float64, n*cols)
 				before := obsPoolDispatches.Value()
 				for iter := 0; iter < 5; iter++ {
-					m.WalkLanes(0, rows, xs, n, out, rows, !shape.sparse, p)
-					m.MulLanesT(0, rows, dys, rows, n, outT, p)
+					m.WalkLanes(xs, n, out, !shape.sparse, p)
+					m.MulLanesT(dys, n, outT, p)
 					m.ZeroGrad()
-					m.AddGradLanes(0, rows, dys, rows, n, xs, p)
+					m.AddGradLanes(dys, n, xs, p)
 					for i := range ref {
 						if out[i] != ref[i] {
 							t.Fatalf("%dx%d floor=%d workers=%d iter=%d: WalkLanes differs at %d", rows, cols, floor, workers, iter, i)
@@ -275,7 +276,7 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 	}
 	// The row kernel's lane split: fused steps of 31 lanes for every trunk
 	// at the default artifact shape, which fan out only at floor 0.
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		const n = 31
 		model, lanes, xs := defaultShapeLanes(t, cell, n)
 		rounds := [][][]float64{xs, xs[1:], xs[:n-1], xs}
@@ -311,7 +312,7 @@ func TestPoolWorkerCountInvariance(t *testing.T) {
 	// The trainer and Evaluate at the default artifact shape: one
 	// minibatch's gradients and the held-out scores of 40 samples, which
 	// fan out only at floor 0.
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		run := func(pc poolConfig) ([][]float64, EvalResult) {
 			bt, view, idx := defaultShapeTrainer(t, cell, pc.start(t))
 			bt.trainBatch(view, idx)

@@ -4,7 +4,7 @@ package ml
 // generality, however, it currently leverages one particularly promising
 // class of models: LSTMs" (§5.5). Cell abstracts the trunk layer so the
 // framework genuinely supports alternative model classes; this repo ships
-// LSTM (the default), GRU, and a windowed MLP baseline.
+// the LSTM (the default) and a windowed MLP, its non-recurrent control.
 
 // batchState is a cell's recurrent state for a bank of independent lanes
 // (one lane per concurrent packet stream), with the layer's weights
@@ -56,6 +56,5 @@ func (l *lstm) CellType() string { return "lstm" }
 
 var (
 	_ Cell = (*lstm)(nil)
-	_ Cell = (*gru)(nil)
 	_ Cell = (*windowMLP)(nil)
 )

@@ -155,7 +155,7 @@ func TestTrainResumeAfterCancel(t *testing.T) {
 // TestTrainResumeFromCompleteCheckpoint: a finished direction restores
 // instantly (zero epochs run) and reproduces the final bytes.
 func TestTrainResumeFromCompleteCheckpoint(t *testing.T) {
-	cfg := cellConfigs()["gru"]
+	cfg := cellConfigs()["lstm"]
 	samples := synthSamples(24, cfg.Features, cfg.Window, 93)
 	want, cks := trainToCompletion(t, cfg, samples)
 	final := cks[len(cks)-1]

@@ -64,37 +64,37 @@ func packRows(m *Matrix) packedRows {
 }
 
 // WalkLanes runs the forward products a cell step takes, one row-kernel
-// walk per lane through pool: out[a*outStride + r] = dot(m.row(r), lane a
-// of xs) for r in [r0, r1), by mulLane's column list (the inputs x) or,
-// with dense, by accStrided from +0 (the recurrent state h).
-func (m *Matrix) WalkLanes(r0, r1 int, xs []float64, n int, out []float64, outStride int, dense bool, pool *Pool) {
+// walk per lane through pool: out[a*m.Rows + r] = dot(m.row(r), lane a
+// of xs), by mulLane's column list (the inputs x) or, with dense, by
+// accStrided from +0 (the recurrent state h).
+func (m *Matrix) WalkLanes(xs []float64, n int, out []float64, dense bool, pool *Pool) {
 	p := packRows(m)
-	K := m.Cols
+	R, K := m.Rows, m.Cols
 	idx := make([]int, n*K)
-	pool.Range(n, (r1-r0)*K, RangeFunc(func(lo, hi int) {
+	pool.Range(n, R*K, RangeFunc(func(lo, hi int) {
 		for a := lo; a < hi; a++ {
-			x, o := xs[a*K:(a+1)*K], out[a*outStride+r0:a*outStride+r1]
+			x, o := xs[a*K:(a+1)*K], out[a*R:(a+1)*R]
 			if dense {
 				zeroRange(o)
-				p.accStrided(r0, x, 1, K, o)
+				p.accStrided(x, 1, K, o)
 			} else {
-				p.mulLane(r0, x, o, idx[a*K:(a+1)*K])
+				p.mulLane(x, o, idx[a*K:(a+1)*K])
 			}
 		}
 	}))
 }
 
 // MulLanesT runs the trainer's backward lane product (laneGemm.mulLanesT)
-// once: lane a of out = Σ_{r in [r0,r1)} dys[a*dyStride + r]·m.row(r).
-func (m *Matrix) MulLanesT(r0, r1 int, dys []float64, dyStride, n int, out []float64, pool *Pool) {
-	new(laneGemm).mulLanesT(m, r0, r1, dys, dyStride, n, out, pool)
+// once: lane a of out = Σ_r dys[a*m.Rows + r]·m.row(r).
+func (m *Matrix) MulLanesT(dys []float64, n int, out []float64, pool *Pool) {
+	new(laneGemm).mulLanesT(m, dys, n, out, pool)
 }
 
 // AddGradLanes runs the trainer's weight-gradient product
-// (laneGemm.addGradLanes) once: Grad[r] += Σ_a dys[a*dyStride + r]·(lane
-// a of xs) for r in [r0, r1).
-func (m *Matrix) AddGradLanes(r0, r1 int, dys []float64, dyStride, n int, xs []float64, pool *Pool) {
-	new(laneGemm).addGradLanes(m, r0, r1, dys, dyStride, n, xs, pool)
+// (laneGemm.addGradLanes) once: Grad[r] += Σ_a dys[a*m.Rows + r]·(lane
+// a of xs) for every row r.
+func (m *Matrix) AddGradLanes(dys []float64, n int, xs []float64, pool *Pool) {
+	new(laneGemm).addGradLanes(m, dys, n, xs, pool)
 }
 
 // RangeFunc adapts a plain function to RangeTask, for tests that split

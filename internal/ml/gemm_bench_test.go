@@ -82,7 +82,7 @@ func BenchmarkGemmKernels(b *testing.B) {
 // as real packets price them (decision 39).
 func BenchmarkStepLanes(b *testing.B) {
 	const stepLanesInputs = 4096
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		for _, n := range []int{1, 2, 4, 8, 13, 16, 31} {
 			b.Run(fmt.Sprintf("%s/n=%d", cell, n), func(b *testing.B) {
 				model, lanes, _ := defaultShapeLanes(b, cell, n)
@@ -142,11 +142,11 @@ func BenchmarkGateKernels(b *testing.B) {
 // BenchmarkTrainBatch times one minibatch forward+backward (trainBatch,
 // gradients zeroed after each) at the default training shape — 23
 // features, hidden 24, batch 16, window 12, mostly-zero inputs
-// (defaultShapeTrainer) — for both recurrent trunks, on a one-worker
+// (defaultShapeTrainer) — for both trunk classes, on a one-worker
 // pool, reporting ns per sample: the trainer's share of a first
 // estimate (DESIGN.md decision 19 has the table).
 func BenchmarkTrainBatch(b *testing.B) {
-	for _, cell := range []string{"lstm", "gru"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		b.Run(cell, func(b *testing.B) {
 			pool := NewPool(1)
 			defer pool.Close()
@@ -209,12 +209,12 @@ func BenchmarkAdamStep(b *testing.B) {
 // "list" is mulLane (the non-zero columns listed first, then the row
 // kernel over the list), "strided" is accStrided at stride 1 (every column walked,
 // each zero passed by with a branch). The shapes are the default
-// artifact's input products: the LSTM's Wx (96 × 23), the GRU's
-// (72 × 23) and the MLP's window (24 × 276). DESIGN.md decision 38 has
-// the table behind keeping both walks.
+// artifact's input products: the LSTM's Wx (96 × 23) and the MLP's
+// window (24 × 276). DESIGN.md decision 38 has the table behind keeping
+// both walks.
 func BenchmarkInputWalk(b *testing.B) {
 	const inputs = 4096
-	for _, sh := range []struct{ rows, cols int }{{96, 23}, {72, 23}, {24, 23 * 12}} {
+	for _, sh := range []struct{ rows, cols int }{{96, 23}, {24, 23 * 12}} {
 		rng := stats.NewStream(int64(sh.rows*1000 + sh.cols))
 		m := newMatrix(sh.rows, sh.cols)
 		for i := range m.Data {
@@ -233,10 +233,10 @@ func BenchmarkInputWalk(b *testing.B) {
 					j := i % inputs
 					x := xs[j*sh.cols : (j+1)*sh.cols]
 					if walk == "list" {
-						p.mulLane(0, x, out, idx)
+						p.mulLane(x, out, idx)
 					} else {
 						zeroRange(out)
-						p.accStrided(0, x, 1, sh.cols, out)
+						p.accStrided(x, 1, sh.cols, out)
 					}
 				}
 			})
@@ -249,10 +249,10 @@ func BenchmarkInputWalk(b *testing.B) {
 // onto a running output) of a rows × nnz k-major matrix, reporting ns
 // per term, one column walked for all rows. Rows 23 and 24 are the trainer's narrow products (a
 // weight-gradient row is In = 23 or H = 24 wide; Whᵀ·dz has 24 rows);
-// 48, 72 and 96 are the GRU and LSTM gate products. nnz 16 is one
+// 96 is the LSTM's gate products. nnz 16 is one
 // step's lanes of a minibatch, 192 the whole minibatch's 12 × 16.
 func BenchmarkRowKernel(b *testing.B) {
-	for _, rows := range []int{12, 23, 24, 48, 72, 96} {
+	for _, rows := range []int{12, 23, 24, 96} {
 		for _, nnz := range []int{16, 192} {
 			b.Run(fmt.Sprintf("rows=%d/nnz=%d", rows, nnz), func(b *testing.B) {
 				rng := stats.NewStream(int64(rows*1000 + nnz))
@@ -265,7 +265,7 @@ func BenchmarkRowKernel(b *testing.B) {
 				p := packRows(m)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.accStrided(0, x, 1, nnz, out)
+					p.accStrided(x, 1, nnz, out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nnz), "ns/term")
 			})

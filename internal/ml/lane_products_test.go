@@ -64,20 +64,16 @@ func laneOperands(rows, K, n int, density float64, s *stats.Stream) (m *Matrix, 
 // output element to equal a scalar reference bit for bit: the dense
 // ascending-k sum for the forward walks (both skip only exact-zero
 // inputs), and for the backward products the per-vector loops of
-// MulVecT and AddOuterGrad, which skip d = 0. The row range is a random
-// sub-range and the forward output stride is padded by up to 7.
+// MulVecT and AddOuterGrad, which skip d = 0.
 func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
 	m, xs, dys := laneOperands(rows, K, n, density, s)
-	r1 := 1 + s.Intn(rows)
-	r0 := s.Intn(r1)
-	outStride := rows + s.Intn(8)
 	grad0 := append([]float64(nil), m.Grad...)
 
-	wantMul := naiveWalkLanes(m, r0, r1, xs, n, outStride)
+	wantMul := naiveWalkLanes(m, xs, n)
 	wantT := make([]float64, n*K)
 	for a := 0; a < n; a++ {
-		for r := r0; r < r1; r++ {
+		for r := 0; r < rows; r++ {
 			d := dys[a*rows+r]
 			if d == 0 {
 				continue
@@ -88,7 +84,7 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 		}
 	}
 	wantG := append([]float64(nil), grad0...)
-	for r := r0; r < r1; r++ {
+	for r := 0; r < rows; r++ {
 		for a := 0; a < n; a++ {
 			d := dys[a*rows+r]
 			if d == 0 {
@@ -104,28 +100,26 @@ func checkLaneProducts(t testing.TB, rows, K, n int, density float64, pool *Pool
 		t.Helper()
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s %s (%dx%d rows [%d,%d) n=%d density=%.2f) elem %d: %v (%#x), want %v (%#x)",
-					kn, what, rows, K, r0, r1, n, density, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				t.Fatalf("%s %s (%dx%d n=%d density=%.2f) elem %d: %v (%#x), want %v (%#x)",
+					kn, what, rows, K, n, density, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
 	for _, kn := range kernelConfigs() {
 		setKernels(t, kn)
 		for _, dense := range []bool{false, true} {
-			gotMul := make([]float64, n*outStride)
-			m.WalkLanes(r0, r1, xs, n, gotMul, outStride, dense, pool)
-			for a := 0; a < n; a++ {
-				same(kn, fmt.Sprintf("WalkLanes dense=%v", dense), gotMul[a*outStride+r0:a*outStride+r1], wantMul[a*outStride+r0:a*outStride+r1])
-			}
+			gotMul := make([]float64, n*rows)
+			m.WalkLanes(xs, n, gotMul, dense, pool)
+			same(kn, fmt.Sprintf("WalkLanes dense=%v", dense), gotMul, wantMul)
 		}
 		gotT := make([]float64, n*K)
 		for i := range gotT {
 			gotT[i] = math.NaN() // MulLanesT overwrites
 		}
-		m.MulLanesT(r0, r1, dys, rows, n, gotT, pool)
+		m.MulLanesT(dys, n, gotT, pool)
 		same(kn, "MulLanesT", gotT, wantT)
 		copy(m.Grad, grad0)
-		m.AddGradLanes(r0, r1, dys, rows, n, xs, pool)
+		m.AddGradLanes(dys, n, xs, pool)
 		same(kn, "AddGradLanes", m.Grad, wantG)
 	}
 }

@@ -123,7 +123,7 @@ func (s *mlpBatchState) RunRange(lo, hi int) {
 // product (listed walk), the bias and the tanh pass.
 func (s *mlpBatchState) evalLane(a int, win, out []float64) {
 	fw := s.in * s.window
-	s.w.mulLane(0, win, out, s.idx[a*fw:(a+1)*fw])
+	s.w.mulLane(win, out, s.idx[a*fw:(a+1)*fw])
 	for j := range out {
 		out[j] += s.bias[j]
 	}

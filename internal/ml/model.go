@@ -15,8 +15,8 @@ import (
 // phase explores (§7.2).
 type ModelConfig struct {
 	Features int `json:"features"` // per-packet feature width
-	Hidden   int `json:"hidden"`   // LSTM hidden size
-	Layers   int `json:"layers"`   // stacked LSTM count
+	Hidden   int `json:"hidden"`   // trunk hidden size
+	Layers   int `json:"layers"`   // stacked trunk layers (the MLP takes one)
 	Window   int `json:"window"`   // packets per training window
 
 	HuberDelta float64        `json:"huber_delta"` // Huber threshold
@@ -40,8 +40,8 @@ type ModelConfig struct {
 	// the model cache key.
 	BatchSize int `json:"batch_size,omitempty"`
 
-	// CellType selects the trunk class: "lstm" (default), "gru", or
-	// "mlp" (non-recurrent windowed baseline).
+	// CellType selects the trunk class: "lstm" (default) or "mlp"
+	// (non-recurrent windowed baseline).
 	CellType string `json:"cell_type,omitempty"`
 }
 
@@ -79,7 +79,7 @@ func (c ModelConfig) Validate() error {
 		return fmt.Errorf("ml: batch size must be >= 0 (0 selects the default)")
 	}
 	switch c.CellType {
-	case "", "lstm", "gru":
+	case "", "lstm":
 	case "mlp":
 		// The windowed MLP has no recurrent path to route gradients to
 		// earlier steps of a layer below it, so stacking would silently
@@ -121,8 +121,6 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	in := cfg.Features
 	for i := 0; i < cfg.Layers; i++ {
 		switch cfg.CellType {
-		case "gru":
-			m.Trunk = append(m.Trunk, newGRU(in, cfg.Hidden, s))
 		case "mlp":
 			m.Trunk = append(m.Trunk, newWindowMLP(in, cfg.Hidden, cfg.Window, s))
 		default:
@@ -303,8 +301,6 @@ func (m *Model) FLOPsPerStep() float64 {
 		switch l := c.(type) {
 		case *lstm:
 			f += 2 * float64(4*l.Hidden*(l.In+l.Hidden))
-		case *gru:
-			f += 2 * float64(3*l.Hidden*(l.In+l.Hidden))
 		case *windowMLP:
 			f += 2 * float64(l.Hidden*l.In*l.Window)
 		}
@@ -321,7 +317,7 @@ type modelJSON struct {
 	ECNHead  *linJSON    `json:"ecn_head"`
 }
 
-// cellJSON serializes any supported trunk cell. LSTM/GRU use Wx/Wh/B;
+// cellJSON serializes any supported trunk cell. The LSTM uses Wx/Wh/B;
 // the MLP uses W/B with its window size.
 type cellJSON struct {
 	Type       string `json:"type"`
@@ -340,8 +336,6 @@ func cellToJSON(c Cell) (*cellJSON, error) {
 	switch l := c.(type) {
 	case *lstm:
 		return &cellJSON{Type: "lstm", In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B}, nil
-	case *gru:
-		return &cellJSON{Type: "gru", In: l.In, Hidden: l.Hidden, Wx: l.Wx, Wh: l.Wh, B: l.B}, nil
 	case *windowMLP:
 		return &cellJSON{Type: "mlp", In: l.In, Hidden: l.Hidden, Window: l.Window, W: l.W, B: l.B}, nil
 	}
@@ -352,8 +346,6 @@ func cellFromJSON(cj *cellJSON) (Cell, error) {
 	switch cj.Type {
 	case "lstm":
 		return &lstm{In: cj.In, Hidden: cj.Hidden, Wx: cj.Wx, Wh: cj.Wh, B: cj.B}, nil
-	case "gru":
-		return &gru{In: cj.In, Hidden: cj.Hidden, Wx: cj.Wx, Wh: cj.Wh, B: cj.B}, nil
 	case "mlp":
 		return &windowMLP{In: cj.In, Hidden: cj.Hidden, Window: cj.Window, W: cj.W, B: cj.B}, nil
 	}

@@ -334,136 +334,6 @@ func (r *StatefulRunner) Reset() {
 	}
 }
 
-// gruState is the recurrent hidden vector.
-type gruState struct{ h []float64 }
-
-// FreshState returns a zeroed state.
-func (g *gru) FreshState() CellState { return &gruState{h: Zeros(g.Hidden)} }
-
-type gruCache struct {
-	x, hPrev   []float64
-	z, r, hHat []float64
-}
-
-// StepState computes
-//
-//	z = σ(Wz x + Uz h + bz)
-//	r = σ(Wr x + Ur h + br)
-//	ĥ = tanh(Wc x + Uc (r⊙h) + bc)
-//	h' = (1−z)⊙h + z⊙ĥ
-func (g *gru) StepState(st CellState, x []float64, train bool) ([]float64, CellCache) {
-	state := st.(*gruState)
-	H := g.Hidden
-	ax := g.Wx.MulVec(x, nil)
-
-	// Gate pre-activations from the previous hidden state: z and r use h
-	// directly; the candidate uses r⊙h, so it is computed after r.
-	ah := Zeros(3 * H)
-	for row := 0; row < 2*H; row++ {
-		ah[row] = dot(g.Wh.Data[row*H:(row+1)*H], state.h)
-	}
-	z, r := Zeros(H), Zeros(H)
-	for j := 0; j < H; j++ {
-		z[j] = sigmoid(ax[j] + ah[j] + g.B.Data[j])
-		r[j] = sigmoid(ax[H+j] + ah[H+j] + g.B.Data[H+j])
-	}
-	rh := Zeros(H)
-	for j := 0; j < H; j++ {
-		rh[j] = r[j] * state.h[j]
-	}
-	hHat := Zeros(H)
-	for j := 0; j < H; j++ {
-		row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-		hHat[j] = math.Tanh(dotAcc(ax[2*H+j]+g.B.Data[2*H+j], row, rh))
-	}
-	hNew := Zeros(H)
-	for j := 0; j < H; j++ {
-		hNew[j] = (1-z[j])*state.h[j] + z[j]*hHat[j]
-	}
-	var cache CellCache
-	if train {
-		cache = &gruCache{
-			x:     append([]float64(nil), x...),
-			hPrev: append([]float64(nil), state.h...),
-			z:     z, r: r, hHat: hHat,
-		}
-	}
-	state.h = hNew
-	return hNew, cache
-}
-
-// StepBackward backpropagates one GRU step. The GRU has no carry channel
-// (dcarry is ignored and returned nil).
-func (g *gru) StepBackward(cache CellCache, dh, _ []float64) (dhPrev, dcarryPrev, dx []float64) {
-	c := cache.(*gruCache)
-	H := g.Hidden
-	dhPrev = Zeros(H)
-	da := Zeros(3 * H) // gradients at the three pre-activations
-
-	dHHat := Zeros(H)
-	for j := 0; j < H; j++ {
-		// h' = (1-z) h + z ĥ
-		dz := dh[j] * (c.hHat[j] - c.hPrev[j])
-		dHHat[j] = dh[j] * c.z[j]
-		dhPrev[j] += dh[j] * (1 - c.z[j])
-		da[j] = dz * dSigmoid(c.z[j])
-		da[2*H+j] = dHHat[j] * dTanh(c.hHat[j])
-	}
-	// Candidate path: a_c = Wc x + Uc (r⊙h) + bc.
-	drh := Zeros(H)
-	for j := 0; j < H; j++ {
-		row := g.Wh.Data[(2*H+j)*H : (2*H+j+1)*H]
-		d := da[2*H+j]
-		if d == 0 {
-			continue
-		}
-		for cIdx, v := range row {
-			drh[cIdx] += v * d
-		}
-	}
-	for j := 0; j < H; j++ {
-		dr := drh[j] * c.hPrev[j]
-		dhPrev[j] += drh[j] * c.r[j]
-		da[H+j] = dr * dSigmoid(c.r[j])
-	}
-	// Parameter gradients. Wh rows for z and r consume hPrev; the
-	// candidate rows consume r⊙hPrev.
-	g.Wx.AddOuterGrad(da, c.x)
-	rh := Zeros(H)
-	for j := 0; j < H; j++ {
-		rh[j] = c.r[j] * c.hPrev[j]
-	}
-	for row := 0; row < 3*H; row++ {
-		d := da[row]
-		if d == 0 {
-			continue
-		}
-		grad := g.Wh.Grad[row*H : (row+1)*H]
-		src := c.hPrev
-		if row >= 2*H {
-			src = rh
-		}
-		for cIdx := range grad {
-			grad[cIdx] += d * src[cIdx]
-		}
-		g.B.Grad[row] += d
-	}
-	// dhPrev contributions through the z/r gate pre-activations.
-	for row := 0; row < 2*H; row++ {
-		d := da[row]
-		if d == 0 {
-			continue
-		}
-		w := g.Wh.Data[row*H : (row+1)*H]
-		for cIdx, v := range w {
-			dhPrev[cIdx] += v * d
-		}
-	}
-	dx = Zeros(g.In)
-	g.Wx.MulVecT(da, dx)
-	return dhPrev, nil, dx
-}
-
 // mlpState is the ring buffer of recent inputs (oldest first).
 type mlpState struct{ history [][]float64 }
 

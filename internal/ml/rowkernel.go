@@ -22,9 +22,9 @@ package ml
 // an exact cancellation rounds to +0), so adding a finite w·±0 = ±0
 // never changes it — which is why an artifact with a non-finite weight
 // is refused before it reaches inference (Model.CheckFinite): Inf·0 is
-// NaN, not a no-op. A product from +0 and the GRU candidate's chain
-// from ax+b (itself a sum from +0) are therefore dot's and dotAcc's
-// chains bit for bit. There are two walks, one per kind of input:
+// NaN, not a no-op. Every walk starts from +0 or accumulates onto a
+// gradient summed from +0, so each is dot's or dotAcc's chain bit for
+// bit. There are two walks, one per kind of input:
 //
 //   - mulLane lists the non-zero columns into its caller's scratch, then
 //     walks the list: the sparse inputs x (one-hot feature blocks) and
@@ -37,13 +37,13 @@ package ml
 //   - accStrided walks every column of an input read with a stride and
 //     passes each exact zero by with one test: the dense inputs, where
 //     zeros are rare and a list would cost more than it saves — the
-//     recurrent state h in every cell step (W·hPrev, and the GRU's
-//     candidate product over r⊙h), the gate gradients dz a lane at a
-//     time (Mᵀ·dy) and one gate row across the lanes (the weight
-//     gradient). On dense inputs it is no slower than a walk taking
-//     every term, so no third walk is kept (DESIGN.md decision 39). Its
-//     skip set is MulVecT's and AddOuterGrad's, so the trainer's
-//     backward products are theirs for every weight, finite or not.
+//     recurrent state h in every cell step (W·hPrev), the gate
+//     gradients dz a lane at a time (Mᵀ·dy) and one gate row across the
+//     lanes (the weight gradient). On dense inputs it is no slower than
+//     a walk taking every term, so no third walk is kept (DESIGN.md
+//     decision 39). Its skip set is MulVecT's and AddOuterGrad's, so the
+//     trainer's backward products are theirs for every weight, finite
+//     or not.
 
 // packedRows is a matrix stored k-major for the row kernel:
 // t[k*rows + r] = W[r][k], so column k of W is one contiguous run. A
@@ -67,10 +67,10 @@ func (p *packedRows) pack(m *Matrix) {
 	}
 }
 
-// mulLane sets out[i] = dot(W.row(r0+i), x) for i in [0, len(out)),
+// mulLane sets out[i] = dot(W.row(i), x) for i in [0, len(out)),
 // bitwise, skipping exact-zero inputs. idx is scratch for the column
 // list, at least len(x) long.
-func (p *packedRows) mulLane(r0 int, x, out []float64, idx []int) {
+func (p *packedRows) mulLane(x, out []float64, idx []int) {
 	zeroRange(out)
 	if len(out) == 0 {
 		return
@@ -84,7 +84,7 @@ func (p *packedRows) mulLane(r0 int, x, out []float64, idx []int) {
 		}
 	}
 	if nnz > 0 {
-		p.accCols(r0, x, idx[:nnz], out)
+		p.accCols(x, idx[:nnz], out)
 	}
 }
 
@@ -93,17 +93,17 @@ func (p *packedRows) mulLane(r0 int, x, out []float64, idx []int) {
 // list goes to rowsAcc; otherwise a Go loop does the same elementwise
 // updates. (Folded into mulLane, the pair measured 7-9% slower per
 // lane step: DESIGN.md decision 39.)
-func (p *packedRows) accCols(r0 int, x []float64, cols []int, out []float64) {
+func (p *packedRows) accCols(x []float64, cols []int, out []float64) {
 	R, n, last := p.rows, len(out), cols[len(cols)-1]
 	_ = x[last]
-	_ = p.t[last*R+r0+n-1] // the last element rowsAcc may read
+	_ = p.t[last*R+n-1] // the last element rowsAcc may read
 	if useRowsAcc {
-		rowsAcc(&out[0], n, &p.t[r0], R*8, &x[0], &cols[0], len(cols))
+		rowsAcc(&out[0], n, &p.t[0], R*8, &x[0], &cols[0], len(cols))
 		return
 	}
 	for _, k := range cols {
 		v := x[k]
-		col := p.t[k*R+r0 : k*R+r0+n]
+		col := p.t[k*R : k*R+n]
 		o := out[:len(col)]
 		for i, w := range col {
 			o[i] += w * v
@@ -111,19 +111,19 @@ func (p *packedRows) accCols(r0 int, x []float64, cols []int, out []float64) {
 	}
 }
 
-// accStrided adds v·column k onto out[i], out[i] = W[r0+i][k], for
-// k = 0, 1, …, n-1 in turn, with v = x[k*xStride], passing by each k
-// whose v is an exact zero. With useRowsAcc rowsAccStrided walks the
-// columns; otherwise a Go loop does the same elementwise updates.
-func (p *packedRows) accStrided(r0 int, x []float64, xStride, n int, out []float64) {
+// accStrided adds v·W[i][k] onto out[i] for k = 0, 1, …, n-1 in turn,
+// with v = x[k*xStride], passing by each k whose v is an exact zero.
+// With useRowsAcc rowsAccStrided walks the columns; otherwise a Go loop
+// does the same elementwise updates.
+func (p *packedRows) accStrided(x []float64, xStride, n int, out []float64) {
 	R, rows := p.rows, len(out)
 	if rows == 0 || n == 0 {
 		return
 	}
 	_ = x[(n-1)*xStride]
-	_ = p.t[(n-1)*R+r0+rows-1] // the last element rowsAccStrided may read
+	_ = p.t[(n-1)*R+rows-1] // the last element rowsAccStrided may read
 	if useRowsAcc {
-		rowsAccStrided(&out[0], rows, &p.t[r0], R*8, &x[0], xStride*8, n)
+		rowsAccStrided(&out[0], rows, &p.t[0], R*8, &x[0], xStride*8, n)
 		return
 	}
 	for k := 0; k < n; k++ {
@@ -131,7 +131,7 @@ func (p *packedRows) accStrided(r0 int, x []float64, xStride, n int, out []float
 		if v == 0 {
 			continue
 		}
-		col := p.t[k*R+r0 : k*R+r0+rows]
+		col := p.t[k*R : k*R+rows]
 		o := out[:len(col)]
 		for i, w := range col {
 			o[i] += w * v

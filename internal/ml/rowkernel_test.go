@@ -38,21 +38,19 @@ const rowKernelGuard = 4
 // checkRowKernel runs the row kernel's two walks over n lanes through
 // pool in four forms — mulLane (the listed walk) from +0; accStrided at
 // stride 1 from +0, the cell steps' W·hPrev; accStrided at stride 1 from
-// per-element starts that are never -0, the GRU candidate's chain from
-// ax+b; and accStrided from per-element starts that include -0 over the
-// input read with a drawn stride of 1-3, NaN between its elements —
-// under every kernel setting the CPU can run (kernelConfigs), and
-// requires each element to equal the per-(lane, row) dot, dot, dotAcc
-// (every term taken) and dotAccSkip bit for bit. The product covers w
-// rows at a drawn offset of a matrix with up to four more. Each lane's
-// output is followed by rowKernelGuard NaN sentinels that must survive,
-// and a chunk runs its lanes in descending order, so a store past a
-// lane's rows is not hidden by the next lane's write.
+// per-element starts that are never -0, the weight gradient's chain onto
+// a gradient summed from +0; and accStrided from per-element starts that
+// include -0 over the input read with a drawn stride of 1-3, NaN between
+// its elements — under every kernel setting the CPU can run
+// (kernelConfigs), and requires each element to equal the per-(lane,
+// row) dot, dot, dotAcc (every term taken) and dotAccSkip bit for bit.
+// The product covers the first w rows of a matrix with up to four more.
+// Each lane's output is followed by rowKernelGuard NaN sentinels that
+// must survive, and a chunk runs its lanes in descending order, so a
+// store past a lane's rows is not hidden by the next lane's write.
 func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *stats.Stream) {
 	t.Helper()
 	rows := w + s.Intn(5)
-	r0 := s.Intn(rows - w + 1)
-	r1 := r0 + w
 	m := newMatrix(rows, K)
 	for i := range m.Data {
 		switch u := s.Float64(); {
@@ -101,32 +99,32 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 		pool.Range(n, w*K, RangeFunc(func(lo, hi int) {
 			for a := hi - 1; a >= lo; a-- {
 				x := xs[a*K : (a+1)*K]
-				p.mulLane(r0, x, mul[a*ws:a*ws+w], idx[a*K:(a+1)*K])
+				p.mulLane(x, mul[a*ws:a*ws+w], idx[a*K:(a+1)*K])
 				zeroRange(dense[a*ws : a*ws+w])
-				p.accStrided(r0, x, 1, K, dense[a*ws:a*ws+w])
-				p.accStrided(r0, x, 1, K, acc[a*ws:a*ws+w])
-				p.accStrided(r0, strided[a*K*xStride:], xStride, K, skip[a*ws:a*ws+w])
+				p.accStrided(x, 1, K, dense[a*ws:a*ws+w])
+				p.accStrided(x, 1, K, acc[a*ws:a*ws+w])
+				p.accStrided(strided[a*K*xStride:], xStride, K, skip[a*ws:a*ws+w])
 			}
 		}))
 		for a := 0; a < n; a++ {
 			x := xs[a*K : (a+1)*K]
 			for i := 0; i < w; i++ {
-				row := m.Data[(r0+i)*K : (r0+i+1)*K]
+				row := m.Data[i*K : (i+1)*K]
 				if got, want := mul[a*ws+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), dot = %v (%#x)",
-						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+					t.Fatalf("%s %dx%d n=%d density=%.2f: mulLane lane %d row %d = %v (%#x), dot = %v (%#x)",
+						kn, rows, K, n, density, a, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				if got, want := dense[a*ws+i], dot(row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accStrided from +0 lane %d row %d = %v (%#x), dot = %v (%#x)",
-						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+					t.Fatalf("%s %dx%d n=%d density=%.2f: accStrided from +0 lane %d row %d = %v (%#x), dot = %v (%#x)",
+						kn, rows, K, n, density, a, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				if got, want := acc[a*ws+i], dotAcc(posStarts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f: accStrided from a start not -0, lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
-						kn, rows, K, r0, r1, n, density, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+					t.Fatalf("%s %dx%d n=%d density=%.2f: accStrided from a start not -0, lane %d row %d = %v (%#x), dotAcc = %v (%#x)",
+						kn, rows, K, n, density, a, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				if got, want := skip[a*ws+i], dotAccSkip(starts[a*ws+i], row, x); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s %dx%d rows [%d,%d) n=%d density=%.2f stride %d: accStrided lane %d row %d = %v (%#x), dotAccSkip = %v (%#x)",
-						kn, rows, K, r0, r1, n, density, xStride, a, r0+i, got, math.Float64bits(got), want, math.Float64bits(want))
+					t.Fatalf("%s %dx%d n=%d density=%.2f stride %d: accStrided lane %d row %d = %v (%#x), dotAccSkip = %v (%#x)",
+						kn, rows, K, n, density, xStride, a, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 			for i := w; i < ws; i++ {
@@ -135,8 +133,8 @@ func checkRowKernel(t testing.TB, w, K, n int, density float64, pool *Pool, s *s
 					v    []float64
 				}{{"mulLane", mul}, {"accStrided from +0", dense}, {"accStrided from a start not -0", acc}, {"accStrided", skip}} {
 					if got := math.Float64bits(out.v[a*ws+i]); got != math.Float64bits(sentinel) {
-						t.Fatalf("%s %dx%d rows [%d,%d) n=%d: %s lane %d wrote %#x %d slots past its last row",
-							kn, rows, K, r0, r1, n, out.form, a, got, i-w+1)
+						t.Fatalf("%s %dx%d n=%d: %s lane %d wrote %#x %d slots past its last row",
+							kn, rows, K, n, out.form, a, got, i-w+1)
 					}
 				}
 			}
@@ -205,46 +203,43 @@ func FuzzRowKernel(f *testing.F) {
 
 // TestDenseRecurrentProductMatchesMulLane: the cell steps' recurrent
 // product W·hPrev (accStrided from +0) equals the listed walk mulLane
-// and dot bit for bit at the LSTM (96×24) and GRU (2H = 48 of 72 rows)
-// bank shapes, on h vectors holding +0, -0, subnormals and ordinary
-// values, under every kernel setting the CPU can run.
+// and dot bit for bit at the LSTM bank's shape (96×24), on h vectors
+// holding +0, -0, subnormals and ordinary values, under every kernel
+// setting the CPU can run.
 func TestDenseRecurrentProductMatchesMulLane(t *testing.T) {
 	neg0 := math.Copysign(0, -1)
 	sub := math.SmallestNonzeroFloat64
 	s := stats.NewStream(11)
-	const H = 24
+	const H, rows = 24, 4 * 24
 	hs := [][]float64{make([]float64, H), make([]float64, H), make([]float64, H), make([]float64, H)}
 	for i := 0; i < H; i++ {
 		hs[1][i] = neg0
 		hs[2][i] = []float64{0, neg0, sub, -sub * 3, 1e-310}[i%5]
 		hs[3][i] = []float64{2*s.Float64() - 1, 0, neg0, -sub}[i%4]
 	}
-	for _, sh := range []struct{ rows, w int }{{4 * H, 4 * H}, {3 * H, 2 * H}} {
-		rows, w := sh.rows, sh.w
-		m := newMatrix(rows, H)
-		for i := range m.Data {
-			m.Data[i] = 2*s.Float64() - 1
-			if i%7 == 0 {
-				m.Data[i] = math.Copysign(0, m.Data[i])
-			}
+	m := newMatrix(rows, H)
+	for i := range m.Data {
+		m.Data[i] = 2*s.Float64() - 1
+		if i%7 == 0 {
+			m.Data[i] = math.Copysign(0, m.Data[i])
 		}
-		p := packRows(m)
-		for _, kn := range kernelConfigs() {
-			setKernels(t, kn)
-			for hi, h := range hs {
-				want := make([]float64, w)
-				got := make([]float64, w)
-				p.mulLane(0, h, want, make([]int, H))
-				p.accStrided(0, h, 1, H, got)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s %d rows, h #%d: row %d accStrided = %#x, mulLane = %#x",
-							kn, rows, hi, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-					}
-					if d := dot(m.Data[i*H:(i+1)*H], h); math.Float64bits(got[i]) != math.Float64bits(d) {
-						t.Fatalf("%s %d rows, h #%d: row %d accStrided = %#x, dot = %#x",
-							kn, rows, hi, i, math.Float64bits(got[i]), math.Float64bits(d))
-					}
+	}
+	p := packRows(m)
+	for _, kn := range kernelConfigs() {
+		setKernels(t, kn)
+		for hi, h := range hs {
+			want := make([]float64, rows)
+			got := make([]float64, rows)
+			p.mulLane(h, want, make([]int, H))
+			p.accStrided(h, 1, H, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s h #%d: row %d accStrided = %#x, mulLane = %#x",
+						kn, hi, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+				if d := dot(m.Data[i*H:(i+1)*H], h); math.Float64bits(got[i]) != math.Float64bits(d) {
+					t.Fatalf("%s h #%d: row %d accStrided = %#x, dot = %#x",
+						kn, hi, i, math.Float64bits(got[i]), math.Float64bits(d))
 				}
 			}
 		}
@@ -272,10 +267,10 @@ func TestNonFiniteWeightBreaksZeroSkip(t *testing.T) {
 	}
 	p := packRows(m)
 	row := make([]float64, 4)
-	p.mulLane(0, xs[:cols], row, make([]int, cols))
+	p.mulLane(xs[:cols], row, make([]int, cols))
 	for _, dense := range []bool{false, true} {
 		out := make([]float64, lanes*4)
-		m.WalkLanes(0, 4, xs, lanes, out, 4, dense, NewPool(1))
+		m.WalkLanes(xs, lanes, out, dense, NewPool(1))
 		if out[0] != 0.1 || row[0] != 0.1 {
 			t.Fatalf("zero-skipping products (dense %v) = %v, %v; want 0.1 (the Inf·0 term skipped)", dense, out[0], row[0])
 		}
@@ -325,7 +320,7 @@ func defaultShapeLanes(tb testing.TB, cell string, n int) (*Model, []int, [][]fl
 // nothing, inline (production floor) or fanned out (floor 0), for every
 // trunk class at the default artifact shape.
 func TestStepLanesDoesNotAllocate(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		for _, floor := range []int{dispatchFloor, 0} {
 			pool := newPoolFloor(2, floor)
 			for _, n := range []int{1, 7, 16, 31} {
@@ -349,7 +344,7 @@ func TestStepLanesDoesNotAllocate(t *testing.T) {
 // weights — bit for bit what the per-packet path on the same model
 // predicts.
 func TestBankAfterFineTune(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		model := parityModel(t, cell, 1)
 		before := NewBatchedStatefulModel(model, 1, nil)
 		if _, err := model.TrainContext(context.Background(), samplesOf(synthSamples(40, model.Cfg.Features, model.Cfg.Window, 3)), TrainOpts{}); err != nil {

@@ -58,8 +58,7 @@ func dot(a, b []float64) float64 {
 }
 
 // dotAcc returns acc + Σ a[i]*b[i], accumulated in index order starting
-// from acc: the chain of a product continued from a starting value, as
-// the GRU candidate's is from its input term and bias.
+// from acc: the chain of a product continued from a starting value.
 func dotAcc(acc float64, a, b []float64) float64 {
 	for i, v := range a {
 		acc += v * b[i]

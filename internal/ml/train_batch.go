@@ -28,9 +28,7 @@ import (
 //
 // It is the only trainer: BatchSize 1 runs it at width 1, one optimizer
 // step per sample. At width 1 it reproduces the per-sample scalar BPTT
-// loop it replaced (kept in the tests) bit for bit for the LSTM and MLP
-// trunks; the GRU differs in the association of one sum, the previous
-// step's hidden gradient (DESIGN.md decision 22).
+// loop it replaced (kept in the tests) bit for bit for every trunk.
 //
 // Determinism contract: for a fixed seed and batch size training is
 // bitwise reproducible run to run and across worker counts: every
@@ -173,9 +171,9 @@ type trainLayer interface {
 	// carries the recurrent gradient to step st-1 internally, and writes
 	// the input gradient into dx (n×In) unless dx is nil. Steps run
 	// descending. Parameter gradients are reduced in the fixed order
-	// steps descending, then lanes ascending: the GRU and MLP accumulate
-	// each step's as it passes, the LSTM all of them in one product per
-	// weight once step 0 has passed.
+	// steps descending, then lanes ascending: the MLP takes its final
+	// step's as it passes, the LSTM all of them in one product per weight
+	// once step 0 has passed.
 	backward(st, n int, dhIn, dx []float64)
 }
 
@@ -185,8 +183,6 @@ func newTrainLayer(c Cell, pool *Pool) trainLayer {
 	switch l := c.(type) {
 	case *lstm:
 		return &lstmTrainLayer{l: l, pool: pool}
-	case *gru:
-		return &gruTrainLayer{g: l, pool: pool}
 	case *windowMLP:
 		return &mlpTrainLayer{m: l, pool: pool}
 	}
@@ -287,12 +283,12 @@ func (t *miniBatchTrainer) trainBatch(src SampleSource, idx []int) float64 {
 		t.dECN[a] = invB * cfg.ECNLossW * dECN * dSigmoid(pred.PECN)
 	}
 	hFin := out[:n*H]
-	t.gemm.addGradLanes(t.m.LatHead.W, 0, 1, t.dLat, 1, n, hFin, t.pool)
-	t.gemm.addGradLanes(t.m.DropHead.W, 0, 1, t.dDrop, 1, n, hFin, t.pool)
-	t.gemm.addGradLanes(t.m.ECNHead.W, 0, 1, t.dECN, 1, n, hFin, t.pool)
-	addBiasGradLanes(t.m.LatHead.B, 0, 1, t.dLat, 1, n)
-	addBiasGradLanes(t.m.DropHead.B, 0, 1, t.dDrop, 1, n)
-	addBiasGradLanes(t.m.ECNHead.B, 0, 1, t.dECN, 1, n)
+	t.gemm.addGradLanes(t.m.LatHead.W, t.dLat, n, hFin, t.pool)
+	t.gemm.addGradLanes(t.m.DropHead.W, t.dDrop, n, hFin, t.pool)
+	t.gemm.addGradLanes(t.m.ECNHead.W, t.dECN, n, hFin, t.pool)
+	addBiasGradLanes(t.m.LatHead.B, t.dLat, n)
+	addBiasGradLanes(t.m.DropHead.B, t.dDrop, n)
+	addBiasGradLanes(t.m.ECNHead.B, t.dECN, n)
 	t.pool.Range(n, 3*H, t) // dOut
 	dOut := t.dOut[:n*H]
 
@@ -422,11 +418,11 @@ func (t *lstmTrainLayer) backwardStep(st, n int, dhIn, dx []float64) {
 	t.pool.Range(n, 16*H, lstmGateGrads{t})
 	dz := t.gates[t.slot*n*4*H : (t.slot+1)*n*4*H]
 	if dx != nil {
-		t.gemm.mulLanesT(l.Wx, 0, 4*H, dz, 4*H, n, dx, t.pool)
+		t.gemm.mulLanesT(l.Wx, dz, n, dx, t.pool)
 	}
 	if st > 0 {
 		// dh was consumed above; overwrite it with the carry for step st-1.
-		t.gemm.mulLanesT(l.Wh, 0, 4*H, dz, 4*H, n, t.dh, t.pool)
+		t.gemm.mulLanesT(l.Wh, dz, n, t.dh, t.pool)
 	}
 }
 
@@ -440,9 +436,9 @@ func (t *lstmTrainLayer) addWeightGrads() {
 	H, In := l.Hidden, l.In
 	lanes := t.steps * t.n
 	dz := t.gates[:lanes*4*H]
-	t.gemm.addGradLanes(l.Wx, 0, 4*H, dz, 4*H, lanes, t.cx[:lanes*In], t.pool)
-	t.gemm.addGradLanes(l.Wh, 0, 4*H, dz, 4*H, lanes, t.chPrev[:lanes*H], t.pool)
-	addBiasGradLanes(l.B, 0, 4*H, dz, 4*H, lanes)
+	t.gemm.addGradLanes(l.Wx, dz, lanes, t.cx[:lanes*In], t.pool)
+	t.gemm.addGradLanes(l.Wh, dz, lanes, t.chPrev[:lanes*H], t.pool)
+	addBiasGradLanes(l.B, dz, lanes)
 }
 
 // lstmGateGrads turns one step's hidden and cell gradients into the gate
@@ -463,139 +459,6 @@ func (t lstmGateGrads) RunRange(lo, hi int) {
 		k := (base + a) * H
 		lstmGateGradLanes(t.gates[4*k:4*(k+H)], t.dh[a*H:(a+1)*H], dhIn,
 			t.dc[a*H:(a+1)*H], t.ctc[k:k+H], t.ccPrev[k:k+H])
-	}
-}
-
-// gruTrainLayer runs fused minibatch BPTT for one GRU layer: the lane
-// banks' step per lane forward (gruBatchState.stepLane), whose candidate
-// product over r⊙h follows the reset gate, and per step the backward
-// products and the weight and bias gradients.
-type gruTrainLayer struct {
-	g    *gru
-	pool *Pool
-	gemm laneGemm
-	s    gruBatchState // running h (n×H), this minibatch's weights, forward scratch
-
-	n, steps int
-	dh       []float64 // recurrent gradient carry, n×H
-	da       []float64 // pre-activation gradients, n×3H
-	drh      []float64 // gradient at r⊙h, n×H
-	dhAcc    []float64 // dhPrev accumulator, n×H
-	scr      []float64 // mulLanesT scratch, n×H
-
-	cx                       []float64 // steps×n×In
-	chPrev, cz, cr, chh, crh []float64 // steps×n×H
-
-	// one step's arguments for the forward and gate workers
-	base         int       // st·n·H, the step's offset into the caches
-	xs, hs, dhIn []float64 // xs: the step's cached inputs, n×In
-}
-
-func (t *gruTrainLayer) begin(n, steps int) {
-	H, In := t.g.Hidden, t.g.In
-	t.n, t.steps = n, steps
-	t.s.load(t.g)
-	t.s.size(n)
-	t.s.h = growFloats(t.s.h, n*H)
-	t.dh = growFloats(t.dh, n*H)
-	t.da = growFloats(t.da, n*3*H)
-	t.drh = growFloats(t.drh, n*H)
-	t.dhAcc = growFloats(t.dhAcc, n*H)
-	t.scr = growFloats(t.scr, n*H)
-	t.cx = growFloats(t.cx, steps*n*In)
-	t.chPrev = growFloats(t.chPrev, steps*n*H)
-	t.cz = growFloats(t.cz, steps*n*H)
-	t.cr = growFloats(t.cr, steps*n*H)
-	t.chh = growFloats(t.chh, steps*n*H)
-	t.crh = growFloats(t.crh, steps*n*H)
-	zeroRange(t.s.h)
-	zeroRange(t.dh[:n*H])
-}
-
-// forward caches step st's inputs and previous state, then runs the
-// bank's step per lane.
-func (t *gruTrainLayer) forward(st, n int, xs, hs []float64) {
-	H, In := t.g.Hidden, t.g.In
-	t.base, t.hs = st*n*H, hs
-	t.xs = t.cx[st*n*In : (st+1)*n*In]
-	copy(t.xs, xs[:n*In])
-	copy(t.chPrev[t.base:t.base+n*H], t.s.h[:n*H])
-	t.pool.Range(n, t.g.stepCost(), gruForward{t})
-}
-
-// gruForward is the forward step over lanes [lo, hi): the bank's step on
-// each lane's cached input, writing z, r, r⊙h and the candidate into the
-// step's caches.
-type gruForward struct{ *gruTrainLayer }
-
-func (t gruForward) RunRange(lo, hi int) {
-	H, In := t.g.Hidden, t.g.In
-	for a := lo; a < hi; a++ {
-		k := t.base + a*H
-		t.s.stepLane(a, a, t.xs[a*In:(a+1)*In], t.cz[k:k+H], t.cr[k:k+H], t.crh[k:k+H], t.chh[k:k+H], t.hs[a*H:(a+1)*H])
-	}
-}
-
-func (t *gruTrainLayer) backward(st, n int, dhIn, dx []float64) {
-	g := t.g
-	H, In := g.Hidden, g.In
-	t.base, t.dhIn = st*n*H, dhIn
-	t.pool.Range(n, 8*H, gruUpdateGrads{t})
-	// Gradient at r⊙h through the candidate rows of Wh.
-	t.gemm.mulLanesT(g.Wh, 2*H, 3*H, t.da, 3*H, n, t.drh, t.pool)
-	t.pool.Range(n, 4*H, gruResetGrads{t})
-	t.gemm.addGradLanes(g.Wx, 0, 3*H, t.da, 3*H, n, t.cx[st*n*In:(st+1)*n*In], t.pool)
-	// Wh rows for z and r consume hPrev; candidate rows consume r⊙h.
-	t.gemm.addGradLanes(g.Wh, 0, 2*H, t.da, 3*H, n, t.chPrev[t.base:t.base+n*H], t.pool)
-	t.gemm.addGradLanes(g.Wh, 2*H, 3*H, t.da, 3*H, n, t.crh[t.base:t.base+n*H], t.pool)
-	addBiasGradLanes(g.B, 0, 3*H, t.da, 3*H, n)
-	if st > 0 { // step 0 has no step before it to carry to
-		t.gemm.mulLanesT(g.Wh, 0, 2*H, t.da, 3*H, n, t.scr, t.pool)
-		for i, v := range t.dhAcc[:n*H] {
-			t.dh[i] = v + t.scr[i] // the carry to step st-1
-		}
-	}
-	if dx != nil {
-		t.gemm.mulLanesT(g.Wx, 0, 3*H, t.da, 3*H, n, dx, t.pool)
-	}
-}
-
-// gruUpdateGrads computes the update-gate and candidate pre-activation
-// gradients and the direct part of dhPrev over lanes [lo, hi).
-type gruUpdateGrads struct{ *gruTrainLayer }
-
-func (t gruUpdateGrads) RunRange(lo, hi int) {
-	H, base, dhIn := t.g.Hidden, t.base, t.dhIn
-	for a := lo; a < hi; a++ {
-		for j := 0; j < H; j++ {
-			k := base + a*H + j
-			dhv := t.dh[a*H+j]
-			if dhIn != nil {
-				dhv += dhIn[a*H+j]
-			}
-			// h' = (1-z)·h + z·ĥ.
-			z, hHat, hPrev := t.cz[k], t.chh[k], t.chPrev[k]
-			dz := dhv * (hHat - hPrev)
-			t.da[a*3*H+j] = dz * dSigmoid(z)
-			t.da[a*3*H+2*H+j] = dhv * z * dTanh(hHat)
-			t.dhAcc[a*H+j] = dhv * (1 - z)
-		}
-	}
-}
-
-// gruResetGrads computes the reset-gate pre-activation gradient from the
-// gradient at r⊙h over lanes [lo, hi).
-type gruResetGrads struct{ *gruTrainLayer }
-
-func (t gruResetGrads) RunRange(lo, hi int) {
-	H, base := t.g.Hidden, t.base
-	for a := lo; a < hi; a++ {
-		for j := 0; j < H; j++ {
-			k := base + a*H + j
-			dr := t.drh[a*H+j] * t.chPrev[k]
-			t.da[a*3*H+H+j] = dr * dSigmoid(t.cr[k])
-			t.dhAcc[a*H+j] += t.drh[a*H+j] * t.cr[k]
-		}
 	}
 }
 
@@ -669,6 +532,6 @@ func (t *mlpTrainLayer) backward(st, n int, dhIn, _ []float64) {
 	for i, dh := range dhIn[:n*H] {
 		t.da[i] = dh * dTanh(t.h[i]) // back through tanh
 	}
-	t.gemm.addGradLanes(t.m.W, 0, H, t.da, H, n, t.s.win, t.pool)
-	addBiasGradLanes(t.m.B, 0, H, t.da, H, n)
+	t.gemm.addGradLanes(t.m.W, t.da, n, t.s.win, t.pool)
+	addBiasGradLanes(t.m.B, t.da, n)
 }

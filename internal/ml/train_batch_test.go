@@ -14,12 +14,10 @@ func cellConfigs() map[string]ModelConfig {
 	lstm := DefaultModelConfig(3, 5)
 	lstm.Hidden = 7
 	lstm.Layers = 2
-	gru := lstm
-	gru.CellType = "gru"
 	mlp := lstm
 	mlp.CellType = "mlp"
 	mlp.Layers = 1
-	return map[string]ModelConfig{"lstm": lstm, "gru": gru, "mlp": mlp}
+	return map[string]ModelConfig{"lstm": lstm, "mlp": mlp}
 }
 
 // TestBatchedGradMatchesSequential is the core correctness check of the
@@ -107,7 +105,7 @@ func TestTrainerForwardMatchesBank(t *testing.T) {
 	for _, tc := range []struct {
 		cell   string
 		layers int
-	}{{"lstm", 1}, {"lstm", 2}, {"gru", 1}, {"gru", 2}, {"mlp", 1}} {
+	}{{"lstm", 1}, {"lstm", 2}, {"mlp", 1}} {
 		t.Run(fmt.Sprintf("%s/layers=%d", tc.cell, tc.layers), func(t *testing.T) {
 			model := parityModel(t, tc.cell, tc.layers)
 			s := stats.NewStream(int64(7 * tc.layers))
@@ -215,14 +213,10 @@ func (m *Model) fitScalar(src windowSource) {
 }
 
 // TestWidthOneTrainerMatchesScalarLoop pins what BatchSize 1 means: the
-// minibatch trainer at width 1 trains byte-identical LSTM and MLP
-// artifacts to the per-sample scalar loop. (A GRU differs in the last
-// bits: its forward is the scalar GRU step's, but the trainer sums the
-// previous step's hidden gradient in another order than the scalar
-// StepBackward does; DESIGN.md decision 22.)
+// minibatch trainer at width 1 trains an artifact byte-identical to the
+// per-sample scalar loop's, for every trunk class.
 func TestWidthOneTrainerMatchesScalarLoop(t *testing.T) {
-	for _, name := range []string{"lstm", "mlp"} {
-		cfg := cellConfigs()[name]
+	for name, cfg := range cellConfigs() {
 		cfg.BatchSize = 1
 		cfg.Epochs = 2
 		src := samplesOf(synthSamples(40, cfg.Features, cfg.Window, 7))
@@ -390,18 +384,17 @@ func TestMulLanesTMatchesMulVecT(t *testing.T) {
 	s := stats.NewStream(5)
 	m := newMatrix(12, 7)
 	m.InitXavier(s)
-	n, stride := 9, 14
-	dys := make([]float64, n*stride)
+	n := 9
+	dys := make([]float64, n*m.Rows)
 	for i := range dys {
 		dys[i] = s.NormFloat64()
 	}
 	out := make([]float64, n*m.Cols)
-	r0, r1 := 2, 12
-	m.MulLanesT(r0, r1, dys, stride, n, out, pool)
+	m.MulLanesT(dys, n, out, pool)
 	for a := 0; a < n; a++ {
 		want := Zeros(m.Cols)
-		for r := r0; r < r1; r++ {
-			d := dys[a*stride+r]
+		for r := 0; r < m.Rows; r++ {
+			d := dys[a*m.Rows+r]
 			for c := 0; c < m.Cols; c++ {
 				want[c] += m.Data[r*m.Cols+c] * d
 			}
@@ -437,7 +430,7 @@ func TestAddGradLanesMatchesAddOuterGrad(t *testing.T) {
 		pool := NewPool(workers)
 		got := newMatrix(10, 6)
 		copy(got.Data, ref.Data)
-		got.AddGradLanes(0, 10, dys, stride, n, xs, pool)
+		got.AddGradLanes(dys, n, xs, pool)
 		for i := range ref.Grad {
 			if got.Grad[i] != ref.Grad[i] {
 				t.Fatalf("workers=%d grad %d: %v != %v", workers, i, got.Grad[i], ref.Grad[i])
@@ -549,7 +542,7 @@ func snapshotParams(m *Model) [][]float64 {
 // default artifact shape, inline (production floor) or fanned out
 // (floor 0).
 func TestTrainBatchDoesNotAllocate(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		for _, floor := range []int{dispatchFloor, 0} {
 			pool := newPoolFloor(2, floor)
 			bt, view, idx := defaultShapeTrainer(t, cell, pool)
@@ -602,7 +595,7 @@ func TestEvaluateMatchesPerSample(t *testing.T) {
 // call, so scoring ten times the samples costs no more allocations, for
 // every trunk class.
 func TestEvaluateAllocsFlat(t *testing.T) {
-	for _, cell := range []string{"lstm", "gru", "mlp"} {
+	for _, cell := range []string{"lstm", "mlp"} {
 		cfg := DefaultModelConfig(23, 12)
 		cfg.CellType = cell
 		m, err := NewModel(cfg)

@@ -86,7 +86,7 @@ func TestJobSpecDatasetKeyCoarserThanModelKey(t *testing.T) {
 	a := tinySpec().Normalized()
 	b := a
 	b.Hidden *= 2
-	b.Cell = "gru"
+	b.Cell = "mlp"
 	ka, err := a.DatasetKey()
 	if err != nil {
 		t.Fatal(err)

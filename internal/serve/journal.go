@@ -16,11 +16,13 @@ import (
 // transition is appended to a write-ahead journal, and the two that
 // recovery acts on (accepted, terminal) are fsynced BEFORE the effect is
 // acknowledged, so a daemon killed at any instant can rebuild its job
-// table on the next boot. Recovery re-enqueues jobs that never
-// reached a terminal state; re-execution is idempotent because the model
-// registry content-addresses artifacts (a job whose training finished
-// before the crash hits the registry) and the training checkpointer
-// resumes interrupted trainings from their last epoch boundary.
+// table on the next boot. Recovery re-enqueues jobs that never reached a
+// terminal state, and fails those whose spec no longer validates (one
+// journaled by a build that accepted more); re-execution is idempotent
+// because the model registry content-addresses artifacts (a job whose
+// training finished before the crash hits the registry) and the
+// training checkpointer resumes interrupted trainings from their last
+// epoch boundary.
 //
 // Record types, JSON-encoded per journal frame:
 //
@@ -113,7 +115,7 @@ type RecoveryReport struct {
 	Torn      int `json:"torn"`      // clipped torn tails / seq gaps
 	Jobs      int `json:"jobs"`      // jobs known after recovery
 	Requeued  int `json:"requeued"`  // unfinished jobs re-enqueued
-	Completed int `json:"completed"` // terminal jobs restored for GETs
+	Completed int `json:"completed"` // terminal jobs restored for GETs, those failed at recovery included
 }
 
 func (r RecoveryReport) String() string {
@@ -125,7 +127,9 @@ func (r RecoveryReport) String() string {
 // first: terminal jobs are restored so GET /v1/jobs/{id} survives
 // restarts, and unfinished jobs go back on the queue (grown past
 // QueueDepth if the backlog demands it) before any new submission is
-// accepted. It fails while another scheduler holds opt.JournalDir.
+// accepted, unless their spec no longer validates: those fail at once
+// with the Validate error. It fails while another scheduler holds
+// opt.JournalDir.
 func NewSchedulerWithOptions(reg *Registry, opt SchedulerOptions) (*Scheduler, *RecoveryReport, error) {
 	for _, d := range []struct{ field, dir string }{
 		{"JournalDir", opt.JournalDir},
@@ -187,7 +191,10 @@ func NewSchedulerWithOptions(reg *Registry, opt SchedulerOptions) (*Scheduler, *
 
 // replay folds the snapshot and the surviving records into the job
 // table (s.jobs/s.order/s.nextID) and returns the jobs to re-enqueue.
-// Runs before any worker starts, so no locking is needed.
+// An unfinished job whose spec fails JobSpec.Validate is not among them:
+// it is failed with that error and its terminal record journaled, so it
+// fails once, not on every boot. Runs before any worker starts, so no
+// locking is needed.
 func (s *Scheduler) replay(info *durable.RecoveryInfo, rep *RecoveryReport) []*Job {
 	states := make(map[string]*snapshotJob)
 	var order []string
@@ -254,13 +261,23 @@ func (s *Scheduler) replay(info *durable.RecoveryInfo, rep *RecoveryReport) []*J
 	var pending []*Job
 	for _, id := range order {
 		sj := states[id]
+		terminal := sj.State == StateDone || sj.State == StateFailed || sj.State == StateCancelled
+		if !terminal {
+			if err := sj.Spec.Validate(); err != nil {
+				t := time.Now()
+				sj.State, sj.Error, sj.Finished = StateFailed, err.Error(), &t
+				s.logRecord(jobRecord{Type: recFailed, ID: id, Error: sj.Error, Time: t})
+				s.cFailed.Inc()
+				terminal = true
+			}
+		}
 		j := rebuildJob(sj)
 		s.jobs[id] = j
 		s.order = append(s.order, id)
 		if n := idNum(id); n > s.nextID {
 			s.nextID = n
 		}
-		if sj.State == StateDone || sj.State == StateFailed || sj.State == StateCancelled {
+		if terminal {
 			rep.Completed++
 		} else {
 			pending = append(pending, j)

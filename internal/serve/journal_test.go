@@ -94,6 +94,64 @@ func TestTerminalRecordBeforeDone(t *testing.T) {
 	}
 }
 
+// TestRecoveryFailsInvalidSpec: a journaled job whose spec no longer
+// validates, here an accepted record for a cell class this build does
+// not have, is failed by the recovery pass with the JobSpec.Validate
+// error. It is counted in the RecoveryReport and never queued, so the
+// real pipeline runs no datagen for it and writes no dataset file. A
+// second boot restores it failed: the journal holds one terminal entry.
+func TestRecoveryFailsInvalidSpec(t *testing.T) {
+	opt := tempOptions(t, 1, 1, nil)
+	spec := JobSpec{Clusters: 4, Cell: "gru"}.Normalized()
+	jnl, _, err := durable.OpenJournal(opt.JournalDir, durable.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(jobRecord{Type: recAccepted, ID: "j000001", Key: "k", Spec: &spec, Time: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jnl.AppendSync(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg := newTestRegistry(t, 2)
+	const want = `serve: cell "gru" unknown (supported: lstm, mlp)`
+	for boot := 1; boot <= 2; boot++ {
+		s, rep, err := NewSchedulerWithOptions(reg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Jobs != 1 || rep.Requeued != 0 || rep.Completed != 1 {
+			t.Errorf("boot %d: recovery %s, want 1 job, 0 requeued, 1 terminal", boot, rep)
+		}
+		j, err := s.Job("j000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.State != StateFailed || st.Error != want {
+			t.Errorf("boot %d: job %s %q, want failed %q", boot, st.State, st.Error, want)
+		}
+		select {
+		case <-j.Done():
+		default:
+			t.Errorf("boot %d: failed job's Done is open", boot)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOneEach(t, opt.JournalDir, []string{"j000001"})
+	if files, err := os.ReadDir(opt.DatasetDir); err != nil || len(files) != 0 {
+		t.Errorf("dataset dir holds %d files (%v), want none", len(files), err)
+	}
+}
+
 // TestJournalSyncsRecoveryRecordsOnly: a job appends five records —
 // accepted, started, phase train, phase compose and its terminal one —
 // and fsyncs two of them: accepted before Submit returns, and the

@@ -342,6 +342,8 @@ func TestSchedulerRejectsInvalidSpec(t *testing.T) {
 		{"workload_ms", JobSpec{WorkloadMs: maxHorizonMs + 1}},
 		{"run_ms", JobSpec{RunMs: maxHorizonMs + 1}},
 		{"small_run_ms", JobSpec{SmallRunMs: maxHorizonMs + 1}},
+		{`cell "gru" unknown (supported: lstm, mlp)`, JobSpec{Cell: "gru"}},
+		{`cell "foo" unknown (supported: lstm, mlp)`, JobSpec{Cell: "foo"}},
 	} {
 		_, err := s.Submit(tc.spec)
 		if err == nil {

@@ -141,6 +141,17 @@ func TestServerAdmissionAndErrors(t *testing.T) {
 		t.Fatalf("oversized hidden: HTTP %d %s, want 400 naming hidden", resp.StatusCode, msg)
 	}
 
+	// Unknown cell class → 400 naming the field and the supported ones.
+	resp, err = c.HTTP.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"cell":"gru"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 400 || !strings.Contains(string(msg), `cell \"gru\" unknown (supported: lstm, mlp)`) {
+		t.Fatalf("unknown cell: HTTP %d %s, want 400 naming cell and its values", resp.StatusCode, msg)
+	}
+
 	// Body over 1 MiB → 413, rejected while reading.
 	big := `{"protocol":"` + strings.Repeat("x", maxSpecBytes) + `"}`
 	resp, err = c.HTTP.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(big))

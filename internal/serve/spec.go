@@ -54,7 +54,7 @@ type JobSpec struct {
 	Hidden int    `json:"hidden,omitempty"`
 	Layers int    `json:"layers,omitempty"`
 	Epochs int    `json:"epochs,omitempty"`
-	Cell   string `json:"cell,omitempty"` // lstm|gru|mlp
+	Cell   string `json:"cell,omitempty"` // lstm|mlp
 	// BatchSize selects the minibatch trainer width (0 = engine default;
 	// 1 = one optimizer step per sample).
 	BatchSize int `json:"batch_size,omitempty"`
@@ -197,6 +197,11 @@ func (s JobSpec) Validate() error {
 	}
 	if err := tuning.CheckMetric(s.TuneMetric); err != nil {
 		return fmt.Errorf("serve: tune_metric: %w", err)
+	}
+	switch s.Cell {
+	case "", "lstm", "mlp":
+	default:
+		return fmt.Errorf("serve: cell %q unknown (supported: lstm, mlp)", s.Cell)
 	}
 	base, tcfg, err := s.Configs()
 	if err != nil {
