@@ -215,18 +215,13 @@ func NewLayered(cfg Config, layer Layer) (*Simulation, error) {
 	}
 	t := topo.New(cfg.Topo)
 	cfg.Workload.HostLinkBps = cfg.Link.RateBps
-	flows, err := workload.Generate(t, cfg.Workload)
+	var simulated func(src, dst int) bool // nil: every flow
+	if md := layer.ModelDriven; md != nil {
+		simulated = func(src, dst int) bool { return !md[t.ClusterOf(src)] || !md[t.ClusterOf(dst)] }
+	}
+	flows, err := workload.Generate(t, cfg.Workload, simulated)
 	if err != nil {
 		return nil, err
-	}
-	if layer.ModelDriven != nil {
-		simulated := flows[:0]
-		for _, f := range flows {
-			if !layer.ModelDriven[t.ClusterOf(f.Src)] || !layer.ModelDriven[t.ClusterOf(f.Dst)] {
-				simulated = append(simulated, f)
-			}
-		}
-		flows = simulated
 	}
 
 	inst := &Simulation{
@@ -318,19 +313,33 @@ func NewLayered(cfg Config, layer Layer) (*Simulation, error) {
 	return inst, nil
 }
 
-// lpOf returns the logical process running a host: cluster i's hosts run
-// on LP i when sharded, everything on the one LP otherwise.
-func (inst *Simulation) lpOf(host int) *lp {
+// lpOf returns the logical process running a host.
+func (inst *Simulation) lpOf(host int) *lp { return inst.lps[inst.lpIndex(host)] }
+
+// lpIndex returns the index of the logical process running a host:
+// cluster i's hosts run on LP i when sharded, everything on the one LP
+// otherwise.
+func (inst *Simulation) lpIndex(host int) int {
 	if inst.par == nil {
-		return inst.lps[0]
+		return 0
 	}
-	return inst.lps[inst.Topo.ClusterOf(host)]
+	return inst.Topo.ClusterOf(host)
 }
 
 // schedule starts root flows at their Start time on their source host's
 // LP, through its flow-start lane (workload.Generate sorts flows by
-// Start); dependents wait for their parent's completion.
+// Start); dependents wait for their parent's completion. Each lane is
+// grown once to hold its LP's roots.
 func (inst *Simulation) schedule(flows []workload.Flow) {
+	roots := make([]int, len(inst.lps))
+	for i := range flows {
+		if flows[i].After == 0 {
+			roots[inst.lpIndex(flows[i].Src)]++
+		}
+	}
+	for i, l := range inst.lps {
+		l.starts.Grow(roots[i])
+	}
 	for i := range flows {
 		f := &flows[i]
 		if f.After != 0 {

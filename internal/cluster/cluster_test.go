@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"cmp"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mimicnet/internal/metrics"
+	"mimicnet/internal/netsim"
 	"mimicnet/internal/sim"
 	"mimicnet/internal/transport"
 	"mimicnet/internal/workload"
@@ -357,5 +361,76 @@ func TestFullFidelityAllocsPerEvent(t *testing.T) {
 	t.Logf("%d events, %.4f allocations per event", events, perEvent)
 	if perEvent >= 0.1 {
 		t.Errorf("%.3f allocations per event, want < 0.1", perEvent)
+	}
+}
+
+// TestPacketAndByteConservation runs a small DCTCP fabric, loaded past
+// its queues so that segments are dropped and arrive out of order, until
+// no event is left. Every packet the fabric took in must then have been
+// delivered to a host or dropped by a queue, and every flow's receiver
+// must have delivered exactly the flow's bytes in order.
+func TestPacketAndByteConservation(t *testing.T) {
+	cfg := smallConfig("dctcp")
+	cfg.Workload.Load = 0.9
+	cfg.Workload.Duration = 50 * sim.Millisecond
+	cfg.QueueCapacity = 8
+	cfg.ECNThresholdK = 4
+	measured := []bool{true, true} // every host counts its in-order bytes
+	inst, err := NewLayered(cfg, Layer{Measured: measured})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered uint64
+	segments := make(map[uint64][][2]int64) // flow -> payload ranges that reached its receiver
+	for h, host := range inst.hosts {
+		inst.Fabric.RegisterHost(h, func(pkt *netsim.Packet) {
+			delivered++
+			if !pkt.IsAck && pkt.Payload > 0 {
+				segments[pkt.FlowID] = append(segments[pkt.FlowID], [2]int64{pkt.Seq, pkt.Seq + int64(pkt.Payload)})
+			}
+			host.Receive(pkt)
+		})
+	}
+	inst.Sim.Run()
+
+	flows := inst.Flows()
+	if n := inst.FlowsCompleted(); n != len(flows) || inst.FlowsStarted() != len(flows) {
+		t.Fatalf("quiescent run started %d and completed %d of %d flows", inst.FlowsStarted(), n, len(flows))
+	}
+	res := inst.Results()
+	t.Logf("%d flows, %d packets, %d dropped", len(flows), res.Packets, res.Drops)
+	if res.Drops == 0 {
+		t.Fatal("no queue dropped a packet: the run does not exercise loss recovery")
+	}
+	if res.Packets != delivered+res.Drops {
+		t.Errorf("fabric took in %d packets, delivered %d and dropped %d", res.Packets, delivered, res.Drops)
+	}
+	// Every byte of every flow reached its receiver: what the receivers
+	// acknowledged was really there.
+	var want, got int64
+	for _, f := range flows {
+		want += f.Bytes
+		segs := segments[f.ID]
+		slices.SortFunc(segs, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+		var covered int64
+		for _, sg := range segs {
+			if sg[0] > covered {
+				break
+			}
+			covered = max(covered, sg[1])
+		}
+		if covered != f.Bytes {
+			t.Fatalf("flow %d: its receiver got bytes [0, %d) contiguously of %d", f.ID, covered, f.Bytes)
+		}
+	}
+	// A flow completes once its sender holds a cumulative ACK of all of
+	// its bytes, so each receiver delivered at least Flow.Bytes in order;
+	// equal totals leave no receiver room to have delivered more.
+	bin := inst.Collector.ThroughputBin.Seconds()
+	for _, bps := range res.Throughputs {
+		got += int64(math.Round(bps * bin))
+	}
+	if got != want {
+		t.Errorf("receivers delivered %d bytes in order, flows carry %d", got, want)
 	}
 }

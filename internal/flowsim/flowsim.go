@@ -52,7 +52,7 @@ func Run(cfg Config, until sim.Time) (Results, error) {
 	}
 	t := topo.New(cfg.Topo)
 	cfg.Workload.HostLinkBps = cfg.LinkBps
-	flows, err := workload.Generate(t, cfg.Workload)
+	flows, err := workload.Generate(t, cfg.Workload, nil)
 	if err != nil {
 		return Results{}, err
 	}

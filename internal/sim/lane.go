@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Lane is a FIFO of typed events for a caller whose event times never
 // decrease: every port of a fabric schedules its propagation leg at
@@ -69,9 +72,22 @@ func (l *Lane) Schedule(t Time, h Handler, p any, n int64) {
 	s.seq++
 }
 
-// grow doubles the ring, unwrapping its entries to the front.
-func (l *Lane) grow() {
-	ring := make([]laneEntry, max(2*len(l.ring), laneMinRing))
+// Grow makes room for n more events, so that a caller that knows how
+// many it is about to schedule allocates the ring once instead of
+// doubling it there. The ring's size never changes the events' order.
+func (l *Lane) Grow(n int) {
+	if need := l.n + n; need > len(l.ring) {
+		l.resize(max(laneMinRing, 1<<bits.Len(uint(need-1))))
+	}
+}
+
+// grow doubles the ring.
+func (l *Lane) grow() { l.resize(max(2*len(l.ring), laneMinRing)) }
+
+// resize moves the entries into a ring of the given power-of-two length,
+// unwrapping them to the front.
+func (l *Lane) resize(size int) {
+	ring := make([]laneEntry, size)
 	k := copy(ring, l.ring[l.head:])
 	copy(ring[k:], l.ring[:l.head])
 	l.ring, l.head = ring, 0

@@ -366,3 +366,41 @@ func TestLaneRingWrapsAndGrows(t *testing.T) {
 		t.Errorf("lane schedule-and-fire allocates %v/op, want 0", allocs)
 	}
 }
+
+// Grow sizes a lane's ring once, to the next power of two that holds its
+// live entries and n more, unwrapping live entries that straddle the
+// wrap; the n events then schedule into that ring and fire in order.
+func TestLaneGrowSizesOnce(t *testing.T) {
+	s := New()
+	l := s.NewLane()
+	var got []int64
+	h := func(_ any, n int64) { got = append(got, n) }
+	for i := int64(0); i < 60; i++ {
+		l.Schedule(Time(i), h, nil, i)
+	}
+	s.RunUntil(39)
+	for i := int64(60); i < 70; i++ {
+		l.Schedule(Time(i), h, nil, i) // wraps the 64-entry ring
+	}
+	l.Grow(1000) // 30 live + 1000
+	if len(l.ring) != 2048 {
+		t.Fatalf("Grow(1000) with 30 queued made a ring of %d, want 2048", len(l.ring))
+	}
+	ring := &l.ring[0]
+	for i := int64(70); i < 1070; i++ {
+		l.Schedule(Time(i), h, nil, i)
+	}
+	l.Grow(0)
+	if &l.ring[0] != ring || len(s.heap) != 0 {
+		t.Errorf("1000 events after Grow(1000) moved the ring (now %d entries) or went to the heap", len(l.ring))
+	}
+	s.Run()
+	if len(got) != 1070 {
+		t.Fatalf("fired %d events, want 1070", len(got))
+	}
+	for i, n := range got {
+		if n != int64(i) {
+			t.Fatalf("firing %d was event %d", i, n)
+		}
+	}
+}

@@ -82,6 +82,17 @@ func (s *Stream) Derive(label string) *Stream {
 	return Parent(s.rng.Int63()).Derive(label)
 }
 
+// DeriveInto is Derive into an existing stream: it reseeds child in
+// place, after which child is exactly s.Derive(label), the same values
+// and a State() of zero draws. A caller that derives one child after
+// another (a stream per host, each dropped once its draws are taken)
+// reuses one source instead of allocating a fresh one per child.
+func (s *Stream) DeriveInto(child *Stream, label string) {
+	seed := Parent(s.rng.Int63()).seed(label)
+	child.rng.Seed(seed) // reseeds child.src, which resets its draw count
+	child.seed = seed
+}
+
 // Parent is the draw a fresh stream's Derive takes: NewParent(seed)
 // holds the first value of NewStream(seed), and Parent.Derive(label) is
 // NewStream(seed).Derive(label), bit for bit. A component that derives
@@ -93,13 +104,16 @@ type Parent int64
 func NewParent(seed int64) Parent { return Parent(NewStream(seed).rng.Int63()) }
 
 // Derive returns the child stream labelled label.
-func (p Parent) Derive(label string) *Stream {
+func (p Parent) Derive(label string) *Stream { return NewStream(p.seed(label)) }
+
+// seed is the seed of the child stream labelled label.
+func (p Parent) seed(label string) int64 {
 	h := int64(1469598103934665603) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= int64(label[i])
 		h *= 1099511628211
 	}
-	return NewStream(h ^ int64(p))
+	return h ^ int64(p)
 }
 
 // Float64 returns a uniform value in [0, 1).

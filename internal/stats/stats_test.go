@@ -278,3 +278,73 @@ func TestStreamStateShuffleReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveIntoMatchesDerive pins the reseeded stream to the fresh one:
+// a child that has already been drawn from, in every draw kind, and is
+// then reseeded by DeriveInto must draw exactly what s.Derive(label)
+// draws, and State/RestoreStream must put both at the same position.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	labels := []string{"", "host-0", "host-255", "coflow", "µ-label"}
+	for _, seed := range []int64{0, 1, 7, -3, math.MaxInt64, math.MinInt64} {
+		parentA, parentB := NewStream(seed), NewStream(seed)
+		child := NewStream(99)
+		for _, label := range labels {
+			want := parentA.Derive(label)
+			parentB.DeriveInto(child, label)
+			if child.State() != want.State() || child.State().Draws != 0 {
+				t.Fatalf("seed %d label %q: reseeded state %+v, fresh %+v", seed, label, child.State(), want.State())
+			}
+			for i := 0; i < 60; i++ {
+				var got, exp string
+				switch i % 6 {
+				case 0:
+					got, exp = fmt.Sprint(math.Float64bits(child.Float64())), fmt.Sprint(math.Float64bits(want.Float64()))
+				case 1:
+					got, exp = fmt.Sprint(child.Intn(97)), fmt.Sprint(want.Intn(97))
+				case 2:
+					got, exp = fmt.Sprint(math.Float64bits(child.NormFloat64())), fmt.Sprint(math.Float64bits(want.NormFloat64()))
+				case 3:
+					got, exp = fmt.Sprint(math.Float64bits(child.ExpFloat64())), fmt.Sprint(math.Float64bits(want.ExpFloat64()))
+				case 4:
+					got, exp = fmt.Sprint(child.rng.Int63()), fmt.Sprint(want.rng.Int63())
+				case 5:
+					g, w := []int{0, 1, 2, 3, 4, 5, 6}, []int{0, 1, 2, 3, 4, 5, 6}
+					child.Shuffle(len(g), func(i, j int) { g[i], g[j] = g[j], g[i] })
+					want.Shuffle(len(w), func(i, j int) { w[i], w[j] = w[j], w[i] })
+					got, exp = fmt.Sprint(g), fmt.Sprint(w)
+				}
+				if got != exp {
+					t.Fatalf("seed %d label %q draw %d: reseeded %s, fresh %s", seed, label, i, got, exp)
+				}
+			}
+			if child.State() != want.State() {
+				t.Fatalf("seed %d label %q: reseeded at %+v, fresh at %+v", seed, label, child.State(), want.State())
+			}
+			restored := RestoreStream(child.State())
+			for i := 0; i < 4; i++ {
+				if g, w := restored.NormFloat64(), want.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("seed %d label %q: restored draw %d %v, fresh %v", seed, label, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNewStream is the cost of seeding one stream, the price a
+// fresh Derive pays per child and DeriveInto pays without the
+// allocation.
+func BenchmarkNewStream(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewStream(int64(i))
+		}
+	})
+	b.Run("reseed", func(b *testing.B) {
+		b.ReportAllocs()
+		parent, child := NewStream(1), NewStream(0)
+		for i := 0; i < b.N; i++ {
+			parent.DeriveInto(child, "host-0")
+		}
+	})
+}

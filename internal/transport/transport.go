@@ -109,7 +109,7 @@ type Receiver struct {
 	flow *Flow
 
 	rcvNxt int64
-	ooo    map[int64]int64 // out-of-order segments: start -> end
+	ooo    map[int64]int64 // out-of-order segments: start -> end (nil until the first)
 
 	// granting state (Homa)
 	granting   bool
@@ -123,7 +123,7 @@ type Receiver struct {
 
 // NewReceiver builds a receive endpoint for the flow.
 func NewReceiver(env *Env, flow *Flow) *Receiver {
-	return &Receiver{env: env, flow: flow, ooo: make(map[int64]int64)}
+	return &Receiver{env: env, flow: flow}
 }
 
 // HandleData processes an arriving data packet and emits an ACK (and
@@ -134,6 +134,9 @@ func (r *Receiver) HandleData(pkt *netsim.Packet) {
 		if start <= r.rcvNxt {
 			r.advance(end)
 		} else if cur, ok := r.ooo[start]; !ok || end > cur {
+			if r.ooo == nil {
+				r.ooo = make(map[int64]int64)
+			}
 			r.ooo[start] = end
 		}
 	}

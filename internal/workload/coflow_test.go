@@ -71,7 +71,7 @@ func TestCoflowValidation(t *testing.T) {
 
 func TestCoflowIDsDoNotCollideWithBackground(t *testing.T) {
 	tp := testTopo(2)
-	bg, err := Generate(tp, testConfig())
+	bg, err := Generate(tp, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCoflowIDsDoNotCollideWithBackground(t *testing.T) {
 
 func TestCriticalPathNoDeps(t *testing.T) {
 	tp := testTopo(2)
-	bg, _ := Generate(tp, testConfig())
+	bg, _ := Generate(tp, testConfig(), nil)
 	if got := CriticalPathStages(bg); got != 1 {
 		t.Errorf("dependency-free critical path = %d, want 1", got)
 	}

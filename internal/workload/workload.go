@@ -8,9 +8,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mimicnet/internal/sim"
 	"mimicnet/internal/stats"
@@ -138,22 +139,25 @@ func (c Config) clamp(v float64) int64 {
 	return b
 }
 
-// Generate produces the full flow schedule for a topology, sorted by
-// start time. Flow IDs encode (src host, per-host sequence) so they are
-// stable under scaling.
-func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
+// Generate produces the flow schedule for a topology, sorted by start
+// time. Flow IDs encode (src host, per-host sequence) so they are stable
+// under scaling. keep, if non-nil, selects the flows to return by their
+// endpoints: every flow is still drawn, so each host's stream, and with
+// it every kept flow, is the same as in the unfiltered schedule.
+func Generate(t *topo.Topology, cfg Config, keep func(src, dst int) bool) ([]Flow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var flows []Flow
 	root := stats.NewStream(cfg.Seed)
+	hs := stats.NewStream(0) // reseeded per host below
 	sizes := cfg.sizeDist()
 	gaps := stats.Exponential{MeanVal: cfg.meanInterarrival()} // seconds
 
 	for src := 0; src < t.Hosts(); src++ {
 		// Each host derives its own stream from (seed, host index) so the
 		// schedule of existing hosts is invariant under adding clusters.
-		hs := root.Derive(fmt.Sprintf("host-%d", src))
+		root.DeriveInto(hs, fmt.Sprintf("host-%d", src))
 		at := sim.Time(0)
 		seq := uint64(0)
 		for {
@@ -168,21 +172,26 @@ func Generate(t *topo.Topology, cfg Config) ([]Flow, error) {
 			if dst == src {
 				continue
 			}
-			flows = append(flows, Flow{
-				ID:    flowID(src, seq),
-				Src:   src,
-				Dst:   dst,
-				Bytes: cfg.clamp(sizes.Sample(hs)),
-				Start: at,
-			})
+			bytes := cfg.clamp(sizes.Sample(hs))
+			if keep == nil || keep(src, dst) {
+				flows = append(flows, Flow{
+					ID:    flowID(src, seq),
+					Src:   src,
+					Dst:   dst,
+					Bytes: bytes,
+					Start: at,
+				})
+			}
 			seq++
 		}
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Start != flows[j].Start {
-			return flows[i].Start < flows[j].Start
+	// (Start, ID) is a total order, so any subset sorts into the order
+	// it has within the full schedule.
+	slices.SortFunc(flows, func(a, b Flow) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return flows[i].ID < flows[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return flows, nil
 }

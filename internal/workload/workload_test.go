@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mimicnet/internal/sim"
@@ -26,7 +29,7 @@ func testConfig() Config {
 
 func TestGenerateBasics(t *testing.T) {
 	tp := testTopo(2)
-	flows, err := Generate(tp, testConfig())
+	flows, err := Generate(tp, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +57,8 @@ func TestGenerateBasics(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	tp := testTopo(2)
-	a, _ := Generate(tp, testConfig())
-	b, _ := Generate(tp, testConfig())
+	a, _ := Generate(tp, testConfig(), nil)
+	b, _ := Generate(tp, testConfig(), nil)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -66,7 +69,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Seed = 99
-	c, _ := Generate(tp, cfg)
+	c, _ := Generate(tp, cfg, nil)
 	if len(c) == len(a) {
 		same := true
 		for i := range c {
@@ -84,8 +87,8 @@ func TestGenerateDeterministic(t *testing.T) {
 // The core scale-independence property (paper §4.2): adding clusters must
 // not change existing hosts' flow arrival times or sizes.
 func TestScaleIndependence(t *testing.T) {
-	small, _ := Generate(testTopo(2), testConfig())
-	large, _ := Generate(testTopo(8), testConfig())
+	small, _ := Generate(testTopo(2), testConfig(), nil)
+	large, _ := Generate(testTopo(8), testConfig(), nil)
 
 	type key struct {
 		id    uint64
@@ -116,7 +119,7 @@ func TestMeanFlowSizeApproximatesTarget(t *testing.T) {
 	tp := testTopo(4)
 	cfg := testConfig()
 	cfg.Duration = 2 * sim.Second
-	flows, _ := Generate(tp, cfg)
+	flows, _ := Generate(tp, cfg, nil)
 	st := Summarize(tp, flows)
 	if st.Flows < 100 {
 		t.Fatalf("too few flows (%d) for a mean check", st.Flows)
@@ -131,7 +134,7 @@ func TestOfferedLoadApproximatesTarget(t *testing.T) {
 	tp := testTopo(2)
 	cfg := testConfig()
 	cfg.Duration = 2 * sim.Second
-	flows, _ := Generate(tp, cfg)
+	flows, _ := Generate(tp, cfg, nil)
 	st := Summarize(tp, flows)
 	perHostBps := float64(st.TotalBytes) * 8 / cfg.Duration.Seconds() / float64(tp.Hosts())
 	target := cfg.Load * cfg.HostLinkBps
@@ -146,7 +149,7 @@ func TestLocalitySplit(t *testing.T) {
 	cfg.Duration = 2 * sim.Second
 	cfg.PIntraRack = 0.5
 	cfg.PIntraCluster = 0.3
-	flows, _ := Generate(tp, cfg)
+	flows, _ := Generate(tp, cfg, nil)
 	st := Summarize(tp, flows)
 	total := float64(st.Flows)
 	if got := float64(st.IntraRack) / total; math.Abs(got-0.5) > 0.08 {
@@ -165,7 +168,7 @@ func TestSingleClusterFallback(t *testing.T) {
 	cfg := testConfig()
 	cfg.PIntraRack = 0
 	cfg.PIntraCluster = 0 // all flows want inter-cluster, but there is none
-	flows, err := Generate(tp, cfg)
+	flows, err := Generate(tp, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d passed validation", i)
 		}
-		if _, err := Generate(testTopo(2), cfg); err == nil {
+		if _, err := Generate(testTopo(2), cfg, nil); err == nil {
 			t.Errorf("Generate accepted bad config %d", i)
 		}
 	}
@@ -211,7 +214,7 @@ func TestValidateRejectsUnschedulableMean(t *testing.T) {
 	if err := huge.Validate(); err == nil {
 		t.Fatal("DefaultConfig(1e30) passed validation")
 	}
-	if _, err := Generate(testTopo(2), huge); err == nil {
+	if _, err := Generate(testTopo(2), huge, nil); err == nil {
 		t.Fatal("Generate accepted DefaultConfig(1e30)")
 	}
 	// The mean gap is 0.99 of int64 nanoseconds: 10 of these 16 hosts
@@ -221,7 +224,7 @@ func TestValidateRejectsUnschedulableMean(t *testing.T) {
 	if err := edge.Validate(); err != nil {
 		t.Fatalf("mean 8e16 B rejected: %v", err)
 	}
-	flows, err := Generate(testTopo(2), edge)
+	flows, err := Generate(testTopo(2), edge, nil)
 	if err != nil || len(flows) != 0 {
 		t.Fatalf("mean 8e16 B over 1 ms: %d flows, err %v; want none", len(flows), err)
 	}
@@ -231,7 +234,7 @@ func TestValidateRejectsUnschedulableMean(t *testing.T) {
 func TestCustomSizeDistribution(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinFlowBytes, cfg.MaxFlowBytes = 5000, 5000
-	flows, _ := Generate(testTopo(2), cfg)
+	flows, _ := Generate(testTopo(2), cfg, nil)
 	if len(flows) == 0 {
 		t.Fatal("no flows")
 	}
@@ -246,7 +249,7 @@ func TestClampBounds(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinFlowBytes = 1000
 	cfg.MaxFlowBytes = 2000
-	flows, _ := Generate(testTopo(2), cfg)
+	flows, _ := Generate(testTopo(2), cfg, nil)
 	for _, f := range flows {
 		if f.Bytes < 1000 || f.Bytes > 2000 {
 			t.Fatalf("flow bytes %d outside clamp", f.Bytes)
@@ -301,4 +304,84 @@ func Summarize(t *topo.Topology, flows []Flow) Stats {
 		st.MeanBytes = float64(st.TotalBytes) / float64(st.Flows)
 	}
 	return st
+}
+
+// crossesCluster0 keeps the flows a composition with one measured
+// cluster (cluster 0) simulates: those with an end in it.
+func crossesCluster0(tp *topo.Topology) func(src, dst int) bool {
+	return func(src, dst int) bool { return tp.ClusterOf(src) == 0 || tp.ClusterOf(dst) == 0 }
+}
+
+// A keep predicate must return exactly the flows the full schedule
+// holds that it keeps, in the same order: every flow is still drawn, so
+// the kept ones do not move.
+func TestGenerateKeepMatchesFilter(t *testing.T) {
+	for _, n := range []int{2, 8, 32} {
+		tp := testTopo(n)
+		keep := crossesCluster0(tp)
+		for _, seed := range []int64{1, 7, 1 << 33} {
+			cfg := testConfig()
+			cfg.Seed = seed
+			cfg.Duration = 100 * sim.Millisecond
+			all, err := Generate(tp, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := slices.DeleteFunc(slices.Clone(all), func(f Flow) bool { return !keep(f.Src, f.Dst) })
+			got, err := Generate(tp, cfg, keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || len(want) == len(all) {
+				t.Fatalf("N=%d seed %d: predicate kept %d of %d flows, want a proper subset", n, seed, len(want), len(all))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("N=%d seed %d: Generate with keep returned %d flows, filtering the full schedule %d, or their order differs",
+					n, seed, len(got), len(want))
+			}
+		}
+	}
+}
+
+// Generating a schedule allocates what it returns: the hosts share one
+// reseeded stream, and flows the predicate rejects are never stored. At
+// N=32 with every flow rejected, what is left is that one stream and the
+// hosts' labels; a stream per host alone would be 256 × 5.4 KB.
+func TestGenerateAllocatesOnlyKeptFlows(t *testing.T) {
+	tp := testTopo(32)
+	none := func(src, dst int) bool { return false }
+	Generate(tp, testConfig(), none) // warm up lazily built runtime state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	flows, err := Generate(tp, testConfig(), none)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(flows) != 0 {
+		t.Fatalf("Generate rejecting every flow = %d flows, %v", len(flows), err)
+	}
+	const bound = 64 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("Generate at N=32 rejecting every flow allocated %d B, bound %d B", got, bound)
+	}
+}
+
+// BenchmarkGenerate is one schedule at the cluster counts of a first
+// estimate and of a large composition, unfiltered and as a composition
+// with one measured cluster keeps it.
+func BenchmarkGenerate(b *testing.B) {
+	for _, n := range []int{8, 32} {
+		tp := testTopo(n)
+		for _, arm := range []struct {
+			name string
+			keep func(src, dst int) bool
+		}{{"all", nil}, {"cluster0", crossesCluster0(tp)}} {
+			b.Run(fmt.Sprintf("N=%d/%s", n, arm.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Generate(tp, testConfig(), arm.keep); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
